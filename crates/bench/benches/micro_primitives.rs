@@ -10,7 +10,7 @@ use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
 use dragoon_crypto::g1::G1Projective;
 use dragoon_crypto::g2::G2Affine;
 use dragoon_crypto::pairing::pairing;
-use dragoon_crypto::{keccak256, vpke, Fq, Fr, G1Affine};
+use dragoon_crypto::{keccak256, vpke, FixedBaseTable, Fq, Fr, G1Affine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -38,6 +38,56 @@ fn bench_group(c: &mut Criterion) {
     let q = G1Affine::random(&mut rng);
     c.bench_function("g1_add_mixed", |bench| {
         bench.iter(|| black_box(p).add_affine(&black_box(q)))
+    });
+    // The GLV + wNAF kernel on a base with Z ≠ 1 (the row above has the
+    // generator, whose table entries start out normalised).
+    let jac = q.to_projective().double();
+    c.bench_function("g1_glv_mul", |bench| {
+        bench.iter(|| black_box(jac) * black_box(k))
+    });
+    let table = FixedBaseTable::new(&q);
+    c.bench_function("g1_affine_table_mul", |bench| {
+        bench.iter(|| table.mul(&black_box(k)))
+    });
+    c.bench_function("g1_affine_table_build", |bench| {
+        bench.iter(|| FixedBaseTable::new(&black_box(q)))
+    });
+    let points: Vec<G1Projective> = (1..=212u64).map(|i| jac * Fr::from_u64(i)).collect();
+    c.bench_function("g1_batch_to_affine_212", |bench| {
+        bench.iter(|| G1Projective::batch_to_affine(black_box(&points)))
+    });
+}
+
+/// The paper's 106-question answer vector through the batched paths
+/// (one inversion per vector) next to the per-item API.
+fn bench_answer_vector(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let kp = KeyPair::generate(&mut rng);
+    let range = PlaintextRange::binary();
+    let ms: Vec<u64> = (0..106).map(|i| i % 2).collect();
+    let rhos: Vec<Fr> = ms.iter().map(|_| Fr::random(&mut rng)).collect();
+    let table = FixedBaseTable::new(&kp.ek.0);
+    c.bench_function("elgamal_encrypt_table_per_item_x106", |bench| {
+        bench.iter(|| {
+            ms.iter()
+                .zip(&rhos)
+                .map(|(&m, &rho)| kp.ek.encrypt_with_table(m, rho, Some(&table)))
+                .collect::<Vec<_>>()
+        })
+    });
+    c.bench_function("elgamal_encrypt_batch_106", |bench| {
+        bench.iter(|| kp.ek.encrypt_batch(black_box(&ms), &rhos, Some(&table)))
+    });
+    let cts = kp.ek.encrypt_batch(&ms, &rhos, Some(&table));
+    c.bench_function("elgamal_decrypt_per_item_x106", |bench| {
+        bench.iter(|| {
+            cts.iter()
+                .map(|ct| kp.dk.decrypt(ct, &range))
+                .collect::<Vec<_>>()
+        })
+    });
+    c.bench_function("elgamal_decrypt_batch_106", |bench| {
+        bench.iter(|| kp.dk.decrypt_batch(black_box(&cts), &range))
     });
 }
 
@@ -107,6 +157,7 @@ criterion_group!(
     benches,
     bench_field,
     bench_group,
+    bench_answer_vector,
     bench_hash,
     bench_pairing,
     bench_vpke,

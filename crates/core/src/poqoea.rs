@@ -21,7 +21,7 @@
 //!   `|G|` and `range` are small constants (§V-A).
 
 use crate::task::{EncryptedAnswer, GoldenStandards};
-use dragoon_crypto::elgamal::{DecryptionKey, EncryptionKey, KeyPair, PlaintextRange};
+use dragoon_crypto::elgamal::{Ciphertext, DecryptionKey, EncryptionKey, KeyPair, PlaintextRange};
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement, PlaintextClaim};
 use dragoon_crypto::{Fr, G1Projective};
 use rand::Rng;
@@ -142,7 +142,8 @@ pub fn prove_quality<R: Rng + ?Sized>(
 
 /// [`prove_quality`] with the full key pair, so the `|G|` inner VPKE
 /// proofs don't each re-derive `h = g^k` — the proving service's
-/// evaluate jobs enter here.
+/// evaluate jobs enter here. The gold positions are decrypted and
+/// proven as one batch ([`vpke::prove_batch_with_key`]).
 pub fn prove_quality_with_key<R: Rng + ?Sized>(
     kp: &KeyPair,
     cts: &EncryptedAnswer,
@@ -150,21 +151,25 @@ pub fn prove_quality_with_key<R: Rng + ?Sized>(
     range: &PlaintextRange,
     rng: &mut R,
 ) -> (u64, QualityProof) {
+    // A missing ciphertext counts as a mismatch the verifier can see
+    // directly; nothing to prove.
+    let (golds, gold_cts): (Vec<(usize, u64)>, Vec<Ciphertext>) = gs
+        .indexes
+        .iter()
+        .zip(&gs.answers)
+        .filter_map(|(&i, &s)| Some(((i, s), *cts.0.get(i)?)))
+        .unzip();
     let mut chi = 0u64;
     let mut items = Vec::new();
-    for (&i, &s) in gs.indexes.iter().zip(&gs.answers) {
-        let Some(ct) = cts.0.get(i) else {
-            // Missing ciphertext counts as a mismatch the verifier can
-            // see directly; nothing to prove.
-            continue;
-        };
-        let (claim, proof) = vpke::prove_with_key(kp, ct, range, rng);
-        let is_match = matches!(claim, PlaintextClaim::InRange(m) if m == s);
-        if is_match {
+    for ((index, s), (claim, proof)) in golds
+        .into_iter()
+        .zip(vpke::prove_batch_with_key(kp, &gold_cts, range, rng))
+    {
+        if matches!(claim, PlaintextClaim::InRange(m) if m == s) {
             chi += 1;
         } else {
             items.push(MismatchItem {
-                index: i,
+                index,
                 claim,
                 proof,
             });
@@ -518,6 +523,37 @@ mod tests {
         assert_eq!(chi, 2);
         // Verifier counts 2 missing golds toward the bound.
         verify_quality(&f.kp.ek, &cts, chi, &proof, &f.gs).unwrap();
+    }
+
+    #[test]
+    fn batched_proof_matches_per_gold_vpke_proofs_and_rng_draws() {
+        // The per-gold loop prove_quality ran before batching, as the
+        // reference: same items, same bytes, same draws — also when the
+        // ciphertext vector is short and golds 5 and 7 are missing.
+        let mut f = fixture();
+        for n in [10usize, 4] {
+            let answer = answer_with_quality(&f.gs, n, 1);
+            let cts = answer.encrypt(&f.kp.ek, &mut f.rng);
+            let mut batch_rng = f.rng.clone();
+            let (chi, proof) = prove_quality_with_key(&f.kp, &cts, &f.gs, &f.range, &mut batch_rng);
+            let mut expect_chi = 0;
+            let mut expect_items = Vec::new();
+            for (&index, &s) in f.gs.indexes.iter().zip(&f.gs.answers) {
+                let Some(ct) = cts.0.get(index) else { continue };
+                let (claim, proof) = vpke::prove_with_key(&f.kp, ct, &f.range, &mut f.rng);
+                if claim == PlaintextClaim::InRange(s) {
+                    expect_chi += 1;
+                } else {
+                    expect_items.push(MismatchItem {
+                        index,
+                        claim,
+                        proof,
+                    });
+                }
+            }
+            assert_eq!((chi, proof.items), (expect_chi, expect_items));
+            assert_eq!(Fr::random(&mut batch_rng), Fr::random(&mut f.rng));
+        }
     }
 
     #[test]

@@ -249,25 +249,14 @@ impl Answer {
         cache: Option<&ProofCache>,
     ) -> EncryptedAnswer {
         let table = cache.map(|c| c.table_for(&ek.0));
-        EncryptedAnswer(
-            self.0
-                .iter()
-                .map(|&m| ek.encrypt_with_table(m, Fr::random(rng), table.as_deref()))
-                .collect(),
-        )
+        let rhos: Vec<Fr> = self.0.iter().map(|_| Fr::random(rng)).collect();
+        EncryptedAnswer(ek.encrypt_batch(&self.0, &rhos, table.as_deref()))
     }
 
     /// Deterministic encryption with caller-supplied randomness (one
     /// scalar per question) — used by tests and the simulator.
     pub fn encrypt_with(&self, ek: &EncryptionKey, rhos: &[Fr]) -> EncryptedAnswer {
-        assert_eq!(rhos.len(), self.0.len());
-        EncryptedAnswer(
-            self.0
-                .iter()
-                .zip(rhos)
-                .map(|(&m, &rho)| ek.encrypt_with(m, rho))
-                .collect(),
-        )
+        EncryptedAnswer(ek.encrypt_batch(&self.0, rhos, None))
     }
 }
 
@@ -417,6 +406,38 @@ mod tests {
                 dragoon_crypto::elgamal::Decrypted::InRange(m) => assert_eq!(m, answer.0[i]),
                 other => panic!("unexpected {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn batched_encrypt_matches_per_item_bytes_and_rng_draws() {
+        let mut rng = rng();
+        let kp = KeyPair::generate(&mut rng);
+        let answer = Answer(vec![0, 1, 1, 0, 7, 1]);
+        let cache = ProofCache::new();
+        for cache in [None, Some(&cache)] {
+            let mut batch_rng = rng.clone();
+            let mut item_rng = rng.clone();
+            let batch = answer.encrypt_cached(&kp.ek, &mut batch_rng, cache);
+            let table = cache.map(|c| c.table_for(&kp.ek.0));
+            let per_item = EncryptedAnswer(
+                answer
+                    .0
+                    .iter()
+                    .map(|&m| {
+                        kp.ek
+                            .encrypt_with_table(m, Fr::random(&mut item_rng), table.as_deref())
+                    })
+                    .collect(),
+            );
+            assert_eq!(batch.encode(), per_item.encode());
+            // Both generators made the same draws.
+            assert_eq!(Fr::random(&mut batch_rng), Fr::random(&mut item_rng));
+        }
+        let rhos: Vec<Fr> = answer.0.iter().map(|_| Fr::random(&mut rng)).collect();
+        let with = answer.encrypt_with(&kp.ek, &rhos);
+        for ((&m, &rho), ct) in answer.0.iter().zip(&rhos).zip(&with.0) {
+            assert_eq!(*ct, kp.ek.encrypt_with(m, rho));
         }
     }
 

@@ -68,6 +68,26 @@ pub const fn add_4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     ([r0, r1, r2, r3], carry)
 }
 
+/// Full 512-bit schoolbook product of two 4-limb little-endian integers.
+#[inline(always)]
+pub const fn mul_wide_4(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+    let mut t = [0u64; 8];
+    let mut i = 0;
+    while i < 4 {
+        let mut carry = 0u64;
+        let mut j = 0;
+        while j < 4 {
+            let (v, c) = mac(t[i + j], a[i], b[j], carry);
+            t[i + j] = v;
+            carry = c;
+            j += 1;
+        }
+        t[i + 4] = carry;
+        i += 1;
+    }
+    t
+}
+
 /// Number of significant bits in a little-endian limb slice.
 pub fn bit_len(limbs: &[u64]) -> usize {
     for (i, &l) in limbs.iter().enumerate().rev() {
@@ -125,6 +145,20 @@ mod tests {
         assert_eq!(borrow, 0);
         let (_, borrow) = sub_4(&a, &b);
         assert_eq!(borrow, u64::MAX);
+    }
+
+    #[test]
+    fn mul_wide_full_width() {
+        // (2^256 - 1)^2 = 2^512 - 2^257 + 1.
+        let max = [u64::MAX; 4];
+        assert_eq!(
+            mul_wide_4(&max, &max),
+            [1, 0, 0, 0, u64::MAX - 1, u64::MAX, u64::MAX, u64::MAX]
+        );
+        assert_eq!(
+            mul_wide_4(&[3, 0, 0, 0], &[0, 0, 0, 5]),
+            [0, 0, 0, 15, 0, 0, 0, 0]
+        );
     }
 
     #[test]

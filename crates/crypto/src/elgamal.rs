@@ -152,9 +152,7 @@ impl EncryptionKey {
     /// Encrypts `m` with caller-chosen randomness `ρ` (deterministic;
     /// exposed for tests and for the simulator).
     pub fn encrypt_with(&self, m: u64, rho: Fr) -> Ciphertext {
-        let c1 = mul_generator(&rho).to_affine();
-        let c2 = (mul_generator(&Fr::from_u64(m)) + self.0 * rho).to_affine();
-        Ciphertext { c1, c2 }
+        self.encrypt_with_table(m, rho, None)
     }
 
     /// [`EncryptionKey::encrypt_with`], with the `h^ρ` term computed
@@ -168,29 +166,68 @@ impl EncryptionKey {
         rho: Fr,
         table: Option<&FixedBaseTable>,
     ) -> Ciphertext {
-        let Some(table) = table else {
-            return self.encrypt_with(m, rho);
-        };
-        let c1 = mul_generator(&rho).to_affine();
-        let c2 = (mul_generator(&Fr::from_u64(m)) + table.mul(&rho)).to_affine();
-        Ciphertext { c1, c2 }
+        self.encrypt_batch(&[m], &[rho], table)[0]
+    }
+
+    /// Encrypts `ms[i]` under `rhos[i]` for a whole answer vector: all
+    /// `2N` ciphertext components are built in Jacobian coordinates and
+    /// normalised with one field inversion. Entry `i` is byte-for-byte
+    /// `encrypt_with_table(ms[i], rhos[i], table)`.
+    pub fn encrypt_batch(
+        &self,
+        ms: &[u64],
+        rhos: &[Fr],
+        table: Option<&FixedBaseTable>,
+    ) -> Vec<Ciphertext> {
+        assert_eq!(ms.len(), rhos.len(), "one randomness per plaintext");
+        let mut points = Vec::with_capacity(2 * ms.len());
+        for (&m, rho) in ms.iter().zip(rhos) {
+            let h_rho = match table {
+                Some(table) => table.mul(rho),
+                None => self.0 * *rho,
+            };
+            points.push(mul_generator(rho));
+            points.push(mul_generator(&Fr::from_u64(m)) + h_rho);
+        }
+        G1Projective::batch_to_affine(&points)
+            .chunks_exact(2)
+            .map(|c| Ciphertext { c1: c[0], c2: c[1] })
+            .collect()
     }
 }
 
 impl DecryptionKey {
+    /// `M = c2 / c1^k = g^m`, not yet normalised.
+    fn raw_point(&self, ct: &Ciphertext) -> G1Projective {
+        ct.c2.to_projective() - ct.c1 * self.0
+    }
+
     /// Computes the "raw" decryption `M = c2 / c1^k = g^m`.
     pub fn decrypt_raw(&self, ct: &Ciphertext) -> G1Affine {
-        (ct.c2.to_projective() - ct.c1 * self.0).to_affine()
+        self.raw_point(ct).to_affine()
     }
 
     /// Full short-range decryption: brute-forces the discrete log over
     /// `range`, falling back to the raw group element when out of range.
     pub fn decrypt(&self, ct: &Ciphertext, range: &PlaintextRange) -> Decrypted {
-        let m_point = self.decrypt_raw(ct);
-        match discrete_log_in_range(&m_point, range) {
-            Some(m) => Decrypted::InRange(m),
-            None => Decrypted::OutOfRange(m_point),
-        }
+        self.decrypt_batch(std::slice::from_ref(ct), range)[0]
+    }
+
+    /// [`DecryptionKey::decrypt`] for a whole ciphertext vector with one
+    /// field inversion: the raw points and the range's candidates
+    /// `g^lo, …, g^hi` are normalised together, then matched by
+    /// coordinate comparison. Entry `i` equals `decrypt(&cts[i], range)`.
+    pub fn decrypt_batch(&self, cts: &[Ciphertext], range: &PlaintextRange) -> Vec<Decrypted> {
+        let mut points: Vec<G1Projective> = cts.iter().map(|ct| self.raw_point(ct)).collect();
+        points.extend(range_points(range));
+        let points = G1Projective::batch_to_affine(&points);
+        let (raws, candidates) = points.split_at(cts.len());
+        raws.iter()
+            .map(|raw| match candidates.iter().position(|c| c == raw) {
+                Some(offset) => Decrypted::InRange(range.lo + offset as u64),
+                None => Decrypted::OutOfRange(*raw),
+            })
+            .collect()
     }
 
     /// The matching public key.
@@ -199,18 +236,24 @@ impl DecryptionKey {
     }
 }
 
+/// The candidates `g^lo, g^{lo+1}, …, g^hi`, one mixed addition each.
+fn range_points(range: &PlaintextRange) -> impl Iterator<Item = G1Projective> {
+    let mut next = mul_generator(&Fr::from_u64(range.lo));
+    (range.lo..=range.hi).map(move |_| {
+        let cur = next;
+        next = next + G1Affine::generator();
+        cur
+    })
+}
+
 /// Solves `g^m = target` for `m ∈ range` by linear scan (the paper's
-/// "log is to brute-force the short plaintext range").
+/// "log is to brute-force the short plaintext range"). Candidates are
+/// compared in Jacobian coordinates — no inversion per candidate.
 pub fn discrete_log_in_range(target: &G1Affine, range: &PlaintextRange) -> Option<u64> {
-    let g = G1Projective::generator();
-    let mut cur = g * Fr::from_u64(range.lo);
-    for m in range.lo..=range.hi {
-        if cur.to_affine() == *target {
-            return Some(m);
-        }
-        cur = cur + G1Affine::generator();
-    }
-    None
+    let target = target.to_projective();
+    range_points(range)
+        .position(|candidate| candidate == target)
+        .map(|offset| range.lo + offset as u64)
 }
 
 /// Baby-step/giant-step discrete log: solves `g^m = target` for
@@ -222,28 +265,28 @@ pub fn discrete_log_bsgs(target: &G1Affine, bound: u64) -> Option<u64> {
     if bound == 0 {
         return None;
     }
-    let g = G1Projective::generator();
     let m = (bound as f64).sqrt().ceil() as u64;
-    // Baby steps: table of g^j for j in [0, m).
-    let mut table: HashMap<[u8; 64], u64> = HashMap::with_capacity(m as usize);
+    // Baby steps g^j for j in [0, m), then giant steps
+    // target · (g^-m)^i for i in [0, m]; all normalised together.
+    let mut points = Vec::with_capacity(2 * m as usize + 1);
     let mut cur = G1Projective::identity();
-    for j in 0..m {
-        table.insert(cur.to_affine().to_bytes(), j);
+    for _ in 0..m {
+        points.push(cur);
         cur = cur + G1Affine::generator();
     }
-    // Giant steps: target * (g^-m)^i.
-    let g_minus_m = (-(g * Fr::from_u64(m))).to_affine();
+    let g_minus_m = (-cur).to_affine();
     let mut gamma = target.to_projective();
-    for i in 0..=m {
-        if let Some(&j) = table.get(&gamma.to_affine().to_bytes()) {
-            let candidate = i * m + j;
-            if candidate < bound {
-                return Some(candidate);
-            }
-        }
+    for _ in 0..=m {
+        points.push(gamma);
         gamma = gamma + g_minus_m;
     }
-    None
+    let points = G1Projective::batch_to_affine(&points);
+    let (baby, giant) = points.split_at(m as usize);
+    let table: HashMap<[u8; 64], u64> = baby.iter().map(G1Affine::to_bytes).zip(0..).collect();
+    giant.iter().zip(0u64..).find_map(|(gamma, i)| {
+        let j = table.get(&gamma.to_bytes())?;
+        Some(i * m + j).filter(|&candidate| candidate < bound)
+    })
 }
 
 #[cfg(test)]

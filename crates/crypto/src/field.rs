@@ -13,7 +13,7 @@
 //! always kept canonical (reduced), which makes derived equality/hashing
 //! sound.
 
-use crate::arith::{adc, add_4, bit, bit_len, lt_4, mac, sub_4};
+use crate::arith::{adc, add_4, bit, bit_len, lt_4, mac, mul_wide_4, sub_4};
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
@@ -182,19 +182,7 @@ macro_rules! montgomery_field {
 
             /// Field multiplication (Montgomery).
             pub fn mul_internal(&self, rhs: &Self) -> Self {
-                let a = &self.0;
-                let b = &rhs.0;
-                let mut t = [0u64; 8];
-                for i in 0..4 {
-                    let mut carry = 0u64;
-                    for j in 0..4 {
-                        let (v, c) = mac(t[i + j], a[i], b[j], carry);
-                        t[i + j] = v;
-                        carry = c;
-                    }
-                    t[i + 4] = carry;
-                }
-                Self::montgomery_reduce(&t)
+                Self::montgomery_reduce(&mul_wide_4(&self.0, &rhs.0))
             }
 
             /// Squares this element.
@@ -234,6 +222,32 @@ macro_rules! montgomery_field {
                 }
                 let (p_minus_2, _) = sub_4(&Self::MODULUS, &[2, 0, 0, 0]);
                 Some(self.pow(&p_minus_2))
+            }
+
+            /// Inverts every nonzero element in place with a single field
+            /// inversion (Montgomery's trick: prefix products, one
+            /// inverse, unwind); zeros are skipped and stay zero.
+            pub fn batch_invert(values: &mut [Self]) {
+                let mut prefix = Vec::with_capacity(values.len());
+                let mut acc = Self::one();
+                for v in values.iter().filter(|v| !v.is_zero()) {
+                    prefix.push(acc);
+                    acc *= *v;
+                }
+                if prefix.is_empty() {
+                    return;
+                }
+                let mut inv = acc.inverse().expect("product of nonzero elements");
+                for (v, p) in values
+                    .iter_mut()
+                    .rev()
+                    .filter(|v| !v.is_zero())
+                    .zip(prefix.into_iter().rev())
+                {
+                    let next = inv * *v;
+                    *v = inv * p;
+                    inv = next;
+                }
             }
         }
 
@@ -504,6 +518,25 @@ mod tests {
         }
         assert!(Fq::zero().inverse().is_none());
         assert!(Fr::zero().inverse().is_none());
+    }
+
+    #[test]
+    fn batch_invert_matches_inverse() {
+        let mut rng = rng();
+        let mut values: Vec<Fq> = (0..9).map(|_| Fq::random(&mut rng)).collect();
+        values[0] = Fq::zero();
+        values[4] = Fq::zero();
+        values[8] = Fq::one();
+        let expect: Vec<Fq> = values
+            .iter()
+            .map(|v| v.inverse().unwrap_or(Fq::zero()))
+            .collect();
+        Fq::batch_invert(&mut values);
+        assert_eq!(values, expect);
+        let mut zeros = [Fq::zero(); 3];
+        Fq::batch_invert(&mut zeros);
+        assert_eq!(zeros, [Fq::zero(); 3]);
+        Fq::batch_invert(&mut []);
     }
 
     #[test]

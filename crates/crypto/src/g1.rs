@@ -5,7 +5,7 @@
 //! using the G1 subgroup of BN-128", §VI). Points are manipulated in
 //! Jacobian projective coordinates internally and exposed in affine form.
 
-use crate::arith::{bit, bit_len};
+use crate::arith::{mul_wide_4, sub_4};
 use crate::field::{Fq, Fr};
 use core::fmt;
 use core::iter::Sum;
@@ -159,6 +159,61 @@ impl G1Affine {
         (G1Projective::generator() * Fr::random(rng)).to_affine()
     }
 
+    /// `lhs[i] + rhs[i]` for every pair, computed in affine coordinates
+    /// with one shared field inversion (all slope denominators go through
+    /// [`Fq::batch_invert`]) — about 6 multiplications per sum, and the
+    /// sums need no normalisation afterwards. Doublings, identities and
+    /// opposite points are handled.
+    pub fn batch_add(lhs: &[Self], rhs: &[Self]) -> Vec<Self> {
+        assert_eq!(lhs.len(), rhs.len(), "batch_add length mismatch");
+        // `x2 - x1` for a chord, `2y` for a tangent, zero (which the
+        // inversion skips) where the sum needs no slope.
+        let mut denoms: Vec<Fq> = lhs
+            .iter()
+            .zip(rhs)
+            .map(|(p, q)| {
+                if p.infinity || q.infinity {
+                    Fq::zero()
+                } else if p.x != q.x {
+                    q.x - p.x
+                } else if p.y == q.y {
+                    p.y.double()
+                } else {
+                    Fq::zero()
+                }
+            })
+            .collect();
+        Fq::batch_invert(&mut denoms);
+        lhs.iter()
+            .zip(rhs)
+            .zip(denoms)
+            .map(|((p, q), inv)| {
+                if p.infinity {
+                    return *q;
+                }
+                if q.infinity {
+                    return *p;
+                }
+                if inv.is_zero() {
+                    // q = -p.
+                    return Self::identity();
+                }
+                let slope = if p.x != q.x {
+                    (q.y - p.y) * inv
+                } else {
+                    let xx = p.x.square();
+                    (xx.double() + xx) * inv
+                };
+                let x = slope.square() - p.x - q.x;
+                Self {
+                    x,
+                    y: slope * (p.x - x) - p.y,
+                    infinity: false,
+                }
+            })
+            .collect()
+    }
+
     /// Converts to Jacobian coordinates.
     pub fn to_projective(&self) -> G1Projective {
         if self.infinity {
@@ -193,12 +248,39 @@ impl G1Projective {
         self.z.is_zero()
     }
 
-    /// Converts to affine coordinates (one field inversion).
+    /// Converts to affine coordinates (one field inversion, none when
+    /// `Z` is already 1 — e.g. a single fixed-base table entry).
     pub fn to_affine(&self) -> G1Affine {
-        if self.is_identity() {
+        if self.z == Fq::one() {
+            return G1Affine {
+                x: self.x,
+                y: self.y,
+                infinity: false,
+            };
+        }
+        // `inverse` is `None` exactly at the identity (`Z = 0`).
+        self.scale_by(self.z.inverse().unwrap_or(Fq::zero()))
+    }
+
+    /// Converts every point to affine coordinates with one field
+    /// inversion for the whole slice (Montgomery's trick over the `Z`s;
+    /// identities are skipped). Entry `i` equals `points[i].to_affine()`.
+    pub fn batch_to_affine(points: &[Self]) -> Vec<G1Affine> {
+        let mut zinvs: Vec<Fq> = points.iter().map(|p| p.z).collect();
+        Fq::batch_invert(&mut zinvs);
+        points
+            .iter()
+            .zip(zinvs)
+            .map(|(p, zinv)| p.scale_by(zinv))
+            .collect()
+    }
+
+    /// The affine point `(X·zinv², Y·zinv³)` given `zinv = 1/Z`; a zero
+    /// `zinv` stands for the identity (`Z = 0` has no inverse).
+    fn scale_by(&self, zinv: Fq) -> G1Affine {
+        if zinv.is_zero() {
             return G1Affine::identity();
         }
-        let zinv = self.z.inverse().expect("nonzero z");
         let zinv2 = zinv.square();
         G1Affine {
             x: self.x * zinv2,
@@ -301,20 +383,142 @@ impl G1Projective {
         }
     }
 
-    /// Scalar multiplication by a field element (double-and-add, MSB
-    /// first).
+    /// The BN-254 endomorphism `φ(x, y) = (βx, y)`, which acts on the
+    /// group as multiplication by `λ`, a cube root of unity in `F_r`.
+    fn endomorphism(&self) -> Self {
+        Self {
+            x: self.x * GLV_BETA,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
+    /// Scalar multiplication by a field element: a GLV split
+    /// `k = k1 + k2·λ` into two signed 127-bit halves, evaluated as
+    /// `k1·P + k2·φ(P)` by one interleaved width-5 NAF pass over two
+    /// 8-entry odd-multiple tables — ~127 doublings and ~42 additions
+    /// instead of ~254 and ~127.
     pub fn mul_scalar(&self, k: &Fr) -> Self {
-        let limbs = k.to_plain_limbs();
-        let n = bit_len(&limbs);
+        let [(k1, neg1), (k2, neg2)] = glv_split(k);
+        // Odd multiples P, 3P, …, 15P of ±P, and their images under φ
+        // with the sign of k2 folded in.
+        let base = if neg1 { -*self } else { *self };
+        let twice = base.double();
+        let mut table1 = [base; 8];
+        for i in 1..8 {
+            table1[i] = Self::add(&table1[i - 1], &twice);
+        }
+        let table2 = table1.map(|p| {
+            let p = p.endomorphism();
+            if neg1 == neg2 {
+                p
+            } else {
+                -p
+            }
+        });
+        let (naf1, len1) = wnaf5(k1);
+        let (naf2, len2) = wnaf5(k2);
         let mut acc = Self::identity();
-        for i in (0..n).rev() {
+        for i in (0..len1.max(len2)).rev() {
             acc = acc.double();
-            if bit(&limbs, i) {
-                acc = Self::add(&acc, self);
+            for (naf, table) in [(&naf1, &table1), (&naf2, &table2)] {
+                let d = naf[i];
+                if d > 0 {
+                    acc = Self::add(&acc, &table[d as usize / 2]);
+                } else if d < 0 {
+                    acc = Self::add(&acc, &-table[(-d) as usize / 2]);
+                }
             }
         }
         acc
     }
+}
+
+/// `β`, a primitive cube root of unity in `F_q` (Montgomery form):
+/// `21888242871839275220042445260109153167277707414472061641714758635765020556616`.
+const GLV_BETA: Fq = Fq([
+    0x3350c88e13e80b9c,
+    0x7dce557cdb5e56b9,
+    0x6001b4b8b615564a,
+    0x2682e617020217e0,
+]);
+
+// The reduced basis `(A, -B)`, `(B, C)` of the lattice
+// `{(x, y) : x + y·λ ≡ 0 (mod r)}`, where `λ` is the cube root of unity
+// in `F_r` with `φ(P) = λ·P` for the `β` above; `A·C + B² = r`.
+const GLV_A: u128 = 0x6f4d8248eeb859fc8211bbeb7d4f1128;
+const GLV_B: u128 = 0x89d3256894d213e3;
+const GLV_C: u128 = 0x6f4d8248eeb859fd0be4e1541221250b;
+/// `round(2^256·C / r)` and `round(2^256·B / r)`: multiplying by these
+/// and keeping the high 256 bits divides by `r` without a division.
+const GLV_C_OVER_R: [u64; 4] = [0x5398fd0300ff6565, 0x4ccef014a773d2d2, 0x2, 0];
+const GLV_B_OVER_R: [u64; 4] = [0xd91d232ec7e0b3d7, 0x2, 0, 0];
+
+/// Splits `k` into `(|k1|, k1 < 0)`, `(|k2|, k2 < 0)` with
+/// `k1 + k2·λ ≡ k (mod r)` and both magnitudes below `2^127`.
+///
+/// Babai rounding against the basis above: `c1 = ⌊k·C/r⌉`,
+/// `c2 = ⌊k·B/r⌉`, `(k1, k2) = (k, 0) − c1·(A, −B) − c2·(B, C)`. The
+/// precomputed quotients are off by less than `1/8` for `k < 2^254`, so
+/// each half stays within `5/8·(A + B) < 2^127`.
+fn glv_split(k: &Fr) -> [(u128, bool); 2] {
+    let k = k.to_plain_limbs();
+    let c1 = mul_high_rounded(&k, &GLV_C_OVER_R);
+    let c2 = mul_high_rounded(&k, &GLV_B_OVER_R);
+    let k1 = sub_4(&sub_4(&k, &mul_128(c1, GLV_A)).0, &mul_128(c2, GLV_B)).0;
+    let k2 = sub_4(&mul_128(c1, GLV_B), &mul_128(c2, GLV_C)).0;
+    [signed_half(k1), signed_half(k2)]
+}
+
+/// `⌊a·b / 2^256⌉` for a product known to stay below `2^384`.
+fn mul_high_rounded(a: &[u64; 4], b: &[u64; 4]) -> u128 {
+    let t = mul_wide_4(a, b);
+    debug_assert_eq!((t[6], t[7]), (0, 0));
+    (t[4] as u128 | (t[5] as u128) << 64) + (t[3] >> 63) as u128
+}
+
+/// The 256-bit product of two 128-bit integers.
+fn mul_128(a: u128, b: u128) -> [u64; 4] {
+    let t = mul_wide_4(
+        &[a as u64, (a >> 64) as u64, 0, 0],
+        &[b as u64, (b >> 64) as u64, 0, 0],
+    );
+    [t[0], t[1], t[2], t[3]]
+}
+
+/// Reads a two's-complement 256-bit value as `(magnitude, negative)`.
+fn signed_half(v: [u64; 4]) -> (u128, bool) {
+    let neg = v[3] >> 63 == 1;
+    let v = if neg { sub_4(&[0; 4], &v).0 } else { v };
+    assert!(
+        v[2] == 0 && v[3] == 0 && v[1] >> 63 == 0,
+        "GLV half exceeds 127 bits"
+    );
+    (v[0] as u128 | (v[1] as u128) << 64, neg)
+}
+
+/// Width-5 non-adjacent form of `k < 2^127`, least significant digit
+/// first: digits are zero or odd in `[-15, 15]`, and any two nonzero
+/// digits are at least five positions apart. Returns the digits and
+/// how many are significant.
+fn wnaf5(mut k: u128) -> ([i8; 128], usize) {
+    let mut digits = [0i8; 128];
+    let mut len = 0;
+    while k != 0 {
+        if k & 1 == 1 {
+            let d = (k & 31) as i8;
+            if d < 16 {
+                digits[len] = d;
+                k -= d as u128;
+            } else {
+                digits[len] = d - 32;
+                k += (32 - d) as u128;
+            }
+        }
+        k >>= 1;
+        len += 1;
+    }
+    (digits, len)
 }
 
 impl Default for G1Projective {
@@ -447,9 +651,10 @@ impl fmt::Debug for G1Projective {
 
 /// Multi-scalar multiplication: `Σ scalars[i] · bases[i]`.
 ///
-/// Deliberately the straightforward per-point double-and-add; the SNARK
-/// baseline's proving cost (Table I) is dominated by these MSMs, mirroring
-/// the libsnark prover the paper measured against.
+/// Deliberately naive — one independent [`G1Projective::mul_scalar`] per
+/// point, no buckets and no shared doublings; the SNARK baseline's
+/// proving cost (Table I) is dominated by these MSMs, mirroring the
+/// libsnark prover the paper measured against.
 pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
     let mut acc = G1Projective::identity();
@@ -468,9 +673,10 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 /// The batched-settlement hot path (`vpke::batch_verify_each`) folds an
 /// entire block's verification equations into one MSM, so this is where
 /// batching actually buys throughput: per point it costs roughly
-/// `256/c` additions instead of the ~384 of double-and-add, with `c`
-/// growing with the batch size. Small inputs fall back to [`msm`] —
-/// bucket bookkeeping only pays for itself past a dozen points.
+/// `256/c` additions instead of the ~170 group operations of one
+/// [`G1Projective::mul_scalar`], with `c` growing with the batch size.
+/// Small inputs fall back to [`msm`] — bucket bookkeeping only pays for
+/// itself past a dozen points.
 pub fn msm_pippenger(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
     let n = bases.len();
@@ -543,14 +749,291 @@ impl<'de> serde::Deserialize<'de> for G1Affine {
     }
 }
 
+/// Bit-by-bit double-and-add, MSB first: the reference that the
+/// differential tests hold [`G1Projective::mul_scalar`] and the
+/// fixed-base tables against.
+#[cfg(test)]
+pub(crate) fn mul_reference(p: &G1Projective, k: &Fr) -> G1Projective {
+    let limbs = k.to_plain_limbs();
+    let mut acc = G1Projective::identity();
+    for i in (0..crate::arith::bit_len(&limbs)).rev() {
+        acc = acc.double();
+        if crate::arith::bit(&limbs, i) {
+            acc = G1Projective::add(&acc, p);
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xbeef_cafe)
+    }
+
+    /// 64 big-endian hex digits (the EIP-196 form) as little-endian bytes.
+    fn le_bytes_hex(hex: &str) -> [u8; 32] {
+        assert_eq!(hex.len(), 64);
+        let mut le = [0u8; 32];
+        for (i, byte) in le.iter_mut().rev().enumerate() {
+            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap();
+        }
+        le
+    }
+
+    fn fq_hex(hex: &str) -> Fq {
+        Fq::from_bytes_le(&le_bytes_hex(hex)).expect("reduced")
+    }
+
+    /// A scalar reduced modulo `r`, as the `ecMul` precompile does.
+    fn fr_hex(hex: &str) -> Fr {
+        Fr::from_bytes_le_reduced(&le_bytes_hex(hex))
+    }
+
+    fn point_hex(x: &str, y: &str) -> G1Affine {
+        G1Affine::from_xy(fq_hex(x), fq_hex(y)).expect("on curve")
+    }
+
+    /// `λ`, the cube root of unity in `F_r` that [`GLV_BETA`]'s
+    /// endomorphism multiplies by (only the split's lattice basis enters
+    /// `mul_scalar`, so production code never needs the value itself).
+    fn lambda() -> Fr {
+        fr_hex("30644e72e131a029048b6e193fd84104cc37a73fec2bc5e9b8ca0b2d36636f23")
+    }
+
+    /// The scalars every multiplication kernel is exercised on.
+    fn edge_scalars() -> Vec<Fr> {
+        let two = Fr::from_u64(2);
+        let mut ks = vec![
+            Fr::zero(),
+            Fr::one(),
+            two,
+            -Fr::one(),
+            -two,
+            Fr::from_u128(u128::MAX),
+            Fr::from_u128(u128::MAX) + Fr::one(),
+            lambda(),
+            lambda() + Fr::one(),
+            lambda() - Fr::one(),
+            -lambda(),
+            lambda() * lambda(),
+            // Long runs of ones and alternating nibbles.
+            Fr::from_plain_limbs([u64::MAX, u64::MAX, u64::MAX, 0x0fff_ffff_ffff_ffff]).unwrap(),
+            Fr::from_plain_limbs([0xf0f0_f0f0_f0f0_f0f0; 4].map(|l| l >> 4)).unwrap(),
+            Fr::from_plain_limbs([0, u64::MAX, 0, 0]).unwrap(),
+        ];
+        let mut pow = Fr::one();
+        for _ in 0..254 {
+            ks.push(pow);
+            ks.push(pow - Fr::one());
+            pow = pow.double();
+        }
+        ks
+    }
+
+    #[test]
+    fn eip196_ec_add_known_answers() {
+        let g = G1Affine::generator();
+        let g2 = point_hex(
+            "030644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd3",
+            "15ed738c0e0a7c92e7845f96b2ae9c0a68a6a449e3538fc7ff3ebf7a5a18a2c4",
+        );
+        let g3 = point_hex(
+            "0769bf9ac56bea3ff40232bcb1b6bd159315d84715b8e679f2d355961915abf0",
+            "2ab799bee0489429554fdb7c8d086475319e63b40b9c5b57cdf1ff3dd9fe2261",
+        );
+        let gp = g.to_projective();
+        assert_eq!(gp.double().to_affine(), g2);
+        assert_eq!((gp + gp).to_affine(), g2);
+        assert_eq!(gp.add_affine(&g).to_affine(), g2);
+        assert_eq!((gp + g2.to_projective()).to_affine(), g3);
+        assert_eq!(g2.to_projective().add_affine(&g).to_affine(), g3);
+        assert_eq!(G1Affine::batch_add(&[g, g], &[g, g2]), vec![g2, g3]);
+        assert_eq!((gp * Fr::from_u64(2)).to_affine(), g2);
+        assert_eq!((gp * Fr::from_u64(3)).to_affine(), g3);
+    }
+
+    #[test]
+    fn eip196_ec_mul_known_answers() {
+        // go-ethereum's bn256ScalarMul vectors chfast1 and chfast2 (the
+        // second scalar is q - 1 > r) and cdetrio's (2^256 - 1)·G.
+        let p = point_hex(
+            "2bd3e6d0f3b142924f5ca7b49ce5b9d54c4703d7ae5648e61d02268b1a0a9fb7",
+            "21611ce0a6af85915e2f1d70300909ce2e49dfad4a4619c8390cae66cefdb204",
+        );
+        let k = fr_hex("00000000000000000000000000000000000000000000000011138ce750fa15c2");
+        let kp = point_hex(
+            "070a8d6a982153cae4be29d434e8faef8a47b274a053f5a4ee2a6c9c13c31e5c",
+            "031b8ce914eba3a9ffb989f9cdd5b0f01943074bf4f0f315690ec3cec6981afc",
+        );
+        assert_eq!((p * k).to_affine(), kp);
+        let k = fr_hex("30644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd46");
+        let kkp = point_hex(
+            "025a6f4181d2b4ea8b724290ffb40156eb0adb514c688556eb79cdea0752c2bb",
+            "2eff3f31dea215f1eb86023a133a996eb6300b44da664d64251d05381bb8a02e",
+        );
+        assert_eq!((kp * k).to_affine(), kkp);
+        let k = fr_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+        let max_g = point_hex(
+            "2f588cffe99db877a4434b598ab28f81e0522910ea52b45f0adaa772b2d5d352",
+            "12f42fa8fd34fb1b33d8c6a718b6590198389b26fc9d8808d971f8b009777a97",
+        );
+        assert_eq!((G1Affine::generator() * k).to_affine(), max_g);
+    }
+
+    #[test]
+    fn group_order_known_answers() {
+        let g = G1Projective::generator();
+        // (r - 1)·G = -G, hence r·G = ∞.
+        let minus_g = g * -Fr::one();
+        assert_eq!(minus_g.to_affine(), -G1Affine::generator());
+        assert!((minus_g + g).is_identity());
+        // r itself, as a scalar, is zero.
+        let r_bytes = {
+            let mut b = [0u8; 32];
+            for (i, limb) in Fr::MODULUS.iter().enumerate() {
+                b[8 * i..8 * i + 8].copy_from_slice(&limb.to_le_bytes());
+            }
+            b
+        };
+        assert!((g * Fr::from_bytes_le_reduced(&r_bytes)).is_identity());
+    }
+
+    #[test]
+    fn endomorphism_is_multiplication_by_lambda() {
+        // β and λ are the published arkworks/gnark BN-254 GLV pair; a
+        // wrong pairing (β with λ²) fails the last assertion.
+        assert_eq!(
+            GLV_BETA,
+            fq_hex("30644e72e131a0295e6dd9e7e0acccb0c28f069fbb966e3de4bd44e5607cfd48")
+        );
+        assert_ne!(GLV_BETA, Fq::one());
+        assert_eq!(GLV_BETA * GLV_BETA * GLV_BETA, Fq::one());
+        assert_ne!(lambda(), Fr::one());
+        assert_eq!(lambda() * lambda() * lambda(), Fr::one());
+        let g = G1Projective::generator();
+        assert_eq!(g.endomorphism(), mul_reference(&g, &lambda()));
+        assert!(g.endomorphism().to_affine().is_on_curve());
+        let mut rng = rng();
+        let p = G1Affine::random(&mut rng).to_projective();
+        assert_eq!(p.endomorphism(), mul_reference(&p, &lambda()));
+        assert!(G1Projective::identity().endomorphism().is_identity());
+    }
+
+    #[test]
+    fn glv_split_invariants() {
+        let mut rng = rng();
+        let mut ks = edge_scalars();
+        ks.extend((0..2_000).map(|_| Fr::random(&mut rng)));
+        for k in ks {
+            let [(k1, neg1), (k2, neg2)] = glv_split(&k);
+            assert!(k1 < 1 << 127 && k2 < 1 << 127, "k = {k:?}");
+            let signed = |mag: u128, neg: bool| {
+                let v = Fr::from_u128(mag);
+                if neg {
+                    -v
+                } else {
+                    v
+                }
+            };
+            assert_eq!(
+                signed(k1, neg1) + signed(k2, neg2) * lambda(),
+                k,
+                "k = {k:?}"
+            );
+        }
+        assert_eq!(glv_split(&Fr::zero()), [(0, false), (0, false)]);
+        assert_eq!(glv_split(&Fr::one()), [(1, false), (0, false)]);
+        // -1 splits into a negative first half: the signs round-trip.
+        assert_eq!(glv_split(&-Fr::one()), [(1, true), (0, false)]);
+    }
+
+    #[test]
+    fn wnaf5_digits_reconstruct() {
+        let mut rng = rng();
+        let mut ks: Vec<u128> = vec![0, 1, 15, 16, 17, 31, 32, (1 << 127) - 1, 1 << 126];
+        ks.extend((0..200).map(|_| rng.gen::<u128>() >> 1));
+        for k in ks {
+            let (digits, len) = wnaf5(k);
+            // Σ dᵢ·2ⁱ modulo 2^128 (the top digit can sit at bit 127).
+            let mut value = 0u128;
+            let mut last_nonzero = None;
+            for (i, &d) in digits.iter().enumerate().take(len) {
+                if d == 0 {
+                    continue;
+                }
+                assert!(d % 2 != 0 && (-15..=15).contains(&d));
+                if let Some(last) = last_nonzero {
+                    assert!(i - last >= 5, "digits too close for k = {k}");
+                }
+                last_nonzero = Some(i);
+                value = value.wrapping_add((d as i128 as u128).wrapping_mul(1 << i));
+            }
+            assert!(digits[len..].iter().all(|&d| d == 0));
+            assert_eq!(value, k);
+        }
+    }
+
+    #[test]
+    fn mul_scalar_matches_reference() {
+        let mut rng = rng();
+        let g = G1Projective::generator();
+        // A non-normalised base (Z ≠ 1).
+        let p = G1Affine::random(&mut rng).to_projective().double() + g;
+        let mut ks = edge_scalars();
+        ks.extend((0..64).map(|_| Fr::random(&mut rng)));
+        for k in &ks {
+            assert_eq!(g.mul_scalar(k), mul_reference(&g, k), "k = {k:?}");
+        }
+        for k in ks.iter().step_by(7) {
+            assert_eq!(p.mul_scalar(k), mul_reference(&p, k), "k = {k:?}");
+        }
+        for k in ks.iter().take(20) {
+            assert!(G1Projective::identity().mul_scalar(k).is_identity());
+        }
+    }
+
+    #[test]
+    fn batch_to_affine_matches_per_point() {
+        let mut rng = rng();
+        let id = G1Projective::identity();
+        let pts: Vec<G1Projective> = (0..6)
+            .map(|_| G1Affine::random(&mut rng).to_projective().double())
+            .collect();
+        let cases: Vec<Vec<G1Projective>> = vec![
+            vec![],
+            vec![pts[0]],
+            vec![id],
+            vec![id, id, id],
+            vec![id, pts[0], id, id, pts[1], pts[2], id],
+            vec![pts[3], G1Projective::generator(), pts[4], id],
+            pts.clone(),
+        ];
+        for case in cases {
+            let expect: Vec<G1Affine> = case.iter().map(G1Projective::to_affine).collect();
+            assert_eq!(G1Projective::batch_to_affine(&case), expect);
+        }
+    }
+
+    #[test]
+    fn batch_add_matches_projective_addition() {
+        let mut rng = rng();
+        let id = G1Affine::identity();
+        let p = G1Affine::random(&mut rng);
+        let q = G1Affine::random(&mut rng);
+        let lhs = [p, p, p, id, p, id, q];
+        let rhs = [q, p, -p, q, id, id, p];
+        let expect: Vec<G1Affine> = lhs
+            .iter()
+            .zip(&rhs)
+            .map(|(a, b)| (a.to_projective() + b.to_projective()).to_affine())
+            .collect();
+        assert_eq!(G1Affine::batch_add(&lhs, &rhs), expect);
+        assert!(G1Affine::batch_add(&[], &[]).is_empty());
     }
 
     #[test]

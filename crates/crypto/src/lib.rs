@@ -5,7 +5,8 @@
 //!
 //! * [`field`] — the BN-254 base/scalar prime fields in Montgomery form.
 //! * [`g1`] — the G1 group (`y^2 = x^3 + 3`) over which all of Dragoon's
-//!   own primitives live.
+//!   own primitives live: GLV + width-5 NAF scalar multiplication and
+//!   batch normalisation (one inversion per vector of points).
 //! * [`tower`], [`g2`], [`pairing`] — the Fq12 tower, twist group and
 //!   optimal ate pairing, needed only by the generic zk-SNARK baseline.
 //! * [`keccak`] — Keccak-256, the paper's hash / random oracle and the
@@ -16,7 +17,7 @@
 //!   (brute force and baby-step giant-step).
 //! * [`vpke`] — verifiable decryption: the Schnorr/Chaum–Pedersen variant
 //!   of §V-C with Fiat–Shamir, the building block PoQoEA reduces to.
-//! * [`precomp`] — windowed fixed-base tables and the keyed
+//! * [`precomp`] — windowed affine fixed-base tables and the keyed
 //!   [`precomp::ProofCache`] the async proving service shares across its
 //!   worker pool.
 

@@ -110,18 +110,34 @@ pub fn prove<R: Rng + ?Sized>(
 
 /// [`prove`] with the full key pair, so the public key `h` is not
 /// re-derived from the secret on every proof — the hot-path entry point
-/// the proving service's evaluate jobs use (a PoQoEA proof calls this
-/// once per gold standard).
+/// the proving service's evaluate jobs use.
 pub fn prove_with_key<R: Rng + ?Sized>(
     kp: &KeyPair,
     ct: &Ciphertext,
     range: &PlaintextRange,
     rng: &mut R,
 ) -> (PlaintextClaim, DecryptionProof) {
-    let decrypted = kp.dk.decrypt(ct, range);
-    let claim = PlaintextClaim::from_decrypted(&decrypted);
-    let proof = prove_claim_with_key(kp, ct, &claim, rng);
-    (claim, proof)
+    prove_batch_with_key(kp, std::slice::from_ref(ct), range, rng)[0]
+}
+
+/// [`prove_with_key`] for several ciphertexts under one key (a PoQoEA
+/// proof calls this with its gold standards): one batched decryption,
+/// then one batched proof. Entry `i` — and every draw from `rng` — is
+/// what the `i`-th of consecutive `prove_with_key` calls would produce.
+pub fn prove_batch_with_key<R: Rng + ?Sized>(
+    kp: &KeyPair,
+    cts: &[Ciphertext],
+    range: &PlaintextRange,
+    rng: &mut R,
+) -> Vec<(PlaintextClaim, DecryptionProof)> {
+    let claims: Vec<PlaintextClaim> = kp
+        .dk
+        .decrypt_batch(cts, range)
+        .iter()
+        .map(PlaintextClaim::from_decrypted)
+        .collect();
+    let proofs = prove_claims_with_key(kp, cts, &claims, rng);
+    claims.into_iter().zip(proofs).collect()
 }
 
 /// Produces a proof for an already-computed claim (must be the true
@@ -142,12 +158,43 @@ pub fn prove_claim_with_key<R: Rng + ?Sized>(
     claim: &PlaintextClaim,
     rng: &mut R,
 ) -> DecryptionProof {
-    let x = Fr::random(rng);
-    let a = (ct.c1 * x).to_affine();
-    let b = mul_generator(&x).to_affine();
-    let c = challenge(&a, &b, &kp.ek, ct, &claim.to_point());
-    let z = x + kp.dk.0 * c;
-    DecryptionProof { a, b, z }
+    prove_claims_with_key(
+        kp,
+        std::slice::from_ref(ct),
+        std::slice::from_ref(claim),
+        rng,
+    )[0]
+}
+
+/// One proof per `(cts[i], claims[i])`: draws `x_i` in order, then
+/// normalises every `(A_i, B_i) = (c1_i^{x_i}, g^{x_i})` with a single
+/// field inversion before hashing the challenges.
+fn prove_claims_with_key<R: Rng + ?Sized>(
+    kp: &KeyPair,
+    cts: &[Ciphertext],
+    claims: &[PlaintextClaim],
+    rng: &mut R,
+) -> Vec<DecryptionProof> {
+    let xs: Vec<Fr> = cts.iter().map(|_| Fr::random(rng)).collect();
+    let commitments: Vec<G1Projective> = cts
+        .iter()
+        .zip(&xs)
+        .flat_map(|(ct, x)| [ct.c1 * *x, mul_generator(x)])
+        .collect();
+    G1Projective::batch_to_affine(&commitments)
+        .chunks_exact(2)
+        .zip(cts.iter().zip(claims))
+        .zip(xs)
+        .map(|((ab, (ct, claim)), x)| {
+            let (a, b) = (ab[0], ab[1]);
+            let c = challenge(&a, &b, &kp.ek, ct, &claim.to_point());
+            DecryptionProof {
+                a,
+                b,
+                z: x + kp.dk.0 * c,
+            }
+        })
+        .collect()
 }
 
 /// `VerifyPKE_h(M, c, π)`: checks both verification equations.

@@ -2,11 +2,13 @@
 //! group laws, encoding round trips, and scheme-level properties under
 //! randomized inputs.
 
-use dragoon_crypto::elgamal::{discrete_log_bsgs, Decrypted, KeyPair, PlaintextRange};
+use dragoon_crypto::elgamal::{
+    discrete_log_bsgs, discrete_log_in_range, Decrypted, KeyPair, PlaintextRange,
+};
 use dragoon_crypto::g1::{G1Affine, G1Projective};
 use dragoon_crypto::keccak::keccak256;
 use dragoon_crypto::vpke::{self, PlaintextClaim};
-use dragoon_crypto::{Fq, Fr};
+use dragoon_crypto::{FixedBaseTable, Fq, Fr};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,6 +19,36 @@ fn fr(seed: u64) -> Fr {
 
 fn fq(seed: u64) -> Fq {
     Fq::random(&mut StdRng::seed_from_u64(seed))
+}
+
+/// Bit-by-bit double-and-add, MSB first — the scalar multiplication the
+/// crate shipped before the GLV/wNAF kernel, kept as the oracle every
+/// multiplication path is diffed against.
+fn double_and_add(p: &G1Projective, k: &Fr) -> G1Projective {
+    let limbs = k.to_plain_limbs();
+    let mut acc = G1Projective::identity();
+    for i in (0..256).rev() {
+        acc = acc.double();
+        if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
+            acc = G1Projective::add(&acc, p);
+        }
+    }
+    acc
+}
+
+/// A scalar shaped by `shape`: uniform, a power of two (± 1), or small.
+fn shaped_scalar(seed: u64, shape: u8) -> Fr {
+    let mut pow = Fr::one();
+    for _ in 0..seed % 254 {
+        pow = pow.double();
+    }
+    match shape % 5 {
+        0 => pow,
+        1 => pow - Fr::one(),
+        2 => -pow,
+        3 => Fr::from_u64(seed),
+        _ => fr(seed),
+    }
 }
 
 proptest! {
@@ -87,6 +119,90 @@ proptest! {
         prop_assert_eq!(G1Affine::from_bytes(&p.to_bytes()), Some(p));
     }
 
+    #[test]
+    fn g1_mul_scalar_matches_double_and_add(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        shape in any::<u8>(),
+    ) {
+        let k = shaped_scalar(b, shape);
+        let g = G1Projective::generator();
+        // A base with Z ≠ 1, and the generator.
+        let p = double_and_add(&g, &fr(a)).double();
+        prop_assert_eq!(p.mul_scalar(&k), double_and_add(&p, &k));
+        prop_assert_eq!(g.mul_scalar(&k), double_and_add(&g, &k));
+        prop_assert_eq!(p.to_affine() * k, double_and_add(&p, &k));
+        prop_assert!(G1Projective::identity().mul_scalar(&k).is_identity());
+    }
+
+    #[test]
+    fn g1_fixed_base_table_matches_double_and_add(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        shape in any::<u8>(),
+    ) {
+        let base = double_and_add(&G1Projective::generator(), &fr(a));
+        let table = FixedBaseTable::new(&base.to_affine());
+        // The last scalar has zero nibbles between its digits.
+        let ks = [
+            shaped_scalar(b, shape),
+            -Fr::one(),
+            Fr::zero(),
+            Fr::from_u64(b & 0xf0f0_0f0f),
+        ];
+        for k in ks {
+            prop_assert_eq!(table.mul(&k), double_and_add(&base, &k));
+        }
+    }
+
+    #[test]
+    fn g1_batch_to_affine_matches_per_point(
+        seeds in proptest::collection::vec(any::<u64>(), 0..12),
+    ) {
+        // Seeds divisible by 3 become identities, interleaved at random.
+        let g = G1Projective::generator();
+        let points: Vec<G1Projective> = seeds
+            .iter()
+            .map(|&s| {
+                if s.is_multiple_of(3) {
+                    G1Projective::identity()
+                } else {
+                    (g * fr(s)).double()
+                }
+            })
+            .collect();
+        let expect: Vec<G1Affine> = points.iter().map(G1Projective::to_affine).collect();
+        prop_assert_eq!(G1Projective::batch_to_affine(&points), expect);
+    }
+
+    #[test]
+    fn g1_batch_add_matches_projective(
+        seeds in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..10),
+    ) {
+        // Residues pick the degenerate pairs: identity, P + P, P − P.
+        let point = |s: u64| {
+            if s.is_multiple_of(5) {
+                G1Affine::identity()
+            } else {
+                (G1Projective::generator() * fr(s)).to_affine()
+            }
+        };
+        let (lhs, rhs): (Vec<G1Affine>, Vec<G1Affine>) = seeds
+            .iter()
+            .map(|&(a, b)| match b % 4 {
+                0 => (point(a), point(a)),
+                1 => (point(a), -point(a)),
+                _ => (point(a), point(b)),
+            })
+            .unzip();
+        let expect: Vec<G1Affine> = lhs
+            .iter()
+            .zip(&rhs)
+            .map(|(p, q)| (p.to_projective() + q.to_projective()).to_affine())
+            .collect();
+        prop_assert_eq!(G1Affine::batch_add(&lhs, &rhs), expect);
+    }
+
     // ---------------- Keccak ----------------
 
     #[test]
@@ -114,6 +230,63 @@ proptest! {
     }
 
     #[test]
+    fn elgamal_batched_encrypt_matches_per_item(
+        ms in proptest::collection::vec(0u64..40, 0..10),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(&mut rng);
+        let rhos: Vec<Fr> = ms.iter().map(|_| Fr::random(&mut rng)).collect();
+        let table = FixedBaseTable::new(&kp.ek.0);
+        // The pre-batching formula, point by point.
+        let g = G1Projective::generator();
+        let h = kp.ek.0.to_projective();
+        for table in [None, Some(&table)] {
+            let batch = kp.ek.encrypt_batch(&ms, &rhos, table);
+            prop_assert_eq!(batch.len(), ms.len());
+            for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&batch) {
+                let per_item = kp.ek.encrypt_with_table(m, rho, table);
+                prop_assert_eq!(ct.to_bytes(), per_item.to_bytes());
+                prop_assert_eq!(ct.c1, double_and_add(&g, &rho).to_affine());
+                let c2 = double_and_add(&g, &Fr::from_u64(m)) + double_and_add(&h, &rho);
+                prop_assert_eq!(ct.c2, c2.to_affine());
+            }
+        }
+    }
+
+    #[test]
+    fn elgamal_batched_decrypt_matches_per_item(
+        ms in proptest::collection::vec(0u64..12, 0..10),
+        seed in any::<u64>(),
+    ) {
+        // Plaintexts 0..12 against the range [2, 7]: both sides out of range.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(&mut rng);
+        let range = PlaintextRange::new(2, 7);
+        let cts: Vec<_> = ms.iter().map(|&m| kp.ek.encrypt(m, &mut rng)).collect();
+        let batch = kp.dk.decrypt_batch(&cts, &range);
+        prop_assert_eq!(batch.len(), cts.len());
+        for ((&m, ct), got) in ms.iter().zip(&cts).zip(&batch) {
+            prop_assert_eq!(*got, kp.dk.decrypt(ct, &range));
+            let g_m = double_and_add(&G1Projective::generator(), &Fr::from_u64(m)).to_affine();
+            let expect = if range.contains(m) {
+                Decrypted::InRange(m)
+            } else {
+                Decrypted::OutOfRange(g_m)
+            };
+            prop_assert_eq!(*got, expect);
+            prop_assert_eq!(kp.dk.decrypt_raw(ct), g_m);
+            prop_assert_eq!(discrete_log_in_range(&g_m, &range), range.contains(m).then_some(m));
+        }
+        let first_out = |ds: &[Decrypted]| {
+            ds.iter().position(|d| matches!(d, Decrypted::OutOfRange(_)))
+        };
+        let per_item: Vec<Decrypted> = cts.iter().map(|ct| kp.dk.decrypt(ct, &range)).collect();
+        prop_assert_eq!(first_out(&batch), first_out(&per_item));
+        prop_assert_eq!(first_out(&batch), ms.iter().position(|&m| !range.contains(m)));
+    }
+
+    #[test]
     fn bsgs_solves_random_dlogs(m in 0u64..10_000) {
         let target = (G1Projective::generator() * Fr::from_u64(m)).to_affine();
         prop_assert_eq!(discrete_log_bsgs(&target, 10_000), Some(m));
@@ -131,6 +304,30 @@ proptest! {
         prop_assert!(matches!(claim, PlaintextClaim::OutOfRange(_)));
         let stmt = vpke::DecryptionStatement { ek: kp.ek, ct, claim };
         prop_assert!(vpke::verify(&stmt, &proof));
+    }
+
+    #[test]
+    fn vpke_batched_prove_matches_consecutive_proofs(
+        ms in proptest::collection::vec(0u64..8, 0..6),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(&mut rng);
+        let range = PlaintextRange::new(0, 3);
+        let cts: Vec<_> = ms.iter().map(|&m| kp.ek.encrypt(m, &mut rng)).collect();
+        let mut batch_rng = rng.clone();
+        let batch = vpke::prove_batch_with_key(&kp, &cts, &range, &mut batch_rng);
+        let single: Vec<_> = cts
+            .iter()
+            .map(|ct| vpke::prove_with_key(&kp, ct, &range, &mut rng))
+            .collect();
+        prop_assert_eq!(&batch, &single);
+        // Identical draws: the two generators are in the same state.
+        prop_assert_eq!(Fr::random(&mut batch_rng), Fr::random(&mut rng));
+        for (ct, (claim, proof)) in cts.iter().zip(batch) {
+            let stmt = vpke::DecryptionStatement { ek: kp.ek, ct: *ct, claim };
+            prop_assert!(vpke::verify(&stmt, &proof));
+        }
     }
 
     #[test]

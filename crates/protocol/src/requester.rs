@@ -8,7 +8,7 @@ use dragoon_core::task::{Answer, EncryptedAnswer, GoldenStandards, TaskSpec};
 use dragoon_core::workload::Workload;
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_crypto::elgamal::{Decrypted, KeyPair, PlaintextRange};
-use dragoon_crypto::vpke;
+use dragoon_crypto::vpke::{self, PlaintextClaim};
 use dragoon_ledger::Address;
 use rand::Rng;
 
@@ -179,13 +179,21 @@ impl Evaluator {
         rng: &mut R,
     ) -> Verdict {
         let range = self.range;
-        // Decrypt every item; find the first out-of-range one.
+        // Decrypt the whole vector at once; find the first out-of-range
+        // item.
         let mut plain = Vec::with_capacity(cts.len());
-        for (i, ct) in cts.0.iter().enumerate() {
-            match self.keypair.dk.decrypt(ct, &range) {
-                Decrypted::InRange(m) => plain.push(m),
+        for (i, decrypted) in self
+            .keypair
+            .dk
+            .decrypt_batch(&cts.0, &range)
+            .iter()
+            .enumerate()
+        {
+            match decrypted {
+                Decrypted::InRange(m) => plain.push(*m),
                 Decrypted::OutOfRange(_) => {
-                    let (claim, proof) = vpke::prove_with_key(&self.keypair, ct, &range, rng);
+                    let claim = PlaintextClaim::from_decrypted(decrypted);
+                    let proof = vpke::prove_claim_with_key(&self.keypair, &cts.0[i], &claim, rng);
                     return Verdict::RejectOutOfRange {
                         msg: HitMessage::OutRange {
                             worker,
@@ -316,5 +324,51 @@ mod tests {
             }
             other => panic!("expected outrange, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn out_of_range_verdict_reports_first_index_and_raw_point() {
+        // Batched decryption must report what the per-item scan did:
+        // the first out-of-range position, its raw group element, and a
+        // proof that verifies — later out-of-range items are ignored.
+        let (mut rng, w, _, r) = setup();
+        let mut a = draw_answer(
+            &AnswerModel::Diligent { accuracy: 1.0 },
+            &w.truth,
+            &w.spec.range,
+            &mut rng,
+        );
+        a.0[17] = 5;
+        a.0[60] = 9;
+        let cts = a.encrypt(&r.public_key(), &mut rng);
+        let dk = r.keypair().dk;
+        let per_item_first = cts
+            .0
+            .iter()
+            .position(|ct| matches!(dk.decrypt(ct, &w.spec.range), Decrypted::OutOfRange(_)));
+        assert_eq!(per_item_first, Some(17));
+        let Verdict::RejectOutOfRange {
+            msg:
+                HitMessage::OutRange {
+                    index,
+                    claim,
+                    proof,
+                    ..
+                },
+        } = r.evaluate(Address::from_byte(9), &cts, &mut rng)
+        else {
+            panic!("expected outrange");
+        };
+        assert_eq!(index, 17);
+        assert_eq!(
+            claim,
+            PlaintextClaim::OutOfRange(dk.decrypt_raw(&cts.0[17]))
+        );
+        let stmt = vpke::DecryptionStatement {
+            ek: r.public_key(),
+            ct: cts.0[17],
+            claim,
+        };
+        assert!(vpke::verify(&stmt, &proof));
     }
 }

@@ -105,7 +105,9 @@ impl Worker {
     ///
     /// `copied` is the commitment a copy-paste attacker decided to
     /// replay at enqueue time (None aborts the copy). `cache` enables
-    /// the keyed fixed-base table for the requester's encryption key.
+    /// the keyed fixed-base table for the requester's encryption key;
+    /// either way the answer vector is encrypted as one batch (a single
+    /// field inversion for its `2N` points).
     #[allow(clippy::too_many_arguments)]
     pub fn prepare_commit<R: Rng + ?Sized>(
         behavior: &WorkerBehavior,
