@@ -7,7 +7,12 @@
 //! ```sh
 //! cargo bench -p dragoon-bench --bench marketplace_throughput
 //! DRAGOON_SEED=7 cargo bench -p dragoon-bench --bench marketplace_throughput
+//! DRAGOON_BENCH_ONLY=market_scale_1m DRAGOON_SCALE_HITS=20000 cargo bench -p dragoon-bench --bench marketplace_throughput
 //! ```
+//!
+//! Tiers are rows of [`TIERS`]; the A/B tiers (same market, two
+//! configurations, identical reports, one wall-clock ratio) all go
+//! through [`run_ab`].
 
 use dragoon_bench::{fmt_duration, peak_rss_kb, time_once};
 use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
@@ -15,11 +20,18 @@ use dragoon_crypto::precomp::ProofCache;
 use dragoon_crypto::vpke;
 use dragoon_net::{NetConfig, RelaySpec};
 use dragoon_sim::{
-    run_market, seed_from_env_or, MarketConfig, MarketSim, PersistConfig, ProvingConfig,
+    run_market, seed_from_env_or, MarketConfig, MarketReport, MarketSim, PersistConfig,
+    ProvingConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Emits one `JSON:` summary line for `bench` with the given members.
+fn json_line(bench: &str, members: String) {
+    dragoon_trace::emit_summary("JSON", format!("{{\"bench\":\"{bench}\",{members}}}"));
+}
 
 fn market_throughput(seed: u64) {
     println!("== marketplace throughput ==");
@@ -47,12 +59,11 @@ fn market_throughput(seed: u64) {
             report.gas_per_block_mean / 1_000.0,
             fmt_duration(wall),
         );
-        dragoon_trace::emit_summary(
-            "JSON",
+        json_line(
+            "market_throughput",
             format!(
-                "{{\"bench\":\"market_throughput\",\"mode\":\"{label}\",\
-                 \"hits_settled\":{},\"blocks\":{},\"hits_per_1k_blocks\":{per_1k:.1},\
-                 \"wall_ms\":{},\"report\":{}}}",
+                "\"mode\":\"{label}\",\"hits_settled\":{},\"blocks\":{},\
+                 \"hits_per_1k_blocks\":{per_1k:.1},\"wall_ms\":{},\"report\":{}",
                 report.hits_settled,
                 report.blocks,
                 wall.as_millis(),
@@ -65,11 +76,9 @@ fn market_throughput(seed: u64) {
 /// A scale-tier market config: lightweight tasks (4 questions, 2 golds)
 /// and roomy blocks, so the measurement isolates the engine + state
 /// layer rather than proof arithmetic. The executor is pinned serial so
-/// journal-vs-clone numbers measure checkpointing alone — the clone
-/// baseline cannot run the parallel executor, and mixing the two effects
-/// would inflate the comparison ([`parallel_exec_speedup`] measures the
-/// executor separately, against this same serial footing).
-fn scale_config(hits: usize, seed: u64, clone_checkpointing: bool) -> MarketConfig {
+/// every A/B tier prices its own effect on the same footing;
+/// [`parallel_exec_speedup`] measures the executor separately.
+fn scale_config(hits: usize, seed: u64) -> MarketConfig {
     MarketConfig {
         hits,
         spawn_per_block: 25,
@@ -82,59 +91,175 @@ fn scale_config(hits: usize, seed: u64, clone_checkpointing: bool) -> MarketConf
         block_gas_limit: Some(100_000_000),
         max_blocks: 4_000,
         seed,
-        clone_checkpointing,
         exec_threads: 1,
         ..MarketConfig::default()
     }
 }
 
-/// **Journal vs clone checkpointing** — the same 1 000-HIT market under
-/// the journaled state layer and under the pre-journal whole-state
-/// clone-per-transaction baseline. Reports are asserted identical (the
-/// differential guarantee); only the wall clock differs. The baseline is
-/// run at 1k HITs because its per-transaction cost grows with the number
-/// of instances ever created — at 10k it is not worth anyone's time,
-/// which is precisely the point of the journal.
-fn checkpoint_speedup(seed: u64) {
-    println!("\n== journaled state vs clone checkpointing (1 000 HITs) ==");
-    let mut walls = Vec::new();
-    for (label, clone_checkpointing) in [("journal", false), ("clone_checkpoint", true)] {
-        let config = scale_config(1_000, seed, clone_checkpointing);
-        let (wall, report) = time_once(|| run_market(config.clone()));
-        walls.push((label, wall, report.to_json()));
-        println!(
-            "{label:<17} {} HITs settled in {} blocks, wall {}",
-            report.hits_settled,
-            report.blocks,
-            fmt_duration(wall),
+/// How an A/B tier states side B's wall clock against side A's; the
+/// string is the key the figure is printed and emitted under.
+enum Ratio {
+    /// `a / b`: how many times faster B ran.
+    Speedup(&'static str),
+    /// `(b / a − 1) · 100`: what B costs over A, in percent.
+    OverheadPct(&'static str),
+}
+
+/// One labelled side of an A/B tier: the label names its row and its
+/// `<label>_ms` key.
+type Side<'a> = (&'static str, &'a mut dyn FnMut() -> MarketReport);
+
+/// One measured side: its first report and its best wall.
+struct Measured {
+    label: &'static str,
+    wall: Duration,
+    report: MarketReport,
+}
+
+/// A measured A/B pair whose reports were asserted identical, with
+/// the tier's figure (B's speedup over A, or B's overhead in percent).
+struct Ab {
+    bench: &'static str,
+    key: &'static str,
+    figure: f64,
+    a: Measured,
+    b: Measured,
+}
+
+/// Runs side A then side B `best_of` times each — keeping each side's
+/// first report and best wall, since a single cold run overstates a
+/// small delta by more than the delta itself (page cache, frequency
+/// ramp) — and asserts the two reports byte-identical: every A/B tier
+/// compares configurations that must not change the market, so the
+/// wall-clock ratio is the whole difference.
+fn run_ab<'a>(bench: &'static str, best_of: u32, ratio: Ratio, a: Side<'a>, b: Side<'a>) -> Ab {
+    println!("\n== {bench}: {} vs {} ==", a.0, b.0);
+    let [a, b] = [a, b].map(|(label, run)| {
+        let (mut wall, report) = time_once(&mut *run);
+        for _ in 1..best_of {
+            wall = wall.min(time_once(&mut *run).0);
+        }
+        Measured {
+            label,
+            wall,
+            report,
+        }
+    });
+    assert_eq!(
+        a.report.to_json(),
+        b.report.to_json(),
+        "{bench}: the two sides must produce identical reports"
+    );
+    let (wall_a, wall_b) = (a.wall.as_secs_f64(), b.wall.as_secs_f64());
+    let (key, figure) = match ratio {
+        Ratio::Speedup(key) => (key, wall_a / wall_b),
+        Ratio::OverheadPct(key) => (key, (wall_b / wall_a - 1.0) * 100.0),
+    };
+    Ab {
+        bench,
+        key,
+        figure,
+        a,
+        b,
+    }
+}
+
+impl Ab {
+    /// Prints the two rows and the figure, and emits the tier's JSON
+    /// line with the tier-specific `extra` members appended.
+    fn report(&self, extra: &str) {
+        let Ab { key, figure, .. } = self;
+        for side in [&self.a, &self.b] {
+            println!(
+                "{:<11} {} HITs settled in {} blocks, wall {}",
+                side.label,
+                side.report.hits_settled,
+                side.report.blocks,
+                fmt_duration(side.wall),
+            );
+        }
+        println!("{key} {figure:.2} (identical reports — differential holds)");
+        json_line(
+            self.bench,
+            format!(
+                "\"hits\":{},\"{}_ms\":{},\"{}_ms\":{},\"{key}\":{figure:.2},{extra}",
+                self.a.report.hits_published,
+                self.a.label,
+                self.a.wall.as_millis(),
+                self.b.label,
+                self.b.wall.as_millis(),
+            ),
         );
     }
-    let (_, journal_wall, journal_json) = &walls[0];
-    let (_, clone_wall, clone_json) = &walls[1];
-    assert_eq!(
-        journal_json, clone_json,
-        "journal and clone checkpointing must produce identical reports"
+}
+
+/// The sync-vs-pipelined A/B both persisted tiers run: `config` on the
+/// synchronous full-snapshot store against the pipelined lifecycle
+/// (background writer, dirty-shard incremental snapshots, log
+/// compaction, overlapped settlement verification) at one snapshot
+/// cadence. The stores live in scratch directories wiped before use (a
+/// rerun never recovers into a previous run's artifacts) and removed
+/// after; what outlives them is the second value, the bytes compaction
+/// left in the pipelined store's `blocks.log`.
+fn sync_vs_pipelined(bench: &'static str, config: &MarketConfig, cadence: u64) -> (Ab, u64) {
+    let dirs = ["sync", "pipe"].map(|store| {
+        let name = format!("dragoon-bench-{}-{bench}-{store}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    });
+    let run = |preset: PersistConfig| {
+        run_market(MarketConfig {
+            persist: Some(PersistConfig {
+                snapshot_every: cadence,
+                ..preset
+            }),
+            ..config.clone()
+        })
+    };
+    let ab = run_ab(
+        bench,
+        1,
+        Ratio::Speedup("pipeline_speedup"),
+        ("sync", &mut || run(PersistConfig::new(dirs[0].clone()))),
+        ("pipelined", &mut || {
+            run(PersistConfig::pipelined(dirs[1].clone()))
+        }),
     );
-    let speedup = clone_wall.as_secs_f64() / journal_wall.as_secs_f64();
-    println!("speedup {speedup:.2}x (identical reports — differential holds)");
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"checkpoint_speedup\",\"hits\":1000,\
-             \"journal_ms\":{},\"clone_ms\":{},\"speedup\":{speedup:.2}}}",
-            journal_wall.as_millis(),
-            clone_wall.as_millis(),
-        ),
+    let log_left = std::fs::metadata(dirs[1].join("blocks.log")).map_or(0, |m| m.len());
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let deltas = ab.b.report.persist.map_or(0, |stats| stats.delta_snapshots);
+    assert!(deltas > 0, "{bench}: the pipelined run must publish deltas");
+    (ab, log_left)
+}
+
+/// The serial-vs-parallel A/B both executor tiers run: `config(1)`
+/// against `config(threads)` — the differential guarantee of
+/// `tests/parallel_equivalence.rs`. Returns the thread budget too: on a
+/// single-core host the executor degrades to oversubscribed threads, so
+/// the JSON is honest about what it ran with.
+fn serial_vs_parallel(bench: &'static str, config: impl Fn(usize) -> MarketConfig) -> (Ab, usize) {
+    // At least two workers so the parallel machinery actually engages
+    // even when the host reports one core.
+    let threads = dragoon_chain::resolve_threads(0).max(2);
+    let ab = run_ab(
+        bench,
+        1,
+        Ratio::Speedup("speedup"),
+        ("serial", &mut || run_market(config(1))),
+        ("parallel", &mut || run_market(config(threads))),
     );
+    (ab, threads)
 }
 
 /// **10k-HIT scale** — the headline scenario the journal unlocks: ten
-/// thousand concurrent HITs multiplexed over one chain, journal-only
-/// (see [`checkpoint_speedup`] for why the clone baseline sits this
-/// one out). Emits the throughput JSON that seeds the perf trajectory.
+/// thousand concurrent HITs multiplexed over one chain. Emits the
+/// throughput JSON that seeds the perf trajectory.
 fn market_scale_10k(seed: u64) {
     println!("\n== 10 000-HIT market scale (journaled) ==");
-    let config = scale_config(10_000, seed, false);
+    let config = scale_config(10_000, seed);
     let (wall, report) = time_once(|| run_market(config.clone()));
     let per_1k = report.hits_settled as f64 * 1_000.0 / report.blocks as f64;
     let txs: usize = report.block_stats.iter().map(|b| b.txs).sum();
@@ -148,12 +273,11 @@ fn market_scale_10k(seed: u64) {
         fmt_duration(wall),
     );
     assert_eq!(report.hits_unfinished, 0, "10k-HIT run must drain");
-    dragoon_trace::emit_summary(
-        "JSON",
+    json_line(
+        "market_scale_10k",
         format!(
-            "{{\"bench\":\"market_scale_10k\",\"hits_settled\":{},\
-             \"blocks\":{},\"hits_per_1k_blocks\":{per_1k:.1},\"txs\":{txs},\
-             \"wall_ms\":{},\"tx_per_sec\":{:.0}}}",
+            "\"hits_settled\":{},\"blocks\":{},\"hits_per_1k_blocks\":{per_1k:.1},\
+             \"txs\":{txs},\"wall_ms\":{},\"tx_per_sec\":{:.0}",
             report.hits_settled,
             report.blocks,
             wall.as_millis(),
@@ -169,7 +293,10 @@ fn market_scale_10k(seed: u64) {
 /// concurrent-lifecycle HITs, every one settled, under a peak-memory
 /// ceiling. The HIT count scales through `DRAGOON_SCALE_HITS` (CI
 /// smokes it at 20k; unset = the full million) and the ceiling through
-/// `DRAGOON_MEM_CEILING_MB`. Reports blocks/sec, tx/sec and `VmHWM`.
+/// `DRAGOON_MEM_CEILING_MB`. Reports blocks/sec and tx/sec; `VmHWM` is
+/// a process-lifetime mark, so the peak is reported and gated only when
+/// `DRAGOON_BENCH_ONLY` runs this tier alone — after other tiers it
+/// would be their peak too, and the line says `"rss_scope":"process"`.
 fn market_scale_1m(seed: u64) {
     let hits: usize = std::env::var("DRAGOON_SCALE_HITS")
         .ok()
@@ -210,75 +337,39 @@ fn market_scale_1m(seed: u64) {
         report.blocks,
         fmt_duration(wall),
     );
-    println!("peak memory {peak_mb} MB (ceiling {ceiling_mb} MB)");
-    assert!(
-        peak_mb < ceiling_mb,
-        "{hits}-HIT run peaked at {peak_mb} MB, over the {ceiling_mb} MB ceiling"
-    );
-    // The persisted tiers: the same run under the synchronous
-    // full-snapshot store (the PR-8 durability path) and under the
-    // pipelined lifecycle. The snapshot cadence adapts to the measured
-    // block count so both paths publish a handful of artifacts whatever
+    let alone = std::env::var("DRAGOON_BENCH_ONLY").is_ok_and(|only| only == "market_scale_1m");
+    let rss_json = if alone {
+        println!("peak memory {peak_mb} MB (ceiling {ceiling_mb} MB)");
+        assert!(
+            peak_mb < ceiling_mb,
+            "{hits}-HIT run peaked at {peak_mb} MB, over the {ceiling_mb} MB ceiling"
+        );
+        format!("\"peak_rss_mb\":{peak_mb},\"mem_ceiling_mb\":{ceiling_mb}")
+    } else {
+        println!(
+            "process high-water mark {peak_mb} MB includes the tiers run before this one \
+             (not gated; DRAGOON_BENCH_ONLY=market_scale_1m measures the tier alone)"
+        );
+        "\"rss_scope\":\"process\"".to_string()
+    };
+    // The persisted tiers. The snapshot cadence adapts to the measured
+    // block count so both stores publish a handful of artifacts whatever
     // `DRAGOON_SCALE_HITS` is set to.
     let cadence = (report.blocks / 8).max(4);
-    let sync_dir = bench_store_dir("1m-sync");
-    let (sync_wall, sync) = time_once(|| {
-        run_market(MarketConfig {
-            persist: Some(PersistConfig {
-                snapshot_every: cadence,
-                ..PersistConfig::new(sync_dir.clone())
-            }),
-            ..config.clone()
-        })
-    });
-    let pipe_dir = bench_store_dir("1m-pipe");
-    let (pipe_wall, piped) = time_once(|| {
-        run_market(MarketConfig {
-            persist: Some(PersistConfig {
-                snapshot_every: cadence,
-                ..PersistConfig::pipelined(pipe_dir.clone())
-            }),
-            ..config.clone()
-        })
-    });
+    let (ab, pipe_log_len) = sync_vs_pipelined("market_scale_1m", &config, cadence);
     assert_eq!(
         report.to_json(),
-        sync.to_json(),
-        "synchronous persistence must not change the market"
+        ab.a.report.to_json(),
+        "persistence must not change the market"
     );
-    assert_eq!(
-        report.to_json(),
-        piped.to_json(),
-        "the pipelined lifecycle must not change the market"
-    );
-    let sync_stats = sync.persist.expect("sync store stats");
-    let pipe_stats = piped.persist.expect("pipelined store stats");
-    let sync_bps = sync.blocks as f64 / sync_wall.as_secs_f64();
-    let pipe_bps = piped.blocks as f64 / pipe_wall.as_secs_f64();
-    println!(
-        "persisted sync      {sync_bps:.1} blocks/sec, {} full snapshots, \
-         {}k snapshot bytes, wall {}",
-        sync_stats.full_snapshots,
-        sync_stats.snapshot_bytes_written / 1_000,
-        fmt_duration(sync_wall),
-    );
-    println!(
-        "persisted pipelined {pipe_bps:.1} blocks/sec, {} full + {} delta snapshots, \
-         {}k snapshot bytes ({} dirty units), wall {}",
-        pipe_stats.full_snapshots,
-        pipe_stats.delta_snapshots,
-        pipe_stats.snapshot_bytes_written / 1_000,
-        pipe_stats.dirty_units_encoded,
-        fmt_duration(pipe_wall),
-    );
+    let [sync_bps, pipe_bps] =
+        [&ab.a, &ab.b].map(|side| side.report.blocks as f64 / side.wall.as_secs_f64());
+    let sync_stats = ab.a.report.persist.expect("sync store stats");
+    let pipe_stats = ab.b.report.persist.expect("pipelined store stats");
     // Incremental snapshots must scale with the dirty working set, not
     // the instance population: the delta-publishing store writes
     // strictly fewer snapshot bytes than one that re-encodes every
     // instance at each cadence point.
-    assert!(
-        pipe_stats.delta_snapshots > 0,
-        "cadence must publish deltas"
-    );
     assert!(
         pipe_stats.snapshot_bytes_written < sync_stats.snapshot_bytes_written,
         "dirty-shard deltas ({} bytes) must undercut full snapshots ({} bytes)",
@@ -287,123 +378,43 @@ fn market_scale_1m(seed: u64) {
     );
     // Compaction bound: the log left on disk is the post-artifact tail,
     // a strict subset of everything appended over the run.
-    let pipe_log_len = std::fs::metadata(pipe_dir.join("blocks.log"))
-        .map(|m| m.len())
-        .unwrap_or(0);
     assert!(
         pipe_stats.compactions > 0 && pipe_log_len < pipe_stats.log_bytes_written,
         "compaction must bound the log: {pipe_log_len} of {} bytes left",
         pipe_stats.log_bytes_written,
     );
-    let _ = std::fs::remove_dir_all(&sync_dir);
-    let _ = std::fs::remove_dir_all(&pipe_dir);
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"market_scale_1m\",\"hits\":{hits},\
-             \"hits_settled\":{},\"hits_cancelled\":{},\"blocks\":{},\"txs\":{txs},\
-             \"blocks_per_sec\":{blocks_per_sec:.1},\"tx_per_sec\":{tx_per_sec:.0},\
-             \"peak_rss_mb\":{peak_mb},\"mem_ceiling_mb\":{ceiling_mb},\
-             \"wall_ms\":{},\
-             \"sync_blocks_per_sec\":{sync_bps:.1},\"pipelined_blocks_per_sec\":{pipe_bps:.1},\
-             \"sync_snapshot_bytes\":{},\"pipelined_snapshot_bytes\":{},\
-             \"pipelined_log_bytes_left\":{pipe_log_len},\
-             \"sync_persist\":{},\"pipelined_persist\":{}}}",
-            report.hits_settled,
-            report.hits_cancelled,
-            report.blocks,
-            wall.as_millis(),
-            sync_stats.snapshot_bytes_written,
-            pipe_stats.snapshot_bytes_written,
-            sync.persist_json(),
-            piped.persist_json(),
-        ),
-    );
-}
-
-/// A scratch store directory under the system temp dir, wiped before
-/// use so a rerun never recovers into a previous run's artifacts.
-fn bench_store_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dragoon-bench-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    ab.report(&format!(
+        "\"hits_settled\":{},\"hits_cancelled\":{},\"blocks\":{},\"txs\":{txs},\
+         \"blocks_per_sec\":{blocks_per_sec:.1},\"tx_per_sec\":{tx_per_sec:.0},\
+         {rss_json},\"wall_ms\":{},\
+         \"sync_blocks_per_sec\":{sync_bps:.1},\"pipelined_blocks_per_sec\":{pipe_bps:.1},\
+         \"sync_snapshot_bytes\":{},\"pipelined_snapshot_bytes\":{},\
+         \"pipelined_log_bytes_left\":{pipe_log_len},\
+         \"sync_persist\":{},\"pipelined_persist\":{}",
+        report.hits_settled,
+        report.hits_cancelled,
+        report.blocks,
+        wall.as_millis(),
+        sync_stats.snapshot_bytes_written,
+        pipe_stats.snapshot_bytes_written,
+        ab.a.report.persist_json(),
+        ab.b.report.persist_json(),
+    ));
 }
 
 /// **Pipelined vs synchronous persistence** — the same seeded market
-/// under the PR-8 store (synchronous writes, full snapshots, flush per
-/// append) and under the pipelined block lifecycle (background writer,
-/// dirty-shard incremental snapshots, log compaction, overlapped
-/// settlement verification). Reports are asserted byte-identical — the
-/// pipeline is a pure performance change — so the wall-clock ratio is
-/// the price the synchronous durability path was charging the round
-/// loop.
+/// (1k and 10k HITs) on both stores. The pipeline is a pure performance
+/// change, so the wall-clock ratio is the price the synchronous
+/// durability path was charging the round loop.
 fn pipeline_speedup(seed: u64) {
     for hits in [1_000usize, 10_000] {
-        println!("\n== pipelined vs synchronous persistence ({hits} HITs) ==");
         let cadence = if hits >= 10_000 { 64 } else { 16 };
-        let run = |persist: PersistConfig| {
-            let config = MarketConfig {
-                persist: Some(persist),
-                ..scale_config(hits, seed, false)
-            };
-            time_once(|| run_market(config.clone()))
-        };
-        let sync_dir = bench_store_dir(&format!("sync{hits}"));
-        let (sync_wall, sync) = run(PersistConfig {
-            snapshot_every: cadence,
-            ..PersistConfig::new(sync_dir.clone())
-        });
-        let pipe_dir = bench_store_dir(&format!("pipe{hits}"));
-        let (pipe_wall, piped) = run(PersistConfig {
-            snapshot_every: cadence,
-            ..PersistConfig::pipelined(pipe_dir.clone())
-        });
-        assert_eq!(
-            sync.to_json(),
-            piped.to_json(),
-            "pipelined and synchronous persistence must produce identical reports"
-        );
-        let sync_stats = sync.persist.expect("sync run reports store stats");
-        let pipe_stats = piped.persist.expect("pipelined run reports store stats");
-        assert!(
-            pipe_stats.delta_snapshots > 0,
-            "the pipelined run must publish deltas: {pipe_stats:?}"
-        );
-        let speedup = sync_wall.as_secs_f64() / pipe_wall.as_secs_f64();
-        println!(
-            "sync       {} HITs settled in {} blocks, wall {} ({}k snapshot bytes)",
-            sync.hits_settled,
-            sync.blocks,
-            fmt_duration(sync_wall),
-            sync_stats.snapshot_bytes_written / 1_000,
-        );
-        println!(
-            "pipelined  {} HITs settled in {} blocks, wall {} ({}k snapshot bytes, \
-             {} deltas, {} dirty units, overlap {}/{})",
-            piped.hits_settled,
-            piped.blocks,
-            fmt_duration(pipe_wall),
-            pipe_stats.snapshot_bytes_written / 1_000,
-            pipe_stats.delta_snapshots,
-            pipe_stats.dirty_units_encoded,
-            pipe_stats.overlap_hits,
-            pipe_stats.overlap_hits + pipe_stats.overlap_misses,
-        );
-        println!("pipeline_speedup {speedup:.2}x (identical reports — differential holds)");
-        dragoon_trace::emit_summary(
-            "JSON",
-            format!(
-                "{{\"bench\":\"pipeline_speedup\",\"hits\":{hits},\
-                 \"sync_ms\":{},\"pipelined_ms\":{},\"pipeline_speedup\":{speedup:.2},\
-                 \"sync_persist\":{},\"pipelined_persist\":{}}}",
-                sync_wall.as_millis(),
-                pipe_wall.as_millis(),
-                sync.persist_json(),
-                piped.persist_json(),
-            ),
-        );
-        let _ = std::fs::remove_dir_all(&sync_dir);
-        let _ = std::fs::remove_dir_all(&pipe_dir);
+        let (ab, _) = sync_vs_pipelined("pipeline_speedup", &scale_config(hits, seed), cadence);
+        ab.report(&format!(
+            "\"sync_persist\":{},\"pipelined_persist\":{}",
+            ab.a.report.persist_json(),
+            ab.b.report.persist_json(),
+        ));
     }
 }
 
@@ -415,76 +426,35 @@ fn parallel_config(hits: usize, seed: u64, exec_threads: usize) -> MarketConfig 
     MarketConfig {
         settlement: dragoon_contract::SettlementMode::PerProof,
         exec_threads,
-        ..scale_config(hits, seed, false)
+        ..scale_config(hits, seed)
     }
 }
 
 /// **Parallel vs serial block execution** — the same per-proof market
-/// run under the strictly serial executor (`exec_threads = 1`) and under
-/// the optimistic parallel executor. Reports are asserted identical (the
-/// differential guarantee of `tests/parallel_equivalence.rs`); only the
-/// wall clock may differ. On a single-core host the executor degrades to
-/// oversubscribed threads, so the speedup column is honest about the
-/// thread budget it ran with.
+/// (1k and 10k HITs) under the strictly serial executor
+/// (`exec_threads = 1`) and under the optimistic parallel executor.
 fn parallel_exec_speedup(seed: u64) {
-    // At least two workers so the parallel machinery actually engages
-    // even when the host reports one core.
-    let threads = dragoon_chain::resolve_threads(0).max(2);
     for hits in [1_000usize, 10_000] {
-        println!("\n== parallel vs serial block execution ({hits} HITs, per-proof) ==");
-        let (serial_wall, serial) = time_once(|| run_market(parallel_config(hits, seed, 1)));
-        println!(
-            "serial      {} HITs settled in {} blocks, wall {}",
-            serial.hits_settled,
-            serial.blocks,
-            fmt_duration(serial_wall),
-        );
-        let (parallel_wall, parallel) =
-            time_once(|| run_market(parallel_config(hits, seed, threads)));
-        println!(
-            "parallel({threads}) {} HITs settled in {} blocks, wall {}",
-            parallel.hits_settled,
-            parallel.blocks,
-            fmt_duration(parallel_wall),
-        );
-        assert_eq!(
-            serial.to_json(),
-            parallel.to_json(),
-            "parallel and serial execution must produce identical reports"
-        );
-        let speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64();
-        println!(
-            "speedup {speedup:.2}x at {threads} threads (identical reports — differential holds)"
-        );
-        dragoon_trace::emit_summary(
-            "JSON",
-            format!(
-                "{{\"bench\":\"parallel_exec_speedup\",\"hits\":{hits},\
-                 \"threads\":{threads},\"serial_ms\":{},\"parallel_ms\":{},\
-                 \"speedup\":{speedup:.2},\"scheduler\":{}}}",
-                serial_wall.as_millis(),
-                parallel_wall.as_millis(),
-                parallel.scheduler_json(),
-            ),
-        );
+        let (ab, threads) = serial_vs_parallel("parallel_exec_speedup", |threads| {
+            parallel_config(hits, seed, threads)
+        });
+        ab.report(&format!(
+            "\"threads\":{threads},\"scheduler\":{}",
+            ab.b.report.scheduler_json()
+        ));
     }
 }
 
 /// **Spawn-heavy parallel execution** — the workload the access-set
 /// scheduler exists for: a 1k-HIT market whose spawn phase keeps roughly
 /// a third of every round's mempool `Create`/`Publish` transactions
-/// (concentrated spawning, small worker quotas). Under PR 3's scheduler
-/// every `Create` was a whole-round serial barrier, so this market
-/// degenerated to serial execution; with speculative id reservation the
-/// spawn blocks parallelize like any other. Reports are asserted
-/// identical; the JSON records the measured create share and the
-/// scheduler counters alongside the speedup.
+/// (concentrated spawning, small worker quotas), which speculative id
+/// reservation lets parallelize like any other. The JSON records the
+/// measured create share and the scheduler counters alongside the
+/// speedup.
 fn spawn_heavy_speedup(seed: u64) {
-    let threads = dragoon_chain::resolve_threads(0).max(2);
-    let hits = 1_000usize;
     const SPAWN_PER_BLOCK: usize = 200;
-    println!("\n== spawn-heavy parallel vs serial execution ({hits} HITs, per-proof) ==");
-    let config = |exec_threads: usize| MarketConfig {
+    let (ab, threads) = serial_vs_parallel("spawn_heavy_speedup", |exec_threads| MarketConfig {
         // Concentrated spawning: 200 creations per block while the
         // backlog lasts, against lightweight 2-worker tasks with no
         // overbooking, keeps roughly a third of each ramp round's
@@ -496,278 +466,128 @@ fn spawn_heavy_speedup(seed: u64) {
         theta: 2,
         overbook: 0,
         block_gas_limit: Some(600_000_000),
-        ..parallel_config(hits, seed, exec_threads)
-    };
-    let (serial_wall, serial) = time_once(|| run_market(config(1)));
-    let (parallel_wall, parallel) = time_once(|| run_market(config(threads)));
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "spawn-heavy parallel and serial execution must produce identical reports"
-    );
+        ..parallel_config(1_000, seed, exec_threads)
+    });
     // Every published HIT is exactly one funded, successful `Create`.
+    let serial = &ab.a.report;
+    let txs_of = |blocks: usize| -> usize {
+        let stats = serial.block_stats.iter().take(blocks);
+        stats.map(|b| b.txs).sum::<usize>().max(1)
+    };
     let creates = serial.hits_published;
-    let txs: usize = serial.block_stats.iter().map(|b| b.txs).sum();
-    let create_share = creates as f64 / txs as f64;
-    let spawn_blocks = serial.hits_published.div_ceil(SPAWN_PER_BLOCK);
-    let spawn_txs: usize = serial
-        .block_stats
-        .iter()
-        .take(spawn_blocks)
-        .map(|b| b.txs)
-        .sum();
-    let spawn_share = serial.hits_published as f64 / spawn_txs.max(1) as f64;
-    let speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64();
-    println!(
-        "serial      {} HITs settled in {} blocks, wall {}",
-        serial.hits_settled,
-        serial.blocks,
-        fmt_duration(serial_wall),
-    );
-    println!(
-        "parallel({threads}) {} HITs settled in {} blocks, wall {}",
-        parallel.hits_settled,
-        parallel.blocks,
-        fmt_duration(parallel_wall),
-    );
-    println!(
-        "speedup {speedup:.2}x at {threads} threads; creates are {:.0}% of all txs \
-         ({:.0}% of spawn-phase blocks) — identical reports",
-        create_share * 100.0,
-        spawn_share * 100.0,
-    );
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"spawn_heavy_speedup\",\"hits\":{hits},\
-             \"threads\":{threads},\"create_share\":{create_share:.3},\
-             \"spawn_phase_create_share\":{spawn_share:.3},\
-             \"serial_ms\":{},\"parallel_ms\":{},\"speedup\":{speedup:.2},\
-             \"scheduler\":{}}}",
-            serial_wall.as_millis(),
-            parallel_wall.as_millis(),
-            parallel.scheduler_json(),
-        ),
-    );
+    let create_share = creates as f64 / txs_of(usize::MAX) as f64;
+    let spawn_share = creates as f64 / txs_of(creates.div_ceil(SPAWN_PER_BLOCK)) as f64;
+    ab.report(&format!(
+        "\"threads\":{threads},\"create_share\":{create_share:.3},\
+         \"spawn_phase_create_share\":{spawn_share:.3},\"scheduler\":{}",
+        ab.b.report.scheduler_json()
+    ));
 }
 
 /// **Econ-layer overhead** — the same 1 000-HIT market with the
 /// `dragoon-econ` layer off and in observe-only mode (reputation fed by
 /// every settlement receipt, pricing/churn/adversaries idle, no gating
-/// or ordering). Observe-only econ influences nothing, so the reports
-/// are asserted byte-identical and the wall-clock delta prices exactly
-/// the layer's bookkeeping — the acceptance bar is <5% at 1k HITs.
+/// or ordering). Observe-only econ influences nothing, so the
+/// wall-clock delta prices exactly the layer's bookkeeping — the
+/// acceptance bar is <5% at 1k HITs.
 fn econ_overhead(seed: u64) {
-    println!("\n== econ layer overhead (1 000 HITs, observe-only) ==");
-    let base = scale_config(1_000, seed, false);
+    let base = scale_config(1_000, seed);
     let econ_config = MarketConfig {
         econ: dragoon_econ::EconConfig::observe_only(),
         ..base.clone()
     };
-    // Best-of-two walls per config: a single cold run overstates the
-    // delta by more than the delta itself (page cache, frequency ramp).
-    let (off_a, off) = time_once(|| run_market(base.clone()));
-    let (off_b, _) = time_once(|| run_market(base.clone()));
-    let off_wall = off_a.min(off_b);
-    let (on_a, on) = time_once(|| run_market(econ_config.clone()));
-    let (on_b, _) = time_once(|| run_market(econ_config.clone()));
-    let on_wall = on_a.min(on_b);
-    assert_eq!(
-        off.to_json(),
-        on.to_json(),
-        "observe-only econ must not change the market"
+    let ab = run_ab(
+        "econ_overhead",
+        2,
+        Ratio::OverheadPct("overhead_pct"),
+        ("econ_off", &mut || run_market(base.clone())),
+        ("econ_on", &mut || run_market(econ_config.clone())),
     );
-    assert!(on.econ.is_some() && off.econ.is_none());
-    let overhead = on_wall.as_secs_f64() / off_wall.as_secs_f64() - 1.0;
-    println!(
-        "econ_off  {} HITs settled in {} blocks, wall {}",
-        off.hits_settled,
-        off.blocks,
-        fmt_duration(off_wall),
-    );
-    println!(
-        "econ_on   {} HITs settled in {} blocks, wall {} ({} receipts absorbed)",
-        on.hits_settled,
-        on.blocks,
-        fmt_duration(on_wall),
-        on.econ.as_ref().map_or(0, |e| e.rep_receipts),
-    );
-    println!(
-        "overhead {:+.1}% (identical reports — observe-only differential holds)",
-        overhead * 100.0
-    );
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"econ_overhead\",\"hits\":1000,\
-             \"econ_off_ms\":{},\"econ_on_ms\":{},\"overhead_pct\":{:.2},\
-             \"econ\":{}}}",
-            off_wall.as_millis(),
-            on_wall.as_millis(),
-            overhead * 100.0,
-            on.econ_json(),
-        ),
-    );
+    assert!(ab.b.report.econ.is_some() && ab.a.report.econ.is_none());
+    ab.report(&format!("\"econ\":{}", ab.b.report.econ_json()));
 }
 
 /// **Tracing overhead** — the same 1 000-HIT market with `dragoon-trace`
 /// fully off and with both layers live (deterministic events captured in
 /// memory, wall-clock spans recorded per thread). Tracing observes the
-/// pipeline and never steers it, so the reports are asserted
-/// byte-identical and the wall-clock delta prices exactly the
-/// instrumentation — the acceptance bar is <5% at 1k HITs.
+/// pipeline and never steers it, so the wall-clock delta prices exactly
+/// the instrumentation — the acceptance bar is <5% at 1k HITs.
 fn trace_overhead(seed: u64) {
-    println!("\n== tracing overhead (1 000 HITs, both layers live) ==");
-    let config = scale_config(1_000, seed, false);
-    // Best-of-two walls per mode, same rationale as `econ_overhead`.
-    let (off_a, off) = time_once(|| run_market(config.clone()));
-    let (off_b, _) = time_once(|| run_market(config.clone()));
-    let off_wall = off_a.min(off_b);
-    let capture = dragoon_trace::start_full_capture();
-    let (on_a, on) = time_once(|| run_market(config.clone()));
-    let (on_b, _) = time_once(|| run_market(config.clone()));
-    let on_wall = on_a.min(on_b);
-    let events = capture.finish();
-    assert_eq!(
-        off.to_json(),
-        on.to_json(),
-        "tracing must not change the market"
+    let config = scale_config(1_000, seed);
+    // The capture opens with the first traced run, after both untraced
+    // runs have finished.
+    let mut capture = None;
+    let ab = run_ab(
+        "trace_overhead",
+        2,
+        Ratio::OverheadPct("trace_overhead"),
+        ("trace_off", &mut || run_market(config.clone())),
+        ("trace_on", &mut || {
+            capture.get_or_insert_with(dragoon_trace::start_full_capture);
+            run_market(config.clone())
+        }),
     );
+    let events = capture.expect("the traced side ran").finish().len();
+    assert!(events > 0, "a traced run must record deterministic events");
+    ab.report(&format!("\"events\":{events}"));
     assert!(
-        !events.is_empty(),
-        "a traced run must record deterministic events"
-    );
-    let overhead = on_wall.as_secs_f64() / off_wall.as_secs_f64() - 1.0;
-    println!(
-        "trace_off {} HITs settled in {} blocks, wall {}",
-        off.hits_settled,
-        off.blocks,
-        fmt_duration(off_wall),
-    );
-    println!(
-        "trace_on  {} HITs settled in {} blocks, wall {} ({} events over 2 runs)",
-        on.hits_settled,
-        on.blocks,
-        fmt_duration(on_wall),
-        events.len(),
-    );
-    println!(
-        "trace_overhead {:+.1}% (identical reports — tracing is invisible to the chain)",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < 0.05,
+        ab.figure < 5.0,
         "tracing overhead {:.2}% exceeds the 5% acceptance bar",
-        overhead * 100.0
-    );
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"trace_overhead\",\"hits\":1000,\
-             \"trace_off_ms\":{},\"trace_on_ms\":{},\"trace_overhead\":{:.2},\
-             \"events\":{}}}",
-            off_wall.as_millis(),
-            on_wall.as_millis(),
-            overhead * 100.0,
-            events.len(),
-        ),
+        ab.figure
     );
 }
 
 /// **Network-layer overhead** — the same 1 000-HIT market single-node
 /// and over a 4-node zero-delay gossip network (every replica
-/// re-executes every canonical block serially). The canonical market is
-/// asserted byte-identical to the single-node baseline — the net layer
-/// observes the chain, it never steers it — so the wall-clock delta
-/// prices exactly the replica replay + gossip bookkeeping. A lossy
-/// variant (seeded delays, loss, duplicates, a withhold-and-release
-/// relay) then reports blocks/sec with forks and reorgs in the mix.
+/// re-executes every canonical block serially). The net layer observes
+/// the chain, it never steers it, so the wall-clock delta prices exactly
+/// the replica replay + gossip bookkeeping. A lossy variant (seeded
+/// delays, loss, duplicates, a withhold-and-release relay) then reports
+/// blocks/sec with forks and reorgs in the mix.
 fn net_overhead(seed: u64) {
-    println!("\n== network layer overhead (1 000 HITs, 4 nodes) ==");
-    let base = scale_config(1_000, seed, false);
-    let zero_delay = MarketConfig {
-        net: Some(NetConfig {
-            delay: (0, 0),
-            ..NetConfig::default()
-        }),
+    let base = scale_config(1_000, seed);
+    let with_net = |net: NetConfig| MarketConfig {
+        net: Some(net),
         ..base.clone()
     };
-    let (n1_a, n1) = time_once(|| run_market(base.clone()));
-    let (n1_b, _) = time_once(|| run_market(base.clone()));
-    let n1_wall = n1_a.min(n1_b);
-    let (n4_a, n4) = time_once(|| run_market(zero_delay.clone()));
-    let (n4_b, _) = time_once(|| run_market(zero_delay.clone()));
-    let n4_wall = n4_a.min(n4_b);
-    assert_eq!(
-        n1.to_json(),
-        n4.to_json(),
-        "the net layer must not perturb the canonical market"
+    let zero_delay = with_net(NetConfig {
+        delay: (0, 0),
+        ..NetConfig::default()
+    });
+    let ab = run_ab(
+        "net_overhead",
+        2,
+        Ratio::OverheadPct("overhead_pct"),
+        ("single_node", &mut || run_market(base.clone())),
+        ("four_node", &mut || run_market(zero_delay.clone())),
     );
-    let zero_report = n4.net.as_ref().expect("net report");
+    let zero_report = ab.b.report.net.as_ref().expect("net report");
     assert!(
         zero_report.converged && zero_report.forks_produced == 0 && zero_report.reorgs == 0,
         "zero-delay replicas track the canonical chain exactly"
     );
-    let overhead = n4_wall.as_secs_f64() / n1_wall.as_secs_f64() - 1.0;
-    println!(
-        "single_node {} HITs settled in {} blocks, wall {}",
-        n1.hits_settled,
-        n1.blocks,
-        fmt_duration(n1_wall),
-    );
-    println!(
-        "four_node   {} HITs settled in {} blocks, wall {} ({} msgs gossiped)",
-        n4.hits_settled,
-        n4.blocks,
-        fmt_duration(n4_wall),
-        zero_report.messages_sent,
-    );
-    println!(
-        "overhead {:+.1}% (identical reports — zero-delay differential holds)",
-        overhead * 100.0
-    );
     // The lossy wire: forks and reorgs now happen, and the final drain
     // still has to converge every node onto the canonical branch.
-    let lossy = MarketConfig {
-        net: Some(NetConfig {
-            delay: (1, 3),
-            drop_per_mille: 80,
-            duplicate_per_mille: 40,
-            fork_patience: 3,
-            relay: RelaySpec::WithholdRelease { period: 6 },
-            ..NetConfig::default()
-        }),
-        ..base
-    };
+    let lossy = with_net(NetConfig {
+        delay: (1, 3),
+        drop_per_mille: 80,
+        duplicate_per_mille: 40,
+        fork_patience: 3,
+        relay: RelaySpec::WithholdRelease { period: 6 },
+        ..NetConfig::default()
+    });
     let (lossy_wall, lossy_report) = time_once(|| run_market(lossy.clone()));
     let lossy_net = lossy_report.net.as_ref().expect("net report");
     assert!(lossy_net.converged, "lossy run must still converge");
     let blocks_per_sec = lossy_report.blocks as f64 / lossy_wall.as_secs_f64();
-    println!(
-        "lossy       {} blocks at {blocks_per_sec:.0} blocks/sec, {} forks, \
-         {} reorgs (max depth {}), wall {}",
-        lossy_report.blocks,
-        lossy_net.forks_produced,
+    ab.report(&format!(
+        "\"nodes\":4,\"lossy_ms\":{},\"lossy_blocks_per_sec\":{blocks_per_sec:.1},\
+         \"lossy_reorgs\":{},\"lossy_max_reorg_depth\":{},\"net\":{}",
+        lossy_wall.as_millis(),
         lossy_net.reorgs,
         lossy_net.max_reorg_depth,
-        fmt_duration(lossy_wall),
-    );
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"net_overhead\",\"hits\":1000,\"nodes\":4,\
-             \"single_node_ms\":{},\"four_node_ms\":{},\"overhead_pct\":{:.2},\
-             \"lossy_ms\":{},\"lossy_blocks_per_sec\":{blocks_per_sec:.1},\
-             \"lossy_reorgs\":{},\"lossy_max_reorg_depth\":{},\"net\":{}}}",
-            n1_wall.as_millis(),
-            n4_wall.as_millis(),
-            overhead * 100.0,
-            lossy_wall.as_millis(),
-            lossy_net.reorgs,
-            lossy_net.max_reorg_depth,
-            lossy_report.net_json(),
-        ),
-    );
+        lossy_report.net_json(),
+    ));
 }
 
 /// **Cold vs prewarmed proof cache** — the same seeded 1 000-HIT market
@@ -776,63 +596,37 @@ fn net_overhead(seed: u64) {
 /// its fixed-base table build inside a proof job) and again with the
 /// cache already holding every table from the first run. Simulated-tick
 /// latency comes from modeled cost, never the wall clock, so cache
-/// warmth cannot perturb the chain — the reports are asserted
-/// byte-identical and the wall-clock delta prices exactly the setup
-/// work the keyed cache amortizes away.
+/// warmth cannot perturb the chain and the wall-clock delta prices
+/// exactly the setup work the keyed cache amortizes away.
 fn cold_vs_prewarmed(seed: u64) {
-    println!("\n== cold vs prewarmed proof cache (1 000 HITs, async proving) ==");
     let config = MarketConfig {
         proving: ProvingConfig {
             enabled: true,
             ticks_per_kilocost: 0,
         },
-        ..scale_config(1_000, seed, false)
+        ..scale_config(1_000, seed)
     };
     // Sized above the requester population so admission never bypasses
     // a key and the prewarmed run hits on every lookup.
     let cache = Arc::new(ProofCache::with_capacity(2_048));
-    let (cold_wall, cold) =
-        time_once(|| MarketSim::new_with_cache(config.clone(), Arc::clone(&cache)).run());
-    let (warm_wall, warm) =
-        time_once(|| MarketSim::new_with_cache(config.clone(), Arc::clone(&cache)).run());
-    assert_eq!(
-        cold.to_json(),
-        warm.to_json(),
-        "cache warmth must not change the market"
+    let run = || MarketSim::new_with_cache(config.clone(), Arc::clone(&cache)).run();
+    let ab = run_ab(
+        "cold_vs_prewarmed",
+        1,
+        Ratio::Speedup("speedup"),
+        ("cold", &mut || run()),
+        ("prewarmed", &mut || run()),
     );
-    let hits = warm.proving.cache_hits;
-    let misses = warm.proving.cache_misses;
-    assert!(hits > 0, "prewarmed run must hit the proof cache");
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let speedup = cold_wall.as_secs_f64() / warm_wall.as_secs_f64();
-    println!(
-        "cold       {} HITs settled in {} blocks, wall {} ({} table builds)",
-        cold.hits_settled,
-        cold.blocks,
-        fmt_duration(cold_wall),
-        cold.proving.cache_misses,
+    let warm = &ab.b.report.proving;
+    assert!(
+        warm.cache_hits > 0,
+        "prewarmed run must hit the proof cache"
     );
-    println!(
-        "prewarmed  {} HITs settled in {} blocks, wall {} ({hits} hits / {misses} misses)",
-        warm.hits_settled,
-        warm.blocks,
-        fmt_duration(warm_wall),
-    );
-    println!(
-        "speedup {speedup:.2}x, hit rate {:.1}% (identical reports — cache is invisible to the chain)",
-        hit_rate * 100.0
-    );
-    dragoon_trace::emit_summary(
-        "JSON",
-        format!(
-            "{{\"bench\":\"cold_vs_prewarmed\",\"hits\":1000,\
-             \"cold_ms\":{},\"prewarmed_ms\":{},\"speedup\":{speedup:.2},\
-             \"hit_rate\":{hit_rate:.3},\"proving\":{}}}",
-            cold_wall.as_millis(),
-            warm_wall.as_millis(),
-            warm.proving.to_json(),
-        ),
-    );
+    let hit_rate = warm.cache_hits as f64 / (warm.cache_hits + warm.cache_misses) as f64;
+    ab.report(&format!(
+        "\"hit_rate\":{hit_rate:.3},\"proving\":{}",
+        warm.to_json()
+    ));
 }
 
 fn batch_speedup(seed: u64) {
@@ -869,11 +663,10 @@ fn batch_speedup(seed: u64) {
             fmt_duration(individual),
             fmt_duration(batched),
         );
-        dragoon_trace::emit_summary(
-            "JSON",
+        json_line(
+            "vpke_batch_speedup",
             format!(
-                "{{\"bench\":\"vpke_batch_speedup\",\"n\":{n},\
-                 \"individual_us\":{},\"batched_us\":{},\"speedup\":{speedup:.3}}}",
+                "\"n\":{n},\"individual_us\":{},\"batched_us\":{},\"speedup\":{speedup:.3}",
                 individual.as_micros(),
                 batched.as_micros(),
             ),
@@ -881,33 +674,38 @@ fn batch_speedup(seed: u64) {
     }
 }
 
+/// A tier: its `DRAGOON_BENCH_ONLY` name and its runner (taking the seed).
+type Tier = (&'static str, fn(u64));
+
+/// Every tier, in full-run order.
+const TIERS: [Tier; 11] = [
+    ("market_throughput", market_throughput),
+    ("pipeline_speedup", pipeline_speedup),
+    ("parallel_exec_speedup", parallel_exec_speedup),
+    ("spawn_heavy_speedup", spawn_heavy_speedup),
+    ("econ_overhead", econ_overhead),
+    ("trace_overhead", trace_overhead),
+    ("net_overhead", net_overhead),
+    ("cold_vs_prewarmed", cold_vs_prewarmed),
+    ("market_scale_10k", market_scale_10k),
+    ("market_scale_1m", market_scale_1m),
+    ("batch_speedup", batch_speedup),
+];
+
 fn main() {
     let seed = seed_from_env_or(0xd1a6_0002);
     println!("seed: {seed:#x}\n");
-    // CI (and anyone measuring one tier) can run a single bench by
-    // name: `DRAGOON_BENCH_ONLY=market_scale_1m DRAGOON_SCALE_HITS=20000
-    // cargo bench -p dragoon-bench --bench marketplace_throughput`.
-    if let Ok(only) = std::env::var("DRAGOON_BENCH_ONLY") {
-        match only.as_str() {
-            "market_scale_1m" => market_scale_1m(seed),
-            "market_scale_10k" => market_scale_10k(seed),
-            "market_throughput" => market_throughput(seed),
-            "pipeline_speedup" => pipeline_speedup(seed),
-            "trace_overhead" => trace_overhead(seed),
-            other => panic!("unknown DRAGOON_BENCH_ONLY tier: {other}"),
-        }
-        return;
+    let only = std::env::var("DRAGOON_BENCH_ONLY").ok();
+    if let Some(only) = &only {
+        assert!(
+            TIERS.iter().any(|(name, _)| name == only),
+            "unknown DRAGOON_BENCH_ONLY tier {only:?}; valid tiers: {}",
+            TIERS.map(|(name, _)| name).join(", "),
+        );
     }
-    market_throughput(seed);
-    checkpoint_speedup(seed);
-    pipeline_speedup(seed);
-    parallel_exec_speedup(seed);
-    spawn_heavy_speedup(seed);
-    econ_overhead(seed);
-    trace_overhead(seed);
-    net_overhead(seed);
-    cold_vs_prewarmed(seed);
-    market_scale_10k(seed);
-    market_scale_1m(seed);
-    batch_speedup(seed);
+    for (name, tier) in TIERS {
+        if only.as_deref().is_none_or(|only| only == name) {
+            tier(seed);
+        }
+    }
 }

@@ -45,6 +45,10 @@ pub fn fmt_duration(d: Duration) -> String {
 /// `/proc/self/status`), or 0 where procfs is unavailable — the
 /// scale-tier benches report and gate on it so a memory regression at
 /// million-HIT scale fails loudly instead of silently swapping.
+///
+/// `VmHWM` is a high-water mark over the **whole process lifetime**: it
+/// includes everything that ran before the call, so it measures one
+/// tier only when that tier is the only thing the process ran.
 pub fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()

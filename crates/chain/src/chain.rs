@@ -13,10 +13,9 @@
 //! ([`dragoon_ledger::journal`]): the chain brackets every transaction
 //! with [`Journaled::begin_tx`] on the contract and the ledger, and a
 //! revert replays the undo records of exactly the state the transaction
-//! touched. The pre-journal strategy — cloning the whole contract +
-//! ledger per transaction — survives as an opt-in baseline
-//! ([`Chain::with_clone_checkpointing`]) for differential tests and the
-//! throughput-comparison bench.
+//! touched. It is the chain's only revert mechanism; the naïve
+//! clone-per-transaction executor the equivalence suites diff it against
+//! lives in test code (`tests/support`).
 
 use crate::gas::{CalldataStats, Gas, GasMeter, GasSchedule};
 use crate::mempool::{PendingTx, ReorderPolicy, Scheduled};
@@ -76,9 +75,10 @@ pub struct ExecEnv<'a, E> {
 }
 
 impl<'a, E> ExecEnv<'a, E> {
-    /// Assembles an execution environment (crate-internal: the parallel
-    /// executor builds per-thread environments over shadow ledgers).
-    pub(crate) fn new(
+    /// Assembles an execution environment. The parallel executor builds
+    /// per-thread environments over shadow ledgers with it, and the
+    /// test-side reference executor builds its own.
+    pub fn new(
         ledger: &'a mut Ledger,
         gas: &'a mut GasMeter,
         schedule: &'a GasSchedule,
@@ -213,16 +213,6 @@ impl Block {
     }
 }
 
-/// An open per-transaction checkpoint: either the journal transactions
-/// the chain opened on contract + ledger, or (in the clone baseline) the
-/// pre-transaction whole-state snapshots.
-enum Checkpoint<S> {
-    /// Journal transactions are open; revert replays undo records.
-    Journal,
-    /// Clone-checkpoint baseline; revert restores the snapshots.
-    Snapshot(Box<(S, Ledger)>),
-}
-
 /// The simulated chain hosting a single contract instance.
 pub struct Chain<S: StateMachine> {
     /// The ledger (public, so tests can mint and inspect balances).
@@ -237,10 +227,6 @@ pub struct Chain<S: StateMachine> {
     pub(crate) next_seq: u64,
     deploy_gas: Gas,
     pub(crate) block_gas_limit: Option<Gas>,
-    /// `Some` switches atomicity back to whole-state clone checkpointing
-    /// (the function pointer is `S::clone`, captured where `S: Clone` is
-    /// in scope so the hot path stays free of the bound).
-    pub(crate) clone_checkpoint: Option<fn(&S) -> S>,
     /// Worker threads for optimistic parallel block execution; `1` keeps
     /// the strictly serial path (see [`crate::parallel`]).
     pub(crate) exec_threads: usize,
@@ -275,7 +261,6 @@ impl<S: StateMachine> Chain<S> {
             next_seq: 0,
             deploy_gas,
             block_gas_limit: None,
-            clone_checkpoint: None,
             exec_threads: 1,
             parallel_stats: ParallelStats::default(),
             record_block_txs: false,
@@ -290,26 +275,6 @@ impl<S: StateMachine> Chain<S> {
     pub fn with_block_gas_limit(mut self, limit: Gas) -> Self {
         self.block_gas_limit = Some(limit);
         self
-    }
-
-    /// Switches revert atomicity back to the pre-journal strategy:
-    /// cloning the whole contract + ledger before every transaction.
-    ///
-    /// This exists as the **comparison baseline** — differential tests
-    /// assert journaled execution is bit-identical to it, and the
-    /// throughput bench quantifies what the journal saves. Production
-    /// paths should never enable it.
-    pub fn with_clone_checkpointing(mut self) -> Self
-    where
-        S: Clone,
-    {
-        self.clone_checkpoint = Some(S::clone);
-        self
-    }
-
-    /// Whether the clone-checkpoint baseline is active.
-    pub fn clone_checkpointing(&self) -> bool {
-        self.clone_checkpoint.is_some()
     }
 
     /// Sets the worker-thread count for optimistic parallel block
@@ -466,24 +431,23 @@ impl<S: StateMachine> Chain<S> {
                 // its gas limit (and is not empty — a single tx
                 // larger than the limit must still land somewhere),
                 // roll the transaction back out of the block and
-                // carry it over. The per-transaction checkpoint
-                // (journal or clone baseline) stays open across the
-                // limit check, so block-overflow rollback reuses the
-                // transaction's own revert path.
+                // carry it over. The transaction's journal bracket
+                // stays open across the limit check, so block-overflow
+                // rollback reuses the transaction's own revert path.
                 let events_len = self.events.len();
                 let (receipt, open) = self.execute_tx_open(tx.clone());
                 if *block_gas + receipt.gas_used > limit && !receipts.is_empty() {
-                    if let Some(checkpoint) = open {
-                        self.rollback_checkpoint(checkpoint);
+                    if open {
+                        self.rollback_bracket();
                     }
-                    // `open == None` means the tx reverted, so state
+                    // A closed bracket means the tx reverted, so state
                     // already equals the pre-transaction state.
                     self.events.truncate(events_len);
                     carried.push(tx);
                     false
                 } else {
-                    if let Some(checkpoint) = open {
-                        self.commit_checkpoint(checkpoint);
+                    if open {
+                        self.commit_bracket();
                     }
                     *block_gas += receipt.gas_used;
                     receipts.push(receipt);
@@ -541,59 +505,35 @@ impl<S: StateMachine> Chain<S> {
         self.blocks.last().expect("just pushed")
     }
 
-    /// Opens a per-transaction checkpoint: journal transactions on the
-    /// contract and the ledger, or (baseline mode) whole-state clones.
-    fn open_checkpoint(&mut self) -> Checkpoint<S> {
-        match self.clone_checkpoint {
-            Some(snap) => {
-                Checkpoint::Snapshot(Box::new((snap(&self.contract), self.ledger.clone())))
-            }
-            None => {
-                self.contract.begin_tx();
-                self.ledger.begin_tx();
-                Checkpoint::Journal
-            }
-        }
+    /// Reverts contract + ledger to the state at the open bracket.
+    fn rollback_bracket(&mut self) {
+        self.contract.rollback_tx();
+        self.ledger.rollback_tx();
     }
 
-    /// Reverts contract + ledger to the checkpointed state.
-    fn rollback_checkpoint(&mut self, checkpoint: Checkpoint<S>) {
-        match checkpoint {
-            Checkpoint::Journal => {
-                self.contract.rollback_tx();
-                self.ledger.rollback_tx();
-            }
-            Checkpoint::Snapshot(snapshot) => {
-                let (contract, ledger) = *snapshot;
-                self.contract = contract;
-                self.ledger = ledger;
-            }
-        }
-    }
-
-    /// Finalizes the transaction's mutations, discarding the checkpoint.
-    fn commit_checkpoint(&mut self, checkpoint: Checkpoint<S>) {
-        if let Checkpoint::Journal = checkpoint {
-            self.contract.commit_tx();
-            self.ledger.commit_tx();
-        }
+    /// Finalizes the open bracket's mutations.
+    fn commit_bracket(&mut self) {
+        self.contract.commit_tx();
+        self.ledger.commit_tx();
     }
 
     fn execute_tx(&mut self, tx: PendingTx<S::Msg>) -> Receipt {
         let (receipt, open) = self.execute_tx_open(tx);
-        if let Some(checkpoint) = open {
-            self.commit_checkpoint(checkpoint);
+        if open {
+            self.commit_bracket();
         }
         receipt
     }
 
-    /// Executes one transaction inside a fresh checkpoint. On revert the
-    /// checkpoint is consumed restoring pre-transaction state and `None`
-    /// is returned; on success the **still-open** checkpoint is returned
-    /// so the gas-capped block path can either commit it or roll the
-    /// whole (successful) transaction back out of an overfull block.
-    fn execute_tx_open(&mut self, tx: PendingTx<S::Msg>) -> (Receipt, Option<Checkpoint<S>>) {
-        let checkpoint = self.open_checkpoint();
+    /// Executes one transaction inside a fresh journal bracket on
+    /// contract + ledger. On revert the bracket is rolled back, restoring
+    /// pre-transaction state, and `false` is returned; on success the
+    /// bracket is **still open** (`true`) so the gas-capped block path
+    /// can either commit it or roll the whole (successful) transaction
+    /// back out of an overfull block.
+    fn execute_tx_open(&mut self, tx: PendingTx<S::Msg>) -> (Receipt, bool) {
+        self.contract.begin_tx();
+        self.ledger.begin_tx();
         let mut meter = GasMeter::new();
         meter.charge("intrinsic", self.schedule.intrinsic(&tx.msg.calldata()));
         let label = tx.msg.label();
@@ -616,12 +556,12 @@ impl<S: StateMachine> Chain<S> {
                 for e in events {
                     self.events.push((self.round, e));
                 }
-                (TxStatus::Ok, Some(checkpoint))
+                (TxStatus::Ok, true)
             }
             Err(e) => {
                 // Roll back all touched state; gas is still consumed.
-                self.rollback_checkpoint(checkpoint);
-                (TxStatus::Reverted(e.to_string()), None)
+                self.rollback_bracket();
+                (TxStatus::Reverted(e.to_string()), false)
             }
         };
 

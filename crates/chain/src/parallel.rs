@@ -554,10 +554,9 @@ where
     /// declared access sets. Committed state — receipts, events, ledger,
     /// contract, mempool carry-over — is bit-identical to
     /// [`Chain::advance_round`] for every thread count; with one
-    /// executor thread (or under the clone-checkpoint baseline, which
-    /// has no shard journaling) it *is* the serial path.
+    /// executor thread it *is* the serial path.
     pub fn advance_round_parallel(&mut self, policy: &mut dyn ReorderPolicy<S::Msg>) -> &Block {
-        if self.exec_threads <= 1 || self.clone_checkpoint.is_some() {
+        if self.exec_threads <= 1 {
             return self.advance_round(policy);
         }
         self.round += 1;

@@ -67,10 +67,6 @@ impl<S: CaptureStateMachine> Chain<S> {
     /// Returns the [`BlockUndo`] that [`Chain::revert_last_block`]
     /// consumes to unwind the block on a reorg.
     pub fn apply_block_captured(&mut self, txs: Vec<PendingTx<S::Msg>>) -> BlockUndo<S> {
-        debug_assert!(
-            self.clone_checkpoint.is_none(),
-            "captured application requires journal atomicity"
-        );
         self.round += 1;
         let events_len = self.events.len();
         let mut segments = Vec::with_capacity(txs.len() + 1);

@@ -385,10 +385,11 @@ impl Persist for Ledger {
 }
 
 /// Re-interns a decoded label into the `&'static str` receipts carry.
-/// Every label the system charges under is in the table; an unknown one
-/// (a future label decoded by an older binary's table) is leaked once —
-/// labels are a tiny closed set, so this never accumulates.
-fn intern_label(label: String) -> &'static str {
+/// The table is closed and complete — the 8 message labels and the 11
+/// labels the contract charges gas under — so a label outside it can
+/// only come from damaged or foreign bytes and is rejected as corrupt
+/// (nothing is allocated for it beyond the decoded string).
+fn intern_label(label: String) -> Result<&'static str, StoreError> {
     const KNOWN: &[&str] = &[
         "publish",
         "commit",
@@ -410,12 +411,11 @@ fn intern_label(label: String) -> &'static str {
         "ec_mul",
         "overhead",
     ];
-    for k in KNOWN {
-        if *k == label {
-            return k;
-        }
-    }
-    Box::leak(label.into_boxed_str())
+    KNOWN
+        .iter()
+        .find(|k| **k == label)
+        .copied()
+        .ok_or_else(|| corrupt(format!("unknown receipt label {label:?}")))
 }
 
 impl Persist for TxStatus {
@@ -454,14 +454,14 @@ impl Persist for Receipt {
     fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let seq = u64::get(r)?;
         let sender = Address::get(r)?;
-        let label = intern_label(String::get(r)?);
+        let label = intern_label(String::get(r)?)?;
         let round = u64::get(r)?;
         let gas_used = Gas::get(r)?;
         let status = TxStatus::get(r)?;
         let n = usize::get(r)?;
         let mut gas_breakdown = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
-            let label = intern_label(String::get(r)?);
+            let label = intern_label(String::get(r)?)?;
             gas_breakdown.push((label, Gas::get(r)?));
         }
         Ok(Receipt {
@@ -1261,16 +1261,19 @@ fn read_deltas(dir: &Path) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
 }
 
 /// One decoded block record from `blocks.log`.
-struct BlockRecord<M> {
-    round: u64,
-    next_seq: u64,
-    txs: Vec<PendingTx<M>>,
+pub struct BlockRecord<M> {
+    /// The block's round (height).
+    pub round: u64,
+    /// The chain's submission counter after the block.
+    pub next_seq: u64,
+    /// The block's landed transactions, in receipt order.
+    pub txs: Vec<PendingTx<M>>,
 }
 
 /// Reads every intact block record. A torn or corrupt tail — short
 /// frame header, truncated payload, checksum mismatch — ends the scan:
 /// everything before it is returned, the tail is discarded.
-fn read_log<M: Persist>(dir: &Path) -> Result<Vec<BlockRecord<M>>, StoreError> {
+pub fn read_log<M: Persist>(dir: &Path) -> Result<Vec<BlockRecord<M>>, StoreError> {
     let path = dir.join(LOG_FILE);
     if !path.exists() {
         return Ok(Vec::new());
@@ -1492,10 +1495,6 @@ where
     pub fn recover_from(dir: impl AsRef<Path>, genesis: Self) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         let mut chain = genesis;
-        debug_assert!(
-            chain.clone_checkpoint.is_none(),
-            "recovery replays through the journal path"
-        );
         let mut composed = 0u64;
         if let Some((round, image)) = latest_snapshot(dir)? {
             chain.restore_image(&image)?;
@@ -1571,6 +1570,34 @@ mod tests {
         u64::MAX.put(&mut bytes);
         let mut r = Reader::new(&bytes);
         assert!(Vec::<u8>::get(&mut r).is_err());
+        // A receipt whose label is outside the closed table is corrupt,
+        // not leaked — as a message label and as a gas-breakdown label.
+        let known = Receipt {
+            seq: 0,
+            sender: Address::from_byte(1),
+            label: "commit",
+            round: 1,
+            gas_used: 21_000,
+            status: TxStatus::Ok,
+            gas_breakdown: vec![("intrinsic", 21_000)],
+        };
+        for unknown in [
+            Receipt {
+                label: "comit",
+                ..known.clone()
+            },
+            Receipt {
+                gas_breakdown: vec![("mstore", 3)],
+                ..known
+            },
+        ] {
+            let mut bytes = Vec::new();
+            unknown.put(&mut bytes);
+            assert!(matches!(
+                Receipt::get(&mut Reader::new(&bytes)),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

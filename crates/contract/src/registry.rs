@@ -836,7 +836,7 @@ impl StateMachine for HitRegistry {
         // Block boundary, phase 1: drain every instance's queued
         // rejection proofs and settle the whole block's worth at once —
         // one batched verification per instance, fanned out across OS
-        // threads ([`vpke::par_batch_verify_chunks`]). Verdicts are
+        // threads ([`vpke::par_batch_verify_chunks_with`]). Verdicts are
         // identical to the previous single concatenated batch (and to
         // per-proof verification): batch verdicts are per-item facts, so
         // the partitioning is free to follow the parallelism.

@@ -455,22 +455,13 @@ pub fn batch_verify_each(items: &[(DecryptionStatement, DecryptionProof)]) -> Ve
 /// per-item facts (`batch_verify_each` guarantees every verdict equals
 /// the individual [`verify`] result), so any partitioning — including
 /// the previous single concatenated batch — yields identical verdicts.
-/// Small workloads (or single-core hosts) fall back to sequential
+/// Small workloads (or a budget of one) fall back to sequential
 /// verification; thread fan-out only pays for itself once the block
 /// carries a few dozen EC-heavy proof checks.
-pub fn par_batch_verify_chunks(
-    chunks: &[&[(DecryptionStatement, DecryptionProof)]],
-) -> Vec<Vec<bool>> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    par_batch_verify_chunks_with(chunks, threads)
-}
-
-/// [`par_batch_verify_chunks`] with an explicit thread budget instead of
-/// the host's available parallelism — callers thread their configured
-/// count (e.g. `DRAGOON_THREADS` / `MarketConfig`) through here. Verdicts
-/// are identical for every thread count, including `1`.
+///
+/// `threads` is the caller's resolved budget (`DRAGOON_THREADS` /
+/// `MarketConfig::exec_threads`). Verdicts are identical for every
+/// thread count, including `1`.
 pub fn par_batch_verify_chunks_with(
     chunks: &[&[(DecryptionStatement, DecryptionProof)]],
     threads: usize,
@@ -846,7 +837,7 @@ mod tests {
         }
         let refs: Vec<&[(DecryptionStatement, DecryptionProof)]> =
             chunks.iter().map(Vec::as_slice).collect();
-        let par = par_batch_verify_chunks(&refs);
+        let par = par_batch_verify_chunks_with(&refs, 4);
         let seq: Vec<Vec<bool>> = chunks.iter().map(|c| batch_verify_each(c)).collect();
         assert_eq!(par, seq, "parallel fan-out must not change verdicts");
         let individual: Vec<Vec<bool>> = chunks

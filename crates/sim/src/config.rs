@@ -68,18 +68,11 @@ pub struct MarketConfig {
     pub max_blocks: u64,
     /// The run's master seed; equal seeds ⇒ identical reports.
     pub seed: u64,
-    /// Revert-atomicity strategy for the hosted chain: `false` (default)
-    /// uses the journaled state layer; `true` restores the pre-journal
-    /// whole-state clone checkpointing. The baseline exists for the
-    /// journal-equivalence differential tests and the throughput-
-    /// comparison bench — same seed, both settings, identical reports.
-    pub clone_checkpointing: bool,
     /// Worker threads for block execution *and* block-boundary
     /// settlement verification: `0` (default) resolves from the
     /// `DRAGOON_THREADS` environment variable, then the host's available
-    /// parallelism; `1` forces the strictly serial executor (the
-    /// differential baseline, like `clone_checkpointing`). Reports are
-    /// identical for every value — only wall clock changes.
+    /// parallelism; `1` forces the strictly serial executor. Reports
+    /// are identical for every value — only wall clock changes.
     pub exec_threads: usize,
     /// The market-economics layer (`dragoon-econ`): cross-HIT worker
     /// reputation, dynamic pricing of `B` from observed fill rates,
@@ -206,7 +199,6 @@ impl Default for MarketConfig {
             policy: MarketPolicy::Fifo,
             max_blocks: 600,
             seed: 0xd1a6_0000,
-            clone_checkpointing: false,
             exec_threads: 0,
             econ: EconConfig::default(),
             net: None,

@@ -249,9 +249,6 @@ impl MarketSim {
         if let Some(limit) = config.block_gas_limit {
             chain = chain.with_block_gas_limit(limit);
         }
-        if config.clone_checkpointing {
-            chain = chain.with_clone_checkpointing();
-        }
         // The econ layer: reputation, pricing, churn and adversary
         // classification, constructed before the agent pools so cartel
         // requesters can shape their workloads (strict θ) at generation.
@@ -415,9 +412,8 @@ impl MarketSim {
                 MarketPolicy::FrontRun => &mut front_run,
             };
             // Optimistic parallel execution over disjoint HIT instances;
-            // delegates to the serial path at one thread or under the
-            // clone-checkpoint baseline. Reports are identical either
-            // way (tests/parallel_equivalence.rs).
+            // delegates to the serial path at one thread. Reports are
+            // identical either way (tests/parallel_equivalence.rs).
             {
                 let _sp =
                     dragoon_trace::span(dragoon_trace::SpanKind::Execute, self.chain.round() + 1);

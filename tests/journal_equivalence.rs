@@ -1,151 +1,56 @@
 //! Journal-equivalence differential tests.
 //!
-//! The chain's revert atomicity moved from whole-state clone
-//! checkpointing to the journaled state layer (undo logs in ledger,
-//! contract and registry). These tests pin the refactor's contract:
-//! **journaled execution is bit-identical to the clone baseline** —
-//! receipts, events, balances, verdicts and full contract state — across
-//! random transaction sequences, mid-block gas-cap rollback,
-//! front-runner contention and whole-market runs.
+//! The chain's revert atomicity is the journaled state layer (undo logs
+//! in ledger, contract and registry). These tests pin its contract:
+//! **journaled execution is bit-identical to the naïve clone-per-
+//! transaction reference executor** (`tests/support`) — receipts,
+//! events, balances, verdicts and full contract state — across random
+//! transaction sequences, mid-block gas-cap rollback, front-runner
+//! contention and whole-market runs, and the reference itself is shown
+//! to catch a journal that forgets a field.
 
+mod support;
+
+use dragoon_chain::store::read_log;
 use dragoon_chain::{Chain, FifoPolicy, FrontRunPolicy, GasSchedule, ReorderPolicy, TxStatus};
-use dragoon_contract::{
-    HitMessage, HitRegistry, PhaseWindows, RegistryMessage, SettlementMode, REGISTRY_CODE_LEN,
-};
-use dragoon_core::task::GoldenStandards;
+use dragoon_contract::{HitMessage, RegistryMessage, SettlementMode};
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
-use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
 use dragoon_ledger::Address;
-use dragoon_sim::{run_market, MarketConfig, MarketPolicy};
+use dragoon_sim::{MarketConfig, MarketPolicy, MarketReport, MarketSim, PersistConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::{
+    assert_same_committed_state, committed_state_diff, ChainSet, Fixture, Leaky, LeakyMsg, RefChain,
+};
 
-const BUDGET: u128 = 3_000;
-
-/// Fixture shared by both chains of a differential pair.
-struct Fixture {
-    kp: KeyPair,
-    requester: Address,
-    golden: GoldenStandards,
-    gs_key: CommitmentKey,
-}
-
-impl Fixture {
-    fn new(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self {
-            kp: KeyPair::generate(&mut rng),
-            requester: Address::from_byte(0xd0),
-            golden: GoldenStandards {
-                indexes: vec![0, 2, 4],
-                answers: vec![1, 0, 1],
-            },
-            gs_key: CommitmentKey::random(&mut rng),
-        }
+/// Advances the production chain(s) and the reference one round under
+/// `policy`. Production goes through the parallel entry point, which is
+/// the serial path at one thread.
+fn advance_all(set: &mut ChainSet, policy: &mut dyn ReorderPolicy<RegistryMessage>) {
+    for chain in &mut set.production {
+        chain.advance_round_parallel(policy);
     }
-
-    fn params(&self) -> dragoon_contract::PublishParams {
-        dragoon_contract::PublishParams {
-            n: 6,
-            budget: BUDGET,
-            k: 3,
-            range: PlaintextRange::binary(),
-            theta: 3,
-            ek: self.kp.ek,
-            comm_gs: Commitment::commit(&self.golden.encode(), &self.gs_key),
-            task_digest: [9u8; 32],
-        }
-    }
-
-    fn create_msg(&self) -> RegistryMessage {
-        RegistryMessage::Create {
-            windows: PhaseWindows {
-                commit_timeout: Some(4),
-                reveal: 2,
-                evaluate: 3,
-            },
-            params: self.params(),
-        }
-    }
-
-    /// A funded chain pair: identical except for the revert-atomicity
-    /// strategy (journal vs. whole-state clone checkpointing).
-    fn chain_pair(
-        &self,
-        mode: SettlementMode,
-        gas_limit: Option<u64>,
-    ) -> (Chain<HitRegistry>, Chain<HitRegistry>) {
-        let build = |clone_baseline: bool| {
-            let mut chain = Chain::deploy(
-                HitRegistry::new(mode),
-                REGISTRY_CODE_LEN,
-                GasSchedule::istanbul(),
-            );
-            if let Some(limit) = gas_limit {
-                chain = chain.with_block_gas_limit(limit);
-            }
-            if clone_baseline {
-                chain = chain.with_clone_checkpointing();
-            }
-            chain.ledger.mint(self.requester, BUDGET * 20);
-            for w in 1..=6u8 {
-                chain.ledger.mint(Address::from_byte(w), 100);
-            }
-            chain
-        };
-        (build(false), build(true))
-    }
-}
-
-/// Asserts every observable of the two chains is identical.
-fn assert_chains_equal(journal: &Chain<HitRegistry>, baseline: &Chain<HitRegistry>, tag: &str) {
-    assert_eq!(
-        journal.blocks(),
-        baseline.blocks(),
-        "{tag}: receipts diverged"
-    );
-    assert_eq!(journal.events(), baseline.events(), "{tag}: chain events");
-    assert_eq!(journal.ledger, baseline.ledger, "{tag}: ledger state");
-    assert_eq!(
-        journal.contract(),
-        baseline.contract(),
-        "{tag}: registry state"
-    );
-    assert_eq!(
-        journal.mempool_len(),
-        baseline.mempool_len(),
-        "{tag}: carried mempool"
-    );
-}
-
-/// Submits the same message to both chains.
-fn submit_both(
-    pair: &mut (Chain<HitRegistry>, Chain<HitRegistry>),
-    sender: Address,
-    msg: RegistryMessage,
-) {
-    pair.0.submit(sender, msg.clone());
-    pair.1.submit(sender, msg);
+    set.reference.run_round(policy);
 }
 
 /// Random transaction soup: a deliberately messy mix of valid creates,
 /// commits, premature finalizes/cancels, unknown-instance routes and
-/// duplicate commitments — most of which revert — replayed against both
-/// strategies round by round.
+/// duplicate commitments — most of which revert — replayed against the
+/// journaled chain and the reference round by round.
 #[test]
-fn random_tx_sequences_journal_equals_clone() {
+fn random_tx_sequences_matches_reference() {
     for seed in [1u64, 7, 0xfeed] {
         let fx = Fixture::new(seed);
-        let mut pair = fx.chain_pair(SettlementMode::PerProof, None);
+        let mut set = fx.chain_set(SettlementMode::PerProof, None, &[1]);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
         for round in 0..12 {
             let txs = rng.gen_range(1..6u32);
             for _ in 0..txs {
-                let created = pair.0.contract().len() as u64;
+                let created = set.production[0].contract().len() as u64;
                 match rng.gen_range(0..7u32) {
-                    0 => submit_both(&mut pair, fx.requester, fx.create_msg()),
+                    0 => set.submit(fx.requester, fx.create_msg()),
                     // Unfunded create: reverts at the ledger freeze.
-                    1 => submit_both(&mut pair, Address::from_byte(0x99), fx.create_msg()),
+                    1 => set.submit(Address::from_byte(0x99), fx.create_msg()),
                     2 if created > 0 => {
                         // A commit; may duplicate a previous commitment
                         // (copy-and-paste defence) or hit a full task.
@@ -158,8 +63,7 @@ fn random_tx_sequences_journal_equals_clone() {
                         };
                         let key = CommitmentKey([7u8; 32]);
                         let comm = Commitment::commit(&tag.to_le_bytes(), &key);
-                        submit_both(
-                            &mut pair,
+                        set.submit(
                             w,
                             RegistryMessage::Hit {
                                 id,
@@ -170,8 +74,7 @@ fn random_tx_sequences_journal_equals_clone() {
                     3 if created > 0 => {
                         // Premature finalize: wrong phase or too early.
                         let id = rng.gen_range(0..created);
-                        submit_both(
-                            &mut pair,
+                        set.submit(
                             fx.requester,
                             RegistryMessage::Hit {
                                 id,
@@ -181,8 +84,7 @@ fn random_tx_sequences_journal_equals_clone() {
                     }
                     4 if created > 0 => {
                         let id = rng.gen_range(0..created);
-                        submit_both(
-                            &mut pair,
+                        set.submit(
                             fx.requester,
                             RegistryMessage::Hit {
                                 id,
@@ -192,8 +94,7 @@ fn random_tx_sequences_journal_equals_clone() {
                     }
                     5 => {
                         // Route to an instance that does not exist.
-                        submit_both(
-                            &mut pair,
+                        set.submit(
                             fx.requester,
                             RegistryMessage::Hit {
                                 id: 999,
@@ -204,8 +105,7 @@ fn random_tx_sequences_journal_equals_clone() {
                     _ => {
                         // Golden opening in the wrong phase: reverts.
                         let id = rng.gen_range(0..created.max(1));
-                        submit_both(
-                            &mut pair,
+                        set.submit(
                             fx.requester,
                             RegistryMessage::Hit {
                                 id,
@@ -218,13 +118,11 @@ fn random_tx_sequences_journal_equals_clone() {
                     }
                 }
             }
-            pair.0.advance_round_fifo();
-            pair.1.advance_round_fifo();
-            assert_chains_equal(&pair.0, &pair.1, &format!("seed {seed} round {round}"));
+            advance_all(&mut set, &mut FifoPolicy);
+            set.assert_same(&format!("seed {seed} round {round}"));
         }
         // The soup must actually have exercised the revert path.
-        let reverted = pair
-            .0
+        let reverted = set.production[0]
             .receipts()
             .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
             .count();
@@ -236,51 +134,48 @@ fn random_tx_sequences_journal_equals_clone() {
 /// 2M-gas block fits exactly one — every round a *successful* speculative
 /// execution must be rolled back out of the overfull block and carried.
 #[test]
-fn gas_cap_overflow_rollback_journal_equals_clone() {
+fn gas_cap_overflow_rollback_matches_reference() {
     let fx = Fixture::new(42);
-    let mut pair = fx.chain_pair(SettlementMode::PerProof, Some(2_000_000));
+    let mut set = fx.chain_set(SettlementMode::PerProof, Some(2_000_000), &[1]);
     for _ in 0..5 {
-        submit_both(&mut pair, fx.requester, fx.create_msg());
+        set.submit(fx.requester, fx.create_msg());
     }
     for round in 0..6 {
-        pair.0.advance_round_fifo();
-        pair.1.advance_round_fifo();
-        assert_chains_equal(&pair.0, &pair.1, &format!("overflow round {round}"));
+        advance_all(&mut set, &mut FifoPolicy);
+        set.assert_same(&format!("overflow round {round}"));
     }
-    assert_eq!(pair.0.contract().len(), 5, "all creates eventually landed");
+    let chain = &set.production[0];
+    assert_eq!(chain.contract().len(), 5, "all creates eventually landed");
     // Each of the first five blocks carried exactly one create.
-    for block in &pair.0.blocks()[..5] {
+    for block in &chain.blocks()[..5] {
         assert_eq!(block.receipts.len(), 1, "block {}", block.round);
     }
 }
 
 /// The same mid-block overflow discipline under the **parallel**
 /// executor: a journaled chain running 4 executor threads against the
-/// serial clone-checkpoint baseline. Oversized creates land alone
+/// serial clone-per-transaction reference. Oversized creates land alone
 /// through the serial-barrier path; the commit batch that follows spans
 /// two instances and is cut by the 100k cap mid-batch, so the executor
 /// must discard its optimistic results and reproduce the serial
 /// carry-over exactly.
 #[test]
-fn gas_cap_overflow_rollback_parallel_journal_equals_clone() {
+fn gas_cap_overflow_rollback_parallel_matches_reference() {
     let fx = Fixture::new(43);
-    let (journal, baseline) = fx.chain_pair(SettlementMode::PerProof, Some(100_000));
-    let mut pair = (journal.with_exec_threads(4), baseline);
-    submit_both(&mut pair, fx.requester, fx.create_msg());
-    submit_both(&mut pair, fx.requester, fx.create_msg());
+    let mut set = fx.chain_set(SettlementMode::PerProof, Some(100_000), &[4]);
+    set.submit(fx.requester, fx.create_msg());
+    set.submit(fx.requester, fx.create_msg());
     for round in 0..2 {
-        pair.0.advance_round_parallel(&mut FifoPolicy);
-        pair.1.advance_round_fifo();
-        assert_chains_equal(&pair.0, &pair.1, &format!("parallel create round {round}"));
+        advance_all(&mut set, &mut FifoPolicy);
+        set.assert_same(&format!("parallel create round {round}"));
     }
-    assert_eq!(pair.0.contract().len(), 2);
+    assert_eq!(set.production[0].contract().len(), 2);
     // Six commits alternating between the two instances: ~46k gas each,
     // so a 100k block fits two and the parallel batch is cut mid-way.
     for w in 1..=6u8 {
         let key = CommitmentKey([w; 32]);
         let comm = Commitment::commit(&[w], &key);
-        submit_both(
-            &mut pair,
+        set.submit(
             Address::from_byte(w),
             RegistryMessage::Hit {
                 id: (w % 2) as u64,
@@ -289,19 +184,15 @@ fn gas_cap_overflow_rollback_parallel_journal_equals_clone() {
         );
     }
     for round in 0..4 {
-        pair.0.advance_round_parallel(&mut FifoPolicy);
-        pair.1.advance_round_fifo();
-        assert_chains_equal(
-            &pair.0,
-            &pair.1,
-            &format!("parallel overflow round {round}"),
-        );
+        advance_all(&mut set, &mut FifoPolicy);
+        set.assert_same(&format!("parallel overflow round {round}"));
     }
-    assert_eq!(pair.0.mempool_len(), 0, "every commit eventually landed");
+    let chain = &set.production[0];
+    assert_eq!(chain.mempool_len(), 0, "every commit eventually landed");
     assert!(
-        pair.0.parallel_stats().gas_fallbacks >= 1,
+        chain.parallel_stats().gas_fallbacks >= 1,
         "the cut batch must have fallen back: {:?}",
-        pair.0.parallel_stats()
+        chain.parallel_stats()
     );
 }
 
@@ -309,14 +200,12 @@ fn gas_cap_overflow_rollback_parallel_journal_equals_clone() {
 /// jumps the queue every round while overbooked commits race for slots,
 /// producing both reverts (TaskFull, duplicates) and carried spill-over.
 #[test]
-fn front_runner_contention_journal_equals_clone() {
+fn front_runner_contention_matches_reference() {
     let fx = Fixture::new(0xf407);
-    let mut pair = fx.chain_pair(SettlementMode::Batched, Some(4_000_000));
-    let front = Address::from_byte(1);
-    let mut policy_a = FrontRunPolicy::new(front);
-    let mut policy_b = FrontRunPolicy::new(front);
-    submit_both(&mut pair, fx.requester, fx.create_msg());
-    submit_both(&mut pair, fx.requester, fx.create_msg());
+    let mut set = fx.chain_set(SettlementMode::Batched, Some(4_000_000), &[1]);
+    let mut policy = FrontRunPolicy::new(Address::from_byte(1));
+    set.submit(fx.requester, fx.create_msg());
+    set.submit(fx.requester, fx.create_msg());
     let mut rng = StdRng::seed_from_u64(0xf407);
     for round in 0..10 {
         // Everybody (including the front-runner) races commits at both
@@ -325,8 +214,7 @@ fn front_runner_contention_journal_equals_clone() {
             let id = rng.gen_range(0..2u64);
             let key = CommitmentKey([w; 32]);
             let comm = Commitment::commit(&[w, round as u8], &key);
-            submit_both(
-                &mut pair,
+            set.submit(
                 Address::from_byte(w),
                 RegistryMessage::Hit {
                     id,
@@ -334,14 +222,10 @@ fn front_runner_contention_journal_equals_clone() {
                 },
             );
         }
-        pair.0
-            .advance_round(&mut policy_a as &mut dyn ReorderPolicy<RegistryMessage>);
-        pair.1
-            .advance_round(&mut policy_b as &mut dyn ReorderPolicy<RegistryMessage>);
-        assert_chains_equal(&pair.0, &pair.1, &format!("front-run round {round}"));
+        advance_all(&mut set, &mut policy);
+        set.assert_same(&format!("front-run round {round}"));
     }
-    let reverted = pair
-        .0
+    let reverted = set.production[0]
         .receipts()
         .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
         .count();
@@ -353,7 +237,7 @@ fn front_runner_contention_journal_equals_clone() {
 #[test]
 fn failing_tx_leaves_state_untouched() {
     let fx = Fixture::new(3);
-    let (mut chain, _) = fx.chain_pair(SettlementMode::PerProof, None);
+    let mut chain = fx.chain(SettlementMode::PerProof, None, 1);
     chain.submit(fx.requester, fx.create_msg());
     chain.advance_round_fifo();
 
@@ -401,50 +285,112 @@ fn failing_tx_leaves_state_untouched() {
     );
 }
 
+/// Runs `config` with a synchronous block store, then replays the
+/// persisted block records — landed transactions in log order — through
+/// the reference from the market's own genesis, and asserts the chain
+/// the market ended with holds the reference's committed state.
+fn market_matches_reference(config: MarketConfig, tag: &str) -> MarketReport {
+    let dir = std::env::temp_dir().join(format!("dragoon-jeq-{}-{tag}", std::process::id()));
+    let sim = MarketSim::new(MarketConfig {
+        exec_threads: 4,
+        persist: Some(PersistConfig::new(dir.clone())),
+        ..config
+    });
+    let mut reference = RefChain::at_genesis_of(sim.chain(), None);
+    let (report, chain) = sim.run_keeping_chain();
+    let records = read_log::<RegistryMessage>(&dir).expect("block log must read back");
+    assert_eq!(
+        records.len(),
+        chain.blocks().len(),
+        "{tag}: one record per block"
+    );
+    for record in records {
+        reference.run_landed(record.txs);
+    }
+    assert_eq!(
+        chain.mempool_len(),
+        0,
+        "{tag}: a finished market has nothing pending"
+    );
+    assert_same_committed_state(&chain, &reference, tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
+
 /// Whole-market differential: the same seeded marketplace scenario —
 /// batched settlement, gas-capped blocks, worker noise, PoQoEA
-/// rejections, cancellations — must produce byte-identical reports under
-/// the journal and under clone checkpointing.
+/// rejections, cancellations — must leave the journaled chain in exactly
+/// the state the reference reaches from the same landed transactions.
 #[test]
 fn market_run_journal_equals_clone() {
-    let base = MarketConfig {
-        hits: 30,
-        spawn_per_block: 6,
-        workers: 25,
-        worker_capacity: 4,
-        seed: 0x10a1,
-        ..MarketConfig::default()
-    };
-    let journal = run_market(base.clone());
-    let baseline = run_market(MarketConfig {
-        clone_checkpointing: true,
-        ..base
-    });
-    assert_eq!(
-        journal.to_json(),
-        baseline.to_json(),
-        "whole-market reports must be identical"
+    let report = market_matches_reference(
+        MarketConfig {
+            hits: 30,
+            spawn_per_block: 6,
+            workers: 25,
+            worker_capacity: 4,
+            seed: 0x10a1,
+            ..MarketConfig::default()
+        },
+        "fifo",
     );
-    assert_eq!(journal.hits_published, 30);
-    assert!(journal.workers_rejected > 0 || journal.hits_cancelled > 0);
+    assert_eq!(report.hits_published, 30);
+    assert!(report.workers_rejected > 0 || report.hits_cancelled > 0);
 }
 
 /// The same differential under an adversarial front-running scheduler.
 #[test]
 fn market_run_front_run_journal_equals_clone() {
-    let base = MarketConfig {
-        hits: 15,
-        workers: 20,
-        overbook: 2,
-        policy: MarketPolicy::FrontRun,
-        seed: 0xab,
-        ..MarketConfig::default()
+    let report = market_matches_reference(
+        MarketConfig {
+            hits: 15,
+            workers: 20,
+            overbook: 2,
+            policy: MarketPolicy::FrontRun,
+            seed: 0xab,
+            ..MarketConfig::default()
+        },
+        "front-run",
+    );
+    assert!(report.reverted_txs > 0, "overbooking must cause reverts");
+}
+
+/// The oracle has teeth: a state machine whose `rollback_tx` forgets one
+/// field diverges from the reference on a reverting transaction and on a
+/// successful transaction carried out of an overfull block — and agrees
+/// with it as long as nothing rolls back.
+#[test]
+fn reference_catches_a_leaky_rollback() {
+    let run = |gas_limit: Option<u64>, msgs: &[LeakyMsg]| {
+        let mut chain = Chain::deploy(Leaky::default(), 1000, GasSchedule::istanbul());
+        let mut reference = RefChain::at_genesis_of(&chain, gas_limit);
+        if let Some(limit) = gas_limit {
+            chain = chain.with_block_gas_limit(limit);
+        }
+        for msg in msgs {
+            chain.submit(Address::from_byte(1), msg.clone());
+            reference.submit(Address::from_byte(1), msg.clone());
+        }
+        chain.advance_round(&mut FifoPolicy);
+        reference.run_round(&mut FifoPolicy);
+        (committed_state_diff(&chain, &reference), chain)
     };
-    let journal = run_market(base.clone());
-    let baseline = run_market(MarketConfig {
-        clone_checkpointing: true,
-        ..base
-    });
-    assert_eq!(journal.to_json(), baseline.to_json());
-    assert!(journal.reverted_txs > 0, "overbooking must cause reverts");
+    let adds = [LeakyMsg::Add(1), LeakyMsg::Add(2)];
+    assert_eq!(run(None, &adds).0, None, "no rollback, no divergence");
+    let (diff, chain) = run(None, &[LeakyMsg::Add(1), LeakyMsg::Fail]);
+    assert_eq!(
+        diff,
+        Some("contract state"),
+        "a revert must expose the leak"
+    );
+    assert_eq!((chain.contract().total, chain.contract().calls), (1, 2));
+    // Each call costs ~26k gas: a 30k block fits one, the second is
+    // rolled back out of the block and carried.
+    let (diff, chain) = run(Some(30_000), &adds);
+    assert_eq!(
+        diff,
+        Some("contract state"),
+        "a gas-cap carry must expose the leak"
+    );
+    assert_eq!(chain.mempool_len(), 1);
 }

@@ -4,8 +4,10 @@
 //! The executor's contract is absolute: committed state — receipts,
 //! contract events, ledger balances and event log, registry state,
 //! mempool carry-over, whole-market report JSON — is **bit-identical to
-//! serial execution for every thread count**. These tests pin that
-//! property across:
+//! serial execution for every thread count**. Every chain-level case
+//! runs production at 1, 2 and 8 threads against the one naïve serial
+//! reference executor in `tests/support`; the whole-market cases compare
+//! reports across thread counts. These tests pin that property across:
 //!
 //! * random transaction soups (proptest-driven) at 1, 2 and 8 threads,
 //!   including Create-dominated soups (speculative id reservation),
@@ -21,139 +23,33 @@
 //!   fallback — carry-over must match serial), and
 //! * whole-market runs under FIFO and front-running schedulers.
 
-use dragoon_chain::{Chain, FifoPolicy, GasSchedule, TxStatus};
-use dragoon_contract::{
-    HitMessage, HitRegistry, PhaseWindows, RegistryMessage, SettlementMode, REGISTRY_CODE_LEN,
-};
+mod support;
+
+use dragoon_chain::{FifoPolicy, TxStatus};
+use dragoon_contract::{HitMessage, RegistryMessage, SettlementMode};
 use dragoon_core::poqoea::{self, QualityProof};
-use dragoon_core::task::{Answer, GoldenStandards};
+use dragoon_core::task::Answer;
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
-use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
+use dragoon_crypto::elgamal::PlaintextRange;
 use dragoon_ledger::Address;
 use dragoon_sim::{run_market, MarketConfig, MarketPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::{ChainSet, Fixture, BUDGET};
 
-const BUDGET: u128 = 3_000;
-/// Thread counts every differential runs at; index 0 is the serial
-/// baseline the others are compared against.
+/// Executor thread counts of every set's production chains; each is
+/// compared against the serial reference (`support::RefChain`).
 const THREADS: [usize; 3] = [1, 2, 8];
 
-struct Fixture {
-    kp: KeyPair,
-    requester: Address,
-    golden: GoldenStandards,
-    gs_key: CommitmentKey,
-}
-
-impl Fixture {
-    fn new(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self {
-            kp: KeyPair::generate(&mut rng),
-            requester: Address::from_byte(0xd0),
-            golden: GoldenStandards {
-                indexes: vec![0, 2, 4],
-                answers: vec![1, 0, 1],
-            },
-            gs_key: CommitmentKey::random(&mut rng),
-        }
-    }
-
-    fn params(&self) -> dragoon_contract::PublishParams {
-        dragoon_contract::PublishParams {
-            n: 6,
-            budget: BUDGET,
-            k: 3,
-            range: PlaintextRange::binary(),
-            theta: 3,
-            ek: self.kp.ek,
-            comm_gs: Commitment::commit(&self.golden.encode(), &self.gs_key),
-            task_digest: [9u8; 32],
-        }
-    }
-
-    fn create_msg(&self) -> RegistryMessage {
-        RegistryMessage::Create {
-            windows: PhaseWindows {
-                commit_timeout: Some(4),
-                reveal: 2,
-                evaluate: 3,
-            },
-            params: self.params(),
-        }
-    }
-
-    /// One funded chain per thread count, identical except for the
-    /// executor's thread budget.
-    fn chain_set(&self, mode: SettlementMode, gas_limit: Option<u64>) -> Vec<Chain<HitRegistry>> {
-        THREADS
-            .iter()
-            .map(|&threads| {
-                let mut chain = Chain::deploy(
-                    HitRegistry::new(mode).with_verify_threads(threads),
-                    REGISTRY_CODE_LEN,
-                    GasSchedule::istanbul(),
-                )
-                .with_exec_threads(threads);
-                if let Some(limit) = gas_limit {
-                    chain = chain.with_block_gas_limit(limit);
-                }
-                chain.ledger.mint(self.requester, BUDGET * 20);
-                for w in 1..=40u8 {
-                    chain.ledger.mint(Address::from_byte(w), 100);
-                }
-                chain
-            })
-            .collect()
-    }
-}
-
-/// Submits the same message to every chain of the set.
-fn submit_all(chains: &mut [Chain<HitRegistry>], sender: Address, msg: RegistryMessage) {
-    for chain in chains.iter_mut() {
-        chain.submit(sender, msg.clone());
-    }
-}
-
-/// Advances every chain one FIFO round through the parallel entry point
-/// (which is the serial path at one thread).
-fn advance_all(chains: &mut [Chain<HitRegistry>]) {
-    for chain in chains.iter_mut() {
+/// Advances every production chain one FIFO round through the parallel
+/// entry point (the serial path at one thread), and the reference
+/// through its own loop.
+fn advance_all(set: &mut ChainSet) {
+    for chain in &mut set.production {
         chain.advance_round_parallel(&mut FifoPolicy);
     }
-}
-
-/// Asserts every observable of each chain matches the serial baseline.
-fn assert_all_equal(chains: &[Chain<HitRegistry>], tag: &str) {
-    let serial = &chains[0];
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
-        assert_eq!(
-            serial.blocks(),
-            chain.blocks(),
-            "{tag}: receipts diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.events(),
-            chain.events(),
-            "{tag}: chain events diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.ledger, chain.ledger,
-            "{tag}: ledger diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.contract(),
-            chain.contract(),
-            "{tag}: registry state diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.mempool_len(),
-            chain.mempool_len(),
-            "{tag}: carried mempool diverged at {threads} threads"
-        );
-    }
+    set.reference.run_round(&mut FifoPolicy);
 }
 
 /// Drives `count` instances with per-instance worker pools through
@@ -163,15 +59,15 @@ fn assert_all_equal(chains: &[Chain<HitRegistry>], tag: &str) {
 #[allow(clippy::type_complexity)]
 fn drive_to_evaluate(
     fx: &Fixture,
-    chains: &mut [Chain<HitRegistry>],
+    set: &mut ChainSet,
     rng: &mut StdRng,
     count: u64,
     shared_workers: &[(u8, Address)],
 ) -> Vec<(Vec<Address>, Vec<dragoon_core::task::EncryptedAnswer>)> {
     for _ in 0..count {
-        submit_all(chains, fx.requester, fx.create_msg());
+        set.submit(fx.requester, fx.create_msg());
     }
-    advance_all(chains);
+    advance_all(set);
     let good = Answer(vec![1, 0, 0, 0, 1, 0]);
     let bad = Answer(vec![0, 0, 1, 0, 0, 0]);
     let mut per_hit = Vec::new();
@@ -212,15 +108,14 @@ fn drive_to_evaluate(
         keys.push(hit_keys);
     }
     for (sender, msg) in commits {
-        submit_all(chains, sender, msg);
+        set.submit(sender, msg);
     }
-    advance_all(chains);
-    assert_all_equal(chains, "commit block");
+    advance_all(set);
+    set.assert_same("commit block");
     // Reveals, likewise interleaved.
     for (id, ((workers, cts), hit_keys)) in per_hit.iter().zip(&keys).enumerate() {
         for ((w, enc), key) in workers.iter().zip(cts).zip(hit_keys) {
-            submit_all(
-                chains,
+            set.submit(
                 *w,
                 RegistryMessage::Hit {
                     id: id as u64,
@@ -232,15 +127,14 @@ fn drive_to_evaluate(
             );
         }
     }
-    advance_all(chains);
-    assert_all_equal(chains, "reveal block");
+    advance_all(set);
+    set.assert_same("reveal block");
     // Close the reveal window.
-    advance_all(chains);
-    advance_all(chains);
+    advance_all(set);
+    advance_all(set);
     // Open gold standards on every instance in one block.
     for id in 0..count {
-        submit_all(
-            chains,
+        set.submit(
             fx.requester,
             RegistryMessage::Hit {
                 id,
@@ -251,23 +145,23 @@ fn drive_to_evaluate(
             },
         );
     }
-    advance_all(chains);
-    assert_all_equal(chains, "golden block");
+    advance_all(set);
+    set.assert_same("golden block");
     per_hit
 }
 
 /// Full multi-instance lifecycle: four disjoint instances running
 /// commit → reveal → golden → PoQoEA rejection → deadline settlement,
 /// with every phase's transactions interleaved across instances in the
-/// same blocks. The serial baseline and the 2- and 8-thread executors
-/// must agree bit-for-bit, and the multi-threaded chains must actually
+/// same blocks. The serial reference and the 1-, 2- and 8-thread
+/// executors must agree bit-for-bit, and the multi-threaded chains must actually
 /// have committed optimistic batches (this workload has no conflicts).
 #[test]
 fn multi_instance_lifecycle_parallel_equals_serial() {
     let fx = Fixture::new(0x9a7a);
     let mut rng = StdRng::seed_from_u64(0x9a7a ^ 1);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
-    let per_hit = drive_to_evaluate(&fx, &mut chains, &mut rng, 4, &[]);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
+    let per_hit = drive_to_evaluate(&fx, &mut set, &mut rng, 4, &[]);
     // Reject each instance's low-quality worker 0 — all four PoQoEA
     // verifications land in the same block, one per instance, executing
     // concurrently on the multi-threaded chains.
@@ -280,8 +174,7 @@ fn multi_instance_lifecycle_parallel_equals_serial() {
             &mut rng,
         );
         assert!(chi < 3);
-        submit_all(
-            &mut chains,
+        set.submit(
             fx.requester,
             RegistryMessage::Hit {
                 id: id as u64,
@@ -293,16 +186,16 @@ fn multi_instance_lifecycle_parallel_equals_serial() {
             },
         );
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "evaluate block");
+    advance_all(&mut set);
+    set.assert_same("evaluate block");
     for round in 0..6 {
-        advance_all(&mut chains);
-        assert_all_equal(&chains, &format!("settlement round {round}"));
+        advance_all(&mut set);
+        set.assert_same(&format!("settlement round {round}"));
     }
     for id in 0..4 {
-        assert!(chains[0].contract().hit(id).unwrap().is_settled());
+        assert!(set.production[0].contract().hit(id).unwrap().is_settled());
     }
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.batches > 0 && stats.parallel_txs > 0,
@@ -323,11 +216,10 @@ fn multi_instance_lifecycle_parallel_equals_serial() {
 fn parallel_inline_payments_merge_exactly() {
     let fx = Fixture::new(0x6e4d);
     let mut rng = StdRng::seed_from_u64(0x6e4d ^ 1);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
-    let per_hit = drive_to_evaluate(&fx, &mut chains, &mut rng, 3, &[]);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
+    let per_hit = drive_to_evaluate(&fx, &mut set, &mut rng, 3, &[]);
     for (id, (workers, _)) in per_hit.iter().enumerate() {
-        submit_all(
-            &mut chains,
+        set.submit(
             fx.requester,
             RegistryMessage::Hit {
                 id: id as u64,
@@ -339,13 +231,16 @@ fn parallel_inline_payments_merge_exactly() {
             },
         );
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "backfired evaluate block");
+    advance_all(&mut set);
+    set.assert_same("backfired evaluate block");
     // The backfired rejections paid each instance's worker 1 inline.
     for (workers, _) in &per_hit {
-        assert_eq!(chains[0].ledger.balance(&workers[1]), 100 + BUDGET / 3);
+        assert_eq!(
+            set.production[0].ledger.balance(&workers[1]),
+            100 + BUDGET / 3
+        );
     }
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(stats.batches > 0, "{threads} threads: {stats:?}");
         assert_eq!(stats.conflict_fallbacks, 0, "{threads} threads: {stats:?}");
@@ -366,12 +261,11 @@ fn shared_worker_payments_selective_retry() {
     let fx = Fixture::new(0xc04f);
     let mut rng = StdRng::seed_from_u64(0xc04f ^ 1);
     let shared = Address::from_byte(40);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
-    let per_hit = drive_to_evaluate(&fx, &mut chains, &mut rng, 3, &[(1, shared)]);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
+    let per_hit = drive_to_evaluate(&fx, &mut set, &mut rng, 3, &[(1, shared)]);
     for (id, (workers, _)) in per_hit.iter().enumerate() {
         assert_eq!(workers[0], shared);
-        submit_all(
-            &mut chains,
+        set.submit(
             fx.requester,
             RegistryMessage::Hit {
                 id: id as u64,
@@ -383,11 +277,14 @@ fn shared_worker_payments_selective_retry() {
             },
         );
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "conflicting payment block");
+    advance_all(&mut set);
+    set.assert_same("conflicting payment block");
     // All three instances paid the same worker BUDGET/3 each.
-    assert_eq!(chains[0].ledger.balance(&shared), 100 + 3 * (BUDGET / 3));
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    assert_eq!(
+        set.production[0].ledger.balance(&shared),
+        100 + 3 * (BUDGET / 3)
+    );
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.selective_retries >= 1,
@@ -403,7 +300,7 @@ fn shared_worker_payments_selective_retry() {
         );
     }
     // The retry's re-execution preserves mempool order.
-    let evaluate_seqs: Vec<u64> = chains[2]
+    let evaluate_seqs: Vec<u64> = set.production[2]
         .receipts()
         .filter(|r| r.label == "evaluate")
         .map(|r| r.seq)
@@ -425,19 +322,12 @@ fn repeated_cross_group_conflicts_stay_selective() {
     let mut rng = StdRng::seed_from_u64(0x2e7a ^ 1);
     let shared_a = Address::from_byte(40);
     let shared_b = Address::from_byte(39);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
-    let per_hit = drive_to_evaluate(
-        &fx,
-        &mut chains,
-        &mut rng,
-        3,
-        &[(1, shared_a), (2, shared_b)],
-    );
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
+    let per_hit = drive_to_evaluate(&fx, &mut set, &mut rng, 3, &[(1, shared_a), (2, shared_b)]);
     for (round, shared) in [shared_a, shared_b].into_iter().enumerate() {
         for (id, (workers, _)) in per_hit.iter().enumerate() {
             assert!(workers.contains(&shared));
-            submit_all(
-                &mut chains,
+            set.submit(
                 fx.requester,
                 RegistryMessage::Hit {
                     id: id as u64,
@@ -449,14 +339,17 @@ fn repeated_cross_group_conflicts_stay_selective() {
                 },
             );
         }
-        advance_all(&mut chains);
-        assert_all_equal(&chains, &format!("conflict round {round}"));
+        advance_all(&mut set);
+        set.assert_same(&format!("conflict round {round}"));
     }
     // Both shared workers were paid by all three instances.
     for shared in [shared_a, shared_b] {
-        assert_eq!(chains[0].ledger.balance(&shared), 100 + 3 * (BUDGET / 3));
+        assert_eq!(
+            set.production[0].ledger.balance(&shared),
+            100 + 3 * (BUDGET / 3)
+        );
     }
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.selective_retries >= 2,
@@ -479,9 +372,9 @@ fn repeated_cross_group_conflicts_stay_selective() {
 #[test]
 fn hot_instance_contention_all_serial_in_mempool_order() {
     let fx = Fixture::new(0x407);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
-    submit_all(&mut chains, fx.requester, fx.create_msg());
-    advance_all(&mut chains);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
+    set.submit(fx.requester, fx.create_msg());
+    advance_all(&mut set);
     // Ten workers race for k = 3 slots; worker 7 copies worker 1's
     // commitment (DuplicateCommitment), everyone past the quota reverts
     // with TaskFull.
@@ -489,8 +382,7 @@ fn hot_instance_contention_all_serial_in_mempool_order() {
         let tag = if w == 7 { 1 } else { w };
         let key = CommitmentKey([7u8; 32]);
         let comm = Commitment::commit(&[tag], &key);
-        submit_all(
-            &mut chains,
+        set.submit(
             Address::from_byte(w),
             RegistryMessage::Hit {
                 id: 0,
@@ -498,9 +390,9 @@ fn hot_instance_contention_all_serial_in_mempool_order() {
             },
         );
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "hot instance block");
-    let reverted = chains[0]
+    advance_all(&mut set);
+    set.assert_same("hot instance block");
+    let reverted = set.production[0]
         .receipts()
         .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
         .count();
@@ -508,7 +400,7 @@ fn hot_instance_contention_all_serial_in_mempool_order() {
         reverted >= 7,
         "contention must produce reverts ({reverted})"
     );
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert_eq!(
             stats.batches, 0,
@@ -539,23 +431,22 @@ fn hot_instance_contention_all_serial_in_mempool_order() {
 fn gas_cap_overflow_rollback_parallel_equals_serial() {
     let fx = Fixture::new(0x9a5);
     // ~46k gas per commit: a 100k block fits two.
-    let mut chains = fx.chain_set(SettlementMode::PerProof, Some(100_000));
-    submit_all(&mut chains, fx.requester, fx.create_msg());
-    submit_all(&mut chains, fx.requester, fx.create_msg());
+    let mut set = fx.chain_set(SettlementMode::PerProof, Some(100_000), &THREADS);
+    set.submit(fx.requester, fx.create_msg());
+    set.submit(fx.requester, fx.create_msg());
     // Creates cost ~1.3M each — let them land in unlimited-size blocks
     // first? No: the cap applies from round one, so each block carries
     // one oversized create alone (also exercised under parallelism).
-    advance_all(&mut chains);
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "create blocks under cap");
-    assert_eq!(chains[0].contract().len(), 2);
+    advance_all(&mut set);
+    advance_all(&mut set);
+    set.assert_same("create blocks under cap");
+    assert_eq!(set.production[0].contract().len(), 2);
     // Six commits, alternating instances: the parallel batch spans both
     // groups, but only two commits fit per block.
     for w in 1..=6u8 {
         let key = CommitmentKey([w; 32]);
         let comm = Commitment::commit(&[w], &key);
-        submit_all(
-            &mut chains,
+        set.submit(
             Address::from_byte(w),
             RegistryMessage::Hit {
                 id: (w % 2) as u64,
@@ -564,11 +455,15 @@ fn gas_cap_overflow_rollback_parallel_equals_serial() {
         );
     }
     for round in 0..4 {
-        advance_all(&mut chains);
-        assert_all_equal(&chains, &format!("overflow round {round}"));
+        advance_all(&mut set);
+        set.assert_same(&format!("overflow round {round}"));
     }
-    assert_eq!(chains[0].mempool_len(), 0, "all commits eventually landed");
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    assert_eq!(
+        set.production[0].mempool_len(),
+        0,
+        "all commits eventually landed"
+    );
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.gas_fallbacks >= 1,
@@ -588,20 +483,19 @@ fn gas_cut_commits_group_closed_prefix() {
     let fx = Fixture::new(0x9a6);
     // ~46k gas per commit: a 100k block fits two — exactly instance 0's
     // group.
-    let mut chains = fx.chain_set(SettlementMode::PerProof, Some(100_000));
-    submit_all(&mut chains, fx.requester, fx.create_msg());
-    submit_all(&mut chains, fx.requester, fx.create_msg());
-    advance_all(&mut chains);
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "create blocks under cap");
-    assert_eq!(chains[0].contract().len(), 2);
+    let mut set = fx.chain_set(SettlementMode::PerProof, Some(100_000), &THREADS);
+    set.submit(fx.requester, fx.create_msg());
+    set.submit(fx.requester, fx.create_msg());
+    advance_all(&mut set);
+    advance_all(&mut set);
+    set.assert_same("create blocks under cap");
+    assert_eq!(set.production[0].contract().len(), 2);
     // Four commits, instance-contiguous: the batch spans two groups of
     // two commits each, and the block fits the first group exactly.
     for w in 1..=4u8 {
         let key = CommitmentKey([w; 32]);
         let comm = Commitment::commit(&[w], &key);
-        submit_all(
-            &mut chains,
+        set.submit(
             Address::from_byte(w),
             RegistryMessage::Hit {
                 id: ((w - 1) / 2) as u64,
@@ -610,11 +504,15 @@ fn gas_cut_commits_group_closed_prefix() {
         );
     }
     for round in 0..3 {
-        advance_all(&mut chains);
-        assert_all_equal(&chains, &format!("prefix-cut round {round}"));
+        advance_all(&mut set);
+        set.assert_same(&format!("prefix-cut round {round}"));
     }
-    assert_eq!(chains[0].mempool_len(), 0, "all commits eventually landed");
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    assert_eq!(
+        set.production[0].mempool_len(),
+        0,
+        "all commits eventually landed"
+    );
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.gas_prefix_commits >= 1,
@@ -637,28 +535,25 @@ fn gas_cut_commits_group_closed_prefix() {
 #[test]
 fn create_dominated_block_parallelizes() {
     let fx = Fixture::new(0xcafe);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let creators: Vec<Address> = (0..8u8).map(|i| Address::from_byte(0xa0 + i)).collect();
-    for chain in chains.iter_mut() {
-        for c in &creators {
-            chain.ledger.mint(*c, BUDGET * 4);
-        }
+    for c in &creators {
+        set.mint(*c, BUDGET * 4);
     }
     // Block 1: eight concurrent creations, nothing else.
     for c in &creators {
-        submit_all(&mut chains, *c, fx.create_msg());
+        set.submit(*c, fx.create_msg());
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "create-only block");
-    assert_eq!(chains[0].contract().len(), 8);
+    advance_all(&mut set);
+    set.assert_same("create-only block");
+    assert_eq!(set.production[0].contract().len(), 8);
     // Block 2: creations interleaved with commits to the fresh ids —
     // spawn-heavy traffic with live instances in the same batch.
     for (i, c) in creators.iter().enumerate() {
-        submit_all(&mut chains, *c, fx.create_msg());
+        set.submit(*c, fx.create_msg());
         let key = CommitmentKey([i as u8 + 1; 32]);
         let comm = Commitment::commit(&[i as u8 + 1], &key);
-        submit_all(
-            &mut chains,
+        set.submit(
             Address::from_byte(i as u8 + 1),
             RegistryMessage::Hit {
                 id: i as u64,
@@ -666,10 +561,10 @@ fn create_dominated_block_parallelizes() {
             },
         );
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "mixed create/commit block");
-    assert_eq!(chains[0].contract().len(), 16);
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    advance_all(&mut set);
+    set.assert_same("mixed create/commit block");
+    assert_eq!(set.production[0].contract().len(), 16);
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.batches >= 2 && stats.parallel_txs >= 24,
@@ -695,16 +590,16 @@ fn create_dominated_block_parallelizes() {
 #[test]
 fn same_sender_creates_parallelize_with_delta_debits() {
     let fx = Fixture::new(0x5a5a);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     // chain_set funds the requester with BUDGET * 20; six creations
     // freeze 6 × BUDGET, comfortably inside the balance.
     for _ in 0..6 {
-        submit_all(&mut chains, fx.requester, fx.create_msg());
+        set.submit(fx.requester, fx.create_msg());
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "same-sender create block");
-    assert_eq!(chains[0].contract().len(), 6);
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    advance_all(&mut set);
+    set.assert_same("same-sender create block");
+    assert_eq!(set.production[0].contract().len(), 6);
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.batches >= 1 && stats.groups > 1,
@@ -732,24 +627,26 @@ fn same_sender_creates_parallelize_with_delta_debits() {
 #[test]
 fn same_sender_create_overdraft_is_caught_and_matches_serial() {
     let fx = Fixture::new(0x0d5a);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let spender = Address::from_byte(0x77);
-    for chain in chains.iter_mut() {
-        chain.ledger.mint(spender, BUDGET * 3);
-    }
+    set.mint(spender, BUDGET * 3);
     for _ in 0..6 {
-        submit_all(&mut chains, spender, fx.create_msg());
+        set.submit(spender, fx.create_msg());
     }
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "overdraft create block");
-    assert_eq!(chains[0].contract().len(), 3, "exactly the funded three");
-    assert_eq!(chains[0].ledger.balance(&spender), 0);
-    let reverted = chains[0]
+    advance_all(&mut set);
+    set.assert_same("overdraft create block");
+    assert_eq!(
+        set.production[0].contract().len(),
+        3,
+        "exactly the funded three"
+    );
+    assert_eq!(set.production[0].ledger.balance(&spender), 0);
+    let reverted = set.production[0]
         .receipts()
         .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
         .count();
     assert_eq!(reverted, 3);
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.selective_retries >= 1,
@@ -778,25 +675,27 @@ fn same_sender_create_overdraft_is_caught_and_matches_serial() {
 #[test]
 fn reverted_create_repairs_in_place() {
     let fx = Fixture::new(0xdead);
-    let mut chains = fx.chain_set(SettlementMode::PerProof, None);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let funded = Address::from_byte(0xa1);
-    for chain in chains.iter_mut() {
-        chain.ledger.mint(funded, BUDGET * 4);
-    }
+    set.mint(funded, BUDGET * 4);
     // Funded, broke, funded: the middle creation reverts, shifting the
     // serial id assignment of the third one.
-    submit_all(&mut chains, fx.requester, fx.create_msg());
-    submit_all(&mut chains, Address::from_byte(0x99), fx.create_msg());
-    submit_all(&mut chains, funded, fx.create_msg());
-    advance_all(&mut chains);
-    assert_all_equal(&chains, "reverted-create block");
-    assert_eq!(chains[0].contract().len(), 2, "two creations landed");
-    let reverted = chains[0]
+    set.submit(fx.requester, fx.create_msg());
+    set.submit(Address::from_byte(0x99), fx.create_msg());
+    set.submit(funded, fx.create_msg());
+    advance_all(&mut set);
+    set.assert_same("reverted-create block");
+    assert_eq!(
+        set.production[0].contract().len(),
+        2,
+        "two creations landed"
+    );
+    let reverted = set.production[0]
         .receipts()
         .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
         .count();
     assert_eq!(reverted, 1);
-    for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert!(
             stats.create_retries >= 1,
@@ -819,19 +718,19 @@ proptest! {
     /// goldens — most reverting, many instance-addressed (so the
     /// multi-threaded chains build real optimistic batches). Proptest
     /// drives the shape; every round must leave all three chains
-    /// bit-identical.
+    /// bit-identical to the reference.
     #[test]
     fn random_soups_parallel_equals_serial(
         ops in proptest::collection::vec((0u32..7, 0u64..8, 1u32..200), 12..40),
     ) {
         let fx = Fixture::new(0x50a1);
-        let mut chains = fx.chain_set(SettlementMode::PerProof, None);
+        let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
         for (round, window) in ops.chunks(5).enumerate() {
             for &(kind, id_sel, tag) in window {
-                let created = chains[0].contract().len() as u64;
+                let created = set.production[0].contract().len() as u64;
                 match kind {
-                    0 => submit_all(&mut chains, fx.requester, fx.create_msg()),
-                    1 => submit_all(&mut chains, Address::from_byte(0x99), fx.create_msg()),
+                    0 => set.submit(fx.requester, fx.create_msg()),
+                    1 => set.submit(Address::from_byte(0x99), fx.create_msg()),
                     2 | 3 if created > 0 => {
                         let id = id_sel % created;
                         let w = Address::from_byte((tag % 12 + 1) as u8);
@@ -840,27 +739,27 @@ proptest! {
                         let tag = if tag % 3 == 0 { 0 } else { tag };
                         let key = CommitmentKey([7u8; 32]);
                         let comm = Commitment::commit(&tag.to_le_bytes(), &key);
-                        submit_all(&mut chains, w, RegistryMessage::Hit {
+                        set.submit(w, RegistryMessage::Hit {
                             id,
                             msg: HitMessage::Commit { commitment: comm },
                         });
                     }
                     4 if created > 0 => {
                         let id = id_sel % created;
-                        submit_all(&mut chains, fx.requester, RegistryMessage::Hit {
+                        set.submit(fx.requester, RegistryMessage::Hit {
                             id,
                             msg: HitMessage::Finalize,
                         });
                     }
                     5 => {
-                        submit_all(&mut chains, fx.requester, RegistryMessage::Hit {
+                        set.submit(fx.requester, RegistryMessage::Hit {
                             id: 999,
                             msg: HitMessage::Finalize,
                         });
                     }
                     _ => {
                         let id = id_sel % created.max(1);
-                        submit_all(&mut chains, fx.requester, RegistryMessage::Hit {
+                        set.submit(fx.requester, RegistryMessage::Hit {
                             id,
                             msg: HitMessage::Golden {
                                 golden: fx.golden.clone(),
@@ -870,8 +769,8 @@ proptest! {
                     }
                 }
             }
-            advance_all(&mut chains);
-            assert_all_equal(&chains, &format!("soup round {round}"));
+            advance_all(&mut set);
+            set.assert_same(&format!("soup round {round}"));
         }
     }
 
@@ -886,50 +785,48 @@ proptest! {
         ops in proptest::collection::vec((0u32..8, 0u64..8, 1u32..200), 12..32),
     ) {
         let fx = Fixture::new(0x5ba1);
-        let mut chains = fx.chain_set(SettlementMode::PerProof, None);
+        let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
         let creators: Vec<Address> = (0..6u8).map(|i| Address::from_byte(0xa0 + i)).collect();
-        for chain in chains.iter_mut() {
-            for c in &creators {
-                chain.ledger.mint(*c, BUDGET * 40);
-            }
+        for c in &creators {
+            set.mint(*c, BUDGET * 40);
         }
         for (round, window) in ops.chunks(4).enumerate() {
             for &(kind, id_sel, tag) in window {
-                let created = chains[0].contract().len() as u64;
+                let created = set.production[0].contract().len() as u64;
                 match kind {
                     // Half the operation space spawns new instances.
                     0..=3 => {
                         let creator = creators[(tag as usize) % creators.len()];
-                        submit_all(&mut chains, creator, fx.create_msg());
+                        set.submit(creator, fx.create_msg());
                     }
                     4 | 5 if created > 0 => {
                         let id = id_sel % created;
                         let w = Address::from_byte((tag % 12 + 1) as u8);
                         let key = CommitmentKey([3u8; 32]);
                         let comm = Commitment::commit(&tag.to_le_bytes(), &key);
-                        submit_all(&mut chains, w, RegistryMessage::Hit {
+                        set.submit(w, RegistryMessage::Hit {
                             id,
                             msg: HitMessage::Commit { commitment: comm },
                         });
                     }
                     6 if created > 0 => {
                         let id = id_sel % created;
-                        submit_all(&mut chains, fx.requester, RegistryMessage::Hit {
+                        set.submit(fx.requester, RegistryMessage::Hit {
                             id,
                             msg: HitMessage::Finalize,
                         });
                     }
                     _ => {
                         let creator = creators[(id_sel as usize) % creators.len()];
-                        submit_all(&mut chains, creator, fx.create_msg());
+                        set.submit(creator, fx.create_msg());
                     }
                 }
             }
-            advance_all(&mut chains);
-            assert_all_equal(&chains, &format!("create soup round {round}"));
+            advance_all(&mut set);
+            set.assert_same(&format!("create soup round {round}"));
         }
-        assert!(chains[0].contract().len() >= 6, "soup must actually spawn");
-        for (chain, threads) in chains.iter().zip(THREADS).skip(1) {
+        assert!(set.production[0].contract().len() >= 6, "soup must actually spawn");
+        for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
             let stats = chain.parallel_stats();
             assert!(
                 stats.batches > 0,
