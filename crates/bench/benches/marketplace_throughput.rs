@@ -237,9 +237,12 @@ fn sync_vs_pipelined(bench: &'static str, config: &MarketConfig, cadence: u64) -
 
 /// The serial-vs-parallel A/B both executor tiers run: `config(1)`
 /// against `config(threads)` — the differential guarantee of
-/// `tests/parallel_equivalence.rs`. Returns the thread budget too: on a
-/// single-core host the executor degrades to oversubscribed threads, so
-/// the JSON is honest about what it ran with.
+/// `tests/parallel_equivalence.rs`. `exec_threads` is the run's whole
+/// thread budget (block execution, settlement verification and
+/// proving), so the ratio prices all three, not the executor alone.
+/// Returns the budget too: on a single-core host the pools degrade to
+/// oversubscribed threads, so the JSON is honest about what it ran
+/// with.
 fn serial_vs_parallel(bench: &'static str, config: impl Fn(usize) -> MarketConfig) -> (Ab, usize) {
     // At least two workers so the parallel machinery actually engages
     // even when the host reports one core.
@@ -431,8 +434,10 @@ fn parallel_config(hits: usize, seed: u64, exec_threads: usize) -> MarketConfig 
 }
 
 /// **Parallel vs serial block execution** — the same per-proof market
-/// (1k and 10k HITs) under the strictly serial executor
-/// (`exec_threads = 1`) and under the optimistic parallel executor.
+/// (1k and 10k HITs) at a budget of one thread (`exec_threads = 1`:
+/// serial executor, sequential verification, proof jobs on the calling
+/// thread) and at the resolved budget (optimistic parallel executor,
+/// pooled verification and proving).
 fn parallel_exec_speedup(seed: u64) {
     for hits in [1_000usize, 10_000] {
         let (ab, threads) = serial_vs_parallel("parallel_exec_speedup", |threads| {

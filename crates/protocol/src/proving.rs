@@ -4,11 +4,13 @@
 //!
 //! Agents no longer prove inline while the round advances. Instead each
 //! drive enqueues a [`ProofJob`] keyed by `(agent, instance, phase)`;
-//! the [`ProvingService`] computes the batch on a scoped thread pool and
-//! releases each finished output at `enqueue_tick + latency`, where the
-//! latency is **modeled** — derived deterministically from the job's
-//! declared cost units and [`ProvingConfig::ticks_per_kilocost`], never
-//! from wall clock. Released outputs re-enter the sim in deterministic
+//! the [`ProvingService`] computes the batch on a scoped thread pool —
+//! the run's one resolved thread budget, the same one block execution
+//! and settlement verification use — and releases each finished output
+//! at `enqueue_tick + latency`, where the latency is **modeled** —
+//! derived deterministically from the job's declared cost units and
+//! [`ProvingConfig::ticks_per_kilocost`], never from wall clock.
+//! Released outputs re-enter the sim in deterministic
 //! `(ready_tick, enqueue_seq)` order, so the mempool sequence — and
 //! therefore committed chain state — is bit-identical for any
 //! `DRAGOON_THREADS`.
@@ -18,11 +20,13 @@
 //! randomness depends only on `(seed, agent, instance, phase)` — not on
 //! which worker thread ran it or in what order the pool scheduled it.
 //!
-//! With the service disabled (the default), the same unified job path
-//! runs inline and serially: every job still gets its keyed RNG stream
-//! and releases on the tick it was enqueued, which is exactly the
-//! async pipeline at zero latency — the equivalence the
-//! `proving_equivalence` suite pins down.
+//! [`ProvingConfig::enabled`] switches the latency model and nothing
+//! else. With it off (the default) the same jobs run on the same pool
+//! with the same keyed RNG streams and release on the tick they were
+//! enqueued, which is exactly the async pipeline at zero latency — the
+//! equivalence the `proving_equivalence` suite pins down against a
+//! one-thread oracle. A budget of one thread is the only serial path:
+//! every job then runs on the calling thread, in enqueue order.
 
 use dragoon_ledger::Address;
 use rand::rngs::StdRng;
@@ -86,9 +90,11 @@ pub struct ProofJob<T> {
 /// How the proving service is wired into a market run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProvingConfig {
-    /// `true` routes jobs through the async pipeline (parallel compute,
-    /// modeled latency); `false` (default) runs the same jobs inline,
-    /// serially, at zero latency.
+    /// Whether release latency is modeled: `true` holds each output back
+    /// `cost · ticks_per_kilocost / 1000` ticks; `false` (default)
+    /// releases every output in the tick it was requested. It does not
+    /// select a compute path — both settings fan a batch out over the
+    /// service's thread budget.
     pub enabled: bool,
     /// Simulated ticks of latency per 1000 cost units (rounded down).
     /// 0 means every proof is ready in the tick it was requested.
@@ -127,8 +133,9 @@ pub struct ProvingStats {
     /// builds assert it, release builds count offenders here (instead
     /// of silently clamping the latency to 0). Always 0.
     pub latency_violations: u64,
-    /// Worker threads the pool used. **Thread-dependent — excluded from
-    /// the JSON witness.**
+    /// The thread budget the service was built with: how many threads
+    /// (the caller included) a batch may fan out over, in either mode.
+    /// **Thread-dependent — excluded from the JSON witness.**
     pub threads: u64,
 }
 
@@ -219,9 +226,8 @@ struct QueuedOutput<T> {
     output: T,
 }
 
-/// The proving service: computes proof jobs (in parallel when enabled)
-/// and releases their outputs in deterministic `(ready_tick, seq)`
-/// order.
+/// The proving service: computes proof jobs over its thread budget and
+/// releases their outputs in deterministic `(ready_tick, seq)` order.
 pub struct ProvingService<T> {
     master_seed: u64,
     threads: usize,
@@ -257,11 +263,11 @@ impl<T: Send> ProvingService<T> {
     /// Enqueues and computes a batch of jobs requested at `tick`.
     ///
     /// Each job runs with its own [`job_rng`] stream — on the scoped
-    /// pool when the service is enabled with >1 thread, inline and in
-    /// enqueue order otherwise; both paths produce identical outputs.
-    /// The output becomes visible to [`Self::drain_ready`] at
-    /// `tick + cost·ticks_per_kilocost/1000` (always `tick` itself when
-    /// the service is disabled).
+    /// pool when the budget is more than one thread and the batch more
+    /// than one job, on the calling thread in enqueue order otherwise;
+    /// both paths produce identical outputs. The output becomes visible
+    /// to [`Self::drain_ready`] at `tick + cost·ticks_per_kilocost/1000`
+    /// (always `tick` itself when latency is not modeled).
     pub fn submit_batch(&mut self, tick: u64, jobs: Vec<ProofJob<T>>) {
         if jobs.is_empty() {
             return;
@@ -289,7 +295,9 @@ impl<T: Send> ProvingService<T> {
             })
             .collect();
         let keys: Vec<JobKey> = jobs.iter().map(|j| j.key).collect();
-        let outputs = if self.config.enabled && self.threads > 1 && jobs.len() > 1 {
+        // Not keyed on a job's declared cost: callers submit real work
+        // at cost 0 when they model no latency for it.
+        let outputs = if self.threads > 1 && jobs.len() > 1 {
             Self::run_parallel(self.master_seed, self.threads, jobs)
         } else {
             jobs.into_iter()
@@ -314,7 +322,10 @@ impl<T: Send> ProvingService<T> {
 
     /// Work-stealing parallel execution over a scoped pool: an atomic
     /// cursor hands out job indexes, each thread returns `(index,
-    /// output)` pairs, and the merge re-establishes enqueue order.
+    /// output)` pairs, and the merge re-establishes enqueue order. The
+    /// calling thread is worker 0, so a batch spawns one thread fewer
+    /// than it uses. A panic inside a job is re-raised on the caller
+    /// with its original payload.
     fn run_parallel(master_seed: u64, threads: usize, jobs: Vec<ProofJob<T>>) -> Vec<T> {
         let n = jobs.len();
         let slots: Vec<std::sync::Mutex<Option<ProofJob<T>>>> = jobs
@@ -322,37 +333,39 @@ impl<T: Send> ProvingService<T> {
             .map(|j| std::sync::Mutex::new(Some(j)))
             .collect();
         let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut local = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                // Each index is handed out once and a job runs outside
+                // its slot's lock, so a slot is never contended and
+                // never poisoned.
+                let job = slots[i]
+                    .lock()
+                    .expect("a job slot is locked once, with no job running")
+                    .take()
+                    .expect("job taken twice");
+                let mut rng = job_rng(master_seed, &job.key);
+                local.push((i, (job.run)(&mut rng)));
+            }
+            local
+        };
+        let chunks: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(work)).collect();
+            let mut chunks = vec![work()];
+            for handle in spawned {
+                match handle.join() {
+                    Ok(chunk) => chunks.push(chunk),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            chunks
+        });
         let mut merged: Vec<Option<T>> = Vec::with_capacity(n);
         merged.resize_with(n, || None);
-        let chunks: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(n))
-                .map(|_| {
-                    let cursor = &cursor;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let job = slots[i]
-                                .lock()
-                                .expect("job slot poisoned")
-                                .take()
-                                .expect("job taken twice");
-                            let mut rng = job_rng(master_seed, &job.key);
-                            local.push((i, (job.run)(&mut rng)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("proving worker panicked"))
-                .collect()
-        });
         for (i, out) in chunks.into_iter().flatten() {
             merged[i] = Some(out);
         }
@@ -473,6 +486,128 @@ mod tests {
         assert_eq!(out.len(), 8, "zero latency when disabled");
         let order: Vec<u8> = out.iter().map(|(k, _)| k.agent.0[19]).collect();
         assert_eq!(order, (0..8).collect::<Vec<u8>>());
+    }
+
+    /// Runs `body` on a helper thread and fails, instead of hanging,
+    /// when it does not finish: jobs that rendezvous on a barrier
+    /// deadlock if a batch runs them one after another.
+    fn within_deadline<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(out) => out,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("batch deadlocked: barrier jobs did not run concurrently")
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("the batch panicked"),
+        }
+    }
+
+    #[test]
+    fn disabled_service_fans_out_over_its_thread_budget() {
+        let (caller, out) = within_deadline(|| {
+            let mut svc = ProvingService::new(1, 2, ProvingConfig::default());
+            // Two jobs that wait for each other: the batch completes
+            // only with each on a thread of its own.
+            let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+            let jobs = (0..2u8)
+                .map(|b| {
+                    let barrier = barrier.clone();
+                    ProofJob {
+                        key: key(b, 0, ProofPhase::Commit),
+                        cost: 10_000,
+                        run: Box::new(move |_: &mut StdRng| {
+                            barrier.wait();
+                            std::thread::current().id()
+                        }),
+                    }
+                })
+                .collect();
+            svc.submit_batch(5, jobs);
+            (std::thread::current().id(), svc.drain_ready(5))
+        });
+        assert_eq!(out.len(), 2, "zero latency when disabled");
+        let order: Vec<u8> = out.iter().map(|(k, _)| k.agent.0[19]).collect();
+        assert_eq!(order, [0, 1], "outputs merge in enqueue order");
+        assert_ne!(out[0].1, out[1].1, "the two jobs ran on two threads");
+        assert!(
+            out.iter().any(|(_, thread)| *thread == caller),
+            "the calling thread is worker 0"
+        );
+    }
+
+    #[test]
+    fn one_thread_budget_runs_every_job_on_the_calling_thread() {
+        let enabled = ProvingConfig {
+            enabled: true,
+            ticks_per_kilocost: 0,
+        };
+        for cfg in [ProvingConfig::default(), enabled] {
+            let mut svc = ProvingService::new(1, 1, cfg);
+            let jobs = (0..4u8)
+                .map(|b| ProofJob {
+                    key: key(b, 0, ProofPhase::Commit),
+                    cost: 0,
+                    run: Box::new(|_: &mut StdRng| std::thread::current().id()),
+                })
+                .collect();
+            svc.submit_batch(0, jobs);
+            let here = std::thread::current().id();
+            let out = svc.drain_ready(0);
+            assert_eq!(out.len(), 4);
+            assert!(out.iter().all(|(_, thread)| *thread == here), "{cfg:?}");
+        }
+    }
+
+    /// A panic inside a job reaches the caller of `submit_batch` with
+    /// its own message, whichever thread the job ran on: the calling
+    /// thread (a budget of one, or worker 0 of the pool) or a spawned
+    /// worker.
+    #[test]
+    fn job_panic_keeps_its_message_at_every_thread_count() {
+        const MESSAGE: &str = "no copy-paste worker in the mix";
+        for (threads, panic_on_caller) in [(1, true), (4, true), (4, false)] {
+            let message = within_deadline(move || {
+                let caller = std::thread::current().id();
+                let barrier = std::sync::Arc::new(std::sync::Barrier::new(threads));
+                let jobs: Vec<ProofJob<u64>> = (0..threads as u8)
+                    .map(|b| {
+                        let barrier = barrier.clone();
+                        ProofJob {
+                            key: key(b, 0, ProofPhase::Evaluate),
+                            cost: 0,
+                            run: Box::new(move |_: &mut StdRng| {
+                                // One job per thread, so exactly one of
+                                // them runs on the caller.
+                                barrier.wait();
+                                let on_caller = std::thread::current().id() == caller;
+                                if on_caller == panic_on_caller {
+                                    panic!("{MESSAGE}");
+                                }
+                                0
+                            }),
+                        }
+                    })
+                    .collect();
+                let mut svc = ProvingService::new(1, threads, ProvingConfig::default());
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    svc.submit_batch(0, jobs)
+                }))
+                .expect_err("the batch must panic");
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .expect("a panic message")
+            });
+            assert_eq!(
+                message, MESSAGE,
+                "{threads} threads, panic on caller: {panic_on_caller}"
+            );
+        }
     }
 
     #[test]

@@ -68,11 +68,14 @@ pub struct MarketConfig {
     pub max_blocks: u64,
     /// The run's master seed; equal seeds ⇒ identical reports.
     pub seed: u64,
-    /// Worker threads for block execution *and* block-boundary
-    /// settlement verification: `0` (default) resolves from the
-    /// `DRAGOON_THREADS` environment variable, then the host's available
-    /// parallelism; `1` forces the strictly serial executor. Reports
-    /// are identical for every value — only wall clock changes.
+    /// The run's one thread budget, shared by block execution,
+    /// block-boundary settlement verification *and* proving (in both
+    /// proving modes): `0` (default) resolves from the `DRAGOON_THREADS`
+    /// environment variable, then the host's available parallelism; `1`
+    /// is the serial everything — the strictly serial executor,
+    /// sequential verification and every proof job on the calling
+    /// thread. Reports are identical for every value — only wall clock
+    /// changes.
     pub exec_threads: usize,
     /// The market-economics layer (`dragoon-econ`): cross-HIT worker
     /// reputation, dynamic pricing of `B` from observed fill rates,
@@ -86,11 +89,12 @@ pub struct MarketConfig {
     /// longest-chain fork choice. `None` (default) = single-node, all
     /// existing scenarios byte-identical.
     pub net: Option<NetConfig>,
-    /// The asynchronous proving pipeline (`dragoon_protocol::proving`):
-    /// disabled (default) runs every proof job inline at zero latency;
-    /// enabled computes jobs on a scoped worker pool and releases each
-    /// output `cost · ticks_per_kilocost / 1000` simulated ticks after
-    /// it was requested. Committed chain state is bit-identical across
+    /// The asynchronous proving pipeline (`dragoon_protocol::proving`).
+    /// Every round's proof jobs compute on a scoped worker pool over
+    /// the `exec_threads` budget in both modes; the switch only decides
+    /// when outputs release: disabled (default) in the tick they were
+    /// requested, enabled `cost · ticks_per_kilocost / 1000` simulated
+    /// ticks later. Committed chain state is bit-identical across
     /// `DRAGOON_THREADS` either way (per-job RNG streams); enabling the
     /// service with zero latency reproduces the disabled run exactly
     /// (`tests/proving_equivalence.rs`).

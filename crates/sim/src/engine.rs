@@ -575,9 +575,10 @@ impl MarketSim {
     /// enqueue this round's jobs, (3) the batch computes, (4) zero-
     /// latency outputs release, (5) this round's commitments join the
     /// observation set, (6) everything released this round enters the
-    /// mempool in release order. With the service disabled every job is
-    /// zero-latency, so steps 1 and 4 collapse into the classic
-    /// synchronous round — byte-identical reports.
+    /// mempool in release order. Step 3 fans out over the run's thread
+    /// budget whether or not latency is modeled. With the service
+    /// disabled every job is zero-latency, so steps 1 and 4 collapse
+    /// into the classic synchronous round — byte-identical reports.
     fn agent_step(&mut self) {
         let round = self.chain.round();
         let mut submissions: Vec<(Address, RegistryMessage)> = Vec::new();

@@ -17,7 +17,7 @@
 //! * **Cartel extraction** — a golden-withholding cartel (strict θ,
 //!   off-chain pre-evaluation) pushes honest-worker payout measurably
 //!   below the honest baseline and claws the difference back as
-//!   refunds.
+//!   refunds, byte-identically at 1, 2 and 8 threads.
 //! * **Sybil farming** — reputation-farming sybils ride farmed scores
 //!   into defection; the metrics record both the extraction and the
 //!   proof-backed rejections that answer it.
@@ -223,7 +223,21 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
         ..MarketConfig::default()
     };
     let baseline = run_market(scenario(0));
-    let cartel = run_market(scenario(24));
+    let cartel_at = |threads: usize| {
+        run_market(MarketConfig {
+            exec_threads: threads,
+            ..scenario(24)
+        })
+    };
+    let cartel = cartel_at(1);
+    // The cartel's off-chain evaluation is a proof job like any other:
+    // the pool computes it at 2 and 8 threads, and the withhold
+    // decision taken from its verdicts must not move.
+    for threads in [2, 8] {
+        let pooled = cartel_at(threads);
+        assert_eq!(cartel.to_json(), pooled.to_json(), "{threads} threads");
+        assert_eq!(cartel.econ_json(), pooled.econ_json(), "{threads} threads");
+    }
     assert_eq!(baseline.hits_unfinished, 0);
     assert_eq!(cartel.hits_unfinished, 0);
     let base_econ = baseline.econ.as_ref().expect("econ on");

@@ -4,11 +4,15 @@
 //! The service's contract mirrors the parallel executor's: routing
 //! agent proving through the keyed job queue and scoped worker pool
 //! must leave committed chain state — and therefore the whole-market
-//! report JSON — **bit-identical** to the inline serial path at zero
-//! latency, and bit-identical to itself for every thread count at any
-//! latency. These tests pin that property across:
+//! report JSON — **bit-identical** to a one-thread run (every job on
+//! the calling thread, in enqueue order) at zero latency, and
+//! bit-identical to itself for every thread count at any latency.
+//! These tests pin that property across:
 //!
-//! * sync (service disabled) vs async at zero modeled latency,
+//! * sync (service disabled) vs async at zero modeled latency, both at
+//!   1, 2 and 8 threads against one `exec_threads: 1` oracle — the
+//!   pool computes in both modes, so only a budget of one is serial —
+//!   on the shared scenario and on a small paper-shaped market,
 //! * nonzero modeled latency at 1, 2 and 8 executor/prover threads
 //!   (report *and* proving counters must match — the counters are
 //!   thread-independent by construction), plus the env-driven default
@@ -47,25 +51,72 @@ fn with_proving(config: MarketConfig, ticks_per_kilocost: u64) -> MarketConfig {
     }
 }
 
+/// The paper's §VI task shape (106 questions, 6 golds, 4 workers per
+/// HIT, θ = 4) on a market small enough for tier-1: a full round
+/// carries 16 commit and 4 evaluate jobs, the mix the pool fans out on
+/// the ImageNet workload.
+fn paper_shaped(seed: u64) -> MarketConfig {
+    MarketConfig {
+        questions: 106,
+        golds: 6,
+        k: 4,
+        theta: 4,
+        hits: 4,
+        spawn_per_block: 4,
+        workers: 8,
+        worker_capacity: 4,
+        seed,
+        ..MarketConfig::default()
+    }
+}
+
 /// Async proving at zero modeled latency is the sync pipeline: same
-/// jobs, same keyed RNG streams, same release tick — only the compute
-/// happens on the pool. The market must not be able to tell.
+/// jobs, same keyed RNG streams, same release tick, same pool. The
+/// oracle is the disabled service at a budget of one thread — every job
+/// on the calling thread, in enqueue order — and neither the mode nor
+/// the thread count may show in the report or the proving counters.
 #[test]
 fn async_at_zero_latency_equals_sync() {
-    let sync = run_market(base(0xa51));
-    let async_run = run_market(with_proving(base(0xa51), 0));
-    assert_eq!(
-        sync.to_json(),
-        async_run.to_json(),
-        "async proving at zero latency must be invisible to the market"
-    );
-    assert!(async_run.proving.jobs > 0, "the pipeline must carry jobs");
-    assert_eq!(
-        async_run.proving.latency_max, 0,
-        "zero ticks_per_kilocost means zero release latency"
-    );
-    // The sync path runs the same unified job queue inline.
-    assert_eq!(sync.proving.jobs, async_run.proving.jobs);
+    for scenario in [base(0xa51), paper_shaped(0xa52)] {
+        let run_at = |config: &MarketConfig, threads: usize| {
+            run_market(MarketConfig {
+                exec_threads: threads,
+                ..config.clone()
+            })
+        };
+        let sync = scenario.clone();
+        let zero_latency = with_proving(scenario, 0);
+        let oracle = run_at(&sync, 1);
+        assert!(oracle.hits_settled > 0, "the scenario must settle HITs");
+        assert!(
+            oracle.proving.queue_peak >= 16,
+            "a round must batch enough jobs to fan out: {:?}",
+            oracle.proving
+        );
+        assert_eq!(
+            oracle.proving.latency_max, 0,
+            "no modeled latency means zero release latency"
+        );
+        for (mode, config, threads) in [
+            ("sync", &sync, 2),
+            ("sync", &sync, 8),
+            ("async", &zero_latency, 1),
+            ("async", &zero_latency, 2),
+            ("async", &zero_latency, 8),
+        ] {
+            let run = run_at(config, threads);
+            assert_eq!(
+                oracle.to_json(),
+                run.to_json(),
+                "{mode} proving at {threads} threads must be invisible to the market"
+            );
+            assert_eq!(
+                oracle.proving_json(),
+                run.proving_json(),
+                "{mode} proving counters must not depend on {threads} threads"
+            );
+        }
+    }
 }
 
 /// The determinism witness at nonzero latency: the report JSON *and*
