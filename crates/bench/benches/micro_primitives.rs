@@ -3,25 +3,42 @@
 //! kernels. These ground the table-level numbers in primitive costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dragoon_bench::time_once;
 use dragoon_core::poqoea;
 use dragoon_core::task::Answer;
 use dragoon_core::workload::imagenet_workload;
-use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
+use dragoon_crypto::elgamal::{Ciphertext, KeyPair, PlaintextRange};
 use dragoon_crypto::g1::G1Projective;
 use dragoon_crypto::g2::G2Affine;
 use dragoon_crypto::pairing::pairing;
+use dragoon_crypto::precomp::generator_table;
 use dragoon_crypto::{keccak256, vpke, FixedBaseTable, Fq, Fr, G1Affine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::time::Duration;
+
+/// Hands out `items` round-robin, so a timed closure sees a different
+/// operand every iteration: one fixed operand lets the branch predictor
+/// memorise its carry/borrow pattern and flatters branchy field code by
+/// ~30 %.
+fn rotate<'a, T>(items: &'a [T]) -> impl FnMut() -> &'a T {
+    let mut next = 0;
+    move || {
+        next = (next + 1) % items.len();
+        &items[next]
+    }
+}
 
 fn bench_field(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let a = Fq::random(&mut rng);
     let b = Fq::random(&mut rng);
     c.bench_function("fq_mul", |bench| bench.iter(|| black_box(a) * black_box(b)));
+    let operands: Vec<Fq> = (0..64).map(|_| Fq::random(&mut rng)).collect();
+    let mut operand = rotate(&operands);
     c.bench_function("fq_inverse", |bench| {
-        bench.iter(|| black_box(a).inverse().unwrap())
+        bench.iter(|| black_box(operand()).inverse().unwrap())
     });
     let x = Fr::random(&mut rng);
     let y = Fr::random(&mut rng);
@@ -49,6 +66,11 @@ fn bench_group(c: &mut Criterion) {
     c.bench_function("g1_affine_table_mul", |bench| {
         bench.iter(|| table.mul(&black_box(k)))
     });
+    let scalars: Vec<Fr> = (0..64).map(|_| Fr::random(&mut rng)).collect();
+    let mut scalar = rotate(&scalars);
+    c.bench_function("g1_table_mul_signed", |bench| {
+        bench.iter(|| table.mul(black_box(scalar())))
+    });
     c.bench_function("g1_affine_table_build", |bench| {
         bench.iter(|| FixedBaseTable::new(&black_box(q)))
     });
@@ -59,36 +81,137 @@ fn bench_group(c: &mut Criterion) {
 }
 
 /// The paper's 106-question answer vector through the batched paths
-/// (one inversion per vector) next to the per-item API.
+/// next to the per-item API, over distinct scalars and points every
+/// iteration.
 fn bench_answer_vector(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let kp = KeyPair::generate(&mut rng);
     let range = PlaintextRange::binary();
     let ms: Vec<u64> = (0..106).map(|i| i % 2).collect();
-    let rhos: Vec<Fr> = ms.iter().map(|_| Fr::random(&mut rng)).collect();
+    let rho_sets: Vec<Vec<Fr>> = (0..8)
+        .map(|_| ms.iter().map(|_| Fr::random(&mut rng)).collect())
+        .collect();
     let table = FixedBaseTable::new(&kp.ek.0);
+    let mut rhos = rotate(&rho_sets);
     c.bench_function("elgamal_encrypt_table_per_item_x106", |bench| {
         bench.iter(|| {
             ms.iter()
-                .zip(&rhos)
+                .zip(rhos())
                 .map(|(&m, &rho)| kp.ek.encrypt_with_table(m, rho, Some(&table)))
                 .collect::<Vec<_>>()
         })
     });
     c.bench_function("elgamal_encrypt_batch_106", |bench| {
-        bench.iter(|| kp.ek.encrypt_batch(black_box(&ms), &rhos, Some(&table)))
+        bench.iter(|| kp.ek.encrypt_batch(black_box(&ms), rhos(), Some(&table)))
     });
-    let cts = kp.ek.encrypt_batch(&ms, &rhos, Some(&table));
+    let ct_sets: Vec<Vec<Ciphertext>> = rho_sets
+        .iter()
+        .map(|rhos| kp.ek.encrypt_batch(&ms, rhos, Some(&table)))
+        .collect();
+    let mut cts = rotate(&ct_sets);
     c.bench_function("elgamal_decrypt_per_item_x106", |bench| {
         bench.iter(|| {
-            cts.iter()
+            cts()
+                .iter()
                 .map(|ct| kp.dk.decrypt(ct, &range))
                 .collect::<Vec<_>>()
         })
     });
     c.bench_function("elgamal_decrypt_batch_106", |bench| {
-        bench.iter(|| kp.dk.decrypt_batch(black_box(&cts), &range))
+        bench.iter(|| kp.dk.decrypt_batch(black_box(cts()), &range))
     });
+    // The two whole-vector kernels on their own: 212 table lanes (106 on
+    // `g`, 106 on the key) and 106 variable bases under one scalar.
+    let g_table = generator_table();
+    let lane_sets: Vec<Vec<(&FixedBaseTable, Fr)>> = rho_sets
+        .iter()
+        .map(|rhos| table_lanes(g_table, &table, rhos))
+        .collect();
+    let mut lanes = rotate(&lane_sets);
+    c.bench_function("g1_lockstep_table_mul_212", |bench| {
+        bench.iter(|| FixedBaseTable::mul_lockstep(black_box(lanes())))
+    });
+    let point_sets: Vec<Vec<G1Affine>> = ct_sets
+        .iter()
+        .map(|cts| cts.iter().map(|ct| ct.c1).collect())
+        .collect();
+    let mut points = rotate(&point_sets);
+    c.bench_function("g1_batch_mul_106_same_scalar", |bench| {
+        bench.iter(|| G1Affine::batch_mul(black_box(points()), &[kp.dk.0]))
+    });
+}
+
+/// `rhos` on the generator's table, then `rhos` on the key's table — the
+/// lanes `encrypt_batch` multiplies.
+fn table_lanes<'a>(
+    g_table: &'a FixedBaseTable,
+    key_table: &'a FixedBaseTable,
+    rhos: &[Fr],
+) -> Vec<(&'a FixedBaseTable, Fr)> {
+    [g_table, key_table]
+        .into_iter()
+        .flat_map(|table| rhos.iter().map(move |rho| (table, *rho)))
+        .collect()
+}
+
+/// Wall clock of one run of `f`.
+fn elapsed<O>(f: impl FnMut() -> O) -> Duration {
+    time_once(f).0
+}
+
+/// The median of `times`, in microseconds.
+fn median_us(mut times: Vec<Duration>) -> f64 {
+    times.sort();
+    times[times.len() / 2].as_secs_f64() * 1e6
+}
+
+/// Where lockstep starts to pay: both whole-vector kernels against their
+/// per-lane Jacobian paths at growing lane counts, alternated over
+/// distinct operands. The two private thresholds
+/// (`elgamal::LOCKSTEP_LANES`, `g1::BATCH_MUL_LOCKSTEP_LANES`) sit where
+/// the ratio crosses 1; re-derive them from this table.
+fn bench_lockstep_crossover(_: &mut Criterion) {
+    const ROUNDS: usize = 31;
+    let mut rng = StdRng::seed_from_u64(6);
+    let kp = KeyPair::generate(&mut rng);
+    let table = FixedBaseTable::new(&kp.ek.0);
+    println!("lockstep / Jacobian, median µs over {ROUNDS} alternated rounds");
+    println!(
+        "{:>6} {:>28} {:>28}",
+        "lanes", "table mul", "batch_mul (one scalar)"
+    );
+    for lanes in [4usize, 8, 16, 32, 64, 128, 212] {
+        // Fresh operands every round, the two sides alternated round by
+        // round so drift hits both.
+        let (mut t_jac, mut t_lock, mut m_jac, mut m_lock) = (vec![], vec![], vec![], vec![]);
+        for _ in 0..ROUNDS {
+            let rhos: Vec<Fr> = (0..lanes / 2).map(|_| Fr::random(&mut rng)).collect();
+            let table_lanes = black_box(table_lanes(generator_table(), &table, &rhos));
+            let points: Vec<G1Affine> = (0..lanes).map(|_| G1Affine::random(&mut rng)).collect();
+            let points = black_box(points);
+            t_jac.push(elapsed(|| {
+                let products: Vec<G1Projective> =
+                    table_lanes.iter().map(|(t, k)| t.mul(k)).collect();
+                G1Projective::batch_to_affine(&products)
+            }));
+            t_lock.push(elapsed(|| FixedBaseTable::mul_lockstep(&table_lanes)));
+            m_jac.push(elapsed(|| {
+                points
+                    .iter()
+                    .map(|p| p.to_projective().mul_scalar(&kp.dk.0))
+                    .collect::<Vec<_>>()
+            }));
+            m_lock.push(elapsed(|| {
+                G1Affine::batch_mul_lockstep(&points, &[kp.dk.0])
+            }));
+        }
+        let [tj, tl, mj, ml] = [t_jac, t_lock, m_jac, m_lock].map(median_us);
+        println!(
+            "{lanes:>6} {:>28} {:>28}",
+            format!("{tl:.0} / {tj:.0} = {:.2}", tl / tj),
+            format!("{ml:.0} / {mj:.0} = {:.2}", ml / mj),
+        );
+    }
 }
 
 fn bench_hash(c: &mut Criterion) {
@@ -158,6 +281,7 @@ criterion_group!(
     bench_field,
     bench_group,
     bench_answer_vector,
+    bench_lockstep_crossover,
     bench_hash,
     bench_pairing,
     bench_vpke,

@@ -20,7 +20,7 @@
 //!   revealed, and those are simulatable from public knowledge because
 //!   `|G|` and `range` are small constants (§V-A).
 
-use crate::task::{EncryptedAnswer, GoldenStandards};
+use crate::task::{Answer, EncryptedAnswer, GoldenStandards};
 use dragoon_crypto::elgamal::{Ciphertext, DecryptionKey, EncryptionKey, KeyPair, PlaintextRange};
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement, PlaintextClaim};
 use dragoon_crypto::{Fr, G1Projective};
@@ -141,9 +141,8 @@ pub fn prove_quality<R: Rng + ?Sized>(
 }
 
 /// [`prove_quality`] with the full key pair, so the `|G|` inner VPKE
-/// proofs don't each re-derive `h = g^k` — the proving service's
-/// evaluate jobs enter here. The gold positions are decrypted and
-/// proven as one batch ([`vpke::prove_batch_with_key`]).
+/// proofs don't each re-derive `h = g^k`. The gold positions are
+/// decrypted and proven as one batch ([`vpke::prove_batch_with_key`]).
 pub fn prove_quality_with_key<R: Rng + ?Sized>(
     kp: &KeyPair,
     cts: &EncryptedAnswer,
@@ -151,20 +150,57 @@ pub fn prove_quality_with_key<R: Rng + ?Sized>(
     range: &PlaintextRange,
     rng: &mut R,
 ) -> (u64, QualityProof) {
-    // A missing ciphertext counts as a mismatch the verifier can see
-    // directly; nothing to prove.
-    let (golds, gold_cts): (Vec<(usize, u64)>, Vec<Ciphertext>) = gs
-        .indexes
+    let (golds, gold_cts) = gold_positions(cts, gs);
+    let proven = vpke::prove_batch_with_key(kp, &gold_cts, range, rng);
+    exhibit_mismatches(golds, proven)
+}
+
+/// [`prove_quality_with_key`] for a prover that already holds the
+/// decryption `answer` of `cts`, every item in range — the proving
+/// service's evaluate jobs, which decrypt the whole vector to compute
+/// the quality, enter here instead of decrypting the gold positions a
+/// second time. Decryption draws nothing from `rng`, so the proof and
+/// every later draw are the ones `prove_quality_with_key` produces.
+pub fn prove_quality_of_answer<R: Rng + ?Sized>(
+    kp: &KeyPair,
+    cts: &EncryptedAnswer,
+    answer: &Answer,
+    gs: &GoldenStandards,
+    rng: &mut R,
+) -> (u64, QualityProof) {
+    assert_eq!(answer.len(), cts.len(), "one plaintext per ciphertext");
+    let (golds, gold_cts) = gold_positions(cts, gs);
+    let claims: Vec<PlaintextClaim> = golds
+        .iter()
+        .map(|&(i, _)| PlaintextClaim::InRange(answer.0[i]))
+        .collect();
+    let proofs = vpke::prove_claims_with_key(kp, &gold_cts, &claims, rng);
+    exhibit_mismatches(golds, claims.into_iter().zip(proofs))
+}
+
+/// The gold standards `(i, s_i)` that have a ciphertext, and those
+/// ciphertexts. A missing ciphertext counts as a mismatch the verifier
+/// can see directly; nothing to prove.
+fn gold_positions(
+    cts: &EncryptedAnswer,
+    gs: &GoldenStandards,
+) -> (Vec<(usize, u64)>, Vec<Ciphertext>) {
+    gs.indexes
         .iter()
         .zip(&gs.answers)
         .filter_map(|(&i, &s)| Some(((i, s), *cts.0.get(i)?)))
-        .unzip();
+        .unzip()
+}
+
+/// Counts the gold standards answered correctly and keeps the proven
+/// decryptions of the others.
+fn exhibit_mismatches(
+    golds: Vec<(usize, u64)>,
+    proven: impl IntoIterator<Item = (PlaintextClaim, DecryptionProof)>,
+) -> (u64, QualityProof) {
     let mut chi = 0u64;
     let mut items = Vec::new();
-    for ((index, s), (claim, proof)) in golds
-        .into_iter()
-        .zip(vpke::prove_batch_with_key(kp, &gold_cts, range, rng))
-    {
+    for ((index, s), (claim, proof)) in golds.into_iter().zip(proven) {
         if matches!(claim, PlaintextClaim::InRange(m) if m == s) {
             chi += 1;
         } else {

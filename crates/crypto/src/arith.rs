@@ -68,6 +68,17 @@ pub const fn add_4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     ([r0, r1, r2, r3], carry)
 }
 
+/// Shifts the 4-limb little-endian integer `a` right by one bit.
+#[inline]
+pub const fn shr1_4(a: &[u64; 4]) -> [u64; 4] {
+    [
+        a[0] >> 1 | a[1] << 63,
+        a[1] >> 1 | a[2] << 63,
+        a[2] >> 1 | a[3] << 63,
+        a[3] >> 1,
+    ]
+}
+
 /// Full 512-bit schoolbook product of two 4-limb little-endian integers.
 #[inline(always)]
 pub const fn mul_wide_4(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
@@ -145,6 +156,15 @@ mod tests {
         assert_eq!(borrow, 0);
         let (_, borrow) = sub_4(&a, &b);
         assert_eq!(borrow, u64::MAX);
+    }
+
+    #[test]
+    fn shr1_crosses_limbs() {
+        assert_eq!(shr1_4(&[1, 1, 1, 1]), [1 << 63, 1 << 63, 1 << 63, 0]);
+        assert_eq!(
+            shr1_4(&[u64::MAX; 4]),
+            [u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! always kept canonical (reduced), which makes derived equality/hashing
 //! sound.
 
-use crate::arith::{adc, add_4, bit, bit_len, lt_4, mac, mul_wide_4, sub_4};
+use crate::arith::{adc, add_4, bit, bit_len, lt_4, mac, mul_wide_4, shr1_4, sub_4};
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
@@ -215,20 +215,69 @@ macro_rules! montgomery_field {
 
             /// Multiplicative inverse; `None` for zero.
             ///
-            /// Computed as `self^(p-2)` by Fermat's little theorem.
+            /// Binary extended Euclid run directly on the Montgomery
+            /// limbs `u = aR`: the loop keeps `b·aR ≡ u·R²` and
+            /// `c·aR ≡ v·R² (mod p)`, so when `u` (or `v`) reaches 1 the
+            /// matching cofactor is `R²/(aR) = a⁻¹R` — the inverse,
+            /// already in Montgomery form. About half the cost of the
+            /// ~380-multiplication Fermat exponentiation `a^(p-2)`.
             pub fn inverse(&self) -> Option<Self> {
                 if self.is_zero() {
                     return None;
                 }
+                // `x/2 mod p` on a reduced `x`; `x + p < 2^255` cannot
+                // carry out of the limbs.
+                fn halve(x: &mut [u64; 4], p: &[u64; 4]) {
+                    if x[0] & 1 == 1 {
+                        *x = add_4(x, p).0;
+                    }
+                    *x = shr1_4(x);
+                }
+                let (mut u, mut v) = (self.0, Self::MODULUS);
+                let (mut b, mut c) = (Self(Self::R2), Self::zero());
+                // gcd(u, v) = 1 throughout and neither is ever zero, so
+                // one of them reaches 1.
+                const ONE: [u64; 4] = [1, 0, 0, 0];
+                while u != ONE && v != ONE {
+                    while u[0] & 1 == 0 {
+                        u = shr1_4(&u);
+                        halve(&mut b.0, &Self::MODULUS);
+                    }
+                    while v[0] & 1 == 0 {
+                        v = shr1_4(&v);
+                        halve(&mut c.0, &Self::MODULUS);
+                    }
+                    if lt_4(&v, &u) {
+                        u = sub_4(&u, &v).0;
+                        b -= c;
+                    } else {
+                        v = sub_4(&v, &u).0;
+                        c -= b;
+                    }
+                }
+                Some(if u == ONE { b } else { c })
+            }
+
+            /// Fermat inversion `self^(p-2)`: the oracle the Euclid
+            /// inversion is tested against.
+            #[cfg(test)]
+            fn inverse_fermat(&self) -> Option<Self> {
                 let (p_minus_2, _) = sub_4(&Self::MODULUS, &[2, 0, 0, 0]);
-                Some(self.pow(&p_minus_2))
+                (!self.is_zero()).then(|| self.pow(&p_minus_2))
             }
 
             /// Inverts every nonzero element in place with a single field
             /// inversion (Montgomery's trick: prefix products, one
             /// inverse, unwind); zeros are skipped and stay zero.
             pub fn batch_invert(values: &mut [Self]) {
-                let mut prefix = Vec::with_capacity(values.len());
+                Self::batch_invert_in(values, &mut Vec::with_capacity(values.len()));
+            }
+
+            /// [`Self::batch_invert`] with the prefix products kept in a
+            /// caller-owned buffer, for callers that invert slice after
+            /// slice (the lockstep curve kernels: one call per step).
+            pub fn batch_invert_in(values: &mut [Self], prefix: &mut Vec<Self>) {
+                prefix.clear();
                 let mut acc = Self::one();
                 for v in values.iter().filter(|v| !v.is_zero()) {
                     prefix.push(acc);
@@ -242,10 +291,10 @@ macro_rules! montgomery_field {
                     .iter_mut()
                     .rev()
                     .filter(|v| !v.is_zero())
-                    .zip(prefix.into_iter().rev())
+                    .zip(prefix.iter().rev())
                 {
                     let next = inv * *v;
-                    *v = inv * p;
+                    *v = inv * *p;
                     inv = next;
                 }
             }
@@ -518,6 +567,39 @@ mod tests {
         }
         assert!(Fq::zero().inverse().is_none());
         assert!(Fr::zero().inverse().is_none());
+    }
+
+    #[test]
+    fn euclid_inverse_matches_fermat() {
+        macro_rules! check {
+            ($field:ident, $rng:expr) => {{
+                let (half_p_plus_1, _) = add_4(&shr1_4(&$field::MODULUS), &[1, 0, 0, 0]);
+                let mut values = vec![
+                    $field::one(),
+                    $field::from_u64(2),
+                    -$field::one(),
+                    // The element whose plain value is R, and the one
+                    // whose Montgomery limbs are 1 (plain R⁻¹).
+                    $field::from_plain_limbs($field::R).unwrap(),
+                    $field([1, 0, 0, 0]),
+                    $field::from_plain_limbs(half_p_plus_1).unwrap(),
+                ];
+                values.extend((0..1_000).map(|_| $field::random($rng)));
+                for a in values {
+                    let inv = a.inverse().unwrap();
+                    assert_eq!(Some(inv), a.inverse_fermat(), "a = {a:?}");
+                    assert_eq!(a * inv, $field::one());
+                }
+                // 1/2 = (p + 1)/2, written out.
+                let half = $field::from_u64(2).inverse().unwrap();
+                assert_eq!(half.to_plain_limbs(), half_p_plus_1);
+                assert_eq!(half.double(), $field::one());
+                assert_eq!($field::zero().inverse_fermat(), None);
+            }};
+        }
+        let mut rng = rng();
+        check!(Fq, &mut rng);
+        check!(Fr, &mut rng);
     }
 
     #[test]

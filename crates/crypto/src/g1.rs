@@ -33,6 +33,14 @@ pub struct G1Projective {
     z: Fq,
 }
 
+/// Buffers [`G1Affine::batch_add_assign`] reuses from call to call: the
+/// slope denominators and the prefix products of their shared inversion.
+#[derive(Default)]
+pub struct BatchAddScratch {
+    denoms: Vec<Fq>,
+    prefix: Vec<Fq>,
+}
+
 /// The curve coefficient `b = 3`.
 pub fn curve_b() -> Fq {
     Fq::from_u64(3)
@@ -159,57 +167,137 @@ impl G1Affine {
         (G1Projective::generator() * Fr::random(rng)).to_affine()
     }
 
-    /// `lhs[i] + rhs[i]` for every pair, computed in affine coordinates
-    /// with one shared field inversion (all slope denominators go through
-    /// [`Fq::batch_invert`]) — about 6 multiplications per sum, and the
-    /// sums need no normalisation afterwards. Doublings, identities and
-    /// opposite points are handled.
+    /// `lhs[i] + rhs[i]` for every pair: [`Self::batch_add_assign`] on a
+    /// copy of `lhs`.
     pub fn batch_add(lhs: &[Self], rhs: &[Self]) -> Vec<Self> {
-        assert_eq!(lhs.len(), rhs.len(), "batch_add length mismatch");
+        let mut sums = lhs.to_vec();
+        Self::batch_add_assign(&mut sums, rhs, &mut BatchAddScratch::default());
+        sums
+    }
+
+    /// `accs[i] += rhs[i]` for every lane, computed in affine coordinates
+    /// with one shared field inversion (all slope denominators go through
+    /// [`Fq::batch_invert_in`]) — 2M + 1S for the chord plus 3M of
+    /// inversion sharing per lane, against 11M for a mixed Jacobian
+    /// addition, and the sums need no normalisation afterwards.
+    /// Doublings, identities on either side and opposite points are
+    /// handled; a slice whose lanes all need no slope inverts nothing.
+    /// `scratch` carries the buffers from one call to the next.
+    pub fn batch_add_assign(accs: &mut [Self], rhs: &[Self], scratch: &mut BatchAddScratch) {
+        assert_eq!(accs.len(), rhs.len(), "batch_add_assign length mismatch");
         // `x2 - x1` for a chord, `2y` for a tangent, zero (which the
         // inversion skips) where the sum needs no slope.
-        let mut denoms: Vec<Fq> = lhs
+        scratch.denoms.clear();
+        scratch.denoms.extend(accs.iter().zip(rhs).map(|(p, q)| {
+            if p.infinity || q.infinity {
+                Fq::zero()
+            } else if p.x != q.x {
+                q.x - p.x
+            } else if p.y == q.y {
+                p.y.double()
+            } else {
+                Fq::zero()
+            }
+        }));
+        Fq::batch_invert_in(&mut scratch.denoms, &mut scratch.prefix);
+        for ((p, q), inv) in accs.iter_mut().zip(rhs).zip(&scratch.denoms) {
+            if q.infinity {
+                continue;
+            }
+            if p.infinity {
+                *p = *q;
+                continue;
+            }
+            if inv.is_zero() {
+                // q = -p.
+                *p = Self::identity();
+                continue;
+            }
+            let slope = if p.x != q.x {
+                (q.y - p.y) * *inv
+            } else {
+                let xx = p.x.square();
+                (xx.double() + xx) * *inv
+            };
+            let x = slope.square() - p.x - q.x;
+            p.y = slope * (p.x - x) - p.y;
+            p.x = x;
+        }
+    }
+
+    /// `scalars[i] · points[i]` for every lane — or `scalars[0] · points[i]`
+    /// when a single scalar is given, which is then split and recoded
+    /// once for the whole vector ([`crate::elgamal::DecryptionKey`]'s
+    /// `decrypt_batch` multiplies every `c1` by the one secret key).
+    /// Entry `i` is the group element [`G1Projective::mul_scalar`]
+    /// returns, left in Jacobian coordinates so the caller can normalise
+    /// it together with whatever else it has in flight.
+    ///
+    /// From `BATCH_MUL_LOCKSTEP_LANES` lanes on this is
+    /// [`Self::batch_mul_lockstep`]; a shorter slice runs `mul_scalar`
+    /// per lane.
+    pub fn batch_mul(points: &[Self], scalars: &[Fr]) -> Vec<G1Projective> {
+        if points.len() >= BATCH_MUL_LOCKSTEP_LANES {
+            return Self::batch_mul_lockstep(points, scalars);
+        }
+        assert_lane_scalars(points.len(), scalars.len());
+        points
             .iter()
-            .zip(rhs)
-            .map(|(p, q)| {
-                if p.infinity || q.infinity {
-                    Fq::zero()
-                } else if p.x != q.x {
-                    q.x - p.x
-                } else if p.y == q.y {
-                    p.y.double()
-                } else {
-                    Fq::zero()
-                }
-            })
-            .collect();
-        Fq::batch_invert(&mut denoms);
-        lhs.iter()
-            .zip(rhs)
-            .zip(denoms)
-            .map(|((p, q), inv)| {
-                if p.infinity {
-                    return *q;
-                }
-                if q.infinity {
-                    return *p;
-                }
-                if inv.is_zero() {
-                    // q = -p.
-                    return Self::identity();
-                }
-                let slope = if p.x != q.x {
-                    (q.y - p.y) * inv
-                } else {
-                    let xx = p.x.square();
-                    (xx.double() + xx) * inv
+            .enumerate()
+            .map(|(i, p)| p.to_projective().mul_scalar(&scalars[i % scalars.len()]))
+            .collect()
+    }
+
+    /// The long-vector path of [`Self::batch_mul`], at any length (public
+    /// for the crossover rows of the `micro_primitives` bench): the
+    /// 8-entry odd-multiple tables of all lanes are built in affine
+    /// coordinates in lockstep — `2P`, then seven `+2P` steps, eight
+    /// shared inversions through [`Self::batch_add_assign`] — the
+    /// `φ`-images cost one `β` multiplication per entry, and each lane's
+    /// GLV + width-5-NAF pass then runs on mixed additions (11M) where
+    /// `mul_scalar`, whose tables are Jacobian, pays general ones (16M).
+    pub fn batch_mul_lockstep(points: &[Self], scalars: &[Fr]) -> Vec<G1Projective> {
+        let n = points.len();
+        assert_lane_scalars(n, scalars.len());
+        let mut scratch = BatchAddScratch::default();
+        let mut twice = points.to_vec();
+        Self::batch_add_assign(&mut twice, points, &mut scratch);
+        // `multiples[j·n + i] = (2j + 1)·points[i]`.
+        let mut multiples = Vec::with_capacity(8 * n);
+        multiples.extend_from_slice(points);
+        for j in 1..8 {
+            multiples.extend_from_within((j - 1) * n..);
+            Self::batch_add_assign(&mut multiples[j * n..], &twice, &mut scratch);
+        }
+        let shared = (scalars.len() == 1).then(|| GlvRecoding::new(&scalars[0]));
+        (0..n)
+            .map(|i| {
+                let recoding = match &shared {
+                    Some(recoding) => recoding,
+                    None => &GlvRecoding::new(&scalars[i]),
                 };
-                let x = slope.square() - p.x - q.x;
-                Self {
-                    x,
-                    y: slope * (p.x - x) - p.y,
-                    infinity: false,
-                }
+                // The signs of the two halves are folded into the
+                // tables, exactly as `mul_scalar` folds them.
+                let table1: [Self; 8] = core::array::from_fn(|j| {
+                    let p = multiples[j * n + i];
+                    if recoding.neg1 {
+                        -p
+                    } else {
+                        p
+                    }
+                });
+                let table2 = table1.map(|p| {
+                    let p = Self {
+                        x: p.x * GLV_BETA,
+                        ..p
+                    };
+                    if recoding.neg1 == recoding.neg2 {
+                        p
+                    } else {
+                        -p
+                    }
+                });
+                recoding.eval(&table1, &table2, G1Projective::add_affine)
             })
             .collect()
     }
@@ -397,12 +485,14 @@ impl G1Projective {
     /// `k = k1 + k2·λ` into two signed 127-bit halves, evaluated as
     /// `k1·P + k2·φ(P)` by one interleaved width-5 NAF pass over two
     /// 8-entry odd-multiple tables — ~127 doublings and ~42 additions
-    /// instead of ~254 and ~127.
+    /// instead of ~254 and ~127. A vector of multiplications goes
+    /// through [`G1Affine::batch_mul`], which builds all the tables in
+    /// affine coordinates at once and recodes a shared scalar once.
     pub fn mul_scalar(&self, k: &Fr) -> Self {
-        let [(k1, neg1), (k2, neg2)] = glv_split(k);
+        let recoding = GlvRecoding::new(k);
         // Odd multiples P, 3P, …, 15P of ±P, and their images under φ
         // with the sign of k2 folded in.
-        let base = if neg1 { -*self } else { *self };
+        let base = if recoding.neg1 { -*self } else { *self };
         let twice = base.double();
         let mut table1 = [base; 8];
         for i in 1..8 {
@@ -410,23 +500,70 @@ impl G1Projective {
         }
         let table2 = table1.map(|p| {
             let p = p.endomorphism();
-            if neg1 == neg2 {
+            if recoding.neg1 == recoding.neg2 {
                 p
             } else {
                 -p
             }
         });
-        let (naf1, len1) = wnaf5(k1);
-        let (naf2, len2) = wnaf5(k2);
-        let mut acc = Self::identity();
-        for i in (0..len1.max(len2)).rev() {
+        recoding.eval(&table1, &table2, Self::add)
+    }
+}
+
+/// [`G1Affine::batch_mul`] takes one scalar per lane or one for all.
+fn assert_lane_scalars(lanes: usize, scalars: usize) {
+    assert!(
+        scalars == lanes || scalars == 1,
+        "batch_mul wants one scalar per point, or a single shared scalar"
+    );
+}
+
+/// Lane count from which [`G1Affine::batch_mul`] builds its tables in
+/// lockstep. Eight shared inversions buy each lane a cheaper table
+/// (7 × 6M against 7 × 16M) and ~42 mixed additions in place of general
+/// ones — ≈ 280M a lane, so a handful of lanes pay for them. Measured
+/// (`micro_primitives`, lockstep / per-lane `mul_scalar`): 1.23 at 2
+/// lanes, 1.06 at 4, 1.02 at 6, 0.97 at 8, 0.93 at 16, 0.89 from 64.
+const BATCH_MUL_LOCKSTEP_LANES: usize = 8;
+
+/// A scalar prepared for the interleaved GLV pass: `k = ±k1 ± k2·λ`
+/// with both magnitudes in width-5 NAF.
+struct GlvRecoding {
+    neg1: bool,
+    neg2: bool,
+    naf1: ([i8; 128], usize),
+    naf2: ([i8; 128], usize),
+}
+
+impl GlvRecoding {
+    fn new(k: &Fr) -> Self {
+        let [(k1, neg1), (k2, neg2)] = glv_split(k);
+        Self {
+            neg1,
+            neg2,
+            naf1: wnaf5(k1),
+            naf2: wnaf5(k2),
+        }
+    }
+
+    /// `|k1|·T1 + |k2|·T2` by one interleaved pass, most significant
+    /// digit first, where `table[j]` holds `(2j + 1)·T` and `add` is the
+    /// addition that fits the tables' coordinates.
+    fn eval<T: Copy + Neg<Output = T>>(
+        &self,
+        table1: &[T; 8],
+        table2: &[T; 8],
+        add: impl Fn(&G1Projective, &T) -> G1Projective,
+    ) -> G1Projective {
+        let mut acc = G1Projective::identity();
+        for i in (0..self.naf1.1.max(self.naf2.1)).rev() {
             acc = acc.double();
-            for (naf, table) in [(&naf1, &table1), (&naf2, &table2)] {
+            for (naf, table) in [(&self.naf1.0, table1), (&self.naf2.0, table2)] {
                 let d = naf[i];
                 if d > 0 {
-                    acc = Self::add(&acc, &table[d as usize / 2]);
+                    acc = add(&acc, &table[d as usize / 2]);
                 } else if d < 0 {
-                    acc = Self::add(&acc, &-table[(-d) as usize / 2]);
+                    acc = add(&acc, &-table[(-d) as usize / 2]);
                 }
             }
         }
@@ -1034,6 +1171,100 @@ mod tests {
             .collect();
         assert_eq!(G1Affine::batch_add(&lhs, &rhs), expect);
         assert!(G1Affine::batch_add(&[], &[]).is_empty());
+    }
+
+    #[test]
+    fn batch_add_assign_handles_every_lane_kind() {
+        let mut rng = rng();
+        let id = G1Affine::identity();
+        let p = G1Affine::random(&mut rng);
+        let q = G1Affine::random(&mut rng);
+        let reference = |accs: &[G1Affine], rhs: &[G1Affine]| -> Vec<G1Affine> {
+            accs.iter()
+                .zip(rhs)
+                .map(|(a, b)| (a.to_projective() + b.to_projective()).to_affine())
+                .collect()
+        };
+        // Chord, tangent, opposite, identity on either side and on both;
+        // then slices where no lane needs a slope (nothing to invert),
+        // and lengths 1 and 0 — all through one scratch.
+        let cases: Vec<(Vec<G1Affine>, Vec<G1Affine>)> = vec![
+            (vec![p, p, p, id, p, id, q], vec![q, p, -p, q, id, id, p]),
+            (vec![id, p, id, q], vec![p, id, id, -q]),
+            (vec![p], vec![q]),
+            (vec![p], vec![p]),
+            (vec![id], vec![id]),
+            (vec![], vec![]),
+            (vec![q, p, q, p, q, p, q, p, q], vec![p; 9]),
+        ];
+        let mut scratch = BatchAddScratch::default();
+        for (mut accs, rhs) in cases {
+            let expect = reference(&accs, &rhs);
+            G1Affine::batch_add_assign(&mut accs, &rhs, &mut scratch);
+            assert_eq!(accs, expect);
+            assert!(accs.iter().all(G1Affine::is_on_curve));
+        }
+        // P + P + P + … in place: every step after the first is a chord.
+        let mut acc = vec![p];
+        for m in 2..=5u64 {
+            G1Affine::batch_add_assign(&mut acc, &[p], &mut scratch);
+            let expect = mul_reference(&p.to_projective(), &Fr::from_u64(m));
+            assert_eq!(acc[0], expect.to_affine());
+        }
+    }
+
+    #[test]
+    fn batch_mul_matches_reference_on_both_paths() {
+        let mut rng = rng();
+        let reference = |points: &[G1Affine], scalars: &[Fr]| -> Vec<G1Projective> {
+            points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| mul_reference(&p.to_projective(), &scalars[i % scalars.len()]))
+                .collect()
+        };
+        let shared = Fr::random(&mut rng);
+        for n in [
+            0,
+            1,
+            2,
+            BATCH_MUL_LOCKSTEP_LANES - 1,
+            BATCH_MUL_LOCKSTEP_LANES,
+            BATCH_MUL_LOCKSTEP_LANES + 1,
+            20,
+        ] {
+            let mut points: Vec<G1Affine> = (0..n).map(|_| G1Affine::random(&mut rng)).collect();
+            if n > 2 {
+                // An identity lane and two lanes holding the same point.
+                points[0] = G1Affine::identity();
+                points[n - 1] = points[1];
+            }
+            let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            for scalars in [&scalars[..], &[shared]] {
+                let expect = reference(&points, scalars);
+                assert_eq!(G1Affine::batch_mul(&points, scalars), expect, "n = {n}");
+                assert_eq!(
+                    G1Affine::batch_mul_lockstep(&points, scalars),
+                    expect,
+                    "n = {n}"
+                );
+            }
+        }
+        // Edge scalars through the lockstep-built tables: both GLV sign
+        // combinations, zero, and halves with long NAFs.
+        let ks: Vec<Fr> = edge_scalars().into_iter().step_by(5).collect();
+        let points: Vec<G1Affine> = ks.iter().map(|_| G1Affine::random(&mut rng)).collect();
+        assert_eq!(
+            G1Affine::batch_mul_lockstep(&points, &ks),
+            reference(&points, &ks)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one scalar per point")]
+    fn batch_mul_rejects_a_ragged_scalar_slice() {
+        let g = G1Affine::generator();
+        G1Affine::batch_mul(&[g, g, g], &[Fr::one(), Fr::one()]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! (commitment randomness, claim points, public keys) and a requester's
 //! encryption key `h` (the `h^ρ` term of every ciphertext). Both bases
 //! repeat across thousands of proofs, so a windowed fixed-base table
-//! ([`FixedBaseTable`]) turns each multiplication into at most 63 mixed
-//! additions and no doublings.
+//! ([`FixedBaseTable`]) turns each multiplication into at most 52 mixed
+//! additions and no doublings — and a whole answer vector of them into
+//! 52 lockstep affine steps ([`FixedBaseTable::mul_lockstep`]).
 //!
 //! * [`generator_table`] — a process-wide table for `g`, built once.
 //! * [`ProofCache`] — a keyed cache of per-base tables (one per
@@ -26,23 +27,51 @@
 //! the table changes no serialized bytes — goldens are unaffected.
 
 use crate::field::Fr;
-use crate::g1::{G1Affine, G1Projective};
+use crate::g1::{BatchAddScratch, G1Affine, G1Projective};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Window width in bits. 4 divides the 64-bit limb evenly, keeps the
-/// table at 64 windows × 15 affine entries (67.5 KiB per base) and caps
-/// a multiplication at 63 additions.
-const WINDOW_BITS: usize = 4;
-/// Nibbles in a 256-bit scalar.
-const WINDOWS: usize = 256 / WINDOW_BITS;
-/// Nonzero digits per window.
-const ENTRIES: usize = (1 << WINDOW_BITS) - 1;
+/// Window width in bits: a scalar is recoded into signed width-5 digits
+/// (see [`signed_digits`]), so a window stores only the 16 positive
+/// multiples and a negative digit negates `y` on the way out.
+const WINDOW_BITS: usize = 5;
+/// Signed digits in a 256-bit integer: 51 full windows, and one for
+/// bit 255 plus the carry.
+const WINDOWS: usize = 256usize.div_ceil(WINDOW_BITS);
+/// The digit radix, `2^5`.
+const RADIX: i8 = 1 << WINDOW_BITS;
+/// Stored multiples per window: `1..=16`.
+const ENTRIES: usize = RADIX as usize / 2;
+
+/// Recodes a 256-bit integer as `Σ dᵢ·2^{5i}` with `dᵢ ∈ [-15, 16]`,
+/// least significant first: a raw window value above 16 becomes
+/// `value − 32` and carries one into the next window. The last window
+/// sees only bit 255 and a carry, so nothing carries out of it.
+fn signed_digits(k: &[u64; 4]) -> [i8; WINDOWS] {
+    let mut digits = [0i8; WINDOWS];
+    let mut carry = 0;
+    for (w, digit) in digits.iter_mut().enumerate() {
+        let (limb, shift) = (w * WINDOW_BITS / 64, w * WINDOW_BITS % 64);
+        let mut raw = k[limb] >> shift;
+        if shift + WINDOW_BITS > 64 && limb < 3 {
+            raw |= k[limb + 1] << (64 - shift);
+        }
+        let d = (raw & (RADIX as u64 - 1)) as i8 + carry;
+        (*digit, carry) = if d > RADIX / 2 {
+            (d - RADIX, 1)
+        } else {
+            (d, 0)
+        };
+    }
+    debug_assert_eq!(carry, 0);
+    digits
+}
 
 /// A windowed fixed-base multiplication table: for window `w` and digit
-/// `d ∈ [1, 15]`, entry `(d-1)·64 + w` holds `d · 2^{4w} · base` in
-/// affine coordinates, so every hit is a mixed addition.
+/// `d ∈ [1, 16]`, entry `(d-1)·52 + w` holds `d · 2^{5w} · base` in
+/// affine coordinates, so every hit is a mixed addition — 52 windows ×
+/// 16 entries of 72 B, 58.5 KiB per base.
 pub struct FixedBaseTable {
     entries: Vec<G1Affine>,
 }
@@ -50,11 +79,11 @@ pub struct FixedBaseTable {
 impl FixedBaseTable {
     /// Precomputes the table for one base point.
     ///
-    /// The window bases `2^{4w}·base` come from one doubling chain,
+    /// The window bases `2^{5w}·base` come from one doubling chain,
     /// normalised together; the digit multiples then grow by doubling
-    /// the table — `{1..m}` to `{1..2m}` as `m·B + {1..m}·B` across all
-    /// 64 windows at once — through [`G1Affine::batch_add`], four shared
-    /// inversions in all.
+    /// the digit set — `{1..m}` to `{1..2m}` as `m·B + {1..m}·B` across
+    /// all 52 windows at once, four times — through
+    /// [`G1Affine::batch_add_assign`], five shared inversions in all.
     pub fn new(base: &G1Affine) -> Self {
         Self::new_in(base, Vec::new())
     }
@@ -72,40 +101,68 @@ impl FixedBaseTable {
         entries.clear();
         entries.reserve_exact(ENTRIES * WINDOWS);
         entries.extend(G1Projective::batch_to_affine(&window_bases));
+        let mut scratch = BatchAddScratch::default();
+        let mut top = Vec::with_capacity(ENTRIES / 2 * WINDOWS);
         while entries.len() < ENTRIES * WINDOWS {
-            let digits = entries.len() / WINDOWS;
-            let grow = digits.min(ENTRIES - digits) * WINDOWS;
-            let top: Vec<G1Affine> = entries[(digits - 1) * WINDOWS..]
-                .iter()
-                .cycle()
-                .take(grow)
-                .copied()
-                .collect();
-            let sums = G1Affine::batch_add(&top, &entries[..grow]);
-            entries.extend(sums);
+            let have = entries.len();
+            top.clear();
+            top.extend(entries[have - WINDOWS..].iter().cycle().take(have));
+            entries.extend_from_within(..have);
+            G1Affine::batch_add_assign(&mut entries[have..], &top, &mut scratch);
         }
         Self { entries }
     }
 
-    /// Multiplies the table's base by `k`, skipping zero nibbles — small
-    /// scalars (claim points `g^m`, fold counters) cost one or two
-    /// additions.
+    /// `d · 2^{5w} · base` for a nonzero signed digit.
+    #[inline]
+    fn entry(&self, w: usize, d: i8) -> G1Affine {
+        let e = self.entries[(d.unsigned_abs() as usize - 1) * WINDOWS + w];
+        if d < 0 {
+            -e
+        } else {
+            e
+        }
+    }
+
+    /// Multiplies the table's base by `k`: one mixed addition per
+    /// nonzero signed digit, at most 52 and no doublings — small scalars
+    /// (claim points `g^m`, fold counters) cost one or two.
     pub fn mul(&self, k: &Fr) -> G1Projective {
-        let limbs = k.to_plain_limbs();
         let mut acc = G1Projective::identity();
-        for (li, limb) in limbs.iter().enumerate() {
-            let mut limb = *limb;
-            let mut w = li * (64 / WINDOW_BITS);
-            while limb != 0 {
-                let d = (limb & 0xf) as usize;
-                if d != 0 {
-                    acc = acc.add_affine(&self.entries[(d - 1) * WINDOWS + w]);
-                }
-                limb >>= WINDOW_BITS;
-                w += 1;
+        for (w, &d) in signed_digits(&k.to_plain_limbs()).iter().enumerate() {
+            if d != 0 {
+                acc = acc.add_affine(&self.entry(w, d));
             }
         }
         acc
+    }
+
+    /// `table.mul(k).to_affine()` for every lane `(table, k)`, walking
+    /// the 52 windows once for the whole vector: each step gathers every
+    /// lane's entry for that window and applies one
+    /// [`G1Affine::batch_add_assign`] — about 6 multiplications and a
+    /// `1/L` share of an inversion per lane-step (`6M + I/L`) where
+    /// [`Self::mul`] pays an 11M mixed addition, and the results come out
+    /// affine. The 52 inversions only pay off on a long vector; callers
+    /// choose by lane count (see `EncryptionKey::encrypt_batch`).
+    pub fn mul_lockstep(lanes: &[(&FixedBaseTable, Fr)]) -> Vec<G1Affine> {
+        let digits: Vec<[i8; WINDOWS]> = lanes
+            .iter()
+            .map(|(_, k)| signed_digits(&k.to_plain_limbs()))
+            .collect();
+        let mut accs = vec![G1Affine::identity(); lanes.len()];
+        let mut step = accs.clone();
+        let mut scratch = BatchAddScratch::default();
+        for w in 0..WINDOWS {
+            for ((entry, (table, _)), digits) in step.iter_mut().zip(lanes).zip(&digits) {
+                *entry = match digits[w] {
+                    0 => G1Affine::identity(),
+                    d => table.entry(w, d),
+                };
+            }
+            G1Affine::batch_add_assign(&mut accs, &step, &mut scratch);
+        }
+        accs
     }
 }
 
@@ -155,9 +212,9 @@ pub struct ProofCache {
 }
 
 impl ProofCache {
-    /// Default cap: bounds resident tables to ~34 MiB while comfortably
-    /// covering every test and golden scenario, so the hit/miss
-    /// counters those assert on are exact.
+    /// Default cap: bounds resident tables to ~29 MiB (512 × 58.5 KiB)
+    /// while comfortably covering every test and golden scenario, so
+    /// the hit/miss counters those assert on are exact.
     pub const DEFAULT_CAP: usize = 512;
 
     /// A cache with the default cap.
@@ -288,9 +345,113 @@ mod tests {
     #[test]
     fn table_entries_are_affine_and_identity_base_is_inert() {
         assert_eq!(std::mem::size_of::<G1Affine>(), 72);
+        assert_eq!((WINDOWS, ENTRIES), (52, 16));
         let table = FixedBaseTable::new(&G1Affine::identity());
-        assert_eq!(table.entries.len(), WINDOWS * ENTRIES);
+        assert_eq!(table.entries.len(), 832);
         assert!(table.mul(&-Fr::one()).is_identity());
+        let lanes = [(&table, -Fr::one()), (&table, Fr::zero())];
+        assert_eq!(
+            FixedBaseTable::mul_lockstep(&lanes),
+            vec![G1Affine::identity(); 2]
+        );
+    }
+
+    /// `Σ dᵢ·2^{5i}` modulo `2^256`, by Horner from the top digit.
+    fn digits_value(digits: &[i8; WINDOWS]) -> [u64; 4] {
+        use crate::arith::{add_4, sub_4};
+        let mut acc = [0u64; 4];
+        for &d in digits.iter().rev() {
+            for _ in 0..WINDOW_BITS {
+                acc = add_4(&acc, &acc).0;
+            }
+            let magnitude = [d.unsigned_abs() as u64, 0, 0, 0];
+            acc = if d < 0 {
+                sub_4(&acc, &magnitude).0
+            } else {
+                add_4(&acc, &magnitude).0
+            };
+        }
+        acc
+    }
+
+    #[test]
+    fn signed_digits_reconstruct() {
+        let mut rng = StdRng::seed_from_u64(0xd161);
+        let mut ks: Vec<[u64; 4]> = [0u64, 1, 16, 17, 31, 32, 33, 48, 49, 527, 528]
+            .iter()
+            .map(|&k| [k, 0, 0, 0])
+            .collect();
+        ks.push((-Fr::one()).to_plain_limbs());
+        // Unreduced inputs: every window raw 31 (a carry ripples through
+        // all 52), and a carry out of window 50 into the last one.
+        ks.push([u64::MAX; 4]);
+        ks.push([0, 0, 0, 31 << 58]);
+        ks.push([0, 0, 0, 17 << 58]);
+        // Digits that straddle a limb boundary (windows 12, 25, 38).
+        ks.push([0x1f << 60, 0x1, 0, 0]);
+        ks.push([0, 0x1b << 61, 0x3, 0]);
+        ks.extend((0..500).map(|_| Fr::random(&mut rng).to_plain_limbs()));
+        ks.extend((0..100).map(|_| [(); 4].map(|()| rand::Rng::gen::<u64>(&mut rng))));
+        for k in ks {
+            let digits = signed_digits(&k);
+            assert!(digits.iter().all(|d| (-15..=16).contains(d)), "k = {k:x?}");
+            assert_eq!(digits_value(&digits), k, "k = {k:x?}");
+        }
+        assert_eq!(signed_digits(&[16, 0, 0, 0])[..2], [16, 0]);
+        assert_eq!(signed_digits(&[17, 0, 0, 0])[..2], [-15, 1]);
+        assert_eq!(signed_digits(&[0, 0, 0, 31 << 58])[50..], [-1, 1]);
+        assert_eq!(signed_digits(&[0, 0, 0, 16 << 58])[50..], [16, 0]);
+        assert_eq!(signed_digits(&[u64::MAX; 4])[51], 2);
+        // A reduced scalar tops out at window 50.
+        assert_eq!(signed_digits(&(-Fr::one()).to_plain_limbs())[50..], [12, 0]);
+    }
+
+    #[test]
+    fn lockstep_matches_per_lane_multiplication() {
+        let mut rng = StdRng::seed_from_u64(0x10c5);
+        let base = random_base(&mut rng);
+        let table = FixedBaseTable::new(&base);
+        let g_table = generator_table();
+        let check = |lanes: &[(&FixedBaseTable, Fr)]| {
+            let expect: Vec<G1Affine> = lanes.iter().map(|(t, k)| t.mul(k).to_affine()).collect();
+            assert_eq!(FixedBaseTable::mul_lockstep(lanes), expect);
+            expect
+        };
+        assert!(check(&[]).is_empty());
+        // Distinct scalars over two tables, and a single lane.
+        let lanes: Vec<(&FixedBaseTable, Fr)> = (0..9)
+            .map(|i| {
+                (
+                    if i % 2 == 0 { g_table } else { &table },
+                    Fr::random(&mut rng),
+                )
+            })
+            .collect();
+        check(&lanes);
+        check(&lanes[..1]);
+        // One scalar on every lane, as `encrypt_batch` has it in pairs.
+        let k = Fr::random(&mut rng);
+        let sums = check(&[(g_table, k), (&table, k), (g_table, k)]);
+        assert_eq!(
+            sums[1],
+            mul_reference(&base.to_projective(), &k).to_affine()
+        );
+        // Zero (the lane stays at the identity throughout), single
+        // digits in every window, equal digits in adjacent windows
+        // (`d·2^{5w}·(1 + 2^5)`), the top window, and r − 1.
+        let mut ks = vec![Fr::zero(), Fr::one(), -Fr::one(), -Fr::from_u64(32)];
+        for d in [1u64, 15, 16, 17, 31] {
+            let mut k = Fr::from_u64(d);
+            for _ in 0..51 {
+                ks.push(k);
+                ks.push(k * Fr::from_u64(33));
+                k *= Fr::from_u64(32);
+            }
+        }
+        let lanes: Vec<(&FixedBaseTable, Fr)> = ks.iter().map(|k| (&table, *k)).collect();
+        for ((_, k), got) in lanes.iter().zip(check(&lanes)).step_by(11) {
+            assert_eq!(got, mul_reference(&base.to_projective(), k).to_affine());
+        }
     }
 
     #[test]

@@ -166,20 +166,23 @@ pub fn prove_claim_with_key<R: Rng + ?Sized>(
     )[0]
 }
 
-/// One proof per `(cts[i], claims[i])`: draws `x_i` in order, then
-/// normalises every `(A_i, B_i) = (c1_i^{x_i}, g^{x_i})` with a single
-/// field inversion before hashing the challenges.
-fn prove_claims_with_key<R: Rng + ?Sized>(
+/// One proof per `(cts[i], claims[i])` — [`prove_claim_with_key`] for a
+/// vector of already-computed claims (each must be the true decryption,
+/// or its proof will not verify): draws `x_i` in order, then normalises
+/// every `(A_i, B_i) = (c1_i^{x_i}, g^{x_i})` with a single field
+/// inversion before hashing the challenges.
+pub fn prove_claims_with_key<R: Rng + ?Sized>(
     kp: &KeyPair,
     cts: &[Ciphertext],
     claims: &[PlaintextClaim],
     rng: &mut R,
 ) -> Vec<DecryptionProof> {
     let xs: Vec<Fr> = cts.iter().map(|_| Fr::random(rng)).collect();
-    let commitments: Vec<G1Projective> = cts
-        .iter()
+    let c1s: Vec<G1Affine> = cts.iter().map(|ct| ct.c1).collect();
+    let commitments: Vec<G1Projective> = G1Affine::batch_mul(&c1s, &xs)
+        .into_iter()
         .zip(&xs)
-        .flat_map(|(ct, x)| [ct.c1 * *x, mul_generator(x)])
+        .flat_map(|(a, x)| [a, mul_generator(x)])
         .collect();
     G1Projective::batch_to_affine(&commitments)
         .chunks_exact(2)

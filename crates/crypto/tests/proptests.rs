@@ -5,8 +5,9 @@
 use dragoon_crypto::elgamal::{
     discrete_log_bsgs, discrete_log_in_range, Decrypted, KeyPair, PlaintextRange,
 };
-use dragoon_crypto::g1::{G1Affine, G1Projective};
+use dragoon_crypto::g1::{BatchAddScratch, G1Affine, G1Projective};
 use dragoon_crypto::keccak::keccak256;
+use dragoon_crypto::precomp::generator_table;
 use dragoon_crypto::vpke::{self, PlaintextClaim};
 use dragoon_crypto::{FixedBaseTable, Fq, Fr};
 use proptest::prelude::*;
@@ -75,6 +76,14 @@ proptest! {
             let inv = x.inverse().unwrap();
             prop_assert_eq!(x * inv, Fq::one());
             prop_assert_eq!(inv.inverse().unwrap(), x);
+            // Euclid against Fermat: x^(q-2), in both fields.
+            let mut q_minus_2 = Fq::MODULUS;
+            q_minus_2[0] -= 2;
+            prop_assert_eq!(inv, x.pow(&q_minus_2));
+            let k = fr(a);
+            let mut r_minus_2 = Fr::MODULUS;
+            r_minus_2[0] -= 2;
+            prop_assert_eq!(k.inverse().unwrap(), k.pow(&r_minus_2));
         }
         let sq = x.square();
         let root = sq.sqrt().expect("squares have roots");
@@ -200,7 +209,81 @@ proptest! {
             .zip(&rhs)
             .map(|(p, q)| (p.to_projective() + q.to_projective()).to_affine())
             .collect();
-        prop_assert_eq!(G1Affine::batch_add(&lhs, &rhs), expect);
+        prop_assert_eq!(G1Affine::batch_add(&lhs, &rhs), &expect[..]);
+        // In place, twice through one scratch: the second call adds the
+        // sums to themselves (all tangents and identities) on buffers
+        // the first call left behind.
+        let mut scratch = BatchAddScratch::default();
+        let mut accs = lhs.clone();
+        G1Affine::batch_add_assign(&mut accs, &rhs, &mut scratch);
+        prop_assert_eq!(&accs, &expect);
+        G1Affine::batch_add_assign(&mut accs, &expect, &mut scratch);
+        let doubled: Vec<G1Affine> = expect
+            .iter()
+            .map(|p| p.to_projective().double().to_affine())
+            .collect();
+        prop_assert_eq!(accs, doubled);
+    }
+
+    #[test]
+    fn g1_lockstep_table_mul_matches_double_and_add(
+        lanes in proptest::collection::vec((any::<bool>(), any::<u64>(), any::<u8>()), 0..12),
+        a in any::<u64>(),
+        shared in any::<bool>(),
+    ) {
+        let g = G1Projective::generator();
+        let base = double_and_add(&g, &fr(a));
+        let table = FixedBaseTable::new(&base.to_affine());
+        // Lanes pick a table and a shaped scalar; `shared` puts the
+        // first lane's scalar on all of them.
+        let lanes: Vec<(&FixedBaseTable, Fr)> = lanes
+            .iter()
+            .map(|&(on_g, seed, shape)| {
+                let (seed, shape) = if shared { (lanes[0].1, lanes[0].2) } else { (seed, shape) };
+                (if on_g { generator_table() } else { &table }, shaped_scalar(seed, shape))
+            })
+            .collect();
+        let got = FixedBaseTable::mul_lockstep(&lanes);
+        prop_assert_eq!(got.len(), lanes.len());
+        for ((t, k), got) in lanes.iter().zip(got) {
+            let on_g = std::ptr::eq(*t, generator_table());
+            let expect = double_and_add(if on_g { &g } else { &base }, k);
+            prop_assert_eq!(got, expect.to_affine());
+            prop_assert_eq!(got, t.mul(k).to_affine());
+        }
+    }
+
+    #[test]
+    fn g1_batch_mul_matches_double_and_add(
+        seeds in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u8>()), 0..12),
+        shared in any::<bool>(),
+    ) {
+        // Lengths 0..12 straddle the lane count where `batch_mul`
+        // switches to lockstep-built tables (8). Point seeds divisible
+        // by 5 are identities; seeds that agree modulo 7 share a point.
+        let g = G1Projective::generator();
+        let points: Vec<G1Affine> = seeds
+            .iter()
+            .map(|&(s, _, _)| {
+                if s.is_multiple_of(5) {
+                    G1Affine::identity()
+                } else {
+                    double_and_add(&g, &Fr::from_u64(s % 7 + 1)).to_affine()
+                }
+            })
+            .collect();
+        let scalars: Vec<Fr> = if shared {
+            vec![shaped_scalar(seeds.len() as u64, 4)]
+        } else {
+            seeds.iter().map(|&(_, seed, shape)| shaped_scalar(seed, shape)).collect()
+        };
+        let expect: Vec<G1Projective> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| double_and_add(&p.to_projective(), &scalars[i % scalars.len()]))
+            .collect();
+        prop_assert_eq!(G1Affine::batch_mul(&points, &scalars), &expect[..]);
+        prop_assert_eq!(G1Affine::batch_mul_lockstep(&points, &scalars), expect);
     }
 
     // ---------------- Keccak ----------------
@@ -346,5 +429,44 @@ proptest! {
         let last = items.len() - 1;
         items[last].1.z += Fr::one();
         prop_assert!(!vpke::batch_verify(&items, &mut rng));
+    }
+}
+
+/// The whole-vector paths against the per-item API and double-and-add at
+/// fixed sizes on both sides of the lane-count thresholds (`encrypt_batch`
+/// goes lockstep from 16 ciphertexts, `decrypt_batch` from 8), up to the
+/// paper's 106-question vector, with and without a table.
+#[test]
+fn answer_vector_batches_match_per_item_at_fixed_sizes() {
+    let mut rng = StdRng::seed_from_u64(0xa115);
+    let kp = KeyPair::generate(&mut rng);
+    let table = FixedBaseTable::new(&kp.ek.0);
+    let range = PlaintextRange::new(1, 3);
+    let g = G1Projective::generator();
+    let h = kp.ek.0.to_projective();
+    for n in [0usize, 1, 4, 7, 8, 9, 15, 16, 17, 31, 32, 106] {
+        let ms: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
+        let rhos: Vec<Fr> = ms.iter().map(|_| Fr::random(&mut rng)).collect();
+        let with_table = kp.ek.encrypt_batch(&ms, &rhos, Some(&table));
+        assert_eq!(kp.ek.encrypt_batch(&ms, &rhos, None), with_table, "n = {n}");
+        for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&with_table) {
+            assert_eq!(*ct, kp.ek.encrypt_with_table(m, rho, Some(&table)));
+            assert_eq!(*ct, kp.ek.encrypt_with(m, rho));
+            assert_eq!(ct.c1, double_and_add(&g, &rho).to_affine());
+            let c2 = double_and_add(&g, &Fr::from_u64(m)) + double_and_add(&h, &rho);
+            assert_eq!(ct.c2, c2.to_affine());
+        }
+        let decrypted = kp.dk.decrypt_batch(&with_table, &range);
+        assert_eq!(decrypted.len(), n);
+        for ((&m, ct), got) in ms.iter().zip(&with_table).zip(decrypted) {
+            assert_eq!(got, kp.dk.decrypt(ct, &range), "n = {n}");
+            let g_m = double_and_add(&g, &Fr::from_u64(m)).to_affine();
+            let expect = if range.contains(m) {
+                Decrypted::InRange(m)
+            } else {
+                Decrypted::OutOfRange(g_m)
+            };
+            assert_eq!(got, expect, "n = {n}");
+        }
     }
 }

@@ -210,8 +210,10 @@ impl Evaluator {
         if q >= self.theta {
             Verdict::Accept { quality: q, answer }
         } else {
+            // The gold positions are already decrypted: prove those
+            // plaintexts rather than decrypting them again.
             let (chi, proof) =
-                poqoea::prove_quality_with_key(&self.keypair, cts, &self.golden, &range, rng);
+                poqoea::prove_quality_of_answer(&self.keypair, cts, &answer, &self.golden, rng);
             debug_assert_eq!(chi, q);
             Verdict::RejectLowQuality {
                 quality: chi,
@@ -308,6 +310,46 @@ mod tests {
             }
             other => panic!("expected reject, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn low_quality_message_equals_the_one_task_prover_byte_for_byte() {
+        // The evaluator proves the plaintexts it already decrypted; the
+        // message — and the rng afterwards — must be what
+        // `prove_quality_with_key`, which decrypts the gold positions
+        // itself, produces from the same rng state.
+        let (mut rng, w, _, r) = setup();
+        let mut a = draw_answer(
+            &AnswerModel::Diligent { accuracy: 1.0 },
+            &w.truth,
+            &w.spec.range,
+            &mut rng,
+        );
+        // Three gold standards wrong, three right: mismatches are proven
+        // and matches are skipped in one proof.
+        for &i in &w.golden.indexes[..3] {
+            a.0[i] = 1 - a.0[i];
+        }
+        let cts = a.encrypt(&r.public_key(), &mut rng);
+        let worker = Address::from_byte(9);
+        let mut reference_rng = rng.clone();
+        let (chi, proof) = poqoea::prove_quality_with_key(
+            r.keypair(),
+            &cts,
+            r.golden(),
+            &r.range(),
+            &mut reference_rng,
+        );
+        assert_eq!((chi, proof.len()), (3, 3));
+        let expect = HitMessage::Evaluate { worker, chi, proof };
+        let Verdict::RejectLowQuality { quality, msg } =
+            r.evaluator().evaluate(worker, &cts, &mut rng)
+        else {
+            panic!("expected a low-quality rejection");
+        };
+        assert_eq!(quality, 3);
+        assert_eq!(msg.encode(), expect.encode());
+        assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 
     #[test]

@@ -59,13 +59,34 @@ fn full_econ_config(seed: u64) -> MarketConfig {
 /// 8-thread runs must produce byte-identical market and econ JSON.
 #[test]
 fn econ_market_identical_across_thread_counts() {
-    let base = MarketConfig {
+    let mut base = MarketConfig {
         exec_threads: 1,
         ..full_econ_config(0xec01)
     };
+    // `full_econ_config` opens at 1 200 against reservation wages of
+    // 0.6–1.4 × the 3 000 default budget, so every commit is declined
+    // and no HIT fills. Price this market inside the wage spread: some
+    // workers decline, the rest fill every HIT, and the comparison
+    // covers evaluation, cartel rejections and settlement.
+    base.econ.pricing = Some(PricingParams {
+        initial: 3_600,
+        min: 3_000,
+        max: 12_000,
+        ..PricingParams::default()
+    });
     let serial = run_market(base.clone());
-    assert!(serial.econ.is_some(), "econ layer must be live");
+    let econ = serial.econ.as_ref().expect("econ layer must be live");
     assert!(serial.hits_published > 0);
+    assert!(
+        econ.hits_filled > 0,
+        "no HIT filled: {}",
+        serial.econ_json()
+    );
+    assert!(
+        serial.hits_settled > 0,
+        "no HIT settled: {}",
+        serial.to_json()
+    );
     for threads in [2, 8] {
         let parallel = run_market(MarketConfig {
             exec_threads: threads,
