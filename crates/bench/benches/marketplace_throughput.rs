@@ -16,16 +16,11 @@
 
 use dragoon_bench::{fmt_duration, peak_rss_kb, time_once};
 use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
-use dragoon_crypto::precomp::ProofCache;
 use dragoon_crypto::vpke;
 use dragoon_net::{NetConfig, RelaySpec};
-use dragoon_sim::{
-    run_market, seed_from_env_or, MarketConfig, MarketReport, MarketSim, PersistConfig,
-    ProvingConfig,
-};
+use dragoon_sim::{run_market, seed_from_env_or, MarketConfig, MarketReport, PersistConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Emits one `JSON:` summary line for `bench` with the given members.
@@ -257,6 +252,33 @@ fn serial_vs_parallel(bench: &'static str, config: impl Fn(usize) -> MarketConfi
     (ab, threads)
 }
 
+/// The peak-memory members of a tier's `JSON:` line, gated. `VmHWM` is
+/// a process-lifetime mark, so the peak is reported — and asserted below
+/// `DRAGOON_MEM_CEILING_MB` — only when `DRAGOON_BENCH_ONLY` runs `tier`
+/// alone; after other tiers it would be their peak too, and the line
+/// says `"rss_scope":"process"`.
+fn peak_rss_members(tier: &str) -> String {
+    let ceiling_mb: u64 = std::env::var("DRAGOON_MEM_CEILING_MB")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24_576);
+    let peak_mb = peak_rss_kb() / 1024;
+    if std::env::var("DRAGOON_BENCH_ONLY").is_ok_and(|only| only == tier) {
+        println!("peak memory {peak_mb} MB (ceiling {ceiling_mb} MB)");
+        assert!(
+            peak_mb < ceiling_mb,
+            "{tier} peaked at {peak_mb} MB, over the {ceiling_mb} MB ceiling"
+        );
+        format!("\"peak_rss_mb\":{peak_mb},\"mem_ceiling_mb\":{ceiling_mb}")
+    } else {
+        println!(
+            "process high-water mark {peak_mb} MB includes the tiers run before this one \
+             (not gated; DRAGOON_BENCH_ONLY={tier} measures the tier alone)"
+        );
+        "\"rss_scope\":\"process\"".to_string()
+    }
+}
+
 /// **10k-HIT scale** — the headline scenario the journal unlocks: ten
 /// thousand concurrent HITs multiplexed over one chain. Emits the
 /// throughput JSON that seeds the perf trajectory.
@@ -296,19 +318,13 @@ fn market_scale_10k(seed: u64) {
 /// concurrent-lifecycle HITs, every one settled, under a peak-memory
 /// ceiling. The HIT count scales through `DRAGOON_SCALE_HITS` (CI
 /// smokes it at 20k; unset = the full million) and the ceiling through
-/// `DRAGOON_MEM_CEILING_MB`. Reports blocks/sec and tx/sec; `VmHWM` is
-/// a process-lifetime mark, so the peak is reported and gated only when
-/// `DRAGOON_BENCH_ONLY` runs this tier alone — after other tiers it
-/// would be their peak too, and the line says `"rss_scope":"process"`.
+/// `DRAGOON_MEM_CEILING_MB` (see [`peak_rss_members`]). Reports
+/// blocks/sec and tx/sec.
 fn market_scale_1m(seed: u64) {
     let hits: usize = std::env::var("DRAGOON_SCALE_HITS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
-    let ceiling_mb: u64 = std::env::var("DRAGOON_MEM_CEILING_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24_576);
     println!("\n== {hits}-HIT market scale (sharded registry) ==");
     let config = MarketConfig {
         hits,
@@ -331,7 +347,6 @@ fn market_scale_1m(seed: u64) {
     let txs: usize = report.block_stats.iter().map(|b| b.txs).sum();
     let blocks_per_sec = report.blocks as f64 / wall.as_secs_f64();
     let tx_per_sec = txs as f64 / wall.as_secs_f64();
-    let peak_mb = peak_rss_kb() / 1024;
     println!(
         "{} of {hits} HITs settled ({} cancelled) in {} blocks, {txs} txs, \
          {blocks_per_sec:.1} blocks/sec, {tx_per_sec:.0} tx/sec, wall {}",
@@ -340,21 +355,7 @@ fn market_scale_1m(seed: u64) {
         report.blocks,
         fmt_duration(wall),
     );
-    let alone = std::env::var("DRAGOON_BENCH_ONLY").is_ok_and(|only| only == "market_scale_1m");
-    let rss_json = if alone {
-        println!("peak memory {peak_mb} MB (ceiling {ceiling_mb} MB)");
-        assert!(
-            peak_mb < ceiling_mb,
-            "{hits}-HIT run peaked at {peak_mb} MB, over the {ceiling_mb} MB ceiling"
-        );
-        format!("\"peak_rss_mb\":{peak_mb},\"mem_ceiling_mb\":{ceiling_mb}")
-    } else {
-        println!(
-            "process high-water mark {peak_mb} MB includes the tiers run before this one \
-             (not gated; DRAGOON_BENCH_ONLY=market_scale_1m measures the tier alone)"
-        );
-        "\"rss_scope\":\"process\"".to_string()
-    };
+    let rss_json = peak_rss_members("market_scale_1m");
     // The persisted tiers. The snapshot cadence adapts to the measured
     // block count so both stores publish a handful of artifacts whatever
     // `DRAGOON_SCALE_HITS` is set to.
@@ -548,7 +549,9 @@ fn trace_overhead(seed: u64) {
 /// the chain, it never steers it, so the wall-clock delta prices exactly
 /// the replica replay + gossip bookkeeping. A lossy variant (seeded
 /// delays, loss, duplicates, a withhold-and-release relay) then reports
-/// blocks/sec with forks and reorgs in the mix.
+/// blocks/sec with forks and reorgs in the mix. Four full replicas with
+/// undo stacks make this the memory-heaviest small tier, so its peak is
+/// gated like the scale tier's ([`peak_rss_members`]).
 fn net_overhead(seed: u64) {
     let base = scale_config(1_000, seed);
     let with_net = |net: NetConfig| MarketConfig {
@@ -587,50 +590,12 @@ fn net_overhead(seed: u64) {
     let blocks_per_sec = lossy_report.blocks as f64 / lossy_wall.as_secs_f64();
     ab.report(&format!(
         "\"nodes\":4,\"lossy_ms\":{},\"lossy_blocks_per_sec\":{blocks_per_sec:.1},\
-         \"lossy_reorgs\":{},\"lossy_max_reorg_depth\":{},\"net\":{}",
+         \"lossy_reorgs\":{},\"lossy_max_reorg_depth\":{},{},\"net\":{}",
         lossy_wall.as_millis(),
         lossy_net.reorgs,
         lossy_net.max_reorg_depth,
+        peak_rss_members("net_overhead"),
         lossy_report.net_json(),
-    ));
-}
-
-/// **Cold vs prewarmed proof cache** — the same seeded 1 000-HIT market
-/// under the async proving service, run twice against one shared
-/// [`ProofCache`]: first with the cache empty (every requester key pays
-/// its fixed-base table build inside a proof job) and again with the
-/// cache already holding every table from the first run. Simulated-tick
-/// latency comes from modeled cost, never the wall clock, so cache
-/// warmth cannot perturb the chain and the wall-clock delta prices
-/// exactly the setup work the keyed cache amortizes away.
-fn cold_vs_prewarmed(seed: u64) {
-    let config = MarketConfig {
-        proving: ProvingConfig {
-            enabled: true,
-            ticks_per_kilocost: 0,
-        },
-        ..scale_config(1_000, seed)
-    };
-    // Sized above the requester population so admission never bypasses
-    // a key and the prewarmed run hits on every lookup.
-    let cache = Arc::new(ProofCache::with_capacity(2_048));
-    let run = || MarketSim::new_with_cache(config.clone(), Arc::clone(&cache)).run();
-    let ab = run_ab(
-        "cold_vs_prewarmed",
-        1,
-        Ratio::Speedup("speedup"),
-        ("cold", &mut || run()),
-        ("prewarmed", &mut || run()),
-    );
-    let warm = &ab.b.report.proving;
-    assert!(
-        warm.cache_hits > 0,
-        "prewarmed run must hit the proof cache"
-    );
-    let hit_rate = warm.cache_hits as f64 / (warm.cache_hits + warm.cache_misses) as f64;
-    ab.report(&format!(
-        "\"hit_rate\":{hit_rate:.3},\"proving\":{}",
-        warm.to_json()
     ));
 }
 
@@ -683,7 +648,7 @@ fn batch_speedup(seed: u64) {
 type Tier = (&'static str, fn(u64));
 
 /// Every tier, in full-run order.
-const TIERS: [Tier; 11] = [
+const TIERS: [Tier; 10] = [
     ("market_throughput", market_throughput),
     ("pipeline_speedup", pipeline_speedup),
     ("parallel_exec_speedup", parallel_exec_speedup),
@@ -691,7 +656,6 @@ const TIERS: [Tier; 11] = [
     ("econ_overhead", econ_overhead),
     ("trace_overhead", trace_overhead),
     ("net_overhead", net_overhead),
-    ("cold_vs_prewarmed", cold_vs_prewarmed),
     ("market_scale_10k", market_scale_10k),
     ("market_scale_1m", market_scale_1m),
     ("batch_speedup", batch_speedup),

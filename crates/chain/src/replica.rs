@@ -6,10 +6,19 @@
 //! it against local state. Because a replica may later learn that the
 //! block sat on a losing fork, every commit is *captured*: the undo log
 //! that [`crate::chain::Chain`]'s journal bracket normally discards at
-//! commit time is kept, stacked per block as a [`BlockUndo`], so the
-//! block can be unwound bit-exactly — deadline settlements, batched
-//! verdicts and escrow movements included — when fork choice switches
-//! branches.
+//! commit time is kept, so the block can be unwound bit-exactly —
+//! deadline settlements, batched verdicts and escrow movements included —
+//! when fork choice switches branches.
+//!
+//! Undo is **per block**, not per transaction. Transactions still run
+//! under their own journal brackets (a reverted one must roll back alone,
+//! before the next executes), but each committed bracket's capture is
+//! folded into the block's single [`BlockUndo`] as soon as it commits
+//! ([`CaptureStateMachine::absorb`]). That loses nothing:
+//! [`Chain::revert_last_block`] only ever unwinds whole blocks, and
+//! restoring the state a piece had *before the block first wrote it* is
+//! the same as unwinding every later write to it in turn — so a block
+//! that touches one instance five times keeps one record of it, not five.
 //!
 //! The split mirrors the production/validation separation: the sequencer
 //! keeps the optimistic parallel executor
@@ -30,8 +39,13 @@ use dragoon_ledger::{Journaled, LedgerCapture};
 /// `revert_capture(capture)` must restore the observable state exactly
 /// as `rollback_tx` would have at the commit point, and captures must be
 /// reverted in reverse commit order.
+///
+/// `absorb(&mut block, later)` folds the capture of a bracket committed
+/// *after* everything already in `block` into it: reverting the folded
+/// capture must equal reverting `later`, then `block`.
 pub trait CaptureStateMachine: StateMachine {
-    /// The captured undo log of one committed transaction.
+    /// A captured undo log: one committed bracket, or a fold of
+    /// consecutive ones.
     type Capture;
 
     /// Commits the open journal transaction, returning its undo log.
@@ -39,15 +53,18 @@ pub trait CaptureStateMachine: StateMachine {
 
     /// Unwinds a previously captured commit (newest first).
     fn revert_capture(&mut self, capture: Self::Capture);
+
+    /// Folds the capture of the next committed bracket into `block`.
+    fn absorb(block: &mut Self::Capture, later: Self::Capture);
 }
 
-/// Everything needed to unwind one externally applied block: the undo
-/// captures of its clock tick and every successful transaction, in
-/// application (FIFO) order.
+/// Everything needed to unwind one externally applied block: the folded
+/// undo captures of its clock tick and every successful transaction.
 pub struct BlockUndo<S: CaptureStateMachine> {
     round: u64,
     events_len: usize,
-    segments: Vec<(LedgerCapture, S::Capture)>,
+    ledger: LedgerCapture,
+    contract: S::Capture,
 }
 
 impl<S: CaptureStateMachine> BlockUndo<S> {
@@ -69,22 +86,22 @@ impl<S: CaptureStateMachine> Chain<S> {
     pub fn apply_block_captured(&mut self, txs: Vec<PendingTx<S::Msg>>) -> BlockUndo<S> {
         self.round += 1;
         let events_len = self.events.len();
-        let mut segments = Vec::with_capacity(txs.len() + 1);
         // The clock tick runs under its own captured bracket: phase
         // deadlines and batched settlement verdicts firing at this block
         // boundary are part of the block and must unwind with it.
         self.contract.begin_tx();
         self.ledger.begin_tx();
         self.clock_tick();
-        segments.push((
-            self.ledger.commit_tx_captured(),
-            self.contract.commit_tx_captured(),
-        ));
+        let mut ledger = self.ledger.commit_tx_captured();
+        let mut contract = self.contract.commit_tx_captured();
         let mut receipts = Vec::with_capacity(txs.len());
         for tx in txs {
-            let (receipt, segment) = self.execute_tx_captured(tx);
+            let (receipt, capture) = self.execute_tx_captured(tx);
             receipts.push(receipt);
-            segments.extend(segment);
+            if let Some((tx_ledger, tx_contract)) = capture {
+                ledger.absorb(tx_ledger);
+                S::absorb(&mut contract, tx_contract);
+            }
         }
         self.blocks.push(Block {
             round: self.round,
@@ -93,25 +110,24 @@ impl<S: CaptureStateMachine> Chain<S> {
         BlockUndo {
             round: self.round,
             events_len,
-            segments,
+            ledger,
+            contract,
         }
     }
 
     /// Unwinds the most recent block using its captured undo state:
-    /// segments revert in reverse application order, emitted events are
-    /// truncated, the round steps back and the block is popped (and
-    /// returned, so fork-choice bookkeeping can inspect it). Deeper
-    /// reorgs call this repeatedly, newest block first.
+    /// contract and ledger return to their pre-block state, emitted
+    /// events are truncated, the round steps back and the block is
+    /// popped (and returned, so fork-choice bookkeeping can inspect it).
+    /// Deeper reorgs call this repeatedly, newest block first.
     pub fn revert_last_block(&mut self, undo: BlockUndo<S>) -> Block {
         let block = self.blocks.pop().expect("a block to revert");
         assert_eq!(
             block.round, undo.round,
             "block undo must match the chain head"
         );
-        for (ledger_capture, contract_capture) in undo.segments.into_iter().rev() {
-            self.contract.revert_capture(contract_capture);
-            self.ledger.revert_capture(ledger_capture);
-        }
+        self.contract.revert_capture(undo.contract);
+        self.ledger.revert_capture(undo.ledger);
         self.events.truncate(undo.events_len);
         self.round -= 1;
         block
@@ -146,16 +162,16 @@ impl<S: CaptureStateMachine> Chain<S> {
             self.contract.on_message(&mut env, tx.sender, tx.msg)
         };
 
-        let (status, segment) = match result {
+        let (status, capture) = match result {
             Ok(()) => {
                 for e in events {
                     self.events.push((self.round, e));
                 }
-                let segment = (
+                let capture = (
                     self.ledger.commit_tx_captured(),
                     self.contract.commit_tx_captured(),
                 );
-                (TxStatus::Ok, Some(segment))
+                (TxStatus::Ok, Some(capture))
             }
             Err(e) => {
                 // Roll back all touched state; gas is still consumed.
@@ -175,7 +191,7 @@ impl<S: CaptureStateMachine> Chain<S> {
                 status,
                 gas_breakdown: meter.breakdown().to_vec(),
             },
-            segment,
+            capture,
         )
     }
 }

@@ -258,6 +258,16 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
+/// A shared value encodes as the value itself.
+impl<T: Persist> Persist for std::sync::Arc<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        T::put(self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        T::get(r).map(Self::new)
+    }
+}
+
 impl<T: Persist> Persist for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);

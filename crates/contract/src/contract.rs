@@ -36,6 +36,7 @@ use dragoon_crypto::{Fr, G1Projective};
 use dragoon_ledger::Address;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Runtime bytecode size of the task contract, used for deployment gas.
 /// Calibrated against the paper's "publish task ≈ 1 293k gas" row: a
@@ -327,7 +328,7 @@ enum PendingKind {
 pub(crate) struct PendingVerdict {
     worker: Address,
     kind: PendingKind,
-    pub(crate) items: Vec<(DecryptionStatement, DecryptionProof)>,
+    pub(crate) items: Arc<[(DecryptionStatement, DecryptionProof)]>,
 }
 
 /// Counters for the batched settlement path.
@@ -363,13 +364,16 @@ pub struct HitContract {
     phase: Phase,
     windows: PhaseWindows,
     requester: Option<Address>,
-    params: Option<PublishParams>,
-    workers: BTreeMap<Address, WorkerRecord>,
+    params: Option<Arc<PublishParams>>,
+    /// Records sit behind `Arc` so an undo snapshot (see
+    /// [`HitContract::touch`]) copies pointers; a handler takes its own
+    /// copy of the one record it writes through [`Arc::make_mut`].
+    workers: BTreeMap<Address, Arc<WorkerRecord>>,
     /// Commit order (the contract pays in this order at settlement).
     commit_order: Vec<Address>,
     /// All commitments seen, for the duplicate check.
     seen_commitments: Vec<Commitment>,
-    golden: Option<GoldenStandards>,
+    golden: Option<Arc<GoldenStandards>>,
     commit_deadline: Option<u64>,
     reveal_deadline: Option<u64>,
     evaluate_deadline: Option<u64>,
@@ -386,7 +390,9 @@ pub struct HitContract {
     /// taken at the first mutating touch of an open transaction. Guard
     /// failures (wrong phase, duplicate commit, `TaskFull` races, …)
     /// revert without ever paying for it, and an instance that is not
-    /// addressed by a transaction pays nothing at all.
+    /// addressed by a transaction pays nothing at all. The snapshot is a
+    /// plain clone, and a clone is shallow where it matters (see
+    /// [`HitContract::touch`]).
     journal: StateJournal<Box<HitContract>>,
 }
 
@@ -449,16 +455,25 @@ impl HitContract {
 
     /// Unwinds a previously captured commit by restoring the snapshot
     /// taken at that transaction's first touch.
-    pub(crate) fn revert_capture(&mut self, capture: Option<Box<HitContract>>) {
-        if let Some(snapshot) = capture {
-            *self = *snapshot;
-        }
+    pub(crate) fn revert_capture(&mut self, snapshot: Box<HitContract>) {
+        *self = *snapshot;
     }
 
     /// Journals a whole-instance snapshot before the first mutation of
     /// an open transaction (no-op outside a transaction or after the
     /// first touch). Every mutating handler calls this after its guard
     /// checks and before its first write.
+    ///
+    /// What the snapshot **shares** with the live instance (an `Arc`
+    /// clone each): every worker record — and through it the revealed
+    /// ciphertexts and item digests — the publish parameters, the opened
+    /// gold standards and each queued verdict's proof items. What it
+    /// **copies**: the struct itself (phase, deadlines, counters), the
+    /// worker map's node of pointers, the commit order, the seen
+    /// commitments, the verdict queue's spine and the receipts — a few
+    /// hundred bytes, independent of the task's question count. Replicas
+    /// keep one such snapshot per instance per block in their undo
+    /// stacks, which is why the split matters.
     fn touch(&mut self) {
         if self.journal.recording() && self.journal.is_empty() {
             let mut snapshot = Box::new(self.clone());
@@ -493,7 +508,7 @@ impl HitContract {
 
     /// The published parameters, if any.
     pub fn params(&self) -> Option<&PublishParams> {
-        self.params.as_ref()
+        self.params.as_deref()
     }
 
     /// The requester, once published.
@@ -503,7 +518,7 @@ impl HitContract {
 
     /// The opened gold standards, if the requester has revealed them.
     pub fn golden(&self) -> Option<&GoldenStandards> {
-        self.golden.as_ref()
+        self.golden.as_deref()
     }
 
     /// A worker's settlement outcome, if settled.
@@ -558,7 +573,7 @@ impl HitContract {
     }
 
     fn params_ref(&self) -> &PublishParams {
-        self.params.as_ref().expect("published")
+        self.params.as_deref().expect("published")
     }
 
     // ------------------------------------------------------------------
@@ -606,7 +621,7 @@ impl HitContract {
         env.emit(ev, 160);
         self.touch();
         self.requester = Some(sender);
-        self.params = Some(p);
+        self.params = Some(Arc::new(p));
         self.phase = Phase::Commit;
         self.commit_deadline = self.windows.commit_timeout.map(|w| env.round + w);
         Ok(())
@@ -642,13 +657,13 @@ impl HitContract {
         self.seen_commitments.push(commitment);
         self.workers.insert(
             sender,
-            WorkerRecord {
+            Arc::new(WorkerRecord {
                 commitment,
                 revealed: None,
                 item_digests: Vec::new(),
                 settlement: None,
                 pending: false,
-            },
+            }),
         );
         self.commit_order.push(sender);
         let count = self.commit_order.len();
@@ -702,7 +717,7 @@ impl HitContract {
         // against these digests), plus per-item hashing and loop/ABI
         // overhead.
         let mut digests = Vec::with_capacity(n);
-        for ct in &ciphertexts.0 {
+        for ct in ciphertexts.0.iter() {
             let d = keccak256(&ct.to_bytes());
             digests.push(d);
         }
@@ -713,7 +728,7 @@ impl HitContract {
         // Emit the ciphertexts as event-log data.
         env.emit(HitEvent::Revealed { worker: sender }, encoded.len());
         self.touch();
-        let record = self.workers.get_mut(&sender).expect("checked above");
+        let record = Arc::make_mut(self.workers.get_mut(&sender).expect("checked above"));
         record.revealed = Some(ciphertexts);
         record.item_digests = digests;
         Ok(())
@@ -752,7 +767,7 @@ impl HitContract {
         env.gas.charge("sstore", slots * env.schedule.sstore_set);
         env.emit(HitEvent::GoldenOpened, encoded.len());
         self.touch();
-        self.golden = Some(golden);
+        self.golden = Some(Arc::new(golden));
         Ok(())
     }
 
@@ -821,7 +836,7 @@ impl HitContract {
         };
         env.gas.charge("sstore", env.schedule.sstore_update);
         self.touch();
-        let record = self.workers.get_mut(&worker).expect("checked above");
+        let record = Arc::make_mut(self.workers.get_mut(&worker).expect("checked above"));
         if self.defer_verification && !claimed_in_range {
             record.pending = true;
             // Pre-charge the verdict event's log gas (both outcomes emit
@@ -831,7 +846,7 @@ impl HitContract {
             self.pending_verdicts.push(PendingVerdict {
                 worker,
                 kind: PendingKind::OutRange { index },
-                items: vec![(stmt, proof)],
+                items: [(stmt, proof)].into(),
             });
         } else if claimed_in_range || !vpke::verify(&stmt, &proof) {
             // The challenge backfires — in-range claim or invalid proof:
@@ -909,7 +924,7 @@ impl HitContract {
             _ if chi >= theta => true,
             Err(_) => true,
             Ok(items) if self.defer_verification => {
-                let record = self.workers.get_mut(&worker).expect("checked above");
+                let record = Arc::make_mut(self.workers.get_mut(&worker).expect("checked above"));
                 record.pending = true;
                 // Pre-charge the verdict event's log gas (outcome-
                 // independent: both outcomes emit a 64-byte event).
@@ -917,7 +932,7 @@ impl HitContract {
                 self.pending_verdicts.push(PendingVerdict {
                     worker,
                     kind: PendingKind::LowQuality { chi },
-                    items: items.clone(),
+                    items: items.as_slice().into(),
                 });
                 return Ok(());
             }
@@ -925,7 +940,7 @@ impl HitContract {
                 .iter()
                 .all(|(stmt, dproof)| vpke::verify(stmt, dproof)),
         };
-        let record = self.workers.get_mut(&worker).expect("checked above");
+        let record = Arc::make_mut(self.workers.get_mut(&worker).expect("checked above"));
         if pay_now {
             env.ledger
                 .pay(env.contract, worker, reward)
@@ -1063,10 +1078,11 @@ impl HitContract {
             let n = verdict.items.len();
             let all_valid = results[offset..offset + n].iter().all(|&ok| ok);
             offset += n;
-            let record = self
-                .workers
-                .get_mut(&verdict.worker)
-                .expect("pending verdict for committed worker");
+            let record = Arc::make_mut(
+                self.workers
+                    .get_mut(&verdict.worker)
+                    .expect("pending verdict for committed worker"),
+            );
             record.pending = false;
             if record.settlement.is_some() {
                 continue;
@@ -1119,7 +1135,7 @@ impl HitContract {
         // default path below implements (no rejection can exist without
         // the golden opening, because evaluate requires it).
         for addr in self.commit_order.clone() {
-            let record = self.workers.get_mut(&addr).expect("committed");
+            let record = Arc::make_mut(self.workers.get_mut(&addr).expect("committed"));
             if record.settlement.is_some() {
                 continue;
             }
@@ -1321,7 +1337,7 @@ impl Persist for PendingVerdict {
         self.worker.put(out);
         self.kind.put(out);
         self.items.len().put(out);
-        for (statement, proof) in &self.items {
+        for (statement, proof) in self.items.iter() {
             put_statement(statement, out);
             put_dproof(proof, out);
         }
@@ -1330,7 +1346,7 @@ impl Persist for PendingVerdict {
         Ok(Self {
             worker: Address::get(r)?,
             kind: PendingKind::get(r)?,
-            items: get_seq(r, |r| Ok((get_statement(r)?, get_dproof(r)?)))?,
+            items: get_seq(r, |r| Ok((get_statement(r)?, get_dproof(r)?)))?.into(),
         })
     }
 }
@@ -1377,14 +1393,14 @@ impl Persist for HitContract {
             windows: PhaseWindows::get(r)?,
             requester: Option::get(r)?,
             params: Option::get(r)?,
-            workers: get_seq(r, |r| Ok((Address::get(r)?, WorkerRecord::get(r)?)))?
+            workers: get_seq(r, |r| Ok((Address::get(r)?, Arc::get(r)?)))?
                 .into_iter()
                 .collect(),
             commit_order: Vec::get(r)?,
             seen_commitments: get_seq(r, get_commitment)?,
             golden: match u8::get(r)? {
                 0 => None,
-                1 => Some(get_golden(r)?),
+                1 => Some(Arc::new(get_golden(r)?)),
                 t => {
                     return Err(StoreError::Corrupt(format!("bad golden tag {t}")));
                 }
@@ -2039,5 +2055,55 @@ mod tests {
             (150_000..500_000).contains(&reveal_gas),
             "reveal gas = {reveal_gas}"
         );
+    }
+
+    /// An undo snapshot copies pointers: every worker record the
+    /// transaction leaves alone is the live map's own allocation, the one
+    /// record it writes is copied on write — and even that copy still
+    /// points at the ciphertexts the worker encrypted.
+    #[test]
+    fn journal_snapshot_shares_records_and_ciphertexts() {
+        let mut s = setup();
+        publish(&mut s);
+        let cts = submit_all(&mut s, &vec![good_answer(); 4]);
+        enter_evaluate(&mut s);
+        let (round, addr) = (s.chain.round(), s.chain.contract_address());
+        let mut ledger = s.chain.ledger.clone();
+        let schedule = GasSchedule::istanbul();
+        let contract = s.chain.contract_mut();
+        let mut captured = |contract: &mut HitContract, msg| {
+            let mut meter = dragoon_chain::GasMeter::new();
+            let mut events = Vec::new();
+            let mut env =
+                ExecEnv::new(&mut ledger, &mut meter, &schedule, round, addr, &mut events);
+            contract.begin_tx();
+            contract.on_message(&mut env, s.requester, msg).unwrap();
+            contract.commit_tx_captured().expect("the handler wrote")
+        };
+        // The golden opening writes no worker record.
+        let golden = HitMessage::Golden {
+            golden: s.golden.clone(),
+            key: s.gs_key,
+        };
+        let snapshot = captured(contract, golden);
+        for (w, enc) in s.workers.iter().zip(&cts) {
+            assert!(Arc::ptr_eq(&snapshot.workers[w], &contract.workers[w]));
+            assert!(Arc::ptr_eq(&snapshot.revealed(w).unwrap().0, &enc.0));
+        }
+        // A backfired rejection settles worker 0: one record is copied.
+        let evaluate = HitMessage::Evaluate {
+            worker: s.workers[0],
+            chi: 0,
+            proof: QualityProof::default(),
+        };
+        let snapshot = captured(contract, evaluate);
+        for (i, (w, enc)) in s.workers.iter().zip(&cts).enumerate() {
+            let shared = Arc::ptr_eq(&snapshot.workers[w], &contract.workers[w]);
+            assert_eq!(shared, i != 0, "worker {i}");
+            assert!(Arc::ptr_eq(&contract.revealed(w).unwrap().0, &enc.0));
+            assert!(Arc::ptr_eq(&snapshot.revealed(w).unwrap().0, &enc.0));
+        }
+        assert_eq!(snapshot.settlement(&s.workers[0]), None);
+        assert_eq!(contract.settlement(&s.workers[0]), Some(&Settlement::Paid));
     }
 }

@@ -73,13 +73,13 @@ pub(crate) fn get_commitment_key(r: &mut Reader<'_>) -> Result<CommitmentKey, St
 
 pub(crate) fn put_answer(a: &EncryptedAnswer, out: &mut Vec<u8>) {
     a.0.len().put(out);
-    for ct in &a.0 {
+    for ct in a.0.iter() {
         put_ciphertext(ct, out);
     }
 }
 
 pub(crate) fn get_answer(r: &mut Reader<'_>) -> Result<EncryptedAnswer, StoreError> {
-    Ok(EncryptedAnswer(get_seq(r, get_ciphertext)?))
+    Ok(EncryptedAnswer(get_seq(r, get_ciphertext)?.into()))
 }
 
 pub(crate) fn put_golden(g: &GoldenStandards, out: &mut Vec<u8>) {

@@ -488,81 +488,106 @@ impl Journaled for HitRegistry {
     }
 }
 
-/// The captured undo log of one *committed* registry transaction (or
-/// instrumented clock tick): everything needed to unwind the commit
-/// later. This is what `dragoon-net` replicas stack per applied block so
-/// a losing fork can be reorged away — the plain [`Journaled`] bracket
-/// only supports rollback-before-commit.
+/// The captured undo log of *committed* registry brackets — one
+/// transaction or instrumented clock tick, or a whole block of them
+/// folded together with [`RegistryCapture::absorb`]: everything needed
+/// to unwind the commits later. This is what `dragoon-net` replicas
+/// stack per applied block so a losing fork can be reorged away — the
+/// plain [`Journaled`] bracket only supports rollback-before-commit.
+///
+/// The three parts undo separate pieces of registry state, with one
+/// overlap — the live set, which both a sweep and a creation write — so
+/// a revert re-inserts swept instances *before* it removes created
+/// ones: an instance can only have been swept after it was created.
 #[derive(Debug, Default)]
-pub struct RegistryCapture(Vec<CaptureEntry>);
-
-impl RegistryCapture {
-    /// `true` when the committed transaction touched nothing.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
+pub struct RegistryCapture {
+    /// Every instance the capture wrote, with what undoes the writes:
+    /// `None` — the instance was created here (and its escrow funded),
+    /// undo removes it and rewinds the id counter; `Some` — its state
+    /// before the capture's first write to it.
+    instances: BTreeMap<HitId, Option<Box<HitContract>>>,
+    /// Instances that left the live set (settled at a captured clock
+    /// tick); undo re-inserts them.
+    swept: Vec<HitId>,
+    /// The cross-instance batch counters before the capture's first
+    /// batched-settlement dispatch.
+    stats: Option<BatchStats>,
 }
 
-/// One captured undo entry. Mirrors [`RegistryUndo`], with `Opened`
-/// carrying the touched instance's own captured snapshot.
-#[derive(Debug)]
-enum CaptureEntry {
-    Created(HitId),
-    Opened(HitId, Option<Box<HitContract>>),
-    Settled(HitId),
-    Stats(BatchStats),
+impl RegistryCapture {
+    /// `true` when the committed brackets touched nothing.
+    pub fn is_empty(&self) -> bool {
+        self.instances.is_empty() && self.swept.is_empty() && self.stats.is_none()
+    }
+
+    /// Folds the capture of the next committed bracket into this one.
+    /// An instance this capture already covers — by an earlier snapshot,
+    /// or because it was created here — keeps that record and `later`'s
+    /// snapshot of it is dropped: restoring the earliest state (or
+    /// removing the instance) makes every intermediate one moot.
+    pub fn absorb(&mut self, later: RegistryCapture) {
+        for (id, undo) in later.instances {
+            self.instances.entry(id).or_insert(undo);
+        }
+        self.swept.extend(later.swept);
+        self.stats = self.stats.or(later.stats);
+    }
 }
 
 impl HitRegistry {
     /// Commits the open transaction like [`Journaled::commit_tx`], but
-    /// returns the undo log — with each opened instance's captured
-    /// snapshot folded in — so the commit can be unwound later with
-    /// [`HitRegistry::revert_capture`].
+    /// returns the undo log — each opened instance that actually
+    /// mutated contributing its own captured snapshot — so the commit
+    /// can be unwound later with [`HitRegistry::revert_capture`].
     pub fn commit_tx_captured(&mut self) -> RegistryCapture {
-        let undos = self.journal.drain_commit();
-        let mut entries = Vec::with_capacity(undos.len());
-        for undo in undos {
-            entries.push(match undo {
-                RegistryUndo::Created(id) => CaptureEntry::Created(id),
-                RegistryUndo::Opened(id) => CaptureEntry::Opened(
-                    id,
-                    self.hits
+        let mut capture = RegistryCapture::default();
+        for undo in self.journal.drain_commit() {
+            match undo {
+                RegistryUndo::Created(id) => {
+                    capture.instances.insert(id, None);
+                }
+                RegistryUndo::Opened(id) => {
+                    let snapshot = self
+                        .hits
                         .inst_mut(id)
                         .expect("opened instance exists")
                         .hit
-                        .commit_tx_captured(),
-                ),
-                RegistryUndo::Settled(id) => CaptureEntry::Settled(id),
-                RegistryUndo::Stats(prior) => CaptureEntry::Stats(prior),
-            });
+                        .commit_tx_captured();
+                    if let Some(snapshot) = snapshot {
+                        capture.instances.entry(id).or_insert(Some(snapshot));
+                    }
+                }
+                RegistryUndo::Settled(id) => capture.swept.push(id),
+                RegistryUndo::Stats(prior) => {
+                    capture.stats.get_or_insert(prior);
+                }
+            }
         }
-        RegistryCapture(entries)
+        capture
     }
 
-    /// Unwinds a previously captured commit (see
+    /// Unwinds previously captured commits (see
     /// [`HitRegistry::commit_tx_captured`]). Captures must be reverted
-    /// in reverse commit order (newest first); entries replay LIFO.
+    /// in reverse commit order (newest first).
     pub fn revert_capture(&mut self, capture: RegistryCapture) {
-        for entry in capture.0.into_iter().rev() {
-            match entry {
-                CaptureEntry::Created(id) => {
+        self.live.extend(capture.swept);
+        for (id, undo) in capture.instances {
+            match undo {
+                None => {
                     self.hits.remove(id);
                     self.live.remove(&id);
                     self.next_id -= 1;
                 }
-                CaptureEntry::Opened(id, snapshot) => self
+                Some(snapshot) => self
                     .hits
                     .inst_mut(id)
                     .expect("captured instance exists")
                     .hit
                     .revert_capture(snapshot),
-                CaptureEntry::Settled(id) => {
-                    self.live.insert(id);
-                }
-                CaptureEntry::Stats(prior) => {
-                    self.batch_stats = prior;
-                }
             }
+        }
+        if let Some(prior) = capture.stats {
+            self.batch_stats = prior;
         }
     }
 }
@@ -994,6 +1019,10 @@ impl CaptureStateMachine for HitRegistry {
 
     fn revert_capture(&mut self, capture: RegistryCapture) {
         HitRegistry::revert_capture(self, capture)
+    }
+
+    fn absorb(block: &mut RegistryCapture, later: RegistryCapture) {
+        block.absorb(later);
     }
 }
 

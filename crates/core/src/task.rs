@@ -12,6 +12,7 @@ use dragoon_crypto::Fr;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One multiple-choice question (the off-chain content; only its digest
 /// ever reaches the chain).
@@ -250,19 +251,24 @@ impl Answer {
     ) -> EncryptedAnswer {
         let table = cache.map(|c| c.table_for(&ek.0));
         let rhos: Vec<Fr> = self.0.iter().map(|_| Fr::random(rng)).collect();
-        EncryptedAnswer(ek.encrypt_batch(&self.0, &rhos, table.as_deref()))
+        EncryptedAnswer(ek.encrypt_batch(&self.0, &rhos, table.as_deref()).into())
     }
 
     /// Deterministic encryption with caller-supplied randomness (one
     /// scalar per question) — used by tests and the simulator.
     pub fn encrypt_with(&self, ek: &EncryptionKey, rhos: &[Fr]) -> EncryptedAnswer {
-        EncryptedAnswer(ek.encrypt_batch(&self.0, rhos, None))
+        EncryptedAnswer(ek.encrypt_batch(&self.0, rhos, None).into())
     }
 }
 
 /// A worker's encrypted answer vector `c_j`.
+///
+/// The vector is immutable once built and lives in one shared
+/// allocation: a clone (into a reveal message, a mempool, a gossiped
+/// block, every replica's worker record, an undo snapshot) copies the
+/// pointer, never the ciphertexts. Equality is by value.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EncryptedAnswer(pub Vec<Ciphertext>);
+pub struct EncryptedAnswer(pub Arc<[Ciphertext]>);
 
 impl EncryptedAnswer {
     /// Number of ciphertexts.
@@ -279,7 +285,7 @@ impl EncryptedAnswer {
     /// hashing): the concatenation of the 128-byte ciphertext encodings.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.0.len() * 128);
-        for ct in &self.0 {
+        for ct in self.0.iter() {
             out.extend_from_slice(&ct.to_bytes());
         }
         out
@@ -295,7 +301,7 @@ impl EncryptedAnswer {
             let arr: [u8; 128] = chunk.try_into().ok()?;
             cts.push(Ciphertext::from_bytes(&arr)?);
         }
-        Some(Self(cts))
+        Some(Self(cts.into()))
     }
 }
 
@@ -436,7 +442,7 @@ mod tests {
         }
         let rhos: Vec<Fr> = answer.0.iter().map(|_| Fr::random(&mut rng)).collect();
         let with = answer.encrypt_with(&kp.ek, &rhos);
-        for ((&m, &rho), ct) in answer.0.iter().zip(&rhos).zip(&with.0) {
+        for ((&m, &rho), ct) in answer.0.iter().zip(&rhos).zip(with.0.iter()) {
             assert_eq!(*ct, kp.ek.encrypt_with(m, rho));
         }
     }

@@ -13,8 +13,11 @@
 //! * [`generator_table`] — a process-wide table for `g`, built once.
 //! * [`ProofCache`] — a keyed cache of per-base tables (one per
 //!   requester encryption key), shared by the proving service's worker
-//!   pool. Hit/miss counters feed `ProvingStats`; the cap bounds memory
-//!   by evicting the oldest-inserted table. A lookup claims its slot
+//!   pool. Hit/miss counters feed `ProvingStats`. A table lives as long
+//!   as its task: the owner calls [`ProofCache::retire`] when the task
+//!   settles, so the resident set is the live tasks' keys; the cap is
+//!   the backstop for keys nobody retires, evicting the oldest-inserted
+//!   table. A lookup claims its slot
 //!   under the lock — so a miss is counted exactly once per distinct
 //!   key regardless of thread interleaving and the statistics stay
 //!   deterministic across `DRAGOON_THREADS` values — and builds the
@@ -202,8 +205,7 @@ struct Slots {
 
 /// A keyed cache of fixed-base tables, one per base point (in the
 /// marketplace: one per requester encryption key). Shared across the
-/// proving service's worker threads; cold (first-use) table builds are
-/// the "setup" cost the cold-vs-prewarmed bench measures.
+/// proving service's worker threads.
 pub struct ProofCache {
     slots: Mutex<Slots>,
     hits: AtomicU64,
@@ -212,9 +214,11 @@ pub struct ProofCache {
 }
 
 impl ProofCache {
-    /// Default cap: bounds resident tables to ~29 MiB (512 × 58.5 KiB)
-    /// while comfortably covering every test and golden scenario, so
-    /// the hit/miss counters those assert on are exact.
+    /// Default cap: the backstop for keys that are never retired (a
+    /// task that never finishes), bounding resident tables to ~29 MiB
+    /// (512 × 58.5 KiB). A market retires each key when its task
+    /// settles, so it stays far below the cap and its hit/miss counters
+    /// are exact.
     pub const DEFAULT_CAP: usize = 512;
 
     /// A cache with the default cap.
@@ -277,6 +281,23 @@ impl ProofCache {
         Arc::clone(slot.get_or_init(|| Arc::new(FixedBaseTable::new_in(base, recycled))))
     }
 
+    /// Drops the table for `base`, if resident: its owner will not ask
+    /// for it again (the task that used the key has settled). A caller
+    /// still holding the table keeps it alive; a later lookup of the key
+    /// is a fresh miss. Unknown keys are ignored.
+    pub fn retire(&self, base: &G1Affine) {
+        let key = base.to_bytes();
+        let mut slots = self.slots.lock().expect("proof cache poisoned");
+        if slots.by_key.remove(&key).is_some() {
+            // Tasks settle roughly in publication order, so the key sits
+            // near the front.
+            let at = slots.oldest_first.iter().position(|k| *k == key);
+            slots
+                .oldest_first
+                .remove(at.expect("resident keys are queued"));
+        }
+    }
+
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -305,6 +326,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Barrier;
+
+    fn stats(hits: u64, misses: u64, entries: usize) -> CacheStats {
+        CacheStats {
+            hits,
+            misses,
+            entries,
+        }
+    }
 
     fn random_base(rng: &mut StdRng) -> G1Affine {
         (G1Projective::generator() * Fr::random(rng)).to_affine()
@@ -494,6 +523,55 @@ mod tests {
         // an unshared allocation is recycled into the newcomer.
         cache.table_for(&bases[1]);
         assert_eq!(t2.mul(&k), mul_reference(&bases[2].to_projective(), &k));
+    }
+
+    #[test]
+    fn retire_drops_the_table_and_a_later_lookup_rebuilds_it() {
+        let mut rng = StdRng::seed_from_u64(0x4e71);
+        let cache = ProofCache::new();
+        let bases: Vec<G1Affine> = (0..2).map(|_| random_base(&mut rng)).collect();
+        let k = Fr::random(&mut rng);
+        // An unknown key is a no-op, on an empty and on a populated cache.
+        cache.retire(&bases[0]);
+        let held = cache.table_for(&bases[0]);
+        cache.retire(&bases[1]);
+        assert_eq!(cache.stats(), stats(0, 1, 1));
+        cache.retire(&bases[0]);
+        assert_eq!(cache.stats(), stats(0, 1, 0));
+        // A table still held by a caller survives its retirement.
+        assert_eq!(held.mul(&k), mul_reference(&bases[0].to_projective(), &k));
+        // The key comes back as exactly one miss and a correct rebuild.
+        let rebuilt = cache.table_for(&bases[0]);
+        assert!(!Arc::ptr_eq(&held, &rebuilt));
+        assert_eq!(
+            rebuilt.mul(&k),
+            mul_reference(&bases[0].to_projective(), &k)
+        );
+        cache.table_for(&bases[0]);
+        assert_eq!(cache.stats(), stats(1, 2, 1));
+    }
+
+    #[test]
+    fn retire_in_the_middle_keeps_eviction_order() {
+        let mut rng = StdRng::seed_from_u64(0x4e72);
+        let cache = ProofCache::with_capacity(3);
+        let bases: Vec<G1Affine> = (0..5).map(|_| random_base(&mut rng)).collect();
+        for base in &bases[..3] {
+            cache.table_for(base);
+        }
+        cache.retire(&bases[1]);
+        // Room for one more without evicting; the next admission evicts
+        // the oldest survivor (0), not the slot the retired key left.
+        cache.table_for(&bases[3]);
+        assert_eq!(cache.stats(), stats(0, 4, 3));
+        cache.table_for(&bases[4]);
+        assert_eq!(cache.stats(), stats(0, 5, 3));
+        for resident in [2, 3, 4] {
+            cache.table_for(&bases[resident]);
+        }
+        assert_eq!(cache.stats(), stats(3, 5, 3));
+        cache.table_for(&bases[0]);
+        assert_eq!(cache.stats(), stats(3, 6, 3));
     }
 
     #[test]

@@ -183,16 +183,22 @@ impl Journaled for Ledger {
     }
 }
 
-/// The captured undo log of one *committed* ledger transaction: enough
-/// to unwind the commit later (block reorgs in `dragoon-net`), where the
+/// The captured undo log of *committed* ledger transactions: enough to
+/// unwind the commits later (block reorgs in `dragoon-net`), where the
 /// plain [`Journaled`] bracket only supports rollback-before-commit.
 #[derive(Debug, Default)]
 pub struct LedgerCapture(Vec<LedgerUndo>);
 
 impl LedgerCapture {
-    /// `true` when the committed transaction touched nothing.
+    /// `true` when the committed transactions touched nothing.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
+    }
+
+    /// Appends the capture of the next committed transaction, so one
+    /// [`Ledger::revert_capture`] unwinds both — `later` first.
+    pub fn absorb(&mut self, later: LedgerCapture) {
+        self.0.extend(later.0);
     }
 }
 
@@ -761,6 +767,23 @@ mod tests {
         l.revert_capture(first);
         assert_eq!(l, baseline, "captured reverts restore the baseline");
         assert_ne!(l, committed);
+    }
+
+    #[test]
+    fn absorbed_captures_revert_as_one() {
+        let mut l = Ledger::new();
+        l.mint(addr(1), 100);
+        let baseline = l.clone();
+        l.begin_tx();
+        l.freeze(addr(9), addr(1), 60).unwrap();
+        let mut block = l.commit_tx_captured();
+        // The second transaction rewrites an account the first one wrote.
+        l.begin_tx();
+        l.pay(addr(9), addr(2), 25).unwrap();
+        l.transfer(addr(2), addr(3), 5).unwrap();
+        block.absorb(l.commit_tx_captured());
+        l.revert_capture(block);
+        assert_eq!(l, baseline, "one revert unwinds both transactions");
     }
 
     #[test]

@@ -2,15 +2,22 @@
 //! fork choice, and a gossip mempool.
 //!
 //! A node applies blocks through the chain's **captured** path
-//! ([`dragoon_chain::replica`]): every applied block leaves a
-//! [`BlockUndo`] on a stack parallel to the applied branch, so switching
-//! to a heavier branch is pop-revert / re-apply — bit-exact, touched
-//! state only, deadline settlements included.
+//! ([`dragoon_chain::replica`]): every applied block leaves one
+//! [`BlockUndo`] — the block's writes folded into a single record — on a
+//! stack parallel to the applied branch, so switching to a heavier
+//! branch is pop-revert / re-apply — bit-exact, touched state only,
+//! deadline settlements included.
+//!
+//! The block tree holds `Arc<NetBlock>`: a node's entry for a block is
+//! the allocation its producer made, whichever message delivered it. A
+//! node owns only what is its own — its replica state, its undo stack
+//! and its mempool of not-yet-applied transactions.
 
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::replica::{BlockUndo, CaptureStateMachine};
 use dragoon_chain::Chain;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// A block identity: a content hash over height, proposer, parent and
 /// the transaction list — equal on every node that knows the block.
@@ -21,8 +28,10 @@ pub type BlockId = u64;
 pub const GENESIS: BlockId = 0;
 
 /// A gossiped block: enough to replay it (full transactions) and to
-/// place it in the tree.
-#[derive(Clone, Debug)]
+/// place it in the tree. Immutable once built, so the network handles it
+/// as `Arc<NetBlock>`: every message carrying it and every node's tree
+/// entry for it point at the allocation its producer made.
+#[derive(Debug)]
 pub struct NetBlock<M> {
     /// Content hash (see [`block_id`]).
     pub id: BlockId,
@@ -65,8 +74,9 @@ pub(crate) struct Node<S: CaptureStateMachine> {
     /// The local chain replica (public to the crate so the simulation
     /// and tests can audit final state).
     pub(crate) chain: Chain<S>,
-    /// Every block this node knows, by id.
-    blocks: BTreeMap<BlockId, NetBlock<S::Msg>>,
+    /// Every block this node knows, by id (shared with the messages that
+    /// delivered it and with every other node that knows it).
+    blocks: BTreeMap<BlockId, Arc<NetBlock<S::Msg>>>,
     /// Parent → children edges (for completeness cascades).
     children: BTreeMap<BlockId, Vec<BlockId>>,
     /// Blocks whose entire ancestry down to genesis is known — the only
@@ -125,8 +135,8 @@ impl<S: CaptureStateMachine> Node<S> {
         id == GENESIS || self.blocks.contains_key(&id)
     }
 
-    /// A known block by id, cloned for re-gossip.
-    pub(crate) fn block(&self, id: BlockId) -> Option<NetBlock<S::Msg>> {
+    /// A known block by id, for re-gossip.
+    pub(crate) fn block(&self, id: BlockId) -> Option<Arc<NetBlock<S::Msg>>> {
         self.blocks.get(&id).cloned()
     }
 
@@ -141,7 +151,7 @@ impl<S: CaptureStateMachine> Node<S> {
     /// Inserts a block into the tree. Returns `false` for a duplicate.
     /// The caller runs [`Node::try_advance`] afterwards, and — if the
     /// parent is unknown — requests it from the sender.
-    pub(crate) fn insert_block(&mut self, block: NetBlock<S::Msg>) -> bool {
+    pub(crate) fn insert_block(&mut self, block: Arc<NetBlock<S::Msg>>) -> bool {
         let id = block.id;
         if self.knows(id) {
             return false;
@@ -260,17 +270,17 @@ impl<S: CaptureStateMachine> Node<S> {
     /// stale past the patience window, so the block competes with
     /// canonical blocks it has not seen. The block is inserted and
     /// applied locally; the caller gossips it.
-    pub(crate) fn produce(&mut self, proposer: usize) -> NetBlock<S::Msg> {
+    pub(crate) fn produce(&mut self, proposer: usize) -> Arc<NetBlock<S::Msg>> {
         let (parent, height) = self.head();
         let txs: Vec<PendingTx<S::Msg>> = self.mempool.values().cloned().collect();
-        let block = NetBlock {
+        let block = Arc::new(NetBlock {
             id: block_id(height + 1, proposer, parent, &txs),
             parent,
             height: height + 1,
             proposer,
             txs,
-        };
-        self.insert_block(block.clone());
+        });
+        self.insert_block(Arc::clone(&block));
         let popped = self.try_advance();
         debug_assert_eq!(popped, 0, "own production extends the head");
         block

@@ -20,6 +20,15 @@
 //! away (canonical production is strictly faster, so it always wins on
 //! height; at equal height the canonical proposer wins the tie).
 //!
+//! ## One copy of every block
+//!
+//! A block is built once — by [`NetSim::broadcast_block`] for the
+//! canonical feed, by a stalled replica's fork production otherwise —
+//! and from then on travels as `Arc<NetBlock>`: the fan-out to every
+//! peer, a duplicated delivery, a reply to a `BlockRequest` and each
+//! node's tree entry all clone the pointer. A relay policy still sees
+//! the whole message by reference.
+//!
 //! ## Anti-entropy
 //!
 //! Every tick each node announces its head to every peer; a receiver
@@ -38,14 +47,16 @@ use dragoon_chain::Chain;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A gossip-layer message.
 #[derive(Clone, Debug)]
 pub enum NetMsg<M> {
     /// Transaction propagation (sequencer → replica mempools).
     Tx(PendingTx<M>),
-    /// Block propagation.
-    Block(NetBlock<M>),
+    /// Block propagation: a pointer to the producer's block, so fan-out,
+    /// duplicate delivery and anti-entropy replies copy no transactions.
+    Block(Arc<NetBlock<M>>),
     /// Anti-entropy head announcement.
     HeadAnnounce {
         /// The announcer's applied head.
@@ -163,17 +174,17 @@ impl<S: CaptureStateMachine> NetSim<S> {
         let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Gossip, self.tick);
         let sent_before = self.report.messages_sent;
         let height = self.canonical_height + 1;
-        let block = NetBlock {
+        let block = Arc::new(NetBlock {
             id: block_id(height, 0, self.canonical_tip, &txs),
             parent: self.canonical_tip,
             height,
             proposer: 0,
             txs,
-        };
+        });
         self.canonical_tip = block.id;
         self.canonical_height = height;
         for to in 1..self.nodes.len() {
-            self.send(0, to, NetMsg::Block(block.clone()));
+            self.send(0, to, NetMsg::Block(Arc::clone(&block)));
         }
         let sent = self.report.messages_sent - sent_before;
         sp.arg("height", height);
@@ -351,7 +362,7 @@ impl<S: CaptureStateMachine> NetSim<S> {
         );
         for to in 0..self.nodes.len() {
             if to != slot {
-                self.send(slot, to, NetMsg::Block(block.clone()));
+                self.send(slot, to, NetMsg::Block(Arc::clone(&block)));
             }
         }
     }
@@ -402,5 +413,147 @@ impl<S: CaptureStateMachine> NetSim<S> {
         let seq = self.next_event;
         self.next_event += 1;
         self.queue.insert((due, seq), Delivery { to, from, msg });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dragoon_chain::{
+        CalldataStats, ChainMessage, ExecEnv, GasSchedule, Journaled, StateMachine,
+    };
+    use dragoon_ledger::Address;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// A counter: every message bumps it; the capture is the prior count.
+    #[derive(Default)]
+    struct Counter {
+        count: u64,
+        prior: u64,
+    }
+
+    #[derive(Clone)]
+    struct Bump;
+
+    impl ChainMessage for Bump {
+        fn calldata(&self) -> CalldataStats {
+            CalldataStats {
+                zero: 0,
+                nonzero: 4,
+            }
+        }
+        fn label(&self) -> &'static str {
+            "bump"
+        }
+    }
+
+    impl Journaled for Counter {
+        fn begin_tx(&mut self) {
+            self.prior = self.count;
+        }
+        fn commit_tx(&mut self) {}
+        fn rollback_tx(&mut self) {
+            self.count = self.prior;
+        }
+    }
+
+    impl StateMachine for Counter {
+        type Msg = Bump;
+        type Event = ();
+        type Error = String;
+
+        fn on_message(
+            &mut self,
+            _: &mut ExecEnv<'_, ()>,
+            _: Address,
+            _: Bump,
+        ) -> Result<(), String> {
+            self.count += 1;
+            Ok(())
+        }
+    }
+
+    impl CaptureStateMachine for Counter {
+        type Capture = u64;
+
+        fn commit_tx_captured(&mut self) -> u64 {
+            self.prior
+        }
+        fn revert_capture(&mut self, capture: u64) {
+            self.count = capture;
+        }
+        fn absorb(_block: &mut u64, _later: u64) {}
+    }
+
+    /// Censors the sequencer's block messages to one victim, counting
+    /// them: the victim can only learn a canonical block from a peer's
+    /// reply to its `BlockRequest`.
+    struct StarveVictim {
+        victim: usize,
+        censored: Rc<Cell<u64>>,
+    }
+
+    impl RelayPolicy<Bump> for StarveVictim {
+        fn relay(
+            &mut self,
+            _tick: u64,
+            from: usize,
+            to: usize,
+            msg: &NetMsg<Bump>,
+        ) -> RelayDecision {
+            if from == 0 && to == self.victim && matches!(msg, NetMsg::Block(_)) {
+                self.censored.set(self.censored.get() + 1);
+                RelayDecision::Drop
+            } else {
+                RelayDecision::Forward
+            }
+        }
+    }
+
+    /// Every node's tree entry for a canonical block is the allocation
+    /// `broadcast_block` created — on nodes that received the block
+    /// twice (every delivery is duplicated) and on the node that was
+    /// only ever served it by a peer answering a `BlockRequest`.
+    #[test]
+    fn every_tree_entry_is_the_producers_allocation() {
+        let cfg = NetConfig {
+            delay: (0, 0),
+            duplicate_per_mille: 1000,
+            ..NetConfig::default()
+        };
+        let censored = Rc::new(Cell::new(0));
+        let mut net = NetSim::new(cfg, 11, || {
+            Chain::deploy(Counter::default(), 100, GasSchedule::istanbul())
+        })
+        .with_relay(Box::new(StarveVictim {
+            victim: 3,
+            censored: Rc::clone(&censored),
+        }));
+        let mut canonical = Vec::new();
+        for seq in 0..3 {
+            let tx = PendingTx {
+                sender: Address::from_byte(1),
+                msg: Bump,
+                seq,
+            };
+            net.gossip_tx(tx.clone());
+            net.broadcast_block(vec![tx]);
+            canonical.push(net.canonical_head().0);
+        }
+        assert!(net.drain(), "the starved node back-fills and converges");
+        assert!(
+            censored.get() >= 3,
+            "the victim never got a block from node 0"
+        );
+        assert!(net.report().duplicates_delivered > 0);
+        for id in canonical {
+            let produced = net.nodes[0].block(id).expect("node 0 holds its own feed");
+            for (i, node) in net.nodes.iter().enumerate() {
+                let held = node.block(id).expect("converged nodes know the block");
+                assert!(Arc::ptr_eq(&held, &produced), "node {i}, block {id:#x}");
+            }
+        }
+        assert_eq!(net.node_chain(3).contract().count, 3);
     }
 }

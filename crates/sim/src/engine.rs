@@ -37,7 +37,7 @@ use dragoon_core::task::EncryptedAnswer;
 use dragoon_core::workload::generate_workload;
 use dragoon_crypto::commitment::Commitment;
 use dragoon_crypto::elgamal::PlaintextRange;
-use dragoon_crypto::precomp::{CacheStats, ProofCache};
+use dragoon_crypto::precomp::ProofCache;
 use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
 use dragoon_net::NetSim;
@@ -103,10 +103,11 @@ pub struct MarketSim {
     /// Requester address → agent index (addresses are fixed at setup).
     agent_by_addr: BTreeMap<Address, usize>,
     agent_of_hit: BTreeMap<HitId, usize>,
-    /// Worker indices that joined (or tried to join) each hit.
+    /// Worker indices that joined (or tried to join) each live hit;
+    /// dropped when the hit settles.
     joined: BTreeMap<HitId, Vec<usize>>,
-    /// Commitments visible for each hit (mempool observation, for the
-    /// copy-paste behaviour).
+    /// Commitments visible for each live hit (mempool observation, for
+    /// the copy-paste behaviour); dropped when the hit settles.
     observed: BTreeMap<HitId, Vec<Commitment>>,
     settled_hits: BTreeSet<HitId>,
     settled_block: BTreeMap<HitId, u64>,
@@ -132,12 +133,9 @@ pub struct MarketSim {
     /// it as a keyed job (inline at zero latency when disabled).
     proving: ProvingService<JobOutput>,
     /// The keyed proof cache (fixed-base tables per encryption key),
-    /// shared with the proving workers and — via
-    /// [`MarketSim::new_with_cache`] — across runs.
+    /// shared with the proving workers. A requester's table is retired
+    /// when its HIT settles, so the cache holds the live HITs' keys.
     cache: Arc<ProofCache>,
-    /// Cache counters at construction, so a shared cache reports per-run
-    /// deltas instead of lifetime totals.
-    cache_base: CacheStats,
     /// Commitments that became visible this round, appended to
     /// `observed` only after the round's jobs are built: an observing
     /// copy-paste attacker replays *prior rounds'* commitments, which
@@ -226,17 +224,8 @@ pub fn recover_market_chain(config: &MarketConfig) -> Result<Chain<HitRegistry>,
 }
 
 impl MarketSim {
-    /// Sets up the chain, registry and agent pools from a config, with a
-    /// fresh (cold) proof cache.
+    /// Sets up the chain, registry and agent pools from a config.
     pub fn new(config: MarketConfig) -> Self {
-        Self::new_with_cache(config, Arc::new(ProofCache::new()))
-    }
-
-    /// Like [`MarketSim::new`], but sharing an existing proof cache — a
-    /// second run over the same requester keys starts prewarmed (the
-    /// cold-vs-prewarmed bench differential). Cache stats reported for
-    /// the run are deltas from the handed-in cache's counters.
-    pub fn new_with_cache(config: MarketConfig, cache: Arc<ProofCache>) -> Self {
         assert!(config.hits > 0, "a market needs at least one HIT");
         assert!(config.workers > 0, "a market needs workers");
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -327,7 +316,6 @@ impl MarketSim {
             chain.set_record_block_txs(true);
         }
         let proving = ProvingService::new(config.seed, threads, config.proving);
-        let cache_base = cache.stats();
         Self {
             config,
             chain,
@@ -351,8 +339,7 @@ impl MarketSim {
             net,
             next_worker_index,
             proving,
-            cache,
-            cache_base,
+            cache: Arc::new(ProofCache::new()),
             observed_buffer: Vec::new(),
             store: block_store,
         }
@@ -1066,13 +1053,20 @@ impl MarketSim {
         }
         // A settled (closed or cancelled) HIT releases every session slot
         // its workers held — this is the decrement that keeps the O(1)
-        // capacity counters exact.
+        // capacity counters exact — and everything the engine kept only
+        // while the HIT was live: the join list, the observed commitments
+        // and the requester key's fixed-base table (looked up by this
+        // HIT's commit jobs alone, all computed before the commit phase
+        // closed).
         for &id in &settled_now {
-            for &wi in self.joined.get(&id).map(Vec::as_slice).unwrap_or(&[]) {
+            for wi in self.joined.remove(&id).unwrap_or_default() {
                 if self.workers[wi].sessions.remove(&id).is_some() {
                     self.workers[wi].live_sessions -= 1;
                 }
             }
+            self.observed.remove(&id);
+            let requester = &self.requesters[self.agent_of_hit[&id]];
+            self.cache.retire(&requester.client.public_key().0);
         }
         // Econ block boundary: settlement receipts feed the reputation
         // book and per-class payout metrics, the fill/latency outcomes
@@ -1195,12 +1189,10 @@ impl MarketSim {
         };
         let hits_cancelled = self.cancelled_hits.len();
         let hits_settled = self.settled_hits.len() - hits_cancelled;
-        // Cache counters as deltas from construction time, so a run on
-        // a shared (prewarmed) cache reports its own hits and misses.
         let mut proving = *self.proving.stats();
-        let cache_now = self.cache.stats();
-        proving.cache_hits = cache_now.hits - self.cache_base.hits;
-        proving.cache_misses = cache_now.misses - self.cache_base.misses;
+        let cache = self.cache.stats();
+        proving.cache_hits = cache.hits;
+        proving.cache_misses = cache.misses;
         MarketReport {
             seed: self.config.seed,
             settlement: self.config.settlement,
@@ -1251,4 +1243,45 @@ impl MarketSim {
 /// Convenience: build and run in one call.
 pub fn run_market(config: MarketConfig) -> MarketReport {
     MarketSim::new(config).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The value of `"key":<digits>` in a JSON line.
+    fn json_u64(json: &str, key: &str) -> u64 {
+        let at = json.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+        let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+        json[at..at + digits].parse().expect("a number")
+    }
+
+    /// Tables live as long as their HIT: after the `marketplace` golden
+    /// scenario (every HIT settles) nothing is resident, and retiring at
+    /// settle never turned a hit into a miss — the counters are the
+    /// committed golden's.
+    #[test]
+    fn every_settled_hit_retired_its_table() {
+        let golden = include_str!("../../../tests/golden/marketplace_seed42.json");
+        let sim = MarketSim::new(MarketConfig {
+            hits: 250,
+            spawn_per_block: 10,
+            workers: 90,
+            worker_capacity: 5,
+            seed: 42,
+            max_blocks: 900,
+            exec_threads: 1,
+            ..MarketConfig::default()
+        });
+        let cache = Arc::clone(&sim.cache);
+        let report = sim.run();
+        assert_eq!((report.hits_settled, report.hits_unfinished), (250, 0));
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(report.proving.cache_hits, json_u64(golden, "cache_hits"));
+        assert_eq!(
+            report.proving.cache_misses,
+            json_u64(golden, "cache_misses")
+        );
+        assert_eq!(report.proving.cache_misses, 250, "one build per HIT");
+    }
 }
