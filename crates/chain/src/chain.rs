@@ -75,9 +75,10 @@ pub struct ExecEnv<'a, E> {
 }
 
 impl<'a, E> ExecEnv<'a, E> {
-    /// Assembles an execution environment. The parallel executor builds
-    /// per-thread environments over shadow ledgers with it, and the
-    /// test-side reference executor builds its own.
+    /// Assembles an execution environment. The transaction bracket
+    /// builds one per transaction — over the canonical ledger or a
+    /// conflict group's shadow — and the test-side reference executor
+    /// builds its own.
     pub fn new(
         ledger: &'a mut Ledger,
         gas: &'a mut GasMeter,
@@ -211,6 +212,57 @@ impl Block {
             gas_used: self.receipts.iter().map(|r| r.gas_used).sum(),
         }
     }
+}
+
+/// The one transaction bracket: everything a transaction costs and
+/// leaves behind, wherever it executes — the sequencer's serial path,
+/// recovery replay and replicas (against the contract and the canonical
+/// ledger) and the parallel executor's conflict groups (against a shard
+/// and the group's shadow ledger).
+///
+/// Opens the journal bracket on `state` and `ledger`, charges intrinsic
+/// gas, hands the message to `handle` and builds the [`Receipt`]. A
+/// revert rolls both back — gas is still consumed — and returns `None`;
+/// a success returns the emitted events with the bracket **still open**,
+/// so the caller decides how it closes (commit, captured commit, or
+/// rollback out of an overfull block).
+pub(crate) fn run_tx<St: Journaled, M: ChainMessage, E, Er: fmt::Display>(
+    state: &mut St,
+    ledger: &mut Ledger,
+    schedule: &GasSchedule,
+    round: u64,
+    contract: Address,
+    tx: PendingTx<M>,
+    handle: impl FnOnce(&mut St, &mut ExecEnv<'_, E>, Address, M) -> Result<(), Er>,
+) -> (Receipt, Option<Vec<E>>) {
+    state.begin_tx();
+    ledger.begin_tx();
+    let mut meter = GasMeter::new();
+    meter.charge("intrinsic", schedule.intrinsic(&tx.msg.calldata()));
+    let label = tx.msg.label();
+    let mut events = Vec::new();
+    let result = {
+        let mut env = ExecEnv::new(ledger, &mut meter, schedule, round, contract, &mut events);
+        handle(state, &mut env, tx.sender, tx.msg)
+    };
+    let (status, events) = match result {
+        Ok(()) => (TxStatus::Ok, Some(events)),
+        Err(e) => {
+            state.rollback_tx();
+            ledger.rollback_tx();
+            (TxStatus::Reverted(e.to_string()), None)
+        }
+    };
+    let receipt = Receipt {
+        seq: tx.seq,
+        sender: tx.sender,
+        label,
+        round,
+        gas_used: meter.used(),
+        status,
+        gas_breakdown: meter.breakdown().to_vec(),
+    };
+    (receipt, events)
 }
 
 /// The simulated chain hosting a single contract instance.
@@ -364,17 +416,9 @@ impl<S: StateMachine> Chain<S> {
     /// Advances one round: the policy schedules the mempool, scheduled
     /// transactions execute, a block is produced. Returns the block.
     pub fn advance_round(&mut self, policy: &mut dyn ReorderPolicy<S::Msg>) -> &Block {
-        self.round += 1;
-        self.last_block_txs.clear();
-        self.clock_tick();
-
-        let pending = std::mem::take(&mut self.mempool);
-        let Scheduled { deliver, delay } = policy.schedule(self.round, pending);
-        self.mempool = delay;
-
         let mut receipts = Vec::new();
         let mut block_gas: Gas = 0;
-        let mut deliver = deliver.into_iter();
+        let mut deliver = self.begin_round(policy).into_iter();
         let mut carried: Vec<PendingTx<S::Msg>> = Vec::new();
         for tx in deliver.by_ref() {
             if !self.execute_tx_into_block(tx, &mut block_gas, &mut receipts, &mut carried) {
@@ -385,6 +429,22 @@ impl<S: StateMachine> Chain<S> {
         // ahead of newly delayed messages.
         carried.extend(deliver);
         self.seal_block(receipts, carried)
+    }
+
+    /// Opens a round: bumps the clock, fires the clock tick, lets the
+    /// policy schedule the mempool and keeps what it delayed. Returns
+    /// the transactions to deliver, in schedule order.
+    pub(crate) fn begin_round(
+        &mut self,
+        policy: &mut dyn ReorderPolicy<S::Msg>,
+    ) -> Vec<PendingTx<S::Msg>> {
+        self.round += 1;
+        self.last_block_txs.clear();
+        self.clock_tick();
+        let pending = std::mem::take(&mut self.mempool);
+        let Scheduled { deliver, delay } = policy.schedule(self.round, pending);
+        self.mempool = delay;
+        deliver
     }
 
     /// Clock tick: phase deadlines fire before the round's deliveries,
@@ -494,15 +554,8 @@ impl<S: StateMachine> Chain<S> {
     pub(crate) fn replay_block(&mut self, txs: Vec<PendingTx<S::Msg>>) -> &Block {
         self.round += 1;
         self.clock_tick();
-        let mut receipts = Vec::with_capacity(txs.len());
-        for tx in txs {
-            receipts.push(self.execute_tx(tx));
-        }
-        self.blocks.push(Block {
-            round: self.round,
-            receipts,
-        });
-        self.blocks.last().expect("just pushed")
+        let receipts = txs.into_iter().map(|tx| self.execute_tx(tx)).collect();
+        self.seal_block(receipts, Vec::new())
     }
 
     /// Reverts contract + ledger to the state at the open bracket.
@@ -525,58 +578,28 @@ impl<S: StateMachine> Chain<S> {
         receipt
     }
 
-    /// Executes one transaction inside a fresh journal bracket on
-    /// contract + ledger. On revert the bracket is rolled back, restoring
-    /// pre-transaction state, and `false` is returned; on success the
-    /// bracket is **still open** (`true`) so the gas-capped block path
-    /// can either commit it or roll the whole (successful) transaction
-    /// back out of an overfull block.
-    fn execute_tx_open(&mut self, tx: PendingTx<S::Msg>) -> (Receipt, bool) {
-        self.contract.begin_tx();
-        self.ledger.begin_tx();
-        let mut meter = GasMeter::new();
-        meter.charge("intrinsic", self.schedule.intrinsic(&tx.msg.calldata()));
-        let label = tx.msg.label();
-        let mut events = Vec::new();
-
-        let result = {
-            let mut env = ExecEnv {
-                ledger: &mut self.ledger,
-                gas: &mut meter,
-                schedule: &self.schedule,
-                round: self.round,
-                contract: self.contract_addr,
-                events: &mut events,
-            };
-            self.contract.on_message(&mut env, tx.sender, tx.msg)
-        };
-
-        let (status, open) = match result {
-            Ok(()) => {
-                for e in events {
-                    self.events.push((self.round, e));
-                }
-                (TxStatus::Ok, true)
-            }
-            Err(e) => {
-                // Roll back all touched state; gas is still consumed.
-                self.rollback_bracket();
-                (TxStatus::Reverted(e.to_string()), false)
-            }
-        };
-
-        (
-            Receipt {
-                seq: tx.seq,
-                sender: tx.sender,
-                label,
-                round: self.round,
-                gas_used: meter.used(),
-                status,
-                gas_breakdown: meter.breakdown().to_vec(),
-            },
-            open,
-        )
+    /// Executes one transaction through [`run_tx`] against the contract
+    /// and the canonical ledger, keeping the events of a success. On
+    /// revert the bracket is already rolled back and `false` is
+    /// returned; on success the bracket is **still open** (`true`) so
+    /// the caller says how it closes: the gas-capped block path commits
+    /// it or rolls the whole (successful) transaction back out of an
+    /// overfull block, a replica commits it captured.
+    pub(crate) fn execute_tx_open(&mut self, tx: PendingTx<S::Msg>) -> (Receipt, bool) {
+        let (receipt, events) = run_tx(
+            &mut self.contract,
+            &mut self.ledger,
+            &self.schedule,
+            self.round,
+            self.contract_addr,
+            tx,
+            S::on_message,
+        );
+        let open = events.is_some();
+        let round = self.round;
+        self.events
+            .extend(events.into_iter().flatten().map(|e| (round, e)));
+        (receipt, open)
     }
 
     /// All produced blocks.

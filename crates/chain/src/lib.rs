@@ -16,8 +16,9 @@
 //! * **Optimistic parallel execution** ([`parallel`]) — transactions
 //!   declare access sets (instances + ledger accounts, reads and writes
 //!   apart), a conflict-graph grouper schedules disjoint groups onto
-//!   scoped threads (creations included, via speculative id
-//!   reservation), and journal-based touch records drive selective
+//!   the thread budget (creations included, via speculative id
+//!   reservation), each transaction runs through the serial path's own
+//!   bracket, and journal-based touch records drive selective
 //!   conflict retry with a serial backstop; committed state is
 //!   bit-identical to serial execution at any thread count.
 //!
@@ -43,6 +44,8 @@ pub use mempool::{
     AdversarialPolicy, DelayVictimPolicy, FifoPolicy, FrontRunPolicy, PendingTx, ReorderPolicy,
     ReversePolicy, Scheduled,
 };
-pub use parallel::{resolve_threads, AccessSet, IdReserver, ParallelStateMachine, ParallelStats};
+pub use parallel::{
+    par_map, resolve_threads, AccessSet, IdReserver, ParallelStateMachine, ParallelStats,
+};
 pub use replica::{BlockUndo, CaptureStateMachine};
 pub use store::{BlockStore, Persist, PersistDelta, PersistStats, Reader, StoreError};

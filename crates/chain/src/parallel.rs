@@ -27,9 +27,12 @@
 //!    shard snapshots of its instances (or fresh shards for reserved
 //!    ids), a [`Ledger::sparse_overlay`] shadow covering its declared
 //!    accounts plus its transactions' senders, and executes its
-//!    transactions in schedule order on a scoped worker thread with every
-//!    transaction bracketed by its own journal transaction, exactly like
-//!    serial execution.
+//!    transactions in schedule order on one thread of the budget. Every
+//!    transaction runs through the serial path's own bracket
+//!    (`chain::run_tx` — intrinsic gas, journal bracket, revert
+//!    handling, receipt), not a copy of it: the group only supplies the
+//!    shard and the shadow ledger in place of the contract and the
+//!    canonical ledger, and commits each success at once.
 //! 3. **Validate.** Shadow ledgers record the observed touch sets, reads
 //!    and writes apart ([`dragoon_ledger::TouchRecord`]). A group that
 //!    escaped its declared preset (it read a phantom zero for an account
@@ -63,15 +66,20 @@
 //!    execution regardless of thread count** — the property
 //!    `tests/parallel_equivalence.rs` pins.
 //!
-//! Thread counts resolve through [`resolve_threads`]: an explicit
-//! setting wins, then the `DRAGOON_THREADS` environment variable, then
-//! the host's available parallelism.
+//! The run's thread budget has two halves, both here. A count resolves
+//! through [`resolve_threads`]: an explicit setting wins, then the
+//! `DRAGOON_THREADS` environment variable, then the host's available
+//! parallelism. And every fan-out that spends it — conflict groups,
+//! settlement verification, proving, snapshot encoding — goes through
+//! [`par_map`], so a budget of *n* means *n* running threads, the
+//! caller included, wherever it is spent.
 
-use crate::chain::{Block, Chain, ChainMessage, ExecEnv, Receipt, StateMachine, TxStatus};
-use crate::gas::{Gas, GasMeter, GasSchedule};
-use crate::mempool::{PendingTx, ReorderPolicy, Scheduled};
+use crate::chain::{run_tx, Block, Chain, ExecEnv, Receipt, StateMachine, TxStatus};
+use crate::gas::{Gas, GasSchedule};
+use crate::mempool::{PendingTx, ReorderPolicy};
 use dragoon_ledger::{Address, Journaled, Ledger, TouchRecord};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Mutex;
 
 /// What a message declares it may touch, before execution. Replaces the
 /// old single-key `MsgAccess` partition: instead of one instance id or a
@@ -234,8 +242,10 @@ impl IdReserver {
 /// the differential guarantee is bit-identical receipts.
 pub trait ParallelStateMachine: StateMachine {
     /// One extracted instance: an owned, thread-movable copy of the
-    /// state a group of transactions may mutate.
-    type Shard: Send;
+    /// state a group of transactions may mutate. [`Journaled`], because
+    /// the executor runs every transaction of a group through the same
+    /// bracket the chain puts around `on_message`.
+    type Shard: Journaled + Send;
 
     /// Snapshot of the monotonic instance-id counter, taken at the start
     /// of each batch so creation messages reserve deterministic ids.
@@ -268,23 +278,15 @@ pub trait ParallelStateMachine: StateMachine {
     /// whose creation succeeded, registering) the instance state.
     fn shard_install(&mut self, key: u64, shard: Self::Shard);
 
-    /// Handles one instance-addressed message against the shard,
-    /// mirroring the serial routing path. The executor brackets the call
-    /// with [`ParallelStateMachine::shard_begin_tx`] and one of
-    /// commit/rollback, exactly as the chain brackets `on_message`.
+    /// Handles one instance-addressed message against the shard — what
+    /// `on_message` does for the instance behind it. Called inside the
+    /// shard's open journal bracket.
     fn shard_on_message(
         shard: &mut Self::Shard,
         env: &mut ExecEnv<'_, Self::Event>,
         sender: Address,
         msg: Self::Msg,
     ) -> Result<(), Self::Error>;
-
-    /// Opens the shard's journal transaction.
-    fn shard_begin_tx(shard: &mut Self::Shard);
-    /// Commits the shard's journal transaction.
-    fn shard_commit_tx(shard: &mut Self::Shard);
-    /// Rolls the shard's journal transaction back.
-    fn shard_rollback_tx(shard: &mut Self::Shard);
 }
 
 /// Counters describing how the parallel executor ran.
@@ -391,6 +393,53 @@ pub fn resolve_threads(explicit: usize) -> usize {
         .unwrap_or(1)
 }
 
+/// Maps `f` over `items` on up to `threads` threads and returns the
+/// results in input order — the one fan-out every user of the thread
+/// budget goes through.
+///
+/// Work-stealing: workers take the next item off one shared queue, so
+/// skewed item costs (one busy instance can dominate a block) do not
+/// idle a thread behind a static partition. The calling thread is
+/// worker 0 — a fan-out spawns one thread fewer than it uses — and a
+/// budget of one, or a single item, runs on the caller without
+/// spawning. A panic inside `f` is re-raised on the caller with its
+/// original payload.
+pub fn par_map<I: Send, R: Send>(
+    threads: usize,
+    items: Vec<I>,
+    f: impl Fn(I) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The lock covers only the hand-out, never a running item,
+            // so a panicking item cannot poison it.
+            let next = queue.lock().expect("no item runs under the lock").next();
+            let Some((i, item)) = next else { break };
+            done.push((i, f(item)));
+        }
+        done
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in spawned {
+            match handle.join() {
+                Ok(chunk) => done.extend(chunk),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
 /// One scheduled transaction of a batch, with its declared access.
 struct BatchTx<M> {
     /// Position within the round's schedule (the merge order).
@@ -436,6 +485,14 @@ struct GroupRun<S: ParallelStateMachine> {
     touched: TouchRecord<Address>,
 }
 
+impl<S: ParallelStateMachine> GroupRun<S> {
+    /// Schedule position of the group's first transaction — the order
+    /// groups are kept in between executions.
+    fn first_pos(&self) -> usize {
+        self.txs.first().map_or(usize::MAX, |btx| btx.pos)
+    }
+}
+
 /// How many times a batch may re-derive its speculative id assignment
 /// after reverted creations before giving up on the repair and falling
 /// back to serial execution (re-execution can in principle change which
@@ -443,9 +500,10 @@ struct GroupRun<S: ParallelStateMachine> {
 const MAX_CREATE_REPAIRS: usize = 3;
 
 /// Executes one group's transactions in schedule order against its
-/// shards and shadow ledger — the body each worker thread runs. Mirrors
-/// `Chain::execute_tx_open` exactly (intrinsic gas, journal bracket,
-/// event capture, revert handling).
+/// shards and shadow ledger — the body each worker thread runs. Every
+/// transaction goes through [`run_tx`], the bracket the serial path
+/// uses, and a success commits at once (groups are discarded whole when
+/// validation fails, never unwound).
 fn run_group<S: ParallelStateMachine>(
     group: &mut GroupRun<S>,
     round: u64,
@@ -457,51 +515,25 @@ fn run_group<S: ParallelStateMachine>(
             .shards
             .get_mut(&btx.key)
             .expect("group holds every declared shard");
-        let mut meter = GasMeter::new();
-        meter.charge("intrinsic", schedule.intrinsic(&btx.tx.msg.calldata()));
-        let label = btx.tx.msg.label();
-        let mut events = Vec::new();
-        S::shard_begin_tx(shard);
-        group.ledger.begin_tx();
         let ev_start = group.ledger.events().len();
-        let result = {
-            let mut env = ExecEnv::new(
-                &mut group.ledger,
-                &mut meter,
-                schedule,
-                round,
-                contract_addr,
-                &mut events,
-            );
-            S::shard_on_message(shard, &mut env, btx.tx.sender, btx.tx.msg.clone())
-        };
-        let (status, events) = match result {
-            Ok(()) => {
-                S::shard_commit_tx(shard);
-                group.ledger.commit_tx();
-                (TxStatus::Ok, events)
-            }
-            Err(e) => {
-                // Roll back all touched state; gas is still consumed.
-                S::shard_rollback_tx(shard);
-                group.ledger.rollback_tx();
-                (TxStatus::Reverted(e.to_string()), Vec::new())
-            }
-        };
-        let ev_end = group.ledger.events().len();
+        let (receipt, events) = run_tx(
+            shard,
+            &mut group.ledger,
+            schedule,
+            round,
+            contract_addr,
+            btx.tx.clone(),
+            S::shard_on_message,
+        );
+        if events.is_some() {
+            shard.commit_tx();
+            group.ledger.commit_tx();
+        }
         group.outcomes.push(TxOutcome {
             pos: btx.pos,
-            receipt: Receipt {
-                seq: btx.tx.seq,
-                sender: btx.tx.sender,
-                label,
-                round,
-                gas_used: meter.used(),
-                status,
-                gas_breakdown: meter.breakdown().to_vec(),
-            },
-            events,
-            ledger_events: (ev_start, ev_end),
+            receipt,
+            events: events.unwrap_or_default(),
+            ledger_events: (ev_start, group.ledger.events().len()),
         });
     }
     group.touched = group.ledger.take_touched();
@@ -546,7 +578,6 @@ enum Resource {
 impl<S> Chain<S>
 where
     S: ParallelStateMachine,
-    S::Shard: Send,
     S::Msg: Send,
     S::Event: Send,
 {
@@ -559,18 +590,10 @@ where
         if self.exec_threads <= 1 {
             return self.advance_round(policy);
         }
-        self.round += 1;
-        self.last_block_txs.clear();
-        self.clock_tick();
-
-        let pending = std::mem::take(&mut self.mempool);
-        let Scheduled { deliver, delay } = policy.schedule(self.round, pending);
-        self.mempool = delay;
-
+        let mut queue: VecDeque<PendingTx<S::Msg>> = self.begin_round(policy).into();
         let mut receipts = Vec::new();
         let mut block_gas: Gas = 0;
         let mut carried: Vec<PendingTx<S::Msg>> = Vec::new();
-        let mut queue: VecDeque<PendingTx<S::Msg>> = deliver.into();
         let mut pos = 0;
         'round: while !queue.is_empty() {
             // Accumulate the maximal run of attributable transactions
@@ -626,7 +649,7 @@ where
         receipts: &mut Vec<Receipt>,
         carried: &mut Vec<PendingTx<S::Msg>>,
     ) -> bool {
-        let groups = match self.assemble_groups(batch) {
+        let mut groups = match self.assemble_groups(batch) {
             Ok(groups) => groups,
             Err(batch) => {
                 return self.execute_batch_serial(batch, block_gas, receipts, carried);
@@ -637,36 +660,17 @@ where
         let schedule = &self.schedule;
         let contract_addr = self.contract_addr;
 
-        // Fan the groups out over scoped worker threads: largest groups
-        // first, round-robin over the buckets (group sizes are skewed —
-        // one busy instance can dominate a block). Distribution cannot
-        // affect results; groups are independent until validation.
-        let threads = self.exec_threads.min(groups.len());
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(groups[i].txs.len()));
-        let mut slots: Vec<Option<GroupRun<S>>> = groups.into_iter().map(Some).collect();
-        let mut buckets: Vec<Vec<GroupRun<S>>> = (0..threads).map(|_| Vec::new()).collect();
-        for (j, &i) in order.iter().enumerate() {
-            buckets[j % threads].push(slots[i].take().expect("each group moves once"));
-        }
-        let mut groups: Vec<GroupRun<S>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|mut bucket| {
-                    scope.spawn(move || {
-                        for group in &mut bucket {
-                            run_group::<S>(group, round, schedule, contract_addr);
-                        }
-                        bucket
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("executor thread panicked"))
-                .collect()
+        // Fan the groups out over the thread budget, largest first
+        // (group sizes are skewed — one busy instance can dominate a
+        // block — so the big ones must not start last). Which thread
+        // runs a group cannot affect results; groups are independent
+        // until validation.
+        groups.sort_by_key(|g| std::cmp::Reverse(g.txs.len()));
+        let mut groups = par_map(self.exec_threads, groups, |mut group| {
+            run_group::<S>(&mut group, round, schedule, contract_addr);
+            group
         });
-        groups.sort_by_key(|g| g.txs.first().map(|btx| btx.pos).unwrap_or(usize::MAX));
+        groups.sort_by_key(GroupRun::first_pos);
 
         // Validate-and-retry loop. Each iteration either proves the batch
         // conflict-free (and breaks), repairs a reverted speculative
@@ -688,7 +692,7 @@ where
             });
             if escaped {
                 self.parallel_stats.conflict_fallbacks += 1;
-                let batch = collect_batch(groups);
+                let batch = collect_batch(groups, None);
                 return self.execute_batch_serial(batch, block_gas, receipts, carried);
             }
 
@@ -715,7 +719,7 @@ where
             if reverted_creates != expected_reverted {
                 if create_repairs >= MAX_CREATE_REPAIRS {
                     self.parallel_stats.conflict_fallbacks += 1;
-                    let batch = collect_batch(groups);
+                    let batch = collect_batch(groups, None);
                     return self.execute_batch_serial(batch, block_gas, receipts, carried);
                 }
                 create_repairs += 1;
@@ -805,14 +809,17 @@ where
             }
             for (_, members) in merging {
                 self.parallel_stats.selective_retries += 1;
-                let Ok(mut merged) = self.merge_groups(members) else {
+                // Fresh shard snapshots and a fresh shadow ledger: main
+                // state is untouched, the discarded optimistic results
+                // lived on private copies.
+                let Ok(mut merged) = self.build_group(collect_batch(members, None)) else {
                     unreachable!("merged instances exist: their groups just ran");
                 };
                 run_group::<S>(&mut merged, round, schedule, contract_addr);
                 retried.push(merged);
             }
             kept.extend(retried);
-            kept.sort_by_key(|g| g.txs.first().map(|btx| btx.pos).unwrap_or(usize::MAX));
+            kept.sort_by_key(GroupRun::first_pos);
             groups = kept;
         }
 
@@ -849,7 +856,7 @@ where
             loop {
                 let mut shrunk = false;
                 for g in &groups {
-                    let first = g.txs.first().map(|btx| btx.pos).unwrap_or(usize::MAX);
+                    let first = g.first_pos();
                     let last = g.txs.last().map(|btx| btx.pos).unwrap_or(0);
                     if first < prefix_end && last >= prefix_end {
                         prefix_end = first;
@@ -867,12 +874,12 @@ where
                 // The straddling group reaches back to the batch start:
                 // nothing can commit, so the whole batch falls back.
                 self.parallel_stats.gas_fallbacks += 1;
-                let batch = collect_batch(rest);
+                let batch = collect_batch(rest, None);
                 return self.execute_batch_serial(batch, block_gas, receipts, carried);
             }
             self.parallel_stats.gas_prefix_commits += 1;
             self.commit_groups(commit, block_gas, receipts);
-            let batch = collect_batch(rest);
+            let batch = collect_batch(rest, None);
             return self.execute_batch_serial(batch, block_gas, receipts, carried);
         }
 
@@ -1020,24 +1027,17 @@ where
                 Ok(mut merged) => {
                     run_group::<S>(&mut merged, self.round, &self.schedule, self.contract_addr);
                     kept.push(merged);
-                    kept.sort_by_key(|g| g.txs.first().map(|btx| btx.pos).unwrap_or(usize::MAX));
+                    kept.sort_by_key(GroupRun::first_pos);
                     return Ok(kept);
                 }
                 Err(_) => failed = true,
             }
         }
         debug_assert!(failed);
-        // Flatten everything — the kept groups plus the original
-        // affected transactions (the partial rebuilds hold clones and
-        // are simply dropped) — back into the schedule-ordered batch for
-        // the serial backstop.
-        let mut batch: Vec<BatchTx<S::Msg>> = kept
-            .into_iter()
-            .flat_map(|g| g.txs)
-            .chain(affected)
-            .collect();
-        batch.sort_by_key(|btx| btx.pos);
-        Err(batch)
+        // Everything goes back to the serial backstop: the kept groups
+        // plus the original affected transactions (the partial rebuilds
+        // hold clones and are simply dropped).
+        Err(collect_batch(kept, affected))
     }
 
     /// Builds the conflict groups for a batch: union-find over declared
@@ -1074,13 +1074,7 @@ where
             }
         }
         if failed {
-            let mut batch: Vec<BatchTx<S::Msg>> = groups
-                .into_iter()
-                .flat_map(|g| g.txs)
-                .chain(members.into_iter().flatten())
-                .collect();
-            batch.sort_by_key(|btx| btx.pos);
-            return Err(batch);
+            return Err(collect_batch(groups, members.into_iter().flatten()));
         }
         Ok(groups)
     }
@@ -1130,17 +1124,6 @@ where
         })
     }
 
-    /// Merges conflicting groups into one retry group: their
-    /// transactions in schedule order, fresh shard snapshots and a fresh
-    /// shadow ledger (main state is untouched — the discarded optimistic
-    /// results lived on private copies).
-    #[allow(clippy::type_complexity)]
-    fn merge_groups(&self, members: Vec<GroupRun<S>>) -> Result<GroupRun<S>, Vec<BatchTx<S::Msg>>> {
-        let mut txs: Vec<BatchTx<S::Msg>> = members.into_iter().flat_map(|g| g.txs).collect();
-        txs.sort_by_key(|btx| btx.pos);
-        self.build_group(txs)
-    }
-
     /// The serial path for a batch: also used as the conflict / gas-
     /// overflow fallback. Returns `false` when the block filled up.
     fn execute_batch_serial(
@@ -1166,10 +1149,18 @@ where
     }
 }
 
-/// Flattens discarded groups back into the schedule-ordered batch for
-/// serial re-execution.
-fn collect_batch<S: ParallelStateMachine>(groups: Vec<GroupRun<S>>) -> Vec<BatchTx<S::Msg>> {
-    let mut batch: Vec<BatchTx<S::Msg>> = groups.into_iter().flat_map(|g| g.txs).collect();
+/// Flattens groups — plus any `loose` transactions no group holds — back
+/// into one schedule-ordered batch, for serial re-execution or a merged
+/// retry group.
+fn collect_batch<S: ParallelStateMachine>(
+    groups: Vec<GroupRun<S>>,
+    loose: impl IntoIterator<Item = BatchTx<S::Msg>>,
+) -> Vec<BatchTx<S::Msg>> {
+    let mut batch: Vec<BatchTx<S::Msg>> = groups
+        .into_iter()
+        .flat_map(|g| g.txs)
+        .chain(loose)
+        .collect();
     batch.sort_by_key(|btx| btx.pos);
     batch
 }
@@ -1262,4 +1253,137 @@ fn group_by_declared_conflicts<M>(batch: Vec<BatchTx<M>>) -> Vec<Vec<BatchTx<M>>
         members[gi].push(btx);
     }
     members
+}
+
+#[cfg(test)]
+mod tests {
+    use super::par_map;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
+
+    /// Runs `body` on a helper thread and fails, instead of hanging,
+    /// when it does not finish: items that rendezvous on a barrier
+    /// deadlock if the fan-out runs them one after another.
+    fn within_deadline<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(out) => out,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("fan-out deadlocked: barrier items did not run concurrently")
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("the fan-out panicked"),
+        }
+    }
+
+    /// Burns CPU proportional to `units` without sleeping.
+    fn spin(units: u64) -> u64 {
+        (0..units * 1_000).fold(0u64, |acc, i| std::hint::black_box(acc ^ i))
+    }
+
+    #[test]
+    fn results_come_back_in_input_order_under_skewed_costs() {
+        // Every seventh item costs ~100× the rest, so workers finish
+        // far out of input order.
+        let items: Vec<u64> = (0..96).collect();
+        let cost = |i: u64| if i.is_multiple_of(7) { 200 } else { 2 };
+        let expected: Vec<u64> = items.iter().map(|i| i * 3).collect();
+        for threads in [1, 2, 3, 8, 200] {
+            let out = par_map(threads, items.clone(), |i| {
+                spin(cost(i));
+                i * 3
+            });
+            assert_eq!(out, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn empty_input_is_an_empty_output() {
+        for threads in [0, 1, 4] {
+            assert!(par_map(threads, Vec::<u8>::new(), |b| b).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_budget_of_one_or_a_single_item_runs_on_the_caller() {
+        let here = thread::current().id();
+        let ids = par_map(1, vec![(); 8], |()| thread::current().id());
+        assert_eq!(ids, vec![here; 8], "a budget of one spawns nothing");
+        let ids = par_map(8, vec![()], |()| thread::current().id());
+        assert_eq!(ids, [here], "a single item spawns nothing");
+    }
+
+    #[test]
+    fn the_caller_is_a_worker() {
+        for threads in [2usize, 4] {
+            let (caller, ids) = within_deadline(move || {
+                // One item per thread, each waiting for all the others:
+                // the map completes only with `threads` threads running.
+                let barrier = Barrier::new(threads);
+                let ids: Vec<ThreadId> = par_map(threads, vec![(); threads], |()| {
+                    barrier.wait();
+                    thread::current().id()
+                });
+                (thread::current().id(), ids)
+            });
+            let distinct: HashSet<&ThreadId> = ids.iter().collect();
+            assert_eq!(distinct.len(), threads, "one thread per item");
+            assert!(ids.contains(&caller), "the calling thread is worker 0");
+        }
+    }
+
+    #[test]
+    fn never_more_items_in_flight_than_the_budget() {
+        for threads in [1usize, 2, 3] {
+            let in_flight = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            par_map(threads, vec![(); 64], |()| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                spin(20);
+                thread::yield_now();
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+            });
+            let peak = high_water.load(Ordering::SeqCst);
+            assert!(peak <= threads, "{peak} items in flight on {threads}");
+        }
+    }
+
+    /// A panic inside an item reaches the caller of `par_map` with its
+    /// own message, whichever thread the item ran on: the calling thread
+    /// (a budget of one, or worker 0 of the fan-out) or a spawned worker.
+    #[test]
+    fn a_panicking_item_keeps_its_message() {
+        const MESSAGE: &str = "hit #7: escrow underflow";
+        for (threads, panic_on_caller) in [(1usize, true), (4, true), (4, false)] {
+            let message = within_deadline(move || {
+                let caller = thread::current().id();
+                // One item per thread, so exactly one runs on the caller.
+                let barrier = Barrier::new(threads);
+                let payload = std::panic::catch_unwind(|| {
+                    par_map(threads, vec![(); threads], |()| {
+                        barrier.wait();
+                        if (thread::current().id() == caller) == panic_on_caller {
+                            panic!("{MESSAGE}");
+                        }
+                    })
+                })
+                .expect_err("the map must panic");
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .expect("a panic message")
+            });
+            assert_eq!(
+                message, MESSAGE,
+                "{threads} threads, panic on caller: {panic_on_caller}"
+            );
+        }
+    }
 }

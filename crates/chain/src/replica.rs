@@ -12,8 +12,10 @@
 //!
 //! Undo is **per block**, not per transaction. Transactions still run
 //! under their own journal brackets (a reverted one must roll back alone,
-//! before the next executes), but each committed bracket's capture is
-//! folded into the block's single [`BlockUndo`] as soon as it commits
+//! before the next executes) — the serial path's own bracket, which
+//! hands back a success still open; the only thing a replica does
+//! differently is close it with a *captured* commit — and each capture
+//! is folded into the block's single [`BlockUndo`] as soon as it commits
 //! ([`CaptureStateMachine::absorb`]). That loses nothing:
 //! [`Chain::revert_last_block`] only ever unwinds whole blocks, and
 //! restoring the state a piece had *before the block first wrote it* is
@@ -27,8 +29,7 @@
 //! journal captures providing O(touched-state) rollback instead of
 //! whole-chain snapshots.
 
-use crate::chain::{Block, Chain, ExecEnv, Receipt, StateMachine, TxStatus};
-use crate::gas::GasMeter;
+use crate::chain::{Block, Chain, StateMachine};
 use crate::mempool::PendingTx;
 use dragoon_ledger::{Journaled, LedgerCapture};
 
@@ -96,11 +97,14 @@ impl<S: CaptureStateMachine> Chain<S> {
         let mut contract = self.contract.commit_tx_captured();
         let mut receipts = Vec::with_capacity(txs.len());
         for tx in txs {
-            let (receipt, capture) = self.execute_tx_captured(tx);
+            // The serial path's own bracket; a success closes with a
+            // captured commit, a revert (which restored state at once)
+            // captures nothing.
+            let (receipt, open) = self.execute_tx_open(tx);
             receipts.push(receipt);
-            if let Some((tx_ledger, tx_contract)) = capture {
-                ledger.absorb(tx_ledger);
-                S::absorb(&mut contract, tx_contract);
+            if open {
+                ledger.absorb(self.ledger.commit_tx_captured());
+                S::absorb(&mut contract, self.contract.commit_tx_captured());
             }
         }
         self.blocks.push(Block {
@@ -131,67 +135,5 @@ impl<S: CaptureStateMachine> Chain<S> {
         self.events.truncate(undo.events_len);
         self.round -= 1;
         block
-    }
-
-    /// Executes one transaction under a captured journal bracket.
-    /// Mirrors the serial `execute_tx_open` path — same intrinsic
-    /// charge, same receipt shape — but a success commits *captured*
-    /// and a revert (which restores state immediately) captures
-    /// nothing.
-    fn execute_tx_captured(
-        &mut self,
-        tx: PendingTx<S::Msg>,
-    ) -> (Receipt, Option<(LedgerCapture, S::Capture)>) {
-        use crate::chain::ChainMessage;
-        self.contract.begin_tx();
-        self.ledger.begin_tx();
-        let mut meter = GasMeter::new();
-        meter.charge("intrinsic", self.schedule.intrinsic(&tx.msg.calldata()));
-        let label = tx.msg.label();
-        let mut events = Vec::new();
-
-        let result = {
-            let mut env = ExecEnv::new(
-                &mut self.ledger,
-                &mut meter,
-                &self.schedule,
-                self.round,
-                self.contract_addr,
-                &mut events,
-            );
-            self.contract.on_message(&mut env, tx.sender, tx.msg)
-        };
-
-        let (status, capture) = match result {
-            Ok(()) => {
-                for e in events {
-                    self.events.push((self.round, e));
-                }
-                let capture = (
-                    self.ledger.commit_tx_captured(),
-                    self.contract.commit_tx_captured(),
-                );
-                (TxStatus::Ok, Some(capture))
-            }
-            Err(e) => {
-                // Roll back all touched state; gas is still consumed.
-                self.contract.rollback_tx();
-                self.ledger.rollback_tx();
-                (TxStatus::Reverted(e.to_string()), None)
-            }
-        };
-
-        (
-            Receipt {
-                seq: tx.seq,
-                sender: tx.sender,
-                label,
-                round: self.round,
-                gas_used: meter.used(),
-                status,
-                gas_breakdown: meter.breakdown().to_vec(),
-            },
-            capture,
-        )
     }
 }

@@ -541,6 +541,16 @@ pub trait PersistDelta: Persist {
     /// Applies one delta (as produced by [`PersistDelta::put_delta`])
     /// over the current state.
     fn apply_delta(&mut self, r: &mut Reader<'_>) -> Result<(), StoreError> {
+        self.restore(r)
+    }
+
+    /// Replaces the persisted state with a full [`Persist::put`]
+    /// encoding, in place. A type that carries local, non-persisted
+    /// configuration (a thread budget, say) overrides this to keep it:
+    /// recovery restores a snapshot *into* the genesis value the caller
+    /// configured, and that configuration must survive the restore just
+    /// as it survives [`PersistDelta::apply_delta`].
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), StoreError> {
         *self = Self::get(r)?;
         Ok(())
     }
@@ -1352,14 +1362,16 @@ where
 
     /// Overwrites this chain's committed state from a snapshot image
     /// produced by [`Chain::state_image`]. Configuration (gas schedule,
-    /// contract address, thread budget, block gas limit) is *not* in the
-    /// image — the caller provides it by constructing `self` exactly as
-    /// the live run's genesis did.
+    /// contract address, thread budgets, block gas limit) is *not* in
+    /// the image — the caller provides it by constructing `self` exactly
+    /// as the live run's genesis did, and it is kept: the chain's own
+    /// fields are not touched, and the contract is restored in place
+    /// ([`PersistDelta::restore`]) so its local configuration survives.
     fn restore_image(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         let mut r = Reader::new(bytes);
         self.round = u64::get(&mut r)?;
         self.next_seq = u64::get(&mut r)?;
-        self.contract = S::get(&mut r)?;
+        self.contract.restore(&mut r)?;
         self.ledger = Ledger::get(&mut r)?;
         self.blocks = Vec::get(&mut r)?;
         self.events = Vec::get(&mut r)?;

@@ -24,14 +24,18 @@
 //!   wrapped [`HitMessage::access_set`] names), instances shard by
 //!   [`HitId`] ([`RegistryShard`]), and `Create` executes speculatively
 //!   against a reserved id (the next counter value), so spawn-heavy
-//!   blocks parallelize instead of serializing on a barrier.
+//!   blocks parallelize instead of serializing on a barrier. The serial
+//!   handler and the shard handler share one instance router
+//!   (`create_instance`, `route`): every gas charge and event of a
+//!   `Create` or a routed message exists once, and the two handlers keep
+//!   only where the instance lives and how its undo is recorded.
 
 use crate::contract::{BatchStats, HitContract, HitError, HitEvent, PendingVerdict};
 use crate::msg::{HitMessage, PublishParams};
 use crate::PhaseWindows;
 use dragoon_chain::store::{Persist, PersistDelta, Reader, StoreError};
 use dragoon_chain::{
-    resolve_threads, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv,
+    par_map, resolve_threads, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv,
     Journaled, ParallelStateMachine, StateJournal, StateMachine,
 };
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement};
@@ -534,12 +538,14 @@ impl RegistryCapture {
     }
 }
 
-impl HitRegistry {
+impl CaptureStateMachine for HitRegistry {
+    type Capture = RegistryCapture;
+
     /// Commits the open transaction like [`Journaled::commit_tx`], but
     /// returns the undo log — each opened instance that actually
     /// mutated contributing its own captured snapshot — so the commit
-    /// can be unwound later with [`HitRegistry::revert_capture`].
-    pub fn commit_tx_captured(&mut self) -> RegistryCapture {
+    /// can be unwound later with `revert_capture`.
+    fn commit_tx_captured(&mut self) -> RegistryCapture {
         let mut capture = RegistryCapture::default();
         for undo in self.journal.drain_commit() {
             match undo {
@@ -566,10 +572,9 @@ impl HitRegistry {
         capture
     }
 
-    /// Unwinds previously captured commits (see
-    /// [`HitRegistry::commit_tx_captured`]). Captures must be reverted
-    /// in reverse commit order (newest first).
-    pub fn revert_capture(&mut self, capture: RegistryCapture) {
+    /// Unwinds previously captured commits (see `commit_tx_captured`).
+    /// Captures must be reverted in reverse commit order (newest first).
+    fn revert_capture(&mut self, capture: RegistryCapture) {
         self.live.extend(capture.swept);
         for (id, undo) in capture.instances {
             match undo {
@@ -589,6 +594,10 @@ impl HitRegistry {
         if let Some(prior) = capture.stats {
             self.batch_stats = prior;
         }
+    }
+
+    fn absorb(block: &mut RegistryCapture, later: RegistryCapture) {
+        block.absorb(later);
     }
 }
 
@@ -691,8 +700,8 @@ impl HitRegistry {
     /// thread so it overlaps round N+1's agent-step generation and
     /// proving. Snapshots every live instance's queued verdict items
     /// (without draining — the queues stay journal-consistent) and
-    /// starts the same `par_batch_verify_chunks_with` fan-out the next
-    /// clock tick would run. The tick joins the job and uses the
+    /// starts the same `verify_chunks` fan-out the next clock tick would
+    /// run. The tick joins the job and uses the
     /// precomputed verdicts only if the drained queues still match the
     /// snapshot exactly (the guarantee the round structure provides:
     /// between the end of round N and round N+1's boundary, only the
@@ -727,15 +736,10 @@ impl HitRegistry {
             return;
         }
         let threads = resolve_threads(self.verify_threads);
-        let chunks: Vec<Vec<(DecryptionStatement, DecryptionProof)>> =
-            expected.iter().map(|(_, items)| items.clone()).collect();
+        let chunks: Vec<VerifyChunk> = expected.iter().map(|(_, items)| items.clone()).collect();
         let handle = std::thread::Builder::new()
             .name("dragoon-overlap-verify".into())
-            .spawn(move || {
-                let chunk_refs: Vec<&[(DecryptionStatement, DecryptionProof)]> =
-                    chunks.iter().map(Vec::as_slice).collect();
-                vpke::par_batch_verify_chunks_with(&chunk_refs, threads)
-            })
+            .spawn(move || verify_chunks(chunks, threads))
             .expect("spawn overlap-verify thread");
         self.overlap.pending = Some(OverlapJob { expected, handle });
     }
@@ -787,6 +791,89 @@ impl HitRegistry {
     }
 }
 
+/// Builds and publishes instance `id` at escrow address `addr` — the
+/// whole gas and event footprint of a `Create`, wherever the instance
+/// will live (the registry map or a reserved parallel-executor shard).
+fn create_instance(
+    mode: SettlementMode,
+    id: HitId,
+    addr: Address,
+    env: &mut ExecEnv<'_, RegistryEvent>,
+    sender: Address,
+    windows: PhaseWindows,
+    params: PublishParams,
+) -> Result<HitInstance, RegistryError> {
+    let mut hit = HitContract::new(windows);
+    if mode == SettlementMode::Batched {
+        hit = hit.with_deferred_verification();
+    }
+    // Registry bookkeeping: id counter + address mapping.
+    env.gas.charge("sstore", 2 * env.schedule.sstore_set);
+    env.scoped(
+        addr,
+        |child| hit.on_message(child, sender, HitMessage::Publish(params)),
+        |event| RegistryEvent::Hit { id, event },
+    )
+    .map_err(|e| RegistryError::Hit(id, e))?;
+    env.emit(
+        RegistryEvent::Created {
+            id,
+            addr,
+            requester: sender,
+        },
+        64,
+    );
+    Ok(HitInstance { addr, hit })
+}
+
+/// Delivers `msg` to the found instance `id` under its own escrow
+/// address: the routing-lookup charge, the scoped call, the error
+/// mapping.
+fn route(
+    inst: &mut HitInstance,
+    id: HitId,
+    env: &mut ExecEnv<'_, RegistryEvent>,
+    sender: Address,
+    msg: HitMessage,
+) -> Result<(), RegistryError> {
+    // Routing lookup.
+    env.gas.charge("sload", env.schedule.sload);
+    let hit = &mut inst.hit;
+    env.scoped(
+        inst.addr,
+        |child| hit.on_message(child, sender, msg),
+        |event| RegistryEvent::Hit { id, event },
+    )
+    .map_err(|e| RegistryError::Hit(id, e))
+}
+
+/// One instance's queued VPKE items for a block boundary — the unit of
+/// settlement verification.
+type VerifyChunk = Vec<(DecryptionStatement, DecryptionProof)>;
+
+/// Below this many proof items in total a block's verification stays on
+/// the calling thread: fan-out only pays for itself once the block
+/// carries a few dozen EC-heavy checks.
+const PARALLEL_VERIFY_THRESHOLD: usize = 32;
+
+/// Runs [`vpke::batch_verify_each`] over each chunk on up to `threads`
+/// threads, returning one verdict vector per chunk, in chunk order.
+///
+/// Block settlement is embarrassingly parallel across HIT instances:
+/// each instance's queued proofs form one chunk, and verdicts are
+/// per-item facts (`batch_verify_each` guarantees every verdict equals
+/// the individual `vpke::verify` result), so any partitioning and any
+/// thread count — including `1` — yields identical verdicts.
+fn verify_chunks(chunks: Vec<VerifyChunk>, threads: usize) -> Vec<Vec<bool>> {
+    let total: usize = chunks.iter().map(Vec::len).sum();
+    let threads = if total < PARALLEL_VERIFY_THRESHOLD {
+        1
+    } else {
+        threads
+    };
+    par_map(threads, chunks, |chunk| vpke::batch_verify_each(&chunk))
+}
+
 impl StateMachine for HitRegistry {
     type Msg = RegistryMessage;
     type Event = RegistryEvent;
@@ -805,39 +892,20 @@ impl StateMachine for HitRegistry {
                 // counter would silently alias instance 0's escrow.
                 let next = id.checked_add(1).expect("instance id space exhausted");
                 let addr = Address::contract_address(&env.contract, next);
-                let mut hit = HitContract::new(windows);
-                if self.mode == SettlementMode::Batched {
-                    hit = hit.with_deferred_verification();
-                }
-                // Registry bookkeeping: id counter + address mapping.
-                env.gas.charge("sstore", 2 * env.schedule.sstore_set);
-                env.scoped(
-                    addr,
-                    |child| hit.on_message(child, sender, HitMessage::Publish(params)),
-                    |event| RegistryEvent::Hit { id, event },
-                )
-                .map_err(|e| RegistryError::Hit(id, e))?;
-                env.emit(
-                    RegistryEvent::Created {
-                        id,
-                        addr,
-                        requester: sender,
-                    },
-                    64,
-                );
+                let inst = create_instance(self.mode, id, addr, env, sender, windows, params)?;
                 self.next_id = next;
-                self.hits.insert(id, HitInstance { addr, hit });
+                self.hits.insert(id, inst);
                 self.live.insert(id);
                 self.journal.record(RegistryUndo::Created(id));
                 Ok(())
             }
             RegistryMessage::Hit { id, msg } => {
+                // An unknown instance reverts before the routing lookup
+                // is charged.
                 let inst = self
                     .hits
                     .inst_mut(id)
                     .ok_or(RegistryError::UnknownHit(id))?;
-                // Routing lookup.
-                env.gas.charge("sload", env.schedule.sload);
                 // Open the addressed instance's own journal under this
                 // transaction's scope: only the touched instance records
                 // undo state, and only if it actually mutates.
@@ -845,14 +913,7 @@ impl StateMachine for HitRegistry {
                     inst.hit.begin_tx();
                     self.journal.record(RegistryUndo::Opened(id));
                 }
-                let hit = &mut inst.hit;
-                let addr = inst.addr;
-                env.scoped(
-                    addr,
-                    |child| hit.on_message(child, sender, msg),
-                    |event| RegistryEvent::Hit { id, event },
-                )
-                .map_err(|e| RegistryError::Hit(id, e))
+                route(inst, id, env, sender, msg)
             }
         }
     }
@@ -860,8 +921,8 @@ impl StateMachine for HitRegistry {
     fn on_clock(&mut self, env: &mut ExecEnv<'_, RegistryEvent>, round: u64) {
         // Block boundary, phase 1: drain every instance's queued
         // rejection proofs and settle the whole block's worth at once —
-        // one batched verification per instance, fanned out across OS
-        // threads ([`vpke::par_batch_verify_chunks_with`]). Verdicts are
+        // one batched verification per instance, fanned out over the
+        // thread budget ([`verify_chunks`]). Verdicts are
         // identical to the previous single concatenated batch (and to
         // per-proof verification): batch verdicts are per-item facts, so
         // the partitioning is free to follow the parallelism.
@@ -917,7 +978,7 @@ impl StateMachine for HitRegistry {
                 &[("instances", drained.len() as u64), ("items", total as u64)],
             );
             let results = precomputed.unwrap_or_else(|| {
-                let chunks: Vec<Vec<(DecryptionStatement, DecryptionProof)>> = drained
+                let chunks: Vec<VerifyChunk> = drained
                     .iter()
                     .map(|(_, pending)| {
                         pending
@@ -926,12 +987,7 @@ impl StateMachine for HitRegistry {
                             .collect()
                     })
                     .collect();
-                let chunk_refs: Vec<&[(DecryptionStatement, DecryptionProof)]> =
-                    chunks.iter().map(Vec::as_slice).collect();
-                vpke::par_batch_verify_chunks_with(
-                    &chunk_refs,
-                    resolve_threads(self.verify_threads),
-                )
+                verify_chunks(chunks, resolve_threads(self.verify_threads))
             });
             if total > 0 {
                 let prior = self.batch_stats;
@@ -1008,22 +1064,6 @@ pub struct RegistryShard {
     /// The instance was built by the *currently open* journal bracket
     /// (no per-instance journal exists yet; rollback drops it whole).
     tx_created: bool,
-}
-
-impl CaptureStateMachine for HitRegistry {
-    type Capture = RegistryCapture;
-
-    fn commit_tx_captured(&mut self) -> RegistryCapture {
-        HitRegistry::commit_tx_captured(self)
-    }
-
-    fn revert_capture(&mut self, capture: RegistryCapture) {
-        HitRegistry::revert_capture(self, capture)
-    }
-
-    fn absorb(block: &mut RegistryCapture, later: RegistryCapture) {
-        block.absorb(later);
-    }
 }
 
 impl ParallelStateMachine for HitRegistry {
@@ -1130,86 +1170,55 @@ impl ParallelStateMachine for HitRegistry {
     ) -> Result<(), RegistryError> {
         match msg {
             RegistryMessage::Create { windows, params } => {
-                // Mirrors the `Create` arm of `on_message` exactly (gas
-                // charges, event order, error mapping) against the
-                // reserved shard instead of the registry map.
                 debug_assert!(
                     shard.inst.is_none(),
                     "a reserved id is created at most once per batch"
                 );
-                let id = shard.id;
-                let addr = shard.addr;
-                let mut hit = HitContract::new(windows);
-                if shard.mode == SettlementMode::Batched {
-                    hit = hit.with_deferred_verification();
-                }
-                // Registry bookkeeping: id counter + address mapping.
-                env.gas.charge("sstore", 2 * env.schedule.sstore_set);
-                env.scoped(
-                    addr,
-                    |child| hit.on_message(child, sender, HitMessage::Publish(params)),
-                    |event| RegistryEvent::Hit { id, event },
-                )
-                .map_err(|e| RegistryError::Hit(id, e))?;
-                env.emit(
-                    RegistryEvent::Created {
-                        id,
-                        addr,
-                        requester: sender,
-                    },
-                    64,
-                );
-                shard.inst = Some(HitInstance { addr, hit });
+                shard.inst = Some(create_instance(
+                    shard.mode, shard.id, shard.addr, env, sender, windows, params,
+                )?);
                 shard.created = true;
                 shard.tx_created = true;
                 Ok(())
             }
             RegistryMessage::Hit { id, msg } => {
                 debug_assert_eq!(id, shard.id, "message routed to the wrong shard");
-                // Mirrors the `Hit` arm: the unknown-instance revert
-                // precedes the routing-lookup gas charge, exactly as the
-                // serial map lookup fails before charging.
-                let Some(inst) = &mut shard.inst else {
-                    return Err(RegistryError::UnknownHit(id));
-                };
-                // Routing lookup.
-                env.gas.charge("sload", env.schedule.sload);
-                let hit = &mut inst.hit;
-                let addr = inst.addr;
-                env.scoped(
-                    addr,
-                    |child| hit.on_message(child, sender, msg),
-                    |event| RegistryEvent::Hit { id, event },
-                )
-                .map_err(|e| RegistryError::Hit(id, e))
+                // An unknown instance reverts before the routing lookup
+                // is charged.
+                let inst = shard.inst.as_mut().ok_or(RegistryError::UnknownHit(id))?;
+                route(inst, id, env, sender, msg)
             }
         }
     }
+}
 
-    fn shard_begin_tx(shard: &mut RegistryShard) {
-        shard.tx_created = false;
-        if let Some(inst) = &mut shard.inst {
+/// The shard's journal bracket, as the executor's shared transaction
+/// bracket drives it around [`ParallelStateMachine::shard_on_message`].
+impl Journaled for RegistryShard {
+    fn begin_tx(&mut self) {
+        self.tx_created = false;
+        if let Some(inst) = &mut self.inst {
             inst.hit.begin_tx();
         }
     }
 
-    fn shard_commit_tx(shard: &mut RegistryShard) {
-        if shard.tx_created {
+    fn commit_tx(&mut self) {
+        if self.tx_created {
             // The creation transaction: the instance has no per-instance
             // journal yet (serial creation undoes via the registry's
             // `Created` record, not an `Opened` one).
-            shard.tx_created = false;
-        } else if let Some(inst) = &mut shard.inst {
+            self.tx_created = false;
+        } else if let Some(inst) = &mut self.inst {
             inst.hit.commit_tx();
         }
     }
 
-    fn shard_rollback_tx(shard: &mut RegistryShard) {
-        if shard.tx_created {
-            shard.inst = None;
-            shard.created = false;
-            shard.tx_created = false;
-        } else if let Some(inst) = &mut shard.inst {
+    fn rollback_tx(&mut self) {
+        if self.tx_created {
+            self.inst = None;
+            self.created = false;
+            self.tx_created = false;
+        } else if let Some(inst) = &mut self.inst {
             inst.hit.rollback_tx();
         }
     }
@@ -1246,16 +1255,23 @@ impl Persist for HitInstance {
     }
 }
 
-/// Above this many instances, shards encode on scoped threads.
+/// Above this many instances, shards encode on the thread budget.
 const PARALLEL_ENCODE_THRESHOLD: usize = 4_096;
 
-impl Persist for ShardedHits {
+/// The snapshot codec of the instance map (not a [`Persist`] impl: the
+/// encoder takes the registry's thread budget).
+impl ShardedHits {
     /// Shards encode independently and concatenate in shard order —
-    /// deterministic, and large registries encode their shards on scoped
-    /// threads (each thread read-locks only its own shard).
-    fn put(&self, out: &mut Vec<u8>) {
+    /// deterministic at any budget. Large registries encode their shards
+    /// on up to `threads` threads (each read-locks only its own shard).
+    fn encode(&self, threads: usize, out: &mut Vec<u8>) {
         (SHARD_COUNT as u64).put(out);
-        let encode_shard = |shard: &RwLock<BTreeMap<HitId, HitInstance>>| {
+        let threads = if self.len() >= PARALLEL_ENCODE_THRESHOLD {
+            threads
+        } else {
+            1
+        };
+        let chunks = par_map(threads, self.shards.iter().collect(), |shard| {
             let mut buf = Vec::new();
             let guard = shard.read().expect("shard lock poisoned");
             guard.len().put(&mut buf);
@@ -1264,27 +1280,13 @@ impl Persist for ShardedHits {
                 inst.put(&mut buf);
             }
             buf
-        };
-        let chunks: Vec<Vec<u8>> = if self.len() >= PARALLEL_ENCODE_THRESHOLD {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || encode_shard(shard)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard encoder panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards.iter().map(encode_shard).collect()
-        };
+        });
         for chunk in &chunks {
             out.extend_from_slice(chunk);
         }
     }
-    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let shard_count = u64::get(r)?;
         if shard_count != SHARD_COUNT as u64 {
             return Err(StoreError::Corrupt(format!(
@@ -1327,14 +1329,14 @@ impl Persist for HitRegistry {
             "registry snapshots are taken between transactions"
         );
         self.mode.put(out);
-        self.hits.put(out);
+        self.hits.encode(resolve_threads(self.verify_threads), out);
         self.live.iter().copied().collect::<Vec<HitId>>().put(out);
         self.next_id.put(out);
         self.batch_stats.put(out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let mode = SettlementMode::get(r)?;
-        let hits = <ShardedHits as Persist>::get(r)?;
+        let hits = ShardedHits::decode(r)?;
         let live: Vec<HitId> = Vec::get(r)?;
         let next_id = HitId::get(r)?;
         let batch_stats = BatchStats::get(r)?;
@@ -1381,6 +1383,15 @@ impl PersistDelta for HitRegistry {
         self.live = live.into_iter().collect();
         self.next_id = HitId::get(r)?;
         self.batch_stats = BatchStats::get(r)?;
+        Ok(())
+    }
+
+    /// A full snapshot replaces the contract state and keeps the local
+    /// thread budget the genesis registry was built with.
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), StoreError> {
+        let verify_threads = self.verify_threads;
+        *self = Self::get(r)?;
+        self.verify_threads = verify_threads;
         Ok(())
     }
 
@@ -1485,6 +1496,10 @@ mod tests {
     }
 
     fn market(mode: SettlementMode) -> Market {
+        market_with(HitRegistry::new(mode))
+    }
+
+    fn market_with(registry: HitRegistry) -> Market {
         let mut rng = StdRng::seed_from_u64(0x5e61);
         let kp = KeyPair::generate(&mut rng);
         let requester = Address::from_byte(0xd0);
@@ -1493,11 +1508,7 @@ mod tests {
             answers: vec![1, 0, 1],
         };
         let gs_key = CommitmentKey::random(&mut rng);
-        let mut chain = Chain::deploy(
-            HitRegistry::new(mode),
-            REGISTRY_CODE_LEN,
-            GasSchedule::istanbul(),
-        );
+        let mut chain = Chain::deploy(registry, REGISTRY_CODE_LEN, GasSchedule::istanbul());
         chain.ledger.mint(requester, BUDGET * 10);
         Market {
             rng,
@@ -1842,5 +1853,145 @@ mod tests {
             requester_balance,
             BUDGET * 10 - 2 * BUDGET + BUDGET + BUDGET / 3
         );
+    }
+
+    #[test]
+    fn verify_chunks_matches_sequential() {
+        let mut m = market(SettlementMode::Batched);
+        let range = PlaintextRange::new(0, 3);
+        // Skewed chunk sizes (1, 7, 23, 2, 40) force the fan-out past
+        // the sequential threshold, with corruption scattered across
+        // chunks.
+        let mut chunks: Vec<VerifyChunk> = Vec::new();
+        for (ci, n) in [1usize, 7, 23, 2, 40].into_iter().enumerate() {
+            let mut chunk = Vec::new();
+            for i in 0..n {
+                let ct = m.kp.ek.encrypt((i % 3) as u64, &mut m.rng);
+                let (claim, mut proof) = vpke::prove(&m.kp.dk, &ct, &range, &mut m.rng);
+                if (ci + i) % 5 == 0 {
+                    proof.z += dragoon_crypto::Fr::one();
+                }
+                let stmt = DecryptionStatement {
+                    ek: m.kp.ek,
+                    ct,
+                    claim,
+                };
+                chunk.push((stmt, proof));
+            }
+            chunks.push(chunk);
+        }
+        let par = verify_chunks(chunks.clone(), 4);
+        let seq: Vec<Vec<bool>> = chunks.iter().map(|c| vpke::batch_verify_each(c)).collect();
+        assert_eq!(par, seq, "parallel fan-out must not change verdicts");
+        let individual: Vec<Vec<bool>> = chunks
+            .iter()
+            .map(|c| c.iter().map(|(s, p)| vpke::verify(s, p)).collect())
+            .collect();
+        assert_eq!(par, individual, "and verdicts equal per-proof verify");
+        // Some of the corrupted proofs actually failed.
+        assert!(par.iter().flatten().any(|&ok| !ok));
+        // Verdict-identical at every budget, including 1.
+        for threads in [1usize, 2, 3, 16] {
+            assert_eq!(
+                verify_chunks(chunks.clone(), threads),
+                seq,
+                "thread budget {threads} must not change verdicts"
+            );
+        }
+        // One input on each side of the stay-sequential threshold: the
+        // first three chunks carry 31 items, the first four 33.
+        for (take, fans_out) in [(3, false), (4, true)] {
+            let input = chunks[..take].to_vec();
+            let total: usize = input.iter().map(Vec::len).sum();
+            assert_eq!(total >= PARALLEL_VERIFY_THRESHOLD, fans_out, "{total}");
+            assert_eq!(verify_chunks(input, 4), seq[..take], "{total} items");
+        }
+    }
+
+    #[test]
+    fn snapshot_encoding_is_budget_independent() {
+        let registry = Address::from_byte(0xaa);
+        let mut hits = ShardedHits::new();
+        for id in 0..5_000u64 {
+            let inst = HitInstance {
+                addr: Address::contract_address(&registry, id + 1),
+                hit: HitContract::new(windows()),
+            };
+            hits.insert(id, inst);
+        }
+        assert!(hits.len() >= PARALLEL_ENCODE_THRESHOLD);
+        let encode = |threads| {
+            let mut out = Vec::new();
+            hits.encode(threads, &mut out);
+            out
+        };
+        let serial = encode(1);
+        for threads in [2, 16] {
+            assert!(encode(threads) == serial, "budget {threads} moved a byte");
+        }
+        let mut r = Reader::new(&serial);
+        let decoded = ShardedHits::decode(&mut r).expect("a well-formed encoding");
+        assert!(r.is_empty());
+        assert!(decoded == hits, "decode(encode(hits)) differs from hits");
+    }
+
+    /// A full snapshot replaces the contract wholesale on recovery; the
+    /// thread budget the genesis registry was built with is local
+    /// configuration, not state, and must come through.
+    #[test]
+    fn recovered_registry_keeps_its_thread_budget() {
+        use dragoon_chain::BlockStore;
+        let genesis =
+            || market_with(HitRegistry::new(SettlementMode::Batched).with_verify_threads(3));
+        let dir =
+            std::env::temp_dir().join(format!("dragoon-registry-budget-{}", std::process::id()));
+        // A full snapshot every second block, then one block of log tail.
+        let mut store = BlockStore::create(&dir, 2).expect("create the store");
+        let mut live = genesis();
+        live.chain.set_record_block_txs(true);
+        for round in 0..3u8 {
+            let msg = if round == 0 {
+                RegistryMessage::Create {
+                    windows: windows(),
+                    params: params(&live),
+                }
+            } else {
+                let key = CommitmentKey::random(&mut live.rng);
+                RegistryMessage::Hit {
+                    id: 0,
+                    msg: HitMessage::Commit {
+                        commitment: Commitment::commit(&[round], &key),
+                    },
+                }
+            };
+            let sender = if round == 0 {
+                live.requester
+            } else {
+                Address::from_byte(round)
+            };
+            live.chain.submit(sender, msg);
+            live.chain.advance_round_fifo();
+            live.chain
+                .persist_block(&mut store)
+                .expect("persist the block");
+        }
+        store.drain().expect("drain the store");
+        assert_eq!(store.stats().full_snapshots, 1);
+        assert_eq!(store.stats().blocks_appended, 3);
+
+        let recovered = Chain::recover_from(&dir, genesis().chain).expect("recover");
+        assert_eq!(recovered.contract().verify_threads, 3);
+        assert_eq!(
+            recovered
+                .contract()
+                .hit(0)
+                .unwrap()
+                .committed_workers()
+                .len(),
+            2,
+            "the snapshot and the log tail both landed"
+        );
+        assert!(recovered.state_image() == live.chain.state_image());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

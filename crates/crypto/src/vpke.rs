@@ -449,63 +449,6 @@ pub fn batch_verify_each(items: &[(DecryptionStatement, DecryptionProof)]) -> Ve
     verdicts
 }
 
-/// Runs [`batch_verify_each`] over independent chunks in parallel with
-/// scoped OS threads (no external deps), returning one verdict vector
-/// per chunk, in chunk order.
-///
-/// Block settlement is embarrassingly parallel across HIT instances:
-/// each instance's queued proofs form one chunk, and verdicts are
-/// per-item facts (`batch_verify_each` guarantees every verdict equals
-/// the individual [`verify`] result), so any partitioning — including
-/// the previous single concatenated batch — yields identical verdicts.
-/// Small workloads (or a budget of one) fall back to sequential
-/// verification; thread fan-out only pays for itself once the block
-/// carries a few dozen EC-heavy proof checks.
-///
-/// `threads` is the caller's resolved budget (`DRAGOON_THREADS` /
-/// `MarketConfig::exec_threads`). Verdicts are identical for every
-/// thread count, including `1`.
-pub fn par_batch_verify_chunks_with(
-    chunks: &[&[(DecryptionStatement, DecryptionProof)]],
-    threads: usize,
-) -> Vec<Vec<bool>> {
-    let total: usize = chunks.iter().map(|c| c.len()).sum();
-    let threads = threads.max(1).min(chunks.len());
-    if threads <= 1 || total < 32 {
-        return chunks.iter().map(|c| batch_verify_each(c)).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let mut verdicts: Vec<Vec<bool>> = vec![Vec::new(); chunks.len()];
-    std::thread::scope(|scope| {
-        let next = &next;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    // Work-stealing over chunk indices: chunk sizes are
-                    // skewed (one busy instance can dominate a block),
-                    // so static striping would idle most threads.
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= chunks.len() {
-                            break;
-                        }
-                        done.push((i, batch_verify_each(chunks[i])));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, v) in handle.join().expect("verification thread panicked") {
-                verdicts[i] = v;
-            }
-        }
-    });
-    verdicts
-}
-
 /// Checks only the two algebraic verification equations under an
 /// explicitly supplied challenge (used to validate simulated proofs).
 pub fn verify_equations(stmt: &DecryptionStatement, proof: &DecryptionProof, c: Fr) -> bool {
@@ -810,55 +753,6 @@ mod tests {
         }
         items[2].1.z += Fr::one();
         assert_eq!(batch_verify_each(&items), batch_verify_each(&items));
-    }
-
-    #[test]
-    fn par_batch_verify_chunks_matches_sequential() {
-        let (mut rng, kp, range) = setup();
-        // Skewed chunk sizes (1, 7, 23, 2, 40) force the work-stealing
-        // path past the sequential-fallback threshold, with corruption
-        // scattered across chunks.
-        let mut chunks: Vec<Vec<(DecryptionStatement, DecryptionProof)>> = Vec::new();
-        for (ci, n) in [1usize, 7, 23, 2, 40].into_iter().enumerate() {
-            let mut chunk = Vec::new();
-            for i in 0..n {
-                let ct = kp.ek.encrypt((i % 3) as u64, &mut rng);
-                let (claim, mut proof) = prove(&kp.dk, &ct, &range, &mut rng);
-                if (ci + i) % 5 == 0 {
-                    proof.z += Fr::one();
-                }
-                chunk.push((
-                    DecryptionStatement {
-                        ek: kp.ek,
-                        ct,
-                        claim,
-                    },
-                    proof,
-                ));
-            }
-            chunks.push(chunk);
-        }
-        let refs: Vec<&[(DecryptionStatement, DecryptionProof)]> =
-            chunks.iter().map(Vec::as_slice).collect();
-        let par = par_batch_verify_chunks_with(&refs, 4);
-        let seq: Vec<Vec<bool>> = chunks.iter().map(|c| batch_verify_each(c)).collect();
-        assert_eq!(par, seq, "parallel fan-out must not change verdicts");
-        let individual: Vec<Vec<bool>> = chunks
-            .iter()
-            .map(|c| c.iter().map(|(s, p)| verify(s, p)).collect())
-            .collect();
-        assert_eq!(par, individual, "and verdicts equal per-proof verify");
-        // Some of the corrupted proofs actually failed.
-        assert!(par.iter().flatten().any(|&ok| !ok));
-        // An explicit thread budget — the configurable path the registry
-        // uses — is verdict-identical at every count, including 1.
-        for threads in [1usize, 2, 3, 16] {
-            assert_eq!(
-                par_batch_verify_chunks_with(&refs, threads),
-                seq,
-                "thread budget {threads} must not change verdicts"
-            );
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`ideal`] — the ideal functionality `F_hit` (Fig 2), the trusted
 //!   specification used by the real-vs-ideal comparison tests.
 //! * [`proving`] — the asynchronous proving pipeline: a keyed proof-job
-//!   queue and scoped worker pool with deterministic per-job RNG
-//!   streams and modeled (tick-based) proving latency.
+//!   queue computed over the run's thread budget, with deterministic
+//!   per-job RNG streams and modeled (tick-based) proving latency.
 //! * [`storage`] — content-addressed off-chain storage (the Swarm
 //!   stand-in for task question sets).
 //! * [`strawman`] — the transparent (no-privacy) design the paper's

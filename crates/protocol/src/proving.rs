@@ -1,12 +1,14 @@
-//! The asynchronous proving pipeline: a keyed job queue plus a scoped
-//! worker pool that takes proving (answer encryption, commitments,
-//! VPKE / PoQoEA evaluation proofs) off the agent hot path.
+//! The asynchronous proving pipeline: a keyed job queue that takes
+//! proving (answer encryption, commitments, VPKE / PoQoEA evaluation
+//! proofs) off the agent hot path.
 //!
 //! Agents no longer prove inline while the round advances. Instead each
 //! drive enqueues a [`ProofJob`] keyed by `(agent, instance, phase)`;
-//! the [`ProvingService`] computes the batch on a scoped thread pool —
-//! the run's one resolved thread budget, the same one block execution
-//! and settlement verification use — and releases each finished output
+//! the [`ProvingService`] computes the batch through
+//! [`dragoon_chain::par_map`] — the run's one resolved thread budget,
+//! spent by the same fan-out block execution and settlement
+//! verification use (this module owns no threads) — and releases each
+//! finished output
 //! at `enqueue_tick + latency`, where the latency is **modeled** —
 //! derived deterministically from the job's declared cost units and
 //! [`ProvingConfig::ticks_per_kilocost`], never from wall clock.
@@ -21,17 +23,17 @@
 //! which worker thread ran it or in what order the pool scheduled it.
 //!
 //! [`ProvingConfig::enabled`] switches the latency model and nothing
-//! else. With it off (the default) the same jobs run on the same pool
+//! else. With it off (the default) the same jobs run on the same budget
 //! with the same keyed RNG streams and release on the tick they were
 //! enqueued, which is exactly the async pipeline at zero latency — the
 //! equivalence the `proving_equivalence` suite pins down against a
 //! one-thread oracle. A budget of one thread is the only serial path:
 //! every job then runs on the calling thread, in enqueue order.
 
+use dragoon_chain::par_map;
 use dragoon_ledger::Address;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which protocol phase a proof job belongs to (part of the job key and
 /// of the per-job RNG domain separation).
@@ -262,10 +264,12 @@ impl<T: Send> ProvingService<T> {
 
     /// Enqueues and computes a batch of jobs requested at `tick`.
     ///
-    /// Each job runs with its own [`job_rng`] stream — on the scoped
-    /// pool when the budget is more than one thread and the batch more
-    /// than one job, on the calling thread in enqueue order otherwise;
-    /// both paths produce identical outputs. The output becomes visible
+    /// Each job runs with its own [`job_rng`] stream, fanned out over
+    /// the thread budget by [`par_map`] (the calling thread is worker 0;
+    /// a budget of one, or a single job, runs on it alone, in enqueue
+    /// order), so outputs are identical at every budget. Not keyed on a
+    /// job's declared cost: callers submit real work at cost 0 when
+    /// they model no latency for it. The output becomes visible
     /// to [`Self::drain_ready`] at `tick + cost·ticks_per_kilocost/1000`
     /// (always `tick` itself when latency is not modeled).
     pub fn submit_batch(&mut self, tick: u64, jobs: Vec<ProofJob<T>>) {
@@ -295,18 +299,10 @@ impl<T: Send> ProvingService<T> {
             })
             .collect();
         let keys: Vec<JobKey> = jobs.iter().map(|j| j.key).collect();
-        // Not keyed on a job's declared cost: callers submit real work
-        // at cost 0 when they model no latency for it.
-        let outputs = if self.threads > 1 && jobs.len() > 1 {
-            Self::run_parallel(self.master_seed, self.threads, jobs)
-        } else {
-            jobs.into_iter()
-                .map(|job| {
-                    let mut rng = job_rng(self.master_seed, &job.key);
-                    (job.run)(&mut rng)
-                })
-                .collect()
-        };
+        let outputs = par_map(self.threads, jobs, |job| {
+            let mut rng = job_rng(self.master_seed, &job.key);
+            (job.run)(&mut rng)
+        });
         for ((output, key), latency) in outputs.into_iter().zip(keys).zip(latencies) {
             self.queue.push(QueuedOutput {
                 ready_tick: tick + latency,
@@ -318,61 +314,6 @@ impl<T: Send> ProvingService<T> {
             self.next_seq += 1;
         }
         self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
-    }
-
-    /// Work-stealing parallel execution over a scoped pool: an atomic
-    /// cursor hands out job indexes, each thread returns `(index,
-    /// output)` pairs, and the merge re-establishes enqueue order. The
-    /// calling thread is worker 0, so a batch spawns one thread fewer
-    /// than it uses. A panic inside a job is re-raised on the caller
-    /// with its original payload.
-    fn run_parallel(master_seed: u64, threads: usize, jobs: Vec<ProofJob<T>>) -> Vec<T> {
-        let n = jobs.len();
-        let slots: Vec<std::sync::Mutex<Option<ProofJob<T>>>> = jobs
-            .into_iter()
-            .map(|j| std::sync::Mutex::new(Some(j)))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let work = || {
-            let mut local = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Each index is handed out once and a job runs outside
-                // its slot's lock, so a slot is never contended and
-                // never poisoned.
-                let job = slots[i]
-                    .lock()
-                    .expect("a job slot is locked once, with no job running")
-                    .take()
-                    .expect("job taken twice");
-                let mut rng = job_rng(master_seed, &job.key);
-                local.push((i, (job.run)(&mut rng)));
-            }
-            local
-        };
-        let chunks: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(work)).collect();
-            let mut chunks = vec![work()];
-            for handle in spawned {
-                match handle.join() {
-                    Ok(chunk) => chunks.push(chunk),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            chunks
-        });
-        let mut merged: Vec<Option<T>> = Vec::with_capacity(n);
-        merged.resize_with(n, || None);
-        for (i, out) in chunks.into_iter().flatten() {
-            merged[i] = Some(out);
-        }
-        merged
-            .into_iter()
-            .map(|o| o.expect("proving job lost"))
-            .collect()
     }
 
     /// Releases every output whose ready tick has arrived, in

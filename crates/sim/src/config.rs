@@ -90,8 +90,8 @@ pub struct MarketConfig {
     /// existing scenarios byte-identical.
     pub net: Option<NetConfig>,
     /// The asynchronous proving pipeline (`dragoon_protocol::proving`).
-    /// Every round's proof jobs compute on a scoped worker pool over
-    /// the `exec_threads` budget in both modes; the switch only decides
+    /// Every round's proof jobs fan out over the `exec_threads` budget
+    /// (`dragoon_chain::par_map`) in both modes; the switch only decides
     /// when outputs release: disabled (default) in the tick they were
     /// requested, enabled `cost · ticks_per_kilocost / 1000` simulated
     /// ticks later. Committed chain state is bit-identical across
