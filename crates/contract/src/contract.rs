@@ -562,14 +562,48 @@ impl HitContract {
         &self.receipts
     }
 
-    /// Appends one settlement receipt (each settlement site records
-    /// exactly one, alongside setting the worker record's outcome).
-    fn push_receipt(&mut self, worker: Address, outcome: Settlement, amount: u128) {
+    /// The one place a worker's settlement is written: the escrow
+    /// payment (for `Paid`), the record's outcome, the receipt and the
+    /// verdict event — its log gas charged when `metered`, free
+    /// otherwise. Callers keep their guards, their other gas and the
+    /// decision.
+    fn settle_worker(
+        &mut self,
+        env: &mut ExecEnv<'_, HitEvent>,
+        worker: Address,
+        outcome: Settlement,
+        metered: bool,
+    ) {
+        let (amount, event) = match outcome {
+            Settlement::Paid => {
+                let p = self.params_ref();
+                let amount = p.budget / p.k as u128;
+                env.ledger
+                    .pay(env.contract, worker, amount)
+                    .expect("escrow holds the budget");
+                (amount, Some(HitEvent::Paid { worker, amount }))
+            }
+            Settlement::Rejected(RejectReason::OutOfRange { index }) => {
+                (0, Some(HitEvent::OutRanged { worker, index }))
+            }
+            Settlement::Rejected(RejectReason::LowQuality { chi }) => {
+                (0, Some(HitEvent::Evaluated { worker, chi }))
+            }
+            // `⊥` was already announced by `RevealClosed`.
+            Settlement::Rejected(RejectReason::NoReveal) => (0, None),
+        };
+        let record = Arc::make_mut(self.workers.get_mut(&worker).expect("committed"));
+        record.settlement = Some(outcome.clone());
         self.receipts.push(SettlementReceipt {
             worker,
             outcome,
             amount,
         });
+        match event {
+            Some(event) if metered => env.emit(event, 64),
+            Some(event) => env.emit_free(event),
+            None => {}
+        }
     }
 
     fn params_ref(&self) -> &PublishParams {
@@ -811,7 +845,6 @@ impl HitContract {
         };
         let p = self.params_ref();
         let range = p.range;
-        let reward = p.budget / p.k as u128;
         let ek = p.ek;
 
         // Fig 4: pay the worker if the claim is in range or the proof is
@@ -836,9 +869,8 @@ impl HitContract {
         };
         env.gas.charge("sstore", env.schedule.sstore_update);
         self.touch();
-        let record = Arc::make_mut(self.workers.get_mut(&worker).expect("checked above"));
         if self.defer_verification && !claimed_in_range {
-            record.pending = true;
+            Arc::make_mut(self.workers.get_mut(&worker).expect("checked above")).pending = true;
             // Pre-charge the verdict event's log gas (both outcomes emit
             // a 64-byte event, so the cost is outcome-independent); the
             // event itself is emitted free at resolution.
@@ -851,24 +883,11 @@ impl HitContract {
         } else if claimed_in_range || !vpke::verify(&stmt, &proof) {
             // The challenge backfires — in-range claim or invalid proof:
             // the worker is paid immediately.
-            env.ledger
-                .pay(env.contract, worker, reward)
-                .expect("escrow holds the budget");
             env.gas.charge("pay", env.schedule.call_value);
-            record.settlement = Some(Settlement::Paid);
-            self.push_receipt(worker, Settlement::Paid, reward);
-            env.emit(
-                HitEvent::Paid {
-                    worker,
-                    amount: reward,
-                },
-                64,
-            );
+            self.settle_worker(env, worker, Settlement::Paid, true);
         } else {
             let outcome = Settlement::Rejected(RejectReason::OutOfRange { index });
-            record.settlement = Some(outcome.clone());
-            self.push_receipt(worker, outcome, 0);
-            env.emit(HitEvent::OutRanged { worker, index }, 64);
+            self.settle_worker(env, worker, outcome, true);
         }
         Ok(())
     }
@@ -901,7 +920,6 @@ impl HitContract {
         };
         let p = self.params_ref();
         let theta = p.theta;
-        let reward = p.budget / p.k as u128;
         let ek = p.ek;
 
         // Gas: per mismatch item, one VPKE verification plus the
@@ -940,26 +958,12 @@ impl HitContract {
                 .iter()
                 .all(|(stmt, dproof)| vpke::verify(stmt, dproof)),
         };
-        let record = Arc::make_mut(self.workers.get_mut(&worker).expect("checked above"));
         if pay_now {
-            env.ledger
-                .pay(env.contract, worker, reward)
-                .expect("escrow holds the budget");
             env.gas.charge("pay", env.schedule.call_value);
-            record.settlement = Some(Settlement::Paid);
-            self.push_receipt(worker, Settlement::Paid, reward);
-            env.emit(
-                HitEvent::Paid {
-                    worker,
-                    amount: reward,
-                },
-                64,
-            );
+            self.settle_worker(env, worker, Settlement::Paid, true);
         } else {
             let outcome = Settlement::Rejected(RejectReason::LowQuality { chi });
-            record.settlement = Some(outcome.clone());
-            self.push_receipt(worker, outcome, 0);
-            env.emit(HitEvent::Evaluated { worker, chi }, 64);
+            self.settle_worker(env, worker, outcome, true);
         }
         Ok(())
     }
@@ -1071,8 +1075,6 @@ impl HitContract {
         if !pending.is_empty() {
             self.touch();
         }
-        let p = self.params_ref();
-        let reward = p.budget / p.k as u128;
         let mut offset = 0;
         for verdict in pending {
             let n = verdict.items.len();
@@ -1087,37 +1089,15 @@ impl HitContract {
             if record.settlement.is_some() {
                 continue;
             }
-            if all_valid {
-                let (settlement, event) = match verdict.kind {
-                    PendingKind::OutRange { index } => (
-                        Settlement::Rejected(RejectReason::OutOfRange { index }),
-                        HitEvent::OutRanged {
-                            worker: verdict.worker,
-                            index,
-                        },
-                    ),
-                    PendingKind::LowQuality { chi } => (
-                        Settlement::Rejected(RejectReason::LowQuality { chi }),
-                        HitEvent::Evaluated {
-                            worker: verdict.worker,
-                            chi,
-                        },
-                    ),
-                };
-                record.settlement = Some(settlement.clone());
-                self.push_receipt(verdict.worker, settlement, 0);
-                env.emit_free(event);
+            let outcome = if all_valid {
+                Settlement::Rejected(match verdict.kind {
+                    PendingKind::OutRange { index } => RejectReason::OutOfRange { index },
+                    PendingKind::LowQuality { chi } => RejectReason::LowQuality { chi },
+                })
             } else {
-                env.ledger
-                    .pay(env.contract, verdict.worker, reward)
-                    .expect("escrow holds the budget");
-                record.settlement = Some(Settlement::Paid);
-                self.push_receipt(verdict.worker, Settlement::Paid, reward);
-                env.emit_free(HitEvent::Paid {
-                    worker: verdict.worker,
-                    amount: reward,
-                });
-            }
+                Settlement::Paid
+            };
+            self.settle_worker(env, verdict.worker, outcome, false);
         }
     }
 
@@ -1127,35 +1107,25 @@ impl HitContract {
         self.touch();
         // Queued verdicts must land before default payments.
         self.resolve_pending(env);
-        let p = self.params_ref();
-        let reward = p.budget / p.k as u128;
         let requester = self.requester.expect("published");
         // If the requester never opened the gold standards, Fig 4's
         // "otherwise" branch pays every revealed worker — which the
         // default path below implements (no rejection can exist without
         // the golden opening, because evaluate requires it).
         for addr in self.commit_order.clone() {
-            let record = Arc::make_mut(self.workers.get_mut(&addr).expect("committed"));
+            let record = &self.workers[&addr];
             if record.settlement.is_some() {
                 continue;
             }
             if record.revealed.is_some() {
-                env.ledger
-                    .pay(env.contract, addr, reward)
-                    .expect("escrow holds the budget");
                 if charge_gas {
                     env.gas.charge("pay", env.schedule.call_value);
                     env.gas.charge("sstore", env.schedule.sstore_update);
                 }
-                record.settlement = Some(Settlement::Paid);
-                self.push_receipt(addr, Settlement::Paid, reward);
-                env.emit_free(HitEvent::Paid {
-                    worker: addr,
-                    amount: reward,
-                });
+                self.settle_worker(env, addr, Settlement::Paid, false);
             } else {
-                record.settlement = Some(Settlement::Rejected(RejectReason::NoReveal));
-                self.push_receipt(addr, Settlement::Rejected(RejectReason::NoReveal), 0);
+                let outcome = Settlement::Rejected(RejectReason::NoReveal);
+                self.settle_worker(env, addr, outcome, false);
             }
         }
         // Refund whatever remains in escrow (unfilled slots, rejected

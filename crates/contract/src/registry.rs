@@ -662,18 +662,6 @@ impl HitRegistry {
         self.hits.ids()
     }
 
-    /// Ids of instances that have not settled yet, ascending.
-    pub fn live_hits(&self) -> Vec<HitId> {
-        let mut ids = Vec::new();
-        self.hits.for_each(|id, inst| {
-            if !inst.hit.is_settled() {
-                ids.push(id);
-            }
-        });
-        ids.sort_unstable();
-        ids
-    }
-
     /// Number of settled (closed or cancelled) instances.
     pub fn settled_count(&self) -> usize {
         let mut count = 0;

@@ -138,11 +138,6 @@ impl<S: CaptureStateMachine> NetSim<S> {
         self.nodes.len()
     }
 
-    /// The virtual clock.
-    pub fn tick_now(&self) -> u64 {
-        self.tick
-    }
-
     /// Node `i`'s chain replica, for state audits.
     pub fn node_chain(&self, i: usize) -> &Chain<S> {
         &self.nodes[i].chain

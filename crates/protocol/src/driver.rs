@@ -1,12 +1,15 @@
 //! The end-to-end protocol driver: runs Π_hit over the simulated chain
 //! and produces a structured report (settlements, payments, per-phase gas
-//! — the raw material of Table III).
+//! — the raw material of Table III). The requester's side of the run is
+//! the [`Sequencer`]'s, stepped once per round with its evaluations done
+//! on the spot; the marketplace engine steps the same machine with the
+//! evaluations on its proving pool.
 
-use crate::requester::{Requester, Verdict};
+use crate::requester::{Requester, Sequencer, Step, Strategy, Verdict};
 use crate::storage::ContentStore;
 use crate::worker::{Worker, WorkerBehavior};
 use dragoon_chain::{Chain, Gas, GasSchedule, ReorderPolicy, TxStatus};
-use dragoon_contract::{HitContract, HitMessage, PhaseWindows, Settlement};
+use dragoon_contract::{HitContract, HitMessage, Phase, PhaseWindows, Settlement};
 use dragoon_core::task::Answer;
 use dragoon_core::workload::Workload;
 use dragoon_crypto::commitment::Commitment;
@@ -99,6 +102,18 @@ pub struct RunReport {
     pub workers: Vec<Address>,
 }
 
+/// The on-chain identity of simulated requester `i` — the account
+/// every genesis (the driver's, the market's, each replica's, crash
+/// recovery's) mints its budget to.
+pub fn requester_addr(i: u64) -> Address {
+    Address::from_seed(0xd1a6_0000 + i)
+}
+
+/// The on-chain identity of simulated worker `i`.
+pub fn worker_addr(i: u64) -> Address {
+    Address::from_seed(0x3031_0000 + i)
+}
+
 /// Runs the full protocol with honest FIFO scheduling.
 pub fn run<R: Rng + ?Sized>(config: RunConfig, rng: &mut R) -> RunReport {
     run_with_policy(config, &mut dragoon_chain::FifoPolicy, rng)
@@ -117,10 +132,8 @@ pub fn run_with_policy<R: Rng + ?Sized>(
         schedule,
         block_gas_limit,
     } = config;
-    let requester_addr = Address::from_seed(0xd1a6_0000);
-    let worker_addrs: Vec<Address> = (0..behaviors.len() as u64)
-        .map(|i| Address::from_seed(0x3031_0000 + i))
-        .collect();
+    let requester_addr = requester_addr(0);
+    let worker_addrs: Vec<Address> = (0..behaviors.len() as u64).map(worker_addr).collect();
 
     let mut store = ContentStore::new();
     let requester = Requester::new(requester_addr, &workload, &mut store, rng);
@@ -172,78 +185,47 @@ pub fn run_with_policy<R: Rng + ?Sized>(
     // phase windows absorb the one-clock-period maximum). A generous
     // round bound guarantees termination even under pathological
     // policies.
-    let mut reveals_sent: Vec<Address> = Vec::new();
-    let mut golden_sent = false;
-    let mut verdicts_sent = false;
-    let mut verdict_targets: Vec<Address> = Vec::new();
-    let mut finalize_sent = false;
+    let mut sequencer = Sequencer::new(Strategy::GoldenFirst);
     let mut collected = Vec::new();
     let max_round = chain.round() + 48;
     while !chain.contract().is_settled() && chain.round() < max_round {
-        match chain.contract().phase() {
-            dragoon_contract::Phase::Reveal => {
-                // Phase 2-b: accepted workers open their commitments.
-                let accepted = chain.contract().committed_workers().to_vec();
-                for w in &workers {
-                    if accepted.contains(&w.addr) && !reveals_sent.contains(&w.addr) {
-                        reveals_sent.push(w.addr);
-                        if let Some(msg) = w.reveal_msg(rng) {
-                            chain.submit(w.addr, msg);
-                        }
+        if chain.contract().phase() == Phase::Reveal {
+            // Phase 2-b: accepted workers open their commitments.
+            let accepted = chain.contract().committed_workers().to_vec();
+            for w in &mut workers {
+                if accepted.contains(&w.addr) && !std::mem::replace(&mut w.reveal_sent, true) {
+                    if let Some(msg) = w.reveal_msg(rng) {
+                        chain.submit(w.addr, msg);
                     }
                 }
             }
-            dragoon_contract::Phase::Evaluate => {
-                // The requester sequences its phase-3 transactions:
-                // golden first, rejections once the golden opening has
-                // confirmed, settlement once the rejections have
-                // confirmed — a rushing adversary can reorder messages
-                // *within* a round, so dependent messages must not share
-                // one.
-                if !golden_sent {
-                    golden_sent = true;
-                    chain.submit(requester_addr, requester.golden_msg());
-                } else if !verdicts_sent && chain.contract().golden().is_some() {
-                    // Golden confirmed: read every revealed submission
-                    // (from event logs), decrypt, challenge the bad ones.
-                    verdicts_sent = true;
-                    let mut msgs = Vec::new();
-                    for addr in chain.contract().committed_workers().to_vec() {
-                        if let Some(cts) = chain.contract().revealed(&addr) {
-                            match requester.evaluate(addr, cts, rng) {
-                                Verdict::Accept { answer, .. } => collected.push((addr, answer)),
-                                Verdict::RejectOutOfRange { msg } => {
-                                    verdict_targets.push(addr);
-                                    msgs.push(msg);
-                                }
-                                Verdict::RejectLowQuality { msg, .. } => {
-                                    verdict_targets.push(addr);
-                                    msgs.push(msg);
-                                }
-                            }
+        }
+        // Phase 3, one step per round.
+        let msgs = match sequencer.next(chain.contract(), chain.round()) {
+            Some(Step::Cancel) => vec![HitMessage::Cancel],
+            Some(Step::OpenGolden) => vec![requester.golden_msg()],
+            Some(Step::Evaluate) => {
+                // Read every revealed submission (from event logs),
+                // decrypt, challenge the bad ones — all in this round.
+                let hit = chain.contract();
+                let mut verdicts = Vec::new();
+                for addr in hit.committed_workers() {
+                    if let Some(cts) = hit.revealed(addr) {
+                        let verdict = requester.evaluate(*addr, cts, rng);
+                        if let Verdict::Accept { answer, .. } = &verdict {
+                            collected.push((*addr, answer.clone()));
                         }
+                        verdicts.push((*addr, verdict));
                     }
-                    for msg in msgs {
-                        chain.submit(requester_addr, msg);
-                    }
-                } else if !finalize_sent
-                    && verdicts_sent
-                    && verdict_targets
-                        .iter()
-                        .all(|w| chain.contract().settlement(w).is_some())
-                    && chain
-                        .contract()
-                        .evaluate_deadline()
-                        .is_some_and(|d| chain.round() >= d)
-                {
-                    // Deadline passed and all rejections confirmed:
-                    // settle explicitly (the clock-driven settlement is
-                    // the gas-free backstop if this gets delayed).
-                    finalize_sent = true;
-                    chain.submit(requester_addr, HitMessage::Finalize);
                 }
+                sequencer.verdicts_landed(verdicts, |_| false)
             }
-            _ => {}
+            Some(Step::Reject(msgs)) => msgs,
+            Some(Step::Finalize) => vec![HitMessage::Finalize],
+            None => Vec::new(),
+        };
+        for msg in msgs {
+            chain.submit(requester_addr, msg);
         }
         chain.advance_round(policy);
     }

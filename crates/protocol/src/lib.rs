@@ -5,7 +5,10 @@
 //!
 //! * [`requester`] / [`worker`] — the off-chain clients, including
 //!   adversarial worker behaviours (copy-paste free-riders, silent
-//!   committers, malformed reveals).
+//!   committers, malformed reveals) and the requester's
+//!   [`Sequencer`]: the one state machine that orders cancel, golden
+//!   opening, evaluation, rejections and finalize, for the driver and
+//!   the market engine alike.
 //! * [`driver`] — end-to-end protocol runs over the simulated chain,
 //!   producing per-phase gas reports (Table III's raw material).
 //! * [`ideal`] — the ideal functionality `F_hit` (Fig 2), the trusted
@@ -27,11 +30,13 @@ pub mod storage;
 pub mod strawman;
 pub mod worker;
 
-pub use driver::{run, run_with_policy, GasByPhase, RunConfig, RunReport};
+pub use driver::{
+    requester_addr, run, run_with_policy, worker_addr, GasByPhase, RunConfig, RunReport,
+};
 pub use ideal::{IdealHit, IdealPhase, Leakage};
 pub use proving::{
     job_rng, JobKey, ProofJob, ProofPhase, ProvingConfig, ProvingService, ProvingStats,
 };
-pub use requester::{Evaluator, Requester, Verdict};
+pub use requester::{Evaluator, Requester, Sequencer, Step, Strategy, Verdict};
 pub use storage::ContentStore;
 pub use worker::{CommitArtifacts, Worker, WorkerBehavior};

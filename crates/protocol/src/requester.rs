@@ -1,8 +1,10 @@
 //! The requester client of Π_hit (Fig 5): key management, task
-//! publication, answer evaluation and proof generation.
+//! publication, answer evaluation and proof generation — and the
+//! [`Sequencer`], the one place that decides *when* each of the
+//! requester's transactions goes out.
 
 use crate::storage::{encode_questions, ContentStore, Digest};
-use dragoon_contract::{HitMessage, PublishParams};
+use dragoon_contract::{HitContract, HitMessage, Phase, PublishParams};
 use dragoon_core::poqoea;
 use dragoon_core::task::{Answer, EncryptedAnswer, GoldenStandards, TaskSpec};
 use dragoon_core::workload::Workload;
@@ -230,10 +232,178 @@ impl Evaluator {
     }
 }
 
+/// The order in which a requester runs phase 3.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Strategy {
+    /// Fig 5: open the gold standards, evaluate once the opening has
+    /// confirmed, send each rejection as soon as it is proven.
+    GoldenFirst,
+    /// The golden-withholding cartel: every verdict is decided
+    /// **off-chain first** (the requester holds the decryption key;
+    /// nothing forces evaluation through the chain) and the gold
+    /// standards open only when a rejection will land. A HIT whose
+    /// workers all pass keeps its golds secret — reusable across the
+    /// cartel's other HITs — and settles through the deadline backstop;
+    /// a HIT with rejectable work opens the golds, then claws back every
+    /// rejected share.
+    EvaluateFirst,
+}
+
+/// One transaction (or one evaluation) the requester owes its instance.
+#[derive(Clone, Debug)]
+pub enum Step {
+    /// The commit window lapsed short of `K`: submit `Cancel`.
+    Cancel,
+    /// Submit [`Requester::golden_msg`].
+    OpenGolden,
+    /// Decrypt and judge every revealed submission, then report the
+    /// verdicts through [`Sequencer::verdicts_landed`] — in the same
+    /// round or, when proving takes time, rounds later.
+    Evaluate,
+    /// Submit these held rejections, in order.
+    Reject(Vec<HitMessage>),
+    /// Submit `Finalize`.
+    Finalize,
+}
+
+/// The last thing a [`Sequencer`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    Idle,
+    CancelSent,
+    /// The golden opening is out; what depends on it waits for it to
+    /// confirm on-chain.
+    GoldenSent,
+    /// `Evaluate` was handed out; its verdicts have not landed.
+    Evaluating,
+    /// Evaluate-first: verdicts landed, rejections held, golds closed.
+    Decided,
+    /// Every rejection is out: `Finalize` waits for them to settle and
+    /// for the evaluate deadline.
+    Settling,
+    FinalizeSent,
+}
+
+/// The requester's whole reaction to its instance, one step per round:
+/// cancel an unfillable task, then sequence phase 3 so that every
+/// message waits for the one it depends on to confirm on-chain — a
+/// rushing adversary can reorder messages *within* a round, so
+/// dependent messages must not share one. The single-task driver feeds
+/// the verdicts back in the round `Evaluate` was issued; the market
+/// engine feeds them back when the evaluation's proof job releases.
+#[derive(Clone, Debug)]
+pub struct Sequencer {
+    strategy: Strategy,
+    stage: Stage,
+    /// Workers challenged; `Finalize` waits for their settlements.
+    targets: Vec<Address>,
+    /// Rejections decided before the golds opened (evaluate-first).
+    held: Vec<HitMessage>,
+    accepted: usize,
+}
+
+impl Sequencer {
+    /// A sequencer that has sent nothing yet.
+    pub fn new(strategy: Strategy) -> Self {
+        Self {
+            strategy,
+            stage: Stage::Idle,
+            targets: Vec::new(),
+            held: Vec::new(),
+            accepted: 0,
+        }
+    }
+
+    /// Submissions accepted so far (the requester's utility).
+    pub fn accepted(&self) -> usize {
+        self.accepted
+    }
+
+    /// What to do this round given the instance's confirmed state, if
+    /// anything. Each step is handed out once.
+    pub fn next(&mut self, hit: &HitContract, round: u64) -> Option<Step> {
+        let passed = |deadline: Option<u64>| deadline.is_some_and(|d| round >= d);
+        let (step, stage) = match (hit.phase(), self.stage) {
+            (Phase::Commit, Stage::Idle)
+                if passed(hit.commit_deadline())
+                    && hit.committed_workers().len() < hit.params().map_or(0, |p| p.k) =>
+            {
+                (Step::Cancel, Stage::CancelSent)
+            }
+            (Phase::Evaluate, Stage::Idle | Stage::CancelSent) => match self.strategy {
+                Strategy::GoldenFirst => (Step::OpenGolden, Stage::GoldenSent),
+                Strategy::EvaluateFirst => (Step::Evaluate, Stage::Evaluating),
+            },
+            (Phase::Evaluate, Stage::Decided) => (Step::OpenGolden, Stage::GoldenSent),
+            (Phase::Evaluate, Stage::GoldenSent) if hit.golden().is_some() => match self.strategy {
+                Strategy::GoldenFirst => (Step::Evaluate, Stage::Evaluating),
+                Strategy::EvaluateFirst => (
+                    Step::Reject(std::mem::take(&mut self.held)),
+                    Stage::Settling,
+                ),
+            },
+            // The clock-driven settlement is the gas-free backstop if
+            // this gets delayed.
+            (Phase::Evaluate, Stage::Settling)
+                if passed(hit.evaluate_deadline())
+                    && self.targets.iter().all(|w| hit.settlement(w).is_some()) =>
+            {
+                (Step::Finalize, Stage::FinalizeSent)
+            }
+            _ => return None,
+        };
+        self.stage = stage;
+        Some(step)
+    }
+
+    /// The evaluation's verdicts are in: counts the accepted
+    /// submissions and returns the rejections to submit now. Golden-first
+    /// releases them all (the golds are already open). Evaluate-first
+    /// asks `withhold` — given the number of rejectable submissions —
+    /// whether to keep the golds closed: if so nothing is ever rejected,
+    /// otherwise the rejections are held for [`Step::Reject`].
+    pub fn verdicts_landed(
+        &mut self,
+        verdicts: Vec<(Address, Verdict)>,
+        withhold: impl FnOnce(usize) -> bool,
+    ) -> Vec<HitMessage> {
+        debug_assert_eq!(self.stage, Stage::Evaluating, "verdicts without Evaluate");
+        let mut rejections = Vec::new();
+        for (worker, verdict) in verdicts {
+            match verdict {
+                Verdict::Accept { .. } => self.accepted += 1,
+                Verdict::RejectOutOfRange { msg } | Verdict::RejectLowQuality { msg, .. } => {
+                    self.targets.push(worker);
+                    rejections.push(msg);
+                }
+            }
+        }
+        match self.strategy {
+            Strategy::GoldenFirst => {
+                self.stage = Stage::Settling;
+                rejections
+            }
+            Strategy::EvaluateFirst if withhold(rejections.len()) => {
+                self.targets.clear();
+                self.stage = Stage::Settling;
+                Vec::new()
+            }
+            Strategy::EvaluateFirst => {
+                self.held = rejections;
+                self.stage = Stage::Decided;
+                Vec::new()
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dragoon_core::workload::{draw_answer, imagenet_workload, AnswerModel};
+    use crate::worker::{Worker, WorkerBehavior};
+    use dragoon_chain::{Chain, FifoPolicy, GasSchedule};
+    use dragoon_contract::PhaseWindows;
+    use dragoon_core::workload::{draw_answer, generate_workload, imagenet_workload, AnswerModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -412,5 +582,239 @@ mod tests {
             claim,
         };
         assert!(vpke::verify(&stmt, &proof));
+    }
+    // -- the sequencer -------------------------------------------------
+
+    /// One small task on its own chain, its workers' sessions beside it.
+    struct Task {
+        chain: Chain<HitContract>,
+        requester: Requester,
+        workload: Workload,
+        workers: Vec<Worker>,
+        rng: StdRng,
+    }
+
+    impl Task {
+        /// Publishes a `K = accuracies.len()` task (every gold standard
+        /// must match) and creates one worker per accuracy.
+        fn published(accuracies: &[f64], windows: PhaseWindows) -> Self {
+            let mut rng = StdRng::seed_from_u64(0x5e9);
+            let range = PlaintextRange::binary();
+            let workload = generate_workload(6, 3, accuracies.len(), 3, range, 4_000, &mut rng);
+            let addr = Address::from_byte(1);
+            let requester = Requester::new(addr, &workload, &mut ContentStore::new(), &mut rng);
+            let mut chain = Chain::deploy(HitContract::new(windows), 0, GasSchedule::istanbul());
+            chain.ledger.mint(addr, workload.spec.budget);
+            chain.submit(addr, requester.publish_msg());
+            chain.advance_round(&mut FifoPolicy);
+            let workers = accuracies
+                .iter()
+                .zip(10u8..)
+                .map(|(&accuracy, byte)| {
+                    let model = AnswerModel::Diligent { accuracy };
+                    Worker::new(Address::from_byte(byte), WorkerBehavior::Honest(model))
+                })
+                .collect();
+            Self {
+                chain,
+                requester,
+                workload,
+                workers,
+                rng,
+            }
+        }
+
+        /// The first `n` workers commit.
+        fn commit(&mut self, n: usize) {
+            let ek = self.requester.public_key();
+            for w in &mut self.workers[..n] {
+                let msg = w.commit_msg(&self.workload, &ek, &[], &mut self.rng);
+                self.chain
+                    .submit(w.addr, msg.expect("honest workers commit"));
+            }
+            self.chain.advance_round(&mut FifoPolicy);
+        }
+
+        /// Every worker commits and reveals, and the reveal window
+        /// closes: the contract is in its evaluate phase. The sequencer
+        /// had nothing to say on the way there.
+        fn in_evaluate_phase(accuracies: &[f64], seq: &mut Sequencer) -> Self {
+            let windows = PhaseWindows {
+                evaluate: 6,
+                ..PhaseWindows::default()
+            };
+            let mut task = Self::published(accuracies, windows);
+            assert!(task.next(seq).is_none());
+            task.commit(accuracies.len());
+            assert_eq!(task.chain.contract().phase(), Phase::Reveal);
+            assert!(task.next(seq).is_none());
+            for w in &task.workers {
+                let msg = w.reveal_msg(&mut task.rng);
+                task.chain
+                    .submit(w.addr, msg.expect("honest workers reveal"));
+            }
+            while task.chain.contract().phase() == Phase::Reveal {
+                task.chain.advance_round(&mut FifoPolicy);
+            }
+            assert_eq!(task.chain.contract().phase(), Phase::Evaluate);
+            task
+        }
+
+        fn next(&self, seq: &mut Sequencer) -> Option<Step> {
+            seq.next(self.chain.contract(), self.chain.round())
+        }
+
+        /// Submits the requester's messages and produces a block.
+        fn confirm(&mut self, msgs: Vec<HitMessage>) {
+            for msg in msgs {
+                self.chain.submit(self.requester.addr, msg);
+            }
+            self.chain.advance_round(&mut FifoPolicy);
+        }
+
+        fn evaluate_all(&mut self) -> Vec<(Address, Verdict)> {
+            let hit = self.chain.contract();
+            hit.committed_workers()
+                .iter()
+                .map(|w| {
+                    let cts = hit.revealed(w).expect("everyone revealed");
+                    (*w, self.requester.evaluate(*w, cts, &mut self.rng))
+                })
+                .collect()
+        }
+
+        fn deadline_passed(&self) -> bool {
+            let deadline = self.chain.contract().evaluate_deadline();
+            deadline.is_some_and(|d| self.chain.round() >= d)
+        }
+    }
+
+    #[test]
+    fn golden_first_runs_golden_evaluate_rejections_finalize() {
+        let mut seq = Sequencer::new(Strategy::GoldenFirst);
+        let mut task = Task::in_evaluate_phase(&[1.0, 0.0, 0.0], &mut seq);
+        assert!(matches!(task.next(&mut seq), Some(Step::OpenGolden)));
+        // Nothing is issued twice, and evaluation waits for the opening
+        // to confirm.
+        assert!(task.next(&mut seq).is_none());
+        task.confirm(vec![task.requester.golden_msg()]);
+        assert!(matches!(task.next(&mut seq), Some(Step::Evaluate)));
+        assert!(task.next(&mut seq).is_none());
+        let verdicts = task.evaluate_all();
+        let rejections = seq.verdicts_landed(verdicts, |_| unreachable!("the golds are open"));
+        assert_eq!((seq.accepted(), rejections.len()), (1, 2));
+        // One rejection confirms, the other is delayed past the
+        // deadline: finalize waits for it.
+        let mut rejections = rejections.into_iter();
+        task.confirm(rejections.next().into_iter().collect());
+        while !task.deadline_passed() {
+            assert!(task.next(&mut seq).is_none());
+            task.confirm(Vec::new());
+        }
+        assert!(task.next(&mut seq).is_none(), "a target is unsettled");
+        task.confirm(rejections.collect());
+        assert!(matches!(task.next(&mut seq), Some(Step::Finalize)));
+        assert!(task.next(&mut seq).is_none());
+        task.confirm(vec![HitMessage::Finalize]);
+        assert!(task.chain.contract().is_settled());
+        assert!(task.next(&mut seq).is_none());
+    }
+
+    #[test]
+    fn finalize_waits_for_the_evaluate_deadline() {
+        let mut seq = Sequencer::new(Strategy::GoldenFirst);
+        let mut task = Task::in_evaluate_phase(&[1.0, 0.0], &mut seq);
+        assert!(matches!(task.next(&mut seq), Some(Step::OpenGolden)));
+        task.confirm(vec![task.requester.golden_msg()]);
+        assert!(matches!(task.next(&mut seq), Some(Step::Evaluate)));
+        let verdicts = task.evaluate_all();
+        let rejections = seq.verdicts_landed(verdicts, |_| false);
+        task.confirm(rejections);
+        let rejected = task.workers[1].addr;
+        assert!(task.chain.contract().settlement(&rejected).is_some());
+        let mut waited = 0;
+        while !task.deadline_passed() {
+            assert!(task.next(&mut seq).is_none(), "settled, but too early");
+            task.confirm(Vec::new());
+            waited += 1;
+        }
+        assert!(waited > 0);
+        assert!(matches!(task.next(&mut seq), Some(Step::Finalize)));
+    }
+
+    #[test]
+    fn evaluate_first_holds_rejections_until_the_golden_confirms() {
+        let mut seq = Sequencer::new(Strategy::EvaluateFirst);
+        let mut task = Task::in_evaluate_phase(&[1.0, 0.0], &mut seq);
+        assert!(matches!(task.next(&mut seq), Some(Step::Evaluate)));
+        assert!(task.next(&mut seq).is_none());
+        let verdicts = task.evaluate_all();
+        let released = seq.verdicts_landed(verdicts, |rejectable| {
+            assert_eq!(rejectable, 1);
+            false
+        });
+        assert!(released.is_empty(), "held: the golds are still closed");
+        assert_eq!(seq.accepted(), 1);
+        assert!(matches!(task.next(&mut seq), Some(Step::OpenGolden)));
+        assert!(task.next(&mut seq).is_none());
+        task.confirm(vec![task.requester.golden_msg()]);
+        let Some(Step::Reject(held)) = task.next(&mut seq) else {
+            panic!("the confirmed opening releases the held rejection");
+        };
+        assert_eq!(held.len(), 1);
+        task.confirm(held);
+        while !task.deadline_passed() {
+            assert!(task.next(&mut seq).is_none());
+            task.confirm(Vec::new());
+        }
+        assert!(matches!(task.next(&mut seq), Some(Step::Finalize)));
+        assert!(task.next(&mut seq).is_none());
+    }
+
+    #[test]
+    fn evaluate_first_withholds_a_clean_golden() {
+        let mut seq = Sequencer::new(Strategy::EvaluateFirst);
+        let mut task = Task::in_evaluate_phase(&[1.0, 1.0], &mut seq);
+        assert!(matches!(task.next(&mut seq), Some(Step::Evaluate)));
+        let verdicts = task.evaluate_all();
+        let released = seq.verdicts_landed(verdicts, |rejectable| rejectable == 0);
+        assert!(released.is_empty());
+        assert_eq!(seq.accepted(), 2);
+        // The golds never open; the only step left is the finalize.
+        while !task.deadline_passed() {
+            assert!(task.next(&mut seq).is_none());
+            task.confirm(Vec::new());
+        }
+        assert!(matches!(task.next(&mut seq), Some(Step::Finalize)));
+        assert!(task.chain.contract().golden().is_none());
+    }
+
+    #[test]
+    fn cancel_only_past_the_commit_deadline_short_of_k() {
+        let windows = PhaseWindows {
+            commit_timeout: Some(3),
+            ..PhaseWindows::default()
+        };
+        let mut seq = Sequencer::new(Strategy::GoldenFirst);
+        let mut short = Task::published(&[1.0, 1.0], windows);
+        short.commit(1);
+        let deadline = short.chain.contract().commit_deadline().expect("a timeout");
+        while short.chain.round() < deadline {
+            assert!(short.next(&mut seq).is_none(), "the window is still open");
+            short.confirm(Vec::new());
+        }
+        assert!(matches!(short.next(&mut seq), Some(Step::Cancel)));
+        assert!(short.next(&mut seq).is_none());
+        short.confirm(vec![HitMessage::Cancel]);
+        assert!(short.chain.contract().is_settled());
+
+        // A task that filled is past its commit phase: never cancelled.
+        let mut seq = Sequencer::new(Strategy::GoldenFirst);
+        let mut full = Task::published(&[1.0, 1.0], windows);
+        full.commit(2);
+        while full.chain.round() <= deadline {
+            assert!(full.next(&mut seq).is_none());
+            full.confirm(Vec::new());
+        }
     }
 }

@@ -52,6 +52,9 @@ pub struct Worker {
     pub addr: Address,
     /// The behaviour this worker follows.
     pub behavior: WorkerBehavior,
+    /// Whether the reveal has gone out (whoever drives the session sets
+    /// it, so a commitment is opened once).
+    pub reveal_sent: bool,
     answer: Option<Answer>,
     ciphertexts: Option<dragoon_core::task::EncryptedAnswer>,
     key: Option<CommitmentKey>,
@@ -64,6 +67,7 @@ impl Worker {
         Self {
             addr,
             behavior,
+            reveal_sent: false,
             answer: None,
             ciphertexts: None,
             key: None,

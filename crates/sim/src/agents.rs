@@ -1,12 +1,12 @@
 //! The marketplace's agent pools: requesters (one per HIT, reusing the
-//! protocol-layer [`Requester`] client) and a shared worker pool whose
-//! members participate in many HITs concurrently through per-task
-//! [`Worker`] sessions.
+//! protocol-layer [`Requester`] client and its [`Sequencer`]) and a
+//! shared worker pool whose members participate in many HITs
+//! concurrently through per-task [`Worker`] sessions.
 
 use dragoon_contract::HitId;
 use dragoon_core::workload::Workload;
 use dragoon_ledger::Address;
-use dragoon_protocol::{Requester, Worker, WorkerBehavior};
+use dragoon_protocol::{Requester, Sequencer, Strategy, Worker, WorkerBehavior};
 use std::collections::BTreeMap;
 
 /// A requester agent: owns one HIT from publication to settlement.
@@ -17,55 +17,19 @@ pub struct RequesterAgent {
     pub client: Requester,
     /// The workload this agent crowdsources.
     pub workload: Workload,
-    /// Block in which the instance was created.
-    pub published_block: Option<u64>,
-    /// Phase-3 sequencing state (mirrors the single-task driver).
-    pub golden_sent: bool,
-    /// Whether the evaluation proof job has been *enqueued* (rejections
-    /// decided; they enter the mempool when the job's latency elapses).
-    pub verdicts_sent: bool,
-    /// Whether the evaluation job's output has been released back into
-    /// the sim — the gate `Finalize` waits on, so a slow evaluation
-    /// proof delays finalization instead of racing it.
-    pub verdicts_landed: bool,
-    /// Workers this agent has challenged.
-    pub reject_targets: Vec<Address>,
-    /// Whether `Finalize` has been submitted.
-    pub finalize_sent: bool,
-    /// Whether `Cancel` has been submitted (unfillable task).
-    pub cancel_sent: bool,
-    /// Answers successfully collected (the marketplace's utility).
-    pub collected: usize,
-    /// Cartel bookkeeping (econ layer): verdicts were computed off-chain
-    /// ahead of the golden-opening decision.
-    pub verdicts_ready: bool,
-    /// Cartel bookkeeping: the golden opening was withheld (no rejection
-    /// would land, so the gold standards stay secret and the deadline
-    /// backstop settles the task).
-    pub golden_withheld: bool,
-    /// Rejection messages computed off-chain, submitted once the golden
-    /// opening confirms (cartel path only).
-    pub pending_rejects: Vec<dragoon_contract::HitMessage>,
+    /// When each of the agent's transactions goes out, and how many
+    /// answers it has accepted (the marketplace's utility).
+    pub sequencer: Sequencer,
 }
 
 impl RequesterAgent {
     /// Wraps a protocol client.
-    pub fn new(addr: Address, client: Requester, workload: Workload) -> Self {
+    pub fn new(addr: Address, client: Requester, workload: Workload, strategy: Strategy) -> Self {
         Self {
             addr,
             client,
             workload,
-            published_block: None,
-            golden_sent: false,
-            verdicts_sent: false,
-            verdicts_landed: false,
-            reject_targets: Vec::new(),
-            finalize_sent: false,
-            cancel_sent: false,
-            collected: 0,
-            verdicts_ready: false,
-            golden_withheld: false,
-            pending_rejects: Vec::new(),
+            sequencer: Sequencer::new(strategy),
         }
     }
 }
@@ -78,15 +42,8 @@ pub struct WorkerAgent {
     pub behavior: WorkerBehavior,
     /// Live per-HIT protocol sessions. Sessions are removed when their
     /// HIT settles (or the worker loses an overbooked commit race), so
-    /// the map holds live sessions only.
+    /// the map's length is the worker's load against its capacity.
     pub sessions: BTreeMap<HitId, Worker>,
-    /// Live-session count, maintained incrementally: +1 when a session
-    /// joins in `drive_commit`, −1 when `harvest` removes it. Makes the
-    /// engine's capacity check O(1) instead of a rescan of the session
-    /// map against the settled set per live HIT per block.
-    pub live_sessions: usize,
-    /// HITs this worker has already revealed for.
-    pub revealed: Vec<HitId>,
     /// Whether the worker is still in the pool (churn departures flip
     /// this off: the worker stops committing and stops revealing, so its
     /// outstanding commitments settle as `⊥` and escrow flows back).
@@ -100,8 +57,6 @@ impl WorkerAgent {
             addr,
             behavior,
             sessions: BTreeMap::new(),
-            live_sessions: 0,
-            revealed: Vec::new(),
             active: true,
         }
     }

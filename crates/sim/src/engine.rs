@@ -5,14 +5,17 @@
 //!
 //! 1. publishes up to `spawn_per_block` new HITs (factory `Create`
 //!    transactions, budget frozen into per-instance escrow),
-//! 2. snapshots every live instance's phase and lets the agent pools
-//!    react — workers race for commit slots (optionally overbooked so
-//!    `TaskFull` contention actually happens), accepted workers reveal,
-//!    requesters open gold standards, challenge bad submissions and
-//!    finalize,
+//! 2. lets the agent pools react to every live instance, read in place
+//!    from the registry — workers race for commit slots (optionally
+//!    overbooked so `TaskFull` contention actually happens), accepted
+//!    workers reveal, and each requester takes the next step of its
+//!    [`Sequencer`](dragoon_protocol::Sequencer) (cancel, open the gold
+//!    standards, evaluate, challenge bad submissions, finalize),
 //! 3. advances the chain one round under the configured mempool policy
 //!    (honest FIFO, reverse, or a designated front-runner), and
-//! 4. harvests events into per-block and per-HIT metrics.
+//! 4. harvests events into per-block metrics and the per-HIT table —
+//!    one record per created HIT plus the set of live ids, the only
+//!    per-HIT bookkeeping the engine keeps.
 //!
 //! Everything — key generation, workloads, worker noise, scheduling —
 //! derives from the single `MarketConfig::seed`, so a run is exactly
@@ -28,12 +31,10 @@ use dragoon_chain::store::{BlockStore, StoreError};
 use dragoon_chain::{
     resolve_threads, Chain, FifoPolicy, FrontRunPolicy, GasSchedule, ReorderPolicy, ReversePolicy,
 };
-use dragoon_contract::SettlementMode;
 use dragoon_contract::{
-    HitEvent, HitId, HitMessage, HitRegistry, Phase, RegistryEvent, RegistryMessage, RejectReason,
-    Settlement, REGISTRY_CODE_LEN,
+    HitContract, HitEvent, HitId, HitMessage, HitRegistry, Phase, RegistryEvent, RegistryMessage,
+    RejectReason, Settlement, SettlementMode, REGISTRY_CODE_LEN,
 };
-use dragoon_core::task::EncryptedAnswer;
 use dragoon_core::workload::generate_workload;
 use dragoon_crypto::commitment::Commitment;
 use dragoon_crypto::elgamal::PlaintextRange;
@@ -42,28 +43,33 @@ use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
 use dragoon_net::NetSim;
 use dragoon_protocol::{
-    CommitArtifacts, ContentStore, JobKey, ProofJob, ProofPhase, ProvingService, Requester,
-    Verdict, Worker, WorkerBehavior,
+    requester_addr, worker_addr, CommitArtifacts, ContentStore, JobKey, ProofJob, ProofPhase,
+    ProvingService, Requester, Step, Strategy, Verdict, Worker, WorkerBehavior,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// A read-only snapshot of one live instance, taken between blocks so
-/// agent reactions don't fight the chain borrow.
-struct HitSnapshot {
-    id: HitId,
+/// What the engine knows about one created HIT. Keyed by the id its
+/// `Created` event carried: a reordering mempool policy creates
+/// instances out of publish order.
+#[derive(Default)]
+struct HitRecord {
+    /// Index of the owning requester agent.
     agent: usize,
-    phase: Phase,
-    committed: Vec<Address>,
-    k: usize,
-    budget: u128,
-    commit_deadline: Option<u64>,
-    revealed: Vec<(Address, EncryptedAnswer)>,
-    golden_open: bool,
-    evaluate_deadline: Option<u64>,
-    settled_workers: BTreeSet<Address>,
+    /// Block in which the instance was created.
+    published_block: u64,
+    /// Block in which it settled (closed or cancelled), once it has.
+    settled_block: Option<u64>,
+    /// Whether it was cancelled unfilled.
+    cancelled: bool,
+    /// Worker indices that joined (or tried to join); emptied when the
+    /// hit settles.
+    joined: Vec<usize>,
+    /// Commitments visible for the hit (mempool observation, for the
+    /// copy-paste behaviour); emptied when the hit settles.
+    observed: Vec<Commitment>,
 }
 
 /// What one proof job hands back to the engine when its modeled latency
@@ -79,17 +85,13 @@ enum JobOutput {
         artifacts: CommitArtifacts,
     },
     /// A reveal opening finished (`None` for non-revealing behaviours).
-    Reveal { wi: usize, msg: Option<HitMessage> },
+    Reveal(Option<HitMessage>),
     /// An evaluation finished: the requester's verdict per revealed
     /// worker, decided and proven off the hot path.
-    Verdicts {
-        agent: usize,
-        verdicts: Vec<(Address, Verdict)>,
-        cartel: bool,
-    },
+    Verdicts(Vec<(Address, Verdict)>),
     /// A zero-cost control message (cancel, golden, reject flush,
     /// finalize) routed through the queue purely for ordering.
-    Direct { sender: Address, msg: HitMessage },
+    Direct(HitMessage),
 }
 
 /// The marketplace engine. Build with [`MarketSim::new`], run with
@@ -102,16 +104,11 @@ pub struct MarketSim {
     next_publish: usize,
     /// Requester address → agent index (addresses are fixed at setup).
     agent_by_addr: BTreeMap<Address, usize>,
-    agent_of_hit: BTreeMap<HitId, usize>,
-    /// Worker indices that joined (or tried to join) each live hit;
-    /// dropped when the hit settles.
-    joined: BTreeMap<HitId, Vec<usize>>,
-    /// Commitments visible for each live hit (mempool observation, for
-    /// the copy-paste behaviour); dropped when the hit settles.
-    observed: BTreeMap<HitId, Vec<Commitment>>,
-    settled_hits: BTreeSet<HitId>,
-    settled_block: BTreeMap<HitId, u64>,
-    cancelled_hits: BTreeSet<HitId>,
+    /// Every created HIT.
+    hits: BTreeMap<HitId, HitRecord>,
+    /// The created HITs that have not settled — all a block's agent
+    /// step walks.
+    live: BTreeSet<HitId>,
     block_stats: Vec<BlockStat>,
     /// Settle-before-publish clock violations (see
     /// [`MarketReport::latency_violations`]).
@@ -126,9 +123,6 @@ pub struct MarketSim {
     /// every canonical submission and produced block fans out to a
     /// simulated gossip network of full replicas.
     net: Option<NetSim<HitRegistry>>,
-    /// Next churn-arrival sequence number (continues the initial pool's
-    /// address derivation).
-    next_worker_index: u64,
     /// The proving pipeline: every agent-step submission flows through
     /// it as a keyed job (inline at zero latency when disabled).
     proving: ProvingService<JobOutput>,
@@ -136,11 +130,12 @@ pub struct MarketSim {
     /// shared with the proving workers. A requester's table is retired
     /// when its HIT settles, so the cache holds the live HITs' keys.
     cache: Arc<ProofCache>,
-    /// Commitments that became visible this round, appended to
-    /// `observed` only after the round's jobs are built: an observing
-    /// copy-paste attacker replays *prior rounds'* commitments, which
-    /// keeps the observation set identical whether this round's commit
-    /// proofs are computed inline or released later by the async pool.
+    /// Commitments that became visible this round, appended to their
+    /// HIT's `observed` only after the round's jobs are built: an
+    /// observing copy-paste attacker replays *prior rounds'*
+    /// commitments, which keeps the observation set identical whether
+    /// this round's commit proofs are computed inline or released later
+    /// by the async pool.
     observed_buffer: Vec<(HitId, Commitment)>,
     /// The on-disk block store (`None` when `config.persist` is unset):
     /// every produced block's executed transaction list appends to the
@@ -196,9 +191,7 @@ fn genesis_chain(
         GasSchedule::istanbul(),
     );
     for i in 0..hits {
-        chain
-            .ledger
-            .mint(Address::from_seed(0xd1a6_0000 + i), headroom);
+        chain.ledger.mint(requester_addr(i), headroom);
     }
     chain
 }
@@ -252,12 +245,19 @@ impl MarketSim {
         });
         let mut store = ContentStore::new();
         let mut requesters = Vec::with_capacity(config.hits);
+        let mut agent_by_addr = BTreeMap::new();
         for i in 0..config.hits as u64 {
-            let addr = Address::from_seed(0xd1a6_0000 + i);
+            let addr = requester_addr(i);
+            agent_by_addr.insert(addr, i as usize);
             let theta = econ.as_mut().map_or(config.theta, |e| {
                 e.register_requester(i as usize, addr);
                 e.theta_for(i as usize, config.golds, config.theta)
             });
+            let strategy = if econ.as_ref().is_some_and(|e| e.is_cartel(&addr)) {
+                Strategy::EvaluateFirst
+            } else {
+                Strategy::GoldenFirst
+            };
             let workload = generate_workload(
                 config.questions,
                 config.golds,
@@ -268,23 +268,17 @@ impl MarketSim {
                 &mut rng,
             );
             let client = Requester::new(addr, &workload, &mut store, &mut rng);
-            requesters.push(RequesterAgent::new(addr, client, workload));
+            requesters.push(RequesterAgent::new(addr, client, workload, strategy));
         }
         let workers = (0..config.workers as u64)
             .map(|i| {
-                let addr = Address::from_seed(0x3031_0000 + i);
+                let addr = worker_addr(i);
                 if let Some(e) = &mut econ {
                     e.register_worker(i as usize, addr, base_reward);
                 }
                 WorkerAgent::new(addr, behavior_for(&config.behavior_mix, i))
             })
             .collect();
-        let agent_by_addr = requesters
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.addr, i))
-            .collect();
-        let next_worker_index = config.workers as u64;
         // The network layer: every replica starts from the exact genesis
         // the canonical chain started from (same registry deployment,
         // same requester mints), so a replica that has applied every
@@ -323,12 +317,8 @@ impl MarketSim {
             workers,
             next_publish: 0,
             agent_by_addr,
-            agent_of_hit: BTreeMap::new(),
-            joined: BTreeMap::new(),
-            observed: BTreeMap::new(),
-            settled_hits: BTreeSet::new(),
-            settled_block: BTreeMap::new(),
-            cancelled_hits: BTreeSet::new(),
+            hits: BTreeMap::new(),
+            live: BTreeSet::new(),
             block_stats: Vec::new(),
             latency_violations: 0,
             events_seen: 0,
@@ -337,7 +327,6 @@ impl MarketSim {
             refunds: 0,
             econ,
             net,
-            next_worker_index,
             proving,
             cache: Arc::new(ProofCache::new()),
             observed_buffer: Vec::new(),
@@ -381,13 +370,19 @@ impl MarketSim {
         Chain<HitRegistry>,
         Option<NetSim<HitRegistry>>,
     ) {
+        let report = self.run_to_end();
+        (report, self.chain, self.net)
+    }
+
+    /// The block loop and the run-end barriers.
+    fn run_to_end(&mut self) -> MarketReport {
         let mut fifo = FifoPolicy;
         let mut reverse = ReversePolicy;
         let mut front_run = FrontRunPolicy::new(self.workers[0].addr);
         loop {
             let done = self.next_publish >= self.config.hits
-                && self.settled_hits.len() >= self.agent_of_hit.len()
-                && self.agent_of_hit.len() >= self.config.hits;
+                && self.live.is_empty()
+                && self.hits.len() >= self.config.hits;
             if done || self.chain.round() >= self.config.max_blocks {
                 break;
             }
@@ -470,8 +465,7 @@ impl MarketSim {
         // deadline backstops (its HIT settled ⊥ without the proof) —
         // count it dropped.
         self.proving.finish();
-        let report = self.build_report();
-        (report, self.chain, self.net)
+        self.build_report()
     }
 
     /// Submits this block's `Create` transactions. With dynamic pricing
@@ -495,66 +489,6 @@ impl MarketSim {
         }
     }
 
-    /// Snapshots every live instance.
-    fn snapshots(&self) -> Vec<HitSnapshot> {
-        let registry = self.chain.contract();
-        let mut out = Vec::new();
-        for (&id, &agent) in &self.agent_of_hit {
-            if self.settled_hits.contains(&id) {
-                continue;
-            }
-            let Some(hit) = registry.hit(id) else {
-                continue;
-            };
-            if hit.is_settled() {
-                continue;
-            }
-            let committed = hit.committed_workers().to_vec();
-            // Revealed ciphertexts are only consumed by the one block in
-            // which the requester decides its verdicts — skip the clones
-            // everywhere else (they dominate snapshot cost otherwise).
-            // Honest requesters decide after their golden opening
-            // confirms; cartel requesters decide *before*, off-chain, so
-            // the golden can be withheld when nothing is rejectable.
-            let peeks_early = self
-                .econ
-                .as_ref()
-                .is_some_and(|e| e.is_cartel(&self.requesters[agent].addr))
-                && !self.requesters[agent].verdicts_ready;
-            let wants_reveals = peeks_early
-                || (hit.golden().is_some()
-                    && !self.requesters[agent].verdicts_sent
-                    && !self.requesters[agent].verdicts_ready);
-            let revealed = if hit.phase() == Phase::Evaluate && wants_reveals {
-                committed
-                    .iter()
-                    .filter_map(|w| hit.revealed(w).map(|cts| (*w, cts.clone())))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let settled_workers = committed
-                .iter()
-                .filter(|w| hit.settlement(w).is_some())
-                .copied()
-                .collect();
-            out.push(HitSnapshot {
-                id,
-                agent,
-                phase: hit.phase(),
-                committed,
-                k: hit.params().map_or(0, |p| p.k),
-                budget: hit.params().map_or(0, |p| p.budget),
-                commit_deadline: hit.commit_deadline(),
-                revealed,
-                golden_open: hit.golden().is_some(),
-                evaluate_deadline: hit.evaluate_deadline(),
-                settled_workers,
-            });
-        }
-        out
-    }
-
     /// Lets workers and requesters react to every live instance.
     ///
     /// Order matters for determinism: (1) proof jobs from earlier
@@ -570,7 +504,6 @@ impl MarketSim {
         let round = self.chain.round();
         let mut submissions: Vec<(Address, RegistryMessage)> = Vec::new();
         self.process_ready(round, &mut submissions);
-        let snapshots = self.snapshots();
         // Reputation-ordered worker selection: one ranking per block
         // (scores only move at harvest), shared by every commit-phase
         // HIT — high-reputation workers get first claim on fresh slots,
@@ -587,20 +520,33 @@ impl MarketSim {
                 e.rank(&mut candidates, round);
                 candidates.into_iter().map(|(i, _)| i).collect()
             });
-        let mut jobs: Vec<ProofJob<JobOutput>> = Vec::new();
-        for snap in &snapshots {
-            match snap.phase {
-                Phase::Commit => self.drive_commit(snap, round, ranked.as_deref(), &mut jobs),
-                Phase::Reveal => self.drive_reveal(snap, &mut jobs),
-                Phase::Evaluate => self.drive_evaluate(snap, round, &mut jobs),
-                Phase::Setup | Phase::Closed => {}
-            }
+        // Nothing below touches the chain — submissions enter the
+        // mempool only after every drive has run — so each drive reads
+        // its instance in place, through the registry's guarded
+        // reference, while agents and records change beside it.
+        let registry = self.chain.contract();
+        let mut drives = Drives {
+            config: &self.config,
+            requesters: &mut self.requesters,
+            workers: &mut self.workers,
+            econ: &mut self.econ,
+            cache: &self.cache,
+            round,
+            ranked,
+            jobs: Vec::new(),
+        };
+        for &id in &self.live {
+            let hit = registry.hit(id).expect("a live HIT exists on-chain");
+            let record = self.hits.get_mut(&id).expect("live ids are in the table");
+            drives.react(id, &hit, record);
         }
+        let jobs = drives.jobs;
         self.proving.submit_batch(round, jobs);
         self.process_ready(round, &mut submissions);
         // This round's commitments become observable next round.
         for (id, commitment) in std::mem::take(&mut self.observed_buffer) {
-            self.observed.entry(id).or_default().push(commitment);
+            let record = self.hits.get_mut(&id).expect("a session's HIT was created");
+            record.observed.push(commitment);
         }
         for (sender, msg) in submissions {
             self.submit_tx(sender, msg);
@@ -629,365 +575,42 @@ impl MarketSim {
                     }
                     submissions.push((w.addr, RegistryMessage::Hit { id, msg }));
                 }
-                JobOutput::Reveal { wi, msg } => {
-                    if self.settled_hits.contains(&id) {
+                JobOutput::Reveal(msg) => {
+                    if !self.live.contains(&id) {
                         self.proving.stats_mut().stale += 1;
                         continue;
                     }
                     if let Some(msg) = msg {
-                        submissions.push((self.workers[wi].addr, RegistryMessage::Hit { id, msg }));
+                        submissions.push((key.agent, RegistryMessage::Hit { id, msg }));
                     }
                 }
-                JobOutput::Verdicts {
-                    agent,
-                    verdicts,
-                    cartel,
-                } => {
-                    if self.settled_hits.contains(&id) {
+                JobOutput::Verdicts(verdicts) => {
+                    if !self.live.contains(&id) {
                         self.proving.stats_mut().stale += 1;
                         continue;
                     }
-                    let a = &mut self.requesters[agent];
-                    for (worker, verdict) in verdicts {
-                        match verdict {
-                            Verdict::Accept { .. } => a.collected += 1,
-                            Verdict::RejectOutOfRange { msg }
-                            | Verdict::RejectLowQuality { msg, .. } => {
-                                a.reject_targets.push(worker);
-                                if cartel {
-                                    a.pending_rejects.push(msg);
-                                } else {
-                                    submissions.push((a.addr, RegistryMessage::Hit { id, msg }));
-                                }
-                            }
-                        }
+                    let a = &mut self.requesters[self.hits[&id].agent];
+                    // The withhold decision lands with the verdicts: only
+                    // now is the rejectable count known.
+                    let econ = &mut self.econ;
+                    let released = a.sequencer.verdicts_landed(verdicts, |rejectable| {
+                        econ.as_mut()
+                            .is_some_and(|e| e.withholds_golden(&a.addr, rejectable))
+                    });
+                    for msg in released {
+                        submissions.push((a.addr, RegistryMessage::Hit { id, msg }));
                     }
-                    if cartel {
-                        // The withhold decision lands with the verdicts:
-                        // only now is the rejectable count known.
-                        let rejectable = a.pending_rejects.len();
-                        if let Some(e) = &mut self.econ {
-                            if e.withholds_golden(&a.addr, rejectable) {
-                                a.golden_withheld = true;
-                                a.golden_sent = true;
-                                a.verdicts_sent = true;
-                            }
-                        }
-                    }
-                    a.verdicts_landed = true;
                 }
-                JobOutput::Direct { sender, msg } => {
-                    submissions.push((sender, RegistryMessage::Hit { id, msg }));
+                JobOutput::Direct(msg) => {
+                    submissions.push((key.agent, RegistryMessage::Hit { id, msg }));
                 }
             }
         }
     }
 
-    /// A zero-cost control job: carries an already-built message through
-    /// the queue so its mempool position is decided by the same
-    /// `(ready_tick, seq)` order as every proof.
-    fn control_job(
-        sender: Address,
-        id: HitId,
-        msg: HitMessage,
-        jobs: &mut Vec<ProofJob<JobOutput>>,
-    ) {
-        jobs.push(ProofJob {
-            key: JobKey {
-                agent: sender,
-                instance: id,
-                phase: ProofPhase::Control,
-            },
-            cost: 0,
-            run: Box::new(move |_rng: &mut StdRng| JobOutput::Direct { sender, msg }),
-        });
-    }
-
-    /// Commit phase: eligible workers race for slots; the requester
-    /// cancels an unfillable task after its timeout. With the econ layer
-    /// on, candidates come reputation-ordered (`ranked`), departed
-    /// workers sit out, the reputation gate and reservation wages filter
-    /// the rest, and sybil policies pick each session's behaviour.
-    fn drive_commit(
-        &mut self,
-        snap: &HitSnapshot,
-        round: u64,
-        ranked: Option<&[usize]>,
-        jobs: &mut Vec<ProofJob<JobOutput>>,
-    ) {
-        let agent = &mut self.requesters[snap.agent];
-        if let Some(deadline) = snap.commit_deadline {
-            if round >= deadline && snap.committed.len() < snap.k && !agent.cancel_sent {
-                agent.cancel_sent = true;
-                Self::control_job(agent.addr, snap.id, HitMessage::Cancel, jobs);
-                return;
-            }
-        }
-        let target = snap.k + self.config.overbook;
-        let joined = self.joined.entry(snap.id).or_default();
-        if joined.len() >= target {
-            return;
-        }
-        let ek = agent.client.public_key();
-        // Disjoint field borrows: the workload stays borrowed from
-        // `requesters` while `workers` etc. are mutated below.
-        let workload = &self.requesters[snap.agent].workload;
-        let observed = self.observed.entry(snap.id).or_default();
-        let reward = if snap.k > 0 {
-            snap.budget / snap.k as u128
-        } else {
-            0
-        };
-        // Rotate the pool start per hit so load spreads deterministically
-        // (reputation ordering, when enabled, replaces the rotation).
-        let pool = self.workers.len();
-        let start = (snap.id as usize).wrapping_mul(13) % pool;
-        let candidates = ranked.map_or(pool, <[usize]>::len);
-        for off in 0..candidates {
-            if joined.len() >= target {
-                break;
-            }
-            let wi = match ranked {
-                Some(order) => order[off],
-                None => (start + off) % pool,
-            };
-            if !self.workers[wi].active || joined.contains(&wi) {
-                continue;
-            }
-            // O(1) capacity check: the counter is maintained on join and
-            // in `harvest`, replacing a rescan of the session map against
-            // the settled set for every candidate of every live HIT.
-            if self.workers[wi].live_sessions >= self.config.worker_capacity {
-                continue;
-            }
-            // Econ filters: reputation gate, reservation wage, and the
-            // sybil policy's per-session behaviour choice.
-            let mut policy_behavior = None;
-            if let Some(e) = &mut self.econ {
-                match e.join_decision(&self.workers[wi].addr, reward, round) {
-                    JoinDecision::Join(b) => policy_behavior = b,
-                    JoinDecision::Gated | JoinDecision::Declined => continue,
-                }
-            }
-            let w = &mut self.workers[wi];
-            let behavior = policy_behavior.unwrap_or_else(|| w.behavior.clone());
-            // The copy decision happens at enqueue time, against
-            // commitments observed in *prior* rounds.
-            let copied = match &behavior {
-                WorkerBehavior::CopyPaste => match observed.first() {
-                    Some(c) => Some(*c),
-                    None => continue, // a copier with nothing to copy yet
-                },
-                _ => None,
-            };
-            // The slot is claimed now — the session exists and counts
-            // against capacity — while the answer draw / encryption /
-            // commitment run as a proof job.
-            joined.push(wi);
-            w.sessions
-                .insert(snap.id, Worker::new(w.addr, behavior.clone()));
-            w.live_sessions += 1;
-            let truth = workload.truth.clone();
-            let range = workload.spec.range;
-            let cache = Arc::clone(&self.cache);
-            // Modeled cost: two group ops per encrypted item plus the
-            // commitment itself.
-            let cost = 2 * truth.0.len() as u64 + 2;
-            jobs.push(ProofJob {
-                key: JobKey {
-                    agent: w.addr,
-                    instance: snap.id,
-                    phase: ProofPhase::Commit,
-                },
-                cost,
-                run: Box::new(move |rng: &mut StdRng| JobOutput::Commit {
-                    wi,
-                    artifacts: Worker::prepare_commit(
-                        &behavior,
-                        &truth,
-                        range,
-                        &ek,
-                        copied,
-                        Some(&cache),
-                        rng,
-                    )
-                    .expect("commit inputs decided at enqueue"),
-                }),
-            });
-        }
-    }
-
-    /// Reveal phase: accepted sessions open their commitments. Opening
-    /// a commitment is free (no proving), so reveal jobs carry cost 0
-    /// and always release in the round they were enqueued.
-    fn drive_reveal(&mut self, snap: &HitSnapshot, jobs: &mut Vec<ProofJob<JobOutput>>) {
-        for wi in self.joined.get(&snap.id).cloned().unwrap_or_default() {
-            let w = &mut self.workers[wi];
-            // A departed worker never reveals: its commitment settles as
-            // `⊥` and the escrowed share flows back to the requester.
-            if !w.active {
-                continue;
-            }
-            if !snap.committed.contains(&w.addr) || w.revealed.contains(&snap.id) {
-                continue;
-            }
-            let Some(session) = w.sessions.get(&snap.id) else {
-                continue;
-            };
-            w.revealed.push(snap.id);
-            let behavior = session.behavior.clone();
-            let cts = session.ciphertexts().cloned();
-            let key = session.commit_key();
-            jobs.push(ProofJob {
-                key: JobKey {
-                    agent: w.addr,
-                    instance: snap.id,
-                    phase: ProofPhase::Reveal,
-                },
-                cost: 0,
-                run: Box::new(move |rng: &mut StdRng| JobOutput::Reveal {
-                    wi,
-                    msg: Worker::reveal_msg_with(&behavior, cts.as_ref(), key, rng),
-                }),
-            });
-        }
-    }
-
-    /// Evaluate phase: the requester sequences golden → rejections →
-    /// finalize, waiting for each stage to confirm on-chain (rushing
-    /// adversaries can reorder within a round). Cartel requesters run
-    /// [`MarketSim::drive_evaluate_cartel`] instead.
-    fn drive_evaluate(
-        &mut self,
-        snap: &HitSnapshot,
-        round: u64,
-        jobs: &mut Vec<ProofJob<JobOutput>>,
-    ) {
-        let is_cartel = self
-            .econ
-            .as_ref()
-            .is_some_and(|e| e.is_cartel(&self.requesters[snap.agent].addr));
-        if is_cartel {
-            self.drive_evaluate_cartel(snap, round, jobs);
-            return;
-        }
-        let agent = &mut self.requesters[snap.agent];
-        if !agent.golden_sent {
-            agent.golden_sent = true;
-            Self::control_job(agent.addr, snap.id, agent.client.golden_msg(), jobs);
-        } else if !agent.verdicts_sent && snap.golden_open {
-            agent.verdicts_sent = true;
-            Self::evaluate_job(snap, agent.addr, agent.client.evaluator(), false, jobs);
-        } else if !agent.finalize_sent
-            && agent.verdicts_sent
-            && agent.verdicts_landed
-            && agent
-                .reject_targets
-                .iter()
-                .all(|w| snap.settled_workers.contains(w))
-            && snap.evaluate_deadline.is_some_and(|d| round >= d)
-        {
-            agent.finalize_sent = true;
-            Self::control_job(agent.addr, snap.id, HitMessage::Finalize, jobs);
-        }
-    }
-
-    /// Enqueues the per-HIT evaluation job: decrypting every revealed
-    /// submission and proving each rejection. Cost scales with what is
-    /// actually evaluated, so a slow (high-latency) evaluation delays
-    /// the rejections — and through the `verdicts_landed` gate the
-    /// finalize — into later blocks.
-    fn evaluate_job(
-        snap: &HitSnapshot,
-        addr: Address,
-        evaluator: dragoon_protocol::Evaluator,
-        cartel: bool,
-        jobs: &mut Vec<ProofJob<JobOutput>>,
-    ) {
-        let revealed = snap.revealed.clone();
-        let cost = revealed
-            .iter()
-            .map(|(_, cts)| evaluator.evaluation_cost(cts))
-            .sum();
-        let agent = snap.agent;
-        jobs.push(ProofJob {
-            key: JobKey {
-                agent: addr,
-                instance: snap.id,
-                phase: ProofPhase::Evaluate,
-            },
-            cost,
-            run: Box::new(move |rng: &mut StdRng| {
-                let verdicts = revealed
-                    .iter()
-                    .map(|(w, cts)| (*w, evaluator.evaluate(*w, cts, rng)))
-                    .collect();
-                JobOutput::Verdicts {
-                    agent,
-                    verdicts,
-                    cartel,
-                }
-            }),
-        });
-    }
-
-    /// The golden-withholding cartel's evaluate phase: every verdict is
-    /// decided **off-chain first** (the requester holds the decryption
-    /// key; nothing forces evaluation through the chain), and the gold
-    /// standards open only when at least one rejection will land. A HIT
-    /// whose workers all pass keeps its golds secret — reusable across
-    /// the cartel's other HITs — and settles through the deadline
-    /// backstop; a HIT with rejectable work opens the golds and claws
-    /// back every rejected share.
-    fn drive_evaluate_cartel(
-        &mut self,
-        snap: &HitSnapshot,
-        round: u64,
-        jobs: &mut Vec<ProofJob<JobOutput>>,
-    ) {
-        let agent = &mut self.requesters[snap.agent];
-        if !agent.verdicts_ready {
-            agent.verdicts_ready = true;
-            // The off-chain evaluation runs as a proof job; the withhold
-            // decision is made when its verdicts land (`process_ready`).
-            Self::evaluate_job(snap, agent.addr, agent.client.evaluator(), true, jobs);
-        }
-        if !agent.verdicts_landed {
-            // Verdicts still proving — nothing further to sequence yet.
-            return;
-        }
-        if agent.golden_withheld {
-            // Nothing rejectable: settle through the deadline backstop
-            // (the explicit finalize just lands it a round earlier).
-            if !agent.finalize_sent && snap.evaluate_deadline.is_some_and(|d| round >= d) {
-                agent.finalize_sent = true;
-                Self::control_job(agent.addr, snap.id, HitMessage::Finalize, jobs);
-            }
-            return;
-        }
-        if !agent.golden_sent {
-            agent.golden_sent = true;
-            Self::control_job(agent.addr, snap.id, agent.client.golden_msg(), jobs);
-        } else if !agent.verdicts_sent && snap.golden_open {
-            agent.verdicts_sent = true;
-            for msg in std::mem::take(&mut agent.pending_rejects) {
-                Self::control_job(agent.addr, snap.id, msg, jobs);
-            }
-        } else if !agent.finalize_sent
-            && agent.verdicts_sent
-            && agent
-                .reject_targets
-                .iter()
-                .all(|w| snap.settled_workers.contains(w))
-            && snap.evaluate_deadline.is_some_and(|d| round >= d)
-        {
-            agent.finalize_sent = true;
-            Self::control_job(agent.addr, snap.id, HitMessage::Finalize, jobs);
-        }
-    }
-
-    /// Post-block bookkeeping: map fresh `Created` events to agents,
-    /// record settlements and payment flows, accumulate block stats.
+    /// Post-block bookkeeping: open a record for each fresh `Created`
+    /// event, record settlements and payment flows, accumulate block
+    /// stats.
     fn harvest(&mut self) {
         let round = self.chain.round();
         let events = self.chain.events();
@@ -997,9 +620,15 @@ impl MarketSim {
         for (at, event) in &events[self.events_seen..] {
             match event {
                 RegistryEvent::Created { id, requester, .. } => {
-                    let agent = self.agent_by_addr[requester];
-                    self.requesters[agent].published_block = Some(*at);
-                    self.agent_of_hit.insert(*id, agent);
+                    self.hits.insert(
+                        *id,
+                        HitRecord {
+                            agent: self.agent_by_addr[requester],
+                            published_block: *at,
+                            ..HitRecord::default()
+                        },
+                    );
+                    self.live.insert(*id);
                 }
                 RegistryEvent::Hit { id, event } => match event {
                     HitEvent::CommitClosed => commit_closed.push(*id),
@@ -1013,20 +642,18 @@ impl MarketSim {
                             e.note_refund(requester, *amount);
                         }
                     }
-                    HitEvent::Cancelled { refunded } => {
-                        self.refunds += refunded;
-                        cancelled_now += 1;
-                        self.cancelled_hits.insert(*id);
-                        if self.settled_hits.insert(*id) {
+                    HitEvent::Cancelled { .. } | HitEvent::Closed => {
+                        let cancelled = matches!(event, HitEvent::Cancelled { .. });
+                        if let HitEvent::Cancelled { refunded } = event {
+                            self.refunds += refunded;
+                            cancelled_now += 1;
+                        }
+                        if self.live.remove(id) {
+                            let record = self.hits.get_mut(id).expect("live ids are in the table");
+                            record.settled_block = Some(*at);
+                            record.cancelled = cancelled;
                             settled_now.push(*id);
                         }
-                        self.settled_block.entry(*id).or_insert(*at);
-                    }
-                    HitEvent::Closed => {
-                        if self.settled_hits.insert(*id) {
-                            settled_now.push(*id);
-                        }
-                        self.settled_block.entry(*id).or_insert(*at);
                     }
                     _ => {}
                 },
@@ -1037,77 +664,66 @@ impl MarketSim {
         // their commit reverted (TaskFull), so their session holds no
         // slot and must not count against worker capacity.
         for &id in &commit_closed {
-            let committed: Vec<Address> = self
-                .chain
-                .contract()
-                .hit(id)
-                .map(|h| h.committed_workers().to_vec())
-                .unwrap_or_default();
-            for &wi in self.joined.get(&id).map(Vec::as_slice).unwrap_or(&[]) {
-                if !committed.contains(&self.workers[wi].addr)
-                    && self.workers[wi].sessions.remove(&id).is_some()
-                {
-                    self.workers[wi].live_sessions -= 1;
+            let hit = self.chain.contract().hit(id).expect("the event's instance");
+            for &wi in &self.hits[&id].joined {
+                if !hit.committed_workers().contains(&self.workers[wi].addr) {
+                    self.workers[wi].sessions.remove(&id);
                 }
             }
         }
         // A settled (closed or cancelled) HIT releases every session slot
-        // its workers held — this is the decrement that keeps the O(1)
-        // capacity counters exact — and everything the engine kept only
-        // while the HIT was live: the join list, the observed commitments
-        // and the requester key's fixed-base table (looked up by this
-        // HIT's commit jobs alone, all computed before the commit phase
-        // closed).
+        // its workers held and everything the engine kept only while the
+        // HIT was live: the join list, the observed commitments and the
+        // requester key's fixed-base table (looked up by this HIT's
+        // commit jobs alone, all computed before the commit phase
+        // closed). Its receipts feed the econ layer's reputation book
+        // and per-class payout metrics; its latency, the pricing
+        // controller.
+        let mut latencies: Vec<u64> = Vec::new();
         for &id in &settled_now {
-            for wi in self.joined.remove(&id).unwrap_or_default() {
-                if self.workers[wi].sessions.remove(&id).is_some() {
-                    self.workers[wi].live_sessions -= 1;
-                }
+            let record = self
+                .hits
+                .get_mut(&id)
+                .expect("settled ids are in the table");
+            for wi in std::mem::take(&mut record.joined) {
+                self.workers[wi].sessions.remove(&id);
             }
-            self.observed.remove(&id);
-            let requester = &self.requesters[self.agent_of_hit[&id]];
+            record.observed = Vec::new();
+            let requester = &self.requesters[record.agent];
             self.cache.retire(&requester.client.public_key().0);
-        }
-        // Econ block boundary: settlement receipts feed the reputation
-        // book and per-class payout metrics, the fill/latency outcomes
-        // feed the pricing controller, and the churn process reshapes
-        // the worker pool. Everything derives from committed chain
-        // state, so the layer is identical at every thread count.
-        if let Some(e) = &mut self.econ {
-            let mut latencies: Vec<u64> = Vec::new();
-            for &id in &settled_now {
-                let agent = self.agent_of_hit[&id];
-                let requester = self.requesters[agent].addr;
-                if let Some(hit) = self.chain.contract().hit(id) {
-                    e.on_settled_hit(&requester, hit.settlement_receipts(), round);
-                }
-                if !self.cancelled_hits.contains(&id) {
-                    if let (Some(&settled), Some(published)) = (
-                        self.settled_block.get(&id),
-                        self.requesters[agent].published_block,
-                    ) {
-                        // A HIT cannot settle before it was published;
-                        // a violation means the block clock went
-                        // backwards. Count it instead of clamping the
-                        // latency to 0, which would silently skew the
-                        // pricing controller's input.
-                        debug_assert!(
-                            settled >= published,
-                            "hit #{id} settled at block {settled} before publish at {published}"
-                        );
-                        if let Some(latency) = settled.checked_sub(published) {
-                            latencies.push(latency);
-                        } else {
-                            self.latency_violations += 1;
-                            dragoon_trace::counter_inc("engine_latency_violations_total");
-                        }
-                    }
-                }
+            if let Some(e) = &mut self.econ {
+                let hit = self.chain.contract().hit(id).expect("the event's instance");
+                e.on_settled_hit(&requester.addr, hit.settlement_receipts(), round);
             }
-            let observation = self
-                .chain
-                .last_observation()
-                .expect("advance_round produced a block");
+            if record.cancelled {
+                continue;
+            }
+            // A HIT cannot settle before it was published; a violation
+            // means the block clock went backwards. Count it instead of
+            // clamping the latency to 0, which would silently skew the
+            // pricing controller's input.
+            let published = record.published_block;
+            let settled = record.settled_block.expect("recorded above");
+            debug_assert!(
+                settled >= published,
+                "hit #{id} settled at block {settled} before publish at {published}"
+            );
+            if let Some(latency) = settled.checked_sub(published) {
+                latencies.push(latency);
+            } else {
+                self.latency_violations += 1;
+                dragoon_trace::counter_inc("engine_latency_violations_total");
+            }
+        }
+        let observation = self
+            .chain
+            .last_observation()
+            .expect("advance_round produced a block");
+        // Econ block boundary: the fill/latency outcomes feed the pricing
+        // controller, and the churn process reshapes the worker pool.
+        // Everything derives from committed chain state, so the layer is
+        // identical at every thread count.
+        if let Some(e) = &mut self.econ {
             e.observe_block(&observation, commit_closed.len(), cancelled_now, &latencies);
             // Churn: departures first (against the current active list,
             // positions applied with removal), then arrivals extending
@@ -1126,9 +742,9 @@ impl MarketSim {
             }
             let base_reward = self.config.budget / self.config.k.max(1) as u128;
             for _ in 0..decision.joins {
-                let index = self.next_worker_index;
-                self.next_worker_index += 1;
-                let addr = Address::from_seed(0x3031_0000 + index);
+                // Arrivals continue the initial pool's address derivation.
+                let index = self.workers.len() as u64;
+                let addr = worker_addr(index);
                 e.register_worker(index as usize, addr, base_reward);
                 self.workers.push(WorkerAgent::new(
                     addr,
@@ -1136,10 +752,6 @@ impl MarketSim {
                 ));
             }
         }
-        let observation = self
-            .chain
-            .last_observation()
-            .expect("advance_round produced a block");
         self.block_stats.push(BlockStat {
             height: round,
             txs: observation.txs,
@@ -1153,7 +765,7 @@ impl MarketSim {
         let registry = self.chain.contract();
         let mut outcomes = Vec::new();
         let mut workers_rejected = 0;
-        for (&id, &agent) in &self.agent_of_hit {
+        for (&id, record) in &self.hits {
             let hit = registry.hit(id).expect("created instance");
             let (mut paid, mut rejected, mut no_reveal) = (0, 0, 0);
             for w in hit.committed_workers() {
@@ -1167,9 +779,9 @@ impl MarketSim {
             workers_rejected += rejected;
             outcomes.push(HitOutcome {
                 id,
-                published_block: self.requesters[agent].published_block.unwrap_or(0),
-                settled_block: self.settled_block.get(&id).copied(),
-                cancelled: self.cancelled_hits.contains(&id),
+                published_block: record.published_block,
+                settled_block: record.settled_block,
+                cancelled: record.cancelled,
                 paid,
                 rejected,
                 no_reveal,
@@ -1187,8 +799,8 @@ impl MarketSim {
         } else {
             nonempty.iter().map(|b| b.gas_used).sum::<u64>() as f64 / nonempty.len() as f64
         };
-        let hits_cancelled = self.cancelled_hits.len();
-        let hits_settled = self.settled_hits.len() - hits_cancelled;
+        let hits_cancelled = outcomes.iter().filter(|o| o.cancelled).count();
+        let hits_unfinished = self.live.len();
         let mut proving = *self.proving.stats();
         let cache = self.cache.stats();
         proving.cache_hits = cache.hits;
@@ -1197,10 +809,10 @@ impl MarketSim {
             seed: self.config.seed,
             settlement: self.config.settlement,
             blocks: self.chain.round(),
-            hits_published: self.agent_of_hit.len(),
-            hits_settled,
+            hits_published: self.hits.len(),
+            hits_settled: self.hits.len() - hits_unfinished - hits_cancelled,
             hits_cancelled,
-            hits_unfinished: self.agent_of_hit.len() - self.settled_hits.len(),
+            hits_unfinished,
             total_gas: self.chain.total_gas(),
             gas_per_block_mean,
             gas_per_block_max: self
@@ -1216,7 +828,7 @@ impl MarketSim {
                 .map(|l| gas_per_block_mean / l as f64),
             latency_mean_blocks,
             latency_max_blocks: latencies.iter().copied().max().unwrap_or(0),
-            answers_collected: self.requesters.iter().map(|a| a.collected).sum(),
+            answers_collected: self.requesters.iter().map(|a| a.sequencer.accepted()).sum(),
             rewards_paid: self.rewards_paid,
             workers_paid: self.workers_paid,
             workers_rejected,
@@ -1240,6 +852,223 @@ impl MarketSim {
     }
 }
 
+/// The agent side of one [`MarketSim::agent_step`]: the engine's fields
+/// the drives change, borrowed apart from the chain they read.
+struct Drives<'a> {
+    config: &'a MarketConfig,
+    requesters: &'a mut [RequesterAgent],
+    workers: &'a mut [WorkerAgent],
+    econ: &'a mut Option<EconEngine>,
+    cache: &'a Arc<ProofCache>,
+    round: u64,
+    /// Reputation-ordered candidate workers (econ layer), if enabled.
+    ranked: Option<Vec<usize>>,
+    /// This round's jobs, in enqueue order: ascending `HitId`, then the
+    /// per-HIT order below.
+    jobs: Vec<ProofJob<JobOutput>>,
+}
+
+impl Drives<'_> {
+    /// One live HIT's reactions: its requester's next step if one is
+    /// due, else the worker pool's drive for the phase.
+    fn react(&mut self, id: HitId, hit: &HitContract, record: &mut HitRecord) {
+        let requester = &mut self.requesters[record.agent];
+        if let Some(step) = requester.sequencer.next(hit, self.round) {
+            let msgs = match step {
+                Step::Cancel => vec![HitMessage::Cancel],
+                Step::OpenGolden => vec![requester.client.golden_msg()],
+                Step::Evaluate => {
+                    self.jobs.push(evaluate_job(id, hit, requester));
+                    Vec::new()
+                }
+                Step::Reject(msgs) => msgs,
+                Step::Finalize => vec![HitMessage::Finalize],
+            };
+            let sender = requester.addr;
+            self.jobs
+                .extend(msgs.into_iter().map(|msg| control_job(sender, id, msg)));
+            return;
+        }
+        match hit.phase() {
+            Phase::Commit => self.commit(id, hit, record),
+            Phase::Reveal => self.reveal(id, hit, record),
+            Phase::Setup | Phase::Evaluate | Phase::Closed => {}
+        }
+    }
+
+    /// Commit phase: eligible workers race for slots. With the econ
+    /// layer on, candidates come reputation-ordered (`ranked`), departed
+    /// workers sit out, the reputation gate and reservation wages filter
+    /// the rest, and sybil policies pick each session's behaviour.
+    fn commit(&mut self, id: HitId, hit: &HitContract, record: &mut HitRecord) {
+        let params = hit.params().expect("published before the commit phase");
+        let target = params.k + self.config.overbook;
+        let joined = &mut record.joined;
+        if joined.len() >= target {
+            return;
+        }
+        let requester = &self.requesters[record.agent];
+        let ek = requester.client.public_key();
+        let workload = &requester.workload;
+        let reward = params.budget / params.k as u128;
+        // Rotate the pool start per hit so load spreads deterministically
+        // (reputation ordering, when enabled, replaces the rotation).
+        let pool = self.workers.len();
+        let start = (id as usize).wrapping_mul(13) % pool;
+        let candidates = self.ranked.as_ref().map_or(pool, Vec::len);
+        for off in 0..candidates {
+            if joined.len() >= target {
+                break;
+            }
+            let wi = match &self.ranked {
+                Some(order) => order[off],
+                None => (start + off) % pool,
+            };
+            let w = &mut self.workers[wi];
+            if !w.active || joined.contains(&wi) {
+                continue;
+            }
+            if w.sessions.len() >= self.config.worker_capacity {
+                continue;
+            }
+            // Econ filters: reputation gate, reservation wage, and the
+            // sybil policy's per-session behaviour choice.
+            let mut policy_behavior = None;
+            if let Some(e) = self.econ.as_mut() {
+                match e.join_decision(&w.addr, reward, self.round) {
+                    JoinDecision::Join(b) => policy_behavior = b,
+                    JoinDecision::Gated | JoinDecision::Declined => continue,
+                }
+            }
+            let behavior = policy_behavior.unwrap_or_else(|| w.behavior.clone());
+            // The copy decision happens at enqueue time, against
+            // commitments observed in *prior* rounds.
+            let copied = match &behavior {
+                WorkerBehavior::CopyPaste => match record.observed.first() {
+                    Some(c) => Some(*c),
+                    None => continue, // a copier with nothing to copy yet
+                },
+                _ => None,
+            };
+            // The slot is claimed now — the session exists and counts
+            // against capacity — while the answer draw / encryption /
+            // commitment run as a proof job.
+            joined.push(wi);
+            w.sessions.insert(id, Worker::new(w.addr, behavior.clone()));
+            let truth = workload.truth.clone();
+            let range = workload.spec.range;
+            let cache = Arc::clone(self.cache);
+            // Modeled cost: two group ops per encrypted item plus the
+            // commitment itself.
+            let cost = 2 * truth.0.len() as u64 + 2;
+            self.jobs.push(ProofJob {
+                key: JobKey {
+                    agent: w.addr,
+                    instance: id,
+                    phase: ProofPhase::Commit,
+                },
+                cost,
+                run: Box::new(move |rng: &mut StdRng| JobOutput::Commit {
+                    wi,
+                    artifacts: Worker::prepare_commit(
+                        &behavior,
+                        &truth,
+                        range,
+                        &ek,
+                        copied,
+                        Some(&cache),
+                        rng,
+                    )
+                    .expect("commit inputs decided at enqueue"),
+                }),
+            });
+        }
+    }
+
+    /// Reveal phase: accepted sessions open their commitments. Opening
+    /// a commitment is free (no proving), so reveal jobs carry cost 0
+    /// and always release in the round they were enqueued.
+    fn reveal(&mut self, id: HitId, hit: &HitContract, record: &HitRecord) {
+        for &wi in &record.joined {
+            let w = &mut self.workers[wi];
+            // A departed worker never reveals: its commitment settles as
+            // `⊥` and the escrowed share flows back to the requester.
+            if !w.active || !hit.committed_workers().contains(&w.addr) {
+                continue;
+            }
+            let Some(session) = w.sessions.get_mut(&id) else {
+                continue;
+            };
+            if std::mem::replace(&mut session.reveal_sent, true) {
+                continue;
+            }
+            let behavior = session.behavior.clone();
+            let cts = session.ciphertexts().cloned();
+            let key = session.commit_key();
+            self.jobs.push(ProofJob {
+                key: JobKey {
+                    agent: w.addr,
+                    instance: id,
+                    phase: ProofPhase::Reveal,
+                },
+                cost: 0,
+                run: Box::new(move |rng: &mut StdRng| {
+                    JobOutput::Reveal(Worker::reveal_msg_with(&behavior, cts.as_ref(), key, rng))
+                }),
+            });
+        }
+    }
+}
+
+/// A zero-cost control job: carries an already-built message through
+/// the queue so its mempool position is decided by the same
+/// `(ready_tick, seq)` order as every proof.
+fn control_job(sender: Address, id: HitId, msg: HitMessage) -> ProofJob<JobOutput> {
+    ProofJob {
+        key: JobKey {
+            agent: sender,
+            instance: id,
+            phase: ProofPhase::Control,
+        },
+        cost: 0,
+        run: Box::new(move |_rng: &mut StdRng| JobOutput::Direct(msg)),
+    }
+}
+
+/// The per-HIT evaluation job: decrypting every revealed submission
+/// and proving each rejection. Cost scales with what is actually
+/// evaluated, so a slow (high-latency) evaluation delays the verdicts —
+/// and, since the sequencer waits for them, the rejections and the
+/// finalize — into later blocks.
+fn evaluate_job(id: HitId, hit: &HitContract, requester: &RequesterAgent) -> ProofJob<JobOutput> {
+    let evaluator = requester.client.evaluator();
+    let revealed: Vec<_> = hit
+        .committed_workers()
+        .iter()
+        .filter_map(|w| hit.revealed(w).map(|cts| (*w, cts.clone())))
+        .collect();
+    let cost = revealed
+        .iter()
+        .map(|(_, cts)| evaluator.evaluation_cost(cts))
+        .sum();
+    ProofJob {
+        key: JobKey {
+            agent: requester.addr,
+            instance: id,
+            phase: ProofPhase::Evaluate,
+        },
+        cost,
+        run: Box::new(move |rng: &mut StdRng| {
+            JobOutput::Verdicts(
+                revealed
+                    .iter()
+                    .map(|(w, cts)| (*w, evaluator.evaluate(*w, cts, rng)))
+                    .collect(),
+            )
+        }),
+    }
+}
+
 /// Convenience: build and run in one call.
 pub fn run_market(config: MarketConfig) -> MarketReport {
     MarketSim::new(config).run()
@@ -1256,14 +1085,14 @@ mod tests {
         json[at..at + digits].parse().expect("a number")
     }
 
-    /// Tables live as long as their HIT: after the `marketplace` golden
-    /// scenario (every HIT settles) nothing is resident, and retiring at
-    /// settle never turned a hit into a miss — the counters are the
-    /// committed golden's.
+    /// Tables, live ids and sessions last as long as their HIT: after
+    /// the `marketplace` golden scenario (every HIT settles) nothing is
+    /// resident, and retiring at settle never turned a hit into a miss —
+    /// the counters are the committed golden's.
     #[test]
     fn every_settled_hit_retired_its_table() {
         let golden = include_str!("../../../tests/golden/marketplace_seed42.json");
-        let sim = MarketSim::new(MarketConfig {
+        let mut sim = MarketSim::new(MarketConfig {
             hits: 250,
             spawn_per_block: 10,
             workers: 90,
@@ -1273,10 +1102,11 @@ mod tests {
             exec_threads: 1,
             ..MarketConfig::default()
         });
-        let cache = Arc::clone(&sim.cache);
-        let report = sim.run();
+        let report = sim.run_to_end();
         assert_eq!((report.hits_settled, report.hits_unfinished), (250, 0));
-        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(sim.cache.stats().entries, 0);
+        assert!(sim.live.is_empty());
+        assert!(sim.workers.iter().all(|w| w.sessions.is_empty()));
         assert_eq!(report.proving.cache_hits, json_u64(golden, "cache_hits"));
         assert_eq!(
             report.proving.cache_misses,

@@ -41,9 +41,11 @@ pub struct HitOutcome {
 }
 
 impl HitOutcome {
-    /// Settlement latency in blocks, if settled.
+    /// Settlement latency in blocks, if settled. `None` too when the
+    /// settle block precedes the publish block — a broken clock the
+    /// engine counts in [`MarketReport::latency_violations`].
     pub fn latency(&self) -> Option<u64> {
-        self.settled_block.map(|s| s - self.published_block)
+        self.settled_block?.checked_sub(self.published_block)
     }
 }
 
@@ -507,4 +509,73 @@ fn push_kv(s: &mut String, key: &str, value: &str) {
     s.push_str("\":");
     s.push_str(value);
     s.push(',');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{run_market, MarketConfig, PersistConfig};
+    use dragoon_econ::EconConfig;
+    use dragoon_net::NetConfig;
+
+    #[test]
+    fn latency_is_none_when_settle_precedes_publish() {
+        let outcome = |published_block, settled_block| HitOutcome {
+            id: 0,
+            published_block,
+            settled_block,
+            cancelled: false,
+            paid: 0,
+            rejected: 0,
+            no_reveal: 0,
+        };
+        assert_eq!(outcome(3, Some(9)).latency(), Some(6));
+        assert_eq!(outcome(3, None).latency(), None);
+        assert_eq!(outcome(9, Some(3)).latency(), None);
+    }
+
+    /// Every registry name the JSON dump carries is declared by a
+    /// `# TYPE` line of the Prometheus exposition, with the optional
+    /// econ, net and persist sets all present.
+    #[test]
+    fn prometheus_exposition_types_every_registry_name() {
+        let dir = std::env::temp_dir().join(format!("dragoon-metrics-{}", std::process::id()));
+        let report = run_market(MarketConfig {
+            hits: 6,
+            seed: 7,
+            exec_threads: 1,
+            econ: EconConfig {
+                enabled: true,
+                ..EconConfig::default()
+            },
+            net: Some(NetConfig::default()),
+            persist: Some(PersistConfig::new(&dir)),
+            ..MarketConfig::default()
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.econ.is_some() && report.net.is_some() && report.persist.is_some());
+        let prometheus = report.metrics_prometheus();
+        let typed: Vec<&str> = prometheus
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        // The dump is flat and its values are numbers, flags and number
+        // arrays, so its quoted strings are exactly its names.
+        let json = report.metrics_json();
+        let names: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        for prefix in [
+            "market_",
+            "scheduler_",
+            "proving_",
+            "econ_",
+            "net_",
+            "persist_",
+        ] {
+            assert!(names.iter().any(|n| n.starts_with(prefix)), "{prefix}");
+        }
+        for name in names {
+            assert!(typed.contains(&name), "{name} has no # TYPE line");
+        }
+    }
 }

@@ -2,10 +2,10 @@
 //! over one gas-capped chain, batched-vs-per-proof settlement
 //! equivalence, and bit-exact reproducibility from a seed.
 
-use dragoon_contract::SettlementMode;
+use dragoon_contract::{RegistryEvent, SettlementMode};
 use dragoon_core::workload::AnswerModel;
-use dragoon_protocol::WorkerBehavior;
-use dragoon_sim::{run_market, MarketConfig, MarketPolicy};
+use dragoon_protocol::{requester_addr, WorkerBehavior};
+use dragoon_sim::{run_market, MarketConfig, MarketPolicy, MarketSim};
 
 /// A market sized to the acceptance criterion: ≥200 HITs racing through
 /// one chain under a block gas cap.
@@ -179,6 +179,37 @@ fn same_seed_reproduces_identical_reports() {
         ..cfg
     });
     assert_ne!(a.to_json(), c.to_json());
+}
+
+/// Under the reversing mempool every block's `Create`s execute in
+/// reverse, so the registry hands out ids against publish order: the
+/// engine's per-HIT table must follow the id each `Created` event
+/// carries. Every HIT still settles, and the report does not depend on
+/// the thread budget.
+#[test]
+fn reverse_policy_market_settles_and_is_thread_count_independent() {
+    let config = |exec_threads| MarketConfig {
+        hits: 40,
+        policy: MarketPolicy::Reverse,
+        seed: 0x7e7,
+        exec_threads,
+        ..MarketConfig::default()
+    };
+    let (report, chain) = MarketSim::new(config(1)).run_keeping_chain();
+    let displaced = chain
+        .events()
+        .iter()
+        .filter(|(_, event)| match event {
+            RegistryEvent::Created { id, requester, .. } => *requester != requester_addr(*id),
+            RegistryEvent::Hit { .. } => false,
+        })
+        .count();
+    assert_eq!(displaced, 40, "8 reversed creates a block: no id stays put");
+    assert_eq!(report.hits_published, 40);
+    assert_eq!(report.hits_settled + report.hits_cancelled, 40);
+    assert_eq!(report.hits_unfinished, 0);
+    assert!(report.hits_settled > 0 && report.workers_paid > 0);
+    assert_eq!(report.to_json(), run_market(config(4)).to_json());
 }
 
 #[test]
