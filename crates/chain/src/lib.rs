@@ -18,9 +18,9 @@
 //!   apart), a conflict-graph grouper schedules disjoint groups onto
 //!   the thread budget (creations included, via speculative id
 //!   reservation), each transaction runs through the serial path's own
-//!   bracket, and journal-based touch records drive selective
-//!   conflict retry with a serial backstop; committed state is
-//!   bit-identical to serial execution at any thread count.
+//!   bracket, and journal-based touch records validate the batch once,
+//!   with one serial backstop; committed state is bit-identical to
+//!   serial execution at any thread count.
 //!
 //! Substitution note (DESIGN.md §Substitutions): this crate replaces the
 //! Ethereum ropsten testnet used by the paper. The contract executes

@@ -1,5 +1,5 @@
 //! Optimistic parallel block execution over declared access sets, with
-//! journal-based conflict detection and selective retry.
+//! journal-based conflict detection and one serial backstop.
 //!
 //! Settlement verification already fans out across threads at the block
 //! boundary; this module removes the last big sequential section in the
@@ -8,7 +8,7 @@
 //!
 //! 1. **Declare.** Each scheduled transaction declares an [`AccessSet`]
 //!    ([`ParallelStateMachine::access_set`]): the hosted instances it
-//!    reads and writes plus the ledger accounts it reads and writes.
+//!    writes plus the ledger accounts it reads and writes.
 //!    Creation messages are not barriers: the state machine *reserves*
 //!    the next instance id from a monotonic counter snapshot
 //!    ([`IdReserver`]), so a spawn declares an ordinary instance write on
@@ -18,12 +18,8 @@
 //!    barriers.
 //! 2. **Group.** A conflict-graph grouper partitions the batch: any
 //!    resource — instance or account — declared written by one
-//!    transaction and touched by another joins their groups (union-find).
-//!    Declared read-read sharing stays parallel, and so does declared
-//!    **debit-debit** sharing: a `Create`'s escrow freeze declares a
-//!    commutative debit on its funded sender, so same-sender spawns
-//!    split into separate groups whose deltas sum at merge (validated by
-//!    the overdraft check in step 3). Each group gets owned
+//!    transaction and touched by another joins their groups (union-find);
+//!    declared read-read sharing stays parallel. Each group gets owned
 //!    shard snapshots of its instances (or fresh shards for reserved
 //!    ids), a [`Ledger::sparse_overlay`] shadow covering its declared
 //!    accounts plus its transactions' senders, and executes its
@@ -33,33 +29,24 @@
 //!    handling, receipt), not a copy of it: the group only supplies the
 //!    shard and the shadow ledger in place of the contract and the
 //!    canonical ledger, and commits each success at once.
-//! 3. **Validate.** Shadow ledgers record the observed touch sets, reads
-//!    and writes apart ([`dragoon_ledger::TouchRecord`]). A group that
-//!    escaped its declared preset (it read a phantom zero for an account
-//!    whose base entry exists) forces the correctness backstop: the
-//!    whole batch is discarded and re-executed serially in mempool
-//!    order. A **reverted creation** no longer discards the batch:
-//!    serial execution rewinds the id counter on that revert, so the
-//!    executor re-reserves ids along the serial assignment (reverted
-//!    creations consume none) and re-executes only the groups holding
-//!    reservations — merged into one mempool-order group — while
-//!    reservation-free groups keep their optimistic results. Groups
-//!    whose observed records conflict
-//!    (a write on one side, any touch on the other; debit-debit overlaps
-//!    commute and do not count) are **selectively retried**: the
-//!    conflicting groups merge into one group that re-executes their
-//!    transactions in mempool order against fresh snapshots —
-//!    non-conflicting groups keep their optimistic results — and
-//!    validation repeats until the batch is conflict-free. Debited
-//!    accounts additionally pass an **overdraft check** (the sum of
-//!    every group's successful freeze deltas must fit the canonical base
-//!    entry); an over-drawing burst merges its debitors for the same
-//!    mempool-order retry.
+//! 3. **Validate, once.** Shadow ledgers record the observed touch sets,
+//!    reads and writes apart ([`dragoon_ledger::TouchRecord`]). The
+//!    batch stands iff no group escaped its declared preset (it read a
+//!    phantom zero for an account whose base entry exists), no
+//!    speculative creation reverted (serial execution rewinds the id
+//!    counter on that revert, shifting every later reservation) and no
+//!    two groups' observed records overlap on a write. Otherwise the one
+//!    **serial backstop** runs: the optimistic results — which only ever
+//!    lived on private copies — are dropped and the whole batch
+//!    re-executes in mempool order. No seeded market reaches it
+//!    (`tests/marketplace.rs` pins that), so there is no cheaper partial
+//!    recovery to maintain.
 //!    A mid-batch block-gas overflow (receipts simulated in schedule
-//!    order) commits the schedule-order prefix of whole groups that fit
-//!    and re-executes only the cut suffix serially, which re-derives the
+//!    order) is the one recovery with traffic and keeps its own path: it
+//!    commits the schedule-order prefix of whole groups that fit and
+//!    re-executes only the cut suffix serially, which re-derives the
 //!    exact gas-capped carry-over — byte-identical to the serial cut.
-//! 4. **Merge.** Surviving groups are pairwise disjoint on every written
+//! 4. **Merge.** Standing groups are pairwise disjoint on every written
 //!    resource, so shard installs and written balance entries commute;
 //!    receipts, contract events and ledger events merge in schedule
 //!    order. The committed state is therefore **bit-identical to serial
@@ -81,15 +68,13 @@ use dragoon_ledger::{Address, Journaled, Ledger, TouchRecord};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
-/// What a message declares it may touch, before execution. Replaces the
-/// old single-key `MsgAccess` partition: instead of one instance id or a
-/// global barrier, a message names the instances and ledger accounts it
-/// reads and writes, and the scheduler builds conflict groups from the
-/// declared sets. Declarations must *over-approximate reads* that feed
-/// guards (every declared account is copied into the group's shadow
-/// ledger) but may under-approximate outcome-dependent writes: observed
-/// escapes within the preset are caught dynamically and retried, escapes
-/// outside it fall back to serial execution.
+/// What a message declares it may touch, before execution: the
+/// instances it writes and the ledger accounts it reads and writes, from
+/// which the scheduler builds conflict groups. Declarations must
+/// *over-approximate reads* that feed guards (every declared account is
+/// copied into the group's shadow ledger) but may under-approximate
+/// outcome-dependent writes: an observed overlap between groups, or a
+/// touch outside the preset, sends the batch to serial execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessSet {
     global: bool,
@@ -97,8 +82,6 @@ pub struct AccessSet {
     /// the monotonic counter via [`IdReserver`]); also listed in
     /// [`AccessSet::instance_writes`].
     pub reserves: Option<u64>,
-    /// Hosted instances read but not written.
-    pub instance_reads: Vec<u64>,
     /// Hosted instances written (routing targets).
     pub instance_writes: Vec<u64>,
     /// Ledger accounts read (guards, potential outcome-dependent
@@ -106,12 +89,6 @@ pub struct AccessSet {
     pub account_reads: Vec<Address>,
     /// Ledger accounts written.
     pub account_writes: Vec<Address>,
-    /// Ledger accounts *debited* by commutative escrow freezes (a
-    /// `Create`'s funded sender). Debit-debit sharing between groups
-    /// stays parallel — the deltas sum at merge — subject to the
-    /// executor's post-hoc overdraft check; a debit against a declared
-    /// read or write still serializes.
-    pub account_debits: Vec<Address>,
 }
 
 impl AccessSet {
@@ -154,12 +131,6 @@ impl AccessSet {
         self
     }
 
-    /// Adds declared commutative account debits (escrow freezes).
-    pub fn debits_accounts(mut self, accounts: impl IntoIterator<Item = Address>) -> Self {
-        self.account_debits.extend(accounts);
-        self
-    }
-
     /// Whether this message is a serial barrier.
     pub fn is_global(&self) -> bool {
         self.global
@@ -179,38 +150,17 @@ impl AccessSet {
 /// at the start of every batch, it assigns each creation message the id
 /// serial execution would assign it — provided every creation before it
 /// succeeds, which the executor verifies post-hoc (a reverted creation
-/// rewinds the counter serially, so the executor re-reserves with the
-/// reverted creations skipped and selectively retries the groups holding
-/// reservations).
+/// rewinds the counter serially, so the batch re-executes serially).
 #[derive(Clone, Debug)]
 pub struct IdReserver {
     base: u64,
     next: u64,
-    /// Pre-computed ids handed out ahead of the sequential counter — the
-    /// creation-repair path replays the id assignment serial execution
-    /// would produce once reverted creations stop consuming ids.
-    assigned: VecDeque<u64>,
 }
 
 impl IdReserver {
     /// A reserver starting at the counter snapshot `base`.
     pub fn new(base: u64) -> Self {
-        Self {
-            base,
-            next: base,
-            assigned: VecDeque::new(),
-        }
-    }
-
-    /// A reserver that hands out `assigned` (in order) before falling
-    /// back to the sequential counter — used by the creation-repair
-    /// retry to replay serial id assignment.
-    fn with_assignments(base: u64, assigned: VecDeque<u64>) -> Self {
-        Self {
-            base,
-            next: base,
-            assigned,
-        }
+        Self { base, next: base }
     }
 
     /// Claims the next speculative id. Checked: at million-HIT scale the
@@ -218,12 +168,6 @@ impl IdReserver {
     /// so exhausting the `u64` id space must panic rather than wrap into
     /// already-assigned ids.
     pub fn reserve(&mut self) -> u64 {
-        if let Some(id) = self.assigned.pop_front() {
-            self.next = self
-                .next
-                .max(id.checked_add(1).expect("instance id space exhausted"));
-            return id;
-        }
         let id = self.next;
         self.next = id.checked_add(1).expect("instance id space exhausted");
         id
@@ -274,8 +218,9 @@ pub trait ParallelStateMachine: StateMachine {
     /// the group's creation message populates it.
     fn shard_reserve(&self, key: u64, contract: Address) -> Self::Shard;
 
-    /// Installs an executed shard back, replacing (or, for a reserved id
-    /// whose creation succeeded, registering) the instance state.
+    /// Installs an executed shard back, replacing (or, for a reserved
+    /// id, registering) the instance state. Only shards of a batch that
+    /// stood are installed, so a reserved shard arrives created.
     fn shard_install(&mut self, key: u64, shard: Self::Shard);
 
     /// Handles one instance-addressed message against the shard — what
@@ -292,8 +237,7 @@ pub trait ParallelStateMachine: StateMachine {
 /// Counters describing how the parallel executor ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Transactions whose optimistic parallel results committed
-    /// (including selectively retried ones).
+    /// Transactions whose optimistic parallel results committed.
     pub parallel_txs: usize,
     /// Transactions executed serially (global barriers, single-group
     /// batches, and fallback re-executions).
@@ -305,18 +249,16 @@ pub struct ParallelStats {
     /// Serial-barrier transactions (messages no access set could be
     /// declared for — unknown-instance routes).
     pub barriers: usize,
-    /// Selective retries: conflicting group sets merged and re-executed
-    /// in mempool order while the rest of the batch kept its optimistic
-    /// results.
+    /// Always 0: the partial re-execution it counted is gone (every
+    /// failed validation is a [`ParallelStats::conflict_fallbacks`]).
+    /// The field stays until the benchmark stops reading it.
     pub selective_retries: usize,
-    /// Reverted speculative creations repaired in place: the executor
-    /// re-reserved ids along the serial assignment (reverted creations
-    /// consume none) and re-executed only the groups holding
-    /// reservations, while reservation-free groups kept their results.
+    /// Always 0, kept for the benchmark like
+    /// [`ParallelStats::selective_retries`].
     pub create_retries: usize,
-    /// Batches discarded wholesale — a group escaped its declared preset
-    /// or a creation repair failed to stabilize — and re-executed
-    /// serially.
+    /// Batches that failed validation — a group escaped its declared
+    /// preset, a speculative creation reverted, or two groups' observed
+    /// touches overlapped on a write — and re-executed serially.
     pub conflict_fallbacks: usize,
     /// Batches discarded because the block gas limit cut the batch
     /// before any whole group fit — re-executed serially to reproduce
@@ -347,16 +289,6 @@ impl ParallelStats {
             .counter("batches", "scheduler_batches_total", self.batches as u64)
             .counter("groups", "scheduler_groups_total", self.groups as u64)
             .counter("barriers", "scheduler_barriers_total", self.barriers as u64)
-            .counter(
-                "selective_retries",
-                "scheduler_selective_retries_total",
-                self.selective_retries as u64,
-            )
-            .counter(
-                "create_retries",
-                "scheduler_create_retries_total",
-                self.create_retries as u64,
-            )
             .counter(
                 "conflict_fallbacks",
                 "scheduler_conflict_fallbacks_total",
@@ -475,8 +407,7 @@ struct TxOutcome<S: StateMachine> {
 /// payload) and, after execution, the outcomes and the observed touch
 /// record.
 struct GroupRun<S: ParallelStateMachine> {
-    /// Instance keys whose shards install back on commit.
-    write_keys: BTreeSet<u64>,
+    /// One shard per declared instance; all install back on commit.
     shards: BTreeMap<u64, S::Shard>,
     ledger: Ledger,
     preset: BTreeSet<Address>,
@@ -491,13 +422,12 @@ impl<S: ParallelStateMachine> GroupRun<S> {
     fn first_pos(&self) -> usize {
         self.txs.first().map_or(usize::MAX, |btx| btx.pos)
     }
-}
 
-/// How many times a batch may re-derive its speculative id assignment
-/// after reverted creations before giving up on the repair and falling
-/// back to serial execution (re-execution can in principle change which
-/// creations revert, re-shifting the assignment).
-const MAX_CREATE_REPAIRS: usize = 3;
+    /// Schedule position of the group's last transaction.
+    fn last_pos(&self) -> usize {
+        self.txs.last().map_or(0, |btx| btx.pos)
+    }
+}
 
 /// Executes one group's transactions in schedule order against its
 /// shards and shadow ledger — the body each worker thread runs. Every
@@ -672,155 +602,37 @@ where
         });
         groups.sort_by_key(GroupRun::first_pos);
 
-        // Validate-and-retry loop. Each iteration either proves the batch
-        // conflict-free (and breaks), repairs a reverted speculative
-        // creation's id assignment, merges conflicting groups and
-        // re-executes them (strictly shrinking the group count), or
-        // bails to the serial backstop.
-        let reservation_base = self.contract.reservation_base();
-        let mut expected_reverted: BTreeSet<usize> = BTreeSet::new();
-        let mut create_repairs = 0usize;
-        loop {
-            // Backstop: a group touched an account outside its declared
-            // preset that has a base entry: its shadow read a phantom
-            // zero, so its results are unsound and the whole batch
-            // re-executes serially.
-            let escaped = groups.iter().any(|g| {
-                g.touched.all().any(|addr| {
-                    !g.preset.contains(&addr) && self.ledger.balance_entry(&addr).is_some()
-                })
-            });
-            if escaped {
-                self.parallel_stats.conflict_fallbacks += 1;
-                let batch = collect_batch(groups, None);
-                return self.execute_batch_serial(batch, block_gas, receipts, carried);
-            }
-
-            // Reverted speculative creations: serial execution rewinds
-            // the id counter on a creation revert, so every later
-            // reservation in the batch is shifted off its optimistic id.
-            // Instead of discarding the whole batch, re-reserve ids
-            // along the serial assignment (reverted creations consume
-            // none) and selectively re-execute the groups holding
-            // reservations — reservation-free groups are untouched by id
-            // assignment and keep their optimistic results. The repair
-            // must stabilize: if re-execution changes which creations
-            // revert (each repair re-derives the assignment), it runs
-            // again, bounded by [`MAX_CREATE_REPAIRS`].
-            let reverted_creates: BTreeSet<usize> = groups
+        // The one validation pass. The batch stands iff
+        // - no group touched an account outside its declared preset that
+        //   has a base entry (its shadow read a phantom zero),
+        // - no speculative creation reverted (serial execution rewinds
+        //   the id counter on that revert, so every later reservation of
+        //   the batch sits on the wrong id), and
+        // - no two groups' touch records overlap on a write (their
+        //   optimistic results would be order-sensitive).
+        // Anything else drops the optimistic results — main state is
+        // untouched, they lived on private copies — and re-executes the
+        // whole batch serially in mempool order.
+        let escaped = groups.iter().any(|g| {
+            g.touched
+                .all()
+                .any(|addr| !g.preset.contains(&addr) && self.ledger.balance_entry(&addr).is_some())
+        });
+        let create_reverted = groups.iter().any(|g| {
+            g.txs
                 .iter()
-                .flat_map(|g| {
-                    g.txs.iter().zip(&g.outcomes).filter_map(|(btx, o)| {
-                        (btx.creates() && matches!(o.receipt.status, TxStatus::Reverted(_)))
-                            .then_some(btx.pos)
-                    })
-                })
-                .collect();
-            if reverted_creates != expected_reverted {
-                if create_repairs >= MAX_CREATE_REPAIRS {
-                    self.parallel_stats.conflict_fallbacks += 1;
-                    let batch = collect_batch(groups, None);
-                    return self.execute_batch_serial(batch, block_gas, receipts, carried);
-                }
-                create_repairs += 1;
-                match self.repair_reverted_creates(groups, &reverted_creates, reservation_base) {
-                    Ok(repaired) => {
-                        self.parallel_stats.create_retries += 1;
-                        expected_reverted = reverted_creates;
-                        groups = repaired;
-                        continue;
-                    }
-                    Err(batch) => {
-                        self.parallel_stats.conflict_fallbacks += 1;
-                        return self.execute_batch_serial(batch, block_gas, receipts, carried);
-                    }
-                }
-            }
-
-            // Observed conflicts: any write-involved overlap between two
-            // groups' touch records makes their optimistic results
-            // order-sensitive. Union the transitive closure.
-            let mut uf = UnionFind::new(groups.len());
-            let mut any = false;
-            for i in 0..groups.len() {
-                for j in i + 1..groups.len() {
-                    if groups[i].touched.conflicts_with(&groups[j].touched) {
-                        uf.union(i, j);
-                        any = true;
-                    }
-                }
-            }
-            // Commutative-debit overdraft check: per debited account, the
-            // sum of every group's successful freeze deltas must fit the
-            // canonical base entry. If it does, every guard that passed
-            // optimistically also passes under any serial interleaving
-            // (each debit dᵢ sees base − Σ(prior) ≥ dᵢ whenever Σ ≤ base)
-            // and every failed guard still fails (serial balances are
-            // only lower). If it does not, some optimistic pass would
-            // have failed serially, so the debiting groups merge and
-            // re-execute in mempool order — a selective retry that
-            // restores exact serial guard semantics inside one group.
-            let mut debit_sums: BTreeMap<Address, (u128, Vec<usize>)> = BTreeMap::new();
-            for (i, g) in groups.iter().enumerate() {
-                for (addr, amt) in g.ledger.debit_totals() {
-                    let entry = debit_sums.entry(addr).or_insert((0, Vec::new()));
-                    entry.0 += amt;
-                    entry.1.push(i);
-                }
-            }
-            for (addr, (sum, members)) in &debit_sums {
-                if members.len() >= 2 && *sum > self.ledger.balance_entry(addr).unwrap_or(0) {
-                    for w in members.windows(2) {
-                        uf.union(w[0], w[1]);
-                    }
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-
-            // Selective retry: merge each conflicting component into one
-            // group and re-execute its transactions in mempool order
-            // against fresh snapshots of main state (which the component
-            // observes exclusively — every group overlapping it is part
-            // of it). Non-conflicting groups keep their results.
-            let mut components: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for i in 0..groups.len() {
-                let root = uf.find(i);
-                components.entry(root).or_default().push(i);
-            }
-            let mut merged_roots: BTreeSet<usize> = BTreeSet::new();
-            for (root, members) in &components {
-                if members.len() >= 2 {
-                    merged_roots.insert(*root);
-                }
-            }
-            let mut kept: Vec<GroupRun<S>> = Vec::new();
-            let mut retried: Vec<GroupRun<S>> = Vec::new();
-            let mut merging: BTreeMap<usize, Vec<GroupRun<S>>> = BTreeMap::new();
-            for (i, g) in groups.into_iter().enumerate() {
-                let root = uf.find(i);
-                if merged_roots.contains(&root) {
-                    merging.entry(root).or_default().push(g);
-                } else {
-                    kept.push(g);
-                }
-            }
-            for (_, members) in merging {
-                self.parallel_stats.selective_retries += 1;
-                // Fresh shard snapshots and a fresh shadow ledger: main
-                // state is untouched, the discarded optimistic results
-                // lived on private copies.
-                let Ok(mut merged) = self.build_group(collect_batch(members, None)) else {
-                    unreachable!("merged instances exist: their groups just ran");
-                };
-                run_group::<S>(&mut merged, round, schedule, contract_addr);
-                retried.push(merged);
-            }
-            kept.extend(retried);
-            kept.sort_by_key(GroupRun::first_pos);
-            groups = kept;
+                .zip(&g.outcomes)
+                .any(|(btx, o)| btx.creates() && matches!(o.receipt.status, TxStatus::Reverted(_)))
+        });
+        let conflicting = groups.iter().enumerate().any(|(i, g)| {
+            groups[i + 1..]
+                .iter()
+                .any(|h| g.touched.conflicts_with(&h.touched))
+        });
+        if escaped || create_reverted || conflicting {
+            self.parallel_stats.conflict_fallbacks += 1;
+            let batch = collect_batch(groups, None);
+            return self.execute_batch_serial(batch, block_gas, receipts, carried);
         }
 
         // Gas-cap cut detection: replay the receipts' gas in schedule
@@ -853,23 +665,14 @@ where
             // boundary retreats to its first position until every group
             // lies entirely on one side.
             let mut prefix_end = cut;
-            loop {
-                let mut shrunk = false;
-                for g in &groups {
-                    let first = g.first_pos();
-                    let last = g.txs.last().map(|btx| btx.pos).unwrap_or(0);
-                    if first < prefix_end && last >= prefix_end {
-                        prefix_end = first;
-                        shrunk = true;
-                    }
-                }
-                if !shrunk {
-                    break;
-                }
+            while let Some(straddler) = groups
+                .iter()
+                .find(|g| g.first_pos() < prefix_end && g.last_pos() >= prefix_end)
+            {
+                prefix_end = straddler.first_pos();
             }
-            let (commit, rest): (Vec<GroupRun<S>>, Vec<GroupRun<S>>) = groups
-                .into_iter()
-                .partition(|g| g.txs.last().map(|btx| btx.pos).unwrap_or(0) < prefix_end);
+            let (commit, rest): (Vec<GroupRun<S>>, Vec<GroupRun<S>>) =
+                groups.into_iter().partition(|g| g.last_pos() < prefix_end);
             if commit.is_empty() {
                 // The straddling group reaches back to the batch start:
                 // nothing can commit, so the whole batch falls back.
@@ -905,14 +708,6 @@ where
             for addr in &g.touched.writes {
                 self.ledger.merge_entry(*addr, g.ledger.balance_entry(addr));
             }
-            // Debited accounts merge additively: each group's accumulated
-            // freeze delta subtracts from the canonical entry, so
-            // several groups debiting one funded sender commute.
-            for addr in &g.touched.debits {
-                if let Some(delta) = g.ledger.debit_total(addr) {
-                    self.ledger.apply_debit(*addr, delta);
-                }
-            }
         }
         let mut merged: Vec<(usize, usize, usize)> = Vec::new();
         for (gi, g) in groups.iter().enumerate() {
@@ -935,109 +730,11 @@ where
             }
             self.ledger.append_events(&groups[gi].ledger.events()[a..b]);
         }
-        for g in &mut groups {
-            for key in g.write_keys.clone() {
-                let shard = g.shards.remove(&key).expect("write key has a shard");
+        for g in groups {
+            for (key, shard) in g.shards {
                 self.contract.shard_install(key, shard);
             }
         }
-    }
-
-    /// Repairs a batch whose speculative creations partially reverted:
-    /// serial execution consumes an id only when a creation succeeds, so
-    /// the repair re-reserves along that assignment — surviving
-    /// creations consume sequential ids, reverted ones are tentatively
-    /// assigned the next id without consuming it (the id serial
-    /// execution would assign and roll back) — rebuilds the affected
-    /// access sets and re-executes every reservation-holding group's
-    /// transactions as one merged group in mempool order against fresh
-    /// snapshots.
-    /// Reservation-free groups keep their optimistic results. `Err`
-    /// hands the whole batch back for serial execution when a rebuilt
-    /// message can no longer be attributed (e.g. a route to an id no
-    /// surviving creation produces and no shard can stand for).
-    #[allow(clippy::type_complexity)]
-    fn repair_reverted_creates(
-        &self,
-        groups: Vec<GroupRun<S>>,
-        reverted: &BTreeSet<usize>,
-        base: u64,
-    ) -> Result<Vec<GroupRun<S>>, Vec<BatchTx<S::Msg>>> {
-        let mut kept: Vec<GroupRun<S>> = Vec::new();
-        let mut affected: Vec<BatchTx<S::Msg>> = Vec::new();
-        for g in groups {
-            // Any transaction keyed at or past the reservation base
-            // depends on speculative id assignment (creations and routes
-            // to reserved ids); its whole group re-executes.
-            if g.txs.iter().any(|btx| btx.key >= base) {
-                affected.extend(g.txs);
-            } else {
-                kept.push(g);
-            }
-        }
-        affected.sort_by_key(|btx| btx.pos);
-        // The serial id assignment, walked in schedule order: every
-        // creation is tentatively assigned the next id — serial rolls
-        // the counter back on a revert, so only surviving creations
-        // consume theirs. A reverted creation therefore shares its id
-        // with the next survivor; that is sound (and required — the id
-        // appears in the revert's receipt) because the merged group
-        // executes sequentially and the revert's rollback clears the
-        // shared shard before the survivor runs.
-        let mut next = base;
-        let mut assigned: VecDeque<u64> = VecDeque::new();
-        for btx in affected.iter().filter(|btx| btx.creates()) {
-            assigned.push_back(next);
-            if !reverted.contains(&btx.pos) {
-                next += 1;
-            }
-        }
-        let mut reserver = IdReserver::with_assignments(base, assigned);
-        let mut rebuilt: Vec<BatchTx<S::Msg>> = Vec::with_capacity(affected.len());
-        let mut failed = false;
-        for btx in &affected {
-            let access = self.contract.access_set(
-                self.contract_addr,
-                btx.tx.sender,
-                &btx.tx.msg,
-                &mut reserver,
-            );
-            match (access.is_global(), access.primary_key()) {
-                (false, Some(key)) => rebuilt.push(BatchTx {
-                    pos: btx.pos,
-                    key,
-                    access,
-                    tx: btx.tx.clone(),
-                }),
-                _ => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if !failed {
-            // Re-execute the affected transactions as ONE group in
-            // mempool order — exactly the selective-retry shape. The
-            // sequential in-group execution is serial-faithful (balances
-            // deplete in order, so e.g. an overdraft burst reverts the
-            // same creations serial execution would), which makes the
-            // observed reverted set stable and the repair converge
-            // instead of oscillating with the overdraft check.
-            match self.build_group(rebuilt) {
-                Ok(mut merged) => {
-                    run_group::<S>(&mut merged, self.round, &self.schedule, self.contract_addr);
-                    kept.push(merged);
-                    kept.sort_by_key(GroupRun::first_pos);
-                    return Ok(kept);
-                }
-                Err(_) => failed = true,
-            }
-        }
-        debug_assert!(failed);
-        // Everything goes back to the serial backstop: the kept groups
-        // plus the original affected transactions (the partial rebuilds
-        // hold clones and are simply dropped).
-        Err(collect_batch(kept, affected))
     }
 
     /// Builds the conflict groups for a batch: union-find over declared
@@ -1084,22 +781,17 @@ where
     /// transactions back so the caller can fall back serially.
     fn build_group(&self, txs: Vec<BatchTx<S::Msg>>) -> Result<GroupRun<S>, Vec<BatchTx<S::Msg>>> {
         let mut write_keys: BTreeSet<u64> = BTreeSet::new();
-        let mut read_keys: BTreeSet<u64> = BTreeSet::new();
         let mut reserved_keys: BTreeSet<u64> = BTreeSet::new();
         let mut preset: BTreeSet<Address> = BTreeSet::new();
-        let mut debit_accounts: BTreeSet<Address> = BTreeSet::new();
         for btx in &txs {
             write_keys.extend(btx.access.instance_writes.iter().copied());
-            read_keys.extend(btx.access.instance_reads.iter().copied());
             reserved_keys.extend(btx.access.reserves);
             preset.extend(btx.access.account_reads.iter().copied());
             preset.extend(btx.access.account_writes.iter().copied());
-            preset.extend(btx.access.account_debits.iter().copied());
-            debit_accounts.extend(btx.access.account_debits.iter().copied());
             preset.insert(btx.tx.sender);
         }
         let mut shards: BTreeMap<u64, S::Shard> = BTreeMap::new();
-        for &key in write_keys.union(&read_keys) {
+        for key in write_keys {
             let shard = if reserved_keys.contains(&key) {
                 self.contract.shard_reserve(key, self.contract_addr)
             } else {
@@ -1110,11 +802,8 @@ where
             };
             shards.insert(key, shard);
         }
-        let ledger = self
-            .ledger
-            .sparse_overlay_with_debits(preset.iter().copied(), debit_accounts.iter().copied());
+        let ledger = self.ledger.sparse_overlay(preset.iter().copied());
         Ok(GroupRun {
-            write_keys,
             shards,
             ledger,
             preset,
@@ -1150,8 +839,7 @@ where
 }
 
 /// Flattens groups — plus any `loose` transactions no group holds — back
-/// into one schedule-ordered batch, for serial re-execution or a merged
-/// retry group.
+/// into one schedule-ordered batch, for serial re-execution.
 fn collect_batch<S: ParallelStateMachine>(
     groups: Vec<GroupRun<S>>,
     loose: impl IntoIterator<Item = BatchTx<S::Msg>>,
@@ -1167,25 +855,15 @@ fn collect_batch<S: ParallelStateMachine>(
 
 /// Partitions a batch into its declared conflict components: union-find
 /// over declared resources — any resource with a declared writer joins
-/// every transaction touching it; read-only and debit-only sharing stay
-/// parallel (the latter validated by the post-run overdraft check); a
-/// declared read against a declared debit is order-sensitive and
-/// serializes. Each component's transactions come back in schedule
-/// order.
+/// every transaction touching it; read-only sharing stays parallel. Each
+/// component's transactions come back in schedule order.
 fn group_by_declared_conflicts<M>(batch: Vec<BatchTx<M>>) -> Vec<Vec<BatchTx<M>>> {
     let mut uf = UnionFind::new(batch.len());
     let mut writers: BTreeMap<Resource, Vec<usize>> = BTreeMap::new();
     let mut readers: BTreeMap<Resource, Vec<usize>> = BTreeMap::new();
-    let mut debitors: BTreeMap<Resource, Vec<usize>> = BTreeMap::new();
     for (ti, btx) in batch.iter().enumerate() {
         for key in &btx.access.instance_writes {
             writers
-                .entry(Resource::Instance(*key))
-                .or_default()
-                .push(ti);
-        }
-        for key in &btx.access.instance_reads {
-            readers
                 .entry(Resource::Instance(*key))
                 .or_default()
                 .push(ti);
@@ -1202,12 +880,6 @@ fn group_by_declared_conflicts<M>(batch: Vec<BatchTx<M>>) -> Vec<Vec<BatchTx<M>>
                 .or_default()
                 .push(ti);
         }
-        for addr in &btx.access.account_debits {
-            debitors
-                .entry(Resource::Account(*addr))
-                .or_default()
-                .push(ti);
-        }
     }
     for (res, ws) in &writers {
         let first = ws[0];
@@ -1217,28 +889,6 @@ fn group_by_declared_conflicts<M>(batch: Vec<BatchTx<M>>) -> Vec<Vec<BatchTx<M>>
         if let Some(rs) = readers.get(res) {
             for &r in rs {
                 uf.union(first, r);
-            }
-        }
-        if let Some(ds) = debitors.get(res) {
-            for &d in ds {
-                uf.union(first, d);
-            }
-        }
-    }
-    for (res, ds) in &debitors {
-        if writers.contains_key(res) {
-            continue; // already fully unioned above
-        }
-        if let Some(rs) = readers.get(res) {
-            // A reader of a debited account pins every debitor to its
-            // group (transitively merging the debitors — conservative
-            // but sound; pure debit-debit sharing has no readers and
-            // stays parallel).
-            for &d in ds {
-                uf.union(rs[0], d);
-            }
-            for &r in rs {
-                uf.union(rs[0], r);
             }
         }
     }

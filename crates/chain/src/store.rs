@@ -775,9 +775,11 @@ impl LogWriter {
     /// once a full snapshot at `round` is durable, since recovery never
     /// reaches past the newest valid full snapshot.
     fn prune_artifacts(&self, round: u64) -> Result<(), StoreError> {
-        for (r, path) in artifact_files(&self.dir)? {
-            if r < round {
-                fs::remove_file(&path)?;
+        for prefix in [SNAPSHOT_PREFIX, DELTA_PREFIX] {
+            for (r, path) in list_artifacts(&self.dir, prefix)? {
+                if r < round {
+                    fs::remove_file(&path)?;
+                }
             }
         }
         Ok(())
@@ -790,23 +792,27 @@ impl LogWriter {
     }
 }
 
-/// Every snapshot/delta artifact in `dir` as `(round, path)` pairs.
-fn artifact_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+/// Every `<prefix><round>.bin` artifact in `dir` as `(round, path)`
+/// pairs, ascending by round — the listing pruning and both recovery
+/// readers share. A missing directory holds none.
+fn list_artifacts(dir: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+    if !dir.exists() {
+        return Ok(Vec::new());
+    }
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let round = name
-            .strip_prefix(SNAPSHOT_PREFIX)
-            .or_else(|| name.strip_prefix(DELTA_PREFIX))
+        let round = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_prefix(prefix))
             .and_then(|n| n.strip_suffix(SNAPSHOT_SUFFIX))
             .and_then(|n| n.parse::<u64>().ok());
         if let Some(round) = round {
             out.push((round, path));
         }
     }
+    out.sort_unstable();
     Ok(out)
 }
 
@@ -867,6 +873,16 @@ enum Writer {
         tx: SyncSender<WriterCmd>,
         handle: Option<JoinHandle<Result<(), StoreError>>>,
     },
+}
+
+/// The error behind a background writer that stopped answering: joins
+/// the thread (once) to surface what it died of.
+fn writer_died(handle: &mut Option<JoinHandle<Result<(), StoreError>>>) -> StoreError {
+    match handle.take().map(JoinHandle::join) {
+        Some(Ok(Err(e))) => e,
+        Some(Err(_)) => StoreError::Io("block writer panicked".into()),
+        _ => StoreError::Io("block writer exited".into()),
+    }
 }
 
 /// The writing half of the persistence layer: the snapshot cadence and
@@ -1050,16 +1066,9 @@ impl BlockStore {
                 }
             },
             Writer::Background { tx, handle } => {
-                if tx.send(cmd).is_err() {
-                    // The writer died on an earlier command: join the
-                    // thread to surface its error.
-                    return Err(match handle.take().map(JoinHandle::join) {
-                        Some(Ok(Err(e))) => e,
-                        Some(Err(_)) => StoreError::Io("block writer panicked".into()),
-                        _ => StoreError::Io("block writer exited".into()),
-                    });
-                }
-                Ok(())
+                // A closed channel means the writer died on an earlier
+                // command.
+                tx.send(cmd).map_err(|_| writer_died(handle))
             }
         }
     }
@@ -1073,13 +1082,7 @@ impl BlockStore {
         let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel(1);
         self.dispatch(WriterCmd::Drain(ack_tx))?;
         if let Writer::Background { handle, .. } = &mut self.writer {
-            if ack_rx.recv().is_err() {
-                return Err(match handle.take().map(JoinHandle::join) {
-                    Some(Ok(Err(e))) => e,
-                    Some(Err(_)) => StoreError::Io("block writer panicked".into()),
-                    _ => StoreError::Io("block writer exited".into()),
-                });
-            }
+            ack_rx.recv().map_err(|_| writer_died(handle))?;
         }
         Ok(())
     }
@@ -1206,26 +1209,8 @@ impl Drop for BlockStore {
 /// `(round, state image bytes)`. Corrupt snapshots fall back to the
 /// next older one.
 fn latest_snapshot(dir: &Path) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-    let mut rounds: Vec<u64> = Vec::new();
-    if !dir.exists() {
-        return Ok(None);
-    }
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(round) = name
-            .strip_prefix(SNAPSHOT_PREFIX)
-            .and_then(|n| n.strip_suffix(SNAPSHOT_SUFFIX))
-            .and_then(|n| n.parse::<u64>().ok())
-        {
-            rounds.push(round);
-        }
-    }
-    rounds.sort_unstable();
-    for round in rounds.into_iter().rev() {
-        if let Some(payload) = read_checksummed(&snapshot_path(dir, round))? {
+    for (round, path) in list_artifacts(dir, SNAPSHOT_PREFIX)?.into_iter().rev() {
+        if let Some(payload) = read_checksummed(&path)? {
             return Ok(Some((round, payload)));
         }
         // Corrupt snapshot: fall through to the next older one.
@@ -1253,27 +1238,9 @@ fn read_checksummed(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
 /// Invalid files are skipped — composition stops at the first missing
 /// link anyway.
 fn read_deltas(dir: &Path) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-    let mut rounds: Vec<u64> = Vec::new();
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(round) = name
-            .strip_prefix(DELTA_PREFIX)
-            .and_then(|n| n.strip_suffix(SNAPSHOT_SUFFIX))
-            .and_then(|n| n.parse::<u64>().ok())
-        {
-            rounds.push(round);
-        }
-    }
-    rounds.sort_unstable();
-    let mut out = Vec::with_capacity(rounds.len());
-    for round in rounds {
-        if let Some(payload) = read_checksummed(&delta_path(dir, round))? {
+    let mut out = Vec::new();
+    for (round, path) in list_artifacts(dir, DELTA_PREFIX)? {
+        if let Some(payload) = read_checksummed(&path)? {
             out.push((round, payload));
         }
     }

@@ -20,6 +20,6 @@ pub use contract::{
 };
 pub use msg::{HitMessage, LedgerAccess, PublishParams};
 pub use registry::{
-    HitId, HitRef, HitRegistry, RegistryCapture, RegistryError, RegistryEvent, RegistryMessage,
+    HitId, HitRegistry, RegistryCapture, RegistryError, RegistryEvent, RegistryMessage,
     RegistryShard, SettlementMode, REGISTRY_CODE_LEN,
 };

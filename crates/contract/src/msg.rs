@@ -105,8 +105,8 @@ pub enum HitMessage {
 /// into the group's shadow ledger); `writes` are the accounts execution
 /// deterministically moves coins between. A write that only materializes
 /// on one outcome (a backfired rejection paying the worker) is declared
-/// a read — the dynamic touch records catch the escalation and trigger a
-/// selective retry when it collides with another group.
+/// a read — the dynamic touch records catch the escalation and send the
+/// batch to serial execution when it collides with another group.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LedgerAccess {
     /// Accounts execution may read (or conditionally write).

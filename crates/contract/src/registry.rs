@@ -42,8 +42,6 @@ use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement};
 use dragoon_ledger::Address;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Deref;
-use std::sync::{RwLock, RwLockReadGuard};
 
 /// Identifier of a HIT instance within a registry.
 pub type HitId = u64;
@@ -157,29 +155,24 @@ struct HitInstance {
     hit: HitContract,
 }
 
-/// Number of independently-locked instance shards. A power of two so the
-/// shard of an id is a mask; 16 keeps per-shard maps at ~62k instances
-/// even at the million-HIT tier while staying cheap to snapshot-encode
-/// in parallel.
+/// Number of instance shards. A power of two so the shard of an id is a
+/// mask; 16 keeps per-shard maps at ~62k instances even at the
+/// million-HIT tier while staying cheap to snapshot-encode in parallel.
 const SHARD_COUNT: usize = 16;
 
 fn shard_of(id: HitId) -> usize {
     (id as usize) & (SHARD_COUNT - 1)
 }
 
-/// The registry's instance map, split into [`SHARD_COUNT`]
-/// independently-locked shards keyed by instance id. Ids are assigned
-/// sequentially, so consecutive instances land on distinct shards and
-/// the per-shard `BTreeMap`s stay balanced.
-///
-/// Locking discipline: every mutating path holds `&mut self` and goes
-/// through [`RwLock::get_mut`] — no lock is ever *contended* there, so
-/// serial execution pays nothing. Shared-reference reads
-/// ([`ShardedHits::get`], [`ShardedHits::with`]) take a read lock on one
-/// shard, which is what lets snapshot encoding fan shards out across
-/// threads while the registry sits between transactions.
+/// The registry's instance map, split into [`SHARD_COUNT`] shards keyed
+/// by instance id so snapshot encoding can fan out across threads. Ids
+/// are assigned sequentially, so consecutive instances land on distinct
+/// shards and the per-shard `BTreeMap`s stay balanced. Plain maps: every
+/// writer holds `&mut self`, so the borrow checker already keeps readers
+/// and writers apart.
+#[derive(Clone)]
 struct ShardedHits {
-    shards: Vec<RwLock<BTreeMap<HitId, HitInstance>>>,
+    shards: Vec<BTreeMap<HitId, HitInstance>>,
     /// Instance ids handed out mutably (or inserted/removed) since the
     /// last [`ShardedHits::mark_clean`] — the working set an incremental
     /// snapshot encodes. An over-approximation: `inst_mut` marks even
@@ -193,57 +186,28 @@ struct ShardedHits {
 impl ShardedHits {
     fn new() -> Self {
         Self {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(BTreeMap::new()))
-                .collect(),
+            shards: vec![BTreeMap::new(); SHARD_COUNT],
             dirty: BTreeSet::new(),
         }
     }
 
-    fn read_shard(&self, id: HitId) -> RwLockReadGuard<'_, BTreeMap<HitId, HitInstance>> {
-        self.shards[shard_of(id)]
-            .read()
-            .expect("shard lock poisoned")
+    fn get(&self, id: HitId) -> Option<&HitInstance> {
+        self.shards[shard_of(id)].get(&id)
     }
 
-    /// A read-locked handle on instance `id`'s contract state.
-    fn get(&self, id: HitId) -> Option<HitRef<'_>> {
-        let guard = self.read_shard(id);
-        if guard.contains_key(&id) {
-            Some(HitRef { guard, id })
-        } else {
-            None
-        }
-    }
-
-    /// Runs `f` on instance `id` under its shard's read lock.
-    fn with<R>(&self, id: HitId, f: impl FnOnce(&HitInstance) -> R) -> Option<R> {
-        self.read_shard(id).get(&id).map(f)
-    }
-
-    /// Lock-free exclusive access (`&mut self` proves no reader exists).
     fn inst_mut(&mut self, id: HitId) -> Option<&mut HitInstance> {
         self.dirty.insert(id);
-        self.shards[shard_of(id)]
-            .get_mut()
-            .expect("shard lock poisoned")
-            .get_mut(&id)
+        self.shards[shard_of(id)].get_mut(&id)
     }
 
     fn insert(&mut self, id: HitId, inst: HitInstance) {
         self.dirty.insert(id);
-        self.shards[shard_of(id)]
-            .get_mut()
-            .expect("shard lock poisoned")
-            .insert(id, inst);
+        self.shards[shard_of(id)].insert(id, inst);
     }
 
     fn remove(&mut self, id: HitId) {
         self.dirty.insert(id);
-        self.shards[shard_of(id)]
-            .get_mut()
-            .expect("shard lock poisoned")
-            .remove(&id);
+        self.shards[shard_of(id)].remove(&id);
     }
 
     /// The dirty working set as `(id, instance-or-tombstone)` pairs,
@@ -252,7 +216,7 @@ impl ShardedHits {
     fn delta_instances(&self) -> Vec<(HitId, Option<HitInstance>)> {
         self.dirty
             .iter()
-            .map(|&id| (id, self.read_shard(id).get(&id).cloned()))
+            .map(|&id| (id, self.get(id).cloned()))
             .collect()
     }
 
@@ -265,57 +229,30 @@ impl ShardedHits {
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").len())
-            .sum()
+        self.shards.iter().map(BTreeMap::len).sum()
     }
 
     fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.read().expect("shard lock poisoned").is_empty())
+        self.shards.iter().all(BTreeMap::is_empty)
     }
 
     /// All instance ids, ascending.
     fn ids(&self) -> Vec<HitId> {
-        let mut ids: Vec<HitId> = Vec::new();
-        for s in &self.shards {
-            ids.extend(s.read().expect("shard lock poisoned").keys().copied());
-        }
+        let mut ids: Vec<HitId> = self.shards.iter().flat_map(|s| s.keys().copied()).collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Visits every instance, shard by shard (not id order — use only
-    /// for order-independent aggregation).
-    fn for_each(&self, mut f: impl FnMut(HitId, &HitInstance)) {
-        for s in &self.shards {
-            for (id, inst) in s.read().expect("shard lock poisoned").iter() {
-                f(*id, inst);
-            }
-        }
-    }
-}
-
-impl Clone for ShardedHits {
-    fn clone(&self) -> Self {
-        Self {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(s.read().expect("shard lock poisoned").clone()))
-                .collect(),
-            dirty: self.dirty.clone(),
-        }
+    /// Every instance, shard by shard (not id order — use only for
+    /// order-independent aggregation).
+    fn iter(&self) -> impl Iterator<Item = &HitInstance> {
+        self.shards.iter().flat_map(BTreeMap::values)
     }
 }
 
 impl PartialEq for ShardedHits {
     fn eq(&self, other: &Self) -> bool {
-        self.shards.iter().zip(&other.shards).all(|(a, b)| {
-            *a.read().expect("shard lock poisoned") == *b.read().expect("shard lock poisoned")
-        })
+        self.shards == other.shards
     }
 }
 
@@ -325,27 +262,6 @@ impl fmt::Debug for ShardedHits {
             .field("shards", &SHARD_COUNT)
             .field("len", &self.len())
             .finish()
-    }
-}
-
-/// A read-locked reference to one hosted instance's contract state, as
-/// returned by [`HitRegistry::hit`]. Dereferences to [`HitContract`];
-/// the underlying shard stays read-locked (shared, re-entrant for
-/// readers) for the borrow's lifetime.
-pub struct HitRef<'a> {
-    guard: RwLockReadGuard<'a, BTreeMap<HitId, HitInstance>>,
-    id: HitId,
-}
-
-impl Deref for HitRef<'_> {
-    type Target = HitContract;
-
-    fn deref(&self) -> &HitContract {
-        &self
-            .guard
-            .get(&self.id)
-            .expect("presence checked on construction")
-            .hit
     }
 }
 
@@ -645,16 +561,14 @@ impl HitRegistry {
         self.hits.is_empty()
     }
 
-    /// Read-only access to an instance's contract state. The returned
-    /// handle read-locks the instance's shard (shared with other
-    /// readers) for its lifetime and dereferences to [`HitContract`].
-    pub fn hit(&self, id: HitId) -> Option<HitRef<'_>> {
-        self.hits.get(id)
+    /// Read-only access to an instance's contract state.
+    pub fn hit(&self, id: HitId) -> Option<&HitContract> {
+        self.hits.get(id).map(|inst| &inst.hit)
     }
 
     /// An instance's derived contract address (its escrow account).
     pub fn hit_address(&self, id: HitId) -> Option<Address> {
-        self.hits.with(id, |i| i.addr)
+        self.hits.get(id).map(|inst| inst.addr)
     }
 
     /// All instance ids, ascending.
@@ -664,13 +578,10 @@ impl HitRegistry {
 
     /// Number of settled (closed or cancelled) instances.
     pub fn settled_count(&self) -> usize {
-        let mut count = 0;
-        self.hits.for_each(|_, inst| {
-            if inst.hit.is_settled() {
-                count += 1;
-            }
-        });
-        count
+        self.hits
+            .iter()
+            .filter(|inst| inst.hit.is_settled())
+            .count()
     }
 
     /// Batched-settlement counters: the registry's own per-block
@@ -679,8 +590,9 @@ impl HitRegistry {
     /// verdicts within one block).
     pub fn batch_stats(&self) -> BatchStats {
         let mut total = self.batch_stats;
-        self.hits
-            .for_each(|_, inst| total.absorb(&inst.hit.batch_stats()));
+        for inst in self.hits.iter() {
+            total.absorb(&inst.hit.batch_stats());
+        }
         total
     }
 
@@ -706,16 +618,13 @@ impl HitRegistry {
         }
         let mut expected: Vec<(HitId, Vec<(DecryptionStatement, DecryptionProof)>)> = Vec::new();
         for &id in &self.live {
-            let items = self
-                .hits
-                .with(id, |inst| {
-                    if inst.hit.is_settled() {
-                        Vec::new()
-                    } else {
-                        inst.hit.peek_pending_items()
-                    }
-                })
-                .unwrap_or_default();
+            let Some(inst) = self.hits.get(id) else {
+                continue;
+            };
+            if inst.hit.is_settled() {
+                continue;
+            }
+            let items = inst.hit.peek_pending_items();
             if !items.is_empty() {
                 expected.push((id, items));
             }
@@ -1016,8 +925,10 @@ impl StateMachine for HitRegistry {
                 .copied()
                 .filter(|&id| {
                     self.hits
-                        .with(id, |inst| inst.hit.is_settled())
+                        .get(id)
                         .expect("live instance exists")
+                        .hit
+                        .is_settled()
                 })
                 .collect();
             for id in settled {
@@ -1026,11 +937,8 @@ impl StateMachine for HitRegistry {
             }
         } else {
             let hits = &self.hits;
-            self.live.retain(|&id| {
-                !hits
-                    .with(id, |inst| inst.hit.is_settled())
-                    .expect("live instance exists")
-            });
+            self.live
+                .retain(|&id| !hits.get(id).expect("live instance exists").hit.is_settled());
         }
     }
 }
@@ -1070,27 +978,21 @@ impl ParallelStateMachine for HitRegistry {
     ) -> AccessSet {
         match msg {
             // Creation reserves the id serial execution would assign and
-            // becomes an ordinary instance write. The budget freeze
-            // *debits* the sender — a commutative declared access, so
-            // several spawns from the same funded sender stay in separate
-            // groups (the executor sums their deltas at merge and
-            // validates the total against the sender's base balance) —
-            // and funds the derived escrow, an ordinary write.
+            // becomes an ordinary instance write. The budget freeze moves
+            // coins from the sender into the derived escrow: two declared
+            // account writes, so creations by one sender group together
+            // and run in order.
             RegistryMessage::Create { .. } => {
                 let id = reserver.reserve();
                 let escrow = Address::contract_address(&contract, id + 1);
-                AccessSet::create(id)
-                    .debits_accounts([sender])
-                    .writes_accounts([escrow])
+                AccessSet::create(id).writes_accounts([sender, escrow])
             }
             RegistryMessage::Hit { id, msg } => {
-                if let Some(access_set) = self.hits.with(*id, |inst| {
+                if let Some(inst) = self.hits.get(*id) {
                     let access = msg.access_set(inst.addr, &inst.hit);
                     AccessSet::instance(*id)
                         .reads_accounts(access.reads)
                         .writes_accounts(access.writes)
-                }) {
-                    access_set
                 } else if reserver.is_reserved(*id) {
                     // Routed to an instance another message of this batch
                     // speculatively creates: group with the creation. The
@@ -1110,7 +1012,7 @@ impl ParallelStateMachine for HitRegistry {
     }
 
     fn shard_snapshot(&self, key: u64) -> Option<RegistryShard> {
-        self.hits.with(key, |inst| RegistryShard {
+        self.hits.get(key).map(|inst| RegistryShard {
             id: key,
             addr: inst.addr,
             mode: self.mode,
@@ -1251,7 +1153,7 @@ const PARALLEL_ENCODE_THRESHOLD: usize = 4_096;
 impl ShardedHits {
     /// Shards encode independently and concatenate in shard order —
     /// deterministic at any budget. Large registries encode their shards
-    /// on up to `threads` threads (each read-locks only its own shard).
+    /// on up to `threads` threads.
     fn encode(&self, threads: usize, out: &mut Vec<u8>) {
         (SHARD_COUNT as u64).put(out);
         let threads = if self.len() >= PARALLEL_ENCODE_THRESHOLD {
@@ -1261,9 +1163,8 @@ impl ShardedHits {
         };
         let chunks = par_map(threads, self.shards.iter().collect(), |shard| {
             let mut buf = Vec::new();
-            let guard = shard.read().expect("shard lock poisoned");
-            guard.len().put(&mut buf);
-            for (id, inst) in guard.iter() {
+            shard.len().put(&mut buf);
+            for (id, inst) in shard {
                 id.put(&mut buf);
                 inst.put(&mut buf);
             }

@@ -29,8 +29,8 @@
 //!   block executor builds its conflict detection on: while the undo log
 //!   captures writes, the touch set additionally captures *reads*, and
 //!   keeps the two apart ([`TouchRecord`]) so the executor can let
-//!   read-only sharing commute while any write-involved overlap forces a
-//!   re-execution of the groups involved.
+//!   read-only sharing commute while any write-involved overlap sends
+//!   the batch back to serial execution.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -63,12 +63,6 @@ pub struct TouchRecord<K: Ord> {
     pub reads: BTreeSet<K>,
     /// Keys written (a read-modify-write counts as a write).
     pub writes: BTreeSet<K>,
-    /// Keys *debited*: mutated only by commutative bounded subtractions
-    /// (escrow freezes). Two groups debiting the same key commute — their
-    /// deltas sum at merge, subject to the executor's overdraft check —
-    /// while a debit against a read or write on the other side is still
-    /// order-sensitive.
-    pub debits: BTreeSet<K>,
 }
 
 impl<K: Ord> Default for TouchRecord<K> {
@@ -76,44 +70,33 @@ impl<K: Ord> Default for TouchRecord<K> {
         Self {
             reads: BTreeSet::new(),
             writes: BTreeSet::new(),
-            debits: BTreeSet::new(),
         }
     }
 }
 
 impl<K: Ord + Copy> TouchRecord<K> {
-    /// Every key touched — read, written or debited.
+    /// Every key touched — read or written.
     pub fn all(&self) -> impl Iterator<Item = K> + '_ {
-        self.reads
-            .union(&self.writes)
-            .chain(self.debits.difference(&self.writes))
-            .copied()
+        self.reads.union(&self.writes).copied()
     }
 
     /// Whether `key` was touched at all.
     pub fn contains(&self, key: &K) -> bool {
-        self.reads.contains(key) || self.writes.contains(key) || self.debits.contains(key)
+        self.reads.contains(key) || self.writes.contains(key)
     }
 
     /// Whether this record and `other` have an order-sensitive overlap:
-    /// a key written by one side and touched (read, written or debited)
-    /// by the other, or a key debited by one side and read by the other.
-    /// Read-read overlaps commute and do not count; **debit-debit
-    /// overlaps commute too** — the deltas sum — provided the executor's
-    /// overdraft check holds, which it verifies separately.
+    /// a key written by one side and touched (read or written) by the
+    /// other. Read-read overlaps commute and do not count.
     pub fn conflicts_with(&self, other: &Self) -> bool {
         !self.writes.is_disjoint(&other.writes)
             || !self.writes.is_disjoint(&other.reads)
-            || !self.writes.is_disjoint(&other.debits)
             || !self.reads.is_disjoint(&other.writes)
-            || !self.reads.is_disjoint(&other.debits)
-            || !self.debits.is_disjoint(&other.writes)
-            || !self.debits.is_disjoint(&other.reads)
     }
 
     /// Whether nothing was touched.
     pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty() && self.debits.is_empty()
+        self.reads.is_empty() && self.writes.is_empty()
     }
 }
 
@@ -126,8 +109,8 @@ impl<K: Ord + Copy> TouchRecord<K> {
 /// transaction observes — reads and writes separately — and the parallel
 /// block executor compares the per-group [`TouchRecord`]s against the
 /// declared access sets and against each other to decide whether
-/// optimistic results may commit, must be selectively re-executed, or
-/// must fall back to serial order.
+/// optimistic results may commit or the batch must fall back to serial
+/// order.
 ///
 /// Reads come through `&self` accessors, so the sets live behind
 /// [`RefCell`]s; tracking is off by default and costs one branch when
@@ -137,7 +120,6 @@ pub struct TouchSet<K: Ord> {
     enabled: bool,
     reads: RefCell<BTreeSet<K>>,
     writes: RefCell<BTreeSet<K>>,
-    debits: RefCell<BTreeSet<K>>,
 }
 
 impl<K: Ord> Default for TouchSet<K> {
@@ -146,7 +128,6 @@ impl<K: Ord> Default for TouchSet<K> {
             enabled: false,
             reads: RefCell::new(BTreeSet::new()),
             writes: RefCell::new(BTreeSet::new()),
-            debits: RefCell::new(BTreeSet::new()),
         }
     }
 }
@@ -185,30 +166,14 @@ impl<K: Ord + Copy> TouchSet<K> {
         }
     }
 
-    /// Records one commutatively *debited* key (no-op when disabled).
-    pub fn record_debit(&self, key: K) {
-        if self.enabled {
-            self.debits.borrow_mut().insert(key);
-        }
-    }
-
     /// Drains and returns the touch record accumulated since tracking
     /// began (or the last take). Keys both read and written report only
-    /// as writes — the stronger access subsumes the weaker. A key both
-    /// debited and written reports as a write (the write breaks
-    /// commutativity); a key both read and debited keeps both classes
-    /// (each makes its own cross-group overlaps order-sensitive).
+    /// as writes — the stronger access subsumes the weaker.
     pub fn take(&mut self) -> TouchRecord<K> {
         let writes = std::mem::take(&mut *self.writes.borrow_mut());
         let mut reads = std::mem::take(&mut *self.reads.borrow_mut());
-        let mut debits = std::mem::take(&mut *self.debits.borrow_mut());
         reads.retain(|k| !writes.contains(k));
-        debits.retain(|k| !writes.contains(k));
-        TouchRecord {
-            reads,
-            writes,
-            debits,
-        }
+        TouchRecord { reads, writes }
     }
 }
 
@@ -348,7 +313,6 @@ mod tests {
         let rec = |reads: &[u32], writes: &[u32]| TouchRecord {
             reads: reads.iter().copied().collect(),
             writes: writes.iter().copied().collect(),
-            debits: BTreeSet::new(),
         };
         // Read-read sharing commutes.
         assert!(!rec(&[1, 2], &[]).conflicts_with(&rec(&[2, 3], &[])));
@@ -359,41 +323,6 @@ mod tests {
         // Disjoint sets never conflict.
         assert!(!rec(&[1], &[2]).conflicts_with(&rec(&[3], &[4])));
         assert!(rec(&[1], &[2]).contains(&1) && rec(&[1], &[2]).contains(&2));
-    }
-
-    #[test]
-    fn debit_overlaps_commute_but_mixed_ones_do_not() {
-        let rec = |reads: &[u32], writes: &[u32], debits: &[u32]| TouchRecord {
-            reads: reads.iter().copied().collect(),
-            writes: writes.iter().copied().collect(),
-            debits: debits.iter().copied().collect(),
-        };
-        // Debit-debit overlap commutes (deltas sum at merge).
-        assert!(!rec(&[], &[], &[1]).conflicts_with(&rec(&[], &[], &[1])));
-        // Debit against a read or write on the other side is a conflict.
-        assert!(rec(&[], &[], &[1]).conflicts_with(&rec(&[1], &[], &[])));
-        assert!(rec(&[], &[], &[1]).conflicts_with(&rec(&[], &[1], &[])));
-        assert!(rec(&[1], &[], &[]).conflicts_with(&rec(&[], &[], &[1])));
-        assert!(rec(&[], &[1], &[]).conflicts_with(&rec(&[], &[], &[1])));
-        // Debited keys show up in all() and contains().
-        let r = rec(&[], &[], &[5]);
-        assert!(r.contains(&5));
-        assert_eq!(r.all().collect::<Vec<_>>(), vec![5]);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn take_subsumes_debits_under_writes_but_keeps_read_debit_pairs() {
-        let t: TouchSet<u32> = TouchSet::tracking();
-        t.record_debit(1);
-        t.record_write(1); // write breaks commutativity: reports as write
-        t.record_debit(2);
-        t.record_read(2); // read + debit both survive
-        let mut t = t;
-        let rec = t.take();
-        assert_eq!(rec.writes.iter().copied().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(rec.debits.iter().copied().collect::<Vec<_>>(), vec![2]);
-        assert_eq!(rec.reads.iter().copied().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

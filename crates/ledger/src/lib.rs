@@ -121,9 +121,6 @@ enum LedgerUndo {
     },
     /// One event was appended to the transparent log.
     Event,
-    /// `amount` was added to `account`'s commutative-debit accumulator
-    /// (shadow ledgers only); undo subtracts it back out.
-    Debit { account: Address, amount: Amount },
 }
 
 /// The ledger functionality `L`.
@@ -140,14 +137,6 @@ pub struct Ledger {
     /// ledger; enabled on the [`Ledger::sparse_overlay`] shadows the
     /// executor hands to worker threads.
     touches: TouchSet<Address>,
-    /// Accounts whose escrow *freezes* record commutative debit touches
-    /// instead of read+write touches (shadow ledgers only; empty on the
-    /// canonical ledger). Declared by the scheduler from the batch's
-    /// access sets so same-sender spawns can run in separate groups.
-    delta_accounts: std::collections::BTreeSet<Address>,
-    /// Accumulated successful freeze debits per delta account, summed at
-    /// merge against the canonical base entry.
-    debits: std::collections::BTreeMap<Address, Amount>,
     /// Accounts whose balance entry was written since the last
     /// [`Ledger::mark_delta_clean`] — the working set an incremental
     /// snapshot encodes instead of the whole balance table. Tracked on
@@ -241,16 +230,6 @@ impl Ledger {
             LedgerUndo::Event => {
                 self.events.pop();
             }
-            LedgerUndo::Debit { account, amount } => {
-                let entry = self
-                    .debits
-                    .get_mut(&account)
-                    .expect("journaled debit has an accumulator entry");
-                *entry -= amount;
-                if *entry == 0 {
-                    self.debits.remove(&account);
-                }
-            }
         }
     }
 
@@ -258,12 +237,6 @@ impl Ledger {
     /// write (no-op outside a transaction), and records the write touch.
     fn record_balance(&mut self, account: Address) {
         self.touches.record_write(account);
-        self.journal_balance(account);
-    }
-
-    /// Journals the prior value of `account`'s balance entry without
-    /// recording any touch (the caller records the appropriate class).
-    fn journal_balance(&mut self, account: Address) {
         self.dirty.insert(account);
         let balances = &self.balances;
         self.journal.record_with(|| LedgerUndo::Balance {
@@ -331,19 +304,6 @@ impl Ledger {
     /// preset had a base entry (such a read would have seen a phantom
     /// zero) and falls back to serial re-execution otherwise.
     pub fn sparse_overlay(&self, accounts: impl IntoIterator<Item = Address>) -> Ledger {
-        self.sparse_overlay_with_debits(accounts, std::iter::empty())
-    }
-
-    /// A [`Ledger::sparse_overlay`] whose `delta_accounts` freeze-debits
-    /// record commutative **debit** touches and accumulate their deltas,
-    /// so groups debiting the same funded sender can merge additively
-    /// instead of conflicting (see [`Ledger::apply_debit`]). The delta
-    /// accounts must also be in the preset (`accounts`).
-    pub fn sparse_overlay_with_debits(
-        &self,
-        accounts: impl IntoIterator<Item = Address>,
-        delta_accounts: impl IntoIterator<Item = Address>,
-    ) -> Ledger {
         let mut balances = HashMap::new();
         for account in accounts {
             if let Some(v) = self.balances.get(&account) {
@@ -355,36 +315,9 @@ impl Ledger {
             events: Vec::new(),
             journal: StateJournal::new(),
             touches: TouchSet::tracking(),
-            delta_accounts: delta_accounts.into_iter().collect(),
-            debits: std::collections::BTreeMap::new(),
             dirty: std::collections::BTreeSet::new(),
             events_mark: 0,
         }
-    }
-
-    /// The accumulated successful freeze debits of this shadow ledger,
-    /// per delta account (empty on the canonical ledger).
-    pub fn debit_totals(&self) -> impl Iterator<Item = (Address, Amount)> + '_ {
-        self.debits.iter().map(|(a, v)| (*a, *v))
-    }
-
-    /// The accumulated debit of one account on this shadow ledger.
-    pub fn debit_total(&self, account: &Address) -> Option<Amount> {
-        self.debits.get(account).copied()
-    }
-
-    /// Applies a shadow ledger's accumulated debit of `account` to the
-    /// canonical entry. Debits from disjoint groups commute, so the
-    /// executor applies each group's delta in turn after its overdraft
-    /// validation proved the sum fits the base entry. Bypasses journal
-    /// and events, like [`Ledger::merge_entry`].
-    pub fn apply_debit(&mut self, account: Address, delta: Amount) {
-        self.dirty.insert(account);
-        let entry = self
-            .balances
-            .get_mut(&account)
-            .expect("debited account has a base entry (overdraft check passed)");
-        *entry -= delta;
     }
 
     /// The raw balance entry of `account` — `None` when no entry exists,
@@ -470,19 +403,7 @@ impl Ledger {
         party: Address,
         amount: Amount,
     ) -> Result<(), LedgerError> {
-        // A delta account's debit is commutative: the guard read and the
-        // subtraction record one *debit* touch instead of read+write, and
-        // the delta accumulates for the executor's additive merge. The
-        // guard is sound across groups because the executor verifies
-        // post-hoc that the sum of all groups' debits fits the base entry
-        // (any pass decision here then also passes in serial order).
-        let delta_mode = self.delta_accounts.contains(&party);
-        let available = if delta_mode {
-            self.touches.record_debit(party);
-            self.balances.get(&party).copied().unwrap_or(0)
-        } else {
-            self.balance(&party)
-        };
+        let available = self.balance(&party);
         if available < amount {
             self.push_event(LedgerEvent::NoFund { party, amount });
             return Err(LedgerError::InsufficientFunds {
@@ -491,16 +412,7 @@ impl Ledger {
                 available,
             });
         }
-        if delta_mode {
-            self.journal_balance(party);
-            self.journal.record(LedgerUndo::Debit {
-                account: party,
-                amount,
-            });
-            *self.debits.entry(party).or_insert(0) += amount;
-        } else {
-            self.record_balance(party);
-        }
+        self.record_balance(party);
         self.record_balance(contract);
         *self.balances.get_mut(&party).expect("checked above") -= amount;
         *self.balances.entry(contract).or_insert(0) += amount;
@@ -839,57 +751,6 @@ mod tests {
         // merge_entry(None) must not materialize a zero entry.
         base.merge_entry(addr(2), None);
         assert_eq!(base.balance_entry(&addr(2)), None);
-    }
-
-    #[test]
-    fn delta_mode_freeze_records_debits_and_merges_additively() {
-        let mut base = Ledger::new();
-        base.mint(addr(1), 100);
-        // Two shadow groups each freeze from the same delta account.
-        let mut a = base.sparse_overlay_with_debits([addr(1), addr(8)], [addr(1)]);
-        let mut b = base.sparse_overlay_with_debits([addr(1), addr(9)], [addr(1)]);
-        a.begin_tx();
-        a.freeze(addr(8), addr(1), 40).unwrap();
-        a.commit_tx();
-        b.begin_tx();
-        b.freeze(addr(9), addr(1), 30).unwrap();
-        b.commit_tx();
-        let ta = a.take_touched();
-        let tb = b.take_touched();
-        // The sender is a debit touch, not a read or write — the two
-        // groups do not conflict.
-        assert!(ta.debits.contains(&addr(1)) && !ta.writes.contains(&addr(1)));
-        assert!(!ta.reads.contains(&addr(1)));
-        assert!(!ta.conflicts_with(&tb));
-        assert_eq!(a.debit_total(&addr(1)), Some(40));
-        assert_eq!(b.debit_total(&addr(1)), Some(30));
-        // Additive merge: escrow writes install, sender debits sum.
-        base.merge_entry(addr(8), a.balance_entry(&addr(8)));
-        base.merge_entry(addr(9), b.balance_entry(&addr(9)));
-        base.apply_debit(addr(1), 40);
-        base.apply_debit(addr(1), 30);
-        assert_eq!(base.balance(&addr(1)), 30);
-        assert_eq!(base.balance(&addr(8)), 40);
-        assert_eq!(base.balance(&addr(9)), 30);
-    }
-
-    #[test]
-    fn delta_mode_rollback_rewinds_the_debit_accumulator() {
-        let mut base = Ledger::new();
-        base.mint(addr(1), 100);
-        let mut s = base.sparse_overlay_with_debits([addr(1), addr(8)], [addr(1)]);
-        s.begin_tx();
-        s.freeze(addr(8), addr(1), 40).unwrap();
-        s.rollback_tx();
-        assert_eq!(s.debit_total(&addr(1)), None, "rolled-back debit gone");
-        assert_eq!(s.balance_entry(&addr(1)), Some(100));
-        // A failed guard in delta mode records the debit touch but no
-        // delta, and the NoFund event reverts with the transaction.
-        s.begin_tx();
-        assert!(s.freeze(addr(8), addr(1), 500).is_err());
-        s.rollback_tx();
-        assert_eq!(s.debit_total(&addr(1)), None);
-        assert!(s.events().is_empty());
     }
 
     #[test]

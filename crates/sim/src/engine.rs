@@ -522,8 +522,8 @@ impl MarketSim {
             });
         // Nothing below touches the chain — submissions enter the
         // mempool only after every drive has run — so each drive reads
-        // its instance in place, through the registry's guarded
-        // reference, while agents and records change beside it.
+        // its instance in place, borrowed from the registry, while
+        // agents and records change beside it.
         let registry = self.chain.contract();
         let mut drives = Drives {
             config: &self.config,
@@ -538,7 +538,7 @@ impl MarketSim {
         for &id in &self.live {
             let hit = registry.hit(id).expect("a live HIT exists on-chain");
             let record = self.hits.get_mut(&id).expect("live ids are in the table");
-            drives.react(id, &hit, record);
+            drives.react(id, hit, record);
         }
         let jobs = drives.jobs;
         self.proving.submit_batch(round, jobs);

@@ -101,7 +101,7 @@ pub struct MarketReport {
     pub latency_violations: usize,
     /// Batched-settlement counters (all zero in per-proof mode).
     pub batch: BatchStats,
-    /// Parallel-executor counters (groups, selective retries, fallbacks,
+    /// Parallel-executor counters (groups, fallbacks, prefix commits,
     /// barriers). Deliberately excluded from [`MarketReport::to_json`]:
     /// that JSON is the cross-thread-count equivalence witness, and these
     /// counters legitimately differ with the thread budget. Emit them via
@@ -485,14 +485,12 @@ impl MarketReport {
         if p.parallel_txs + p.serial_txs > 0 {
             out.push_str(&format!(
                 "sched:  {} parallel / {} serial txs in {} batches ({} groups), \
-                 {} retries ({} create), {} conflict + {} gas fallbacks \
+                 {} conflict + {} gas fallbacks \
                  ({} prefix commits), {} barriers\n",
                 p.parallel_txs,
                 p.serial_txs,
                 p.batches,
                 p.groups,
-                p.selective_retries,
-                p.create_retries,
                 p.conflict_fallbacks,
                 p.gas_fallbacks,
                 p.gas_prefix_commits,

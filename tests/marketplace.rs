@@ -4,6 +4,7 @@
 
 use dragoon_contract::{RegistryEvent, SettlementMode};
 use dragoon_core::workload::AnswerModel;
+use dragoon_econ::{ChurnParams, EconConfig, PricingParams};
 use dragoon_protocol::{requester_addr, WorkerBehavior};
 use dragoon_sim::{run_market, MarketConfig, MarketPolicy, MarketSim};
 
@@ -210,6 +211,84 @@ fn reverse_policy_market_settles_and_is_thread_count_independent() {
     assert_eq!(report.hits_unfinished, 0);
     assert!(report.hits_settled > 0 && report.workers_paid > 0);
     assert_eq!(report.to_json(), run_market(config(4)).to_json());
+}
+
+/// The traffic the executor's recovery paths were chosen on. Its one
+/// validation failure path is "redo the whole batch serially", which is
+/// only sound as a design while markets never take it: under every
+/// scheduling policy, overbooked or not, econ layer on or off, a
+/// four-thread market commits its batches optimistically with no
+/// barrier and no fallback. An engine change that starts conflicting
+/// fails here instead of quietly going serial.
+#[test]
+fn seeded_markets_never_reach_the_serial_backstop() {
+    let base = MarketConfig {
+        hits: 60,
+        workers: 40,
+        seed: 0x7aff1c,
+        exec_threads: 4,
+        ..MarketConfig::default()
+    };
+    let markets = [
+        ("default", base.clone()),
+        (
+            "front-run, overbooked",
+            MarketConfig {
+                policy: MarketPolicy::FrontRun,
+                overbook: 3,
+                ..base.clone()
+            },
+        ),
+        (
+            "reverse, overbooked",
+            MarketConfig {
+                policy: MarketPolicy::Reverse,
+                overbook: 3,
+                ..base.clone()
+            },
+        ),
+        (
+            "econ",
+            MarketConfig {
+                econ: EconConfig {
+                    enabled: true,
+                    pricing: Some(PricingParams::default()),
+                    churn: Some(ChurnParams::default()),
+                    reservation_wages: true,
+                    cartel_requesters: 12,
+                    sybil_workers: 4,
+                    ..EconConfig::default()
+                },
+                ..base
+            },
+        ),
+    ];
+    for (name, config) in markets {
+        let stats = run_market(config).parallel;
+        assert!(stats.parallel_txs > 0, "{name}: {stats:?}");
+        assert_eq!(stats.barriers, 0, "{name}: {stats:?}");
+        assert_eq!(stats.conflict_fallbacks, 0, "{name}: {stats:?}");
+    }
+}
+
+/// The recovery that does have traffic: with a block gas cap small
+/// enough that blocks fill, batches are cut mid-way and the groups that
+/// fit commit as the block's prefix.
+#[test]
+fn gas_saturated_market_commits_group_prefixes() {
+    let report = run_market(MarketConfig {
+        hits: 60,
+        workers: 40,
+        seed: 0x7aff1c,
+        exec_threads: 4,
+        block_gas_limit: Some(4_000_000),
+        max_blocks: 900,
+        ..MarketConfig::default()
+    });
+    let stats = report.parallel;
+    assert_eq!(report.hits_unfinished, 0);
+    assert!(stats.gas_prefix_commits >= 1, "{stats:?}");
+    assert_eq!(stats.conflict_fallbacks, 0, "{stats:?}");
 }
 
 #[test]

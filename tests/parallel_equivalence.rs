@@ -16,9 +16,10 @@
 //! * adversarial same-instance contention (everything must fall back to
 //!   serial re-execution in mempool order),
 //! * cross-instance ledger conflicts (instances paying the same worker
-//!   in one block — the journal touch records must catch them and
-//!   resolve them by selective retry, not whole-batch discard),
-//! * reverted speculative creations (id-assignment repair in place),
+//!   in one block — the journal touch records must catch them and send
+//!   the batch to the serial backstop),
+//! * reverted speculative creations (the id assignment shifts: serial
+//!   backstop) and same-sender creations (one declared group),
 //! * mid-batch block-gas overflow (group-closed prefix commit or serial
 //!   fallback — carry-over must match serial), and
 //! * whole-market runs under FIFO and front-running schedulers.
@@ -253,11 +254,10 @@ fn parallel_inline_payments_merge_exactly() {
 /// sets name the shared worker only as a *read* (the payment is
 /// outcome-dependent), so the grouper leaves the instances parallel and
 /// the observed write-write overlap on the worker's balance entry must
-/// be resolved by a **selective retry** — the conflicting groups merge
-/// and re-execute in mempool order — never by discarding the whole batch
-/// to serial.
+/// be caught by the validation pass: the batch's optimistic results are
+/// dropped and it re-executes through the serial backstop, once.
 #[test]
-fn shared_worker_payments_selective_retry() {
+fn shared_worker_payments_fall_back_to_serial() {
     let fx = Fixture::new(0xc04f);
     let mut rng = StdRng::seed_from_u64(0xc04f ^ 1);
     let shared = Address::from_byte(40);
@@ -286,20 +286,18 @@ fn shared_worker_payments_selective_retry() {
     );
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
-        assert!(
-            stats.selective_retries >= 1,
-            "{threads} threads: overlapping touch records must retry ({stats:?})"
-        );
         assert_eq!(
-            stats.conflict_fallbacks, 0,
-            "{threads} threads: a declared-preset conflict must not discard the batch ({stats:?})"
+            stats.conflict_fallbacks, 1,
+            "{threads} threads: overlapping touch records must send the one \
+             offending batch to the serial backstop ({stats:?})"
         );
         assert!(
             stats.batches > 0,
-            "{threads} threads: the retried batch must still commit optimistically ({stats:?})"
+            "{threads} threads: the conflict-free blocks before it must still \
+             commit optimistically ({stats:?})"
         );
     }
-    // The retry's re-execution preserves mempool order.
+    // The serial re-execution preserves mempool order.
     let evaluate_seqs: Vec<u64> = set.production[2]
         .receipts()
         .filter(|r| r.label == "evaluate")
@@ -307,17 +305,17 @@ fn shared_worker_payments_selective_retry() {
         .collect();
     let mut sorted = evaluate_seqs.clone();
     sorted.sort_unstable();
-    assert_eq!(evaluate_seqs, sorted, "retry must keep mempool order");
+    assert_eq!(evaluate_seqs, sorted, "backstop must keep mempool order");
 }
 
 /// Repeated cross-group ledger conflicts: two workers are shared across
 /// every instance, and two consecutive blocks each carry one backfired
 /// evaluation per instance targeting the block's shared worker. Every
-/// block must take the selective-retry path (the conflict repeats), the
-/// full-serial backstop must never fire, and state must stay
-/// bit-identical throughout.
+/// conflicting block must take the serial backstop (the conflict
+/// repeats), exactly once each, and state must stay bit-identical
+/// throughout.
 #[test]
-fn repeated_cross_group_conflicts_stay_selective() {
+fn repeated_cross_group_conflicts_fall_back_each_block() {
     let fx = Fixture::new(0x2e7a);
     let mut rng = StdRng::seed_from_u64(0x2e7a ^ 1);
     let shared_a = Address::from_byte(40);
@@ -351,13 +349,9 @@ fn repeated_cross_group_conflicts_stay_selective() {
     }
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
-        assert!(
-            stats.selective_retries >= 2,
-            "{threads} threads: each conflicting block must retry ({stats:?})"
-        );
         assert_eq!(
-            stats.conflict_fallbacks, 0,
-            "{threads} threads: the serial backstop must stay cold ({stats:?})"
+            stats.conflict_fallbacks, 2,
+            "{threads} threads: each conflicting block must fall back once ({stats:?})"
         );
     }
 }
@@ -582,13 +576,12 @@ fn create_dominated_block_parallelizes() {
 }
 
 /// Same-sender spawns: six `Create` transactions from **one** funded
-/// requester in one block. The escrow debit is declared as a
-/// commutative delta-mergeable write on the sender's balance, so the
-/// spawns form separate groups (instead of one serial group via a
-/// shared declared write), their deltas sum at merge, and the overdraft
-/// check proves the sum fits — the access-set residue (c) shaved.
+/// requester in one block. The escrow freeze is a declared write on the
+/// sender's balance, so the spawns join one declared group, and a
+/// single-group batch runs in mempool order on the serial path — no
+/// speculation, nothing to validate, nothing to fall back from.
 #[test]
-fn same_sender_creates_parallelize_with_delta_debits() {
+fn same_sender_creates_form_one_declared_group() {
     let fx = Fixture::new(0x5a5a);
     let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     // chain_set funds the requester with BUDGET * 20; six creations
@@ -601,15 +594,11 @@ fn same_sender_creates_parallelize_with_delta_debits() {
     assert_eq!(set.production[0].contract().len(), 6);
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
-        assert!(
-            stats.batches >= 1 && stats.groups > 1,
-            "{threads} threads: same-sender spawns must split into \
-             multiple groups ({stats:?})"
-        );
         assert_eq!(
-            stats.selective_retries, 0,
-            "{threads} threads: a funded sender must pass the overdraft \
-             check outright ({stats:?})"
+            (stats.batches, stats.groups, stats.serial_txs),
+            (0, 0, 6),
+            "{threads} threads: same-sender spawns are one declared group, \
+             which runs serially ({stats:?})"
         );
         assert_eq!(stats.conflict_fallbacks, 0, "{threads} threads: {stats:?}");
         assert_eq!(stats.barriers, 0, "{threads} threads: {stats:?}");
@@ -617,15 +606,12 @@ fn same_sender_creates_parallelize_with_delta_debits() {
 }
 
 /// Same-sender spawns that *overdraw*: the sender holds funds for three
-/// of six creations. Each creation passes its guard optimistically
-/// (every group's shadow sees the full base balance), the overdraft
-/// check catches the sum, merges the debiting groups for a mempool-order
-/// retry — where the late creations genuinely revert, which then takes
-/// the creation-repair path (re-reserved ids, merged mempool-order
-/// re-execution) rather than the full-serial backstop. State must end
+/// of six creations. The six share one declared group (the sender's
+/// balance is a declared write), so they run in mempool order and the
+/// balance depletes exactly as it does serially. State must end
 /// bit-identical to serial: ids 0–2 created, three reverts.
 #[test]
-fn same_sender_create_overdraft_is_caught_and_matches_serial() {
+fn same_sender_create_overdraft_matches_serial() {
     let fx = Fixture::new(0x0d5a);
     let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let spender = Address::from_byte(0x77);
@@ -648,32 +634,21 @@ fn same_sender_create_overdraft_is_caught_and_matches_serial() {
     assert_eq!(reverted, 3);
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
-        assert!(
-            stats.selective_retries >= 1,
-            "{threads} threads: the overdraft must be caught by the \
-             debit sum check and retried ({stats:?})"
-        );
-        assert!(
-            stats.create_retries >= 1,
-            "{threads} threads: the retry's reverted creations must \
-             repair the id assignment in place ({stats:?})"
-        );
         assert_eq!(
             stats.conflict_fallbacks, 0,
-            "{threads} threads: the repair must converge without the \
-             serial backstop ({stats:?})"
+            "{threads} threads: one declared group never speculates, so \
+             the reverts need no backstop ({stats:?})"
         );
     }
 }
 
 /// A speculative creation that *reverts* (unfunded requester) shifts
-/// the serial id assignment of everything after it. The executor must
-/// repair in place — re-reserve ids along the serial assignment and
-/// selectively re-execute only the reservation-holding groups — never
-/// discard the batch to the full-serial backstop, and end bit-identical
-/// to serial, including the ids later successful creations receive.
+/// the serial id assignment of everything after it. The validation pass
+/// must catch the revert and send the batch to the serial backstop, and
+/// the chain must end bit-identical to serial, including the ids later
+/// successful creations receive.
 #[test]
-fn reverted_create_repairs_in_place() {
+fn reverted_create_falls_back_to_serial() {
     let fx = Fixture::new(0xdead);
     let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let funded = Address::from_byte(0xa1);
@@ -697,15 +672,10 @@ fn reverted_create_repairs_in_place() {
     assert_eq!(reverted, 1);
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
-        assert!(
-            stats.create_retries >= 1,
-            "{threads} threads: a reverted creation must repair the id \
-             assignment in place ({stats:?})"
-        );
         assert_eq!(
-            stats.conflict_fallbacks, 0,
-            "{threads} threads: a reverted creation must no longer \
-             discard the batch ({stats:?})"
+            stats.conflict_fallbacks, 1,
+            "{threads} threads: a reverted speculative creation must send \
+             its batch to the serial backstop ({stats:?})"
         );
     }
 }
