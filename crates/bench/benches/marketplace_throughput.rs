@@ -401,8 +401,8 @@ fn market_scale_1m(seed: u64) {
         wall.as_millis(),
         sync_stats.snapshot_bytes_written,
         pipe_stats.snapshot_bytes_written,
-        ab.a.report.persist_json(),
-        ab.b.report.persist_json(),
+        ab.a.report.section_json("persist"),
+        ab.b.report.section_json("persist"),
     ));
 }
 
@@ -416,8 +416,8 @@ fn pipeline_speedup(seed: u64) {
         let (ab, _) = sync_vs_pipelined("pipeline_speedup", &scale_config(hits, seed), cadence);
         ab.report(&format!(
             "\"sync_persist\":{},\"pipelined_persist\":{}",
-            ab.a.report.persist_json(),
-            ab.b.report.persist_json(),
+            ab.a.report.section_json("persist"),
+            ab.b.report.section_json("persist"),
         ));
     }
 }
@@ -446,7 +446,7 @@ fn parallel_exec_speedup(seed: u64) {
         });
         ab.report(&format!(
             "\"threads\":{threads},\"scheduler\":{}",
-            ab.b.report.scheduler_json()
+            ab.b.report.section_json("scheduler")
         ));
     }
 }
@@ -486,7 +486,7 @@ fn spawn_heavy_speedup(seed: u64) {
     ab.report(&format!(
         "\"threads\":{threads},\"create_share\":{create_share:.3},\
          \"spawn_phase_create_share\":{spawn_share:.3},\"scheduler\":{}",
-        ab.b.report.scheduler_json()
+        ab.b.report.section_json("scheduler")
     ));
 }
 
@@ -499,7 +499,7 @@ fn spawn_heavy_speedup(seed: u64) {
 fn econ_overhead(seed: u64) {
     let base = scale_config(1_000, seed);
     let econ_config = MarketConfig {
-        econ: dragoon_econ::EconConfig::observe_only(),
+        econ: Some(dragoon_econ::EconConfig::observe_only()),
         ..base.clone()
     };
     let ab = run_ab(
@@ -510,7 +510,7 @@ fn econ_overhead(seed: u64) {
         ("econ_on", &mut || run_market(econ_config.clone())),
     );
     assert!(ab.b.report.econ.is_some() && ab.a.report.econ.is_none());
-    ab.report(&format!("\"econ\":{}", ab.b.report.econ_json()));
+    ab.report(&format!("\"econ\":{}", ab.b.report.section_json("econ")));
 }
 
 /// **Tracing overhead** — the same 1 000-HIT market with `dragoon-trace`
@@ -595,7 +595,7 @@ fn net_overhead(seed: u64) {
         lossy_net.reorgs,
         lossy_net.max_reorg_depth,
         peak_rss_members("net_overhead"),
-        lossy_report.net_json(),
+        lossy_report.section_json("net"),
     ));
 }
 

@@ -272,8 +272,8 @@ pub struct ParallelStats {
 
 impl ParallelStats {
     /// The scheduler's counters as one registry [`MetricSet`]
-    /// (`scheduler_*` names). The `scheduler_json` report line is a
-    /// thin view over this set.
+    /// (`scheduler_*` names); its object view is the `SCHEDULER:`
+    /// report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("scheduler")
             .counter(

@@ -627,7 +627,7 @@ pub struct PersistStats {
 
 impl PersistStats {
     /// The persistence counters as one registry [`MetricSet`]
-    /// (`persist_*` names).
+    /// (`persist_*` names); its object view is the `PERSIST:` stats line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("persist")
             .counter(
@@ -677,12 +677,6 @@ impl PersistStats {
                 self.overlap_misses,
             )
     }
-
-    /// One compact JSON object, for the `PERSIST:` stats line — a thin
-    /// view over [`PersistStats::metric_set`].
-    pub fn to_json(&self) -> String {
-        self.metric_set().to_json_object()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -718,29 +712,42 @@ fn delta_path(dir: &Path, round: u64) -> PathBuf {
     dir.join(format!("{DELTA_PREFIX}{round:020}{SNAPSHOT_SUFFIX}"))
 }
 
-/// The disk half of the store: the buffered log handle plus the flush
-/// cadence. Owned by the caller's thread (synchronous mode) or moved
-/// into the background writer thread (pipelined mode) — either way,
-/// every byte goes through the same code, so the two modes produce
-/// identical files.
+/// The disk half of the store: the buffered log handle. Owned by the
+/// caller's thread (synchronous mode) or moved into the background
+/// writer thread (pipelined mode) — either way every command goes
+/// through [`LogWriter::handle`], so the two modes produce identical
+/// files. It keeps no policy: when to flush is the store's decision,
+/// carried by the commands.
 struct LogWriter {
     dir: PathBuf,
     log: BufWriter<File>,
-    /// Flush the log buffer to the OS every this many appends (`0` =
-    /// only at snapshots and drains — the widest torn-tail window).
-    flush_every: u64,
-    appends_since_flush: u64,
 }
 
 impl LogWriter {
-    fn append_frame(&mut self, frame: &[u8]) -> Result<(), StoreError> {
-        self.log.write_all(frame)?;
-        self.appends_since_flush += 1;
-        if self.flush_every > 0 && self.appends_since_flush >= self.flush_every {
-            self.log.flush()?;
-            self.appends_since_flush = 0;
+    /// The one interpreter of a [`WriterCmd`].
+    fn handle(&mut self, cmd: WriterCmd) -> Result<(), StoreError> {
+        match cmd {
+            WriterCmd::Frame { bytes, flush, .. } => {
+                self.log.write_all(&bytes)?;
+                if flush {
+                    self.log.flush()?;
+                }
+                Ok(())
+            }
+            WriterCmd::Publish {
+                tmp,
+                dest,
+                bytes,
+                compact,
+                prune_below,
+                ..
+            } => self.publish(&tmp, &dest, &bytes, compact, prune_below),
+            WriterCmd::Drain(ack) => {
+                self.log.flush()?;
+                let _ = ack.send(());
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     /// Publishes one snapshot artifact atomically and durably: temp
@@ -762,7 +769,6 @@ impl LogWriter {
         fs::rename(tmp, dest)?;
         if compact {
             self.log.flush()?;
-            self.appends_since_flush = 0;
             self.log.get_mut().set_len(0)?;
         }
         if let Some(round) = prune_below {
@@ -782,12 +788,6 @@ impl LogWriter {
                 }
             }
         }
-        Ok(())
-    }
-
-    fn flush_all(&mut self) -> Result<(), StoreError> {
-        self.log.flush()?;
-        self.appends_since_flush = 0;
         Ok(())
     }
 }
@@ -820,8 +820,13 @@ fn list_artifacts(dir: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>, Store
 /// carries the round it belongs to so the writer thread's wall-clock
 /// spans line up with the producing round in a Chrome trace.
 enum WriterCmd {
-    /// Append a pre-framed log record.
-    Frame { round: u64, bytes: Vec<u8> },
+    /// Append a pre-framed log record; `flush` when the store's cadence
+    /// falls on it.
+    Frame {
+        round: u64,
+        bytes: Vec<u8>,
+        flush: bool,
+    },
     /// Publish a snapshot artifact (full or delta).
     Publish {
         round: u64,
@@ -835,34 +840,34 @@ enum WriterCmd {
     Drain(SyncSender<()>),
 }
 
+impl WriterCmd {
+    /// The wall-clock span a write runs under on the writer thread.
+    fn wall_span(&self) -> Option<dragoon_trace::SpanGuard> {
+        let (kind, round, bytes) = match self {
+            WriterCmd::Frame { round, bytes, .. } => {
+                (dragoon_trace::SpanKind::Persist, round, bytes)
+            }
+            WriterCmd::Publish { round, bytes, .. } => {
+                (dragoon_trace::SpanKind::Snapshot, round, bytes)
+            }
+            WriterCmd::Drain(_) => return None,
+        };
+        let mut sp = dragoon_trace::span(kind, *round);
+        sp.arg("bytes", bytes.len() as u64);
+        Some(sp)
+    }
+}
+
+/// The writer thread: handles commands in FIFO order, each write under
+/// a wall-clock span on this thread (the inline path runs inside
+/// `persist_block`'s spans instead).
 fn writer_loop(mut log: LogWriter, rx: Receiver<WriterCmd>) -> Result<(), StoreError> {
     for cmd in rx {
-        match cmd {
-            WriterCmd::Frame { round, bytes } => {
-                let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Persist, round);
-                sp.arg("bytes", bytes.len() as u64);
-                log.append_frame(&bytes)?;
-            }
-            WriterCmd::Publish {
-                round,
-                tmp,
-                dest,
-                bytes,
-                compact,
-                prune_below,
-            } => {
-                let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Snapshot, round);
-                sp.arg("bytes", bytes.len() as u64);
-                log.publish(&tmp, &dest, &bytes, compact, prune_below)?;
-            }
-            WriterCmd::Drain(ack) => {
-                log.flush_all()?;
-                let _ = ack.send(());
-            }
-        }
+        let _sp = cmd.wall_span();
+        log.handle(cmd)?;
     }
     // Sender dropped: final flush before the thread exits.
-    log.flush_all()
+    Ok(log.log.flush()?)
 }
 
 /// Where writes go: inline on the caller's thread, or over a bounded
@@ -899,7 +904,11 @@ pub struct BlockStore {
     incremental: bool,
     /// Truncate `blocks.log` after each successful snapshot publish.
     compact_log: bool,
+    /// Flush the log buffer to the OS every this many appends (`0` =
+    /// only at snapshots and drains — the widest torn-tail window). The
+    /// store counts; the writer flushes the frames it is told to.
     flush_every: u64,
+    appends_since_flush: u64,
     /// Round of the newest published artifact — the base the next delta
     /// chains on. `None` until the first full snapshot.
     prev_artifact: Option<u64>,
@@ -958,6 +967,7 @@ impl BlockStore {
             incremental: false,
             compact_log: false,
             flush_every: 1,
+            appends_since_flush: 0,
             prev_artifact: None,
             deltas_since_full: 0,
             events_mark: 0,
@@ -966,8 +976,6 @@ impl BlockStore {
             writer: Writer::Inline(LogWriter {
                 dir,
                 log: BufWriter::new(log),
-                flush_every: 1,
-                appends_since_flush: 0,
             }),
         })
     }
@@ -978,9 +986,6 @@ impl BlockStore {
     /// fewer syscalls. See the module docs for the guarantee.
     pub fn with_flush_every(mut self, n: u64) -> Self {
         self.flush_every = n;
-        if let Writer::Inline(w) = &mut self.writer {
-            w.flush_every = n;
-        }
         self
     }
 
@@ -1011,8 +1016,7 @@ impl BlockStore {
             tx: std::sync::mpsc::sync_channel(0).0,
             handle: None,
         };
-        if let Writer::Inline(mut w) = std::mem::replace(&mut self.writer, placeholder) {
-            w.flush_every = self.flush_every;
+        if let Writer::Inline(w) = std::mem::replace(&mut self.writer, placeholder) {
             let (tx, rx) = std::sync::mpsc::sync_channel(2);
             let handle = std::thread::Builder::new()
                 .name("dragoon-block-writer".into())
@@ -1049,22 +1053,7 @@ impl BlockStore {
     /// Hands one unit of work to the writer (inline: runs it now).
     fn dispatch(&mut self, cmd: WriterCmd) -> Result<(), StoreError> {
         match &mut self.writer {
-            Writer::Inline(w) => match cmd {
-                WriterCmd::Frame { bytes, .. } => w.append_frame(&bytes),
-                WriterCmd::Publish {
-                    tmp,
-                    dest,
-                    bytes,
-                    compact,
-                    prune_below,
-                    ..
-                } => w.publish(&tmp, &dest, &bytes, compact, prune_below),
-                WriterCmd::Drain(ack) => {
-                    w.flush_all()?;
-                    let _ = ack.send(());
-                    Ok(())
-                }
-            },
+            Writer::Inline(w) => w.handle(cmd),
             Writer::Background { tx, handle } => {
                 // A closed channel means the writer died on an earlier
                 // command.
@@ -1080,6 +1069,7 @@ impl BlockStore {
     /// [`Chain::recover_from`] — and at run end.
     pub fn drain(&mut self) -> Result<(), StoreError> {
         let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel(1);
+        self.appends_since_flush = 0;
         self.dispatch(WriterCmd::Drain(ack_tx))?;
         if let Writer::Background { handle, .. } = &mut self.writer {
             ack_rx.recv().map_err(|_| writer_died(handle))?;
@@ -1100,9 +1090,15 @@ impl BlockStore {
         self.stats.blocks_appended += 1;
         self.stats.log_bytes_written += frame.len() as u64;
         self.log_bytes_pending += frame.len() as u64;
+        self.appends_since_flush += 1;
+        let flush = self.flush_every > 0 && self.appends_since_flush >= self.flush_every;
+        if flush {
+            self.appends_since_flush = 0;
+        }
         self.dispatch(WriterCmd::Frame {
             round,
             bytes: frame,
+            flush,
         })
     }
 
@@ -1127,15 +1123,6 @@ impl BlockStore {
             return None;
         }
         self.prev_artifact
-    }
-
-    /// The chain event-log length at the last snapshot.
-    fn chain_events_mark(&self) -> usize {
-        self.events_mark
-    }
-
-    fn set_chain_events_mark(&mut self, mark: usize) {
-        self.events_mark = mark;
     }
 
     /// Publishes one snapshot artifact (checksummed, atomic, durable)
@@ -1167,6 +1154,8 @@ impl BlockStore {
             self.stats.compactions += 1;
             self.stats.log_bytes_truncated += self.log_bytes_pending;
             self.log_bytes_pending = 0;
+            // The writer flushes the log before truncating it.
+            self.appends_since_flush = 0;
         }
         // Old artifacts are pruned only once a *full* rebase is durable
         // (a delta still needs its base chain), and only under the
@@ -1191,7 +1180,7 @@ impl Drop for BlockStore {
     fn drop(&mut self) {
         match &mut self.writer {
             Writer::Inline(w) => {
-                let _ = w.flush_all();
+                let _ = w.log.flush();
             }
             Writer::Background { tx, handle } => {
                 // Replace the sender with a dead one so the writer's
@@ -1438,7 +1427,7 @@ where
                 Some(base) => {
                     store.stats.dirty_units_encoded +=
                         (self.contract.dirty_units() + self.ledger.dirty_units()) as u64;
-                    let image = self.delta_image(base, store.chain_events_mark());
+                    let image = self.delta_image(base, store.events_mark);
                     sp.arg("bytes", image.len() as u64);
                     store.publish_artifact(self.round, &image, false)?;
                 }
@@ -1459,7 +1448,7 @@ where
             // this snapshot did not.
             self.contract.mark_clean();
             self.ledger.mark_clean();
-            store.set_chain_events_mark(self.events.len());
+            store.events_mark = self.events.len();
         }
         Ok(())
     }
@@ -1681,6 +1670,63 @@ mod tests {
         fs::write(&log_path, &corrupted).unwrap();
         assert_eq!(read_log::<u64Msg>(&dir).unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The flush cadence belongs to the store, so it reaches a
+    /// background writer whichever builder ran first: with a cadence of
+    /// 8, three appends leave `blocks.log` empty on disk and the eighth
+    /// lands all eight — in both orders. A non-compacting snapshot
+    /// publish is the barrier (FIFO behind the frames, and it does not
+    /// flush the log).
+    #[test]
+    fn flush_cadence_reaches_the_background_writer_in_either_builder_order() {
+        type Build = fn(BlockStore) -> BlockStore;
+        let orders: [(&str, Build); 2] = [
+            ("cadence-first", |s| {
+                s.with_flush_every(8).with_background_writer(true)
+            }),
+            ("writer-first", |s| {
+                s.with_background_writer(true).with_flush_every(8)
+            }),
+        ];
+        let mut payload = Vec::new();
+        1u64.put(&mut payload);
+        0u64.put(&mut payload);
+        Vec::<PendingTx<u64Msg>>::new().put(&mut payload);
+        let frame_len = 8 + payload.len() as u64;
+        for (name, build) in orders {
+            let dir = std::env::temp_dir().join(format!(
+                "dragoon-store-cadence-{name}-{}",
+                std::process::id()
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            let mut store = build(BlockStore::create(&dir, 0).unwrap());
+            let mut log_len_after = |appends: std::ops::RangeInclusive<u64>| {
+                let barrier = *appends.end();
+                for round in appends {
+                    store.append(round, &payload).unwrap();
+                }
+                store.publish_artifact(barrier, b"barrier", true).unwrap();
+                let published = snapshot_path(&dir, barrier);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while !published.exists() {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "{name}: writer stalled"
+                    );
+                    std::thread::yield_now();
+                }
+                fs::metadata(dir.join(LOG_FILE)).unwrap().len()
+            };
+            assert_eq!(
+                log_len_after(1..=3),
+                0,
+                "{name}: flushed before the cadence"
+            );
+            assert_eq!(log_len_after(4..=8), 8 * frame_len, "{name}: eighth append");
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     /// A trivial Persist message for framing tests.

@@ -406,10 +406,9 @@ impl Journaled for HitContract {
     }
 
     fn rollback_tx(&mut self) {
-        if let Some(snapshot) = self.journal.drain_rollback().into_iter().next() {
-            *self = *snapshot;
+        if let Some(snapshot) = self.commit_tx_captured() {
+            self.revert_capture(snapshot);
         }
-        self.journal.reset();
     }
 }
 

@@ -383,28 +383,11 @@ impl Journaled for HitRegistry {
         }
     }
 
+    /// The [`CaptureStateMachine`] law as the implementation: a
+    /// rollback is the revert of what the commit would have captured.
     fn rollback_tx(&mut self) {
-        for undo in self.journal.drain_rollback() {
-            match undo {
-                RegistryUndo::Opened(id) => self
-                    .hits
-                    .inst_mut(id)
-                    .expect("opened instance exists")
-                    .hit
-                    .rollback_tx(),
-                RegistryUndo::Created(id) => {
-                    self.hits.remove(id);
-                    self.live.remove(&id);
-                    self.next_id -= 1;
-                }
-                RegistryUndo::Settled(id) => {
-                    self.live.insert(id);
-                }
-                RegistryUndo::Stats(prior) => {
-                    self.batch_stats = prior;
-                }
-            }
-        }
+        let capture = self.commit_tx_captured();
+        self.revert_capture(capture);
     }
 }
 
@@ -824,25 +807,20 @@ impl StateMachine for HitRegistry {
         // per-proof verification): batch verdicts are per-item facts, so
         // the partitioning is free to follow the parallelism.
         let live: Vec<HitId> = self.live.iter().copied().collect();
-        // Instrumented tick (an open registry bracket around the clock
-        // tick — the captured block path of `dragoon-net` replicas):
-        // open every live unsettled instance's own journal exactly once
-        // up front, so mutations from *any* phase below are recorded.
-        if self.journal.recording() {
-            for &id in &live {
-                let inst = self.hits.inst_mut(id).expect("live instance exists");
-                if inst.hit.is_settled() {
-                    continue;
-                }
-                inst.hit.begin_tx();
-                self.journal.record(RegistryUndo::Opened(id));
-            }
-        }
         let mut drained: Vec<(HitId, Vec<PendingVerdict>)> = Vec::new();
         for &id in &live {
             let inst = self.hits.inst_mut(id).expect("live instance exists");
             if inst.hit.is_settled() {
                 continue;
+            }
+            // Instrumented tick (an open registry bracket around the
+            // clock tick — the captured block path of `dragoon-net`
+            // replicas): open every live unsettled instance's own
+            // journal exactly once, here, before this walk or any phase
+            // below writes to it.
+            if self.journal.recording() {
+                inst.hit.begin_tx();
+                self.journal.record(RegistryUndo::Opened(id));
             }
             let pending = inst.hit.take_pending();
             if !pending.is_empty() {
@@ -917,28 +895,14 @@ impl StateMachine for HitRegistry {
         }
         // Sweep: instances settled this block (by deadline, Finalize or
         // Cancel) leave the live set. Instrumented ticks journal each
-        // removal so a reorg can resurrect the live set.
-        if self.journal.recording() {
-            let settled: Vec<HitId> = self
-                .live
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    self.hits
-                        .get(id)
-                        .expect("live instance exists")
-                        .hit
-                        .is_settled()
-                })
-                .collect();
-            for id in settled {
+        // removal so a reorg can resurrect the live set (the record is
+        // a no-op outside a bracket).
+        for id in live {
+            let inst = self.hits.get(id).expect("live instance exists");
+            if inst.hit.is_settled() {
                 self.live.remove(&id);
                 self.journal.record(RegistryUndo::Settled(id));
             }
-        } else {
-            let hits = &self.hits;
-            self.live
-                .retain(|&id| !hits.get(id).expect("live instance exists").hit.is_settled());
         }
     }
 }

@@ -44,14 +44,12 @@ use dragoon_protocol::WorkerBehavior;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Everything that configures the econ layer of a market run. Disabled
-/// by default; `..EconConfig::default()` keeps existing scenarios
-/// byte-identical.
+/// Everything that configures the econ layer of a market run. A market
+/// runs the layer when its config carries one (`MarketConfig::econ` is
+/// `Some`), like its net and persist layers.
 #[derive(Clone, Debug)]
 pub struct EconConfig {
-    /// Master switch; when false the engine skips the layer entirely.
-    pub enabled: bool,
-    /// Reputation dynamics (always on when the layer is enabled).
+    /// Reputation dynamics (always on when the layer runs).
     pub reputation: ReputationParams,
     /// Dynamic pricing of `B` (`None` keeps the scenario's fixed budget).
     pub pricing: Option<PricingParams>,
@@ -74,7 +72,6 @@ pub struct EconConfig {
 impl Default for EconConfig {
     fn default() -> Self {
         Self {
-            enabled: false,
             reputation: ReputationParams::default(),
             pricing: None,
             churn: None,
@@ -91,12 +88,11 @@ impl EconConfig {
     /// A passive configuration: reputation is tracked and reported but
     /// influences nothing (no gating, no ordering, no pricing, no churn,
     /// no adversaries). A run under `observe_only` is **byte-identical**
-    /// to an econ-disabled run — the differential the
+    /// to a run without the layer — the differential the
     /// `marketplace_throughput` bench uses to price the layer's
     /// bookkeeping overhead.
     pub fn observe_only() -> Self {
         Self {
-            enabled: true,
             reputation: ReputationParams {
                 order_by_score: false,
                 gate_commits: false,
@@ -438,7 +434,6 @@ mod tests {
 
     fn full_config() -> EconConfig {
         EconConfig {
-            enabled: true,
             pricing: Some(PricingParams::default()),
             churn: Some(ChurnParams::default()),
             reservation_wages: true,

@@ -1,11 +1,11 @@
 //! The serializable outcome of the econ layer: reputation, pricing,
-//! churn and adversary-extraction aggregates, with hand-rolled JSON (the
-//! compat serde is derive-only).
+//! churn and adversary-extraction aggregates, serialized through their
+//! metric set (the compat serde is derive-only).
 
 /// Aggregates the econ layer reports at the end of a market run. All
 /// values derive deterministically from chain state, so two runs of the
 /// same seeded scenario — at any executor thread count — produce
-/// byte-identical [`EconReport::to_json`] strings (pinned by
+/// byte-identical [`EconReport::metric_set`] object views (pinned by
 /// `tests/econ.rs`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EconReport {
@@ -68,8 +68,8 @@ pub struct EconReport {
 
 impl EconReport {
     /// The econ counters as one registry [`dragoon_trace::MetricSet`]
-    /// (`econ_*` names); [`EconReport::to_json`] is a thin view over
-    /// this set, byte-identical to the historical serialization.
+    /// (`econ_*` names); its object view is the `ECON:` report line
+    /// (pinned by the unit test below and the econ goldens).
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("econ")
             .gauge(
@@ -190,14 +190,6 @@ impl EconReport {
             )
     }
 
-    /// One compact JSON object — a thin view over
-    /// [`EconReport::metric_set`], byte-identical to the historical
-    /// hand-rolled serialization (pinned by the unit test below and the
-    /// econ goldens).
-    pub fn to_json(&self) -> String {
-        self.metric_set().to_json_object()
-    }
-
     /// A human-oriented multi-line summary for examples and logs.
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -268,7 +260,7 @@ mod tests {
             fill_rate_recent: 0.875,
             ..EconReport::default()
         };
-        let json = r.to_json();
+        let json = r.metric_set().to_json_object();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"rep_tracked\":3"));
         assert!(json.contains("\"price_final\":1200"));

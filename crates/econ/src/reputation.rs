@@ -106,7 +106,6 @@ impl ReputationBook {
             Some(dt) => dt,
             None => {
                 self.decay_violations.set(self.decay_violations.get() + 1);
-                dragoon_trace::counter_inc("econ_rep_decay_violations_total");
                 0
             }
         };

@@ -97,10 +97,6 @@ pub(crate) struct Node<S: CaptureStateMachine> {
     /// Tick at which this node's head first matched the canonical tip
     /// and has matched ever since (`None` = currently diverged).
     pub(crate) converged_at: Option<u64>,
-    /// Branch switches that popped at least one block.
-    pub(crate) reorgs: u64,
-    /// Deepest single reorg (blocks popped).
-    pub(crate) max_reorg_depth: u64,
 }
 
 impl<S: CaptureStateMachine> Node<S> {
@@ -117,8 +113,6 @@ impl<S: CaptureStateMachine> Node<S> {
             applied_seqs: BTreeSet::new(),
             head_age: 0,
             converged_at: None,
-            reorgs: 0,
-            max_reorg_depth: 0,
         }
     }
 
@@ -236,10 +230,6 @@ impl<S: CaptureStateMachine> Node<S> {
             common += 1;
         }
         let popped = self.applied.len() - common;
-        if popped > 0 {
-            self.reorgs += 1;
-            self.max_reorg_depth = self.max_reorg_depth.max(popped as u64);
-        }
         for _ in 0..popped {
             let undo = self.undos.pop().expect("undo per applied block");
             self.chain.revert_last_block(undo);

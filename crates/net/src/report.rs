@@ -38,14 +38,8 @@ pub struct NetReport {
 }
 
 impl NetReport {
-    /// Compact single-object JSON.
-    pub fn to_json(&self) -> String {
-        self.metric_set().to_json_object()
-    }
-
     /// The network counters as one registry [`dragoon_trace::MetricSet`]
-    /// (`net_*` names); [`NetReport::to_json`] is a thin view over this
-    /// set, byte-identical to the historical serialization.
+    /// (`net_*` names); its object view is the `NET:` report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("net")
             .gauge("nodes", "net_nodes", self.nodes as u64)

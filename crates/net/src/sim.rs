@@ -61,8 +61,6 @@ pub enum NetMsg<M> {
     HeadAnnounce {
         /// The announcer's applied head.
         head: BlockId,
-        /// Its height.
-        height: u64,
     },
     /// Request for a missing block (orphan back-fill).
     BlockRequest {
@@ -210,7 +208,6 @@ impl<S: CaptureStateMachine> NetSim<S> {
             self.advance_tick();
         }
         self.report.drain_ticks = self.tick - start;
-        self.finish_report();
         self.all_converged()
     }
 
@@ -221,20 +218,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
         report.converged = self.all_converged();
         for (i, node) in self.nodes.iter().enumerate() {
             report.convergence_tick[i] = node.converged_at.map_or(-1, |t| t as i64);
-            report.reorgs += node.reorgs;
-            report.max_reorg_depth = report.max_reorg_depth.max(node.max_reorg_depth);
         }
         report
-    }
-
-    fn finish_report(&mut self) {
-        self.report = self.report();
-        // Node counters are folded in; zero them so a second call to
-        // `report()` does not double-count.
-        for node in &mut self.nodes {
-            node.reorgs = 0;
-            node.max_reorg_depth = 0;
-        }
     }
 
     fn all_converged(&self) -> bool {
@@ -294,6 +279,9 @@ impl<S: CaptureStateMachine> NetSim<S> {
                     }
                     let popped = self.nodes[to].try_advance();
                     if popped > 0 {
+                        self.report.reorgs += 1;
+                        self.report.max_reorg_depth =
+                            self.report.max_reorg_depth.max(popped as u64);
                         dragoon_trace::event(
                             dragoon_trace::SpanKind::Reorg,
                             self.tick,
@@ -302,7 +290,7 @@ impl<S: CaptureStateMachine> NetSim<S> {
                     }
                 }
             }
-            NetMsg::HeadAnnounce { head, .. } => {
+            NetMsg::HeadAnnounce { head } => {
                 if !self.nodes[to].knows(head) {
                     self.send(to, from, NetMsg::BlockRequest { id: head });
                 } else if let Some(missing) = self.nodes[to].missing_ancestor(head) {
@@ -322,13 +310,13 @@ impl<S: CaptureStateMachine> NetSim<S> {
     /// heals.
     fn anti_entropy(&mut self) {
         for from in 0..self.nodes.len() {
-            let (head, height) = self.nodes[from].head();
+            let head = self.nodes[from].head().0;
             if head == GENESIS {
                 continue;
             }
             for to in 0..self.nodes.len() {
                 if to != from {
-                    self.send(from, to, NetMsg::HeadAnnounce { head, height });
+                    self.send(from, to, NetMsg::HeadAnnounce { head });
                 }
             }
         }
@@ -550,5 +538,41 @@ mod tests {
             }
         }
         assert_eq!(net.node_chain(3).contract().count, 3);
+    }
+
+    /// `report()` reads, it never folds: asking twice gives the same
+    /// answer, mid-run and after the drain, on a network whose islanded
+    /// replica forked and was reorged back (so the reorg counters are
+    /// live, counted once where the branch switch happens).
+    #[test]
+    fn report_is_pure_mid_run_and_after_drain() {
+        let cfg = NetConfig {
+            partitions: vec![crate::PartitionWindow {
+                start: 2,
+                end: 12,
+                island: vec![3],
+            }],
+            fork_patience: 2,
+            ..NetConfig::default()
+        };
+        let mut net = NetSim::new(cfg, 5, || {
+            Chain::deploy(Counter::default(), 100, GasSchedule::istanbul())
+        });
+        let view = |net: &NetSim<Counter>| net.report().metric_set().to_json_object();
+        for seq in 0..16 {
+            let tx = PendingTx {
+                sender: Address::from_byte(1),
+                msg: Bump,
+                seq,
+            };
+            net.gossip_tx(tx.clone());
+            net.broadcast_block(vec![tx]);
+            assert_eq!(view(&net), view(&net), "mid-run, block {seq}");
+        }
+        assert!(net.drain(), "the island heals and converges");
+        let report = net.report();
+        assert!(report.reorgs > 0 && report.max_reorg_depth > 0);
+        assert_eq!(view(&net), report.metric_set().to_json_object());
+        assert_eq!(view(&net), view(&net), "after the drain");
     }
 }

@@ -104,9 +104,8 @@ pub struct ProvingConfig {
 }
 
 /// Counters the proving service exposes into `MarketReport`. All fields
-/// serialized by [`ProvingStats::to_json`] are thread-independent; the
-/// observed `threads` value is kept out of the JSON for exactly that
-/// reason.
+/// in [`ProvingStats::metric_set`] are thread-independent; the observed
+/// `threads` value is kept out of the set for exactly that reason.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProvingStats {
     /// Jobs enqueued.
@@ -142,14 +141,9 @@ pub struct ProvingStats {
 }
 
 impl ProvingStats {
-    /// Serializes the thread-independent counters as a JSON object.
-    pub fn to_json(&self) -> String {
-        self.metric_set().to_json_object()
-    }
-
-    /// The proving counters as one registry [`dragoon_trace::MetricSet`]
-    /// (`proving_*` names); [`ProvingStats::to_json`] is a thin view
-    /// over this set.
+    /// The thread-independent proving counters as one registry
+    /// [`dragoon_trace::MetricSet`] (`proving_*` names); its object view
+    /// is the `PROVING:` report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("proving")
             .counter("jobs", "proving_jobs_total", self.jobs)
@@ -351,7 +345,6 @@ impl<T: Send> ProvingService<T> {
                 Some(latency) => self.stats.record_latency(latency),
                 None => {
                     self.stats.latency_violations += 1;
-                    dragoon_trace::counter_inc("proving_latency_violations_total");
                 }
             }
         }

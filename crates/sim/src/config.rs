@@ -80,9 +80,9 @@ pub struct MarketConfig {
     /// The market-economics layer (`dragoon-econ`): cross-HIT worker
     /// reputation, dynamic pricing of `B` from observed fill rates,
     /// seeded worker churn and adversary policies (golden-withholding
-    /// requester cartels, reputation-farming sybils). Disabled by
-    /// default — existing scenarios stay byte-identical.
-    pub econ: EconConfig,
+    /// requester cartels, reputation-farming sybils). `None` (default)
+    /// = no layer, existing scenarios byte-identical.
+    pub econ: Option<EconConfig>,
     /// The multi-node network layer (`dragoon-net`): the canonical
     /// chain's blocks fan out over a deterministic gossip network of
     /// full replicas with seeded link faults, scheduled partitions and
@@ -204,7 +204,7 @@ impl Default for MarketConfig {
             max_blocks: 600,
             seed: 0xd1a6_0000,
             exec_threads: 0,
-            econ: EconConfig::default(),
+            econ: None,
             net: None,
             proving: ProvingConfig::default(),
             persist: None,

@@ -117,7 +117,7 @@ pub struct MarketSim {
     rewards_paid: u128,
     workers_paid: usize,
     refunds: u128,
-    /// The econ layer runtime (`None` when `config.econ` is disabled).
+    /// The econ layer runtime (`None` when `config.econ` is).
     econ: Option<EconEngine>,
     /// The network layer runtime (`None` when `config.net` is unset):
     /// every canonical submission and produced block fans out to a
@@ -165,13 +165,8 @@ fn behavior_for(mix: &BehaviorMix, index: u64) -> WorkerBehavior {
 /// ceiling when the econ controller can push publish-time budgets above
 /// it.
 fn publish_headroom(config: &MarketConfig) -> u128 {
-    config
-        .econ
-        .enabled
-        .then(|| config.econ.pricing.map(|p| p.max))
-        .flatten()
-        .unwrap_or(config.budget)
-        .max(config.budget)
+    let ceiling = config.econ.as_ref().and_then(|e| e.pricing);
+    ceiling.map_or(config.budget, |p| p.max.max(config.budget))
 }
 
 /// The genesis every chain of a run starts from: the registry
@@ -235,13 +230,8 @@ impl MarketSim {
         // classification, constructed before the agent pools so cartel
         // requesters can shape their workloads (strict θ) at generation.
         let base_reward = config.budget / config.k.max(1) as u128;
-        let mut econ = config.econ.enabled.then(|| {
-            EconEngine::for_market(
-                config.econ.clone(),
-                config.seed,
-                config.budget,
-                config.block_gas_limit,
-            )
+        let mut econ = config.econ.clone().map(|econ| {
+            EconEngine::for_market(econ, config.seed, config.budget, config.block_gas_limit)
         });
         let mut store = ContentStore::new();
         let mut requesters = Vec::with_capacity(config.hits);
@@ -712,7 +702,6 @@ impl MarketSim {
                 latencies.push(latency);
             } else {
                 self.latency_violations += 1;
-                dragoon_trace::counter_inc("engine_latency_violations_total");
             }
         }
         let observation = self
@@ -1078,17 +1067,13 @@ pub fn run_market(config: MarketConfig) -> MarketReport {
 mod tests {
     use super::*;
 
-    /// The value of `"key":<digits>` in a JSON line.
-    fn json_u64(json: &str, key: &str) -> u64 {
-        let at = json.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
-        let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
-        json[at..at + digits].parse().expect("a number")
-    }
-
     /// Tables, live ids and sessions last as long as their HIT: after
     /// the `marketplace` golden scenario (every HIT settles) nothing is
     /// resident, and retiring at settle never turned a hit into a miss —
-    /// the counters are the committed golden's.
+    /// the counters are the committed golden's. The report serializes to
+    /// the golden's `JSON:` and `PROVING:` lines byte for byte (neither
+    /// depends on the store the example adds), so a drifting serializer
+    /// fails here, inside `cargo test`.
     #[test]
     fn every_settled_hit_retired_its_table() {
         let golden = include_str!("../../../tests/golden/marketplace_seed42.json");
@@ -1107,11 +1092,16 @@ mod tests {
         assert_eq!(sim.cache.stats().entries, 0);
         assert!(sim.live.is_empty());
         assert!(sim.workers.iter().all(|w| w.sessions.is_empty()));
-        assert_eq!(report.proving.cache_hits, json_u64(golden, "cache_hits"));
+        let golden_line = |tag: &str| {
+            let line = golden.lines().find_map(|l| l.strip_prefix(tag));
+            line.expect("the golden has the line")
+        };
+        assert_eq!(report.to_json(), golden_line("JSON: "));
+        assert_eq!(report.section_json("proving"), golden_line("PROVING: "));
         assert_eq!(
-            report.proving.cache_misses,
-            json_u64(golden, "cache_misses")
+            (report.proving.cache_hits, report.proving.cache_misses),
+            (750, 250),
+            "three hits and one build per HIT"
         );
-        assert_eq!(report.proving.cache_misses, 250, "one build per HIT");
     }
 }

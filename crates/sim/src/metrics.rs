@@ -1,6 +1,7 @@
 //! Market-level metrics: per-block stats, per-HIT outcomes and the
-//! aggregate [`MarketReport`] with hand-rolled JSON output (the compat
-//! serde is derive-only, so structured output is written directly).
+//! aggregate [`MarketReport`], serialized only through its
+//! [`dragoon_trace::MetricSet`]s (the compat serde is derive-only, so
+//! the sets write the structured output directly).
 
 use dragoon_chain::{Gas, ParallelStats, PersistStats};
 use dragoon_contract::{BatchStats, HitId, SettlementMode};
@@ -105,24 +106,26 @@ pub struct MarketReport {
     /// barriers). Deliberately excluded from [`MarketReport::to_json`]:
     /// that JSON is the cross-thread-count equivalence witness, and these
     /// counters legitimately differ with the thread budget. Emit them via
-    /// [`MarketReport::scheduler_json`] instead.
+    /// `section_json("scheduler")` instead.
     pub parallel: ParallelStats,
     /// The econ layer's report (`None` when the layer is disabled).
     /// Everything in it derives deterministically from chain state, so
-    /// it is identical across executor thread counts — emitted via
-    /// [`MarketReport::econ_json`], kept out of [`MarketReport::to_json`]
-    /// so pre-econ golden outputs stay stable.
+    /// it is identical across executor thread counts (`tests/econ.rs`
+    /// asserts byte equality) — emitted via `section_json("econ")`, kept
+    /// out of [`MarketReport::to_json`] so pre-econ golden outputs stay
+    /// stable.
     pub econ: Option<EconReport>,
     /// The network layer's report (`None` when the run was single-node).
     /// Derives from the canonical block feed and the seeded gossip
     /// layer, so it is identical across executor thread counts —
-    /// emitted via [`MarketReport::net_json`], kept out of
+    /// emitted via `section_json("net")`, kept out of
     /// [`MarketReport::to_json`] so pre-net golden outputs stay stable.
     pub net: Option<NetReport>,
     /// The proving-service counters (job/queue/latency/cache). Every
     /// serialized field is thread-count independent (the service's
     /// per-job RNG streams and modeled latency don't see the pool
-    /// width) — emitted via [`MarketReport::proving_json`], kept out of
+    /// width; `tests/proving_equivalence.rs` asserts byte equality) —
+    /// emitted via `section_json("proving")`, kept out of
     /// [`MarketReport::to_json`] so pre-proving golden outputs stay
     /// stable.
     pub proving: ProvingStats,
@@ -130,10 +133,10 @@ pub struct MarketReport {
     /// block store). Log and snapshot *cadence* counters are
     /// deterministic, but incremental-snapshot byte counts may differ
     /// across executor thread counts (the serial and parallel executors
-    /// over-approximate the dirty working set differently) — emitted
-    /// via [`MarketReport::persist_json`], kept out of
-    /// [`MarketReport::to_json`] so that JSON stays the cross-thread
-    /// equivalence witness.
+    /// over-approximate the dirty working set differently; golden-gate
+    /// only with `exec_threads` pinned) — emitted via
+    /// `section_json("persist")`, kept out of [`MarketReport::to_json`]
+    /// so that JSON stays the cross-thread equivalence witness.
     pub persist: Option<PersistStats>,
     /// Per-HIT outcomes, in id order.
     pub outcomes: Vec<HitOutcome>,
@@ -143,132 +146,37 @@ pub struct MarketReport {
 
 impl MarketReport {
     /// Compact single-object JSON (summary scalars only; per-HIT and
-    /// per-block series are available on the struct).
+    /// per-block series are available on the struct): the object view
+    /// of the market metric set. Identical across executor thread
+    /// counts, so it is the equivalence witness of a run.
     pub fn to_json(&self) -> String {
-        let mode = match self.settlement {
-            SettlementMode::PerProof => "per_proof",
-            SettlementMode::Batched => "batched",
-        };
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_kv(&mut s, "seed", &self.seed.to_string());
-        push_kv(&mut s, "settlement", &format!("\"{mode}\""));
-        push_kv(&mut s, "blocks", &self.blocks.to_string());
-        push_kv(&mut s, "hits_published", &self.hits_published.to_string());
-        push_kv(&mut s, "hits_settled", &self.hits_settled.to_string());
-        push_kv(&mut s, "hits_cancelled", &self.hits_cancelled.to_string());
-        push_kv(&mut s, "hits_unfinished", &self.hits_unfinished.to_string());
-        push_kv(&mut s, "total_gas", &self.total_gas.to_string());
-        push_kv(
-            &mut s,
-            "gas_per_block_mean",
-            &format!("{:.1}", self.gas_per_block_mean),
-        );
-        push_kv(
-            &mut s,
-            "gas_per_block_max",
-            &self.gas_per_block_max.to_string(),
-        );
-        push_kv(
-            &mut s,
-            "block_gas_limit",
-            &self
-                .block_gas_limit
-                .map_or("null".into(), |l| l.to_string()),
-        );
-        push_kv(
-            &mut s,
-            "gas_utilization",
-            &self
-                .gas_utilization
-                .map_or("null".into(), |u| format!("{u:.4}")),
-        );
-        push_kv(
-            &mut s,
-            "latency_mean_blocks",
-            &format!("{:.2}", self.latency_mean_blocks),
-        );
-        push_kv(
-            &mut s,
-            "latency_max_blocks",
-            &self.latency_max_blocks.to_string(),
-        );
-        push_kv(
-            &mut s,
-            "answers_collected",
-            &self.answers_collected.to_string(),
-        );
-        push_kv(&mut s, "rewards_paid", &self.rewards_paid.to_string());
-        push_kv(&mut s, "workers_paid", &self.workers_paid.to_string());
-        push_kv(
-            &mut s,
-            "workers_rejected",
-            &self.workers_rejected.to_string(),
-        );
-        push_kv(&mut s, "refunds", &self.refunds.to_string());
-        push_kv(&mut s, "reverted_txs", &self.reverted_txs.to_string());
-        push_kv(
-            &mut s,
-            "latency_violations",
-            &self.latency_violations.to_string(),
-        );
-        push_kv(&mut s, "batch_dispatches", &self.batch.batches.to_string());
-        push_kv(&mut s, "batch_items", &self.batch.items.to_string());
-        s.push_str(&format!("\"batch_largest\":{}", self.batch.largest));
-        s.push('}');
-        s
+        self.market_metric_set().to_json_object()
     }
 
-    /// The parallel-executor counters as one JSON object — kept separate
-    /// from [`MarketReport::to_json`] so scheduler telemetry never leaks
-    /// into the thread-count equivalence assertions. A thin view over
-    /// [`ParallelStats::metric_set`].
-    pub fn scheduler_json(&self) -> String {
-        self.parallel.metric_set().to_json_object()
+    /// One subsystem's counters as one JSON object — `"market"`,
+    /// `"scheduler"`, `"proving"`, `"econ"`, `"net"` or `"persist"` —
+    /// and `null` for a layer the run did not have. Each is the object
+    /// view of that subsystem's set in [`MarketReport::metric_sets`].
+    pub fn section_json(&self, subsystem: &str) -> String {
+        self.metric_sets()
+            .iter()
+            .find(|set| set.subsystem == subsystem)
+            .map_or_else(|| "null".into(), dragoon_trace::MetricSet::to_json_object)
     }
 
-    /// The econ layer's report as one JSON object (`null` when the layer
-    /// is disabled). Deterministic across thread counts — `tests/econ.rs`
-    /// asserts byte equality — so it is safe to golden-gate in CI.
-    pub fn econ_json(&self) -> String {
-        self.econ
-            .as_ref()
-            .map_or_else(|| "null".into(), EconReport::to_json)
-    }
-
-    /// The network layer's report as one JSON object (`null` when the
-    /// run was single-node). Thread-count independent — safe to
-    /// golden-gate in CI.
-    pub fn net_json(&self) -> String {
-        self.net
-            .as_ref()
-            .map_or_else(|| "null".into(), NetReport::to_json)
-    }
-
-    /// The proving-service counters as one JSON object. Thread-count
-    /// independent (the worker-pool width is deliberately excluded) —
-    /// safe to golden-gate in CI and to assert byte-equal across
-    /// `DRAGOON_THREADS` (`tests/proving_equivalence.rs`).
-    pub fn proving_json(&self) -> String {
-        self.proving.to_json()
-    }
-
-    /// The persistence-layer counters as one JSON object (`null` when
-    /// the run kept no block store). Deterministic at a fixed thread
-    /// count and fixed pipeline config; golden-gate only with
-    /// `exec_threads` pinned (delta byte counts track the executor's
-    /// dirty-set over-approximation).
-    pub fn persist_json(&self) -> String {
-        self.persist
-            .as_ref()
-            .map_or_else(|| "null".into(), PersistStats::to_json)
-    }
-
-    /// The market-level scalars as one registry metric set
-    /// (`market_*` names).
+    /// The market-level scalars as one registry metric set (`market_*`
+    /// names) — the one list of them. The settlement mode and an absent
+    /// gas cap print only in the object view.
     fn market_metric_set(&self) -> dragoon_trace::MetricSet {
-        let mut set = dragoon_trace::MetricSet::new("market")
+        let set = dragoon_trace::MetricSet::new("market")
             .gauge("seed", "market_seed", self.seed)
+            .text(
+                "settlement",
+                match self.settlement {
+                    SettlementMode::PerProof => "per_proof",
+                    SettlementMode::Batched => "batched",
+                },
+            )
             .counter("blocks", "market_blocks_total", self.blocks)
             .counter(
                 "hits_published",
@@ -302,12 +210,14 @@ impl MarketReport {
                 "market_gas_per_block_max",
                 self.gas_per_block_max,
             );
-        if let Some(limit) = self.block_gas_limit {
-            set = set.gauge("block_gas_limit", "market_block_gas_limit", limit);
-        }
-        if let Some(util) = self.gas_utilization {
-            set = set.gauge_f("gas_utilization", "market_gas_utilization_ratio", util, 4);
-        }
+        let set = match self.block_gas_limit {
+            Some(limit) => set.gauge("block_gas_limit", "market_block_gas_limit", limit),
+            None => set.absent("block_gas_limit"),
+        };
+        let set = match self.gas_utilization {
+            Some(util) => set.gauge_f("gas_utilization", "market_gas_utilization_ratio", util, 4),
+            None => set.absent("gas_utilization"),
+        };
         set.gauge_f(
             "latency_mean_blocks",
             "market_latency_mean_blocks",
@@ -390,19 +300,19 @@ impl MarketReport {
 
     /// One walk over the whole metrics registry — every subsystem's
     /// counters flattened under their `subsystem_name_unit` registry
-    /// names, plus the process-lifetime violation counters. Excluded
-    /// from [`MarketReport::to_json`]: the dump mixes thread-dependent
-    /// telemetry (scheduler, persist bytes) with the equivalence
-    /// witness fields, so it must never enter the golden assertions.
+    /// names. Excluded from [`MarketReport::to_json`]: the dump mixes
+    /// thread-dependent telemetry (scheduler, persist bytes) with the
+    /// equivalence witness fields, so it must never enter the golden
+    /// assertions.
     pub fn metrics_json(&self) -> String {
-        dragoon_trace::metrics::render_metrics_json(&self.metric_sets(), true)
+        dragoon_trace::metrics::render_metrics_json(&self.metric_sets())
     }
 
     /// The same registry walk in Prometheus text exposition format
     /// (hand-rolled: `# TYPE` lines, cumulative histogram buckets,
     /// per-index labels).
     pub fn metrics_prometheus(&self) -> String {
-        dragoon_trace::metrics::render_prometheus(&self.metric_sets(), true)
+        dragoon_trace::metrics::render_prometheus(&self.metric_sets())
     }
 
     /// A human-oriented multi-line summary for examples and logs.
@@ -501,14 +411,6 @@ impl MarketReport {
     }
 }
 
-fn push_kv(s: &mut String, key: &str, value: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(value);
-    s.push(',');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,9 +434,52 @@ mod tests {
         assert_eq!(outcome(9, Some(3)).latency(), None);
     }
 
+    /// An uncapped single-node market: the two gas-cap scalars keep
+    /// their keys in `to_json` as `null`, a layer the run did not have
+    /// is `null` as a section, a layer it had is its set's object view,
+    /// and the registry dump carries neither the `null`s nor the
+    /// settlement string.
+    #[test]
+    fn absent_scalars_and_layers_serialize_as_null() {
+        let report = run_market(MarketConfig {
+            hits: 4,
+            seed: 7,
+            exec_threads: 1,
+            block_gas_limit: None,
+            ..MarketConfig::default()
+        });
+        assert_eq!(report.hits_published, 4);
+        let json = report.to_json();
+        assert!(json.starts_with("{\"seed\":7,\"settlement\":\"batched\",\"blocks\":"));
+        assert!(json.contains(&format!(
+            ",\"gas_per_block_max\":{},\"block_gas_limit\":null,\
+             \"gas_utilization\":null,\"latency_mean_blocks\":",
+            report.gas_per_block_max
+        )));
+        assert_eq!(report.section_json("market"), json);
+        for absent in ["econ", "net", "persist", "no_such_layer"] {
+            assert_eq!(report.section_json(absent), "null", "{absent}");
+        }
+        assert_eq!(
+            report.section_json("scheduler"),
+            report.parallel.metric_set().to_json_object()
+        );
+        assert_eq!(
+            report.section_json("proving"),
+            report.proving.metric_set().to_json_object()
+        );
+        let dump = report.metrics_json();
+        assert!(dump.contains("\"market_gas_per_block_max\":"));
+        assert!(!dump.contains("null") && !dump.contains("settlement"));
+        assert!(!dump.contains("\"\"") && !dump.contains("market_block_gas_limit"));
+        assert!(!report.metrics_prometheus().contains("# TYPE  "));
+    }
+
     /// Every registry name the JSON dump carries is declared by a
     /// `# TYPE` line of the Prometheus exposition, with the optional
-    /// econ, net and persist sets all present.
+    /// econ, net and persist sets all present — and is carried once:
+    /// registry names are unique across the six sets, and the dump has
+    /// none of the object view's text and `null` entries.
     #[test]
     fn prometheus_exposition_types_every_registry_name() {
         let dir = std::env::temp_dir().join(format!("dragoon-metrics-{}", std::process::id()));
@@ -542,10 +487,7 @@ mod tests {
             hits: 6,
             seed: 7,
             exec_threads: 1,
-            econ: EconConfig {
-                enabled: true,
-                ..EconConfig::default()
-            },
+            econ: Some(EconConfig::default()),
             net: Some(NetConfig::default()),
             persist: Some(PersistConfig::new(&dir)),
             ..MarketConfig::default()
@@ -572,8 +514,13 @@ mod tests {
         ] {
             assert!(names.iter().any(|n| n.starts_with(prefix)), "{prefix}");
         }
-        for name in names {
-            assert!(typed.contains(&name), "{name} has no # TYPE line");
+        for name in &names {
+            assert!(typed.contains(name), "{name} has no # TYPE line");
         }
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "a registry name appears twice");
+        assert_eq!(typed.len(), names.len(), "a # TYPE line appears twice");
+        assert!(!json.contains("null") && !json.contains("settlement"));
+        assert_eq!(report.metric_sets().len(), 6);
     }
 }

@@ -14,12 +14,11 @@
 //! 2. **Metrics registry** ([`metrics`]) — named counters/gauges/
 //!    histograms following the `subsystem_name_unit` convention, with
 //!    a hand-rolled Prometheus-text exporter. The per-subsystem stats
-//!    structs build [`metrics::MetricSet`]s; their legacy `*_json`
-//!    methods are thin views over the same sets (byte-identical to the
-//!    historical hand-rolled serialization, so goldens are unchanged).
-//!    A small always-on process registry ([`metrics::counter_inc`])
-//!    carries invariant-violation counters that must be observable in
-//!    release builds.
+//!    structs build [`metrics::MetricSet`]s, and a set is the only
+//!    serializer of what it holds: its object view is the golden-gated
+//!    report line, the registry walks are the dump. Every value is
+//!    owned by its run — invariant-violation counters included; the
+//!    registry keeps no process-wide state.
 //! 3. **Wall-clock phase profiler** ([`span`]) — `Instant`-based span
 //!    durations kept *strictly outside* the deterministic stream (they
 //!    never appear in captured events or goldens), exported as Chrome
@@ -48,9 +47,7 @@ use std::time::Instant;
 pub mod chrome;
 pub mod metrics;
 
-pub use metrics::{
-    counter_add, counter_inc, registry_counters, MetricKind, MetricSet, MetricValue,
-};
+pub use metrics::{MetricKind, MetricSet, MetricValue};
 
 // ---------------------------------------------------------------------
 // Enable flags: one static word, branch-only when off

@@ -1,25 +1,22 @@
 //! The metrics registry: typed metric sets built by the per-subsystem
-//! stats structs, rendered either as the legacy flat-JSON objects
-//! (byte-identical to the historical hand-rolled serialization, so
-//! goldens are unchanged) or as Prometheus text exposition — one
-//! registry walk instead of five ad-hoc `format!`s.
+//! stats structs, and the only serializer of a run. A set renders
+//! itself as one flat JSON object under its JSON keys
+//! ([`MetricSet::to_json_object`] — the golden-gated report lines), and
+//! a slice of sets renders as one registry walk under registry names:
+//! a flat JSON dump or Prometheus text exposition.
 //!
 //! Naming convention: every metric carries a registry name of the
 //! form `subsystem_name_unit` (e.g. `proving_queue_peak_jobs`,
-//! `persist_log_bytes_written_total`) next to its legacy JSON key.
+//! `persist_log_bytes_written_total`) next to its JSON key.
 //! Counters end in `_total`; gauges name their unit; histograms
 //! render cumulative `_bucket{le=...}` lines per Prometheus
 //! convention.
 //!
-//! A separate always-on **process registry** ([`counter_inc`]) holds
-//! counters that must be observable even when no report is being
-//! assembled — the clamp-violation counters (engine latency, proving
-//! latency, econ reputation decay) route through it so a release
-//! build can see an invariant breach without debug asserts.
+//! Every value is owned by the set that carries it — there is no
+//! process-wide state here. Invariant-violation counters are per-run
+//! fields of the stats struct that detects them, like any other metric.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How a metric behaves over time (drives the Prometheus `# TYPE`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,12 +37,12 @@ impl MetricKind {
 }
 
 /// A metric's value, carrying enough formatting information to render
-/// the legacy JSON byte-identically.
+/// the golden-gated JSON byte-identically.
 #[derive(Clone, Debug)]
 pub enum MetricValue {
     /// Integer counter or gauge (covers u64/i64/u128 report fields).
     Int(i128),
-    /// Float gauge with a fixed decimal precision (legacy `{:.p}`).
+    /// Float gauge with a fixed decimal precision (`{:.p}` in JSON).
     Float(f64, usize),
     /// Boolean flag (JSON `true`/`false`, Prometheus `1`/`0`).
     Flag(bool),
@@ -55,6 +52,12 @@ pub enum MetricValue {
     /// Per-index integer list (e.g. per-node convergence ticks);
     /// rendered as a JSON array and as one labelled line per index.
     PerIndex(Vec<i64>, &'static str),
+    /// A string the object view prints quoted. Not a number, so the
+    /// registry walks skip it.
+    Text(&'static str),
+    /// An optional reading the run did not have: `null` in the object
+    /// view (the key set stays fixed), skipped by the registry walks.
+    Absent,
 }
 
 impl MetricValue {
@@ -69,31 +72,28 @@ impl MetricValue {
             MetricValue::Flag(v) => {
                 let _ = write!(out, "{v}");
             }
-            MetricValue::Hist(counts, _) => {
-                out.push('[');
-                for (i, c) in counts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{c}");
-                }
-                out.push(']');
+            MetricValue::Hist(counts, _) => render_json_array(counts, out),
+            MetricValue::PerIndex(values, _) => render_json_array(values, out),
+            MetricValue::Text(v) => {
+                let _ = write!(out, "\"{v}\"");
             }
-            MetricValue::PerIndex(values, _) => {
-                out.push('[');
-                for (i, v) in values.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{v}");
-                }
-                out.push(']');
-            }
+            MetricValue::Absent => out.push_str("null"),
         }
     }
 }
 
-/// One named metric: the legacy JSON key it serializes under, the
+fn render_json_array(items: &[impl std::fmt::Display], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{item}");
+    }
+    out.push(']');
+}
+
+/// One named metric: the JSON key it serializes under, the
 /// `subsystem_name_unit` registry name, its kind, and its value.
 #[derive(Clone, Debug)]
 pub struct Metric {
@@ -104,7 +104,7 @@ pub struct Metric {
 }
 
 /// An ordered collection of metrics for one subsystem. Order is the
-/// serialization order — the legacy JSON view depends on it.
+/// serialization order — the object view depends on it.
 #[derive(Clone, Debug, Default)]
 pub struct MetricSet {
     pub subsystem: &'static str,
@@ -205,27 +205,33 @@ impl MetricSet {
         )
     }
 
-    /// The legacy flat-JSON view: `{"key":value,...}` in insertion
-    /// order, byte-identical to the historical hand-rolled
-    /// serialization of the stats struct that built this set.
+    /// A string only the object view prints (no registry name).
+    pub fn text(self, key: &'static str, value: &'static str) -> Self {
+        self.push(key, "", MetricKind::Gauge, MetricValue::Text(value))
+    }
+
+    /// An optional reading this run did not have: the object view
+    /// prints `"key":null`, the registry walks print nothing.
+    pub fn absent(self, key: &'static str) -> Self {
+        self.push(key, "", MetricKind::Gauge, MetricValue::Absent)
+    }
+
+    /// The object view: `{"key":value,...}` in insertion order — the
+    /// bytes the report lines and their goldens are made of.
     pub fn to_json_object(&self) -> String {
-        let mut s = String::with_capacity(16 + self.metrics.len() * 24);
-        s.push('{');
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(m.key);
-            s.push_str("\":");
-            m.value.render_json(&mut s);
-        }
-        s.push('}');
-        s
+        render_json_object(self.metrics.iter().map(|m| (m.key, &m.value)))
+    }
+
+    /// The metrics a registry walk visits: everything with a number
+    /// behind it, i.e. all but the object view's text and absent entries.
+    fn registered(&self) -> impl Iterator<Item = &Metric> {
+        self.metrics
+            .iter()
+            .filter(|m| !matches!(m.value, MetricValue::Text(_) | MetricValue::Absent))
     }
 
     fn render_prometheus(&self, out: &mut String) {
-        for m in &self.metrics {
+        for m in self.registered() {
             let _ = writeln!(out, "# TYPE {} {}", m.name, m.kind.prom_type());
             match &m.value {
                 MetricValue::Int(v) => {
@@ -250,92 +256,45 @@ impl MetricSet {
                         let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", m.name, label, i, v);
                     }
                 }
+                MetricValue::Text(_) | MetricValue::Absent => unreachable!("not registered"),
             }
         }
     }
 }
 
-/// One registry walk over every subsystem's set plus the process
-/// counters, as a flat JSON object keyed by registry name.
-pub fn render_metrics_json(sets: &[MetricSet], include_process: bool) -> String {
-    let mut s = String::with_capacity(1024);
+/// One registry walk over every subsystem's set, as a flat JSON object
+/// keyed by registry name.
+pub fn render_metrics_json(sets: &[MetricSet]) -> String {
+    let registered = sets.iter().flat_map(MetricSet::registered);
+    render_json_object(registered.map(|m| (m.name, &m.value)))
+}
+
+/// `{"label":value,...}` in iteration order — the one JSON writer under
+/// both the object view (labels are JSON keys) and the registry dump
+/// (labels are registry names).
+fn render_json_object<'a>(entries: impl Iterator<Item = (&'a str, &'a MetricValue)>) -> String {
+    let mut s = String::with_capacity(512);
     s.push('{');
-    let mut first = true;
-    for set in sets {
-        for m in &set.metrics {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push('"');
-            s.push_str(m.name);
-            s.push_str("\":");
-            m.value.render_json(&mut s);
+    for (i, (label, value)) in entries.enumerate() {
+        if i > 0 {
+            s.push(',');
         }
-    }
-    if include_process {
-        for (name, value) in registry_counters() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push('"');
-            s.push_str(name);
-            s.push_str("\":");
-            let _ = write!(s, "{value}");
-        }
+        s.push('"');
+        s.push_str(label);
+        s.push_str("\":");
+        value.render_json(&mut s);
     }
     s.push('}');
     s
 }
 
 /// The same walk rendered as Prometheus text exposition format.
-pub fn render_prometheus(sets: &[MetricSet], include_process: bool) -> String {
+pub fn render_prometheus(sets: &[MetricSet]) -> String {
     let mut s = String::with_capacity(2048);
     for set in sets {
         set.render_prometheus(&mut s);
     }
-    if include_process {
-        for (name, value) in registry_counters() {
-            let _ = writeln!(s, "# TYPE {name} counter");
-            let _ = writeln!(s, "{name} {value}");
-        }
-    }
     s
-}
-
-// ---------------------------------------------------------------------
-// Always-on process registry
-// ---------------------------------------------------------------------
-
-fn process_registry() -> &'static Mutex<BTreeMap<&'static str, u64>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, u64>>> = OnceLock::new();
-    REGISTRY.get_or_init(Mutex::default)
-}
-
-/// Adds `delta` to a process-lifetime counter. Always on (not gated by
-/// the tracing flags): these carry rare-event counters — invariant
-/// violations — whose cost is paid only when the event fires.
-pub fn counter_add(name: &'static str, delta: u64) {
-    let mut reg = process_registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    *reg.entry(name).or_insert(0) += delta;
-}
-
-/// Increments a process-lifetime counter by one.
-pub fn counter_inc(name: &'static str) {
-    counter_add(name, 1);
-}
-
-/// A sorted snapshot of the process-lifetime counters.
-pub fn registry_counters() -> Vec<(&'static str, u64)> {
-    process_registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .map(|(k, v)| (*k, *v))
-        .collect()
 }
 
 #[cfg(test)]
@@ -370,7 +329,7 @@ mod tests {
             vec![1, 2, 3],
             &["0", "1", "+Inf"],
         );
-        let text = render_prometheus(&[set], false);
+        let text = render_prometheus(&[set]);
         assert!(text.contains("# TYPE demo_latency_ticks histogram"));
         assert!(text.contains("demo_latency_ticks_bucket{le=\"0\"} 1"));
         assert!(text.contains("demo_latency_ticks_bucket{le=\"1\"} 3"));
@@ -378,16 +337,24 @@ mod tests {
         assert!(text.contains("demo_latency_ticks_count 6"));
     }
 
+    /// The object view prints a text entry quoted and an absent one
+    /// as `null`; neither registry walk sees them — not as a name, not
+    /// as a `# TYPE` line, not as a stray comma.
     #[test]
-    fn process_counters_accumulate() {
-        counter_add("trace_test_demo_total", 2);
-        counter_inc("trace_test_demo_total");
-        let snapshot = registry_counters();
-        let v = snapshot
-            .iter()
-            .find(|(k, _)| *k == "trace_test_demo_total")
-            .map(|(_, v)| *v)
-            .unwrap();
-        assert!(v >= 3);
+    fn text_and_absent_entries_render_only_in_the_object_view() {
+        let set = MetricSet::new("demo")
+            .text("mode", "batched")
+            .counter("jobs", "demo_jobs_total", 7u64)
+            .absent("limit");
+        assert_eq!(
+            set.to_json_object(),
+            "{\"mode\":\"batched\",\"jobs\":7,\"limit\":null}"
+        );
+        let sets = [set, MetricSet::new("other").absent("only")];
+        assert_eq!(render_metrics_json(&sets), "{\"demo_jobs_total\":7}");
+        assert_eq!(
+            render_prometheus(&sets),
+            "# TYPE demo_jobs_total counter\ndemo_jobs_total 7\n"
+        );
     }
 }

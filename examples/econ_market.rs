@@ -29,8 +29,7 @@ fn main() {
         worker_capacity: 4,
         seed,
         max_blocks: 1_500,
-        econ: EconConfig {
-            enabled: true,
+        econ: Some(EconConfig {
             // Open the market underpriced: the controller has to discover
             // the clearing wage against the pool's reservation spread.
             pricing: Some(PricingParams {
@@ -44,7 +43,7 @@ fn main() {
             cartel_requesters: 24, // 20% of requesters collude
             sybil_workers: 6,      // 10% of the opening pool
             ..EconConfig::default()
-        },
+        }),
         ..MarketConfig::default()
     };
     println!(
@@ -56,9 +55,9 @@ fn main() {
     print!("{}", report.summary());
     println!();
     dragoon_trace::emit_summary("JSON", report.to_json());
-    dragoon_trace::emit_summary("ECON", report.econ_json());
-    dragoon_trace::emit_summary("PROVING", report.proving_json());
-    dragoon_trace::emit_summary("SCHEDULER", report.scheduler_json());
+    dragoon_trace::emit_summary("ECON", report.section_json("econ"));
+    dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
+    dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     dragoon_trace::emit_summary("METRICS", report.metrics_json());
     dragoon_trace::finish();
 }

@@ -83,8 +83,8 @@ fn main() {
     };
     println!("\n== Parallel-executor scheduler stats (40-HIT market, seed {seed:#x}) ==\n");
     let report = run_market(market);
-    dragoon_trace::emit_summary("SCHEDULER", report.scheduler_json());
+    dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     println!("\n== Proving-service stats (same run) ==\n");
-    dragoon_trace::emit_summary("PROVING", report.proving_json());
+    dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
     dragoon_trace::finish();
 }

@@ -42,9 +42,9 @@ fn main() {
     print!("{}", report.summary());
     println!();
     dragoon_trace::emit_summary("JSON", report.to_json());
-    dragoon_trace::emit_summary("PROVING", report.proving_json());
-    dragoon_trace::emit_summary("PERSIST", report.persist_json());
-    dragoon_trace::emit_summary("SCHEDULER", report.scheduler_json());
+    dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
+    dragoon_trace::emit_summary("PERSIST", report.section_json("persist"));
+    dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     dragoon_trace::emit_summary("METRICS", report.metrics_json());
     dragoon_trace::finish();
     let _ = std::fs::remove_dir_all(&store_dir);

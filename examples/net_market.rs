@@ -55,8 +55,8 @@ fn main() {
     print!("{}", report.summary());
     println!();
     dragoon_trace::emit_summary("JSON", report.to_json());
-    dragoon_trace::emit_summary("NET", report.net_json());
-    dragoon_trace::emit_summary("SCHEDULER", report.scheduler_json());
+    dragoon_trace::emit_summary("NET", report.section_json("net"));
+    dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     dragoon_trace::emit_summary("METRICS", report.metrics_json());
     dragoon_trace::finish();
 }

@@ -196,8 +196,7 @@ proptest! {
             policy: MarketPolicy::FrontRun,
             max_blocks: 500,
             seed,
-            econ: EconConfig {
-                enabled: true,
+            econ: Some(EconConfig {
                 churn: Some(ChurnParams {
                     join_rate: 0.3,
                     depart_rate: depart_pct as f64 / 100.0,
@@ -206,7 +205,7 @@ proptest! {
                     max_pool: 64,
                 }),
                 ..EconConfig::default()
-            },
+            }),
             ..MarketConfig::default()
         };
         let minted = BUDGET_PER_HIT * HITS as u128;

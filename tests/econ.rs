@@ -36,8 +36,7 @@ fn full_econ_config(seed: u64) -> MarketConfig {
         worker_capacity: 4,
         seed,
         max_blocks: 500,
-        econ: EconConfig {
-            enabled: true,
+        econ: Some(EconConfig {
             pricing: Some(PricingParams {
                 initial: 1_200,
                 min: 600,
@@ -49,7 +48,7 @@ fn full_econ_config(seed: u64) -> MarketConfig {
             cartel_requesters: 6,
             sybil_workers: 4,
             ..EconConfig::default()
-        },
+        }),
         ..MarketConfig::default()
     }
 }
@@ -68,7 +67,7 @@ fn econ_market_identical_across_thread_counts() {
     // and no HIT fills. Price this market inside the wage spread: some
     // workers decline, the rest fill every HIT, and the comparison
     // covers evaluation, cartel rejections and settlement.
-    base.econ.pricing = Some(PricingParams {
+    base.econ.as_mut().expect("econ on").pricing = Some(PricingParams {
         initial: 3_600,
         min: 3_000,
         max: 12_000,
@@ -80,7 +79,7 @@ fn econ_market_identical_across_thread_counts() {
     assert!(
         econ.hits_filled > 0,
         "no HIT filled: {}",
-        serial.econ_json()
+        serial.section_json("econ")
     );
     assert!(
         serial.hits_settled > 0,
@@ -98,8 +97,8 @@ fn econ_market_identical_across_thread_counts() {
             "market reports must be identical at {threads} threads"
         );
         assert_eq!(
-            serial.econ_json(),
-            parallel.econ_json(),
+            serial.section_json("econ"),
+            parallel.section_json("econ"),
             "econ reports (reputation ordering, prices, churn) must be \
              identical at {threads} threads"
         );
@@ -113,7 +112,7 @@ fn econ_market_reproducible_for_a_seed() {
     let a = run_market(full_econ_config(0xec02));
     let b = run_market(full_econ_config(0xec02));
     assert_eq!(a.to_json(), b.to_json());
-    assert_eq!(a.econ_json(), b.econ_json());
+    assert_eq!(a.section_json("econ"), b.section_json("econ"));
 }
 
 /// Passive (observe-only) econ influences nothing: the market report is
@@ -129,7 +128,7 @@ fn observe_only_econ_matches_disabled() {
     };
     let off = run_market(base.clone());
     let on = run_market(MarketConfig {
-        econ: EconConfig::observe_only(),
+        econ: Some(EconConfig::observe_only()),
         ..base
     });
     assert_eq!(
@@ -157,8 +156,7 @@ fn dynamic_pricing_converges_to_a_clearing_band() {
         worker_capacity: 4,
         seed: 0xec04,
         max_blocks: 800,
-        econ: EconConfig {
-            enabled: true,
+        econ: Some(EconConfig {
             // No gating/ordering noise: isolate the price↔supply loop.
             reputation: ReputationParams {
                 order_by_score: false,
@@ -174,7 +172,7 @@ fn dynamic_pricing_converges_to_a_clearing_band() {
             }),
             reservation_wages: true,
             ..EconConfig::default()
-        },
+        }),
         ..MarketConfig::default()
     });
     assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
@@ -229,8 +227,7 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
         )],
         seed: 0xec05,
         max_blocks: 400,
-        econ: EconConfig {
-            enabled: true,
+        econ: Some(EconConfig {
             reputation: ReputationParams {
                 // No gating: keep the worker side identical so the
                 // payout delta is the cartel's alone.
@@ -240,7 +237,7 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
             },
             cartel_requesters: cartel,
             ..EconConfig::default()
-        },
+        }),
         ..MarketConfig::default()
     };
     let baseline = run_market(scenario(0));
@@ -257,7 +254,11 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
     for threads in [2, 8] {
         let pooled = cartel_at(threads);
         assert_eq!(cartel.to_json(), pooled.to_json(), "{threads} threads");
-        assert_eq!(cartel.econ_json(), pooled.econ_json(), "{threads} threads");
+        assert_eq!(
+            cartel.section_json("econ"),
+            pooled.section_json("econ"),
+            "{threads} threads"
+        );
     }
     assert_eq!(baseline.hits_unfinished, 0);
     assert_eq!(cartel.hits_unfinished, 0);
@@ -301,11 +302,10 @@ fn sybil_farming_extracts_and_gets_caught() {
         worker_capacity: 4,
         seed: 0xec06,
         max_blocks: 500,
-        econ: EconConfig {
-            enabled: true,
+        econ: Some(EconConfig {
             sybil_workers: 4,
             ..EconConfig::default()
-        },
+        }),
         ..MarketConfig::default()
     });
     assert_eq!(report.hits_unfinished, 0);

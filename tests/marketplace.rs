@@ -250,15 +250,14 @@ fn seeded_markets_never_reach_the_serial_backstop() {
         (
             "econ",
             MarketConfig {
-                econ: EconConfig {
-                    enabled: true,
+                econ: Some(EconConfig {
                     pricing: Some(PricingParams::default()),
                     churn: Some(ChurnParams::default()),
                     reservation_wages: true,
                     cartel_requesters: 12,
                     sybil_workers: 4,
                     ..EconConfig::default()
-                },
+                }),
                 ..base
             },
         ),

@@ -104,7 +104,7 @@ fn lossy_duplicating_network_converges() {
         assert!(nr.converged);
         assert!(nr.messages_dropped > 0, "loss actually happened");
         assert!(nr.duplicates_delivered > 0, "duplicates actually happened");
-        let jsons = (report.to_json(), report.net_json());
+        let jsons = (report.to_json(), report.section_json("net"));
         match &witness {
             None => witness = Some(jsons),
             Some(expected) => assert_eq!(
@@ -140,7 +140,7 @@ fn partition_forces_forks_and_reorgs() {
         assert!(nr.forks_produced > 0, "the island forked");
         assert!(nr.reorgs > 0, "the heal forced reorgs");
         assert!(nr.max_reorg_depth >= 1);
-        let jsons = (report.to_json(), report.net_json());
+        let jsons = (report.to_json(), report.section_json("net"));
         match &witness {
             None => witness = Some(jsons),
             Some(expected) => assert_eq!(
@@ -211,7 +211,7 @@ fn lottery_proposer_is_seed_reproducible() {
     let (report_b, chain_b, net_b) = run(market(0x6e36, 0, net_cfg));
     assert_converged(&chain_a, &net_a);
     assert_converged(&chain_b, &net_b);
-    assert_eq!(report_a.net_json(), report_b.net_json());
+    assert_eq!(report_a.section_json("net"), report_b.section_json("net"));
     assert_eq!(report_a.to_json(), report_b.to_json());
 }
 
@@ -261,7 +261,7 @@ proptest! {
             let (report, chain, net) = run(cfg);
             assert_converged(&chain, &net);
             prop_assert!(report.net.as_ref().expect("net report").converged);
-            let jsons = (report.to_json(), report.net_json());
+            let jsons = (report.to_json(), report.section_json("net"));
             match &witness {
                 None => witness = Some(jsons),
                 Some(expected) => prop_assert_eq!(expected, &jsons),

@@ -111,8 +111,8 @@ fn async_at_zero_latency_equals_sync() {
                 "{mode} proving at {threads} threads must be invisible to the market"
             );
             assert_eq!(
-                oracle.proving_json(),
-                run.proving_json(),
+                oracle.section_json("proving"),
+                run.section_json("proving"),
                 "{mode} proving counters must not depend on {threads} threads"
             );
         }
@@ -145,8 +145,8 @@ fn reports_identical_across_thread_counts_at_nonzero_latency() {
             "market reports must be identical at {threads} prover threads"
         );
         assert_eq!(
-            serial.proving_json(),
-            parallel.proving_json(),
+            serial.section_json("proving"),
+            parallel.section_json("proving"),
             "proving counters must be thread-independent at {threads} threads"
         );
     }
@@ -154,7 +154,10 @@ fn reports_identical_across_thread_counts_at_nonzero_latency() {
     // through the same code path and must land on the same bytes.
     let env_run = run_market(with_proving(base(0xbee), 300));
     assert_eq!(serial.to_json(), env_run.to_json());
-    assert_eq!(serial.proving_json(), env_run.proving_json());
+    assert_eq!(
+        serial.section_json("proving"),
+        env_run.section_json("proving")
+    );
 }
 
 /// Stragglers: latency heavy enough that some proofs release after

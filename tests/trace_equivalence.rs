@@ -137,9 +137,13 @@ fn traced_run_report_identical_to_disabled_run() {
         traced.to_json(),
         "tracing must not change the market report"
     );
-    assert_eq!(disabled.scheduler_json(), traced.scheduler_json());
-    assert_eq!(disabled.proving_json(), traced.proving_json());
-    assert_eq!(disabled.persist_json(), traced.persist_json());
+    for section in ["scheduler", "proving", "persist"] {
+        assert_eq!(
+            disabled.section_json(section),
+            traced.section_json(section),
+            "{section}"
+        );
+    }
 }
 
 /// The network layer's gossip/fork/reorg events ride the same stream:
