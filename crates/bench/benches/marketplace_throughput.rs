@@ -18,7 +18,10 @@ use dragoon_bench::{fmt_duration, peak_rss_kb, time_once};
 use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
 use dragoon_crypto::vpke;
 use dragoon_net::{NetConfig, RelaySpec};
-use dragoon_sim::{run_market, seed_from_env_or, MarketConfig, MarketReport, PersistConfig};
+use dragoon_sim::{
+    run_market, seed_from_env_or, MarketConfig, MarketReport, MarketSim, PersistConfig,
+};
+use dragoon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -121,25 +124,30 @@ struct Ab {
     b: Measured,
 }
 
-/// Runs side A then side B `best_of` times each — keeping each side's
-/// first report and best wall, since a single cold run overstates a
-/// small delta by more than the delta itself (page cache, frequency
-/// ramp) — and asserts the two reports byte-identical: every A/B tier
-/// compares configurations that must not change the market, so the
-/// wall-clock ratio is the whole difference.
+/// Runs the two sides alternately — A B A B …, `best_of` rounds, so
+/// warm-up (page cache, frequency ramp) falls on neither side alone —
+/// keeping each side's first report and best wall, since a single cold
+/// run overstates a small delta by more than the delta itself, and
+/// asserts the two reports byte-identical: every A/B tier compares
+/// configurations that must not change the market, so the wall-clock
+/// ratio is the whole difference.
 fn run_ab<'a>(bench: &'static str, best_of: u32, ratio: Ratio, a: Side<'a>, b: Side<'a>) -> Ab {
     println!("\n== {bench}: {} vs {} ==", a.0, b.0);
-    let [a, b] = [a, b].map(|(label, run)| {
-        let (mut wall, report) = time_once(&mut *run);
-        for _ in 1..best_of {
-            wall = wall.min(time_once(&mut *run).0);
-        }
-        Measured {
+    let mut sides = [a, b].map(|(label, run)| {
+        let (wall, report) = time_once(&mut *run);
+        let first = Measured {
             label,
             wall,
             report,
-        }
+        };
+        (first, run)
     });
+    for _ in 1..best_of {
+        for (side, run) in &mut sides {
+            side.wall = side.wall.min(time_once(&mut **run).0);
+        }
+    }
+    let [a, b] = sides.map(|(side, _)| side);
     assert_eq!(
         a.report.to_json(),
         b.report.to_json(),
@@ -514,26 +522,24 @@ fn econ_overhead(seed: u64) {
 }
 
 /// **Tracing overhead** — the same 1 000-HIT market with `dragoon-trace`
-/// fully off and with both layers live (deterministic events captured in
-/// memory, wall-clock spans recorded per thread). Tracing observes the
+/// fully off and with both layers live (deterministic events and
+/// wall-clock spans recorded into the run's handle). Tracing observes the
 /// pipeline and never steers it, so the wall-clock delta prices exactly
 /// the instrumentation — the acceptance bar is <5% at 1k HITs.
 fn trace_overhead(seed: u64) {
     let config = scale_config(1_000, seed);
-    // The capture opens with the first traced run, after both untraced
-    // runs have finished.
-    let mut capture = None;
+    let mut traced = Tracer::default();
     let ab = run_ab(
         "trace_overhead",
         2,
         Ratio::OverheadPct("trace_overhead"),
         ("trace_off", &mut || run_market(config.clone())),
         ("trace_on", &mut || {
-            capture.get_or_insert_with(dragoon_trace::start_full_capture);
-            run_market(config.clone())
+            traced = Tracer::full();
+            MarketSim::traced(config.clone(), traced.clone()).run()
         }),
     );
-    let events = capture.expect("the traced side ran").finish().len();
+    let events = traced.deterministic_lines().len();
     assert!(events > 0, "a traced run must record deterministic events");
     ab.report(&format!("\"events\":{events}"));
     assert!(

@@ -77,6 +77,7 @@ use crate::chain::{Block, Chain, Receipt, StateMachine, TxStatus};
 use crate::gas::Gas;
 use crate::mempool::PendingTx;
 use dragoon_ledger::{Address, Ledger, LedgerEvent};
+use dragoon_trace::{SpanGuard, SpanKind, Tracer};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
@@ -160,6 +161,32 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(self.take(N)?);
         Ok(out)
     }
+
+    /// Consumes a length-prefixed sequence, decoding each element with
+    /// `get` — the one guard on a length read from disk. Every element
+    /// encodes to at least one byte, so a prefix above the remaining
+    /// input is corrupt before anything is reserved.
+    pub fn seq<T>(
+        &mut self,
+        get: impl Fn(&mut Self) -> Result<T, StoreError>,
+    ) -> Result<Vec<T>, StoreError> {
+        let len = usize::get(self)?;
+        if len > self.remaining() {
+            return Err(corrupt(format!("sequence length {len} exceeds payload")));
+        }
+        let mut out = Vec::with_capacity(seq_reserve::<T>(len, self.remaining()));
+        for _ in 0..len {
+            out.push(get(self)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Elements to reserve for a claimed `len`: never more memory than the
+/// `remaining` input bytes, however wide `T` is in memory (a forged
+/// prefix would otherwise reserve `len · size_of::<T>()`).
+fn seq_reserve<T>(len: usize, remaining: usize) -> usize {
+    len.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
 /// Deterministic binary serialization for durable chain state.
@@ -276,17 +303,7 @@ impl<T: Persist> Persist for Vec<T> {
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let len = usize::get(r)?;
-        // Guard against absurd lengths from corrupt bytes before
-        // reserving memory: each element needs at least one byte.
-        if len > r.remaining() {
-            return Err(corrupt(format!("vec length {len} exceeds payload")));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::get(r)?);
-        }
-        Ok(out)
+        r.seq(T::get)
     }
 }
 
@@ -842,28 +859,25 @@ enum WriterCmd {
 
 impl WriterCmd {
     /// The wall-clock span a write runs under on the writer thread.
-    fn wall_span(&self) -> Option<dragoon_trace::SpanGuard> {
+    fn wall_span(&self, tracer: &Tracer) -> Option<SpanGuard> {
         let (kind, round, bytes) = match self {
-            WriterCmd::Frame { round, bytes, .. } => {
-                (dragoon_trace::SpanKind::Persist, round, bytes)
-            }
-            WriterCmd::Publish { round, bytes, .. } => {
-                (dragoon_trace::SpanKind::Snapshot, round, bytes)
-            }
+            WriterCmd::Frame { round, bytes, .. } => (SpanKind::Persist, round, bytes),
+            WriterCmd::Publish { round, bytes, .. } => (SpanKind::Snapshot, round, bytes),
             WriterCmd::Drain(_) => return None,
         };
-        let mut sp = dragoon_trace::span(kind, *round);
+        let mut sp = tracer.span(kind, *round);
         sp.arg("bytes", bytes.len() as u64);
         Some(sp)
     }
 }
 
 /// The writer thread: handles commands in FIFO order, each write under
-/// a wall-clock span on this thread (the inline path runs inside
+/// a wall-clock span on this thread, recorded into the handle the
+/// command crossed the channel with (the inline path runs inside
 /// `persist_block`'s spans instead).
-fn writer_loop(mut log: LogWriter, rx: Receiver<WriterCmd>) -> Result<(), StoreError> {
-    for cmd in rx {
-        let _sp = cmd.wall_span();
+fn writer_loop(mut log: LogWriter, rx: Receiver<(Tracer, WriterCmd)>) -> Result<(), StoreError> {
+    for (tracer, cmd) in rx {
+        let _sp = cmd.wall_span(&tracer);
         log.handle(cmd)?;
     }
     // Sender dropped: final flush before the thread exits.
@@ -875,7 +889,7 @@ fn writer_loop(mut log: LogWriter, rx: Receiver<WriterCmd>) -> Result<(), StoreE
 enum Writer {
     Inline(LogWriter),
     Background {
-        tx: SyncSender<WriterCmd>,
+        tx: SyncSender<(Tracer, WriterCmd)>,
         handle: Option<JoinHandle<Result<(), StoreError>>>,
     },
 }
@@ -919,6 +933,8 @@ pub struct BlockStore {
     /// Frame bytes appended since the last compaction truncate.
     log_bytes_pending: u64,
     stats: PersistStats,
+    /// The run's trace handle (off by default).
+    tracer: Tracer,
     writer: Writer,
 }
 
@@ -973,6 +989,7 @@ impl BlockStore {
             events_mark: 0,
             log_bytes_pending: 0,
             stats: PersistStats::default(),
+            tracer: Tracer::default(),
             writer: Writer::Inline(LogWriter {
                 dir,
                 log: BufWriter::new(log),
@@ -1001,6 +1018,13 @@ impl BlockStore {
     /// interval. See the module docs for the recovery tradeoff.
     pub fn with_compaction(mut self, on: bool) -> Self {
         self.compact_log = on;
+        self
+    }
+
+    /// Records `persist` / `snapshot` into `tracer` — on the calling
+    /// thread and, with the background writer, on the writer thread.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
         self
     }
 
@@ -1057,7 +1081,8 @@ impl BlockStore {
             Writer::Background { tx, handle } => {
                 // A closed channel means the writer died on an earlier
                 // command.
-                tx.send(cmd).map_err(|_| writer_died(handle))
+                tx.send((self.tracer.clone(), cmd))
+                    .map_err(|_| writer_died(handle))
             }
         }
     }
@@ -1405,7 +1430,7 @@ where
             self.record_block_txs,
             "persistence needs record_block_txs enabled before the round runs"
         );
-        let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Persist, self.round);
+        let mut sp = store.tracer.span(SpanKind::Persist, self.round);
         let mut payload = Vec::new();
         self.round.put(&mut payload);
         self.next_seq.put(&mut payload);
@@ -1415,14 +1440,12 @@ where
         // The deterministic persist event records only the height: the
         // append cadence is identical for the synchronous and the
         // pipelined store, so the stream stays mode-independent.
-        dragoon_trace::event(
-            dragoon_trace::SpanKind::Persist,
-            self.round,
-            &[("height", self.round)],
-        );
+        store
+            .tracer
+            .event(SpanKind::Persist, self.round, &[("height", self.round)]);
         drop(sp);
         if store.snapshot_due() {
-            let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Snapshot, self.round);
+            let mut sp = store.tracer.span(SpanKind::Snapshot, self.round);
             match store.delta_base() {
                 Some(base) => {
                     store.stats.dirty_units_encoded +=
@@ -1439,11 +1462,9 @@ where
             }
             // Full-vs-delta is a store-mode detail, so the snapshot
             // event carries the height only (see the persist event).
-            dragoon_trace::event(
-                dragoon_trace::SpanKind::Snapshot,
-                self.round,
-                &[("height", self.round)],
-            );
+            store
+                .tracer
+                .event(SpanKind::Snapshot, self.round, &[("height", self.round)]);
             // Reset the dirty baseline: the next delta covers only what
             // this snapshot did not.
             self.contract.mark_clean();
@@ -1727,6 +1748,66 @@ mod tests {
             drop(store);
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Every command crosses the channel with the store's handle, so
+    /// the writer thread's spans land in it whichever builder ran first.
+    #[test]
+    fn tracer_reaches_the_background_writer_in_either_builder_order() {
+        type Build = fn(BlockStore, Tracer) -> BlockStore;
+        let orders: [(&str, Build); 2] = [
+            ("tracer-first", |s, t| {
+                s.with_tracer(t).with_background_writer(true)
+            }),
+            ("writer-first", |s, t| {
+                s.with_background_writer(true).with_tracer(t)
+            }),
+        ];
+        for (name, build) in orders {
+            let dir = std::env::temp_dir().join(format!(
+                "dragoon-store-tracer-{name}-{}",
+                std::process::id()
+            ));
+            let tracer = Tracer::full();
+            let mut store = build(BlockStore::create(&dir, 0).unwrap(), tracer.clone());
+            for round in 1..=3 {
+                store.append(round, b"payload").unwrap();
+            }
+            store.drain().unwrap();
+            let (doc, spans) = dragoon_trace::chrome::render_chrome_trace(&tracer);
+            assert_eq!(spans, 3, "{name}: one writer span per append");
+            assert_eq!(doc.matches("\"name\":\"persist\"").count(), 3, "{name}");
+            assert!(doc.contains("\"tid\":1,\"args\":{\"name\":\"dragoon-block-writer\"}"));
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A length prefix is checked against the input and the reservation
+    /// is bounded by it: a prefix equal to the bytes behind it passes
+    /// the guard and fails on the elements, and however wide the element
+    /// is in memory the decoder reserves no more than the input's size.
+    #[test]
+    fn seq_is_bounded_by_the_input_not_by_its_prefix() {
+        let garbage = [0xffu8; 64];
+        let mut bytes = Vec::new();
+        garbage.len().put(&mut bytes);
+        bytes.extend_from_slice(&garbage);
+        let mut r = Reader::new(&bytes);
+        assert!(
+            r.seq(u64::get).is_err(),
+            "eight elements in, the input ends"
+        );
+        let mut r = Reader::new(&bytes[..bytes.len() - 1]);
+        assert!(r.seq(u8::get).is_err(), "the prefix exceeds what is left");
+
+        type Wide = PendingTx<[u64; 32]>;
+        let wide = std::mem::size_of::<Wide>();
+        assert!(wide >= 256);
+        assert_eq!(seq_reserve::<Wide>(1 << 20, 1 << 20), (1 << 20) / wide);
+        assert_eq!(seq_reserve::<Wide>(3, 1 << 20), 3);
+        assert_eq!(seq_reserve::<u8>(64, 64), 64);
+        assert_eq!(seq_reserve::<()>(64, 64), 64, "zero-sized elements");
     }
 
     /// A trivial Persist message for framing tests.

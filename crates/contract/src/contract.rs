@@ -1241,8 +1241,8 @@ pub use crate::msg::HitMessage as Message;
 // journal is empty — a recovered instance starts with a fresh one.
 
 use crate::persist::{
-    get_answer, get_commitment, get_dproof, get_golden, get_seq, get_statement, put_answer,
-    put_commitment, put_dproof, put_golden, put_statement,
+    get_answer, get_commitment, get_dproof, get_golden, get_statement, put_answer, put_commitment,
+    put_dproof, put_golden, put_statement,
 };
 use dragoon_chain::store::{Persist, Reader, StoreError};
 
@@ -1315,7 +1315,7 @@ impl Persist for PendingVerdict {
         Ok(Self {
             worker: Address::get(r)?,
             kind: PendingKind::get(r)?,
-            items: get_seq(r, |r| Ok((get_statement(r)?, get_dproof(r)?)))?.into(),
+            items: r.seq(|r| Ok((get_statement(r)?, get_dproof(r)?)))?.into(),
         })
     }
 }
@@ -1362,11 +1362,12 @@ impl Persist for HitContract {
             windows: PhaseWindows::get(r)?,
             requester: Option::get(r)?,
             params: Option::get(r)?,
-            workers: get_seq(r, |r| Ok((Address::get(r)?, Arc::get(r)?)))?
+            workers: r
+                .seq(|r| Ok((Address::get(r)?, Arc::get(r)?)))?
                 .into_iter()
                 .collect(),
             commit_order: Vec::get(r)?,
-            seen_commitments: get_seq(r, get_commitment)?,
+            seen_commitments: r.seq(get_commitment)?,
             golden: match u8::get(r)? {
                 0 => None,
                 1 => Some(Arc::new(get_golden(r)?)),

@@ -79,7 +79,7 @@ pub(crate) fn put_answer(a: &EncryptedAnswer, out: &mut Vec<u8>) {
 }
 
 pub(crate) fn get_answer(r: &mut Reader<'_>) -> Result<EncryptedAnswer, StoreError> {
-    Ok(EncryptedAnswer(get_seq(r, get_ciphertext)?.into()))
+    Ok(EncryptedAnswer(r.seq(get_ciphertext)?.into()))
 }
 
 pub(crate) fn put_golden(g: &GoldenStandards, out: &mut Vec<u8>) {
@@ -166,24 +166,8 @@ pub(crate) fn put_quality_proof(p: &QualityProof, out: &mut Vec<u8>) {
 
 pub(crate) fn get_quality_proof(r: &mut Reader<'_>) -> Result<QualityProof, StoreError> {
     Ok(QualityProof {
-        items: get_seq(r, get_mismatch)?,
+        items: r.seq(get_mismatch)?,
     })
-}
-
-/// Length-prefixed sequence decode through a free-function codec.
-pub(crate) fn get_seq<T>(
-    r: &mut Reader<'_>,
-    f: impl Fn(&mut Reader<'_>) -> Result<T, StoreError>,
-) -> Result<Vec<T>, StoreError> {
-    let len = usize::get(r)?;
-    if len > r.remaining() {
-        return Err(corrupt(format!("sequence length {len} exceeds payload")));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(f(r)?);
-    }
-    Ok(out)
 }
 
 // -- contract-local public types ---------------------------------------

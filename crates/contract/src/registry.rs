@@ -40,6 +40,7 @@ use dragoon_chain::{
 };
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement};
 use dragoon_ledger::Address;
+use dragoon_trace::{SpanKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -346,6 +347,9 @@ pub struct HitRegistry {
     /// Thread budget for block-boundary settlement verification
     /// (`0` = resolve from `DRAGOON_THREADS` / available parallelism).
     verify_threads: usize,
+    /// The run's trace handle (off unless the genesis was built with
+    /// one) — local like `verify_threads`.
+    tracer: Tracer,
     /// In-flight overlapped verification (see
     /// [`HitRegistry::begin_overlap_verify`]).
     overlap: OverlapState,
@@ -354,7 +358,7 @@ pub struct HitRegistry {
 impl PartialEq for HitRegistry {
     /// Compares observable contract state; the journal is transient
     /// bookkeeping (as in [`dragoon_ledger::Ledger`]'s equality) and
-    /// `verify_threads` is a local performance knob — neither may
+    /// `verify_threads` and `tracer` are local to the node — none may
     /// distinguish two chains (the equivalence suites compare registries
     /// across thread counts).
     fn eq(&self, other: &Self) -> bool {
@@ -517,6 +521,7 @@ impl HitRegistry {
             batch_stats: BatchStats::default(),
             journal: StateJournal::new(),
             verify_threads: 0,
+            tracer: Tracer::default(),
             overlap: OverlapState::default(),
         }
     }
@@ -526,6 +531,12 @@ impl HitRegistry {
     /// parallelism). Verdicts are thread-count-independent.
     pub fn with_verify_threads(mut self, threads: usize) -> Self {
         self.verify_threads = threads;
+        self
+    }
+
+    /// Records block-boundary verification into `tracer`.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
         self
     }
 
@@ -840,15 +851,15 @@ impl StateMachine for HitRegistry {
                 .iter()
                 .map(|(_, pending)| pending.iter().map(|v| v.items.len()).sum::<usize>())
                 .sum();
-            let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Verify, round);
+            let mut sp = self.tracer.span(SpanKind::Verify, round);
             sp.arg("instances", drained.len() as u64);
             sp.arg("items", total as u64);
             sp.arg("overlapped", u64::from(precomputed.is_some()));
             // The drained verdict layout is deterministic; whether the
             // overlapped thread supplied the results is not (it depends
             // on the store mode), so only counts enter the event.
-            dragoon_trace::event(
-                dragoon_trace::SpanKind::Verify,
+            self.tracer.event(
+                SpanKind::Verify,
                 round,
                 &[("instances", drained.len() as u64), ("items", total as u64)],
             );
@@ -1174,7 +1185,7 @@ impl ShardedHits {
 impl Persist for HitRegistry {
     /// Observable contract state only: the journal is transient (empty
     /// between transactions, which is when snapshots are taken) and
-    /// `verify_threads` is a local performance knob — both are exactly
+    /// `verify_threads` and `tracer` are local to the node — exactly
     /// what [`PartialEq`] ignores.
     fn put(&self, out: &mut Vec<u8>) {
         debug_assert!(
@@ -1201,6 +1212,7 @@ impl Persist for HitRegistry {
             batch_stats,
             journal: StateJournal::new(),
             verify_threads: 0,
+            tracer: Tracer::default(),
             overlap: OverlapState::default(),
         })
     }
@@ -1240,11 +1252,15 @@ impl PersistDelta for HitRegistry {
     }
 
     /// A full snapshot replaces the contract state and keeps the local
-    /// thread budget the genesis registry was built with.
+    /// thread budget and trace handle the genesis registry was built
+    /// with.
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), StoreError> {
-        let verify_threads = self.verify_threads;
-        *self = Self::get(r)?;
-        self.verify_threads = verify_threads;
+        let restored = Self::get(r)?;
+        *self = Self {
+            verify_threads: self.verify_threads,
+            tracer: std::mem::take(&mut self.tracer),
+            ..restored
+        };
         Ok(())
     }
 
@@ -1789,13 +1805,19 @@ mod tests {
     }
 
     /// A full snapshot replaces the contract wholesale on recovery; the
-    /// thread budget the genesis registry was built with is local
-    /// configuration, not state, and must come through.
+    /// thread budget and the trace handle the genesis registry was built
+    /// with are local configuration, not state, and must come through.
     #[test]
     fn recovered_registry_keeps_its_thread_budget() {
         use dragoon_chain::BlockStore;
-        let genesis =
-            || market_with(HitRegistry::new(SettlementMode::Batched).with_verify_threads(3));
+        let tracer = Tracer::deterministic();
+        let genesis = || {
+            market_with(
+                HitRegistry::new(SettlementMode::Batched)
+                    .with_verify_threads(3)
+                    .with_tracer(tracer.clone()),
+            )
+        };
         let dir =
             std::env::temp_dir().join(format!("dragoon-registry-budget-{}", std::process::id()));
         // A full snapshot every second block, then one block of log tail.
@@ -1834,6 +1856,10 @@ mod tests {
 
         let recovered = Chain::recover_from(&dir, genesis().chain).expect("recover");
         assert_eq!(recovered.contract().verify_threads, 3);
+        // What the recovered registry emits lands in the genesis handle.
+        let recorded = tracer.deterministic_lines().len();
+        recovered.contract().tracer.event(SpanKind::Verify, 0, &[]);
+        assert_eq!(tracer.deterministic_lines().len(), recorded + 1);
         assert_eq!(
             recovered
                 .contract()
@@ -1846,5 +1872,20 @@ mod tests {
         );
         assert!(recovered.state_image() == live.chain.state_image());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The trace handle is not contract state: two registries that
+    /// differ only in it compare equal and encode to the same bytes.
+    #[test]
+    fn the_trace_handle_is_neither_compared_nor_encoded() {
+        let plain = HitRegistry::new(SettlementMode::Batched);
+        let traced = plain.clone().with_tracer(Tracer::full());
+        assert!(plain == traced);
+        let encode = |registry: &HitRegistry| {
+            let mut out = Vec::new();
+            registry.put(&mut out);
+            out
+        };
+        assert_eq!(encode(&plain), encode(&traced));
     }
 }

@@ -44,6 +44,7 @@ use crate::report::NetReport;
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::replica::CaptureStateMachine;
 use dragoon_chain::Chain;
+use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -93,6 +94,8 @@ pub struct NetSim<S: CaptureStateMachine> {
     /// the final drain (proposers stop once demand stops).
     producing: bool,
     report: NetReport,
+    /// The run's trace handle (off by default).
+    tracer: Tracer,
 }
 
 impl<S: CaptureStateMachine> NetSim<S> {
@@ -121,7 +124,14 @@ impl<S: CaptureStateMachine> NetSim<S> {
             canonical_height: 0,
             producing: true,
             report,
+            tracer: Tracer::default(),
         }
+    }
+
+    /// Records `gossip` / `fork` / `reorg` into `tracer`.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
+        self
     }
 
     /// Replaces the relay policy (for tests injecting custom
@@ -164,7 +174,7 @@ impl<S: CaptureStateMachine> NetSim<S> {
     /// list, in receipt order): node 0 applies it directly, gossips it
     /// to every peer, and the network advances one tick.
     pub fn broadcast_block(&mut self, txs: Vec<PendingTx<S::Msg>>) {
-        let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Gossip, self.tick);
+        let mut sp = self.tracer.span(SpanKind::Gossip, self.tick);
         let sent_before = self.report.messages_sent;
         let height = self.canonical_height + 1;
         let block = Arc::new(NetBlock {
@@ -184,8 +194,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
         sp.arg("sent", sent);
         // The gossip layer is seeded and single-threaded, so the send
         // count is deterministic and safe for the golden stream.
-        dragoon_trace::event(
-            dragoon_trace::SpanKind::Gossip,
+        self.tracer.event(
+            SpanKind::Gossip,
             self.tick,
             &[("height", height), ("sent", sent)],
         );
@@ -282,8 +292,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
                         self.report.reorgs += 1;
                         self.report.max_reorg_depth =
                             self.report.max_reorg_depth.max(popped as u64);
-                        dragoon_trace::event(
-                            dragoon_trace::SpanKind::Reorg,
+                        self.tracer.event(
+                            SpanKind::Reorg,
                             self.tick,
                             &[("node", to as u64), ("depth", popped as u64)],
                         );
@@ -338,8 +348,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
         }
         let block = self.nodes[slot].produce(slot);
         self.report.forks_produced += 1;
-        dragoon_trace::event(
-            dragoon_trace::SpanKind::Fork,
+        self.tracer.event(
+            SpanKind::Fork,
             self.tick,
             &[("node", slot as u64), ("height", block.height)],
         );

@@ -32,6 +32,7 @@
 
 use dragoon_chain::par_map;
 use dragoon_ledger::Address;
+use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -231,6 +232,8 @@ pub struct ProvingService<T> {
     queue: Vec<QueuedOutput<T>>,
     next_seq: u64,
     stats: ProvingStats,
+    /// The run's trace handle (off by default).
+    tracer: Tracer,
 }
 
 impl<T: Send> ProvingService<T> {
@@ -248,7 +251,14 @@ impl<T: Send> ProvingService<T> {
                 threads: threads.max(1) as u64,
                 ..ProvingStats::default()
             },
+            tracer: Tracer::default(),
         }
+    }
+
+    /// Records `prove` / `release` into `tracer`.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
+        self
     }
 
     /// The active configuration.
@@ -271,13 +281,13 @@ impl<T: Send> ProvingService<T> {
             return;
         }
         let total_cost: u64 = jobs.iter().map(|j| j.cost).sum();
-        let mut sp = dragoon_trace::span(dragoon_trace::SpanKind::Prove, tick);
+        let mut sp = self.tracer.span(SpanKind::Prove, tick);
         sp.arg("jobs", jobs.len() as u64);
         sp.arg("cost", total_cost);
         // The batch's job set (keys + costs) is deterministic, so this
         // event is safe for the golden stream at any thread count.
-        dragoon_trace::event(
-            dragoon_trace::SpanKind::Prove,
+        self.tracer.event(
+            SpanKind::Prove,
             tick,
             &[("jobs", jobs.len() as u64), ("cost", total_cost)],
         );
@@ -325,11 +335,8 @@ impl<T: Send> ProvingService<T> {
         }
         ready.sort_by_key(|q| (q.ready_tick, q.seq));
         if !ready.is_empty() {
-            dragoon_trace::event(
-                dragoon_trace::SpanKind::Release,
-                tick,
-                &[("jobs", ready.len() as u64)],
-            );
+            self.tracer
+                .event(SpanKind::Release, tick, &[("jobs", ready.len() as u64)]);
         }
         self.stats.completed += ready.len() as u64;
         for q in &ready {

@@ -46,6 +46,7 @@ use dragoon_protocol::{
     requester_addr, worker_addr, CommitArtifacts, ContentStore, JobKey, ProofJob, ProofPhase,
     ProvingService, Requester, Step, Strategy, Verdict, Worker, WorkerBehavior,
 };
+use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,6 +99,8 @@ enum JobOutput {
 /// [`MarketSim::run`].
 pub struct MarketSim {
     config: MarketConfig,
+    /// The run's trace handle (off unless built by [`MarketSim::traced`]).
+    tracer: Tracer,
     chain: Chain<HitRegistry>,
     requesters: Vec<RequesterAgent>,
     workers: Vec<WorkerAgent>,
@@ -173,15 +176,19 @@ fn publish_headroom(config: &MarketConfig) -> u128 {
 /// deployment plus the requester mints. The canonical chain, every
 /// network replica, and crash recovery ([`recover_market_chain`]) all
 /// build the same genesis, so replaying the same blocks lands on
-/// bit-identical state.
+/// bit-identical state. `tracer` is the one input that is not state:
+/// the handle the chain's registry records `verify` into.
 fn genesis_chain(
     settlement: SettlementMode,
     threads: usize,
     hits: u64,
     headroom: u128,
+    tracer: &Tracer,
 ) -> Chain<HitRegistry> {
     let mut chain = Chain::deploy(
-        HitRegistry::new(settlement).with_verify_threads(threads),
+        HitRegistry::new(settlement)
+            .with_verify_threads(threads)
+            .with_tracer(tracer.clone()),
         REGISTRY_CODE_LEN,
         GasSchedule::istanbul(),
     );
@@ -207,6 +214,7 @@ pub fn recover_market_chain(config: &MarketConfig) -> Result<Chain<HitRegistry>,
         resolve_threads(config.exec_threads),
         config.hits as u64,
         publish_headroom(config),
+        &Tracer::default(),
     );
     Chain::recover_from(&persist.dir, genesis)
 }
@@ -214,6 +222,13 @@ pub fn recover_market_chain(config: &MarketConfig) -> Result<Chain<HitRegistry>,
 impl MarketSim {
     /// Sets up the chain, registry and agent pools from a config.
     pub fn new(config: MarketConfig) -> Self {
+        Self::traced(config, Tracer::default())
+    }
+
+    /// Like [`MarketSim::new`], with every emitter of the run — the
+    /// round loop, each chain's registry, the block store, the proving
+    /// service and the network — recording into `tracer`.
+    pub fn traced(config: MarketConfig, tracer: Tracer) -> Self {
         assert!(config.hits > 0, "a market needs at least one HIT");
         assert!(config.workers > 0, "a market needs workers");
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -221,8 +236,14 @@ impl MarketSim {
         // executor and block-boundary settlement verification.
         let threads = resolve_threads(config.exec_threads);
         let headroom = publish_headroom(&config);
-        let mut chain = genesis_chain(config.settlement, threads, config.hits as u64, headroom)
-            .with_exec_threads(threads);
+        // The canonical chain and every network replica start from this
+        // one genesis.
+        let genesis = {
+            let (settlement, hits, tracer) =
+                (config.settlement, config.hits as u64, tracer.clone());
+            move || genesis_chain(settlement, threads, hits, headroom, &tracer)
+        };
+        let mut chain = genesis().with_exec_threads(threads);
         if let Some(limit) = config.block_gas_limit {
             chain = chain.with_block_gas_limit(limit);
         }
@@ -277,11 +298,8 @@ impl MarketSim {
         // and resolved execution order — so they carry no executor or
         // gas-cap configuration of their own.
         let net = config.net.clone().map(|net_cfg| {
-            let settlement = config.settlement;
-            let hits = config.hits as u64;
-            NetSim::new(net_cfg, config.seed ^ 0x6e65_7477_6f72_6b00, move || {
-                genesis_chain(settlement, threads, hits, headroom)
-            })
+            NetSim::new(net_cfg, config.seed ^ 0x6e65_7477_6f72_6b00, genesis)
+                .with_tracer(tracer.clone())
         });
         // The block store wipes any previous run's artifacts in the
         // directory and opens a fresh append handle.
@@ -292,6 +310,7 @@ impl MarketSim {
                 .with_incremental(p.incremental)
                 .with_compaction(p.compact_log)
                 .with_background_writer(p.background_writer)
+                .with_tracer(tracer.clone())
         });
         if net.is_some() || block_store.is_some() {
             // Record each produced block's executed transaction list so
@@ -299,9 +318,11 @@ impl MarketSim {
             // block store.
             chain.set_record_block_txs(true);
         }
-        let proving = ProvingService::new(config.seed, threads, config.proving);
+        let proving =
+            ProvingService::new(config.seed, threads, config.proving).with_tracer(tracer.clone());
         Self {
             config,
+            tracer,
             chain,
             requesters,
             workers,
@@ -338,21 +359,14 @@ impl MarketSim {
     /// Runs the market to completion (every HIT settled) or to
     /// `max_blocks`, returning the report.
     pub fn run(self) -> MarketReport {
-        self.run_keeping_chain().0
+        self.run_keeping_net().0
     }
 
-    /// Like [`MarketSim::run`], but also hands back the chain so tests
+    /// Like [`MarketSim::run`], but also hands back the chain, so tests
     /// can audit post-run ledger state (escrow conservation under churn,
-    /// per-instance balances).
-    pub fn run_keeping_chain(self) -> (MarketReport, Chain<HitRegistry>) {
-        let (report, chain, _) = self.run_keeping_net();
-        (report, chain)
-    }
-
-    /// Like [`MarketSim::run_keeping_chain`], but also hands back the
-    /// network simulation (when configured) so tests can audit every
-    /// replica's final state against the canonical chain — the
-    /// convergence differential.
+    /// per-instance balances), and the network simulation (when
+    /// configured), so they can audit every replica's final state
+    /// against the canonical chain — the convergence differential.
     pub fn run_keeping_net(
         mut self,
     ) -> (
@@ -387,13 +401,12 @@ impl MarketSim {
             // delegates to the serial path at one thread. Reports are
             // identical either way (tests/parallel_equivalence.rs).
             {
-                let _sp =
-                    dragoon_trace::span(dragoon_trace::SpanKind::Execute, self.chain.round() + 1);
+                let _sp = self.tracer.span(SpanKind::Execute, self.chain.round() + 1);
                 self.chain.advance_round_parallel(policy);
             }
             if let Some(obs) = self.chain.last_observation() {
-                dragoon_trace::event(
-                    dragoon_trace::SpanKind::Execute,
+                self.tracer.event(
+                    SpanKind::Execute,
                     obs.round,
                     &[
                         ("height", obs.round),

@@ -3,15 +3,15 @@
 //! Writes the JSON Object Format understood by `chrome://tracing` and
 //! Perfetto: a `traceEvents` array of complete events (`ph:"X"`, `ts`
 //! and `dur` in microseconds since the trace epoch) plus `thread_name`
-//! metadata events, so the execute / overlap-verify / block-writer /
-//! proving-pool timeline renders as named tracks. Wall-clock data
-//! never enters the deterministic stream — see the crate docs.
+//! metadata events, so the round loop and the block writer render as
+//! named tracks. Wall-clock data never enters the deterministic
+//! stream — see the crate docs.
 
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
-use crate::{drain_wall, WallSpan};
+use crate::{Tracer, WallSpan};
 
 fn push_span(out: &mut String, span: &WallSpan) {
     let _ = write!(
@@ -31,15 +31,15 @@ fn push_span(out: &mut String, span: &WallSpan) {
     out.push_str("}}");
 }
 
-/// Serializes all recorded wall spans (plus thread-name metadata) as
-/// one Chrome trace JSON document.
-pub fn render_chrome_trace() -> (String, usize) {
-    let (mut spans, threads) = drain_wall();
+/// Serializes the wall spans `tracer` recorded (plus thread-name
+/// metadata) as one Chrome trace JSON document.
+pub fn render_chrome_trace(tracer: &Tracer) -> (String, usize) {
+    let (mut spans, threads) = tracer.read(|rec| (rec.spans.clone(), rec.threads.clone()));
     spans.sort_by_key(|s| (s.tid, s.start_us));
     let mut out = String::with_capacity(64 + spans.len() * 96);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
-    for (tid, name) in &threads {
+    for ((_, name), tid) in threads.iter().zip(1..) {
         if !first {
             out.push(',');
         }
@@ -66,8 +66,8 @@ pub fn render_chrome_trace() -> (String, usize) {
 }
 
 /// Writes the Chrome trace to `path`, returning the span count.
-pub fn write_chrome_trace(path: &str) -> std::io::Result<usize> {
-    let (doc, count) = render_chrome_trace();
+pub fn write_chrome_trace(tracer: &Tracer, path: &str) -> std::io::Result<usize> {
+    let (doc, count) = render_chrome_trace(tracer);
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(doc.as_bytes())?;
     w.flush()?;
@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn renders_valid_skeleton_when_empty() {
-        let (doc, _) = render_chrome_trace();
+        let (doc, _) = render_chrome_trace(&Tracer::default());
         assert!(doc.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(doc.ends_with("]}"));
     }

@@ -2,15 +2,16 @@
 //!
 //! Three layers, strictly separated:
 //!
-//! 1. **Deterministic span/event stream** ([`event`]) — structured
-//!    events on the *virtual clock* (block execute/verify/persist/
-//!    prove/gossip/reorg) with typed `u64` attributes. Events are
-//!    recorded into a per-thread buffer and merged by `(tick, seq)`,
-//!    so the collected stream is a pure function of `(seed, config)`:
-//!    byte-identical at any `DRAGOON_THREADS`, with the pipelined or
-//!    the synchronous store, and therefore golden-gatable. Emission
-//!    sites MUST be deterministic program points (the round loop, a
-//!    service's submit/drain edges) — never inside a worker thread.
+//! 1. **Deterministic span/event stream** ([`Tracer::event`]) —
+//!    structured events on the *virtual clock* (block execute/verify/
+//!    persist/prove/gossip/reorg) with typed `u64` attributes. Events
+//!    are recorded into the run's handle in emission order and read
+//!    back sorted by `(tick, seq)`, so the collected stream is a pure
+//!    function of `(seed, config)`: byte-identical at any
+//!    `DRAGOON_THREADS`, with the pipelined or the synchronous store,
+//!    and therefore golden-gatable. Emission sites MUST be
+//!    deterministic program points (the round loop, a service's
+//!    submit/drain edges) — never inside a worker thread.
 //! 2. **Metrics registry** ([`metrics`]) — named counters/gauges/
 //!    histograms following the `subsystem_name_unit` convention, with
 //!    a hand-rolled Prometheus-text exporter. The per-subsystem stats
@@ -19,13 +20,13 @@
 //!    report line, the registry walks are the dump. Every value is
 //!    owned by its run — invariant-violation counters included; the
 //!    registry keeps no process-wide state.
-//! 3. **Wall-clock phase profiler** ([`span`]) — `Instant`-based span
-//!    durations kept *strictly outside* the deterministic stream (they
-//!    never appear in captured events or goldens), exported as Chrome
-//!    `trace_event` JSON via `DRAGOON_TRACE=out.json` and openable in
-//!    `chrome://tracing` or Perfetto. Worker threads (the block
-//!    writer, the overlap verifier, proving-pool workers) may record
-//!    wall spans freely: ordering there comes from timestamps, not
+//! 3. **Wall-clock phase profiler** ([`Tracer::span`]) —
+//!    `Instant`-based span durations kept *strictly outside* the
+//!    deterministic stream (they never appear in recorded events or
+//!    goldens), exported as Chrome `trace_event` JSON via
+//!    `DRAGOON_TRACE=out.json` and openable in `chrome://tracing` or
+//!    Perfetto. Two threads record wall spans today — the round loop
+//!    and the block writer; ordering there comes from timestamps, not
 //!    from the deterministic merge.
 //!
 //! **The deterministic-vs-wallclock split is the load-bearing design
@@ -33,15 +34,17 @@
 //! 3; anything in layer 1 must be reproducible from `(seed, config)`
 //! alone. Mixing the two would make the trace goldens flaky.
 //!
-//! Tracing is zero-cost when disabled: every emission site branches on
-//! one relaxed atomic load of a static flag word and returns
-//! immediately. Nothing is allocated, locked, or timestamped until a
-//! layer is switched on via [`init_from_env`] (binaries) or
-//! [`start_capture`] (tests).
+//! A run owns its trace: a [`Tracer`] is a cloneable handle the run's
+//! emitters are built with, and this crate keeps no process-wide
+//! state, so two runs in one process record independently. Tracing is
+//! zero-cost when off: the default handle is null and every emission
+//! site is one `Option` branch on it. Nothing is allocated, locked, or
+//! timestamped unless the handle came from [`Tracer::from_env`]
+//! (binaries) or [`Tracer::deterministic`] / [`Tracer::full`] (tests,
+//! benches).
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 use std::time::Instant;
 
 pub mod chrome;
@@ -50,30 +53,127 @@ pub mod metrics;
 pub use metrics::{MetricKind, MetricSet, MetricValue};
 
 // ---------------------------------------------------------------------
-// Enable flags: one static word, branch-only when off
+// The handle
 // ---------------------------------------------------------------------
 
-const DET: u8 = 1 << 0;
-const WALL: u8 = 1 << 1;
+/// One run's trace. Clones share one recording; the default handle is
+/// off and records nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Tracer(Option<Arc<Shared>>);
 
-static FLAGS: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the deterministic event stream is being recorded.
-#[inline]
-pub fn deterministic_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & DET != 0
+#[derive(Debug)]
+struct Shared {
+    /// Whether the deterministic event stream is being recorded.
+    det: bool,
+    /// Whether wall-clock spans are being recorded.
+    wall: bool,
+    /// Zero of the wall spans' microsecond timestamps.
+    epoch: Instant,
+    /// Where [`Tracer::finish`] writes the Chrome document.
+    chrome_path: Option<String>,
+    /// Whether [`Tracer::finish`] prints the `TRACE:` lines.
+    print_events: bool,
+    recording: Mutex<Recording>,
 }
 
-/// Whether wall-clock spans are being recorded.
-#[inline]
-pub fn wall_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & WALL != 0
+#[derive(Debug, Default)]
+struct Recording {
+    events: Vec<Event>,
+    spans: Vec<WallSpan>,
+    /// Threads that recorded a span, in first-span order: a thread's
+    /// Chrome `tid` is its position here plus one.
+    threads: Vec<(ThreadId, String)>,
 }
 
-/// Whether any tracing layer is on.
-#[inline]
-pub fn enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) != 0
+impl Shared {
+    /// Every update is a single push, so a recording left behind by a
+    /// panicking holder is still valid.
+    fn lock(&self) -> MutexGuard<'_, Recording> {
+        self.recording
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Tracer {
+    fn on(det: bool, wall: bool, chrome_path: Option<String>, print_events: bool) -> Self {
+        Tracer(Some(Arc::new(Shared {
+            det,
+            wall,
+            epoch: Instant::now(),
+            chrome_path,
+            print_events,
+            recording: Mutex::default(),
+        })))
+    }
+
+    /// Reads what the handle recorded so far (nothing, when off).
+    fn read<R>(&self, f: impl FnOnce(&Recording) -> R) -> R {
+        match &self.0 {
+            Some(shared) => f(&shared.lock()),
+            None => f(&Recording::default()),
+        }
+    }
+
+    /// Records the deterministic event stream only (the wall layer
+    /// stays off, so the recording is itself deterministic).
+    pub fn deterministic() -> Self {
+        Self::on(true, false, None, false)
+    }
+
+    /// Records both layers — used by the overhead bench to price
+    /// fully-enabled tracing.
+    pub fn full() -> Self {
+        Self::on(true, true, None, false)
+    }
+
+    /// Reads the tracing environment (off when neither is set):
+    ///
+    /// * `DRAGOON_TRACE=out.json` — record wall-clock spans and write a
+    ///   Chrome `trace_event` file at [`Tracer::finish`].
+    /// * `DRAGOON_TRACE_EVENTS=1` — record the deterministic stream and
+    ///   print it as `TRACE: {json}` lines at [`Tracer::finish`] (the
+    ///   CI trace golden greps these).
+    ///
+    /// Call once at the top of a binary's `main`.
+    pub fn from_env() -> Self {
+        let chrome_path = std::env::var("DRAGOON_TRACE")
+            .ok()
+            .filter(|p| !p.is_empty());
+        let print_events = std::env::var("DRAGOON_TRACE_EVENTS")
+            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+            .unwrap_or(false);
+        if chrome_path.is_none() && !print_events {
+            return Self::default();
+        }
+        Self::on(
+            print_events,
+            chrome_path.is_some(),
+            chrome_path,
+            print_events,
+        )
+    }
+
+    /// Finalizes env-driven tracing: prints `TRACE:` lines when
+    /// `DRAGOON_TRACE_EVENTS` asked for them and writes the Chrome
+    /// trace file when `DRAGOON_TRACE` named one. Call at the end of
+    /// `main`, after the traced run (and its threads) completed.
+    pub fn finish(&self) {
+        let Some(shared) = &self.0 else {
+            return;
+        };
+        if shared.print_events {
+            for line in self.deterministic_lines() {
+                println!("TRACE: {line}");
+            }
+        }
+        if let Some(path) = &shared.chrome_path {
+            match chrome::write_chrome_trace(self, path) {
+                Ok(n) => eprintln!("trace: wrote {n} spans to {path}"),
+                Err(e) => eprintln!("trace: failed to write {path}: {e}"),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -137,9 +237,10 @@ impl SpanKind {
 // ---------------------------------------------------------------------
 
 /// One deterministic event: a phase at a virtual-clock tick with typed
-/// attributes. The global `seq` orders events within a tick; because
-/// deterministic sites emit from deterministic program points, the
-/// `(tick, seq)` order is itself a pure function of `(seed, config)`.
+/// attributes. `seq` is the event's index in its handle's recording
+/// and orders events within a tick; because deterministic sites emit
+/// from deterministic program points, the `(tick, seq)` order is
+/// itself a pure function of `(seed, config)`.
 #[derive(Clone, Debug)]
 pub struct Event {
     pub tick: u64,
@@ -171,28 +272,34 @@ impl Event {
     }
 }
 
-static EVENT_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Records one deterministic event. No-op (one branch) unless the
-/// deterministic layer is enabled. Call only from deterministic
-/// program points — see the module docs.
-#[inline]
-pub fn event(kind: SpanKind, tick: u64, attrs: &[(&'static str, u64)]) {
-    if !deterministic_enabled() {
-        return;
-    }
-    let seq = EVENT_SEQ.fetch_add(1, Ordering::Relaxed);
-    with_lane(|lane| {
-        lane.det.push(Event {
+impl Tracer {
+    /// Records one deterministic event. No-op (one branch) unless the
+    /// deterministic layer is on. Call only from deterministic program
+    /// points — see the module docs.
+    #[inline]
+    pub fn event(&self, kind: SpanKind, tick: u64, attrs: &[(&'static str, u64)]) {
+        let Some(shared) = self.0.as_ref().filter(|s| s.det) else {
+            return;
+        };
+        let mut rec = shared.lock();
+        let seq = rec.events.len() as u64;
+        rec.events.push(Event {
             tick,
             seq,
             kind,
             attrs: attrs.to_vec(),
         });
-        if lane.det.len() >= LANE_CAP {
-            lane.flush();
-        }
-    });
+    }
+
+    /// The deterministic stream recorded so far: sorted by
+    /// `(tick, seq)`, one JSON line per event. Empty for an off handle.
+    pub fn deterministic_lines(&self) -> Vec<String> {
+        self.read(|rec| {
+            let mut events: Vec<&Event> = rec.events.iter().collect();
+            events.sort_by_key(|e| (e.tick, e.seq));
+            events.into_iter().map(Event::to_json).collect()
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -211,17 +318,13 @@ pub struct WallSpan {
     pub args: Vec<(&'static str, u64)>,
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
 /// RAII guard timing one phase on the wall clock. Construct via
-/// [`span`]; the duration is recorded on drop. Entirely a no-op when
-/// the wall layer is off.
+/// [`Tracer::span`]; the duration is recorded into that handle on
+/// drop. Entirely a no-op when the wall layer is off.
 pub struct SpanGuard(Option<SpanInner>);
 
 struct SpanInner {
+    shared: Arc<Shared>,
     kind: SpanKind,
     tick: u64,
     start: Instant,
@@ -238,267 +341,49 @@ impl SpanGuard {
     }
 }
 
+fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(inner) = self.0.take() {
-            let start_us = inner
-                .start
-                .saturating_duration_since(epoch())
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            let dur_us = inner.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            with_lane(|lane| {
-                let tid = lane.tid;
-                lane.wall.push(WallSpan {
-                    kind: inner.kind,
-                    tick: inner.tick,
-                    start_us,
-                    dur_us,
-                    tid,
-                    args: inner.args,
-                });
-                if lane.wall.len() >= LANE_CAP {
-                    lane.flush();
-                }
-            });
-        }
-    }
-}
-
-/// Opens a wall-clock span for `kind` at virtual tick `tick`. One
-/// branch and no work when the wall layer is off. Safe from any
-/// thread: worker threads get their own lane and thread id.
-#[inline]
-pub fn span(kind: SpanKind, tick: u64) -> SpanGuard {
-    if !wall_enabled() {
-        return SpanGuard(None);
-    }
-    // Pin the epoch before taking the start timestamp so the first
-    // span never starts before the epoch.
-    let _ = epoch();
-    SpanGuard(Some(SpanInner {
-        kind,
-        tick,
-        start: Instant::now(),
-        args: Vec::new(),
-    }))
-}
-
-// ---------------------------------------------------------------------
-// Per-thread lanes and the global sink
-// ---------------------------------------------------------------------
-
-const LANE_CAP: usize = 256;
-
-struct Lane {
-    tid: u64,
-    det: Vec<Event>,
-    wall: Vec<WallSpan>,
-}
-
-impl Lane {
-    fn new() -> Self {
-        static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        let name = std::thread::current()
-            .name()
-            .unwrap_or("unnamed")
-            .to_string();
-        lock_sink().threads.push((tid, name));
-        Lane {
-            tid,
-            det: Vec::new(),
-            wall: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.det.is_empty() && self.wall.is_empty() {
+        let Some(inner) = self.0.take() else {
             return;
-        }
-        let mut sink = lock_sink();
-        sink.det.append(&mut self.det);
-        sink.wall.append(&mut self.wall);
+        };
+        let start_us = micros(inner.start.saturating_duration_since(inner.shared.epoch));
+        let dur_us = micros(inner.start.elapsed());
+        let me = std::thread::current();
+        let mut rec = inner.shared.lock();
+        let seen = rec.threads.iter().position(|(id, _)| *id == me.id());
+        let index = seen.unwrap_or_else(|| {
+            let name = me.name().unwrap_or("unnamed").to_string();
+            rec.threads.push((me.id(), name));
+            rec.threads.len() - 1
+        });
+        rec.spans.push(WallSpan {
+            kind: inner.kind,
+            tick: inner.tick,
+            start_us,
+            dur_us,
+            tid: index as u64 + 1,
+            args: inner.args,
+        });
     }
 }
 
-impl Drop for Lane {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static LANE: RefCell<Option<Lane>> = const { RefCell::new(None) };
-}
-
-fn with_lane(f: impl FnOnce(&mut Lane)) {
-    LANE.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        f(slot.get_or_insert_with(Lane::new));
-    });
-}
-
-/// Flushes the calling thread's lane into the global sink.
-pub fn flush_thread() {
-    LANE.with(|cell| {
-        if let Some(lane) = cell.borrow_mut().as_mut() {
-            lane.flush();
-        }
-    });
-}
-
-#[derive(Default)]
-struct Sink {
-    det: Vec<Event>,
-    wall: Vec<WallSpan>,
-    threads: Vec<(u64, String)>,
-}
-
-fn lock_sink() -> MutexGuard<'static, Sink> {
-    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-    SINK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Drains the deterministic stream: merges all flushed lanes, sorts by
-/// `(tick, seq)`, and renders one JSON line per event. Call only after
-/// all worker threads of the traced run have been joined.
-pub fn drain_deterministic_lines() -> Vec<String> {
-    flush_thread();
-    let mut det = std::mem::take(&mut lock_sink().det);
-    det.sort_by_key(|e| (e.tick, e.seq));
-    det.iter().map(Event::to_json).collect()
-}
-
-pub(crate) fn drain_wall() -> (Vec<WallSpan>, Vec<(u64, String)>) {
-    flush_thread();
-    let mut sink = lock_sink();
-    let spans = std::mem::take(&mut sink.wall);
-    let threads = sink.threads.clone();
-    (spans, threads)
-}
-
-// ---------------------------------------------------------------------
-// Capture sessions (tests, benches)
-// ---------------------------------------------------------------------
-
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
-
-/// A scoped recording session for tests and benches. Holds a global
-/// lock so concurrent tests in one binary cannot interleave their
-/// streams; restores the prior enable flags and drains the sink on
-/// [`Capture::finish`].
-pub struct Capture {
-    _guard: MutexGuard<'static, ()>,
-    prior: u8,
-}
-
-fn begin_capture(flags: u8) -> Capture {
-    let guard = CAPTURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    // Clear any residue from a previous session on this thread and in
-    // the sink, and restart the merge sequence.
-    flush_thread();
-    {
-        let mut sink = lock_sink();
-        sink.det.clear();
-        sink.wall.clear();
-    }
-    EVENT_SEQ.store(0, Ordering::Relaxed);
-    let prior = FLAGS.swap(flags, Ordering::SeqCst);
-    Capture {
-        _guard: guard,
-        prior,
-    }
-}
-
-/// Starts recording the deterministic event stream only (wall layer
-/// stays off, so captures are themselves deterministic).
-pub fn start_capture() -> Capture {
-    begin_capture(DET)
-}
-
-/// Starts recording both layers — used by the overhead bench to price
-/// fully-enabled tracing.
-pub fn start_full_capture() -> Capture {
-    begin_capture(DET | WALL)
-}
-
-impl Capture {
-    /// Stops recording and returns the merged deterministic stream as
-    /// JSON lines. Wall spans recorded during the capture are
-    /// discarded (they are nondeterministic by definition).
-    pub fn finish(self) -> Vec<String> {
-        FLAGS.store(self.prior, Ordering::SeqCst);
-        let lines = drain_deterministic_lines();
-        lock_sink().wall.clear();
-        lines
-    }
-}
-
-// ---------------------------------------------------------------------
-// Binary entry points: env init / finish / summary lines
-// ---------------------------------------------------------------------
-
-struct EnvConfig {
-    chrome_path: Option<String>,
-    print_events: bool,
-}
-
-static ENV_CONFIG: OnceLock<EnvConfig> = OnceLock::new();
-
-/// Reads the tracing environment and switches the layers on:
-///
-/// * `DRAGOON_TRACE=out.json` — record wall-clock spans and write a
-///   Chrome `trace_event` file at [`finish`].
-/// * `DRAGOON_TRACE_EVENTS=1` — record the deterministic stream and
-///   print it as `TRACE: {json}` lines at [`finish`] (the CI trace
-///   golden greps these).
-///
-/// Call once at the top of a binary's `main`.
-pub fn init_from_env() {
-    let chrome_path = std::env::var("DRAGOON_TRACE")
-        .ok()
-        .filter(|p| !p.is_empty());
-    let print_events = std::env::var("DRAGOON_TRACE_EVENTS")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    let mut flags = 0;
-    if chrome_path.is_some() {
-        flags |= WALL;
-        let _ = epoch();
-    }
-    if print_events {
-        flags |= DET;
-    }
-    let config = EnvConfig {
-        chrome_path,
-        print_events,
-    };
-    if ENV_CONFIG.set(config).is_ok() && flags != 0 {
-        FLAGS.fetch_or(flags, Ordering::SeqCst);
-    }
-}
-
-/// Finalizes env-driven tracing: prints `TRACE:` lines when
-/// `DRAGOON_TRACE_EVENTS` asked for them and writes the Chrome trace
-/// file when `DRAGOON_TRACE` named one. Call at the end of `main`,
-/// after the traced run (and its threads) completed.
-pub fn finish() {
-    let Some(config) = ENV_CONFIG.get() else {
-        return;
-    };
-    if config.print_events {
-        for line in drain_deterministic_lines() {
-            println!("TRACE: {line}");
-        }
-    }
-    if let Some(path) = &config.chrome_path {
-        match chrome::write_chrome_trace(path) {
-            Ok(n) => eprintln!("trace: wrote {n} spans to {path}"),
-            Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-        }
+impl Tracer {
+    /// Opens a wall-clock span for `kind` at virtual tick `tick`. One
+    /// branch and no work when the wall layer is off. Safe from any
+    /// thread holding the handle: each gets its own Chrome track.
+    #[inline]
+    pub fn span(&self, kind: SpanKind, tick: u64) -> SpanGuard {
+        SpanGuard(self.0.as_ref().filter(|s| s.wall).map(|shared| SpanInner {
+            shared: Arc::clone(shared),
+            kind,
+            tick,
+            start: Instant::now(),
+            args: Vec::new(),
+        }))
     }
 }
 
@@ -507,4 +392,65 @@ pub fn finish() {
 /// the CI golden greps anchor on.
 pub fn emit_summary(key: &str, json: impl AsRef<str>) {
     println!("{}: {}", key, json.as_ref());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_off_handle_records_nothing() {
+        let off = Tracer::default();
+        off.event(SpanKind::Execute, 1, &[("height", 1)]);
+        let mut sp = off.span(SpanKind::Execute, 1);
+        sp.arg("txs", 3);
+        assert!(sp.0.is_none(), "a guard from an off handle is inert");
+        drop(sp);
+        assert!(off.deterministic_lines().is_empty());
+        assert!(off.0.is_none(), "nothing was allocated");
+        // The deterministic-only handle keeps the wall layer off.
+        let det = Tracer::deterministic();
+        drop(det.span(SpanKind::Execute, 1));
+        det.read(|rec| assert!(rec.spans.is_empty() && rec.threads.is_empty()));
+    }
+
+    #[test]
+    fn seq_is_push_order_and_lines_sort_by_tick_then_seq() {
+        let tracer = Tracer::deterministic();
+        tracer.event(SpanKind::Persist, 2, &[("height", 2)]);
+        tracer.clone().event(SpanKind::Execute, 1, &[]);
+        tracer.event(SpanKind::Verify, 2, &[]);
+        assert_eq!(
+            tracer.deterministic_lines(),
+            [
+                r#"{"tick":1,"seq":1,"span":"execute"}"#,
+                r#"{"tick":2,"seq":0,"span":"persist","height":2}"#,
+                r#"{"tick":2,"seq":2,"span":"verify"}"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_second_thread_gets_the_next_tid_and_its_own_name() {
+        let tracer = Tracer::full();
+        drop(tracer.span(SpanKind::Execute, 1));
+        let handle = tracer.clone();
+        std::thread::Builder::new()
+            .name("second".into())
+            .spawn(move || drop(handle.span(SpanKind::Persist, 1)))
+            .expect("spawn")
+            .join()
+            .expect("join");
+        drop(tracer.span(SpanKind::Verify, 2));
+        tracer.read(|rec| {
+            let tids: Vec<u64> = rec.spans.iter().map(|s| s.tid).collect();
+            assert_eq!(tids, [1, 2, 1]);
+            let names: Vec<&str> = rec.threads.iter().map(|(_, name)| name.as_str()).collect();
+            let me = std::thread::current();
+            assert_eq!(
+                names,
+                [me.name().expect("test threads are named"), "second"]
+            );
+        });
+    }
 }

@@ -15,10 +15,11 @@
 //! files (`tests/golden/`) to regression-gate scenario determinism.
 
 use dragoon_econ::{ChurnParams, EconConfig, PricingParams};
-use dragoon_sim::{run_market, seed_from_args_or, MarketConfig};
+use dragoon_sim::{seed_from_args_or, MarketConfig, MarketSim};
+use dragoon_trace::Tracer;
 
 fn main() {
-    dragoon_trace::init_from_env();
+    let tracer = Tracer::from_env();
     let seed = seed_from_args_or(0xd1a6_0005);
     let config = MarketConfig {
         hits: 120,
@@ -51,7 +52,7 @@ fn main() {
          24 cartel requesters, 6 sybils, seed {seed:#x}\n",
         config.hits, config.questions, config.k, config.theta, config.workers
     );
-    let report = run_market(config);
+    let report = MarketSim::traced(config, tracer.clone()).run();
     print!("{}", report.summary());
     println!();
     dragoon_trace::emit_summary("JSON", report.to_json());
@@ -59,5 +60,5 @@ fn main() {
     dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     dragoon_trace::emit_summary("METRICS", report.metrics_json());
-    dragoon_trace::finish();
+    tracer.finish();
 }

@@ -11,13 +11,14 @@
 use dragoon_chain::{gas_to_usd, GasSchedule, TxStatus};
 use dragoon_core::workload::{imagenet_workload, AnswerModel};
 use dragoon_protocol::{driver, WorkerBehavior};
-use dragoon_sim::{run_market, MarketConfig};
+use dragoon_sim::{MarketConfig, MarketSim};
+use dragoon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 fn main() {
-    dragoon_trace::init_from_env();
+    let tracer = Tracer::from_env();
     let seed = dragoon_sim::seed_from_args_or(1108);
     let mut rng = StdRng::seed_from_u64(seed);
     // Worst case (reject all) exercises every code path.
@@ -82,9 +83,9 @@ fn main() {
         ..MarketConfig::default()
     };
     println!("\n== Parallel-executor scheduler stats (40-HIT market, seed {seed:#x}) ==\n");
-    let report = run_market(market);
+    let report = MarketSim::traced(market, tracer.clone()).run();
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     println!("\n== Proving-service stats (same run) ==\n");
     dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
-    dragoon_trace::finish();
+    tracer.finish();
 }

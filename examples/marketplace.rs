@@ -9,10 +9,11 @@
 //! DRAGOON_SEED=0xfeed cargo run --release --example marketplace
 //! ```
 
-use dragoon_sim::{run_market, seed_from_args_or, MarketConfig, PersistConfig};
+use dragoon_sim::{seed_from_args_or, MarketConfig, MarketSim, PersistConfig};
+use dragoon_trace::Tracer;
 
 fn main() {
-    dragoon_trace::init_from_env();
+    let tracer = Tracer::from_env();
     let seed = seed_from_args_or(0xd1a6_0001);
     let store_dir =
         std::env::temp_dir().join(format!("dragoon-marketplace-{}", std::process::id()));
@@ -38,7 +39,7 @@ fn main() {
         "publishing {} HITs (N={}, K={}, Θ={}) to a {}-worker pool, seed {seed:#x}\n",
         config.hits, config.questions, config.k, config.theta, config.workers
     );
-    let report = run_market(config);
+    let report = MarketSim::traced(config, tracer.clone()).run();
     print!("{}", report.summary());
     println!();
     dragoon_trace::emit_summary("JSON", report.to_json());
@@ -46,6 +47,6 @@ fn main() {
     dragoon_trace::emit_summary("PERSIST", report.section_json("persist"));
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     dragoon_trace::emit_summary("METRICS", report.metrics_json());
-    dragoon_trace::finish();
+    tracer.finish();
     let _ = std::fs::remove_dir_all(&store_dir);
 }

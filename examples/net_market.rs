@@ -16,10 +16,11 @@
 //! files (`tests/golden/`) to regression-gate scenario determinism.
 
 use dragoon_net::{NetConfig, PartitionWindow, RelaySpec};
-use dragoon_sim::{run_market, seed_from_args_or, MarketConfig};
+use dragoon_sim::{seed_from_args_or, MarketConfig, MarketSim};
+use dragoon_trace::Tracer;
 
 fn main() {
-    dragoon_trace::init_from_env();
+    let tracer = Tracer::from_env();
     let seed = seed_from_args_or(0xd1a6_0006);
     let net = NetConfig {
         nodes: 4,
@@ -51,12 +52,12 @@ fn main() {
          withhold-release relay, 20-round partition, seed {seed:#x}\n",
         config.hits, config.questions, config.k, config.theta
     );
-    let report = run_market(config);
+    let report = MarketSim::traced(config, tracer.clone()).run();
     print!("{}", report.summary());
     println!();
     dragoon_trace::emit_summary("JSON", report.to_json());
     dragoon_trace::emit_summary("NET", report.section_json("net"));
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
     dragoon_trace::emit_summary("METRICS", report.metrics_json());
-    dragoon_trace::finish();
+    tracer.finish();
 }

@@ -209,7 +209,7 @@ proptest! {
             ..MarketConfig::default()
         };
         let minted = BUDGET_PER_HIT * HITS as u128;
-        let (report, chain) = MarketSim::new(config).run_keeping_chain();
+        let (report, chain, _) = MarketSim::new(config).run_keeping_net();
         prop_assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
         prop_assert_eq!(report.hits_published, HITS);
         // Conservation: churn and front-running move coins, never

@@ -40,7 +40,7 @@ fn base(seed: u64, dir: PathBuf, snapshot_every: u64) -> MarketConfig {
 /// Runs the market with persistence on, recovers from the store and
 /// returns `(live_image, recovered_image, live_round)`.
 fn run_and_recover(config: MarketConfig) -> (Vec<u8>, Vec<u8>, u64) {
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0, "the scenario must drain");
     let recovered = recover_market_chain(&config).expect("recovery must succeed");
     (chain.state_image(), recovered.state_image(), chain.round())
@@ -131,7 +131,7 @@ fn torn_final_record_is_discarded_not_half_applied() {
     // No snapshots, so every recovered byte comes from the log replay
     // and the final round is a pure function of intact records.
     let config = base(0x70a9, dir.clone(), 0);
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0);
     let log = dir.join("blocks.log");
     let intact_len = std::fs::metadata(&log).expect("log exists").len();
@@ -163,7 +163,7 @@ fn torn_final_record_is_discarded_not_half_applied() {
 fn corrupt_final_record_is_discarded_by_checksum() {
     let dir = scratch("bitrot");
     let config = base(0xb17, dir.clone(), 0);
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0);
     let log = dir.join("blocks.log");
     let mut bytes = std::fs::read(&log).expect("log reads");
@@ -252,7 +252,7 @@ fn pipelined_recovery_is_bit_identical_across_thread_counts() {
 fn pipelined_torn_tail_recovers_to_previous_block() {
     let dir = scratch("pipe-torn");
     let config = pipelined(0x70a9, dir.clone(), 0);
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0);
     let log = dir.join("blocks.log");
     let intact_len = std::fs::metadata(&log).expect("log exists").len();
@@ -287,7 +287,7 @@ fn pipelined_crash_before_delta_rename_recovers_exactly() {
         }),
         ..pipelined(0x1d3a, dir.clone(), 4)
     };
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0);
     let (_, path) = newest_delta(&dir).expect("cadence 4 + incremental must leave deltas");
     std::fs::rename(&path, path.with_extension("tmp")).expect("demote to tmp");
@@ -315,7 +315,7 @@ fn pipelined_corrupt_delta_degrades_to_log_replay() {
         }),
         ..pipelined(0xde17a, dir.clone(), 4)
     };
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0);
     let (_, path) = newest_delta(&dir).expect("cadence 4 + incremental must leave deltas");
     // Flip a payload byte: checksum mismatch.
@@ -350,7 +350,7 @@ fn pipelined_corrupt_delta_degrades_to_log_replay() {
 fn pipelined_post_compaction_recovery_is_bit_identical() {
     let dir = scratch("pipe-compact");
     let config = pipelined(0xc03a, dir.clone(), 4);
-    let (report, chain) = MarketSim::new(config.clone()).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config.clone()).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0);
     let stats = report
         .persist

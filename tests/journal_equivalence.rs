@@ -297,7 +297,7 @@ fn market_matches_reference(config: MarketConfig, tag: &str) -> MarketReport {
         ..config
     });
     let mut reference = RefChain::at_genesis_of(sim.chain(), None);
-    let (report, chain) = sim.run_keeping_chain();
+    let (report, chain, _) = sim.run_keeping_net();
     let records = read_log::<RegistryMessage>(&dir).expect("block log must read back");
     assert_eq!(
         records.len(),

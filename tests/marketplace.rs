@@ -196,7 +196,7 @@ fn reverse_policy_market_settles_and_is_thread_count_independent() {
         exec_threads,
         ..MarketConfig::default()
     };
-    let (report, chain) = MarketSim::new(config(1)).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config(1)).run_keeping_net();
     let displaced = chain
         .events()
         .iter()

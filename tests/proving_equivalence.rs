@@ -168,7 +168,7 @@ fn reports_identical_across_thread_counts_at_nonzero_latency() {
 fn nonzero_latency_settles_bottom_and_conserves_escrow() {
     let config = with_proving(base(0x1a7e), 900);
     let budget = config.budget;
-    let (report, chain) = MarketSim::new(config).run_keeping_chain();
+    let (report, chain, _) = MarketSim::new(config).run_keeping_net();
     assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
     assert!(report.proving.latency_max >= 4, "proofs must actually lag");
     // ⊥ settlements happened: slots whose reveal (or commit) never made

@@ -6,19 +6,12 @@
 //! must not perturb the market (a trace-disabled run's report is
 //! byte-identical to a traced run's).
 //!
-//! Captures flip process-global flags, so every test here serializes on
-//! one lock: a `run_market` outside a capture session would otherwise
-//! emit events into a concurrent test's stream.
+//! A run records into the handle it was built with, so the tests here
+//! share nothing and run concurrently.
 
 use dragoon_net::{NetConfig, PartitionWindow, RelaySpec};
-use dragoon_sim::{run_market, MarketConfig, PersistConfig, ProvingConfig};
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use dragoon_sim::{run_market, MarketConfig, MarketSim, PersistConfig, ProvingConfig};
+use dragoon_trace::Tracer;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dragoon-traceeq-{}-{tag}", std::process::id()));
@@ -58,12 +51,12 @@ fn full_config(
     }
 }
 
-/// Runs the config under a fresh capture session and returns the drained
-/// deterministic stream.
+/// Runs the config under a fresh deterministic handle and returns the
+/// recorded stream.
 fn captured_stream(config: MarketConfig) -> Vec<String> {
-    let capture = dragoon_trace::start_capture();
-    let _ = run_market(config);
-    capture.finish()
+    let tracer = Tracer::deterministic();
+    let _ = MarketSim::traced(config, tracer.clone()).run();
+    tracer.deterministic_lines()
 }
 
 fn assert_covers(stream: &[String], spans: &[&str]) {
@@ -81,7 +74,6 @@ fn assert_covers(stream: &[String], spans: &[&str]) {
 /// threads — the tracing analogue of the report-JSON differential.
 #[test]
 fn deterministic_stream_identical_across_thread_counts() {
-    let _guard = lock();
     let baseline = captured_stream(full_config(1, scratch("t1"), true));
     assert!(!baseline.is_empty(), "the traced run must emit events");
     assert_covers(
@@ -105,7 +97,6 @@ fn deterministic_stream_identical_across_thread_counts() {
 /// store-mode details, visible in the wall layer and the metrics).
 #[test]
 fn deterministic_stream_identical_across_store_modes() {
-    let _guard = lock();
     let sync = captured_stream(full_config(1, scratch("sync"), false));
     let piped = captured_stream(full_config(1, scratch("pipe"), true));
     assert!(!sync.is_empty());
@@ -119,7 +110,6 @@ fn deterministic_stream_identical_across_store_modes() {
 /// run's report JSON is byte-identical to a trace-disabled run's.
 #[test]
 fn traced_run_report_identical_to_disabled_run() {
-    let _guard = lock();
     let config = full_config(2, scratch("off"), true);
     let disabled = run_market(MarketConfig {
         persist: Some(PersistConfig {
@@ -128,10 +118,10 @@ fn traced_run_report_identical_to_disabled_run() {
         }),
         ..config.clone()
     });
-    let capture = dragoon_trace::start_full_capture();
-    let traced = run_market(config);
-    let events = capture.finish();
-    assert!(!events.is_empty(), "the full capture must record events");
+    let tracer = Tracer::full();
+    let traced = MarketSim::traced(config, tracer.clone()).run();
+    let events = tracer.deterministic_lines();
+    assert!(!events.is_empty(), "the full handle must record events");
     assert_eq!(
         disabled.to_json(),
         traced.to_json(),
@@ -146,13 +136,9 @@ fn traced_run_report_identical_to_disabled_run() {
     }
 }
 
-/// The network layer's gossip/fork/reorg events ride the same stream:
-/// a lossy 4-node run covers all three kinds, and two identical runs
-/// produce byte-identical streams.
-#[test]
-fn net_stream_covers_gossip_forks_reorgs() {
-    let _guard = lock();
-    let config = || MarketConfig {
+/// The lossy 4-node market of the net-stream tests.
+fn lossy_net_config() -> MarketConfig {
+    MarketConfig {
         hits: 40,
         spawn_per_block: 4,
         workers: 30,
@@ -172,9 +158,68 @@ fn net_stream_covers_gossip_forks_reorgs() {
             ..NetConfig::default()
         }),
         ..MarketConfig::default()
-    };
-    let first = captured_stream(config());
+    }
+}
+
+/// The network layer's gossip/fork/reorg events ride the same stream:
+/// a lossy 4-node run covers all three kinds, and two identical runs
+/// produce byte-identical streams.
+#[test]
+fn net_stream_covers_gossip_forks_reorgs() {
+    let first = captured_stream(lossy_net_config());
     assert_covers(&first, &["execute", "gossip", "fork", "reorg"]);
-    let second = captured_stream(config());
+    let second = captured_stream(lossy_net_config());
     assert_eq!(first, second, "the net-enabled stream must be reproducible");
+}
+
+/// Two different markets traced at the same time, one thread each,
+/// record exactly the streams they record alone: a handle sees its own
+/// run and nothing else.
+#[test]
+fn concurrent_markets_trace_independently() {
+    let persisted = |tag: &str| full_config(2, scratch(tag), true);
+    let alone = [
+        captured_stream(persisted("alone")),
+        captured_stream(lossy_net_config()),
+    ];
+    assert_ne!(alone[0], alone[1], "the two markets must differ");
+    let barrier = std::sync::Barrier::new(2);
+    let start = |config| {
+        barrier.wait();
+        captured_stream(config)
+    };
+    let together = std::thread::scope(|s| {
+        let a = s.spawn(|| start(persisted("together")));
+        let b = s.spawn(|| start(lossy_net_config()));
+        [a, b].map(|run| run.join().expect("traced run panicked"))
+    });
+    assert_eq!(alone, together);
+}
+
+/// A handle's Chrome document names only the threads of its own run:
+/// after one full-traced pipelined run, a second one's document lists
+/// the round loop and its own block writer as tids 1 and 2 and nothing
+/// of the first.
+#[test]
+fn second_trace_names_only_its_own_threads() {
+    let row = |tid: u32, name: &str| {
+        format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+             \"args\":{{\"name\":\"{name}\"}}}}"
+        )
+    };
+    let me = std::thread::current();
+    let head = format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{},{},",
+        row(1, me.name().expect("test threads are named")),
+        row(2, "dragoon-block-writer"),
+    );
+    for tag in ["chrome1", "chrome2"] {
+        let tracer = Tracer::full();
+        let _ = MarketSim::traced(full_config(2, scratch(tag), true), tracer.clone()).run();
+        let (doc, spans) = dragoon_trace::chrome::render_chrome_trace(&tracer);
+        assert!(spans > 0, "the full handle must record wall spans");
+        assert!(doc.starts_with(&head), "{tag}: {:.300}", doc);
+        assert_eq!(doc.matches("thread_name").count(), 2, "{tag}");
+    }
 }
