@@ -605,6 +605,20 @@ fn net_overhead(seed: u64) {
     ));
 }
 
+/// One valid settlement item: a binary plaintext encrypted under `kp`
+/// with its verifiable-decryption proof.
+fn proven_item(
+    kp: &KeyPair,
+    i: usize,
+    range: &PlaintextRange,
+    rng: &mut StdRng,
+) -> (vpke::DecryptionStatement, vpke::DecryptionProof) {
+    let ct = kp.ek.encrypt((i % 2) as u64, rng);
+    let (claim, proof) = vpke::prove(&kp.dk, &ct, range, rng);
+    let ek = kp.ek;
+    (vpke::DecryptionStatement { ek, ct, claim }, proof)
+}
+
 fn batch_speedup(seed: u64) {
     println!("\n== batched vs individual VPKE verification ==");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xba7c4);
@@ -612,18 +626,7 @@ fn batch_speedup(seed: u64) {
     let range = PlaintextRange::binary();
     for n in [8usize, 32, 128, 512] {
         let items: Vec<_> = (0..n)
-            .map(|i| {
-                let ct = kp.ek.encrypt((i % 2) as u64, &mut rng);
-                let (claim, proof) = vpke::prove(&kp.dk, &ct, &range, &mut rng);
-                (
-                    vpke::DecryptionStatement {
-                        ek: kp.ek,
-                        ct,
-                        claim,
-                    },
-                    proof,
-                )
-            })
+            .map(|i| proven_item(&kp, i, &range, &mut rng))
             .collect();
         let (individual, ok_each) = time_once(|| {
             items
@@ -648,6 +651,83 @@ fn batch_speedup(seed: u64) {
             ),
         );
     }
+    vpke_partition(seed);
+}
+
+/// Settlement verification at the chunk shape the market really has.
+///
+/// A seed-42 `lossy_net_market` pass verifies 5 455 items at 168 block
+/// boundaries, queued by 2 483 instances — 962 of them holding a single
+/// item. This regenerates that histogram (seeded proofs, chunks shuffled
+/// and dealt over 168 blocks) and settles every block both ways, under a
+/// budget of one and of two threads: **per chunk** — one
+/// `batch_verify_each` per instance fanned over the budget, the
+/// partition before the block became the unit — and **balanced** — the
+/// registry's `verify_chunks`. Verdicts must be identical; the row is
+/// the µs/item of each, alternated block by block so drift hits both.
+fn vpke_partition(seed: u64) {
+    use dragoon_contract::registry::{verify_chunks, VerifyChunk};
+    use rand::seq::SliceRandom;
+    const HISTOGRAM: [(usize, usize); 6] =
+        [(962, 1), (629, 2), (457, 3), (326, 4), (94, 5), (15, 6)];
+    const BLOCKS: usize = 168;
+    println!("\n== settlement partition: per chunk vs balanced ==");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a27_1710);
+    let keys: Vec<KeyPair> = (0..8).map(|_| KeyPair::generate(&mut rng)).collect();
+    let range = PlaintextRange::binary();
+    let mut sizes: Vec<usize> = HISTOGRAM
+        .iter()
+        .flat_map(|&(count, len)| std::iter::repeat_n(len, count))
+        .collect();
+    sizes.shuffle(&mut rng);
+    let mut blocks: Vec<Vec<VerifyChunk>> = vec![Vec::new(); BLOCKS];
+    for (at, len) in sizes.into_iter().enumerate() {
+        let kp = &keys[at % keys.len()];
+        let chunk = (0..len)
+            .map(|i| proven_item(kp, i, &range, &mut rng))
+            .collect();
+        blocks[at % BLOCKS].push(chunk);
+    }
+    let chunks: usize = blocks.iter().map(Vec::len).sum();
+    let items: usize = blocks.iter().flatten().map(Vec::len).sum();
+    assert_eq!((chunks, items), (2_483, 5_455));
+    // The partition this PR replaced, threshold included.
+    let per_chunk = |block: Vec<VerifyChunk>, threads: usize| {
+        let total: usize = block.iter().map(Vec::len).sum();
+        let threads = if total < 32 { 1 } else { threads };
+        dragoon_chain::par_map(threads, block, |chunk| vpke::batch_verify_each(&chunk))
+    };
+    let mut members = format!("\"blocks\":{BLOCKS},\"chunks\":{chunks},\"items\":{items}");
+    for threads in [1usize, 2] {
+        let (mut chunked, mut balanced) = (Duration::ZERO, Duration::ZERO);
+        for (at, block) in blocks.iter().enumerate() {
+            let old = || time_once(|| per_chunk(block.clone(), threads));
+            let new = || time_once(|| verify_chunks(block.clone(), threads));
+            let ((old_wall, old_ok), (new_wall, new_ok)) = if at % 2 == 0 {
+                let first = old();
+                (first, new())
+            } else {
+                let first = new();
+                (old(), first)
+            };
+            assert_eq!(old_ok, new_ok, "block {at}: verdicts must agree");
+            assert!(new_ok.iter().flatten().all(|&ok| ok));
+            chunked += old_wall;
+            balanced += new_wall;
+        }
+        let us_per_item = |wall: Duration| wall.as_secs_f64() * 1e6 / items as f64;
+        let (old_us, new_us) = (us_per_item(chunked), us_per_item(balanced));
+        println!(
+            "threads = {threads}  per chunk {old_us:>6.1} µs/item  balanced {new_us:>6.1} µs/item  \
+             speedup {:.2}x",
+            old_us / new_us,
+        );
+        members += &format!(
+            ",\"per_chunk_us_per_item_t{threads}\":{old_us:.1},\
+             \"balanced_us_per_item_t{threads}\":{new_us:.1}"
+        );
+    }
+    json_line("vpke_partition", members);
 }
 
 /// A tier: its `DRAGOON_BENCH_ONLY` name and its runner (taking the seed).

@@ -738,31 +738,66 @@ fn route(
     .map_err(|e| RegistryError::Hit(id, e))
 }
 
-/// One instance's queued VPKE items for a block boundary — the unit of
-/// settlement verification.
-type VerifyChunk = Vec<(DecryptionStatement, DecryptionProof)>;
+/// One instance's queued VPKE items for a block boundary.
+pub type VerifyChunk = Vec<(DecryptionStatement, DecryptionProof)>;
 
-/// Below this many proof items in total a block's verification stays on
-/// the calling thread: fan-out only pays for itself once the block
-/// carries a few dozen EC-heavy checks.
-const PARALLEL_VERIFY_THRESHOLD: usize = 32;
+/// The fewest proof items a settlement batch carries once a block is
+/// split. 8 items fold into a 49-point MSM: small enough that a block of
+/// 16 already uses a second thread, large enough that the fold still
+/// amortises (on the `vpke_partition` bench row's ≈ 32-item blocks under
+/// two threads, 8 read 0.37× the per-instance one-thread cost, 16 read
+/// 0.47× and 32 read 0.46×).
+const MIN_BATCH_ITEMS: usize = 8;
 
-/// Runs [`vpke::batch_verify_each`] over each chunk on up to `threads`
-/// threads, returning one verdict vector per chunk, in chunk order.
+/// How many batches [`verify_chunks`] cuts `items` queued proof items
+/// into under a budget of `threads`: one per thread, as long as each
+/// keeps at least [`MIN_BATCH_ITEMS`].
+fn batch_count(items: usize, threads: usize) -> usize {
+    threads.min(items / MIN_BATCH_ITEMS).max(1)
+}
+
+/// Verifies a block's queued proofs — one chunk per HIT instance, in
+/// instance order — and returns one verdict vector per chunk, in chunk
+/// order. The only caller of [`vpke::batch_verify_each`] in the
+/// registry: the clock tick, the overlapped verifier and (through the
+/// tick) recovery replay and every replica's captured block all settle
+/// through it.
 ///
-/// Block settlement is embarrassingly parallel across HIT instances:
-/// each instance's queued proofs form one chunk, and verdicts are
-/// per-item facts (`batch_verify_each` guarantees every verdict equals
-/// the individual `vpke::verify` result), so any partitioning and any
-/// thread count — including `1` — yields identical verdicts.
-fn verify_chunks(chunks: Vec<VerifyChunk>, threads: usize) -> Vec<Vec<bool>> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let threads = if total < PARALLEL_VERIFY_THRESHOLD {
-        1
-    } else {
-        threads
-    };
-    par_map(threads, chunks, |chunk| vpke::batch_verify_each(&chunk))
+/// The **block**, not the instance, is the unit of verification: the
+/// chunks are flattened, the flat list is cut into [`batch_count`]
+/// contiguous batches of near-equal item count (a cut may fall inside an
+/// instance's chunk), each batch is one folded MSM on its own thread,
+/// and the verdicts are scattered back to the per-instance layout. A
+/// micro-task instance queues 1–6 items; verified alone those are a full
+/// per-proof check or a tiny MSM each, together a block's few dozen are
+/// two or three ≈ 100-point folds.
+///
+/// Verdicts are per-item facts — `batch_verify_each` guarantees each
+/// equals the individual `vpke::verify` result — so the partitioning,
+/// and with it the thread budget, never shows in a receipt, an event or
+/// a gas figure. What a forged proof can buy is time, and only in its
+/// own batch: the fold over a batch of *n* fails and is bisected down to
+/// the bad item, ≈ 2·log₂ *n* extra (ever smaller) folds; the other
+/// batches, and every other instance's verdicts in the same batch, are
+/// untouched, and the forger's rejection is thrown out (its worker is
+/// paid).
+///
+/// Public so the `batch_speedup` bench tier can time the settlement
+/// layer on its own; the market reaches it only through the registry.
+pub fn verify_chunks(chunks: Vec<VerifyChunk>, threads: usize) -> Vec<Vec<bool>> {
+    let flat: VerifyChunk = chunks.iter().flatten().copied().collect();
+    let batches = batch_count(flat.len(), threads);
+    let cut = |b: usize| flat.len() * b / batches;
+    let ranges: Vec<_> = (0..batches).map(|b| cut(b)..cut(b + 1)).collect();
+    let mut verdicts = par_map(batches, ranges, |range| {
+        vpke::batch_verify_each(&flat[range])
+    })
+    .into_iter()
+    .flatten();
+    chunks
+        .iter()
+        .map(|chunk| verdicts.by_ref().take(chunk.len()).collect())
+        .collect()
 }
 
 impl StateMachine for HitRegistry {
@@ -812,11 +847,11 @@ impl StateMachine for HitRegistry {
     fn on_clock(&mut self, env: &mut ExecEnv<'_, RegistryEvent>, round: u64) {
         // Block boundary, phase 1: drain every instance's queued
         // rejection proofs and settle the whole block's worth at once —
-        // one batched verification per instance, fanned out over the
-        // thread budget ([`verify_chunks`]). Verdicts are
-        // identical to the previous single concatenated batch (and to
-        // per-proof verification): batch verdicts are per-item facts, so
-        // the partitioning is free to follow the parallelism.
+        // the block's items as one balanced batch per thread
+        // ([`verify_chunks`]), whichever instances they came from.
+        // Verdicts are identical to per-proof verification: batch
+        // verdicts are per-item facts, so where the batches are cut
+        // never reaches the state.
         let live: Vec<HitId> = self.live.iter().copied().collect();
         let mut drained: Vec<(HitId, Vec<PendingVerdict>)> = Vec::new();
         for &id in &live {
@@ -851,10 +886,15 @@ impl StateMachine for HitRegistry {
                 .iter()
                 .map(|(_, pending)| pending.iter().map(|v| v.items.len()).sum::<usize>())
                 .sum();
+            let threads = resolve_threads(self.verify_threads);
             let mut sp = self.tracer.span(SpanKind::Verify, round);
             sp.arg("instances", drained.len() as u64);
             sp.arg("items", total as u64);
             sp.arg("overlapped", u64::from(precomputed.is_some()));
+            // The overlapped job ran under the same budget, so these
+            // describe its partition too.
+            sp.arg("batches", batch_count(total, threads) as u64);
+            sp.arg("threads", threads as u64);
             // The drained verdict layout is deterministic; whether the
             // overlapped thread supplied the results is not (it depends
             // on the store mode), so only counts enter the event.
@@ -873,7 +913,7 @@ impl StateMachine for HitRegistry {
                             .collect()
                     })
                     .collect();
-                verify_chunks(chunks, resolve_threads(self.verify_threads))
+                verify_chunks(chunks, threads)
             });
             if total > 0 {
                 let prior = self.batch_stats;
@@ -1347,7 +1387,7 @@ mod tests {
     use crate::contract::{Phase, Settlement};
     use dragoon_chain::{Chain, GasSchedule, TxStatus};
     use dragoon_core::poqoea;
-    use dragoon_core::task::{Answer, GoldenStandards};
+    use dragoon_core::task::{Answer, EncryptedAnswer, GoldenStandards};
     use dragoon_crypto::commitment::{Commitment, CommitmentKey};
     use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
     use rand::rngs::StdRng;
@@ -1390,12 +1430,14 @@ mod tests {
     }
 
     fn params(m: &Market) -> PublishParams {
+        // The task shape follows the market's gold standards (default:
+        // 6 questions, 3 of them gold, every gold one must be right).
         PublishParams {
-            n: 6,
+            n: 2 * m.golden.indexes.len(),
             budget: BUDGET,
             k: 3,
             range: PlaintextRange::binary(),
-            theta: 3,
+            theta: m.golden.indexes.len() as u64,
             ek: m.kp.ek,
             comm_gs: Commitment::commit(&m.golden.encode(), &m.gs_key),
             task_digest: [9u8; 32],
@@ -1499,35 +1541,41 @@ mod tests {
         assert!(matches!(last.status, TxStatus::Reverted(_)));
     }
 
-    /// Runs one instance end to end (3 workers, worker 0 low-quality)
-    /// and returns the final settlements.
-    fn run_instance(m: &mut Market, id: HitId) -> Vec<Settlement> {
+    /// Drives every instance in `ids` through commit, reveal and the
+    /// golden opening in shared blocks (3 workers each; worker 0 gets
+    /// every gold standard wrong, the others every one right) and
+    /// returns worker 0's ciphertexts per instance.
+    fn open_evaluation(m: &mut Market, ids: &[HitId]) -> Vec<EncryptedAnswer> {
         let workers: Vec<Address> = (1..=3).map(Address::from_byte).collect();
-        let good = Answer(vec![1, 0, 0, 0, 1, 0]);
-        let bad = Answer(vec![0, 0, 1, 0, 0, 0]);
+        let mut good = Answer(vec![0; 2 * m.golden.indexes.len()]);
+        let mut bad = good.clone();
+        for (&i, &a) in m.golden.indexes.iter().zip(&m.golden.answers) {
+            good.0[i] = a;
+            bad.0[i] = 1 - a;
+        }
         let answers = [bad, good.clone(), good];
-        let mut cts = Vec::new();
-        let mut keys = Vec::new();
-        for (w, a) in workers.iter().zip(&answers) {
-            let enc = a.encrypt(&m.kp.ek, &mut m.rng);
-            let key = CommitmentKey::random(&mut m.rng);
-            let comm = Commitment::commit(&enc.encode(), &key);
-            m.chain.submit(
-                *w,
-                RegistryMessage::Hit {
-                    id,
-                    msg: HitMessage::Commit { commitment: comm },
-                },
-            );
-            cts.push(enc);
-            keys.push(key);
+        let mut reveals = Vec::new();
+        for &id in ids {
+            for (w, a) in workers.iter().zip(&answers) {
+                let enc = a.encrypt(&m.kp.ek, &mut m.rng);
+                let key = CommitmentKey::random(&mut m.rng);
+                let comm = Commitment::commit(&enc.encode(), &key);
+                m.chain.submit(
+                    *w,
+                    RegistryMessage::Hit {
+                        id,
+                        msg: HitMessage::Commit { commitment: comm },
+                    },
+                );
+                reveals.push((id, *w, enc, key));
+            }
         }
         m.chain.advance_round_fifo();
-        for ((w, enc), key) in workers.iter().zip(&cts).zip(&keys) {
+        for (id, w, enc, key) in &reveals {
             m.chain.submit(
                 *w,
                 RegistryMessage::Hit {
-                    id,
+                    id: *id,
                     msg: HitMessage::Reveal {
                         ciphertexts: enc.clone(),
                         key: *key,
@@ -1539,53 +1587,59 @@ mod tests {
         // Close the reveal window.
         m.chain.advance_round_fifo();
         m.chain.advance_round_fifo();
-        assert_eq!(m.chain.contract().hit(id).unwrap().phase(), Phase::Evaluate);
-        m.chain.submit(
-            m.requester,
-            RegistryMessage::Hit {
-                id,
-                msg: HitMessage::Golden {
-                    golden: m.golden.clone(),
-                    key: m.gs_key,
+        for &id in ids {
+            assert_eq!(m.chain.contract().hit(id).unwrap().phase(), Phase::Evaluate);
+            m.chain.submit(
+                m.requester,
+                RegistryMessage::Hit {
+                    id,
+                    msg: HitMessage::Golden {
+                        golden: m.golden.clone(),
+                        key: m.gs_key,
+                    },
                 },
-            },
-        );
+            );
+        }
         m.chain.advance_round_fifo();
-        // Reject worker 0 with PoQoEA.
+        reveals
+            .into_iter()
+            .filter(|(_, w, ..)| *w == workers[0])
+            .map(|(_, _, enc, _)| enc)
+            .collect()
+    }
+
+    /// The requester's PoQoEA rejection of worker 0, whose revealed
+    /// ciphertexts are `cts`.
+    fn reject_worker_0(m: &mut Market, cts: &EncryptedAnswer) -> HitMessage {
         let (chi, proof) = poqoea::prove_quality(
             &m.kp.dk,
-            &cts[0],
+            cts,
             &m.golden,
             &PlaintextRange::binary(),
             &mut m.rng,
         );
-        assert!(chi < 3);
-        m.chain.submit(
-            m.requester,
-            RegistryMessage::Hit {
-                id,
-                msg: HitMessage::Evaluate {
-                    worker: workers[0],
-                    chi,
-                    proof,
-                },
-            },
-        );
+        assert_eq!(chi, 0);
+        HitMessage::Evaluate {
+            worker: Address::from_byte(1),
+            chi,
+            proof,
+        }
+    }
+
+    /// Runs one instance end to end (3 workers, worker 0 low-quality)
+    /// and returns the final settlements.
+    fn run_instance(m: &mut Market, id: HitId) -> Vec<Settlement> {
+        let cts = open_evaluation(m, &[id]);
+        let msg = reject_worker_0(m, &cts[0]);
+        m.chain
+            .submit(m.requester, RegistryMessage::Hit { id, msg });
         for _ in 0..6 {
             m.chain.advance_round_fifo();
         }
-        assert!(m.chain.contract().hit(id).unwrap().is_settled());
-        workers
-            .iter()
-            .map(|w| {
-                m.chain
-                    .contract()
-                    .hit(id)
-                    .unwrap()
-                    .settlement(w)
-                    .unwrap()
-                    .clone()
-            })
+        let hit = m.chain.contract().hit(id).unwrap();
+        assert!(hit.is_settled());
+        (1..=3)
+            .map(|w| hit.settlement(&Address::from_byte(w)).unwrap().clone())
             .collect()
     }
 
@@ -1724,13 +1778,20 @@ mod tests {
         );
     }
 
+    /// The oracle: every item through `vpke::verify` on its own.
+    fn verify_individually(chunks: &[VerifyChunk]) -> Vec<Vec<bool>> {
+        chunks
+            .iter()
+            .map(|c| c.iter().map(|(s, p)| vpke::verify(s, p)).collect())
+            .collect()
+    }
+
     #[test]
     fn verify_chunks_matches_sequential() {
         let mut m = market(SettlementMode::Batched);
         let range = PlaintextRange::new(0, 3);
-        // Skewed chunk sizes (1, 7, 23, 2, 40) force the fan-out past
-        // the sequential threshold, with corruption scattered across
-        // chunks.
+        // Skewed chunk sizes (1, 7, 23, 2, 40) with corruption scattered
+        // across chunks: 73 items, enough for four batches.
         let mut chunks: Vec<VerifyChunk> = Vec::new();
         for (ci, n) in [1usize, 7, 23, 2, 40].into_iter().enumerate() {
             let mut chunk = Vec::new();
@@ -1749,32 +1810,154 @@ mod tests {
             }
             chunks.push(chunk);
         }
-        let par = verify_chunks(chunks.clone(), 4);
-        let seq: Vec<Vec<bool>> = chunks.iter().map(|c| vpke::batch_verify_each(c)).collect();
-        assert_eq!(par, seq, "parallel fan-out must not change verdicts");
-        let individual: Vec<Vec<bool>> = chunks
-            .iter()
-            .map(|c| c.iter().map(|(s, p)| vpke::verify(s, p)).collect())
-            .collect();
-        assert_eq!(par, individual, "and verdicts equal per-proof verify");
+        let individual = verify_individually(&chunks);
         // Some of the corrupted proofs actually failed.
-        assert!(par.iter().flatten().any(|&ok| !ok));
-        // Verdict-identical at every budget, including 1.
-        for threads in [1usize, 2, 3, 16] {
+        assert!(individual.iter().flatten().any(|&ok| !ok));
+        let per_chunk: Vec<Vec<bool>> = chunks.iter().map(|c| vpke::batch_verify_each(c)).collect();
+        assert_eq!(per_chunk, individual);
+        // Verdict-identical at every budget, including 1 — and at every
+        // budget above 1 some cut falls strictly inside a chunk.
+        let starts: Vec<usize> = chunks
+            .iter()
+            .scan(0, |at, c| {
+                *at += c.len();
+                Some(*at - c.len())
+            })
+            .collect();
+        for (threads, batches) in [(1usize, 1usize), (2, 2), (3, 3), (4, 4), (16, 9)] {
+            assert_eq!(batch_count(73, threads), batches);
+            assert!(
+                batches == 1 || (1..batches).any(|b| !starts.contains(&(73 * b / batches))),
+                "budget {threads}: every cut sits on a chunk boundary"
+            );
             assert_eq!(
                 verify_chunks(chunks.clone(), threads),
-                seq,
+                individual,
                 "thread budget {threads} must not change verdicts"
             );
         }
-        // One input on each side of the stay-sequential threshold: the
-        // first three chunks carry 31 items, the first four 33.
-        for (take, fans_out) in [(3, false), (4, true)] {
-            let input = chunks[..take].to_vec();
-            let total: usize = input.iter().map(Vec::len).sum();
-            assert_eq!(total >= PARALLEL_VERIFY_THRESHOLD, fans_out, "{total}");
-            assert_eq!(verify_chunks(input, 4), seq[..take], "{total} items");
+        // Both sides of the minimum batch size: one item short of two
+        // full batches stays whole, two full batches split — the cut
+        // inside the 23-item chunk, which the prefix itself truncates.
+        for (total, batches) in [(2 * MIN_BATCH_ITEMS - 1, 1), (2 * MIN_BATCH_ITEMS, 2)] {
+            assert_eq!(batch_count(total, 4), batches, "{total} items");
+            let mut room = total;
+            let input: Vec<VerifyChunk> = chunks
+                .iter()
+                .map(|c| {
+                    let take = c.len().min(room);
+                    room -= take;
+                    c[..take].to_vec()
+                })
+                .collect();
+            assert_eq!(input.iter().map(Vec::len).sum::<usize>(), total);
+            let expect = verify_individually(&input);
+            assert_eq!(verify_chunks(input, 4), expect, "{total} items");
         }
+        // Degenerate layouts: nothing queued, and empty chunks between
+        // full ones (a verdict whose proof exhibits no VPKE item).
+        assert_eq!(verify_chunks(Vec::new(), 4), Vec::<Vec<bool>>::new());
+        let holes = vec![Vec::new(), chunks[1].clone(), Vec::new(), chunks[2].clone()];
+        let expect = vec![
+            Vec::new(),
+            individual[1].clone(),
+            Vec::new(),
+            individual[2].clone(),
+        ];
+        assert_eq!(verify_chunks(holes, 4), expect);
+    }
+
+    /// Three instances' rejections meet at one block boundary, A's
+    /// forged. The block is verified as batches that ignore instance
+    /// boundaries, so this pins that a forged item costs only its own
+    /// verdict: at every thread budget each item's verdict is its
+    /// `vpke::verify`, A's worker is paid, B's and C's rejections stand
+    /// — and the same tick applied as a replica's captured block reverts
+    /// to the pre-tick image.
+    #[test]
+    fn forged_proofs_stay_local() {
+        // A market one tick before the verdicts land: 12 gold standards
+        // per task, so the three rejections queue 36 items — under two
+        // threads the cut falls inside B's chunk, under three on the
+        // instance boundaries, under sixteen (four batches of nine)
+        // inside all three.
+        let queued = |threads: usize| {
+            let mut m =
+                market_with(HitRegistry::new(SettlementMode::Batched).with_verify_threads(threads));
+            m.golden = GoldenStandards {
+                indexes: (0..12).collect(),
+                answers: vec![1; 12],
+            };
+            let ids = create_hits(&mut m, 3);
+            let cts = open_evaluation(&mut m, &ids);
+            for (&id, cts) in ids.iter().zip(&cts) {
+                let mut msg = reject_worker_0(&mut m, cts);
+                if let (0, HitMessage::Evaluate { proof, .. }) = (id, &mut msg) {
+                    proof.items[0].proof.z += dragoon_crypto::Fr::one();
+                }
+                m.chain
+                    .submit(m.requester, RegistryMessage::Hit { id, msg });
+            }
+            m.chain.advance_round_fifo();
+            m
+        };
+        let outcomes = |m: &Market| -> Vec<Settlement> {
+            let victim = Address::from_byte(1);
+            (0..3)
+                .map(|id| {
+                    let hit = m.chain.contract().hit(id).unwrap();
+                    hit.settlement(&victim).unwrap().clone()
+                })
+                .collect()
+        };
+
+        let m = queued(1);
+        let chunks: Vec<VerifyChunk> = (0..3)
+            .map(|id| m.chain.contract().hit(id).unwrap().peek_pending_items())
+            .collect();
+        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [12; 3]);
+        assert_eq!([2, 3, 16].map(|t| batch_count(36, t)), [2, 3, 4]);
+        let individual = verify_individually(&chunks);
+        let mut expect = vec![vec![true; 12]; 3];
+        expect[0][0] = false;
+        assert_eq!(individual, expect);
+
+        let mut images = Vec::new();
+        for threads in [1usize, 2, 3, 16] {
+            assert_eq!(
+                verify_chunks(chunks.clone(), threads),
+                individual,
+                "budget {threads}"
+            );
+            let mut m = queued(threads);
+            m.chain.advance_round_fifo();
+            let settled = outcomes(&m);
+            assert_eq!(settled[0], Settlement::Paid, "budget {threads}");
+            for rejected in &settled[1..] {
+                assert!(
+                    matches!(rejected, Settlement::Rejected(_)),
+                    "budget {threads}"
+                );
+            }
+            images.push(m.chain.state_image());
+        }
+        assert!(images.windows(2).all(|w| w[0] == w[1]));
+
+        // Replica path: the tick under a captured bracket lands the same
+        // verdicts and unwinds to the byte.
+        let mut replica = queued(2);
+        let before = replica.chain.state_image();
+        let undo = replica.chain.apply_block_captured(Vec::new());
+        assert!(replica.chain.state_image() == images[0]);
+        replica.chain.revert_last_block(undo);
+        assert!(replica.chain.state_image() == before);
+        assert!(replica
+            .chain
+            .contract()
+            .hit(0)
+            .unwrap()
+            .settlement(&Address::from_byte(1))
+            .is_none());
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! [`BlockUndo`] — the block's writes folded into a single record — on a
 //! stack parallel to the applied branch, so switching to a heavier
 //! branch is pop-revert / re-apply — bit-exact, touched state only,
-//! deadline settlements included.
+//! deadline settlements included. The sequencer's replica (node 0,
+//! [`Node::sequencer`]) is the exception: it follows the canonical feed,
+//! which wins every fork choice, so it can never leave its branch and
+//! keeps no stack — each block's undo is dropped as it is applied.
 //!
 //! The block tree holds `Arc<NetBlock>`: a node's entry for a block is
 //! the allocation its producer made, whichever message delivered it. A
@@ -16,6 +19,7 @@
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::replica::{BlockUndo, CaptureStateMachine};
 use dragoon_chain::Chain;
+use dragoon_trace::{SpanKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -69,8 +73,17 @@ pub fn block_id<M>(height: u64, proposer: usize, parent: BlockId, txs: &[Pending
     h.max(1)
 }
 
+/// The invariant node 0 is built on, named where it is relied on (its
+/// missing undo stack) and where it is checked (every canonical feed).
+pub(crate) const SEQUENCER_NEVER_REORGS: &str =
+    "invariant `sequencer-never-reorgs` broken: node 0 follows the canonical feed, which is \
+     strictly ahead on height and wins every tie, so it keeps no undo stack to reorg with";
+
 /// One node of the simulated network.
 pub(crate) struct Node<S: CaptureStateMachine> {
+    /// This node's position in the network (`0` = the sequencer's
+    /// replica).
+    index: usize,
     /// The local chain replica (public to the crate so the simulation
     /// and tests can audit final state).
     pub(crate) chain: Chain<S>,
@@ -85,8 +98,9 @@ pub(crate) struct Node<S: CaptureStateMachine> {
     /// The applied branch, genesis-exclusive: `applied[h-1]` is the
     /// block at height `h`.
     applied: Vec<BlockId>,
-    /// Captured undo state, parallel to `applied`.
-    undos: Vec<BlockUndo<S>>,
+    /// Captured undo state, parallel to `applied`; `None` on the
+    /// sequencer's replica, which never reorgs and keeps none.
+    pub(crate) undos: Option<Vec<BlockUndo<S>>>,
     /// Gossip mempool: transactions heard but not applied on the
     /// current branch, by canonical sequence number.
     pub(crate) mempool: BTreeMap<u64, PendingTx<S::Msg>>,
@@ -100,15 +114,28 @@ pub(crate) struct Node<S: CaptureStateMachine> {
 }
 
 impl<S: CaptureStateMachine> Node<S> {
-    pub(crate) fn new(chain: Chain<S>) -> Self {
+    /// Replica `index` (≥ 1): follows fork choice wherever it leads, so
+    /// it stacks one undo per applied block.
+    pub(crate) fn replica(index: usize, chain: Chain<S>) -> Self {
+        Self::from_genesis(index, chain, Some(Vec::new()))
+    }
+
+    /// The sequencer's replica (node 0): only ever extends the canonical
+    /// branch, so it keeps no undo stack.
+    pub(crate) fn sequencer(chain: Chain<S>) -> Self {
+        Self::from_genesis(0, chain, None)
+    }
+
+    fn from_genesis(index: usize, chain: Chain<S>, undos: Option<Vec<BlockUndo<S>>>) -> Self {
         assert_eq!(chain.round(), 0, "replicas start from genesis");
         Self {
+            index,
             chain,
             blocks: BTreeMap::new(),
             children: BTreeMap::new(),
             complete: BTreeSet::new(),
             applied: Vec::new(),
-            undos: Vec::new(),
+            undos,
             mempool: BTreeMap::new(),
             applied_seqs: BTreeSet::new(),
             head_age: 0,
@@ -207,8 +234,11 @@ impl<S: CaptureStateMachine> Node<S> {
     /// it: pops the divergent suffix (reverting state through the
     /// captured undo stack, returning transactions to the mempool) and
     /// applies the winning branch's blocks. Returns the number of
-    /// blocks popped (0 for a plain extension or no change).
-    pub(crate) fn try_advance(&mut self) -> usize {
+    /// blocks popped (0 for a plain extension or no change). Each block
+    /// application is one wall span in `tracer` (no deterministic event:
+    /// when a block reaches a node is already told by `gossip`, `fork`
+    /// and `reorg`).
+    pub(crate) fn try_advance(&mut self, tracer: &Tracer) -> usize {
         let target = self.best_head();
         if target == self.head().0 {
             return 0;
@@ -231,7 +261,12 @@ impl<S: CaptureStateMachine> Node<S> {
         }
         let popped = self.applied.len() - common;
         for _ in 0..popped {
-            let undo = self.undos.pop().expect("undo per applied block");
+            let undo = self
+                .undos
+                .as_mut()
+                .expect(SEQUENCER_NEVER_REORGS)
+                .pop()
+                .expect("undo per applied block");
             self.chain.revert_last_block(undo);
             let id = self.applied.pop().expect("popped block exists");
             for tx in &self.blocks[&id].txs {
@@ -243,13 +278,19 @@ impl<S: CaptureStateMachine> Node<S> {
             let block = &self.blocks[&id];
             debug_assert_eq!(block.height, self.chain.round() + 1);
             let txs = block.txs.clone();
+            let mut sp = tracer.span(SpanKind::Apply, block.height);
+            sp.arg("node", self.index as u64);
+            sp.arg("height", block.height);
+            sp.arg("txs", txs.len() as u64);
             for tx in &txs {
                 self.applied_seqs.insert(tx.seq);
                 self.mempool.remove(&tx.seq);
             }
             let undo = self.chain.apply_block_captured(txs);
             self.applied.push(id);
-            self.undos.push(undo);
+            if let Some(undos) = &mut self.undos {
+                undos.push(undo);
+            }
         }
         self.head_age = 0;
         popped
@@ -260,7 +301,8 @@ impl<S: CaptureStateMachine> Node<S> {
     /// stale past the patience window, so the block competes with
     /// canonical blocks it has not seen. The block is inserted and
     /// applied locally; the caller gossips it.
-    pub(crate) fn produce(&mut self, proposer: usize) -> Arc<NetBlock<S::Msg>> {
+    pub(crate) fn produce(&mut self, tracer: &Tracer) -> Arc<NetBlock<S::Msg>> {
+        let proposer = self.index;
         let (parent, height) = self.head();
         let txs: Vec<PendingTx<S::Msg>> = self.mempool.values().cloned().collect();
         let block = Arc::new(NetBlock {
@@ -271,7 +313,7 @@ impl<S: CaptureStateMachine> Node<S> {
             txs,
         });
         self.insert_block(Arc::clone(&block));
-        let popped = self.try_advance();
+        let popped = self.try_advance(tracer);
         debug_assert_eq!(popped, 0, "own production extends the head");
         block
     }

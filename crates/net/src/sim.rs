@@ -38,7 +38,7 @@
 //! arbitrary drop rates.
 
 use crate::config::{NetConfig, ProposerPolicy};
-use crate::node::{block_id, BlockId, NetBlock, Node, GENESIS};
+use crate::node::{block_id, BlockId, NetBlock, Node, GENESIS, SEQUENCER_NEVER_REORGS};
 use crate::relay::{build_relay, RelayDecision, RelayPolicy};
 use crate::report::NetReport;
 use dragoon_chain::mempool::PendingTx;
@@ -104,7 +104,9 @@ impl<S: CaptureStateMachine> NetSim<S> {
     /// deterministic), links seeded from `seed`.
     pub fn new(cfg: NetConfig, seed: u64, genesis: impl Fn() -> Chain<S>) -> Self {
         assert!(cfg.nodes >= 1, "a network needs at least the sequencer");
-        let nodes: Vec<Node<S>> = (0..cfg.nodes).map(|_| Node::new(genesis())).collect();
+        let nodes: Vec<Node<S>> = std::iter::once(Node::sequencer(genesis()))
+            .chain((1..cfg.nodes).map(|i| Node::replica(i, genesis())))
+            .collect();
         let relay = build_relay(&cfg.relay);
         let report = NetReport {
             nodes: cfg.nodes,
@@ -200,8 +202,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
             &[("height", height), ("sent", sent)],
         );
         self.nodes[0].insert_block(block);
-        let popped = self.nodes[0].try_advance();
-        debug_assert_eq!(popped, 0, "the sequencer's replica never reorgs");
+        let popped = self.nodes[0].try_advance(&self.tracer);
+        assert_eq!(popped, 0, "{SEQUENCER_NEVER_REORGS}");
         self.advance_tick();
     }
 
@@ -287,7 +289,7 @@ impl<S: CaptureStateMachine> NetSim<S> {
                     if let Some(missing) = self.nodes[to].missing_ancestor(id) {
                         self.send(to, from, NetMsg::BlockRequest { id: missing });
                     }
-                    let popped = self.nodes[to].try_advance();
+                    let popped = self.nodes[to].try_advance(&self.tracer);
                     if popped > 0 {
                         self.report.reorgs += 1;
                         self.report.max_reorg_depth =
@@ -346,7 +348,7 @@ impl<S: CaptureStateMachine> NetSim<S> {
         if self.nodes[slot].head_age < self.cfg.fork_patience {
             return;
         }
-        let block = self.nodes[slot].produce(slot);
+        let block = self.nodes[slot].produce(&self.tracer);
         self.report.forks_produced += 1;
         self.tracer.event(
             SpanKind::Fork,
@@ -548,6 +550,55 @@ mod tests {
             }
         }
         assert_eq!(net.node_chain(3).contract().count, 3);
+    }
+
+    /// Node 0 keeps no undo stack — at no point of a run that forks and
+    /// reorgs its replicas — while every replica's stack is its applied
+    /// branch: one undo per block, by height, through every pop and
+    /// re-apply.
+    #[test]
+    fn only_replicas_stack_undos() {
+        let cfg = NetConfig {
+            partitions: vec![crate::PartitionWindow {
+                start: 2,
+                end: 12,
+                island: vec![3],
+            }],
+            fork_patience: 2,
+            ..NetConfig::default()
+        };
+        let mut net = NetSim::new(cfg, 5, || {
+            Chain::deploy(Counter::default(), 100, GasSchedule::istanbul())
+        });
+        let check = |net: &NetSim<Counter>| {
+            assert!(net.nodes[0].undos.is_none(), "node 0 grew an undo stack");
+            assert_eq!(net.nodes[0].head(), net.canonical_head());
+            for (i, node) in net.nodes.iter().enumerate().skip(1) {
+                let rounds: Vec<u64> = node
+                    .undos
+                    .as_ref()
+                    .expect("a replica keeps its undos")
+                    .iter()
+                    .map(|undo| undo.round())
+                    .collect();
+                let branch: Vec<u64> = (1..=node.head().1).collect();
+                assert_eq!(rounds, branch, "node {i}");
+            }
+        };
+        for seq in 0..16 {
+            let tx = PendingTx {
+                sender: Address::from_byte(1),
+                msg: Bump,
+                seq,
+            };
+            net.gossip_tx(tx.clone());
+            net.broadcast_block(vec![tx]);
+            check(&net);
+        }
+        assert!(net.drain(), "the island heals and converges");
+        check(&net);
+        assert!(net.report().reorgs > 0, "the run must exercise a pop");
+        assert_eq!(net.node_head(3).1, 16);
     }
 
     /// `report()` reads, it never folds: asking twice gives the same

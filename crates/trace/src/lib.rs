@@ -202,6 +202,8 @@ pub enum SpanKind {
     Fork,
     /// A replica switching branches, popping applied blocks.
     Reorg,
+    /// One node re-executing one gossiped block (wall layer only).
+    Apply,
 }
 
 impl SpanKind {
@@ -217,6 +219,7 @@ impl SpanKind {
             SpanKind::Gossip => "gossip",
             SpanKind::Fork => "fork",
             SpanKind::Reorg => "reorg",
+            SpanKind::Apply => "apply",
         }
     }
 
@@ -227,7 +230,7 @@ impl SpanKind {
             SpanKind::Verify => "verify",
             SpanKind::Persist | SpanKind::Snapshot => "store",
             SpanKind::Prove | SpanKind::Release => "prove",
-            SpanKind::Gossip | SpanKind::Fork | SpanKind::Reorg => "net",
+            SpanKind::Gossip | SpanKind::Fork | SpanKind::Reorg | SpanKind::Apply => "net",
         }
     }
 }
@@ -384,6 +387,12 @@ impl Tracer {
             start: Instant::now(),
             args: Vec::new(),
         }))
+    }
+
+    /// The wall spans recorded so far, in completion order (a nested
+    /// span precedes the one around it). Empty for an off handle.
+    pub fn wall_spans(&self) -> Vec<WallSpan> {
+        self.read(|rec| rec.spans.clone())
     }
 }
 

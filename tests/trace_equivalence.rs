@@ -223,3 +223,63 @@ fn second_trace_names_only_its_own_threads() {
         assert_eq!(doc.matches("thread_name").count(), 2, "{tag}");
     }
 }
+
+/// The wall profile of a net market needs no subtraction: every block a
+/// node applies is an `apply` span (args `node`, `height`, `txs`), the
+/// applications of the live run nest inside the round's `gossip` span
+/// and account for at least 90 % of it, and settlement verification says
+/// how it was partitioned. Only the final drain — after the last
+/// `gossip` — applies outside one.
+#[test]
+fn apply_spans_nest_inside_gossip_and_cover_it() {
+    use dragoon_trace::{SpanKind, WallSpan};
+    let tracer = Tracer::full();
+    let report = MarketSim::traced(lossy_net_config(), tracer.clone()).run();
+    let spans = tracer.wall_spans();
+    let of =
+        |kind: SpanKind| -> Vec<&WallSpan> { spans.iter().filter(|s| s.kind == kind).collect() };
+    let arg = |span: &WallSpan, key: &str| {
+        let found = span.args.iter().find(|(k, _)| *k == key);
+        found
+            .unwrap_or_else(|| panic!("{} span without `{key}`", span.kind.name()))
+            .1
+    };
+    let end = |span: &WallSpan| span.start_us + span.dur_us;
+
+    let gossip = of(SpanKind::Gossip);
+    let apply = of(SpanKind::Apply);
+    assert!(!gossip.is_empty() && !apply.is_empty());
+    let live_end = gossip.iter().map(|g| end(g)).max().expect("gossip spans");
+    let mut nested_us = 0;
+    for a in &apply {
+        assert!(arg(a, "node") < 4);
+        assert_eq!(arg(a, "height"), a.tick);
+        let _ = arg(a, "txs");
+        match gossip
+            .iter()
+            .find(|g| g.tid == a.tid && g.start_us <= a.start_us && end(a) <= end(g))
+        {
+            Some(_) => nested_us += a.dur_us,
+            None => assert!(
+                a.start_us >= live_end,
+                "an apply span of the live run outside every gossip span"
+            ),
+        }
+    }
+    // Every node applied at least the canonical branch.
+    let blocks = report.blocks as usize;
+    for node in 0..4 {
+        let applied = apply.iter().filter(|a| arg(a, "node") == node).count();
+        assert!(applied >= blocks, "node {node}: {applied} of {blocks}");
+    }
+    let gossip_us: u64 = gossip.iter().map(|g| g.dur_us).sum();
+    assert!(
+        nested_us * 10 >= gossip_us * 9,
+        "apply spans cover {nested_us} of {gossip_us} us of gossip"
+    );
+    for v in of(SpanKind::Verify) {
+        let (batches, threads) = (arg(v, "batches"), arg(v, "threads"));
+        assert!(1 <= batches && batches <= threads.max(1));
+        assert!(batches <= arg(v, "items").max(1));
+    }
+}
