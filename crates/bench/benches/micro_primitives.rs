@@ -32,17 +32,43 @@ fn rotate<'a, T>(items: &'a [T]) -> impl FnMut() -> &'a T {
 
 fn bench_field(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
-    let a = Fq::random(&mut rng);
-    let b = Fq::random(&mut rng);
-    c.bench_function("fq_mul", |bench| bench.iter(|| black_box(a) * black_box(b)));
+    let fq_pairs: Vec<(Fq, Fq)> = (0..64)
+        .map(|_| (Fq::random(&mut rng), Fq::random(&mut rng)))
+        .collect();
+    let mut pair = rotate(&fq_pairs);
+    c.bench_function("fq_mul", |bench| {
+        bench.iter(|| {
+            let (a, b) = black_box(pair());
+            *a * *b
+        })
+    });
     let operands: Vec<Fq> = (0..64).map(|_| Fq::random(&mut rng)).collect();
     let mut operand = rotate(&operands);
+    c.bench_function("fq_square", |bench| {
+        bench.iter(|| black_box(operand()).square())
+    });
+    // Each product feeds the next: the latency a G1 formula's dependent
+    // multiplications pay, where `fq_mul` overlaps independent ones.
+    let mut acc = Fq::one();
+    c.bench_function("fq_mul_chain", |bench| {
+        bench.iter(|| {
+            acc *= *black_box(operand());
+            acc
+        })
+    });
     c.bench_function("fq_inverse", |bench| {
         bench.iter(|| black_box(operand()).inverse().unwrap())
     });
-    let x = Fr::random(&mut rng);
-    let y = Fr::random(&mut rng);
-    c.bench_function("fr_mul", |bench| bench.iter(|| black_box(x) * black_box(y)));
+    let fr_pairs: Vec<(Fr, Fr)> = (0..64)
+        .map(|_| (Fr::random(&mut rng), Fr::random(&mut rng)))
+        .collect();
+    let mut pair = rotate(&fr_pairs);
+    c.bench_function("fr_mul", |bench| {
+        bench.iter(|| {
+            let (x, y) = black_box(pair());
+            *x * *y
+        })
+    });
 }
 
 fn bench_group(c: &mut Criterion) {

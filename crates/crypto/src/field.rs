@@ -8,12 +8,12 @@
 //!   `r = 21888242871839275222246405745257275088548364400416034343698204186575808495617`.
 //!
 //! Elements are stored in Montgomery form (multiplied by `R = 2^256 mod p`)
-//! over four 64-bit little-endian limbs, with textbook schoolbook
-//! multiplication followed by Montgomery reduction. The representation is
-//! always kept canonical (reduced), which makes derived equality/hashing
-//! sound.
+//! over four 64-bit little-endian limbs, multiplied by one interleaved
+//! pass of multiplication and Montgomery reduction (CIOS). The
+//! representation is always kept canonical (reduced), which makes derived
+//! equality/hashing sound.
 
-use crate::arith::{adc, add_4, bit, bit_len, lt_4, mac, mul_wide_4, shr1_4, sub_4};
+use crate::arith::{add_4, bit, bit_len, lt_4, mac, shr1_4, sub_4};
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
@@ -86,10 +86,7 @@ macro_rules! montgomery_field {
 
             /// Converts out of Montgomery form into plain little-endian limbs.
             pub fn to_plain_limbs(&self) -> [u64; 4] {
-                Self::montgomery_reduce(&[
-                    self.0[0], self.0[1], self.0[2], self.0[3], 0, 0, 0, 0,
-                ])
-                .0
+                self.mul_internal(&Self([1, 0, 0, 0])).0
             }
 
             /// Canonical 32-byte little-endian encoding.
@@ -159,30 +156,36 @@ macro_rules! montgomery_field {
                 }
             }
 
-            /// Montgomery reduction of an 8-limb product; returns limbs and
-            /// performs the final conditional subtraction.
-            fn montgomery_reduce(t: &[u64; 8]) -> Self {
-                let m = Self::MODULUS;
-                let mut t = *t;
-                let mut carry2 = 0u64;
-                for i in 0..4 {
-                    let k = t[i].wrapping_mul(Self::INV);
-                    let (_, mut carry) = mac(t[i], k, m[0], 0);
-                    for j in 1..4 {
-                        let (v, c) = mac(t[i + j], k, m[j], carry);
-                        t[i + j] = v;
-                        carry = c;
-                    }
-                    let (v, c) = adc(t[i + 4], carry2, carry);
-                    t[i + 4] = v;
-                    carry2 = c;
-                }
-                Self::reduce_once([t[4], t[5], t[6], t[7]], carry2)
-            }
-
-            /// Field multiplication (Montgomery).
+            /// Field multiplication: the Montgomery product
+            /// `self·rhs·R⁻¹ mod p`, canonical.
+            ///
+            /// One pass per limb of `self` (CIOS): add `selfᵢ·rhs` into
+            /// the 4-limb accumulator, then `m·p` with `m` chosen to
+            /// clear its low limb, and shift one limb down — the two
+            /// carry chains run side by side, so no 512-bit product is
+            /// ever formed. The accumulator stays below `rhs + p < 2p`,
+            /// which fits four limbs because `2p < 2^256` (asserted
+            /// below the macro's impl), so its top limb is the plain sum
+            /// of the two chains' carries. `rhs` must be reduced; `self`
+            /// may be any 256-bit value (the conversions pass raw limbs
+            /// there), since `self·rhs < R·p` still leaves the result
+            /// below `2p`, one conditional subtraction from canonical.
+            #[inline]
             pub fn mul_internal(&self, rhs: &Self) -> Self {
-                Self::montgomery_reduce(&mul_wide_4(&self.0, &rhs.0))
+                let (r, p) = (&rhs.0, &Self::MODULUS);
+                let mut t = [0u64; 4];
+                for &s in &self.0 {
+                    let (t0, mut carry_sr) = mac(t[0], s, r[0], 0);
+                    let m = t0.wrapping_mul(Self::INV);
+                    let (_, mut carry_mp) = mac(t0, m, p[0], 0);
+                    for j in 1..4 {
+                        let (v, c) = mac(t[j], s, r[j], carry_sr);
+                        carry_sr = c;
+                        (t[j - 1], carry_mp) = mac(v, m, p[j], carry_mp);
+                    }
+                    t[3] = carry_sr + carry_mp;
+                }
+                Self::reduce_once(t, 0)
             }
 
             /// Squares this element.
@@ -299,6 +302,9 @@ macro_rules! montgomery_field {
                 }
             }
         }
+
+        // `mul_internal` keeps no fifth accumulator limb: sound only while 2p < 2^256.
+        const _: () = assert!($name::MODULUS[3] < u64::MAX >> 1);
 
         impl Add for $name {
             type Output = Self;
@@ -516,11 +522,153 @@ field_serde!(Fr);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arith::{adc, mul_wide_4};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xd24a_6001)
+    }
+
+    /// One field's offline vectors (`field_vectors.rs`, written by
+    /// `tests/vectors/gen_bn254.py`). Every table is indexed like
+    /// `operands`: thirteen edge values, then 64 seeded random ones.
+    struct FieldVectors {
+        modulus: [u64; 4],
+        /// `2^256 mod p`.
+        r: [u64; 4],
+        /// `2^512 mod p`.
+        r2: [u64; 4],
+        /// `-p⁻¹ mod 2^64`.
+        inv: u64,
+        operands: &'static [[u64; 4]],
+        /// `a² mod p`.
+        squares: &'static [[u64; 4]],
+        /// `pow(a, -1, p)`; zero for `a = 0`, which has none.
+        inverses: &'static [[u64; 4]],
+        /// `a·2^256 mod p`: the Montgomery limbs of `a`.
+        to_montgomery: &'static [[u64; 4]],
+        /// `a·2^-256 mod p`: the plain value of Montgomery limbs `a`.
+        from_montgomery: &'static [[u64; 4]],
+        /// `(i, j, operands[i]·operands[j] mod p)`.
+        products: &'static [(usize, usize, [u64; 4])],
+    }
+
+    include!("field_vectors.rs");
+
+    #[test]
+    fn arithmetic_matches_offline_vectors() {
+        macro_rules! check {
+            ($field:ident, $v:expr) => {{
+                let (v, name): (&FieldVectors, _) = (&$v, stringify!($field));
+                let constants = ($field::MODULUS, $field::R, $field::R2, $field::INV);
+                assert_eq!(constants, (v.modulus, v.r, v.r2, v.inv));
+                assert_eq!($field::from_plain_limbs(v.modulus), None);
+                let elems: Vec<$field> = v
+                    .operands
+                    .iter()
+                    .map(|&a| $field::from_plain_limbs(a).expect("operands are reduced"))
+                    .collect();
+                for (i, a) in elems.iter().enumerate() {
+                    let plain = v.operands[i];
+                    assert_eq!(a.0, v.to_montgomery[i], "{name} in: {plain:x?}");
+                    assert_eq!(a.to_plain_limbs(), plain);
+                    let out = $field(plain).to_plain_limbs();
+                    assert_eq!(out, v.from_montgomery[i], "{name} out: {plain:x?}");
+                    assert_eq!(
+                        a.square().to_plain_limbs(),
+                        v.squares[i],
+                        "{name} {plain:x?}²"
+                    );
+                    let inverse = a.inverse().map_or([0; 4], |x| x.to_plain_limbs());
+                    assert_eq!(inverse, v.inverses[i], "{name} 1/{plain:x?}");
+                }
+                for &(i, j, product) in v.products {
+                    assert_eq!(
+                        (elems[i] * elems[j]).to_plain_limbs(),
+                        product,
+                        "{name} {i}·{j}"
+                    );
+                }
+            }};
+        }
+        check!(Fq, FQ);
+        check!(Fr, FR);
+    }
+
+    /// Word-by-word Montgomery reduction of a 512-bit value (the SOS
+    /// half of the product the crate shipped before the CIOS loop),
+    /// with the final conditional subtraction.
+    fn montgomery_reduce(mut t: [u64; 8], p: &[u64; 4], inv: u64) -> [u64; 4] {
+        let mut carry2 = 0u64;
+        for i in 0..4 {
+            let k = t[i].wrapping_mul(inv);
+            let (_, mut carry) = mac(t[i], k, p[0], 0);
+            for j in 1..4 {
+                (t[i + j], carry) = mac(t[i + j], k, p[j], carry);
+            }
+            (t[i + 4], carry2) = adc(t[i + 4], carry2, carry);
+        }
+        let high = [t[4], t[5], t[6], t[7]];
+        let (sub, borrow) = sub_4(&high, p);
+        if carry2 != 0 || borrow == 0 {
+            sub
+        } else {
+            high
+        }
+    }
+
+    /// The SOS oracle: the full 512-bit schoolbook product, then
+    /// [`montgomery_reduce`].
+    fn mul_sos(a: &[u64; 4], b: &[u64; 4], p: &[u64; 4], inv: u64) -> [u64; 4] {
+        montgomery_reduce(mul_wide_4(a, b), p, inv)
+    }
+
+    /// Four limbs, each an edge value (0, 1, `u64::MAX`, a limb of
+    /// either modulus) or uniform.
+    fn edge_or_random_limbs() -> impl Strategy<Value = [u64; 4]> {
+        proptest::collection::vec((0u8..6, any::<u64>()), 4).prop_map(|draws| {
+            let mut limbs = [0u64; 4];
+            for (i, (kind, x)) in draws.into_iter().enumerate() {
+                limbs[i] = match kind {
+                    0 => 0,
+                    1 => 1,
+                    2 => u64::MAX,
+                    3 => Fq::MODULUS[i],
+                    4 => Fr::MODULUS[i],
+                    _ => x,
+                };
+            }
+            limbs
+        })
+    }
+
+    /// `limbs` brought below `modulus` (< 2^254 after masking, and
+    /// `2^254 < 2p`, so one subtraction suffices).
+    fn reduced(mut limbs: [u64; 4], modulus: &[u64; 4]) -> [u64; 4] {
+        limbs[3] &= u64::MAX >> 2;
+        if lt_4(&limbs, modulus) {
+            limbs
+        } else {
+            sub_4(&limbs, modulus).0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+        /// The CIOS product equals the SOS oracle for a reduced `rhs`
+        /// and any 256-bit `self` — the contract `mul_internal` states
+        /// (the conversions pass raw limbs as `self`).
+        #[test]
+        fn cios_matches_sos_oracle(a in edge_or_random_limbs(), b in edge_or_random_limbs()) {
+            let rq = reduced(b, &Fq::MODULUS);
+            prop_assert_eq!(Fq(a).mul_internal(&Fq(rq)).0, mul_sos(&a, &rq, &Fq::MODULUS, Fq::INV));
+            let rr = reduced(b, &Fr::MODULUS);
+            prop_assert_eq!(Fr(a).mul_internal(&Fr(rr)).0, mul_sos(&a, &rr, &Fr::MODULUS, Fr::INV));
+            let sq = Fq(reduced(a, &Fq::MODULUS));
+            prop_assert_eq!(sq.square().0, mul_sos(&sq.0, &sq.0, &Fq::MODULUS, Fq::INV));
+        }
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //!   key regardless of thread interleaving and the statistics stay
 //!   deterministic across `DRAGOON_THREADS` values — and builds the
 //!   table after releasing it, so a cold key stalls only the threads
-//!   that want that same key.
+//!   that want that same key. The proving service makes sure that is
+//!   none while other work remains: its pool takes a batch round-robin
+//!   by HIT instance (`ProvingService::submit_batch` in
+//!   `dragoon-protocol`), so the commit jobs that share a requester's
+//!   key are handed out apart and a sibling does not sleep through the
+//!   key's build.
 //!
 //! Table-based multiplication returns the same group element as
 //! [`G1Projective::mul_scalar`] (asserted by unit tests), and every

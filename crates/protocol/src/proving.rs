@@ -28,13 +28,16 @@
 //! enqueued, which is exactly the async pipeline at zero latency — the
 //! equivalence the `proving_equivalence` suite pins down against a
 //! one-thread oracle. A budget of one thread is the only serial path:
-//! every job then runs on the calling thread, in enqueue order.
+//! every job then runs on the calling thread, in the batch's hand-out
+//! order (round-robin by instance, see
+//! [`ProvingService::submit_batch`]).
 
 use dragoon_chain::par_map;
 use dragoon_ledger::Address;
 use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Which protocol phase a proof job belongs to (part of the job key and
 /// of the per-job RNG domain separation).
@@ -215,6 +218,27 @@ pub fn job_rng(master_seed: u64, key: &JobKey) -> StdRng {
     StdRng::seed_from_u64(h)
 }
 
+/// The order [`ProvingService::submit_batch`] hands a batch to the pool,
+/// as enqueue indices: round-robin by instance, instances in the order
+/// they first appear and each instance's jobs in enqueue order — so no
+/// two consecutive hand-outs share an instance while two remain.
+fn hand_out_order(keys: &[JobKey]) -> Vec<usize> {
+    // Instance → (first-appearance rank, jobs seen so far).
+    let mut seen: HashMap<u64, (usize, usize)> = HashMap::new();
+    let round_and_rank: Vec<(usize, usize)> = keys
+        .iter()
+        .map(|key| {
+            let first_free = seen.len();
+            let (rank, jobs) = seen.entry(key.instance).or_insert((first_free, 0));
+            *jobs += 1;
+            (*jobs - 1, *rank)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&i| round_and_rank[i]);
+    order
+}
+
 struct QueuedOutput<T> {
     ready_tick: u64,
     enqueue_tick: u64,
@@ -270,12 +294,22 @@ impl<T: Send> ProvingService<T> {
     ///
     /// Each job runs with its own [`job_rng`] stream, fanned out over
     /// the thread budget by [`par_map`] (the calling thread is worker 0;
-    /// a budget of one, or a single job, runs on it alone, in enqueue
-    /// order), so outputs are identical at every budget. Not keyed on a
-    /// job's declared cost: callers submit real work at cost 0 when
-    /// they model no latency for it. The output becomes visible
-    /// to [`Self::drain_ready`] at `tick + cost·ticks_per_kilocost/1000`
-    /// (always `tick` itself when latency is not modeled).
+    /// a budget of one, or a single job, runs on it alone), so outputs
+    /// are identical at every budget. The pool takes the jobs
+    /// round-robin by [`JobKey::instance`] — every instance's first job
+    /// (instances in the order they first appear), then every
+    /// instance's second, and so on — and the outputs are written back
+    /// in enqueue order, which alone fixes `seq`. An instance's jobs
+    /// share its requester's fixed-base table, which the first lookup
+    /// builds while later ones wait on it: handed out side by side, two
+    /// threads would take two of them and one would sleep through the
+    /// other's build.
+    ///
+    /// Not keyed on a job's declared cost: callers submit real work at
+    /// cost 0 when they model no latency for it. The output becomes
+    /// visible to [`Self::drain_ready`] at
+    /// `tick + cost·ticks_per_kilocost/1000` (always `tick` itself when
+    /// latency is not modeled).
     pub fn submit_batch(&mut self, tick: u64, jobs: Vec<ProofJob<T>>) {
         if jobs.is_empty() {
             return;
@@ -303,11 +337,17 @@ impl<T: Send> ProvingService<T> {
             })
             .collect();
         let keys: Vec<JobKey> = jobs.iter().map(|j| j.key).collect();
-        let outputs = par_map(self.threads, jobs, |job| {
+        let mut slots: Vec<Option<ProofJob<T>>> = jobs.into_iter().map(Some).collect();
+        let handed: Vec<(usize, ProofJob<T>)> = hand_out_order(&keys)
+            .into_iter()
+            .map(|i| (i, slots[i].take().expect("the hand-out is a permutation")))
+            .collect();
+        let mut outputs = par_map(self.threads, handed, |(i, job)| {
             let mut rng = job_rng(self.master_seed, &job.key);
-            (job.run)(&mut rng)
+            (i, (job.run)(&mut rng))
         });
-        for ((output, key), latency) in outputs.into_iter().zip(keys).zip(latencies) {
+        outputs.sort_unstable_by_key(|&(i, _)| i);
+        for (((_, output), key), latency) in outputs.into_iter().zip(keys).zip(latencies) {
             self.queue.push(QueuedOutput {
                 ready_tick: tick + latency,
                 enqueue_tick: tick,
@@ -567,6 +607,99 @@ mod tests {
         let mut parallel: ProvingService<u64> = ProvingService::new(9, 8, cfg);
         parallel.submit_batch(0, make());
         assert_eq!(serial.drain_ready(0), parallel.drain_ready(0));
+    }
+
+    /// Seeded batches of instance ids: 1 to 6 instances, 1 to 6 jobs
+    /// each, interleaved in a random enqueue order.
+    fn instance_sequences() -> Vec<Vec<u64>> {
+        let mut rng = StdRng::seed_from_u64(0x4a4d);
+        (0..200)
+            .map(|_| {
+                let mut ids: Vec<u64> = (0..rng.gen_range(1..=6u64))
+                    .flat_map(|id| vec![id * 11; rng.gen_range(1..=6)])
+                    .collect();
+                rand::seq::SliceRandom::shuffle(&mut ids[..], &mut rng);
+                ids
+            })
+            .collect()
+    }
+
+    fn keys_of(instances: &[u64]) -> Vec<JobKey> {
+        instances
+            .iter()
+            .enumerate()
+            .map(|(i, &instance)| key(i as u8, instance, ProofPhase::Commit))
+            .collect()
+    }
+
+    #[test]
+    fn hand_out_is_a_permutation_keeping_each_instance_in_enqueue_order() {
+        for instances in instance_sequences() {
+            let order = hand_out_order(&keys_of(&instances));
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..instances.len()).collect::<Vec<_>>());
+            for pair in order.windows(2) {
+                if instances[pair[0]] == instances[pair[1]] {
+                    assert!(pair[0] < pair[1], "{instances:?} → {order:?}");
+                }
+            }
+        }
+        assert!(hand_out_order(&[]).is_empty());
+    }
+
+    #[test]
+    fn consecutive_hand_outs_differ_while_two_instances_remain() {
+        for instances in instance_sequences() {
+            let order = hand_out_order(&keys_of(&instances));
+            for (at, pair) in order.windows(2).enumerate() {
+                let remaining: std::collections::BTreeSet<u64> =
+                    order[at..].iter().map(|&i| instances[i]).collect();
+                if remaining.len() >= 2 {
+                    assert_ne!(
+                        instances[pair[0]], instances[pair[1]],
+                        "{instances:?} → {order:?} at {at}"
+                    );
+                }
+            }
+        }
+        // A HIT's four commit jobs next to each other go out apart.
+        let order = hand_out_order(&keys_of(&[5, 5, 5, 5, 6, 6, 6, 6]));
+        assert_eq!(order, [0, 4, 1, 5, 2, 6, 3, 7]);
+    }
+
+    /// A batch mixing 1-, 4- and 5-job instances, interleaved, with
+    /// latencies of 0 to 2 ticks: at budgets 1, 2, 3 and 8 every job's
+    /// output is its own keyed draw and the release order is
+    /// `(ready_tick, enqueue order)`, as a one-thread run computes it.
+    #[test]
+    fn mixed_batch_matches_the_one_thread_run_at_every_budget() {
+        let cfg = ProvingConfig {
+            enabled: true,
+            ticks_per_kilocost: 1,
+        };
+        let instances = [7u64, 3, 3, 9, 3, 9, 9, 3, 9, 9];
+        let jobs = || -> Vec<ProofJob<u64>> {
+            keys_of(&instances)
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| draw_job(k, (i as u64 % 3) * 1_000))
+                .collect()
+        };
+        let mut expected: Vec<(u64, usize, JobKey, u64)> = keys_of(&instances)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (10 + i as u64 % 3, i, k, job_rng(9, &k).gen::<u64>()))
+            .collect();
+        expected.sort_by_key(|&(ready, seq, _, _)| (ready, seq));
+        let expected: Vec<(JobKey, u64)> =
+            expected.into_iter().map(|(_, _, k, v)| (k, v)).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut svc: ProvingService<u64> = ProvingService::new(9, threads, cfg);
+            svc.submit_batch(10, jobs());
+            let released: Vec<(JobKey, u64)> = (10..13).flat_map(|t| svc.drain_ready(t)).collect();
+            assert_eq!(released, expected, "{threads} threads");
+        }
     }
 
     #[test]

@@ -391,7 +391,10 @@ impl MarketSim {
                 break;
             }
             self.publish_step();
-            self.agent_step();
+            {
+                let _sp = self.tracer.span(SpanKind::Agent, self.chain.round());
+                self.agent_step();
+            }
             let policy: &mut dyn ReorderPolicy<RegistryMessage> = match self.config.policy {
                 MarketPolicy::Fifo => &mut fifo,
                 MarketPolicy::Reverse => &mut reverse,
@@ -431,7 +434,10 @@ impl MarketSim {
             if let Some(net) = &mut self.net {
                 net.broadcast_block(self.chain.last_block_txs().to_vec());
             }
-            self.harvest();
+            {
+                let _sp = self.tracer.span(SpanKind::Harvest, self.chain.round());
+                self.harvest();
+            }
             // Pipeline stage 3: kick block N's batched settlement
             // verification onto a background thread, so it overlaps
             // round N+1's agent-step generation and proving. The next

@@ -204,6 +204,11 @@ pub enum SpanKind {
     Reorg,
     /// One node re-executing one gossiped block (wall layer only).
     Apply,
+    /// The round loop's agent step: releasing finished proofs, the
+    /// drives, and the proof batch they submit (wall layer only).
+    Agent,
+    /// The round loop's post-block bookkeeping (wall layer only).
+    Harvest,
 }
 
 impl SpanKind {
@@ -220,6 +225,8 @@ impl SpanKind {
             SpanKind::Fork => "fork",
             SpanKind::Reorg => "reorg",
             SpanKind::Apply => "apply",
+            SpanKind::Agent => "agent",
+            SpanKind::Harvest => "harvest",
         }
     }
 
@@ -231,6 +238,7 @@ impl SpanKind {
             SpanKind::Persist | SpanKind::Snapshot => "store",
             SpanKind::Prove | SpanKind::Release => "prove",
             SpanKind::Gossip | SpanKind::Fork | SpanKind::Reorg | SpanKind::Apply => "net",
+            SpanKind::Agent | SpanKind::Harvest => "sim",
         }
     }
 }

@@ -283,3 +283,54 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
         assert!(batches <= arg(v, "items").max(1));
     }
 }
+
+/// The round loop's wall profile needs no subtraction either: on a
+/// traced single-node market with proving on, the main thread's
+/// top-level spans — `agent` (which holds `prove`), `execute`,
+/// `persist` and `harvest` — cover at least 95 % of the wall between
+/// the first `agent` start and the last `harvest` end.
+#[test]
+fn round_loop_spans_cover_the_main_thread() {
+    use dragoon_trace::{SpanKind, WallSpan};
+    let tracer = Tracer::full();
+    let config = MarketConfig {
+        persist: None,
+        ..full_config(2, scratch("cover"), true)
+    };
+    let _ = MarketSim::traced(config, tracer.clone()).run();
+    let spans = tracer.wall_spans();
+    let of =
+        |kind: SpanKind| -> Vec<&WallSpan> { spans.iter().filter(|s| s.kind == kind).collect() };
+    let end = |span: &WallSpan| span.start_us + span.dur_us;
+
+    let agent = of(SpanKind::Agent);
+    let harvest = of(SpanKind::Harvest);
+    assert!(!agent.is_empty() && !harvest.is_empty());
+    let main = agent[0].tid;
+    for prove in of(SpanKind::Prove) {
+        assert!(
+            agent.iter().any(|a| a.tid == prove.tid
+                && a.start_us <= prove.start_us
+                && end(prove) <= end(a)),
+            "a prove span outside every agent span"
+        );
+    }
+    let from = agent.iter().map(|a| a.start_us).min().expect("agent spans");
+    let to = harvest.iter().map(|h| end(h)).max().expect("harvest spans");
+    let top = [
+        SpanKind::Agent,
+        SpanKind::Execute,
+        SpanKind::Persist,
+        SpanKind::Harvest,
+    ];
+    let covered_us: u64 = spans
+        .iter()
+        .filter(|s| s.tid == main && top.contains(&s.kind))
+        .map(|s| end(s).min(to).saturating_sub(s.start_us.max(from)))
+        .sum();
+    assert!(
+        covered_us * 100 >= (to - from) * 95,
+        "top-level spans cover {covered_us} of {} us",
+        to - from
+    );
+}
