@@ -10,6 +10,8 @@ use dragoon_core::workload::imagenet_workload;
 use dragoon_crypto::elgamal::{Ciphertext, KeyPair, PlaintextRange};
 use dragoon_crypto::g1::G1Projective;
 use dragoon_crypto::g2::G2Affine;
+#[cfg(target_arch = "x86_64")]
+use dragoon_crypto::lanes;
 use dragoon_crypto::pairing::pairing;
 use dragoon_crypto::precomp::generator_table;
 use dragoon_crypto::{keccak256, vpke, FixedBaseTable, Fq, Fr, G1Affine};
@@ -59,6 +61,7 @@ fn bench_field(c: &mut Criterion) {
     c.bench_function("fq_inverse", |bench| {
         bench.iter(|| black_box(operand()).inverse().unwrap())
     });
+    bench_fq8_mul(&operands);
     let fr_pairs: Vec<(Fr, Fr)> = (0..64)
         .map(|_| (Fr::random(&mut rng), Fr::random(&mut rng)))
         .collect();
@@ -70,6 +73,31 @@ fn bench_field(c: &mut Criterion) {
         })
     });
 }
+
+/// The eight-lane IFMA product, as a dependent chain like
+/// `fq_mul_chain`: per 8-lane product and per field product it holds.
+#[cfg(target_arch = "x86_64")]
+fn bench_fq8_mul(operands: &[Fq]) {
+    const PRODUCTS: usize = 1 << 14;
+    let a: [Fq; lanes::LANES] = std::array::from_fn(|i| operands[i]);
+    let b: [Fq; lanes::LANES] = std::array::from_fn(|i| operands[i + lanes::LANES]);
+    if lanes::mul_chain(a, b, 1).is_none() {
+        println!("{:<40} skipped: this CPU has no avx512ifma", "fq8_mul");
+        return;
+    }
+    let times: Vec<Duration> = (0..21)
+        .map(|_| elapsed(|| lanes::mul_chain(black_box(a), black_box(b), PRODUCTS)))
+        .collect();
+    let ns = median_us(times) * 1e3 / PRODUCTS as f64;
+    let per_lane = ns / lanes::LANES as f64;
+    println!(
+        "{:<40} {ns:>9.1} ns /8-lane product ({per_lane:.1} ns per Fq product, chained)",
+        "fq8_mul"
+    );
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_fq8_mul(_: &[Fq]) {}
 
 fn bench_group(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
@@ -240,6 +268,51 @@ fn bench_lockstep_crossover(_: &mut Criterion) {
     }
 }
 
+/// The lane kernel against the portable `batch_mul` under one shared
+/// scalar — the decryption shape — alternated round by round over fresh
+/// points. `g1::LANE_KERNEL_LANES` sits where the ratio crosses 1.
+#[cfg(target_arch = "x86_64")]
+fn bench_lane_crossover(_: &mut Criterion) {
+    const ROUNDS: usize = 31;
+    let mut rng = StdRng::seed_from_u64(7);
+    let k = Fr::random(&mut rng);
+    if lanes::batch_mul_shared(&[], &k).is_none() {
+        println!("lanes / portable: skipped, this CPU has no avx512ifma");
+        return;
+    }
+    println!("lanes / portable batch_mul (one scalar), median µs over {ROUNDS} alternated rounds");
+    println!(
+        "{:>6} {:>32} {:>18}",
+        "lanes", "lanes / portable", "µs per lane"
+    );
+    for n in [1usize, 2, 4, 8, 16, 106] {
+        let (mut portable, mut lane) = (vec![], vec![]);
+        for round in 0..ROUNDS {
+            let points: Vec<G1Affine> = (0..n).map(|_| G1Affine::random(&mut rng)).collect();
+            let points = black_box(points);
+            let mut time_portable =
+                || portable.push(elapsed(|| G1Affine::batch_mul_portable(&points, &[k])));
+            let mut time_lanes = || lane.push(elapsed(|| lanes::batch_mul_shared(&points, &k)));
+            if round % 2 == 0 {
+                time_portable();
+                time_lanes();
+            } else {
+                time_lanes();
+                time_portable();
+            }
+        }
+        let [p, l] = [portable, lane].map(median_us);
+        println!(
+            "{n:>6} {:>32} {:>18}",
+            format!("{l:.0} / {p:.0} = {:.2}", l / p),
+            format!("{:.1} / {:.1}", l / n as f64, p / n as f64),
+        );
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_lane_crossover(_: &mut Criterion) {}
+
 fn bench_hash(c: &mut Criterion) {
     let data = vec![0xa5u8; 1024];
     c.bench_function("keccak256_1k", |bench| {
@@ -308,6 +381,7 @@ criterion_group!(
     bench_group,
     bench_answer_vector,
     bench_lockstep_crossover,
+    bench_lane_crossover,
     bench_hash,
     bench_pairing,
     bench_vpke,

@@ -10,6 +10,8 @@
 //! * `benches/micro_primitives.rs` — statistical microbenchmarks
 //!   (field/curve/hash/pairing) via Criterion.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Times `f` averaged over `iters` runs (after one warmup).

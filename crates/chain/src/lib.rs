@@ -28,6 +28,8 @@
 //! pay for (storage writes, precompile calls, event logs, calldata) is
 //! charged through [`gas::GasMeter`].
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod gas;
 pub mod mempool;

@@ -4,6 +4,8 @@
 //! reports or CLI filtering — each `bench_function` is timed with a
 //! fixed warm-up and a fixed measurement batch.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Benchmark driver.

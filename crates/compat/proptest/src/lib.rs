@@ -8,6 +8,8 @@
 //! from a deterministic per-test seed (an FNV hash of the test name), so
 //! failures reproduce exactly on re-run.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::Rng;
 

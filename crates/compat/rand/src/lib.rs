@@ -8,6 +8,8 @@
 //! stream-compatible with upstream `rand`; everything in this repository
 //! seeds explicitly and only relies on in-repo determinism.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 

@@ -7,6 +7,8 @@
 //! a bytes-only `Serializer` / `Deserializer` pair and `de::Error` — for
 //! those manual impls to compile unchanged against the real serde later.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Deserialization-side machinery.

@@ -2,6 +2,8 @@
 //! `crates/compat/README.md`): the workspace uses the derives only as
 //! declaration-site markers, so they expand to nothing.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// Expands to nothing; accepts (and ignores) `#[serde(...)]` attributes.

@@ -9,6 +9,8 @@
 //! concurrent instances behind one contract address, with per-instance
 //! escrow isolation and optional block-batched settlement verification.
 
+#![forbid(unsafe_code)]
+
 pub mod contract;
 pub mod msg;
 mod persist;

@@ -16,6 +16,8 @@
 //! the full protocol Π_hit and the ideal functionality F_hit live in
 //! `dragoon-protocol`.
 
+#![forbid(unsafe_code)]
+
 pub mod poqoea;
 pub mod quality;
 pub mod task;

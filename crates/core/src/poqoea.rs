@@ -140,9 +140,9 @@ pub fn prove_quality<R: Rng + ?Sized>(
     prove_quality_with_key(&KeyPair::from_secret(dk.0), cts, gs, range, rng)
 }
 
-/// [`prove_quality`] with the full key pair, so the `|G|` inner VPKE
-/// proofs don't each re-derive `h = g^k`. The gold positions are
-/// decrypted and proven as one batch ([`vpke::prove_batch_with_key`]).
+/// [`prove_quality`] with the full key pair, so the inner VPKE proofs
+/// don't each re-derive `h = g^k`. The gold positions are decrypted as
+/// one batch, and the mismatches proven as another.
 pub fn prove_quality_with_key<R: Rng + ?Sized>(
     kp: &KeyPair,
     cts: &EncryptedAnswer,
@@ -151,8 +151,13 @@ pub fn prove_quality_with_key<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (u64, QualityProof) {
     let (golds, gold_cts) = gold_positions(cts, gs);
-    let proven = vpke::prove_batch_with_key(kp, &gold_cts, range, rng);
-    exhibit_mismatches(golds, proven)
+    let claims = kp
+        .dk
+        .decrypt_batch(&gold_cts, range)
+        .iter()
+        .map(PlaintextClaim::from_decrypted)
+        .collect();
+    prove_mismatches(kp, golds, &gold_cts, claims, rng)
 }
 
 /// [`prove_quality_with_key`] for a prover that already holds the
@@ -170,12 +175,11 @@ pub fn prove_quality_of_answer<R: Rng + ?Sized>(
 ) -> (u64, QualityProof) {
     assert_eq!(answer.len(), cts.len(), "one plaintext per ciphertext");
     let (golds, gold_cts) = gold_positions(cts, gs);
-    let claims: Vec<PlaintextClaim> = golds
+    let claims = golds
         .iter()
         .map(|&(i, _)| PlaintextClaim::InRange(answer.0[i]))
         .collect();
-    let proofs = vpke::prove_claims_with_key(kp, &gold_cts, &claims, rng);
-    exhibit_mismatches(golds, claims.into_iter().zip(proofs))
+    prove_mismatches(kp, golds, &gold_cts, claims, rng)
 }
 
 /// The gold standards `(i, s_i)` that have a ciphertext, and those
@@ -192,25 +196,36 @@ fn gold_positions(
         .unzip()
 }
 
-/// Counts the gold standards answered correctly and keeps the proven
-/// decryptions of the others.
-fn exhibit_mismatches(
+/// Counts the gold standards whose decryption `claims` matches and
+/// proves the others. Every gold still draws its VPKE nonce, in order
+/// ([`vpke::prove_kept_claims_with_key`]), so the proof and every later
+/// draw are those of proving every gold and dropping the matches.
+fn prove_mismatches<R: Rng + ?Sized>(
+    kp: &KeyPair,
     golds: Vec<(usize, u64)>,
-    proven: impl IntoIterator<Item = (PlaintextClaim, DecryptionProof)>,
+    gold_cts: &[Ciphertext],
+    claims: Vec<PlaintextClaim>,
+    rng: &mut R,
 ) -> (u64, QualityProof) {
-    let mut chi = 0u64;
-    let mut items = Vec::new();
-    for ((index, s), (claim, proof)) in golds.into_iter().zip(proven) {
-        if matches!(claim, PlaintextClaim::InRange(m) if m == s) {
-            chi += 1;
-        } else {
-            items.push(MismatchItem {
-                index,
-                claim,
-                proof,
-            });
-        }
-    }
+    let mismatched: Vec<bool> = golds
+        .iter()
+        .zip(&claims)
+        .map(|(&(_, s), claim)| *claim != PlaintextClaim::InRange(s))
+        .collect();
+    let proofs = vpke::prove_kept_claims_with_key(kp, gold_cts, &claims, &mismatched, rng);
+    let chi = mismatched.iter().filter(|&&m| !m).count() as u64;
+    let items = golds
+        .into_iter()
+        .zip(claims)
+        .zip(mismatched)
+        .filter_map(|(((index, _), claim), m)| m.then_some((index, claim)))
+        .zip(proofs)
+        .map(|((index, claim), proof)| MismatchItem {
+            index,
+            claim,
+            proof,
+        })
+        .collect();
     (chi, QualityProof { items })
 }
 
@@ -589,6 +604,40 @@ mod tests {
             }
             assert_eq!((chi, proof.items), (expect_chi, expect_items));
             assert_eq!(Fr::random(&mut batch_rng), Fr::random(&mut f.rng));
+        }
+    }
+
+    #[test]
+    fn proving_the_mismatches_only_matches_proving_every_gold() {
+        // The path that proved every gold and dropped the matches, as the
+        // reference: same items, same bytes, same next draw — at every
+        // quality level, and with golds 5 and 7 missing.
+        let mut f = fixture();
+        for (n, correct) in [(10usize, 0usize), (10, 1), (10, 3), (10, 4), (4, 1), (4, 2)] {
+            let answer = answer_with_quality(&f.gs, n, correct);
+            let cts = answer.encrypt(&f.kp.ek, &mut f.rng);
+            let mut reference_rng = f.rng.clone();
+            let (golds, gold_cts) = gold_positions(&cts, &f.gs);
+            let claims: Vec<PlaintextClaim> = golds
+                .iter()
+                .map(|&(i, _)| PlaintextClaim::InRange(answer.0[i]))
+                .collect();
+            let proofs = vpke::prove_claims_with_key(&f.kp, &gold_cts, &claims, &mut reference_rng);
+            let expect: Vec<MismatchItem> = golds
+                .iter()
+                .zip(claims)
+                .zip(proofs)
+                .filter(|((&(_, s), claim), _)| *claim != PlaintextClaim::InRange(s))
+                .map(|((&(index, _), claim), proof)| MismatchItem {
+                    index,
+                    claim,
+                    proof,
+                })
+                .collect();
+            let (chi, proof) = prove_quality_of_answer(&f.kp, &cts, &answer, &f.gs, &mut f.rng);
+            assert_eq!(chi, quality::quality(&answer, &f.gs));
+            assert_eq!(proof.items, expect, "n = {n}, {correct} correct");
+            assert_eq!(Fr::random(&mut f.rng), Fr::random(&mut reference_rng));
         }
     }
 

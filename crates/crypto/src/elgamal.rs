@@ -254,12 +254,16 @@ impl DecryptionKey {
 
     /// [`DecryptionKey::decrypt`] for a whole ciphertext vector. Every
     /// `c1^k` comes from one [`G1Affine::batch_mul`] with the one secret
-    /// scalar — split and recoded once, and on a long vector multiplied
-    /// through lockstep-built affine tables (a short slice, such as the
-    /// per-item API's slice of one, runs `mul_scalar` per lane). The raw
-    /// points `c2 / c1^k` and the range's candidates `g^lo, …, g^hi` are
-    /// then normalised with a single field inversion and matched by
-    /// coordinate comparison. Entry `i` equals `decrypt(&cts[i], range)`.
+    /// scalar, split and recoded once: from two ciphertexts on, on a CPU
+    /// with AVX-512 IFMA, eight `c1`s at a time on the lane kernel;
+    /// otherwise through lockstep-built affine tables on a long vector,
+    /// and `mul_scalar` per lane on a short one (such as the per-item
+    /// API's slice of one). The raw points `c2 / c1^k` and the range's
+    /// candidates `g^lo, …, g^hi` are then normalised with a single field
+    /// inversion and matched by coordinate comparison. Entry `i` equals
+    /// `decrypt(&cts[i], range)`, on every path. A caller with several
+    /// vectors under one key gains by passing them as one
+    /// (`dragoon_protocol`'s `Evaluator::evaluate_all` does, per HIT).
     pub fn decrypt_batch(&self, cts: &[Ciphertext], range: &PlaintextRange) -> Vec<Decrypted> {
         let c1s: Vec<G1Affine> = cts.iter().map(|ct| ct.c1).collect();
         let mut points: Vec<G1Projective> = G1Affine::batch_mul(&c1s, &[self.0])

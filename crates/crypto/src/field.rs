@@ -523,6 +523,7 @@ field_serde!(Fr);
 mod tests {
     use super::*;
     use crate::arith::{adc, mul_wide_4};
+    use crate::vectors::{FieldVectors, FQ, FR};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -530,32 +531,6 @@ mod tests {
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xd24a_6001)
     }
-
-    /// One field's offline vectors (`field_vectors.rs`, written by
-    /// `tests/vectors/gen_bn254.py`). Every table is indexed like
-    /// `operands`: thirteen edge values, then 64 seeded random ones.
-    struct FieldVectors {
-        modulus: [u64; 4],
-        /// `2^256 mod p`.
-        r: [u64; 4],
-        /// `2^512 mod p`.
-        r2: [u64; 4],
-        /// `-p⁻¹ mod 2^64`.
-        inv: u64,
-        operands: &'static [[u64; 4]],
-        /// `a² mod p`.
-        squares: &'static [[u64; 4]],
-        /// `pow(a, -1, p)`; zero for `a = 0`, which has none.
-        inverses: &'static [[u64; 4]],
-        /// `a·2^256 mod p`: the Montgomery limbs of `a`.
-        to_montgomery: &'static [[u64; 4]],
-        /// `a·2^-256 mod p`: the plain value of Montgomery limbs `a`.
-        from_montgomery: &'static [[u64; 4]],
-        /// `(i, j, operands[i]·operands[j] mod p)`.
-        products: &'static [(usize, usize, [u64; 4])],
-    }
-
-    include!("field_vectors.rs");
 
     #[test]
     fn arithmetic_matches_offline_vectors() {

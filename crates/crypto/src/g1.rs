@@ -28,9 +28,9 @@ pub struct G1Affine {
 /// point `(X/Z^2, Y/Z^3)`; `Z = 0` encodes the identity.
 #[derive(Clone, Copy)]
 pub struct G1Projective {
-    x: Fq,
-    y: Fq,
-    z: Fq,
+    pub(crate) x: Fq,
+    pub(crate) y: Fq,
+    pub(crate) z: Fq,
 }
 
 /// Buffers [`G1Affine::batch_add_assign`] reuses from call to call: the
@@ -233,10 +233,29 @@ impl G1Affine {
     /// returns, left in Jacobian coordinates so the caller can normalise
     /// it together with whatever else it has in flight.
     ///
-    /// From `BATCH_MUL_LOCKSTEP_LANES` lanes on this is
-    /// [`Self::batch_mul_lockstep`]; a shorter slice runs `mul_scalar`
-    /// per lane.
+    /// One shared scalar over `LANE_KERNEL_LANES` or more points, on an
+    /// x86-64 CPU with AVX-512 IFMA, runs on the eight-lane kernel
+    /// ([`crate::lanes::batch_mul_shared`]). Everything else — other
+    /// CPUs, a single point, one scalar per lane — is
+    /// [`Self::batch_mul_portable`].
     pub fn batch_mul(points: &[Self], scalars: &[Fr]) -> Vec<G1Projective> {
+        #[cfg(target_arch = "x86_64")]
+        if let [k] = scalars {
+            if points.len() >= LANE_KERNEL_LANES {
+                if let Some(products) = crate::lanes::batch_mul_shared(points, k) {
+                    return products;
+                }
+            }
+        }
+        Self::batch_mul_portable(points, scalars)
+    }
+
+    /// [`Self::batch_mul`] on 64-bit limbs, on any CPU (public for the
+    /// crossover rows of the `micro_primitives` bench): from
+    /// `BATCH_MUL_LOCKSTEP_LANES` lanes on it is
+    /// [`Self::batch_mul_lockstep`], and a shorter slice runs `mul_scalar`
+    /// per lane.
+    pub fn batch_mul_portable(points: &[Self], scalars: &[Fr]) -> Vec<G1Projective> {
         if points.len() >= BATCH_MUL_LOCKSTEP_LANES {
             return Self::batch_mul_lockstep(points, scalars);
         }
@@ -510,7 +529,8 @@ impl G1Projective {
     }
 }
 
-/// [`G1Affine::batch_mul`] takes one scalar per lane or one for all.
+/// [`G1Affine::batch_mul_portable`] takes one scalar per lane or one for
+/// all.
 fn assert_lane_scalars(lanes: usize, scalars: usize) {
     assert!(
         scalars == lanes || scalars == 1,
@@ -526,17 +546,26 @@ fn assert_lane_scalars(lanes: usize, scalars: usize) {
 /// lanes, 1.06 at 4, 1.02 at 6, 0.97 at 8, 0.93 at 16, 0.89 from 64.
 const BATCH_MUL_LOCKSTEP_LANES: usize = 8;
 
+/// Points from which [`G1Affine::batch_mul`] takes one shared scalar to
+/// the lane kernel. A pass costs eight lanes' worth however many are
+/// filled, so a single point must stay on 64-bit limbs. Measured
+/// (`micro_primitives`, lanes / portable, one scalar, median of three
+/// runs): 1.24 at 1 lane, 0.63 at 2, 0.32 at 4, 0.17 at 8, 0.18 at 16,
+/// 0.20 at 106.
+#[cfg(target_arch = "x86_64")]
+const LANE_KERNEL_LANES: usize = 2;
+
 /// A scalar prepared for the interleaved GLV pass: `k = ±k1 ± k2·λ`
 /// with both magnitudes in width-5 NAF.
-struct GlvRecoding {
-    neg1: bool,
-    neg2: bool,
+pub(crate) struct GlvRecoding {
+    pub(crate) neg1: bool,
+    pub(crate) neg2: bool,
     naf1: ([i8; 128], usize),
     naf2: ([i8; 128], usize),
 }
 
 impl GlvRecoding {
-    fn new(k: &Fr) -> Self {
+    pub(crate) fn new(k: &Fr) -> Self {
         let [(k1, neg1), (k2, neg2)] = glv_split(k);
         Self {
             neg1,
@@ -544,6 +573,20 @@ impl GlvRecoding {
             naf1: wnaf5(k1),
             naf2: wnaf5(k2),
         }
+    }
+
+    /// Whether `k = 0`: no digit at all.
+    pub(crate) fn is_zero(&self) -> bool {
+        self.naf1.1 == 0 && self.naf2.1 == 0
+    }
+
+    /// The digits of `|k1|` and `|k2|` at each position, most
+    /// significant first: the pass doubles, then adds `d1·T1` and
+    /// `d2·T2` for the nonzero ones.
+    pub(crate) fn digits(&self) -> impl Iterator<Item = [i8; 2]> + '_ {
+        (0..self.naf1.1.max(self.naf2.1))
+            .rev()
+            .map(|i| [self.naf1.0[i], self.naf2.0[i]])
     }
 
     /// `|k1|·T1 + |k2|·T2` by one interleaved pass, most significant
@@ -556,10 +599,9 @@ impl GlvRecoding {
         add: impl Fn(&G1Projective, &T) -> G1Projective,
     ) -> G1Projective {
         let mut acc = G1Projective::identity();
-        for i in (0..self.naf1.1.max(self.naf2.1)).rev() {
+        for digits in self.digits() {
             acc = acc.double();
-            for (naf, table) in [(&self.naf1.0, table1), (&self.naf2.0, table2)] {
-                let d = naf[i];
+            for (d, table) in digits.into_iter().zip([table1, table2]) {
                 if d > 0 {
                     acc = add(&acc, &table[d as usize / 2]);
                 } else if d < 0 {
@@ -573,7 +615,7 @@ impl GlvRecoding {
 
 /// `β`, a primitive cube root of unity in `F_q` (Montgomery form):
 /// `21888242871839275220042445260109153167277707414472061641714758635765020556616`.
-const GLV_BETA: Fq = Fq([
+pub(crate) const GLV_BETA: Fq = Fq([
     0x3350c88e13e80b9c,
     0x7dce557cdb5e56b9,
     0x6001b4b8b615564a,
@@ -905,6 +947,7 @@ pub(crate) fn mul_reference(p: &G1Projective, k: &Fr) -> G1Projective {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vectors::G1;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1243,6 +1286,8 @@ mod tests {
             for scalars in [&scalars[..], &[shared]] {
                 let expect = reference(&points, scalars);
                 assert_eq!(G1Affine::batch_mul(&points, scalars), expect, "n = {n}");
+                let portable = G1Affine::batch_mul_portable(&points, scalars);
+                assert_eq!(portable, expect, "n = {n}");
                 assert_eq!(
                     G1Affine::batch_mul_lockstep(&points, scalars),
                     expect,
@@ -1258,6 +1303,88 @@ mod tests {
             G1Affine::batch_mul_lockstep(&points, &ks),
             reference(&points, &ks)
         );
+    }
+
+    /// `(base, k, k·base)` from the offline G1 vectors, as group elements.
+    fn g1_vectors() -> (Vec<G1Affine>, Vec<(usize, Fr, G1Affine)>) {
+        let point = |(x, y): crate::vectors::Xy| {
+            let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
+            G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
+        };
+        let bases = G1.bases.iter().copied().map(point).collect();
+        let products = G1
+            .products
+            .iter()
+            .map(|&(base, k, product)| {
+                let k = Fr::from_plain_limbs(k).expect("scalars are reduced");
+                (base, k, product.map_or(G1Affine::identity(), point))
+            })
+            .collect();
+        (bases, products)
+    }
+
+    #[test]
+    fn kernels_match_offline_g1_vectors() {
+        use crate::precomp::FixedBaseTable;
+        let (bases, products) = g1_vectors();
+        assert_eq!(bases[0], G1Affine::generator());
+        let edges = G1.edge_scalars.len();
+        assert_eq!(products.len(), bases.len() * edges + 32);
+        // Jacobian results, normalised before comparing.
+        let affine = |v: Vec<G1Projective>| G1Projective::batch_to_affine(&v);
+        let expect: Vec<G1Affine> = products.iter().map(|&(.., kp)| kp).collect();
+        let points: Vec<G1Affine> = products.iter().map(|&(b, ..)| bases[b]).collect();
+        let scalars: Vec<Fr> = products.iter().map(|&(_, k, _)| k).collect();
+        for (i, &(b, k, kp)) in products.iter().enumerate() {
+            assert_eq!(
+                bases[b].to_projective().mul_scalar(&k).to_affine(),
+                kp,
+                "{i}"
+            );
+        }
+        // One scalar per lane: the lockstep path, and per-lane `mul_scalar`
+        // on slices below its threshold.
+        assert_eq!(affine(G1Affine::batch_mul(&points, &scalars)), expect);
+        assert_eq!(
+            affine(G1Affine::batch_mul_portable(&points, &scalars)),
+            expect
+        );
+        for (p, (k, e)) in points
+            .chunks(3)
+            .zip(scalars.chunks(3).zip(expect.chunks(3)))
+        {
+            assert_eq!(affine(G1Affine::batch_mul_portable(p, k)), e);
+        }
+        // One scalar on every base: the edge rows, base-major. Both sizes
+        // of the portable path (4 and 12 lanes) and, where the CPU has
+        // it, the lane kernel (one partial pass, then one full and one
+        // partial pass).
+        for e in 0..edges {
+            let k = products[e].1;
+            let rows: Vec<G1Affine> = (0..bases.len()).map(|b| expect[b * edges + e]).collect();
+            let long: Vec<G1Affine> = bases.repeat(3);
+            let long_expect: Vec<G1Affine> = rows.repeat(3);
+            assert_eq!(affine(G1Affine::batch_mul_portable(&bases, &[k])), rows);
+            assert_eq!(
+                affine(G1Affine::batch_mul_portable(&long, &[k])),
+                long_expect
+            );
+            assert_eq!(affine(G1Affine::batch_mul(&long, &[k])), long_expect);
+            #[cfg(target_arch = "x86_64")]
+            for (points, expect) in [(&bases, &rows), (&long, &long_expect)] {
+                if let Some(got) = crate::lanes::batch_mul_shared(points, &k) {
+                    assert_eq!(&affine(got), expect, "edge scalar {e} on the lanes");
+                }
+            }
+        }
+        // Fixed-base tables: per lane and in lockstep.
+        let tables: Vec<FixedBaseTable> = bases.iter().map(FixedBaseTable::new).collect();
+        for &(b, k, kp) in &products {
+            assert_eq!(tables[b].mul(&k).to_affine(), kp);
+        }
+        let lanes: Vec<(&FixedBaseTable, Fr)> =
+            products.iter().map(|&(b, k, _)| (&tables[b], k)).collect();
+        assert_eq!(FixedBaseTable::mul_lockstep(&lanes), expect);
     }
 
     #[test]

@@ -1,0 +1,731 @@
+//! Eight lanes per field product: the AVX-512 IFMA kernel under the
+//! shared-scalar branch of [`G1Affine::batch_mul`].
+//!
+//! An `Fq8` holds eight `Fq` elements in radix 2⁵² — five 52-bit limbs
+//! a lane, limb `j` of all eight lanes in one 512-bit register — in
+//! Montgomery form with `R′ = 2²⁶⁰`, every value kept in `[0, 2p)`. Its
+//! product is one CIOS pass over the five limbs on `vpmadd52luq` /
+//! `vpmadd52huq` (the low and high 52 bits of a 52 × 52-bit product,
+//! added into a 64-bit accumulator, which has room for the unreduced
+//! column sums): since `4p < R′`, two operands below `2p` give a product
+//! below `2p`, with no final subtraction. On the lanes sit the doubling
+//! and mixed addition [`G1Projective`] uses, and [`batch_mul_shared`]:
+//! one scalar's GLV + width-5 NAF pass over up to eight bases at a time.
+//! The scalar is shared, so every lane takes the same digits and the
+//! code has no per-lane branch.
+//!
+//! The formulas are not complete: an addition of a point to itself or
+//! to its negation leaves `Z = 0`, every later step keeps it there, and
+//! [`batch_mul_shared`] recomputes such a lane with
+//! [`G1Projective::mul_scalar`]. On the curve the GLV split rules that
+//! out: the accumulator is `c₁·P + c₂·φ(P)` and an entry `d·P` or
+//! `d·φ(P)`, so a collision needs a nonzero vector of the GLV lattice
+//! with both coordinates within the split's bound plus a digit, and
+//! every such vector has a coordinate 1.6 times that. The check is a
+//! net, not a path. The identity and points off the curve (whose
+//! multiples may meet those sums, or the identity, while the tables are
+//! built) go to `mul_scalar` up front.
+//!
+//! Every function that touches a 512-bit register is compiled for
+//! `avx512ifma` (which implies AVX-512F), and safe code reaches them only
+//! through [`batch_mul_shared`] and [`mul_chain`], after `has_ifma`
+//! saw the feature at run time — the crate's one CPU probe.
+
+use crate::field::{Fq, Fr};
+use crate::g1::{G1Affine, G1Projective, GlvRecoding, GLV_BETA};
+use core::arch::x86_64::{
+    __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epi64_mask,
+    _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+    _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
+    _mm512_srai_epi64, _mm512_sub_epi64,
+};
+use core::array::from_fn;
+
+/// Points per pass: one per 64-bit lane of a 512-bit register.
+pub const LANES: usize = 8;
+
+const MASK: u64 = (1 << 52) - 1;
+/// `p` in 52-bit limbs.
+const P: [u64; 5] = split(Fq::MODULUS);
+/// `2p`, the bound every lane value stays below.
+const TWO_P: [u64; 5] = twice(P);
+/// `−p⁻¹ mod 2⁵²`.
+const INV: u64 = Fq::INV & MASK;
+/// `2²⁵²`, the Montgomery form of `1/16` (`2²⁵⁶/16`): one `mul_internal`
+/// by it takes a lane value `a·2²⁶⁰` to `a·2²⁵⁶`, the canonical `Fq`.
+const SIXTEENTH: Fq = Fq([0, 0, 0, 1 << 60]);
+
+/// Whether this CPU runs the lane kernel.
+pub(crate) fn has_ifma() -> bool {
+    is_x86_feature_detected!("avx512ifma")
+}
+
+/// `k · points[i]` for every lane, on the lanes: the group element
+/// [`G1Projective::mul_scalar`] returns, left in Jacobian coordinates,
+/// or `None` when this CPU has no AVX-512 IFMA. [`G1Affine::batch_mul`]
+/// calls it for one shared scalar from two points on; public for the
+/// crossover rows of the `micro_primitives` bench.
+///
+/// The scalar is split and recoded once. Each chunk of eight bases
+/// builds its own odd-multiple tables, so memory does not grow with the
+/// vector. The identity, a point off the curve, and a lane whose
+/// formulas met an exceptional addition (`Z = 0` at the end) are
+/// computed with `mul_scalar` instead.
+pub fn batch_mul_shared(points: &[G1Affine], k: &Fr) -> Option<Vec<G1Projective>> {
+    if !has_ifma() {
+        return None;
+    }
+    // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
+    // `batch_mul_shared_ifma` is compiled for.
+    Some(unsafe { batch_mul_shared_ifma(points, k) })
+}
+
+#[target_feature(enable = "avx512ifma")]
+fn batch_mul_shared_ifma(points: &[G1Affine], k: &Fr) -> Vec<G1Projective> {
+    let recoding = GlvRecoding::new(k);
+    if recoding.is_zero() {
+        return vec![G1Projective::identity(); points.len()];
+    }
+    let mut out = Vec::with_capacity(points.len());
+    for chunk in points.chunks(LANES) {
+        let on_curve: [bool; LANES] =
+            from_fn(|i| chunk.get(i).is_some_and(|p| !p.infinity && p.is_on_curve()));
+        // Lanes the kernel does not take run on `g`, and are overwritten.
+        let bases = from_fn(|i| {
+            if on_curve[i] {
+                chunk[i]
+            } else {
+                G1Affine::generator()
+            }
+        });
+        let products = mul_chunk(bases, &recoding);
+        out.extend(
+            chunk
+                .iter()
+                .zip(on_curve)
+                .zip(products)
+                .map(|((p, on_curve), q)| {
+                    if on_curve && !q.is_identity() {
+                        q
+                    } else {
+                        p.to_projective().mul_scalar(k)
+                    }
+                }),
+        );
+    }
+    out
+}
+
+/// `a · bⁿ` lane by lane for `n = products`, each product feeding the
+/// next, or `None` without AVX-512 IFMA: the dependent chain the
+/// `micro_primitives` `fq8_mul` row times.
+pub fn mul_chain(a: [Fq; LANES], b: [Fq; LANES], products: usize) -> Option<[Fq; LANES]> {
+    if !has_ifma() {
+        return None;
+    }
+    // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
+    // `mul_chain_ifma` is compiled for.
+    Some(unsafe { mul_chain_ifma(a, b, products) })
+}
+
+#[target_feature(enable = "avx512ifma")]
+fn mul_chain_ifma(a: [Fq; LANES], b: [Fq; LANES], products: usize) -> [Fq; LANES] {
+    let (mut acc, b) = (Fq8::from_fq(a), Fq8::from_fq(b));
+    for _ in 0..products {
+        acc = acc.mul(b);
+    }
+    acc.to_fq()
+}
+
+/// Little-endian 64-bit limbs (a value below 2²⁵⁶) as 52-bit limbs.
+const fn split(l: [u64; 4]) -> [u64; 5] {
+    [
+        l[0] & MASK,
+        (l[0] >> 52 | l[1] << 12) & MASK,
+        (l[1] >> 40 | l[2] << 24) & MASK,
+        (l[2] >> 28 | l[3] << 36) & MASK,
+        l[3] >> 16,
+    ]
+}
+
+/// 52-bit limbs of a value below 2²⁵⁶ as 64-bit limbs.
+fn join(l: [u64; 5]) -> [u64; 4] {
+    [
+        l[0] | l[1] << 52,
+        l[1] >> 12 | l[2] << 40,
+        l[2] >> 24 | l[3] << 28,
+        l[3] >> 36 | l[4] << 16,
+    ]
+}
+
+/// Twice a value in 52-bit limbs (below 2²⁵⁹, so the top limb keeps it).
+const fn twice(l: [u64; 5]) -> [u64; 5] {
+    let mut out = [0; 5];
+    let mut carry = 0;
+    let mut j = 0;
+    while j < 5 {
+        let v = 2 * l[j] + carry;
+        out[j] = v & MASK;
+        carry = v >> 52;
+        j += 1;
+    }
+    out
+}
+
+/// Eight `Fq` elements: `0[j]` holds limb `j` of every lane, each value
+/// `a·2²⁶⁰ mod p` up to a multiple of `p`, in `[0, 2p)`, limbs below 2⁵².
+#[derive(Clone, Copy)]
+struct Fq8([__m512i; 5]);
+
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+fn splat(v: u64) -> __m512i {
+    _mm512_set1_epi64(v as i64)
+}
+
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+fn lanes_of(v: __m512i) -> [u64; LANES] {
+    let (lo, hi) = (
+        _mm512_extracti64x4_epi64::<0>(v),
+        _mm512_extracti64x4_epi64::<1>(v),
+    );
+    [
+        _mm256_extract_epi64::<0>(lo),
+        _mm256_extract_epi64::<1>(lo),
+        _mm256_extract_epi64::<2>(lo),
+        _mm256_extract_epi64::<3>(lo),
+        _mm256_extract_epi64::<0>(hi),
+        _mm256_extract_epi64::<1>(hi),
+        _mm256_extract_epi64::<2>(hi),
+        _mm256_extract_epi64::<3>(hi),
+    ]
+    .map(|w| w as u64)
+}
+
+/// Carries signed limbs (each of magnitude below 2⁶²) up, leaving limbs
+/// `0..4` in `[0, 2⁵²)` and the signed rest in the top limb, which is
+/// negative exactly when the value is.
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+fn carry(mut l: [__m512i; 5]) -> [__m512i; 5] {
+    for j in 0..4 {
+        let c = _mm512_srai_epi64::<52>(l[j]);
+        l[j] = _mm512_and_si512(l[j], splat(MASK));
+        l[j + 1] = _mm512_add_epi64(l[j + 1], c);
+    }
+    l
+}
+
+/// Lane by lane, `if_negative` where `x` is negative, else `x`.
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+fn unless_negative(x: [__m512i; 5], if_negative: [__m512i; 5]) -> Fq8 {
+    let negative = _mm512_cmplt_epi64_mask(x[4], _mm512_setzero_si512());
+    Fq8(from_fn(|j| {
+        _mm512_mask_blend_epi64(negative, x[j], if_negative[j])
+    }))
+}
+
+impl Fq8 {
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn zero() -> Self {
+        Self([_mm512_setzero_si512(); 5])
+    }
+
+    /// `a` on every lane.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn splat(a: Fq) -> Self {
+        Self::from_fq([a; LANES])
+    }
+
+    /// Lane `i` holds `a[i]`: `aR·16 = a·2²⁶⁰`, canonical, re-limbed.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn from_fq(a: [Fq; LANES]) -> Self {
+        let l = a.map(|a| split(a.double().double().double().double().0));
+        Self(from_fn(|j| {
+            let w = |i: usize| l[i][j] as i64;
+            _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
+        }))
+    }
+
+    /// The canonical `Fq` of every lane.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn to_fq(self) -> [Fq; LANES] {
+        let words = self.0.map(|v| lanes_of(v));
+        from_fn(|i| Fq(join(words.map(|w| w[i]))).mul_internal(&SIXTEENTH))
+    }
+
+    /// The Montgomery product `self·rhs / 2²⁶⁰`, below `2p`: for each
+    /// limb `aᵢ` of `self`, `aᵢ·rhs` and then `m·p` (`m` clears the low
+    /// limb) go into six 64-bit column sums, which shift down a limb.
+    /// A column gathers at most twenty 52-bit terms and a carry, so it
+    /// cannot overflow; one carry pass at the end re-limbs the result.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn mul(self, rhs: Self) -> Self {
+        let (a, b) = (self.0, rhs.0);
+        let zero = _mm512_setzero_si512();
+        let mut t = [zero; 6];
+        for ai in a {
+            for j in 0..5 {
+                t[j] = _mm512_madd52lo_epu64(t[j], ai, b[j]);
+                t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, b[j]);
+            }
+            let m = _mm512_madd52lo_epu64(zero, t[0], splat(INV));
+            for j in 0..5 {
+                let pj = splat(P[j]);
+                t[j] = _mm512_madd52lo_epu64(t[j], m, pj);
+                t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], m, pj);
+            }
+            // The low 52 bits of `t[0]` are zero now; its carry moves up.
+            let c = _mm512_srai_epi64::<52>(t[0]);
+            t = [_mm512_add_epi64(t[1], c), t[2], t[3], t[4], t[5], zero];
+        }
+        Self(carry([t[0], t[1], t[2], t[3], t[4]]))
+    }
+
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn square(self) -> Self {
+        self.mul(self)
+    }
+
+    /// `self + rhs`, less `2p` where that stays non-negative.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn add(self, rhs: Self) -> Self {
+        let sum: [__m512i; 5] = from_fn(|j| _mm512_add_epi64(self.0[j], rhs.0[j]));
+        let reduced = from_fn(|j| _mm512_sub_epi64(sum[j], splat(TWO_P[j])));
+        unless_negative(carry(reduced), carry(sum))
+    }
+
+    /// `self − rhs`, plus `2p` where that is negative.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn sub(self, rhs: Self) -> Self {
+        let diff: [__m512i; 5] = from_fn(|j| _mm512_sub_epi64(self.0[j], rhs.0[j]));
+        let lifted = from_fn(|j| _mm512_add_epi64(diff[j], splat(TWO_P[j])));
+        unless_negative(carry(diff), carry(lifted))
+    }
+
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn double(self) -> Self {
+        self.add(self)
+    }
+
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn neg(self) -> Self {
+        Self::zero().sub(self)
+    }
+
+    /// `1/self` on every lane (zero stays zero): one `Fq` inversion for
+    /// all eight, through [`Fq::batch_invert`].
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn invert(self) -> Self {
+        let mut v = self.to_fq();
+        Fq::batch_invert(&mut v);
+        Self::from_fq(v)
+    }
+}
+
+/// Eight affine points.
+#[derive(Clone, Copy)]
+struct Aff8 {
+    x: Fq8,
+    y: Fq8,
+}
+
+/// Eight Jacobian points `(X/Z², Y/Z³)`.
+#[derive(Clone, Copy)]
+struct Jac8 {
+    x: Fq8,
+    y: Fq8,
+    z: Fq8,
+}
+
+impl Aff8 {
+    /// Lane `i` holds `points[i]`, which is not the identity.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn from_points(points: [G1Affine; LANES]) -> Self {
+        Self {
+            x: Fq8::from_fq(points.map(|p| p.x)),
+            y: Fq8::from_fq(points.map(|p| p.y)),
+        }
+    }
+
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn neg(self) -> Self {
+        Self {
+            y: self.y.neg(),
+            ..self
+        }
+    }
+
+    /// The points as Jacobian ones, `Z = 1`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn to_jacobian(self) -> Jac8 {
+        Jac8 {
+            x: self.x,
+            y: self.y,
+            z: Fq8::splat(Fq::one()),
+        }
+    }
+}
+
+impl Jac8 {
+    /// [`G1Projective::double`] (dbl-2009-l), without its identity test:
+    /// `Z = 0` stays `Z = 0`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn double(&self) -> Self {
+        let a = self.x.square();
+        let b = self.y.square();
+        let c = b.square();
+        let d = self.x.add(b).square().sub(a).sub(c).double();
+        let e = a.double().add(a);
+        let x = e.square().sub(d.double());
+        Self {
+            x,
+            y: e.mul(d.sub(x)).sub(c.double().double().double()),
+            z: self.y.mul(self.z).double(),
+        }
+    }
+
+    /// [`G1Projective::add_affine`] (madd-2007-bl), without its branches:
+    /// a sum of a point with itself or its negation (`H = 0`), like a
+    /// sum with `Z = 0`, comes out with `Z = 0`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn add_affine(&self, rhs: &Aff8) -> Self {
+        let z1z1 = self.z.square();
+        let u2 = rhs.x.mul(z1z1);
+        let s2 = rhs.y.mul(z1z1).mul(self.z);
+        let h = u2.sub(self.x);
+        let hh = h.square();
+        let i = hh.double().double();
+        let j = h.mul(i);
+        let r = s2.sub(self.y).double();
+        let v = self.x.mul(i);
+        let x = r.square().sub(j).sub(v.double());
+        Self {
+            x,
+            y: r.mul(v.sub(x)).sub(self.y.mul(j).double()),
+            z: self.z.add(h).square().sub(z1z1).sub(hh),
+        }
+    }
+
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn to_projective(self) -> [G1Projective; LANES] {
+        let (x, y, z) = (self.x.to_fq(), self.y.to_fq(), self.z.to_fq());
+        from_fn(|i| G1Projective {
+            x: x[i],
+            y: y[i],
+            z: z[i],
+        })
+    }
+}
+
+/// `(2j + 1)·P` for `j < 8` on every lane, affine. `2P` comes out of the
+/// doubling with `Z = u`; on the isomorphic curve `y² = x³ + 3u⁶`,
+/// reached by `(x, y) ↦ (u²x, u³y)`, it is the affine point `(X, Y)`, so
+/// the seven `+2P` steps are mixed additions there, and an entry's `Z`
+/// back on this curve is its `Z` there times `u`. The seven `Z`s of each
+/// lane share one inversion. Exceptional sums cannot occur: `P` is not
+/// the identity and `(2j − 1)·P ≠ ±2P`.
+#[target_feature(enable = "avx512ifma")]
+fn odd_multiples(p: Aff8) -> [Aff8; 8] {
+    let twice = p.to_jacobian().double();
+    let u = twice.z;
+    let u2 = u.square();
+    let step = Aff8 {
+        x: twice.x,
+        y: twice.y,
+    };
+    let mut acc = Aff8 {
+        x: p.x.mul(u2),
+        y: p.y.mul(u2.mul(u)),
+    }
+    .to_jacobian();
+    let odd: [Jac8; 7] = from_fn(|_| {
+        acc = acc.add_affine(&step);
+        acc
+    });
+    let zs = odd.map(|e| e.z.mul(u));
+    let mut prefix = zs;
+    for j in 1..7 {
+        prefix[j] = prefix[j - 1].mul(zs[j]);
+    }
+    let mut inv = prefix[6].invert();
+    let mut table = [p; 8];
+    for j in (0..7).rev() {
+        let zinv = if j == 0 {
+            inv
+        } else {
+            let zinv = inv.mul(prefix[j - 1]);
+            inv = inv.mul(zs[j]);
+            zinv
+        };
+        let zinv2 = zinv.square();
+        table[j + 1] = Aff8 {
+            x: odd[j].x.mul(zinv2),
+            y: odd[j].y.mul(zinv2.mul(zinv)),
+        };
+    }
+    table
+}
+
+/// `k·bases[i]` for eight points of G1 other than the identity, where
+/// `recoding` is `k`'s and not zero.
+#[target_feature(enable = "avx512ifma")]
+fn mul_chunk(bases: [G1Affine; LANES], recoding: &GlvRecoding) -> [G1Projective; LANES] {
+    let p = Aff8::from_points(bases);
+    // The signs of the two halves are folded into the tables, as
+    // `mul_scalar` folds them.
+    let table1 = odd_multiples(if recoding.neg1 { p.neg() } else { p });
+    let beta = Fq8::splat(GLV_BETA);
+    let table2 = table1.map(|e| {
+        let e = Aff8 {
+            x: e.x.mul(beta),
+            y: e.y,
+        };
+        if recoding.neg1 == recoding.neg2 {
+            e
+        } else {
+            e.neg()
+        }
+    });
+    // The accumulator starts at the first digit, not at the identity,
+    // which the formulas cannot represent.
+    let mut acc: Option<Jac8> = None;
+    for digits in recoding.digits() {
+        if let Some(a) = &mut acc {
+            *a = a.double();
+        }
+        for (d, table) in digits.into_iter().zip([&table1, &table2]) {
+            if d != 0 {
+                let e = table[usize::from(d.unsigned_abs()) / 2];
+                let e = if d < 0 { e.neg() } else { e };
+                acc = Some(match acc {
+                    Some(a) => a.add_affine(&e),
+                    None => e.to_jacobian(),
+                });
+            }
+        }
+    }
+    acc.expect("a nonzero recoding has a digit").to_projective()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::g1::mul_reference;
+    use crate::vectors::{FQ, G1};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn rng() -> StdRng {
+        StdRng::seed_from_u64(0x1fa8)
+    }
+
+    /// Whether this CPU runs the lane kernel; says so when it does not
+    /// (visible under `--nocapture`), and the calling test passes.
+    fn lanes_here(test: &str) -> bool {
+        let here = has_ifma();
+        if !here {
+            println!("{test}: skipped, this CPU has no avx512ifma");
+        }
+        here
+    }
+
+    /// Runs `check` when this CPU has AVX-512 IFMA.
+    fn on_lanes(test: &str, check: unsafe fn()) {
+        if lanes_here(test) {
+            // SAFETY: `lanes_here` just saw AVX-512 IFMA (through
+            // `has_ifma`), the only feature a `check` is compiled for.
+            unsafe { check() }
+        }
+    }
+
+    /// The field vectors' operands, then 64 random ones, eight at a time.
+    fn operand_octets() -> Vec<[Fq; LANES]> {
+        let mut rng = rng();
+        let mut values: Vec<Fq> = FQ
+            .operands
+            .iter()
+            .map(|&a| Fq::from_plain_limbs(a).expect("operands are reduced"))
+            .collect();
+        values.extend((0..64).map(|_| Fq::random(&mut rng)));
+        values
+            .chunks(LANES)
+            .map(|c| from_fn(|i| c[i % c.len()]))
+            .collect()
+    }
+
+    /// `f` on every lane of `a` and `b`.
+    fn each(a: &[Fq; LANES], b: &[Fq; LANES], f: impl Fn(Fq, Fq) -> Fq) -> [Fq; LANES] {
+        from_fn(|i| f(a[i], b[i]))
+    }
+
+    /// The edge scalars of the G1 vectors (0, 1, 2, r − 1, r − 2, λ,
+    /// λ ± 1, 2¹²⁷ ± 1, 2¹²⁸ and the GLV basis), then random ones.
+    fn scalars() -> Vec<Fr> {
+        let mut rng = rng();
+        let mut ks: Vec<Fr> = G1
+            .edge_scalars
+            .iter()
+            .map(|&k| Fr::from_plain_limbs(k).expect("scalars are reduced"))
+            .collect();
+        ks.extend((0..4).map(|_| Fr::random(&mut rng)));
+        ks
+    }
+
+    #[test]
+    fn constants_match_their_definitions() {
+        assert_eq!(join(P), Fq::MODULUS);
+        assert_eq!(
+            join(TWO_P),
+            crate::arith::add_4(&Fq::MODULUS, &Fq::MODULUS).0
+        );
+        assert_eq!(Fq::MODULUS[0].wrapping_mul(Fq::INV), u64::MAX);
+        assert_eq!(Fq::from_u64(16).inverse(), Some(SIXTEENTH));
+        for a in [[0; 4], [u64::MAX; 4], Fq::MODULUS, [1, 2, 3, 4]] {
+            assert_eq!(join(split(a)), a);
+            assert!(split(a).iter().all(|&l| l <= MASK));
+        }
+    }
+
+    #[test]
+    fn fq8_arithmetic_matches_fq() {
+        #[target_feature(enable = "avx512ifma")]
+        fn check() {
+            let octets = operand_octets();
+            for (n, a) in octets.iter().enumerate() {
+                let b = &octets[(n + 1) % octets.len()];
+                let (a8, b8) = (Fq8::from_fq(*a), Fq8::from_fq(*b));
+                assert_eq!(a8.to_fq(), *a, "in and out");
+                assert_eq!(a8.mul(b8).to_fq(), each(a, b, |x, y| x * y));
+                assert_eq!(a8.square().to_fq(), each(a, b, |x, _| x.square()));
+                assert_eq!(a8.add(b8).to_fq(), each(a, b, |x, y| x + y));
+                assert_eq!(a8.sub(b8).to_fq(), each(a, b, |x, y| x - y));
+                assert_eq!(b8.sub(a8).to_fq(), each(a, b, |x, y| y - x));
+                assert_eq!(a8.neg().to_fq(), each(a, b, |x, _| -x));
+                let inverse = each(a, b, |x, _| x.inverse().unwrap_or_default());
+                assert_eq!(a8.invert().to_fq(), inverse);
+                assert_eq!(mul_chain_ifma(*a, *b, 3), each(a, b, |x, y| x * y * y * y));
+                // The top of `[0, 2p)`: `a + p` on every lane.
+                let high = Fq8(carry(from_fn(|j| _mm512_add_epi64(a8.0[j], splat(P[j])))));
+                assert_eq!(high.to_fq(), *a);
+                assert_eq!(high.mul(high).to_fq(), each(a, b, |x, _| x.square()));
+                assert_eq!(high.add(high).to_fq(), each(a, b, |x, _| x.double()));
+                assert_eq!(high.sub(b8).to_fq(), each(a, b, |x, y| x - y));
+                assert_eq!(b8.sub(high).to_fq(), each(a, b, |x, y| y - x));
+            }
+        }
+        on_lanes("fq8_arithmetic_matches_fq", check);
+    }
+
+    #[test]
+    fn lane_formulas_match_g1_projective() {
+        #[target_feature(enable = "avx512ifma")]
+        fn check() {
+            let mut rng = rng();
+            let mut random = || -> [G1Affine; LANES] { from_fn(|_| G1Affine::random(&mut rng)) };
+            let (p, q, r) = (random(), random(), random());
+            let (p8, q8, r8) = (
+                Aff8::from_points(p),
+                Aff8::from_points(q),
+                Aff8::from_points(r),
+            );
+            // An accumulator with Z ≠ 1: 2P + Q.
+            let acc = p8.to_jacobian().double().add_affine(&q8);
+            let expect: [G1Projective; LANES] =
+                from_fn(|i| p[i].to_projective().double().add_affine(&q[i]));
+            assert!(acc.to_projective() == expect);
+            assert!(acc.double().to_projective() == expect.map(|a| a.double()));
+            let sum: [G1Projective; LANES] = from_fn(|i| expect[i].add_affine(&r[i]));
+            assert!(acc.add_affine(&r8).to_projective() == sum);
+            // P + P and P + (−P) end with Z ≡ 0, and so does every step
+            // after: the signal `batch_mul_shared` recomputes a lane on.
+            for e in [
+                p8.to_jacobian().add_affine(&p8),
+                p8.to_jacobian().add_affine(&p8.neg()),
+                acc.add_affine(&Aff8::from_points(expect.map(|a| a.to_affine()))),
+            ] {
+                for out in [e, e.double(), e.add_affine(&q8)] {
+                    assert!(out.z.to_fq().iter().all(Fq::is_zero));
+                }
+            }
+            for (j, entry) in odd_multiples(p8).iter().enumerate() {
+                let m = Fr::from_u64(2 * j as u64 + 1);
+                let (x, y) = (entry.x.to_fq(), entry.y.to_fq());
+                for i in 0..LANES {
+                    let expect = mul_reference(&p[i].to_projective(), &m).to_affine();
+                    assert_eq!((x[i], y[i]), (expect.x, expect.y), "({})·P", 2 * j + 1);
+                }
+            }
+        }
+        on_lanes("lane_formulas_match_g1_projective", check);
+    }
+
+    #[test]
+    fn shared_scalar_batch_mul_matches_the_portable_path() {
+        if !lanes_here("shared_scalar_batch_mul_matches_the_portable_path") {
+            return;
+        }
+        let mut rng = rng();
+        let pool: Vec<G1Affine> = (0..106).map(|_| G1Affine::random(&mut rng)).collect();
+        let ks = scalars();
+        let check = |points: &[G1Affine], k: &Fr| {
+            let expect = G1Affine::batch_mul_portable(points, &[*k]);
+            let got = batch_mul_shared(points, k).expect("this CPU has IFMA");
+            assert_eq!(got, expect, "{} lanes, k = {k:?}", points.len());
+        };
+        for n in (0..=17).chain([106]) {
+            let mut points = pool[..n].to_vec();
+            // Identity bases (a worker chooses `c1`) and a repeated point.
+            for i in (2..n).step_by(5) {
+                points[i] = G1Affine::identity();
+            }
+            if n > 3 {
+                points[n - 1] = points[1];
+            }
+            for k in &ks {
+                check(&points, k);
+            }
+        }
+        // Bases the kernel does not take: all identities, and points
+        // off the curve — `(0, 1)` has order 3 on `y² = x³ + 1`, so its
+        // table meets the identity — between ordinary ones.
+        let off_curve = [
+            G1Affine {
+                x: Fq::zero(),
+                y: Fq::one(),
+                infinity: false,
+            },
+            G1Affine {
+                x: Fq::from_u64(5),
+                y: Fq::from_u64(7),
+                infinity: false,
+            },
+        ];
+        let mut mixed = pool[..10].to_vec();
+        mixed[3] = off_curve[0];
+        mixed[8] = off_curve[1];
+        for k in &ks {
+            check(&[G1Affine::identity(); 9], k);
+            check(&mixed, k);
+        }
+    }
+}

@@ -20,6 +20,11 @@
 //! * [`precomp`] — windowed affine fixed-base tables and the keyed
 //!   [`precomp::ProofCache`] the async proving service shares across its
 //!   worker pool.
+//! * `lanes` (x86-64) — eight `Fq` products at once on AVX-512 IFMA,
+//!   under [`G1Affine::batch_mul`] with one shared scalar; the crate's
+//!   only `unsafe` code.
+
+#![deny(unsafe_code)]
 
 pub mod arith;
 pub mod commitment;
@@ -28,10 +33,15 @@ pub mod field;
 pub mod g1;
 pub mod g2;
 pub mod keccak;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub mod lanes;
 pub mod pairing;
 pub mod precomp;
 pub mod ro;
 pub mod tower;
+#[cfg(test)]
+mod vectors;
 pub mod vpke;
 
 pub use commitment::{Commitment, CommitmentKey};

@@ -1,0 +1,45 @@
+//! Known answers derived offline with plain Python integers by
+//! `tests/vectors/gen_bn254.py`, which writes the two included files
+//! (CI reruns it with `--check`). Test-only.
+
+/// One field's vectors. Every table is indexed like `operands`:
+/// thirteen edge values, then 64 seeded random ones.
+pub(crate) struct FieldVectors {
+    pub(crate) modulus: [u64; 4],
+    /// `2^256 mod p`.
+    pub(crate) r: [u64; 4],
+    /// `2^512 mod p`.
+    pub(crate) r2: [u64; 4],
+    /// `-p⁻¹ mod 2^64`.
+    pub(crate) inv: u64,
+    pub(crate) operands: &'static [[u64; 4]],
+    /// `a² mod p`.
+    pub(crate) squares: &'static [[u64; 4]],
+    /// `pow(a, -1, p)`; zero for `a = 0`, which has none.
+    pub(crate) inverses: &'static [[u64; 4]],
+    /// `a·2^256 mod p`: the Montgomery limbs of `a`.
+    pub(crate) to_montgomery: &'static [[u64; 4]],
+    /// `a·2^-256 mod p`: the plain value of Montgomery limbs `a`.
+    pub(crate) from_montgomery: &'static [[u64; 4]],
+    /// `(i, j, operands[i]·operands[j] mod p)`.
+    pub(crate) products: &'static [(usize, usize, [u64; 4])],
+}
+
+/// A point's plain `(x, y)` limbs.
+pub(crate) type Xy = ([u64; 4], [u64; 4]);
+
+/// G1 scalar multiplications by textbook affine double-and-add; scalars
+/// are plain limbs below `r`.
+pub(crate) struct G1Vectors {
+    /// `g`, `7·g`, then two points from seeded random `x`.
+    pub(crate) bases: &'static [Xy],
+    /// 0, 1, 2, r − 1, r − 2, λ, λ + 1, λ − 1, 2¹²⁷ − 1, 2¹²⁷ + 1, 2¹²⁸,
+    /// and the GLV basis values A, B and C.
+    pub(crate) edge_scalars: &'static [[u64; 4]],
+    /// `(base, k, k·bases[base])`, the identity as `None`: every edge
+    /// scalar on every base, then 32 seeded pairs.
+    pub(crate) products: &'static [(usize, [u64; 4], Option<Xy>)],
+}
+
+include!("field_vectors.rs");
+include!("g1_vectors.rs");

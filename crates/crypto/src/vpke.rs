@@ -177,24 +177,41 @@ pub fn prove_claims_with_key<R: Rng + ?Sized>(
     claims: &[PlaintextClaim],
     rng: &mut R,
 ) -> Vec<DecryptionProof> {
+    prove_kept_claims_with_key(kp, cts, claims, &vec![true; cts.len()], rng)
+}
+
+/// [`prove_claims_with_key`] for the items `keep` marks, in order. A
+/// nonce `x_i` is still drawn for every item, so each proof — and every
+/// later draw from `rng` — is the one proving them all yields; a dropped
+/// item only skips computing its `(A_i, B_i, Z_i)`. PoQoEA proves the
+/// mismatched gold standards of an answer this way.
+pub fn prove_kept_claims_with_key<R: Rng + ?Sized>(
+    kp: &KeyPair,
+    cts: &[Ciphertext],
+    claims: &[PlaintextClaim],
+    keep: &[bool],
+    rng: &mut R,
+) -> Vec<DecryptionProof> {
+    assert_eq!(keep.len(), cts.len(), "one keep flag per ciphertext");
     let xs: Vec<Fr> = cts.iter().map(|_| Fr::random(rng)).collect();
-    let c1s: Vec<G1Affine> = cts.iter().map(|ct| ct.c1).collect();
-    let commitments: Vec<G1Projective> = G1Affine::batch_mul(&c1s, &xs)
+    let kept: Vec<usize> = (0..cts.len()).filter(|&i| keep[i]).collect();
+    let c1s: Vec<G1Affine> = kept.iter().map(|&i| cts[i].c1).collect();
+    let kept_xs: Vec<Fr> = kept.iter().map(|&i| xs[i]).collect();
+    let commitments: Vec<G1Projective> = G1Affine::batch_mul(&c1s, &kept_xs)
         .into_iter()
-        .zip(&xs)
+        .zip(&kept_xs)
         .flat_map(|(a, x)| [a, mul_generator(x)])
         .collect();
     G1Projective::batch_to_affine(&commitments)
         .chunks_exact(2)
-        .zip(cts.iter().zip(claims))
-        .zip(xs)
-        .map(|((ab, (ct, claim)), x)| {
+        .zip(kept)
+        .map(|(ab, i)| {
             let (a, b) = (ab[0], ab[1]);
-            let c = challenge(&a, &b, &kp.ek, ct, &claim.to_point());
+            let c = challenge(&a, &b, &kp.ek, &cts[i], &claims[i].to_point());
             DecryptionProof {
                 a,
                 b,
-                z: x + kp.dk.0 * c,
+                z: xs[i] + kp.dk.0 * c,
             }
         })
         .collect()

@@ -25,6 +25,8 @@
 //! own seeded RNG stream, so the whole layer is bit-deterministic across
 //! runs *and* across executor thread counts.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod policy;
 pub mod pricing;

@@ -23,6 +23,8 @@
 //!   stream, metrics registry with Prometheus export, wall-clock phase
 //!   profiler with Chrome `trace_event` export.
 
+#![forbid(unsafe_code)]
+
 pub use dragoon_chain as chain;
 pub use dragoon_contract as contract;
 pub use dragoon_core as core;

@@ -19,6 +19,8 @@
 //! [`LedgerEvent`]s — the transparency the paper's blockchain model
 //! assumes.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt;
 

@@ -16,6 +16,8 @@
 //! differential proves every honest node still settles to the exact
 //! single-node state.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod node;
 pub mod relay;

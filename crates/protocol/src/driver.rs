@@ -208,14 +208,15 @@ pub fn run_with_policy<R: Rng + ?Sized>(
                 // Read every revealed submission (from event logs),
                 // decrypt, challenge the bad ones — all in this round.
                 let hit = chain.contract();
-                let mut verdicts = Vec::new();
-                for addr in hit.committed_workers() {
-                    if let Some(cts) = hit.revealed(addr) {
-                        let verdict = requester.evaluate(*addr, cts, rng);
-                        if let Verdict::Accept { answer, .. } = &verdict {
-                            collected.push((*addr, answer.clone()));
-                        }
-                        verdicts.push((*addr, verdict));
+                let revealed: Vec<_> = hit
+                    .committed_workers()
+                    .iter()
+                    .filter_map(|w| hit.revealed(w).map(|cts| (*w, cts.clone())))
+                    .collect();
+                let verdicts = requester.evaluator().evaluate_all(&revealed, rng);
+                for (addr, verdict) in &verdicts {
+                    if let Verdict::Accept { answer, .. } = verdict {
+                        collected.push((*addr, answer.clone()));
                     }
                 }
                 sequencer.verdicts_landed(verdicts, |_| false)

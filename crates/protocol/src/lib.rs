@@ -22,6 +22,8 @@
 //!   introduction shows is broken; used to demonstrate the free-riding
 //!   attack Dragoon prevents.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod ideal;
 pub mod proving;

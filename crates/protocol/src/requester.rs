@@ -180,17 +180,50 @@ impl Evaluator {
         cts: &EncryptedAnswer,
         rng: &mut R,
     ) -> Verdict {
-        let range = self.range;
-        // Decrypt the whole vector at once; find the first out-of-range
-        // item.
-        let mut plain = Vec::with_capacity(cts.len());
-        for (i, decrypted) in self
-            .keypair
-            .dk
-            .decrypt_batch(&cts.0, &range)
+        let decrypted = self.keypair.dk.decrypt_batch(&cts.0, &self.range);
+        self.verdict(worker, cts, &decrypted, rng)
+    }
+
+    /// [`Self::evaluate`] for every revealed submission of a HIT, in
+    /// order: all their ciphertexts are decrypted by one
+    /// [`dragoon_crypto::DecryptionKey::decrypt_batch`] — one vector
+    /// under the one secret key, which fills the eight-lane kernel even
+    /// when each answer is short — and the verdicts are then decided one
+    /// by one. Decryption draws nothing from `rng`, so every verdict and
+    /// every draw is what consecutive `evaluate` calls produce.
+    pub fn evaluate_all<R: Rng + ?Sized>(
+        &self,
+        submissions: &[(Address, EncryptedAnswer)],
+        rng: &mut R,
+    ) -> Vec<(Address, Verdict)> {
+        let cts: Vec<_> = submissions
             .iter()
-            .enumerate()
-        {
+            .flat_map(|(_, cts)| cts.0.iter().copied())
+            .collect();
+        let decrypted = self.keypair.dk.decrypt_batch(&cts, &self.range);
+        let mut rest = &decrypted[..];
+        submissions
+            .iter()
+            .map(|(worker, cts)| {
+                let (mine, tail) = rest.split_at(cts.len());
+                rest = tail;
+                (*worker, self.verdict(*worker, cts, mine, rng))
+            })
+            .collect()
+    }
+
+    /// The verdict on `cts`, given its decryption: the first
+    /// out-of-range item is rejected with a VPKE proof, otherwise the
+    /// quality against Θ decides, with a PoQoEA proof on rejection.
+    fn verdict<R: Rng + ?Sized>(
+        &self,
+        worker: Address,
+        cts: &EncryptedAnswer,
+        decrypted: &[Decrypted],
+        rng: &mut R,
+    ) -> Verdict {
+        let mut plain = Vec::with_capacity(cts.len());
+        for (i, decrypted) in decrypted.iter().enumerate() {
             match decrypted {
                 Decrypted::InRange(m) => plain.push(*m),
                 Decrypted::OutOfRange(_) => {
@@ -520,6 +553,57 @@ mod tests {
         assert_eq!(quality, 3);
         assert_eq!(msg.encode(), expect.encode());
         assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+    }
+
+    /// What a verdict says, comparably: its kind, quality, recovered
+    /// answer and message bytes.
+    fn summary(verdict: &Verdict) -> (u8, u64, Option<Answer>, Vec<u8>) {
+        match verdict {
+            Verdict::Accept { quality, answer } => (0, *quality, Some(answer.clone()), Vec::new()),
+            Verdict::RejectOutOfRange { msg } => (1, 0, None, msg.encode()),
+            Verdict::RejectLowQuality { quality, msg } => (2, *quality, None, msg.encode()),
+        }
+    }
+
+    #[test]
+    fn evaluate_all_equals_evaluating_each_submission() {
+        let (mut rng, w, _, r) = setup();
+        let answer = |model: AnswerModel, rng: &mut StdRng| {
+            draw_answer(&model, &w.truth, &w.spec.range, rng).encrypt(&r.public_key(), rng)
+        };
+        let accepted = answer(AnswerModel::Diligent { accuracy: 1.0 }, &mut rng);
+        let low = answer(AnswerModel::Diligent { accuracy: 0.0 }, &mut rng);
+        let out = answer(AnswerModel::OutOfRange, &mut rng);
+        let low2 = answer(AnswerModel::Diligent { accuracy: 0.0 }, &mut rng);
+        let worker = |b: u8| Address::from_byte(b);
+        let sets = [
+            vec![],
+            vec![(worker(9), accepted.clone())],
+            vec![(worker(9), low.clone())],
+            vec![(worker(9), out.clone())],
+            vec![
+                (worker(9), low),
+                (worker(10), accepted.clone()),
+                (worker(11), out),
+                (worker(12), accepted),
+                (worker(13), low2),
+            ],
+        ];
+        let evaluator = r.evaluator();
+        for submissions in sets {
+            let mut each_rng = rng.clone();
+            let each: Vec<_> = submissions
+                .iter()
+                .map(|(w, cts)| (*w, summary(&evaluator.evaluate(*w, cts, &mut each_rng))))
+                .collect();
+            let all: Vec<_> = evaluator
+                .evaluate_all(&submissions, &mut rng)
+                .iter()
+                .map(|(w, v)| (*w, summary(v)))
+                .collect();
+            assert_eq!(all, each);
+            assert_eq!(rng.gen::<u64>(), each_rng.gen::<u64>());
+        }
     }
 
     #[test]

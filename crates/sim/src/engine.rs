@@ -1067,12 +1067,7 @@ fn evaluate_job(id: HitId, hit: &HitContract, requester: &RequesterAgent) -> Pro
         },
         cost,
         run: Box::new(move |rng: &mut StdRng| {
-            JobOutput::Verdicts(
-                revealed
-                    .iter()
-                    .map(|(w, cts)| (*w, evaluator.evaluate(*w, cts, rng)))
-                    .collect(),
-            )
+            JobOutput::Verdicts(evaluator.evaluate_all(&revealed, rng))
         }),
     }
 }

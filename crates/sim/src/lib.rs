@@ -21,6 +21,8 @@
 //! assert_eq!(report.hits_published, 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agents;
 pub mod config;
 pub mod engine;

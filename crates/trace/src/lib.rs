@@ -43,6 +43,8 @@
 //! (binaries) or [`Tracer::deterministic`] / [`Tracer::full`] (tests,
 //! benches).
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
 use std::time::Instant;

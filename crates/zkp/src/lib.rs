@@ -20,6 +20,8 @@
 //! the orders-of-magnitude gap the paper reports is reproduced, not
 //! assumed.
 
+#![forbid(unsafe_code)]
+
 pub mod circuits;
 pub mod crs;
 pub mod gadgets;

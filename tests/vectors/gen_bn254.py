@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""BN-254 field vectors derived offline with plain Python integers.
+"""BN-254 field and G1 vectors derived offline with plain Python integers.
 
-Writes `crates/crypto/src/field_vectors.rs`: for the base field `Fq` and
-the scalar field `Fr`, thirteen edge operands and 64 seeded random ones,
-with `a*b mod p`, `a^2 mod p`, `pow(a, -1, p)` and the Montgomery
-conversions `a*2^256 mod p` (in) and `a*2^-256 mod p` (out). The field
-unit tests in `crates/crypto/src/field.rs` check the Rust arithmetic
-against them. Nothing here shares code with the crate, so the two are
-independent routes to the same numbers.
+Writes two files under `crates/crypto/src/`, which `vectors.rs` includes
+for the crate's unit tests:
+
+* `field_vectors.rs`: for the base field `Fq` and the scalar field `Fr`,
+  thirteen edge operands and 64 seeded random ones, with `a*b mod p`,
+  `a^2 mod p`, `pow(a, -1, p)` and the Montgomery conversions
+  `a*2^256 mod p` (in) and `a*2^-256 mod p` (out).
+* `g1_vectors.rs`: `k*P` by textbook affine double-and-add for the bases
+  `g`, `7*g` and two seeded points, under the edge scalars 0, 1, 2, r-1,
+  r-2, lambda, lambda+-1, 2^127+-1, 2^128 and the GLV basis values A, B
+  and C on every base, then 32 seeded (base, scalar) pairs. The curve
+  arithmetic is anchored on the EIP-196 `ecAdd`/`ecMul` vectors the G1
+  tests also check, and the GLV constants on their defining relations.
+
+Nothing here shares code with the crate, so the two are independent
+routes to the same numbers.
 
     python3 tests/vectors/gen_bn254.py          # rewrite the constants
-    python3 tests/vectors/gen_bn254.py --check  # exit 1 if they differ
+    python3 tests/vectors/gen_bn254.py --check  # exit 1 if either differs
 
 `cargo test` does not run this script; it reads the committed output.
 """
@@ -19,13 +28,14 @@ import pathlib
 import random
 import sys
 
-FIELDS = [
-    ("FQ", 21888242871839275222246405745257275088696311157297823662689037894645226208583),
-    ("FR", 21888242871839275222246405745257275088548364400416034343698204186575808495617),
-]
+Q = 21888242871839275222246405745257275088696311157297823662689037894645226208583
+ORDER = 21888242871839275222246405745257275088548364400416034343698204186575808495617
+FIELDS = [("FQ", Q), ("FR", ORDER)]
 SEED = 0xB254
 RANDOM_OPERANDS = 64
-OUT = pathlib.Path(__file__).resolve().parents[2] / "crates" / "crypto" / "src" / "field_vectors.rs"
+G1_SEED = 0x61B254
+RANDOM_PAIRS = 32
+SRC = pathlib.Path(__file__).resolve().parents[2] / "crates" / "crypto" / "src"
 
 R = 1 << 256
 MASK = (1 << 64) - 1
@@ -68,7 +78,7 @@ def field_block(name, p, rng):
     pairs += [(i, i + 1) for i in range(len(edges), len(operands) - 1)]
     pairs.append((len(operands) - 1, len(edges)))
     inverse = lambda a: pow(a, -1, p) if a else 0
-    lines = ["const %s: FieldVectors = FieldVectors {" % name]
+    lines = ["pub(crate) const %s: FieldVectors = FieldVectors {" % name]
     lines.append("    modulus: %s," % limbs(p))
     lines.append("    r: %s," % limbs(R % p))
     lines.append("    r2: %s," % limbs(R * R % p))
@@ -86,13 +96,13 @@ def field_block(name, p, rng):
     return lines
 
 
-def render():
+def render_fields():
     rng = random.Random(SEED)
     lines = [
         "// BN-254 field vectors derived with plain Python integers by",
         "// `tests/vectors/gen_bn254.py` (random operands from seed 0x%x)." % SEED,
-        "// Generated: rerun the script instead of editing. Included by the",
-        "// unit tests of `field.rs`.",
+        "// Generated: rerun the script instead of editing. Included by",
+        "// `vectors.rs` for the unit tests.",
     ]
     for name, p in FIELDS:
         lines.append("")
@@ -100,18 +110,162 @@ def render():
     return "\n".join(lines) + "\n"
 
 
+# --- G1: y^2 = x^3 + 3 over F_q, affine points as (x, y), None = identity.
+
+
+def g1_add(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if (y1 + y2) % Q == 0:
+            return None
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, Q) % Q
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, Q) % Q
+    x3 = (slope * slope - x1 - x2) % Q
+    return (x3, (slope * (x1 - x3) - y1) % Q)
+
+
+def g1_mul(k, point):
+    """Double-and-add, most significant bit first."""
+    acc = None
+    for bit in bin(k)[2:] if k else "":
+        acc = g1_add(acc, acc)
+        if bit == "1":
+            acc = g1_add(acc, point)
+    return acc
+
+
+def on_curve(point):
+    x, y = point
+    return (y * y - x * x * x - 3) % Q == 0
+
+
+def hexpoint(x, y):
+    return (int(x, 16), int(y, 16))
+
+
+G = (1, 2)
+LAMBDA = 0x30644E72E131A029048B6E193FD84104CC37A73FEC2BC5E9B8CA0B2D36636F23
+BETA = 0x30644E72E131A0295E6DD9E7E0ACCCB0C28F069FBB966E3DE4BD44E5607CFD48
+GLV_A = 0x6F4D8248EEB859FC8211BBEB7D4F1128
+GLV_B = 0x89D3256894D213E3
+GLV_C = 0x6F4D8248EEB859FD0BE4E1541221250B
+
+
+def check_anchors():
+    """The EIP-196 vectors in `g1.rs`, and the GLV constants' relations."""
+    g2 = hexpoint(
+        "030644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd3",
+        "15ed738c0e0a7c92e7845f96b2ae9c0a68a6a449e3538fc7ff3ebf7a5a18a2c4",
+    )
+    g3 = hexpoint(
+        "0769bf9ac56bea3ff40232bcb1b6bd159315d84715b8e679f2d355961915abf0",
+        "2ab799bee0489429554fdb7c8d086475319e63b40b9c5b57cdf1ff3dd9fe2261",
+    )
+    assert g1_add(G, G) == g2 and g1_add(G, g2) == g3 and g1_mul(3, G) == g3
+    p = hexpoint(
+        "2bd3e6d0f3b142924f5ca7b49ce5b9d54c4703d7ae5648e61d02268b1a0a9fb7",
+        "21611ce0a6af85915e2f1d70300909ce2e49dfad4a4619c8390cae66cefdb204",
+    )
+    kp = hexpoint(
+        "070a8d6a982153cae4be29d434e8faef8a47b274a053f5a4ee2a6c9c13c31e5c",
+        "031b8ce914eba3a9ffb989f9cdd5b0f01943074bf4f0f315690ec3cec6981afc",
+    )
+    assert g1_mul(0x11138CE750FA15C2, p) == kp
+    kkp = hexpoint(
+        "025a6f4181d2b4ea8b724290ffb40156eb0adb514c688556eb79cdea0752c2bb",
+        "2eff3f31dea215f1eb86023a133a996eb6300b44da664d64251d05381bb8a02e",
+    )
+    assert g1_mul((Q - 1) % ORDER, kp) == kkp
+    max_g = hexpoint(
+        "2f588cffe99db877a4434b598ab28f81e0522910ea52b45f0adaa772b2d5d352",
+        "12f42fa8fd34fb1b33d8c6a718b6590198389b26fc9d8808d971f8b009777a97",
+    )
+    assert g1_mul(((1 << 256) - 1) % ORDER, G) == max_g
+    assert g1_mul(ORDER - 1, G) == (1, Q - 2) and g1_add(g1_mul(ORDER - 1, G), G) is None
+    assert pow(LAMBDA, 3, ORDER) == 1 != LAMBDA and pow(BETA, 3, Q) == 1 != BETA
+    assert g1_mul(LAMBDA, G) == (BETA * G[0] % Q, G[1])
+    assert GLV_A * GLV_C + GLV_B * GLV_B == ORDER
+    assert (GLV_A - GLV_B * LAMBDA) % ORDER == 0 and (GLV_B + GLV_C * LAMBDA) % ORDER == 0
+
+
+def seeded_point(rng):
+    """A point from a random x: the curve equation, then a square root
+    (`q = 3 mod 4`), with no multiple of `g` involved."""
+    while True:
+        x = rng.randrange(Q)
+        rhs = (x * x * x + 3) % Q
+        y = pow(rhs, (Q + 1) // 4, Q)
+        if y * y % Q == rhs:
+            return (x, y if rng.randrange(2) else Q - y)
+
+
+def render_g1():
+    check_anchors()
+    rng = random.Random(G1_SEED)
+    bases = [G, g1_mul(7, G), seeded_point(rng), seeded_point(rng)]
+    assert all(on_curve(b) for b in bases)
+    edges = [
+        0,
+        1,
+        2,
+        ORDER - 1,
+        ORDER - 2,
+        LAMBDA,
+        LAMBDA + 1,
+        LAMBDA - 1,
+        (1 << 127) - 1,
+        (1 << 127) + 1,
+        1 << 128,
+        GLV_A,
+        GLV_B,
+        GLV_C,
+    ]
+    pairs = [(b, k) for b in range(len(bases)) for k in edges]
+    pairs += [(rng.randrange(len(bases)), rng.randrange(ORDER)) for _ in range(RANDOM_PAIRS)]
+
+    def product(b, k):
+        point = g1_mul(k, bases[b])
+        assert point is None or on_curve(point)
+        return "None" if point is None else "Some((%s, %s))" % (limbs(point[0]), limbs(point[1]))
+
+    lines = [
+        "// BN-254 G1 vectors derived with plain Python integers by",
+        "// `tests/vectors/gen_bn254.py` (seeded points and pairs from seed",
+        "// 0x%x): textbook affine double-and-add. Generated: rerun the" % G1_SEED,
+        "// script instead of editing. Included by `vectors.rs` for the unit",
+        "// tests.",
+        "",
+        "pub(crate) const G1: G1Vectors = G1Vectors {",
+    ]
+    lines += table("bases", ["(%s, %s)" % (limbs(x), limbs(y)) for x, y in bases])
+    lines += table("edge_scalars", [limbs(k) for k in edges])
+    lines += table("products", ["(%d, %s, %s)" % (b, limbs(k), product(b, k)) for b, k in pairs])
+    lines.append("};")
+    return "\n".join(lines) + "\n"
+
+
+OUTPUTS = [("field_vectors.rs", render_fields), ("g1_vectors.rs", render_g1)]
+
+
 def main(argv):
-    text = render()
-    if argv[1:] == ["--check"]:
-        if OUT.read_text() != text:
-            sys.stderr.write("%s differs from the generator's output\n" % OUT)
-            return 1
-        return 0
-    if argv[1:]:
+    if argv[1:] not in ([], ["--check"]):
         sys.stderr.write("usage: gen_bn254.py [--check]\n")
         return 2
-    OUT.write_text(text)
-    return 0
+    status = 0
+    for name, render in OUTPUTS:
+        path, text = SRC / name, render()
+        if argv[1:] == ["--check"]:
+            if not path.exists() or path.read_text() != text:
+                sys.stderr.write("%s differs from the generator's output\n" % path)
+                status = 1
+        else:
+            path.write_text(text)
+    return status
 
 
 if __name__ == "__main__":
