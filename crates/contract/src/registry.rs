@@ -1384,7 +1384,7 @@ impl Persist for RegistryEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{Phase, Settlement};
+    use crate::contract::{Phase, RejectReason, Settlement, SettlementReceipt};
     use dragoon_chain::{Chain, GasSchedule, TxStatus};
     use dragoon_core::poqoea;
     use dragoon_core::task::{Answer, EncryptedAnswer, GoldenStandards};
@@ -2070,5 +2070,140 @@ mod tests {
             out
         };
         assert_eq!(encode(&plain), encode(&traced));
+    }
+
+    /// Decodes `bytes` as a `T`: `Some(accepted)` if the decoder
+    /// returned, `None` if it panicked.
+    fn decode<T: Persist>(bytes: &[u8]) -> Option<bool> {
+        std::panic::catch_unwind(|| T::get(&mut Reader::new(bytes)).is_ok()).ok()
+    }
+
+    /// Feeds `T`'s decoder seeded random bytes, every truncation of
+    /// `valid`'s encoding and every single-bit flip of it. Each call must
+    /// return; a truncated encoding must also be rejected.
+    fn survives_hostile_bytes<T: Persist>(name: &str, valid: &T, rng: &mut StdRng) {
+        use rand::Rng;
+        let mut encoding = Vec::new();
+        valid.put(&mut encoding);
+        assert_eq!(decode::<T>(&encoding), Some(true), "{name}: valid encoding");
+        for _ in 0..64 {
+            let mut bytes = vec![0u8; rng.gen_range(0..=encoding.len() + 64)];
+            rng.fill(&mut bytes[..]);
+            assert!(decode::<T>(&bytes).is_some(), "{name}: random {bytes:02x?}");
+        }
+        for cut in 0..encoding.len() {
+            let verdict = decode::<T>(&encoding[..cut]);
+            assert_eq!(verdict, Some(false), "{name}: truncated to {cut} bytes");
+        }
+        let mut flipped = encoding.clone();
+        for bit in 0..encoding.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode::<T>(&flipped).is_some(), "{name}: bit {bit} flipped");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Every contract-layer decoder returns `Ok` or `Err` on hostile
+    /// bytes — never panics. The valid encodings come from a market one
+    /// tick after a rejection was queued for batched settlement, so the
+    /// instance and the registry carry revealed answers, an opened
+    /// golden, a pending verdict with its VPKE items, and receipts.
+    #[test]
+    fn decoders_survive_hostile_bytes() {
+        let mut m = market(SettlementMode::Batched);
+        let ids = create_hits(&mut m, 1);
+        let cts = open_evaluation(&mut m, &ids);
+        let evaluate = reject_worker_0(&mut m, &cts[0]);
+        let create = RegistryMessage::Create {
+            windows: windows(),
+            params: params(&m),
+        };
+        let reject = RegistryMessage::Hit {
+            id: ids[0],
+            msg: evaluate.clone(),
+        };
+        m.chain.submit(m.requester, reject.clone());
+        m.chain.advance_round_fifo();
+        let registry = m.chain.contract().clone();
+        let hit = registry.hit(ids[0]).expect("created");
+        assert!(!hit.peek_pending_items().is_empty(), "a verdict is queued");
+
+        let ct = m.kp.ek.encrypt(5, &mut m.rng);
+        let (claim, proof) = vpke::prove(&m.kp.dk, &ct, &PlaintextRange::binary(), &mut m.rng);
+        let key = CommitmentKey::random(&mut m.rng);
+        let messages = [
+            HitMessage::Publish(params(&m)),
+            HitMessage::Commit {
+                commitment: Commitment::commit(b"c", &key),
+            },
+            HitMessage::Reveal {
+                ciphertexts: cts[0].clone(),
+                key,
+            },
+            HitMessage::Golden {
+                golden: m.golden.clone(),
+                key,
+            },
+            HitMessage::OutRange {
+                worker: Address::from_byte(2),
+                index: 1,
+                claim,
+                proof,
+            },
+            evaluate,
+            HitMessage::Finalize,
+            HitMessage::Cancel,
+        ];
+        let receipt = SettlementReceipt {
+            worker: Address::from_byte(1),
+            outcome: Settlement::Rejected(RejectReason::LowQuality { chi: 0 }),
+            amount: 0,
+        };
+
+        let rng = &mut StdRng::seed_from_u64(0xbad_b17e5);
+        survives_hostile_bytes("PhaseWindows", &windows(), rng);
+        survives_hostile_bytes("PublishParams", &params(&m), rng);
+        for msg in &messages {
+            survives_hostile_bytes("HitMessage", msg, rng);
+        }
+        for phase in [
+            Phase::Setup,
+            Phase::Commit,
+            Phase::Reveal,
+            Phase::Evaluate,
+            Phase::Closed,
+        ] {
+            survives_hostile_bytes("Phase", &phase, rng);
+        }
+        for reason in [
+            RejectReason::OutOfRange { index: 3 },
+            RejectReason::LowQuality { chi: 1 },
+            RejectReason::NoReveal,
+        ] {
+            survives_hostile_bytes("RejectReason", &reason, rng);
+        }
+        survives_hostile_bytes("Settlement", &Settlement::Paid, rng);
+        survives_hostile_bytes("Settlement", &receipt.outcome, rng);
+        survives_hostile_bytes("SettlementReceipt", &receipt, rng);
+        survives_hostile_bytes("BatchStats", &registry.batch_stats(), rng);
+        survives_hostile_bytes("RegistryMessage", &create, rng);
+        survives_hostile_bytes("RegistryMessage", &reject, rng);
+        survives_hostile_bytes("HitContract", hit, rng);
+        survives_hostile_bytes("HitRegistry", &registry, rng);
+        // Settle the HIT so the event log also holds the payout events.
+        for _ in 0..6 {
+            m.chain.advance_round_fifo();
+        }
+        let settled = m.chain.contract().hit(ids[0]).expect("created");
+        assert!(settled.is_settled());
+        let mut hit_events = 0;
+        for (_, event) in m.chain.events() {
+            survives_hostile_bytes("RegistryEvent", event, rng);
+            if let RegistryEvent::Hit { event, .. } = event {
+                survives_hostile_bytes("HitEvent", event, rng);
+                hit_events += 1;
+            }
+        }
+        assert!(hit_events > 0);
     }
 }

@@ -13,10 +13,11 @@
 //!   recent blocks (fed by [`dragoon_chain::BlockObservation`]).
 //! * [`churn::ChurnProcess`] — seeded, deterministic worker
 //!   arrivals/departures over a long horizon.
-//! * [`policy::AgentPolicy`] — pluggable adversary strategies:
-//!   golden-withholding requester cartels ([`policy::CartelPolicy`]) and
-//!   reputation-farming sybil workers ([`policy::SybilFarmPolicy`]),
-//!   with extraction metrics in the [`report::EconReport`].
+//! * Two built-in adversaries, with extraction metrics in the
+//!   [`report::EconReport`]: the first [`EconConfig::cartel_requesters`]
+//!   requesters form a golden-withholding cartel, and the first
+//!   [`EconConfig::sybil_workers`] pool workers are reputation-farming
+//!   sybils. Their rules are fixed (the crate-private `policy` module).
 //!
 //! The [`EconEngine`] bundles the four into the runtime the
 //! `dragoon-sim` marketplace engine drives at its block boundaries.
@@ -28,13 +29,12 @@
 #![forbid(unsafe_code)]
 
 pub mod churn;
-pub mod policy;
+mod policy;
 pub mod pricing;
 pub mod report;
 pub mod reputation;
 
 pub use churn::{ChurnDecision, ChurnParams, ChurnProcess};
-pub use policy::{AgentPolicy, CartelPolicy, HonestPolicy, SybilFarmPolicy, WorkerCtx};
 pub use pricing::{PricingEngine, PricingParams};
 pub use report::EconReport;
 pub use reputation::{ReputationBook, ReputationParams};
@@ -44,12 +44,11 @@ use dragoon_contract::{Settlement, SettlementReceipt};
 use dragoon_ledger::Address;
 use dragoon_protocol::WorkerBehavior;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Everything that configures the econ layer of a market run. A market
 /// runs the layer when its config carries one (`MarketConfig::econ` is
 /// `Some`), like its net and persist layers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EconConfig {
     /// Reputation dynamics (always on when the layer runs).
     pub reputation: ReputationParams,
@@ -61,29 +60,12 @@ pub struct EconConfig {
     /// (deterministic per-worker wages spread around the base reward —
     /// the supply elasticity dynamic pricing needs to converge against).
     pub reservation_wages: bool,
-    /// The first `cartel_requesters` requesters run `requester_policy`.
+    /// The first `cartel_requesters` requesters form the
+    /// golden-withholding cartel.
     pub cartel_requesters: usize,
-    /// The first `sybil_workers` pool workers run `worker_policy`.
+    /// The first `sybil_workers` pool workers are reputation-farming
+    /// sybils.
     pub sybil_workers: usize,
-    /// The strategy cartel requesters follow.
-    pub requester_policy: Arc<dyn AgentPolicy>,
-    /// The strategy sybil workers follow.
-    pub worker_policy: Arc<dyn AgentPolicy>,
-}
-
-impl Default for EconConfig {
-    fn default() -> Self {
-        Self {
-            reputation: ReputationParams::default(),
-            pricing: None,
-            churn: None,
-            reservation_wages: false,
-            cartel_requesters: 0,
-            sybil_workers: 0,
-            requester_policy: Arc::new(CartelPolicy),
-            worker_policy: Arc::new(SybilFarmPolicy::default()),
-        }
-    }
 }
 
 impl EconConfig {
@@ -95,11 +77,7 @@ impl EconConfig {
     /// bookkeeping overhead.
     pub fn observe_only() -> Self {
         Self {
-            reputation: ReputationParams {
-                order_by_score: false,
-                gate_commits: false,
-                ..ReputationParams::default()
-            },
+            reputation: ReputationParams { steer: false },
             ..Self::default()
         }
     }
@@ -108,7 +86,7 @@ impl EconConfig {
 /// A worker's commit-slot decision for one HIT.
 #[derive(Clone, Debug)]
 pub enum JoinDecision {
-    /// Join, with a policy-chosen behaviour (`None` = the worker's pool
+    /// Join, with the session a sybil picked (`None` = the worker's pool
     /// default).
     Join(Option<WorkerBehavior>),
     /// Barred by the reputation gate.
@@ -228,10 +206,10 @@ impl EconEngine {
     }
 
     /// The θ requester `index` publishes for a task with `golds` gold
-    /// standards (cartel members consult their policy).
+    /// standards (cartel members publish strict).
     pub fn theta_for(&self, index: usize, golds: usize, default: u64) -> u64 {
         if index < self.config.cartel_requesters {
-            self.config.requester_policy.theta(golds, default)
+            policy::cartel_theta(golds, default)
         } else {
             default
         }
@@ -245,13 +223,13 @@ impl EconEngine {
 
     /// Whether commit-slot candidates are ordered by reputation.
     pub fn orders_by_score(&self) -> bool {
-        self.config.reputation.order_by_score
+        self.config.reputation.steer
     }
 
     /// Sorts `(pool index, address)` candidates by decayed score,
-    /// highest first (no-op unless ordering is enabled).
+    /// highest first (no-op unless scores steer the market).
     pub fn rank(&self, candidates: &mut [(usize, Address)], round: u64) {
-        if self.config.reputation.order_by_score {
+        if self.config.reputation.steer {
             self.reputation.rank(candidates, round);
         }
     }
@@ -272,12 +250,8 @@ impl EconEngine {
             }
         }
         if self.sybils.contains(addr) {
-            let ctx = WorkerCtx {
-                score: self.reputation.score(addr, round),
-                reward,
-                round,
-            };
-            return JoinDecision::Join(self.config.worker_policy.worker_behavior(&ctx));
+            let score = self.reputation.score(addr, round);
+            return JoinDecision::Join(Some(policy::sybil_behavior(score, reward)));
         }
         JoinDecision::Join(None)
     }
@@ -285,7 +259,7 @@ impl EconEngine {
     /// Whether requester `addr` withholds its golden opening given
     /// `rejectable` rejectable reveals. Counts the withholding.
     pub fn withholds_golden(&mut self, addr: &Address, rejectable: usize) -> bool {
-        if self.cartel.contains(addr) && self.config.requester_policy.withholds_golden(rejectable) {
+        if self.cartel.contains(addr) && policy::cartel_withholds_golden(rejectable) {
             self.metrics.goldens_withheld += 1;
             true
         } else {
@@ -352,7 +326,7 @@ impl EconEngine {
     ) {
         if let Some(p) = &mut self.pricing {
             let congested = self.block_gas_limit.is_some_and(|limit| {
-                observation.gas_used as f64 >= limit as f64 * p.params().congestion_utilization
+                observation.gas_used as f64 >= limit as f64 * pricing::CONGESTION_UTILIZATION
             });
             p.observe_block(filled, cancelled, latencies, congested);
         }

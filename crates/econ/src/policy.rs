@@ -1,182 +1,99 @@
-//! Pluggable agent strategies: the extension point adversarial market
-//! scenarios hang off.
+//! The two built-in adversaries, as the rules the econ engine applies to
+//! the agents it classified at pool construction:
 //!
-//! The marketplace engine consults one [`AgentPolicy`] per adversary
-//! class at its decision points — workload shaping at publish time,
-//! session behaviour at commit time, and the golden-opening decision in
-//! the evaluate phase. Honest agents use [`HonestPolicy`] (every hook is
-//! a default); the two built-in adversaries are:
-//!
-//! * [`CartelPolicy`] — a **golden-withholding requester cartel**: its
-//!   members publish with the strictest provable threshold (`Θ = |G|`,
-//!   so any gold miss is rejectable), evaluate every reveal *off-chain
-//!   first*, and open the gold standards only when at least one
-//!   rejection will land. A HIT whose workers all pass keeps its golds
-//!   secret (nothing on-chain ever reveals them) and settles through the
-//!   deadline backstop — the cartel reuses the same hidden standards
-//!   across its HITs while clawing back every rejectable share.
-//! * [`SybilFarmPolicy`] — **reputation-farming sybil workers**: many
+//! * the **golden-withholding requester cartel** ([`cartel_theta`],
+//!   [`cartel_withholds_golden`]): its members publish with the
+//!   strictest provable threshold (`Θ = |G|`, so any gold miss is
+//!   rejectable), evaluate every reveal *off-chain first*, and open the
+//!   gold standards only when at least one rejection will land. A HIT
+//!   whose workers all pass keeps its golds secret (nothing on-chain ever
+//!   reveals them) and settles through the deadline backstop — the
+//!   cartel reuses the same hidden standards across its HITs while
+//!   clawing back every rejectable share.
+//! * **reputation-farming sybil workers** ([`sybil_behavior`]): many
 //!   coordinated identities that work diligently while their reputation
-//!   is below a farming target, then switch to zero-effort (random-bot)
-//!   submissions on HITs whose per-worker reward crosses a defection
-//!   threshold, riding the farmed score back into commit slots while it
-//!   lasts.
+//!   is below [`SYBIL_FARM_SCORE`], then switch to zero-effort
+//!   (random-bot) submissions on HITs whose per-worker reward reaches
+//!   [`SYBIL_DEFECT_REWARD`], riding the farmed score back into commit
+//!   slots while it lasts.
 
 use dragoon_core::workload::AnswerModel;
 use dragoon_protocol::WorkerBehavior;
-use std::fmt;
 
-/// What a worker-side policy sees when deciding a session.
-#[derive(Clone, Debug)]
-pub struct WorkerCtx {
-    /// The worker's decayed reputation score.
-    pub score: f64,
-    /// The per-worker reward (`B/K`) of the HIT under consideration.
-    pub reward: u128,
-    /// The current round.
-    pub round: u64,
+/// Sybils farm (work diligently) until their score reaches this target.
+const SYBIL_FARM_SCORE: f64 = 2.0;
+/// Sybils defect only on HITs paying at least this per-worker reward;
+/// cheaper HITs keep getting diligent work (they are the farm).
+const SYBIL_DEFECT_REWARD: u128 = 800;
+/// Accuracy of the sybils' farming phase.
+const SYBIL_FARM_ACCURACY: f64 = 0.97;
+
+/// The θ a cartel member publishes for a task with `golds` gold
+/// standards: maximal strictness, so any missed gold standard is
+/// provably below threshold (an already stricter `default` is kept).
+pub(crate) fn cartel_theta(golds: usize, default: u64) -> u64 {
+    default.max(golds as u64)
 }
 
-/// A pluggable agent strategy. Every hook has an honest default, so an
-/// implementation overrides only the decisions its adversary bends.
-pub trait AgentPolicy: fmt::Debug + Send + Sync {
-    /// A short label for reports.
-    fn name(&self) -> &'static str;
-
-    /// Worker-side: the behaviour this session runs; `None` keeps the
-    /// worker's default behaviour from the pool mix.
-    fn worker_behavior(&self, _ctx: &WorkerCtx) -> Option<WorkerBehavior> {
-        None
-    }
-
-    /// Requester-side: the quality threshold published for a task with
-    /// `golds` gold standards (the honest default keeps the scenario's).
-    fn theta(&self, _golds: usize, default: u64) -> u64 {
-        default
-    }
-
-    /// Requester-side: whether to withhold the golden opening given that
-    /// `rejectable` of the revealed submissions could be rejected.
-    fn withholds_golden(&self, _rejectable: usize) -> bool {
-        false
-    }
+/// Whether a cartel member withholds its golden opening given that
+/// `rejectable` of the revealed submissions could be rejected: it opens
+/// the golds only when a rejection will actually land.
+pub(crate) fn cartel_withholds_golden(rejectable: usize) -> bool {
+    rejectable == 0
 }
 
-/// The protocol-faithful default: every hook keeps the honest choice.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HonestPolicy;
-
-impl AgentPolicy for HonestPolicy {
-    fn name(&self) -> &'static str {
-        "honest"
-    }
-}
-
-/// The golden-withholding requester cartel (see the module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CartelPolicy;
-
-impl AgentPolicy for CartelPolicy {
-    fn name(&self) -> &'static str {
-        "golden_withholding_cartel"
-    }
-
-    /// Maximal strictness: any missed gold standard is provably below
-    /// threshold.
-    fn theta(&self, golds: usize, default: u64) -> u64 {
-        default.max(golds as u64)
-    }
-
-    /// Open the golds only when a rejection will actually land.
-    fn withholds_golden(&self, rejectable: usize) -> bool {
-        rejectable == 0
-    }
-}
-
-/// Reputation-farming sybil workers (see the module docs).
-#[derive(Clone, Copy, Debug)]
-pub struct SybilFarmPolicy {
-    /// Farm (work diligently) until the score reaches this target.
-    pub farm_score: f64,
-    /// Defect only on HITs paying at least this per-worker reward;
-    /// cheaper HITs keep getting diligent work (they are the farm).
-    pub defect_reward: u128,
-    /// Accuracy of the farming phase.
-    pub farm_accuracy: f64,
-}
-
-impl Default for SybilFarmPolicy {
-    fn default() -> Self {
-        Self {
-            farm_score: 2.0,
-            defect_reward: 800,
-            farm_accuracy: 0.97,
-        }
-    }
-}
-
-impl AgentPolicy for SybilFarmPolicy {
-    fn name(&self) -> &'static str {
-        "sybil_farm"
-    }
-
-    fn worker_behavior(&self, ctx: &WorkerCtx) -> Option<WorkerBehavior> {
-        if ctx.score >= self.farm_score && ctx.reward >= self.defect_reward {
-            // Farmed enough: spend the reputation on zero-effort work
-            // where the payout is worth it.
-            Some(WorkerBehavior::Honest(AnswerModel::RandomBot))
-        } else {
-            Some(WorkerBehavior::Honest(AnswerModel::Diligent {
-                accuracy: self.farm_accuracy,
-            }))
-        }
+/// The session a sybil with decayed reputation `score` runs on a HIT
+/// paying `reward` per worker.
+pub(crate) fn sybil_behavior(score: f64, reward: u128) -> WorkerBehavior {
+    if score >= SYBIL_FARM_SCORE && reward >= SYBIL_DEFECT_REWARD {
+        // Farmed enough: spend the reputation on zero-effort work where
+        // the payout is worth it.
+        WorkerBehavior::Honest(AnswerModel::RandomBot)
+    } else {
+        WorkerBehavior::Honest(AnswerModel::Diligent {
+            accuracy: SYBIL_FARM_ACCURACY,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EconConfig, EconEngine};
+    use dragoon_ledger::Address;
 
     #[test]
     fn cartel_publishes_strict_and_withholds_when_clean() {
-        let p = CartelPolicy;
-        assert_eq!(p.theta(3, 2), 3, "θ is pushed to |G|");
-        assert_eq!(p.theta(3, 5), 5, "an already stricter θ is kept");
-        assert!(p.withholds_golden(0));
-        assert!(!p.withholds_golden(1));
-        assert!(HonestPolicy.theta(3, 2) == 2 && !HonestPolicy.withholds_golden(0));
+        assert_eq!(cartel_theta(3, 2), 3, "θ is pushed to |G|");
+        assert_eq!(cartel_theta(3, 5), 5, "an already stricter θ is kept");
+        assert!(cartel_withholds_golden(0));
+        assert!(!cartel_withholds_golden(1));
+        // Requesters outside the cartel keep the scenario's θ and never
+        // withhold.
+        let config = EconConfig {
+            cartel_requesters: 1,
+            ..EconConfig::default()
+        };
+        let mut e = EconEngine::for_market(config, 1, 3_000, None);
+        let honest = Address::from_byte(0xd1);
+        e.register_requester(1, honest);
+        assert!(e.theta_for(1, 3, 2) == 2 && !e.withholds_golden(&honest, 0));
     }
 
     #[test]
     fn sybils_farm_low_and_defect_high() {
-        let p = SybilFarmPolicy::default();
-        let farm = p.worker_behavior(&WorkerCtx {
-            score: 0.0,
-            reward: 10_000,
-            round: 1,
-        });
         assert!(matches!(
-            farm,
-            Some(WorkerBehavior::Honest(AnswerModel::Diligent { .. }))
+            sybil_behavior(0.0, 10_000),
+            WorkerBehavior::Honest(AnswerModel::Diligent { .. })
         ));
-        let defect = p.worker_behavior(&WorkerCtx {
-            score: 5.0,
-            reward: 10_000,
-            round: 1,
-        });
         assert!(matches!(
-            defect,
-            Some(WorkerBehavior::Honest(AnswerModel::RandomBot))
+            sybil_behavior(5.0, 10_000),
+            WorkerBehavior::Honest(AnswerModel::RandomBot)
         ));
         // High score but low reward keeps farming.
-        let cheap = p.worker_behavior(&WorkerCtx {
-            score: 5.0,
-            reward: 10,
-            round: 1,
-        });
         assert!(matches!(
-            cheap,
-            Some(WorkerBehavior::Honest(AnswerModel::Diligent { .. }))
+            sybil_behavior(5.0, 10),
+            WorkerBehavior::Honest(AnswerModel::Diligent { .. })
         ));
     }
 }

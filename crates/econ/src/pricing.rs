@@ -19,7 +19,25 @@
 
 use std::collections::VecDeque;
 
-/// Tuning knobs of the pricing controller.
+/// Target windowed fill rate (filled / (filled + cancelled)).
+const TARGET_FILL: f64 = 0.9;
+/// Relative price raise applied when fill undershoots the target.
+const RAISE: f64 = 0.10;
+/// Relative price cut applied when the market clears at target and
+/// settlement latency stays under [`LATENCY_SLACK_BLOCKS`].
+const CUT: f64 = 0.02;
+/// Latency (blocks, publish → settle) above which the controller stops
+/// cutting even at full fill — a congested market is not overpaying.
+const LATENCY_SLACK_BLOCKS: f64 = 30.0;
+/// Sliding-window length in observed fill outcomes.
+const WINDOW: usize = 24;
+/// Gas utilization (block gas used / block gas limit) above which the
+/// chain counts as congested: the controller then holds the price
+/// instead of raising, because unfilled tasks under congestion signal
+/// carried-over transactions, not a wage shortage.
+pub(crate) const CONGESTION_UTILIZATION: f64 = 0.85;
+
+/// The price band of the pricing controller.
 #[derive(Clone, Copy, Debug)]
 pub struct PricingParams {
     /// Opening price (`0` = the scenario's default budget).
@@ -28,24 +46,6 @@ pub struct PricingParams {
     pub min: u128,
     /// Hard price ceiling.
     pub max: u128,
-    /// Target windowed fill rate (filled / (filled + cancelled)).
-    pub target_fill: f64,
-    /// Relative price raise applied when fill undershoots the target.
-    pub raise: f64,
-    /// Relative price cut applied when the market clears at target and
-    /// settlement latency stays under `latency_slack_blocks`.
-    pub cut: f64,
-    /// Latency (blocks, publish → settle) above which the controller
-    /// stops cutting even at full fill — a congested market is not
-    /// overpaying.
-    pub latency_slack_blocks: f64,
-    /// Sliding-window length in observed fill outcomes.
-    pub window: usize,
-    /// Gas utilization (block gas used / block gas limit) above which
-    /// the chain counts as congested: the controller then holds the
-    /// price instead of raising, because unfilled tasks under
-    /// congestion signal carried-over transactions, not a wage shortage.
-    pub congestion_utilization: f64,
 }
 
 impl Default for PricingParams {
@@ -54,12 +54,6 @@ impl Default for PricingParams {
             initial: 0,
             min: 600,
             max: 24_000,
-            target_fill: 0.9,
-            raise: 0.10,
-            cut: 0.02,
-            latency_slack_blocks: 30.0,
-            window: 24,
-            congestion_utilization: 0.85,
         }
     }
 }
@@ -113,11 +107,6 @@ impl PricingEngine {
         self.price
     }
 
-    /// The parameters in force.
-    pub fn params(&self) -> &PricingParams {
-        &self.params
-    }
-
     /// Extremes the controller visited.
     pub fn price_range_seen(&self) -> (u128, u128) {
         (self.price_min_seen, self.price_max_seen)
@@ -154,9 +143,9 @@ impl PricingEngine {
         Some(self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64)
     }
 
-    fn push_window<T>(window: &mut VecDeque<T>, cap: usize, item: T) {
+    fn push_window<T>(window: &mut VecDeque<T>, item: T) {
         window.push_back(item);
-        while window.len() > cap {
+        while window.len() > WINDOW {
             window.pop_front();
         }
     }
@@ -177,17 +166,13 @@ impl PricingEngine {
         congested: bool,
     ) {
         for _ in 0..filled {
-            Self::push_window(&mut self.outcomes, self.params.window, FillOutcome::Filled);
+            Self::push_window(&mut self.outcomes, FillOutcome::Filled);
         }
         for _ in 0..cancelled {
-            Self::push_window(
-                &mut self.outcomes,
-                self.params.window,
-                FillOutcome::Cancelled,
-            );
+            Self::push_window(&mut self.outcomes, FillOutcome::Cancelled);
         }
         for &l in latencies {
-            Self::push_window(&mut self.latencies, self.params.window, l);
+            Self::push_window(&mut self.latencies, l);
         }
         self.filled += filled as u64;
         self.cancelled += cancelled as u64;
@@ -197,21 +182,21 @@ impl PricingEngine {
         let Some(fill) = self.fill_rate() else {
             return;
         };
-        let next = if fill < self.params.target_fill {
+        let next = if fill < TARGET_FILL {
             if congested {
                 // Unfilled under a congested chain: commits may simply
                 // be carried over by the gas cap — hold, don't overpay.
                 self.price
             } else {
                 // Undershooting: workers are declining the wage — raise B.
-                (self.price as f64 * (1.0 + self.params.raise)).round() as u128
+                (self.price as f64 * (1.0 + RAISE)).round() as u128
             }
         } else if self
             .mean_latency()
-            .is_none_or(|l| l <= self.params.latency_slack_blocks)
+            .is_none_or(|l| l <= LATENCY_SLACK_BLOCKS)
         {
             // Market clears with slack: walk the price back down.
-            (self.price as f64 * (1.0 - self.params.cut)).round() as u128
+            (self.price as f64 * (1.0 - CUT)).round() as u128
         } else {
             self.price
         };

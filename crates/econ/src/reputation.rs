@@ -18,40 +18,33 @@ use dragoon_contract::{RejectReason, Settlement, SettlementReceipt};
 use dragoon_ledger::Address;
 use std::collections::BTreeMap;
 
-/// Tuning knobs of the reputation dynamics.
+/// Per-block multiplicative decay toward the neutral score 0 (≈ a
+/// half-life of 140 blocks).
+const DECAY: f64 = 0.995;
+/// Score delta for a paid settlement.
+const PAID_DELTA: f64 = 1.0;
+/// Score delta for a proof-backed rejection (low quality or out of
+/// range) — the strongest negative signal.
+const REJECTED_DELTA: f64 = -2.5;
+/// Score delta for a commit-without-reveal default.
+const NO_REVEAL_DELTA: f64 = -1.5;
+/// Workers whose decayed score sits below this floor are barred from
+/// committing to new HITs (when scores steer the market).
+const COMMIT_FLOOR: f64 = -3.0;
+
+/// How the reputation book acts on the market.
 #[derive(Clone, Copy, Debug)]
 pub struct ReputationParams {
-    /// Per-block multiplicative decay toward the neutral score 0
-    /// (`0.995` ≈ a half-life of ~140 blocks).
-    pub decay: f64,
-    /// Score delta for a paid settlement.
-    pub paid_delta: f64,
-    /// Score delta for a proof-backed rejection (low quality or out of
-    /// range) — the strongest negative signal.
-    pub rejected_delta: f64,
-    /// Score delta for a commit-without-reveal default.
-    pub no_reveal_delta: f64,
-    /// Workers whose decayed score sits below this floor are barred from
-    /// committing to new HITs (when gating is enabled).
-    pub commit_floor: f64,
-    /// Whether the engine orders commit-slot candidates by score
-    /// (highest first) instead of the default rotation.
-    pub order_by_score: bool,
-    /// Whether the engine enforces `commit_floor`.
-    pub gate_commits: bool,
+    /// Whether scores steer the market: commit-slot candidates are
+    /// ordered by score (highest first, replacing the default rotation)
+    /// and workers below the commit floor are barred. Off, the book only
+    /// observes.
+    pub steer: bool,
 }
 
 impl Default for ReputationParams {
     fn default() -> Self {
-        Self {
-            decay: 0.995,
-            paid_delta: 1.0,
-            rejected_delta: -2.5,
-            no_reveal_delta: -1.5,
-            commit_floor: -3.0,
-            order_by_score: true,
-            gate_commits: true,
-        }
+        Self { steer: true }
     }
 }
 
@@ -90,11 +83,6 @@ impl ReputationBook {
         }
     }
 
-    /// The parameters in force.
-    pub fn params(&self) -> &ReputationParams {
-        &self.params
-    }
-
     /// Brings `entry` current to `round` under lazy decay.
     fn decayed(&self, entry: &RepEntry, round: u64) -> f64 {
         debug_assert!(
@@ -109,7 +97,7 @@ impl ReputationBook {
                 0
             }
         };
-        entry.score * self.params.decay.powi(dt.min(i32::MAX as u64) as i32)
+        entry.score * DECAY.powi(dt.min(i32::MAX as u64) as i32)
     }
 
     /// Backwards-clock reads observed so far (see `decay_violations`).
@@ -126,17 +114,17 @@ impl ReputationBook {
     }
 
     /// Whether `worker` may commit to a new HIT at `round` (always true
-    /// when gating is disabled).
+    /// when scores do not steer the market).
     pub fn eligible(&self, worker: &Address, round: u64) -> bool {
-        !self.params.gate_commits || self.score(worker, round) >= self.params.commit_floor
+        !self.params.steer || self.score(worker, round) >= COMMIT_FLOOR
     }
 
     /// Absorbs one settlement receipt at `round`.
     pub fn observe(&mut self, receipt: &SettlementReceipt, round: u64) {
         let delta = match &receipt.outcome {
-            Settlement::Paid => self.params.paid_delta,
-            Settlement::Rejected(RejectReason::NoReveal) => self.params.no_reveal_delta,
-            Settlement::Rejected(_) => self.params.rejected_delta,
+            Settlement::Paid => PAID_DELTA,
+            Settlement::Rejected(RejectReason::NoReveal) => NO_REVEAL_DELTA,
+            Settlement::Rejected(_) => REJECTED_DELTA,
         };
         let current = self.score(&receipt.worker, round);
         self.scores.insert(

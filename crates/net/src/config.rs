@@ -22,31 +22,14 @@ impl PartitionWindow {
     }
 }
 
-/// How fork proposers are selected among stalled replicas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProposerPolicy {
-    /// Round-robin over the replica indices (`1..nodes`) by tick.
-    RoundRobin,
-    /// Seeded lottery: a per-tick pseudo-random replica wins the slot.
-    Lottery,
-}
-
 /// Built-in relay adversaries, selectable from configuration (the
 /// [`crate::RelayPolicy`] trait accepts arbitrary implementations in
-/// code; this enum is the `Clone`-able subset a scenario can carry).
+/// code, through [`crate::NetSim::with_relay`]; this enum is the
+/// `Clone`-able subset a scenario can carry).
 #[derive(Clone, Debug)]
 pub enum RelaySpec {
     /// Forward everything unchanged.
     Honest,
-    /// Network-level MEV, targeting flavor: block messages to the
-    /// victim nodes are held back `extra` extra ticks, keeping the
-    /// victims' view of the chain stale.
-    DelayTargets {
-        /// Node indices whose block delivery is delayed.
-        victims: Vec<usize>,
-        /// Extra delay in ticks.
-        extra: u64,
-    },
     /// Network-level MEV, withhold-and-release flavor: the sequencer's
     /// block messages are buffered and released in bursts every
     /// `period` ticks — replicas see nothing, go stale (forking once
@@ -74,18 +57,11 @@ pub struct NetConfig {
     /// Scheduled partitions (may overlap; a link is cut if any active
     /// window cuts it).
     pub partitions: Vec<PartitionWindow>,
-    /// Fork-proposer selection among stalled replicas.
-    pub proposer: ProposerPolicy,
     /// Ticks a replica's head must be stale before it proposes its own
     /// block from its gossip mempool (the fork source).
     pub fork_patience: u64,
     /// The relay policy between every pair of nodes.
     pub relay: RelaySpec,
-    /// Tick budget for the final convergence drain (after the last
-    /// canonical block, the network keeps ticking — partitions heal by
-    /// schedule, anti-entropy back-fills — until every node converges
-    /// or the budget runs out).
-    pub drain_ticks: u64,
 }
 
 impl Default for NetConfig {
@@ -96,10 +72,8 @@ impl Default for NetConfig {
             drop_per_mille: 0,
             duplicate_per_mille: 0,
             partitions: Vec::new(),
-            proposer: ProposerPolicy::RoundRobin,
             fork_patience: 4,
             relay: RelaySpec::Honest,
-            drain_ticks: 1_000,
         }
     }
 }

@@ -24,10 +24,8 @@ pub mod relay;
 pub mod report;
 pub mod sim;
 
-pub use config::{NetConfig, PartitionWindow, ProposerPolicy, RelaySpec};
+pub use config::{NetConfig, PartitionWindow, RelaySpec};
 pub use node::{block_id, BlockId, NetBlock, GENESIS};
-pub use relay::{
-    build_relay, DelayTargetsRelay, HonestRelay, RelayDecision, RelayPolicy, WithholdReleaseRelay,
-};
+pub use relay::{RelayDecision, RelayPolicy};
 pub use report::NetReport;
 pub use sim::{NetMsg, NetSim};

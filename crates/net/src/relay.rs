@@ -2,11 +2,12 @@
 //!
 //! Every message handed to the gossip layer passes through one
 //! [`RelayPolicy`] before link faults (seeded delay, loss, duplicates)
-//! apply. An honest relay forwards everything; the MEV flavors delay or
-//! withhold *block* propagation to keep chosen victims' chain views
-//! stale — the network-level generalization of mempool front-running:
-//! instead of reordering transactions inside a block, the adversary
-//! reorders *chain knowledge* across nodes.
+//! apply. An honest relay forwards everything; the built-in MEV flavor
+//! withholds the sequencer's *block* propagation to keep the replicas'
+//! chain views stale — the network-level generalization of mempool
+//! front-running: instead of reordering transactions inside a block, the
+//! adversary reorders *chain knowledge* across nodes. Other adversaries
+//! implement the trait and enter through [`crate::NetSim::with_relay`].
 
 use crate::config::RelaySpec;
 use crate::sim::NetMsg;
@@ -32,36 +33,11 @@ pub trait RelayPolicy<M> {
 }
 
 /// Forwards everything unchanged.
-pub struct HonestRelay;
+struct HonestRelay;
 
 impl<M> RelayPolicy<M> for HonestRelay {
     fn relay(&mut self, _tick: u64, _from: usize, _to: usize, _msg: &NetMsg<M>) -> RelayDecision {
         RelayDecision::Forward
-    }
-}
-
-/// Delays block propagation to chosen victims by a fixed number of
-/// extra ticks. Victims run behind the head, propose stale forks and
-/// reorg when the delayed blocks finally land.
-pub struct DelayTargetsRelay {
-    victims: Vec<usize>,
-    extra: u64,
-}
-
-impl DelayTargetsRelay {
-    /// Targets `victims` with `extra` ticks of block-delivery delay.
-    pub fn new(victims: Vec<usize>, extra: u64) -> Self {
-        Self { victims, extra }
-    }
-}
-
-impl<M> RelayPolicy<M> for DelayTargetsRelay {
-    fn relay(&mut self, _tick: u64, _from: usize, to: usize, msg: &NetMsg<M>) -> RelayDecision {
-        if matches!(msg, NetMsg::Block(_)) && self.victims.contains(&to) {
-            RelayDecision::Delay(self.extra)
-        } else {
-            RelayDecision::Forward
-        }
     }
 }
 
@@ -70,17 +46,8 @@ impl<M> RelayPolicy<M> for DelayTargetsRelay {
 /// `period`. Between bursts the replicas see a frozen chain — once
 /// their patience runs out they fork — and each burst forces them to
 /// reorg back onto the canonical branch.
-pub struct WithholdReleaseRelay {
+struct WithholdReleaseRelay {
     period: u64,
-}
-
-impl WithholdReleaseRelay {
-    /// Releases withheld blocks every `period` ticks.
-    pub fn new(period: u64) -> Self {
-        Self {
-            period: period.max(1),
-        }
-    }
 }
 
 impl<M> RelayPolicy<M> for WithholdReleaseRelay {
@@ -94,12 +61,11 @@ impl<M> RelayPolicy<M> for WithholdReleaseRelay {
 }
 
 /// Builds the boxed policy a [`RelaySpec`] names.
-pub fn build_relay<M>(spec: &RelaySpec) -> Box<dyn RelayPolicy<M>> {
+pub(crate) fn build_relay<M>(spec: &RelaySpec) -> Box<dyn RelayPolicy<M>> {
     match spec {
         RelaySpec::Honest => Box::new(HonestRelay),
-        RelaySpec::DelayTargets { victims, extra } => {
-            Box::new(DelayTargetsRelay::new(victims.clone(), *extra))
-        }
-        RelaySpec::WithholdRelease { period } => Box::new(WithholdReleaseRelay::new(*period)),
+        RelaySpec::WithholdRelease { period } => Box::new(WithholdReleaseRelay {
+            period: (*period).max(1),
+        }),
     }
 }

@@ -37,7 +37,7 @@
 //! scheduled partition heals this gives eventual delivery under
 //! arbitrary drop rates.
 
-use crate::config::{NetConfig, ProposerPolicy};
+use crate::config::NetConfig;
 use crate::node::{block_id, BlockId, NetBlock, Node, GENESIS, SEQUENCER_NEVER_REORGS};
 use crate::relay::{build_relay, RelayDecision, RelayPolicy};
 use crate::report::NetReport;
@@ -49,6 +49,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Tick budget for the final convergence drain: after the last
+/// canonical block the network keeps ticking — partitions heal by
+/// schedule, anti-entropy back-fills — until every node converges or
+/// the budget runs out.
+const DRAIN_TICKS: u64 = 1_000;
 
 /// A gossip-layer message.
 #[derive(Clone, Debug)]
@@ -136,8 +142,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
         self
     }
 
-    /// Replaces the relay policy (for tests injecting custom
-    /// adversaries beyond the [`crate::RelaySpec`] built-ins).
+    /// Replaces the relay policy (for adversaries beyond the
+    /// [`crate::RelaySpec`] built-ins).
     pub fn with_relay(mut self, relay: Box<dyn RelayPolicy<S::Msg>>) -> Self {
         self.relay = relay;
         self
@@ -210,13 +216,12 @@ impl<S: CaptureStateMachine> NetSim<S> {
     /// Runs the final convergence drain: fork production stops, the
     /// clock keeps ticking (delivering queued messages, healing
     /// partitions on schedule, anti-entropy back-filling) until every
-    /// node's head is the canonical tip or the configured tick budget
-    /// runs out. Returns whether the network converged.
+    /// node's head is the canonical tip or [`DRAIN_TICKS`] run out.
+    /// Returns whether the network converged.
     pub fn drain(&mut self) -> bool {
         self.producing = false;
-        let budget = self.cfg.drain_ticks;
         let start = self.tick;
-        while !self.all_converged() && self.tick - start < budget {
+        while !self.all_converged() && self.tick - start < DRAIN_TICKS {
             self.advance_tick();
         }
         self.report.drain_ticks = self.tick - start;
@@ -334,17 +339,15 @@ impl<S: CaptureStateMachine> NetSim<S> {
         }
     }
 
-    /// The scheduled proposer (if any replica is stale past patience)
-    /// builds a block on its own head from its gossip mempool.
+    /// The scheduled proposer — round-robin over the replicas
+    /// (`1..nodes`) by tick — builds a block on its own head from its
+    /// gossip mempool if its head is stale past patience.
     fn fork_production(&mut self) {
         let replicas = self.nodes.len().saturating_sub(1);
         if replicas == 0 {
             return;
         }
-        let slot = match self.cfg.proposer {
-            ProposerPolicy::RoundRobin => 1 + (self.tick as usize % replicas),
-            ProposerPolicy::Lottery => 1 + self.rng.gen_range(0..replicas),
-        };
+        let slot = 1 + (self.tick as usize % replicas);
         if self.nodes[slot].head_age < self.cfg.fork_patience {
             return;
         }

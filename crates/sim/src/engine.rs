@@ -41,7 +41,7 @@ use dragoon_crypto::elgamal::PlaintextRange;
 use dragoon_crypto::precomp::ProofCache;
 use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
-use dragoon_net::NetSim;
+use dragoon_net::{NetSim, RelayPolicy};
 use dragoon_protocol::{
     requester_addr, worker_addr, CommitArtifacts, ContentStore, JobKey, ProofJob, ProofPhase,
     ProvingService, Requester, Step, Strategy, Verdict, Worker, WorkerBehavior,
@@ -343,6 +343,14 @@ impl MarketSim {
             observed_buffer: Vec::new(),
             store: block_store,
         }
+    }
+
+    /// Puts `relay` between every pair of the network layer's nodes in
+    /// place of the configured [`dragoon_net::RelaySpec`] — an adversary
+    /// beyond the built-ins. No-op without the network layer.
+    pub fn with_relay(mut self, relay: Box<dyn RelayPolicy<RegistryMessage>>) -> Self {
+        self.net = self.net.map(|net| net.with_relay(relay));
+        self
     }
 
     /// Submits a transaction to the canonical chain and — with the
@@ -907,7 +915,7 @@ impl Drives<'_> {
     /// Commit phase: eligible workers race for slots. With the econ
     /// layer on, candidates come reputation-ordered (`ranked`), departed
     /// workers sit out, the reputation gate and reservation wages filter
-    /// the rest, and sybil policies pick each session's behaviour.
+    /// the rest, and sybils pick each session's behaviour.
     fn commit(&mut self, id: HitId, hit: &HitContract, record: &mut HitRecord) {
         let params = hit.params().expect("published before the commit phase");
         let target = params.k + self.config.overbook;
@@ -939,16 +947,16 @@ impl Drives<'_> {
             if w.sessions.len() >= self.config.worker_capacity {
                 continue;
             }
-            // Econ filters: reputation gate, reservation wage, and the
-            // sybil policy's per-session behaviour choice.
-            let mut policy_behavior = None;
+            // Econ filters: reputation gate, reservation wage, and a
+            // sybil's per-session behaviour choice.
+            let mut sybil_behavior = None;
             if let Some(e) = self.econ.as_mut() {
                 match e.join_decision(&w.addr, reward, self.round) {
-                    JoinDecision::Join(b) => policy_behavior = b,
+                    JoinDecision::Join(b) => sybil_behavior = b,
                     JoinDecision::Gated | JoinDecision::Declined => continue,
                 }
             }
-            let behavior = policy_behavior.unwrap_or_else(|| w.behavior.clone());
+            let behavior = sybil_behavior.unwrap_or_else(|| w.behavior.clone());
             // The copy decision happens at enqueue time, against
             // commitments observed in *prior* rounds.
             let copied = match &behavior {

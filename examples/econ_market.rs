@@ -37,7 +37,6 @@ fn main() {
                 initial: 1_500,
                 min: 600,
                 max: 24_000,
-                ..PricingParams::default()
             }),
             churn: Some(ChurnParams::default()),
             reservation_wages: true,

@@ -37,7 +37,6 @@ fn main() {
         // ...and the sequencer's blocks only reach anyone in periodic
         // bursts, so even connected replicas run stale and fork.
         relay: RelaySpec::WithholdRelease { period: 6 },
-        ..NetConfig::default()
     };
     let config = MarketConfig {
         hits: 40,

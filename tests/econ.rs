@@ -41,7 +41,6 @@ fn full_econ_config(seed: u64) -> MarketConfig {
                 initial: 1_200,
                 min: 600,
                 max: 12_000,
-                ..PricingParams::default()
             }),
             churn: Some(ChurnParams::default()),
             reservation_wages: true,
@@ -71,7 +70,6 @@ fn econ_market_identical_across_thread_counts() {
         initial: 3_600,
         min: 3_000,
         max: 12_000,
-        ..PricingParams::default()
     });
     let serial = run_market(base.clone());
     let econ = serial.econ.as_ref().expect("econ layer must be live");
@@ -158,17 +156,11 @@ fn dynamic_pricing_converges_to_a_clearing_band() {
         max_blocks: 800,
         econ: Some(EconConfig {
             // No gating/ordering noise: isolate the price↔supply loop.
-            reputation: ReputationParams {
-                order_by_score: false,
-                gate_commits: false,
-                ..ReputationParams::default()
-            },
+            reputation: ReputationParams { steer: false },
             pricing: Some(PricingParams {
                 initial: 900,
                 min: 600,
                 max: 24_000,
-                target_fill: 0.9,
-                ..PricingParams::default()
             }),
             reservation_wages: true,
             ..EconConfig::default()
@@ -228,13 +220,9 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
         seed: 0xec05,
         max_blocks: 400,
         econ: Some(EconConfig {
-            reputation: ReputationParams {
-                // No gating: keep the worker side identical so the
-                // payout delta is the cartel's alone.
-                order_by_score: false,
-                gate_commits: false,
-                ..ReputationParams::default()
-            },
+            // No gating: keep the worker side identical so the payout
+            // delta is the cartel's alone.
+            reputation: ReputationParams { steer: false },
             cartel_requesters: cartel,
             ..EconConfig::default()
         }),

@@ -13,8 +13,10 @@
 //! report JSON are byte-identical at 1 and 4 executor threads.
 
 use dragoon_chain::Chain;
-use dragoon_contract::HitRegistry;
-use dragoon_net::{NetConfig, NetSim, PartitionWindow, ProposerPolicy, RelaySpec};
+use dragoon_contract::{HitRegistry, RegistryMessage};
+use dragoon_net::{
+    NetConfig, NetMsg, NetSim, PartitionWindow, RelayDecision, RelayPolicy, RelaySpec,
+};
 use dragoon_sim::{MarketConfig, MarketReport, MarketSim};
 use proptest::prelude::*;
 
@@ -34,8 +36,36 @@ fn market(seed: u64, threads: usize, net: NetConfig) -> MarketConfig {
 }
 
 fn run(cfg: MarketConfig) -> (MarketReport, Chain<HitRegistry>, NetSim<HitRegistry>) {
-    let (report, chain, net) = MarketSim::new(cfg).run_keeping_net();
+    finish(MarketSim::new(cfg))
+}
+
+fn finish(sim: MarketSim) -> (MarketReport, Chain<HitRegistry>, NetSim<HitRegistry>) {
+    let (report, chain, net) = sim.run_keeping_net();
     (report, chain, net.expect("net configured"))
+}
+
+/// Network-level MEV, targeting flavor: block messages to the victim
+/// are held back `extra` extra ticks, keeping its view of the chain
+/// stale.
+struct DelayVictim {
+    victim: usize,
+    extra: u64,
+}
+
+impl RelayPolicy<RegistryMessage> for DelayVictim {
+    fn relay(
+        &mut self,
+        _tick: u64,
+        _from: usize,
+        to: usize,
+        msg: &NetMsg<RegistryMessage>,
+    ) -> RelayDecision {
+        if to == self.victim && matches!(msg, NetMsg::Block(_)) {
+            RelayDecision::Delay(self.extra)
+        } else {
+            RelayDecision::Forward
+        }
+    }
 }
 
 /// The differential itself: every node's head is the canonical tip and
@@ -158,13 +188,14 @@ fn delay_targets_adversary_still_converges() {
     let net_cfg = NetConfig {
         delay: (1, 2),
         fork_patience: 3,
-        relay: RelaySpec::DelayTargets {
-            victims: vec![1],
-            extra: 10,
-        },
         ..NetConfig::default()
     };
-    let (report, chain, net) = run(market(0x6e34, 0, net_cfg));
+    let relay = DelayVictim {
+        victim: 1,
+        extra: 10,
+    };
+    let sim = MarketSim::new(market(0x6e34, 0, net_cfg)).with_relay(Box::new(relay));
+    let (report, chain, net) = finish(sim);
     assert_converged(&chain, &net);
     let nr = report.net.expect("net report");
     assert!(nr.converged);
@@ -189,30 +220,6 @@ fn withhold_release_adversary_forces_reorgs() {
     assert!(nr.converged);
     assert!(nr.forks_produced > 0, "starved replicas forked");
     assert!(nr.reorgs > 0, "each burst forced reorgs");
-}
-
-/// The seeded-lottery proposer is exactly reproducible: two runs of the
-/// same seed emit byte-identical network reports.
-#[test]
-fn lottery_proposer_is_seed_reproducible() {
-    let net_cfg = NetConfig {
-        delay: (1, 3),
-        drop_per_mille: 60,
-        fork_patience: 3,
-        proposer: ProposerPolicy::Lottery,
-        partitions: vec![PartitionWindow {
-            start: 5,
-            end: 20,
-            island: vec![3],
-        }],
-        ..NetConfig::default()
-    };
-    let (report_a, chain_a, net_a) = run(market(0x6e36, 0, net_cfg.clone()));
-    let (report_b, chain_b, net_b) = run(market(0x6e36, 0, net_cfg));
-    assert_converged(&chain_a, &net_a);
-    assert_converged(&chain_b, &net_b);
-    assert_eq!(report_a.section_json("net"), report_b.section_json("net"));
-    assert_eq!(report_a.to_json(), report_b.to_json());
 }
 
 /// Strategy for random topology soups: node count in {2, 4, 7}, random

@@ -155,7 +155,6 @@ fn lossy_net_config() -> MarketConfig {
                 island: vec![2, 3],
             }],
             relay: RelaySpec::WithholdRelease { period: 6 },
-            ..NetConfig::default()
         }),
         ..MarketConfig::default()
     }
