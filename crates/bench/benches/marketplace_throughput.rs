@@ -75,7 +75,7 @@ fn market_throughput(seed: u64) {
 /// and roomy blocks, so the measurement isolates the engine + state
 /// layer rather than proof arithmetic. The executor is pinned serial so
 /// every A/B tier prices its own effect on the same footing;
-/// [`parallel_exec_speedup`] measures the executor separately.
+/// [`spawn_heavy_speedup`] measures the executor separately.
 fn scale_config(hits: usize, seed: u64) -> MarketConfig {
     MarketConfig {
         hits,
@@ -196,7 +196,7 @@ impl Ab {
     }
 }
 
-/// The sync-vs-pipelined A/B both persisted tiers run: `config` on the
+/// The sync-vs-pipelined A/B the scale tier runs: `config` on the
 /// synchronous full-snapshot store against the pipelined lifecycle
 /// (background writer, dirty-shard incremental snapshots, log
 /// compaction, overlapped settlement verification) at one snapshot
@@ -238,7 +238,7 @@ fn sync_vs_pipelined(bench: &'static str, config: &MarketConfig, cadence: u64) -
     (ab, log_left)
 }
 
-/// The serial-vs-parallel A/B both executor tiers run: `config(1)`
+/// The serial-vs-parallel A/B the spawn-heavy tier runs: `config(1)`
 /// against `config(threads)` — the differential guarantee of
 /// `tests/parallel_equivalence.rs`. `exec_threads` is the run's whole
 /// thread budget (block execution, settlement verification and
@@ -414,22 +414,6 @@ fn market_scale_1m(seed: u64) {
     ));
 }
 
-/// **Pipelined vs synchronous persistence** — the same seeded market
-/// (1k and 10k HITs) on both stores. The pipeline is a pure performance
-/// change, so the wall-clock ratio is the price the synchronous
-/// durability path was charging the round loop.
-fn pipeline_speedup(seed: u64) {
-    for hits in [1_000usize, 10_000] {
-        let cadence = if hits >= 10_000 { 64 } else { 16 };
-        let (ab, _) = sync_vs_pipelined("pipeline_speedup", &scale_config(hits, seed), cadence);
-        ab.report(&format!(
-            "\"sync_persist\":{},\"pipelined_persist\":{}",
-            ab.a.report.section_json("persist"),
-            ab.b.report.section_json("persist"),
-        ));
-    }
-}
-
 /// A parallel-execution scale config: per-proof settlement, so VPKE and
 /// PoQoEA verification cost sits *inside* the transactions the executor
 /// fans out (batched settlement already parallelizes at the block
@@ -439,23 +423,6 @@ fn parallel_config(hits: usize, seed: u64, exec_threads: usize) -> MarketConfig 
         settlement: dragoon_contract::SettlementMode::PerProof,
         exec_threads,
         ..scale_config(hits, seed)
-    }
-}
-
-/// **Parallel vs serial block execution** — the same per-proof market
-/// (1k and 10k HITs) at a budget of one thread (`exec_threads = 1`:
-/// serial executor, sequential verification, proof jobs on the calling
-/// thread) and at the resolved budget (optimistic parallel executor,
-/// pooled verification and proving).
-fn parallel_exec_speedup(seed: u64) {
-    for hits in [1_000usize, 10_000] {
-        let (ab, threads) = serial_vs_parallel("parallel_exec_speedup", |threads| {
-            parallel_config(hits, seed, threads)
-        });
-        ab.report(&format!(
-            "\"threads\":{threads},\"scheduler\":{}",
-            ab.b.report.section_json("scheduler")
-        ));
     }
 }
 
@@ -734,10 +701,8 @@ fn vpke_partition(seed: u64) {
 type Tier = (&'static str, fn(u64));
 
 /// Every tier, in full-run order.
-const TIERS: [Tier; 10] = [
+const TIERS: [Tier; 8] = [
     ("market_throughput", market_throughput),
-    ("pipeline_speedup", pipeline_speedup),
-    ("parallel_exec_speedup", parallel_exec_speedup),
     ("spawn_heavy_speedup", spawn_heavy_speedup),
     ("econ_overhead", econ_overhead),
     ("trace_overhead", trace_overhead),

@@ -142,8 +142,10 @@ fn main() {
     // ---------------- Ablation D: point compression what-if ----------------
     println!("\n-- Ablation D: calldata under compressed (32B) vs uncompressed (64B) points --");
     let sched = GasSchedule::istanbul();
-    // A reveal carries 106 ciphertexts x 2 points; compression halves the
-    // point bytes. Non-zero-byte cost dominates (random field elements).
+    // A reveal carries 106 ciphertexts x 2 points; compression would halve
+    // the point bytes. Non-zero-byte cost dominates (random field
+    // elements), so the what-if is priced from byte counts alone: it
+    // needs no codec, and the library has only the 64-byte point format.
     let uncompressed_bytes = 106 * 2 * 64;
     let compressed_bytes = 106 * 2 * 32;
     let unc = sched.calldata_nonzero * uncompressed_bytes as u64;

@@ -1390,19 +1390,23 @@ where
         out
     }
 
-    /// Applies one delta image over the current state. Validates the
-    /// chain link (`expect_base`) before mutating anything, so a broken
-    /// link leaves the composed state untouched. Returns the round the
-    /// delta lands on.
-    fn apply_delta_image(&mut self, bytes: &[u8], expect_base: u64) -> Result<u64, StoreError> {
+    /// Applies one delta image over the current state and returns the
+    /// round it lands on — or `None`, with nothing touched, when it does
+    /// not chain on `expect_base` (a broken link). Bytes that fail to
+    /// decode are an error: the contract or the ledger may already hold
+    /// part of the delta, and no log replay can start from a
+    /// half-applied state.
+    fn apply_delta_image(
+        &mut self,
+        bytes: &[u8],
+        expect_base: u64,
+    ) -> Result<Option<u64>, StoreError> {
         let mut r = Reader::new(bytes);
         let round = u64::get(&mut r)?;
         let next_seq = u64::get(&mut r)?;
         let base = u64::get(&mut r)?;
         if base != expect_base {
-            return Err(corrupt(format!(
-                "delta for round {round} chains on {base}, composed state is at {expect_base}"
-            )));
+            return Ok(None);
         }
         self.contract.apply_delta(&mut r)?;
         self.ledger.apply_delta(&mut r)?;
@@ -1415,7 +1419,7 @@ where
         }
         self.round = round;
         self.next_seq = next_seq;
-        Ok(round)
+        Ok(Some(round))
     }
 
     /// Persists the most recently produced block: appends its executed
@@ -1487,10 +1491,11 @@ where
     /// the exact landed transaction sequence through the same journaled
     /// execution path, which the equivalence suites pin to the parallel
     /// production path at every thread count. A torn final record is
-    /// discarded, not half-applied; a corrupt or missing delta ends the
-    /// composition at the last intact link (the log tail covers the
-    /// rest when compaction is off — see the module docs for the
-    /// compaction tradeoff).
+    /// discarded, not half-applied; a missing delta, or one that fails
+    /// its checksum, ends the composition at the last intact link (the
+    /// log tail covers the rest when compaction is off — see the module
+    /// docs for the compaction tradeoff). A checksum-valid artifact that
+    /// does not decode is an error, never a half-applied state.
     pub fn recover_from(dir: impl AsRef<Path>, genesis: Self) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         let mut chain = genesis;
@@ -1503,13 +1508,12 @@ where
             if round <= composed {
                 continue; // covered by the full snapshot or an earlier delta
             }
-            match chain.apply_delta_image(&bytes, composed) {
-                Ok(landed) => composed = landed,
+            match chain.apply_delta_image(&bytes, composed)? {
+                Some(landed) => composed = landed,
                 // Broken chain link (e.g. the delta's base was itself
                 // corrupt and skipped): stop composing, fall back to
                 // log replay from here.
-                Err(StoreError::Corrupt(_)) => break,
-                Err(e) => return Err(e),
+                None => break,
             }
         }
         for record in read_log::<S::Msg>(dir)? {

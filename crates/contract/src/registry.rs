@@ -504,12 +504,6 @@ impl CaptureStateMachine for HitRegistry {
     }
 }
 
-impl Default for HitRegistry {
-    fn default() -> Self {
-        Self::new(SettlementMode::PerProof)
-    }
-}
-
 impl HitRegistry {
     /// An empty registry with the given settlement mode.
     pub fn new(mode: SettlementMode) -> Self {
@@ -1385,7 +1379,8 @@ impl Persist for RegistryEvent {
 mod tests {
     use super::*;
     use crate::contract::{Phase, RejectReason, Settlement, SettlementReceipt};
-    use dragoon_chain::{Chain, GasSchedule, TxStatus};
+    use dragoon_chain::store::read_log;
+    use dragoon_chain::{BlockStore, Chain, GasSchedule, TxStatus};
     use dragoon_core::poqoea;
     use dragoon_core::task::{Answer, EncryptedAnswer, GoldenStandards};
     use dragoon_crypto::commitment::{Commitment, CommitmentKey};
@@ -1402,6 +1397,8 @@ mod tests {
         requester: Address,
         golden: GoldenStandards,
         gs_key: CommitmentKey,
+        /// Where [`tick`] persists each block, once a test attaches one.
+        store: Option<BlockStore>,
     }
 
     fn market(mode: SettlementMode) -> Market {
@@ -1426,6 +1423,15 @@ mod tests {
             requester,
             golden,
             gs_key,
+            store: None,
+        }
+    }
+
+    /// Produces the next block, persisting it when a store is attached.
+    fn tick(m: &mut Market) {
+        m.chain.advance_round_fifo();
+        if let Some(store) = &mut m.store {
+            m.chain.persist_block(store).expect("persist the block");
         }
     }
 
@@ -1463,7 +1469,7 @@ mod tests {
                 },
             );
         }
-        m.chain.advance_round_fifo();
+        tick(m);
         let ids: Vec<HitId> = m.chain.contract().hit_ids();
         assert_eq!(ids.len(), count);
         ids
@@ -1570,7 +1576,7 @@ mod tests {
                 reveals.push((id, *w, enc, key));
             }
         }
-        m.chain.advance_round_fifo();
+        tick(m);
         for (id, w, enc, key) in &reveals {
             m.chain.submit(
                 *w,
@@ -1583,10 +1589,10 @@ mod tests {
                 },
             );
         }
-        m.chain.advance_round_fifo();
+        tick(m);
         // Close the reveal window.
-        m.chain.advance_round_fifo();
-        m.chain.advance_round_fifo();
+        tick(m);
+        tick(m);
         for &id in ids {
             assert_eq!(m.chain.contract().hit(id).unwrap().phase(), Phase::Evaluate);
             m.chain.submit(
@@ -1600,7 +1606,7 @@ mod tests {
                 },
             );
         }
-        m.chain.advance_round_fifo();
+        tick(m);
         reveals
             .into_iter()
             .filter(|(_, w, ..)| *w == workers[0])
@@ -1992,7 +1998,6 @@ mod tests {
     /// with are local configuration, not state, and must come through.
     #[test]
     fn recovered_registry_keeps_its_thread_budget() {
-        use dragoon_chain::BlockStore;
         let tracer = Tracer::deterministic();
         let genesis = || {
             market_with(
@@ -2078,28 +2083,52 @@ mod tests {
         std::panic::catch_unwind(|| T::get(&mut Reader::new(bytes)).is_ok()).ok()
     }
 
+    /// Hostile variants of a valid encoding, each tagged with its kind:
+    /// `randoms` seeded random strings, then every `stride`-th truncation
+    /// and every `stride`-th single-bit flip (stride 1: all of them).
+    fn mutations<'a>(
+        valid: &'a [u8],
+        randoms: usize,
+        stride: usize,
+        rng: &mut StdRng,
+    ) -> impl Iterator<Item = (&'static str, Vec<u8>)> + 'a {
+        use rand::Rng;
+        let random: Vec<Vec<u8>> = (0..randoms)
+            .map(|_| {
+                let mut bytes = vec![0u8; rng.gen_range(0..=valid.len() + 64)];
+                rng.fill(&mut bytes[..]);
+                bytes
+            })
+            .collect();
+        let truncated = (0..valid.len())
+            .step_by(stride)
+            .map(move |cut| valid[..cut].to_vec());
+        let flipped = (0..valid.len() * 8).step_by(stride).map(move |bit| {
+            let mut bytes = valid.to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            bytes
+        });
+        let tag = |kind: &'static str| move |bytes: Vec<u8>| (kind, bytes);
+        random
+            .into_iter()
+            .map(tag("random"))
+            .chain(truncated.map(tag("truncated")))
+            .chain(flipped.map(tag("flipped")))
+    }
+
     /// Feeds `T`'s decoder seeded random bytes, every truncation of
     /// `valid`'s encoding and every single-bit flip of it. Each call must
     /// return; a truncated encoding must also be rejected.
     fn survives_hostile_bytes<T: Persist>(name: &str, valid: &T, rng: &mut StdRng) {
-        use rand::Rng;
         let mut encoding = Vec::new();
         valid.put(&mut encoding);
         assert_eq!(decode::<T>(&encoding), Some(true), "{name}: valid encoding");
-        for _ in 0..64 {
-            let mut bytes = vec![0u8; rng.gen_range(0..=encoding.len() + 64)];
-            rng.fill(&mut bytes[..]);
-            assert!(decode::<T>(&bytes).is_some(), "{name}: random {bytes:02x?}");
-        }
-        for cut in 0..encoding.len() {
-            let verdict = decode::<T>(&encoding[..cut]);
-            assert_eq!(verdict, Some(false), "{name}: truncated to {cut} bytes");
-        }
-        let mut flipped = encoding.clone();
-        for bit in 0..encoding.len() * 8 {
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            assert!(decode::<T>(&flipped).is_some(), "{name}: bit {bit} flipped");
-            flipped[bit / 8] ^= 1 << (bit % 8);
+        for (kind, bytes) in mutations(&encoding, 64, 1, rng) {
+            let verdict = decode::<T>(&bytes);
+            assert!(verdict.is_some(), "{name}: {kind} input {bytes:02x?}");
+            if kind == "truncated" {
+                assert_eq!(verdict, Some(false), "{name}: {} bytes kept", bytes.len());
+            }
         }
     }
 
@@ -2205,5 +2234,167 @@ mod tests {
             }
         }
         assert!(hit_events > 0);
+    }
+
+    /// The store's checksum (FNV-1a, over every log frame and artifact
+    /// payload), recomputed over mutated bytes so they reach the decoders
+    /// instead of stopping at the checksum check.
+    fn fnv1a(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(0x811c_9dc5, |hash, &b| {
+            (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        })
+    }
+
+    /// Writes hostile `bytes` to the store file at `path` and runs `read`
+    /// over the store: whether it accepted them, or `None` if it panicked.
+    fn read_hostile_file(
+        path: &std::path::Path,
+        bytes: &[u8],
+        read: impl FnOnce() -> bool,
+    ) -> Option<bool> {
+        std::fs::write(path, bytes).expect("write the store file");
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(read)).ok()
+    }
+
+    /// The chain half of [`decoders_survive_hostile_bytes`]: every
+    /// `Persist` impl in `dragoon_chain::store`, on values from the same
+    /// market with every block persisted, then the store's files.
+    /// `read_log` reads a `blocks.log` mutated raw and under recomputed
+    /// frame checksums; `Chain::recover_from` reads a store whose newest
+    /// snapshot or delta payload is mutated under a recomputed checksum,
+    /// so the bytes reach `PersistDelta::restore` and `apply_delta` of
+    /// the registry and the ledger. Every call returns `Ok` or `Err`;
+    /// none panics. `--nocapture` prints how many inputs each case ran.
+    #[test]
+    fn store_decoders_survive_hostile_bytes() {
+        let dir =
+            std::env::temp_dir().join(format!("dragoon-hostile-store-{}", std::process::id()));
+        let mut m = market(SettlementMode::Batched);
+        // Blocks 1–6 publish, commit, reveal and open the golden
+        // standards; 7–13 settle the rejection. The store writes a full
+        // snapshot at 6, a delta at 12, and block 13 only to the log.
+        let store = BlockStore::create(&dir, 6).expect("create the store");
+        m.store = Some(store.with_incremental(true));
+        m.chain.set_record_block_txs(true);
+        let ids = create_hits(&mut m, 1);
+        let cts = open_evaluation(&mut m, &ids);
+        let msg = reject_worker_0(&mut m, &cts[0]);
+        m.chain
+            .submit(m.requester, RegistryMessage::Hit { id: ids[0], msg });
+        for _ in 0..7 {
+            tick(&mut m);
+        }
+        let mut store = m.store.take().expect("attached");
+        store.drain().expect("drain the store");
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.full_snapshots,
+                stats.delta_snapshots,
+                stats.blocks_appended
+            ),
+            (1, 1, 13)
+        );
+        drop(store);
+        let chain = &m.chain;
+        assert!(chain.contract().hit(ids[0]).expect("created").is_settled());
+
+        let rng = &mut StdRng::seed_from_u64(0x5707e5);
+        survives_hostile_bytes("Ledger", &chain.ledger, rng);
+        for event in chain.ledger.events() {
+            survives_hostile_bytes("LedgerEvent", event, rng);
+        }
+        for block in chain.blocks() {
+            survives_hostile_bytes("Block", block, rng);
+            for receipt in &block.receipts {
+                survives_hostile_bytes("Receipt", receipt, rng);
+            }
+        }
+        for status in [TxStatus::Ok, TxStatus::Reverted("window closed".into())] {
+            survives_hostile_bytes("TxStatus", &status, rng);
+        }
+        let records = read_log::<RegistryMessage>(&dir).expect("read the log");
+        assert_eq!(records.len(), 13);
+        for tx in records.iter().flat_map(|record| &record.txs) {
+            survives_hostile_bytes("PendingTx", tx, rng);
+        }
+
+        // The files. The intact store recovers the live chain.
+        let genesis = || market(SettlementMode::Batched).chain;
+        let recovered = Chain::recover_from(&dir, genesis()).expect("recover");
+        assert!(recovered.state_image() == chain.state_image());
+        // Per case: inputs run, inputs the reader rejected.
+        let mut counts: BTreeMap<String, [usize; 2]> = BTreeMap::new();
+        let mut tally = |case: String, kind: &str, result: Option<bool>| {
+            let accepted = result.unwrap_or_else(|| panic!("{case}, {kind} input: panicked"));
+            let count = counts.entry(case).or_default();
+            count[0] += 1;
+            count[1] += usize::from(!accepted);
+        };
+        let log_path = dir.join("blocks.log");
+        let log = std::fs::read(&log_path).expect("read blocks.log");
+        let read_log_ok = || read_log::<RegistryMessage>(&dir).is_ok();
+        for (kind, bytes) in mutations(&log, 16, (log.len() / 64) | 1, rng) {
+            let result = read_hostile_file(&log_path, &bytes, read_log_ok);
+            tally("read_log, raw blocks.log".into(), kind, result);
+        }
+        // Each frame is `len ‖ checksum ‖ payload`: mutate one payload
+        // and re-frame it.
+        let mut payloads = Vec::new();
+        let mut pos = 0;
+        while pos < log.len() {
+            let len = u32::from_le_bytes(log[pos..pos + 4].try_into().expect("4 bytes"));
+            payloads.push(&log[pos + 8..pos + 8 + len as usize]);
+            pos += 8 + len as usize;
+        }
+        for (at, payload) in payloads.iter().enumerate() {
+            for (kind, bytes) in mutations(payload, 4, (payload.len() / 16) | 1, rng) {
+                let mut file = Vec::new();
+                for (i, p) in payloads.iter().enumerate() {
+                    let p: &[u8] = if i == at { &bytes } else { p };
+                    file.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                    file.extend_from_slice(&fnv1a(p).to_le_bytes());
+                    file.extend_from_slice(p);
+                }
+                let result = read_hostile_file(&log_path, &file, read_log_ok);
+                tally("read_log, re-framed record".into(), kind, result);
+            }
+        }
+        std::fs::write(&log_path, &log).expect("restore blocks.log");
+
+        // An artifact is `checksum ‖ payload`.
+        for prefix in ["snapshot-", "delta-"] {
+            let path = std::fs::read_dir(&dir)
+                .expect("list the store")
+                .map(|entry| entry.expect("entry").path())
+                .filter(|path| {
+                    path.file_name()
+                        .is_some_and(|n| n.to_string_lossy().starts_with(prefix))
+                })
+                .max()
+                .expect("one artifact");
+            let file = std::fs::read(&path).expect("read the artifact");
+            let payload = &file[4..];
+            for (kind, bytes) in mutations(payload, 8, (payload.len() / 32) | 1, rng) {
+                let mut mutated = fnv1a(&bytes).to_le_bytes().to_vec();
+                mutated.extend_from_slice(&bytes);
+                let recover_ok = || Chain::recover_from(&dir, genesis()).is_ok();
+                let result = read_hostile_file(&path, &mutated, recover_ok);
+                // A truncated payload never decodes, so recovery fails —
+                // for a delta too: applied in part and then replayed
+                // over, it would recover a chain the live run never had.
+                if kind == "truncated" {
+                    let kept = bytes.len();
+                    assert_eq!(result, Some(false), "{prefix}payload cut to {kept} bytes");
+                }
+                tally(format!("recover_from, {prefix}payload"), kind, result);
+            }
+            std::fs::write(&path, &file).expect("restore the artifact");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        for (case, [inputs, rejected]) in &counts {
+            println!("{case}: {inputs} inputs, {rejected} rejected");
+        }
+        assert_eq!(counts.len(), 4);
     }
 }

@@ -67,45 +67,6 @@ impl TaskSpec {
         }
         Ok(())
     }
-
-    /// The paper's concrete ImageNet task policy (§VI): 106 binary
-    /// questions, 6 gold standards, 4 workers; a submission is rejected
-    /// if it fails ≥ 3 gold standards (i.e. `Θ = 4`).
-    ///
-    /// Gold standards are drawn from a fixed documented seed so every
-    /// run of every binary is reproducible; use
-    /// [`TaskSpec::imagenet_with_rng`] to inject a caller-controlled
-    /// seed (e.g. from `DRAGOON_SEED`).
-    pub fn imagenet(budget: u128) -> (Self, GoldenStandards) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        Self::imagenet_with_rng(budget, &mut StdRng::seed_from_u64(0xd1a6_0055))
-    }
-
-    /// Variant of [`TaskSpec::imagenet`] drawing gold standards from the
-    /// caller's RNG.
-    pub fn imagenet_with_rng<R: Rng + ?Sized>(
-        budget: u128,
-        rng: &mut R,
-    ) -> (Self, GoldenStandards) {
-        let n = 106;
-        let questions = (0..n)
-            .map(|i| Question {
-                prompt: format!("Image #{i}: does the image contain the target attribute?"),
-                options: vec!["no".into(), "yes".into()],
-            })
-            .collect();
-        let spec = Self {
-            n,
-            k: 4,
-            range: PlaintextRange::binary(),
-            theta: 4,
-            budget,
-            questions,
-        };
-        let gs = GoldenStandards::random(n, 6, &spec.range, rng);
-        (spec, gs)
-    }
 }
 
 /// The requester's secret parameters `sp = (G, Gs)`: indexes of the gold
@@ -166,27 +127,6 @@ impl GoldenStandards {
             out.extend_from_slice(&s.to_le_bytes());
         }
         out
-    }
-
-    /// Parses the canonical encoding.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let m = u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize;
-        if bytes.len() != 8 + m * 16 {
-            return None;
-        }
-        let mut indexes = Vec::with_capacity(m);
-        let mut answers = Vec::with_capacity(m);
-        for j in 0..m {
-            let off = 8 + j * 16;
-            indexes.push(u64::from_le_bytes(bytes[off..off + 8].try_into().ok()?) as usize);
-            answers.push(u64::from_le_bytes(
-                bytes[off + 8..off + 16].try_into().ok()?,
-            ));
-        }
-        Some(Self { indexes, answers })
     }
 
     /// Well-formedness with respect to a task: indexes in `[0, n)`,
@@ -290,19 +230,6 @@ impl EncryptedAnswer {
         }
         out
     }
-
-    /// Parses the canonical encoding.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if !bytes.len().is_multiple_of(128) {
-            return None;
-        }
-        let mut cts = Vec::with_capacity(bytes.len() / 128);
-        for chunk in bytes.chunks_exact(128) {
-            let arr: [u8; 128] = chunk.try_into().ok()?;
-            cts.push(Ciphertext::from_bytes(&arr)?);
-        }
-        Some(Self(cts.into()))
-    }
 }
 
 #[cfg(test)]
@@ -317,23 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn imagenet_task_policy() {
-        let mut rng = rng();
-        let (spec, gs) = TaskSpec::imagenet_with_rng(4_000_000, &mut rng);
-        assert_eq!(spec.n, 106);
-        assert_eq!(spec.k, 4);
-        assert_eq!(spec.theta, 4);
-        assert_eq!(spec.range, PlaintextRange::binary());
-        assert_eq!(gs.len(), 6);
-        assert_eq!(spec.reward_per_worker(), 1_000_000);
-        spec.validate().unwrap();
-        gs.validate(spec.n, &spec.range).unwrap();
-    }
-
-    #[test]
     fn task_validation_catches_mismatch() {
         let mut rng = rng();
-        let (mut spec, _) = TaskSpec::imagenet_with_rng(100, &mut rng);
+        let mut spec = crate::workload::imagenet_workload(100, &mut rng).spec;
         spec.questions.pop();
         assert!(spec.validate().is_err());
         spec.questions.push(Question {
@@ -343,24 +256,6 @@ mod tests {
         spec.validate().unwrap();
         spec.k = 0;
         assert!(spec.validate().is_err());
-    }
-
-    #[test]
-    fn golden_standards_encode_round_trip() {
-        let mut rng = rng();
-        let gs = GoldenStandards::random(100, 6, &PlaintextRange::binary(), &mut rng);
-        let decoded = GoldenStandards::decode(&gs.encode()).unwrap();
-        assert_eq!(decoded, gs);
-    }
-
-    #[test]
-    fn golden_standards_decode_rejects_garbage() {
-        assert!(GoldenStandards::decode(&[]).is_none());
-        assert!(GoldenStandards::decode(&[1, 2, 3]).is_none());
-        // Declared length longer than payload.
-        let mut bytes = 10u64.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0u8; 16]);
-        assert!(GoldenStandards::decode(&bytes).is_none());
     }
 
     #[test]
@@ -452,15 +347,5 @@ mod tests {
         let range = PlaintextRange::binary();
         assert!(Answer(vec![0, 1, 0]).in_range(&range));
         assert!(!Answer(vec![0, 2]).in_range(&range));
-    }
-
-    #[test]
-    fn encrypted_answer_encode_round_trip() {
-        let mut rng = rng();
-        let kp = KeyPair::generate(&mut rng);
-        let enc = Answer(vec![1, 0, 1]).encrypt(&kp.ek, &mut rng);
-        let decoded = EncryptedAnswer::decode(&enc.encode()).unwrap();
-        assert_eq!(decoded, enc);
-        assert!(EncryptedAnswer::decode(&[0u8; 64]).is_none());
     }
 }

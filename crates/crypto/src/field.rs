@@ -11,7 +11,8 @@
 //! over four 64-bit little-endian limbs, multiplied by one interleaved
 //! pass of multiplication and Montgomery reduction (CIOS). The
 //! representation is always kept canonical (reduced), which makes derived
-//! equality/hashing sound.
+//! equality/hashing sound. `Fq` has no square root: G1 points travel
+//! uncompressed (see `g1`), so nothing recovers a `y` from an `x`.
 
 use crate::arith::{add_4, bit, bit_len, lt_4, mac, shr1_4, sub_4};
 use core::fmt;
@@ -440,26 +441,6 @@ montgomery_field!(
     modulus_str = "21888242871839275222246405745257275088548364400416034343698204186575808495617"
 );
 
-impl Fq {
-    /// `(q+1)/4`; valid square-root exponent because `q ≡ 3 (mod 4)`.
-    const SQRT_EXP: [u64; 4] = [
-        0x4f082305b61f3f52,
-        0x65e05aa45a1c72a3,
-        0x6e14116da0605617,
-        0x0c19139cb84c680a,
-    ];
-
-    /// Square root, if this element is a quadratic residue.
-    pub fn sqrt(&self) -> Option<Self> {
-        let cand = self.pow(&Self::SQRT_EXP);
-        if cand.square() == *self {
-            Some(cand)
-        } else {
-            None
-        }
-    }
-}
-
 impl Fr {
     /// The 2-adicity of `r - 1`: `2^28 | r - 1`, enabling radix-2 NTTs of
     /// size up to `2^28`.
@@ -798,20 +779,6 @@ mod tests {
         let got = Fq::from_bytes_wide(&wide);
         let expect = Fq::from_plain_limbs(Fq::R).unwrap();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn fq_sqrt() {
-        let mut rng = rng();
-        for _ in 0..10 {
-            let a = Fq::random(&mut rng);
-            let sq = a.square();
-            let root = sq.sqrt().expect("square must have a root");
-            assert!(root == a || root == -a);
-        }
-        // A quadratic non-residue must fail. -1 is a QNR mod q because
-        // q ≡ 3 (mod 4).
-        assert!((-Fq::one()).sqrt().is_none());
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! all of its public-key primitives ("we choose the cyclic group G by
 //! using the G1 subgroup of BN-128", §VI). Points are manipulated in
 //! Jacobian projective coordinates internally and exposed in affine form.
+//! A point has one wire format, the 64-byte `x ‖ y` of
+//! [`G1Affine::to_bytes`]: transcripts, ciphertexts, the `Persist` codec
+//! and calldata all carry it, as the paper's deployment does (the EVM
+//! precompiles consume affine coordinates, so nothing decompresses).
 
 use crate::arith::{mul_wide_4, sub_4};
 use crate::field::{Fq, Fr};
@@ -112,53 +116,6 @@ impl G1Affine {
         yb.copy_from_slice(&bytes[32..]);
         let x = Fq::from_bytes_le(&xb)?;
         let y = Fq::from_bytes_le(&yb)?;
-        Self::from_xy(x, y)
-    }
-
-    /// Compressed 32-byte encoding: the x-coordinate with the parity of
-    /// `y` packed into the (always-free) top bit of the 254-bit field
-    /// element, and the infinity flag in the next bit.
-    ///
-    /// Halves the calldata of every on-chain point relative to the
-    /// 64-byte form — the "what-if" analysed in the gas ablation. The
-    /// paper's deployment uses uncompressed points (the EVM precompiles
-    /// consume affine coordinates directly, and decompression costs an
-    /// on-chain square root).
-    pub fn to_bytes_compressed(&self) -> [u8; 32] {
-        if self.infinity {
-            let mut out = [0u8; 32];
-            out[31] = 0x40;
-            return out;
-        }
-        let mut out = self.x.to_bytes_le();
-        let y_odd = self.y.to_bytes_le()[0] & 1 == 1;
-        if y_odd {
-            out[31] |= 0x80;
-        }
-        out
-    }
-
-    /// Parses the compressed encoding, recomputing `y` via a square
-    /// root of `x^3 + 3` and the stored parity bit.
-    pub fn from_bytes_compressed(bytes: &[u8; 32]) -> Option<Self> {
-        let mut b = *bytes;
-        let y_odd = b[31] & 0x80 != 0;
-        let infinity = b[31] & 0x40 != 0;
-        b[31] &= 0x3f;
-        if infinity {
-            return b
-                .iter()
-                .all(|&v| v & 0x3f == v && (v == 0 || v == 0x40))
-                .then_some(Self::identity());
-        }
-        let x = Fq::from_bytes_le(&b)?;
-        let y2 = x.square() * x + curve_b();
-        let y = y2.sqrt()?;
-        let y = if (y.to_bytes_le()[0] & 1 == 1) == y_odd {
-            y
-        } else {
-            -y
-        };
         Self::from_xy(x, y)
     }
 
@@ -1475,40 +1432,6 @@ mod tests {
         }
         let id = G1Affine::identity();
         assert_eq!(G1Affine::from_bytes(&id.to_bytes()).unwrap(), id);
-    }
-
-    #[test]
-    fn compressed_round_trip() {
-        let mut rng = rng();
-        for _ in 0..10 {
-            let p = G1Affine::random(&mut rng);
-            let c = p.to_bytes_compressed();
-            assert_eq!(G1Affine::from_bytes_compressed(&c), Some(p));
-        }
-        // The generator and its negation compress differently.
-        let g = G1Affine::generator();
-        assert_ne!(g.to_bytes_compressed(), (-g).to_bytes_compressed());
-        assert_eq!(
-            G1Affine::from_bytes_compressed(&(-g).to_bytes_compressed()),
-            Some(-g)
-        );
-    }
-
-    #[test]
-    fn compressed_identity() {
-        let id = G1Affine::identity();
-        let c = id.to_bytes_compressed();
-        assert_eq!(G1Affine::from_bytes_compressed(&c), Some(id));
-    }
-
-    #[test]
-    fn compressed_invalid_x_rejected() {
-        // x with no curve point: x = 0 gives y^2 = 3 which is a QNR for
-        // this curve? Try x = 0 — if it decodes, it must satisfy the
-        // curve equation; either way garbage top bits are rejected.
-        let mut bytes = [0xffu8; 32];
-        bytes[31] = 0x3f; // valid-ish mask but x >= p
-        assert_eq!(G1Affine::from_bytes_compressed(&bytes), None);
     }
 
     #[test]

@@ -258,41 +258,6 @@ pub fn simulate_with_challenge<R: Rng + ?Sized>(
     DecryptionProof { a, b, z }
 }
 
-/// Batch verification of many VPKE proofs with random linear
-/// combination: sample weights `ρ_i` and check the two aggregated
-/// equations
-///
-/// `Σ ρ_i·(C_i·M_i + Z_i·c1_i − A_i − C_i·c2_i) = O` and
-/// `Σ ρ_i·(Z_i·g − B_i − C_i·h_i) = O`.
-///
-/// If any single proof is invalid, the aggregate check fails except with
-/// probability `1/r` over the weights. Used by verifiers that process
-/// whole batches of rejections (e.g. an off-chain auditor replaying a
-/// task's evaluation transcript); benchmarked in the ablation suite.
-pub fn batch_verify<R: Rng + ?Sized>(
-    items: &[(DecryptionStatement, DecryptionProof)],
-    rng: &mut R,
-) -> bool {
-    if items.is_empty() {
-        return true;
-    }
-    let g = G1Projective::generator();
-    let mut agg1 = G1Projective::identity();
-    let mut agg2 = G1Projective::identity();
-    for (stmt, proof) in items {
-        let rho = Fr::random(rng);
-        let m_point = stmt.claim.to_point();
-        let c = challenge(&proof.a, &proof.b, &stmt.ek, &stmt.ct, &m_point);
-        // ρ·(C·M + Z·c1 − A − C·c2).
-        agg1 += m_point * (c * rho) + stmt.ct.c1 * (proof.z * rho)
-            - proof.a.to_projective() * rho
-            - stmt.ct.c2 * (c * rho);
-        // ρ·(Z·g − B − C·h).
-        agg2 += g * (proof.z * rho) - proof.b.to_projective() * rho - stmt.ek.0 * (c * rho);
-    }
-    agg1.is_identity() && agg2.is_identity()
-}
-
 /// Domain-separation label for deterministic batch-verification weights.
 const VPKE_BATCH_DOMAIN: &[u8] = b"dragoon/vpke/batch/v1";
 
@@ -636,69 +601,6 @@ mod tests {
         let c = Fr::random(&mut rng);
         let sim = simulate_with_challenge(&stmt, c, &mut rng);
         assert!(verify_equations(&stmt, &sim, c));
-    }
-
-    #[test]
-    fn batch_verify_accepts_honest_batch() {
-        let (mut rng, kp, range) = setup();
-        let mut items = Vec::new();
-        for m in 0..=3 {
-            let ct = kp.ek.encrypt(m, &mut rng);
-            let (claim, proof) = prove(&kp.dk, &ct, &range, &mut rng);
-            items.push((
-                DecryptionStatement {
-                    ek: kp.ek,
-                    ct,
-                    claim,
-                },
-                proof,
-            ));
-        }
-        assert!(batch_verify(&items, &mut rng));
-        assert!(batch_verify(&[], &mut rng), "empty batch is vacuous");
-    }
-
-    #[test]
-    fn batch_verify_rejects_one_bad_proof() {
-        let (mut rng, kp, range) = setup();
-        let mut items = Vec::new();
-        for m in 0..=3 {
-            let ct = kp.ek.encrypt(m, &mut rng);
-            let (claim, proof) = prove(&kp.dk, &ct, &range, &mut rng);
-            items.push((
-                DecryptionStatement {
-                    ek: kp.ek,
-                    ct,
-                    claim,
-                },
-                proof,
-            ));
-        }
-        // Corrupt a single proof in the middle.
-        items[2].1.z += Fr::one();
-        assert!(!batch_verify(&items, &mut rng));
-        // Or a single claim.
-        items[2].1.z -= Fr::one();
-        items[1].0.claim = PlaintextClaim::InRange(3);
-        assert!(!batch_verify(&items, &mut rng));
-    }
-
-    #[test]
-    fn batch_verify_matches_individual() {
-        let (mut rng, kp, range) = setup();
-        for m in 0..=3 {
-            let ct = kp.ek.encrypt(m, &mut rng);
-            let (claim, proof) = prove(&kp.dk, &ct, &range, &mut rng);
-            let stmt = DecryptionStatement {
-                ek: kp.ek,
-                ct,
-                claim,
-            };
-            assert_eq!(
-                verify(&stmt, &proof),
-                batch_verify(&[(stmt, proof)], &mut rng)
-            );
-        }
     }
 
     #[test]

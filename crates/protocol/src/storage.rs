@@ -80,29 +80,38 @@ pub fn encode_questions(questions: &[dragoon_core::Question]) -> Vec<u8> {
     out
 }
 
-/// Parses a stored question set.
+/// Parses a stored question set. The bytes come from untrusted storage,
+/// so every length read from them is checked against the input before
+/// it is used: a hostile prefix yields `None`, never a panic or an
+/// allocation the input cannot back.
 pub fn decode_questions(bytes: &[u8]) -> Option<Vec<dragoon_core::Question>> {
     let mut pos = 0usize;
-    let read_u64 = |bytes: &[u8], pos: &mut usize| -> Option<u64> {
-        let v = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-        *pos += 8;
+    let read_u64 = |pos: &mut usize| -> Option<u64> {
+        let end = pos.checked_add(8)?;
+        let v = u64::from_le_bytes(bytes.get(*pos..end)?.try_into().ok()?);
+        *pos = end;
         Some(v)
     };
-    let read_str = |bytes: &[u8], pos: &mut usize| -> Option<String> {
-        let len = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?) as usize;
-        *pos += 8;
-        let s = String::from_utf8(bytes.get(*pos..*pos + len)?.to_vec()).ok()?;
-        *pos += len;
+    let read_str = |pos: &mut usize| -> Option<String> {
+        let len = usize::try_from(read_u64(pos)?).ok()?;
+        let end = pos.checked_add(len)?;
+        let s = String::from_utf8(bytes.get(*pos..end)?.to_vec()).ok()?;
+        *pos = end;
         Some(s)
     };
-    let n = read_u64(bytes, &mut pos)? as usize;
-    let mut questions = Vec::with_capacity(n);
+    // Reserve no more entries than the remaining bytes can hold: a
+    // question takes at least 16 of them (two lengths), an option 8.
+    let reserve = |count: u64, pos: usize, min_bytes: usize| -> usize {
+        usize::try_from(count).map_or(0, |c| c.min((bytes.len() - pos) / min_bytes))
+    };
+    let n = read_u64(&mut pos)?;
+    let mut questions = Vec::with_capacity(reserve(n, pos, 16));
     for _ in 0..n {
-        let prompt = read_str(bytes, &mut pos)?;
-        let n_opts = read_u64(bytes, &mut pos)? as usize;
-        let mut options = Vec::with_capacity(n_opts);
+        let prompt = read_str(&mut pos)?;
+        let n_opts = read_u64(&mut pos)?;
+        let mut options = Vec::with_capacity(reserve(n_opts, pos, 8));
         for _ in 0..n_opts {
-            options.push(read_str(bytes, &mut pos)?);
+            options.push(read_str(&mut pos)?);
         }
         questions.push(dragoon_core::Question { prompt, options });
     }
@@ -165,6 +174,27 @@ mod tests {
         let encoded = encode_questions(&questions());
         assert!(decode_questions(&encoded[..encoded.len() - 1]).is_none());
         assert!(decode_questions(&[]).is_none());
+        // A count no input could back: 2^62 questions in 8 bytes.
+        assert!(decode_questions(&(1u64 << 62).to_le_bytes()).is_none());
+        // Lengths whose end offset overflows, for a prompt and an option.
+        let mut huge_prompt = 1u64.to_le_bytes().to_vec();
+        huge_prompt.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_questions(&huge_prompt).is_none());
+        let mut huge_options = 1u64.to_le_bytes().to_vec();
+        huge_options.extend_from_slice(&0u64.to_le_bytes());
+        huge_options.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_questions(&huge_options).is_none());
+        let mut huge_option = huge_options[..16].to_vec();
+        huge_option.extend_from_slice(&1u64.to_le_bytes());
+        huge_option.extend_from_slice(&(u64::MAX - 7).to_le_bytes());
+        assert!(decode_questions(&huge_option).is_none());
+        // Every single-bit flip decodes or is rejected, without a panic.
+        let mut flipped = encoded.clone();
+        for bit in 0..encoded.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_questions(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

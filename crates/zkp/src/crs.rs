@@ -12,15 +12,17 @@
 //!
 //! [`CrsCache::get_or_setup`] is the one setup entry point wrapping
 //! [`groth16::setup`]: the baseline tests and the table benches all
-//! route through it (the benches with a fresh cache when they mean to
-//! measure the cold setup deliberately).
+//! route through it. The caller owns the cache — the baseline test
+//! file shares one across its tests, the benches build a fresh one when
+//! they mean to measure the cold setup — so the crate keeps no
+//! process-wide state.
 
 use crate::groth16::{self, ProvingKey, SnarkError};
 use crate::r1cs::{ConstraintSystem, LinearCombination, Variable};
 use dragoon_crypto::keccak::Keccak256;
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Digest of everything [`groth16::setup`] reads from a constraint
 /// system: the variable counts and, per constraint, each linear
@@ -112,14 +114,6 @@ impl Default for CrsCache {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The process-wide shared cache (used by the baseline test suite; the
-/// table benches build their own cold caches so setup time stays
-/// measurable).
-pub fn shared_cache() -> &'static CrsCache {
-    static CACHE: OnceLock<CrsCache> = OnceLock::new();
-    CACHE.get_or_init(CrsCache::new)
 }
 
 #[cfg(test)]

@@ -1,19 +1,24 @@
 //! End-to-end tests of the generic zk-proof baseline: Groth16 over the
 //! VPKE statement, exactly the pipeline Tables I & II measure — run at
 //! reduced key width so the suite stays fast. Trusted setup routes
-//! through the process-wide CRS cache, so the four tests that share the
+//! through this file's one CRS cache, so the four tests that share the
 //! TEST_BITS circuit shape pay for setup once.
 
 use dragoon_crypto::Fr;
 use dragoon_zkp::circuits::{vpke_circuit_with_bits, VpkeInstance};
+use dragoon_zkp::crs::CrsCache;
 use dragoon_zkp::jubjub::{jub_decrypt_point, JubPoint};
-use dragoon_zkp::{crs, groth16, ConstraintSystem};
+use dragoon_zkp::{groth16, ConstraintSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::LazyLock;
 
 /// Key width for the fast tests (full protocol uses 251 bits; the
 /// circuit scales linearly, so 24 bits keeps each test ~100x cheaper).
 const TEST_BITS: usize = 24;
+
+/// The proving keys every test here sets up, one per circuit shape.
+static CRS: LazyLock<CrsCache> = LazyLock::new(CrsCache::new);
 
 struct Fixture {
     instance: VpkeInstance,
@@ -55,7 +60,7 @@ fn snark_proves_honest_decryption() {
     let mut rng = StdRng::seed_from_u64(1);
     let (f, _sk) = fixture(&mut rng, 1);
     f.cs.is_satisfied().unwrap();
-    let pk = crs::shared_cache().get_or_setup(&f.cs, &mut rng).unwrap();
+    let pk = CRS.get_or_setup(&f.cs, &mut rng).unwrap();
     let proof = groth16::prove(&pk, &f.cs, &mut rng).unwrap();
     assert!(groth16::verify(&pk.vk, &proof, &f.publics).unwrap());
 }
@@ -64,7 +69,7 @@ fn snark_proves_honest_decryption() {
 fn snark_rejects_wrong_statement() {
     let mut rng = StdRng::seed_from_u64(2);
     let (f, _sk) = fixture(&mut rng, 1);
-    let pk = crs::shared_cache().get_or_setup(&f.cs, &mut rng).unwrap();
+    let pk = CRS.get_or_setup(&f.cs, &mut rng).unwrap();
     let proof = groth16::prove(&pk, &f.cs, &mut rng).unwrap();
     // Tamper with the claimed message point in the public inputs.
     let mut bad_publics = f.publics.clone();
@@ -84,7 +89,7 @@ fn snark_witness_for_false_claim_unsatisfiable() {
     };
     let cs = vpke_circuit_with_bits(&lying_instance, &sk, TEST_BITS);
     assert!(cs.is_satisfied().is_err(), "no witness for a false claim");
-    let pk = crs::shared_cache().get_or_setup(&cs, &mut rng).unwrap();
+    let pk = CRS.get_or_setup(&cs, &mut rng).unwrap();
     assert!(groth16::prove(&pk, &cs, &mut rng).is_err());
 }
 
@@ -93,7 +98,7 @@ fn proof_not_transferable_across_instances() {
     let mut rng = StdRng::seed_from_u64(4);
     let (f1, _) = fixture(&mut rng, 1);
     let (f2, _) = fixture(&mut rng, 0);
-    let pk = crs::shared_cache().get_or_setup(&f1.cs, &mut rng).unwrap();
+    let pk = CRS.get_or_setup(&f1.cs, &mut rng).unwrap();
     let proof = groth16::prove(&pk, &f1.cs, &mut rng).unwrap();
     assert!(groth16::verify(&pk.vk, &proof, &f1.publics).unwrap());
     // The same proof against the other instance's publics fails.
