@@ -244,6 +244,21 @@ mod tests {
     }
 
     #[test]
+    fn imagenet_task_policy() {
+        let mut rng = rng();
+        let w = crate::workload::imagenet_workload(4_000_000, &mut rng);
+        let (spec, gs) = (w.spec, w.golden);
+        assert_eq!(spec.n, 106);
+        assert_eq!(spec.k, 4);
+        assert_eq!(spec.theta, 4);
+        assert_eq!(spec.range, PlaintextRange::binary());
+        assert_eq!(gs.len(), 6);
+        assert_eq!(spec.reward_per_worker(), 1_000_000);
+        spec.validate().unwrap();
+        gs.validate(spec.n, &spec.range).unwrap();
+    }
+
+    #[test]
     fn task_validation_catches_mismatch() {
         let mut rng = rng();
         let mut spec = crate::workload::imagenet_workload(100, &mut rng).spec;

@@ -155,10 +155,6 @@ mod tests {
         let mut rng = rng();
         let w = imagenet_workload(4_000_000, &mut rng);
         assert_eq!(w.spec.n, 106);
-        assert_eq!(w.spec.k, 4);
-        assert_eq!(w.spec.theta, 4);
-        assert_eq!(w.spec.range, PlaintextRange::binary());
-        assert_eq!(w.spec.reward_per_worker(), 1_000_000);
         assert_eq!(w.golden.len(), 6);
         assert_eq!(w.truth.0.len(), 106);
         w.spec.validate().unwrap();
