@@ -181,10 +181,24 @@ fn bench_answer_vector(c: &mut Criterion) {
         .iter()
         .map(|rhos| table_lanes(g_table, &table, rhos))
         .collect();
-    let mut lanes = rotate(&lane_sets);
+    let mut lane_set = rotate(&lane_sets);
     c.bench_function("g1_lockstep_table_mul_212", |bench| {
-        bench.iter(|| FixedBaseTable::mul_lockstep(black_box(lanes())))
+        bench.iter(|| FixedBaseTable::mul_lockstep(black_box(lane_set())))
     });
+    // The same 212 products on the eight-lane kernel, the key table's
+    // per-call conversion included.
+    #[cfg(target_arch = "x86_64")]
+    if lanes::fixed_base_mul(g_table, &[]).is_some() {
+        let mut rhos = rotate(&rho_sets);
+        c.bench_function("g1_lanes_table_mul_212", |bench| {
+            bench.iter(|| lanes_table_mul(&table, black_box(rhos())))
+        });
+    } else {
+        println!(
+            "{:<40} skipped: this CPU has no avx512ifma",
+            "g1_lanes_table_mul_212"
+        );
+    }
     let point_sets: Vec<Vec<G1Affine>> = ct_sets
         .iter()
         .map(|cts| cts.iter().map(|ct| ct.c1).collect())
@@ -208,6 +222,18 @@ fn table_lanes<'a>(
         .collect()
 }
 
+/// `rhos` on the generator's table, then on `key_table`, on the eight
+/// lanes (`key_table` converted for the call) and normalised — what
+/// `encrypt_batch` does on a CPU with AVX-512 IFMA, and what
+/// `mul_lockstep` returns.
+#[cfg(target_arch = "x86_64")]
+fn lanes_table_mul(key_table: &FixedBaseTable, rhos: &[Fr]) -> Vec<G1Affine> {
+    let on_lanes = |table| lanes::fixed_base_mul(table, rhos).expect("this CPU has IFMA");
+    let mut products = on_lanes(generator_table());
+    products.extend(on_lanes(key_table));
+    G1Projective::batch_to_affine(&products)
+}
+
 /// Wall clock of one run of `f`.
 fn elapsed<O>(f: impl FnMut() -> O) -> Duration {
     time_once(f).0
@@ -223,7 +249,9 @@ fn median_us(mut times: Vec<Duration>) -> f64 {
 /// per-lane Jacobian paths at growing lane counts, alternated over
 /// distinct operands. The two private thresholds
 /// (`elgamal::LOCKSTEP_LANES`, `g1::BATCH_MUL_LOCKSTEP_LANES`) sit where
-/// the ratio crosses 1; re-derive them from this table.
+/// the ratio crosses 1 on a CPU without AVX-512 IFMA; re-derive them
+/// from this table and, for `LOCKSTEP_LANES` on an IFMA CPU, from
+/// `bench_fixed_base_lane_crossover`'s.
 fn bench_lockstep_crossover(_: &mut Criterion) {
     const ROUNDS: usize = 31;
     let mut rng = StdRng::seed_from_u64(6);
@@ -313,6 +341,58 @@ fn bench_lane_crossover(_: &mut Criterion) {
 #[cfg(not(target_arch = "x86_64"))]
 fn bench_lane_crossover(_: &mut Criterion) {}
 
+/// The fixed-base lanes against lockstep and against the per-lane
+/// Jacobian path on `encrypt_batch`'s shape — `n/2` scalars over the
+/// generator's table and `n/2` over a key's, all normalised, the key
+/// table's per-call lane conversion included — the three sides rotated
+/// round by round over fresh scalars. On a CPU with AVX-512 IFMA,
+/// `elgamal::LOCKSTEP_LANES` sits where lanes / Jacobian crosses 1.
+#[cfg(target_arch = "x86_64")]
+fn bench_fixed_base_lane_crossover(_: &mut Criterion) {
+    const ROUNDS: usize = 31;
+    if lanes::fixed_base_mul(generator_table(), &[]).is_none() {
+        println!("fixed-base lanes / lockstep: skipped, this CPU has no avx512ifma");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(8);
+    let kp = KeyPair::generate(&mut rng);
+    let table = FixedBaseTable::new(&kp.ek.0);
+    println!("fixed-base lanes (key table converted per call), median µs over {ROUNDS} alternated rounds");
+    println!(
+        "{:>6} {:>28} {:>28}",
+        "lanes", "lanes / lockstep", "lanes / Jacobian"
+    );
+    for n in [2usize, 4, 8, 16, 32, 64, 212] {
+        let mut times: [Vec<Duration>; 3] = Default::default();
+        for round in 0..ROUNDS {
+            let rhos: Vec<Fr> = (0..n / 2).map(|_| Fr::random(&mut rng)).collect();
+            let rhos = black_box(rhos);
+            let pairs = table_lanes(generator_table(), &table, &rhos);
+            let sides: [&dyn Fn() -> Vec<G1Affine>; 3] = [
+                &|| lanes_table_mul(&table, &rhos),
+                &|| FixedBaseTable::mul_lockstep(&pairs),
+                &|| {
+                    let products: Vec<G1Projective> = pairs.iter().map(|(t, k)| t.mul(k)).collect();
+                    G1Projective::batch_to_affine(&products)
+                },
+            ];
+            for i in 0..3 {
+                let side = (round + i) % 3;
+                times[side].push(elapsed(sides[side]));
+            }
+        }
+        let [l, s, j] = times.map(median_us);
+        println!(
+            "{n:>6} {:>28} {:>28}",
+            format!("{l:.0} / {s:.0} = {:.2}", l / s),
+            format!("{l:.0} / {j:.0} = {:.2}", l / j),
+        );
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_fixed_base_lane_crossover(_: &mut Criterion) {}
+
 fn bench_hash(c: &mut Criterion) {
     let data = vec![0xa5u8; 1024];
     c.bench_function("keccak256_1k", |bench| {
@@ -382,6 +462,7 @@ criterion_group!(
     bench_answer_vector,
     bench_lockstep_crossover,
     bench_lane_crossover,
+    bench_fixed_base_lane_crossover,
     bench_hash,
     bench_pairing,
     bench_vpke,

@@ -172,18 +172,26 @@ impl EncryptionKey {
     /// Encrypts `ms[i]` under `rhos[i]` for a whole answer vector. Entry
     /// `i` is byte-for-byte `encrypt_with_table(ms[i], rhos[i], table)`.
     ///
-    /// From `LOCKSTEP_LANES` ciphertext components on, the `2N` table
-    /// multiplications run in lockstep
-    /// ([`FixedBaseTable::mul_lockstep`]: `N` lanes on the generator's
-    /// table, `N` on this key's), one more lockstep step adds the
-    /// normalised `g^m` to the `c2` lanes, and everything is affine
-    /// throughout — one field inversion per window step, shared by all
-    /// lanes. Without a `table`, a vector that long builds a throw-away
-    /// one (a 0.3 ms build against `N` variable-base multiplications).
+    /// A long enough vector runs its `2N` table multiplications (`N` on
+    /// the generator's table, `N` on this key's) on a whole-vector kernel
+    /// and computes each distinct plaintext's `g^m` once:
+    ///
+    /// * on an x86-64 CPU with AVX-512 IFMA, from `LANE_TABLE_LANES`
+    ///   ciphertext components on, [`crate::lanes::fixed_base_mul`],
+    ///   eight lanes per table pass; `g^m` is added to each `h^ρ` and all
+    ///   `2N` points are normalised with one inversion;
+    /// * elsewhere, from `LOCKSTEP_LANES` on,
+    ///   [`FixedBaseTable::mul_lockstep`], affine throughout with one
+    ///   inversion per window step shared by all lanes, and one more
+    ///   lockstep step adds `g^m`.
+    ///
+    /// Without a `table`, a vector of `LOCKSTEP_LANES` components or more
+    /// builds a throw-away one (a 0.3 ms build against `N` variable-base
+    /// multiplications) and takes the same kernel.
     ///
     /// A shorter slice — the per-item API is a slice of one — must not
-    /// pay 53 inversions: its components are built in Jacobian
-    /// coordinates and normalised with one.
+    /// pay a whole-vector kernel's fixed cost: its components are built
+    /// in Jacobian coordinates and normalised with one inversion.
     pub fn encrypt_batch(
         &self,
         ms: &[u64],
@@ -192,53 +200,115 @@ impl EncryptionKey {
     ) -> Vec<Ciphertext> {
         assert_eq!(ms.len(), rhos.len(), "one randomness per plaintext");
         let n = ms.len();
-        let g_ms = ms.iter().map(|&m| mul_generator(&Fr::from_u64(m)));
-        if 2 * n < LOCKSTEP_LANES {
-            let mut points = Vec::with_capacity(2 * n);
-            for (g_m, rho) in g_ms.zip(rhos) {
-                let h_rho = match table {
-                    Some(table) => table.mul(rho),
-                    None => self.0 * *rho,
-                };
-                points.push(mul_generator(rho));
-                points.push(g_m + h_rho);
-            }
-            return G1Projective::batch_to_affine(&points)
-                .chunks_exact(2)
-                .map(|c| Ciphertext { c1: c[0], c2: c[1] })
-                .collect();
-        }
         let built;
         let table = match table {
-            Some(table) => table,
-            None => {
+            Some(table) if 2 * n >= whole_vector_lanes() => table,
+            None if 2 * n >= LOCKSTEP_LANES => {
                 built = FixedBaseTable::new(&self.0);
                 &built
             }
+            _ => {
+                let mut points: Vec<G1Projective> = rhos.iter().map(mul_generator).collect();
+                points.extend(ms.iter().zip(rhos).map(|(&m, rho)| {
+                    let h_rho = match table {
+                        Some(table) => table.mul(rho),
+                        None => self.0 * *rho,
+                    };
+                    mul_generator(&Fr::from_u64(m)) + h_rho
+                }));
+                return ciphertexts(&G1Projective::batch_to_affine(&points));
+            }
         };
-        let lanes: Vec<(&FixedBaseTable, Fr)> = [generator_table(), table]
-            .into_iter()
-            .flat_map(|table| rhos.iter().map(move |rho| (table, *rho)))
-            .collect();
-        let mut points = FixedBaseTable::mul_lockstep(&lanes);
-        let g_ms = G1Projective::batch_to_affine(&g_ms.collect::<Vec<_>>());
-        let (c1s, c2s) = points.split_at_mut(n);
-        G1Affine::batch_add_assign(c2s, &g_ms, &mut BatchAddScratch::default());
-        c1s.iter()
-            .zip(c2s.iter())
-            .map(|(&c1, &c2)| Ciphertext { c1, c2 })
-            .collect()
+        let g_ms = generator_powers(ms);
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(mut points), Some(h_rhos)) = (
+            crate::lanes::fixed_base_mul(generator_table(), rhos),
+            crate::lanes::fixed_base_mul(table, rhos),
+        ) {
+            points.extend(
+                h_rhos
+                    .iter()
+                    .zip(&g_ms)
+                    .map(|(h_rho, g_m)| h_rho.add_affine(g_m)),
+            );
+            return ciphertexts(&G1Projective::batch_to_affine(&points));
+        }
+        encrypt_lockstep(table, rhos, &g_ms)
     }
 }
 
+/// The portable whole-vector path: `rhos` on the generator's table and on
+/// `table` in lockstep, then one more lockstep step adds `g_ms` to the
+/// `c2` lanes.
+fn encrypt_lockstep(table: &FixedBaseTable, rhos: &[Fr], g_ms: &[G1Affine]) -> Vec<Ciphertext> {
+    let lanes: Vec<(&FixedBaseTable, Fr)> = [generator_table(), table]
+        .into_iter()
+        .flat_map(|table| rhos.iter().map(move |rho| (table, *rho)))
+        .collect();
+    let mut points = FixedBaseTable::mul_lockstep(&lanes);
+    let c2s = &mut points[rhos.len()..];
+    G1Affine::batch_add_assign(c2s, g_ms, &mut BatchAddScratch::default());
+    ciphertexts(&points)
+}
+
+/// `g^m` for every `m` in `ms`, affine: one fixed-base multiplication and
+/// one shared normalisation per distinct plaintext (an answer vector
+/// repeats a handful of options).
+fn generator_powers(ms: &[u64]) -> Vec<G1Affine> {
+    let mut distinct = ms.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let powers: Vec<G1Projective> = distinct
+        .iter()
+        .map(|&m| mul_generator(&Fr::from_u64(m)))
+        .collect();
+    let powers = G1Projective::batch_to_affine(&powers);
+    ms.iter()
+        .map(|m| powers[distinct.partition_point(|d| d < m)])
+        .collect()
+}
+
+/// Ciphertext `i` of `N` from `points[i]` (`c1`) and `points[N + i]`
+/// (`c2`).
+fn ciphertexts(points: &[G1Affine]) -> Vec<Ciphertext> {
+    let (c1s, c2s) = points.split_at(points.len() / 2);
+    c1s.iter()
+        .zip(c2s)
+        .map(|(&c1, &c2)| Ciphertext { c1, c2 })
+        .collect()
+}
+
 /// Ciphertext components (`2N` for an `N`-vector) from which
-/// [`EncryptionKey::encrypt_batch`] multiplies in lockstep. A lockstep
-/// lane-step costs `6M + I/L` against the 11M of a mixed addition, so it
-/// wins once an inversion split `L` ways is under 5M. Measured
-/// (`micro_primitives`, lockstep / Jacobian + `batch_to_affine`): 2.20
-/// at 8 lanes, 1.39 at 16, 1.03 at 28, 0.99 at 32, 0.93 at 36, 0.75 at
-/// 64, 0.61 at 212.
+/// [`EncryptionKey::encrypt_batch`] multiplies in lockstep, on a CPU
+/// without AVX-512 IFMA (and from which a vector without a table builds
+/// one). A lockstep lane-step costs `6M + I/L` against the 11M of a
+/// mixed addition, so it wins once an inversion split `L` ways is under
+/// 5M. Measured (`micro_primitives`, lockstep / Jacobian +
+/// `batch_to_affine`, three runs): 1.91–2.18 at 8 lanes, 1.26–1.39 at
+/// 16, 0.79–0.84 at 32, 0.64–0.68 at 64, 0.52–0.54 at 212.
 const LOCKSTEP_LANES: usize = 32;
+
+/// Ciphertext components from which [`EncryptionKey::encrypt_batch`]
+/// runs a vector that comes with a table on the eight lanes, on a CPU
+/// with AVX-512 IFMA. A call has a fixed cost — the key table's per-call
+/// conversion and one pass over the 52 windows per table — that a
+/// handful of lanes already repays. Measured (`micro_primitives`,
+/// fixed-base lanes / Jacobian + `batch_to_affine`, conversion included,
+/// three runs): 1.79–2.25 at 2 lanes, 0.98–1.26 at 4, 0.60–0.70 at 8,
+/// 0.32–0.38 at 16, 0.21–0.23 at 32, 0.16 at 212; against lockstep
+/// 0.23–0.34 at every lane count.
+#[cfg(target_arch = "x86_64")]
+const LANE_TABLE_LANES: usize = 8;
+
+/// Components from which a vector with a table takes a whole-vector
+/// kernel on this CPU.
+fn whole_vector_lanes() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if crate::lanes::has_ifma() {
+        return LANE_TABLE_LANES;
+    }
+    LOCKSTEP_LANES
+}
 
 impl DecryptionKey {
     /// Computes the "raw" decryption `M = c2 / c1^k = g^m`.
@@ -445,6 +515,28 @@ mod tests {
         let range = PlaintextRange::new(0, 39);
         let plain: Vec<Decrypted> = ms.iter().map(|&m| Decrypted::InRange(m)).collect();
         assert_eq!(kp.dk.decrypt_batch(&cts, &range), plain);
+    }
+
+    /// The portable path of `lockstep_encryption_handles_degenerate_lanes`,
+    /// which a CPU with AVX-512 IFMA does not take from `encrypt_batch`.
+    #[test]
+    fn portable_lockstep_encryption_handles_degenerate_lanes() {
+        let kp = KeyPair::from_secret(Fr::one());
+        let ms: Vec<u64> = (0..LOCKSTEP_LANES as u64).map(|i| i % 40).collect();
+        let rhos: Vec<Fr> = ms
+            .iter()
+            .zip([1, -1, 0].into_iter().cycle())
+            .map(|(&m, sign)| match sign {
+                1 => Fr::from_u64(m),
+                -1 => -Fr::from_u64(m),
+                _ => Fr::zero(),
+            })
+            .collect();
+        let table = FixedBaseTable::new(&kp.ek.0);
+        let cts = encrypt_lockstep(&table, &rhos, &generator_powers(&ms));
+        for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&cts) {
+            assert_eq!(*ct, encrypt_reference(&kp.ek, m, rho), "m = {m}");
+        }
     }
 
     #[test]

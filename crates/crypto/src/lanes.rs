@@ -1,5 +1,6 @@
 //! Eight lanes per field product: the AVX-512 IFMA kernel under the
-//! shared-scalar branch of [`G1Affine::batch_mul`].
+//! shared-scalar branch of [`G1Affine::batch_mul`] (decryption) and under
+//! `EncryptionKey::encrypt_batch`'s fixed-base tables (encryption).
 //!
 //! An `Fq8` holds eight `Fq` elements in radix 2⁵² — five 52-bit limbs
 //! a lane, limb `j` of all eight lanes in one 512-bit register — in
@@ -9,37 +10,49 @@
 //! added into a 64-bit accumulator, which has room for the unreduced
 //! column sums): since `4p < R′`, two operands below `2p` give a product
 //! below `2p`, with no final subtraction. On the lanes sit the doubling
-//! and mixed addition [`G1Projective`] uses, and [`batch_mul_shared`]:
-//! one scalar's GLV + width-5 NAF pass over up to eight bases at a time.
-//! The scalar is shared, so every lane takes the same digits and the
-//! code has no per-lane branch.
+//! and mixed addition [`G1Projective`] uses, and two multiplications:
+//!
+//! * [`batch_mul_shared`]: one scalar's GLV + width-5 NAF pass over up
+//!   to eight bases at a time. The scalar is shared, so every lane takes
+//!   the same digits and the code has no per-lane branch.
+//! * [`fixed_base_mul`]: eight scalars at a time over one shared
+//!   [`FixedBaseTable`], each lane with its own signed digits. A window
+//!   step gathers the eight entries, negates by a sign mask and runs one
+//!   mixed addition; per-lane masks decide which lanes keep it.
 //!
 //! The formulas are not complete: an addition of a point to itself or
 //! to its negation leaves `Z = 0`, every later step keeps it there, and
-//! [`batch_mul_shared`] recomputes such a lane with
-//! [`G1Projective::mul_scalar`]. On the curve the GLV split rules that
-//! out: the accumulator is `c₁·P + c₂·φ(P)` and an entry `d·P` or
-//! `d·φ(P)`, so a collision needs a nonzero vector of the GLV lattice
-//! with both coordinates within the split's bound plus a digit, and
-//! every such vector has a coordinate 1.6 times that. The check is a
-//! net, not a path. The identity and points off the curve (whose
-//! multiples may meet those sums, or the identity, while the tables are
-//! built) go to `mul_scalar` up front.
+//! both multiplications recompute such a lane on the portable path
+//! ([`G1Projective::mul_scalar`], [`FixedBaseTable::mul`]). Under
+//! [`batch_mul_shared`] the GLV split rules that out on the curve: the
+//! accumulator is `c₁·P + c₂·φ(P)` and an entry `d·P` or `d·φ(P)`, so a
+//! collision needs a nonzero vector of the GLV lattice with both
+//! coordinates within the split's bound plus a digit, and every such
+//! vector has a coordinate 1.6 times that. Under [`fixed_base_mul`] it
+//! takes a scalar whose digits below some window sum to `±` that
+//! window's digit times its weight, modulo `r` (the tests build one); a
+//! random scalar meets it with negligible probability.
+//! Either way the check is a net, not a path. The identity and points
+//! off the curve (whose multiples may meet those sums, or the identity,
+//! while the tables are built) go to the portable path up front.
 //!
 //! Every function that touches a 512-bit register is compiled for
 //! `avx512ifma` (which implies AVX-512F), and safe code reaches them only
-//! through [`batch_mul_shared`] and [`mul_chain`], after `has_ifma`
-//! saw the feature at run time — the crate's one CPU probe.
+//! through [`batch_mul_shared`], [`fixed_base_mul`] and [`mul_chain`],
+//! after `has_ifma` saw the feature at run time — the crate's one CPU
+//! probe.
 
 use crate::field::{Fq, Fr};
 use crate::g1::{G1Affine, G1Projective, GlvRecoding, GLV_BETA};
+use crate::precomp::{entry_index, generator_table, signed_digits, FixedBaseTable, WINDOWS};
 use core::arch::x86_64::{
-    __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epi64_mask,
-    _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
-    _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
-    _mm512_srai_epi64, _mm512_sub_epi64,
+    __m512i, __mmask8, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512,
+    _mm512_cmplt_epi64_mask, _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64,
+    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+    _mm512_setzero_si512, _mm512_srai_epi64, _mm512_sub_epi64,
 };
 use core::array::from_fn;
+use std::sync::OnceLock;
 
 /// Points per pass: one per 64-bit lane of a 512-bit register.
 pub const LANES: usize = 8;
@@ -114,6 +127,171 @@ fn batch_mul_shared_ifma(points: &[G1Affine], k: &Fr) -> Vec<G1Projective> {
         );
     }
     out
+}
+
+/// `table.mul(k)` for every `k` in `scalars`, on the lanes: the group
+/// element [`FixedBaseTable::mul`] returns, left in Jacobian
+/// coordinates, or `None` when this CPU has no AVX-512 IFMA.
+/// `EncryptionKey::encrypt_batch` calls it for its `N` lanes on the
+/// generator's table and its `N` on the key's; public for the crossover
+/// rows of the `micro_primitives` bench.
+///
+/// Eight scalars share a pass over the table's 52 windows, each lane
+/// with its own signed digits. The generator's table is read in lane
+/// form from a process-wide copy; any other table is converted for the
+/// call (832 entries, a few percent of a 106-answer vector) and dropped
+/// with it, since a copy kept beside every cached key table would be
+/// resident memory for every live task. A table whose base is the
+/// identity or off the curve, and a lane whose formulas met an
+/// exceptional addition (`Z = 0` at the end), go to `table.mul`.
+pub fn fixed_base_mul(table: &FixedBaseTable, scalars: &[Fr]) -> Option<Vec<G1Projective>> {
+    if !has_ifma() {
+        return None;
+    }
+    let base = table.entries()[0];
+    if base.infinity || !base.is_on_curve() {
+        return Some(scalars.iter().map(|k| table.mul(k)).collect());
+    }
+    let converted;
+    let lane_table = if core::ptr::eq(table, generator_table()) {
+        generator_lane_table()
+    } else {
+        converted = LaneTable::new(table);
+        &converted
+    };
+    // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
+    // `fixed_base_mul_ifma` is compiled for.
+    Some(unsafe { fixed_base_mul_ifma(table, lane_table, scalars) })
+}
+
+#[target_feature(enable = "avx512ifma")]
+fn fixed_base_mul_ifma(
+    table: &FixedBaseTable,
+    lane_table: &LaneTable,
+    scalars: &[Fr],
+) -> Vec<G1Projective> {
+    let mut out = Vec::with_capacity(scalars.len());
+    for chunk in scalars.chunks(LANES) {
+        // Lanes past the end of the slice get no digit and are dropped.
+        let per_lane: [[i8; WINDOWS]; LANES] = from_fn(|i| {
+            chunk
+                .get(i)
+                .map_or([0; WINDOWS], |k| signed_digits(&k.to_plain_limbs()))
+        });
+        let digits = from_fn(|w| from_fn(|i| per_lane[i][w]));
+        let (acc, started) = fixed_base_chunk(lane_table, &digits);
+        out.extend(
+            chunk
+                .iter()
+                .zip(acc.to_projective())
+                .enumerate()
+                .map(|(i, (k, q))| {
+                    if started & 1 << i == 0 {
+                        G1Projective::identity()
+                    } else if q.is_identity() {
+                        table.mul(k)
+                    } else {
+                        q
+                    }
+                }),
+        );
+    }
+    out
+}
+
+/// The sum of the table entries the signed `digits` select (window by
+/// window, the eight lanes' digits in each), and the mask of lanes that
+/// had a nonzero digit (the rest are the identity, which the formulas
+/// cannot represent, and hold garbage). A lane's first nonzero digit
+/// loads its entry with `Z = 1`; a zero digit leaves the lane as it is.
+#[target_feature(enable = "avx512ifma")]
+fn fixed_base_chunk(table: &LaneTable, digits: &[[i8; LANES]; WINDOWS]) -> (Jac8, __mmask8) {
+    let one = Fq8::splat(Fq::one());
+    let zero = Fq8::zero();
+    let mut acc = Jac8 {
+        x: zero,
+        y: zero,
+        z: zero,
+    };
+    let mut started: __mmask8 = 0;
+    for (w, &d) in digits.iter().enumerate() {
+        let nonzero = lane_mask(d.map(|d| d != 0));
+        if nonzero == 0 {
+            continue;
+        }
+        let entry = table.gather(w, d);
+        let entry = Aff8 {
+            y: entry.y.select(lane_mask(d.map(|d| d < 0)), entry.y.neg()),
+            ..entry
+        };
+        let (fresh, add) = (nonzero & !started, nonzero & started);
+        if add != 0 {
+            acc = acc.select(add, acc.add_affine(&entry));
+        }
+        if fresh != 0 {
+            let loaded = Jac8 {
+                x: entry.x,
+                y: entry.y,
+                z: one,
+            };
+            acc = acc.select(fresh, loaded);
+        }
+        started |= nonzero;
+    }
+    (acc, started)
+}
+
+/// Bit `i` set where `lanes[i]` holds.
+fn lane_mask(lanes: [bool; LANES]) -> __mmask8 {
+    lanes
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &lane)| mask | u8::from(lane) << i)
+}
+
+/// A [`FixedBaseTable`]'s entries in the lanes' form, in the table's
+/// order: `x` and `y` of each as `a·2²⁶⁰` in 52-bit limbs (65 KiB).
+struct LaneTable(Vec<[[u64; 5]; 2]>);
+
+impl LaneTable {
+    fn new(table: &FixedBaseTable) -> Self {
+        Self(
+            table
+                .entries()
+                .iter()
+                .map(|e| [lane_limbs(e.x), lane_limbs(e.y)])
+                .collect(),
+        )
+    }
+
+    /// Lane `i` holds the entry of window `w` for digit `|d[i]|`; a zero
+    /// digit reads digit 1's entry, which the caller does not use.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn gather(&self, w: usize, d: [i8; LANES]) -> Aff8 {
+        let rows = d.map(|d| &self.0[entry_index(w, d.unsigned_abs().max(1))]);
+        let coordinate = |c: usize| {
+            Fq8(from_fn(|j| {
+                let l = |i: usize| rows[i][c][j] as i64;
+                _mm512_set_epi64(l(7), l(6), l(5), l(4), l(3), l(2), l(1), l(0))
+            }))
+        };
+        Aff8 {
+            x: coordinate(0),
+            y: coordinate(1),
+        }
+    }
+}
+
+/// The generator's table in lane form, converted once per process.
+fn generator_lane_table() -> &'static LaneTable {
+    static TABLE: OnceLock<LaneTable> = OnceLock::new();
+    TABLE.get_or_init(|| LaneTable::new(generator_table()))
+}
+
+/// `a·2²⁶⁰` (`aR·16`, canonical) in 52-bit limbs: one lane's value.
+fn lane_limbs(a: Fq) -> [u64; 5] {
+    split(a.double().double().double().double().0)
 }
 
 /// `a · bⁿ` lane by lane for `n = products`, each product feeding the
@@ -245,7 +423,7 @@ impl Fq8 {
     #[target_feature(enable = "avx512ifma")]
     #[inline]
     fn from_fq(a: [Fq; LANES]) -> Self {
-        let l = a.map(|a| split(a.double().double().double().double().0));
+        let l = a.map(lane_limbs);
         Self(from_fn(|j| {
             let w = |i: usize| l[i][j] as i64;
             _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
@@ -323,6 +501,15 @@ impl Fq8 {
     #[inline]
     fn neg(self) -> Self {
         Self::zero().sub(self)
+    }
+
+    /// Lane by lane, `other` where `mask` is set, else `self`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn select(self, mask: __mmask8, other: Self) -> Self {
+        Self(from_fn(|j| {
+            _mm512_mask_blend_epi64(mask, self.0[j], other.0[j])
+        }))
     }
 
     /// `1/self` on every lane (zero stays zero): one `Fq` inversion for
@@ -422,6 +609,17 @@ impl Jac8 {
             x,
             y: r.mul(v.sub(x)).sub(self.y.mul(j).double()),
             z: self.z.add(h).square().sub(z1z1).sub(hh),
+        }
+    }
+
+    /// Lane by lane, `other` where `mask` is set, else `self`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn select(self, mask: __mmask8, other: Self) -> Self {
+        Self {
+            x: self.x.select(mask, other.x),
+            y: self.y.select(mask, other.y),
+            z: self.z.select(mask, other.z),
         }
     }
 
@@ -727,5 +925,98 @@ mod tests {
             check(&[G1Affine::identity(); 9], k);
             check(&mixed, k);
         }
+    }
+
+    /// `24·2²⁵⁰ − r`: its signed digits below window 50 sum to
+    /// `12·2²⁵⁰ − r` and window 50 holds 12, so the sum so far is that
+    /// window's entry and the lane's addition is a doubling, `Z = 0`.
+    fn exceptional_scalar() -> Fr {
+        let k = crate::arith::sub_4(&[0, 0, 0, 24 << 58], &Fr::MODULUS).0;
+        Fr::from_plain_limbs(k).expect("24·2²⁵⁰ − r is below r")
+    }
+
+    /// 0, ±1, −32, r − 1 (`−1`), the exceptional scalar, a single digit
+    /// in every window and equal digits in adjacent windows
+    /// (`d·2^{5w}·(1 + 2⁵)`) — consecutive, so a pass of eight meets
+    /// windows that are zero on some lanes or on all — then random ones.
+    fn fixed_base_scalars() -> Vec<Fr> {
+        let mut rng = rng();
+        let mut ks = vec![
+            Fr::zero(),
+            Fr::one(),
+            -Fr::one(),
+            -Fr::from_u64(32),
+            exceptional_scalar(),
+        ];
+        for d in [1u64, 15, 16, 17, 31] {
+            let mut k = Fr::from_u64(d);
+            for _ in 0..51 {
+                ks.push(k);
+                ks.push(k * Fr::from_u64(33));
+                k *= Fr::from_u64(32);
+            }
+        }
+        ks.extend((0..48).map(|_| Fr::random(&mut rng)));
+        ks
+    }
+
+    #[test]
+    fn fixed_base_mul_matches_table_mul_and_lockstep() {
+        if !lanes_here("fixed_base_mul_matches_table_mul_and_lockstep") {
+            return;
+        }
+        let key = FixedBaseTable::new(&G1Affine::random(&mut rng()));
+        let identity = FixedBaseTable::new(&G1Affine::identity());
+        let ks = fixed_base_scalars();
+        for (name, table) in [
+            ("generator", generator_table()),
+            ("key", &key),
+            ("identity", &identity),
+        ] {
+            let check = |scalars: &[Fr]| {
+                let got = fixed_base_mul(table, scalars).expect("this CPU has IFMA");
+                let per_lane: Vec<G1Projective> = scalars.iter().map(|k| table.mul(k)).collect();
+                assert_eq!(got, per_lane, "{name} table, {} scalars", scalars.len());
+                let lanes: Vec<(&FixedBaseTable, Fr)> =
+                    scalars.iter().map(|k| (table, *k)).collect();
+                assert_eq!(
+                    G1Projective::batch_to_affine(&got),
+                    FixedBaseTable::mul_lockstep(&lanes),
+                    "{name} table, {} scalars",
+                    scalars.len()
+                );
+            };
+            check(&[]);
+            for n in (1..=17).chain([53, 106]) {
+                for scalars in ks.chunks(n) {
+                    check(scalars);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_exceptional_lane_ends_at_z_zero_and_is_recomputed() {
+        #[target_feature(enable = "avx512ifma")]
+        fn check() {
+            let k = exceptional_scalar();
+            let digits = signed_digits(&k.to_plain_limbs());
+            assert_eq!(digits[50..], [12, 0]);
+            let (acc, started) =
+                fixed_base_chunk(generator_lane_table(), &digits.map(|d| [d; LANES]));
+            assert_eq!(started, 0xff);
+            assert!(acc.z.to_fq().iter().all(Fq::is_zero));
+            let expect = mul_reference(&G1Projective::generator(), &k);
+            assert!(!expect.is_identity());
+            let got = fixed_base_mul(generator_table(), &[k, Fr::one(), k]);
+            assert_eq!(
+                got.expect("this CPU has IFMA"),
+                [expect, G1Projective::generator(), expect]
+            );
+        }
+        on_lanes(
+            "an_exceptional_lane_ends_at_z_zero_and_is_recomputed",
+            check,
+        );
     }
 }

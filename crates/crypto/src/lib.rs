@@ -21,8 +21,9 @@
 //!   [`precomp::ProofCache`] the async proving service shares across its
 //!   worker pool.
 //! * `lanes` (x86-64) — eight `Fq` products at once on AVX-512 IFMA,
-//!   under [`G1Affine::batch_mul`] with one shared scalar; the crate's
-//!   only `unsafe` code.
+//!   under [`G1Affine::batch_mul`] with one shared scalar (decryption)
+//!   and under [`EncryptionKey::encrypt_batch`]'s fixed-base tables
+//!   (encryption); the crate's only `unsafe` code.
 
 #![deny(unsafe_code)]
 

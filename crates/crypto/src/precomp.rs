@@ -8,7 +8,11 @@
 //! repeat across thousands of proofs, so a windowed fixed-base table
 //! ([`FixedBaseTable`]) turns each multiplication into at most 52 mixed
 //! additions and no doublings — and a whole answer vector of them into
-//! 52 lockstep affine steps ([`FixedBaseTable::mul_lockstep`]).
+//! 52 lockstep affine steps ([`FixedBaseTable::mul_lockstep`]), or, on a
+//! CPU with AVX-512 IFMA, into 52 eight-lane steps per eight scalars
+//! (`lanes::fixed_base_mul`, which reads a table through
+//! `FixedBaseTable::entries` and keeps a lane-form copy of the
+//! generator's only).
 //!
 //! * [`generator_table`] — a process-wide table for `g`, built once.
 //! * [`ProofCache`] — a keyed cache of per-base tables (one per
@@ -46,7 +50,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 const WINDOW_BITS: usize = 5;
 /// Signed digits in a 256-bit integer: 51 full windows, and one for
 /// bit 255 plus the carry.
-const WINDOWS: usize = 256usize.div_ceil(WINDOW_BITS);
+pub(crate) const WINDOWS: usize = 256usize.div_ceil(WINDOW_BITS);
 /// The digit radix, `2^5`.
 const RADIX: i8 = 1 << WINDOW_BITS;
 /// Stored multiples per window: `1..=16`.
@@ -56,7 +60,7 @@ const ENTRIES: usize = RADIX as usize / 2;
 /// least significant first: a raw window value above 16 becomes
 /// `value − 32` and carries one into the next window. The last window
 /// sees only bit 255 and a carry, so nothing carries out of it.
-fn signed_digits(k: &[u64; 4]) -> [i8; WINDOWS] {
+pub(crate) fn signed_digits(k: &[u64; 4]) -> [i8; WINDOWS] {
     let mut digits = [0i8; WINDOWS];
     let mut carry = 0;
     for (w, digit) in digits.iter_mut().enumerate() {
@@ -74,6 +78,13 @@ fn signed_digits(k: &[u64; 4]) -> [i8; WINDOWS] {
     }
     debug_assert_eq!(carry, 0);
     digits
+}
+
+/// Where a table keeps the multiple for window `w` and digit magnitude
+/// `d ∈ [1, 16]`: `(d-1)·52 + w`.
+#[inline]
+pub(crate) fn entry_index(w: usize, d: u8) -> usize {
+    (usize::from(d) - 1) * WINDOWS + w
 }
 
 /// A windowed fixed-base multiplication table: for window `w` and digit
@@ -121,10 +132,16 @@ impl FixedBaseTable {
         Self { entries }
     }
 
+    /// The entries, `d · 2^{5w} · base` at [`entry_index`]`(w, d)`, so
+    /// entry 0 is the base itself.
+    pub(crate) fn entries(&self) -> &[G1Affine] {
+        &self.entries
+    }
+
     /// `d · 2^{5w} · base` for a nonzero signed digit.
     #[inline]
     fn entry(&self, w: usize, d: i8) -> G1Affine {
-        let e = self.entries[(d.unsigned_abs() as usize - 1) * WINDOWS + w];
+        let e = self.entries[entry_index(w, d.unsigned_abs())];
         if d < 0 {
             -e
         } else {
