@@ -406,6 +406,73 @@ mod tests {
         );
     }
 
+    /// Every row of a run's [`GasByPhase`], in field order, plus its total.
+    type GasRows = (Gas, Vec<Gas>, Vec<Gas>, Gas, Vec<Gas>, Gas, Gas);
+
+    fn rows(gas: &GasByPhase) -> GasRows {
+        (
+            gas.publish,
+            gas.commits.clone(),
+            gas.reveals.clone(),
+            gas.golden,
+            gas.rejects.clone(),
+            gas.finalize,
+            gas.total(),
+        )
+    }
+
+    /// Table III's exact figures: the `table3_gas` bench's rng sequence
+    /// (seed `0x7ab1e3`, the best-case run, then the worst-case run),
+    /// then one worst-case run under Byzantium prices on the same rng.
+    #[test]
+    fn table_iii_gas_by_phase_is_exact() {
+        let mut rng = StdRng::seed_from_u64(0x7ab1e3);
+        let mut run_case = |accuracy: f64, schedule: GasSchedule| {
+            let workload = imagenet_workload(BUDGET, &mut rng);
+            let config = RunConfig::new(workload, honest(4, accuracy), schedule);
+            rows(&run(config, &mut rng).gas)
+        };
+        let best = run_case(1.0, GasSchedule::istanbul());
+        let worst = run_case(0.0, GasSchedule::istanbul());
+        let byzantium = run_case(0.0, GasSchedule::byzantium());
+        assert_eq!(
+            best,
+            (
+                1_306_390,
+                vec![44_390, 44_390, 44_390, 45_396],
+                vec![2_560_306, 2_560_258, 2_560_174, 2_560_306],
+                83_706,
+                vec![],
+                77_016,
+                11_886_722,
+            )
+        );
+        assert_eq!(
+            worst,
+            (
+                1_306_378,
+                vec![44_390, 44_390, 44_390, 45_384],
+                vec![2_560_234, 2_560_258, 2_560_270, 2_560_306],
+                83_694,
+                vec![272_354, 272_378, 272_402, 272_366],
+                30_016,
+                12_929_210,
+            )
+        );
+        assert_eq!(
+            byzantium,
+            (
+                1_313_410,
+                vec![44_906, 44_906, 44_906, 45_848],
+                vec![3_201_338, 3_201_466, 3_201_274, 3_199_994],
+                85_878,
+                vec![1_545_802, 1_545_802, 1_545_866, 1_545_738],
+                30_068,
+                20_597_202,
+            )
+        );
+    }
+
     #[test]
     fn collected_answers_match_ground_truth_for_perfect_workers() {
         let mut rng = rng();
