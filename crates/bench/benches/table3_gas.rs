@@ -14,7 +14,9 @@
 //!
 //! Our numbers come out of the gas-metered contract running the full
 //! protocol — every SSTORE, keccak, precompile call, log and calldata
-//! byte priced per the Istanbul schedule.
+//! byte priced per the Istanbul schedule. The task runs as instance 0
+//! of a `HitRegistry`; each row is `C_hit`'s own gas, the receipt net
+//! of the registry's `routing_gas`.
 //!
 //! Also prints two ablations: gas vs. number of questions N, and the
 //! Istanbul (EIP-1108) vs. Byzantium precompile-price comparison.

@@ -1,5 +1,5 @@
-//! The HIT contract functionality `C_hit` (Fig 4) as a gas-metered state
-//! machine.
+//! The HIT contract functionality `C_hit` (Fig 4) as a gas-metered
+//! instance, hosted (even a single task) by [`crate::registry::HitRegistry`].
 //!
 //! Phases:
 //!
@@ -26,7 +26,7 @@
 //! "emits" the ciphertexts themselves as event-log data.
 
 use crate::msg::{HitMessage, PublishParams};
-use dragoon_chain::{ExecEnv, Journaled, StateJournal, StateMachine};
+use dragoon_chain::{ExecEnv, Journaled, StateJournal};
 use dragoon_core::poqoea::{self, QualityProof};
 use dragoon_core::task::{EncryptedAnswer, GoldenStandards};
 use dragoon_crypto::commitment::Commitment;
@@ -358,7 +358,8 @@ impl BatchStats {
     }
 }
 
-/// The HIT contract `C_hit`.
+/// The HIT contract `C_hit`: one instance of a [`crate::registry::HitRegistry`],
+/// which creates it, routes its messages and ticks its deadlines.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HitContract {
     phase: Phase,
@@ -409,12 +410,6 @@ impl Journaled for HitContract {
         if let Some(snapshot) = self.commit_tx_captured() {
             self.revert_capture(snapshot);
         }
-    }
-}
-
-impl Default for HitContract {
-    fn default() -> Self {
-        Self::new(PhaseWindows::default())
     }
 }
 
@@ -1020,12 +1015,13 @@ impl HitContract {
     /// Dispatches every queued rejection through one batched VPKE
     /// verification and applies the verdicts (batched-settlement mode).
     ///
-    /// Called at each block boundary (clock tick) and defensively before
-    /// any settlement, so a verdict can never be skipped by an
-    /// early `Finalize`. A verdict whose proofs all verify lands as the
-    /// rejection it claimed; any invalid proof pays the worker, exactly
-    /// as inline verification would have.
-    pub fn resolve_pending(&mut self, env: &mut ExecEnv<'_, HitEvent>) {
+    /// Called by `settle`, so a verdict queued earlier in the block
+    /// than a `Finalize` lands before it (at the block boundary the
+    /// registry's clock tick drains every queue itself). A verdict
+    /// whose proofs all verify lands as the rejection it claimed; any
+    /// invalid proof pays the worker, exactly as inline verification
+    /// would have.
+    fn resolve_pending(&mut self, env: &mut ExecEnv<'_, HitEvent>) {
         if self.pending_verdicts.is_empty() {
             return;
         }
@@ -1148,12 +1144,10 @@ impl HitContract {
     }
 }
 
-impl StateMachine for HitContract {
-    type Msg = HitMessage;
-    type Event = HitEvent;
-    type Error = HitError;
-
-    fn on_message(
+/// The entry points the registry calls under the instance's escrow address.
+impl HitContract {
+    /// Executes one transaction addressed to this instance.
+    pub(crate) fn on_message(
         &mut self,
         env: &mut ExecEnv<'_, HitEvent>,
         sender: Address,
@@ -1180,10 +1174,14 @@ impl StateMachine for HitContract {
         }
     }
 
-    fn on_clock(&mut self, env: &mut ExecEnv<'_, HitEvent>, round: u64) {
-        // Block boundary: dispatch the batched settlement queue before
-        // any deadline fires, so verdicts land ahead of default payouts.
-        self.resolve_pending(env);
+    /// Fires the phase deadlines due at `round`'s block boundary.
+    pub(crate) fn on_clock(&mut self, env: &mut ExecEnv<'_, HitEvent>, round: u64) {
+        // The registry drained and applied the batched settlement queue
+        // before this tick, so verdicts land ahead of default payouts.
+        debug_assert!(
+            self.pending_verdicts.is_empty(),
+            "the registry drains the queue before it ticks an instance"
+        );
         // Commit window expired without K commitments: auto-cancel one
         // grace round after the deadline (the explicit Cancel tx gets
         // the first chance, mirroring Finalize).
@@ -1229,9 +1227,6 @@ impl StateMachine for HitContract {
         }
     }
 }
-
-// Re-exported for convenience in tests and the protocol crate.
-pub use crate::msg::HitMessage as Message;
 
 // -- durable state ------------------------------------------------------
 //
@@ -1391,6 +1386,7 @@ impl Persist for HitContract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{routing_gas, HitRegistry, RegistryMessage, SettlementMode};
     use dragoon_chain::{Chain, GasSchedule, TxStatus};
     use dragoon_core::task::Answer;
     use dragoon_crypto::commitment::CommitmentKey;
@@ -1399,9 +1395,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One task: instance 0 of a one-instance registry.
     struct Setup {
         rng: StdRng,
-        chain: Chain<HitContract>,
+        chain: Chain<HitRegistry>,
+        windows: PhaseWindows,
         kp: KeyPair,
         requester: Address,
         workers: Vec<Address>,
@@ -1411,6 +1409,31 @@ mod tests {
     }
 
     const BUDGET: u128 = 4_000;
+
+    impl Setup {
+        /// The task's contract state.
+        fn hit(&self) -> &HitContract {
+            self.chain.contract().hit(0).expect("published")
+        }
+
+        /// The task's escrow account.
+        fn escrow(&self) -> Address {
+            self.chain.contract().hit_address(0).expect("published")
+        }
+
+        /// Submits `msg` to the task.
+        fn submit(&mut self, sender: Address, msg: HitMessage) {
+            self.chain
+                .submit(sender, RegistryMessage::Hit { id: 0, msg });
+        }
+
+        /// The `Create` that publishes the task with `requester`'s funds.
+        fn create(&mut self, requester: Address) {
+            let (windows, params) = (self.windows, self.params.clone());
+            self.chain
+                .submit(requester, RegistryMessage::Create { windows, params });
+        }
+    }
 
     fn setup() -> Setup {
         let mut rng = StdRng::seed_from_u64(0xc0217ac7);
@@ -1438,11 +1461,16 @@ mod tests {
             reveal: 1,
             evaluate: 2,
         };
-        let mut chain = Chain::deploy(HitContract::new(windows), 0, GasSchedule::istanbul());
+        let mut chain = Chain::deploy(
+            HitRegistry::new(SettlementMode::PerProof),
+            0,
+            GasSchedule::istanbul(),
+        );
         chain.ledger.mint(requester, BUDGET * 2);
         Setup {
             rng,
             chain,
+            windows,
             kp,
             requester,
             workers,
@@ -1463,10 +1491,9 @@ mod tests {
     }
 
     fn publish(s: &mut Setup) {
-        s.chain
-            .submit(s.requester, HitMessage::Publish(s.params.clone()));
+        s.create(s.requester);
         s.chain.advance_round_fifo();
-        assert_eq!(s.chain.contract().phase(), Phase::Commit);
+        assert_eq!(s.hit().phase(), Phase::Commit);
     }
 
     /// Commits and reveals the given answers for all four workers;
@@ -1478,14 +1505,14 @@ mod tests {
             let enc = a.encrypt(&s.kp.ek, &mut s.rng);
             let key = CommitmentKey::random(&mut s.rng);
             let comm = Commitment::commit(&enc.encode(), &key);
-            s.chain.submit(*w, HitMessage::Commit { commitment: comm });
+            s.submit(*w, HitMessage::Commit { commitment: comm });
             cts.push(enc);
             keys.push(key);
         }
         s.chain.advance_round_fifo();
-        assert_eq!(s.chain.contract().phase(), Phase::Reveal);
+        assert_eq!(s.hit().phase(), Phase::Reveal);
         for ((w, enc), key) in s.workers.clone().iter().zip(&cts).zip(&keys) {
-            s.chain.submit(
+            s.submit(
                 *w,
                 HitMessage::Reveal {
                     ciphertexts: enc.clone(),
@@ -1500,7 +1527,7 @@ mod tests {
     fn enter_evaluate(s: &mut Setup) {
         // One empty round closes the reveal window.
         s.chain.advance_round_fifo();
-        assert_eq!(s.chain.contract().phase(), Phase::Evaluate);
+        assert_eq!(s.hit().phase(), Phase::Evaluate);
     }
 
     #[test]
@@ -1510,7 +1537,7 @@ mod tests {
         submit_all(&mut s, &vec![good_answer(); 4]);
         enter_evaluate(&mut s);
         // Requester opens golden, then stays silent; deadline pays all.
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Golden {
                 golden: s.golden.clone(),
@@ -1522,12 +1549,12 @@ mod tests {
         s.chain.advance_round_fifo();
         s.chain.advance_round_fifo();
         s.chain.advance_round_fifo();
-        assert!(s.chain.contract().is_settled());
+        assert!(s.hit().is_settled());
         for w in &s.workers {
             assert_eq!(s.chain.ledger.balance(w), BUDGET / 4);
-            assert_eq!(s.chain.contract().settlement(w), Some(&Settlement::Paid));
+            assert_eq!(s.hit().settlement(w), Some(&Settlement::Paid));
         }
-        assert_eq!(s.chain.ledger.balance(&s.chain.contract_address()), 0);
+        assert_eq!(s.chain.ledger.balance(&s.escrow()), 0);
     }
 
     #[test]
@@ -1541,7 +1568,7 @@ mod tests {
         for _ in 0..4 {
             s.chain.advance_round_fifo();
         }
-        assert!(s.chain.contract().is_settled());
+        assert!(s.hit().is_settled());
         for w in &s.workers {
             assert_eq!(s.chain.ledger.balance(w), BUDGET / 4);
         }
@@ -1554,7 +1581,7 @@ mod tests {
         let answers = vec![bad_answer(), good_answer(), good_answer(), good_answer()];
         let cts = submit_all(&mut s, &answers);
         enter_evaluate(&mut s);
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Golden {
                 golden: s.golden.clone(),
@@ -1571,7 +1598,7 @@ mod tests {
             &mut s.rng,
         );
         assert_eq!(chi, 1);
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Evaluate {
                 worker: s.workers[0],
@@ -1581,7 +1608,7 @@ mod tests {
         );
         s.chain.advance_round_fifo();
         assert_eq!(
-            s.chain.contract().settlement(&s.workers[0]),
+            s.hit().settlement(&s.workers[0]),
             Some(&Settlement::Rejected(RejectReason::LowQuality { chi: 1 }))
         );
         // Settle.
@@ -1607,7 +1634,7 @@ mod tests {
         publish(&mut s);
         let cts = submit_all(&mut s, &vec![good_answer(); 4]);
         enter_evaluate(&mut s);
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Golden {
                 golden: s.golden.clone(),
@@ -1616,7 +1643,7 @@ mod tests {
         );
         s.chain.advance_round_fifo();
         // Fabricate: claim χ=0 with no mismatch proofs at all.
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Evaluate {
                 worker: s.workers[0],
@@ -1625,10 +1652,7 @@ mod tests {
             },
         );
         s.chain.advance_round_fifo();
-        assert_eq!(
-            s.chain.contract().settlement(&s.workers[0]),
-            Some(&Settlement::Paid)
-        );
+        assert_eq!(s.hit().settlement(&s.workers[0]), Some(&Settlement::Paid));
         assert_eq!(s.chain.ledger.balance(&s.workers[0]), BUDGET / 4);
         let _ = cts;
     }
@@ -1640,11 +1664,9 @@ mod tests {
         let enc = good_answer().encrypt(&s.kp.ek, &mut s.rng);
         let key = CommitmentKey::random(&mut s.rng);
         let comm = Commitment::commit(&enc.encode(), &key);
-        s.chain
-            .submit(s.workers[0], HitMessage::Commit { commitment: comm });
+        s.submit(s.workers[0], HitMessage::Commit { commitment: comm });
         // A copier submits the same commitment.
-        s.chain
-            .submit(s.workers[1], HitMessage::Commit { commitment: comm });
+        s.submit(s.workers[1], HitMessage::Commit { commitment: comm });
         s.chain.advance_round_fifo();
         let ok = s
             .chain
@@ -1667,10 +1689,8 @@ mod tests {
         let key = CommitmentKey::random(&mut s.rng);
         let c1 = Commitment::commit(b"a", &key);
         let c2 = Commitment::commit(b"b", &key);
-        s.chain
-            .submit(s.workers[0], HitMessage::Commit { commitment: c1 });
-        s.chain
-            .submit(s.workers[0], HitMessage::Commit { commitment: c2 });
+        s.submit(s.workers[0], HitMessage::Commit { commitment: c1 });
+        s.submit(s.workers[0], HitMessage::Commit { commitment: c2 });
         s.chain.advance_round_fifo();
         let reverted = s
             .chain
@@ -1691,14 +1711,14 @@ mod tests {
             let enc = good_answer().encrypt(&s.kp.ek, &mut s.rng);
             let key = CommitmentKey::random(&mut s.rng);
             let comm = Commitment::commit(&enc.encode(), &key);
-            s.chain.submit(w, HitMessage::Commit { commitment: comm });
+            s.submit(w, HitMessage::Commit { commitment: comm });
             keys.push(key);
             encs.push(enc);
         }
         s.chain.advance_round_fifo();
         // Worker 0 tries to reveal *different* ciphertexts.
         let other = bad_answer().encrypt(&s.kp.ek, &mut s.rng);
-        s.chain.submit(
+        s.submit(
             s.workers[0],
             HitMessage::Reveal {
                 ciphertexts: other,
@@ -1721,13 +1741,13 @@ mod tests {
             let enc = good_answer().encrypt(&s.kp.ek, &mut s.rng);
             let key = CommitmentKey::random(&mut s.rng);
             let comm = Commitment::commit(&enc.encode(), &key);
-            s.chain.submit(w, HitMessage::Commit { commitment: comm });
+            s.submit(w, HitMessage::Commit { commitment: comm });
             keys.push(key);
             encs.push(enc);
         }
         s.chain.advance_round_fifo();
         for i in 1..4 {
-            s.chain.submit(
+            s.submit(
                 s.workers[i],
                 HitMessage::Reveal {
                     ciphertexts: encs[i].clone(),
@@ -1738,10 +1758,10 @@ mod tests {
         for _ in 0..6 {
             s.chain.advance_round_fifo();
         }
-        assert!(s.chain.contract().is_settled());
+        assert!(s.hit().is_settled());
         assert_eq!(s.chain.ledger.balance(&s.workers[0]), 0);
         assert_eq!(
-            s.chain.contract().settlement(&s.workers[0]),
+            s.hit().settlement(&s.workers[0]),
             Some(&Settlement::Rejected(RejectReason::NoReveal))
         );
         for w in &s.workers[1..] {
@@ -1765,7 +1785,7 @@ mod tests {
             &mut s.rng,
         );
         assert!(matches!(claim, PlaintextClaim::OutOfRange(_)));
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::OutRange {
                 worker: s.workers[0],
@@ -1776,7 +1796,7 @@ mod tests {
         );
         s.chain.advance_round_fifo();
         assert_eq!(
-            s.chain.contract().settlement(&s.workers[0]),
+            s.hit().settlement(&s.workers[0]),
             Some(&Settlement::Rejected(RejectReason::OutOfRange { index: 0 }))
         );
     }
@@ -1796,7 +1816,7 @@ mod tests {
             &mut s.rng,
         );
         assert!(matches!(claim, PlaintextClaim::InRange(_)));
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::OutRange {
                 worker: s.workers[0],
@@ -1806,10 +1826,7 @@ mod tests {
             },
         );
         s.chain.advance_round_fifo();
-        assert_eq!(
-            s.chain.contract().settlement(&s.workers[0]),
-            Some(&Settlement::Paid)
-        );
+        assert_eq!(s.hit().settlement(&s.workers[0]), Some(&Settlement::Paid));
     }
 
     #[test]
@@ -1825,7 +1842,7 @@ mod tests {
             &PlaintextRange::binary(),
             &mut s.rng,
         );
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Evaluate {
                 worker: s.workers[0],
@@ -1844,7 +1861,7 @@ mod tests {
         publish(&mut s);
         submit_all(&mut s, &vec![good_answer(); 4]);
         enter_evaluate(&mut s);
-        s.chain.submit(
+        s.submit(
             s.workers[1],
             HitMessage::Golden {
                 golden: s.golden.clone(),
@@ -1864,7 +1881,7 @@ mod tests {
         enter_evaluate(&mut s);
         let mut fake = s.golden.clone();
         fake.answers[0] = 1 - fake.answers[0];
-        s.chain.submit(
+        s.submit(
             s.requester,
             HitMessage::Golden {
                 golden: fake,
@@ -1880,11 +1897,13 @@ mod tests {
     fn publish_without_funds_reverts() {
         let mut s = setup();
         let poor = Address::from_byte(0x99);
-        s.chain.submit(poor, HitMessage::Publish(s.params.clone()));
+        s.create(poor);
         s.chain.advance_round_fifo();
         let last = s.chain.receipts().last().unwrap();
         assert!(matches!(last.status, TxStatus::Reverted(_)));
-        assert_eq!(s.chain.contract().phase(), Phase::Setup);
+        // No instance left `Phase::Setup`: the reverted `Create`
+        // allocated none.
+        assert!(s.chain.contract().is_empty());
     }
 
     #[test]
@@ -1894,7 +1913,7 @@ mod tests {
         for i in 1..=5u8 {
             let key = CommitmentKey::random(&mut s.rng);
             let comm = Commitment::commit(&[i], &key);
-            s.chain.submit(
+            s.submit(
                 Address::from_byte(i),
                 HitMessage::Commit { commitment: comm },
             );
@@ -1906,7 +1925,7 @@ mod tests {
             .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
             .count();
         assert_eq!(reverted, 1, "the fifth commit must revert");
-        assert_eq!(s.chain.contract().phase(), Phase::Reveal);
+        assert_eq!(s.hit().phase(), Phase::Reveal);
     }
 
     #[test]
@@ -1917,7 +1936,7 @@ mod tests {
         for i in 1..=2u8 {
             let key = CommitmentKey::random(&mut s.rng);
             let comm = Commitment::commit(&[i], &key);
-            s.chain.submit(
+            s.submit(
                 Address::from_byte(i),
                 HitMessage::Commit { commitment: comm },
             );
@@ -1925,17 +1944,17 @@ mod tests {
         s.chain.advance_round_fifo();
         // Cancelling before the commit deadline (publish round + 4)
         // reverts.
-        s.chain.submit(s.workers[0], HitMessage::Cancel);
+        s.submit(s.workers[0], HitMessage::Cancel);
         s.chain.advance_round_fifo(); // round 3 < 5
         let last = s.chain.receipts().last().unwrap();
         assert!(matches!(last.status, TxStatus::Reverted(_)));
         // Run past the deadline; then anyone can cancel.
         s.chain.advance_round_fifo(); // 4
         s.chain.advance_round_fifo(); // 5
-        s.chain.submit(s.workers[0], HitMessage::Cancel);
+        s.submit(s.workers[0], HitMessage::Cancel);
         s.chain.advance_round_fifo(); // 6 >= 5
-        assert!(s.chain.contract().is_settled());
-        assert_eq!(s.chain.contract().phase(), Phase::Closed);
+        assert!(s.hit().is_settled());
+        assert_eq!(s.hit().phase(), Phase::Closed);
         // The requester got the full budget back.
         assert_eq!(s.chain.ledger.balance(&s.requester), BUDGET * 2);
     }
@@ -1948,7 +1967,7 @@ mod tests {
         for _ in 0..8 {
             s.chain.advance_round_fifo();
         }
-        assert!(s.chain.contract().is_settled());
+        assert!(s.hit().is_settled());
         assert_eq!(s.chain.ledger.balance(&s.requester), BUDGET * 2);
     }
 
@@ -1957,7 +1976,7 @@ mod tests {
         // The paper-faithful default has no commit timeout; Cancel must
         // always revert.
         let mut chain = Chain::deploy(
-            HitContract::new(PhaseWindows::default()),
+            HitRegistry::new(SettlementMode::PerProof),
             0,
             GasSchedule::istanbul(),
         );
@@ -1966,26 +1985,30 @@ mod tests {
         let kp = KeyPair::generate(&mut StdRng::seed_from_u64(1));
         chain.submit(
             requester,
-            HitMessage::Publish(PublishParams {
-                n: 2,
-                budget: 100,
-                k: 2,
-                range: PlaintextRange::binary(),
-                theta: 1,
-                ek: kp.ek,
-                comm_gs: Commitment([0u8; 32]),
-                task_digest: [0u8; 32],
-            }),
+            RegistryMessage::Create {
+                windows: PhaseWindows::default(),
+                params: PublishParams {
+                    n: 2,
+                    budget: 100,
+                    k: 2,
+                    range: PlaintextRange::binary(),
+                    theta: 1,
+                    ek: kp.ek,
+                    comm_gs: Commitment([0u8; 32]),
+                    task_digest: [0u8; 32],
+                },
+            },
         );
         chain.advance_round_fifo();
         for _ in 0..6 {
             chain.advance_round_fifo();
         }
-        chain.submit(requester, HitMessage::Cancel);
+        let msg = HitMessage::Cancel;
+        chain.submit(requester, RegistryMessage::Hit { id: 0, msg });
         chain.advance_round_fifo();
         let last = chain.receipts().last().unwrap();
         assert!(matches!(last.status, TxStatus::Reverted(_)));
-        assert!(!chain.contract().is_settled());
+        assert!(!chain.contract().hit(0).unwrap().is_settled());
     }
 
     #[test]
@@ -1994,12 +2017,11 @@ mod tests {
         // magnitude (detailed numbers are the bench's job).
         let mut s = setup();
         publish(&mut s);
-        let publish_gas = s
-            .chain
-            .receipts()
-            .find(|r| r.label == "publish")
-            .unwrap()
-            .gas_used;
+        // `C_hit`'s own share of each receipt, as Table III reads it.
+        let net = |r: &dragoon_chain::Receipt| {
+            r.gas_used - routing_gas(r.label, &GasSchedule::istanbul())
+        };
+        let publish_gas = net(s.chain.receipts().find(|r| r.label == "publish").unwrap());
         assert!(
             (1_000_000..1_700_000).contains(&publish_gas),
             "publish gas = {publish_gas}"
@@ -2009,14 +2031,14 @@ mod tests {
             .chain
             .receipts()
             .filter(|r| r.label == "commit" && r.status == TxStatus::Ok)
-            .map(|r| r.gas_used)
+            .map(net)
             .next()
             .unwrap();
         let reveal_gas: u64 = s
             .chain
             .receipts()
             .filter(|r| r.label == "reveal" && r.status == TxStatus::Ok)
-            .map(|r| r.gas_used)
+            .map(net)
             .next()
             .unwrap();
         // 10-question fixture: reveal ≈ 10 sstores + data ≈ 250k.
@@ -2037,10 +2059,12 @@ mod tests {
         publish(&mut s);
         let cts = submit_all(&mut s, &vec![good_answer(); 4]);
         enter_evaluate(&mut s);
-        let (round, addr) = (s.chain.round(), s.chain.contract_address());
+        let (round, addr) = (s.chain.round(), s.escrow());
         let mut ledger = s.chain.ledger.clone();
         let schedule = GasSchedule::istanbul();
-        let contract = s.chain.contract_mut();
+        // A clone shares every record and ciphertext with the hosted one.
+        let mut instance = s.hit().clone();
+        let contract = &mut instance;
         let mut captured = |contract: &mut HitContract, msg| {
             let mut meter = dragoon_chain::GasMeter::new();
             let mut events = Vec::new();

@@ -1,13 +1,13 @@
 //! # dragoon-contract
 //!
-//! The HIT contract functionality `C_hit` (Fig 4) as a state machine on
-//! the simulated chain, with full EVM-style gas accounting. See
-//! [`contract::HitContract`] for the phase logic and
+//! The HIT contract functionality `C_hit` (Fig 4) with full EVM-style gas
+//! accounting. See [`contract::HitContract`] for the phase logic and
 //! [`msg::HitMessage`] for the transaction interface.
 //!
-//! For marketplace-scale operation, [`registry::HitRegistry`] hosts many
-//! concurrent instances behind one contract address, with per-instance
-//! escrow isolation and optional block-batched settlement verification.
+//! The one state machine on the simulated chain, [`registry::HitRegistry`],
+//! hosts concurrent instances behind one address, with per-instance escrow
+//! and optional block-batched settlement verification; a single task (the
+//! Table III driver) is a one-instance registry.
 
 #![forbid(unsafe_code)]
 

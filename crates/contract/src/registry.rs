@@ -1,9 +1,9 @@
 //! The HIT registry: one on-chain contract hosting **many** concurrent
 //! HIT instances over a single chain, mempool and ledger.
 //!
-//! The seed reproduced Fig 4 one task per chain; a marketplace serves
-//! hundreds of tasks racing through shared blocks. [`HitRegistry`] is the
-//! factory-plus-router contract that makes that possible:
+//! A marketplace serves hundreds of tasks racing through shared blocks;
+//! a single task (the Table III driver) is one instance. [`HitRegistry`]
+//! is the factory-plus-router contract that serves both:
 //!
 //! * **Multi-instance addressing** — every created HIT gets a [`HitId`]
 //!   and its own derived contract address
@@ -28,7 +28,8 @@
 //!   handler and the shard handler share one instance router
 //!   (`create_instance`, `route`): every gas charge and event of a
 //!   `Create` or a routed message exists once, and the two handlers keep
-//!   only where the instance lives and how its undo is recorded.
+//!   only where the instance lives and how its undo is recorded;
+//!   [`routing_gas`] prices the registry's own share of a receipt.
 
 use crate::contract::{BatchStats, HitContract, HitError, HitEvent, PendingVerdict};
 use crate::msg::{HitMessage, PublishParams};
@@ -36,7 +37,7 @@ use crate::PhaseWindows;
 use dragoon_chain::store::{Persist, PersistDelta, Reader, StoreError};
 use dragoon_chain::{
     par_map, resolve_threads, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv,
-    Journaled, ParallelStateMachine, StateJournal, StateMachine,
+    Gas, GasSchedule, Journaled, ParallelStateMachine, StateJournal, StateMachine,
 };
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement};
 use dragoon_ledger::Address;
@@ -126,18 +127,10 @@ impl fmt::Display for RegistryError {
 impl ChainMessage for RegistryMessage {
     fn calldata(&self) -> CalldataStats {
         match self {
-            // Create carries the full publish payload plus the windows.
             RegistryMessage::Create { params, .. } => HitMessage::Publish(params.clone())
                 .calldata()
-                .plus(&CalldataStats {
-                    zero: 12,
-                    nonzero: 12,
-                }),
-            // Routed messages carry an 8-byte id on top of the payload.
-            RegistryMessage::Hit { msg, .. } => msg.calldata().plus(&CalldataStats {
-                zero: 6,
-                nonzero: 2,
-            }),
+                .plus(&CREATE_ENVELOPE),
+            RegistryMessage::Hit { msg, .. } => msg.calldata().plus(&ROUTE_ENVELOPE),
         }
     }
 
@@ -676,6 +669,33 @@ impl HitRegistry {
     }
 }
 
+/// The calldata a `Create` adds to its publish payload (the phase
+/// windows) and a routed message to its own (the 8-byte instance id).
+const CREATE_ENVELOPE: CalldataStats = CalldataStats {
+    zero: 12,
+    nonzero: 12,
+};
+const ROUTE_ENVELOPE: CalldataStats = CalldataStats {
+    zero: 6,
+    nonzero: 2,
+};
+
+/// Data bytes of the `Created` log.
+const CREATED_LOG_BYTES: usize = 64;
+
+/// The gas the registry adds to a `label` transaction on top of its
+/// instance's handler: a `publish` (`Create`; a routed one reverts) pays
+/// the id counter, address mapping, `Created` log and envelope, a routed
+/// message the lookup and envelope. The rest is Table III's `C_hit` cost.
+pub fn routing_gas(label: &str, schedule: &GasSchedule) -> Gas {
+    let calldata = |envelope| schedule.intrinsic(&envelope) - schedule.tx_base;
+    if label == "publish" {
+        2 * schedule.sstore_set + schedule.log(1, CREATED_LOG_BYTES) + calldata(CREATE_ENVELOPE)
+    } else {
+        schedule.sload + calldata(ROUTE_ENVELOPE)
+    }
+}
+
 /// Builds and publishes instance `id` at escrow address `addr` — the
 /// whole gas and event footprint of a `Create`, wherever the instance
 /// will live (the registry map or a reserved parallel-executor shard).
@@ -706,7 +726,7 @@ fn create_instance(
             addr,
             requester: sender,
         },
-        64,
+        CREATED_LOG_BYTES,
     );
     Ok(HitInstance { addr, hit })
 }
@@ -924,8 +944,8 @@ impl StateMachine for HitRegistry {
                 );
             }
         }
-        // Phase 2: tick every live instance's phase deadlines (their own
-        // resolve_pending is a no-op now that the queues are drained).
+        // Phase 2: tick every live instance's phase deadlines (phase 1
+        // left every queue empty; `HitContract::on_clock` asserts it).
         for &id in &live {
             let inst = self.hits.inst_mut(id).expect("live instance exists");
             if inst.hit.is_settled() {

@@ -1,6 +1,8 @@
 //! The end-to-end protocol driver: runs Π_hit over the simulated chain
 //! and produces a structured report (settlements, payments, per-phase gas
-//! — the raw material of Table III). The requester's side of the run is
+//! — the raw material of Table III). The task is the one instance of the
+//! [`HitRegistry`] the marketplace runs: the publish is its `Create`, every
+//! later message is routed to id 0. The requester's side of the run is
 //! the [`Sequencer`]'s, stepped once per round with its evaluations done
 //! on the spot; the marketplace engine steps the same machine with the
 //! evaluations on its proving pool.
@@ -9,6 +11,7 @@ use crate::requester::{Requester, Sequencer, Step, Strategy, Verdict};
 use crate::storage::ContentStore;
 use crate::worker::{Worker, WorkerBehavior};
 use dragoon_chain::{Chain, Gas, GasSchedule, ReorderPolicy, TxStatus};
+use dragoon_contract::registry::{routing_gas, HitRegistry, RegistryMessage, SettlementMode};
 use dragoon_contract::{HitContract, HitMessage, Phase, PhaseWindows, Settlement};
 use dragoon_core::task::Answer;
 use dragoon_core::workload::Workload;
@@ -43,7 +46,8 @@ impl RunConfig {
     }
 }
 
-/// Gas usage per protocol operation (the rows of Table III).
+/// Gas usage per protocol operation (the rows of Table III): `C_hit`'s
+/// share of each receipt, net of the registry's [`routing_gas`].
 #[derive(Clone, Debug, Default)]
 pub struct GasByPhase {
     /// The requester's publish transaction (includes task-contract
@@ -94,8 +98,8 @@ pub struct RunReport {
     /// The answers the requester successfully collected (the utility of
     /// the whole exercise).
     pub collected: Vec<(Address, Answer)>,
-    /// The chain, for deeper inspection.
-    pub chain: Chain<HitContract>,
+    /// The chain (a one-instance registry), for deeper inspection.
+    pub chain: Chain<HitRegistry>,
     /// The requester's address.
     pub requester: Address,
     /// The worker addresses, in behaviour order.
@@ -114,6 +118,11 @@ pub fn worker_addr(i: u64) -> Address {
     Address::from_seed(0x3031_0000 + i)
 }
 
+/// The run's one task: instance 0 of the chain's registry.
+fn task(chain: &Chain<HitRegistry>) -> &HitContract {
+    chain.contract().hit(0).expect("the task was created")
+}
+
 /// Runs the full protocol with honest FIFO scheduling.
 pub fn run<R: Rng + ?Sized>(config: RunConfig, rng: &mut R) -> RunReport {
     run_with_policy(config, &mut dragoon_chain::FifoPolicy, rng)
@@ -123,7 +132,7 @@ pub fn run<R: Rng + ?Sized>(config: RunConfig, rng: &mut R) -> RunReport {
 /// message-scheduling policy.
 pub fn run_with_policy<R: Rng + ?Sized>(
     config: RunConfig,
-    policy: &mut dyn ReorderPolicy<HitMessage>,
+    policy: &mut dyn ReorderPolicy<RegistryMessage>,
     rng: &mut R,
 ) -> RunReport {
     let RunConfig {
@@ -137,15 +146,19 @@ pub fn run_with_policy<R: Rng + ?Sized>(
 
     let mut store = ContentStore::new();
     let requester = Requester::new(requester_addr, &workload, &mut store, rng);
-    let mut chain: Chain<HitContract> =
-        Chain::deploy(HitContract::new(PhaseWindows::default()), 0, schedule);
+    let mut chain = Chain::deploy(HitRegistry::new(SettlementMode::PerProof), 0, schedule);
     if let Some(limit) = block_gas_limit {
         chain = chain.with_block_gas_limit(limit);
     }
     chain.ledger.mint(requester_addr, workload.spec.budget);
+    let route = |msg| RegistryMessage::Hit { id: 0, msg };
 
-    // Phase 1: publish.
-    chain.submit(requester_addr, requester.publish_msg());
+    // Phase 1: publish, as the registry's `Create`.
+    let HitMessage::Publish(params) = requester.publish_msg() else {
+        unreachable!("a publish message");
+    };
+    let windows = PhaseWindows::default();
+    chain.submit(requester_addr, RegistryMessage::Create { windows, params });
     chain.advance_round(policy);
 
     // Phase 2-a: commits. Copy-paste attackers observe the honest
@@ -169,13 +182,13 @@ pub fn run_with_policy<R: Rng + ?Sized>(
             if let HitMessage::Commit { commitment } = &msg {
                 observed.push(*commitment);
             }
-            chain.submit(w.addr, msg);
+            chain.submit(w.addr, route(msg));
         }
     }
     for i in copier_indices {
         let w = &mut workers[i];
         if let Some(msg) = w.commit_msg(&workload, &ek, &observed, rng) {
-            chain.submit(w.addr, msg);
+            chain.submit(w.addr, route(msg));
         }
     }
     chain.advance_round(policy);
@@ -188,26 +201,26 @@ pub fn run_with_policy<R: Rng + ?Sized>(
     let mut sequencer = Sequencer::new(Strategy::GoldenFirst);
     let mut collected = Vec::new();
     let max_round = chain.round() + 48;
-    while !chain.contract().is_settled() && chain.round() < max_round {
-        if chain.contract().phase() == Phase::Reveal {
+    while !task(&chain).is_settled() && chain.round() < max_round {
+        if task(&chain).phase() == Phase::Reveal {
             // Phase 2-b: accepted workers open their commitments.
-            let accepted = chain.contract().committed_workers().to_vec();
+            let accepted = task(&chain).committed_workers().to_vec();
             for w in &mut workers {
                 if accepted.contains(&w.addr) && !std::mem::replace(&mut w.reveal_sent, true) {
                     if let Some(msg) = w.reveal_msg(rng) {
-                        chain.submit(w.addr, msg);
+                        chain.submit(w.addr, route(msg));
                     }
                 }
             }
         }
         // Phase 3, one step per round.
-        let msgs = match sequencer.next(chain.contract(), chain.round()) {
+        let msgs = match sequencer.next(task(&chain), chain.round()) {
             Some(Step::Cancel) => vec![HitMessage::Cancel],
             Some(Step::OpenGolden) => vec![requester.golden_msg()],
             Some(Step::Evaluate) => {
                 // Read every revealed submission (from event logs),
                 // decrypt, challenge the bad ones — all in this round.
-                let hit = chain.contract();
+                let hit = task(&chain);
                 let revealed: Vec<_> = hit
                     .committed_workers()
                     .iter()
@@ -226,11 +239,11 @@ pub fn run_with_policy<R: Rng + ?Sized>(
             None => Vec::new(),
         };
         for msg in msgs {
-            chain.submit(requester_addr, msg);
+            chain.submit(requester_addr, route(msg));
         }
         chain.advance_round(policy);
     }
-    assert!(chain.contract().is_settled(), "protocol must terminate");
+    assert!(task(&chain).is_settled(), "protocol must terminate");
 
     // Collect the report.
     let mut gas = GasByPhase::default();
@@ -238,20 +251,22 @@ pub fn run_with_policy<R: Rng + ?Sized>(
         if r.status != TxStatus::Ok {
             continue;
         }
+        let used = r.gas_used - routing_gas(r.label, chain.schedule());
         match r.label {
-            "publish" => gas.publish = r.gas_used,
-            "commit" => gas.commits.push(r.gas_used),
-            "reveal" => gas.reveals.push(r.gas_used),
-            "golden" => gas.golden = r.gas_used,
-            "outrange" | "evaluate" => gas.rejects.push(r.gas_used),
-            "finalize" => gas.finalize = r.gas_used,
+            "publish" => gas.publish = used,
+            "commit" => gas.commits.push(used),
+            "reveal" => gas.reveals.push(used),
+            "golden" => gas.golden = used,
+            "outrange" | "evaluate" => gas.rejects.push(used),
+            "finalize" => gas.finalize = used,
             _ => {}
         }
     }
+    let hit = task(&chain);
     let mut settlements = BTreeMap::new();
-    for addr in chain.contract().committed_workers().to_vec() {
-        if let Some(s) = chain.contract().settlement(&addr) {
-            settlements.insert(addr, s.clone());
+    for addr in hit.committed_workers() {
+        if let Some(s) = hit.settlement(addr) {
+            settlements.insert(*addr, s.clone());
         }
     }
     let mut balances = BTreeMap::new();

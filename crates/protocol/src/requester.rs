@@ -435,7 +435,7 @@ mod tests {
     use super::*;
     use crate::worker::{Worker, WorkerBehavior};
     use dragoon_chain::{Chain, FifoPolicy, GasSchedule};
-    use dragoon_contract::PhaseWindows;
+    use dragoon_contract::{HitRegistry, PhaseWindows, RegistryMessage, SettlementMode};
     use dragoon_core::workload::{draw_answer, generate_workload, imagenet_workload, AnswerModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -669,9 +669,15 @@ mod tests {
     }
     // -- the sequencer -------------------------------------------------
 
-    /// One small task on its own chain, its workers' sessions beside it.
+    /// `msg`, addressed to the [`Task`]'s instance.
+    fn routed(msg: HitMessage) -> RegistryMessage {
+        RegistryMessage::Hit { id: 0, msg }
+    }
+
+    /// One small task on its own chain (instance 0 of a one-instance
+    /// registry), its workers' sessions beside it.
     struct Task {
-        chain: Chain<HitContract>,
+        chain: Chain<HitRegistry>,
         requester: Requester,
         workload: Workload,
         workers: Vec<Worker>,
@@ -687,9 +693,13 @@ mod tests {
             let workload = generate_workload(6, 3, accuracies.len(), 3, range, 4_000, &mut rng);
             let addr = Address::from_byte(1);
             let requester = Requester::new(addr, &workload, &mut ContentStore::new(), &mut rng);
-            let mut chain = Chain::deploy(HitContract::new(windows), 0, GasSchedule::istanbul());
+            let registry = HitRegistry::new(SettlementMode::PerProof);
+            let mut chain = Chain::deploy(registry, 0, GasSchedule::istanbul());
             chain.ledger.mint(addr, workload.spec.budget);
-            chain.submit(addr, requester.publish_msg());
+            let HitMessage::Publish(params) = requester.publish_msg() else {
+                unreachable!("a publish message");
+            };
+            chain.submit(addr, RegistryMessage::Create { windows, params });
             chain.advance_round(&mut FifoPolicy);
             let workers = accuracies
                 .iter()
@@ -708,13 +718,18 @@ mod tests {
             }
         }
 
+        /// The task's contract state.
+        fn hit(&self) -> &HitContract {
+            self.chain.contract().hit(0).expect("published")
+        }
+
         /// The first `n` workers commit.
         fn commit(&mut self, n: usize) {
             let ek = self.requester.public_key();
             for w in &mut self.workers[..n] {
                 let msg = w.commit_msg(&self.workload, &ek, &[], &mut self.rng);
                 self.chain
-                    .submit(w.addr, msg.expect("honest workers commit"));
+                    .submit(w.addr, routed(msg.expect("honest workers commit")));
             }
             self.chain.advance_round(&mut FifoPolicy);
         }
@@ -730,34 +745,34 @@ mod tests {
             let mut task = Self::published(accuracies, windows);
             assert!(task.next(seq).is_none());
             task.commit(accuracies.len());
-            assert_eq!(task.chain.contract().phase(), Phase::Reveal);
+            assert_eq!(task.hit().phase(), Phase::Reveal);
             assert!(task.next(seq).is_none());
             for w in &task.workers {
                 let msg = w.reveal_msg(&mut task.rng);
                 task.chain
-                    .submit(w.addr, msg.expect("honest workers reveal"));
+                    .submit(w.addr, routed(msg.expect("honest workers reveal")));
             }
-            while task.chain.contract().phase() == Phase::Reveal {
+            while task.hit().phase() == Phase::Reveal {
                 task.chain.advance_round(&mut FifoPolicy);
             }
-            assert_eq!(task.chain.contract().phase(), Phase::Evaluate);
+            assert_eq!(task.hit().phase(), Phase::Evaluate);
             task
         }
 
         fn next(&self, seq: &mut Sequencer) -> Option<Step> {
-            seq.next(self.chain.contract(), self.chain.round())
+            seq.next(self.hit(), self.chain.round())
         }
 
         /// Submits the requester's messages and produces a block.
         fn confirm(&mut self, msgs: Vec<HitMessage>) {
             for msg in msgs {
-                self.chain.submit(self.requester.addr, msg);
+                self.chain.submit(self.requester.addr, routed(msg));
             }
             self.chain.advance_round(&mut FifoPolicy);
         }
 
         fn evaluate_all(&mut self) -> Vec<(Address, Verdict)> {
-            let hit = self.chain.contract();
+            let hit = self.chain.contract().hit(0).expect("published");
             hit.committed_workers()
                 .iter()
                 .map(|w| {
@@ -768,7 +783,7 @@ mod tests {
         }
 
         fn deadline_passed(&self) -> bool {
-            let deadline = self.chain.contract().evaluate_deadline();
+            let deadline = self.hit().evaluate_deadline();
             deadline.is_some_and(|d| self.chain.round() >= d)
         }
     }
@@ -800,7 +815,7 @@ mod tests {
         assert!(matches!(task.next(&mut seq), Some(Step::Finalize)));
         assert!(task.next(&mut seq).is_none());
         task.confirm(vec![HitMessage::Finalize]);
-        assert!(task.chain.contract().is_settled());
+        assert!(task.hit().is_settled());
         assert!(task.next(&mut seq).is_none());
     }
 
@@ -815,7 +830,7 @@ mod tests {
         let rejections = seq.verdicts_landed(verdicts, |_| false);
         task.confirm(rejections);
         let rejected = task.workers[1].addr;
-        assert!(task.chain.contract().settlement(&rejected).is_some());
+        assert!(task.hit().settlement(&rejected).is_some());
         let mut waited = 0;
         while !task.deadline_passed() {
             assert!(task.next(&mut seq).is_none(), "settled, but too early");
@@ -870,7 +885,7 @@ mod tests {
             task.confirm(Vec::new());
         }
         assert!(matches!(task.next(&mut seq), Some(Step::Finalize)));
-        assert!(task.chain.contract().golden().is_none());
+        assert!(task.hit().golden().is_none());
     }
 
     #[test]
@@ -882,7 +897,7 @@ mod tests {
         let mut seq = Sequencer::new(Strategy::GoldenFirst);
         let mut short = Task::published(&[1.0, 1.0], windows);
         short.commit(1);
-        let deadline = short.chain.contract().commit_deadline().expect("a timeout");
+        let deadline = short.hit().commit_deadline().expect("a timeout");
         while short.chain.round() < deadline {
             assert!(short.next(&mut seq).is_none(), "the window is still open");
             short.confirm(Vec::new());
@@ -890,7 +905,7 @@ mod tests {
         assert!(matches!(short.next(&mut seq), Some(Step::Cancel)));
         assert!(short.next(&mut seq).is_none());
         short.confirm(vec![HitMessage::Cancel]);
-        assert!(short.chain.contract().is_settled());
+        assert!(short.hit().is_settled());
 
         // A task that filled is past its commit phase: never cancelled.
         let mut seq = Sequencer::new(Strategy::GoldenFirst);

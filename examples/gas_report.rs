@@ -1,7 +1,10 @@
 //! Prints a detailed per-transaction gas breakdown of a full ImageNet
 //! run — the drill-down behind Table III, showing *where* every unit of
 //! gas goes (calldata, storage, precompiles, logs) — plus the parallel
-//! executor's scheduler telemetry for a small marketplace run.
+//! executor's scheduler telemetry for a small marketplace run. The lines
+//! are raw receipts of the one-instance registry the task runs in; the
+//! registry's routing share is printed on its own, and the total less
+//! that share is Table III's.
 //!
 //! ```sh
 //! cargo run --release --example gas_report
@@ -9,6 +12,7 @@
 //! ```
 
 use dragoon_chain::{gas_to_usd, GasSchedule, TxStatus};
+use dragoon_contract::registry::routing_gas;
 use dragoon_core::workload::{imagenet_workload, AnswerModel};
 use dragoon_protocol::{driver, WorkerBehavior};
 use dragoon_sim::{MarketConfig, MarketSim};
@@ -35,7 +39,9 @@ fn main() {
     println!("== Per-transaction gas breakdown (ImageNet task, worst case) ==\n");
     println!("{:<10} {:<9} {:>10}   breakdown", "tx", "status", "gas");
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut routing = 0;
     for r in report.chain.receipts() {
+        routing += routing_gas(r.label, report.chain.schedule());
         let status = match &r.status {
             TxStatus::Ok => "ok",
             TxStatus::Reverted(_) => "reverted",
@@ -71,6 +77,17 @@ fn main() {
         "\nTOTAL: {} gas  =  ${:.2} at 1.5 gwei / $115 per ETH",
         grand,
         gas_to_usd(grand)
+    );
+    println!(
+        "ROUTING: {} gas of it is the registry's (create + routing lookups + id calldata); \
+         the rest, {} gas, is Table III's",
+        routing,
+        grand - routing
+    );
+    assert_eq!(
+        grand - routing,
+        report.gas.total(),
+        "Table III is TOTAL less routing"
     );
 
     // Parallel-executor telemetry: a small marketplace run surfaces the

@@ -4,7 +4,10 @@
 //! front-running never stranding escrowed coins.
 
 use dragoon_chain::{Chain, FifoPolicy, FrontRunPolicy, GasSchedule, TxStatus};
-use dragoon_contract::{HitContract, HitMessage, Phase, PhaseWindows, PublishParams};
+use dragoon_contract::{
+    HitContract, HitMessage, HitRegistry, Phase, PhaseWindows, PublishParams, RegistryMessage,
+    SettlementMode,
+};
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
 use dragoon_econ::{ChurnParams, EconConfig};
@@ -16,10 +19,15 @@ use rand::SeedableRng;
 
 const BUDGET: u128 = 3_000;
 
+/// One task: instance 0 of a one-instance registry.
 struct Fixture {
     rng: StdRng,
-    chain: Chain<HitContract>,
-    requester: Address,
+    chain: Chain<HitRegistry>,
+}
+
+/// The task's contract state.
+fn task(chain: &Chain<HitRegistry>) -> &HitContract {
+    chain.contract().hit(0).expect("published")
 }
 
 fn fixture(seed: u64) -> Fixture {
@@ -27,42 +35,43 @@ fn fixture(seed: u64) -> Fixture {
     let kp = KeyPair::generate(&mut rng);
     let requester = Address::from_byte(0xd0);
     let mut chain = Chain::deploy(
-        HitContract::new(PhaseWindows {
-            commit_timeout: Some(8),
-            reveal: 2,
-            evaluate: 2,
-        }),
+        HitRegistry::new(SettlementMode::PerProof),
         0,
         GasSchedule::istanbul(),
     );
     chain.ledger.mint(requester, BUDGET);
     chain.submit(
         requester,
-        HitMessage::Publish(PublishParams {
-            n: 4,
-            budget: BUDGET,
-            k: 3,
-            range: PlaintextRange::binary(),
-            theta: 2,
-            ek: kp.ek,
-            comm_gs: Commitment([7u8; 32]),
-            task_digest: [1u8; 32],
-        }),
+        RegistryMessage::Create {
+            windows: PhaseWindows {
+                commit_timeout: Some(8),
+                reveal: 2,
+                evaluate: 2,
+            },
+            params: PublishParams {
+                n: 4,
+                budget: BUDGET,
+                k: 3,
+                range: PlaintextRange::binary(),
+                theta: 2,
+                ek: kp.ek,
+                comm_gs: Commitment([7u8; 32]),
+                task_digest: [1u8; 32],
+            },
+        },
     );
     chain.advance_round_fifo();
-    assert_eq!(chain.contract().phase(), Phase::Commit);
-    Fixture {
-        rng,
-        chain,
-        requester,
-    }
+    assert_eq!(task(&chain).phase(), Phase::Commit);
+    Fixture { rng, chain }
 }
 
-fn commit_msg(rng: &mut StdRng, tag: u8) -> HitMessage {
+/// A commitment to `tag`, addressed to the fixture's task.
+fn commit_msg(rng: &mut StdRng, tag: u8) -> RegistryMessage {
     let key = CommitmentKey::random(rng);
-    HitMessage::Commit {
+    let msg = HitMessage::Commit {
         commitment: Commitment::commit(&[tag], &key),
-    }
+    };
+    RegistryMessage::Hit { id: 0, msg }
 }
 
 /// Who won the K=3 slots when two honest workers hold slots 1–2 and an
@@ -86,7 +95,7 @@ fn race_winners(seed: u64) -> (Vec<Address>, usize) {
     f.chain.submit(attacker, msg);
     let mut policy = FrontRunPolicy::new(attacker);
     f.chain.advance_round(&mut policy);
-    let winners = f.chain.contract().committed_workers().to_vec();
+    let winners = task(&f.chain).committed_workers().to_vec();
     let reverted = f
         .chain
         .receipts()
@@ -133,23 +142,19 @@ fn race_outcome_is_deterministic_under_a_fixed_seed() {
     let msg = commit_msg(&mut f.rng, 11);
     f.chain.submit(attacker, msg);
     f.chain.advance_round(&mut FifoPolicy);
-    let winners = f.chain.contract().committed_workers().to_vec();
+    let winners = task(&f.chain).committed_workers().to_vec();
     assert!(winners.contains(&honest[2]));
     assert!(!winners.contains(&attacker));
 }
 
 #[test]
 fn full_block_defers_pending_txs_instead_of_dropping() {
-    let mut f = fixture(0xcafe);
+    let Fixture { mut rng, chain } = fixture(0xcafe);
     // Cap blocks so roughly one commit (~47k gas) fits per block.
-    let mut chain = std::mem::replace(
-        &mut f.chain,
-        Chain::deploy(HitContract::default(), 0, GasSchedule::istanbul()),
-    )
-    .with_block_gas_limit(60_000);
+    let mut chain = chain.with_block_gas_limit(60_000);
     let workers: Vec<Address> = (1..=3).map(Address::from_byte).collect();
     for (i, w) in workers.iter().enumerate() {
-        let msg = commit_msg(&mut f.rng, i as u8);
+        let msg = commit_msg(&mut rng, i as u8);
         chain.submit(*w, msg);
     }
     // First capped block: one commit lands, two defer into the mempool.
@@ -161,13 +166,12 @@ fn full_block_defers_pending_txs_instead_of_dropping() {
     chain.advance_round_fifo();
     assert_eq!(chain.mempool_len(), 0);
     // All three eventually committed, in submission order.
-    let committed = chain.contract().committed_workers().to_vec();
+    let committed = task(&chain).committed_workers().to_vec();
     assert_eq!(committed, workers);
-    assert_eq!(chain.contract().phase(), Phase::Reveal);
+    assert_eq!(task(&chain).phase(), Phase::Reveal);
     // Nothing was lost to the cap: every submitted commit has a receipt.
     let commit_receipts = chain.receipts().filter(|r| r.label == "commit").count();
     assert_eq!(commit_receipts, 3);
-    let _ = f.requester;
 }
 
 proptest! {

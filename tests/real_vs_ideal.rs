@@ -3,7 +3,8 @@
 //! oracle model").
 //!
 //! Strategy: run the real protocol Π_hit (over the gas-metered chain,
-//! possibly under adversarial scheduling) and the ideal functionality
+//! where `C_hit` is instance 0 of the same `HitRegistry` the marketplace
+//! runs, possibly under adversarial scheduling) and the ideal functionality
 //! F_hit on the *same inputs* (same answers, same golden standards, same
 //! requester strategy), then compare the joint outcomes the environment
 //! can observe: which workers were paid, final balances, and what data
