@@ -158,6 +158,13 @@ fn bench_answer_vector(c: &mut Criterion) {
     c.bench_function("elgamal_encrypt_batch_106", |bench| {
         bench.iter(|| kp.ek.encrypt_batch(black_box(&ms), rhos(), Some(&table)))
     });
+    // A micro-task's 4-answer vector under the same warm key table.
+    let ms_4 = &ms[..4];
+    let rho_sets_4: Vec<&[Fr]> = rho_sets.iter().map(|rhos| &rhos[..4]).collect();
+    let mut rhos_4 = rotate(&rho_sets_4);
+    c.bench_function("elgamal_encrypt_batch_4", |bench| {
+        bench.iter(|| kp.ek.encrypt_batch(black_box(ms_4), rhos_4(), Some(&table)))
+    });
     let ct_sets: Vec<Vec<Ciphertext>> = rho_sets
         .iter()
         .map(|rhos| kp.ek.encrypt_batch(&ms, rhos, Some(&table)))
@@ -185,13 +192,12 @@ fn bench_answer_vector(c: &mut Criterion) {
     c.bench_function("g1_lockstep_table_mul_212", |bench| {
         bench.iter(|| FixedBaseTable::mul_lockstep(black_box(lane_set())))
     });
-    // The same 212 products on the eight-lane kernel, the key table's
-    // per-call conversion included.
+    // The same 212 products on the eight-lane kernel, as one list, the
+    // conversion of the key rows its digits touch included.
     #[cfg(target_arch = "x86_64")]
-    if lanes::fixed_base_mul(g_table, &[]).is_some() {
-        let mut rhos = rotate(&rho_sets);
+    if lanes::fixed_base_mul(&[]).is_some() {
         c.bench_function("g1_lanes_table_mul_212", |bench| {
-            bench.iter(|| lanes_table_mul(&table, black_box(rhos())))
+            bench.iter(|| lanes_table_mul(black_box(lane_set())))
         });
     } else {
         println!(
@@ -222,16 +228,13 @@ fn table_lanes<'a>(
         .collect()
 }
 
-/// `rhos` on the generator's table, then on `key_table`, on the eight
-/// lanes (`key_table` converted for the call) and normalised — what
+/// `table_lanes`' list on the eight lanes in one call (the key table's
+/// rows its digits touch converted for the call) and normalised — what
 /// `encrypt_batch` does on a CPU with AVX-512 IFMA, and what
 /// `mul_lockstep` returns.
 #[cfg(target_arch = "x86_64")]
-fn lanes_table_mul(key_table: &FixedBaseTable, rhos: &[Fr]) -> Vec<G1Affine> {
-    let on_lanes = |table| lanes::fixed_base_mul(table, rhos).expect("this CPU has IFMA");
-    let mut products = on_lanes(generator_table());
-    products.extend(on_lanes(key_table));
-    G1Projective::batch_to_affine(&products)
+fn lanes_table_mul(pairs: &[(&FixedBaseTable, Fr)]) -> Vec<G1Affine> {
+    G1Projective::batch_to_affine(&lanes::fixed_base_mul(pairs).expect("this CPU has IFMA"))
 }
 
 /// Wall clock of one run of `f`.
@@ -250,8 +253,8 @@ fn median_us(mut times: Vec<Duration>) -> f64 {
 /// distinct operands. The two private thresholds
 /// (`elgamal::LOCKSTEP_LANES`, `g1::BATCH_MUL_LOCKSTEP_LANES`) sit where
 /// the ratio crosses 1 on a CPU without AVX-512 IFMA; re-derive them
-/// from this table and, for `LOCKSTEP_LANES` on an IFMA CPU, from
-/// `bench_fixed_base_lane_crossover`'s.
+/// from this table (and `elgamal::LANE_TABLE_LANES`, the gate on an IFMA
+/// CPU, from `bench_fixed_base_lane_crossover`'s).
 fn bench_lockstep_crossover(_: &mut Criterion) {
     const ROUNDS: usize = 31;
     let mut rng = StdRng::seed_from_u64(6);
@@ -342,22 +345,23 @@ fn bench_lane_crossover(_: &mut Criterion) {
 fn bench_lane_crossover(_: &mut Criterion) {}
 
 /// The fixed-base lanes against lockstep and against the per-lane
-/// Jacobian path on `encrypt_batch`'s shape — `n/2` scalars over the
-/// generator's table and `n/2` over a key's, all normalised, the key
-/// table's per-call lane conversion included — the three sides rotated
-/// round by round over fresh scalars. On a CPU with AVX-512 IFMA,
-/// `elgamal::LOCKSTEP_LANES` sits where lanes / Jacobian crosses 1.
+/// Jacobian path on `encrypt_batch`'s shape — one list of `n/2` scalars
+/// over the generator's table and `n/2` over a key's, all normalised,
+/// the per-call conversion of the key rows the digits touch included —
+/// the three sides rotated round by round over fresh scalars. On a CPU
+/// with AVX-512 IFMA, `elgamal::LANE_TABLE_LANES` sits where lanes /
+/// Jacobian crosses 1.
 #[cfg(target_arch = "x86_64")]
 fn bench_fixed_base_lane_crossover(_: &mut Criterion) {
     const ROUNDS: usize = 31;
-    if lanes::fixed_base_mul(generator_table(), &[]).is_none() {
+    if lanes::fixed_base_mul(&[]).is_none() {
         println!("fixed-base lanes / lockstep: skipped, this CPU has no avx512ifma");
         return;
     }
     let mut rng = StdRng::seed_from_u64(8);
     let kp = KeyPair::generate(&mut rng);
     let table = FixedBaseTable::new(&kp.ek.0);
-    println!("fixed-base lanes (key table converted per call), median µs over {ROUNDS} alternated rounds");
+    println!("fixed-base lanes (one lane list, touched key rows converted per call), median µs over {ROUNDS} alternated rounds");
     println!(
         "{:>6} {:>28} {:>28}",
         "lanes", "lanes / lockstep", "lanes / Jacobian"
@@ -369,7 +373,7 @@ fn bench_fixed_base_lane_crossover(_: &mut Criterion) {
             let rhos = black_box(rhos);
             let pairs = table_lanes(generator_table(), &table, &rhos);
             let sides: [&dyn Fn() -> Vec<G1Affine>; 3] = [
-                &|| lanes_table_mul(&table, &rhos),
+                &|| lanes_table_mul(&pairs),
                 &|| FixedBaseTable::mul_lockstep(&pairs),
                 &|| {
                     let products: Vec<G1Projective> = pairs.iter().map(|(t, k)| t.mul(k)).collect();

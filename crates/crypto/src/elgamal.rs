@@ -172,14 +172,17 @@ impl EncryptionKey {
     /// Encrypts `ms[i]` under `rhos[i]` for a whole answer vector. Entry
     /// `i` is byte-for-byte `encrypt_with_table(ms[i], rhos[i], table)`.
     ///
-    /// A long enough vector runs its `2N` table multiplications (`N` on
-    /// the generator's table, `N` on this key's) on a whole-vector kernel
-    /// and computes each distinct plaintext's `g^m` once:
+    /// A long enough vector builds one lane list of its `2N` table
+    /// multiplications (`N` on the generator's table, then `N` on this
+    /// key's), hands it to the whole-vector kernel this CPU runs, and
+    /// computes each distinct plaintext's `g^m` once:
     ///
     /// * on an x86-64 CPU with AVX-512 IFMA, from `LANE_TABLE_LANES`
     ///   ciphertext components on, [`crate::lanes::fixed_base_mul`],
-    ///   eight lanes per table pass; `g^m` is added to each `h^ρ` and all
-    ///   `2N` points are normalised with one inversion;
+    ///   eight lanes per pass whichever table each reads, so the list
+    ///   fills `⌈2N/8⌉` passes (one for a 4-answer vector); `g^m` is
+    ///   added to each `h^ρ` and all `2N` points are normalised with one
+    ///   inversion;
     /// * elsewhere, from `LOCKSTEP_LANES` on,
     ///   [`FixedBaseTable::mul_lockstep`], affine throughout with one
     ///   inversion per window step shared by all lanes, and one more
@@ -189,9 +192,12 @@ impl EncryptionKey {
     /// builds a throw-away one (a 0.3 ms build against `N` variable-base
     /// multiplications) and takes the same kernel.
     ///
-    /// A shorter slice — the per-item API is a slice of one — must not
-    /// pay a whole-vector kernel's fixed cost: its components are built
-    /// in Jacobian coordinates and normalised with one inversion.
+    /// A shorter slice must not pay a whole-vector kernel's fixed cost:
+    /// its components are built in Jacobian coordinates and normalised
+    /// with one inversion. With a table on an IFMA CPU no non-empty slice
+    /// is that short (one answer's two lanes already repay a pass);
+    /// without one, or on another CPU, the per-item API's slice of one
+    /// is.
     pub fn encrypt_batch(
         &self,
         ms: &[u64],
@@ -220,33 +226,39 @@ impl EncryptionKey {
             }
         };
         let g_ms = generator_powers(ms);
+        let lanes = encryption_lanes(table, rhos);
         #[cfg(target_arch = "x86_64")]
-        if let (Some(mut points), Some(h_rhos)) = (
-            crate::lanes::fixed_base_mul(generator_table(), rhos),
-            crate::lanes::fixed_base_mul(table, rhos),
-        ) {
-            points.extend(
-                h_rhos
-                    .iter()
-                    .zip(&g_ms)
-                    .map(|(h_rho, g_m)| h_rho.add_affine(g_m)),
-            );
-            return ciphertexts(&G1Projective::batch_to_affine(&points));
+        if let Some(points) = crate::lanes::fixed_base_mul(&lanes) {
+            return encrypt_on_lanes(points, &g_ms);
         }
-        encrypt_lockstep(table, rhos, &g_ms)
+        encrypt_lockstep(&lanes, &g_ms)
     }
 }
 
-/// The portable whole-vector path: `rhos` on the generator's table and on
-/// `table` in lockstep, then one more lockstep step adds `g_ms` to the
-/// `c2` lanes.
-fn encrypt_lockstep(table: &FixedBaseTable, rhos: &[Fr], g_ms: &[G1Affine]) -> Vec<Ciphertext> {
-    let lanes: Vec<(&FixedBaseTable, Fr)> = [generator_table(), table]
+/// `rhos` on the generator's table, then `rhos` on `table`: the one lane
+/// list both whole-vector kernels take, `c1`s first, then the `h^ρ`s.
+fn encryption_lanes<'a>(table: &'a FixedBaseTable, rhos: &[Fr]) -> Vec<(&'a FixedBaseTable, Fr)> {
+    [generator_table(), table]
         .into_iter()
         .flat_map(|table| rhos.iter().map(move |rho| (table, *rho)))
-        .collect();
-    let mut points = FixedBaseTable::mul_lockstep(&lanes);
-    let c2s = &mut points[rhos.len()..];
+        .collect()
+}
+
+/// The eight-lane path's ending: `g_ms` added to the `h^ρ`s in Jacobian
+/// coordinates, and all `2N` products normalised with one inversion.
+#[cfg(target_arch = "x86_64")]
+fn encrypt_on_lanes(mut products: Vec<G1Projective>, g_ms: &[G1Affine]) -> Vec<Ciphertext> {
+    for (h_rho, g_m) in products[g_ms.len()..].iter_mut().zip(g_ms) {
+        *h_rho = h_rho.add_affine(g_m);
+    }
+    ciphertexts(&G1Projective::batch_to_affine(&products))
+}
+
+/// The portable whole-vector path: the lanes in lockstep, then one more
+/// lockstep step adds `g_ms` to the `c2` lanes.
+fn encrypt_lockstep(lanes: &[(&FixedBaseTable, Fr)], g_ms: &[G1Affine]) -> Vec<Ciphertext> {
+    let mut points = FixedBaseTable::mul_lockstep(lanes);
+    let c2s = &mut points[g_ms.len()..];
     G1Affine::batch_add_assign(c2s, g_ms, &mut BatchAddScratch::default());
     ciphertexts(&points)
 }
@@ -290,15 +302,17 @@ const LOCKSTEP_LANES: usize = 32;
 
 /// Ciphertext components from which [`EncryptionKey::encrypt_batch`]
 /// runs a vector that comes with a table on the eight lanes, on a CPU
-/// with AVX-512 IFMA. A call has a fixed cost — the key table's per-call
-/// conversion and one pass over the 52 windows per table — that a
-/// handful of lanes already repays. Measured (`micro_primitives`,
-/// fixed-base lanes / Jacobian + `batch_to_affine`, conversion included,
-/// three runs): 1.79–2.25 at 2 lanes, 0.98–1.26 at 4, 0.60–0.70 at 8,
-/// 0.32–0.38 at 16, 0.21–0.23 at 32, 0.16 at 212; against lockstep
-/// 0.23–0.34 at every lane count.
+/// with AVX-512 IFMA: every vector of one answer or more. A call has a
+/// fixed cost — one pass over the 52 windows and the key rows its
+/// digits touch (52 a lane at most) — that even one answer's two lanes
+/// repay against two Jacobian table products. Measured
+/// (`micro_primitives`, fixed-base lanes / Jacobian + `batch_to_affine`,
+/// one lane list, conversion included, three runs): 0.63–0.74 at 2
+/// lanes, 0.33–0.51 at 4, 0.20–0.25 at 8, 0.18–0.29 at 16, 0.16–0.24 at
+/// 32, 0.15–0.23 at 212; against lockstep 0.10–0.11 up to 8 lanes and
+/// 0.30–0.38 at 212.
 #[cfg(target_arch = "x86_64")]
-const LANE_TABLE_LANES: usize = 8;
+const LANE_TABLE_LANES: usize = 2;
 
 /// Components from which a vector with a table takes a whole-vector
 /// kernel on this CPU.
@@ -533,9 +547,66 @@ mod tests {
             })
             .collect();
         let table = FixedBaseTable::new(&kp.ek.0);
-        let cts = encrypt_lockstep(&table, &rhos, &generator_powers(&ms));
+        let cts = encrypt_lockstep(&encryption_lanes(&table, &rhos), &generator_powers(&ms));
         for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&cts) {
             assert_eq!(*ct, encrypt_reference(&kp.ek, m, rho), "m = {m}");
+        }
+    }
+
+    /// Every way `encrypt_batch` can run a vector reproduces the offline
+    /// vectors: with the key's table and without one, through each
+    /// whole-vector kernel on its own (a 9- or 17-vector's lane list has
+    /// a pass that mixes generator and key lanes), and item by item.
+    #[test]
+    fn encrypt_batch_matches_offline_vectors() {
+        use crate::field::Fq;
+        use crate::vectors::{Xy, ELGAMAL};
+        let point = |xy: Option<Xy>| {
+            xy.map_or(G1Affine::identity(), |(x, y)| {
+                let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
+                G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
+            })
+        };
+        let secret = Fr::from_plain_limbs(ELGAMAL.secret).expect("the secret is reduced");
+        let kp = KeyPair::from_secret(secret);
+        assert_eq!(kp.ek.0, point(Some(ELGAMAL.key)));
+        let table = FixedBaseTable::new(&kp.ek.0);
+        let lengths: Vec<usize> = ELGAMAL.vectors.iter().map(|v| v.len()).collect();
+        assert_eq!(lengths, [1, 4, 9, 17]);
+        for vector in ELGAMAL.vectors {
+            let ms: Vec<u64> = vector.iter().map(|&(m, ..)| m).collect();
+            let rhos: Vec<Fr> = vector
+                .iter()
+                .map(|&(_, rho, ..)| Fr::from_plain_limbs(rho).expect("ρ is reduced"))
+                .collect();
+            let expect: Vec<Ciphertext> = vector
+                .iter()
+                .map(|&(.., c1, c2)| Ciphertext {
+                    c1: point(c1),
+                    c2: point(c2),
+                })
+                .collect();
+            let n = vector.len();
+            assert_eq!(
+                kp.ek.encrypt_batch(&ms, &rhos, Some(&table)),
+                expect,
+                "{n}, table"
+            );
+            assert_eq!(
+                kp.ek.encrypt_batch(&ms, &rhos, None),
+                expect,
+                "{n}, no table"
+            );
+            let (lanes, g_ms) = (encryption_lanes(&table, &rhos), generator_powers(&ms));
+            assert_eq!(encrypt_lockstep(&lanes, &g_ms), expect, "{n}, lockstep");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(products) = crate::lanes::fixed_base_mul(&lanes) {
+                assert_eq!(encrypt_on_lanes(products, &g_ms), expect, "{n}, lanes");
+            }
+            for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&expect) {
+                assert_eq!(kp.ek.encrypt_with_table(m, rho, Some(&table)), *ct);
+                assert_eq!(kp.ek.encrypt_with(m, rho), *ct);
+            }
         }
     }
 

@@ -1334,29 +1334,26 @@ mod tests {
                 }
             }
         }
-        // Fixed-base tables: per lane, in lockstep and, where the CPU has
-        // them, on the lanes — each base's products over its own table,
-        // and the generator's also over the process-wide one.
+        // Fixed-base tables: per lane, then the whole list in one call to
+        // each kernel — lockstep and, where the CPU has them, the lanes —
+        // every base's products over its own table, the generator's
+        // every other time over the process-wide one instead.
         let tables: Vec<FixedBaseTable> = bases.iter().map(FixedBaseTable::new).collect();
         for &(b, k, kp) in &products {
             assert_eq!(tables[b].mul(&k).to_affine(), kp);
         }
-        let lanes: Vec<(&FixedBaseTable, Fr)> =
-            products.iter().map(|&(b, k, _)| (&tables[b], k)).collect();
+        let lanes: Vec<(&FixedBaseTable, Fr)> = products
+            .iter()
+            .enumerate()
+            .map(|(i, &(b, k, _))| match b {
+                0 if i % 2 == 1 => (crate::precomp::generator_table(), k),
+                _ => (&tables[b], k),
+            })
+            .collect();
         assert_eq!(FixedBaseTable::mul_lockstep(&lanes), expect);
         #[cfg(target_arch = "x86_64")]
-        for (b, own) in tables.iter().enumerate() {
-            let (ks, rows): (Vec<Fr>, Vec<G1Affine>) = products
-                .iter()
-                .filter(|&&(base, ..)| base == b)
-                .map(|&(_, k, kp)| (k, kp))
-                .unzip();
-            let shared = (b == 0).then(crate::precomp::generator_table);
-            for table in [own].into_iter().chain(shared) {
-                if let Some(got) = crate::lanes::fixed_base_mul(table, &ks) {
-                    assert_eq!(affine(got), rows, "base {b}'s products on the lanes");
-                }
-            }
+        if let Some(got) = crate::lanes::fixed_base_mul(&lanes) {
+            assert_eq!(affine(got), expect, "the products on the lanes");
         }
     }
 

@@ -15,10 +15,13 @@
 //! * [`batch_mul_shared`]: one scalar's GLV + width-5 NAF pass over up
 //!   to eight bases at a time. The scalar is shared, so every lane takes
 //!   the same digits and the code has no per-lane branch.
-//! * [`fixed_base_mul`]: eight scalars at a time over one shared
-//!   [`FixedBaseTable`], each lane with its own signed digits. A window
-//!   step gathers the eight entries, negates by a sign mask and runs one
-//!   mixed addition; per-lane masks decide which lanes keep it.
+//! * [`fixed_base_mul`]: eight `(table, scalar)` lanes at a time, each
+//!   lane with its own [`FixedBaseTable`] and its own signed digits. A
+//!   window step gathers every lane's entry from its own table, negates
+//!   by a sign mask and runs one mixed addition; per-lane masks decide
+//!   which lanes keep it. Lanes on different tables share a pass, so
+//!   `EncryptionKey::encrypt_batch`'s `N` lanes on the generator's table
+//!   and `N` on a key's fill `⌈2N/8⌉` passes.
 //!
 //! The formulas are not complete: an addition of a point to itself or
 //! to its negation leaves `Z = 0`, every later step keeps it there, and
@@ -34,7 +37,8 @@
 //! random scalar meets it with negligible probability.
 //! Either way the check is a net, not a path. The identity and points
 //! off the curve (whose multiples may meet those sums, or the identity,
-//! while the tables are built) go to the portable path up front.
+//! while the tables are built) go to the portable path up front — under
+//! [`fixed_base_mul`], the lanes of such a table only.
 //!
 //! Every function that touches a 512-bit register is compiled for
 //! `avx512ifma` (which implies AVX-512F), and safe code reaches them only
@@ -129,70 +133,95 @@ fn batch_mul_shared_ifma(points: &[G1Affine], k: &Fr) -> Vec<G1Projective> {
     out
 }
 
-/// `table.mul(k)` for every `k` in `scalars`, on the lanes: the group
+/// `table.mul(k)` for every lane `(table, k)`, on the lanes: the group
 /// element [`FixedBaseTable::mul`] returns, left in Jacobian
-/// coordinates, or `None` when this CPU has no AVX-512 IFMA.
-/// `EncryptionKey::encrypt_batch` calls it for its `N` lanes on the
-/// generator's table and its `N` on the key's; public for the crossover
-/// rows of the `micro_primitives` bench.
+/// coordinates, or `None` when this CPU has no AVX-512 IFMA. It takes
+/// the lane list [`FixedBaseTable::mul_lockstep`] takes;
+/// `EncryptionKey::encrypt_batch` passes one (its `N` lanes on the
+/// generator's table, then `N` on the key's) to whichever of the two
+/// kernels this CPU runs. Public for the crossover rows of the
+/// `micro_primitives` bench.
 ///
-/// Eight scalars share a pass over the table's 52 windows, each lane
-/// with its own signed digits. The generator's table is read in lane
-/// form from a process-wide copy; any other table is converted for the
-/// call (832 entries, a few percent of a 106-answer vector) and dropped
-/// with it, since a copy kept beside every cached key table would be
-/// resident memory for every live task. A table whose base is the
-/// identity or off the curve, and a lane whose formulas met an
-/// exceptional addition (`Z = 0` at the end), go to `table.mul`.
-pub fn fixed_base_mul(table: &FixedBaseTable, scalars: &[Fr]) -> Option<Vec<G1Projective>> {
+/// Eight lanes share a pass over the 52 windows, in list order, each
+/// lane with its own signed digits gathered from its own table. The
+/// generator's table is read in lane form from a process-wide copy;
+/// every other table converts, for the call only, the rows its own
+/// lanes' digits touch (at most 52 a lane, and each row once however
+/// many lanes land on it), since a copy kept beside every cached key
+/// table would be resident memory for every live task. The lanes of a
+/// table whose base is the identity or off the curve, and a lane whose
+/// formulas met an exceptional addition (`Z = 0` at the end), go to
+/// their own table's `mul`.
+pub fn fixed_base_mul(lanes: &[(&FixedBaseTable, Fr)]) -> Option<Vec<G1Projective>> {
     if !has_ifma() {
         return None;
     }
-    let base = table.entries()[0];
-    if base.infinity || !base.is_on_curve() {
-        return Some(scalars.iter().map(|k| table.mul(k)).collect());
+    // One source of rows per distinct table, converted as digits land.
+    let mut sources: Vec<(&FixedBaseTable, LaneRows)> = Vec::new();
+    let mut lane_sources = Vec::with_capacity(lanes.len());
+    let mut digits = Vec::with_capacity(lanes.len());
+    for &(table, k) in lanes {
+        let at = sources
+            .iter()
+            .position(|(t, _)| core::ptr::eq(*t, table))
+            .unwrap_or_else(|| {
+                sources.push((table, LaneRows::of(table)));
+                sources.len() - 1
+            });
+        let source = &mut sources[at].1;
+        let lane_digits = match source {
+            LaneRows::Portable => [0; WINDOWS],
+            _ => signed_digits(&k.to_plain_limbs()),
+        };
+        source.touch(table, &lane_digits);
+        lane_sources.push(at);
+        digits.push(lane_digits);
     }
-    let converted;
-    let lane_table = if core::ptr::eq(table, generator_table()) {
-        generator_lane_table()
-    } else {
-        converted = LaneTable::new(table);
-        &converted
-    };
+    let lane_rows: Vec<Option<&[Row]>> = lane_sources
+        .iter()
+        .map(|&at| sources[at].1.rows())
+        .collect();
     // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
     // `fixed_base_mul_ifma` is compiled for.
-    Some(unsafe { fixed_base_mul_ifma(table, lane_table, scalars) })
+    Some(unsafe { fixed_base_mul_ifma(lanes, &lane_rows, &digits) })
 }
 
+/// `lane_rows[i]` is where lane `i` reads its table's rows, `None` for a
+/// table the lanes do not take; `digits[i]` are its signed digits.
 #[target_feature(enable = "avx512ifma")]
 fn fixed_base_mul_ifma(
-    table: &FixedBaseTable,
-    lane_table: &LaneTable,
-    scalars: &[Fr],
+    lanes: &[(&FixedBaseTable, Fr)],
+    lane_rows: &[Option<&[Row]>],
+    digits: &[[i8; WINDOWS]],
 ) -> Vec<G1Projective> {
-    let mut out = Vec::with_capacity(scalars.len());
-    for chunk in scalars.chunks(LANES) {
-        // Lanes past the end of the slice get no digit and are dropped.
-        let per_lane: [[i8; WINDOWS]; LANES] = from_fn(|i| {
-            chunk
+    let mut out = Vec::with_capacity(lanes.len());
+    for ((lanes, lane_rows), digits) in lanes
+        .chunks(LANES)
+        .zip(lane_rows.chunks(LANES))
+        .zip(digits.chunks(LANES))
+    {
+        // A lane with no digit — past the end of the list, or on a table
+        // the lanes do not take — reads the generator's rows, unused.
+        let rows = from_fn(|i| {
+            lane_rows
                 .get(i)
-                .map_or([0; WINDOWS], |k| signed_digits(&k.to_plain_limbs()))
+                .copied()
+                .flatten()
+                .unwrap_or(&generator_lane_table().0)
         });
-        let digits = from_fn(|w| from_fn(|i| per_lane[i][w]));
-        let (acc, started) = fixed_base_chunk(lane_table, &digits);
+        let digits = from_fn(|w| from_fn(|i| digits.get(i).map_or(0, |d| d[w])));
+        let (acc, started) = fixed_base_chunk(rows, &digits);
         out.extend(
-            chunk
+            lanes
                 .iter()
+                .zip(lane_rows)
                 .zip(acc.to_projective())
                 .enumerate()
-                .map(|(i, (k, q))| {
-                    if started & 1 << i == 0 {
-                        G1Projective::identity()
-                    } else if q.is_identity() {
-                        table.mul(k)
-                    } else {
-                        q
-                    }
+                .map(|(i, ((&(table, k), rows), q))| match rows {
+                    None => table.mul(&k),
+                    Some(_) if started & 1 << i == 0 => G1Projective::identity(),
+                    Some(_) if q.is_identity() => table.mul(&k),
+                    Some(_) => q,
                 }),
         );
     }
@@ -200,12 +229,13 @@ fn fixed_base_mul_ifma(
 }
 
 /// The sum of the table entries the signed `digits` select (window by
-/// window, the eight lanes' digits in each), and the mask of lanes that
-/// had a nonzero digit (the rest are the identity, which the formulas
-/// cannot represent, and hold garbage). A lane's first nonzero digit
-/// loads its entry with `Z = 1`; a zero digit leaves the lane as it is.
+/// window, the eight lanes' digits in each, lane `i`'s entries read from
+/// `rows[i]`), and the mask of lanes that had a nonzero digit (the rest
+/// are the identity, which the formulas cannot represent, and hold
+/// garbage). A lane's first nonzero digit loads its entry with `Z = 1`;
+/// a zero digit leaves the lane as it is.
 #[target_feature(enable = "avx512ifma")]
-fn fixed_base_chunk(table: &LaneTable, digits: &[[i8; LANES]; WINDOWS]) -> (Jac8, __mmask8) {
+fn fixed_base_chunk(rows: [&[Row]; LANES], digits: &[[i8; LANES]; WINDOWS]) -> (Jac8, __mmask8) {
     let one = Fq8::splat(Fq::one());
     let zero = Fq8::zero();
     let mut acc = Jac8 {
@@ -219,7 +249,7 @@ fn fixed_base_chunk(table: &LaneTable, digits: &[[i8; LANES]; WINDOWS]) -> (Jac8
         if nonzero == 0 {
             continue;
         }
-        let entry = table.gather(w, d);
+        let entry = gather(rows, w, d);
         let entry = Aff8 {
             y: entry.y.select(lane_mask(d.map(|d| d < 0)), entry.y.neg()),
             ..entry
@@ -241,6 +271,25 @@ fn fixed_base_chunk(table: &LaneTable, digits: &[[i8; LANES]; WINDOWS]) -> (Jac8
     (acc, started)
 }
 
+/// Lane `i` holds the entry of window `w` for digit `|d[i]|` from
+/// `rows[i]`; a zero digit reads digit 1's row, which the caller does
+/// not use.
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+fn gather(rows: [&[Row]; LANES], w: usize, d: [i8; LANES]) -> Aff8 {
+    let rows: [&Row; LANES] = from_fn(|i| &rows[i][entry_index(w, d[i].unsigned_abs().max(1))]);
+    let coordinate = |c: usize| {
+        Fq8(from_fn(|j| {
+            let l = |i: usize| rows[i][c][j] as i64;
+            _mm512_set_epi64(l(7), l(6), l(5), l(4), l(3), l(2), l(1), l(0))
+        }))
+    };
+    Aff8 {
+        x: coordinate(0),
+        y: coordinate(1),
+    }
+}
+
 /// Bit `i` set where `lanes[i]` holds.
 fn lane_mask(lanes: [bool; LANES]) -> __mmask8 {
     lanes
@@ -249,37 +298,78 @@ fn lane_mask(lanes: [bool; LANES]) -> __mmask8 {
         .fold(0, |mask, (i, &lane)| mask | u8::from(lane) << i)
 }
 
-/// A [`FixedBaseTable`]'s entries in the lanes' form, in the table's
-/// order: `x` and `y` of each as `a·2²⁶⁰` in 52-bit limbs (65 KiB).
-struct LaneTable(Vec<[[u64; 5]; 2]>);
+/// A table entry's `x` and `y` in the lanes' form: `a·2²⁶⁰` in 52-bit
+/// limbs.
+type Row = [[u64; 5]; 2];
+
+/// Where one call's lanes read a table's entries in lane form, in the
+/// table's order.
+enum LaneRows {
+    /// The generator's process-wide copy: every row.
+    Generator,
+    /// Converted for the call: the rows some lane's digit selects
+    /// (`converted`); the rest stay zero and are never read for a
+    /// nonzero digit.
+    Touched {
+        rows: Vec<Row>,
+        converted: Vec<bool>,
+    },
+    /// A table whose base is the identity or off the curve: its lanes
+    /// take no digit and go to `table.mul`.
+    Portable,
+}
+
+impl LaneRows {
+    /// How the lanes read `table`, before any digit has landed on it.
+    fn of(table: &FixedBaseTable) -> Self {
+        let base = table.entries()[0];
+        if base.infinity || !base.is_on_curve() {
+            LaneRows::Portable
+        } else if core::ptr::eq(table, generator_table()) {
+            LaneRows::Generator
+        } else {
+            let len = table.entries().len();
+            LaneRows::Touched {
+                rows: vec![[[0; 5]; 2]; len],
+                converted: vec![false; len],
+            }
+        }
+    }
+
+    /// Converts the rows of `table` that `digits` select and no earlier
+    /// lane's did.
+    fn touch(&mut self, table: &FixedBaseTable, digits: &[i8; WINDOWS]) {
+        let LaneRows::Touched { rows, converted } = self else {
+            return;
+        };
+        for (w, &d) in digits.iter().enumerate() {
+            if d != 0 {
+                let e = entry_index(w, d.unsigned_abs());
+                if !converted[e] {
+                    converted[e] = true;
+                    rows[e] = lane_row(&table.entries()[e]);
+                }
+            }
+        }
+    }
+
+    /// The rows, or `None` for a table the lanes do not take.
+    fn rows(&self) -> Option<&[Row]> {
+        match self {
+            LaneRows::Generator => Some(&generator_lane_table().0),
+            LaneRows::Touched { rows, .. } => Some(rows),
+            LaneRows::Portable => None,
+        }
+    }
+}
+
+/// A [`FixedBaseTable`]'s entries in the lanes' form, every one, in the
+/// table's order (65 KiB): kept for the generator's table only.
+struct LaneTable(Vec<Row>);
 
 impl LaneTable {
     fn new(table: &FixedBaseTable) -> Self {
-        Self(
-            table
-                .entries()
-                .iter()
-                .map(|e| [lane_limbs(e.x), lane_limbs(e.y)])
-                .collect(),
-        )
-    }
-
-    /// Lane `i` holds the entry of window `w` for digit `|d[i]|`; a zero
-    /// digit reads digit 1's entry, which the caller does not use.
-    #[target_feature(enable = "avx512ifma")]
-    #[inline]
-    fn gather(&self, w: usize, d: [i8; LANES]) -> Aff8 {
-        let rows = d.map(|d| &self.0[entry_index(w, d.unsigned_abs().max(1))]);
-        let coordinate = |c: usize| {
-            Fq8(from_fn(|j| {
-                let l = |i: usize| rows[i][c][j] as i64;
-                _mm512_set_epi64(l(7), l(6), l(5), l(4), l(3), l(2), l(1), l(0))
-            }))
-        };
-        Aff8 {
-            x: coordinate(0),
-            y: coordinate(1),
-        }
+        Self(table.entries().iter().map(lane_row).collect())
     }
 }
 
@@ -289,9 +379,29 @@ fn generator_lane_table() -> &'static LaneTable {
     TABLE.get_or_init(|| LaneTable::new(generator_table()))
 }
 
-/// `a·2²⁶⁰` (`aR·16`, canonical) in 52-bit limbs: one lane's value.
+/// `e` in the lanes' form.
+fn lane_row(e: &G1Affine) -> Row {
+    [lane_limbs(e.x), lane_limbs(e.y)]
+}
+
+/// `a·2²⁶⁰` in 52-bit limbs, below `2p`: one lane's value. `16·aR` is a
+/// shift of the canonical limbs (below `2²⁵⁸`); `q`, its top limb over
+/// one more than `p`'s, falls short of `16·aR / p` by less than
+/// `1 + 2⁻⁴⁰`, so `16·aR − q·p` is below `2p`. No branch, where four
+/// modular doublings take four.
 fn lane_limbs(a: Fq) -> [u64; 5] {
-    split(a.double().double().double().double().0)
+    let l = split(a.0);
+    let sixteen: [u64; 5] = from_fn(|j| {
+        let low = if j == 0 { 0 } else { l[j - 1] >> 48 };
+        (l[j] << 4 | low) & MASK
+    });
+    let q = sixteen[4] / (P[4] + 1);
+    let mut borrow = 0i64;
+    from_fn(|j| {
+        let v = sixteen[j] as i64 - (q * P[j]) as i64 + borrow;
+        borrow = v >> 52;
+        v as u64 & MASK
+    })
 }
 
 /// `a · bⁿ` lane by lane for `n = products`, each product feeding the
@@ -802,6 +912,31 @@ mod tests {
             assert_eq!(join(split(a)), a);
             assert!(split(a).iter().all(|&l| l <= MASK));
         }
+        // A lane value is below 2p and is 16·aR: the way out divides by
+        // 16. Besides the field vectors' operands, Montgomery limbs on
+        // either side of every `k·p/16` (where `q` steps) and p − 1.
+        let k_sixteenths = (1..16u128).flat_map(|k| {
+            let p = Fq::MODULUS.map(u128::from);
+            let mut carry = 0;
+            let wide: [u128; 4] = from_fn(|j| {
+                let v = p[j] * k + carry;
+                carry = v >> 64;
+                v & u128::from(u64::MAX)
+            });
+            let floor: [u64; 4] = from_fn(|j| {
+                let next = if j == 3 { carry } else { wide[j + 1] };
+                (wide[j] >> 4 | next << 60) as u64
+            });
+            [floor, crate::arith::add_4(&floor, &[1, 0, 0, 0]).0]
+        });
+        let top = [crate::arith::sub_4(&Fq::MODULUS, &[1, 0, 0, 0]).0];
+        let raw = k_sixteenths.chain(top).map(Fq);
+        for a in operand_octets().concat().into_iter().chain(raw) {
+            let v = lane_limbs(a);
+            assert!(v.iter().all(|&l| l <= MASK));
+            assert_ne!(crate::arith::sub_4(&join(v), &join(TWO_P)).1, 0, "{a:?}");
+            assert_eq!(Fq(join(v)).mul_internal(&SIXTEENTH), a);
+        }
     }
 
     #[test]
@@ -960,6 +1095,30 @@ mod tests {
         ks
     }
 
+    /// `(0, 1)`: a point off the curve, of order 3 on `y² = x³ + 1`, so
+    /// its table holds the identity, which the lanes cannot read.
+    fn off_curve() -> G1Affine {
+        G1Affine {
+            x: Fq::zero(),
+            y: Fq::one(),
+            infinity: false,
+        }
+    }
+
+    /// Asserts `fixed_base_mul(lanes)` ≡ per-lane `table.mul` ≡
+    /// `mul_lockstep(lanes)`.
+    fn check_fixed_base(lanes: &[(&FixedBaseTable, Fr)], what: &str) {
+        let got = fixed_base_mul(lanes).expect("this CPU has IFMA");
+        let per_lane: Vec<G1Projective> = lanes.iter().map(|(t, k)| t.mul(k)).collect();
+        assert_eq!(got, per_lane, "{what}, {} lanes", lanes.len());
+        assert_eq!(
+            G1Projective::batch_to_affine(&got),
+            FixedBaseTable::mul_lockstep(lanes),
+            "{what}, {} lanes",
+            lanes.len()
+        );
+    }
+
     #[test]
     fn fixed_base_mul_matches_table_mul_and_lockstep() {
         if !lanes_here("fixed_base_mul_matches_table_mul_and_lockstep") {
@@ -967,29 +1126,32 @@ mod tests {
         }
         let key = FixedBaseTable::new(&G1Affine::random(&mut rng()));
         let identity = FixedBaseTable::new(&G1Affine::identity());
+        let off_curve = FixedBaseTable::new(&off_curve());
+        let tables = [generator_table(), &key, &identity, &off_curve];
+        // Lane `i` of `n` takes `tables[layout(i, n)]`: each table alone,
+        // `encrypt_batch`'s shape (the generator's first half, then the
+        // key's), all four in turn, and runs of three.
+        type Layout = fn(usize, usize) -> usize;
+        let layouts: [(&str, Layout); 7] = [
+            ("generator", |_, _| 0),
+            ("key", |_, _| 1),
+            ("identity", |_, _| 2),
+            ("off-curve", |_, _| 3),
+            ("generator then key", |i, n| usize::from(2 * i >= n)),
+            ("all four in turn", |i, _| i % 4),
+            ("runs of three", |i, _| i / 3 % 4),
+        ];
         let ks = fixed_base_scalars();
-        for (name, table) in [
-            ("generator", generator_table()),
-            ("key", &key),
-            ("identity", &identity),
-        ] {
-            let check = |scalars: &[Fr]| {
-                let got = fixed_base_mul(table, scalars).expect("this CPU has IFMA");
-                let per_lane: Vec<G1Projective> = scalars.iter().map(|k| table.mul(k)).collect();
-                assert_eq!(got, per_lane, "{name} table, {} scalars", scalars.len());
-                let lanes: Vec<(&FixedBaseTable, Fr)> =
-                    scalars.iter().map(|k| (table, *k)).collect();
-                assert_eq!(
-                    G1Projective::batch_to_affine(&got),
-                    FixedBaseTable::mul_lockstep(&lanes),
-                    "{name} table, {} scalars",
-                    scalars.len()
-                );
-            };
-            check(&[]);
-            for n in (1..=17).chain([53, 106]) {
+        for (what, layout) in layouts {
+            check_fixed_base(&[], what);
+            for n in (1..=17).chain([106]) {
                 for scalars in ks.chunks(n) {
-                    check(scalars);
+                    let lanes: Vec<(&FixedBaseTable, Fr)> = scalars
+                        .iter()
+                        .enumerate()
+                        .map(|(i, k)| (tables[layout(i, scalars.len())], *k))
+                        .collect();
+                    check_fixed_base(&lanes, what);
                 }
             }
         }
@@ -1002,17 +1164,37 @@ mod tests {
             let k = exceptional_scalar();
             let digits = signed_digits(&k.to_plain_limbs());
             assert_eq!(digits[50..], [12, 0]);
-            let (acc, started) =
-                fixed_base_chunk(generator_lane_table(), &digits.map(|d| [d; LANES]));
+            // The generator's lanes and a key's, alternating in one pass.
+            let key = FixedBaseTable::new(&G1Affine::random(&mut rng()));
+            let mut key_rows = LaneRows::of(&key);
+            key_rows.touch(&key, &digits);
+            let sources = [LaneRows::Generator.rows(), key_rows.rows()];
+            let rows = from_fn(|i| sources[i % 2].expect("both tables are on the curve"));
+            let (acc, started) = fixed_base_chunk(rows, &digits.map(|d| [d; LANES]));
             assert_eq!(started, 0xff);
             assert!(acc.z.to_fq().iter().all(Fq::is_zero));
-            let expect = mul_reference(&G1Projective::generator(), &k);
-            assert!(!expect.is_identity());
-            let got = fixed_base_mul(generator_table(), &[k, Fr::one(), k]);
-            assert_eq!(
-                got.expect("this CPU has IFMA"),
-                [expect, G1Projective::generator(), expect]
+            // Through the entry point: the scalar on a key lane among
+            // generator, key, identity and off-curve lanes, in one pass.
+            let (identity, off_curve) = (
+                FixedBaseTable::new(&G1Affine::identity()),
+                FixedBaseTable::new(&off_curve()),
             );
+            let lanes = [
+                (generator_table(), Fr::one()),
+                (&key, Fr::from_u64(5)),
+                (&identity, k),
+                (&key, k),
+                (&off_curve, k),
+                (generator_table(), k),
+                (&key, -Fr::one()),
+            ];
+            let got = fixed_base_mul(&lanes).expect("this CPU has IFMA");
+            for (i, base) in [(3, key.entries()[0]), (5, G1Affine::generator())] {
+                let expect = mul_reference(&base.to_projective(), &k);
+                assert!(!expect.is_identity());
+                assert_eq!(got[i], expect, "lane {i}");
+            }
+            check_fixed_base(&lanes, "an exceptional key lane");
         }
         on_lanes(
             "an_exceptional_lane_ends_at_z_zero_and_is_recomputed",

@@ -9,10 +9,13 @@
 //! ([`FixedBaseTable`]) turns each multiplication into at most 52 mixed
 //! additions and no doublings — and a whole answer vector of them into
 //! 52 lockstep affine steps ([`FixedBaseTable::mul_lockstep`]), or, on a
-//! CPU with AVX-512 IFMA, into 52 eight-lane steps per eight scalars
-//! (`lanes::fixed_base_mul`, which reads a table through
-//! `FixedBaseTable::entries` and keeps a lane-form copy of the
-//! generator's only).
+//! CPU with AVX-512 IFMA, into 52 eight-lane steps per eight lanes
+//! (`lanes::fixed_base_mul`). Both kernels take the same list of
+//! `(table, scalar)` lanes, so one vector's lanes on `g`'s table and on
+//! `h`'s share their steps. The lanes read a table through
+//! `FixedBaseTable::entries`: they keep a lane-form copy of the
+//! generator's table only, and convert another table's entries per
+//! call, only those the call's digits select.
 //!
 //! * [`generator_table`] — a process-wide table for `g`, built once.
 //! * [`ProofCache`] — a keyed cache of per-base tables (one per

@@ -1,5 +1,5 @@
 //! Known answers derived offline with plain Python integers by
-//! `tests/vectors/gen_bn254.py`, which writes the two included files
+//! `tests/vectors/gen_bn254.py`, which writes the three included files
 //! (CI reruns it with `--check`). Test-only.
 
 /// One field's vectors. Every table is indexed like `operands`:
@@ -41,5 +41,21 @@ pub(crate) struct G1Vectors {
     pub(crate) products: &'static [(usize, [u64; 4], Option<Xy>)],
 }
 
+/// One encrypted answer: `(m, ρ, ρ·g, ρ·h + m·g)`, `ρ` in plain limbs,
+/// the identity as `None`.
+pub(crate) type Encryption = (u64, [u64; 4], Option<Xy>, Option<Xy>);
+
+/// Exponential-ElGamal ciphertexts under one seeded key.
+pub(crate) struct ElGamalVectors {
+    /// The secret `k`, plain limbs.
+    pub(crate) secret: [u64; 4],
+    /// `h = k·g`.
+    pub(crate) key: Xy,
+    /// Answer vectors of 1, 4, 9 and 17 components; the 17-vector opens
+    /// with `ρ = 0, m = 0` (both points the identity) and `ρ = r − 1`.
+    pub(crate) vectors: &'static [&'static [Encryption]],
+}
+
 include!("field_vectors.rs");
 include!("g1_vectors.rs");
+include!("elgamal_vectors.rs");

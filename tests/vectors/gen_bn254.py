@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """BN-254 field and G1 vectors derived offline with plain Python integers.
 
-Writes two files under `crates/crypto/src/`, which `vectors.rs` includes
-for the crate's unit tests:
+Writes three files under `crates/crypto/src/`, which `vectors.rs`
+includes for the crate's unit tests:
 
 * `field_vectors.rs`: for the base field `Fq` and the scalar field `Fr`,
   thirteen edge operands and 64 seeded random ones, with `a*b mod p`,
@@ -14,12 +14,17 @@ for the crate's unit tests:
   and C on every base, then 32 seeded (base, scalar) pairs. The curve
   arithmetic is anchored on the EIP-196 `ecAdd`/`ecMul` vectors the G1
   tests also check, and the GLV constants on their defining relations.
+* `elgamal_vectors.rs`: exponential-ElGamal ciphertexts
+  `(rho*g, rho*h + m*g)` under a seeded key `h = k*g`, for answer vectors
+  of 1, 4, 9 and 17 components (seeded options `m` and randomness
+  `rho`; the 17-vector opens with `rho = 0, m = 0`, both points the
+  identity, and `rho = r - 1`).
 
 Nothing here shares code with the crate, so the two are independent
 routes to the same numbers.
 
     python3 tests/vectors/gen_bn254.py          # rewrite the constants
-    python3 tests/vectors/gen_bn254.py --check  # exit 1 if either differs
+    python3 tests/vectors/gen_bn254.py --check  # exit 1 if any differs
 
 `cargo test` does not run this script; it reads the committed output.
 """
@@ -35,6 +40,9 @@ SEED = 0xB254
 RANDOM_OPERANDS = 64
 G1_SEED = 0x61B254
 RANDOM_PAIRS = 32
+ELGAMAL_SEED = 0xE16B254
+ELGAMAL_LENGTHS = [1, 4, 9, 17]
+ELGAMAL_OPTIONS = 4
 SRC = pathlib.Path(__file__).resolve().parents[2] / "crates" / "crypto" / "src"
 
 R = 1 << 256
@@ -144,6 +152,11 @@ def on_curve(point):
     return (y * y - x * x * x - 3) % Q == 0
 
 
+def optional_xy(point):
+    """A point as Rust `Option<Xy>` limbs, the identity as `None`."""
+    return "None" if point is None else "Some((%s, %s))" % (limbs(point[0]), limbs(point[1]))
+
+
 def hexpoint(x, y):
     return (int(x, 16), int(y, 16))
 
@@ -231,7 +244,7 @@ def render_g1():
     def product(b, k):
         point = g1_mul(k, bases[b])
         assert point is None or on_curve(point)
-        return "None" if point is None else "Some((%s, %s))" % (limbs(point[0]), limbs(point[1]))
+        return optional_xy(point)
 
     lines = [
         "// BN-254 G1 vectors derived with plain Python integers by",
@@ -249,7 +262,42 @@ def render_g1():
     return "\n".join(lines) + "\n"
 
 
-OUTPUTS = [("field_vectors.rs", render_fields), ("g1_vectors.rs", render_g1)]
+def render_elgamal():
+    rng = random.Random(ELGAMAL_SEED)
+    secret = rng.randrange(1, ORDER)
+    key = g1_mul(secret, G)
+    lines = [
+        "// Exponential-ElGamal vectors derived with plain Python integers by",
+        "// `tests/vectors/gen_bn254.py` (key, options and randomness from",
+        "// seed 0x%x): `(rho*g, rho*h + m*g)` by textbook affine" % ELGAMAL_SEED,
+        "// double-and-add. Generated: rerun the script instead of editing.",
+        "// Included by `vectors.rs` for the unit tests.",
+        "",
+        "pub(crate) const ELGAMAL: ElGamalVectors = ElGamalVectors {",
+        "    secret: %s," % limbs(secret),
+        "    key: (%s, %s)," % (limbs(key[0]), limbs(key[1])),
+        "    vectors: &[",
+    ]
+    for n in ELGAMAL_LENGTHS:
+        components = [(rng.randrange(ELGAMAL_OPTIONS), rng.randrange(ORDER)) for _ in range(n)]
+        if n == max(ELGAMAL_LENGTHS):
+            components[:2] = [(0, 0), (components[1][0], ORDER - 1)]
+        lines.append("        &[")
+        for m, rho in components:
+            c1 = g1_mul(rho, G)
+            c2 = g1_add(g1_mul(rho, key), g1_mul(m, G))
+            assert all(c is None or on_curve(c) for c in (c1, c2))
+            lines.append("            (%d, %s, %s, %s)," % (m, limbs(rho), optional_xy(c1), optional_xy(c2)))
+        lines.append("        ],")
+    lines += ["    ],", "};"]
+    return "\n".join(lines) + "\n"
+
+
+OUTPUTS = [
+    ("field_vectors.rs", render_fields),
+    ("g1_vectors.rs", render_g1),
+    ("elgamal_vectors.rs", render_elgamal),
+]
 
 
 def main(argv):
