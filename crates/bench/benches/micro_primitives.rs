@@ -8,7 +8,7 @@ use dragoon_core::poqoea;
 use dragoon_core::task::Answer;
 use dragoon_core::workload::imagenet_workload;
 use dragoon_crypto::elgamal::{Ciphertext, KeyPair, PlaintextRange};
-use dragoon_crypto::g1::G1Projective;
+use dragoon_crypto::g1::{msm, msm_pippenger, msm_pippenger_portable, G1Projective};
 use dragoon_crypto::g2::G2Affine;
 #[cfg(target_arch = "x86_64")]
 use dragoon_crypto::lanes;
@@ -397,6 +397,75 @@ fn bench_fixed_base_lane_crossover(_: &mut Criterion) {
 #[cfg(not(target_arch = "x86_64"))]
 fn bench_fixed_base_lane_crossover(_: &mut Criterion) {}
 
+/// `n` random bases and scalars.
+fn msm_terms(n: usize, rng: &mut StdRng) -> (Vec<G1Affine>, Vec<Fr>) {
+    let bases = (0..n).map(|_| G1Affine::random(rng)).collect();
+    let scalars = (0..n).map(|_| Fr::random(rng)).collect();
+    (bases, scalars)
+}
+
+/// The settlement fold's MSM at 49, 97 and 193 points — what 8, 16 and
+/// 32 items folded into before `vpke::FoldedMsm` folded shared bases (6
+/// points an item, plus `g`), ≈ 12, 24 and 48 items of a one-key batch
+/// now (4 an item, plus `h` and `g`) — on `msm_pippenger` (the bucket
+/// sums on the lanes where the CPU has AVX-512 IFMA) and on
+/// `msm_pippenger_portable`, over rotating terms.
+fn bench_msm(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(9);
+    for n in [49usize, 97, 193] {
+        let sets: Vec<(Vec<G1Affine>, Vec<Fr>)> = (0..4).map(|_| msm_terms(n, &mut rng)).collect();
+        let mut set = rotate(&sets);
+        c.bench_function(&format!("msm_pippenger_{n}"), |bench| {
+            bench.iter(|| {
+                let (bases, scalars) = black_box(set());
+                msm_pippenger(bases, scalars)
+            })
+        });
+        c.bench_function(&format!("msm_pippenger_portable_{n}"), |bench| {
+            bench.iter(|| {
+                let (bases, scalars) = black_box(set());
+                msm_pippenger_portable(bases, scalars)
+            })
+        });
+    }
+}
+
+/// Where buckets start to pay: both `msm_pippenger` paths against the
+/// naive `msm` at small point counts, alternated round by round over
+/// fresh terms. Below the private `g1::PIPPENGER_POINTS` both paths are
+/// the naive `msm` (a ratio of 1); from it on, the buckets must read
+/// below 1.
+fn bench_msm_crossover(_: &mut Criterion) {
+    const ROUNDS: usize = 31;
+    let mut rng = StdRng::seed_from_u64(10);
+    println!("msm_pippenger / naive msm, median µs over {ROUNDS} alternated rounds");
+    println!(
+        "{:>6} {:>28} {:>28}",
+        "points", "msm_pippenger / naive", "portable / naive"
+    );
+    for n in [2usize, 3, 4, 6, 8, 16] {
+        let mut times: [Vec<Duration>; 3] = Default::default();
+        for round in 0..ROUNDS {
+            let (bases, scalars) = black_box(msm_terms(n, &mut rng));
+            let sides: [&dyn Fn() -> G1Projective; 3] = [
+                &|| msm_pippenger(&bases, &scalars),
+                &|| msm_pippenger_portable(&bases, &scalars),
+                &|| msm(&bases, &scalars),
+            ];
+            for i in 0..3 {
+                let side = (round + i) % 3;
+                times[side].push(elapsed(sides[side]));
+            }
+        }
+        let [l, p, naive] = times.map(median_us);
+        println!(
+            "{n:>6} {:>28} {:>28}",
+            format!("{l:.0} / {naive:.0} = {:.2}", l / naive),
+            format!("{p:.0} / {naive:.0} = {:.2}", p / naive),
+        );
+    }
+}
+
 fn bench_hash(c: &mut Criterion) {
     let data = vec![0xa5u8; 1024];
     c.bench_function("keccak256_1k", |bench| {
@@ -467,6 +536,8 @@ criterion_group!(
     bench_lockstep_crossover,
     bench_lane_crossover,
     bench_fixed_base_lane_crossover,
+    bench_msm,
+    bench_msm_crossover,
     bench_hash,
     bench_pairing,
     bench_vpke,

@@ -756,11 +756,15 @@ fn route(
 pub type VerifyChunk = Vec<(DecryptionStatement, DecryptionProof)>;
 
 /// The fewest proof items a settlement batch carries once a block is
-/// split. 8 items fold into a 49-point MSM: small enough that a block of
-/// 16 already uses a second thread, large enough that the fold still
-/// amortises (on the `vpke_partition` bench row's ≈ 32-item blocks under
-/// two threads, 8 read 0.37× the per-instance one-thread cost, 16 read
-/// 0.47× and 32 read 0.46×).
+/// split. 8 items under one key fold into a 34-point MSM: small enough
+/// that a block of 16 already uses a second thread, large enough that
+/// the fold still amortises (on the `vpke_partition` bench row's
+/// ≈ 32-item blocks under two threads, 8 read 0.37× the per-instance
+/// one-thread cost, 16 read 0.47× and 32 read 0.46×). Re-read after the
+/// fold's MSM got ≈ 5× cheaper: on that histogram at two threads on a
+/// 2-vCPU box, not splitting below 24 items read ≈ 20 % fewer µs per
+/// item, but `lossy_net_market` `hits_per_s` did not move (three
+/// alternated pairs), so 8 stays.
 const MIN_BATCH_ITEMS: usize = 8;
 
 /// How many batches [`verify_chunks`] cuts `items` queued proof items

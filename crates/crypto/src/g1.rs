@@ -804,69 +804,249 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 }
 
 /// Windowed-bucket (Pippenger) multi-scalar multiplication:
-/// `Σ scalars[i] · bases[i]`.
+/// `Σ scalars[i] · bases[i]`, the group element [`msm`] returns.
 ///
-/// The batched-settlement hot path (`vpke::batch_verify_each`) folds an
-/// entire block's verification equations into one MSM, so this is where
-/// batching actually buys throughput: per point it costs roughly
-/// `256/c` additions instead of the ~170 group operations of one
-/// [`G1Projective::mul_scalar`], with `c` growing with the batch size.
-/// Small inputs fall back to [`msm`] — bucket bookkeeping only pays for
-/// itself past a dozen points.
+/// The settlement fold (`vpke::batch_verify_each`) is its one production
+/// caller: a batch of VPKE verification equations, folded into one MSM.
+/// The bucket phase is laid out by `BucketPlan`: each scalar is
+/// GLV-split into two signed halves below `2^127` over `P` and `φ(P)`
+/// (the split [`G1Projective::mul_scalar`] uses), so a pass has
+/// `⌈128/c⌉` windows instead of `⌈256/c⌉`, and each half is recoded into
+/// signed `c`-bit digits in `(−2^(c−1), 2^(c−1)]`, so a window has
+/// `2^(c−1)` buckets and a negative digit adds `−P`; the top window has
+/// room for the last carry. `c` minimises an addition count
+/// (`window_bits`). On an x86-64 CPU with AVX-512 IFMA, and when every
+/// base is on the curve, the bucket sums run on the eight lanes
+/// (`lanes::msm_buckets`); everywhere else this is
+/// [`msm_pippenger_portable`], which is also the lanes' oracle. The
+/// running-sum aggregation and the window combine are portable either
+/// way. Below `PIPPENGER_POINTS` points it is [`msm`].
 pub fn msm_pippenger(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
-    let n = bases.len();
-    if n < 16 {
+    #[cfg(target_arch = "x86_64")]
+    if bases.len() >= PIPPENGER_POINTS
+        && crate::lanes::has_ifma()
+        && bases.iter().all(G1Affine::is_on_curve)
+    {
+        let plan = BucketPlan::new(bases, scalars, LANE_BUCKET_ADD);
+        if let Some(buckets) = crate::lanes::msm_buckets(&plan) {
+            return plan.combine(&buckets);
+        }
+    }
+    msm_pippenger_portable(bases, scalars)
+}
+
+/// [`msm_pippenger`] on 64-bit limbs, on any CPU (public for the
+/// `micro_primitives` rows): every bucket is summed by mixed additions
+/// ([`G1Projective::add_affine`], whose branches take the doublings and
+/// opposite points a repeated base brings).
+pub fn msm_pippenger_portable(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
+    assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
+    if bases.len() < PIPPENGER_POINTS {
         return msm(bases, scalars);
     }
-    // Window size tuned to batch size (≈ ln n).
-    let c: usize = match n {
-        0..=63 => 4,
-        64..=255 => 6,
-        256..=2047 => 8,
-        _ => 11,
-    };
-    let scalar_bytes: Vec<[u8; 32]> = scalars.iter().map(|s| s.to_bytes_le()).collect();
-    // c-bit digit starting at bit `lo` of a little-endian 256-bit scalar.
-    let digit = |bytes: &[u8; 32], lo: usize| -> usize {
-        let mut v: usize = 0;
-        for b in 0..c {
-            let bit = lo + b;
-            if bit >= 256 {
-                break;
-            }
-            if (bytes[bit / 8] >> (bit % 8)) & 1 == 1 {
-                v |= 1 << b;
-            }
-        }
-        v
-    };
-    let windows = 256usize.div_ceil(c);
-    let mut total = G1Projective::identity();
-    for w in (0..windows).rev() {
-        for _ in 0..c {
-            total = total.double();
-        }
-        let mut buckets = vec![G1Projective::identity(); (1 << c) - 1];
-        for i in 0..n {
-            if bases[i].infinity {
+    let plan = BucketPlan::new(bases, scalars, PORTABLE_BUCKET_ADD);
+    plan.combine(&plan.bucket_sums())
+}
+
+/// Points from which [`msm_pippenger`] lays out buckets rather than
+/// running [`msm`]. Measured (median of 31 alternated rounds, random
+/// bases and scalars, the cost model's `c`): bucket sums on the lanes /
+/// naive 1.10 at 2 points, 0.82 at 3, 0.66 at 4, 0.49 at 6, 0.31 at 16;
+/// portable / naive 1.19 at 2, 1.03 at 3, 0.96 at 4, 0.82 at 6, 0.57 at
+/// 16.
+const PIPPENGER_POINTS: usize = 4;
+
+/// Bits a window pass covers: both GLV halves are below `2^127`, so
+/// `⌈128/c⌉` windows leave the top one room for the recoding's carry.
+const HALF_BITS: usize = 128;
+
+/// The window widths [`window_bits`] picks from.
+const WINDOW_BITS: core::ops::RangeInclusive<usize> = 2..=12;
+
+/// Field products per addition or doubling, the unit of [`window_bits`]:
+/// a portable mixed addition into a bucket (madd-2007-bl, 7M + 4S), one
+/// lane's share of an eight-lane one, a general addition of the
+/// aggregation (add-2007-bl, 11M + 5S) and a doubling (dbl-2009-l,
+/// 2M + 5S). The lane share is measured: a bucket entry on the lanes
+/// took 83–122 ns where a general addition took ≈ 450 ns.
+const PORTABLE_BUCKET_ADD: usize = 11;
+#[cfg(target_arch = "x86_64")]
+const LANE_BUCKET_ADD: usize = 3;
+const GENERAL_ADD: usize = 16;
+const DOUBLING: usize = 7;
+
+/// The window width for `split_points` signed points whose bucket
+/// additions cost `bucket_add` field products each: the `c` that
+/// minimises a pass's products — per window, an addition for every point
+/// (an estimate: a digit is zero once in `2^c`), the `2^c` general
+/// additions of the running sum, and `c` doublings.
+fn window_bits(split_points: usize, bucket_add: usize) -> usize {
+    WINDOW_BITS
+        .min_by_key(|&c| {
+            HALF_BITS.div_ceil(c) * (split_points * bucket_add + (GENERAL_ADD << c) + c * DOUBLING)
+        })
+        .expect("the range is not empty")
+}
+
+/// One MSM's bucket phase, laid out: the split points and, for every
+/// (window, bucket) pair — a *job* — the signed points it sums. Job `j`
+/// is window `j / 2^(c−1)`, digit magnitude `j % 2^(c−1) + 1`.
+pub(crate) struct BucketPlan {
+    /// The window width `c`.
+    c: usize,
+    /// `P`, then `φ(P) = (βx, y)`, for every base that is not the
+    /// identity and whose scalar is not zero.
+    pub(crate) points: Vec<G1Affine>,
+    /// Job `j` sums `entries[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+    /// Job by job, each job's in point order.
+    entries: Vec<Entry>,
+}
+
+/// One point of a job: split point `point()`, negated or not.
+#[derive(Clone, Copy)]
+pub(crate) struct Entry(u32);
+
+impl Entry {
+    pub(crate) fn new(point: usize, negated: bool) -> Self {
+        let packed = u32::try_from(2 * point + usize::from(negated));
+        Self(packed.expect("an MSM below 2^31 split points"))
+    }
+
+    pub(crate) fn point(self) -> usize {
+        self.0 as usize >> 1
+    }
+
+    pub(crate) fn negated(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
+
+impl BucketPlan {
+    /// The plan whose window width is [`window_bits`] at `bucket_add`.
+    fn new(bases: &[G1Affine], scalars: &[Fr], bucket_add: usize) -> Self {
+        Self::build(bases, scalars, |split_points| {
+            window_bits(split_points, bucket_add)
+        })
+    }
+
+    /// The plan with the window width `window(split points)`.
+    fn build(bases: &[G1Affine], scalars: &[Fr], window: impl FnOnce(usize) -> usize) -> Self {
+        let mut points = Vec::with_capacity(2 * bases.len());
+        let mut halves = Vec::with_capacity(2 * bases.len());
+        for (p, k) in bases.iter().zip(scalars) {
+            if p.infinity || k.is_zero() {
                 continue;
             }
-            let d = digit(&scalar_bytes[i], w * c);
-            if d != 0 {
-                buckets[d - 1] = buckets[d - 1].add_affine(&bases[i]);
+            let [first, second] = glv_split(k);
+            points.extend([
+                *p,
+                G1Affine {
+                    x: p.x * GLV_BETA,
+                    ..*p
+                },
+            ]);
+            halves.extend([first, second]);
+        }
+        let c = window(points.len());
+        assert!(WINDOW_BITS.contains(&c), "window width {c}");
+        let (windows, buckets) = (HALF_BITS.div_ceil(c), 1 << (c - 1));
+        // Every half's digits, then a counting sort of the nonzero ones
+        // into their jobs.
+        let mut digits = vec![0i32; halves.len() * windows];
+        let mut starts = vec![0usize; windows * buckets + 1];
+        for (&(k, _), row) in halves.iter().zip(digits.chunks_exact_mut(windows)) {
+            signed_window_digits(k, c, row);
+            for (w, &d) in row.iter().enumerate() {
+                if d != 0 {
+                    starts[w * buckets + d.unsigned_abs() as usize] += 1;
+                }
             }
         }
-        // Standard running-sum aggregation: Σ d · bucket_d.
-        let mut running = G1Projective::identity();
-        let mut acc = G1Projective::identity();
-        for b in buckets.iter().rev() {
-            running += *b;
-            acc += running;
+        for j in 1..starts.len() {
+            starts[j] += starts[j - 1];
         }
-        total += acc;
+        let mut next = starts.clone();
+        let mut entries = vec![Entry(0); starts[windows * buckets]];
+        for (i, (&(_, negative), row)) in
+            halves.iter().zip(digits.chunks_exact(windows)).enumerate()
+        {
+            for (w, &d) in row.iter().enumerate() {
+                if d != 0 {
+                    let job = w * buckets + d.unsigned_abs() as usize - 1;
+                    entries[next[job]] = Entry::new(i, (d < 0) != negative);
+                    next[job] += 1;
+                }
+            }
+        }
+        Self {
+            c,
+            points,
+            starts,
+            entries,
+        }
     }
-    total
+
+    /// How many (window, bucket) jobs there are.
+    pub(crate) fn jobs(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Job `j`'s signed points.
+    pub(crate) fn job(&self, j: usize) -> &[Entry] {
+        &self.entries[self.starts[j]..self.starts[j + 1]]
+    }
+
+    /// Job `j`'s sum by mixed additions, in entry order.
+    pub(crate) fn bucket_sum(&self, j: usize) -> G1Projective {
+        self.job(j)
+            .iter()
+            .fold(G1Projective::identity(), |acc, &e| {
+                let p = self.points[e.point()];
+                acc.add_affine(&if e.negated() { -p } else { p })
+            })
+    }
+
+    /// Every job's sum, on 64-bit limbs.
+    pub(crate) fn bucket_sums(&self) -> Vec<G1Projective> {
+        (0..self.jobs()).map(|j| self.bucket_sum(j)).collect()
+    }
+
+    /// `Σ_w 2^(c·w) · Σ_b b · buckets[w][b]`: per window, the running-sum
+    /// aggregation (`2^c` general additions), top window first, `c`
+    /// doublings between windows.
+    fn combine(&self, buckets: &[G1Projective]) -> G1Projective {
+        assert_eq!(buckets.len(), self.jobs(), "one sum per job");
+        let mut total = G1Projective::identity();
+        for window in buckets.chunks_exact(1 << (self.c - 1)).rev() {
+            for _ in 0..self.c {
+                total = total.double();
+            }
+            let mut running = G1Projective::identity();
+            let mut sum = G1Projective::identity();
+            for bucket in window.iter().rev() {
+                running += *bucket;
+                sum += running;
+            }
+            total += sum;
+        }
+        total
+    }
+}
+
+/// `k < 2^127` as `out.len()` signed `c`-bit digits, least significant
+/// first, each in `(−2^(c−1), 2^(c−1)]`, with `Σ dᵢ·2^(c·i) = k`: a
+/// window above `2^(c−1)` borrows `2^c` from the next one.
+fn signed_window_digits(k: u128, c: usize, out: &mut [i32]) {
+    let (radix, half) = (1i32 << c, 1i32 << (c - 1));
+    let mut carry = 0;
+    for (w, d) in out.iter_mut().enumerate() {
+        let t = ((k >> (c * w)) as i32 & (radix - 1)) + carry;
+        carry = i32::from(t > half);
+        *d = t - carry * radix;
+    }
+    debug_assert_eq!(carry, 0, "the top window holds the last carry");
 }
 
 /// Serde support for affine points (64-byte uncompressed encoding).
@@ -899,6 +1079,28 @@ pub(crate) fn mul_reference(p: &G1Projective, k: &Fr) -> G1Projective {
         }
     }
     acc
+}
+
+#[cfg(test)]
+impl BucketPlan {
+    /// A plan at window width `c` over `points` whose first jobs are
+    /// `jobs` and whose others are empty: lists the lanes' tests choose.
+    pub(crate) fn from_jobs(points: Vec<G1Affine>, c: usize, jobs: &[Vec<Entry>]) -> Self {
+        let total = HALF_BITS.div_ceil(c) << (c - 1);
+        assert!(jobs.len() <= total, "{} jobs at c = {c}", jobs.len());
+        let mut starts = vec![0];
+        let mut entries = Vec::new();
+        for j in 0..total {
+            entries.extend(jobs.get(j).into_iter().flatten());
+            starts.push(entries.len());
+        }
+        Self {
+            c,
+            points,
+            starts,
+            entries,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1470,25 +1672,125 @@ mod tests {
         assert_eq!(msm(&bases, &scalars), expect);
     }
 
+    /// `n` random terms, from ten on with the MSM edge cases planted in
+    /// front: a repeated term (its base doubles in every bucket it lands
+    /// in), the identity, a zero scalar, a `P`/`−P` pair under one scalar
+    /// (the pair cancels bucket by bucket), `r − 1` and GLV edge scalars.
+    fn msm_terms(n: usize, rng: &mut StdRng) -> (Vec<G1Affine>, Vec<Fr>) {
+        let mut bases: Vec<G1Affine> = (0..n).map(|_| G1Affine::random(rng)).collect();
+        let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(rng)).collect();
+        if n < 10 {
+            return (bases, scalars);
+        }
+        let p = G1Affine::random(rng);
+        let k = Fr::random(rng);
+        let planted_bases = [bases[0], bases[0], G1Affine::identity(), bases[3], p, -p];
+        let planted_scalars = [scalars[0], scalars[0], scalars[2], Fr::zero(), k, k];
+        let edges = [-Fr::one(), lambda(), lambda() + Fr::one(), -lambda()];
+        let planted = planted_bases.len();
+        bases[..planted].copy_from_slice(&planted_bases);
+        scalars[..planted].copy_from_slice(&planted_scalars);
+        scalars[planted..planted + edges.len()].copy_from_slice(&edges);
+        (bases, scalars)
+    }
+
     #[test]
     fn pippenger_matches_naive_across_sizes() {
         let mut rng = rng();
-        // Cover the small-input fallback and every window size
-        // (c = 4 / 6 / 8 / 11 — the larger arms would otherwise only be
-        // exercised by benches CI never runs).
-        for n in [1usize, 15, 16, 40, 90, 300, 2_100] {
-            let mut bases: Vec<G1Affine> = (0..n).map(|_| G1Affine::random(&mut rng)).collect();
-            let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-            if n > 2 {
-                // Edge cases: the identity point and the zero scalar.
-                bases[0] = G1Affine::identity();
-                scalars[1] = Fr::zero();
+        // Both entry points around the naive fallback and at the window
+        // widths the cost model picks as the size grows.
+        for n in [1usize, 3, 4, 6, 15, 16, 40, 90, 300, 2_100] {
+            let (bases, scalars) = msm_terms(n, &mut rng);
+            let expect = msm(&bases, &scalars);
+            assert_eq!(msm_pippenger(&bases, &scalars), expect, "n = {n}");
+            assert_eq!(msm_pippenger_portable(&bases, &scalars), expect, "n = {n}");
+        }
+        // The cost model picks inside `WINDOW_BITS` at any size and on
+        // either path ...
+        #[cfg(target_arch = "x86_64")]
+        let costs = [PORTABLE_BUCKET_ADD, LANE_BUCKET_ADD];
+        #[cfg(not(target_arch = "x86_64"))]
+        let costs = [PORTABLE_BUCKET_ADD];
+        for points in (0..24).map(|e| 1usize << e) {
+            for bucket_add in costs {
+                assert!(WINDOW_BITS.contains(&window_bits(points, bucket_add)));
             }
-            assert_eq!(
-                msm_pippenger(&bases, &scalars),
-                msm(&bases, &scalars),
-                "n = {n}"
-            );
+        }
+        // ... and every width in it sums correctly, portable and, where
+        // the CPU has them, on the lanes.
+        let (mut bases, scalars) = msm_terms(40, &mut rng);
+        let expect = msm(&bases, &scalars);
+        for c in WINDOW_BITS {
+            let plan = BucketPlan::build(&bases, &scalars, |_| c);
+            assert_eq!(plan.combine(&plan.bucket_sums()), expect, "c = {c}");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(buckets) = crate::lanes::msm_buckets(&plan) {
+                assert_eq!(plan.combine(&buckets), expect, "c = {c} on the lanes");
+            }
+        }
+        // A base off the curve sends the whole MSM down the portable path.
+        bases[7] = G1Affine {
+            x: Fq::zero(),
+            y: Fq::one(),
+            infinity: false,
+        };
+        assert_eq!(
+            msm_pippenger(&bases, &scalars),
+            msm_pippenger_portable(&bases, &scalars)
+        );
+    }
+
+    #[test]
+    fn signed_window_digits_reconstruct() {
+        let mut rng = rng();
+        let mut ks: Vec<u128> = vec![0, 1, 2, (1 << 127) - 1, 1 << 126, u128::MAX >> 2];
+        ks.extend((0..64).map(|_| rng.gen::<u128>() >> 1));
+        for c in WINDOW_BITS {
+            let half = 1i128 << (c - 1);
+            let mut digits = vec![0; HALF_BITS.div_ceil(c)];
+            for &k in &ks {
+                signed_window_digits(k, c, &mut digits);
+                // Σ dᵢ·2^(c·i) modulo 2^128 (the partial sums may not fit).
+                let mut value = 0u128;
+                for &d in digits.iter().rev() {
+                    assert!(-half < i128::from(d) && i128::from(d) <= half, "c = {c}");
+                    value = (value << c).wrapping_add(i128::from(d) as u128);
+                }
+                assert_eq!(value, k, "c = {c}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn msm_matches_offline_vectors() {
+        use crate::vectors::MSM;
+        let bases: Vec<G1Affine> = MSM
+            .bases
+            .iter()
+            .map(|b| {
+                b.map_or(G1Affine::identity(), |(x, y)| {
+                    let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
+                    G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
+                })
+            })
+            .collect();
+        for (terms, sum) in MSM.sets {
+            let points: Vec<G1Affine> = terms.iter().map(|&(b, _)| bases[b]).collect();
+            let scalars: Vec<Fr> = terms
+                .iter()
+                .map(|&(_, k)| Fr::from_plain_limbs(k).expect("scalars are reduced"))
+                .collect();
+            let expect = sum.map_or(G1Affine::identity(), |(x, y)| {
+                let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
+                G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
+            });
+            let n = terms.len();
+            assert_eq!(msm(&points, &scalars).to_affine(), expect, "naive, n = {n}");
+            let portable = msm_pippenger_portable(&points, &scalars);
+            assert_eq!(portable.to_affine(), expect, "portable, n = {n}");
+            // On the lanes where the CPU has them.
+            let got = msm_pippenger(&points, &scalars);
+            assert_eq!(got.to_affine(), expect, "n = {n}");
         }
     }
 

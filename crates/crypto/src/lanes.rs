@@ -1,6 +1,7 @@
 //! Eight lanes per field product: the AVX-512 IFMA kernel under the
-//! shared-scalar branch of [`G1Affine::batch_mul`] (decryption) and under
-//! `EncryptionKey::encrypt_batch`'s fixed-base tables (encryption).
+//! shared-scalar branch of [`G1Affine::batch_mul`] (decryption), under
+//! `EncryptionKey::encrypt_batch`'s fixed-base tables (encryption) and
+//! under the bucket phase of `msm_pippenger` (settlement verification).
 //!
 //! An `Fq8` holds eight `Fq` elements in radix 2⁵² — five 52-bit limbs
 //! a lane, limb `j` of all eight lanes in one 512-bit register — in
@@ -10,7 +11,7 @@
 //! added into a 64-bit accumulator, which has room for the unreduced
 //! column sums): since `4p < R′`, two operands below `2p` give a product
 //! below `2p`, with no final subtraction. On the lanes sit the doubling
-//! and mixed addition [`G1Projective`] uses, and two multiplications:
+//! and mixed addition [`G1Projective`] uses, and three multiplications:
 //!
 //! * [`batch_mul_shared`]: one scalar's GLV + width-5 NAF pass over up
 //!   to eight bases at a time. The scalar is shared, so every lane takes
@@ -22,32 +23,46 @@
 //!   which lanes keep it. Lanes on different tables share a pass, so
 //!   `EncryptionKey::encrypt_batch`'s `N` lanes on the generator's table
 //!   and `N` on a key's fill `⌈2N/8⌉` passes.
+//! * `msm_buckets`: the bucket sums of one multi-scalar multiplication
+//!   (`g1::BucketPlan`: GLV-split points, signed window digits). Each
+//!   (window, bucket) list of ±points is a job; jobs go eight per pass,
+//!   longest first, every lane gathering its own points from one
+//!   lane-form copy of the split points, converted once per call. A
+//!   lane's first point loads with `Z = 1`, each later one is a mixed
+//!   addition under a mask of the lanes whose list is still running.
 //!
 //! The formulas are not complete: an addition of a point to itself or
 //! to its negation leaves `Z = 0`, every later step keeps it there, and
-//! both multiplications recompute such a lane on the portable path
-//! ([`G1Projective::mul_scalar`], [`FixedBaseTable::mul`]). Under
-//! [`batch_mul_shared`] the GLV split rules that out on the curve: the
-//! accumulator is `c₁·P + c₂·φ(P)` and an entry `d·P` or `d·φ(P)`, so a
-//! collision needs a nonzero vector of the GLV lattice with both
-//! coordinates within the split's bound plus a digit, and every such
-//! vector has a coordinate 1.6 times that. Under [`fixed_base_mul`] it
-//! takes a scalar whose digits below some window sum to `±` that
-//! window's digit times its weight, modulo `r` (the tests build one); a
-//! random scalar meets it with negligible probability.
-//! Either way the check is a net, not a path. The identity and points
-//! off the curve (whose multiples may meet those sums, or the identity,
-//! while the tables are built) go to the portable path up front — under
-//! [`fixed_base_mul`], the lanes of such a table only.
+//! every multiplication recomputes such a lane on the portable path
+//! ([`G1Projective::mul_scalar`], [`FixedBaseTable::mul`],
+//! `BucketPlan::bucket_sum`). Under [`batch_mul_shared`] the GLV split
+//! rules that out on the curve: the accumulator is `c₁·P + c₂·φ(P)` and
+//! an entry `d·P` or `d·φ(P)`, so a collision needs a nonzero vector of
+//! the GLV lattice with both coordinates within the split's bound plus a
+//! digit, and every such vector has a coordinate 1.6 times that. Under
+//! [`fixed_base_mul`] it takes a scalar whose digits below some window
+//! sum to `±` that window's digit times its weight, modulo `r` (the
+//! tests build one); a random scalar meets it with negligible
+//! probability. For those two the check is a net, not a path. Under
+//! `msm_buckets` it is a path: the points are chosen by whoever
+//! submitted the proofs, and a repeated base, opposite points, or a list
+//! that sums through the identity (which the tests build) ends its lane
+//! at `Z = 0`, and only that job is summed again. The identity and
+//! points off the curve (whose multiples may meet those sums, or the
+//! identity, while the tables are built) go to the portable path up
+//! front — under [`fixed_base_mul`], the lanes of such a table only;
+//! under `msm_buckets`, the whole MSM (`msm_pippenger` takes the lanes
+//! only when every base is on the curve, and the identity is never a
+//! split point).
 //!
 //! Every function that touches a 512-bit register is compiled for
 //! `avx512ifma` (which implies AVX-512F), and safe code reaches them only
-//! through [`batch_mul_shared`], [`fixed_base_mul`] and [`mul_chain`],
-//! after `has_ifma` saw the feature at run time — the crate's one CPU
-//! probe.
+//! through [`batch_mul_shared`], [`fixed_base_mul`], `msm_buckets` and
+//! [`mul_chain`], after `has_ifma` saw the feature at run time — the
+//! crate's one CPU probe.
 
 use crate::field::{Fq, Fr};
-use crate::g1::{G1Affine, G1Projective, GlvRecoding, GLV_BETA};
+use crate::g1::{BucketPlan, Entry, G1Affine, G1Projective, GlvRecoding, GLV_BETA};
 use crate::precomp::{entry_index, generator_table, signed_digits, FixedBaseTable, WINDOWS};
 use core::arch::x86_64::{
     __m512i, __mmask8, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512,
@@ -131,6 +146,74 @@ fn batch_mul_shared_ifma(points: &[G1Affine], k: &Fr) -> Vec<G1Projective> {
         );
     }
     out
+}
+
+/// Every job's sum of an MSM's bucket `plan`, on the lanes: the group
+/// element [`BucketPlan::bucket_sum`] returns, left in Jacobian
+/// coordinates, or `None` when this CPU has no AVX-512 IFMA.
+/// `msm_pippenger` is its one caller, and only with bases on the curve.
+///
+/// The split points are converted to lane form once for the call, and
+/// the non-empty jobs go eight per pass, longest first
+/// ([`bucket_chunk`]), each lane gathering its own points. A lane that
+/// ends at `Z = 0` met an exceptional addition — a doubling, opposite
+/// points, or the identity on the way, which repeated bases can plant —
+/// and its job is summed again by [`BucketPlan::bucket_sum`].
+pub(crate) fn msm_buckets(plan: &BucketPlan) -> Option<Vec<G1Projective>> {
+    if !has_ifma() {
+        return None;
+    }
+    // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
+    // `msm_buckets_ifma` is compiled for.
+    Some(unsafe { msm_buckets_ifma(plan) })
+}
+
+#[target_feature(enable = "avx512ifma")]
+fn msm_buckets_ifma(plan: &BucketPlan) -> Vec<G1Projective> {
+    let rows: Vec<Row> = plan.points.iter().map(lane_row).collect();
+    let mut order: Vec<usize> = (0..plan.jobs())
+        .filter(|&j| !plan.job(j).is_empty())
+        .collect();
+    order.sort_by_key(|&j| core::cmp::Reverse(plan.job(j).len()));
+    let mut sums = vec![G1Projective::identity(); plan.jobs()];
+    for pass in order.chunks(LANES) {
+        let jobs = from_fn(|i| pass.get(i).map_or(&[][..], |&j| plan.job(j)));
+        for (&j, q) in pass.iter().zip(bucket_chunk(&rows, jobs).to_projective()) {
+            sums[j] = if q.is_identity() {
+                plan.bucket_sum(j)
+            } else {
+                q
+            };
+        }
+    }
+    sums
+}
+
+/// The sums of eight lists of signed points, the points read from
+/// `rows`, the first list the longest: every
+/// lane loads its first point with `Z = 1`, and each later point is a
+/// mixed addition on the lanes whose list reaches it. A lane past its
+/// list's end reads `rows[0]`, unused.
+#[target_feature(enable = "avx512ifma")]
+fn bucket_chunk(rows: &[Row], jobs: [&[Entry]; LANES]) -> Jac8 {
+    let mut acc = Jac8 {
+        x: Fq8::zero(),
+        y: Fq8::zero(),
+        z: Fq8::zero(),
+    };
+    for t in 0..jobs[0].len() {
+        let entries: [Entry; LANES] =
+            from_fn(|i| jobs[i].get(t).copied().unwrap_or(Entry::new(0, false)));
+        let point = load(entries.map(|e| &rows[e.point()]))
+            .negate_where(lane_mask(entries.map(Entry::negated)));
+        acc = if t == 0 {
+            point.to_jacobian()
+        } else {
+            let live = lane_mask(jobs.map(|job| t < job.len()));
+            acc.select(live, acc.add_affine(&point))
+        };
+    }
+    acc
 }
 
 /// `table.mul(k)` for every lane `(table, k)`, on the lanes: the group
@@ -249,11 +332,7 @@ fn fixed_base_chunk(rows: [&[Row]; LANES], digits: &[[i8; LANES]; WINDOWS]) -> (
         if nonzero == 0 {
             continue;
         }
-        let entry = gather(rows, w, d);
-        let entry = Aff8 {
-            y: entry.y.select(lane_mask(d.map(|d| d < 0)), entry.y.neg()),
-            ..entry
-        };
+        let entry = gather(rows, w, d).negate_where(lane_mask(d.map(|d| d < 0)));
         let (fresh, add) = (nonzero & !started, nonzero & started);
         if add != 0 {
             acc = acc.select(add, acc.add_affine(&entry));
@@ -277,7 +356,15 @@ fn fixed_base_chunk(rows: [&[Row]; LANES], digits: &[[i8; LANES]; WINDOWS]) -> (
 #[target_feature(enable = "avx512ifma")]
 #[inline]
 fn gather(rows: [&[Row]; LANES], w: usize, d: [i8; LANES]) -> Aff8 {
-    let rows: [&Row; LANES] = from_fn(|i| &rows[i][entry_index(w, d[i].unsigned_abs().max(1))]);
+    load(from_fn(|i| {
+        &rows[i][entry_index(w, d[i].unsigned_abs().max(1))]
+    }))
+}
+
+/// Lane `i` holds the point `rows[i]`.
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+fn load(rows: [&Row; LANES]) -> Aff8 {
     let coordinate = |c: usize| {
         Fq8(from_fn(|j| {
             let l = |i: usize| rows[i][c][j] as i64;
@@ -664,6 +751,16 @@ impl Aff8 {
     fn neg(self) -> Self {
         Self {
             y: self.y.neg(),
+            ..self
+        }
+    }
+
+    /// The points negated on the lanes `mask` sets.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn negate_where(self, mask: __mmask8) -> Self {
+        Self {
+            y: self.y.select(mask, self.y.neg()),
             ..self
         }
     }
@@ -1060,6 +1157,64 @@ mod tests {
             check(&[G1Affine::identity(); 9], k);
             check(&mixed, k);
         }
+    }
+
+    /// Points `P`, `Q`, `P + Q`, then 29 random ones, and bucket lists
+    /// over them: first eight whose sums double,
+    /// cancel, or pass through or end at the identity — longest first,
+    /// one pass — then ordinary lists of 1 to 20 points.
+    fn hostile_buckets() -> (Vec<G1Affine>, Vec<Vec<Entry>>) {
+        let mut rng = rng();
+        let (p, q) = (G1Affine::random(&mut rng), G1Affine::random(&mut rng));
+        let mut points = vec![p, q, (p.to_projective() + q.to_projective()).to_affine()];
+        points.extend((0..29).map(|_| G1Affine::random(&mut rng)));
+        let (pos, neg) = (|i| Entry::new(i, false), |i| Entry::new(i, true));
+        let (p, q, p_q) = (0, 1, 2);
+        let mut jobs = vec![
+            // (P + Q) − P = Q, then Q − Q, then the identity plus P.
+            vec![pos(p_q), neg(p), neg(q), pos(p)],
+            // P + P, then 2P + P.
+            vec![pos(p), pos(p), pos(p)],
+            // P − P, then the identity plus Q.
+            vec![pos(p), neg(p), pos(q)],
+            // P + Q, then (P + Q) − (P + Q).
+            vec![pos(p), pos(q), neg(p_q)],
+            // P + Q, then (P + Q) + (P + Q).
+            vec![pos(p), pos(q), pos(p_q)],
+            // −Q − P, then −(P + Q) + (P + Q).
+            vec![neg(q), neg(p), pos(p_q)],
+            vec![pos(p), pos(p)],
+            vec![pos(p), neg(p)],
+        ];
+        for len in 1..=20usize {
+            let point = |i| Entry::new(3 + (7 * len + i) % 29, i % 2 == 1);
+            jobs.push((0..len).map(point).collect());
+        }
+        (points, jobs)
+    }
+
+    #[test]
+    fn bucket_sums_match_the_portable_ones() {
+        #[target_feature(enable = "avx512ifma")]
+        fn check() {
+            let (points, jobs) = hostile_buckets();
+            let plan = BucketPlan::from_jobs(points, 4, &jobs);
+            let expect = plan.bucket_sums();
+            assert_eq!(msm_buckets(&plan).expect("this CPU has IFMA"), expect);
+            // The first eight sums, by hand: P, 3P, Q, the identity,
+            // 2(P + Q), the identity, 2P, the identity.
+            let [p, q, p_q] = [0, 1, 2].map(|i| plan.points[i].to_projective());
+            let id = G1Projective::identity();
+            let by_hand = [p, p.double() + p, q, id, p_q.double(), id, p.double(), id];
+            assert!(expect[..8] == by_hand);
+            // Each of the eight ends at Z = 0 on the lanes, so each is
+            // summed again by the portable formulas.
+            let rows: Vec<Row> = plan.points.iter().map(lane_row).collect();
+            let lists = from_fn(|i| &jobs[i][..]);
+            let acc = bucket_chunk(&rows, lists);
+            assert!(acc.z.to_fq().iter().all(Fq::is_zero));
+        }
+        on_lanes("bucket_sums_match_the_portable_ones", check);
     }
 
     /// `24·2²⁵⁰ − r`: its signed digits below window 50 sum to

@@ -1,5 +1,5 @@
 //! Known answers derived offline with plain Python integers by
-//! `tests/vectors/gen_bn254.py`, which writes the three included files
+//! `tests/vectors/gen_bn254.py`, which writes the four included files
 //! (CI reruns it with `--check`). Test-only.
 
 /// One field's vectors. Every table is indexed like `operands`:
@@ -56,6 +56,25 @@ pub(crate) struct ElGamalVectors {
     pub(crate) vectors: &'static [&'static [Encryption]],
 }
 
+/// One multi-scalar multiplication: `(base index, scalar)` terms,
+/// scalars in plain limbs below `r`, and their sum, the identity as
+/// `None`.
+pub(crate) type MsmSet = (&'static [(usize, [u64; 4])], Option<Xy>);
+
+/// Multi-scalar multiplications `Σ sᵢ·Pᵢ` over a pool of bases.
+pub(crate) struct MsmVectors {
+    /// The identity (`None`), `g`, `−g`, 24 points from seeded random
+    /// `x`, and the negation of the first of those.
+    pub(crate) bases: &'static [Option<Xy>],
+    /// Sets of 1, 15, 16, 49, 97, 193 and 2100 terms; every set past the
+    /// first opens with a repeated term, an identity base, a zero scalar,
+    /// a `P`/`−P` pair under one scalar and another under two, then the
+    /// scalars r − 1, r − 2, λ, λ ± 1, 2¹²⁷ ± 1, 2¹²⁸ and the GLV basis
+    /// values A, B and C.
+    pub(crate) sets: &'static [MsmSet],
+}
+
 include!("field_vectors.rs");
 include!("g1_vectors.rs");
 include!("elgamal_vectors.rs");
+include!("msm_vectors.rs");

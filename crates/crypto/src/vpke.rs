@@ -299,74 +299,104 @@ fn batch_weights(
 }
 
 /// Accumulator for the folded batch equation: (base, scalar) pairs for
-/// one MSM, with every item's `g` coefficient summed into a single term.
+/// one MSM. With fold weight `μ` for the second verification equation,
+/// item `i` contributes
+///
+/// `ρ_i·(C_i·M_i + Z_i·c1_i − A_i − C_i·c2_i) + μρ_i·(Z_i·g − B_i − C_i·h_i)`,
+///
+/// and three kinds of base are folded before the MSM sees them: every
+/// item's `g` coefficient is summed into one term; an `InRange(m)`
+/// claim's `M = m·g` is not a base at all, its `ρC·m` joins that `g`
+/// coefficient; and the items under one requester key share one `h`
+/// base, their coefficients summed. What remains is `A`, `B`, `c1`, `c2`
+/// per item, an `OutOfRange` claim's point, one `h` per key and `g`.
+///
+/// Each fold is an identity of the group — `ρC·(m·g) = (ρC·m)·g` and
+/// `a·h + b·h = (a + b)·h` — so the MSM sums to the same group element
+/// as the unfolded equation for every input, honest or forged, and no
+/// verdict [`batch_verify_each`] returns can move. `M` is still computed
+/// for the transcript: the weights and challenges hash it.
 struct FoldedMsm {
     bases: Vec<G1Affine>,
     scalars: Vec<Fr>,
     g_coeff: Fr,
+    /// `(h, coefficient)` per distinct key, in order of first appearance.
+    keys: Vec<(G1Affine, Fr)>,
 }
 
 impl FoldedMsm {
     fn with_capacity(items: usize) -> Self {
         Self {
-            bases: Vec::with_capacity(6 * items + 1),
-            scalars: Vec::with_capacity(6 * items + 1),
+            bases: Vec::with_capacity(5 * items + 1),
+            scalars: Vec::with_capacity(5 * items + 1),
             g_coeff: Fr::zero(),
+            keys: Vec::new(),
         }
     }
 
-    /// One item's contribution. With fold weight `μ` for the second
-    /// verification equation, item `i` contributes
-    ///
-    /// `ρ_i·(C_i·M_i + Z_i·c1_i − A_i − C_i·c2_i) + μρ_i·(Z_i·g − B_i − C_i·h_i)`.
+    /// One item's contribution under challenge `c`, weight `rho` and
+    /// fold weight `mu`.
     fn push(
         &mut self,
         stmt: &DecryptionStatement,
         proof: &DecryptionProof,
-        m_point: G1Affine,
         c: Fr,
         rho: Fr,
         mu: Fr,
     ) {
         let rc = rho * c;
-        self.bases.push(m_point);
-        self.scalars.push(rc);
-        self.bases.push(stmt.ct.c1);
-        self.scalars.push(rho * proof.z);
-        self.bases.push(proof.a);
-        self.scalars.push(-rho);
-        self.bases.push(stmt.ct.c2);
-        self.scalars.push(-rc);
-        self.bases.push(proof.b);
-        self.scalars.push(-(mu * rho));
-        self.bases.push(stmt.ek.0);
-        self.scalars.push(-(mu * rc));
-        self.g_coeff += mu * rho * proof.z;
+        let rz = rho * proof.z;
+        match stmt.claim {
+            PlaintextClaim::InRange(m) => self.g_coeff += rc * Fr::from_u64(m),
+            PlaintextClaim::OutOfRange(m_point) => self.push_term(m_point, rc),
+        }
+        self.push_term(stmt.ct.c1, rz);
+        self.push_term(proof.a, -rho);
+        self.push_term(stmt.ct.c2, -rc);
+        self.push_term(proof.b, -(mu * rho));
+        self.g_coeff += mu * rz;
+        let h_coeff = -(mu * rc);
+        match self.keys.iter_mut().find(|(h, _)| *h == stmt.ek.0) {
+            Some((_, coeff)) => *coeff += h_coeff,
+            None => self.keys.push((stmt.ek.0, h_coeff)),
+        }
+    }
+
+    fn push_term(&mut self, base: G1Affine, scalar: Fr) {
+        self.bases.push(base);
+        self.scalars.push(scalar);
+    }
+
+    /// The MSM's terms: the per-item ones, then one per key, then `g`.
+    fn terms(mut self) -> (Vec<G1Affine>, Vec<Fr>) {
+        for (h, coeff) in std::mem::take(&mut self.keys) {
+            self.push_term(h, coeff);
+        }
+        self.push_term(G1Affine::generator(), self.g_coeff);
+        (self.bases, self.scalars)
     }
 
     /// Evaluates the fold; `true` iff it sums to the identity.
-    fn holds(mut self) -> bool {
-        self.bases.push(G1Affine::generator());
-        self.scalars.push(self.g_coeff);
-        crate::g1::msm_pippenger(&self.bases, &self.scalars).is_identity()
+    fn holds(self) -> bool {
+        let (bases, scalars) = self.terms();
+        crate::g1::msm_pippenger(&bases, &scalars).is_identity()
     }
 }
 
-/// Whether the folded batch equation holds over the items at `idx`.
-fn aggregate_holds(
+/// The fold over the items at `idx`.
+fn fold(
     items: &[(DecryptionStatement, DecryptionProof)],
-    claim_points: &[G1Affine],
     challenges: &[Fr],
     weights: &[Fr],
     mu: Fr,
     idx: &[usize],
-) -> bool {
+) -> FoldedMsm {
     let mut fold = FoldedMsm::with_capacity(idx.len());
     for &i in idx {
         let (stmt, proof) = &items[i];
-        fold.push(stmt, proof, claim_points[i], challenges[i], weights[i], mu);
+        fold.push(stmt, proof, challenges[i], weights[i], mu);
     }
-    fold.holds()
+    fold
 }
 
 /// Per-item batch verification: returns one verdict per proof, matching
@@ -389,13 +419,21 @@ fn aggregate_holds(
 /// adversarial probability, and always agree on all-valid batches
 /// (valid items satisfy every subset fold identically).
 pub fn batch_verify_each(items: &[(DecryptionStatement, DecryptionProof)]) -> Vec<bool> {
+    batch_verify_each_with(items, FoldedMsm::holds)
+}
+
+/// [`batch_verify_each`] with `holds` deciding each fold.
+fn batch_verify_each_with(
+    items: &[(DecryptionStatement, DecryptionProof)],
+    holds: fn(FoldedMsm) -> bool,
+) -> Vec<bool> {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
     // Materialize each claim's group element once: `InRange(m)` costs a
-    // scalar multiplication per conversion, and the point is needed by
-    // the weights, the challenges and every fold.
+    // scalar multiplication per conversion, and the weights and the
+    // challenges both hash the point (the folds take `m` itself).
     let claim_points: Vec<G1Affine> = items.iter().map(|(s, _)| s.claim.to_point()).collect();
     let weights = batch_weights(items, &claim_points);
     let challenges: Vec<Fr> = items
@@ -421,7 +459,7 @@ pub fn batch_verify_each(items: &[(DecryptionStatement, DecryptionProof)]) -> Ve
             verdicts[idx[0]] = verify_equations(stmt, proof, challenges[idx[0]]);
             continue;
         }
-        if aggregate_holds(items, &claim_points, &challenges, &weights, mu, &idx) {
+        if holds(fold(items, &challenges, &weights, mu, &idx)) {
             continue;
         }
         let (lo, hi) = idx.split_at(idx.len() / 2);
@@ -672,6 +710,164 @@ mod tests {
         }
         items[2].1.z += Fr::one();
         assert_eq!(batch_verify_each(&items), batch_verify_each(&items));
+    }
+
+    /// A settlement fold decided on the portable MSM path.
+    fn holds_portable(fold: FoldedMsm) -> bool {
+        let (bases, scalars) = fold.terms();
+        crate::g1::msm_pippenger_portable(&bases, &scalars).is_identity()
+    }
+
+    /// Asserts that both MSM paths give every item its per-proof verdict.
+    fn assert_verdicts_on_both_paths(items: &[(DecryptionStatement, DecryptionProof)], what: &str) {
+        let expect: Vec<bool> = items.iter().map(|(s, p)| verify(s, p)).collect();
+        assert_eq!(batch_verify_each(items), expect, "{what}");
+        assert_eq!(
+            batch_verify_each_with(items, holds_portable),
+            expect,
+            "{what}, portable"
+        );
+    }
+
+    /// An honest item under `kp` for plaintext `m` of `0..=3`.
+    fn honest(kp: &KeyPair, m: u64, rng: &mut StdRng) -> (DecryptionStatement, DecryptionProof) {
+        let ct = kp.ek.encrypt(m, rng);
+        let (claim, proof) = prove(&kp.dk, &ct, &PlaintextRange::new(0, 3), rng);
+        let stmt = DecryptionStatement {
+            ek: kp.ek,
+            ct,
+            claim,
+        };
+        (stmt, proof)
+    }
+
+    /// Batches whose folds hold colliding points — bases that coincide
+    /// with each other, with `g` or with the identity — under three keys,
+    /// the third the negation of the first (`−h` shares `h`'s `x`).
+    fn hostile_batches() -> Vec<(&'static str, Vec<(DecryptionStatement, DecryptionProof)>)> {
+        let mut rng = rng();
+        let mut keys: Vec<KeyPair> = (0..2).map(|_| KeyPair::generate(&mut rng)).collect();
+        keys.push(KeyPair::from_secret(-keys[0].dk.0));
+        let g = G1Affine::generator();
+        let two_g = (g.to_projective() + g.to_projective()).to_affine();
+        // `A = c1`, `B = h`: forged, every point a base already in the fold.
+        let collide: Vec<_> = (0..6u64)
+            .map(|i| {
+                let (stmt, mut proof) = honest(&keys[i as usize % 3], i % 4, &mut rng);
+                (proof.a, proof.b) = (stmt.ct.c1, stmt.ek.0);
+                (stmt, proof)
+            })
+            .collect();
+        // One statement eight times, valid, then eight times forged.
+        let valid = honest(&keys[0], 2, &mut rng);
+        let mut forged = honest(&keys[1], 1, &mut rng);
+        forged.1.z += Fr::one();
+        let repeated = [vec![valid; 8], vec![forged; 8]].concat();
+        // `OutOfRange(g)` and `OutOfRange(2g)`: true for encryptions of 1
+        // and 2, false for the others; `M` meets the fold's `g` base.
+        let out_of_range: Vec<_> = (0..8u64)
+            .map(|i| {
+                let kp = &keys[i as usize % 3];
+                let ct = kp.ek.encrypt(i % 3, &mut rng);
+                let claim = PlaintextClaim::OutOfRange(if i % 2 == 0 { g } else { two_g });
+                let proof = prove_claim(&kp.dk, &ct, &claim, &mut rng);
+                (
+                    DecryptionStatement {
+                        ek: kp.ek,
+                        ct,
+                        claim,
+                    },
+                    proof,
+                )
+            })
+            .collect();
+        // Identity `A` and `B`: the nonce-zero proof `(0, 0, kC)` is
+        // valid, the same with `Z + 1` is not.
+        let identity: Vec<_> = (0..6u64)
+            .map(|i| {
+                let kp = &keys[i as usize % 3];
+                let (stmt, _) = honest(kp, i % 4, &mut rng);
+                let (a, b) = (G1Affine::identity(), G1Affine::identity());
+                let c = challenge(&a, &b, &stmt.ek, &stmt.ct, &stmt.claim.to_point());
+                let z = kp.dk.0 * c + if i % 3 == 2 { Fr::one() } else { Fr::zero() };
+                (stmt, DecryptionProof { a, b, z })
+            })
+            .collect();
+        // Honest items over three keys, with one wrong claim.
+        let mut mixed: Vec<_> = (0..12u64)
+            .map(|i| honest(&keys[(i * 7 % 3) as usize], i % 4, &mut rng))
+            .collect();
+        mixed[5].0.claim = PlaintextClaim::InRange(3 - (5 % 4));
+        let everything = [
+            collide.clone(),
+            repeated.clone(),
+            out_of_range.clone(),
+            identity.clone(),
+            mixed.clone(),
+        ]
+        .concat();
+        vec![
+            ("A = c1, B = h", collide),
+            ("one statement repeated", repeated),
+            ("OutOfRange(g), OutOfRange(2g)", out_of_range),
+            ("identity A and B", identity),
+            ("mixed keys", mixed),
+            ("all of them in one batch", everything),
+        ]
+    }
+
+    #[test]
+    fn hostile_folds_keep_every_per_proof_verdict() {
+        for (what, items) in hostile_batches() {
+            let verdicts: Vec<bool> = items.iter().map(|(s, p)| verify(s, p)).collect();
+            assert!(verdicts.contains(&false), "{what}");
+            assert_verdicts_on_both_paths(&items, what);
+            // Every prefix too: the bisection's halves and small folds.
+            for n in [1, 2, 3, 5] {
+                assert_verdicts_on_both_paths(&items[..n.min(items.len())], what);
+            }
+        }
+    }
+
+    #[test]
+    fn folding_bases_leaves_the_sum_unchanged() {
+        // The folded MSM is the unfolded equation's group element, item
+        // by item `ρ·(C·M + Z·c1 − A − C·c2) + μρ·(Z·g − B − C·h)`.
+        for (what, items) in hostile_batches() {
+            let mut rng = rng();
+            let mu = Fr::random(&mut rng);
+            let challenges: Vec<Fr> = items
+                .iter()
+                .map(|(s, p)| challenge(&p.a, &p.b, &s.ek, &s.ct, &s.claim.to_point()))
+                .collect();
+            let weights: Vec<Fr> = items.iter().map(|_| Fr::random(&mut rng)).collect();
+            let idx: Vec<usize> = (0..items.len()).collect();
+            let (bases, scalars) = fold(&items, &challenges, &weights, mu, &idx).terms();
+            assert!(
+                bases.len() < 6 * items.len() + 1,
+                "{what}: some base is folded"
+            );
+            let mut unfolded = G1Projective::identity();
+            for ((stmt, proof), (&c, &rho)) in items.iter().zip(challenges.iter().zip(&weights)) {
+                let g = G1Projective::generator();
+                unfolded += stmt.claim.to_point() * (rho * c) + stmt.ct.c1 * (rho * proof.z)
+                    - proof.a.to_projective() * rho
+                    - stmt.ct.c2 * (rho * c)
+                    + (g * proof.z - proof.b.to_projective() - stmt.ek.0 * c) * (mu * rho);
+            }
+            let folded = crate::g1::msm(&bases, &scalars);
+            assert_eq!(folded, unfolded, "{what}");
+            assert_eq!(
+                crate::g1::msm_pippenger(&bases, &scalars),
+                unfolded,
+                "{what}"
+            );
+            assert_eq!(
+                crate::g1::msm_pippenger_portable(&bases, &scalars),
+                unfolded,
+                "{what}"
+            );
+        }
     }
 
     #[test]

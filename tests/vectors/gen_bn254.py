@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """BN-254 field and G1 vectors derived offline with plain Python integers.
 
-Writes three files under `crates/crypto/src/`, which `vectors.rs`
+Writes four files under `crates/crypto/src/`, which `vectors.rs`
 includes for the crate's unit tests:
 
 * `field_vectors.rs`: for the base field `Fq` and the scalar field `Fr`,
@@ -19,6 +19,15 @@ includes for the crate's unit tests:
   of 1, 4, 9 and 17 components (seeded options `m` and randomness
   `rho`; the 17-vector opens with `rho = 0, m = 0`, both points the
   identity, and `rho = r - 1`).
+* `msm_vectors.rs`: multi-scalar multiplications `sum(s_i*P_i)`,
+  computed as `sum((sum of the s_i on P) * P)` over the distinct bases,
+  for seeded sets of n = 1, 15, 16, 49, 97, 193 and 2100 terms on a
+  pool of bases (the identity, g, -g, seeded points and the negation of
+  the first). Every set past the first opens with planted terms: a
+  repeated (base, scalar) pair, an identity base, a zero scalar, a
+  `P`/`-P` pair under one scalar and another under two, then the scalars
+  r - 1, r - 2, lambda, lambda+-1, 2^127+-1, 2^128 and the GLV basis
+  values on seeded bases.
 
 Nothing here shares code with the crate, so the two are independent
 routes to the same numbers.
@@ -43,6 +52,9 @@ RANDOM_PAIRS = 32
 ELGAMAL_SEED = 0xE16B254
 ELGAMAL_LENGTHS = [1, 4, 9, 17]
 ELGAMAL_OPTIONS = 4
+MSM_SEED = 0x35B254
+MSM_SIZES = [1, 15, 16, 49, 97, 193, 2100]
+MSM_POOL = 24
 SRC = pathlib.Path(__file__).resolve().parents[2] / "crates" / "crypto" / "src"
 
 R = 1 << 256
@@ -293,10 +305,75 @@ def render_elgamal():
     return "\n".join(lines) + "\n"
 
 
+def g1_neg(point):
+    return None if point is None else (point[0], (Q - point[1]) % Q)
+
+
+def render_msm():
+    rng = random.Random(MSM_SEED)
+    seeded = [seeded_point(rng) for _ in range(MSM_POOL)]
+    bases = [None, G, g1_neg(G)] + seeded + [g1_neg(seeded[0])]
+    assert all(b is None or on_curve(b) for b in bases)
+    edges = [
+        ORDER - 1,
+        ORDER - 2,
+        LAMBDA,
+        LAMBDA + 1,
+        LAMBDA - 1,
+        (1 << 127) - 1,
+        (1 << 127) + 1,
+        1 << 128,
+        GLV_A,
+        GLV_B,
+        GLV_C,
+    ]
+    seeded_base = lambda: rng.randrange(3, len(bases))
+    lines = [
+        "// BN-254 multi-scalar multiplications derived with plain Python",
+        "// integers by `tests/vectors/gen_bn254.py` (seeded points and terms",
+        "// from seed 0x%x): per base, the sum of its scalars times the base" % MSM_SEED,
+        "// by textbook affine double-and-add, and those products summed.",
+        "// Generated: rerun the script instead of editing.",
+        "// Included by `vectors.rs` for the unit tests.",
+        "",
+        "pub(crate) const MSM: MsmVectors = MsmVectors {",
+    ]
+    lines += table("bases", [optional_xy(b) for b in bases])
+    lines.append("    sets: &[")
+    for n in MSM_SIZES:
+        terms = []
+        if n > 1:
+            repeated, pair = (seeded_base(), rng.randrange(ORDER)), rng.randrange(ORDER)
+            terms += [repeated, repeated]
+            terms += [(0, rng.randrange(ORDER)), (seeded_base(), 0)]
+            terms += [(1, pair), (2, pair)]
+            terms += [(3, rng.randrange(ORDER)), (len(bases) - 1, rng.randrange(ORDER))]
+            terms += [(seeded_base(), k) for k in edges]
+            terms = terms[:n]
+        terms += [(rng.randrange(len(bases)), rng.randrange(ORDER)) for _ in range(n - len(terms))]
+        # Terms on one base share its product: sum((sum of their s) * P).
+        per_base = {}
+        for b, k in terms:
+            per_base[b] = (per_base.get(b, 0) + k) % ORDER
+        total = None
+        for b, k in sorted(per_base.items()):
+            total = g1_add(total, g1_mul(k, bases[b]))
+        assert total is None or on_curve(total)
+        lines.append("        (")
+        lines.append("            &[")
+        lines += ["                (%d, %s)," % (b, limbs(k)) for b, k in terms]
+        lines.append("            ],")
+        lines.append("            %s," % optional_xy(total))
+        lines.append("        ),")
+    lines += ["    ],", "};"]
+    return "\n".join(lines) + "\n"
+
+
 OUTPUTS = [
     ("field_vectors.rs", render_fields),
     ("g1_vectors.rs", render_g1),
     ("elgamal_vectors.rs", render_elgamal),
+    ("msm_vectors.rs", render_msm),
 ]
 
 
