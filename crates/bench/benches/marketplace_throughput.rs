@@ -426,13 +426,15 @@ fn parallel_config(hits: usize, seed: u64, exec_threads: usize) -> MarketConfig 
     }
 }
 
-/// **Spawn-heavy parallel execution** — the workload the access-set
-/// scheduler exists for: a 1k-HIT market whose spawn phase keeps roughly
-/// a third of every round's mempool `Create`/`Publish` transactions
-/// (concentrated spawning, small worker quotas), which speculative id
-/// reservation lets parallelize like any other. The JSON records the
-/// measured create share and the scheduler counters alongside the
-/// speedup.
+/// **Spawn-heavy parallel execution** — the executor under the most
+/// creation traffic a market produces: a 1k-HIT market whose spawn
+/// phase keeps roughly a third of every round's mempool
+/// `Create`/`Publish` transactions (concentrated spawning, small worker
+/// quotas). Every `Create` is a serial barrier; the engine submits them
+/// ahead of the round's routed traffic, so they run as one serial
+/// stretch at the front of the block and the rest still batches. The
+/// JSON records the measured create share and the scheduler counters
+/// (`barriers` = creations) alongside the speedup.
 fn spawn_heavy_speedup(seed: u64) {
     const SPAWN_PER_BLOCK: usize = 200;
     let (ab, threads) = serial_vs_parallel("spawn_heavy_speedup", |exec_threads| MarketConfig {

@@ -14,10 +14,10 @@
 //! * **Transaction atomicity** ([`chain`]) — reverted transactions burn
 //!   gas but leave contract + ledger state untouched.
 //! * **Optimistic parallel execution** ([`parallel`]) — transactions
-//!   declare access sets (instances + ledger accounts, reads and writes
-//!   apart), a conflict-graph grouper schedules disjoint groups onto
-//!   the thread budget (creations included, via speculative id
-//!   reservation), each transaction runs through the serial path's own
+//!   declare access sets (one instance + ledger accounts, reads and
+//!   writes apart), a conflict-graph grouper schedules disjoint groups
+//!   onto the thread budget, instance creations run alone as serial
+//!   barriers, each transaction runs through the serial path's own
 //!   bracket, and journal-based touch records validate the batch once,
 //!   with one serial backstop; committed state is bit-identical to
 //!   serial execution at any thread count.
@@ -46,8 +46,6 @@ pub use mempool::{
     AdversarialPolicy, DelayVictimPolicy, FifoPolicy, FrontRunPolicy, PendingTx, ReorderPolicy,
     ReversePolicy, Scheduled,
 };
-pub use parallel::{
-    par_map, resolve_threads, AccessSet, IdReserver, ParallelStateMachine, ParallelStats,
-};
+pub use parallel::{par_map, resolve_threads, AccessSet, ParallelStateMachine, ParallelStats};
 pub use replica::{BlockUndo, CaptureStateMachine};
 pub use store::{BlockStore, Persist, PersistDelta, PersistStats, Reader, StoreError};

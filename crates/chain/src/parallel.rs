@@ -7,23 +7,22 @@
 //! optimistic concurrency control specialized to the registry shape:
 //!
 //! 1. **Declare.** Each scheduled transaction declares an [`AccessSet`]
-//!    ([`ParallelStateMachine::access_set`]): the hosted instances it
-//!    writes plus the ledger accounts it reads and writes.
-//!    Creation messages are not barriers: the state machine *reserves*
-//!    the next instance id from a monotonic counter snapshot
-//!    ([`IdReserver`]), so a spawn declares an ordinary instance write on
-//!    its reserved key and messages routed to that key later in the same
-//!    batch group with it. Only messages that cannot be attributed at all
-//!    (routes to ids that neither exist nor are reserved) stay serial
-//!    barriers.
+//!    ([`ParallelStateMachine::access_set`]): the one hosted instance it
+//!    writes plus the ledger accounts it reads and writes. A message
+//!    that names no existing instance — a creation, or a route to an
+//!    unknown id — is a serial **barrier**: it executes alone, in order,
+//!    against full state, between batches. A creation registers its
+//!    instance only there, so a batch never changes which instances
+//!    exist, and a message routed to a fresh id is attributed against
+//!    the registry the barrier updated.
 //! 2. **Group.** A conflict-graph grouper partitions the batch: any
 //!    resource — instance or account — declared written by one
 //!    transaction and touched by another joins their groups (union-find);
 //!    declared read-read sharing stays parallel. Each group gets owned
-//!    shard snapshots of its instances (or fresh shards for reserved
-//!    ids), a [`Ledger::sparse_overlay`] shadow covering its declared
-//!    accounts plus its transactions' senders, and executes its
-//!    transactions in schedule order on one thread of the budget. Every
+//!    shard snapshots of its instances, a [`Ledger::sparse_overlay`]
+//!    shadow covering its declared accounts plus its transactions'
+//!    senders, and executes its transactions in schedule order on one
+//!    thread of the budget. Every
 //!    transaction runs through the serial path's own bracket
 //!    (`chain::run_tx` — intrinsic gas, journal bracket, revert
 //!    handling, receipt), not a copy of it: the group only supplies the
@@ -32,10 +31,8 @@
 //! 3. **Validate, once.** Shadow ledgers record the observed touch sets,
 //!    reads and writes apart ([`dragoon_ledger::TouchRecord`]). The
 //!    batch stands iff no group escaped its declared preset (it read a
-//!    phantom zero for an account whose base entry exists), no
-//!    speculative creation reverted (serial execution rewinds the id
-//!    counter on that revert, shifting every later reservation) and no
-//!    two groups' observed records overlap on a write. Otherwise the one
+//!    phantom zero for an account whose base entry exists) and no two
+//!    groups' observed records overlap on a write. Otherwise the one
 //!    **serial backstop** runs: the optimistic results — which only ever
 //!    lived on private copies — are dropped and the whole batch
 //!    re-executes in mempool order. No seeded market reaches it
@@ -61,7 +58,7 @@
 //! [`par_map`], so a budget of *n* means *n* running threads, the
 //! caller included, wherever it is spent.
 
-use crate::chain::{run_tx, Block, Chain, ExecEnv, Receipt, StateMachine, TxStatus};
+use crate::chain::{run_tx, Block, Chain, ExecEnv, Receipt, StateMachine};
 use crate::gas::{Gas, GasSchedule};
 use crate::mempool::{PendingTx, ReorderPolicy};
 use dragoon_ledger::{Address, Journaled, Ledger, TouchRecord};
@@ -69,7 +66,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 /// What a message declares it may touch, before execution: the
-/// instances it writes and the ledger accounts it reads and writes, from
+/// instance it writes and the ledger accounts it reads and writes, from
 /// which the scheduler builds conflict groups. Declarations must
 /// *over-approximate reads* that feed guards (every declared account is
 /// copied into the group's shadow ledger) but may under-approximate
@@ -77,13 +74,9 @@ use std::sync::Mutex;
 /// touch outside the preset, sends the batch to serial execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessSet {
-    global: bool,
-    /// The instance id this message speculatively creates (reserved from
-    /// the monotonic counter via [`IdReserver`]); also listed in
-    /// [`AccessSet::instance_writes`].
-    pub reserves: Option<u64>,
-    /// Hosted instances written (routing targets).
-    pub instance_writes: Vec<u64>,
+    /// The hosted instance written (the routing target); `None` for a
+    /// serial barrier.
+    instance: Option<u64>,
     /// Ledger accounts read (guards, potential outcome-dependent
     /// payees).
     pub account_reads: Vec<Address>,
@@ -92,29 +85,16 @@ pub struct AccessSet {
 }
 
 impl AccessSet {
-    /// A message that cannot be attributed: executes serially, in order,
-    /// between parallel batches.
+    /// A message that cannot be attributed to an existing instance:
+    /// executes serially, in order, between parallel batches.
     pub fn global() -> Self {
-        Self {
-            global: true,
-            ..Self::default()
-        }
+        Self::default()
     }
 
-    /// A message writing the single hosted instance `key`.
+    /// A message writing the hosted instance `key`.
     pub fn instance(key: u64) -> Self {
         Self {
-            instance_writes: vec![key],
-            ..Self::default()
-        }
-    }
-
-    /// A creation message that speculatively claims the reserved instance
-    /// id `key`.
-    pub fn create(key: u64) -> Self {
-        Self {
-            reserves: Some(key),
-            instance_writes: vec![key],
+            instance: Some(key),
             ..Self::default()
         }
     }
@@ -130,53 +110,6 @@ impl AccessSet {
         self.account_writes.extend(accounts);
         self
     }
-
-    /// Whether this message is a serial barrier.
-    pub fn is_global(&self) -> bool {
-        self.global
-    }
-
-    /// The instance whose shard executes this message (creation target or
-    /// first declared write). `None` only for malformed declarations,
-    /// which the scheduler treats as global.
-    fn primary_key(&self) -> Option<u64> {
-        self.reserves
-            .or_else(|| self.instance_writes.first().copied())
-    }
-}
-
-/// Hands out speculative instance ids during batch assembly. Seeded from
-/// [`ParallelStateMachine::reservation_base`] (the monotonic id counter)
-/// at the start of every batch, it assigns each creation message the id
-/// serial execution would assign it — provided every creation before it
-/// succeeds, which the executor verifies post-hoc (a reverted creation
-/// rewinds the counter serially, so the batch re-executes serially).
-#[derive(Clone, Debug)]
-pub struct IdReserver {
-    base: u64,
-    next: u64,
-}
-
-impl IdReserver {
-    /// A reserver starting at the counter snapshot `base`.
-    pub fn new(base: u64) -> Self {
-        Self { base, next: base }
-    }
-
-    /// Claims the next speculative id. Checked: at million-HIT scale the
-    /// id counter is the one value every instance address derives from,
-    /// so exhausting the `u64` id space must panic rather than wrap into
-    /// already-assigned ids.
-    pub fn reserve(&mut self) -> u64 {
-        let id = self.next;
-        self.next = id.checked_add(1).expect("instance id space exhausted");
-        id
-    }
-
-    /// Whether `id` was reserved by an earlier message of this batch.
-    pub fn is_reserved(&self, id: u64) -> bool {
-        id >= self.base && id < self.next
-    }
 }
 
 /// A [`StateMachine`] whose state shards by hosted instance, enabling
@@ -191,36 +124,18 @@ pub trait ParallelStateMachine: StateMachine {
     /// bracket the chain puts around `on_message`.
     type Shard: Journaled + Send;
 
-    /// Snapshot of the monotonic instance-id counter, taken at the start
-    /// of each batch so creation messages reserve deterministic ids.
-    fn reservation_base(&self) -> u64;
-
     /// Declares the access set of a message against current state.
-    /// `contract` is the hosting contract's own address (instance escrow
-    /// addresses derive from it); `reserver` hands out speculative ids
-    /// for creations and knows which ids earlier messages of the same
-    /// batch reserved. Messages addressing unknown, unreserved instances
-    /// must return [`AccessSet::global`] so their revert executes in
-    /// serial order.
-    fn access_set(
-        &self,
-        contract: Address,
-        sender: Address,
-        msg: &Self::Msg,
-        reserver: &mut IdReserver,
-    ) -> AccessSet;
+    /// Messages that create an instance or address an unknown one must
+    /// return [`AccessSet::global`]: they execute serially, so instances
+    /// come into existence only between batches.
+    fn access_set(&self, msg: &Self::Msg) -> AccessSet;
 
     /// Clones the instance behind `key` into a shard (`None` if the key
     /// vanished — the executor then falls back to serial execution).
     fn shard_snapshot(&self, key: u64) -> Option<Self::Shard>;
 
-    /// An empty shard standing for the speculatively reserved id `key`;
-    /// the group's creation message populates it.
-    fn shard_reserve(&self, key: u64, contract: Address) -> Self::Shard;
-
-    /// Installs an executed shard back, replacing (or, for a reserved
-    /// id, registering) the instance state. Only shards of a batch that
-    /// stood are installed, so a reserved shard arrives created.
+    /// Installs an executed shard back, replacing the instance state.
+    /// Only shards of a batch that stood are installed.
     fn shard_install(&mut self, key: u64, shard: Self::Shard);
 
     /// Handles one instance-addressed message against the shard — what
@@ -246,8 +161,9 @@ pub struct ParallelStats {
     pub batches: usize,
     /// Conflict groups formed across committed batches.
     pub groups: usize,
-    /// Serial-barrier transactions (messages no access set could be
-    /// declared for — unknown-instance routes).
+    /// Serial-barrier transactions: messages declared
+    /// [`AccessSet::global`] — instance creations and unknown-instance
+    /// routes. In a market that is one per `Create`.
     pub barriers: usize,
     /// Always 0: the partial re-execution it counted is gone (every
     /// failed validation is a [`ParallelStats::conflict_fallbacks`]).
@@ -257,8 +173,8 @@ pub struct ParallelStats {
     /// [`ParallelStats::selective_retries`].
     pub create_retries: usize,
     /// Batches that failed validation — a group escaped its declared
-    /// preset, a speculative creation reverted, or two groups' observed
-    /// touches overlapped on a write — and re-executed serially.
+    /// preset, or two groups' observed touches overlapped on a write —
+    /// and re-executed serially.
     pub conflict_fallbacks: usize,
     /// Batches discarded because the block gas limit cut the batch
     /// before any whole group fit — re-executed serially to reproduce
@@ -380,13 +296,6 @@ struct BatchTx<M> {
     key: u64,
     access: AccessSet,
     tx: PendingTx<M>,
-}
-
-impl<M> BatchTx<M> {
-    /// Whether this transaction speculatively creates its instance.
-    fn creates(&self) -> bool {
-        self.access.reserves.is_some()
-    }
 }
 
 /// The outcome of one optimistically executed transaction, held until
@@ -527,18 +436,11 @@ where
         let mut pos = 0;
         'round: while !queue.is_empty() {
             // Accumulate the maximal run of attributable transactions
-            // into one batch. Creation messages reserve ids against the
-            // counter snapshot, so spawns batch like any instance write.
-            let mut reserver = IdReserver::new(self.contract.reservation_base());
+            // into one batch.
             let mut batch: Vec<BatchTx<S::Msg>> = Vec::new();
             while let Some(tx) = queue.front() {
-                let access =
-                    self.contract
-                        .access_set(self.contract_addr, tx.sender, &tx.msg, &mut reserver);
-                let key = match (access.is_global(), access.primary_key()) {
-                    (false, Some(key)) => key,
-                    _ => break,
-                };
+                let access = self.contract.access_set(&tx.msg);
+                let Some(key) = access.instance else { break };
                 batch.push(BatchTx {
                     pos,
                     key,
@@ -604,10 +506,7 @@ where
 
         // The one validation pass. The batch stands iff
         // - no group touched an account outside its declared preset that
-        //   has a base entry (its shadow read a phantom zero),
-        // - no speculative creation reverted (serial execution rewinds
-        //   the id counter on that revert, so every later reservation of
-        //   the batch sits on the wrong id), and
+        //   has a base entry (its shadow read a phantom zero), and
         // - no two groups' touch records overlap on a write (their
         //   optimistic results would be order-sensitive).
         // Anything else drops the optimistic results — main state is
@@ -618,18 +517,12 @@ where
                 .all()
                 .any(|addr| !g.preset.contains(&addr) && self.ledger.balance_entry(&addr).is_some())
         });
-        let create_reverted = groups.iter().any(|g| {
-            g.txs
-                .iter()
-                .zip(&g.outcomes)
-                .any(|(btx, o)| btx.creates() && matches!(o.receipt.status, TxStatus::Reverted(_)))
-        });
         let conflicting = groups.iter().enumerate().any(|(i, g)| {
             groups[i + 1..]
                 .iter()
                 .any(|h| g.touched.conflicts_with(&h.touched))
         });
-        if escaped || create_reverted || conflicting {
+        if escaped || conflicting {
             self.parallel_stats.conflict_fallbacks += 1;
             let batch = collect_batch(groups, None);
             return self.execute_batch_serial(batch, block_gas, receipts, carried);
@@ -780,27 +673,20 @@ where
     /// schedule order). On a vanished declared instance, hands the
     /// transactions back so the caller can fall back serially.
     fn build_group(&self, txs: Vec<BatchTx<S::Msg>>) -> Result<GroupRun<S>, Vec<BatchTx<S::Msg>>> {
-        let mut write_keys: BTreeSet<u64> = BTreeSet::new();
-        let mut reserved_keys: BTreeSet<u64> = BTreeSet::new();
+        let mut keys: BTreeSet<u64> = BTreeSet::new();
         let mut preset: BTreeSet<Address> = BTreeSet::new();
         for btx in &txs {
-            write_keys.extend(btx.access.instance_writes.iter().copied());
-            reserved_keys.extend(btx.access.reserves);
+            keys.insert(btx.key);
             preset.extend(btx.access.account_reads.iter().copied());
             preset.extend(btx.access.account_writes.iter().copied());
             preset.insert(btx.tx.sender);
         }
         let mut shards: BTreeMap<u64, S::Shard> = BTreeMap::new();
-        for key in write_keys {
-            let shard = if reserved_keys.contains(&key) {
-                self.contract.shard_reserve(key, self.contract_addr)
-            } else {
-                match self.contract.shard_snapshot(key) {
-                    Some(shard) => shard,
-                    None => return Err(txs),
-                }
+        for key in keys {
+            match self.contract.shard_snapshot(key) {
+                Some(shard) => shards.insert(key, shard),
+                None => return Err(txs),
             };
-            shards.insert(key, shard);
         }
         let ledger = self.ledger.sparse_overlay(preset.iter().copied());
         Ok(GroupRun {
@@ -862,12 +748,10 @@ fn group_by_declared_conflicts<M>(batch: Vec<BatchTx<M>>) -> Vec<Vec<BatchTx<M>>
     let mut writers: BTreeMap<Resource, Vec<usize>> = BTreeMap::new();
     let mut readers: BTreeMap<Resource, Vec<usize>> = BTreeMap::new();
     for (ti, btx) in batch.iter().enumerate() {
-        for key in &btx.access.instance_writes {
-            writers
-                .entry(Resource::Instance(*key))
-                .or_default()
-                .push(ti);
-        }
+        writers
+            .entry(Resource::Instance(btx.key))
+            .or_default()
+            .push(ti);
         for addr in &btx.access.account_writes {
             writers
                 .entry(Resource::Account(*addr))

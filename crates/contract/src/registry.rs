@@ -19,16 +19,17 @@
 //!   the registry drives every instance's queued rejection proofs
 //!   through `dragoon_crypto::vpke::batch_verify_each`.
 //! * **Parallel execution** — the registry implements
-//!   [`dragoon_chain::ParallelStateMachine`]: every transaction declares
-//!   an access set (its target instance plus the ledger accounts the
-//!   wrapped [`HitMessage::access_set`] names), instances shard by
-//!   [`HitId`] ([`RegistryShard`]), and `Create` executes speculatively
-//!   against a reserved id (the next counter value), so spawn-heavy
-//!   blocks parallelize instead of serializing on a barrier. The serial
-//!   handler and the shard handler share one instance router
-//!   (`create_instance`, `route`): every gas charge and event of a
-//!   `Create` or a routed message exists once, and the two handlers keep
-//!   only where the instance lives and how its undo is recorded;
+//!   [`dragoon_chain::ParallelStateMachine`]: every routed message
+//!   declares an access set (its target instance plus the ledger
+//!   accounts the wrapped [`HitMessage::access_set`] names) and
+//!   instances shard by [`HitId`] ([`RegistryShard`]). `Create` is a
+//!   serial barrier, so the `Create` arm of `on_message` is the one place
+//!   an instance is registered and the id counter advances; the engine
+//!   submits a round's creations ahead of its agent traffic, so they run
+//!   as one serial stretch at the front of the block. The serial handler
+//!   and the shard handler share one router (`route`): every gas charge
+//!   and event of a routed message exists once, and the two handlers
+//!   keep only where the instance lives and how its undo is recorded;
 //!   [`routing_gas`] prices the registry's own share of a receipt.
 
 use crate::contract::{BatchStats, HitContract, HitError, HitEvent, PendingVerdict};
@@ -697,8 +698,7 @@ pub fn routing_gas(label: &str, schedule: &GasSchedule) -> Gas {
 }
 
 /// Builds and publishes instance `id` at escrow address `addr` — the
-/// whole gas and event footprint of a `Create`, wherever the instance
-/// will live (the registry map or a reserved parallel-executor shard).
+/// whole gas and event footprint of a `Create`.
 fn create_instance(
     mode: SettlementMode,
     id: HitId,
@@ -976,113 +976,48 @@ impl StateMachine for HitRegistry {
     }
 }
 
-/// One hosted (or speculatively reserved) instance extracted for a
-/// parallel-executor worker thread: an owned clone of the instance (or
-/// an empty slot the group's `Create` populates) plus its registry id
-/// and derived escrow address. Opaque outside this crate — the executor
-/// only moves it between threads and hands it back through
-/// [`ParallelStateMachine::shard_install`].
+/// One hosted instance extracted for a parallel-executor worker thread:
+/// an owned clone of the instance plus its registry id. Opaque outside
+/// this crate — the executor only moves it between threads and hands it
+/// back through [`ParallelStateMachine::shard_install`].
 pub struct RegistryShard {
     id: HitId,
-    addr: Address,
-    mode: SettlementMode,
-    inst: Option<HitInstance>,
-    /// The group's creation message built this instance; install must
-    /// register it and advance the id counter.
-    created: bool,
-    /// The instance was built by the *currently open* journal bracket
-    /// (no per-instance journal exists yet; rollback drops it whole).
-    tx_created: bool,
+    inst: HitInstance,
 }
 
 impl ParallelStateMachine for HitRegistry {
     type Shard = RegistryShard;
 
-    fn reservation_base(&self) -> u64 {
-        self.next_id
-    }
-
-    fn access_set(
-        &self,
-        contract: Address,
-        sender: Address,
-        msg: &RegistryMessage,
-        reserver: &mut dragoon_chain::IdReserver,
-    ) -> AccessSet {
+    fn access_set(&self, msg: &RegistryMessage) -> AccessSet {
         match msg {
-            // Creation reserves the id serial execution would assign and
-            // becomes an ordinary instance write. The budget freeze moves
-            // coins from the sender into the derived escrow: two declared
-            // account writes, so creations by one sender group together
-            // and run in order.
-            RegistryMessage::Create { .. } => {
-                let id = reserver.reserve();
-                let escrow = Address::contract_address(&contract, id + 1);
-                AccessSet::create(id).writes_accounts([sender, escrow])
-            }
-            RegistryMessage::Hit { id, msg } => {
-                if let Some(inst) = self.hits.get(*id) {
+            RegistryMessage::Hit { id, msg } => match self.hits.get(*id) {
+                Some(inst) => {
                     let access = msg.access_set(inst.addr, &inst.hit);
                     AccessSet::instance(*id)
                         .reads_accounts(access.reads)
                         .writes_accounts(access.writes)
-                } else if reserver.is_reserved(*id) {
-                    // Routed to an instance another message of this batch
-                    // speculatively creates: group with the creation. The
-                    // embryo escrow is the only attributable account (the
-                    // instance state to refine the declaration does not
-                    // exist yet); everything else is covered by senders
-                    // and the dynamic touch validation.
-                    let escrow = Address::contract_address(&contract, id + 1);
-                    AccessSet::instance(*id).writes_accounts([escrow])
-                } else {
-                    // Routes to unknown instances revert against global
-                    // state (no sharding target exists): serial barrier.
-                    AccessSet::global()
                 }
-            }
+                // Routes to unknown instances revert against global
+                // state (no sharding target exists): serial barrier.
+                None => AccessSet::global(),
+            },
+            // Creation registers an instance and advances the id counter:
+            // serial barrier, so a batch never changes which instances
+            // exist.
+            RegistryMessage::Create { .. } => AccessSet::global(),
         }
     }
 
     fn shard_snapshot(&self, key: u64) -> Option<RegistryShard> {
         self.hits.get(key).map(|inst| RegistryShard {
             id: key,
-            addr: inst.addr,
-            mode: self.mode,
-            inst: Some(inst.clone()),
-            created: false,
-            tx_created: false,
+            inst: inst.clone(),
         })
-    }
-
-    fn shard_reserve(&self, key: u64, contract: Address) -> RegistryShard {
-        RegistryShard {
-            id: key,
-            addr: Address::contract_address(&contract, key + 1),
-            mode: self.mode,
-            inst: None,
-            created: false,
-            tx_created: false,
-        }
     }
 
     fn shard_install(&mut self, key: u64, shard: RegistryShard) {
         debug_assert_eq!(key, shard.id, "shard returned under a foreign key");
-        let Some(inst) = shard.inst else {
-            // A reserved shard whose creation never landed (the executor
-            // falls back serially on a reverted creation, so this is the
-            // defensive no-op path).
-            return;
-        };
-        if shard.created {
-            // Speculative creation committed: register the instance
-            // exactly as the serial `Create` arm does.
-            self.next_id = self
-                .next_id
-                .max(key.checked_add(1).expect("instance id space exhausted"));
-            self.live.insert(key);
-        }
-        self.hits.insert(key, inst);
+        self.hits.insert(key, shard.inst);
     }
 
     fn shard_on_message(
@@ -1091,59 +1026,29 @@ impl ParallelStateMachine for HitRegistry {
         sender: Address,
         msg: RegistryMessage,
     ) -> Result<(), RegistryError> {
-        match msg {
-            RegistryMessage::Create { windows, params } => {
-                debug_assert!(
-                    shard.inst.is_none(),
-                    "a reserved id is created at most once per batch"
-                );
-                shard.inst = Some(create_instance(
-                    shard.mode, shard.id, shard.addr, env, sender, windows, params,
-                )?);
-                shard.created = true;
-                shard.tx_created = true;
-                Ok(())
-            }
-            RegistryMessage::Hit { id, msg } => {
-                debug_assert_eq!(id, shard.id, "message routed to the wrong shard");
-                // An unknown instance reverts before the routing lookup
-                // is charged.
-                let inst = shard.inst.as_mut().ok_or(RegistryError::UnknownHit(id))?;
-                route(inst, id, env, sender, msg)
-            }
-        }
+        // Invariant: `access_set` makes every `Create` a barrier, so shards get only routes.
+        let RegistryMessage::Hit { id, msg } = msg else {
+            unreachable!("a Create never reaches a shard")
+        };
+        debug_assert_eq!(id, shard.id, "message routed to the wrong shard");
+        route(&mut shard.inst, id, env, sender, msg)
     }
 }
 
 /// The shard's journal bracket, as the executor's shared transaction
-/// bracket drives it around [`ParallelStateMachine::shard_on_message`].
+/// bracket drives it around [`ParallelStateMachine::shard_on_message`]:
+/// the instance's own journal.
 impl Journaled for RegistryShard {
     fn begin_tx(&mut self) {
-        self.tx_created = false;
-        if let Some(inst) = &mut self.inst {
-            inst.hit.begin_tx();
-        }
+        self.inst.hit.begin_tx();
     }
 
     fn commit_tx(&mut self) {
-        if self.tx_created {
-            // The creation transaction: the instance has no per-instance
-            // journal yet (serial creation undoes via the registry's
-            // `Created` record, not an `Opened` one).
-            self.tx_created = false;
-        } else if let Some(inst) = &mut self.inst {
-            inst.hit.commit_tx();
-        }
+        self.inst.hit.commit_tx();
     }
 
     fn rollback_tx(&mut self) {
-        if self.tx_created {
-            self.inst = None;
-            self.created = false;
-            self.tx_created = false;
-        } else if let Some(inst) = &mut self.inst {
-            inst.hit.rollback_tx();
-        }
+        self.inst.hit.rollback_tx();
     }
 }
 
@@ -1533,6 +1438,29 @@ mod tests {
         let last = m.chain.receipts().last().unwrap();
         assert!(matches!(last.status, TxStatus::Reverted(_)));
         assert!(m.chain.contract().is_empty());
+    }
+
+    /// The `Create` arm's counter is the one id source: at the top of
+    /// the `u64` space one creation still lands, and the next panics
+    /// instead of wrapping onto instance 0's escrow.
+    #[test]
+    #[should_panic(expected = "instance id space exhausted")]
+    fn id_counter_panics_instead_of_wrapping() {
+        let mut registry = HitRegistry::new(SettlementMode::PerProof);
+        registry.next_id = u64::MAX - 1;
+        let mut m = market_with(registry);
+        let create = |m: &mut Market| {
+            let msg = RegistryMessage::Create {
+                windows: windows(),
+                params: params(m),
+            };
+            m.chain.submit(m.requester, msg);
+            tick(m);
+        };
+        create(&mut m);
+        assert_eq!(m.chain.contract().hit_ids(), [u64::MAX - 1]);
+        assert_eq!(m.chain.contract().next_id, u64::MAX);
+        create(&mut m); // id u64::MAX: its successor would wrap to 0
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn main() {
     );
 
     // Parallel-executor telemetry: a small marketplace run surfaces the
-    // scheduler counters (groups, selective retries, fallbacks) outside
+    // scheduler counters (batches, groups, barriers, fallbacks) outside
     // the bench — the serial path reports all zeros.
     let market = MarketConfig {
         hits: 40,

@@ -10,7 +10,7 @@
 //! reports across thread counts. These tests pin that property across:
 //!
 //! * random transaction soups (proptest-driven) at 1, 2 and 8 threads,
-//!   including Create-dominated soups (speculative id reservation),
+//!   including Create-dominated soups (every `Create` a serial barrier),
 //! * full multi-instance lifecycles where disjoint instances genuinely
 //!   execute in parallel (stats prove optimistic batches committed),
 //! * adversarial same-instance contention (everything must fall back to
@@ -18,8 +18,9 @@
 //! * cross-instance ledger conflicts (instances paying the same worker
 //!   in one block — the journal touch records must catch them and send
 //!   the batch to the serial backstop),
-//! * reverted speculative creations (the id assignment shifts: serial
-//!   backstop) and same-sender creations (one declared group),
+//! * creations as serial barriers: a route to the id a `Create` of the
+//!   same block receives, reverted creations (the id assignment shifts)
+//!   and same-sender creations,
 //! * mid-batch block-gas overflow (group-closed prefix commit or serial
 //!   fallback — carry-over must match serial), and
 //! * whole-market runs under FIFO and front-running schedulers.
@@ -51,6 +52,12 @@ fn advance_all(set: &mut ChainSet) {
         chain.advance_round_parallel(&mut FifoPolicy);
     }
     set.reference.run_round(&mut FifoPolicy);
+}
+
+/// The `Create` transactions a chain executed (receipts labelled
+/// `publish`) — each one a serial barrier of the parallel executor.
+fn creates_executed(chain: &dragoon_chain::Chain<dragoon_contract::HitRegistry>) -> usize {
+    chain.receipts().filter(|r| r.label == "publish").count()
 }
 
 /// Drives `count` instances with per-instance worker pools through
@@ -521,19 +528,31 @@ fn gas_cut_commits_group_closed_prefix() {
     }
 }
 
-/// Speculative creation: a block whose mempool is entirely `Create`
-/// transactions from distinct requesters no longer serializes — each
-/// creation reserves its id deterministically, forms its own group and
-/// executes in parallel, with zero barriers and bit-identical state
-/// (ids, derived addresses, escrow balances, `Created` event order).
+/// Creation-heavy blocks: every `Create` is a serial barrier that runs
+/// alone against full state, and the routed traffic around it is
+/// attributed against the registry the barrier updated. State must stay
+/// bit-identical (ids, derived addresses, escrow balances, `Created`
+/// event order), and a run of routed messages to distinct instances
+/// after a round's creations — the engine's shape — still batches.
 #[test]
-fn create_dominated_block_parallelizes() {
+fn create_dominated_block_runs_creates_as_barriers() {
     let fx = Fixture::new(0xcafe);
     let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let creators: Vec<Address> = (0..8u8).map(|i| Address::from_byte(0xa0 + i)).collect();
     for c in &creators {
         set.mint(*c, BUDGET * 4);
     }
+    let commit = |set: &mut ChainSet, worker: u8, tag: u8, id: u64| {
+        let key = CommitmentKey([tag; 32]);
+        let comm = Commitment::commit(&[tag], &key);
+        set.submit(
+            Address::from_byte(worker),
+            RegistryMessage::Hit {
+                id,
+                msg: HitMessage::Commit { commitment: comm },
+            },
+        );
+    };
     // Block 1: eight concurrent creations, nothing else.
     for c in &creators {
         set.submit(*c, fx.create_msg());
@@ -542,46 +561,103 @@ fn create_dominated_block_parallelizes() {
     set.assert_same("create-only block");
     assert_eq!(set.production[0].contract().len(), 8);
     // Block 2: creations interleaved with commits to the fresh ids —
-    // spawn-heavy traffic with live instances in the same batch.
+    // every commit sits alone between two barriers.
     for (i, c) in creators.iter().enumerate() {
         set.submit(*c, fx.create_msg());
-        let key = CommitmentKey([i as u8 + 1; 32]);
-        let comm = Commitment::commit(&[i as u8 + 1], &key);
+        commit(&mut set, i as u8 + 1, i as u8 + 1, i as u64);
+    }
+    advance_all(&mut set);
+    set.assert_same("mixed create/commit block");
+    assert_eq!(set.production[0].contract().len(), 16);
+    // Block 3: the engine's order — the round's creations first, then
+    // commits to eight distinct instances, which form one batch.
+    for c in &creators {
+        set.submit(*c, fx.create_msg());
+    }
+    for i in 0..8u8 {
+        commit(&mut set, i + 1, i + 9, 8 + i as u64);
+    }
+    advance_all(&mut set);
+    set.assert_same("creates-then-commits block");
+    assert_eq!(set.production[0].contract().len(), 24);
+    for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
+        let stats = chain.parallel_stats();
+        assert_eq!(
+            stats.barriers,
+            creates_executed(chain),
+            "{threads} threads: every creation is a barrier ({stats:?})"
+        );
+        assert_eq!(
+            (stats.barriers, stats.serial_txs),
+            (24, 32),
+            "{threads} threads: 24 barriers plus block 2's eight lone \
+             commits run serially ({stats:?})"
+        );
+        assert_eq!(
+            (stats.batches, stats.groups, stats.parallel_txs),
+            (1, 8, 8),
+            "{threads} threads: block 3's commits batch ({stats:?})"
+        );
+        assert_eq!(stats.conflict_fallbacks, 0, "{threads} threads: {stats:?}");
+    }
+}
+
+/// A route to the id a `Create` of the same block receives: the barrier
+/// registers the instance before the routed commits after it are
+/// attributed, so they land (no `UnknownHit`) and batch with traffic to
+/// an older instance, bit-identical to serial at every thread count.
+#[test]
+fn route_to_a_same_block_create_matches_serial() {
+    let fx = Fixture::new(0xb10c);
+    let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
+    set.submit(fx.requester, fx.create_msg());
+    advance_all(&mut set);
+    set.assert_same("first create block");
+    // Instance 1 does not exist when this block is scheduled.
+    set.submit(fx.requester, fx.create_msg());
+    for (w, id) in [(1u8, 1u64), (2, 0), (3, 1)] {
+        let key = CommitmentKey([w; 32]);
+        let comm = Commitment::commit(&[w], &key);
         set.submit(
-            Address::from_byte(i as u8 + 1),
+            Address::from_byte(w),
             RegistryMessage::Hit {
-                id: i as u64,
+                id,
                 msg: HitMessage::Commit { commitment: comm },
             },
         );
     }
     advance_all(&mut set);
-    set.assert_same("mixed create/commit block");
-    assert_eq!(set.production[0].contract().len(), 16);
+    set.assert_same("create-then-route block");
+    assert_eq!(set.production[0].contract().hit_ids(), [0, 1]);
+    for (chain, threads) in set.production.iter().zip(THREADS) {
+        let landed = chain
+            .receipts()
+            .filter(|r| r.label == "commit" && !matches!(r.status, TxStatus::Reverted(_)))
+            .count();
+        assert_eq!(landed, 3, "{threads} threads: every commit lands");
+    }
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
-        assert!(
-            stats.batches >= 2 && stats.parallel_txs >= 24,
-            "{threads} threads: creations must execute optimistically ({stats:?})"
-        );
         assert_eq!(
-            stats.barriers, 0,
-            "{threads} threads: a creation must not be a barrier ({stats:?})"
+            (
+                stats.barriers,
+                stats.batches,
+                stats.groups,
+                stats.parallel_txs
+            ),
+            (2, 1, 2, 3),
+            "{threads} threads: two creations, then one two-group batch ({stats:?})"
         );
-        assert_eq!(
-            stats.conflict_fallbacks, 0,
-            "{threads} threads: disjoint creations must not conflict ({stats:?})"
-        );
+        assert_eq!(stats.conflict_fallbacks, 0, "{threads} threads: {stats:?}");
     }
 }
 
 /// Same-sender spawns: six `Create` transactions from **one** funded
-/// requester in one block. The escrow freeze is a declared write on the
-/// sender's balance, so the spawns join one declared group, and a
-/// single-group batch runs in mempool order on the serial path — no
-/// speculation, nothing to validate, nothing to fall back from.
+/// requester in one block. Each is a serial barrier, so they run in
+/// mempool order against full state — no batch, nothing to validate,
+/// nothing to fall back from.
 #[test]
-fn same_sender_creates_form_one_declared_group() {
+fn same_sender_creates_run_as_barriers() {
     let fx = Fixture::new(0x5a5a);
     let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     // chain_set funds the requester with BUDGET * 20; six creations
@@ -597,18 +673,18 @@ fn same_sender_creates_form_one_declared_group() {
         assert_eq!(
             (stats.batches, stats.groups, stats.serial_txs),
             (0, 0, 6),
-            "{threads} threads: same-sender spawns are one declared group, \
-             which runs serially ({stats:?})"
+            "{threads} threads: same-sender spawns are six barriers, \
+             which run serially ({stats:?})"
         );
         assert_eq!(stats.conflict_fallbacks, 0, "{threads} threads: {stats:?}");
-        assert_eq!(stats.barriers, 0, "{threads} threads: {stats:?}");
+        assert_eq!(stats.barriers, 6, "{threads} threads: {stats:?}");
+        assert_eq!(stats.barriers, creates_executed(chain), "{threads} threads");
     }
 }
 
 /// Same-sender spawns that *overdraw*: the sender holds funds for three
-/// of six creations. The six share one declared group (the sender's
-/// balance is a declared write), so they run in mempool order and the
-/// balance depletes exactly as it does serially. State must end
+/// of six creations. The six are barriers, so they run in mempool order
+/// and the balance depletes exactly as it does serially. State must end
 /// bit-identical to serial: ids 0–2 created, three reverts.
 #[test]
 fn same_sender_create_overdraft_matches_serial() {
@@ -636,19 +712,19 @@ fn same_sender_create_overdraft_matches_serial() {
         let stats = chain.parallel_stats();
         assert_eq!(
             stats.conflict_fallbacks, 0,
-            "{threads} threads: one declared group never speculates, so \
-             the reverts need no backstop ({stats:?})"
+            "{threads} threads: barriers never speculate, so the reverts \
+             need no backstop ({stats:?})"
         );
     }
 }
 
-/// A speculative creation that *reverts* (unfunded requester) shifts
-/// the serial id assignment of everything after it. The validation pass
-/// must catch the revert and send the batch to the serial backstop, and
-/// the chain must end bit-identical to serial, including the ids later
-/// successful creations receive.
+/// A creation that *reverts* (unfunded requester) shifts the serial id
+/// assignment of everything after it. Each creation is a barrier that
+/// runs against the counter the one before it left, so the chain ends
+/// bit-identical to serial, including the ids later successful
+/// creations receive, without any batch to validate.
 #[test]
-fn reverted_create_falls_back_to_serial() {
+fn reverted_create_keeps_serial_id_assignment() {
     let fx = Fixture::new(0xdead);
     let mut set = fx.chain_set(SettlementMode::PerProof, None, &THREADS);
     let funded = Address::from_byte(0xa1);
@@ -670,12 +746,18 @@ fn reverted_create_falls_back_to_serial() {
         .filter(|r| matches!(r.status, TxStatus::Reverted(_)))
         .count();
     assert_eq!(reverted, 1);
+    assert_eq!(set.production[0].contract().hit_ids(), [0, 1]);
     for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
         let stats = chain.parallel_stats();
         assert_eq!(
-            stats.conflict_fallbacks, 1,
-            "{threads} threads: a reverted speculative creation must send \
-             its batch to the serial backstop ({stats:?})"
+            (stats.barriers, stats.serial_txs, stats.batches),
+            (3, 3, 0),
+            "{threads} threads: three creations, three barriers ({stats:?})"
+        );
+        assert_eq!(stats.barriers, creates_executed(chain), "{threads} threads");
+        assert_eq!(
+            stats.conflict_fallbacks, 0,
+            "{threads} threads: a reverted barrier needs no backstop ({stats:?})"
         );
     }
 }
@@ -746,10 +828,10 @@ proptest! {
 
     /// Create-dominated soups: roughly half of every round's mempool is
     /// a funded `Create` from a rotating pool of requesters, the rest
-    /// commits and finalizes against the ids created so far. The
-    /// workload PR 3 serialized completely (every `Create` was a
-    /// barrier) must now form optimistic batches with zero barriers and
-    /// stay bit-identical across thread counts.
+    /// commits and finalizes against the ids created so far. Every
+    /// `Create` is a barrier and every route names an existing id, so the
+    /// barriers are exactly the creations; state stays bit-identical
+    /// across thread counts.
     #[test]
     fn create_dominated_soups_parallel_equals_serial(
         ops in proptest::collection::vec((0u32..8, 0u64..8, 1u32..200), 12..32),
@@ -798,14 +880,12 @@ proptest! {
         assert!(set.production[0].contract().len() >= 6, "soup must actually spawn");
         for (chain, threads) in set.production.iter().zip(THREADS).skip(1) {
             let stats = chain.parallel_stats();
-            assert!(
-                stats.batches > 0,
-                "{threads} threads: creations must batch ({stats:?})"
-            );
             assert_eq!(
-                stats.barriers, 0,
-                "{threads} threads: no message of this soup is a barrier ({stats:?})"
+                stats.barriers,
+                creates_executed(chain),
+                "{threads} threads: the barriers are the creations ({stats:?})"
             );
+            assert_eq!(stats.conflict_fallbacks, 0, "{threads} threads: {stats:?}");
         }
     }
 }

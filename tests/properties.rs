@@ -163,42 +163,19 @@ proptest! {
     }
 }
 
-// --- id-counter and gas-accumulator width boundaries ---
+// --- gas-accumulator width boundary ---
 //
 // The million-HIT path leans on two u64 counters: the registry's
-// monotone instance-id counter (every escrow address derives from it)
-// and the per-transaction gas accumulator (summed into per-block
-// totals). Both are checked, never wrapping: these properties pin the
-// behaviour right at the top of the u64 space.
+// monotone instance-id counter (every escrow address derives from it;
+// its boundary test sits beside the one `Create` arm that advances it,
+// in `registry.rs`) and the per-transaction gas accumulator (summed into
+// per-block totals). Both are checked, never wrapping: these properties
+// pin the accumulator right at the top of the u64 space.
 
-use dragoon_chain::{GasMeter, IdReserver};
+use dragoon_chain::GasMeter;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Near the top of the id space the reserver stays strictly
-    /// monotone and duplicate-free, and never hands out `u64::MAX`
-    /// itself — so the registry's `id + 1` successor computation
-    /// cannot wrap.
-    #[test]
-    fn id_reserver_is_monotone_and_never_yields_max(
-        offset in 1u64..128,
-        count in 1usize..64,
-    ) {
-        let base = u64::MAX - offset;
-        let mut reserver = IdReserver::new(base);
-        // Reservable ids are base..=MAX-1: exactly `offset` of them.
-        let mut prev: Option<u64> = None;
-        for _ in 0..count.min(offset as usize) {
-            let id = reserver.reserve();
-            prop_assert!(id < u64::MAX, "u64::MAX must never be handed out");
-            if let Some(p) = prev {
-                prop_assert!(id > p, "ids must be strictly increasing");
-            }
-            prop_assert!(reserver.is_reserved(id));
-            prev = Some(id);
-        }
-    }
 
     /// The gas accumulator is exact right up to `u64::MAX`: charges
     /// that fit sum precisely (no saturation, no early panic).
@@ -214,14 +191,6 @@ proptest! {
         prop_assert_eq!(meter.used(), head + extra);
         prop_assert_eq!(meter.total_for("intrinsic"), head);
     }
-}
-
-#[test]
-#[should_panic(expected = "instance id space exhausted")]
-fn id_reserver_panics_instead_of_wrapping() {
-    let mut reserver = IdReserver::new(u64::MAX - 1);
-    assert_eq!(reserver.reserve(), u64::MAX - 1);
-    let _ = reserver.reserve(); // would be u64::MAX — must panic
 }
 
 #[test]
