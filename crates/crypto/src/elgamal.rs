@@ -185,12 +185,12 @@ impl EncryptionKey {
     ///   inversion;
     /// * elsewhere, from `LOCKSTEP_LANES` on,
     ///   [`FixedBaseTable::mul_lockstep`], affine throughout with one
-    ///   inversion per window step shared by all lanes, and one more
-    ///   lockstep step adds `g^m`.
+    ///   inversion per step (27 for the two GLV halves) shared by all
+    ///   lanes, and one more lockstep step adds `g^m`.
     ///
     /// Without a `table`, a vector of `LOCKSTEP_LANES` components or more
-    /// builds a throw-away one (a 0.3 ms build against `N` variable-base
-    /// multiplications) and takes the same kernel.
+    /// builds a throw-away one (a 0.13–0.25 ms build against `N`
+    /// variable-base multiplications) and takes the same kernel.
     ///
     /// A shorter slice must not pay a whole-vector kernel's fixed cost:
     /// its components are built in Jacobian coordinates and normalised
@@ -263,18 +263,31 @@ fn encrypt_lockstep(lanes: &[(&FixedBaseTable, Fr)], g_ms: &[G1Affine]) -> Vec<C
     ciphertexts(&points)
 }
 
-/// `g^m` for every `m` in `ms`, affine: one fixed-base multiplication and
-/// one shared normalisation per distinct plaintext (an answer vector
-/// repeats a handful of options).
+/// `g^m` for every `m` in `ms`, affine, once per distinct plaintext (an
+/// answer vector repeats a handful of options): `m ≤ 16` (the options
+/// of every task the market generates) is the identity or an entry of
+/// the generator table's window 0, already affine, and a larger `m`
+/// takes a fixed-base multiplication and one normalisation shared by
+/// all of them.
 fn generator_powers(ms: &[u64]) -> Vec<G1Affine> {
     let mut distinct = ms.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    let powers: Vec<G1Projective> = distinct
+    let table = generator_table();
+    let large: Vec<G1Projective> = distinct
         .iter()
+        .filter(|&&m| table.small_multiple(m).is_none())
         .map(|&m| mul_generator(&Fr::from_u64(m)))
         .collect();
-    let powers = G1Projective::batch_to_affine(&powers);
+    let mut large = G1Projective::batch_to_affine(&large).into_iter();
+    let powers: Vec<G1Affine> = distinct
+        .iter()
+        .map(|&m| {
+            table
+                .small_multiple(m)
+                .unwrap_or_else(|| large.next().expect("one power per large plaintext"))
+        })
+        .collect();
     ms.iter()
         .map(|m| powers[distinct.partition_point(|d| d < m)])
         .collect()
@@ -293,24 +306,26 @@ fn ciphertexts(points: &[G1Affine]) -> Vec<Ciphertext> {
 /// Ciphertext components (`2N` for an `N`-vector) from which
 /// [`EncryptionKey::encrypt_batch`] multiplies in lockstep, on a CPU
 /// without AVX-512 IFMA (and from which a vector without a table builds
-/// one). A lockstep lane-step costs `6M + I/L` against the 11M of a
-/// mixed addition, so it wins once an inversion split `L` ways is under
-/// 5M. Measured (`micro_primitives`, lockstep / Jacobian +
-/// `batch_to_affine`, three runs): 1.91–2.18 at 8 lanes, 1.26–1.39 at
-/// 16, 0.79–0.84 at 32, 0.64–0.68 at 64, 0.52–0.54 at 212.
-const LOCKSTEP_LANES: usize = 32;
+/// one). A lockstep step over both GLV halves of `L` lanes costs
+/// `6M + I/2L` a half against the 11M of a mixed addition, and a vector
+/// takes 27 such steps where a Jacobian product takes 52 additions, so
+/// it wins once an inversion split `2L` ways is under about 10M.
+/// Measured (`micro_primitives`, lockstep / Jacobian +
+/// `batch_to_affine`, three runs): 1.93–2.03 at 4 lanes, 1.23–1.32 at 8,
+/// 0.89–0.91 at 16, 0.68–0.77 at 32, 0.55–0.61 at 64, 0.53–0.57 at 212.
+const LOCKSTEP_LANES: usize = 16;
 
 /// Ciphertext components from which [`EncryptionKey::encrypt_batch`]
 /// runs a vector that comes with a table on the eight lanes, on a CPU
 /// with AVX-512 IFMA: every vector of one answer or more. A call has a
-/// fixed cost — one pass over the 52 windows and the key rows its
-/// digits touch (52 a lane at most) — that even one answer's two lanes
-/// repay against two Jacobian table products. Measured
+/// fixed cost — one pass of 52 steps (26 windows of each GLV half) and
+/// the key rows its digits touch (52 a lane at most) — that even one
+/// answer's two lanes repay against two Jacobian table products. Measured
 /// (`micro_primitives`, fixed-base lanes / Jacobian + `batch_to_affine`,
-/// one lane list, conversion included, three runs): 0.63–0.74 at 2
-/// lanes, 0.33–0.51 at 4, 0.20–0.25 at 8, 0.18–0.29 at 16, 0.16–0.24 at
-/// 32, 0.15–0.23 at 212; against lockstep 0.10–0.11 up to 8 lanes and
-/// 0.30–0.38 at 212.
+/// one lane list, conversion included, three runs): 0.70–0.83 at 2
+/// lanes, 0.41–0.50 at 4, 0.24–0.28 at 8, 0.20–0.26 at 16, 0.22–0.24 at
+/// 32, 0.16–0.22 at 212; against lockstep 0.17–0.20 up to 8 lanes and
+/// 0.33–0.39 at 212.
 #[cfg(target_arch = "x86_64")]
 const LANE_TABLE_LANES: usize = 2;
 
@@ -608,6 +623,20 @@ mod tests {
                 assert_eq!(kp.ek.encrypt_with(m, rho), *ct);
             }
         }
+    }
+
+    #[test]
+    fn generator_powers_match_the_reference() {
+        use crate::g1::mul_reference;
+        // Repeats, the identity, both ends of window 0, and past it.
+        let ms = [3, 0, 16, 1, 17, 3, 100, 16, 0, 1 << 40];
+        let g = G1Projective::generator();
+        let expect: Vec<G1Affine> = ms
+            .iter()
+            .map(|&m| mul_reference(&g, &Fr::from_u64(m)).to_affine())
+            .collect();
+        assert_eq!(generator_powers(&ms), expect);
+        assert!(generator_powers(&[]).is_empty());
     }
 
     #[test]

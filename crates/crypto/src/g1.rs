@@ -278,6 +278,15 @@ impl G1Affine {
             .collect()
     }
 
+    /// `φ(P) = (βx, y)`, which is `λ·P`; the identity stays the
+    /// identity.
+    pub(crate) fn endomorphism(&self) -> Self {
+        Self {
+            x: self.x * GLV_BETA,
+            ..*self
+        }
+    }
+
     /// Converts to Jacobian coordinates.
     pub fn to_projective(&self) -> G1Projective {
         if self.infinity {
@@ -449,7 +458,7 @@ impl G1Projective {
 
     /// The BN-254 endomorphism `φ(x, y) = (βx, y)`, which acts on the
     /// group as multiplication by `λ`, a cube root of unity in `F_r`.
-    fn endomorphism(&self) -> Self {
+    pub(crate) fn endomorphism(&self) -> Self {
         Self {
             x: self.x * GLV_BETA,
             y: self.y,
@@ -582,8 +591,8 @@ pub(crate) const GLV_BETA: Fq = Fq([
 // The reduced basis `(A, -B)`, `(B, C)` of the lattice
 // `{(x, y) : x + y·λ ≡ 0 (mod r)}`, where `λ` is the cube root of unity
 // in `F_r` with `φ(P) = λ·P` for the `β` above; `A·C + B² = r`.
-const GLV_A: u128 = 0x6f4d8248eeb859fc8211bbeb7d4f1128;
-const GLV_B: u128 = 0x89d3256894d213e3;
+pub(crate) const GLV_A: u128 = 0x6f4d8248eeb859fc8211bbeb7d4f1128;
+pub(crate) const GLV_B: u128 = 0x89d3256894d213e3;
 const GLV_C: u128 = 0x6f4d8248eeb859fd0be4e1541221250b;
 /// `round(2^256·C / r)` and `round(2^256·B / r)`: multiplying by these
 /// and keeping the high 256 bits divides by `r` without a division.
@@ -597,7 +606,7 @@ const GLV_B_OVER_R: [u64; 4] = [0xd91d232ec7e0b3d7, 0x2, 0, 0];
 /// `c2 = ⌊k·B/r⌉`, `(k1, k2) = (k, 0) − c1·(A, −B) − c2·(B, C)`. The
 /// precomputed quotients are off by less than `1/8` for `k < 2^254`, so
 /// each half stays within `5/8·(A + B) < 2^127`.
-fn glv_split(k: &Fr) -> [(u128, bool); 2] {
+pub(crate) fn glv_split(k: &Fr) -> [(u128, bool); 2] {
     let k = k.to_plain_limbs();
     let c1 = mul_high_rounded(&k, &GLV_C_OVER_R);
     let c2 = mul_high_rounded(&k, &GLV_B_OVER_R);
@@ -1081,6 +1090,21 @@ pub(crate) fn mul_reference(p: &G1Projective, k: &Fr) -> G1Projective {
     acc
 }
 
+/// `λ`, the cube root of unity in `F_r` that [`GLV_BETA`]'s
+/// endomorphism multiplies by:
+/// `0x30644e72e131a029048b6e193fd84104cc37a73fec2bc5e9b8ca0b2d36636f23`
+/// (only the split's lattice basis enters production code, so only
+/// tests need the value itself).
+#[cfg(test)]
+pub(crate) fn lambda() -> Fr {
+    let limbs = [
+        0xb8ca0b2d36636f23,
+        0xcc37a73fec2bc5e9,
+        0x048b6e193fd84104,
+        0x30644e72e131a029,
+    ];
+    Fr::from_plain_limbs(limbs).expect("λ is reduced")
+}
 #[cfg(test)]
 impl BucketPlan {
     /// A plan at window width `c` over `points` whose first jobs are
@@ -1135,13 +1159,6 @@ mod tests {
 
     fn point_hex(x: &str, y: &str) -> G1Affine {
         G1Affine::from_xy(fq_hex(x), fq_hex(y)).expect("on curve")
-    }
-
-    /// `λ`, the cube root of unity in `F_r` that [`GLV_BETA`]'s
-    /// endomorphism multiplies by (only the split's lattice basis enters
-    /// `mul_scalar`, so production code never needs the value itself).
-    fn lambda() -> Fr {
-        fr_hex("30644e72e131a029048b6e193fd84104cc37a73fec2bc5e9b8ca0b2d36636f23")
     }
 
     /// The scalars every multiplication kernel is exercised on.
@@ -1252,8 +1269,14 @@ mod tests {
         );
         assert_ne!(GLV_BETA, Fq::one());
         assert_eq!(GLV_BETA * GLV_BETA * GLV_BETA, Fq::one());
+        assert_eq!(
+            lambda(),
+            fr_hex("30644e72e131a029048b6e193fd84104cc37a73fec2bc5e9b8ca0b2d36636f23")
+        );
         assert_ne!(lambda(), Fr::one());
         assert_eq!(lambda() * lambda() * lambda(), Fr::one());
+        // The basis vector `(A, −B)` is a split of zero.
+        assert_eq!(Fr::from_u128(GLV_A), Fr::from_u128(GLV_B) * lambda());
         let g = G1Projective::generator();
         assert_eq!(g.endomorphism(), mul_reference(&g, &lambda()));
         assert!(g.endomorphism().to_affine().is_on_curve());
@@ -1261,6 +1284,12 @@ mod tests {
         let p = G1Affine::random(&mut rng).to_projective();
         assert_eq!(p.endomorphism(), mul_reference(&p, &lambda()));
         assert!(G1Projective::identity().endomorphism().is_identity());
+        let p = p.to_affine();
+        assert_eq!(
+            p.endomorphism(),
+            mul_reference(&p.to_projective(), &lambda()).to_affine()
+        );
+        assert!(G1Affine::identity().endomorphism().is_identity());
     }
 
     #[test]

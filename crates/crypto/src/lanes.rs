@@ -17,8 +17,9 @@
 //!   to eight bases at a time. The scalar is shared, so every lane takes
 //!   the same digits and the code has no per-lane branch.
 //! * [`fixed_base_mul`]: eight `(table, scalar)` lanes at a time, each
-//!   lane with its own [`FixedBaseTable`] and its own signed digits. A
-//!   window step gathers every lane's entry from its own table, negates
+//!   lane with its own [`FixedBaseTable`] and its own GLV-split signed
+//!   digits. A step — one window of one half — gathers every lane's
+//!   entry from its own table (its `φ` image for the `k2` half), negates
 //!   by a sign mask and runs one mixed addition; per-lane masks decide
 //!   which lanes keep it. Lanes on different tables share a pass, so
 //!   `EncryptionKey::encrypt_batch`'s `N` lanes on the generator's table
@@ -35,15 +36,22 @@
 //! to its negation leaves `Z = 0`, every later step keeps it there, and
 //! every multiplication recomputes such a lane on the portable path
 //! ([`G1Projective::mul_scalar`], [`FixedBaseTable::mul`],
-//! `BucketPlan::bucket_sum`). Under [`batch_mul_shared`] the GLV split
-//! rules that out on the curve: the accumulator is `c₁·P + c₂·φ(P)` and
-//! an entry `d·P` or `d·φ(P)`, so a collision needs a nonzero vector of
-//! the GLV lattice with both coordinates within the split's bound plus a
-//! digit, and every such vector has a coordinate 1.6 times that. Under
-//! [`fixed_base_mul`] it takes a scalar whose digits below some window
-//! sum to `±` that window's digit times its weight, modulo `r` (the
-//! tests build one); a random scalar meets it with negligible
-//! probability. For those two the check is a net, not a path. Under
+//! `BucketPlan::bucket_sum`). Under [`batch_mul_shared`] and
+//! [`fixed_base_mul`] the GLV split rules that out on the curve: the
+//! accumulator is `c₁·P + c₂·φ(P)` and an entry `e·P` or `e·φ(P)`, so a
+//! collision needs a nonzero vector `(x, y)` of the GLV lattice
+//! (`x + y·λ ≡ 0 mod r`) with both coordinates within the split's bound
+//! plus a digit. Under [`batch_mul_shared`] (width-5 NAF, entries up to
+//! `15·P`) every such vector has a coordinate 1.6 times that. Under
+//! [`fixed_base_mul`] `c₁` and `c₂` are sums of some of a half's terms
+//! `dᵢ·2^{5i}`; a half is below `5/8·(A + B) < 2.18·2¹²⁵`, so its top
+//! digit is at most 2 and every coordinate stays below `2.52·2¹²⁵`, while
+//! the shortest lattice vectors, `(A, −B)` and `(B, C)`, have one of
+//! `A ≈ C ≈ 3.48·2¹²⁵` (and the zero vector would be a half's partial
+//! sum equal to its next entry, which the digit bound rules out; a
+//! 128-bit half never wraps modulo `r`). For those two the check is a
+//! net, not a path, and the tests reach it only with a split no scalar
+//! has — the digits of `(A, −B)`, a second split of zero. Under
 //! `msm_buckets` it is a path: the points are chosen by whoever
 //! submitted the proofs, and a repeated base, opposite points, or a list
 //! that sums through the identity (which the tests build) ends its lane
@@ -63,7 +71,9 @@
 
 use crate::field::{Fq, Fr};
 use crate::g1::{BucketPlan, Entry, G1Affine, G1Projective, GlvRecoding, GLV_BETA};
-use crate::precomp::{entry_index, generator_table, signed_digits, FixedBaseTable, WINDOWS};
+use crate::precomp::{
+    entry_index, generator_table, split_digits, FixedBaseTable, SplitDigits, TABLE_ENTRIES, WINDOWS,
+};
 use core::arch::x86_64::{
     __m512i, __mmask8, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512,
     _mm512_cmplt_epi64_mask, _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64,
@@ -225,25 +235,42 @@ fn bucket_chunk(rows: &[Row], jobs: [&[Entry]; LANES]) -> Jac8 {
 /// kernels this CPU runs. Public for the crossover rows of the
 /// `micro_primitives` bench.
 ///
-/// Eight lanes share a pass over the 52 windows, in list order, each
-/// lane with its own signed digits gathered from its own table. The
-/// generator's table is read in lane form from a process-wide copy;
-/// every other table converts, for the call only, the rows its own
+/// Eight lanes share a pass of 52 steps, in list order — the 26 windows
+/// of every lane's `k1` half, then those of its `k2` half — each lane
+/// with its own GLV-split signed digits gathered from its own table.
+/// The generator's table is read in lane form from a process-wide copy
+/// that holds both halves, the `φ` rows `(βx, y)` beside the table's
+/// own; every other table converts, for the call only, the rows its own
 /// lanes' digits touch (at most 52 a lane, and each row once however
-/// many lanes land on it), since a copy kept beside every cached key
-/// table would be resident memory for every live task. The lanes of a
-/// table whose base is the identity or off the curve, and a lane whose
-/// formulas met an exceptional addition (`Z = 0` at the end), go to
-/// their own table's `mul`.
+/// many lanes land on it), and its lanes get the `φ` half's `x` by one
+/// lane multiplication by `β` a step, since a copy kept beside every
+/// cached key table would be resident memory for every live task. The
+/// lanes of a table whose base is the identity or off the curve, and a
+/// lane whose formulas met an exceptional addition (`Z = 0` at the end),
+/// go to their own table's `mul`.
 pub fn fixed_base_mul(lanes: &[(&FixedBaseTable, Fr)]) -> Option<Vec<G1Projective>> {
+    if !has_ifma() {
+        return None;
+    }
+    let digits: Vec<SplitDigits> = lanes.iter().map(|(_, k)| split_digits(k)).collect();
+    fixed_base_mul_split(lanes, &digits)
+}
+
+/// [`fixed_base_mul`] with every lane's digits given: `digits[i]` must
+/// stand for lane `i`'s scalar, which a lane that ends at `Z = 0` is
+/// recomputed from. The tests hand it splits no scalar has.
+fn fixed_base_mul_split(
+    lanes: &[(&FixedBaseTable, Fr)],
+    digits: &[SplitDigits],
+) -> Option<Vec<G1Projective>> {
     if !has_ifma() {
         return None;
     }
     // One source of rows per distinct table, converted as digits land.
     let mut sources: Vec<(&FixedBaseTable, LaneRows)> = Vec::new();
     let mut lane_sources = Vec::with_capacity(lanes.len());
-    let mut digits = Vec::with_capacity(lanes.len());
-    for &(table, k) in lanes {
+    let mut lane_digits = Vec::with_capacity(lanes.len());
+    for (&(table, _), split) in lanes.iter().zip(digits) {
         let at = sources
             .iter()
             .position(|(t, _)| core::ptr::eq(*t, table))
@@ -252,13 +279,13 @@ pub fn fixed_base_mul(lanes: &[(&FixedBaseTable, Fr)]) -> Option<Vec<G1Projectiv
                 sources.len() - 1
             });
         let source = &mut sources[at].1;
-        let lane_digits = match source {
-            LaneRows::Portable => [0; WINDOWS],
-            _ => signed_digits(&k.to_plain_limbs()),
+        let split = match source {
+            LaneRows::Portable => [[0; WINDOWS]; 2],
+            _ => *split,
         };
-        source.touch(table, &lane_digits);
+        source.touch(table, &split);
         lane_sources.push(at);
-        digits.push(lane_digits);
+        lane_digits.push(split);
     }
     let lane_rows: Vec<Option<&[Row]>> = lane_sources
         .iter()
@@ -266,16 +293,19 @@ pub fn fixed_base_mul(lanes: &[(&FixedBaseTable, Fr)]) -> Option<Vec<G1Projectiv
         .collect();
     // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
     // `fixed_base_mul_ifma` is compiled for.
-    Some(unsafe { fixed_base_mul_ifma(lanes, &lane_rows, &digits) })
+    Some(unsafe { fixed_base_mul_ifma(lanes, &lane_rows, &lane_digits) })
 }
 
+/// Signed digits a pass walks per lane: both halves' windows.
+const STEPS: usize = 2 * WINDOWS;
+
 /// `lane_rows[i]` is where lane `i` reads its table's rows, `None` for a
-/// table the lanes do not take; `digits[i]` are its signed digits.
+/// table the lanes do not take; `digits[i]` are its split digits.
 #[target_feature(enable = "avx512ifma")]
 fn fixed_base_mul_ifma(
     lanes: &[(&FixedBaseTable, Fr)],
     lane_rows: &[Option<&[Row]>],
-    digits: &[[i8; WINDOWS]],
+    digits: &[SplitDigits],
 ) -> Vec<G1Projective> {
     let mut out = Vec::with_capacity(lanes.len());
     for ((lanes, lane_rows), digits) in lanes
@@ -292,7 +322,8 @@ fn fixed_base_mul_ifma(
                 .flatten()
                 .unwrap_or(&generator_lane_table().0)
         });
-        let digits = from_fn(|w| from_fn(|i| digits.get(i).map_or(0, |d| d[w])));
+        let digits =
+            from_fn(|s| from_fn(|i| digits.get(i).map_or(0, |d| d[s / WINDOWS][s % WINDOWS])));
         let (acc, started) = fixed_base_chunk(rows, &digits);
         out.extend(
             lanes
@@ -311,28 +342,40 @@ fn fixed_base_mul_ifma(
     out
 }
 
-/// The sum of the table entries the signed `digits` select (window by
-/// window, the eight lanes' digits in each, lane `i`'s entries read from
-/// `rows[i]`), and the mask of lanes that had a nonzero digit (the rest
-/// are the identity, which the formulas cannot represent, and hold
-/// garbage). A lane's first nonzero digit loads its entry with `Z = 1`;
-/// a zero digit leaves the lane as it is.
+/// The sum of the table entries the signed `digits` select (step by
+/// step, the eight lanes' digits in each: step `s < 26` is window `s` of
+/// the `k1` half, step `26 + w` window `w` of the `k2` half; lane `i`'s
+/// entries read from `rows[i]`), and the mask of lanes that had a
+/// nonzero digit (the rest are the identity, which the formulas cannot
+/// represent, and hold garbage). A lane whose rows hold the `φ` half
+/// after the table's own reads its `k2` entries there; a lane whose rows
+/// stop at the table's own lifts them, `x` times `β`. A lane's first
+/// nonzero digit loads its entry with `Z = 1`; a zero digit leaves the
+/// lane as it is.
 #[target_feature(enable = "avx512ifma")]
-fn fixed_base_chunk(rows: [&[Row]; LANES], digits: &[[i8; LANES]; WINDOWS]) -> (Jac8, __mmask8) {
+fn fixed_base_chunk(rows: [&[Row]; LANES], digits: &[[i8; LANES]; STEPS]) -> (Jac8, __mmask8) {
     let one = Fq8::splat(Fq::one());
     let zero = Fq8::zero();
+    let beta = Fq8::splat(GLV_BETA);
+    let lifted = lane_mask(rows.map(|r| r.len() == TABLE_ENTRIES));
     let mut acc = Jac8 {
         x: zero,
         y: zero,
         z: zero,
     };
     let mut started: __mmask8 = 0;
-    for (w, &d) in digits.iter().enumerate() {
+    for (s, &d) in digits.iter().enumerate() {
         let nonzero = lane_mask(d.map(|d| d != 0));
         if nonzero == 0 {
             continue;
         }
-        let entry = gather(rows, w, d).negate_where(lane_mask(d.map(|d| d < 0)));
+        let (second, w) = (s >= WINDOWS, s % WINDOWS);
+        let mut entry = gather(rows, second, w, d);
+        let lift = if second { nonzero & lifted } else { 0 };
+        if lift != 0 {
+            entry.x = entry.x.select(lift, entry.x.mul(beta));
+        }
+        let entry = entry.negate_where(lane_mask(d.map(|d| d < 0)));
         let (fresh, add) = (nonzero & !started, nonzero & started);
         if add != 0 {
             acc = acc.select(add, acc.add_affine(&entry));
@@ -351,13 +394,19 @@ fn fixed_base_chunk(rows: [&[Row]; LANES], digits: &[[i8; LANES]; WINDOWS]) -> (
 }
 
 /// Lane `i` holds the entry of window `w` for digit `|d[i]|` from
-/// `rows[i]`; a zero digit reads digit 1's row, which the caller does
-/// not use.
+/// `rows[i]` — for the `second` half, from its `φ` rows where it has
+/// them; a zero digit reads digit 1's row, which the caller does not
+/// use.
 #[target_feature(enable = "avx512ifma")]
 #[inline]
-fn gather(rows: [&[Row]; LANES], w: usize, d: [i8; LANES]) -> Aff8 {
+fn gather(rows: [&[Row]; LANES], second: bool, w: usize, d: [i8; LANES]) -> Aff8 {
     load(from_fn(|i| {
-        &rows[i][entry_index(w, d[i].unsigned_abs().max(1))]
+        let half = if second && rows[i].len() > TABLE_ENTRIES {
+            TABLE_ENTRIES
+        } else {
+            0
+        };
+        &rows[i][half + entry_index(w, d[i].unsigned_abs().max(1))]
     }))
 }
 
@@ -392,7 +441,8 @@ type Row = [[u64; 5]; 2];
 /// Where one call's lanes read a table's entries in lane form, in the
 /// table's order.
 enum LaneRows {
-    /// The generator's process-wide copy: every row.
+    /// The generator's process-wide copy: every row, and every row's
+    /// `φ` image after them.
     Generator,
     /// Converted for the call: the rows some lane's digit selects
     /// (`converted`); the rest stay zero and are never read for a
@@ -423,14 +473,14 @@ impl LaneRows {
         }
     }
 
-    /// Converts the rows of `table` that `digits` select and no earlier
-    /// lane's did.
-    fn touch(&mut self, table: &FixedBaseTable, digits: &[i8; WINDOWS]) {
+    /// Converts the rows of `table` that either half of `digits`
+    /// selects and no earlier lane's did.
+    fn touch(&mut self, table: &FixedBaseTable, digits: &SplitDigits) {
         let LaneRows::Touched { rows, converted } = self else {
             return;
         };
-        for (w, &d) in digits.iter().enumerate() {
-            if d != 0 {
+        for half in digits {
+            for (w, &d) in half.iter().enumerate().filter(|(_, &d)| d != 0) {
                 let e = entry_index(w, d.unsigned_abs());
                 if !converted[e] {
                     converted[e] = true;
@@ -451,12 +501,22 @@ impl LaneRows {
 }
 
 /// A [`FixedBaseTable`]'s entries in the lanes' form, every one, in the
-/// table's order (65 KiB): kept for the generator's table only.
+/// table's order, then their `φ` images in the same order (65 KiB):
+/// kept for the generator's table only.
 struct LaneTable(Vec<Row>);
 
 impl LaneTable {
     fn new(table: &FixedBaseTable) -> Self {
-        Self(table.entries().iter().map(lane_row).collect())
+        let entries = table.entries();
+        let images = entries.iter().map(G1Affine::endomorphism);
+        Self(
+            entries
+                .iter()
+                .copied()
+                .chain(images)
+                .map(|e| lane_row(&e))
+                .collect(),
+        )
     }
 }
 
@@ -935,7 +995,8 @@ fn mul_chunk(bases: [G1Affine; LANES], recoding: &GlvRecoding) -> [G1Projective;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::g1::mul_reference;
+    use crate::g1::{lambda, mul_reference, GLV_A, GLV_B};
+    use crate::precomp::signed_digits;
     use crate::vectors::{FQ, G1};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1217,26 +1278,53 @@ mod tests {
         on_lanes("bucket_sums_match_the_portable_ones", check);
     }
 
-    /// `24·2²⁵⁰ − r`: its signed digits below window 50 sum to
-    /// `12·2²⁵⁰ − r` and window 50 holds 12, so the sum so far is that
-    /// window's entry and the lane's addition is a doubling, `Z = 0`.
-    fn exceptional_scalar() -> Fr {
-        let k = crate::arith::sub_4(&[0, 0, 0, 24 << 58], &Fr::MODULUS).0;
-        Fr::from_plain_limbs(k).expect("24·2²⁵⁰ − r is below r")
+    /// A split no scalar has: `k1 = A`, `k2 = −B + 2¹⁰⁰`. `(A, −B)` is
+    /// a vector of the GLV lattice, `A − B·λ ≡ 0`, so after the `k1`
+    /// half the lane's sum runs through the `k2` half's digits of `−B`
+    /// back to the identity: its last one adds a point to its negation,
+    /// `Z = 0`. Window 20 of `k2` then adds `2¹⁰⁰·φ(P)`, so the digits
+    /// stand for `2¹⁰⁰·λ`, the scalar returned beside them.
+    fn exceptional_split() -> (Fr, SplitDigits) {
+        let mut second = signed_digits(GLV_B).map(|d| -d);
+        assert_eq!(second[13..], [0; 13], "B is below 2⁶⁴");
+        second[20] = 1;
+        let k = Fr::from_u64(2).pow(&[100]) * lambda();
+        (k, [signed_digits(GLV_A), second])
     }
 
-    /// 0, ±1, −32, r − 1 (`−1`), the exceptional scalar, a single digit
-    /// in every window and equal digits in adjacent windows
+    /// The scalar a lane's split digits stand for.
+    fn split_value(digits: &SplitDigits) -> Fr {
+        let half = |half: &[i8; WINDOWS]| {
+            half.iter().rev().fold(Fr::zero(), |acc, &d| {
+                let magnitude = Fr::from_u64(u64::from(d.unsigned_abs()));
+                acc * Fr::from_u64(32) + if d < 0 { -magnitude } else { magnitude }
+            })
+        };
+        half(&digits[0]) + half(&digits[1]) * lambda()
+    }
+
+    /// 0, ±1, −32, r − 1 (`−1`), the GLV edges (`λ`, `λ ± 1`, an empty
+    /// `k1`, an empty `k2`, both halves negative, the largest halves),
+    /// `24·2²⁵⁰ − r` (whose unsplit width-5 digits wrap modulo `r`), a
+    /// single digit in every window and equal digits in adjacent windows
     /// (`d·2^{5w}·(1 + 2⁵)`) — consecutive, so a pass of eight meets
     /// windows that are zero on some lanes or on all — then random ones.
     fn fixed_base_scalars() -> Vec<Fr> {
         let mut rng = rng();
+        let max_half = Fr::from_u128((1 << 127) - 1);
         let mut ks = vec![
             Fr::zero(),
             Fr::one(),
             -Fr::one(),
             -Fr::from_u64(32),
-            exceptional_scalar(),
+            lambda(),
+            lambda() + Fr::one(),
+            lambda() - Fr::one(),
+            Fr::from_u64(5) * lambda(),
+            Fr::from_u64(12_345),
+            -(Fr::from_u64(3) + Fr::from_u64(7) * lambda()),
+            max_half * (Fr::one() + lambda()),
+            Fr::from_u64(24) * Fr::from_u64(2).pow(&[250]),
         ];
         for d in [1u64, 15, 16, 17, 31] {
             let mut k = Fr::from_u64(d);
@@ -1310,26 +1398,49 @@ mod tests {
                 }
             }
         }
+        // Halves at `2¹²⁷ − 1`, beyond any scalar's split, through the
+        // digits: `(2¹²⁷ − 1)(±1 ± λ)` on the generator's lanes and the
+        // key's, in one pass.
+        let max = signed_digits((1 << 127) - 1);
+        let neg = max.map(|d| -d);
+        let splits = [[max, max], [max, neg], [neg, max], [neg, neg]];
+        let lanes: Vec<(&FixedBaseTable, Fr)> = splits
+            .iter()
+            .flat_map(|split| {
+                [
+                    (tables[0], split_value(split)),
+                    (tables[1], split_value(split)),
+                ]
+            })
+            .collect();
+        let digits: Vec<SplitDigits> = splits.iter().flat_map(|&split| [split; 2]).collect();
+        let got = fixed_base_mul_split(&lanes, &digits).expect("this CPU has IFMA");
+        for ((table, k), got) in lanes.iter().zip(got) {
+            assert_eq!(got, mul_reference(&table.entries()[0].to_projective(), k));
+        }
     }
 
     #[test]
     fn an_exceptional_lane_ends_at_z_zero_and_is_recomputed() {
         #[target_feature(enable = "avx512ifma")]
         fn check() {
-            let k = exceptional_scalar();
-            let digits = signed_digits(&k.to_plain_limbs());
-            assert_eq!(digits[50..], [12, 0]);
-            // The generator's lanes and a key's, alternating in one pass.
+            let (k, split) = exceptional_split();
+            assert_eq!(split_value(&split), k);
+            assert_ne!(split, split_digits(&k), "no scalar splits this way");
+            let digits = from_fn(|s| [split[s / WINDOWS][s % WINDOWS]; LANES]);
+            // The generator's lanes (`φ` rows stored) and a key's (`φ`
+            // rows lifted by `β`), alternating in one pass.
             let key = FixedBaseTable::new(&G1Affine::random(&mut rng()));
             let mut key_rows = LaneRows::of(&key);
-            key_rows.touch(&key, &digits);
+            key_rows.touch(&key, &split);
             let sources = [LaneRows::Generator.rows(), key_rows.rows()];
             let rows = from_fn(|i| sources[i % 2].expect("both tables are on the curve"));
-            let (acc, started) = fixed_base_chunk(rows, &digits.map(|d| [d; LANES]));
+            let (acc, started) = fixed_base_chunk(rows, &digits);
             assert_eq!(started, 0xff);
             assert!(acc.z.to_fq().iter().all(Fq::is_zero));
-            // Through the entry point: the scalar on a key lane among
-            // generator, key, identity and off-curve lanes, in one pass.
+            // Through the entry point: the split on a key lane and a
+            // generator lane among generator, key, identity and off-curve
+            // lanes, in one pass; every other lane takes its own split.
             let (identity, off_curve) = (
                 FixedBaseTable::new(&G1Affine::identity()),
                 FixedBaseTable::new(&off_curve()),
@@ -1343,13 +1454,17 @@ mod tests {
                 (generator_table(), k),
                 (&key, -Fr::one()),
             ];
-            let got = fixed_base_mul(&lanes).expect("this CPU has IFMA");
+            let mut digits: Vec<SplitDigits> = lanes.iter().map(|(_, k)| split_digits(k)).collect();
+            (digits[3], digits[5]) = (split, split);
+            let got = fixed_base_mul_split(&lanes, &digits).expect("this CPU has IFMA");
             for (i, base) in [(3, key.entries()[0]), (5, G1Affine::generator())] {
                 let expect = mul_reference(&base.to_projective(), &k);
                 assert!(!expect.is_identity());
                 assert_eq!(got[i], expect, "lane {i}");
             }
-            check_fixed_base(&lanes, "an exceptional key lane");
+            let per_lane: Vec<G1Projective> = lanes.iter().map(|(t, k)| t.mul(k)).collect();
+            assert_eq!(got, per_lane);
+            check_fixed_base(&lanes, "an exceptional key lane's scalar");
         }
         on_lanes(
             "an_exceptional_lane_ends_at_z_zero_and_is_recomputed",

@@ -7,24 +7,32 @@
 //! encryption key `h` (the `h^ρ` term of every ciphertext). Both bases
 //! repeat across thousands of proofs, so a windowed fixed-base table
 //! ([`FixedBaseTable`]) turns each multiplication into at most 52 mixed
-//! additions and no doublings — and a whole answer vector of them into
-//! 52 lockstep affine steps ([`FixedBaseTable::mul_lockstep`]), or, on a
-//! CPU with AVX-512 IFMA, into 52 eight-lane steps per eight lanes
+//! additions and no doublings. The table is half the size a 256-bit
+//! scalar's windows would need: a scalar is GLV-split (`g1::glv_split`)
+//! into `k = ±k1 ± k2·λ` with both halves below `2^127`, the table holds
+//! the 26 windows of one half, and the `k2` half reads the same entries
+//! through the endomorphism `φ(x, y) = (βx, y)`, which multiplies by
+//! `λ`. A whole answer vector of multiplications takes 27 lockstep
+//! affine steps ([`FixedBaseTable::mul_lockstep`]), or, on a CPU with
+//! AVX-512 IFMA, 52 eight-lane steps per eight lanes
 //! (`lanes::fixed_base_mul`). Both kernels take the same list of
 //! `(table, scalar)` lanes, so one vector's lanes on `g`'s table and on
 //! `h`'s share their steps. The lanes read a table through
 //! `FixedBaseTable::entries`: they keep a lane-form copy of the
-//! generator's table only, and convert another table's entries per
-//! call, only those the call's digits select.
+//! generator's table only, both halves of it, and convert another
+//! table's entries per call, only those the call's digits select.
 //!
 //! * [`generator_table`] — a process-wide table for `g`, built once.
 //! * [`ProofCache`] — a keyed cache of per-base tables (one per
 //!   requester encryption key), shared by the proving service's worker
 //!   pool. Hit/miss counters feed `ProvingStats`. A table lives as long
-//!   as its task: the owner calls [`ProofCache::retire`] when the task
-//!   settles, so the resident set is the live tasks' keys; the cap is
-//!   the backstop for keys nobody retires, evicting the oldest-inserted
-//!   table. A lookup claims its slot
+//!   as its uses: a requester's key is read only by the commit jobs of
+//!   its task, so the owner calls [`ProofCache::retire`] when the task's
+//!   commit phase closes (and again when it settles, for a task
+//!   cancelled before that), and the resident set is the keys of the
+//!   tasks still taking commitments; the cap is the backstop for keys
+//!   nobody retires, evicting the oldest-inserted table. A lookup
+//!   claims its slot
 //!   under the lock — so a miss is counted exactly once per distinct
 //!   key regardless of thread interleaving and the statistics stay
 //!   deterministic across `DRAGOON_THREADS` values — and builds the
@@ -42,37 +50,39 @@
 //! the table changes no serialized bytes — goldens are unaffected.
 
 use crate::field::Fr;
-use crate::g1::{BatchAddScratch, G1Affine, G1Projective};
+use crate::g1::{glv_split, BatchAddScratch, G1Affine, G1Projective};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Window width in bits: a scalar is recoded into signed width-5 digits
-/// (see [`signed_digits`]), so a window stores only the 16 positive
-/// multiples and a negative digit negates `y` on the way out.
+/// Window width in bits: a GLV half is recoded into signed width-5
+/// digits (see [`signed_digits`]), so a window stores only the 16
+/// positive multiples and a negative digit negates `y` on the way out.
 const WINDOW_BITS: usize = 5;
-/// Signed digits in a 256-bit integer: 51 full windows, and one for
-/// bit 255 plus the carry.
-pub(crate) const WINDOWS: usize = 256usize.div_ceil(WINDOW_BITS);
+/// Signed digits in a 128-bit half: 25 full windows, and one for bits
+/// 125–127 plus the carry.
+pub(crate) const WINDOWS: usize = 128usize.div_ceil(WINDOW_BITS);
 /// The digit radix, `2^5`.
 const RADIX: i8 = 1 << WINDOW_BITS;
 /// Stored multiples per window: `1..=16`.
 const ENTRIES: usize = RADIX as usize / 2;
+/// Entries in a table: 26 windows × 16 multiples.
+pub(crate) const TABLE_ENTRIES: usize = ENTRIES * WINDOWS;
 
-/// Recodes a 256-bit integer as `Σ dᵢ·2^{5i}` with `dᵢ ∈ [-15, 16]`,
+/// A scalar as table digits: row 0 holds the signed digits of `k1`,
+/// row 1 those of `k2`, each half's sign folded into its digits, with
+/// `k = k1 + k2·λ`.
+pub(crate) type SplitDigits = [[i8; WINDOWS]; 2];
+
+/// Recodes a 128-bit integer as `Σ dᵢ·2^{5i}` with `dᵢ ∈ [-15, 16]`,
 /// least significant first: a raw window value above 16 becomes
 /// `value − 32` and carries one into the next window. The last window
-/// sees only bit 255 and a carry, so nothing carries out of it.
-pub(crate) fn signed_digits(k: &[u64; 4]) -> [i8; WINDOWS] {
+/// sees only bits 125–127 and a carry, so nothing carries out of it.
+pub(crate) fn signed_digits(k: u128) -> [i8; WINDOWS] {
     let mut digits = [0i8; WINDOWS];
     let mut carry = 0;
     for (w, digit) in digits.iter_mut().enumerate() {
-        let (limb, shift) = (w * WINDOW_BITS / 64, w * WINDOW_BITS % 64);
-        let mut raw = k[limb] >> shift;
-        if shift + WINDOW_BITS > 64 && limb < 3 {
-            raw |= k[limb + 1] << (64 - shift);
-        }
-        let d = (raw & (RADIX as u64 - 1)) as i8 + carry;
+        let d = (k >> (w * WINDOW_BITS) & (RADIX as u128 - 1)) as i8 + carry;
         (*digit, carry) = if d > RADIX / 2 {
             (d - RADIX, 1)
         } else {
@@ -83,17 +93,32 @@ pub(crate) fn signed_digits(k: &[u64; 4]) -> [i8; WINDOWS] {
     digits
 }
 
+/// `k`'s GLV split, both halves recoded: the digits every fixed-base
+/// kernel walks.
+pub(crate) fn split_digits(k: &Fr) -> SplitDigits {
+    glv_split(k).map(|(half, negative)| {
+        let digits = signed_digits(half);
+        if negative {
+            digits.map(|d| -d)
+        } else {
+            digits
+        }
+    })
+}
+
 /// Where a table keeps the multiple for window `w` and digit magnitude
-/// `d ∈ [1, 16]`: `(d-1)·52 + w`.
+/// `d ∈ [1, 16]`: `(d-1)·26 + w`.
 #[inline]
 pub(crate) fn entry_index(w: usize, d: u8) -> usize {
     (usize::from(d) - 1) * WINDOWS + w
 }
 
-/// A windowed fixed-base multiplication table: for window `w` and digit
-/// `d ∈ [1, 16]`, entry `(d-1)·52 + w` holds `d · 2^{5w} · base` in
-/// affine coordinates, so every hit is a mixed addition — 52 windows ×
-/// 16 entries of 72 B, 58.5 KiB per base.
+/// A windowed fixed-base multiplication table over GLV halves: for
+/// window `w` and digit `d ∈ [1, 16]`, entry `(d-1)·26 + w` holds
+/// `d · 2^{5w} · base` in affine coordinates, so every hit is a mixed
+/// addition — 26 windows × 16 entries of 72 B, 29.25 KiB per base. A
+/// scalar's `k1` half reads the entries as they are and its `k2` half
+/// reads them through `φ`, `(x, y) ↦ (βx, y)`.
 pub struct FixedBaseTable {
     entries: Vec<G1Affine>,
 }
@@ -101,10 +126,10 @@ pub struct FixedBaseTable {
 impl FixedBaseTable {
     /// Precomputes the table for one base point.
     ///
-    /// The window bases `2^{5w}·base` come from one doubling chain,
-    /// normalised together; the digit multiples then grow by doubling
-    /// the digit set — `{1..m}` to `{1..2m}` as `m·B + {1..m}·B` across
-    /// all 52 windows at once, four times — through
+    /// The window bases `2^{5w}·base` come from one doubling chain (125
+    /// doublings), normalised together; the digit multiples then grow by
+    /// doubling the digit set — `{1..m}` to `{1..2m}` as `m·B + {1..m}·B`
+    /// across all 26 windows at once, four times — through
     /// [`G1Affine::batch_add_assign`], five shared inversions in all.
     pub fn new(base: &G1Affine) -> Self {
         Self::new_in(base, Vec::new())
@@ -114,18 +139,20 @@ impl FixedBaseTable {
     fn new_in(base: &G1Affine, mut entries: Vec<G1Affine>) -> Self {
         let mut window_bases = Vec::with_capacity(WINDOWS);
         let mut window_base = base.to_projective();
-        for _ in 0..WINDOWS {
+        for w in 0..WINDOWS {
             window_bases.push(window_base);
-            for _ in 0..WINDOW_BITS {
-                window_base = window_base.double();
+            if w + 1 < WINDOWS {
+                for _ in 0..WINDOW_BITS {
+                    window_base = window_base.double();
+                }
             }
         }
         entries.clear();
-        entries.reserve_exact(ENTRIES * WINDOWS);
+        entries.reserve_exact(TABLE_ENTRIES);
         entries.extend(G1Projective::batch_to_affine(&window_bases));
         let mut scratch = BatchAddScratch::default();
-        let mut top = Vec::with_capacity(ENTRIES / 2 * WINDOWS);
-        while entries.len() < ENTRIES * WINDOWS {
+        let mut top = Vec::with_capacity(TABLE_ENTRIES / 2);
+        while entries.len() < TABLE_ENTRIES {
             let have = entries.len();
             top.clear();
             top.extend(entries[have - WINDOWS..].iter().cycle().take(have));
@@ -141,9 +168,22 @@ impl FixedBaseTable {
         &self.entries
     }
 
-    /// `d · 2^{5w} · base` for a nonzero signed digit.
+    /// `m · base` for `m ≤ 16`, affine and free: the identity, or window
+    /// 0's entry. `None` for a larger `m`.
+    pub(crate) fn small_multiple(&self, m: u64) -> Option<G1Affine> {
+        match m {
+            0 => Some(G1Affine::identity()),
+            1..=16 => Some(self.entries[entry_index(0, m as u8)]),
+            _ => None,
+        }
+    }
+
+    /// `d · 2^{5w} · base` for a signed digit, the identity for 0.
     #[inline]
     fn entry(&self, w: usize, d: i8) -> G1Affine {
+        if d == 0 {
+            return G1Affine::identity();
+        }
         let e = self.entries[entry_index(w, d.unsigned_abs())];
         if d < 0 {
             -e
@@ -152,45 +192,71 @@ impl FixedBaseTable {
         }
     }
 
-    /// Multiplies the table's base by `k`: one mixed addition per
-    /// nonzero signed digit, at most 52 and no doublings — small scalars
-    /// (claim points `g^m`, fold counters) cost one or two.
+    /// `acc + Σ dᵢ · 2^{5i} · base` over one half's digits.
+    fn add_half(&self, acc: G1Projective, digits: &[i8; WINDOWS]) -> G1Projective {
+        digits
+            .iter()
+            .enumerate()
+            .fold(acc, |acc, (w, &d)| acc.add_affine(&self.entry(w, d)))
+    }
+
+    /// Multiplies the table's base by `k`: `k2·B`, then `φ` of it —
+    /// one `β` multiplication — and `k1·B` on top, one mixed addition
+    /// per nonzero digit of either half, at most 52 and no doublings;
+    /// small scalars (claim points `g^m`, fold counters) have an empty
+    /// `k2` and cost one or two.
     pub fn mul(&self, k: &Fr) -> G1Projective {
-        let mut acc = G1Projective::identity();
-        for (w, &d) in signed_digits(&k.to_plain_limbs()).iter().enumerate() {
-            if d != 0 {
-                acc = acc.add_affine(&self.entry(w, d));
-            }
-        }
-        acc
+        self.mul_split(&split_digits(k))
+    }
+
+    /// [`Self::mul`] of the scalar `digits` stand for.
+    fn mul_split(&self, [first, second]: &SplitDigits) -> G1Projective {
+        let image = self
+            .add_half(G1Projective::identity(), second)
+            .endomorphism();
+        self.add_half(image, first)
     }
 
     /// `table.mul(k).to_affine()` for every lane `(table, k)`, walking
-    /// the 52 windows once for the whole vector: each step gathers every
-    /// lane's entry for that window and applies one
-    /// [`G1Affine::batch_add_assign`] — about 6 multiplications and a
-    /// `1/L` share of an inversion per lane-step (`6M + I/L`) where
-    /// [`Self::mul`] pays an 11M mixed addition, and the results come out
-    /// affine. The 52 inversions only pay off on a long vector; callers
-    /// choose by lane count (see `EncryptionKey::encrypt_batch`).
+    /// the 26 windows once for the whole vector with both halves of
+    /// every lane side by side: each step gathers every lane's two
+    /// entries for that window and applies one
+    /// [`G1Affine::batch_add_assign`] over the `2L` sums — about 6
+    /// multiplications and a `1/2L` share of an inversion per half-step
+    /// (`6M + I/2L`) where [`Self::mul`] pays an 11M mixed addition —
+    /// and one last step adds `φ(k2·B)` to `k1·B`, 27 inversions in all.
+    /// The results come out affine. The inversions only pay off on a long
+    /// vector; callers choose by lane count (see
+    /// `EncryptionKey::encrypt_batch`).
     pub fn mul_lockstep(lanes: &[(&FixedBaseTable, Fr)]) -> Vec<G1Affine> {
-        let digits: Vec<[i8; WINDOWS]> = lanes
+        let split: Vec<(&FixedBaseTable, SplitDigits)> = lanes
             .iter()
-            .map(|(_, k)| signed_digits(&k.to_plain_limbs()))
+            .map(|&(table, k)| (table, split_digits(&k)))
             .collect();
-        let mut accs = vec![G1Affine::identity(); lanes.len()];
-        let mut step = accs.clone();
+        Self::lockstep_split(&split)
+    }
+
+    /// [`Self::mul_lockstep`] of the scalars the lanes' digits stand for.
+    fn lockstep_split(lanes: &[(&FixedBaseTable, SplitDigits)]) -> Vec<G1Affine> {
+        // `halves[2i]` sums lane `i`'s `k1` entries, `halves[2i + 1]` its
+        // `k2` entries, read as they are: `φ` is applied once, at the end.
+        let mut halves = vec![G1Affine::identity(); 2 * lanes.len()];
+        let mut step = halves.clone();
         let mut scratch = BatchAddScratch::default();
         for w in 0..WINDOWS {
-            for ((entry, (table, _)), digits) in step.iter_mut().zip(lanes).zip(&digits) {
-                *entry = match digits[w] {
-                    0 => G1Affine::identity(),
-                    d => table.entry(w, d),
-                };
+            for (pair, (table, digits)) in step.chunks_exact_mut(2).zip(lanes) {
+                for (entry, half) in pair.iter_mut().zip(digits) {
+                    *entry = table.entry(w, half[w]);
+                }
             }
-            G1Affine::batch_add_assign(&mut accs, &step, &mut scratch);
+            G1Affine::batch_add_assign(&mut halves, &step, &mut scratch);
         }
-        accs
+        let (mut sums, seconds): (Vec<G1Affine>, Vec<G1Affine>) = halves
+            .chunks_exact(2)
+            .map(|pair| (pair[0], pair[1].endomorphism()))
+            .unzip();
+        G1Affine::batch_add_assign(&mut sums, &seconds, &mut scratch);
+        sums
     }
 }
 
@@ -216,6 +282,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Tables currently resident.
     pub entries: usize,
+    /// The most tables ever resident at once: what retirement holds the
+    /// cache's memory to.
+    pub peak_entries: usize,
 }
 
 /// A table slot: claimed under the cache lock, filled outside it.
@@ -226,6 +295,8 @@ type Slot = Arc<OnceLock<Arc<FixedBaseTable>>>;
 struct Slots {
     by_key: HashMap<[u8; 64], Slot>,
     oldest_first: VecDeque<[u8; 64]>,
+    /// The high-water mark of `by_key.len()`.
+    peak: usize,
 }
 
 /// A keyed cache of fixed-base tables, one per base point (in the
@@ -240,10 +311,11 @@ pub struct ProofCache {
 
 impl ProofCache {
     /// Default cap: the backstop for keys that are never retired (a
-    /// task that never finishes), bounding resident tables to ~29 MiB
-    /// (512 × 58.5 KiB). A market retires each key when its task
-    /// settles, so it stays far below the cap and its hit/miss counters
-    /// are exact.
+    /// task whose commit phase never closes and that is never
+    /// cancelled), bounding resident tables to ~14.6 MiB
+    /// (512 × 29.25 KiB). A market retires each key when its task's
+    /// commit phase closes, so it stays far below the cap and its
+    /// hit/miss counters are exact.
     pub const DEFAULT_CAP: usize = 512;
 
     /// A cache with the default cap.
@@ -290,6 +362,7 @@ impl ProofCache {
                 let slot = Slot::default();
                 slots.by_key.insert(key, Arc::clone(&slot));
                 slots.oldest_first.push_back(key);
+                slots.peak = slots.peak.max(slots.by_key.len());
                 slot
             }
         };
@@ -307,7 +380,8 @@ impl ProofCache {
     }
 
     /// Drops the table for `base`, if resident: its owner will not ask
-    /// for it again (the task that used the key has settled). A caller
+    /// for it again (the task that used the key takes no more
+    /// commitments). A caller
     /// still holding the table keeps it alive; a later lookup of the key
     /// is a fresh miss. Unknown keys are ignored.
     pub fn retire(&self, base: &G1Affine) {
@@ -325,15 +399,12 @@ impl ProofCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
+        let slots = self.slots.lock().expect("proof cache poisoned");
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .slots
-                .lock()
-                .expect("proof cache poisoned")
-                .by_key
-                .len(),
+            entries: slots.by_key.len(),
+            peak_entries: slots.peak,
         }
     }
 }
@@ -347,16 +418,17 @@ impl Default for ProofCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::g1::mul_reference;
+    use crate::g1::{lambda, mul_reference};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Barrier;
 
-    fn stats(hits: u64, misses: u64, entries: usize) -> CacheStats {
+    fn stats(hits: u64, misses: u64, entries: usize, peak_entries: usize) -> CacheStats {
         CacheStats {
             hits,
             misses,
             entries,
+            peak_entries,
         }
     }
 
@@ -394,14 +466,22 @@ mod tests {
             }
         }
         assert_eq!(table.mul(&-Fr::one()), -g);
+        // Window 0 holds `m·g` for `m ≤ 16`, affine.
+        for m in 0..=16 {
+            let expect = mul_reference(&g, &Fr::from_u64(m)).to_affine();
+            assert_eq!(table.small_multiple(m), Some(expect), "m = {m}");
+        }
+        assert_eq!(table.small_multiple(17), None);
     }
 
     #[test]
     fn table_entries_are_affine_and_identity_base_is_inert() {
         assert_eq!(std::mem::size_of::<G1Affine>(), 72);
-        assert_eq!((WINDOWS, ENTRIES), (52, 16));
+        assert_eq!((WINDOWS, ENTRIES, TABLE_ENTRIES), (26, 16, 416));
+        // 29.25 KiB a table.
+        assert_eq!(TABLE_ENTRIES * 72, 29_952);
         let table = FixedBaseTable::new(&G1Affine::identity());
-        assert_eq!(table.entries.len(), 832);
+        assert_eq!(table.entries.len(), 416);
         assert!(table.mul(&-Fr::one()).is_identity());
         let lanes = [(&table, -Fr::one()), (&table, Fr::zero())];
         assert_eq!(
@@ -410,54 +490,144 @@ mod tests {
         );
     }
 
-    /// `Σ dᵢ·2^{5i}` modulo `2^256`, by Horner from the top digit.
-    fn digits_value(digits: &[i8; WINDOWS]) -> [u64; 4] {
-        use crate::arith::{add_4, sub_4};
-        let mut acc = [0u64; 4];
-        for &d in digits.iter().rev() {
-            for _ in 0..WINDOW_BITS {
-                acc = add_4(&acc, &acc).0;
-            }
-            let magnitude = [d.unsigned_abs() as u64, 0, 0, 0];
-            acc = if d < 0 {
-                sub_4(&acc, &magnitude).0
-            } else {
-                add_4(&acc, &magnitude).0
-            };
-        }
-        acc
+    /// `Σ dᵢ·2^{5i}` modulo `2^128`, by Horner from the top digit.
+    fn digits_value(digits: &[i8; WINDOWS]) -> u128 {
+        digits.iter().rev().fold(0u128, |acc, &d| {
+            (acc << WINDOW_BITS).wrapping_add_signed(i128::from(d))
+        })
     }
 
     #[test]
     fn signed_digits_reconstruct() {
         let mut rng = StdRng::seed_from_u64(0xd161);
-        let mut ks: Vec<[u64; 4]> = [0u64, 1, 16, 17, 31, 32, 33, 48, 49, 527, 528]
-            .iter()
-            .map(|&k| [k, 0, 0, 0])
-            .collect();
-        ks.push((-Fr::one()).to_plain_limbs());
-        // Unreduced inputs: every window raw 31 (a carry ripples through
-        // all 52), and a carry out of window 50 into the last one.
-        ks.push([u64::MAX; 4]);
-        ks.push([0, 0, 0, 31 << 58]);
-        ks.push([0, 0, 0, 17 << 58]);
-        // Digits that straddle a limb boundary (windows 12, 25, 38).
-        ks.push([0x1f << 60, 0x1, 0, 0]);
-        ks.push([0, 0x1b << 61, 0x3, 0]);
-        ks.extend((0..500).map(|_| Fr::random(&mut rng).to_plain_limbs()));
-        ks.extend((0..100).map(|_| [(); 4].map(|()| rand::Rng::gen::<u64>(&mut rng))));
+        let mut ks: Vec<u128> = vec![0, 1, 16, 17, 31, 32, 33, 48, 49, 527, 528];
+        // The largest half a table could be asked for, and past it: every
+        // window raw 31 (a carry ripples through all 26), a carry out of
+        // window 24 into the last one, and the last window alone.
+        ks.extend([(1 << 127) - 1, 1 << 127, u128::MAX, 31 << 120, 17 << 120]);
+        ks.extend([7 << 125, 1 << 125]);
+        ks.extend((0..500).map(|_| rand::Rng::gen::<u128>(&mut rng)));
+        ks.extend((0..500).flat_map(|_| glv_split(&Fr::random(&mut rng)).map(|(half, _)| half)));
         for k in ks {
-            let digits = signed_digits(&k);
-            assert!(digits.iter().all(|d| (-15..=16).contains(d)), "k = {k:x?}");
-            assert_eq!(digits_value(&digits), k, "k = {k:x?}");
+            let digits = signed_digits(k);
+            assert!(digits.iter().all(|d| (-15..=16).contains(d)), "k = {k:#x}");
+            assert_eq!(digits_value(&digits), k, "k = {k:#x}");
         }
-        assert_eq!(signed_digits(&[16, 0, 0, 0])[..2], [16, 0]);
-        assert_eq!(signed_digits(&[17, 0, 0, 0])[..2], [-15, 1]);
-        assert_eq!(signed_digits(&[0, 0, 0, 31 << 58])[50..], [-1, 1]);
-        assert_eq!(signed_digits(&[0, 0, 0, 16 << 58])[50..], [16, 0]);
-        assert_eq!(signed_digits(&[u64::MAX; 4])[51], 2);
-        // A reduced scalar tops out at window 50.
-        assert_eq!(signed_digits(&(-Fr::one()).to_plain_limbs())[50..], [12, 0]);
+        assert_eq!(signed_digits(16)[..2], [16, 0]);
+        assert_eq!(signed_digits(17)[..2], [-15, 1]);
+        assert_eq!(signed_digits(31 << 120)[24..], [-1, 1]);
+        assert_eq!(signed_digits(16 << 120)[24..], [16, 0]);
+        assert_eq!(signed_digits(u128::MAX)[25], 8);
+        assert_eq!(signed_digits((1 << 127) - 1)[24..], [0, 4]);
+    }
+
+    /// `Σ dᵢ·2^{5i}` in `F_r`.
+    fn half_value(digits: &[i8; WINDOWS]) -> Fr {
+        digits.iter().rev().fold(Fr::zero(), |acc, &d| {
+            let magnitude = Fr::from_u64(u64::from(d.unsigned_abs()));
+            acc * Fr::from_u64(32) + if d < 0 { -magnitude } else { magnitude }
+        })
+    }
+
+    /// The GLV edge scalars, each named: zero, ±1, `r − 1`, `λ`, `λ ± 1`,
+    /// splits with an empty half and with both halves negative, the
+    /// scalar `2¹²⁷ − 1` and `(2¹²⁷ − 1)(1 + λ)`, whose halves are the
+    /// largest any scalar here has, and `24·2²⁵⁰ − r`, whose unsplit
+    /// width-5 digits wrap modulo `r`.
+    fn glv_edge_scalars() -> Vec<(&'static str, Fr)> {
+        let max_half = Fr::from_u128((1 << 127) - 1);
+        vec![
+            ("0", Fr::zero()),
+            ("1", Fr::one()),
+            ("-1 = r - 1", -Fr::one()),
+            ("λ", lambda()),
+            ("λ + 1", lambda() + Fr::one()),
+            ("λ - 1", lambda() - Fr::one()),
+            ("-λ", -lambda()),
+            ("k1 = 0", Fr::from_u64(5) * lambda()),
+            ("k2 = 0", Fr::from_u64(12_345)),
+            (
+                "both halves negative",
+                -(Fr::from_u64(3) + Fr::from_u64(7) * lambda()),
+            ),
+            ("2^127 - 1", max_half),
+            ("(2^127 - 1)(1 + λ)", max_half * (Fr::one() + lambda())),
+            (
+                "24·2^250 - r",
+                Fr::from_u64(24) * Fr::from_u64(2).pow(&[250]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn split_digits_reconstruct() {
+        let mut rng = StdRng::seed_from_u64(0x5b17);
+        let mut ks = glv_edge_scalars();
+        ks.extend((0..500).map(|_| ("random", Fr::random(&mut rng))));
+        for (what, k) in ks {
+            let [first, second] = split_digits(&k);
+            for d in first.iter().chain(&second) {
+                assert!((-16..=16).contains(d), "{what}");
+            }
+            assert_eq!(
+                half_value(&first) + half_value(&second) * lambda(),
+                k,
+                "{what}"
+            );
+        }
+        // The shapes the edge scalars are named for.
+        let split = |k: Fr| glv_split(&k);
+        assert_eq!(split(lambda()), [(0, false), (1, false)]);
+        assert_eq!(split(Fr::from_u64(5) * lambda()), [(0, false), (5, false)]);
+        assert_eq!(split(Fr::from_u64(12_345)), [(12_345, false), (0, false)]);
+        let both = -(Fr::from_u64(3) + Fr::from_u64(7) * lambda());
+        assert_eq!(split(both), [(3, true), (7, true)]);
+        assert_eq!(split(lambda() - Fr::one()), [(1, true), (1, false)]);
+    }
+
+    #[test]
+    fn split_layout_matches_reference_on_glv_edge_scalars() {
+        let mut rng = StdRng::seed_from_u64(0x5b18);
+        let base = random_base(&mut rng);
+        let table = FixedBaseTable::new(&base);
+        let p = base.to_projective();
+        let edges = glv_edge_scalars();
+        for (what, k) in &edges {
+            let expect = mul_reference(&p, k);
+            assert_eq!(table.mul(k), expect, "{what}");
+            let g = mul_reference(&G1Projective::generator(), k);
+            assert_eq!(generator_table().mul(k), g, "{what}, generator");
+        }
+        let lanes: Vec<(&FixedBaseTable, Fr)> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, (_, k))| {
+                (
+                    if i % 3 == 0 {
+                        generator_table()
+                    } else {
+                        &table
+                    },
+                    *k,
+                )
+            })
+            .collect();
+        let expect: Vec<G1Affine> = lanes.iter().map(|(t, k)| t.mul(k).to_affine()).collect();
+        assert_eq!(FixedBaseTable::mul_lockstep(&lanes), expect);
+        // Halves at `2¹²⁷ − 1` — beyond any scalar's split, read through
+        // the digits — stand for `(2¹²⁷ − 1)(±1 ± λ)`.
+        let max = signed_digits((1 << 127) - 1);
+        let max_half = Fr::from_u128((1 << 127) - 1);
+        for (digits, k) in [
+            ([max, max], max_half * (Fr::one() + lambda())),
+            ([max, max.map(|d| -d)], max_half * (Fr::one() - lambda())),
+            ([max.map(|d| -d); 2], -max_half * (Fr::one() + lambda())),
+        ] {
+            let expect = mul_reference(&p, &k);
+            assert_eq!(table.mul_split(&digits), expect);
+            let lockstep = FixedBaseTable::lockstep_split(&[(&table, digits)]);
+            assert_eq!(lockstep, vec![expect.to_affine()]);
+        }
     }
 
     #[test]
@@ -533,8 +703,7 @@ mod tests {
         cache.table_for(&bases[0]);
         let t2 = cache.table_for(&bases[2]);
         assert_eq!(t2.mul(&k), mul_reference(&bases[2].to_projective(), &k));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 2));
+        assert_eq!(cache.stats(), stats(1, 3, 2, 2));
         // The newcomer is resident and is now served from the cache…
         cache.table_for(&bases[2]);
         cache.table_for(&bases[1]);
@@ -542,8 +711,7 @@ mod tests {
         // …while the oldest key was evicted and pays a second build.
         let t0 = cache.table_for(&bases[0]);
         assert_eq!(t0.mul(&k), mul_reference(&bases[0].to_projective(), &k));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (3, 4, 2));
+        assert_eq!(cache.stats(), stats(3, 4, 2, 2));
         // A table still held by a caller survives its own eviction: only
         // an unshared allocation is recycled into the newcomer.
         cache.table_for(&bases[1]);
@@ -560,9 +728,9 @@ mod tests {
         cache.retire(&bases[0]);
         let held = cache.table_for(&bases[0]);
         cache.retire(&bases[1]);
-        assert_eq!(cache.stats(), stats(0, 1, 1));
+        assert_eq!(cache.stats(), stats(0, 1, 1, 1));
         cache.retire(&bases[0]);
-        assert_eq!(cache.stats(), stats(0, 1, 0));
+        assert_eq!(cache.stats(), stats(0, 1, 0, 1));
         // A table still held by a caller survives its retirement.
         assert_eq!(held.mul(&k), mul_reference(&bases[0].to_projective(), &k));
         // The key comes back as exactly one miss and a correct rebuild.
@@ -573,7 +741,7 @@ mod tests {
             mul_reference(&bases[0].to_projective(), &k)
         );
         cache.table_for(&bases[0]);
-        assert_eq!(cache.stats(), stats(1, 2, 1));
+        assert_eq!(cache.stats(), stats(1, 2, 1, 1));
     }
 
     #[test]
@@ -588,15 +756,35 @@ mod tests {
         // Room for one more without evicting; the next admission evicts
         // the oldest survivor (0), not the slot the retired key left.
         cache.table_for(&bases[3]);
-        assert_eq!(cache.stats(), stats(0, 4, 3));
+        assert_eq!(cache.stats(), stats(0, 4, 3, 3));
         cache.table_for(&bases[4]);
-        assert_eq!(cache.stats(), stats(0, 5, 3));
+        assert_eq!(cache.stats(), stats(0, 5, 3, 3));
         for resident in [2, 3, 4] {
             cache.table_for(&bases[resident]);
         }
-        assert_eq!(cache.stats(), stats(3, 5, 3));
+        assert_eq!(cache.stats(), stats(3, 5, 3, 3));
         cache.table_for(&bases[0]);
-        assert_eq!(cache.stats(), stats(3, 6, 3));
+        assert_eq!(cache.stats(), stats(3, 6, 3, 3));
+    }
+
+    #[test]
+    fn peak_entries_is_the_high_water_mark() {
+        let mut rng = StdRng::seed_from_u64(0x9ea4);
+        let cache = ProofCache::new();
+        let bases: Vec<G1Affine> = (0..5).map(|_| random_base(&mut rng)).collect();
+        for base in &bases[..3] {
+            cache.table_for(base);
+        }
+        cache.retire(&bases[0]);
+        cache.retire(&bases[1]);
+        // A hit and a retirement leave the mark where it was…
+        cache.table_for(&bases[2]);
+        cache.table_for(&bases[3]);
+        assert_eq!(cache.stats(), stats(1, 4, 2, 3));
+        // …and only a fourth resident table raises it.
+        cache.table_for(&bases[4]);
+        cache.table_for(&bases[0]);
+        assert_eq!(cache.stats(), stats(1, 6, 4, 4));
     }
 
     #[test]

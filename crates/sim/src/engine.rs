@@ -131,7 +131,9 @@ pub struct MarketSim {
     proving: ProvingService<JobOutput>,
     /// The keyed proof cache (fixed-base tables per encryption key),
     /// shared with the proving workers. A requester's table is retired
-    /// when its HIT settles, so the cache holds the live HITs' keys.
+    /// when its HIT's commit phase closes (or, for a HIT cancelled before
+    /// that, when it settles), so the cache holds the keys of the HITs
+    /// still taking commitments.
     cache: Arc<ProofCache>,
     /// Commitments that became visible this round, appended to their
     /// HIT's `observed` only after the round's jobs are built: an
@@ -679,23 +681,29 @@ impl MarketSim {
         self.events_seen = events.len();
         // A closed commit phase frees the losers of overbooked races:
         // their commit reverted (TaskFull), so their session holds no
-        // slot and must not count against worker capacity.
+        // slot and must not count against worker capacity. It also
+        // retires the requester key's fixed-base table: only this HIT's
+        // commit jobs look it up, each computed inside `submit_batch` in
+        // the round it was enqueued, and the commit drive runs only in
+        // `Phase::Commit`, so no lookup follows.
         for &id in &commit_closed {
+            let record = &self.hits[&id];
             let hit = self.chain.contract().hit(id).expect("the event's instance");
-            for &wi in &self.hits[&id].joined {
+            for &wi in &record.joined {
                 if !hit.committed_workers().contains(&self.workers[wi].addr) {
                     self.workers[wi].sessions.remove(&id);
                 }
             }
+            let requester = &self.requesters[record.agent];
+            self.cache.retire(&requester.client.public_key().0);
         }
         // A settled (closed or cancelled) HIT releases every session slot
         // its workers held and everything the engine kept only while the
-        // HIT was live: the join list, the observed commitments and the
-        // requester key's fixed-base table (looked up by this HIT's
-        // commit jobs alone, all computed before the commit phase
-        // closed). Its receipts feed the econ layer's reputation book
-        // and per-class payout metrics; its latency, the pricing
-        // controller.
+        // HIT was live: the join list, the observed commitments and —
+        // for a HIT cancelled before its commit phase closed — the
+        // requester key's fixed-base table. Its receipts feed the econ
+        // layer's reputation book and per-class payout metrics; its
+        // latency, the pricing controller.
         let mut latencies: Vec<u64> = Vec::new();
         for &id in &settled_now {
             let record = self
@@ -1089,13 +1097,18 @@ pub fn run_market(config: MarketConfig) -> MarketReport {
 mod tests {
     use super::*;
 
-    /// Tables, live ids and sessions last as long as their HIT: after
-    /// the `marketplace` golden scenario (every HIT settles) nothing is
-    /// resident, and retiring at settle never turned a hit into a miss —
-    /// the counters are the committed golden's. The report serializes to
+    /// Live ids and sessions last as long as their HIT, a key's table as
+    /// long as the HIT's commit phase: after the `marketplace` golden
+    /// scenario (every HIT settles) nothing is resident, at most
+    /// `PEAK_TABLES` tables were at once, and retiring at commit close
+    /// never turned a hit into a miss — the counters are the committed
+    /// golden's. The report serializes to
     /// the golden's `JSON:` and `PROVING:` lines byte for byte (neither
     /// depends on the store the example adds), so a drifting serializer
     /// fails here, inside `cargo test`.
+    /// The most key tables the golden scenario holds at once.
+    const PEAK_TABLES: usize = 10;
+
     #[test]
     fn every_settled_hit_retired_its_table() {
         let golden = include_str!("../../../tests/golden/marketplace_seed42.json");
@@ -1111,7 +1124,11 @@ mod tests {
         });
         let report = sim.run_to_end();
         assert_eq!((report.hits_settled, report.hits_unfinished), (250, 0));
-        assert_eq!(sim.cache.stats().entries, 0);
+        let cache = sim.cache.stats();
+        assert_eq!(cache.entries, 0);
+        // Retired at settlement, as many as 90 tables were resident.
+        assert_eq!(cache.peak_entries, PEAK_TABLES);
+        assert!(cache.peak_entries < 90);
         assert!(sim.live.is_empty());
         assert!(sim.workers.iter().all(|w| w.sessions.is_empty()));
         let golden_line = |tag: &str| {
@@ -1125,5 +1142,52 @@ mod tests {
             (750, 250),
             "three hits and one build per HIT"
         );
+    }
+
+    /// A HIT cancelled in its commit phase never sees `CommitClosed`:
+    /// settlement retires its table instead. Three workers with room for
+    /// one HIT each race three at a time for three HITs of `K = 2`, under
+    /// modeled proving latency (commitments land rounds after their jobs
+    /// computed): HIT 0 fills at once and frees its race's loser, HIT 1
+    /// takes that worker and, once HIT 0 settles, another — its key is
+    /// looked up again after a commitment has landed — and HIT 2 is
+    /// cancelled with fewer than `K`. One build per HIT and nothing left
+    /// resident.
+    #[test]
+    fn a_hit_cancelled_in_its_commit_phase_retires_its_table() {
+        let report_and_cache = |exec_threads| {
+            let mut sim = MarketSim::new(MarketConfig {
+                hits: 3,
+                spawn_per_block: 3,
+                workers: 3,
+                worker_capacity: 1,
+                overbook: 1,
+                k: 2,
+                windows: dragoon_contract::PhaseWindows {
+                    commit_timeout: Some(30),
+                    reveal: 2,
+                    evaluate: 4,
+                },
+                seed: 0xcace1,
+                max_blocks: 200,
+                exec_threads,
+                proving: dragoon_protocol::ProvingConfig {
+                    enabled: true,
+                    ticks_per_kilocost: 300,
+                },
+                ..MarketConfig::default()
+            });
+            let report = sim.run_to_end();
+            (report, sim.cache.stats())
+        };
+        let (report, cache) = report_and_cache(1);
+        assert!(report.proving.latency_max > 0, "{:?}", report.proving);
+        assert_eq!(report.hits_unfinished, 0);
+        let cancelled: Vec<bool> = report.outcomes.iter().map(|o| o.cancelled).collect();
+        assert_eq!(cancelled, [false, false, true]);
+        assert_eq!(cache.entries, 0);
+        assert_eq!(cache.misses, report.hits_published as u64);
+        assert_eq!(report.proving.cache_misses, cache.misses);
+        assert_eq!(report_and_cache(2).1, cache);
     }
 }
