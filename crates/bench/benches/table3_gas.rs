@@ -14,9 +14,10 @@
 //!
 //! Our numbers come out of the gas-metered contract running the full
 //! protocol — every SSTORE, keccak, precompile call, log and calldata
-//! byte priced per the Istanbul schedule. The task runs as instance 0
-//! of a `HitRegistry`; each row is `C_hit`'s own gas, the receipt net
-//! of the registry's `routing_gas`.
+//! byte priced per the Istanbul schedule. The task is a one-HIT run of
+//! the market engine (`MarketSim::one_hit`), instance 0 of its
+//! `HitRegistry`; each row is `C_hit`'s own gas, the receipt net of the
+//! registry's `routing_gas`.
 //!
 //! Also prints two ablations: gas vs. number of questions N, and the
 //! Istanbul (EIP-1108) vs. Byzantium precompile-price comparison.
@@ -24,9 +25,10 @@
 use dragoon_chain::{gas_to_usd, GasSchedule};
 use dragoon_core::workload::{generate_workload, imagenet_workload, AnswerModel};
 use dragoon_crypto::elgamal::PlaintextRange;
-use dragoon_protocol::{driver, WorkerBehavior};
+use dragoon_protocol::WorkerBehavior;
+use dragoon_sim::{MarketSim, OneHit};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn behaviors(good: usize, bad: usize) -> Vec<WorkerBehavior> {
     let mut v = vec![WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: 1.0 }); good];
@@ -55,26 +57,24 @@ fn main() {
     println!("   task policy: 4 workers, 106 questions, 6 gold standards, Θ=4\n");
 
     // Best case: all four workers are perfect — no rejections.
-    let best = driver::run(
-        driver::RunConfig {
-            workload: imagenet_workload(4_000_000, &mut rng),
-            behaviors: behaviors(4, 0),
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let best = MarketSim::one_hit(OneHit {
+        workload: imagenet_workload(4_000_000, &mut rng),
+        behaviors: behaviors(4, 0),
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
     // Worst case: all four workers fail every gold standard — the
     // requester rejects all of them with PoQoEA proofs.
-    let worst = driver::run(
-        driver::RunConfig {
-            workload: imagenet_workload(4_000_000, &mut rng),
-            behaviors: behaviors(0, 4),
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let worst = MarketSim::one_hit(OneHit {
+        workload: imagenet_workload(4_000_000, &mut rng),
+        behaviors: behaviors(0, 4),
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
     assert_eq!(worst.gas.rejects.len(), 4, "worst case rejects all four");
     assert!(best.gas.rejects.is_empty(), "best case rejects none");
 
@@ -127,15 +127,14 @@ fn main() {
             4_000_000,
             &mut rng,
         );
-        let rep = driver::run(
-            driver::RunConfig {
-                workload: w,
-                behaviors: behaviors(4, 0),
-                schedule: GasSchedule::istanbul(),
-                block_gas_limit: None,
-            },
-            &mut rng,
-        );
+        let rep = MarketSim::one_hit(OneHit {
+            workload: w,
+            behaviors: behaviors(4, 0),
+            schedule: GasSchedule::istanbul(),
+            block_gas_limit: None,
+            seed: rng.gen(),
+        })
+        .run_hit();
         let s = rep.gas.submit_per_worker();
         let avg = s.iter().sum::<u64>() / s.len() as u64;
         println!("{:>6} {:>13}k {:>11.2}", n, avg / 1_000, gas_to_usd(avg));
@@ -165,15 +164,14 @@ fn main() {
         ("Istanbul (paper's setting)", GasSchedule::istanbul()),
         ("Byzantium (pre-EIP-1108)", GasSchedule::byzantium()),
     ] {
-        let rep = driver::run(
-            driver::RunConfig {
-                workload: imagenet_workload(4_000_000, &mut rng),
-                behaviors: behaviors(0, 4),
-                schedule: sched,
-                block_gas_limit: None,
-            },
-            &mut rng,
-        );
+        let rep = MarketSim::one_hit(OneHit {
+            workload: imagenet_workload(4_000_000, &mut rng),
+            behaviors: behaviors(0, 4),
+            schedule: sched,
+            block_gas_limit: None,
+            seed: rng.gen(),
+        })
+        .run_hit();
         let avg_rej = rep.gas.rejects.iter().sum::<u64>() / rep.gas.rejects.len().max(1) as u64;
         println!(
             "{:<28} reject: {:>5}k gas   total: {:>7}k gas (${:.2})",

@@ -5,10 +5,15 @@
 //!
 //! * `benches/table1_proving.rs` — Table I (off-chain proving cost).
 //! * `benches/table2_verification.rs` — Table II (verification cost).
-//! * `benches/table3_gas.rs` — Table III (on-chain handling fees).
+//! * `benches/table3_gas.rs` — Table III (on-chain handling fees), each
+//!   task a one-HIT run of the market engine (`MarketSim::one_hit`).
 //! * `benches/ablation_decrypt.rs` — BSGS vs. linear-scan decryption.
 //! * `benches/micro_primitives.rs` — statistical microbenchmarks
 //!   (field/curve/hash/pairing) via Criterion.
+//! * `benches/marketplace_throughput.rs` — the market engine's tiers:
+//!   HITs settled per 1 000 blocks, batched vs. individual settlement
+//!   verification, and the overhead, memory and scale tiers (one
+//!   `JSON:` line per measurement).
 
 #![forbid(unsafe_code)]
 

@@ -6,8 +6,9 @@
 //!
 //! The one state machine on the simulated chain, [`registry::HitRegistry`],
 //! hosts concurrent instances behind one address, with per-instance escrow
-//! and optional block-batched settlement verification; a single task (the
-//! Table III driver) is a one-instance registry.
+//! and optional block-batched settlement verification; a single task (a
+//! one-HIT market run) is a one-instance registry, and
+//! [`registry::GasByPhase`] reads Table III's rows off its receipts.
 
 #![forbid(unsafe_code)]
 
@@ -22,6 +23,6 @@ pub use contract::{
 };
 pub use msg::{HitMessage, LedgerAccess, PublishParams};
 pub use registry::{
-    HitId, HitRegistry, RegistryCapture, RegistryError, RegistryEvent, RegistryMessage,
+    GasByPhase, HitId, HitRegistry, RegistryCapture, RegistryError, RegistryEvent, RegistryMessage,
     RegistryShard, SettlementMode, REGISTRY_CODE_LEN,
 };

@@ -2,8 +2,8 @@
 //! HIT instances over a single chain, mempool and ledger.
 //!
 //! A marketplace serves hundreds of tasks racing through shared blocks;
-//! a single task (the Table III driver) is one instance. [`HitRegistry`]
-//! is the factory-plus-router contract that serves both:
+//! a single task (Table III, the executable Theorem 1) is one instance.
+//! [`HitRegistry`] is the factory-plus-router contract that serves both:
 //!
 //! * **Multi-instance addressing** — every created HIT gets a [`HitId`]
 //!   and its own derived contract address
@@ -38,7 +38,8 @@ use crate::PhaseWindows;
 use dragoon_chain::store::{Persist, PersistDelta, Reader, StoreError};
 use dragoon_chain::{
     par_map, resolve_threads, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv,
-    Gas, GasSchedule, Journaled, ParallelStateMachine, StateJournal, StateMachine,
+    Gas, GasSchedule, Journaled, ParallelStateMachine, Receipt, StateJournal, StateMachine,
+    TxStatus,
 };
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement};
 use dragoon_ledger::Address;
@@ -694,6 +695,73 @@ pub fn routing_gas(label: &str, schedule: &GasSchedule) -> Gas {
         2 * schedule.sstore_set + schedule.log(1, CREATED_LOG_BYTES) + calldata(CREATE_ENVELOPE)
     } else {
         schedule.sload + calldata(ROUTE_ENVELOPE)
+    }
+}
+
+/// Gas usage per protocol operation (the rows of Table III): `C_hit`'s
+/// share of each successful receipt, net of the registry's
+/// [`routing_gas`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GasByPhase {
+    /// The requester's publish transaction (includes task-contract
+    /// deployment).
+    pub publish: Gas,
+    /// Each worker's commit transaction.
+    pub commits: Vec<Gas>,
+    /// Each worker's reveal transaction.
+    pub reveals: Vec<Gas>,
+    /// The golden opening transaction.
+    pub golden: Gas,
+    /// Each rejection transaction (PoQoEA `evaluate` or `outrange`).
+    pub rejects: Vec<Gas>,
+    /// The settlement transaction.
+    pub finalize: Gas,
+}
+
+impl GasByPhase {
+    /// The rows of one task's receipts, in execution order; reverted
+    /// transactions are not part of the protocol's cost.
+    pub fn from_receipts<'a>(
+        receipts: impl IntoIterator<Item = &'a Receipt>,
+        schedule: &GasSchedule,
+    ) -> Self {
+        let mut gas = Self::default();
+        for r in receipts {
+            if r.status != TxStatus::Ok {
+                continue;
+            }
+            let used = r.gas_used - routing_gas(r.label, schedule);
+            match r.label {
+                "publish" => gas.publish = used,
+                "commit" => gas.commits.push(used),
+                "reveal" => gas.reveals.push(used),
+                "golden" => gas.golden = used,
+                "outrange" | "evaluate" => gas.rejects.push(used),
+                "finalize" => gas.finalize = used,
+                _ => {}
+            }
+        }
+        gas
+    }
+
+    /// A worker's "submit answers" cost: commit + reveal (the Table III
+    /// per-worker row).
+    pub fn submit_per_worker(&self) -> Vec<Gas> {
+        self.commits
+            .iter()
+            .zip(&self.reveals)
+            .map(|(c, r)| c + r)
+            .collect()
+    }
+
+    /// Total gas across all protocol transactions.
+    pub fn total(&self) -> Gas {
+        self.publish
+            + self.commits.iter().sum::<Gas>()
+            + self.reveals.iter().sum::<Gas>()
+            + self.golden
+            + self.rejects.iter().sum::<Gas>()
+            + self.finalize
     }
 }
 

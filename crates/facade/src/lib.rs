@@ -11,12 +11,13 @@
 //!   metering, mempool scheduling and block gas limits.
 //! * [`dragoon_contract`] — the HIT contract `C_hit` and the
 //!   multi-instance [`dragoon_contract::HitRegistry`].
-//! * [`dragoon_protocol`] — the Π_hit clients, driver and ideal
-//!   functionality.
+//! * [`dragoon_protocol`] — the Π_hit clients, the requester's
+//!   sequencer, the proving pipeline and the ideal functionality.
 //! * [`dragoon_zkp`] — the generic Groth16 zk-SNARK baseline.
 //! * [`dragoon_econ`] — the market-economics subsystem: cross-HIT
 //!   reputation, dynamic pricing, churn and adversary policies.
-//! * [`dragoon_sim`] — the concurrent multi-HIT marketplace engine.
+//! * [`dragoon_sim`] — the concurrent multi-HIT marketplace engine,
+//!   which also runs a single HIT (Table III, the real-vs-ideal tests).
 //! * [`dragoon_net`] — the deterministic multi-node network simulation:
 //!   gossip, link faults, partitions, forks and reorg-capable replicas.
 //! * [`dragoon_trace`] — unified observability: deterministic span/event

@@ -321,9 +321,10 @@ enum Stage {
 /// cancel an unfillable task, then sequence phase 3 so that every
 /// message waits for the one it depends on to confirm on-chain — a
 /// rushing adversary can reorder messages *within* a round, so
-/// dependent messages must not share one. The single-task driver feeds
-/// the verdicts back in the round `Evaluate` was issued; the market
-/// engine feeds them back when the evaluation's proof job releases.
+/// dependent messages must not share one. The market engine steps it
+/// (for a one-HIT run as for a market) and feeds the verdicts back when
+/// the evaluation's proof job releases: in the round `Evaluate` was
+/// issued when proving latency is not modeled, rounds later when it is.
 #[derive(Clone, Debug)]
 pub struct Sequencer {
     strategy: Strategy,

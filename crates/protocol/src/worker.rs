@@ -2,7 +2,7 @@
 
 use dragoon_contract::HitMessage;
 use dragoon_core::task::{Answer, EncryptedAnswer};
-use dragoon_core::workload::{draw_answer, AnswerModel, GroundTruth, Workload};
+use dragoon_core::workload::{draw_answer, AnswerModel, GroundTruth};
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_crypto::elgamal::{EncryptionKey, PlaintextRange};
 use dragoon_crypto::precomp::ProofCache;
@@ -73,33 +73,6 @@ impl Worker {
             key: None,
             commitment: None,
         }
-    }
-
-    /// Phase 2-a: produce the commit message.
-    ///
-    /// `observed` is the set of commitments already visible in the
-    /// mempool/chain — the copy-paste attacker replays one of them.
-    pub fn commit_msg<R: Rng + ?Sized>(
-        &mut self,
-        workload: &Workload,
-        ek: &EncryptionKey,
-        observed: &[Commitment],
-        rng: &mut R,
-    ) -> Option<HitMessage> {
-        let copied = match &self.behavior {
-            WorkerBehavior::CopyPaste => Some(*observed.first()?),
-            _ => None,
-        };
-        let artifacts = Self::prepare_commit(
-            &self.behavior,
-            &workload.truth,
-            workload.spec.range,
-            ek,
-            copied,
-            None,
-            rng,
-        )?;
-        Some(self.install_commit(artifacts))
     }
 
     /// The compute half of the commit: draws the answer, encrypts it and
@@ -221,10 +194,39 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dragoon_core::workload::imagenet_workload;
+    use dragoon_core::workload::{imagenet_workload, Workload};
     use dragoon_crypto::elgamal::KeyPair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Worker {
+        /// Phase 2-a: produce the commit message.
+        ///
+        /// `observed` is the set of commitments already visible in the
+        /// mempool/chain — the copy-paste attacker replays one of them.
+        pub fn commit_msg<R: Rng + ?Sized>(
+            &mut self,
+            workload: &Workload,
+            ek: &EncryptionKey,
+            observed: &[Commitment],
+            rng: &mut R,
+        ) -> Option<HitMessage> {
+            let copied = match &self.behavior {
+                WorkerBehavior::CopyPaste => Some(*observed.first()?),
+                _ => None,
+            };
+            let artifacts = Self::prepare_commit(
+                &self.behavior,
+                &workload.truth,
+                workload.spec.range,
+                ek,
+                copied,
+                None,
+                rng,
+            )?;
+            Some(self.install_commit(artifacts))
+        }
+    }
 
     fn setup() -> (StdRng, Workload, KeyPair) {
         let mut rng = StdRng::seed_from_u64(0x30b1);

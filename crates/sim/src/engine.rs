@@ -22,6 +22,16 @@
 //! reproducible, and a `PerProof` vs `Batched` pair of runs with the
 //! same seed settles every worker identically (asserted by the
 //! `tests/marketplace.rs` equivalence test).
+//!
+//! A single task runs through the same loop: [`MarketSim::one_hit`]
+//! builds a one-requester market from a given workload and one worker
+//! per given behaviour, and [`MarketSim::run_hit`] views its end state
+//! as a [`RunReport`] — Table III's gas rows and the real world of the
+//! real-vs-ideal comparison (`tests/real_vs_ideal.rs`).
+
+mod one_hit;
+
+pub use one_hit::{OneHit, RunReport};
 
 use crate::agents::{RequesterAgent, WorkerAgent};
 use crate::config::{BehaviorMix, MarketConfig, MarketPolicy};
@@ -95,13 +105,17 @@ enum JobOutput {
     Direct(HitMessage),
 }
 
-/// The marketplace engine. Build with [`MarketSim::new`], run with
-/// [`MarketSim::run`].
+/// The marketplace engine. Build with [`MarketSim::new`] (or
+/// [`MarketSim::one_hit`]), run with [`MarketSim::run`] (or
+/// [`MarketSim::run_hit`]).
 pub struct MarketSim {
     config: MarketConfig,
     /// The run's trace handle (off unless built by [`MarketSim::traced`]).
     tracer: Tracer,
     chain: Chain<HitRegistry>,
+    /// The mempool scheduler every round runs under: `config.policy`'s,
+    /// unless [`MarketSim::with_policy`] replaced it.
+    policy: Box<dyn ReorderPolicy<RegistryMessage>>,
     requesters: Vec<RequesterAgent>,
     workers: Vec<WorkerAgent>,
     next_publish: usize,
@@ -179,20 +193,22 @@ fn publish_headroom(config: &MarketConfig) -> u128 {
 /// network replica, and crash recovery ([`recover_market_chain`]) all
 /// build the same genesis, so replaying the same blocks lands on
 /// bit-identical state. `tracer` is the one input that is not state:
-/// the handle the chain's registry records `verify` into.
+/// the handle the chain's registry records `verify` into. Markets price
+/// gas by Istanbul; a one-HIT run picks its schedule.
 fn genesis_chain(
     settlement: SettlementMode,
     threads: usize,
     hits: u64,
     headroom: u128,
     tracer: &Tracer,
+    schedule: &GasSchedule,
 ) -> Chain<HitRegistry> {
     let mut chain = Chain::deploy(
         HitRegistry::new(settlement)
             .with_verify_threads(threads)
             .with_tracer(tracer.clone()),
         REGISTRY_CODE_LEN,
-        GasSchedule::istanbul(),
+        schedule.clone(),
     );
     for i in 0..hits {
         chain.ledger.mint(requester_addr(i), headroom);
@@ -217,6 +233,7 @@ pub fn recover_market_chain(config: &MarketConfig) -> Result<Chain<HitRegistry>,
         config.hits as u64,
         publish_headroom(config),
         &Tracer::default(),
+        &GasSchedule::istanbul(),
     );
     Chain::recover_from(&persist.dir, genesis)
 }
@@ -231,24 +248,7 @@ impl MarketSim {
     /// round loop, each chain's registry, the block store, the proving
     /// service and the network — recording into `tracer`.
     pub fn traced(config: MarketConfig, tracer: Tracer) -> Self {
-        assert!(config.hits > 0, "a market needs at least one HIT");
-        assert!(config.workers > 0, "a market needs workers");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        // One resolved thread budget drives both the parallel block
-        // executor and block-boundary settlement verification.
-        let threads = resolve_threads(config.exec_threads);
-        let headroom = publish_headroom(&config);
-        // The canonical chain and every network replica start from this
-        // one genesis.
-        let genesis = {
-            let (settlement, hits, tracer) =
-                (config.settlement, config.hits as u64, tracer.clone());
-            move || genesis_chain(settlement, threads, hits, headroom, &tracer)
-        };
-        let mut chain = genesis().with_exec_threads(threads);
-        if let Some(limit) = config.block_gas_limit {
-            chain = chain.with_block_gas_limit(limit);
-        }
         // The econ layer: reputation, pricing, churn and adversary
         // classification, constructed before the agent pools so cartel
         // requesters can shape their workloads (strict θ) at generation.
@@ -258,10 +258,8 @@ impl MarketSim {
         });
         let mut store = ContentStore::new();
         let mut requesters = Vec::with_capacity(config.hits);
-        let mut agent_by_addr = BTreeMap::new();
         for i in 0..config.hits as u64 {
             let addr = requester_addr(i);
-            agent_by_addr.insert(addr, i as usize);
             let theta = econ.as_mut().map_or(config.theta, |e| {
                 e.register_requester(i as usize, addr);
                 e.theta_for(i as usize, config.golds, config.theta)
@@ -291,6 +289,43 @@ impl MarketSim {
                 }
                 WorkerAgent::new(addr, behavior_for(&config.behavior_mix, i))
             })
+            .collect();
+        let schedule = GasSchedule::istanbul();
+        Self::assemble(config, tracer, schedule, econ, requesters, workers)
+    }
+
+    /// Sets up the chain, network, block store and proving service
+    /// around the agent pools: requester `i` owns the `i`-th HIT
+    /// published, and each requester's account is minted its budget.
+    fn assemble(
+        config: MarketConfig,
+        tracer: Tracer,
+        schedule: GasSchedule,
+        econ: Option<EconEngine>,
+        requesters: Vec<RequesterAgent>,
+        workers: Vec<WorkerAgent>,
+    ) -> Self {
+        assert!(config.hits > 0, "a market needs at least one HIT");
+        assert!(config.workers > 0, "a market needs workers");
+        // One resolved thread budget drives both the parallel block
+        // executor and block-boundary settlement verification.
+        let threads = resolve_threads(config.exec_threads);
+        let headroom = publish_headroom(&config);
+        // The canonical chain and every network replica start from this
+        // one genesis.
+        let genesis = {
+            let (settlement, hits, tracer) =
+                (config.settlement, config.hits as u64, tracer.clone());
+            move || genesis_chain(settlement, threads, hits, headroom, &tracer, &schedule)
+        };
+        let mut chain = genesis().with_exec_threads(threads);
+        if let Some(limit) = config.block_gas_limit {
+            chain = chain.with_block_gas_limit(limit);
+        }
+        let agent_by_addr = requesters
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.addr, i))
             .collect();
         // The network layer: every replica starts from the exact genesis
         // the canonical chain started from (same registry deployment,
@@ -322,10 +357,16 @@ impl MarketSim {
         }
         let proving =
             ProvingService::new(config.seed, threads, config.proving).with_tracer(tracer.clone());
+        let policy: Box<dyn ReorderPolicy<RegistryMessage>> = match config.policy {
+            MarketPolicy::Fifo => Box::new(FifoPolicy),
+            MarketPolicy::Reverse => Box::new(ReversePolicy),
+            MarketPolicy::FrontRun => Box::new(FrontRunPolicy::new(workers[0].addr)),
+        };
         Self {
             config,
             tracer,
             chain,
+            policy,
             requesters,
             workers,
             next_publish: 0,
@@ -352,6 +393,13 @@ impl MarketSim {
     /// beyond the built-ins. No-op without the network layer.
     pub fn with_relay(mut self, relay: Box<dyn RelayPolicy<RegistryMessage>>) -> Self {
         self.net = self.net.map(|net| net.with_relay(relay));
+        self
+    }
+
+    /// Runs every round under `policy` in place of `config.policy`'s
+    /// scheduler — an adversary beyond the built-ins.
+    pub fn with_policy(mut self, policy: Box<dyn ReorderPolicy<RegistryMessage>>) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -390,9 +438,6 @@ impl MarketSim {
 
     /// The block loop and the run-end barriers.
     fn run_to_end(&mut self) -> MarketReport {
-        let mut fifo = FifoPolicy;
-        let mut reverse = ReversePolicy;
-        let mut front_run = FrontRunPolicy::new(self.workers[0].addr);
         loop {
             let done = self.next_publish >= self.config.hits
                 && self.live.is_empty()
@@ -405,17 +450,12 @@ impl MarketSim {
                 let _sp = self.tracer.span(SpanKind::Agent, self.chain.round());
                 self.agent_step();
             }
-            let policy: &mut dyn ReorderPolicy<RegistryMessage> = match self.config.policy {
-                MarketPolicy::Fifo => &mut fifo,
-                MarketPolicy::Reverse => &mut reverse,
-                MarketPolicy::FrontRun => &mut front_run,
-            };
             // Optimistic parallel execution over disjoint HIT instances;
             // delegates to the serial path at one thread. Reports are
             // identical either way (tests/parallel_equivalence.rs).
             {
                 let _sp = self.tracer.span(SpanKind::Execute, self.chain.round() + 1);
-                self.chain.advance_round_parallel(policy);
+                self.chain.advance_round_parallel(&mut *self.policy);
             }
             if let Some(obs) = self.chain.last_observation() {
                 self.tracer.event(

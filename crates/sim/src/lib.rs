@@ -8,7 +8,9 @@
 //!   worker-pool size and behaviour mix, phase windows, block gas limit,
 //!   mempool policy and settlement mode.
 //! * [`engine::MarketSim`] — the block-driven event loop multiplexing
-//!   agent pools over a [`dragoon_contract::HitRegistry`].
+//!   agent pools over a [`dragoon_contract::HitRegistry`]; a single task
+//!   ([`OneHit`], reported as a [`RunReport`]) runs through the same
+//!   loop.
 //! * [`metrics::MarketReport`] — gas utilization, settlement latency,
 //!   reward flows, dropped/expired tasks and batched-verification
 //!   counters, with JSON output for the perf trajectory.
@@ -31,6 +33,6 @@ pub mod seed;
 
 pub use config::{BehaviorMix, MarketConfig, MarketPolicy, PersistConfig};
 pub use dragoon_protocol::{ProvingConfig, ProvingStats};
-pub use engine::{recover_market_chain, run_market, MarketSim};
+pub use engine::{recover_market_chain, run_market, MarketSim, OneHit, RunReport};
 pub use metrics::{BlockStat, HitOutcome, MarketReport};
 pub use seed::{seed_from_args_or, seed_from_env_or};

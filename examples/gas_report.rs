@@ -14,11 +14,11 @@
 use dragoon_chain::{gas_to_usd, GasSchedule, TxStatus};
 use dragoon_contract::registry::routing_gas;
 use dragoon_core::workload::{imagenet_workload, AnswerModel};
-use dragoon_protocol::{driver, WorkerBehavior};
-use dragoon_sim::{MarketConfig, MarketSim};
+use dragoon_protocol::WorkerBehavior;
+use dragoon_sim::{MarketConfig, MarketSim, OneHit};
 use dragoon_trace::Tracer;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -26,15 +26,14 @@ fn main() {
     let seed = dragoon_sim::seed_from_args_or(1108);
     let mut rng = StdRng::seed_from_u64(seed);
     // Worst case (reject all) exercises every code path.
-    let report = driver::run(
-        driver::RunConfig {
-            workload: imagenet_workload(4_000_000, &mut rng),
-            behaviors: vec![WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: 0.0 }); 4],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload: imagenet_workload(4_000_000, &mut rng),
+        behaviors: vec![WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: 0.0 }); 4],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
 
     println!("== Per-transaction gas breakdown (ImageNet task, worst case) ==\n");
     println!("{:<10} {:<9} {:>10}   breakdown", "tx", "status", "gas");

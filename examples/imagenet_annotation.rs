@@ -12,9 +12,10 @@
 use dragoon_chain::{gas_to_usd, GasSchedule};
 use dragoon_contract::Settlement;
 use dragoon_core::workload::{imagenet_workload, AnswerModel};
-use dragoon_protocol::{driver, WorkerBehavior};
+use dragoon_protocol::WorkerBehavior;
+use dragoon_sim::{MarketSim, OneHit};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(dragoon_sim::seed_from_args_or(2020));
@@ -39,15 +40,14 @@ fn main() {
         WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: 0.15 }),
     ];
 
-    let report = driver::run(
-        driver::RunConfig {
-            workload,
-            behaviors,
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors,
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
 
     println!("Worker outcomes:");
     for (i, worker) in report.workers.iter().enumerate() {

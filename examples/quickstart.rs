@@ -10,9 +10,10 @@
 use dragoon_chain::{gas_to_usd, GasSchedule};
 use dragoon_core::workload::{generate_workload, AnswerModel};
 use dragoon_crypto::elgamal::PlaintextRange;
-use dragoon_protocol::{driver, WorkerBehavior};
+use dragoon_protocol::WorkerBehavior;
+use dragoon_sim::{MarketSim, OneHit};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(dragoon_sim::seed_from_args_or(42));
@@ -46,15 +47,14 @@ fn main() {
 
     // 3. Run the whole protocol over the simulated chain: publish →
     //    commit → reveal → evaluate (PoQoEA rejections) → settle.
-    let report = driver::run(
-        driver::RunConfig {
-            workload,
-            behaviors,
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors,
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
 
     // 4. Outcomes.
     println!("Settlements:");

@@ -1,13 +1,15 @@
 //! Workspace-level end-to-end tests: the full Dragoon stack (crypto →
-//! chain → contract → protocol) under honest and adversarial conditions.
+//! chain → contract → protocol → sim) under honest and adversarial
+//! conditions, one HIT at a time.
 
 use dragoon_chain::{AdversarialPolicy, DelayVictimPolicy, GasSchedule, Scheduled};
 use dragoon_contract::{RejectReason, Settlement};
 use dragoon_core::workload::{generate_workload, imagenet_workload, AnswerModel};
 use dragoon_crypto::elgamal::PlaintextRange;
-use dragoon_protocol::{driver, WorkerBehavior};
+use dragoon_protocol::WorkerBehavior;
+use dragoon_sim::{MarketSim, OneHit};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn honest(acc: f64) -> WorkerBehavior {
     WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: acc })
@@ -16,15 +18,14 @@ fn honest(acc: f64) -> WorkerBehavior {
 #[test]
 fn imagenet_task_full_run() {
     let mut rng = StdRng::seed_from_u64(1);
-    let report = driver::run(
-        driver::RunConfig {
-            workload: imagenet_workload(4_000_000, &mut rng),
-            behaviors: vec![honest(1.0), honest(0.95), honest(0.92), honest(0.0)],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload: imagenet_workload(4_000_000, &mut rng),
+        behaviors: vec![honest(1.0), honest(0.95), honest(0.92), honest(0.0)],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
     // The three diligent workers are paid; the spam worker is rejected
     // via PoQoEA (with overwhelming probability at accuracy 0).
     let paid = report
@@ -42,15 +43,14 @@ fn non_binary_task_with_wide_range() {
     // A 4-option task (range {0..3}) with 8 golds and 5 workers.
     let mut rng = StdRng::seed_from_u64(2);
     let workload = generate_workload(40, 8, 5, 6, PlaintextRange::new(0, 3), 5_000, &mut rng);
-    let report = driver::run(
-        driver::RunConfig {
-            workload,
-            behaviors: vec![honest(1.0); 5],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors: vec![honest(1.0); 5],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
     assert_eq!(report.collected.len(), 5);
     for w in &report.workers {
         assert_eq!(report.balances[w], 1_000);
@@ -61,15 +61,14 @@ fn non_binary_task_with_wide_range() {
 fn single_worker_task() {
     let mut rng = StdRng::seed_from_u64(3);
     let workload = generate_workload(5, 2, 1, 2, PlaintextRange::binary(), 100, &mut rng);
-    let report = driver::run(
-        driver::RunConfig {
-            workload,
-            behaviors: vec![honest(1.0)],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors: vec![honest(1.0)],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
     assert_eq!(report.collected.len(), 1);
     assert_eq!(report.balances[&report.workers[0]], 100);
 }
@@ -77,20 +76,19 @@ fn single_worker_task() {
 #[test]
 fn all_attackers_requester_keeps_budget() {
     let mut rng = StdRng::seed_from_u64(4);
-    let report = driver::run(
-        driver::RunConfig {
-            workload: imagenet_workload(4_000_000, &mut rng),
-            behaviors: vec![
-                honest(0.0),
-                WorkerBehavior::CommitNoReveal,
-                WorkerBehavior::BadReveal,
-                honest(0.0),
-            ],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload: imagenet_workload(4_000_000, &mut rng),
+        behaviors: vec![
+            honest(0.0),
+            WorkerBehavior::CommitNoReveal,
+            WorkerBehavior::BadReveal,
+            honest(0.0),
+        ],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .run_hit();
     // Nobody earns; the requester gets the full budget back.
     for w in &report.workers {
         assert_eq!(report.balances[w], 0);
@@ -113,20 +111,17 @@ fn targeted_delay_cannot_steal_a_slot_forever() {
     // clock period; the victim still lands in the task (synchrony bound).
     let mut rng = StdRng::seed_from_u64(5);
     let workload = imagenet_workload(4_000_000, &mut rng);
-    // Victim address: the driver assigns deterministic worker addresses;
-    // derive it the same way.
-    let victim = dragoon_ledger::Address::from_seed(0x3031_0000);
-    let mut policy = DelayVictimPolicy::new(victim);
-    let report = driver::run_with_policy(
-        driver::RunConfig {
-            workload,
-            behaviors: vec![honest(1.0); 4],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut policy,
-        &mut rng,
-    );
+    // The victim is worker 0 of the run's pool.
+    let policy = DelayVictimPolicy::new(dragoon_protocol::worker_addr(0));
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors: vec![honest(1.0); 4],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .with_policy(Box::new(policy))
+    .run_hit();
     // All four (including the delayed victim) were eventually paid.
     for w in &report.workers {
         assert_eq!(
@@ -142,7 +137,7 @@ fn chaotic_scheduling_preserves_fairness() {
     let mut rng = StdRng::seed_from_u64(6);
     let workload = imagenet_workload(4_000_000, &mut rng);
     let mut flip = false;
-    let mut policy = AdversarialPolicy::new(move |_round, mut pending: Vec<_>| {
+    let policy = AdversarialPolicy::new(move |_round, mut pending: Vec<_>| {
         pending.reverse();
         flip = !flip;
         if flip && pending.len() > 1 {
@@ -160,16 +155,15 @@ fn chaotic_scheduling_preserves_fairness() {
             }
         }
     });
-    let report = driver::run_with_policy(
-        driver::RunConfig {
-            workload,
-            behaviors: vec![honest(1.0); 4],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut policy,
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors: vec![honest(1.0); 4],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .with_policy(Box::new(policy))
+    .run_hit();
     for w in &report.workers {
         assert_eq!(report.balances[w], 1_000_000);
     }
@@ -183,15 +177,14 @@ fn protocol_completes_under_block_gas_limit() {
     // round. The phase windows absorb the spill and everyone is paid.
     let mut rng = StdRng::seed_from_u64(8);
     let workload = imagenet_workload(4_000_000, &mut rng);
-    let report = driver::run(
-        driver::RunConfig {
-            workload,
-            behaviors: vec![honest(1.0); 4],
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: Some(10_000_000),
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload,
+        behaviors: vec![honest(1.0); 4],
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: Some(10_000_000),
+        seed: rng.gen(),
+    })
+    .run_hit();
     for w in &report.workers {
         assert_eq!(report.balances[w], 1_000_000);
     }
@@ -222,15 +215,14 @@ fn budget_conservation_across_runs() {
             honest(0.0),
             WorkerBehavior::CommitNoReveal,
         ];
-        let report = driver::run(
-            driver::RunConfig {
-                workload: imagenet_workload(4_000_000, &mut rng),
-                behaviors,
-                schedule: GasSchedule::istanbul(),
-                block_gas_limit: None,
-            },
-            &mut rng,
-        );
+        let report = MarketSim::one_hit(OneHit {
+            workload: imagenet_workload(4_000_000, &mut rng),
+            behaviors,
+            schedule: GasSchedule::istanbul(),
+            block_gas_limit: None,
+            seed: rng.gen(),
+        })
+        .run_hit();
         let total: u128 = report.balances.values().sum();
         assert_eq!(total, 4_000_000, "coins must be conserved (seed {seed})");
     }
@@ -250,15 +242,14 @@ fn gas_totals_scale_with_workers() {
             (k as u128) * 1_000_000,
             &mut rng,
         );
-        let report = driver::run(
-            driver::RunConfig {
-                workload,
-                behaviors: vec![honest(1.0); k],
-                schedule: GasSchedule::istanbul(),
-                block_gas_limit: None,
-            },
-            &mut rng,
-        );
+        let report = MarketSim::one_hit(OneHit {
+            workload,
+            behaviors: vec![honest(1.0); k],
+            schedule: GasSchedule::istanbul(),
+            block_gas_limit: None,
+            seed: rng.gen(),
+        })
+        .run_hit();
         totals.push(report.gas.total());
     }
     assert!(totals[0] < totals[1] && totals[1] < totals[2]);

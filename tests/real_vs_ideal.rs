@@ -2,24 +2,25 @@
 //! Theorem 1 ("Π_hit securely realizes F_hit in the C_hit-hybrid, random
 //! oracle model").
 //!
-//! Strategy: run the real protocol Π_hit (over the gas-metered chain,
-//! where `C_hit` is instance 0 of the same `HitRegistry` the marketplace
-//! runs, possibly under adversarial scheduling) and the ideal functionality
-//! F_hit on the *same inputs* (same answers, same golden standards, same
-//! requester strategy), then compare the joint outcomes the environment
-//! can observe: which workers were paid, final balances, and what data
-//! the requester obtained.
+//! Strategy: run the real protocol Π_hit (a one-HIT run of the market
+//! engine over the gas-metered chain, where `C_hit` is instance 0 of its
+//! `HitRegistry`, possibly under adversarial scheduling) and the ideal
+//! functionality F_hit on the *same inputs* (same answers, same golden
+//! standards, same requester strategy), then compare the joint outcomes
+//! the environment can observe: which workers were paid, final
+//! balances, and what data the requester obtained.
 
-use dragoon_chain::{GasSchedule, ReversePolicy};
-use dragoon_contract::Settlement;
+use dragoon_chain::{FifoPolicy, FrontRunPolicy, GasSchedule, ReorderPolicy, ReversePolicy};
+use dragoon_contract::{RegistryMessage, Settlement};
 use dragoon_core::quality::quality;
 use dragoon_core::task::Answer;
 use dragoon_core::workload::{draw_answer, imagenet_workload, AnswerModel, Workload};
 use dragoon_ledger::{Address, Ledger};
 use dragoon_protocol::ideal::IdealHit;
-use dragoon_protocol::{driver, WorkerBehavior};
+use dragoon_protocol::{worker_addr, WorkerBehavior};
+use dragoon_sim::{MarketSim, OneHit};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Runs the ideal functionality with an honest requester who evaluates
 /// every answer (rejecting the unqualified), on fixed plaintext answers.
@@ -61,6 +62,16 @@ fn run_ideal(workload: &Workload, answers: &[Option<Answer>]) -> (IdealHit, Addr
 
 /// Draws deterministic answers for a mixed crowd and runs both worlds.
 fn compare_worlds(accuracies: &[f64], seed: u64) {
+    compare_worlds_under(accuracies, seed, Box::new(FifoPolicy));
+}
+
+/// [`compare_worlds`] with the real world's mempool scheduled by
+/// `policy` every round.
+fn compare_worlds_under(
+    accuracies: &[f64],
+    seed: u64,
+    policy: Box<dyn ReorderPolicy<RegistryMessage>>,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let workload = imagenet_workload(4_000_000, &mut rng);
 
@@ -86,15 +97,15 @@ fn compare_worlds(accuracies: &[f64], seed: u64) {
         .iter()
         .map(|a| WorkerBehavior::Fixed(a.clone()))
         .collect();
-    let report = driver::run(
-        driver::RunConfig {
-            workload: workload.clone(),
-            behaviors,
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut rng,
-    );
+    let report = MarketSim::one_hit(OneHit {
+        workload: workload.clone(),
+        behaviors,
+        schedule: GasSchedule::istanbul(),
+        block_gas_limit: None,
+        seed: rng.gen(),
+    })
+    .with_policy(policy)
+    .run_hit();
 
     // Compare payment outcomes worker by worker.
     for ((iw, rw), answer) in ideal_workers.iter().zip(&report.workers).zip(&answers) {
@@ -151,42 +162,16 @@ fn several_seeds_randomized() {
 fn rushing_adversary_does_not_change_outcomes() {
     // Same inputs, adversarial (reversed) scheduling each round: the
     // outcomes must match the ideal world exactly as with FIFO.
-    let mut rng = StdRng::seed_from_u64(99);
-    let workload = imagenet_workload(4_000_000, &mut rng);
-    let answers: Vec<Answer> = [1.0, 1.0, 0.0, 1.0]
-        .iter()
-        .map(|&acc| {
-            draw_answer(
-                &AnswerModel::Diligent { accuracy: acc },
-                &workload.truth,
-                &workload.spec.range,
-                &mut rng,
-            )
-        })
-        .collect();
-    let ideal_answers: Vec<Option<Answer>> = answers.iter().cloned().map(Some).collect();
-    let (ideal, _, ideal_workers) = run_ideal(&workload, &ideal_answers);
+    compare_worlds_under(&[1.0, 1.0, 0.0, 1.0], 99, Box::new(ReversePolicy));
+}
 
-    let behaviors: Vec<WorkerBehavior> = answers
-        .iter()
-        .map(|a| WorkerBehavior::Fixed(a.clone()))
-        .collect();
-    let report = driver::run_with_policy(
-        driver::RunConfig {
-            workload,
-            behaviors,
-            schedule: GasSchedule::istanbul(),
-            block_gas_limit: None,
-        },
-        &mut ReversePolicy,
-        &mut rng,
-    );
-    for (iw, rw) in ideal_workers.iter().zip(&report.workers) {
-        assert_eq!(
-            ideal.was_paid(iw).unwrap_or(false),
-            matches!(report.settlements.get(rw), Some(Settlement::Paid)),
-        );
-    }
+#[test]
+fn front_runner_does_not_change_outcomes() {
+    // The market's third ordering: worker 0's transactions jump the
+    // queue every round. It submits junk, so going first buys it
+    // nothing: the outcomes match the ideal world.
+    let front_runner = FrontRunPolicy::new(worker_addr(0));
+    compare_worlds_under(&[0.0, 1.0, 1.0, 0.9], 100, Box::new(front_runner));
 }
 
 #[test]
