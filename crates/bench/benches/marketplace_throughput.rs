@@ -8,7 +8,12 @@
 //! cargo bench -p dragoon-bench --bench marketplace_throughput
 //! DRAGOON_SEED=7 cargo bench -p dragoon-bench --bench marketplace_throughput
 //! DRAGOON_BENCH_ONLY=market_scale_1m DRAGOON_SCALE_HITS=20000 cargo bench -p dragoon-bench --bench marketplace_throughput
+//! DRAGOON_THREADS=4 cargo bench -p dragoon-bench --bench marketplace_throughput
 //! ```
+//!
+//! `DRAGOON_THREADS` sets the thread budget of every tier that does not
+//! pin its own (unset = the host's available parallelism), and the
+//! parallel side of `spawn_heavy_speedup`.
 //!
 //! Tiers are rows of [`TIERS`]; the A/B tiers (same market, two
 //! configurations, identical reports, one wall-clock ratio) all go
@@ -19,7 +24,8 @@ use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
 use dragoon_crypto::vpke;
 use dragoon_net::{NetConfig, RelaySpec};
 use dragoon_sim::{
-    run_market, seed_from_env_or, MarketConfig, MarketReport, MarketSim, PersistConfig,
+    run_market, seed_from_env_or, threads_from_env, MarketConfig, MarketReport, MarketSim,
+    PersistConfig,
 };
 use dragoon_trace::Tracer;
 use rand::rngs::StdRng;
@@ -45,6 +51,7 @@ fn market_throughput(seed: u64) {
             settlement,
             seed,
             max_blocks: 900,
+            exec_threads: threads_from_env(),
             ..MarketConfig::default()
         };
         let (wall, report) = time_once(|| run_market(config.clone()));
@@ -249,7 +256,7 @@ fn sync_vs_pipelined(bench: &'static str, config: &MarketConfig, cadence: u64) -
 fn serial_vs_parallel(bench: &'static str, config: impl Fn(usize) -> MarketConfig) -> (Ab, usize) {
     // At least two workers so the parallel machinery actually engages
     // even when the host reports one core.
-    let threads = dragoon_chain::resolve_threads(0).max(2);
+    let threads = dragoon_chain::resolve_threads(threads_from_env()).max(2);
     let ab = run_ab(
         bench,
         1,
@@ -347,6 +354,7 @@ fn market_scale_1m(seed: u64) {
         block_gas_limit: None,
         max_blocks: 20_000,
         seed,
+        exec_threads: threads_from_env(),
         ..MarketConfig::default()
     };
     let (wall, report) = time_once(|| run_market(config.clone()));

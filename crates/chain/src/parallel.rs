@@ -51,12 +51,12 @@
 //!    `tests/parallel_equivalence.rs` pins.
 //!
 //! The run's thread budget has two halves, both here. A count resolves
-//! through [`resolve_threads`]: an explicit setting wins, then the
-//! `DRAGOON_THREADS` environment variable, then the host's available
-//! parallelism. And every fan-out that spends it — conflict groups,
-//! settlement verification, proving, snapshot encoding — goes through
-//! [`par_map`], so a budget of *n* means *n* running threads, the
-//! caller included, wherever it is spent.
+//! through [`resolve_threads`] once, where a run starts: an explicit
+//! setting wins, else the host's available parallelism (the library
+//! reads no environment for it). And every fan-out that spends it —
+//! conflict groups, settlement verification, proving, snapshot
+//! encoding — goes through [`par_map`], so a budget of *n* means *n*
+//! running threads, the caller included, wherever it is spent.
 
 use crate::chain::{run_tx, Block, Chain, ExecEnv, Receipt, StateMachine};
 use crate::gas::{Gas, GasSchedule};
@@ -223,18 +223,11 @@ impl ParallelStats {
     }
 }
 
-/// Resolves a thread count: `explicit` if non-zero, else the
-/// `DRAGOON_THREADS` environment variable, else available parallelism.
+/// Resolves a thread count: `explicit` if non-zero, else the host's
+/// available parallelism.
 pub fn resolve_threads(explicit: usize) -> usize {
     if explicit > 0 {
         return explicit;
-    }
-    if let Ok(v) = std::env::var("DRAGOON_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -791,7 +784,7 @@ fn group_by_declared_conflicts<M>(batch: Vec<BatchTx<M>>) -> Vec<Vec<BatchTx<M>>
 
 #[cfg(test)]
 mod tests {
-    use super::par_map;
+    use super::{par_map, resolve_threads};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
@@ -833,6 +826,15 @@ mod tests {
                 i * 3
             });
             assert_eq!(out, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn zero_resolves_to_the_host_and_a_count_to_itself() {
+        let host = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), host);
+        for threads in [1, 4, 8] {
+            assert_eq!(resolve_threads(threads), threads);
         }
     }
 

@@ -67,7 +67,7 @@
 //! Serialization is the hand-rolled [`Persist`] codec (the vendored
 //! serde compat is derive-only): deterministic byte layout, so two
 //! identical chain states — live and recovered, or produced at
-//! different `DRAGOON_THREADS` — encode to identical bytes. That byte
+//! different thread budgets — encode to identical bytes. That byte
 //! string is the crash-recovery differential's witness. (Delta *bytes*
 //! may differ across thread counts — the serial and parallel executors
 //! over-approximate the dirty set differently — but the recovered

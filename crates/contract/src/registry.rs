@@ -37,9 +37,8 @@ use crate::msg::{HitMessage, PublishParams};
 use crate::PhaseWindows;
 use dragoon_chain::store::{Persist, PersistDelta, Reader, StoreError};
 use dragoon_chain::{
-    par_map, resolve_threads, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv,
-    Gas, GasSchedule, Journaled, ParallelStateMachine, Receipt, StateJournal, StateMachine,
-    TxStatus,
+    par_map, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv, Gas,
+    GasSchedule, Journaled, ParallelStateMachine, Receipt, StateJournal, StateMachine, TxStatus,
 };
 use dragoon_crypto::vpke::{self, DecryptionProof, DecryptionStatement};
 use dragoon_ledger::Address;
@@ -339,8 +338,8 @@ pub struct HitRegistry {
     batch_stats: BatchStats,
     /// Per-transaction undo journal (see [`RegistryUndo`]).
     journal: StateJournal<RegistryUndo>,
-    /// Thread budget for block-boundary settlement verification
-    /// (`0` = resolve from `DRAGOON_THREADS` / available parallelism).
+    /// Thread budget for block-boundary settlement verification and
+    /// snapshot encoding: a resolved count, at least 1.
     verify_threads: usize,
     /// The run's trace handle (off unless the genesis was built with
     /// one) — local like `verify_threads`.
@@ -509,17 +508,18 @@ impl HitRegistry {
             next_id: 0,
             batch_stats: BatchStats::default(),
             journal: StateJournal::new(),
-            verify_threads: 0,
+            verify_threads: 1,
             tracer: Tracer::default(),
             overlap: OverlapState::default(),
         }
     }
 
     /// Sets the thread budget for block-boundary settlement verification
-    /// (`0` resolves from `DRAGOON_THREADS`, then available
-    /// parallelism). Verdicts are thread-count-independent.
+    /// and snapshot encoding — a count the caller has already resolved
+    /// (`dragoon_chain::resolve_threads`); `0` is read as 1. Verdicts
+    /// are thread-count-independent.
     pub fn with_verify_threads(mut self, threads: usize) -> Self {
-        self.verify_threads = threads;
+        self.verify_threads = threads.max(1);
         self
     }
 
@@ -615,7 +615,7 @@ impl HitRegistry {
         if expected.is_empty() {
             return;
         }
-        let threads = resolve_threads(self.verify_threads);
+        let threads = self.verify_threads;
         let chunks: Vec<VerifyChunk> = expected.iter().map(|(_, items)| items.clone()).collect();
         let handle = std::thread::Builder::new()
             .name("dragoon-overlap-verify".into())
@@ -972,7 +972,7 @@ impl StateMachine for HitRegistry {
                 .iter()
                 .map(|(_, pending)| pending.iter().map(|v| v.items.len()).sum::<usize>())
                 .sum();
-            let threads = resolve_threads(self.verify_threads);
+            let threads = self.verify_threads;
             let mut sp = self.tracer.span(SpanKind::Verify, round);
             sp.arg("instances", drained.len() as u64);
             sp.arg("items", total as u64);
@@ -1224,7 +1224,7 @@ impl Persist for HitRegistry {
             "registry snapshots are taken between transactions"
         );
         self.mode.put(out);
-        self.hits.encode(resolve_threads(self.verify_threads), out);
+        self.hits.encode(self.verify_threads, out);
         self.live.iter().copied().collect::<Vec<HitId>>().put(out);
         self.next_id.put(out);
         self.batch_stats.put(out);
@@ -1242,7 +1242,7 @@ impl Persist for HitRegistry {
             next_id,
             batch_stats,
             journal: StateJournal::new(),
-            verify_threads: 0,
+            verify_threads: 1,
             tracer: Tracer::default(),
             overlap: OverlapState::default(),
         })
@@ -2080,6 +2080,21 @@ mod tests {
         );
         assert!(recovered.state_image() == live.chain.state_image());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The registry holds a resolved budget: a zero setting and a
+    /// decoded snapshot (which carries no budget) both run on at least
+    /// one thread, never on a count left for later resolution.
+    #[test]
+    fn a_registry_budget_is_at_least_one() {
+        let zero = HitRegistry::new(SettlementMode::Batched).with_verify_threads(0);
+        assert_eq!(zero.verify_threads, 1);
+        let mut out = Vec::new();
+        HitRegistry::new(SettlementMode::Batched)
+            .with_verify_threads(4)
+            .put(&mut out);
+        let decoded = HitRegistry::get(&mut Reader::new(&out)).expect("a valid encoding");
+        assert!(decoded.verify_threads >= 1);
     }
 
     /// The trace handle is not contract state: two registries that

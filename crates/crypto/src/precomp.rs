@@ -35,7 +35,7 @@
 //!   claims its slot
 //!   under the lock — so a miss is counted exactly once per distinct
 //!   key regardless of thread interleaving and the statistics stay
-//!   deterministic across `DRAGOON_THREADS` values — and builds the
+//!   deterministic across thread budgets — and builds the
 //!   table after releasing it, so a cold key stalls only the threads
 //!   that want that same key. The proving service makes sure that is
 //!   none while other work remains: its pool takes a batch round-robin

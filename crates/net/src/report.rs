@@ -4,7 +4,7 @@
 ///
 /// Everything here derives from the canonical block feed (which is
 /// thread-count independent) and the seeded gossip layer, so the JSON
-/// is byte-stable across `DRAGOON_THREADS` — safe to golden-gate — but
+/// is byte-stable across thread budgets — safe to golden-gate — but
 /// is kept out of `MarketReport::to_json` so pre-net witnesses stay
 /// byte-identical.
 #[derive(Clone, Debug, Default)]

@@ -14,8 +14,8 @@
 //! [`ProvingConfig::ticks_per_kilocost`], never from wall clock.
 //! Released outputs re-enter the sim in deterministic
 //! `(ready_tick, enqueue_seq)` order, so the mempool sequence — and
-//! therefore committed chain state — is bit-identical for any
-//! `DRAGOON_THREADS`.
+//! therefore committed chain state — is bit-identical for any thread
+//! budget.
 //!
 //! Determinism of the proofs themselves comes from per-job RNG streams:
 //! [`job_rng`] splits the master seed by the job key, so a proof's
@@ -261,9 +261,9 @@ pub struct ProvingService<T> {
 }
 
 impl<T: Send> ProvingService<T> {
-    /// Creates the service. `threads` is the already-resolved pool width
-    /// (`dragoon_chain::resolve_threads`); it only affects wall-clock
-    /// speed, never results.
+    /// Creates the service. `threads` is the pool width the run resolved
+    /// once (`dragoon_chain::resolve_threads`, in `MarketSim`'s
+    /// assembly); it only affects wall-clock speed, never results.
     pub fn new(master_seed: u64, threads: usize, config: ProvingConfig) -> Self {
         Self {
             master_seed,

@@ -7,18 +7,6 @@ use dragoon_econ::EconConfig;
 use dragoon_net::NetConfig;
 use dragoon_protocol::{ProvingConfig, WorkerBehavior};
 
-/// Which mempool scheduler the market runs under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MarketPolicy {
-    /// Honest FIFO delivery.
-    Fifo,
-    /// Reverse-order delivery every round (a crude rushing adversary).
-    Reverse,
-    /// A designated front-runner (the first worker of the pool) whose
-    /// transactions jump the queue every round.
-    FrontRun,
-}
-
 /// A weighted worker-behaviour mix; weights are relative frequencies.
 pub type BehaviorMix = Vec<(WorkerBehavior, u32)>;
 
@@ -62,17 +50,15 @@ pub struct MarketConfig {
     pub block_gas_limit: Option<Gas>,
     /// Inline or batched settlement verification.
     pub settlement: SettlementMode,
-    /// The mempool scheduling policy.
-    pub policy: MarketPolicy,
     /// Hard stop after this many blocks (unfinished HITs are reported).
     pub max_blocks: u64,
     /// The run's master seed; equal seeds ⇒ identical reports.
     pub seed: u64,
     /// The run's one thread budget, shared by block execution,
     /// block-boundary settlement verification *and* proving (in both
-    /// proving modes): `0` (default) resolves from the `DRAGOON_THREADS`
-    /// environment variable, then the host's available parallelism; `1`
-    /// is the serial everything — the strictly serial executor,
+    /// proving modes): `0` (default) is the host's available
+    /// parallelism, resolved once when the market is built; `1` is the
+    /// serial everything — the strictly serial executor,
     /// sequential verification and every proof job on the calling
     /// thread. Reports are identical for every value — only wall clock
     /// changes.
@@ -95,7 +81,7 @@ pub struct MarketConfig {
     /// when outputs release: disabled (default) in the tick they were
     /// requested, enabled `cost · ticks_per_kilocost / 1000` simulated
     /// ticks later. Committed chain state is bit-identical across
-    /// `DRAGOON_THREADS` either way (per-job RNG streams); enabling the
+    /// thread budgets either way (per-job RNG streams); enabling the
     /// service with zero latency reproduces the disabled run exactly
     /// (`tests/proving_equivalence.rs`).
     pub proving: ProvingConfig,
@@ -200,7 +186,6 @@ impl Default for MarketConfig {
             },
             block_gas_limit: Some(30_000_000),
             settlement: SettlementMode::Batched,
-            policy: MarketPolicy::Fifo,
             max_blocks: 600,
             seed: 0xd1a6_0000,
             exec_threads: 0,

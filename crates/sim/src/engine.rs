@@ -11,8 +11,9 @@
 //!    workers reveal, and each requester takes the next step of its
 //!    [`Sequencer`](dragoon_protocol::Sequencer) (cancel, open the gold
 //!    standards, evaluate, challenge bad submissions, finalize),
-//! 3. advances the chain one round under the configured mempool policy
-//!    (honest FIFO, reverse, or a designated front-runner), and
+//! 3. advances the chain one round under the mempool policy (honest
+//!    FIFO, unless [`MarketSim::with_policy`] put an adversarial
+//!    scheduler in its place), and
 //! 4. harvests events into per-block metrics and the per-HIT table —
 //!    one record per created HIT plus the set of live ids, the only
 //!    per-HIT bookkeeping the engine keeps.
@@ -34,13 +35,11 @@ mod one_hit;
 pub use one_hit::{OneHit, RunReport};
 
 use crate::agents::{RequesterAgent, WorkerAgent};
-use crate::config::{BehaviorMix, MarketConfig, MarketPolicy};
+use crate::config::{BehaviorMix, MarketConfig};
 use crate::metrics::{BlockStat, HitOutcome, MarketReport};
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::store::{BlockStore, StoreError};
-use dragoon_chain::{
-    resolve_threads, Chain, FifoPolicy, FrontRunPolicy, GasSchedule, ReorderPolicy, ReversePolicy,
-};
+use dragoon_chain::{resolve_threads, Chain, FifoPolicy, GasSchedule, ReorderPolicy};
 use dragoon_contract::{
     HitContract, HitEvent, HitId, HitMessage, HitRegistry, Phase, RegistryEvent, RegistryMessage,
     RejectReason, Settlement, SettlementMode, REGISTRY_CODE_LEN,
@@ -113,8 +112,8 @@ pub struct MarketSim {
     /// The run's trace handle (off unless built by [`MarketSim::traced`]).
     tracer: Tracer,
     chain: Chain<HitRegistry>,
-    /// The mempool scheduler every round runs under: `config.policy`'s,
-    /// unless [`MarketSim::with_policy`] replaced it.
+    /// The mempool scheduler every round runs under: FIFO, unless
+    /// [`MarketSim::with_policy`] replaced it.
     policy: Box<dyn ReorderPolicy<RegistryMessage>>,
     requesters: Vec<RequesterAgent>,
     workers: Vec<WorkerAgent>,
@@ -222,6 +221,8 @@ fn genesis_chain(
 /// bit-identical ([`Chain::state_image`]) to the chain the live run
 /// held after its last persisted block — the crash-recovery
 /// differential in `tests/crash_recovery.rs` pins this byte for byte.
+/// The recovered registry verifies on `config.exec_threads`, resolved
+/// as the live run resolved it.
 pub fn recover_market_chain(config: &MarketConfig) -> Result<Chain<HitRegistry>, StoreError> {
     let persist = config
         .persist
@@ -307,8 +308,9 @@ impl MarketSim {
     ) -> Self {
         assert!(config.hits > 0, "a market needs at least one HIT");
         assert!(config.workers > 0, "a market needs workers");
-        // One resolved thread budget drives both the parallel block
-        // executor and block-boundary settlement verification.
+        // The run's thread budget, resolved once here: the parallel
+        // block executor, the registry's settlement verification and
+        // snapshot encoding, and the proving pool all get this count.
         let threads = resolve_threads(config.exec_threads);
         let headroom = publish_headroom(&config);
         // The canonical chain and every network replica start from this
@@ -357,16 +359,11 @@ impl MarketSim {
         }
         let proving =
             ProvingService::new(config.seed, threads, config.proving).with_tracer(tracer.clone());
-        let policy: Box<dyn ReorderPolicy<RegistryMessage>> = match config.policy {
-            MarketPolicy::Fifo => Box::new(FifoPolicy),
-            MarketPolicy::Reverse => Box::new(ReversePolicy),
-            MarketPolicy::FrontRun => Box::new(FrontRunPolicy::new(workers[0].addr)),
-        };
         Self {
             config,
             tracer,
             chain,
-            policy,
+            policy: Box::new(FifoPolicy),
             requesters,
             workers,
             next_publish: 0,
@@ -396,8 +393,9 @@ impl MarketSim {
         self
     }
 
-    /// Runs every round under `policy` in place of `config.policy`'s
-    /// scheduler — an adversary beyond the built-ins.
+    /// Runs every round under `policy` in place of honest FIFO — the
+    /// one way to schedule a market adversarially (`ReversePolicy`,
+    /// `FrontRunPolicy`, or a test's own).
     pub fn with_policy(mut self, policy: Box<dyn ReorderPolicy<RegistryMessage>>) -> Self {
         self.policy = policy;
         self

@@ -5,8 +5,8 @@
 //! chain, driven block by block.
 //!
 //! * [`config::MarketConfig`] — the scenario: spawn curve, task shape,
-//!   worker-pool size and behaviour mix, phase windows, block gas limit,
-//!   mempool policy and settlement mode.
+//!   worker-pool size and behaviour mix, phase windows, block gas limit
+//!   and settlement mode.
 //! * [`engine::MarketSim`] — the block-driven event loop multiplexing
 //!   agent pools over a [`dragoon_contract::HitRegistry`]; a single task
 //!   ([`OneHit`], reported as a [`RunReport`]) runs through the same
@@ -15,7 +15,8 @@
 //!   reward flows, dropped/expired tasks and batched-verification
 //!   counters, with JSON output for the perf trajectory.
 //! * [`seed`] — seed injection from `DRAGOON_SEED` / CLI so every run of
-//!   every binary is reproducible.
+//!   every binary is reproducible, and the one reader of a binary's
+//!   `DRAGOON_THREADS` budget.
 //!
 //! ```
 //! use dragoon_sim::{run_market, MarketConfig};
@@ -31,8 +32,8 @@ pub mod engine;
 pub mod metrics;
 pub mod seed;
 
-pub use config::{BehaviorMix, MarketConfig, MarketPolicy, PersistConfig};
+pub use config::{BehaviorMix, MarketConfig, PersistConfig};
 pub use dragoon_protocol::{ProvingConfig, ProvingStats};
 pub use engine::{recover_market_chain, run_market, MarketSim, OneHit, RunReport};
 pub use metrics::{BlockStat, HitOutcome, MarketReport};
-pub use seed::{seed_from_args_or, seed_from_env_or};
+pub use seed::{seed_from_args_or, seed_from_env_or, threads_from_env};

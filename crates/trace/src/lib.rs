@@ -7,8 +7,8 @@
 //!    persist/prove/gossip/reorg) with typed `u64` attributes. Events
 //!    are recorded into the run's handle in emission order and read
 //!    back sorted by `(tick, seq)`, so the collected stream is a pure
-//!    function of `(seed, config)`: byte-identical at any
-//!    `DRAGOON_THREADS`, with the pipelined or the synchronous store,
+//!    function of `(seed, config)`: byte-identical at any thread
+//!    budget, with the pipelined or the synchronous store,
 //!    and therefore golden-gatable. Emission sites MUST be
 //!    deterministic program points (the round loop, a service's
 //!    submit/drain edges) — never inside a worker thread.

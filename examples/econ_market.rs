@@ -8,14 +8,16 @@
 //! cargo run --release --example econ_market            # default seed
 //! cargo run --release --example econ_market -- 42      # CLI seed
 //! DRAGOON_SEED=42 cargo run --release --example econ_market
+//! DRAGOON_THREADS=1 cargo run --release --example econ_market   # serial budget
 //! ```
 //!
 //! The `JSON:` and `ECON:` lines are deterministic for a given seed at
-//! any executor thread count; CI diffs them against committed golden
-//! files (`tests/golden/`) to regression-gate scenario determinism.
+//! any thread budget (`DRAGOON_THREADS`, unset = the host's); CI diffs
+//! them against committed golden files (`tests/golden/`) at budgets 1
+//! and 4 to regression-gate scenario determinism.
 
 use dragoon_econ::{ChurnParams, EconConfig, PricingParams};
-use dragoon_sim::{seed_from_args_or, MarketConfig, MarketSim};
+use dragoon_sim::{seed_from_args_or, threads_from_env, MarketConfig, MarketSim};
 use dragoon_trace::Tracer;
 
 fn main() {
@@ -30,6 +32,7 @@ fn main() {
         worker_capacity: 4,
         seed,
         max_blocks: 1_500,
+        exec_threads: threads_from_env(),
         econ: Some(EconConfig {
             // Open the market underpriced: the controller has to discover
             // the clearing wage against the pool's reservation spread.

@@ -8,7 +8,7 @@
 //!
 //! ```sh
 //! cargo run --release --example gas_report
-//! DRAGOON_THREADS=4 cargo run --release --example gas_report
+//! DRAGOON_THREADS=4 cargo run --release --example gas_report   # the market's thread budget
 //! ```
 
 use dragoon_chain::{gas_to_usd, GasSchedule, TxStatus};
@@ -96,6 +96,7 @@ fn main() {
         hits: 40,
         workers: 30,
         seed,
+        exec_threads: dragoon_sim::threads_from_env(),
         ..MarketConfig::default()
     };
     println!("\n== Parallel-executor scheduler stats (40-HIT market, seed {seed:#x}) ==\n");

@@ -9,14 +9,16 @@
 //! cargo run --release --example net_market            # default seed
 //! cargo run --release --example net_market -- 42      # CLI seed
 //! DRAGOON_SEED=42 cargo run --release --example net_market
+//! DRAGOON_THREADS=1 cargo run --release --example net_market   # serial budget
 //! ```
 //!
 //! The `JSON:` and `NET:` lines are deterministic for a given seed at
-//! any executor thread count; CI diffs them against committed golden
-//! files (`tests/golden/`) to regression-gate scenario determinism.
+//! any thread budget (`DRAGOON_THREADS`, unset = the host's); CI diffs
+//! them against committed golden files (`tests/golden/`) at budgets 1
+//! and 4 to regression-gate scenario determinism.
 
 use dragoon_net::{NetConfig, PartitionWindow, RelaySpec};
-use dragoon_sim::{seed_from_args_or, MarketConfig, MarketSim};
+use dragoon_sim::{seed_from_args_or, threads_from_env, MarketConfig, MarketSim};
 use dragoon_trace::Tracer;
 
 fn main() {
@@ -43,6 +45,7 @@ fn main() {
         spawn_per_block: 4,
         workers: 30,
         seed,
+        exec_threads: threads_from_env(),
         net: Some(net),
         ..MarketConfig::default()
     };

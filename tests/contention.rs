@@ -12,7 +12,8 @@ use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
 use dragoon_econ::{ChurnParams, EconConfig};
 use dragoon_ledger::Address;
-use dragoon_sim::{MarketConfig, MarketPolicy, MarketSim};
+use dragoon_protocol::worker_addr;
+use dragoon_sim::{MarketConfig, MarketSim};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -197,7 +198,6 @@ proptest! {
             workers: 12,
             worker_capacity: 3,
             budget: BUDGET_PER_HIT,
-            policy: MarketPolicy::FrontRun,
             max_blocks: 500,
             seed,
             econ: Some(EconConfig {
@@ -213,7 +213,9 @@ proptest! {
             ..MarketConfig::default()
         };
         let minted = BUDGET_PER_HIT * HITS as u128;
-        let (report, chain, _) = MarketSim::new(config).run_keeping_net();
+        let (report, chain, _) = MarketSim::new(config)
+            .with_policy(Box::new(FrontRunPolicy::new(worker_addr(0))))
+            .run_keeping_net();
         prop_assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
         prop_assert_eq!(report.hits_published, HITS);
         // Conservation: churn and front-running move coins, never

@@ -21,11 +21,26 @@
 //! * **Sybil farming** — reputation-farming sybils ride farmed scores
 //!   into defection; the metrics record both the extraction and the
 //!   proof-backed rejections that answer it.
+//!
+//! Every test names its thread budget: the properties that are not
+//! themselves a thread-count comparison hold at each of [`THREADS`].
 
 use dragoon_core::workload::AnswerModel;
 use dragoon_econ::{ChurnParams, EconConfig, PricingParams, ReputationParams};
 use dragoon_protocol::WorkerBehavior;
-use dragoon_sim::{run_market, MarketConfig};
+use dragoon_sim::{run_market, MarketConfig, MarketReport};
+
+/// The budgets a single-budget property is checked at: the serial
+/// everything, a real pool, and an oversubscribed one.
+const THREADS: [usize; 3] = [1, 4, 8];
+
+/// Runs `config` at a budget of `threads`.
+fn run_at(config: &MarketConfig, threads: usize) -> MarketReport {
+    run_market(MarketConfig {
+        exec_threads: threads,
+        ..config.clone()
+    })
+}
 
 /// A fully loaded econ scenario: every feature on at once.
 fn full_econ_config(seed: u64) -> MarketConfig {
@@ -57,10 +72,7 @@ fn full_econ_config(seed: u64) -> MarketConfig {
 /// 8-thread runs must produce byte-identical market and econ JSON.
 #[test]
 fn econ_market_identical_across_thread_counts() {
-    let mut base = MarketConfig {
-        exec_threads: 1,
-        ..full_econ_config(0xec01)
-    };
+    let mut base = full_econ_config(0xec01);
     // `full_econ_config` opens at 1 200 against reservation wages of
     // 0.6–1.4 × the 3 000 default budget, so every commit is declined
     // and no HIT fills. Price this market inside the wage spread: some
@@ -71,7 +83,7 @@ fn econ_market_identical_across_thread_counts() {
         min: 3_000,
         max: 12_000,
     });
-    let serial = run_market(base.clone());
+    let serial = run_at(&base, 1);
     let econ = serial.econ.as_ref().expect("econ layer must be live");
     assert!(serial.hits_published > 0);
     assert!(
@@ -85,10 +97,7 @@ fn econ_market_identical_across_thread_counts() {
         serial.to_json()
     );
     for threads in [2, 8] {
-        let parallel = run_market(MarketConfig {
-            exec_threads: threads,
-            ..base.clone()
-        });
+        let parallel = run_at(&base, threads);
         assert_eq!(
             serial.to_json(),
             parallel.to_json(),
@@ -104,13 +113,21 @@ fn econ_market_identical_across_thread_counts() {
 }
 
 /// The same seed twice is the same market: the whole econ layer —
-/// including the churn process's private RNG stream — replays exactly.
+/// including the churn process's private RNG stream — replays exactly,
+/// at every budget.
 #[test]
 fn econ_market_reproducible_for_a_seed() {
-    let a = run_market(full_econ_config(0xec02));
-    let b = run_market(full_econ_config(0xec02));
-    assert_eq!(a.to_json(), b.to_json());
-    assert_eq!(a.section_json("econ"), b.section_json("econ"));
+    let config = full_econ_config(0xec02);
+    let a = run_at(&config, 1);
+    for threads in THREADS {
+        let b = run_at(&config, threads);
+        assert_eq!(a.to_json(), b.to_json(), "{threads} threads");
+        assert_eq!(
+            a.section_json("econ"),
+            b.section_json("econ"),
+            "{threads} threads"
+        );
+    }
 }
 
 /// Passive (observe-only) econ influences nothing: the market report is
@@ -124,21 +141,24 @@ fn observe_only_econ_matches_disabled() {
         seed: 0xec03,
         ..MarketConfig::default()
     };
-    let off = run_market(base.clone());
-    let on = run_market(MarketConfig {
+    let observed = MarketConfig {
         econ: Some(EconConfig::observe_only()),
-        ..base
-    });
-    assert_eq!(
-        off.to_json(),
-        on.to_json(),
-        "observe-only econ must not change the market"
-    );
-    let econ = on.econ.expect("layer reports in observe-only mode");
-    assert!(econ.rep_receipts > 0, "receipts still feed the book");
-    assert_eq!(econ.gated_commits, 0);
-    assert_eq!(econ.declined_commits, 0);
-    assert!(off.econ.is_none());
+        ..base.clone()
+    };
+    for threads in THREADS {
+        let off = run_at(&base, threads);
+        let on = run_at(&observed, threads);
+        assert_eq!(
+            off.to_json(),
+            on.to_json(),
+            "observe-only econ must not change the market at {threads} threads"
+        );
+        let econ = on.econ.expect("layer reports in observe-only mode");
+        assert!(econ.rep_receipts > 0, "receipts still feed the book");
+        assert_eq!(econ.gated_commits, 0);
+        assert_eq!(econ.declined_commits, 0);
+        assert!(off.econ.is_none());
+    }
 }
 
 /// Dynamic pricing converges against reservation-wage supply: opened
@@ -147,7 +167,7 @@ fn observe_only_econ_matches_disabled() {
 /// tolerance band, off the floor and off the ceiling.
 #[test]
 fn dynamic_pricing_converges_to_a_clearing_band() {
-    let report = run_market(MarketConfig {
+    let config = MarketConfig {
         hits: 70,
         spawn_per_block: 1,
         workers: 40,
@@ -166,32 +186,35 @@ fn dynamic_pricing_converges_to_a_clearing_band() {
             ..EconConfig::default()
         }),
         ..MarketConfig::default()
-    });
-    assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
-    let econ = report.econ.expect("econ on");
-    assert!(
-        econ.price_adjustments > 0,
-        "the controller must actually steer"
-    );
-    assert!(
-        econ.price_final > 900,
-        "underpriced opening must be corrected upward (final {})",
-        econ.price_final
-    );
-    assert!(
-        econ.price_final < 24_000,
-        "the price must not pin to the ceiling"
-    );
-    assert!(
-        econ.fill_rate_recent >= 0.7,
-        "the windowed fill rate must end inside the tolerance band \
-         (got {:.3})",
-        econ.fill_rate_recent
-    );
-    assert!(
-        econ.declined_commits > 0,
-        "reservation wages must bite for the loop to mean anything"
-    );
+    };
+    for threads in THREADS {
+        let report = run_at(&config, threads);
+        assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
+        let econ = report.econ.expect("econ on");
+        assert!(
+            econ.price_adjustments > 0,
+            "the controller must actually steer"
+        );
+        assert!(
+            econ.price_final > 900,
+            "underpriced opening must be corrected upward (final {}, {threads} threads)",
+            econ.price_final
+        );
+        assert!(
+            econ.price_final < 24_000,
+            "the price must not pin to the ceiling"
+        );
+        assert!(
+            econ.fill_rate_recent >= 0.7,
+            "the windowed fill rate must end inside the tolerance band \
+             (got {:.3}, {threads} threads)",
+            econ.fill_rate_recent
+        );
+        assert!(
+            econ.declined_commits > 0,
+            "reservation wages must bite for the loop to mean anything"
+        );
+    }
 }
 
 /// The golden-withholding cartel extracts from honest workers: with the
@@ -228,13 +251,18 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
         }),
         ..MarketConfig::default()
     };
-    let baseline = run_market(scenario(0));
-    let cartel_at = |threads: usize| {
-        run_market(MarketConfig {
-            exec_threads: threads,
-            ..scenario(24)
-        })
-    };
+    let baseline = run_at(&scenario(0), 1);
+    // The honest baseline is the same market at every budget.
+    for threads in THREADS {
+        let again = run_at(&scenario(0), threads);
+        assert_eq!(baseline.to_json(), again.to_json(), "{threads} threads");
+        assert_eq!(
+            baseline.section_json("econ"),
+            again.section_json("econ"),
+            "{threads} threads"
+        );
+    }
+    let cartel_at = |threads: usize| run_at(&scenario(24), threads);
     let cartel = cartel_at(1);
     // The cartel's off-chain evaluation is a proof job like any other:
     // the pool computes it at 2 and 8 threads, and the withhold
@@ -283,7 +311,7 @@ fn cartel_lowers_honest_worker_payout_vs_baseline() {
 /// extraction and the rejections that answer it.
 #[test]
 fn sybil_farming_extracts_and_gets_caught() {
-    let report = run_market(MarketConfig {
+    let config = MarketConfig {
         hits: 40,
         spawn_per_block: 2,
         workers: 16,
@@ -295,17 +323,20 @@ fn sybil_farming_extracts_and_gets_caught() {
             ..EconConfig::default()
         }),
         ..MarketConfig::default()
-    });
-    assert_eq!(report.hits_unfinished, 0);
-    let econ = report.econ.expect("econ on");
-    assert!(
-        econ.sybil_paid > 0,
-        "farming must earn the sybils real payouts"
-    );
-    assert!(
-        econ.sybil_rejected > 0,
-        "defection (random-bot work above the reward threshold) must \
-         draw proof-backed rejections"
-    );
-    assert!(econ.honest_paid > 0, "the market still serves honest work");
+    };
+    for threads in THREADS {
+        let report = run_at(&config, threads);
+        assert_eq!(report.hits_unfinished, 0);
+        let econ = report.econ.expect("econ on");
+        assert!(
+            econ.sybil_paid > 0,
+            "farming must earn the sybils real payouts ({threads} threads)"
+        );
+        assert!(
+            econ.sybil_rejected > 0,
+            "defection (random-bot work above the reward threshold) must \
+             draw proof-backed rejections ({threads} threads)"
+        );
+        assert!(econ.honest_paid > 0, "the market still serves honest work");
+    }
 }

@@ -16,7 +16,8 @@ use dragoon_chain::{Chain, FifoPolicy, FrontRunPolicy, GasSchedule, ReorderPolic
 use dragoon_contract::{HitMessage, RegistryMessage, SettlementMode};
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_ledger::Address;
-use dragoon_sim::{MarketConfig, MarketPolicy, MarketReport, MarketSim, PersistConfig};
+use dragoon_protocol::worker_addr;
+use dragoon_sim::{MarketConfig, MarketReport, MarketSim, PersistConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use support::{
@@ -285,17 +286,23 @@ fn failing_tx_leaves_state_untouched() {
     );
 }
 
-/// Runs `config` with a synchronous block store, then replays the
-/// persisted block records — landed transactions in log order — through
-/// the reference from the market's own genesis, and asserts the chain
-/// the market ended with holds the reference's committed state.
-fn market_matches_reference(config: MarketConfig, tag: &str) -> MarketReport {
+/// Runs `config` under `policy` with a synchronous block store, then
+/// replays the persisted block records — landed transactions in log
+/// order — through the reference from the market's own genesis, and
+/// asserts the chain the market ended with holds the reference's
+/// committed state.
+fn market_matches_reference(
+    config: MarketConfig,
+    policy: Box<dyn ReorderPolicy<RegistryMessage>>,
+    tag: &str,
+) -> MarketReport {
     let dir = std::env::temp_dir().join(format!("dragoon-jeq-{}-{tag}", std::process::id()));
     let sim = MarketSim::new(MarketConfig {
         exec_threads: 4,
         persist: Some(PersistConfig::new(dir.clone())),
         ..config
-    });
+    })
+    .with_policy(policy);
     let mut reference = RefChain::at_genesis_of(sim.chain(), None);
     let (report, chain, _) = sim.run_keeping_net();
     let records = read_log::<RegistryMessage>(&dir).expect("block log must read back");
@@ -332,6 +339,7 @@ fn market_run_journal_equals_clone() {
             seed: 0x10a1,
             ..MarketConfig::default()
         },
+        Box::new(FifoPolicy),
         "fifo",
     );
     assert_eq!(report.hits_published, 30);
@@ -346,10 +354,10 @@ fn market_run_front_run_journal_equals_clone() {
             hits: 15,
             workers: 20,
             overbook: 2,
-            policy: MarketPolicy::FrontRun,
             seed: 0xab,
             ..MarketConfig::default()
         },
+        Box::new(FrontRunPolicy::new(worker_addr(0))),
         "front-run",
     );
     assert!(report.reverted_txs > 0, "overbooking must cause reverts");

@@ -2,11 +2,20 @@
 //! over one gas-capped chain, batched-vs-per-proof settlement
 //! equivalence, and bit-exact reproducibility from a seed.
 
-use dragoon_contract::{RegistryEvent, SettlementMode};
+use dragoon_chain::{FifoPolicy, FrontRunPolicy, ReorderPolicy, ReversePolicy};
+use dragoon_contract::{RegistryEvent, RegistryMessage, SettlementMode};
 use dragoon_core::workload::AnswerModel;
 use dragoon_econ::{ChurnParams, EconConfig, PricingParams};
-use dragoon_protocol::{requester_addr, WorkerBehavior};
-use dragoon_sim::{run_market, MarketConfig, MarketPolicy, MarketSim};
+use dragoon_protocol::{requester_addr, worker_addr, WorkerBehavior};
+use dragoon_sim::{run_market, MarketConfig, MarketReport, MarketSim};
+
+/// Runs a market with every round scheduled by `policy`.
+fn run_under(
+    config: MarketConfig,
+    policy: Box<dyn ReorderPolicy<RegistryMessage>>,
+) -> MarketReport {
+    MarketSim::new(config).with_policy(policy).run()
+}
 
 /// A market sized to the acceptance criterion: ≥200 HITs racing through
 /// one chain under a block gas cap.
@@ -191,12 +200,13 @@ fn same_seed_reproduces_identical_reports() {
 fn reverse_policy_market_settles_and_is_thread_count_independent() {
     let config = |exec_threads| MarketConfig {
         hits: 40,
-        policy: MarketPolicy::Reverse,
         seed: 0x7e7,
         exec_threads,
         ..MarketConfig::default()
     };
-    let (report, chain, _) = MarketSim::new(config(1)).run_keeping_net();
+    let (report, chain, _) = MarketSim::new(config(1))
+        .with_policy(Box::new(ReversePolicy))
+        .run_keeping_net();
     let displaced = chain
         .events()
         .iter()
@@ -210,7 +220,10 @@ fn reverse_policy_market_settles_and_is_thread_count_independent() {
     assert_eq!(report.hits_settled + report.hits_cancelled, 40);
     assert_eq!(report.hits_unfinished, 0);
     assert!(report.hits_settled > 0 && report.workers_paid > 0);
-    assert_eq!(report.to_json(), run_market(config(4)).to_json());
+    assert_eq!(
+        report.to_json(),
+        run_under(config(4), Box::new(ReversePolicy)).to_json()
+    );
 }
 
 /// The traffic the executor's recovery paths were chosen on. Its one
@@ -231,24 +244,18 @@ fn seeded_markets_never_reach_the_serial_backstop() {
         exec_threads: 4,
         ..MarketConfig::default()
     };
-    let markets = [
-        ("default", base.clone()),
+    let overbooked = MarketConfig {
+        overbook: 3,
+        ..base.clone()
+    };
+    let markets: [(_, _, Box<dyn ReorderPolicy<RegistryMessage>>); 4] = [
+        ("default", base.clone(), Box::new(FifoPolicy)),
         (
             "front-run, overbooked",
-            MarketConfig {
-                policy: MarketPolicy::FrontRun,
-                overbook: 3,
-                ..base.clone()
-            },
+            overbooked.clone(),
+            Box::new(FrontRunPolicy::new(worker_addr(0))),
         ),
-        (
-            "reverse, overbooked",
-            MarketConfig {
-                policy: MarketPolicy::Reverse,
-                overbook: 3,
-                ..base.clone()
-            },
-        ),
+        ("reverse, overbooked", overbooked, Box::new(ReversePolicy)),
         (
             "econ",
             MarketConfig {
@@ -262,10 +269,11 @@ fn seeded_markets_never_reach_the_serial_backstop() {
                 }),
                 ..base
             },
+            Box::new(FifoPolicy),
         ),
     ];
-    for (name, config) in markets {
-        let report = run_market(config);
+    for (name, config, policy) in markets {
+        let report = run_under(config, policy);
         let stats = report.parallel;
         assert!(stats.parallel_txs > 0, "{name}: {stats:?}");
         assert_eq!(stats.barriers, report.hits_published, "{name}: {stats:?}");
@@ -295,14 +303,16 @@ fn gas_saturated_market_commits_group_prefixes() {
 
 #[test]
 fn front_runner_policy_keeps_market_live() {
-    let report = run_market(MarketConfig {
-        hits: 20,
-        workers: 25,
-        policy: MarketPolicy::FrontRun,
-        overbook: 2,
-        seed: 0xf407,
-        ..MarketConfig::default()
-    });
+    let report = run_under(
+        MarketConfig {
+            hits: 20,
+            workers: 25,
+            overbook: 2,
+            seed: 0xf407,
+            ..MarketConfig::default()
+        },
+        Box::new(FrontRunPolicy::new(worker_addr(0))),
+    );
     assert_eq!(report.hits_unfinished, 0);
     assert!(report.hits_settled > 0);
     // Overbooked slots mean some commits lost the race and reverted.

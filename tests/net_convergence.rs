@@ -10,7 +10,8 @@
 //! even when mid-run partitions or withheld blocks forced replicas onto
 //! fork branches that had to be reorged away. The whole stack is also
 //! pinned thread-independent: the market report JSON *and* the network
-//! report JSON are byte-identical at 1 and 4 executor threads.
+//! report JSON are byte-identical at 1 and 4 executor threads, and
+//! every scenario runs at both.
 
 use dragoon_chain::Chain;
 use dragoon_contract::{HitRegistry, RegistryMessage};
@@ -20,7 +21,8 @@ use dragoon_net::{
 use dragoon_sim::{MarketConfig, MarketReport, MarketSim};
 use proptest::prelude::*;
 
-/// Executor thread counts the differential is pinned across.
+/// Executor thread counts the differential is pinned across — every
+/// test runs at each.
 const THREADS: [usize; 2] = [1, 4];
 
 fn market(seed: u64, threads: usize, net: NetConfig) -> MarketConfig {
@@ -108,12 +110,14 @@ fn zero_delay_replicas_track_every_round() {
         delay: (0, 0),
         ..NetConfig::default()
     };
-    let (report, chain, net) = run(market(0x6e31, 0, net_cfg));
-    assert_converged(&chain, &net);
-    let nr = report.net.expect("net report");
-    assert!(nr.converged);
-    assert_eq!(nr.forks_produced, 0, "nothing went stale on instant links");
-    assert_eq!(nr.reorgs, 0);
+    for threads in THREADS {
+        let (report, chain, net) = run(market(0x6e31, threads, net_cfg.clone()));
+        assert_converged(&chain, &net);
+        let nr = report.net.expect("net report");
+        assert!(nr.converged);
+        assert_eq!(nr.forks_produced, 0, "nothing went stale on instant links");
+        assert_eq!(nr.reorgs, 0);
+    }
 }
 
 /// Lossy, delaying, duplicating links: anti-entropy still delivers
@@ -190,17 +194,20 @@ fn delay_targets_adversary_still_converges() {
         fork_patience: 3,
         ..NetConfig::default()
     };
-    let relay = DelayVictim {
-        victim: 1,
-        extra: 10,
-    };
-    let sim = MarketSim::new(market(0x6e34, 0, net_cfg)).with_relay(Box::new(relay));
-    let (report, chain, net) = finish(sim);
-    assert_converged(&chain, &net);
-    let nr = report.net.expect("net report");
-    assert!(nr.converged);
-    assert!(nr.forks_produced > 0, "the starved victim forked");
-    assert!(nr.reorgs > 0, "late blocks forced the victim to reorg");
+    for threads in THREADS {
+        let relay = DelayVictim {
+            victim: 1,
+            extra: 10,
+        };
+        let sim =
+            MarketSim::new(market(0x6e34, threads, net_cfg.clone())).with_relay(Box::new(relay));
+        let (report, chain, net) = finish(sim);
+        assert_converged(&chain, &net);
+        let nr = report.net.expect("net report");
+        assert!(nr.converged);
+        assert!(nr.forks_produced > 0, "the starved victim forked");
+        assert!(nr.reorgs > 0, "late blocks forced the victim to reorg");
+    }
 }
 
 /// The withhold-and-release MEV adversary: the sequencer's blocks reach
@@ -214,12 +221,14 @@ fn withhold_release_adversary_forces_reorgs() {
         relay: RelaySpec::WithholdRelease { period: 8 },
         ..NetConfig::default()
     };
-    let (report, chain, net) = run(market(0x6e35, 0, net_cfg));
-    assert_converged(&chain, &net);
-    let nr = report.net.expect("net report");
-    assert!(nr.converged);
-    assert!(nr.forks_produced > 0, "starved replicas forked");
-    assert!(nr.reorgs > 0, "each burst forced reorgs");
+    for threads in THREADS {
+        let (report, chain, net) = run(market(0x6e35, threads, net_cfg.clone()));
+        assert_converged(&chain, &net);
+        let nr = report.net.expect("net report");
+        assert!(nr.converged);
+        assert!(nr.forks_produced > 0, "starved replicas forked");
+        assert!(nr.reorgs > 0, "each burst forced reorgs");
+    }
 }
 
 /// Strategy for random topology soups: node count in {2, 4, 7}, random

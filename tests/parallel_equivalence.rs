@@ -27,14 +27,15 @@
 
 mod support;
 
-use dragoon_chain::{FifoPolicy, TxStatus};
+use dragoon_chain::{FifoPolicy, FrontRunPolicy, TxStatus};
 use dragoon_contract::{HitMessage, RegistryMessage, SettlementMode};
 use dragoon_core::poqoea::{self, QualityProof};
 use dragoon_core::task::Answer;
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_crypto::elgamal::PlaintextRange;
 use dragoon_ledger::Address;
-use dragoon_sim::{run_market, MarketConfig, MarketPolicy};
+use dragoon_protocol::worker_addr;
+use dragoon_sim::{run_market, MarketConfig, MarketReport, MarketSim};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -929,13 +930,17 @@ fn market_report_per_proof_front_run_identical() {
         workers: 20,
         overbook: 2,
         settlement: SettlementMode::PerProof,
-        policy: MarketPolicy::FrontRun,
         seed: 0xab2,
         exec_threads: 1,
         ..MarketConfig::default()
     };
-    let serial = run_market(base.clone());
-    let parallel = run_market(MarketConfig {
+    let front_run = |config: MarketConfig| -> MarketReport {
+        MarketSim::new(config)
+            .with_policy(Box::new(FrontRunPolicy::new(worker_addr(0))))
+            .run()
+    };
+    let serial = front_run(base.clone());
+    let parallel = front_run(MarketConfig {
         exec_threads: 8,
         ..base
     });

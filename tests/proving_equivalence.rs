@@ -13,23 +13,28 @@
 //!   1, 2 and 8 threads against one `exec_threads: 1` oracle — the
 //!   pool computes in both modes, so only a budget of one is serial —
 //!   on the shared scenario and on a small paper-shaped market,
-//! * nonzero modeled latency at 1, 2 and 8 executor/prover threads
-//!   (report *and* proving counters must match — the counters are
-//!   thread-independent by construction), plus the env-driven default
-//!   thread budget CI sweeps via `DRAGOON_THREADS=1/4/8`,
+//! * nonzero modeled latency at 1, 2, 4 and 8 executor/prover threads
+//!   and at the host's budget (`exec_threads: 0`) — report *and*
+//!   proving counters must match; the counters are thread-independent
+//!   by construction,
 //! * straggler handling: with latency pushing proofs past phase
 //!   deadlines, every HIT still settles (⊥ for the missing workers),
 //!   escrow drains exactly into rewards + refunds, and
 //! * stats bookkeeping: `jobs = completed + dropped`, stale releases
 //!   bounded by completions, cache counters populated.
+//!
+//! The last two hold at every budget in [`THREADS`].
 
 use dragoon_sim::{run_market, MarketConfig, MarketSim, ProvingConfig};
 
+/// The budgets a single-budget property is checked at: the serial
+/// everything, a real pool, and an oversubscribed one.
+const THREADS: [usize; 3] = [1, 4, 8];
+
 /// The shared scenario: a mid-sized market with the default behaviour
 /// mix (noisy workers, a random bot, a commit-no-reveal ghost), batched
-/// settlement and gas-capped blocks. `exec_threads` stays 0 so the
-/// resolved thread budget follows `DRAGOON_THREADS` — the CI matrix
-/// varies it; in-process tests override it explicitly.
+/// settlement and gas-capped blocks. Every test names its thread
+/// budget.
 fn base(seed: u64) -> MarketConfig {
     MarketConfig {
         hits: 30,
@@ -137,7 +142,8 @@ fn reports_identical_across_thread_counts_at_nonzero_latency() {
         serial.proving.latency_max > 0,
         "the scenario must exercise real release latency"
     );
-    for threads in [2, 8] {
+    // `0` is the host's budget, resolved once when the market is built.
+    for threads in [2, 4, 8, 0] {
         let parallel = run_at(threads);
         assert_eq!(
             serial.to_json(),
@@ -150,14 +156,6 @@ fn reports_identical_across_thread_counts_at_nonzero_latency() {
             "proving counters must be thread-independent at {threads} threads"
         );
     }
-    // The env-driven budget (CI sweeps DRAGOON_THREADS=1/4/8) resolves
-    // through the same code path and must land on the same bytes.
-    let env_run = run_market(with_proving(base(0xbee), 300));
-    assert_eq!(serial.to_json(), env_run.to_json());
-    assert_eq!(
-        serial.section_json("proving"),
-        env_run.section_json("proving")
-    );
 }
 
 /// Stragglers: latency heavy enough that some proofs release after
@@ -166,32 +164,37 @@ fn reports_identical_across_thread_counts_at_nonzero_latency() {
 /// the ledger still conserves every escrowed coin.
 #[test]
 fn nonzero_latency_settles_bottom_and_conserves_escrow() {
-    let config = with_proving(base(0x1a7e), 900);
-    let budget = config.budget;
-    let (report, chain, _) = MarketSim::new(config).run_keeping_net();
-    assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
-    assert!(report.proving.latency_max >= 4, "proofs must actually lag");
-    // ⊥ settlements happened: slots whose reveal (or commit) never made
-    // it before the deadline.
-    let no_reveals: usize = report.outcomes.iter().map(|o| o.no_reveal).sum();
-    assert!(no_reveals > 0, "latency must strand some reveals as ⊥");
-    // Conservation: every settled instance drained its escrow, and the
-    // frozen budgets split exactly into rewards + refunds.
-    for id in chain.contract().hit_ids() {
-        let hit = chain.contract().hit(id).expect("listed instance exists");
-        assert!(hit.is_settled(), "hit #{id} left open");
-        let escrow = chain.contract().hit_address(id).unwrap();
+    for threads in THREADS {
+        let config = MarketConfig {
+            exec_threads: threads,
+            ..with_proving(base(0x1a7e), 900)
+        };
+        let budget = config.budget;
+        let (report, chain, _) = MarketSim::new(config).run_keeping_net();
+        assert_eq!(report.hits_unfinished, 0, "the horizon must drain");
+        assert!(report.proving.latency_max >= 4, "proofs must actually lag");
+        // ⊥ settlements happened: slots whose reveal (or commit) never
+        // made it before the deadline.
+        let no_reveals: usize = report.outcomes.iter().map(|o| o.no_reveal).sum();
+        assert!(no_reveals > 0, "latency must strand some reveals as ⊥");
+        // Conservation: every settled instance drained its escrow, and
+        // the frozen budgets split exactly into rewards + refunds.
+        for id in chain.contract().hit_ids() {
+            let hit = chain.contract().hit(id).expect("listed instance exists");
+            assert!(hit.is_settled(), "hit #{id} left open at {threads} threads");
+            let escrow = chain.contract().hit_address(id).unwrap();
+            assert_eq!(
+                chain.ledger.balance(&escrow),
+                0,
+                "hit #{id} stranded coins in escrow at {threads} threads"
+            );
+        }
         assert_eq!(
-            chain.ledger.balance(&escrow),
-            0,
-            "hit #{id} stranded coins in escrow"
+            report.rewards_paid + report.refunds,
+            budget * report.hits_published as u128,
+            "budgets must split exactly into rewards + refunds at {threads} threads"
         );
     }
-    assert_eq!(
-        report.rewards_paid + report.refunds,
-        budget * report.hits_published as u128,
-        "budgets must split exactly into rewards + refunds"
-    );
 }
 
 /// Counter bookkeeping holds under latency: every job is either
@@ -200,23 +203,28 @@ fn nonzero_latency_settles_bottom_and_conserves_escrow() {
 /// proof cache absorbed the commit-path encryptions.
 #[test]
 fn proving_stats_account_for_every_job() {
-    let report = run_market(with_proving(base(0x57a7), 400));
-    let p = &report.proving;
-    assert!(p.jobs > 0);
-    assert_eq!(
-        p.jobs,
-        p.completed + p.dropped,
-        "every job is released or dropped: {p:?}"
-    );
-    assert!(p.stale <= p.completed, "stale releases are completions");
-    assert!(p.queue_peak > 0, "latency must queue outputs across ticks");
-    assert_eq!(
-        p.latency_hist.iter().sum::<u64>(),
-        p.completed,
-        "the latency histogram buckets exactly the released jobs"
-    );
-    assert!(
-        p.cache_hits + p.cache_misses > 0,
-        "commit proving must touch the keyed proof cache"
-    );
+    for threads in THREADS {
+        let report = run_market(MarketConfig {
+            exec_threads: threads,
+            ..with_proving(base(0x57a7), 400)
+        });
+        let p = &report.proving;
+        assert!(p.jobs > 0);
+        assert_eq!(
+            p.jobs,
+            p.completed + p.dropped,
+            "every job is released or dropped at {threads} threads: {p:?}"
+        );
+        assert!(p.stale <= p.completed, "stale releases are completions");
+        assert!(p.queue_peak > 0, "latency must queue outputs across ticks");
+        assert_eq!(
+            p.latency_hist.iter().sum::<u64>(),
+            p.completed,
+            "the latency histogram buckets exactly the released jobs"
+        );
+        assert!(
+            p.cache_hits + p.cache_misses > 0,
+            "commit proving must touch the keyed proof cache"
+        );
+    }
 }
