@@ -128,11 +128,88 @@ fn bench_group(c: &mut Criterion) {
     c.bench_function("g1_affine_table_build", |bench| {
         bench.iter(|| FixedBaseTable::new(&black_box(q)))
     });
+    bench_table_build_lanes(&mut rng);
     let points: Vec<G1Projective> = (1..=212u64).map(|i| jac * Fr::from_u64(i)).collect();
     c.bench_function("g1_batch_to_affine_212", |bench| {
         bench.iter(|| G1Projective::batch_to_affine(black_box(&points)))
     });
 }
+
+/// The lanes' table build beside `g1_affine_table_build`, per key: in a
+/// full pass of eight keys, and for a lone key (one lane of a pass).
+#[cfg(target_arch = "x86_64")]
+fn bench_table_build_lanes(rng: &mut StdRng) {
+    let keys: Vec<G1Affine> = (0..lanes::LANES).map(|_| G1Affine::random(rng)).collect();
+    if lanes::fixed_base_tables(&[]).is_none() {
+        println!(
+            "{:<40} skipped: this CPU has no avx512ifma",
+            "g1_affine_table_build_lanes"
+        );
+        return;
+    }
+    let per_key = |n: usize| {
+        let times: Vec<Duration> = (0..21)
+            .map(|_| elapsed(|| lanes::fixed_base_tables(black_box(&keys[..n]))))
+            .collect();
+        median_us(times) / n as f64
+    };
+    let (pass, lone) = (per_key(lanes::LANES), per_key(1));
+    println!(
+        "{:<40} {pass:>9.1} µs per key (eight-key pass), {lone:.1} µs (lone key)",
+        "g1_affine_table_build_lanes"
+    );
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_table_build_lanes(_: &mut StdRng) {}
+
+/// The lanes' table build against the portable one, `n` keys each, the
+/// two sides alternated round by round over fresh keys. A pass costs
+/// about the same however many of its eight lanes hold a key;
+/// `precomp::LANE_BUILD_KEYS` sits where the ratio crosses 1.
+#[cfg(target_arch = "x86_64")]
+fn bench_table_build_crossover(_: &mut Criterion) {
+    const ROUNDS: usize = 31;
+    if lanes::fixed_base_tables(&[]).is_none() {
+        println!("table build lanes / portable: skipped, this CPU has no avx512ifma");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(9);
+    println!("table build, lanes / portable, median µs over {ROUNDS} alternated rounds");
+    println!(
+        "{:>6} {:>28} {:>18}",
+        "keys", "lanes / portable", "µs per key"
+    );
+    for n in 1..=lanes::LANES {
+        let (mut portable, mut lane) = (vec![], vec![]);
+        for round in 0..ROUNDS {
+            let keys: Vec<G1Affine> = (0..n).map(|_| G1Affine::random(&mut rng)).collect();
+            let keys = black_box(keys);
+            let mut time_portable = || {
+                portable.push(elapsed(|| {
+                    keys.iter().map(FixedBaseTable::new).collect::<Vec<_>>()
+                }))
+            };
+            let mut time_lanes = || lane.push(elapsed(|| lanes::fixed_base_tables(&keys)));
+            if round % 2 == 0 {
+                time_portable();
+                time_lanes();
+            } else {
+                time_lanes();
+                time_portable();
+            }
+        }
+        let [p, l] = [portable, lane].map(median_us);
+        println!(
+            "{n:>6} {:>28} {:>18}",
+            format!("{l:.0} / {p:.0} = {:.2}", l / p),
+            format!("{:.1} / {:.1}", l / n as f64, p / n as f64),
+        );
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_table_build_crossover(_: &mut Criterion) {}
 
 /// The paper's 106-question answer vector through the batched paths
 /// next to the per-item API, over distinct scalars and points every
@@ -536,6 +613,7 @@ criterion_group!(
     bench_lockstep_crossover,
     bench_lane_crossover,
     bench_fixed_base_lane_crossover,
+    bench_table_build_crossover,
     bench_msm,
     bench_msm_crossover,
     bench_hash,

@@ -7,7 +7,7 @@
 //! mechanism incorporated by Amazon's MTurk, and the one ImageNet used.
 
 use dragoon_crypto::elgamal::{Ciphertext, EncryptionKey, PlaintextRange};
-use dragoon_crypto::precomp::ProofCache;
+use dragoon_crypto::precomp::{FixedBaseTable, ProofCache};
 use dragoon_crypto::Fr;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -190,8 +190,19 @@ impl Answer {
         cache: Option<&ProofCache>,
     ) -> EncryptedAnswer {
         let table = cache.map(|c| c.table_for(&ek.0));
+        self.encrypt_with_table(ek, rng, table.as_deref())
+    }
+
+    /// [`Answer::encrypt`] through `ek`'s fixed-base table, when the
+    /// caller already holds it: the same ciphertexts and rng draws.
+    pub fn encrypt_with_table<R: Rng + ?Sized>(
+        &self,
+        ek: &EncryptionKey,
+        rng: &mut R,
+        table: Option<&FixedBaseTable>,
+    ) -> EncryptedAnswer {
         let rhos: Vec<Fr> = self.0.iter().map(|_| Fr::random(rng)).collect();
-        EncryptedAnswer(ek.encrypt_batch(&self.0, &rhos, table.as_deref()).into())
+        EncryptedAnswer(ek.encrypt_batch(&self.0, &rhos, table).into())
     }
 
     /// Deterministic encryption with caller-supplied randomness (one

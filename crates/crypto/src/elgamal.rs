@@ -189,7 +189,8 @@ impl EncryptionKey {
     ///   lanes, and one more lockstep step adds `g^m`.
     ///
     /// Without a `table`, a vector of `LOCKSTEP_LANES` components or more
-    /// builds a throw-away one (a 0.13–0.25 ms build against `N`
+    /// builds a throw-away one (a 0.15–0.3 ms portable build,
+    /// `micro_primitives` row `g1_affine_table_build`, against `N`
     /// variable-base multiplications) and takes the same kernel.
     ///
     /// A shorter slice must not pay a whole-vector kernel's fixed cost:

@@ -1,7 +1,8 @@
 //! Eight lanes per field product: the AVX-512 IFMA kernel under the
 //! shared-scalar branch of [`G1Affine::batch_mul`] (decryption), under
-//! `EncryptionKey::encrypt_batch`'s fixed-base tables (encryption) and
-//! under the bucket phase of `msm_pippenger` (settlement verification).
+//! `EncryptionKey::encrypt_batch`'s fixed-base tables (encryption), under
+//! the bucket phase of `msm_pippenger` (settlement verification) and
+//! under the build of those tables (`FixedBaseTable::new_batch`).
 //!
 //! An `Fq8` holds eight `Fq` elements in radix 2⁵² — five 52-bit limbs
 //! a lane, limb `j` of all eight lanes in one 512-bit register — in
@@ -31,6 +32,10 @@
 //!   lane-form copy of the split points, converted once per call. A
 //!   lane's first point loads with `Z = 1`, each later one is a mixed
 //!   addition under a mask of the lanes whose list is still running.
+//! * [`fixed_base_tables`]: eight keys' [`FixedBaseTable`]s a pass, one
+//!   key a lane, every step shared — the doubling chain, the affine
+//!   chords of the digit multiples, and the normalisations, whose
+//!   inversions serve all eight lanes at once.
 //!
 //! The formulas are not complete: an addition of a point to itself or
 //! to its negation leaves `Z = 0`, every later step keeps it there, and
@@ -65,23 +70,24 @@
 //!
 //! Every function that touches a 512-bit register is compiled for
 //! `avx512ifma` (which implies AVX-512F), and safe code reaches them only
-//! through [`batch_mul_shared`], [`fixed_base_mul`], `msm_buckets` and
-//! [`mul_chain`], after `has_ifma` saw the feature at run time — the
-//! crate's one CPU probe.
+//! through [`batch_mul_shared`], [`fixed_base_mul`], `msm_buckets`,
+//! [`fixed_base_tables`] and [`mul_chain`], after `has_ifma` saw the
+//! feature at run time — the crate's one CPU probe.
 
 use crate::field::{Fq, Fr};
 use crate::g1::{BucketPlan, Entry, G1Affine, G1Projective, GlvRecoding, GLV_BETA};
 use crate::precomp::{
-    entry_index, generator_table, split_digits, FixedBaseTable, SplitDigits, TABLE_ENTRIES, WINDOWS,
+    entry_index, generator_table, split_digits, FixedBaseTable, SplitDigits, TABLE_ENTRIES,
+    WINDOWS, WINDOW_BITS,
 };
 use core::arch::x86_64::{
-    __m512i, __mmask8, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512,
-    _mm512_cmplt_epi64_mask, _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64,
-    _mm512_setzero_si512, _mm512_srai_epi64, _mm512_sub_epi64,
+    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epi64_mask,
+    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_or_si512,
+    _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
+    _mm512_srai_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
 };
 use core::array::from_fn;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Points per pass: one per 64-bit lane of a 512-bit register.
 pub const LANES: usize = 8;
@@ -93,9 +99,8 @@ const P: [u64; 5] = split(Fq::MODULUS);
 const TWO_P: [u64; 5] = twice(P);
 /// `−p⁻¹ mod 2⁵²`.
 const INV: u64 = Fq::INV & MASK;
-/// `2²⁵²`, the Montgomery form of `1/16` (`2²⁵⁶/16`): one `mul_internal`
-/// by it takes a lane value `a·2²⁶⁰` to `a·2²⁵⁶`, the canonical `Fq`.
-const SIXTEENTH: Fq = Fq([0, 0, 0, 1 << 60]);
+/// `−p⁻¹ mod 16`.
+const INV16: u64 = Fq::INV & 15;
 
 /// Whether this CPU runs the lane kernel.
 pub(crate) fn has_ifma() -> bool {
@@ -551,6 +556,232 @@ fn lane_limbs(a: Fq) -> [u64; 5] {
     })
 }
 
+/// One table per base, on the lanes: `FixedBaseTable::new(&bases[i])`
+/// entry for entry, or `None` when this CPU has no AVX-512 IFMA.
+/// [`FixedBaseTable::new_batch`] calls it from `LANE_BUILD_KEYS` bases
+/// on; public for the `micro_primitives` build rows.
+///
+/// Eight bases share a pass, one a lane. One 129-doubling chain gives
+/// the 130 powers `2^k·B` — digits 1, 2, 4, 8 and 16 of every window —
+/// normalised with one inversion; two rounds of affine chords
+/// (`SUMS`) give the other eleven digits of every window, each round's
+/// slope denominators, all windows and lanes, sharing one inversion.
+/// That is three inversions a pass where the portable build takes five
+/// a key, and no tangent. A base that is the identity or off the curve
+/// gets [`FixedBaseTable::new`]; its lane runs on the generator, unused.
+/// On the curve no step can meet the identity or an exceptional sum:
+/// every point a pass holds is `c·2^{5w}·B` with `1 ≤ c ≤ 16`, far from
+/// a multiple of the prime order, and a chord's two points are distinct
+/// multiples of one window base.
+pub fn fixed_base_tables(bases: &[G1Affine]) -> Option<Vec<FixedBaseTable>> {
+    if !has_ifma() {
+        return None;
+    }
+    // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
+    // `fixed_base_tables_ifma` is compiled for.
+    Some(unsafe { fixed_base_tables_ifma(bases) })
+}
+
+#[target_feature(enable = "avx512ifma")]
+fn fixed_base_tables_ifma(bases: &[G1Affine]) -> Vec<FixedBaseTable> {
+    let mut scratch = BuildScratch::take();
+    let mut out = Vec::with_capacity(bases.len());
+    for chunk in bases.chunks(LANES) {
+        let on_curve: [bool; LANES] =
+            from_fn(|i| chunk.get(i).is_some_and(|p| !p.infinity && p.is_on_curve()));
+        if !on_curve.contains(&true) {
+            out.extend(chunk.iter().map(FixedBaseTable::new));
+            continue;
+        }
+        let lanes = from_fn(|i| {
+            if on_curve[i] {
+                chunk[i]
+            } else {
+                G1Affine::generator()
+            }
+        });
+        let tables = table_chunk(lanes, &mut scratch);
+        out.extend(
+            chunk
+                .iter()
+                .zip(on_curve)
+                .zip(tables)
+                .map(|((base, on_curve), entries)| {
+                    if on_curve {
+                        FixedBaseTable::from_entries(entries)
+                    } else {
+                        FixedBaseTable::new(base)
+                    }
+                }),
+        );
+    }
+    scratch.give_back();
+    out
+}
+
+/// The buffers a pass works in: the multiples a later sum reads, in lane
+/// form ([`kept_slot`]), and a round's denominators with their prefix
+/// products — about 0.2 MB, which [`BuildScratch::take`] reuses from
+/// call to call.
+#[derive(Default)]
+struct BuildScratch {
+    kept: Vec<Aff8>,
+    denoms: Vec<Fq8>,
+    prefix: Vec<Fq8>,
+}
+
+/// Scratches between calls: one for each call that ever ran at once.
+static SCRATCH: Mutex<Vec<BuildScratch>> = Mutex::new(Vec::new());
+
+impl BuildScratch {
+    /// A scratch another call left, or a new one. Fresh pages for every
+    /// call make a pass about a tenth slower (`micro_primitives`' build
+    /// rows), and the calls run on threads a fan-out starts and ends, so
+    /// the buffers are kept here rather than per thread.
+    fn take() -> Self {
+        let kept = SCRATCH.lock().ok().and_then(|mut kept| kept.pop());
+        kept.unwrap_or_default()
+    }
+
+    /// Leaves the scratch for the next call.
+    fn give_back(self) {
+        if let Ok(mut kept) = SCRATCH.lock() {
+            kept.push(self);
+        }
+    }
+}
+
+/// The powers `2^k·B` a table holds: digits 1, 2, 4, 8 and 16 of every
+/// window, `k < 130`.
+const POWERS: usize = WINDOWS * WINDOW_BITS;
+
+/// The other eleven digit multiples of every window as chords `d = a + b`
+/// of multiples the pass holds, in two rounds: the first from powers
+/// alone, the second from powers and the first round's 3 and 12.
+const SUMS: [&[(u8, u8, u8)]; 2] = [
+    &[
+        (3, 2, 1),
+        (5, 4, 1),
+        (6, 4, 2),
+        (9, 8, 1),
+        (10, 8, 2),
+        (12, 8, 4),
+    ],
+    &[(7, 4, 3), (11, 8, 3), (13, 12, 1), (14, 12, 2), (15, 12, 3)],
+];
+
+/// Where a pass keeps multiple `d` of window `w` in lane form, for the
+/// multiples it keeps: power `2^{5w + j}` at `5w + j`, then every
+/// window's 3, then every window's 12.
+fn kept_slot(w: usize, d: u8) -> Option<usize> {
+    match d {
+        1 | 2 | 4 | 8 | 16 => Some(w * WINDOW_BITS + d.trailing_zeros() as usize),
+        3 => Some(POWERS + w),
+        12 => Some(POWERS + WINDOWS + w),
+        _ => None,
+    }
+}
+
+/// The entries of eight bases' tables, lane `i`'s in `[i]`, in the
+/// table's order. Every base is on the curve and not the identity.
+#[target_feature(enable = "avx512ifma")]
+fn table_chunk(bases: [G1Affine; LANES], scratch: &mut BuildScratch) -> [Vec<G1Affine>; LANES] {
+    let BuildScratch {
+        kept,
+        denoms,
+        prefix,
+    } = scratch;
+    let mut tables: [Vec<G1Affine>; LANES] = from_fn(|_| vec![G1Affine::identity(); TABLE_ENTRIES]);
+    // The powers, one doubling chain normalised together: `X`, `Y` wait
+    // in `kept`, `Z` in `denoms`, for one shared inversion.
+    kept.clear();
+    denoms.clear();
+    let mut power = Aff8::from_points(bases).to_jacobian();
+    for k in 0..POWERS {
+        if k > 0 {
+            power = power.double();
+        }
+        kept.push(Aff8 {
+            x: power.x,
+            y: power.y,
+        });
+        denoms.push(power.z);
+    }
+    invert_all(denoms, prefix);
+    for (k, (p, &zinv)) in kept.iter_mut().zip(denoms.iter()).enumerate() {
+        let zinv2 = zinv.square();
+        *p = Aff8 {
+            x: p.x.mul(zinv2),
+            y: p.y.mul(zinv2.mul(zinv)),
+        };
+        let (w, d) = (k / WINDOW_BITS, 1 << (k % WINDOW_BITS));
+        write_entry(&mut tables, entry_index(w, d), p);
+    }
+    kept.resize(POWERS + 2 * WINDOWS, kept[0]);
+    let at = |w: usize, d: u8| kept_slot(w, d).expect("a sum reads kept multiples");
+    for sums in SUMS {
+        denoms.clear();
+        for &(_, a, b) in sums {
+            for w in 0..WINDOWS {
+                denoms.push(kept[at(w, b)].x.sub(kept[at(w, a)].x));
+            }
+        }
+        invert_all(denoms, prefix);
+        for (&(d, a, b), invs) in sums.iter().zip(denoms.chunks_exact(WINDOWS)) {
+            for (w, &inv) in invs.iter().enumerate() {
+                let (p, q) = (kept[at(w, a)], kept[at(w, b)]);
+                let slope = q.y.sub(p.y).mul(inv);
+                let x = slope.square().sub(p.x).sub(q.x);
+                let sum = Aff8 {
+                    x,
+                    y: slope.mul(p.x.sub(x)).sub(p.y),
+                };
+                write_entry(&mut tables, entry_index(w, d), &sum);
+                if let Some(slot) = kept_slot(w, d) {
+                    kept[slot] = sum;
+                }
+            }
+        }
+    }
+    tables
+}
+
+/// Lane `i` of `p` as entry `e` of `tables[i]`.
+#[target_feature(enable = "avx512ifma")]
+fn write_entry(tables: &mut [Vec<G1Affine>; LANES], e: usize, p: &Aff8) {
+    let (x, y) = (p.x.to_fq(), p.y.to_fq());
+    for (table, (x, y)) in tables.iter_mut().zip(x.into_iter().zip(y)) {
+        table[e] = G1Affine {
+            x,
+            y,
+            infinity: false,
+        };
+    }
+}
+
+/// `1/v` for every value of every lane, none of them zero: one
+/// [`Fq8::invert`] for the whole slice (Montgomery's trick, the prefix
+/// products kept in `prefix`).
+#[target_feature(enable = "avx512ifma")]
+fn invert_all(values: &mut [Fq8], prefix: &mut Vec<Fq8>) {
+    let Some((&first, rest)) = values.split_first() else {
+        return;
+    };
+    prefix.clear();
+    let mut acc = first;
+    for &v in rest {
+        prefix.push(acc);
+        acc = acc.mul(v);
+    }
+    let mut inv = acc.invert();
+    for (v, &before) in values[1..].iter_mut().rev().zip(prefix.iter().rev()) {
+        let next = inv.mul(*v);
+        *v = inv.mul(before);
+        inv = next;
+    }
+    values[0] = inv;
+}
+
 /// `a · bⁿ` lane by lane for `n = products`, each product feeding the
 /// next, or `None` without AVX-512 IFMA: the dependent chain the
 /// `micro_primitives` `fq8_mul` row times.
@@ -621,21 +852,9 @@ fn splat(v: u64) -> __m512i {
 #[target_feature(enable = "avx512ifma")]
 #[inline]
 fn lanes_of(v: __m512i) -> [u64; LANES] {
-    let (lo, hi) = (
-        _mm512_extracti64x4_epi64::<0>(v),
-        _mm512_extracti64x4_epi64::<1>(v),
-    );
-    [
-        _mm256_extract_epi64::<0>(lo),
-        _mm256_extract_epi64::<1>(lo),
-        _mm256_extract_epi64::<2>(lo),
-        _mm256_extract_epi64::<3>(lo),
-        _mm256_extract_epi64::<0>(hi),
-        _mm256_extract_epi64::<1>(hi),
-        _mm256_extract_epi64::<2>(hi),
-        _mm256_extract_epi64::<3>(hi),
-    ]
-    .map(|w| w as u64)
+    // SAFETY: both are 64 bytes, and every bit pattern is a valid
+    // `[u64; 8]`.
+    unsafe { core::mem::transmute::<__m512i, [u64; LANES]>(v) }
 }
 
 /// Carries signed limbs (each of magnitude below 2⁶²) up, leaving limbs
@@ -687,12 +906,41 @@ impl Fq8 {
         }))
     }
 
-    /// The canonical `Fq` of every lane.
+    /// The canonical `Fq` of every lane: a lane value `a·2²⁶⁰` divided by
+    /// 16 is `a·2²⁵⁶`, the Montgomery form of `a`. The division adds the
+    /// `k·p`, `k < 16`, that makes the value a multiple of 16 and shifts
+    /// it down four bits, leaving it below `(2p + 16p)/16 < 2p`; one
+    /// conditional subtraction of `p` makes it canonical.
     #[target_feature(enable = "avx512ifma")]
     #[inline]
     fn to_fq(self) -> [Fq; LANES] {
-        let words = self.0.map(|v| lanes_of(v));
-        from_fn(|i| Fq(join(words.map(|w| w[i]))).mul_internal(&SIXTEENTH))
+        let l = self.0;
+        let zero = _mm512_setzero_si512();
+        let k = _mm512_and_si512(_mm512_madd52lo_epu64(zero, l[0], splat(INV16)), splat(15));
+        let mut t = l;
+        for j in 0..5 {
+            t[j] = _mm512_madd52lo_epu64(t[j], k, splat(P[j]));
+            let high = _mm512_madd52hi_epu64(zero, k, splat(P[j]));
+            if j < 4 {
+                t[j + 1] = _mm512_add_epi64(t[j + 1], high);
+            } else {
+                t[4] = _mm512_add_epi64(t[4], _mm512_slli_epi64::<52>(high));
+            }
+        }
+        let t = carry(t);
+        let shifted: [__m512i; 5] = from_fn(|j| {
+            let low = _mm512_srli_epi64::<4>(t[j]);
+            if j < 4 {
+                let next = _mm512_and_si512(t[j + 1], splat(15));
+                _mm512_or_si512(low, _mm512_slli_epi64::<48>(next))
+            } else {
+                low
+            }
+        });
+        let less_p = from_fn(|j| _mm512_sub_epi64(shifted[j], splat(P[j])));
+        let canonical = unless_negative(carry(less_p), shifted);
+        let words = canonical.0.map(|v| lanes_of(v));
+        from_fn(|i| Fq(join(words.map(|w| w[i]))))
     }
 
     /// The Montgomery product `self·rhs / 2²⁶⁰`, below `2p`: for each
@@ -1001,6 +1249,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `2²⁵²`, the Montgomery form of `1/16` (`2²⁵⁶/16`): one
+    /// `mul_internal` by it takes a lane value `a·2²⁶⁰` to `a·2²⁵⁶`, the
+    /// canonical `Fq` — the scalar route out of lane form.
+    const SIXTEENTH: Fq = Fq([0, 0, 0, 1 << 60]);
+
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x1fa8)
     }
@@ -1066,6 +1319,7 @@ mod tests {
         );
         assert_eq!(Fq::MODULUS[0].wrapping_mul(Fq::INV), u64::MAX);
         assert_eq!(Fq::from_u64(16).inverse(), Some(SIXTEENTH));
+        assert_eq!(INV16 * (Fq::MODULUS[0] & 15) % 16, 15);
         for a in [[0; 4], [u64::MAX; 4], Fq::MODULUS, [1, 2, 3, 4]] {
             assert_eq!(join(split(a)), a);
             assert!(split(a).iter().all(|&l| l <= MASK));
@@ -1418,6 +1672,56 @@ mod tests {
         for ((table, k), got) in lanes.iter().zip(got) {
             assert_eq!(got, mul_reference(&table.entries()[0].to_projective(), k));
         }
+    }
+
+    /// Asserts `fixed_base_tables(bases)` ≡ `FixedBaseTable::new` per
+    /// base, entry for entry.
+    fn check_tables(bases: &[G1Affine], what: &str) {
+        let got = fixed_base_tables(bases).expect("this CPU has IFMA");
+        assert_eq!(got.len(), bases.len(), "{what}");
+        for (i, (table, base)) in got.iter().zip(bases).enumerate() {
+            let expect = FixedBaseTable::new(base);
+            assert!(
+                table.entries() == expect.entries(),
+                "{what}: base {i} of {}",
+                bases.len()
+            );
+        }
+    }
+
+    #[test]
+    fn lanes_table_build_matches_the_portable_one() {
+        if !lanes_here("lanes_table_build_matches_the_portable_one") {
+            return;
+        }
+        let mut rng = rng();
+        let keys: Vec<G1Affine> = (0..25).map(|_| G1Affine::random(&mut rng)).collect();
+        let built = fixed_base_tables(&[G1Affine::generator()]).expect("this CPU has IFMA");
+        assert!(
+            built[0].entries() == generator_table().entries(),
+            "the generator"
+        );
+        for n in [0, 1, 2, 7, 8, 9, 17, 25] {
+            check_tables(&keys[..n], "random keys");
+        }
+        // One key on several lanes of a pass, and across passes.
+        let (a, b) = (keys[0], keys[1]);
+        check_tables(&[a, a], "one key twice");
+        check_tables(
+            &[a, b, a, a, G1Affine::generator(), b, a, b, a, b],
+            "duplicates",
+        );
+        // Bases the lanes do not take get the portable build, beside
+        // lanes that do, and in a pass of their own.
+        let mut mixed = keys[..10].to_vec();
+        mixed[2] = G1Affine::identity();
+        mixed[7] = off_curve();
+        mixed[9] = G1Affine::identity();
+        check_tables(&mixed, "identity and off-curve among keys");
+        check_tables(
+            &[G1Affine::identity(), off_curve(), G1Affine::identity()],
+            "no lane",
+        );
     }
 
     #[test]

@@ -22,27 +22,34 @@
 //! generator's table only, both halves of it, and convert another
 //! table's entries per call, only those the call's digits select.
 //!
+//! A table costs about 0.15–0.3 ms to build portably
+//! ([`FixedBaseTable::new`]: 125 doublings, five shared inversions, 390
+//! affine additions; `micro_primitives` row `g1_affine_table_build`) —
+//! on a micro-task, whose key serves a dozen or so encryptions, more
+//! than the encryptions. So keys are built together where they can be:
+//! [`FixedBaseTable::new_batch`] takes eight keys a pass on the AVX-512
+//! IFMA lanes (`lanes::fixed_base_tables`, 30–45 µs a key in a full
+//! pass), the same entries byte for byte.
+//!
 //! * [`generator_table`] — a process-wide table for `g`, built once.
 //! * [`ProofCache`] — a keyed cache of per-base tables (one per
-//!   requester encryption key), shared by the proving service's worker
-//!   pool. Hit/miss counters feed `ProvingStats`. A table lives as long
-//!   as its uses: a requester's key is read only by the commit jobs of
-//!   its task, so the owner calls [`ProofCache::retire`] when the task's
-//!   commit phase closes (and again when it settles, for a task
-//!   cancelled before that), and the resident set is the keys of the
-//!   tasks still taking commitments; the cap is the backstop for keys
-//!   nobody retires, evicting the oldest-inserted table. A lookup
-//!   claims its slot
-//!   under the lock — so a miss is counted exactly once per distinct
-//!   key regardless of thread interleaving and the statistics stay
-//!   deterministic across thread budgets — and builds the
-//!   table after releasing it, so a cold key stalls only the threads
-//!   that want that same key. The proving service makes sure that is
-//!   none while other work remains: its pool takes a batch round-robin
-//!   by HIT instance (`ProvingService::submit_batch` in
-//!   `dragoon-protocol`), so the commit jobs that share a requester's
-//!   key are handed out apart and a sibling does not sleep through the
-//!   key's build.
+//!   requester encryption key). Hit/miss counters feed `ProvingStats`.
+//!   A table lives as long as its uses: a requester's key is read only
+//!   by the commit jobs of its task, so the owner calls
+//!   [`ProofCache::retire`] when the task's commit phase closes (and
+//!   again when it settles, for a task cancelled before that), and the
+//!   resident set is the keys of the tasks still taking commitments;
+//!   the cap is the backstop for keys nobody retires, evicting the
+//!   oldest-inserted table. Every access takes its slot under the lock,
+//!   so a miss is counted exactly once per distinct key. The market
+//!   claims ([`ProofCache::claim`]) each commit job's table when it
+//!   enqueues the job, in job order — the counters are those of the same
+//!   lookups made one after another, at any thread budget — and builds
+//!   the round's misses together ([`TableBuilds`]) before the batch
+//!   runs, so a job receives its table and looks nothing up. A plain
+//!   lookup ([`ProofCache::table_for`]) builds its own miss after
+//!   releasing the lock, so a cold key stalls only the threads that want
+//!   that same key.
 //!
 //! Table-based multiplication returns the same group element as
 //! [`G1Projective::mul_scalar`] (asserted by unit tests), and every
@@ -58,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Window width in bits: a GLV half is recoded into signed width-5
 /// digits (see [`signed_digits`]), so a window stores only the 16
 /// positive multiples and a negative digit negates `y` on the way out.
-const WINDOW_BITS: usize = 5;
+pub(crate) const WINDOW_BITS: usize = 5;
 /// Signed digits in a 128-bit half: 25 full windows, and one for bits
 /// 125–127 plus the carry.
 pub(crate) const WINDOWS: usize = 128usize.div_ceil(WINDOW_BITS);
@@ -133,6 +140,32 @@ impl FixedBaseTable {
     /// [`G1Affine::batch_add_assign`], five shared inversions in all.
     pub fn new(base: &G1Affine) -> Self {
         Self::new_in(base, Vec::new())
+    }
+
+    /// One table per base, `bases.iter().map(FixedBaseTable::new)` entry
+    /// for entry. On an x86-64 CPU with AVX-512 IFMA, from
+    /// `LANE_BUILD_KEYS` bases on, eight bases share each pass of
+    /// `lanes::fixed_base_tables` (a base that is the identity or off
+    /// the curve still gets [`FixedBaseTable::new`]); everywhere else,
+    /// and for fewer bases, each table is built on its own. A caller
+    /// with more bases than a pass takes can fan chunks of
+    /// [`BUILD_CHUNK`] out over its threads.
+    pub fn new_batch(bases: &[G1Affine]) -> Vec<FixedBaseTable> {
+        #[cfg(target_arch = "x86_64")]
+        if bases.len() >= LANE_BUILD_KEYS {
+            if let Some(tables) = crate::lanes::fixed_base_tables(bases) {
+                return tables;
+            }
+        }
+        bases.iter().map(FixedBaseTable::new).collect()
+    }
+
+    /// A table from entries laid out as [`FixedBaseTable::new`] lays
+    /// them out.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn from_entries(entries: Vec<G1Affine>) -> Self {
+        debug_assert_eq!(entries.len(), TABLE_ENTRIES);
+        Self { entries }
     }
 
     /// [`FixedBaseTable::new`] into the allocation of a retired table.
@@ -266,6 +299,18 @@ pub fn generator_table() -> &'static FixedBaseTable {
     TABLE.get_or_init(|| FixedBaseTable::new(&G1Affine::generator()))
 }
 
+/// Bases a pass of the lanes' table build takes: one a lane.
+pub const BUILD_CHUNK: usize = 8;
+
+/// Bases from which [`FixedBaseTable::new_batch`] builds on the eight
+/// lanes, on a CPU with AVX-512 IFMA. A pass costs about the same however
+/// many of its lanes hold a base, and one base's pass costs a little more
+/// than its portable build. Measured (`micro_primitives`, table build
+/// lanes / portable, alternated rounds, three runs): 1.03–1.28 at 1 key,
+/// 0.52–0.67 at 2, 0.33–0.40 at 3–4 (one run 0.27), 0.14–0.17 at 8.
+#[cfg(target_arch = "x86_64")]
+const LANE_BUILD_KEYS: usize = 2;
+
 /// Multiplies the generator by `k` through the process-wide table.
 pub fn mul_generator(k: &Fr) -> G1Projective {
     generator_table().mul(k)
@@ -297,6 +342,50 @@ struct Slots {
     oldest_first: VecDeque<[u8; 64]>,
     /// The high-water mark of `by_key.len()`.
     peak: usize,
+}
+
+/// A table claimed by [`ProofCache::claim`]: the cache's slot for the
+/// key, which holds the table once the claiming batch's builds are
+/// filled.
+#[derive(Clone)]
+pub struct TableClaim(Slot);
+
+impl TableClaim {
+    /// The claimed table. Panics if it was read before the builds its
+    /// claim queued were filled.
+    pub fn table(&self) -> Arc<FixedBaseTable> {
+        Arc::clone(
+            self.0
+                .get()
+                .expect("a claimed table is built before it is read"),
+        )
+    }
+}
+
+/// The tables a run of [`ProofCache::claim`]s has to build: each
+/// claimed slot that holds no table yet, once, in claim order.
+#[derive(Default)]
+pub struct TableBuilds {
+    bases: Vec<G1Affine>,
+    slots: Vec<Slot>,
+}
+
+impl TableBuilds {
+    /// The bases to build, in claim order.
+    pub fn bases(&self) -> &[G1Affine] {
+        &self.bases
+    }
+
+    /// Installs `tables[i]` as the table of `self.bases()[i]`: every
+    /// claim on those slots can be read from here on. A slot a
+    /// [`ProofCache::table_for`] lookup has filled meanwhile keeps its
+    /// table (the two are equal).
+    pub fn fill(self, tables: Vec<FixedBaseTable>) {
+        assert_eq!(tables.len(), self.slots.len(), "one table per queued build");
+        for (slot, table) in self.slots.iter().zip(tables) {
+            let _ = slot.set(Arc::new(table));
+        }
+    }
 }
 
 /// A keyed cache of fixed-base tables, one per base point (in the
@@ -345,27 +434,7 @@ impl ProofCache {
     /// concurrent lookups of that key wait for its build, lookups of
     /// other keys do not.
     pub fn table_for(&self, base: &G1Affine) -> Arc<FixedBaseTable> {
-        let key = base.to_bytes();
-        let mut evicted = None;
-        let slot = {
-            let mut slots = self.slots.lock().expect("proof cache poisoned");
-            if let Some(slot) = slots.by_key.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(slot)
-            } else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if slots.by_key.len() >= self.cap {
-                    if let Some(oldest) = slots.oldest_first.pop_front() {
-                        evicted = slots.by_key.remove(&oldest);
-                    }
-                }
-                let slot = Slot::default();
-                slots.by_key.insert(key, Arc::clone(&slot));
-                slots.oldest_first.push_back(key);
-                slots.peak = slots.peak.max(slots.by_key.len());
-                slot
-            }
-        };
+        let (slot, evicted) = self.admit(base);
         // Build into the evicted table's allocation when nobody else
         // still holds it: at the cap every admission frees one table and
         // allocates another, and across the pool's per-thread malloc
@@ -377,6 +446,45 @@ impl ProofCache {
             .map(|table| table.entries)
             .unwrap_or_default();
         Arc::clone(slot.get_or_init(|| Arc::new(FixedBaseTable::new_in(base, recycled))))
+    }
+
+    /// Claims the table for `base` without building it: counted as
+    /// [`Self::table_for`] counts, so a sequence of claims leaves the
+    /// same [`CacheStats`] as the same sequence of lookups. A miss queues
+    /// `base` in `builds`; the caller builds every queued table at once
+    /// ([`FixedBaseTable::new_batch`], over as many threads as it likes)
+    /// and fills them ([`TableBuilds::fill`]) before it reads a claim.
+    /// A table evicted at the cap is dropped, not recycled.
+    pub fn claim(&self, base: &G1Affine, builds: &mut TableBuilds) -> TableClaim {
+        let (slot, _evicted) = self.admit(base);
+        if slot.get().is_none() && !builds.slots.iter().any(|s| Arc::ptr_eq(s, &slot)) {
+            builds.bases.push(*base);
+            builds.slots.push(Arc::clone(&slot));
+        }
+        TableClaim(slot)
+    }
+
+    /// `base`'s slot, counting a hit or a miss: a miss admits an empty
+    /// slot, evicting the oldest-inserted one at the cap (returned).
+    fn admit(&self, base: &G1Affine) -> (Slot, Option<Slot>) {
+        let key = base.to_bytes();
+        let mut slots = self.slots.lock().expect("proof cache poisoned");
+        if let Some(slot) = slots.by_key.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Arc::clone(slot), None);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut evicted = None;
+        if slots.by_key.len() >= self.cap {
+            if let Some(oldest) = slots.oldest_first.pop_front() {
+                evicted = slots.by_key.remove(&oldest);
+            }
+        }
+        let slot = Slot::default();
+        slots.by_key.insert(key, Arc::clone(&slot));
+        slots.oldest_first.push_back(key);
+        slots.peak = slots.peak.max(slots.by_key.len());
+        (slot, evicted)
     }
 
     /// Drops the table for `base`, if resident: its owner will not ask
@@ -785,6 +893,119 @@ mod tests {
         cache.table_for(&bases[4]);
         cache.table_for(&bases[0]);
         assert_eq!(cache.stats(), stats(1, 6, 4, 4));
+    }
+
+    /// Keys by index, claimed in rounds — each round's builds made and
+    /// filled before its claims are read, then some keys retired — on
+    /// one cache, and looked up in the same order on another.
+    #[test]
+    fn claims_count_like_sequential_lookups() {
+        let mut rng = StdRng::seed_from_u64(0xc1a1);
+        let bases: Vec<G1Affine> = (0..4).map(|_| random_base(&mut rng)).collect();
+        // (claimed in job order, retired after the round).
+        let rounds: [(&[usize], &[usize]); 4] = [
+            // Duplicates within a round: one build each.
+            (&[0, 1, 0, 0, 2, 1], &[]),
+            // Hits on the last round's tables, one new key, then retire 0.
+            (&[0, 2, 3, 2], &[0]),
+            // The retired key comes back as a fresh miss.
+            (&[0, 0, 1], &[1, 3]),
+            (&[3, 2, 1, 0, 3], &[]),
+        ];
+        let mut built = Vec::new();
+        for cap in [ProofCache::DEFAULT_CAP, 2] {
+            let (claimed, looked_up) = (
+                ProofCache::with_capacity(cap),
+                ProofCache::with_capacity(cap),
+            );
+            for (keys, retired) in rounds {
+                let mut builds = TableBuilds::default();
+                let claims: Vec<TableClaim> = keys
+                    .iter()
+                    .map(|&i| claimed.claim(&bases[i], &mut builds))
+                    .collect();
+                built.push(builds.bases().to_vec());
+                builds.fill(FixedBaseTable::new_batch(&built[built.len() - 1]));
+                for (&i, claim) in keys.iter().zip(&claims) {
+                    let table = looked_up.table_for(&bases[i]);
+                    assert!(
+                        claim.table().entries() == table.entries(),
+                        "cap {cap}, key {i}"
+                    );
+                }
+                for &i in retired {
+                    claimed.retire(&bases[i]);
+                    looked_up.retire(&bases[i]);
+                }
+                assert_eq!(
+                    claimed.stats(),
+                    looked_up.stats(),
+                    "cap {cap}, keys {keys:?}"
+                );
+            }
+            if cap == ProofCache::DEFAULT_CAP {
+                assert_eq!(claimed.stats(), stats(11, 7, 4, 4));
+            } else {
+                // Key 2 evicts key 0 in the first round, and so on.
+                assert_eq!(claimed.stats().peak_entries, 2);
+            }
+        }
+        // Each round builds its misses once, in claim order.
+        let key = |i: usize| bases[i];
+        assert_eq!(built[0], [key(0), key(1), key(2)]);
+        assert_eq!(built[1], [key(3)]);
+        assert_eq!(built[2], [key(0)]);
+        assert_eq!(built[3], [key(3), key(1)]);
+        // At the cap of two, the first round evicts 0 for 2 and reads
+        // back the build its earlier claims queued, not a second one.
+        assert_eq!(built[4], [key(0), key(1), key(2)]);
+    }
+
+    #[test]
+    fn batched_builds_match_one_at_a_time() {
+        let mut rng = StdRng::seed_from_u64(0xba7c);
+        let mut bases: Vec<G1Affine> = (0..10).map(|_| random_base(&mut rng)).collect();
+        bases[3] = bases[1];
+        bases[6] = G1Affine::identity();
+        for n in [0, 1, 2, 3, 9, 10] {
+            let batch = FixedBaseTable::new_batch(&bases[..n]);
+            assert_eq!(batch.len(), n);
+            for (table, base) in batch.iter().zip(&bases) {
+                assert!(
+                    table.entries == FixedBaseTable::new(base).entries,
+                    "{n} bases"
+                );
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(BUILD_CHUNK, crate::lanes::LANES);
+    }
+
+    /// Table entries against the offline vectors of `gen_bn254.py`,
+    /// built portably and, on a CPU with AVX-512 IFMA, on the lanes.
+    #[test]
+    fn table_entries_match_offline_vectors() {
+        use crate::field::Fq;
+        use crate::vectors::{Xy, TABLES};
+        let point = |(x, y): Xy| {
+            let coordinate = |l| Fq::from_plain_limbs(l).expect("coordinates are reduced");
+            G1Affine::from_xy(coordinate(x), coordinate(y)).expect("on the curve")
+        };
+        let bases: Vec<G1Affine> = TABLES.bases.iter().map(|&b| point(b)).collect();
+        let mut builds = vec![("portable", bases.iter().map(FixedBaseTable::new).collect())];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(tables) = crate::lanes::fixed_base_tables(&bases) {
+            builds.push(("lanes", tables));
+        }
+        for (what, tables) in &builds {
+            let tables: &Vec<FixedBaseTable> = tables;
+            for &(b, w, d, entry, image) in TABLES.entries {
+                let got = tables[b].entries()[entry_index(w, d)];
+                assert_eq!(got, point(entry), "{what}: base {b}, w = {w}, d = {d}");
+                assert_eq!(got.endomorphism(), point(image), "{what}: φ of it");
+            }
+        }
+        assert_eq!(TABLES.entries.len(), 8);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Known answers derived offline with plain Python integers by
-//! `tests/vectors/gen_bn254.py`, which writes the four included files
+//! `tests/vectors/gen_bn254.py`, which writes the five included files
 //! (CI reruns it with `--check`). Test-only.
 
 /// One field's vectors. Every table is indexed like `operands`:
@@ -74,7 +74,18 @@ pub(crate) struct MsmVectors {
     pub(crate) sets: &'static [MsmSet],
 }
 
+/// Fixed-base table entries: `d·2^{5w}·B` at a few `(w, d)` of seeded
+/// bases.
+pub(crate) struct TableVectors {
+    /// Two points from seeded random `x`.
+    pub(crate) bases: &'static [Xy],
+    /// `(base, w, d, d·2^{5w}·bases[base], its image (βx, y))`, at
+    /// `(w, d)` = (0, 1), (0, 16), (12, 7) and (25, 16) of each base.
+    pub(crate) entries: &'static [(usize, usize, u8, Xy, Xy)],
+}
+
 include!("field_vectors.rs");
 include!("g1_vectors.rs");
 include!("elgamal_vectors.rs");
 include!("msm_vectors.rs");
+include!("table_vectors.rs");

@@ -300,10 +300,11 @@ impl<T: Send> ProvingService<T> {
     /// (instances in the order they first appear), then every
     /// instance's second, and so on — and the outputs are written back
     /// in enqueue order, which alone fixes `seq`. An instance's jobs
-    /// share its requester's fixed-base table, which the first lookup
-    /// builds while later ones wait on it: handed out side by side, two
-    /// threads would take two of them and one would sleep through the
-    /// other's build.
+    /// share its requester's fixed-base table; a job that looks it up
+    /// in a shared cache (the market hands its jobs the table, built
+    /// before the batch) builds it on first use while later ones wait
+    /// on it: handed out side by side, two threads would take two of
+    /// them and one would sleep through the other's build.
     ///
     /// Not keyed on a job's declared cost: callers submit real work at
     /// cost 0 when they model no latency for it. The output becomes

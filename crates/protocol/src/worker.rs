@@ -5,7 +5,7 @@ use dragoon_core::task::{Answer, EncryptedAnswer};
 use dragoon_core::workload::{draw_answer, AnswerModel, GroundTruth};
 use dragoon_crypto::commitment::{Commitment, CommitmentKey};
 use dragoon_crypto::elgamal::{EncryptionKey, PlaintextRange};
-use dragoon_crypto::precomp::ProofCache;
+use dragoon_crypto::precomp::{FixedBaseTable, ProofCache};
 use dragoon_ledger::Address;
 use rand::Rng;
 
@@ -26,6 +26,15 @@ pub enum WorkerBehavior {
     /// Reveals ciphertexts that do not open the commitment (malformed
     /// reveal; rejected on-chain, so equivalent to `⊥`).
     BadReveal,
+}
+
+impl WorkerBehavior {
+    /// Whether this behaviour's commit encrypts an answer — every one
+    /// but a copy-paste replay — and so reads the requester key's
+    /// fixed-base table.
+    pub fn encrypts(&self) -> bool {
+        !matches!(self, WorkerBehavior::CopyPaste)
+    }
 }
 
 /// Everything a commit proof-job computes: the drawn answer, its
@@ -95,6 +104,38 @@ impl Worker {
         cache: Option<&ProofCache>,
         rng: &mut R,
     ) -> Option<CommitArtifacts> {
+        Self::commit_artifacts(behavior, truth, range, copied, rng, |answer, rng| {
+            answer.encrypt_cached(ek, rng, cache)
+        })
+    }
+
+    /// [`Self::prepare_commit`] with the requester key's fixed-base
+    /// table already in hand (the market claims it when it enqueues the
+    /// job): the same artifacts and rng draws.
+    #[allow(clippy::too_many_arguments)]
+    pub fn prepare_commit_with_table<R: Rng + ?Sized>(
+        behavior: &WorkerBehavior,
+        truth: &GroundTruth,
+        range: PlaintextRange,
+        ek: &EncryptionKey,
+        copied: Option<Commitment>,
+        table: Option<&FixedBaseTable>,
+        rng: &mut R,
+    ) -> Option<CommitArtifacts> {
+        Self::commit_artifacts(behavior, truth, range, copied, rng, |answer, rng| {
+            answer.encrypt_with_table(ek, rng, table)
+        })
+    }
+
+    /// The commit's draw, encryption (by `encrypt`) and commitment.
+    fn commit_artifacts<R: Rng + ?Sized>(
+        behavior: &WorkerBehavior,
+        truth: &GroundTruth,
+        range: PlaintextRange,
+        copied: Option<Commitment>,
+        rng: &mut R,
+        encrypt: impl FnOnce(&Answer, &mut R) -> EncryptedAnswer,
+    ) -> Option<CommitArtifacts> {
         match behavior {
             WorkerBehavior::CopyPaste => {
                 // Replay an observed commitment verbatim.
@@ -116,7 +157,7 @@ impl Worker {
                     // Non-revealers still commit to something plausible.
                     _ => draw_answer(&AnswerModel::RandomBot, truth, &range, rng),
                 };
-                let cts = answer.encrypt_cached(ek, rng, cache);
+                let cts = encrypt(&answer, rng);
                 let key = CommitmentKey::random(rng);
                 let commitment = Commitment::commit(&cts.encode(), &key);
                 Some(CommitArtifacts {
@@ -233,6 +274,64 @@ mod tests {
         let w = imagenet_workload(4_000, &mut rng);
         let kp = KeyPair::generate(&mut rng);
         (rng, w, kp)
+    }
+
+    /// A behaviour `encrypts()` exactly when its commit reads the key's
+    /// table: the market claims a table for those jobs alone, so its
+    /// cache counters are the lookups `prepare_commit` would make.
+    #[test]
+    fn encrypting_behaviours_are_the_ones_that_read_the_table() {
+        let (mut rng, w, kp) = setup();
+        let observed = Commitment::commit(b"seen", &CommitmentKey::random(&mut rng));
+        let behaviors = [
+            WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: 0.9 }),
+            WorkerBehavior::Fixed(Answer(vec![0; w.truth.0.len()])),
+            WorkerBehavior::CopyPaste,
+            WorkerBehavior::CommitNoReveal,
+            WorkerBehavior::BadReveal,
+        ];
+        for behavior in behaviors {
+            let cache = ProofCache::new();
+            let copied = matches!(behavior, WorkerBehavior::CopyPaste).then_some(observed);
+            let artifacts = Worker::prepare_commit(
+                &behavior,
+                &w.truth,
+                w.spec.range,
+                &kp.ek,
+                copied,
+                Some(&cache),
+                &mut rng,
+            )
+            .expect("every behaviour commits");
+            let lookups = cache.stats().hits + cache.stats().misses;
+            assert_eq!(lookups, u64::from(behavior.encrypts()), "{behavior:?}");
+            assert_eq!(artifacts.ciphertexts.is_some(), behavior.encrypts());
+        }
+    }
+
+    #[test]
+    fn a_commit_with_its_table_in_hand_matches_one_through_the_cache() {
+        let (_, w, kp) = setup();
+        let behavior = WorkerBehavior::Honest(AnswerModel::Diligent { accuracy: 0.9 });
+        let table = FixedBaseTable::new(&kp.ek.0);
+        let cache = ProofCache::new();
+        let (mut a, mut b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+        let (range, truth) = (w.spec.range, &w.truth);
+        let via_cache =
+            Worker::prepare_commit(&behavior, truth, range, &kp.ek, None, Some(&cache), &mut a);
+        let via_table = Worker::prepare_commit_with_table(
+            &behavior,
+            truth,
+            range,
+            &kp.ek,
+            None,
+            Some(&table),
+            &mut b,
+        );
+        let (via_cache, via_table) = (via_cache.unwrap(), via_table.unwrap());
+        assert_eq!(via_cache.commitment, via_table.commitment);
+        assert_eq!(via_cache.ciphertexts, via_table.ciphertexts);
+        assert_eq!(via_cache.answer, via_table.answer);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::config::{BehaviorMix, MarketConfig};
 use crate::metrics::{BlockStat, HitOutcome, MarketReport};
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::store::{BlockStore, StoreError};
-use dragoon_chain::{resolve_threads, Chain, FifoPolicy, GasSchedule, ReorderPolicy};
+use dragoon_chain::{par_map, resolve_threads, Chain, FifoPolicy, GasSchedule, ReorderPolicy};
 use dragoon_contract::{
     HitContract, HitEvent, HitId, HitMessage, HitRegistry, Phase, RegistryEvent, RegistryMessage,
     RejectReason, Settlement, SettlementMode, REGISTRY_CODE_LEN,
@@ -47,7 +47,7 @@ use dragoon_contract::{
 use dragoon_core::workload::generate_workload;
 use dragoon_crypto::commitment::Commitment;
 use dragoon_crypto::elgamal::PlaintextRange;
-use dragoon_crypto::precomp::ProofCache;
+use dragoon_crypto::precomp::{FixedBaseTable, ProofCache, TableBuilds, BUILD_CHUNK};
 use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
 use dragoon_net::{NetSim, RelayPolicy};
@@ -59,7 +59,6 @@ use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// What the engine knows about one created HIT. Keyed by the id its
 /// `Created` event carried: a reordering mempool policy creates
@@ -142,12 +141,17 @@ pub struct MarketSim {
     /// The proving pipeline: every agent-step submission flows through
     /// it as a keyed job (inline at zero latency when disabled).
     proving: ProvingService<JobOutput>,
-    /// The keyed proof cache (fixed-base tables per encryption key),
-    /// shared with the proving workers. A requester's table is retired
+    /// The keyed proof cache (fixed-base tables per encryption key).
+    /// Every encrypting commit job claims its requester's table when it
+    /// is enqueued, and a round's missing tables are built together
+    /// before its batch runs. A requester's table is retired
     /// when its HIT's commit phase closes (or, for a HIT cancelled before
     /// that, when it settles), so the cache holds the keys of the HITs
     /// still taking commitments.
-    cache: Arc<ProofCache>,
+    cache: ProofCache,
+    /// The run's thread budget, resolved once in assembly: what a
+    /// round's table builds fan out over.
+    threads: usize,
     /// Commitments that became visible this round, appended to their
     /// HIT's `observed` only after the round's jobs are built: an
     /// observing copy-paste attacker replays *prior rounds'*
@@ -379,7 +383,8 @@ impl MarketSim {
             econ,
             net,
             proving,
-            cache: Arc::new(ProofCache::new()),
+            cache: ProofCache::new(),
+            threads,
             observed_buffer: Vec::new(),
             store: block_store,
         }
@@ -591,13 +596,19 @@ impl MarketSim {
             round,
             ranked,
             jobs: Vec::new(),
+            builds: TableBuilds::default(),
         };
         for &id in &self.live {
             let hit = registry.hit(id).expect("a live HIT exists on-chain");
             let record = self.hits.get_mut(&id).expect("live ids are in the table");
             drives.react(id, hit, record);
         }
-        let jobs = drives.jobs;
+        let Drives { jobs, builds, .. } = drives;
+        // The keys this round's commit jobs claimed and the cache did
+        // not hold, built eight to a pass before any job reads one.
+        let chunks: Vec<&[_]> = builds.bases().chunks(BUILD_CHUNK).collect();
+        let tables = par_map(self.threads, chunks, FixedBaseTable::new_batch);
+        builds.fill(tables.into_iter().flatten().collect());
         self.proving.submit_batch(round, jobs);
         self.process_ready(round, &mut submissions);
         // This round's commitments become observable next round.
@@ -721,9 +732,9 @@ impl MarketSim {
         // their commit reverted (TaskFull), so their session holds no
         // slot and must not count against worker capacity. It also
         // retires the requester key's fixed-base table: only this HIT's
-        // commit jobs look it up, each computed inside `submit_batch` in
-        // the round it was enqueued, and the commit drive runs only in
-        // `Phase::Commit`, so no lookup follows.
+        // commit jobs claim it, each in the round it was enqueued, and
+        // the commit drive runs only in `Phase::Commit`, so no claim
+        // follows.
         for &id in &commit_closed {
             let record = &self.hits[&id];
             let hit = self.chain.contract().hit(id).expect("the event's instance");
@@ -921,13 +932,15 @@ struct Drives<'a> {
     requesters: &'a mut [RequesterAgent],
     workers: &'a mut [WorkerAgent],
     econ: &'a mut Option<EconEngine>,
-    cache: &'a Arc<ProofCache>,
+    cache: &'a ProofCache,
     round: u64,
     /// Reputation-ordered candidate workers (econ layer), if enabled.
     ranked: Option<Vec<usize>>,
     /// This round's jobs, in enqueue order: ascending `HitId`, then the
     /// per-HIT order below.
     jobs: Vec<ProofJob<JobOutput>>,
+    /// The tables this round's commit jobs claimed and the cache lacks.
+    builds: TableBuilds,
 }
 
 impl Drives<'_> {
@@ -1019,7 +1032,11 @@ impl Drives<'_> {
             w.sessions.insert(id, Worker::new(w.addr, behavior.clone()));
             let truth = workload.truth.clone();
             let range = workload.spec.range;
-            let cache = Arc::clone(self.cache);
+            // One claim per encrypting job, in enqueue order: the cache
+            // counts it as the lookup the job would have made.
+            let claim = behavior
+                .encrypts()
+                .then(|| self.cache.claim(&ek.0, &mut self.builds));
             // Modeled cost: two group ops per encrypted item plus the
             // commitment itself.
             let cost = 2 * truth.0.len() as u64 + 2;
@@ -1032,13 +1049,13 @@ impl Drives<'_> {
                 cost,
                 run: Box::new(move |rng: &mut StdRng| JobOutput::Commit {
                     wi,
-                    artifacts: Worker::prepare_commit(
+                    artifacts: Worker::prepare_commit_with_table(
                         &behavior,
                         &truth,
                         range,
                         &ek,
                         copied,
-                        Some(&cache),
+                        claim.map(|c| c.table()).as_deref(),
                         rng,
                     )
                     .expect("commit inputs decided at enqueue"),

@@ -19,6 +19,10 @@ includes for the crate's unit tests:
   of 1, 4, 9 and 17 components (seeded options `m` and randomness
   `rho`; the 17-vector opens with `rho = 0, m = 0`, both points the
   identity, and `rho = r - 1`).
+* `table_vectors.rs`: fixed-base table entries `d*2^(5w)*B` at
+  (w, d) = (0, 1), (0, 16), (12, 7) and (25, 16) of two seeded bases,
+  each with its endomorphism image `(beta*x, y)`, which is also checked
+  to be `lambda*d*2^(5w)*B`.
 * `msm_vectors.rs`: multi-scalar multiplications `sum(s_i*P_i)`,
   computed as `sum((sum of the s_i on P) * P)` over the distinct bases,
   for seeded sets of n = 1, 15, 16, 49, 97, 193 and 2100 terms on a
@@ -52,6 +56,8 @@ RANDOM_PAIRS = 32
 ELGAMAL_SEED = 0xE16B254
 ELGAMAL_LENGTHS = [1, 4, 9, 17]
 ELGAMAL_OPTIONS = 4
+TABLE_SEED = 0x7AB254
+TABLE_ENTRIES = [(0, 1), (0, 16), (12, 7), (25, 16)]
 MSM_SEED = 0x35B254
 MSM_SIZES = [1, 15, 16, 49, 97, 193, 2100]
 MSM_POOL = 24
@@ -162,6 +168,11 @@ def g1_mul(k, point):
 def on_curve(point):
     x, y = point
     return (y * y - x * x * x - 3) % Q == 0
+
+
+def xy(point):
+    """A point other than the identity as Rust `Xy` limbs."""
+    return "(%s, %s)" % (limbs(point[0]), limbs(point[1]))
 
 
 def optional_xy(point):
@@ -305,6 +316,32 @@ def render_elgamal():
     return "\n".join(lines) + "\n"
 
 
+def render_tables():
+    rng = random.Random(TABLE_SEED)
+    bases = [seeded_point(rng) for _ in range(2)]
+    rows = []
+    for b, base in enumerate(bases):
+        for w, d in TABLE_ENTRIES:
+            multiple = d << (5 * w)
+            entry = g1_mul(multiple, base)
+            image = (BETA * entry[0] % Q, entry[1])
+            assert on_curve(entry) and image == g1_mul(LAMBDA * multiple % ORDER, base)
+            rows.append("(%d, %d, %d, %s, %s)" % (b, w, d, xy(entry), xy(image)))
+    lines = [
+        "// Fixed-base table entries derived with plain Python integers by",
+        "// `tests/vectors/gen_bn254.py` (bases from seed 0x%x): `d*2^(5w)*B`" % TABLE_SEED,
+        "// by textbook affine double-and-add, and its image `(beta*x, y)`.",
+        "// Generated: rerun the script instead of editing. Included by",
+        "// `vectors.rs` for the unit tests.",
+        "",
+        "pub(crate) const TABLES: TableVectors = TableVectors {",
+    ]
+    lines += table("bases", [xy(b) for b in bases])
+    lines += table("entries", rows)
+    lines.append("};")
+    return "\n".join(lines) + "\n"
+
+
 def g1_neg(point):
     return None if point is None else (point[0], (Q - point[1]) % Q)
 
@@ -373,6 +410,7 @@ OUTPUTS = [
     ("field_vectors.rs", render_fields),
     ("g1_vectors.rs", render_g1),
     ("elgamal_vectors.rs", render_elgamal),
+    ("table_vectors.rs", render_tables),
     ("msm_vectors.rs", render_msm),
 ]
 
