@@ -192,30 +192,30 @@ impl ParallelStats {
     /// report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("scheduler")
-            .counter(
+            .int(
                 "parallel_txs",
                 "scheduler_parallel_txs_total",
                 self.parallel_txs as u64,
             )
-            .counter(
+            .int(
                 "serial_txs",
                 "scheduler_serial_txs_total",
                 self.serial_txs as u64,
             )
-            .counter("batches", "scheduler_batches_total", self.batches as u64)
-            .counter("groups", "scheduler_groups_total", self.groups as u64)
-            .counter("barriers", "scheduler_barriers_total", self.barriers as u64)
-            .counter(
+            .int("batches", "scheduler_batches_total", self.batches as u64)
+            .int("groups", "scheduler_groups_total", self.groups as u64)
+            .int("barriers", "scheduler_barriers_total", self.barriers as u64)
+            .int(
                 "conflict_fallbacks",
                 "scheduler_conflict_fallbacks_total",
                 self.conflict_fallbacks as u64,
             )
-            .counter(
+            .int(
                 "gas_fallbacks",
                 "scheduler_gas_fallbacks_total",
                 self.gas_fallbacks as u64,
             )
-            .counter(
+            .int(
                 "gas_prefix_commits",
                 "scheduler_gas_prefix_commits_total",
                 self.gas_prefix_commits as u64,

@@ -647,48 +647,48 @@ impl PersistStats {
     /// (`persist_*` names); its object view is the `PERSIST:` stats line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("persist")
-            .counter(
+            .int(
                 "blocks_appended",
                 "persist_blocks_appended_total",
                 self.blocks_appended,
             )
-            .counter(
+            .int(
                 "log_bytes_written",
                 "persist_log_bytes_written_total",
                 self.log_bytes_written,
             )
-            .counter(
+            .int(
                 "log_bytes_truncated",
                 "persist_log_bytes_truncated_total",
                 self.log_bytes_truncated,
             )
-            .counter("compactions", "persist_compactions_total", self.compactions)
-            .counter(
+            .int("compactions", "persist_compactions_total", self.compactions)
+            .int(
                 "full_snapshots",
                 "persist_full_snapshots_total",
                 self.full_snapshots,
             )
-            .counter(
+            .int(
                 "delta_snapshots",
                 "persist_delta_snapshots_total",
                 self.delta_snapshots,
             )
-            .counter(
+            .int(
                 "snapshot_bytes_written",
                 "persist_snapshot_bytes_written_total",
                 self.snapshot_bytes_written,
             )
-            .counter(
+            .int(
                 "dirty_units_encoded",
                 "persist_dirty_units_encoded_total",
                 self.dirty_units_encoded,
             )
-            .counter(
+            .int(
                 "overlap_hits",
                 "persist_overlap_hits_total",
                 self.overlap_hits,
             )
-            .counter(
+            .int(
                 "overlap_misses",
                 "persist_overlap_misses_total",
                 self.overlap_misses,

@@ -72,118 +72,118 @@ impl EconReport {
     /// (pinned by the unit test below and the econ goldens).
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("econ")
-            .gauge(
+            .int(
                 "rep_tracked",
                 "econ_rep_tracked_workers",
                 self.rep_tracked as u64,
             )
-            .counter("rep_receipts", "econ_rep_receipts_total", self.rep_receipts)
-            .counter(
+            .int("rep_receipts", "econ_rep_receipts_total", self.rep_receipts)
+            .int(
                 "rep_decay_violations",
                 "econ_rep_decay_violations_total",
                 self.rep_decay_violations,
             )
-            .gauge_f("rep_mean", "econ_rep_mean_score", self.rep_mean, 3)
-            .gauge_f("rep_min", "econ_rep_min_score", self.rep_min, 3)
-            .gauge_f("rep_max", "econ_rep_max_score", self.rep_max, 3)
-            .counter(
+            .float("rep_mean", "econ_rep_mean_score", self.rep_mean, 3)
+            .float("rep_min", "econ_rep_min_score", self.rep_min, 3)
+            .float("rep_max", "econ_rep_max_score", self.rep_max, 3)
+            .int(
                 "gated_commits",
                 "econ_gated_commits_total",
                 self.gated_commits,
             )
-            .counter(
+            .int(
                 "declined_commits",
                 "econ_declined_commits_total",
                 self.declined_commits,
             )
-            .gauge(
+            .int(
                 "price_final",
                 "econ_price_final_coins",
                 self.price_final as i128,
             )
-            .gauge(
+            .int(
                 "price_min_seen",
                 "econ_price_min_seen_coins",
                 self.price_min_seen as i128,
             )
-            .gauge(
+            .int(
                 "price_max_seen",
                 "econ_price_max_seen_coins",
                 self.price_max_seen as i128,
             )
-            .counter(
+            .int(
                 "price_adjustments",
                 "econ_price_adjustments_total",
                 self.price_adjustments,
             )
-            .gauge_f(
+            .float(
                 "fill_rate_recent",
                 "econ_fill_rate_recent_ratio",
                 self.fill_rate_recent,
                 3,
             )
-            .counter("hits_filled", "econ_hits_filled_total", self.hits_filled)
-            .counter(
+            .int("hits_filled", "econ_hits_filled_total", self.hits_filled)
+            .int(
                 "hits_unfilled",
                 "econ_hits_unfilled_total",
                 self.hits_unfilled,
             )
-            .counter(
+            .int(
                 "workers_joined",
                 "econ_workers_joined_total",
                 self.workers_joined as u64,
             )
-            .counter(
+            .int(
                 "workers_departed",
                 "econ_workers_departed_total",
                 self.workers_departed as u64,
             )
-            .counter(
+            .int(
                 "goldens_withheld",
                 "econ_goldens_withheld_total",
                 self.goldens_withheld,
             )
-            .counter(
+            .int(
                 "cartel_rejections",
                 "econ_cartel_rejections_total",
                 self.cartel_rejections,
             )
-            .counter(
+            .int(
                 "cartel_refunds",
                 "econ_cartel_refunds_coins_total",
                 self.cartel_refunds as i128,
             )
-            .counter(
+            .int(
                 "honest_refunds",
                 "econ_honest_refunds_coins_total",
                 self.honest_refunds as i128,
             )
-            .counter(
+            .int(
                 "honest_paid",
                 "econ_honest_paid_coins_total",
                 self.honest_paid as i128,
             )
-            .counter(
+            .int(
                 "honest_paid_count",
                 "econ_honest_paid_total",
                 self.honest_paid_count,
             )
-            .counter(
+            .int(
                 "honest_rejected",
                 "econ_honest_rejected_total",
                 self.honest_rejected,
             )
-            .counter(
+            .int(
                 "sybil_paid",
                 "econ_sybil_paid_coins_total",
                 self.sybil_paid as i128,
             )
-            .counter(
+            .int(
                 "sybil_paid_count",
                 "econ_sybil_paid_total",
                 self.sybil_paid_count,
             )
-            .counter(
+            .int(
                 "sybil_rejected",
                 "econ_sybil_rejected_total",
                 self.sybil_rejected,

@@ -21,7 +21,7 @@
 //! * [`dragoon_net`] — the deterministic multi-node network simulation:
 //!   gossip, link faults, partitions, forks and reorg-capable replicas.
 //! * [`dragoon_trace`] — unified observability: deterministic span/event
-//!   stream, metrics registry with Prometheus export, wall-clock phase
+//!   stream, metrics registry with a JSON dump, wall-clock phase
 //!   profiler with Chrome `trace_event` export.
 
 #![forbid(unsafe_code)]

@@ -42,46 +42,45 @@ impl NetReport {
     /// (`net_*` names); its object view is the `NET:` report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("net")
-            .gauge("nodes", "net_nodes", self.nodes as u64)
-            .counter("ticks", "net_ticks_total", self.ticks)
-            .counter(
+            .int("nodes", "net_nodes", self.nodes as u64)
+            .int("ticks", "net_ticks_total", self.ticks)
+            .int(
                 "messages_sent",
                 "net_messages_sent_total",
                 self.messages_sent,
             )
-            .counter(
+            .int(
                 "messages_dropped",
                 "net_messages_dropped_total",
                 self.messages_dropped,
             )
-            .counter(
+            .int(
                 "duplicates_delivered",
                 "net_duplicates_delivered_total",
                 self.duplicates_delivered,
             )
-            .counter(
+            .int(
                 "forks_produced",
                 "net_forks_produced_total",
                 self.forks_produced,
             )
-            .counter("reorgs", "net_reorgs_total", self.reorgs)
-            .gauge(
+            .int("reorgs", "net_reorgs_total", self.reorgs)
+            .int(
                 "max_reorg_depth",
                 "net_max_reorg_depth_blocks",
                 self.max_reorg_depth,
             )
-            .gauge(
+            .int(
                 "partition_windows",
                 "net_partition_windows",
                 self.partition_windows as u64,
             )
-            .counter("drain_ticks", "net_drain_ticks_total", self.drain_ticks)
+            .int("drain_ticks", "net_drain_ticks_total", self.drain_ticks)
             .flag("converged", "net_converged", self.converged)
             .per_index(
                 "convergence_tick",
                 "net_convergence_tick",
                 self.convergence_tick.clone(),
-                "node",
             )
     }
 

@@ -124,7 +124,8 @@ pub struct ProvingStats {
     pub stale: u64,
     /// Peak number of queued (not yet released) jobs.
     pub queue_peak: u64,
-    /// Release-latency histogram in ticks: `[0, 1, 2–3, 4–7, 8+]`.
+    /// Release-latency histogram in ticks: `[0, 1, 2–3, 4–7, 8+]`, i.e.
+    /// buckets with upper edges 0, 1, 3, 7 and unbounded.
     pub latency_hist: [u64; 5],
     /// Largest observed release latency in ticks.
     pub latency_max: u64,
@@ -150,25 +151,24 @@ impl ProvingStats {
     /// is the `PROVING:` report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("proving")
-            .counter("jobs", "proving_jobs_total", self.jobs)
-            .counter("completed", "proving_completed_total", self.completed)
-            .counter("dropped", "proving_dropped_total", self.dropped)
-            .counter("stale", "proving_stale_total", self.stale)
-            .gauge("queue_peak", "proving_queue_peak_jobs", self.queue_peak)
+            .int("jobs", "proving_jobs_total", self.jobs)
+            .int("completed", "proving_completed_total", self.completed)
+            .int("dropped", "proving_dropped_total", self.dropped)
+            .int("stale", "proving_stale_total", self.stale)
+            .int("queue_peak", "proving_queue_peak_jobs", self.queue_peak)
             .hist(
                 "latency_hist",
                 "proving_latency_ticks",
                 self.latency_hist.to_vec(),
-                &["0", "1", "3", "7", "+Inf"],
             )
-            .gauge("latency_max", "proving_latency_max_ticks", self.latency_max)
-            .counter("cache_hits", "proving_cache_hits_total", self.cache_hits)
-            .counter(
+            .int("latency_max", "proving_latency_max_ticks", self.latency_max)
+            .int("cache_hits", "proving_cache_hits_total", self.cache_hits)
+            .int(
                 "cache_misses",
                 "proving_cache_misses_total",
                 self.cache_misses,
             )
-            .counter(
+            .int(
                 "latency_violations",
                 "proving_latency_violations_total",
                 self.latency_violations,

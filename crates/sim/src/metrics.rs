@@ -169,7 +169,7 @@ impl MarketReport {
     /// gas cap print only in the object view.
     fn market_metric_set(&self) -> dragoon_trace::MetricSet {
         let set = dragoon_trace::MetricSet::new("market")
-            .gauge("seed", "market_seed", self.seed)
+            .int("seed", "market_seed", self.seed)
             .text(
                 "settlement",
                 match self.settlement {
@@ -177,100 +177,100 @@ impl MarketReport {
                     SettlementMode::Batched => "batched",
                 },
             )
-            .counter("blocks", "market_blocks_total", self.blocks)
-            .counter(
+            .int("blocks", "market_blocks_total", self.blocks)
+            .int(
                 "hits_published",
                 "market_hits_published_total",
                 self.hits_published as u64,
             )
-            .counter(
+            .int(
                 "hits_settled",
                 "market_hits_settled_total",
                 self.hits_settled as u64,
             )
-            .counter(
+            .int(
                 "hits_cancelled",
                 "market_hits_cancelled_total",
                 self.hits_cancelled as u64,
             )
-            .gauge(
+            .int(
                 "hits_unfinished",
                 "market_hits_unfinished",
                 self.hits_unfinished as u64,
             )
-            .counter("total_gas", "market_gas_used_total", self.total_gas)
-            .gauge_f(
+            .int("total_gas", "market_gas_used_total", self.total_gas)
+            .float(
                 "gas_per_block_mean",
                 "market_gas_per_block_mean",
                 self.gas_per_block_mean,
                 1,
             )
-            .gauge(
+            .int(
                 "gas_per_block_max",
                 "market_gas_per_block_max",
                 self.gas_per_block_max,
             );
         let set = match self.block_gas_limit {
-            Some(limit) => set.gauge("block_gas_limit", "market_block_gas_limit", limit),
+            Some(limit) => set.int("block_gas_limit", "market_block_gas_limit", limit),
             None => set.absent("block_gas_limit"),
         };
         let set = match self.gas_utilization {
-            Some(util) => set.gauge_f("gas_utilization", "market_gas_utilization_ratio", util, 4),
+            Some(util) => set.float("gas_utilization", "market_gas_utilization_ratio", util, 4),
             None => set.absent("gas_utilization"),
         };
-        set.gauge_f(
+        set.float(
             "latency_mean_blocks",
             "market_latency_mean_blocks",
             self.latency_mean_blocks,
             2,
         )
-        .gauge(
+        .int(
             "latency_max_blocks",
             "market_latency_max_blocks",
             self.latency_max_blocks,
         )
-        .counter(
+        .int(
             "answers_collected",
             "market_answers_collected_total",
             self.answers_collected as u64,
         )
-        .counter(
+        .int(
             "rewards_paid",
             "market_rewards_paid_coins_total",
             self.rewards_paid as i128,
         )
-        .counter(
+        .int(
             "workers_paid",
             "market_workers_paid_total",
             self.workers_paid as u64,
         )
-        .counter(
+        .int(
             "workers_rejected",
             "market_workers_rejected_total",
             self.workers_rejected as u64,
         )
-        .counter(
+        .int(
             "refunds",
             "market_refunds_coins_total",
             self.refunds as i128,
         )
-        .counter(
+        .int(
             "reverted_txs",
             "market_reverted_txs_total",
             self.reverted_txs as u64,
         )
-        .counter(
+        .int(
             "latency_violations",
             "market_latency_violations_total",
             self.latency_violations as u64,
         )
-        .counter(
+        .int(
             "batch_dispatches",
             "market_batch_dispatches_total",
             self.batch.batches,
         )
-        .counter("batch_items", "market_batch_items_total", self.batch.items)
-        .gauge(
+        .int("batch_items", "market_batch_items_total", self.batch.items)
+        .int(
             "batch_largest",
             "market_batch_largest_items",
             self.batch.largest,
@@ -306,13 +306,6 @@ impl MarketReport {
     /// assertions.
     pub fn metrics_json(&self) -> String {
         dragoon_trace::metrics::render_metrics_json(&self.metric_sets())
-    }
-
-    /// The same registry walk in Prometheus text exposition format
-    /// (hand-rolled: `# TYPE` lines, cumulative histogram buckets,
-    /// per-index labels).
-    pub fn metrics_prometheus(&self) -> String {
-        dragoon_trace::metrics::render_prometheus(&self.metric_sets())
     }
 
     /// A human-oriented multi-line summary for examples and logs.
@@ -472,16 +465,14 @@ mod tests {
         assert!(dump.contains("\"market_gas_per_block_max\":"));
         assert!(!dump.contains("null") && !dump.contains("settlement"));
         assert!(!dump.contains("\"\"") && !dump.contains("market_block_gas_limit"));
-        assert!(!report.metrics_prometheus().contains("# TYPE  "));
     }
 
-    /// Every registry name the JSON dump carries is declared by a
-    /// `# TYPE` line of the Prometheus exposition, with the optional
-    /// econ, net and persist sets all present — and is carried once:
-    /// registry names are unique across the six sets, and the dump has
-    /// none of the object view's text and `null` entries.
+    /// With the optional econ, net and persist sets all present, the
+    /// registry dump carries names of all six subsystems, each name
+    /// once — registry names are unique across the six sets — and none
+    /// of the object view's text and `null` entries.
     #[test]
-    fn prometheus_exposition_types_every_registry_name() {
+    fn registry_dump_names_every_subsystem_once() {
         let dir = std::env::temp_dir().join(format!("dragoon-metrics-{}", std::process::id()));
         let report = run_market(MarketConfig {
             hits: 6,
@@ -494,12 +485,6 @@ mod tests {
         });
         let _ = std::fs::remove_dir_all(&dir);
         assert!(report.econ.is_some() && report.net.is_some() && report.persist.is_some());
-        let prometheus = report.metrics_prometheus();
-        let typed: Vec<&str> = prometheus
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .filter_map(|l| l.split(' ').next())
-            .collect();
         // The dump is flat and its values are numbers, flags and number
         // arrays, so its quoted strings are exactly its names.
         let json = report.metrics_json();
@@ -514,12 +499,8 @@ mod tests {
         ] {
             assert!(names.iter().any(|n| n.starts_with(prefix)), "{prefix}");
         }
-        for name in &names {
-            assert!(typed.contains(name), "{name} has no # TYPE line");
-        }
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "a registry name appears twice");
-        assert_eq!(typed.len(), names.len(), "a # TYPE line appears twice");
         assert!(!json.contains("null") && !json.contains("settlement"));
         assert_eq!(report.metric_sets().len(), 6);
     }

@@ -12,12 +12,12 @@
 //!    and therefore golden-gatable. Emission sites MUST be
 //!    deterministic program points (the round loop, a service's
 //!    submit/drain edges) — never inside a worker thread.
-//! 2. **Metrics registry** ([`metrics`]) — named counters/gauges/
-//!    histograms following the `subsystem_name_unit` convention, with
-//!    a hand-rolled Prometheus-text exporter. The per-subsystem stats
+//! 2. **Metrics registry** ([`metrics`]) — named integers, floats,
+//!    flags, histograms and per-index lists following the
+//!    `subsystem_name_unit` convention. The per-subsystem stats
 //!    structs build [`metrics::MetricSet`]s, and a set is the only
 //!    serializer of what it holds: its object view is the golden-gated
-//!    report line, the registry walks are the dump. Every value is
+//!    report line, the registry walk is the dump. Every value is
 //!    owned by its run — invariant-violation counters included; the
 //!    registry keeps no process-wide state.
 //! 3. **Wall-clock phase profiler** ([`Tracer::span`]) —
@@ -52,7 +52,7 @@ use std::time::Instant;
 pub mod chrome;
 pub mod metrics;
 
-pub use metrics::{MetricKind, MetricSet, MetricValue};
+pub use metrics::{MetricSet, MetricValue};
 
 // ---------------------------------------------------------------------
 // The handle

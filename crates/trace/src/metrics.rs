@@ -3,14 +3,13 @@
 //! itself as one flat JSON object under its JSON keys
 //! ([`MetricSet::to_json_object`] — the golden-gated report lines), and
 //! a slice of sets renders as one registry walk under registry names:
-//! a flat JSON dump or Prometheus text exposition.
+//! a flat JSON dump ([`render_metrics_json`]).
 //!
 //! Naming convention: every metric carries a registry name of the
 //! form `subsystem_name_unit` (e.g. `proving_queue_peak_jobs`,
 //! `persist_log_bytes_written_total`) next to its JSON key.
-//! Counters end in `_total`; gauges name their unit; histograms
-//! render cumulative `_bucket{le=...}` lines per Prometheus
-//! convention.
+//! Counts that only grow end in `_total`; other readings name their
+//! unit.
 //!
 //! Every value is owned by the set that carries it — there is no
 //! process-wide state here. Invariant-violation counters are per-run
@@ -18,45 +17,26 @@
 
 use std::fmt::Write as _;
 
-/// How a metric behaves over time (drives the Prometheus `# TYPE`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl MetricKind {
-    fn prom_type(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
-
 /// A metric's value, carrying enough formatting information to render
 /// the golden-gated JSON byte-identically.
 #[derive(Clone, Debug)]
 pub enum MetricValue {
-    /// Integer counter or gauge (covers u64/i64/u128 report fields).
+    /// Integer reading (covers u64/i64/u128 report fields).
     Int(i128),
-    /// Float gauge with a fixed decimal precision (`{:.p}` in JSON).
+    /// Float reading with a fixed decimal precision (`{:.p}` in JSON).
     Float(f64, usize),
-    /// Boolean flag (JSON `true`/`false`, Prometheus `1`/`0`).
+    /// Boolean flag (JSON `true`/`false`).
     Flag(bool),
-    /// Fixed-bucket histogram counts plus upper-bound labels for the
-    /// Prometheus `le=` rendering (same length; last is `+Inf`).
-    Hist(Vec<u64>, &'static [&'static str]),
-    /// Per-index integer list (e.g. per-node convergence ticks);
-    /// rendered as a JSON array and as one labelled line per index.
-    PerIndex(Vec<i64>, &'static str),
+    /// Fixed-bucket histogram counts, rendered as a JSON array.
+    Hist(Vec<u64>),
+    /// Per-index integer list (e.g. per-node convergence ticks),
+    /// rendered as a JSON array.
+    PerIndex(Vec<i64>),
     /// A string the object view prints quoted. Not a number, so the
-    /// registry walks skip it.
+    /// registry walk skips it.
     Text(&'static str),
     /// An optional reading the run did not have: `null` in the object
-    /// view (the key set stays fixed), skipped by the registry walks.
+    /// view (the key set stays fixed), skipped by the registry walk.
     Absent,
 }
 
@@ -72,8 +52,8 @@ impl MetricValue {
             MetricValue::Flag(v) => {
                 let _ = write!(out, "{v}");
             }
-            MetricValue::Hist(counts, _) => render_json_array(counts, out),
-            MetricValue::PerIndex(values, _) => render_json_array(values, out),
+            MetricValue::Hist(counts) => render_json_array(counts, out),
+            MetricValue::PerIndex(values) => render_json_array(values, out),
             MetricValue::Text(v) => {
                 let _ = write!(out, "\"{v}\"");
             }
@@ -94,12 +74,11 @@ fn render_json_array(items: &[impl std::fmt::Display], out: &mut String) {
 }
 
 /// One named metric: the JSON key it serializes under, the
-/// `subsystem_name_unit` registry name, its kind, and its value.
+/// `subsystem_name_unit` registry name, and its value.
 #[derive(Clone, Debug)]
 pub struct Metric {
     pub key: &'static str,
     pub name: &'static str,
-    pub kind: MetricKind,
     pub value: MetricValue,
 }
 
@@ -119,101 +98,52 @@ impl MetricSet {
         }
     }
 
-    fn push(
-        mut self,
-        key: &'static str,
-        name: &'static str,
-        kind: MetricKind,
-        value: MetricValue,
-    ) -> Self {
-        self.metrics.push(Metric {
-            key,
-            name,
-            kind,
-            value,
-        });
+    fn push(mut self, key: &'static str, name: &'static str, value: MetricValue) -> Self {
+        self.metrics.push(Metric { key, name, value });
         self
     }
 
-    /// A monotonically increasing integer (name should end `_total`).
-    pub fn counter(self, key: &'static str, name: &'static str, value: impl Into<i128>) -> Self {
-        self.push(
-            key,
-            name,
-            MetricKind::Counter,
-            MetricValue::Int(value.into()),
-        )
+    /// An integer reading (a count that only grows has a name ending
+    /// `_total`).
+    pub fn int(self, key: &'static str, name: &'static str, value: impl Into<i128>) -> Self {
+        self.push(key, name, MetricValue::Int(value.into()))
     }
 
-    /// A point-in-time integer reading.
-    pub fn gauge(self, key: &'static str, name: &'static str, value: impl Into<i128>) -> Self {
-        self.push(key, name, MetricKind::Gauge, MetricValue::Int(value.into()))
-    }
-
-    /// A float gauge rendered with `precision` decimals in JSON.
-    pub fn gauge_f(
+    /// A float reading rendered with `precision` decimals in JSON.
+    pub fn float(
         self,
         key: &'static str,
         name: &'static str,
         value: f64,
         precision: usize,
     ) -> Self {
-        self.push(
-            key,
-            name,
-            MetricKind::Gauge,
-            MetricValue::Float(value, precision),
-        )
+        self.push(key, name, MetricValue::Float(value, precision))
     }
 
-    /// A boolean gauge.
+    /// A boolean reading.
     pub fn flag(self, key: &'static str, name: &'static str, value: bool) -> Self {
-        self.push(key, name, MetricKind::Gauge, MetricValue::Flag(value))
+        self.push(key, name, MetricValue::Flag(value))
     }
 
-    /// A fixed-bucket histogram; `bounds` are the Prometheus `le=`
-    /// labels, one per bucket, last `+Inf`.
-    pub fn hist(
-        self,
-        key: &'static str,
-        name: &'static str,
-        counts: Vec<u64>,
-        bounds: &'static [&'static str],
-    ) -> Self {
-        debug_assert_eq!(counts.len(), bounds.len());
-        self.push(
-            key,
-            name,
-            MetricKind::Histogram,
-            MetricValue::Hist(counts, bounds),
-        )
+    /// A fixed-bucket histogram's counts.
+    pub fn hist(self, key: &'static str, name: &'static str, counts: Vec<u64>) -> Self {
+        self.push(key, name, MetricValue::Hist(counts))
     }
 
-    /// A per-index gauge list labelled `{label="i"}` in Prometheus.
-    pub fn per_index(
-        self,
-        key: &'static str,
-        name: &'static str,
-        values: Vec<i64>,
-        label: &'static str,
-    ) -> Self {
-        self.push(
-            key,
-            name,
-            MetricKind::Gauge,
-            MetricValue::PerIndex(values, label),
-        )
+    /// A per-index integer list (index = node, say).
+    pub fn per_index(self, key: &'static str, name: &'static str, values: Vec<i64>) -> Self {
+        self.push(key, name, MetricValue::PerIndex(values))
     }
 
     /// A string only the object view prints (no registry name).
     pub fn text(self, key: &'static str, value: &'static str) -> Self {
-        self.push(key, "", MetricKind::Gauge, MetricValue::Text(value))
+        self.push(key, "", MetricValue::Text(value))
     }
 
     /// An optional reading this run did not have: the object view
-    /// prints `"key":null`, the registry walks print nothing.
+    /// prints `"key":null`, the registry walk prints nothing.
     pub fn absent(self, key: &'static str) -> Self {
-        self.push(key, "", MetricKind::Gauge, MetricValue::Absent)
+        self.push(key, "", MetricValue::Absent)
     }
 
     /// The object view: `{"key":value,...}` in insertion order — the
@@ -228,37 +158,6 @@ impl MetricSet {
         self.metrics
             .iter()
             .filter(|m| !matches!(m.value, MetricValue::Text(_) | MetricValue::Absent))
-    }
-
-    fn render_prometheus(&self, out: &mut String) {
-        for m in self.registered() {
-            let _ = writeln!(out, "# TYPE {} {}", m.name, m.kind.prom_type());
-            match &m.value {
-                MetricValue::Int(v) => {
-                    let _ = writeln!(out, "{} {}", m.name, v);
-                }
-                MetricValue::Float(v, prec) => {
-                    let _ = writeln!(out, "{} {:.prec$}", m.name, v);
-                }
-                MetricValue::Flag(v) => {
-                    let _ = writeln!(out, "{} {}", m.name, u8::from(*v));
-                }
-                MetricValue::Hist(counts, bounds) => {
-                    let mut cumulative = 0u64;
-                    for (c, le) in counts.iter().zip(bounds.iter()) {
-                        cumulative += c;
-                        let _ = writeln!(out, "{}_bucket{{le=\"{}\"}} {}", m.name, le, cumulative);
-                    }
-                    let _ = writeln!(out, "{}_count {}", m.name, cumulative);
-                }
-                MetricValue::PerIndex(values, label) => {
-                    for (i, v) in values.iter().enumerate() {
-                        let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", m.name, label, i, v);
-                    }
-                }
-                MetricValue::Text(_) | MetricValue::Absent => unreachable!("not registered"),
-            }
-        }
     }
 }
 
@@ -288,15 +187,6 @@ fn render_json_object<'a>(entries: impl Iterator<Item = (&'a str, &'a MetricValu
     s
 }
 
-/// The same walk rendered as Prometheus text exposition format.
-pub fn render_prometheus(sets: &[MetricSet]) -> String {
-    let mut s = String::with_capacity(2048);
-    for set in sets {
-        set.render_prometheus(&mut s);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,16 +194,11 @@ mod tests {
     #[test]
     fn legacy_json_view_matches_hand_rolled_format() {
         let set = MetricSet::new("demo")
-            .counter("jobs", "demo_jobs_total", 7u64)
-            .gauge_f("rate", "demo_rate_ratio", 0.5, 3)
+            .int("jobs", "demo_jobs_total", 7u64)
+            .float("rate", "demo_rate_ratio", 0.5, 3)
             .flag("converged", "demo_converged", true)
-            .hist(
-                "latency_hist",
-                "demo_latency_ticks",
-                vec![1, 2, 3],
-                &["0", "1", "+Inf"],
-            )
-            .per_index("per_node", "demo_per_node_tick", vec![4, -1], "node");
+            .hist("latency_hist", "demo_latency_ticks", vec![1, 2, 3])
+            .per_index("per_node", "demo_per_node_tick", vec![4, -1]);
         assert_eq!(
             set.to_json_object(),
             "{\"jobs\":7,\"rate\":0.500,\"converged\":true,\
@@ -321,30 +206,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prometheus_rendering_is_cumulative_and_typed() {
-        let set = MetricSet::new("demo").hist(
-            "latency_hist",
-            "demo_latency_ticks",
-            vec![1, 2, 3],
-            &["0", "1", "+Inf"],
-        );
-        let text = render_prometheus(&[set]);
-        assert!(text.contains("# TYPE demo_latency_ticks histogram"));
-        assert!(text.contains("demo_latency_ticks_bucket{le=\"0\"} 1"));
-        assert!(text.contains("demo_latency_ticks_bucket{le=\"1\"} 3"));
-        assert!(text.contains("demo_latency_ticks_bucket{le=\"+Inf\"} 6"));
-        assert!(text.contains("demo_latency_ticks_count 6"));
-    }
-
     /// The object view prints a text entry quoted and an absent one
-    /// as `null`; neither registry walk sees them — not as a name, not
-    /// as a `# TYPE` line, not as a stray comma.
+    /// as `null`; the registry walk does not see them — not as a name,
+    /// not as a stray comma.
     #[test]
     fn text_and_absent_entries_render_only_in_the_object_view() {
         let set = MetricSet::new("demo")
             .text("mode", "batched")
-            .counter("jobs", "demo_jobs_total", 7u64)
+            .int("jobs", "demo_jobs_total", 7u64)
             .absent("limit");
         assert_eq!(
             set.to_json_object(),
@@ -352,9 +221,5 @@ mod tests {
         );
         let sets = [set, MetricSet::new("other").absent("only")];
         assert_eq!(render_metrics_json(&sets), "{\"demo_jobs_total\":7}");
-        assert_eq!(
-            render_prometheus(&sets),
-            "# TYPE demo_jobs_total counter\ndemo_jobs_total 7\n"
-        );
     }
 }

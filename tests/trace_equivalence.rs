@@ -225,10 +225,11 @@ fn second_trace_names_only_its_own_threads() {
 
 /// The wall profile of a net market needs no subtraction: every block a
 /// node applies is an `apply` span (args `node`, `height`, `txs`), the
-/// applications of the live run nest inside the round's `gossip` span
-/// and account for at least 90 % of it, and settlement verification says
-/// how it was partitioned. Only the final drain — after the last
-/// `gossip` — applies outside one.
+/// applications of the live run nest inside the round's `gossip` span,
+/// and settlement verification says how it was partitioned. Only the
+/// final drain — after the last `gossip` — applies outside one. That
+/// they cover at least 90 % of it is a wall-clock share, held by the
+/// `trace_overhead` tier of the `marketplace_throughput` bench.
 #[test]
 fn apply_spans_nest_inside_gossip_and_cover_it() {
     use dragoon_trace::{SpanKind, WallSpan};
@@ -249,21 +250,17 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
     let apply = of(SpanKind::Apply);
     assert!(!gossip.is_empty() && !apply.is_empty());
     let live_end = gossip.iter().map(|g| end(g)).max().expect("gossip spans");
-    let mut nested_us = 0;
     for a in &apply {
         assert!(arg(a, "node") < 4);
         assert_eq!(arg(a, "height"), a.tick);
         let _ = arg(a, "txs");
-        match gossip
+        let nested = gossip
             .iter()
-            .find(|g| g.tid == a.tid && g.start_us <= a.start_us && end(a) <= end(g))
-        {
-            Some(_) => nested_us += a.dur_us,
-            None => assert!(
-                a.start_us >= live_end,
-                "an apply span of the live run outside every gossip span"
-            ),
-        }
+            .any(|g| g.tid == a.tid && g.start_us <= a.start_us && end(a) <= end(g));
+        assert!(
+            nested || a.start_us >= live_end,
+            "an apply span of the live run outside every gossip span"
+        );
     }
     // Every node applied at least the canonical branch.
     let blocks = report.blocks as usize;
@@ -271,11 +268,6 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
         let applied = apply.iter().filter(|a| arg(a, "node") == node).count();
         assert!(applied >= blocks, "node {node}: {applied} of {blocks}");
     }
-    let gossip_us: u64 = gossip.iter().map(|g| g.dur_us).sum();
-    assert!(
-        nested_us * 10 >= gossip_us * 9,
-        "apply spans cover {nested_us} of {gossip_us} us of gossip"
-    );
     for v in of(SpanKind::Verify) {
         let (batches, threads) = (arg(v, "batches"), arg(v, "threads"));
         assert!(1 <= batches && batches <= threads.max(1));
@@ -284,10 +276,12 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
 }
 
 /// The round loop's wall profile needs no subtraction either: on a
-/// traced single-node market with proving on, the main thread's
-/// top-level spans — `agent` (which holds `prove`), `execute`,
-/// `persist` and `harvest` — cover at least 95 % of the wall between
-/// the first `agent` start and the last `harvest` end.
+/// traced single-node market with proving on, the main thread records
+/// `agent` and `harvest` spans and every `prove` nests in an `agent`.
+/// That the top-level spans — `agent`, `execute`, `persist` and
+/// `harvest` — cover at least 95 % of the loop's wall is a wall-clock
+/// share, held by the `trace_overhead` tier of the
+/// `marketplace_throughput` bench.
 #[test]
 fn round_loop_spans_cover_the_main_thread() {
     use dragoon_trace::{SpanKind, WallSpan};
@@ -305,7 +299,6 @@ fn round_loop_spans_cover_the_main_thread() {
     let agent = of(SpanKind::Agent);
     let harvest = of(SpanKind::Harvest);
     assert!(!agent.is_empty() && !harvest.is_empty());
-    let main = agent[0].tid;
     for prove in of(SpanKind::Prove) {
         assert!(
             agent.iter().any(|a| a.tid == prove.tid
@@ -314,22 +307,4 @@ fn round_loop_spans_cover_the_main_thread() {
             "a prove span outside every agent span"
         );
     }
-    let from = agent.iter().map(|a| a.start_us).min().expect("agent spans");
-    let to = harvest.iter().map(|h| end(h)).max().expect("harvest spans");
-    let top = [
-        SpanKind::Agent,
-        SpanKind::Execute,
-        SpanKind::Persist,
-        SpanKind::Harvest,
-    ];
-    let covered_us: u64 = spans
-        .iter()
-        .filter(|s| s.tid == main && top.contains(&s.kind))
-        .map(|s| end(s).min(to).saturating_sub(s.start_us.max(from)))
-        .sum();
-    assert!(
-        covered_us * 100 >= (to - from) * 95,
-        "top-level spans cover {covered_us} of {} us",
-        to - from
-    );
 }
