@@ -157,9 +157,9 @@ impl EncryptionKey {
 
     /// [`EncryptionKey::encrypt_with`], with the `h^ρ` term computed
     /// through a precomputed fixed-base table for this key. Produces the
-    /// identical ciphertext; only wall clock changes. The proving
-    /// service's commit jobs fetch one table per requester from the
-    /// shared [`crate::precomp::ProofCache`] and thread it through here.
+    /// identical ciphertext; only wall clock changes. A market's commit
+    /// jobs receive their requester key's table, built before their batch
+    /// runs, and thread it through here.
     pub fn encrypt_with_table(
         &self,
         m: u64,

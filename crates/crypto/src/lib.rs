@@ -17,9 +17,9 @@
 //!   (brute force and baby-step giant-step).
 //! * [`vpke`] — verifiable decryption: the Schnorr/Chaum–Pedersen variant
 //!   of §V-C with Fiat–Shamir, the building block PoQoEA reduces to.
-//! * [`precomp`] — windowed affine fixed-base tables and the keyed
-//!   [`precomp::ProofCache`] the async proving service shares across its
-//!   worker pool.
+//! * [`precomp`] — windowed affine fixed-base tables (built eight keys
+//!   a pass where the lanes allow) and [`precomp::ProofCache`], a keyed
+//!   cache of them for callers that look a key up inside their jobs.
 //! * `lanes` (x86-64) — eight `Fq` products at once on AVX-512 IFMA,
 //!   under [`G1Affine::batch_mul`] with one shared scalar (decryption)
 //!   and under [`EncryptionKey::encrypt_batch`]'s fixed-base tables

@@ -1,4 +1,4 @@
-//! Fixed-base precomputation and the keyed proof-precomputation cache.
+//! Fixed-base precomputation: the tables and a keyed cache of them.
 //!
 //! Every proof object on the marketplace hot path — ElGamal encryption,
 //! VPKE proving, PoQoEA quality proofs — spends its time in scalar
@@ -32,24 +32,17 @@
 //! pass), the same entries byte for byte.
 //!
 //! * [`generator_table`] — a process-wide table for `g`, built once.
-//! * [`ProofCache`] — a keyed cache of per-base tables (one per
-//!   requester encryption key). Hit/miss counters feed `ProvingStats`.
-//!   A table lives as long as its uses: a requester's key is read only
-//!   by the commit jobs of its task, so the owner calls
-//!   [`ProofCache::retire`] when the task's commit phase closes (and
-//!   again when it settles, for a task cancelled before that), and the
-//!   resident set is the keys of the tasks still taking commitments;
-//!   the cap is the backstop for keys nobody retires, evicting the
-//!   oldest-inserted table. Every access takes its slot under the lock,
-//!   so a miss is counted exactly once per distinct key. The market
-//!   claims ([`ProofCache::claim`]) each commit job's table when it
-//!   enqueues the job, in job order — the counters are those of the same
-//!   lookups made one after another, at any thread budget — and builds
-//!   the round's misses together ([`TableBuilds`]) before the batch
-//!   runs, so a job receives its table and looks nothing up. A plain
-//!   lookup ([`ProofCache::table_for`]) builds its own miss after
-//!   releasing the lock, so a cold key stalls only the threads that want
-//!   that same key.
+//! * A requester key's table belongs to its owner. In the market that
+//!   is the requester agent: its key is read only by the commit jobs of
+//!   its one task, so the engine builds the table with the round's other
+//!   missing keys ([`FixedBaseTable::new_batch`]) before it makes the
+//!   round's commit jobs, hands each job the table, and drops it when
+//!   the task's commit phase closes.
+//! * [`ProofCache`] — a keyed cache of per-base tables for a caller
+//!   that looks a key up inside its jobs instead: a lookup
+//!   ([`ProofCache::table_for`]) builds its own miss after releasing
+//!   the lock, so a cold key stalls only the threads that want that
+//!   same key, and past the cap the oldest-inserted table is evicted.
 //!
 //! Table-based multiplication returns the same group element as
 //! [`G1Projective::mul_scalar`] (asserted by unit tests), and every
@@ -59,7 +52,6 @@
 use crate::field::Fr;
 use crate::g1::{glv_split, BatchAddScratch, G1Affine, G1Projective};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Window width in bits: a GLV half is recoded into signed width-5
@@ -139,7 +131,28 @@ impl FixedBaseTable {
     /// across all 26 windows at once, four times — through
     /// [`G1Affine::batch_add_assign`], five shared inversions in all.
     pub fn new(base: &G1Affine) -> Self {
-        Self::new_in(base, Vec::new())
+        let mut window_bases = Vec::with_capacity(WINDOWS);
+        let mut window_base = base.to_projective();
+        for w in 0..WINDOWS {
+            window_bases.push(window_base);
+            if w + 1 < WINDOWS {
+                for _ in 0..WINDOW_BITS {
+                    window_base = window_base.double();
+                }
+            }
+        }
+        let mut entries = Vec::with_capacity(TABLE_ENTRIES);
+        entries.extend(G1Projective::batch_to_affine(&window_bases));
+        let mut scratch = BatchAddScratch::default();
+        let mut top = Vec::with_capacity(TABLE_ENTRIES / 2);
+        while entries.len() < TABLE_ENTRIES {
+            let have = entries.len();
+            top.clear();
+            top.extend(entries[have - WINDOWS..].iter().cycle().take(have));
+            entries.extend_from_within(..have);
+            G1Affine::batch_add_assign(&mut entries[have..], &top, &mut scratch);
+        }
+        Self { entries }
     }
 
     /// One table per base, `bases.iter().map(FixedBaseTable::new)` entry
@@ -165,33 +178,6 @@ impl FixedBaseTable {
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn from_entries(entries: Vec<G1Affine>) -> Self {
         debug_assert_eq!(entries.len(), TABLE_ENTRIES);
-        Self { entries }
-    }
-
-    /// [`FixedBaseTable::new`] into the allocation of a retired table.
-    fn new_in(base: &G1Affine, mut entries: Vec<G1Affine>) -> Self {
-        let mut window_bases = Vec::with_capacity(WINDOWS);
-        let mut window_base = base.to_projective();
-        for w in 0..WINDOWS {
-            window_bases.push(window_base);
-            if w + 1 < WINDOWS {
-                for _ in 0..WINDOW_BITS {
-                    window_base = window_base.double();
-                }
-            }
-        }
-        entries.clear();
-        entries.reserve_exact(TABLE_ENTRIES);
-        entries.extend(G1Projective::batch_to_affine(&window_bases));
-        let mut scratch = BatchAddScratch::default();
-        let mut top = Vec::with_capacity(TABLE_ENTRIES / 2);
-        while entries.len() < TABLE_ENTRIES {
-            let have = entries.len();
-            top.clear();
-            top.extend(entries[have - WINDOWS..].iter().cycle().take(have));
-            entries.extend_from_within(..have);
-            G1Affine::batch_add_assign(&mut entries[have..], &top, &mut scratch);
-        }
         Self { entries }
     }
 
@@ -322,89 +308,36 @@ pub struct CacheStats {
     /// Lookups that found a table (possibly still being built by the
     /// thread that missed).
     pub hits: u64,
-    /// Lookups that claimed a new slot and built its table — one per
+    /// Lookups that took a new slot and built its table — one per
     /// distinct key while the key population fits the cap.
     pub misses: u64,
-    /// Tables currently resident.
-    pub entries: usize,
-    /// The most tables ever resident at once: what retirement holds the
-    /// cache's memory to.
-    pub peak_entries: usize,
 }
 
-/// A table slot: claimed under the cache lock, filled outside it.
+/// A table slot: taken under the cache lock, filled outside it.
 type Slot = Arc<OnceLock<Arc<FixedBaseTable>>>;
 
-/// The resident slots and the order they were inserted in.
+/// The resident slots, the order they were inserted in, and the
+/// lookups counted so far.
 #[derive(Default)]
 struct Slots {
     by_key: HashMap<[u8; 64], Slot>,
     oldest_first: VecDeque<[u8; 64]>,
-    /// The high-water mark of `by_key.len()`.
-    peak: usize,
+    stats: CacheStats,
 }
 
-/// A table claimed by [`ProofCache::claim`]: the cache's slot for the
-/// key, which holds the table once the claiming batch's builds are
-/// filled.
-#[derive(Clone)]
-pub struct TableClaim(Slot);
-
-impl TableClaim {
-    /// The claimed table. Panics if it was read before the builds its
-    /// claim queued were filled.
-    pub fn table(&self) -> Arc<FixedBaseTable> {
-        Arc::clone(
-            self.0
-                .get()
-                .expect("a claimed table is built before it is read"),
-        )
-    }
-}
-
-/// The tables a run of [`ProofCache::claim`]s has to build: each
-/// claimed slot that holds no table yet, once, in claim order.
-#[derive(Default)]
-pub struct TableBuilds {
-    bases: Vec<G1Affine>,
-    slots: Vec<Slot>,
-}
-
-impl TableBuilds {
-    /// The bases to build, in claim order.
-    pub fn bases(&self) -> &[G1Affine] {
-        &self.bases
-    }
-
-    /// Installs `tables[i]` as the table of `self.bases()[i]`: every
-    /// claim on those slots can be read from here on. A slot a
-    /// [`ProofCache::table_for`] lookup has filled meanwhile keeps its
-    /// table (the two are equal).
-    pub fn fill(self, tables: Vec<FixedBaseTable>) {
-        assert_eq!(tables.len(), self.slots.len(), "one table per queued build");
-        for (slot, table) in self.slots.iter().zip(tables) {
-            let _ = slot.set(Arc::new(table));
-        }
-    }
-}
-
-/// A keyed cache of fixed-base tables, one per base point (in the
-/// marketplace: one per requester encryption key). Shared across the
-/// proving service's worker threads.
+/// A keyed cache of fixed-base tables, one per base point, for callers
+/// that look a key's table up inside their jobs and share the cache
+/// across threads.
 pub struct ProofCache {
     slots: Mutex<Slots>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     cap: usize,
 }
 
 impl ProofCache {
-    /// Default cap: the backstop for keys that are never retired (a
-    /// task whose commit phase never closes and that is never
-    /// cancelled), bounding resident tables to ~14.6 MiB
-    /// (512 × 29.25 KiB). A market retires each key when its task's
-    /// commit phase closes, so it stays far below the cap and its
-    /// hit/miss counters are exact.
+    /// Default cap, bounding resident tables to ~14.6 MiB
+    /// (512 × 29.25 KiB). Nothing retires a key, so the cap is what
+    /// bounds a long-lived cache; a key that returns after its eviction
+    /// is built again.
     pub const DEFAULT_CAP: usize = 512;
 
     /// A cache with the default cap.
@@ -413,107 +346,48 @@ impl ProofCache {
     }
 
     /// A cache holding at most `cap` tables (at least one). Admitting a
-    /// key past the cap evicts the oldest-inserted table: a requester's
-    /// key is used by its task's `K` commits within a few rounds and
-    /// then never again, so the oldest table is the one least likely to
-    /// be asked for, and the newcomer is built into its allocation. A
-    /// key that returns after eviction counts (and costs) a second miss
-    /// — size the cap above the live key population when stats must be
-    /// exact.
-    pub fn with_capacity(cap: usize) -> Self {
+    /// key past the cap evicts the oldest-inserted table.
+    fn with_capacity(cap: usize) -> Self {
         Self {
             slots: Mutex::new(Slots::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             cap: cap.max(1),
         }
     }
 
-    /// The table for `base`, building and admitting it on first use.
-    /// Exactly one lookup per resident key records the miss and builds;
-    /// concurrent lookups of that key wait for its build, lookups of
-    /// other keys do not.
+    /// The table for `base`, building it on first use. Exactly one
+    /// lookup per resident key records the miss and builds, after
+    /// releasing the lock: concurrent lookups of that key wait for its
+    /// build, lookups of other keys do not.
     pub fn table_for(&self, base: &G1Affine) -> Arc<FixedBaseTable> {
-        let (slot, evicted) = self.admit(base);
-        // Build into the evicted table's allocation when nobody else
-        // still holds it: at the cap every admission frees one table and
-        // allocates another, and across the pool's per-thread malloc
-        // arenas that churn is memory the process never gets back.
-        let recycled = evicted
-            .and_then(|slot| Arc::try_unwrap(slot).ok())
-            .and_then(OnceLock::into_inner)
-            .and_then(|table| Arc::try_unwrap(table).ok())
-            .map(|table| table.entries)
-            .unwrap_or_default();
-        Arc::clone(slot.get_or_init(|| Arc::new(FixedBaseTable::new_in(base, recycled))))
-    }
-
-    /// Claims the table for `base` without building it: counted as
-    /// [`Self::table_for`] counts, so a sequence of claims leaves the
-    /// same [`CacheStats`] as the same sequence of lookups. A miss queues
-    /// `base` in `builds`; the caller builds every queued table at once
-    /// ([`FixedBaseTable::new_batch`], over as many threads as it likes)
-    /// and fills them ([`TableBuilds::fill`]) before it reads a claim.
-    /// A table evicted at the cap is dropped, not recycled.
-    pub fn claim(&self, base: &G1Affine, builds: &mut TableBuilds) -> TableClaim {
-        let (slot, _evicted) = self.admit(base);
-        if slot.get().is_none() && !builds.slots.iter().any(|s| Arc::ptr_eq(s, &slot)) {
-            builds.bases.push(*base);
-            builds.slots.push(Arc::clone(&slot));
-        }
-        TableClaim(slot)
-    }
-
-    /// `base`'s slot, counting a hit or a miss: a miss admits an empty
-    /// slot, evicting the oldest-inserted one at the cap (returned).
-    fn admit(&self, base: &G1Affine) -> (Slot, Option<Slot>) {
         let key = base.to_bytes();
-        let mut slots = self.slots.lock().expect("proof cache poisoned");
-        if let Some(slot) = slots.by_key.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(slot), None);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut evicted = None;
-        if slots.by_key.len() >= self.cap {
-            if let Some(oldest) = slots.oldest_first.pop_front() {
-                evicted = slots.by_key.remove(&oldest);
+        let slot = {
+            let mut slots = self.slots.lock().expect("proof cache poisoned");
+            match slots.by_key.get(&key) {
+                Some(slot) => {
+                    let slot = Arc::clone(slot);
+                    slots.stats.hits += 1;
+                    slot
+                }
+                None => {
+                    slots.stats.misses += 1;
+                    if slots.by_key.len() >= self.cap {
+                        if let Some(oldest) = slots.oldest_first.pop_front() {
+                            slots.by_key.remove(&oldest);
+                        }
+                    }
+                    let slot = Slot::default();
+                    slots.by_key.insert(key, Arc::clone(&slot));
+                    slots.oldest_first.push_back(key);
+                    slot
+                }
             }
-        }
-        let slot = Slot::default();
-        slots.by_key.insert(key, Arc::clone(&slot));
-        slots.oldest_first.push_back(key);
-        slots.peak = slots.peak.max(slots.by_key.len());
-        (slot, evicted)
-    }
-
-    /// Drops the table for `base`, if resident: its owner will not ask
-    /// for it again (the task that used the key takes no more
-    /// commitments). A caller
-    /// still holding the table keeps it alive; a later lookup of the key
-    /// is a fresh miss. Unknown keys are ignored.
-    pub fn retire(&self, base: &G1Affine) {
-        let key = base.to_bytes();
-        let mut slots = self.slots.lock().expect("proof cache poisoned");
-        if slots.by_key.remove(&key).is_some() {
-            // Tasks settle roughly in publication order, so the key sits
-            // near the front.
-            let at = slots.oldest_first.iter().position(|k| *k == key);
-            slots
-                .oldest_first
-                .remove(at.expect("resident keys are queued"));
-        }
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(FixedBaseTable::new(base))))
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let slots = self.slots.lock().expect("proof cache poisoned");
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: slots.by_key.len(),
-            peak_entries: slots.peak,
-        }
+        self.slots.lock().expect("proof cache poisoned").stats
     }
 }
 
@@ -530,15 +404,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Barrier;
-
-    fn stats(hits: u64, misses: u64, entries: usize, peak_entries: usize) -> CacheStats {
-        CacheStats {
-            hits,
-            misses,
-            entries,
-            peak_entries,
-        }
-    }
 
     fn random_base(rng: &mut StdRng) -> G1Affine {
         (G1Projective::generator() * Fr::random(rng)).to_affine()
@@ -795,8 +660,7 @@ mod tests {
         cache.table_for(&b1);
         cache.table_for(&b1);
         cache.table_for(&b2);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
     #[test]
@@ -805,160 +669,28 @@ mod tests {
         let cache = ProofCache::with_capacity(2);
         let bases: Vec<G1Affine> = (0..3).map(|_| random_base(&mut rng)).collect();
         let k = Fr::random(&mut rng);
-        cache.table_for(&bases[0]);
+        let stats = |hits, misses| CacheStats { hits, misses };
+        let t0 = cache.table_for(&bases[0]);
         cache.table_for(&bases[1]);
         // A hit does not refresh: eviction is by insertion order.
         cache.table_for(&bases[0]);
         let t2 = cache.table_for(&bases[2]);
         assert_eq!(t2.mul(&k), mul_reference(&bases[2].to_projective(), &k));
-        assert_eq!(cache.stats(), stats(1, 3, 2, 2));
+        assert_eq!(cache.stats(), stats(1, 3));
         // The newcomer is resident and is now served from the cache…
         cache.table_for(&bases[2]);
         cache.table_for(&bases[1]);
-        assert_eq!(cache.stats().hits, 3);
-        // …while the oldest key was evicted and pays a second build.
-        let t0 = cache.table_for(&bases[0]);
-        assert_eq!(t0.mul(&k), mul_reference(&bases[0].to_projective(), &k));
-        assert_eq!(cache.stats(), stats(3, 4, 2, 2));
-        // A table still held by a caller survives its own eviction: only
-        // an unshared allocation is recycled into the newcomer.
-        cache.table_for(&bases[1]);
-        assert_eq!(t2.mul(&k), mul_reference(&bases[2].to_projective(), &k));
-    }
-
-    #[test]
-    fn retire_drops_the_table_and_a_later_lookup_rebuilds_it() {
-        let mut rng = StdRng::seed_from_u64(0x4e71);
-        let cache = ProofCache::new();
-        let bases: Vec<G1Affine> = (0..2).map(|_| random_base(&mut rng)).collect();
-        let k = Fr::random(&mut rng);
-        // An unknown key is a no-op, on an empty and on a populated cache.
-        cache.retire(&bases[0]);
-        let held = cache.table_for(&bases[0]);
-        cache.retire(&bases[1]);
-        assert_eq!(cache.stats(), stats(0, 1, 1, 1));
-        cache.retire(&bases[0]);
-        assert_eq!(cache.stats(), stats(0, 1, 0, 1));
-        // A table still held by a caller survives its retirement.
-        assert_eq!(held.mul(&k), mul_reference(&bases[0].to_projective(), &k));
-        // The key comes back as exactly one miss and a correct rebuild.
+        assert_eq!(cache.stats(), stats(3, 3));
+        // …while the oldest key was evicted and pays a second build; a
+        // table still held by a caller survives its eviction.
         let rebuilt = cache.table_for(&bases[0]);
-        assert!(!Arc::ptr_eq(&held, &rebuilt));
+        assert!(!Arc::ptr_eq(&t0, &rebuilt));
         assert_eq!(
             rebuilt.mul(&k),
             mul_reference(&bases[0].to_projective(), &k)
         );
-        cache.table_for(&bases[0]);
-        assert_eq!(cache.stats(), stats(1, 2, 1, 1));
-    }
-
-    #[test]
-    fn retire_in_the_middle_keeps_eviction_order() {
-        let mut rng = StdRng::seed_from_u64(0x4e72);
-        let cache = ProofCache::with_capacity(3);
-        let bases: Vec<G1Affine> = (0..5).map(|_| random_base(&mut rng)).collect();
-        for base in &bases[..3] {
-            cache.table_for(base);
-        }
-        cache.retire(&bases[1]);
-        // Room for one more without evicting; the next admission evicts
-        // the oldest survivor (0), not the slot the retired key left.
-        cache.table_for(&bases[3]);
-        assert_eq!(cache.stats(), stats(0, 4, 3, 3));
-        cache.table_for(&bases[4]);
-        assert_eq!(cache.stats(), stats(0, 5, 3, 3));
-        for resident in [2, 3, 4] {
-            cache.table_for(&bases[resident]);
-        }
-        assert_eq!(cache.stats(), stats(3, 5, 3, 3));
-        cache.table_for(&bases[0]);
-        assert_eq!(cache.stats(), stats(3, 6, 3, 3));
-    }
-
-    #[test]
-    fn peak_entries_is_the_high_water_mark() {
-        let mut rng = StdRng::seed_from_u64(0x9ea4);
-        let cache = ProofCache::new();
-        let bases: Vec<G1Affine> = (0..5).map(|_| random_base(&mut rng)).collect();
-        for base in &bases[..3] {
-            cache.table_for(base);
-        }
-        cache.retire(&bases[0]);
-        cache.retire(&bases[1]);
-        // A hit and a retirement leave the mark where it was…
-        cache.table_for(&bases[2]);
-        cache.table_for(&bases[3]);
-        assert_eq!(cache.stats(), stats(1, 4, 2, 3));
-        // …and only a fourth resident table raises it.
-        cache.table_for(&bases[4]);
-        cache.table_for(&bases[0]);
-        assert_eq!(cache.stats(), stats(1, 6, 4, 4));
-    }
-
-    /// Keys by index, claimed in rounds — each round's builds made and
-    /// filled before its claims are read, then some keys retired — on
-    /// one cache, and looked up in the same order on another.
-    #[test]
-    fn claims_count_like_sequential_lookups() {
-        let mut rng = StdRng::seed_from_u64(0xc1a1);
-        let bases: Vec<G1Affine> = (0..4).map(|_| random_base(&mut rng)).collect();
-        // (claimed in job order, retired after the round).
-        let rounds: [(&[usize], &[usize]); 4] = [
-            // Duplicates within a round: one build each.
-            (&[0, 1, 0, 0, 2, 1], &[]),
-            // Hits on the last round's tables, one new key, then retire 0.
-            (&[0, 2, 3, 2], &[0]),
-            // The retired key comes back as a fresh miss.
-            (&[0, 0, 1], &[1, 3]),
-            (&[3, 2, 1, 0, 3], &[]),
-        ];
-        let mut built = Vec::new();
-        for cap in [ProofCache::DEFAULT_CAP, 2] {
-            let (claimed, looked_up) = (
-                ProofCache::with_capacity(cap),
-                ProofCache::with_capacity(cap),
-            );
-            for (keys, retired) in rounds {
-                let mut builds = TableBuilds::default();
-                let claims: Vec<TableClaim> = keys
-                    .iter()
-                    .map(|&i| claimed.claim(&bases[i], &mut builds))
-                    .collect();
-                built.push(builds.bases().to_vec());
-                builds.fill(FixedBaseTable::new_batch(&built[built.len() - 1]));
-                for (&i, claim) in keys.iter().zip(&claims) {
-                    let table = looked_up.table_for(&bases[i]);
-                    assert!(
-                        claim.table().entries() == table.entries(),
-                        "cap {cap}, key {i}"
-                    );
-                }
-                for &i in retired {
-                    claimed.retire(&bases[i]);
-                    looked_up.retire(&bases[i]);
-                }
-                assert_eq!(
-                    claimed.stats(),
-                    looked_up.stats(),
-                    "cap {cap}, keys {keys:?}"
-                );
-            }
-            if cap == ProofCache::DEFAULT_CAP {
-                assert_eq!(claimed.stats(), stats(11, 7, 4, 4));
-            } else {
-                // Key 2 evicts key 0 in the first round, and so on.
-                assert_eq!(claimed.stats().peak_entries, 2);
-            }
-        }
-        // Each round builds its misses once, in claim order.
-        let key = |i: usize| bases[i];
-        assert_eq!(built[0], [key(0), key(1), key(2)]);
-        assert_eq!(built[1], [key(3)]);
-        assert_eq!(built[2], [key(0)]);
-        assert_eq!(built[3], [key(3), key(1)]);
-        // At the cap of two, the first round evicts 0 for 2 and reads
-        // back the build its earlier claims queued, not a second one.
-        assert_eq!(built[4], [key(0), key(1), key(2)]);
+        assert_eq!(cache.stats(), stats(3, 4));
+        assert_eq!(t0.mul(&k), mul_reference(&bases[0].to_projective(), &k));
     }
 
     #[test]
@@ -1029,7 +761,6 @@ mod tests {
                 .collect()
         });
         assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (3, 1, 1));
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 1 });
     }
 }

@@ -77,10 +77,10 @@ impl NetReport {
             )
             .int("drain_ticks", "net_drain_ticks_total", self.drain_ticks)
             .flag("converged", "net_converged", self.converged)
-            .per_index(
+            .ints(
                 "convergence_tick",
                 "net_convergence_tick",
-                self.convergence_tick.clone(),
+                self.convergence_tick.iter().copied(),
             )
     }
 

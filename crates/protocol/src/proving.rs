@@ -156,11 +156,7 @@ impl ProvingStats {
             .int("dropped", "proving_dropped_total", self.dropped)
             .int("stale", "proving_stale_total", self.stale)
             .int("queue_peak", "proving_queue_peak_jobs", self.queue_peak)
-            .hist(
-                "latency_hist",
-                "proving_latency_ticks",
-                self.latency_hist.to_vec(),
-            )
+            .ints("latency_hist", "proving_latency_ticks", self.latency_hist)
             .int("latency_max", "proving_latency_max_ticks", self.latency_max)
             .int("cache_hits", "proving_cache_hits_total", self.cache_hits)
             .int(

@@ -110,8 +110,8 @@ impl Worker {
     }
 
     /// [`Self::prepare_commit`] with the requester key's fixed-base
-    /// table already in hand (the market claims it when it enqueues the
-    /// job): the same artifacts and rng draws.
+    /// table already in hand (the market builds it before the job's
+    /// batch runs): the same artifacts and rng draws.
     #[allow(clippy::too_many_arguments)]
     pub fn prepare_commit_with_table<R: Rng + ?Sized>(
         behavior: &WorkerBehavior,
@@ -277,8 +277,9 @@ mod tests {
     }
 
     /// A behaviour `encrypts()` exactly when its commit reads the key's
-    /// table: the market claims a table for those jobs alone, so its
-    /// cache counters are the lookups `prepare_commit` would make.
+    /// table: the market gives a table to those jobs alone, so its
+    /// `cache_hits + cache_misses` are the lookups `prepare_commit`
+    /// would make.
     #[test]
     fn encrypting_behaviours_are_the_ones_that_read_the_table() {
         let (mut rng, w, kp) = setup();

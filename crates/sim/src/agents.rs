@@ -5,9 +5,11 @@
 
 use dragoon_contract::HitId;
 use dragoon_core::workload::Workload;
+use dragoon_crypto::precomp::FixedBaseTable;
 use dragoon_ledger::Address;
 use dragoon_protocol::{Requester, Sequencer, Strategy, Worker, WorkerBehavior};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A requester agent: owns one HIT from publication to settlement.
 pub struct RequesterAgent {
@@ -20,6 +22,12 @@ pub struct RequesterAgent {
     /// When each of the agent's transactions goes out, and how many
     /// answers it has accepted (the marketplace's utility).
     pub sequencer: Sequencer,
+    /// The fixed-base table of the agent's encryption key while its HIT
+    /// takes commitments: set in the round the first encrypting commit
+    /// job is enqueued, dropped when the commit phase closes (or, for a
+    /// HIT cancelled in it, at settlement). Jobs still in flight hold
+    /// their own `Arc`.
+    pub table: Option<Arc<FixedBaseTable>>,
 }
 
 impl RequesterAgent {
@@ -30,6 +38,7 @@ impl RequesterAgent {
             client,
             workload,
             sequencer: Sequencer::new(strategy),
+            table: None,
         }
     }
 }

@@ -47,7 +47,7 @@ use dragoon_contract::{
 use dragoon_core::workload::generate_workload;
 use dragoon_crypto::commitment::Commitment;
 use dragoon_crypto::elgamal::PlaintextRange;
-use dragoon_crypto::precomp::{FixedBaseTable, ProofCache, TableBuilds, BUILD_CHUNK};
+use dragoon_crypto::precomp::{FixedBaseTable, BUILD_CHUNK};
 use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
 use dragoon_net::{NetSim, RelayPolicy};
@@ -59,6 +59,7 @@ use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// What the engine knows about one created HIT. Keyed by the id its
 /// `Created` event carried: a reordering mempool policy creates
@@ -79,6 +80,17 @@ struct HitRecord {
     /// Commitments visible for the hit (mempool observation, for the
     /// copy-paste behaviour); emptied when the hit settles.
     observed: Vec<Commitment>,
+}
+
+/// A job as a drive enqueues it. A commit job is made only after the
+/// round's key tables are built, from the table of the requester it
+/// encrypts to (`reads`; `None` for a replay, which encrypts nothing).
+enum Queued {
+    Ready(ProofJob<JobOutput>),
+    Commit {
+        reads: Option<usize>,
+        make: Box<dyn FnOnce(Option<Arc<FixedBaseTable>>) -> ProofJob<JobOutput>>,
+    },
 }
 
 /// What one proof job hands back to the engine when its modeled latency
@@ -141,14 +153,6 @@ pub struct MarketSim {
     /// The proving pipeline: every agent-step submission flows through
     /// it as a keyed job (inline at zero latency when disabled).
     proving: ProvingService<JobOutput>,
-    /// The keyed proof cache (fixed-base tables per encryption key).
-    /// Every encrypting commit job claims its requester's table when it
-    /// is enqueued, and a round's missing tables are built together
-    /// before its batch runs. A requester's table is retired
-    /// when its HIT's commit phase closes (or, for a HIT cancelled before
-    /// that, when it settles), so the cache holds the keys of the HITs
-    /// still taking commitments.
-    cache: ProofCache,
     /// The run's thread budget, resolved once in assembly: what a
     /// round's table builds fan out over.
     threads: usize,
@@ -383,7 +387,6 @@ impl MarketSim {
             econ,
             net,
             proving,
-            cache: ProofCache::new(),
             threads,
             observed_buffer: Vec::new(),
             store: block_store,
@@ -441,72 +444,83 @@ impl MarketSim {
 
     /// The block loop and the run-end barriers.
     fn run_to_end(&mut self) -> MarketReport {
-        loop {
-            let done = self.next_publish >= self.config.hits
-                && self.live.is_empty()
-                && self.hits.len() >= self.config.hits;
-            if done || self.chain.round() >= self.config.max_blocks {
-                break;
-            }
+        while !self.finished() {
             self.publish_step();
-            {
-                let _sp = self.tracer.span(SpanKind::Agent, self.chain.round());
-                self.agent_step();
-            }
-            // Optimistic parallel execution over disjoint HIT instances;
-            // delegates to the serial path at one thread. Reports are
-            // identical either way (tests/parallel_equivalence.rs).
-            {
-                let _sp = self.tracer.span(SpanKind::Execute, self.chain.round() + 1);
-                self.chain.advance_round_parallel(&mut *self.policy);
-            }
-            if let Some(obs) = self.chain.last_observation() {
-                self.tracer.event(
-                    SpanKind::Execute,
-                    obs.round,
-                    &[
-                        ("height", obs.round),
-                        ("txs", obs.txs as u64),
-                        ("reverted", obs.reverted as u64),
-                        ("gas", obs.gas_used),
-                    ],
-                );
-            }
-            // Durability boundary: the produced block's executed
-            // transaction list appends to the on-disk log (and a full
-            // state snapshot lands on the configured cadence) before
-            // the market reacts to it — a crash after this point loses
-            // nothing.
-            if let Some(store) = &mut self.store {
-                self.chain
-                    .persist_block(store)
-                    .expect("block store append must succeed");
-            }
-            // One network tick per market round: the produced block's
-            // executed transaction list fans out to the replicas.
-            if let Some(net) = &mut self.net {
-                net.broadcast_block(self.chain.last_block_txs().to_vec());
-            }
-            {
-                let _sp = self.tracer.span(SpanKind::Harvest, self.chain.round());
-                self.harvest();
-            }
-            // Pipeline stage 3: kick block N's batched settlement
-            // verification onto a background thread, so it overlaps
-            // round N+1's agent-step generation and proving. The next
-            // clock tick joins it before the first settlement verdict
-            // is read; between here and there only the mempool fills,
-            // so the pending set cannot change and the precomputed
-            // verdicts apply (registry misses fall back inline).
-            if self
-                .config
-                .persist
-                .as_ref()
-                .is_some_and(|p| p.overlap_verify)
-            {
-                self.chain.contract_mut().begin_overlap_verify();
-            }
+            self.agent_step();
+            self.close_round();
         }
+        self.finish()
+    }
+
+    /// Whether every HIT has been published and settled, or the block
+    /// budget is spent.
+    fn finished(&self) -> bool {
+        let done = self.next_publish >= self.config.hits
+            && self.live.is_empty()
+            && self.hits.len() >= self.config.hits;
+        done || self.chain.round() >= self.config.max_blocks
+    }
+
+    /// The rest of a round once the agents have submitted: the block is
+    /// produced, persisted and gossiped, and its events harvested.
+    fn close_round(&mut self) {
+        // Optimistic parallel execution over disjoint HIT instances;
+        // delegates to the serial path at one thread. Reports are
+        // identical either way (tests/parallel_equivalence.rs).
+        {
+            let _sp = self.tracer.span(SpanKind::Execute, self.chain.round() + 1);
+            self.chain.advance_round_parallel(&mut *self.policy);
+        }
+        if let Some(obs) = self.chain.last_observation() {
+            self.tracer.event(
+                SpanKind::Execute,
+                obs.round,
+                &[
+                    ("height", obs.round),
+                    ("txs", obs.txs as u64),
+                    ("reverted", obs.reverted as u64),
+                    ("gas", obs.gas_used),
+                ],
+            );
+        }
+        // Durability boundary: the produced block's executed
+        // transaction list appends to the on-disk log (and a full
+        // state snapshot lands on the configured cadence) before
+        // the market reacts to it — a crash after this point loses
+        // nothing.
+        if let Some(store) = &mut self.store {
+            self.chain
+                .persist_block(store)
+                .expect("block store append must succeed");
+        }
+        // One network tick per market round: the produced block's
+        // executed transaction list fans out to the replicas.
+        if let Some(net) = &mut self.net {
+            net.broadcast_block(self.chain.last_block_txs().to_vec());
+        }
+        {
+            let _sp = self.tracer.span(SpanKind::Harvest, self.chain.round());
+            self.harvest();
+        }
+        // Pipeline stage 3: kick block N's batched settlement
+        // verification onto a background thread, so it overlaps
+        // round N+1's agent-step generation and proving. The next
+        // clock tick joins it before the first settlement verdict
+        // is read; between here and there only the mempool fills,
+        // so the pending set cannot change and the precomputed
+        // verdicts apply (registry misses fall back inline).
+        if self
+            .config
+            .persist
+            .as_ref()
+            .is_some_and(|p| p.overlap_verify)
+        {
+            self.chain.contract_mut().begin_overlap_verify();
+        }
+    }
+
+    /// The run-end barriers, then the report.
+    fn finish(&mut self) -> MarketReport {
         // Run-end barriers, in pipeline order: no verifier thread
         // outlives the run, and every handed-off block frame and
         // snapshot is on disk before the report is built (crash
@@ -558,12 +572,16 @@ impl MarketSim {
     /// enqueue this round's jobs, (3) the batch computes, (4) zero-
     /// latency outputs release, (5) this round's commitments join the
     /// observation set, (6) everything released this round enters the
-    /// mempool in release order. Step 3 fans out over the run's thread
-    /// budget whether or not latency is modeled. With the service
+    /// mempool in release order. Between steps 2 and 3 the key tables
+    /// the round's encrypting commit jobs need and their requesters do
+    /// not hold are built, and only then are the commit jobs made, each
+    /// holding its table. Step 3 and the builds fan out over the run's
+    /// thread budget whether or not latency is modeled. With the service
     /// disabled every job is zero-latency, so steps 1 and 4 collapse
     /// into the classic synchronous round — byte-identical reports.
     fn agent_step(&mut self) {
         let round = self.chain.round();
+        let _sp = self.tracer.span(SpanKind::Agent, round);
         let mut submissions: Vec<(Address, RegistryMessage)> = Vec::new();
         self.process_ready(round, &mut submissions);
         // Reputation-ordered worker selection: one ranking per block
@@ -592,23 +610,47 @@ impl MarketSim {
             requesters: &mut self.requesters,
             workers: &mut self.workers,
             econ: &mut self.econ,
-            cache: &self.cache,
             round,
             ranked,
             jobs: Vec::new(),
-            builds: TableBuilds::default(),
+            missing: Vec::new(),
+            table_hits: 0,
         };
         for &id in &self.live {
             let hit = registry.hit(id).expect("a live HIT exists on-chain");
             let record = self.hits.get_mut(&id).expect("live ids are in the table");
             drives.react(id, hit, record);
         }
-        let Drives { jobs, builds, .. } = drives;
-        // The keys this round's commit jobs claimed and the cache did
-        // not hold, built eight to a pass before any job reads one.
-        let chunks: Vec<&[_]> = builds.bases().chunks(BUILD_CHUNK).collect();
+        let Drives {
+            jobs,
+            missing,
+            table_hits,
+            ..
+        } = drives;
+        // The missing tables, eight keys to a pass.
+        let bases: Vec<_> = missing
+            .iter()
+            .map(|&a| self.requesters[a].client.public_key().0)
+            .collect();
+        let chunks: Vec<&[_]> = bases.chunks(BUILD_CHUNK).collect();
         let tables = par_map(self.threads, chunks, FixedBaseTable::new_batch);
-        builds.fill(tables.into_iter().flatten().collect());
+        for (&a, table) in missing.iter().zip(tables.into_iter().flatten()) {
+            self.requesters[a].table = Some(Arc::new(table));
+        }
+        let stats = self.proving.stats_mut();
+        stats.cache_hits += table_hits;
+        stats.cache_misses += missing.len() as u64;
+        let requesters = &self.requesters;
+        let jobs = jobs
+            .into_iter()
+            .map(|job| match job {
+                Queued::Ready(job) => job,
+                Queued::Commit { reads, make } => make(reads.map(|a| {
+                    let table = requesters[a].table.as_ref();
+                    Arc::clone(table.expect("an encrypting job's table is built"))
+                })),
+            })
+            .collect();
         self.proving.submit_batch(round, jobs);
         self.process_ready(round, &mut submissions);
         // This round's commitments become observable next round.
@@ -730,11 +772,10 @@ impl MarketSim {
         self.events_seen = events.len();
         // A closed commit phase frees the losers of overbooked races:
         // their commit reverted (TaskFull), so their session holds no
-        // slot and must not count against worker capacity. It also
-        // retires the requester key's fixed-base table: only this HIT's
-        // commit jobs claim it, each in the round it was enqueued, and
-        // the commit drive runs only in `Phase::Commit`, so no claim
-        // follows.
+        // slot and must not count against worker capacity. It also drops
+        // the requester's key table: only this HIT's commit jobs read
+        // it, each made in the round it was enqueued, and the commit
+        // drive runs only in `Phase::Commit`, so no job asks for it again.
         for &id in &commit_closed {
             let record = &self.hits[&id];
             let hit = self.chain.contract().hit(id).expect("the event's instance");
@@ -743,8 +784,7 @@ impl MarketSim {
                     self.workers[wi].sessions.remove(&id);
                 }
             }
-            let requester = &self.requesters[record.agent];
-            self.cache.retire(&requester.client.public_key().0);
+            self.requesters[record.agent].table = None;
         }
         // A settled (closed or cancelled) HIT releases every session slot
         // its workers held and everything the engine kept only while the
@@ -763,8 +803,8 @@ impl MarketSim {
                 self.workers[wi].sessions.remove(&id);
             }
             record.observed = Vec::new();
-            let requester = &self.requesters[record.agent];
-            self.cache.retire(&requester.client.public_key().0);
+            let requester = &mut self.requesters[record.agent];
+            requester.table = None;
             if let Some(e) = &mut self.econ {
                 let hit = self.chain.contract().hit(id).expect("the event's instance");
                 e.on_settled_hit(&requester.addr, hit.settlement_receipts(), round);
@@ -874,10 +914,6 @@ impl MarketSim {
         };
         let hits_cancelled = outcomes.iter().filter(|o| o.cancelled).count();
         let hits_unfinished = self.live.len();
-        let mut proving = *self.proving.stats();
-        let cache = self.cache.stats();
-        proving.cache_hits = cache.hits;
-        proving.cache_misses = cache.misses;
         MarketReport {
             seed: self.config.seed,
             settlement: self.config.settlement,
@@ -912,7 +948,7 @@ impl MarketSim {
             parallel: self.chain.parallel_stats(),
             econ: self.econ.as_ref().map(|e| e.report(self.chain.round())),
             net: self.net.as_ref().map(NetSim::report),
-            proving,
+            proving: *self.proving.stats(),
             persist: self.store.as_ref().map(BlockStore::stats),
             outcomes,
             block_stats: self.block_stats.clone(),
@@ -932,15 +968,18 @@ struct Drives<'a> {
     requesters: &'a mut [RequesterAgent],
     workers: &'a mut [WorkerAgent],
     econ: &'a mut Option<EconEngine>,
-    cache: &'a ProofCache,
     round: u64,
     /// Reputation-ordered candidate workers (econ layer), if enabled.
     ranked: Option<Vec<usize>>,
     /// This round's jobs, in enqueue order: ascending `HitId`, then the
     /// per-HIT order below.
-    jobs: Vec<ProofJob<JobOutput>>,
-    /// The tables this round's commit jobs claimed and the cache lacks.
-    builds: TableBuilds,
+    jobs: Vec<Queued>,
+    /// The requesters whose table this round's encrypting commit jobs
+    /// read and who do not hold one, once each, in enqueue order.
+    missing: Vec<usize>,
+    /// Encrypting commit jobs whose requester holds its table or has it
+    /// in `missing` already: every other encrypting job builds one.
+    table_hits: u64,
 }
 
 impl Drives<'_> {
@@ -953,15 +992,18 @@ impl Drives<'_> {
                 Step::Cancel => vec![HitMessage::Cancel],
                 Step::OpenGolden => vec![requester.client.golden_msg()],
                 Step::Evaluate => {
-                    self.jobs.push(evaluate_job(id, hit, requester));
+                    self.jobs
+                        .push(Queued::Ready(evaluate_job(id, hit, requester)));
                     Vec::new()
                 }
                 Step::Reject(msgs) => msgs,
                 Step::Finalize => vec![HitMessage::Finalize],
             };
             let sender = requester.addr;
-            self.jobs
-                .extend(msgs.into_iter().map(|msg| control_job(sender, id, msg)));
+            self.jobs.extend(
+                msgs.into_iter()
+                    .map(|msg| Queued::Ready(control_job(sender, id, msg))),
+            );
             return;
         }
         match hit.phase() {
@@ -982,7 +1024,8 @@ impl Drives<'_> {
         if joined.len() >= target {
             return;
         }
-        let requester = &self.requesters[record.agent];
+        let agent = record.agent;
+        let requester = &self.requesters[agent];
         let ek = requester.client.public_key();
         let workload = &requester.workload;
         let reward = params.budget / params.k as u128;
@@ -1032,20 +1075,27 @@ impl Drives<'_> {
             w.sessions.insert(id, Worker::new(w.addr, behavior.clone()));
             let truth = workload.truth.clone();
             let range = workload.spec.range;
-            // One claim per encrypting job, in enqueue order: the cache
-            // counts it as the lookup the job would have made.
-            let claim = behavior
-                .encrypts()
-                .then(|| self.cache.claim(&ek.0, &mut self.builds));
+            // An encrypting job reads the requester's table: one it
+            // holds, or one this round builds — the first such job of
+            // the round queues the build.
+            let reads = behavior.encrypts().then(|| {
+                if requester.table.is_some() || self.missing.contains(&agent) {
+                    self.table_hits += 1;
+                } else {
+                    self.missing.push(agent);
+                }
+                agent
+            });
             // Modeled cost: two group ops per encrypted item plus the
             // commitment itself.
             let cost = 2 * truth.0.len() as u64 + 2;
-            self.jobs.push(ProofJob {
-                key: JobKey {
-                    agent: w.addr,
-                    instance: id,
-                    phase: ProofPhase::Commit,
-                },
+            let key = JobKey {
+                agent: w.addr,
+                instance: id,
+                phase: ProofPhase::Commit,
+            };
+            let make = move |table: Option<Arc<FixedBaseTable>>| ProofJob {
+                key,
                 cost,
                 run: Box::new(move |rng: &mut StdRng| JobOutput::Commit {
                     wi,
@@ -1055,11 +1105,15 @@ impl Drives<'_> {
                         range,
                         &ek,
                         copied,
-                        claim.map(|c| c.table()).as_deref(),
+                        table.as_deref(),
                         rng,
                     )
                     .expect("commit inputs decided at enqueue"),
                 }),
+            };
+            self.jobs.push(Queued::Commit {
+                reads,
+                make: Box::new(make),
             });
         }
     }
@@ -1084,7 +1138,7 @@ impl Drives<'_> {
             let behavior = session.behavior.clone();
             let cts = session.ciphertexts().cloned();
             let key = session.commit_key();
-            self.jobs.push(ProofJob {
+            self.jobs.push(Queued::Ready(ProofJob {
                 key: JobKey {
                     agent: w.addr,
                     instance: id,
@@ -1094,7 +1148,7 @@ impl Drives<'_> {
                 run: Box::new(move |rng: &mut StdRng| {
                     JobOutput::Reveal(Worker::reveal_msg_with(&behavior, cts.as_ref(), key, rng))
                 }),
-            });
+            }));
         }
     }
 }
@@ -1152,18 +1206,36 @@ pub fn run_market(config: MarketConfig) -> MarketReport {
 mod tests {
     use super::*;
 
-    /// Live ids and sessions last as long as their HIT, a key's table as
-    /// long as the HIT's commit phase: after the `marketplace` golden
-    /// scenario (every HIT settles) nothing is resident, at most
-    /// `PEAK_TABLES` tables were at once, and retiring at commit close
-    /// never turned a hit into a miss — the counters are the committed
-    /// golden's. The report serializes to
-    /// the golden's `JSON:` and `PROVING:` lines byte for byte (neither
-    /// depends on the store the example adds), so a drifting serializer
-    /// fails here, inside `cargo test`.
+    /// Requesters holding a key table.
+    fn tables_held(sim: &MarketSim) -> usize {
+        sim.requesters.iter().filter(|r| r.table.is_some()).count()
+    }
+
+    /// The run loop of [`MarketSim::run_to_end`], calling `inspect` after
+    /// each round's agent step — where the round's tables are built and
+    /// before its harvest drops any.
+    fn run_inspecting(sim: &mut MarketSim, mut inspect: impl FnMut(&MarketSim)) -> MarketReport {
+        while !sim.finished() {
+            sim.publish_step();
+            sim.agent_step();
+            inspect(sim);
+            sim.close_round();
+        }
+        sim.finish()
+    }
+
     /// The most key tables the golden scenario holds at once.
     const PEAK_TABLES: usize = 10;
 
+    /// Live ids and sessions last as long as their HIT, a key's table as
+    /// long as the HIT's commit phase: after the `marketplace` golden
+    /// scenario (every HIT settles) no requester holds a table, at most
+    /// `PEAK_TABLES` did at once, and dropping it at commit close never
+    /// turned a hit into a miss — the counters are the committed
+    /// golden's. The report serializes to the golden's `JSON:` and
+    /// `PROVING:` lines byte for byte (neither depends on the store the
+    /// example adds), so a drifting serializer fails here, inside
+    /// `cargo test`.
     #[test]
     fn every_settled_hit_retired_its_table() {
         let golden = include_str!("../../../tests/golden/marketplace_seed42.json");
@@ -1177,13 +1249,12 @@ mod tests {
             exec_threads: 1,
             ..MarketConfig::default()
         });
-        let report = sim.run_to_end();
+        let mut peak = 0;
+        let report = run_inspecting(&mut sim, |sim| peak = peak.max(tables_held(sim)));
         assert_eq!((report.hits_settled, report.hits_unfinished), (250, 0));
-        let cache = sim.cache.stats();
-        assert_eq!(cache.entries, 0);
-        // Retired at settlement, as many as 90 tables were resident.
-        assert_eq!(cache.peak_entries, PEAK_TABLES);
-        assert!(cache.peak_entries < 90);
+        assert_eq!(tables_held(&sim), 0);
+        // Held to settlement, as many as 90 tables were resident.
+        assert_eq!(peak, PEAK_TABLES);
         assert!(sim.live.is_empty());
         assert!(sim.workers.iter().all(|w| w.sessions.is_empty()));
         let golden_line = |tag: &str| {
@@ -1200,17 +1271,17 @@ mod tests {
     }
 
     /// A HIT cancelled in its commit phase never sees `CommitClosed`:
-    /// settlement retires its table instead. Three workers with room for
+    /// settlement drops its table instead. Three workers with room for
     /// one HIT each race three at a time for three HITs of `K = 2`, under
     /// modeled proving latency (commitments land rounds after their jobs
     /// computed): HIT 0 fills at once and frees its race's loser, HIT 1
-    /// takes that worker and, once HIT 0 settles, another — its key is
-    /// looked up again after a commitment has landed — and HIT 2 is
-    /// cancelled with fewer than `K`. One build per HIT and nothing left
-    /// resident.
+    /// takes that worker and, once HIT 0 settles, another — its second
+    /// job reads the table its requester kept since the first — and HIT 2
+    /// is cancelled with fewer than `K`. One build per HIT and no table
+    /// left, at either thread budget.
     #[test]
     fn a_hit_cancelled_in_its_commit_phase_retires_its_table() {
-        let report_and_cache = |exec_threads| {
+        let run = |exec_threads| {
             let mut sim = MarketSim::new(MarketConfig {
                 hits: 3,
                 spawn_per_block: 3,
@@ -1233,16 +1304,85 @@ mod tests {
                 ..MarketConfig::default()
             });
             let report = sim.run_to_end();
-            (report, sim.cache.stats())
+            assert_eq!(tables_held(&sim), 0);
+            report
         };
-        let (report, cache) = report_and_cache(1);
+        let report = run(1);
         assert!(report.proving.latency_max > 0, "{:?}", report.proving);
         assert_eq!(report.hits_unfinished, 0);
         let cancelled: Vec<bool> = report.outcomes.iter().map(|o| o.cancelled).collect();
         assert_eq!(cancelled, [false, false, true]);
-        assert_eq!(cache.entries, 0);
-        assert_eq!(cache.misses, report.hits_published as u64);
-        assert_eq!(report.proving.cache_misses, cache.misses);
-        assert_eq!(report_and_cache(2).1, cache);
+        let counters = |r: &MarketReport| (r.proving.cache_hits, r.proving.cache_misses);
+        assert_eq!(counters(&report).1, report.hits_published as u64);
+        assert!(counters(&report).0 > 0);
+        assert_eq!(counters(&run(2)), counters(&report));
+    }
+
+    /// Only an encrypting commit job reads a key table. In a market with
+    /// copy-paste workers the table counters add up to the encrypting
+    /// joins alone: two honest workers take each HIT of `K = 3` at once,
+    /// and a copier takes the third slot a round later, replaying one of
+    /// their commitments (the contract reverts it, so every HIT is
+    /// cancelled). And a HIT whose only takers are copiers — replaying a
+    /// commitment seen in the mempool — builds no table at all.
+    #[test]
+    fn copy_paste_jobs_read_no_table() {
+        let honest = WorkerBehavior::Honest(dragoon_core::workload::AnswerModel::RandomBot);
+        // Workers 0 and 2 are honest, worker 1 copies.
+        let mut sim = MarketSim::new(MarketConfig {
+            hits: 4,
+            spawn_per_block: 4,
+            workers: 3,
+            overbook: 0,
+            behavior_mix: vec![(honest, 2), (WorkerBehavior::CopyPaste, 1)],
+            seed: 0xc0b1e5,
+            exec_threads: 1,
+            ..MarketConfig::default()
+        });
+        // Every join opens a session that lasts at least until the
+        // round's harvest, so the sessions seen after each agent step are
+        // every join of the run.
+        let mut joins = BTreeSet::new();
+        let report = run_inspecting(&mut sim, |sim| {
+            for (wi, w) in sim.workers.iter().enumerate() {
+                for (&id, session) in &w.sessions {
+                    joins.insert((session.behavior.encrypts(), wi, id));
+                }
+            }
+        });
+        let encrypting = joins.iter().filter(|(encrypts, ..)| *encrypts).count();
+        assert_eq!((encrypting, joins.len()), (8, 12));
+        let p = &report.proving;
+        assert_eq!((p.cache_hits, p.cache_misses), (4, 4));
+
+        let mut sim = MarketSim::new(MarketConfig {
+            hits: 1,
+            workers: 4,
+            behavior_mix: vec![(WorkerBehavior::CopyPaste, 1)],
+            seed: 0xc0b1e6,
+            exec_threads: 1,
+            ..MarketConfig::default()
+        });
+        // The publishing round creates the HIT; a commitment then shows
+        // up in the mempool for its copiers to replay.
+        sim.publish_step();
+        sim.agent_step();
+        sim.close_round();
+        let id = *sim.live.first().expect("the HIT was created");
+        let record = sim.hits.get_mut(&id).expect("live ids are in the table");
+        record.observed.push(Commitment([7; 32]));
+        let mut copiers = 0;
+        let report = run_inspecting(&mut sim, |sim| {
+            assert_eq!(tables_held(sim), 0);
+            copiers = copiers.max(
+                sim.workers
+                    .iter()
+                    .filter(|w| !w.sessions.is_empty())
+                    .count(),
+            );
+        });
+        assert!(copiers > 0, "copiers joined");
+        let p = &report.proving;
+        assert_eq!((p.cache_hits, p.cache_misses), (0, 0));
     }
 }

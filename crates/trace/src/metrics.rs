@@ -27,11 +27,9 @@ pub enum MetricValue {
     Float(f64, usize),
     /// Boolean flag (JSON `true`/`false`).
     Flag(bool),
-    /// Fixed-bucket histogram counts, rendered as a JSON array.
-    Hist(Vec<u64>),
-    /// Per-index integer list (e.g. per-node convergence ticks),
-    /// rendered as a JSON array.
-    PerIndex(Vec<i64>),
+    /// Integer array (histogram buckets, per-node readings), rendered
+    /// as a JSON array.
+    Ints(Vec<i128>),
     /// A string the object view prints quoted. Not a number, so the
     /// registry walk skips it.
     Text(&'static str),
@@ -52,25 +50,22 @@ impl MetricValue {
             MetricValue::Flag(v) => {
                 let _ = write!(out, "{v}");
             }
-            MetricValue::Hist(counts) => render_json_array(counts, out),
-            MetricValue::PerIndex(values) => render_json_array(values, out),
+            MetricValue::Ints(values) => {
+                out.push('[');
+                for (i, v) in values.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{v}");
+                }
+                out.push(']');
+            }
             MetricValue::Text(v) => {
                 let _ = write!(out, "\"{v}\"");
             }
             MetricValue::Absent => out.push_str("null"),
         }
     }
-}
-
-fn render_json_array(items: &[impl std::fmt::Display], out: &mut String) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{item}");
-    }
-    out.push(']');
 }
 
 /// One named metric: the JSON key it serializes under, the
@@ -125,14 +120,15 @@ impl MetricSet {
         self.push(key, name, MetricValue::Flag(value))
     }
 
-    /// A fixed-bucket histogram's counts.
-    pub fn hist(self, key: &'static str, name: &'static str, counts: Vec<u64>) -> Self {
-        self.push(key, name, MetricValue::Hist(counts))
-    }
-
-    /// A per-index integer list (index = node, say).
-    pub fn per_index(self, key: &'static str, name: &'static str, values: Vec<i64>) -> Self {
-        self.push(key, name, MetricValue::PerIndex(values))
+    /// An integer array: a histogram's buckets, a reading per node.
+    pub fn ints<T: Into<i128>>(
+        self,
+        key: &'static str,
+        name: &'static str,
+        values: impl IntoIterator<Item = T>,
+    ) -> Self {
+        let values = values.into_iter().map(Into::into).collect();
+        self.push(key, name, MetricValue::Ints(values))
     }
 
     /// A string only the object view prints (no registry name).
@@ -197,8 +193,8 @@ mod tests {
             .int("jobs", "demo_jobs_total", 7u64)
             .float("rate", "demo_rate_ratio", 0.5, 3)
             .flag("converged", "demo_converged", true)
-            .hist("latency_hist", "demo_latency_ticks", vec![1, 2, 3])
-            .per_index("per_node", "demo_per_node_tick", vec![4, -1]);
+            .ints("latency_hist", "demo_latency_ticks", [1u64, 2, 3])
+            .ints("per_node", "demo_per_node_tick", vec![4i64, -1]);
         assert_eq!(
             set.to_json_object(),
             "{\"jobs\":7,\"rate\":0.500,\"converged\":true,\

@@ -28,6 +28,9 @@ const ALL: &[&str] = ROOTS;
 /// `since` of a record added together with this file, whose adding
 /// commit `git log --diff-filter=A tests/structure.rs` names.
 const WITH_THIS_FILE: &str = "tests/structure.rs";
+/// `since` of the records that hold a key table to its requester
+/// agent, set by the commit this pickaxe names.
+const AGENT_TABLES: &str = "git log -S 'table: Option<Arc<FixedBaseTable>>'";
 
 /// One alternative of a record's pattern, matched against one line.
 #[derive(Clone, Copy)]
@@ -328,6 +331,27 @@ const RECORDS: &[Record] = &[
         expect: Expect::Absent,
         reason: "a market's commit job receives its table claimed and built before the batch, not looked up",
         since: "4d14758",
+    },
+    Record {
+        pats: &[Pat::Lit("ProofCache")],
+        scope: &["crates/sim/src"],
+        cut: Cut::NonTest,
+        expect: Expect::Absent,
+        reason: "a requester agent owns its key table (`RequesterAgent::table`); the market keeps no keyed cache beside it",
+        since: AGENT_TABLES,
+    },
+    Record {
+        pats: &[
+            Pat::Lit("TableClaim"),
+            Pat::Lit("TableBuilds"),
+            Pat::Lit(".claim("),
+            Pat::Lit(".retire("),
+        ],
+        scope: &["crates"],
+        cut: Cut::Whole,
+        expect: Expect::Absent,
+        reason: "a table's life is its owner's: no claim slots filled after the fact, no retirement from a shared map",
+        since: AGENT_TABLES,
     },
     Record {
         pats: &[Pat::Lit("LaneTable::new(")],
