@@ -131,30 +131,35 @@ struct Ab {
     b: Measured,
 }
 
-/// Runs the two sides alternately — A B A B …, `best_of` rounds, so
-/// warm-up (page cache, frequency ramp) falls on neither side alone —
-/// keeping each side's first report and best wall, since a single cold
+/// Runs the two sides alternately for `best_of` rounds, the opening
+/// side alternating too — A B, B A, A B … — so neither warm-up (page
+/// cache, frequency ramp) nor running first favours one side alone.
+/// Keeps each side's first report and best wall, since a single cold
 /// run overstates a small delta by more than the delta itself, and
 /// asserts the two reports byte-identical: every A/B tier compares
 /// configurations that must not change the market, so the wall-clock
 /// ratio is the whole difference.
 fn run_ab<'a>(bench: &'static str, best_of: u32, ratio: Ratio, a: Side<'a>, b: Side<'a>) -> Ab {
     println!("\n== {bench}: {} vs {} ==", a.0, b.0);
-    let mut sides = [a, b].map(|(label, run)| {
-        let (wall, report) = time_once(&mut *run);
-        let first = Measured {
-            label,
-            wall,
-            report,
-        };
-        (first, run)
-    });
-    for _ in 1..best_of {
-        for (side, run) in &mut sides {
-            side.wall = side.wall.min(time_once(&mut **run).0);
+    let mut sides = [a, b].map(|(label, run)| (label, run, None::<Measured>));
+    for round in 0..best_of {
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for i in order {
+            let (label, run, measured) = &mut sides[i];
+            let (wall, report) = time_once(&mut **run);
+            match measured {
+                Some(side) => side.wall = side.wall.min(wall),
+                None => {
+                    *measured = Some(Measured {
+                        label,
+                        wall,
+                        report,
+                    })
+                }
+            }
         }
     }
-    let [a, b] = sides.map(|(side, _)| side);
+    let [a, b] = sides.map(|(_, _, measured)| measured.expect("best_of is at least 1"));
     assert_eq!(
         a.report.to_json(),
         b.report.to_json(),

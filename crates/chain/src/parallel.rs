@@ -187,39 +187,18 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
-    /// The scheduler's counters as one registry [`MetricSet`]
-    /// (`scheduler_*` names); its object view is the `SCHEDULER:`
-    /// report line.
+    /// The scheduler's counters as one registry [`MetricSet`]; its
+    /// object view is the `SCHEDULER:` report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("scheduler")
-            .int(
-                "parallel_txs",
-                "scheduler_parallel_txs_total",
-                self.parallel_txs as u64,
-            )
-            .int(
-                "serial_txs",
-                "scheduler_serial_txs_total",
-                self.serial_txs as u64,
-            )
-            .int("batches", "scheduler_batches_total", self.batches as u64)
-            .int("groups", "scheduler_groups_total", self.groups as u64)
-            .int("barriers", "scheduler_barriers_total", self.barriers as u64)
-            .int(
-                "conflict_fallbacks",
-                "scheduler_conflict_fallbacks_total",
-                self.conflict_fallbacks as u64,
-            )
-            .int(
-                "gas_fallbacks",
-                "scheduler_gas_fallbacks_total",
-                self.gas_fallbacks as u64,
-            )
-            .int(
-                "gas_prefix_commits",
-                "scheduler_gas_prefix_commits_total",
-                self.gas_prefix_commits as u64,
-            )
+            .int("parallel_txs", self.parallel_txs as u64)
+            .int("serial_txs", self.serial_txs as u64)
+            .int("batches", self.batches as u64)
+            .int("groups", self.groups as u64)
+            .int("barriers", self.barriers as u64)
+            .int("conflict_fallbacks", self.conflict_fallbacks as u64)
+            .int("gas_fallbacks", self.gas_fallbacks as u64)
+            .int("gas_prefix_commits", self.gas_prefix_commits as u64)
     }
 }
 

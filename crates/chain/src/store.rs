@@ -643,56 +643,20 @@ pub struct PersistStats {
 }
 
 impl PersistStats {
-    /// The persistence counters as one registry [`MetricSet`]
-    /// (`persist_*` names); its object view is the `PERSIST:` stats line.
+    /// The persistence counters as one registry [`MetricSet`]; its
+    /// object view is the `PERSIST:` stats line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("persist")
-            .int(
-                "blocks_appended",
-                "persist_blocks_appended_total",
-                self.blocks_appended,
-            )
-            .int(
-                "log_bytes_written",
-                "persist_log_bytes_written_total",
-                self.log_bytes_written,
-            )
-            .int(
-                "log_bytes_truncated",
-                "persist_log_bytes_truncated_total",
-                self.log_bytes_truncated,
-            )
-            .int("compactions", "persist_compactions_total", self.compactions)
-            .int(
-                "full_snapshots",
-                "persist_full_snapshots_total",
-                self.full_snapshots,
-            )
-            .int(
-                "delta_snapshots",
-                "persist_delta_snapshots_total",
-                self.delta_snapshots,
-            )
-            .int(
-                "snapshot_bytes_written",
-                "persist_snapshot_bytes_written_total",
-                self.snapshot_bytes_written,
-            )
-            .int(
-                "dirty_units_encoded",
-                "persist_dirty_units_encoded_total",
-                self.dirty_units_encoded,
-            )
-            .int(
-                "overlap_hits",
-                "persist_overlap_hits_total",
-                self.overlap_hits,
-            )
-            .int(
-                "overlap_misses",
-                "persist_overlap_misses_total",
-                self.overlap_misses,
-            )
+            .int("blocks_appended", self.blocks_appended)
+            .int("log_bytes_written", self.log_bytes_written)
+            .int("log_bytes_truncated", self.log_bytes_truncated)
+            .int("compactions", self.compactions)
+            .int("full_snapshots", self.full_snapshots)
+            .int("delta_snapshots", self.delta_snapshots)
+            .int("snapshot_bytes_written", self.snapshot_bytes_written)
+            .int("dirty_units_encoded", self.dirty_units_encoded)
+            .int("overlap_hits", self.overlap_hits)
+            .int("overlap_misses", self.overlap_misses)
     }
 }
 

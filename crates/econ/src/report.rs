@@ -67,127 +67,38 @@ pub struct EconReport {
 }
 
 impl EconReport {
-    /// The econ counters as one registry [`dragoon_trace::MetricSet`]
-    /// (`econ_*` names); its object view is the `ECON:` report line
-    /// (pinned by the unit test below and the econ goldens).
+    /// The econ counters as one registry [`dragoon_trace::MetricSet`];
+    /// its object view is the `ECON:` report line (pinned by the unit
+    /// test below and the econ goldens).
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("econ")
-            .int(
-                "rep_tracked",
-                "econ_rep_tracked_workers",
-                self.rep_tracked as u64,
-            )
-            .int("rep_receipts", "econ_rep_receipts_total", self.rep_receipts)
-            .int(
-                "rep_decay_violations",
-                "econ_rep_decay_violations_total",
-                self.rep_decay_violations,
-            )
-            .float("rep_mean", "econ_rep_mean_score", self.rep_mean, 3)
-            .float("rep_min", "econ_rep_min_score", self.rep_min, 3)
-            .float("rep_max", "econ_rep_max_score", self.rep_max, 3)
-            .int(
-                "gated_commits",
-                "econ_gated_commits_total",
-                self.gated_commits,
-            )
-            .int(
-                "declined_commits",
-                "econ_declined_commits_total",
-                self.declined_commits,
-            )
-            .int(
-                "price_final",
-                "econ_price_final_coins",
-                self.price_final as i128,
-            )
-            .int(
-                "price_min_seen",
-                "econ_price_min_seen_coins",
-                self.price_min_seen as i128,
-            )
-            .int(
-                "price_max_seen",
-                "econ_price_max_seen_coins",
-                self.price_max_seen as i128,
-            )
-            .int(
-                "price_adjustments",
-                "econ_price_adjustments_total",
-                self.price_adjustments,
-            )
-            .float(
-                "fill_rate_recent",
-                "econ_fill_rate_recent_ratio",
-                self.fill_rate_recent,
-                3,
-            )
-            .int("hits_filled", "econ_hits_filled_total", self.hits_filled)
-            .int(
-                "hits_unfilled",
-                "econ_hits_unfilled_total",
-                self.hits_unfilled,
-            )
-            .int(
-                "workers_joined",
-                "econ_workers_joined_total",
-                self.workers_joined as u64,
-            )
-            .int(
-                "workers_departed",
-                "econ_workers_departed_total",
-                self.workers_departed as u64,
-            )
-            .int(
-                "goldens_withheld",
-                "econ_goldens_withheld_total",
-                self.goldens_withheld,
-            )
-            .int(
-                "cartel_rejections",
-                "econ_cartel_rejections_total",
-                self.cartel_rejections,
-            )
-            .int(
-                "cartel_refunds",
-                "econ_cartel_refunds_coins_total",
-                self.cartel_refunds as i128,
-            )
-            .int(
-                "honest_refunds",
-                "econ_honest_refunds_coins_total",
-                self.honest_refunds as i128,
-            )
-            .int(
-                "honest_paid",
-                "econ_honest_paid_coins_total",
-                self.honest_paid as i128,
-            )
-            .int(
-                "honest_paid_count",
-                "econ_honest_paid_total",
-                self.honest_paid_count,
-            )
-            .int(
-                "honest_rejected",
-                "econ_honest_rejected_total",
-                self.honest_rejected,
-            )
-            .int(
-                "sybil_paid",
-                "econ_sybil_paid_coins_total",
-                self.sybil_paid as i128,
-            )
-            .int(
-                "sybil_paid_count",
-                "econ_sybil_paid_total",
-                self.sybil_paid_count,
-            )
-            .int(
-                "sybil_rejected",
-                "econ_sybil_rejected_total",
-                self.sybil_rejected,
-            )
+            .int("rep_tracked", self.rep_tracked as u64)
+            .int("rep_receipts", self.rep_receipts)
+            .int("rep_decay_violations", self.rep_decay_violations)
+            .float("rep_mean", self.rep_mean, 3)
+            .float("rep_min", self.rep_min, 3)
+            .float("rep_max", self.rep_max, 3)
+            .int("gated_commits", self.gated_commits)
+            .int("declined_commits", self.declined_commits)
+            .int("price_final", self.price_final as i128)
+            .int("price_min_seen", self.price_min_seen as i128)
+            .int("price_max_seen", self.price_max_seen as i128)
+            .int("price_adjustments", self.price_adjustments)
+            .float("fill_rate_recent", self.fill_rate_recent, 3)
+            .int("hits_filled", self.hits_filled)
+            .int("hits_unfilled", self.hits_unfilled)
+            .int("workers_joined", self.workers_joined as u64)
+            .int("workers_departed", self.workers_departed as u64)
+            .int("goldens_withheld", self.goldens_withheld)
+            .int("cartel_rejections", self.cartel_rejections)
+            .int("cartel_refunds", self.cartel_refunds as i128)
+            .int("honest_refunds", self.honest_refunds as i128)
+            .int("honest_paid", self.honest_paid as i128)
+            .int("honest_paid_count", self.honest_paid_count)
+            .int("honest_rejected", self.honest_rejected)
+            .int("sybil_paid", self.sybil_paid as i128)
+            .int("sybil_paid_count", self.sybil_paid_count)
+            .int("sybil_rejected", self.sybil_rejected)
     }
 
     /// A human-oriented multi-line summary for examples and logs.

@@ -21,8 +21,8 @@
 //! * [`dragoon_net`] — the deterministic multi-node network simulation:
 //!   gossip, link faults, partitions, forks and reorg-capable replicas.
 //! * [`dragoon_trace`] — unified observability: deterministic span/event
-//!   stream, metrics registry with a JSON dump, wall-clock phase
-//!   profiler with Chrome `trace_event` export.
+//!   stream, metrics registry behind the JSON report lines, wall-clock
+//!   phase profiler with Chrome `trace_event` export.
 
 #![forbid(unsafe_code)]
 

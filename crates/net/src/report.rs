@@ -38,50 +38,22 @@ pub struct NetReport {
 }
 
 impl NetReport {
-    /// The network counters as one registry [`dragoon_trace::MetricSet`]
-    /// (`net_*` names); its object view is the `NET:` report line.
+    /// The network counters as one registry [`dragoon_trace::MetricSet`];
+    /// its object view is the `NET:` report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("net")
-            .int("nodes", "net_nodes", self.nodes as u64)
-            .int("ticks", "net_ticks_total", self.ticks)
-            .int(
-                "messages_sent",
-                "net_messages_sent_total",
-                self.messages_sent,
-            )
-            .int(
-                "messages_dropped",
-                "net_messages_dropped_total",
-                self.messages_dropped,
-            )
-            .int(
-                "duplicates_delivered",
-                "net_duplicates_delivered_total",
-                self.duplicates_delivered,
-            )
-            .int(
-                "forks_produced",
-                "net_forks_produced_total",
-                self.forks_produced,
-            )
-            .int("reorgs", "net_reorgs_total", self.reorgs)
-            .int(
-                "max_reorg_depth",
-                "net_max_reorg_depth_blocks",
-                self.max_reorg_depth,
-            )
-            .int(
-                "partition_windows",
-                "net_partition_windows",
-                self.partition_windows as u64,
-            )
-            .int("drain_ticks", "net_drain_ticks_total", self.drain_ticks)
-            .flag("converged", "net_converged", self.converged)
-            .ints(
-                "convergence_tick",
-                "net_convergence_tick",
-                self.convergence_tick.iter().copied(),
-            )
+            .int("nodes", self.nodes as u64)
+            .int("ticks", self.ticks)
+            .int("messages_sent", self.messages_sent)
+            .int("messages_dropped", self.messages_dropped)
+            .int("duplicates_delivered", self.duplicates_delivered)
+            .int("forks_produced", self.forks_produced)
+            .int("reorgs", self.reorgs)
+            .int("max_reorg_depth", self.max_reorg_depth)
+            .int("partition_windows", self.partition_windows as u64)
+            .int("drain_ticks", self.drain_ticks)
+            .flag("converged", self.converged)
+            .ints("convergence_tick", self.convergence_tick.iter().copied())
     }
 
     /// A human-oriented one-liner for example binaries.

@@ -147,28 +147,20 @@ pub struct ProvingStats {
 
 impl ProvingStats {
     /// The thread-independent proving counters as one registry
-    /// [`dragoon_trace::MetricSet`] (`proving_*` names); its object view
-    /// is the `PROVING:` report line.
+    /// [`dragoon_trace::MetricSet`]; its object view is the `PROVING:`
+    /// report line.
     pub fn metric_set(&self) -> dragoon_trace::MetricSet {
         dragoon_trace::MetricSet::new("proving")
-            .int("jobs", "proving_jobs_total", self.jobs)
-            .int("completed", "proving_completed_total", self.completed)
-            .int("dropped", "proving_dropped_total", self.dropped)
-            .int("stale", "proving_stale_total", self.stale)
-            .int("queue_peak", "proving_queue_peak_jobs", self.queue_peak)
-            .ints("latency_hist", "proving_latency_ticks", self.latency_hist)
-            .int("latency_max", "proving_latency_max_ticks", self.latency_max)
-            .int("cache_hits", "proving_cache_hits_total", self.cache_hits)
-            .int(
-                "cache_misses",
-                "proving_cache_misses_total",
-                self.cache_misses,
-            )
-            .int(
-                "latency_violations",
-                "proving_latency_violations_total",
-                self.latency_violations,
-            )
+            .int("jobs", self.jobs)
+            .int("completed", self.completed)
+            .int("dropped", self.dropped)
+            .int("stale", self.stale)
+            .int("queue_peak", self.queue_peak)
+            .ints("latency_hist", self.latency_hist)
+            .int("latency_max", self.latency_max)
+            .int("cache_hits", self.cache_hits)
+            .int("cache_misses", self.cache_misses)
+            .int("latency_violations", self.latency_violations)
     }
 
     fn record_latency(&mut self, ticks: u64) {

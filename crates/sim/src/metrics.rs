@@ -164,12 +164,11 @@ impl MarketReport {
             .map_or_else(|| "null".into(), dragoon_trace::MetricSet::to_json_object)
     }
 
-    /// The market-level scalars as one registry metric set (`market_*`
-    /// names) — the one list of them. The settlement mode and an absent
-    /// gas cap print only in the object view.
+    /// The market-level scalars as one registry metric set — the one
+    /// list of them.
     fn market_metric_set(&self) -> dragoon_trace::MetricSet {
         let set = dragoon_trace::MetricSet::new("market")
-            .int("seed", "market_seed", self.seed)
+            .int("seed", self.seed)
             .text(
                 "settlement",
                 match self.settlement {
@@ -177,104 +176,34 @@ impl MarketReport {
                     SettlementMode::Batched => "batched",
                 },
             )
-            .int("blocks", "market_blocks_total", self.blocks)
-            .int(
-                "hits_published",
-                "market_hits_published_total",
-                self.hits_published as u64,
-            )
-            .int(
-                "hits_settled",
-                "market_hits_settled_total",
-                self.hits_settled as u64,
-            )
-            .int(
-                "hits_cancelled",
-                "market_hits_cancelled_total",
-                self.hits_cancelled as u64,
-            )
-            .int(
-                "hits_unfinished",
-                "market_hits_unfinished",
-                self.hits_unfinished as u64,
-            )
-            .int("total_gas", "market_gas_used_total", self.total_gas)
-            .float(
-                "gas_per_block_mean",
-                "market_gas_per_block_mean",
-                self.gas_per_block_mean,
-                1,
-            )
-            .int(
-                "gas_per_block_max",
-                "market_gas_per_block_max",
-                self.gas_per_block_max,
-            );
+            .int("blocks", self.blocks)
+            .int("hits_published", self.hits_published as u64)
+            .int("hits_settled", self.hits_settled as u64)
+            .int("hits_cancelled", self.hits_cancelled as u64)
+            .int("hits_unfinished", self.hits_unfinished as u64)
+            .int("total_gas", self.total_gas)
+            .float("gas_per_block_mean", self.gas_per_block_mean, 1)
+            .int("gas_per_block_max", self.gas_per_block_max);
         let set = match self.block_gas_limit {
-            Some(limit) => set.int("block_gas_limit", "market_block_gas_limit", limit),
+            Some(limit) => set.int("block_gas_limit", limit),
             None => set.absent("block_gas_limit"),
         };
         let set = match self.gas_utilization {
-            Some(util) => set.float("gas_utilization", "market_gas_utilization_ratio", util, 4),
+            Some(util) => set.float("gas_utilization", util, 4),
             None => set.absent("gas_utilization"),
         };
-        set.float(
-            "latency_mean_blocks",
-            "market_latency_mean_blocks",
-            self.latency_mean_blocks,
-            2,
-        )
-        .int(
-            "latency_max_blocks",
-            "market_latency_max_blocks",
-            self.latency_max_blocks,
-        )
-        .int(
-            "answers_collected",
-            "market_answers_collected_total",
-            self.answers_collected as u64,
-        )
-        .int(
-            "rewards_paid",
-            "market_rewards_paid_coins_total",
-            self.rewards_paid as i128,
-        )
-        .int(
-            "workers_paid",
-            "market_workers_paid_total",
-            self.workers_paid as u64,
-        )
-        .int(
-            "workers_rejected",
-            "market_workers_rejected_total",
-            self.workers_rejected as u64,
-        )
-        .int(
-            "refunds",
-            "market_refunds_coins_total",
-            self.refunds as i128,
-        )
-        .int(
-            "reverted_txs",
-            "market_reverted_txs_total",
-            self.reverted_txs as u64,
-        )
-        .int(
-            "latency_violations",
-            "market_latency_violations_total",
-            self.latency_violations as u64,
-        )
-        .int(
-            "batch_dispatches",
-            "market_batch_dispatches_total",
-            self.batch.batches,
-        )
-        .int("batch_items", "market_batch_items_total", self.batch.items)
-        .int(
-            "batch_largest",
-            "market_batch_largest_items",
-            self.batch.largest,
-        )
+        set.float("latency_mean_blocks", self.latency_mean_blocks, 2)
+            .int("latency_max_blocks", self.latency_max_blocks)
+            .int("answers_collected", self.answers_collected as u64)
+            .int("rewards_paid", self.rewards_paid as i128)
+            .int("workers_paid", self.workers_paid as u64)
+            .int("workers_rejected", self.workers_rejected as u64)
+            .int("refunds", self.refunds as i128)
+            .int("reverted_txs", self.reverted_txs as u64)
+            .int("latency_violations", self.latency_violations as u64)
+            .int("batch_dispatches", self.batch.batches)
+            .int("batch_items", self.batch.items)
+            .int("batch_largest", self.batch.largest)
     }
 
     /// Every subsystem's metric set, in report order: market scalars,
@@ -296,16 +225,6 @@ impl MarketReport {
             sets.push(persist.metric_set());
         }
         sets
-    }
-
-    /// One walk over the whole metrics registry — every subsystem's
-    /// counters flattened under their `subsystem_name_unit` registry
-    /// names. Excluded from [`MarketReport::to_json`]: the dump mixes
-    /// thread-dependent telemetry (scheduler, persist bytes) with the
-    /// equivalence witness fields, so it must never enter the golden
-    /// assertions.
-    pub fn metrics_json(&self) -> String {
-        dragoon_trace::metrics::render_metrics_json(&self.metric_sets())
     }
 
     /// A human-oriented multi-line summary for examples and logs.
@@ -429,9 +348,8 @@ mod tests {
 
     /// An uncapped single-node market: the two gas-cap scalars keep
     /// their keys in `to_json` as `null`, a layer the run did not have
-    /// is `null` as a section, a layer it had is its set's object view,
-    /// and the registry dump carries neither the `null`s nor the
-    /// settlement string.
+    /// is `null` as a section, and a layer it had is its set's object
+    /// view.
     #[test]
     fn absent_scalars_and_layers_serialize_as_null() {
         let report = run_market(MarketConfig {
@@ -461,18 +379,13 @@ mod tests {
             report.section_json("proving"),
             report.proving.metric_set().to_json_object()
         );
-        let dump = report.metrics_json();
-        assert!(dump.contains("\"market_gas_per_block_max\":"));
-        assert!(!dump.contains("null") && !dump.contains("settlement"));
-        assert!(!dump.contains("\"\"") && !dump.contains("market_block_gas_limit"));
     }
 
-    /// With the optional econ, net and persist sets all present, the
-    /// registry dump carries names of all six subsystems, each name
-    /// once — registry names are unique across the six sets — and none
-    /// of the object view's text and `null` entries.
+    /// With the optional econ, net and persist layers all on, the
+    /// report has six sets, one per subsystem; no set repeats a key,
+    /// and each section is its set's object view.
     #[test]
-    fn registry_dump_names_every_subsystem_once() {
+    fn every_subsystem_is_one_set_with_distinct_keys() {
         let dir = std::env::temp_dir().join(format!("dragoon-metrics-{}", std::process::id()));
         let report = run_market(MarketConfig {
             hits: 6,
@@ -484,24 +397,22 @@ mod tests {
             ..MarketConfig::default()
         });
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(report.econ.is_some() && report.net.is_some() && report.persist.is_some());
-        // The dump is flat and its values are numbers, flags and number
-        // arrays, so its quoted strings are exactly its names.
-        let json = report.metrics_json();
-        let names: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
-        for prefix in [
-            "market_",
-            "scheduler_",
-            "proving_",
-            "econ_",
-            "net_",
-            "persist_",
-        ] {
-            assert!(names.iter().any(|n| n.starts_with(prefix)), "{prefix}");
+        let sets = report.metric_sets();
+        let subsystems: Vec<&str> = sets.iter().map(|set| set.subsystem).collect();
+        assert_eq!(
+            subsystems,
+            ["market", "scheduler", "proving", "econ", "net", "persist"]
+        );
+        for set in &sets {
+            let keys: std::collections::BTreeSet<&str> =
+                set.metrics.iter().map(|m| m.key).collect();
+            assert_eq!(
+                keys.len(),
+                set.metrics.len(),
+                "{}: a key appears twice",
+                set.subsystem
+            );
+            assert_eq!(report.section_json(set.subsystem), set.to_json_object());
         }
-        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
-        assert_eq!(unique.len(), names.len(), "a registry name appears twice");
-        assert!(!json.contains("null") && !json.contains("settlement"));
-        assert_eq!(report.metric_sets().len(), 6);
     }
 }

@@ -12,14 +12,13 @@
 //!    and therefore golden-gatable. Emission sites MUST be
 //!    deterministic program points (the round loop, a service's
 //!    submit/drain edges) — never inside a worker thread.
-//! 2. **Metrics registry** ([`metrics`]) — named integers, floats,
-//!    flags, histograms and per-index lists following the
-//!    `subsystem_name_unit` convention. The per-subsystem stats
-//!    structs build [`metrics::MetricSet`]s, and a set is the only
-//!    serializer of what it holds: its object view is the golden-gated
-//!    report line, the registry walk is the dump. Every value is
-//!    owned by its run — invariant-violation counters included; the
-//!    registry keeps no process-wide state.
+//! 2. **Metrics registry** ([`metrics`]) — integers, floats, flags,
+//!    histograms and per-index lists, each named by its JSON key. The
+//!    per-subsystem stats structs build [`metrics::MetricSet`]s, and a
+//!    set is the only serializer of what it holds: its object view is
+//!    the golden-gated report line. Every value is owned by its run —
+//!    invariant-violation counters included; the registry keeps no
+//!    process-wide state.
 //! 3. **Wall-clock phase profiler** ([`Tracer::span`]) —
 //!    `Instant`-based span durations kept *strictly outside* the
 //!    deterministic stream (they never appear in recorded events or

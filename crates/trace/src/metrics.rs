@@ -1,15 +1,8 @@
 //! The metrics registry: typed metric sets built by the per-subsystem
 //! stats structs, and the only serializer of a run. A set renders
 //! itself as one flat JSON object under its JSON keys
-//! ([`MetricSet::to_json_object`] — the golden-gated report lines), and
-//! a slice of sets renders as one registry walk under registry names:
-//! a flat JSON dump ([`render_metrics_json`]).
-//!
-//! Naming convention: every metric carries a registry name of the
-//! form `subsystem_name_unit` (e.g. `proving_queue_peak_jobs`,
-//! `persist_log_bytes_written_total`) next to its JSON key.
-//! Counts that only grow end in `_total`; other readings name their
-//! unit.
+//! ([`MetricSet::to_json_object`] — the golden-gated report lines);
+//! a metric's JSON key is its one name.
 //!
 //! Every value is owned by the set that carries it — there is no
 //! process-wide state here. Invariant-violation counters are per-run
@@ -30,11 +23,10 @@ pub enum MetricValue {
     /// Integer array (histogram buckets, per-node readings), rendered
     /// as a JSON array.
     Ints(Vec<i128>),
-    /// A string the object view prints quoted. Not a number, so the
-    /// registry walk skips it.
+    /// A string the object view prints quoted.
     Text(&'static str),
     /// An optional reading the run did not have: `null` in the object
-    /// view (the key set stays fixed), skipped by the registry walk.
+    /// view (the key set stays fixed).
     Absent,
 }
 
@@ -68,12 +60,10 @@ impl MetricValue {
     }
 }
 
-/// One named metric: the JSON key it serializes under, the
-/// `subsystem_name_unit` registry name, and its value.
+/// One named metric: the JSON key it serializes under and its value.
 #[derive(Clone, Debug)]
 pub struct Metric {
     pub key: &'static str,
-    pub name: &'static str,
     pub value: MetricValue,
 }
 
@@ -93,94 +83,64 @@ impl MetricSet {
         }
     }
 
-    fn push(mut self, key: &'static str, name: &'static str, value: MetricValue) -> Self {
-        self.metrics.push(Metric { key, name, value });
+    fn push(mut self, key: &'static str, value: MetricValue) -> Self {
+        self.metrics.push(Metric { key, value });
         self
     }
 
-    /// An integer reading (a count that only grows has a name ending
-    /// `_total`).
-    pub fn int(self, key: &'static str, name: &'static str, value: impl Into<i128>) -> Self {
-        self.push(key, name, MetricValue::Int(value.into()))
+    /// An integer reading.
+    pub fn int(self, key: &'static str, value: impl Into<i128>) -> Self {
+        self.push(key, MetricValue::Int(value.into()))
     }
 
     /// A float reading rendered with `precision` decimals in JSON.
-    pub fn float(
-        self,
-        key: &'static str,
-        name: &'static str,
-        value: f64,
-        precision: usize,
-    ) -> Self {
-        self.push(key, name, MetricValue::Float(value, precision))
+    pub fn float(self, key: &'static str, value: f64, precision: usize) -> Self {
+        self.push(key, MetricValue::Float(value, precision))
     }
 
     /// A boolean reading.
-    pub fn flag(self, key: &'static str, name: &'static str, value: bool) -> Self {
-        self.push(key, name, MetricValue::Flag(value))
+    pub fn flag(self, key: &'static str, value: bool) -> Self {
+        self.push(key, MetricValue::Flag(value))
     }
 
     /// An integer array: a histogram's buckets, a reading per node.
     pub fn ints<T: Into<i128>>(
         self,
         key: &'static str,
-        name: &'static str,
         values: impl IntoIterator<Item = T>,
     ) -> Self {
         let values = values.into_iter().map(Into::into).collect();
-        self.push(key, name, MetricValue::Ints(values))
+        self.push(key, MetricValue::Ints(values))
     }
 
-    /// A string only the object view prints (no registry name).
+    /// A string reading, printed quoted.
     pub fn text(self, key: &'static str, value: &'static str) -> Self {
-        self.push(key, "", MetricValue::Text(value))
+        self.push(key, MetricValue::Text(value))
     }
 
     /// An optional reading this run did not have: the object view
-    /// prints `"key":null`, the registry walk prints nothing.
+    /// prints `"key":null`.
     pub fn absent(self, key: &'static str) -> Self {
-        self.push(key, "", MetricValue::Absent)
+        self.push(key, MetricValue::Absent)
     }
 
     /// The object view: `{"key":value,...}` in insertion order — the
     /// bytes the report lines and their goldens are made of.
     pub fn to_json_object(&self) -> String {
-        render_json_object(self.metrics.iter().map(|m| (m.key, &m.value)))
-    }
-
-    /// The metrics a registry walk visits: everything with a number
-    /// behind it, i.e. all but the object view's text and absent entries.
-    fn registered(&self) -> impl Iterator<Item = &Metric> {
-        self.metrics
-            .iter()
-            .filter(|m| !matches!(m.value, MetricValue::Text(_) | MetricValue::Absent))
-    }
-}
-
-/// One registry walk over every subsystem's set, as a flat JSON object
-/// keyed by registry name.
-pub fn render_metrics_json(sets: &[MetricSet]) -> String {
-    let registered = sets.iter().flat_map(MetricSet::registered);
-    render_json_object(registered.map(|m| (m.name, &m.value)))
-}
-
-/// `{"label":value,...}` in iteration order — the one JSON writer under
-/// both the object view (labels are JSON keys) and the registry dump
-/// (labels are registry names).
-fn render_json_object<'a>(entries: impl Iterator<Item = (&'a str, &'a MetricValue)>) -> String {
-    let mut s = String::with_capacity(512);
-    s.push('{');
-    for (i, (label, value)) in entries.enumerate() {
-        if i > 0 {
-            s.push(',');
+        let mut s = String::with_capacity(512);
+        s.push('{');
+        for (i, metric) in self.metrics.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push('"');
+            s.push_str(metric.key);
+            s.push_str("\":");
+            metric.value.render_json(&mut s);
         }
-        s.push('"');
-        s.push_str(label);
-        s.push_str("\":");
-        value.render_json(&mut s);
+        s.push('}');
+        s
     }
-    s.push('}');
-    s
 }
 
 #[cfg(test)]
@@ -188,13 +148,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_json_view_matches_hand_rolled_format() {
+    fn object_view_matches_hand_rolled_format() {
         let set = MetricSet::new("demo")
-            .int("jobs", "demo_jobs_total", 7u64)
-            .float("rate", "demo_rate_ratio", 0.5, 3)
-            .flag("converged", "demo_converged", true)
-            .ints("latency_hist", "demo_latency_ticks", [1u64, 2, 3])
-            .ints("per_node", "demo_per_node_tick", vec![4i64, -1]);
+            .int("jobs", 7u64)
+            .float("rate", 0.5, 3)
+            .flag("converged", true)
+            .ints("latency_hist", [1u64, 2, 3])
+            .ints("per_node", vec![4i64, -1]);
         assert_eq!(
             set.to_json_object(),
             "{\"jobs\":7,\"rate\":0.500,\"converged\":true,\
@@ -203,19 +163,16 @@ mod tests {
     }
 
     /// The object view prints a text entry quoted and an absent one
-    /// as `null`; the registry walk does not see them — not as a name,
-    /// not as a stray comma.
+    /// as `null`, each under its key.
     #[test]
     fn text_and_absent_entries_render_only_in_the_object_view() {
         let set = MetricSet::new("demo")
             .text("mode", "batched")
-            .int("jobs", "demo_jobs_total", 7u64)
+            .int("jobs", 7u64)
             .absent("limit");
         assert_eq!(
             set.to_json_object(),
             "{\"mode\":\"batched\",\"jobs\":7,\"limit\":null}"
         );
-        let sets = [set, MetricSet::new("other").absent("only")];
-        assert_eq!(render_metrics_json(&sets), "{\"demo_jobs_total\":7}");
     }
 }

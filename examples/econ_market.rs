@@ -61,6 +61,5 @@ fn main() {
     dragoon_trace::emit_summary("ECON", report.section_json("econ"));
     dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
-    dragoon_trace::emit_summary("METRICS", report.metrics_json());
     tracer.finish();
 }

@@ -46,7 +46,6 @@ fn main() {
     dragoon_trace::emit_summary("PROVING", report.section_json("proving"));
     dragoon_trace::emit_summary("PERSIST", report.section_json("persist"));
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
-    dragoon_trace::emit_summary("METRICS", report.metrics_json());
     tracer.finish();
     let _ = std::fs::remove_dir_all(&store_dir);
 }

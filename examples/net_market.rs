@@ -60,6 +60,5 @@ fn main() {
     dragoon_trace::emit_summary("JSON", report.to_json());
     dragoon_trace::emit_summary("NET", report.section_json("net"));
     dragoon_trace::emit_summary("SCHEDULER", report.section_json("scheduler"));
-    dragoon_trace::emit_summary("METRICS", report.metrics_json());
     tracer.finish();
 }

@@ -31,6 +31,9 @@ const WITH_THIS_FILE: &str = "tests/structure.rs";
 /// `since` of the records that hold a key table to its requester
 /// agent, set by the commit this pickaxe names.
 const AGENT_TABLES: &str = "git log -S 'table: Option<Arc<FixedBaseTable>>'";
+/// `since` of the records that give each metric one name, set by the
+/// commit this pickaxe names.
+const ONE_METRIC_NAME: &str = "git log -1 -S 'render_metrics_json' -- crates/trace";
 
 /// One alternative of a record's pattern, matched against one line.
 #[derive(Clone, Copy)]
@@ -204,9 +207,9 @@ const RECORDS: &[Record] = &[
         pats: &[Pat::Pred("pub fn [a-z_]*_json", json_view)],
         scope: &["crates/sim/src/metrics.rs"],
         cut: Cut::Whole,
-        expect: Expect::Count(3),
-        reason: "a report has three JSON views: `to_json`, the one `section_json` filter and the `metrics_json` walk",
-        since: "3c5f26d",
+        expect: Expect::Count(2),
+        reason: "two JSON views: `to_json` and the `section_json` filter",
+        since: ONE_METRIC_NAME,
     },
     Record {
         pats: &[Pat::Lit("batch_verify_each(")],
@@ -550,6 +553,14 @@ const RECORDS: &[Record] = &[
         expect: Expect::Absent,
         reason: "the registry renders JSON only; a second exposition format returns only together with a caller",
         since: WITH_THIS_FILE,
+    },
+    Record {
+        pats: &[Pat::Lit("metrics_json")],
+        scope: ALL,
+        cut: Cut::Whole,
+        expect: Expect::Absent,
+        reason: "a metric's one name is its JSON key; the report lines print every set, so no flat dump repeats them",
+        since: ONE_METRIC_NAME,
     },
 ];
 
