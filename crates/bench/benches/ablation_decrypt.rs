@@ -11,8 +11,9 @@
 //! one batch, so a step is one mixed addition on both sides and BSGS
 //! carries a fixed cost (two inversions — the giant stride and the
 //! batch — and the hash table). The crossover sits between 2^4 (scan
-//! 3 µs, BSGS 12 µs) and 2^8 (65 µs vs 30 µs). The Euclid field
-//! inversion cut BSGS's fixed cost from ~30 µs to ~10 µs (2^1: 29 → 8 µs)
+//! 3 µs, BSGS 12 µs) and 2^8 (65 µs vs 30 µs). A faster field inversion
+//! (then a binary extended Euclid) cut BSGS's fixed cost from ~30 µs to
+//! ~10 µs (2^1: 29 → 8 µs)
 //! and so moved the crossover down from ~2^7 to ~2^5–2^6 candidates,
 //! still inside the same bracket; with an inversion per step it was at
 //! or below 2^4 (116 µs vs 102 µs).

@@ -99,6 +99,102 @@ pub const fn mul_wide_4(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
     t
 }
 
+/// Pornin's 64-bit approximation of a 4-limb value of at most `n ≥ 64`
+/// bits (eprint 2020/972, Algorithm 2): its low 31 bits, exact, below
+/// its top 33 bits `[n − 33, n)`. Below 64 bits it is the value itself.
+#[inline]
+pub fn approx_64(x: &[u64; 4], n: usize) -> u64 {
+    let (limb, shift) = ((n - 33) / 64, (n - 33) % 64);
+    let mut top = x[limb] >> shift;
+    if shift != 0 && limb < 3 {
+        top |= x[limb + 1] << (64 - shift);
+    }
+    (x[0] & 0x7fff_ffff) | top << 31
+}
+
+/// `x·f` as a 5-limb two's-complement integer, for `|f| ≤ 2⁶³`.
+#[inline]
+fn mul_signed_5(x: &[u64; 4], f: i64) -> [u64; 5] {
+    let m = f.unsigned_abs();
+    let mut t = [0u64; 5];
+    let mut carry = 0;
+    for i in 0..4 {
+        (t[i], carry) = mac(0, x[i], m, carry);
+    }
+    t[4] = carry;
+    if f < 0 {
+        negate_5(&mut t);
+    }
+    t
+}
+
+/// Negates a 5-limb two's-complement integer in place.
+#[inline]
+fn negate_5(t: &mut [u64; 5]) {
+    let mut borrow = 0;
+    for limb in t.iter_mut() {
+        (*limb, borrow) = sbb(0, *limb, borrow);
+    }
+}
+
+/// `(a·f + b·g) / 2³¹` for `a, b < 2²⁵⁴` and `|f|, |g| ≤ 2³¹` whose
+/// combination the caller knows to be a multiple of `2³¹` (a binary GCD
+/// round's update): the magnitude, and whether the value was negative.
+#[inline]
+pub fn lin_comb_shr31(a: &[u64; 4], b: &[u64; 4], f: i64, g: i64) -> ([u64; 4], bool) {
+    let (af, bg) = (mul_signed_5(a, f), mul_signed_5(b, g));
+    let mut t = [0u64; 5];
+    let mut carry = 0;
+    for i in 0..5 {
+        (t[i], carry) = adc(af[i], bg[i], carry);
+    }
+    let negative = t[4] >> 63 == 1;
+    if negative {
+        negate_5(&mut t);
+    }
+    let shifted = core::array::from_fn(|i| t[i] >> 31 | t[i + 1] << 33);
+    (shifted, negative)
+}
+
+/// `(u·f + v·g)·2⁻⁶⁴ mod p` for reduced `u`, `v` and `|f|, |g| ≤ 2³¹`,
+/// reduced: a sign is moved onto its operand (`p − u` for `f < 0`), and
+/// one Montgomery step (`inv = −p⁻¹ mod 2⁶⁴`) divides the 287-bit sum
+/// by `2⁶⁴`, which leaves it below `2p`.
+#[inline]
+pub fn lin_comb_mont(
+    u: &[u64; 4],
+    v: &[u64; 4],
+    f: i64,
+    g: i64,
+    p: &[u64; 4],
+    inv: u64,
+) -> [u64; 4] {
+    let signed = |x: &[u64; 4], c: i64| if c < 0 { sub_4(p, x).0 } else { *x };
+    let (u, v) = (signed(u, f), signed(v, g));
+    let (f, g) = (f.unsigned_abs(), g.unsigned_abs());
+    let mut t = [0u64; 5];
+    let (mut cu, mut cv) = (0, 0);
+    for i in 0..4 {
+        let (x, c) = mac(0, u[i], f, cu);
+        cu = c;
+        (t[i], cv) = mac(x, v[i], g, cv);
+    }
+    t[4] = cu + cv;
+    let m = t[0].wrapping_mul(inv);
+    let (_, mut carry) = mac(t[0], m, p[0], 0);
+    let mut r = [0u64; 4];
+    for i in 1..4 {
+        (r[i - 1], carry) = mac(t[i], m, p[i], carry);
+    }
+    r[3] = t[4] + carry;
+    let (sub, borrow) = sub_4(&r, p);
+    if borrow == 0 {
+        sub
+    } else {
+        r
+    }
+}
+
 /// Number of significant bits in a little-endian limb slice.
 pub fn bit_len(limbs: &[u64]) -> usize {
     for (i, &l) in limbs.iter().enumerate().rev() {
@@ -179,6 +275,35 @@ mod tests {
             mul_wide_4(&[3, 0, 0, 0], &[0, 0, 0, 5]),
             [0, 0, 0, 15, 0, 0, 0, 0]
         );
+    }
+
+    #[test]
+    fn approximation_keeps_low_31_and_top_33_bits() {
+        let x = [0x1234_5678_9abc_def0, 0, 0, 0];
+        assert_eq!(approx_64(&x, 64), x[0]);
+        // 2²⁵³ + 2⁹⁰ + 5 at n = 254: bits 221..254 are 1 then zeros.
+        let x = [5, 1 << 26, 0, 1 << 61];
+        assert_eq!(approx_64(&x, 254), 1 << 63 | 5);
+        // The top 33 bits may straddle a limb boundary.
+        assert_eq!(approx_64(&[0, u64::MAX, 1, 0], 129), ((1 << 33) - 1) << 31);
+    }
+
+    #[test]
+    fn gcd_round_update_divides_by_2_31() {
+        // 3·2⁶⁴ − 2³¹·2³¹ = 3·2⁶⁴ − 2⁶², over 2³¹.
+        let (a, b) = ([0, 1, 0, 0], [1 << 31, 0, 0, 0]);
+        let (sum, difference) = (
+            [(3 << 33) + (1 << 31), 0, 0, 0],
+            [(3 << 33) - (1 << 31), 0, 0, 0],
+        );
+        assert_eq!(lin_comb_shr31(&a, &b, 3, 1 << 31), (sum, false));
+        assert_eq!(lin_comb_shr31(&a, &b, 3, -(1 << 31)), (difference, false));
+        assert_eq!(lin_comb_shr31(&a, &b, -3, 1 << 31), (difference, true));
+        // A 254-bit operand at the coefficient edge comes back whole.
+        let p = [u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 2];
+        assert_eq!(lin_comb_shr31(&p, &[0; 4], 1 << 31, 0), (p, false));
+        assert_eq!(lin_comb_shr31(&[0; 4], &p, 0, -(1 << 31)), (p, true));
+        assert_eq!(lin_comb_shr31(&p, &p, 1 << 31, -(1 << 31)), ([0; 4], false));
     }
 
     #[test]

@@ -53,6 +53,32 @@ impl KeyPair {
             dk: DecryptionKey(k),
         }
     }
+
+    /// [`Self::from_secret`] for every secret at once (a market's
+    /// requesters): from as many keys as a vector with a table needs, the
+    /// public keys are one lane list on the generator's table through the
+    /// whole-vector kernel [`EncryptionKey::encrypt_batch`] runs; fewer
+    /// take one fixed-base product each. Either way one inversion
+    /// normalises them all.
+    pub fn from_secrets(secrets: &[Fr]) -> Vec<Self> {
+        let keys = if secrets.len() >= whole_vector_lanes() {
+            let lanes: Vec<_> = secrets.iter().map(|k| (generator_table(), *k)).collect();
+            match whole_vector_products(&lanes) {
+                Products::Jacobian(points) => G1Projective::batch_to_affine(&points),
+                Products::Affine(points) => points,
+            }
+        } else {
+            let points: Vec<G1Projective> = secrets.iter().map(mul_generator).collect();
+            G1Projective::batch_to_affine(&points)
+        };
+        keys.into_iter()
+            .zip(secrets)
+            .map(|(h, &k)| Self {
+                ek: EncryptionKey(h),
+                dk: DecryptionKey(k),
+            })
+            .collect()
+    }
 }
 
 /// An exponential-ElGamal ciphertext `(c1, c2) = (g^ρ, g^m h^ρ)`.
@@ -227,13 +253,29 @@ impl EncryptionKey {
             }
         };
         let g_ms = generator_powers(ms);
-        let lanes = encryption_lanes(table, rhos);
-        #[cfg(target_arch = "x86_64")]
-        if let Some(points) = crate::lanes::fixed_base_mul(&lanes) {
-            return encrypt_on_lanes(points, &g_ms);
+        match whole_vector_products(&encryption_lanes(table, rhos)) {
+            Products::Jacobian(points) => encrypt_on_lanes(points, &g_ms),
+            Products::Affine(points) => encrypt_lockstep(points, &g_ms),
         }
-        encrypt_lockstep(&lanes, &g_ms)
     }
+}
+
+/// A whole-vector kernel's products: the lanes leave them in Jacobian
+/// coordinates, lockstep in affine ones.
+enum Products {
+    Jacobian(Vec<G1Projective>),
+    Affine(Vec<G1Affine>),
+}
+
+/// `k·T` for every lane `(T, k)` through the whole-vector kernel this
+/// CPU runs: [`crate::lanes::fixed_base_mul`] on an x86-64 CPU with
+/// AVX-512 IFMA, [`FixedBaseTable::mul_lockstep`] elsewhere.
+fn whole_vector_products(lanes: &[(&FixedBaseTable, Fr)]) -> Products {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(points) = crate::lanes::fixed_base_mul(lanes) {
+        return Products::Jacobian(points);
+    }
+    Products::Affine(FixedBaseTable::mul_lockstep(lanes))
 }
 
 /// `rhos` on the generator's table, then `rhos` on `table`: the one lane
@@ -247,7 +289,6 @@ fn encryption_lanes<'a>(table: &'a FixedBaseTable, rhos: &[Fr]) -> Vec<(&'a Fixe
 
 /// The eight-lane path's ending: `g_ms` added to the `h^ρ`s in Jacobian
 /// coordinates, and all `2N` products normalised with one inversion.
-#[cfg(target_arch = "x86_64")]
 fn encrypt_on_lanes(mut products: Vec<G1Projective>, g_ms: &[G1Affine]) -> Vec<Ciphertext> {
     for (h_rho, g_m) in products[g_ms.len()..].iter_mut().zip(g_ms) {
         *h_rho = h_rho.add_affine(g_m);
@@ -255,10 +296,9 @@ fn encrypt_on_lanes(mut products: Vec<G1Projective>, g_ms: &[G1Affine]) -> Vec<C
     ciphertexts(&G1Projective::batch_to_affine(&products))
 }
 
-/// The portable whole-vector path: the lanes in lockstep, then one more
-/// lockstep step adds `g_ms` to the `c2` lanes.
-fn encrypt_lockstep(lanes: &[(&FixedBaseTable, Fr)], g_ms: &[G1Affine]) -> Vec<Ciphertext> {
-    let mut points = FixedBaseTable::mul_lockstep(lanes);
+/// The portable whole-vector path's ending: one more lockstep step adds
+/// `g_ms` to the `c2` lanes.
+fn encrypt_lockstep(mut points: Vec<G1Affine>, g_ms: &[G1Affine]) -> Vec<Ciphertext> {
     let c2s = &mut points[g_ms.len()..];
     G1Affine::batch_add_assign(c2s, g_ms, &mut BatchAddScratch::default());
     ciphertexts(&points)
@@ -311,10 +351,14 @@ fn ciphertexts(points: &[G1Affine]) -> Vec<Ciphertext> {
 /// `6M + I/2L` a half against the 11M of a mixed addition, and a vector
 /// takes 27 such steps where a Jacobian product takes 52 additions, so
 /// it wins once an inversion split `2L` ways is under about 10M.
-/// Measured (`micro_primitives`, lockstep / Jacobian +
-/// `batch_to_affine`, three runs): 1.93–2.03 at 4 lanes, 1.23–1.32 at 8,
-/// 0.89–0.91 at 16, 0.68–0.77 at 32, 0.55–0.61 at 64, 0.53–0.57 at 212.
-const LOCKSTEP_LANES: usize = 16;
+/// Measured (lockstep / Jacobian + `batch_to_affine`, median of 41
+/// alternated rounds, three runs): 1.17–1.22 at 4 components, 0.99–1.01
+/// at 6, 0.86–0.89 at 8, 0.67–0.72 at 16 (`micro_primitives`: 1.16,
+/// 0.92, 0.68); without a table, a portable build plus lockstep against
+/// Jacobian products: 1.32–1.48 at 4, 0.96–1.07 at 6, 0.80–0.83 at 8.
+/// The binary-GCD inversion moved both crossovers down from 12–16 and
+/// 10.
+const LOCKSTEP_LANES: usize = 8;
 
 /// Ciphertext components from which [`EncryptionKey::encrypt_batch`]
 /// runs a vector that comes with a table on the eight lanes, on a CPU
@@ -519,13 +563,19 @@ mod tests {
         }
     }
 
+    /// Answers in the degenerate-lane vectors: each pattern four times,
+    /// fixed so that coverage does not follow `LOCKSTEP_LANES`, which
+    /// the vector must reach in components to take the lockstep path.
+    const DEGENERATE_ANSWERS: usize = 16;
+    const _: () = assert!(2 * DEGENERATE_ANSWERS >= LOCKSTEP_LANES);
+
     #[test]
     fn lockstep_encryption_handles_degenerate_lanes() {
         // With h = g, `h^ρ` meets `g^m` at ρ = m (the last step is a
         // tangent) and cancels it at ρ = −m (c2 is the identity); ρ = 0
         // leaves both lanes at the identity until the `g^m` step.
         let kp = KeyPair::from_secret(Fr::one());
-        let n = LOCKSTEP_LANES;
+        let n = DEGENERATE_ANSWERS;
         let ms: Vec<u64> = (0..n as u64).map(|i| i % 40).collect();
         let rhos: Vec<Fr> = ms
             .iter()
@@ -552,7 +602,7 @@ mod tests {
     #[test]
     fn portable_lockstep_encryption_handles_degenerate_lanes() {
         let kp = KeyPair::from_secret(Fr::one());
-        let ms: Vec<u64> = (0..LOCKSTEP_LANES as u64).map(|i| i % 40).collect();
+        let ms: Vec<u64> = (0..DEGENERATE_ANSWERS as u64).map(|i| i % 40).collect();
         let rhos: Vec<Fr> = ms
             .iter()
             .zip([1, -1, 0].into_iter().cycle())
@@ -563,7 +613,8 @@ mod tests {
             })
             .collect();
         let table = FixedBaseTable::new(&kp.ek.0);
-        let cts = encrypt_lockstep(&encryption_lanes(&table, &rhos), &generator_powers(&ms));
+        let products = FixedBaseTable::mul_lockstep(&encryption_lanes(&table, &rhos));
+        let cts = encrypt_lockstep(products, &generator_powers(&ms));
         for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&cts) {
             assert_eq!(*ct, encrypt_reference(&kp.ek, m, rho), "m = {m}");
         }
@@ -614,7 +665,8 @@ mod tests {
                 "{n}, no table"
             );
             let (lanes, g_ms) = (encryption_lanes(&table, &rhos), generator_powers(&ms));
-            assert_eq!(encrypt_lockstep(&lanes, &g_ms), expect, "{n}, lockstep");
+            let products = FixedBaseTable::mul_lockstep(&lanes);
+            assert_eq!(encrypt_lockstep(products, &g_ms), expect, "{n}, lockstep");
             #[cfg(target_arch = "x86_64")]
             if let Some(products) = crate::lanes::fixed_base_mul(&lanes) {
                 assert_eq!(encrypt_on_lanes(products, &g_ms), expect, "{n}, lanes");
@@ -622,6 +674,24 @@ mod tests {
             for ((&m, &rho), ct) in ms.iter().zip(&rhos).zip(&expect) {
                 assert_eq!(kp.ek.encrypt_with_table(m, rho, Some(&table)), *ct);
                 assert_eq!(kp.ek.encrypt_with(m, rho), *ct);
+            }
+        }
+    }
+
+    /// Keys made together equal keys made one at a time, on both sides
+    /// of the whole-vector threshold, with the secrets 0, 1 and r − 1
+    /// among seeded ones.
+    #[test]
+    fn keys_made_together_match_one_at_a_time() {
+        let mut rng = rng();
+        let mut secrets = vec![Fr::zero(), Fr::one(), -Fr::one()];
+        secrets.extend((0..20).map(|_| Fr::random(&mut rng)));
+        for n in [0, 1, 2, 3, 8, 9, 17, secrets.len()] {
+            let together = KeyPair::from_secrets(&secrets[..n]);
+            assert_eq!(together.len(), n);
+            for (kp, &k) in together.iter().zip(&secrets) {
+                let alone = KeyPair::from_secret(k);
+                assert_eq!((kp.ek, kp.dk), (alone.ek, alone.dk), "{n} keys");
             }
         }
     }

@@ -14,10 +14,16 @@
 //! equality/hashing sound. `Fq` has no square root: G1 points travel
 //! uncompressed (see `g1`), so nothing recovers a `y` from an `x`.
 
-use crate::arith::{add_4, bit, bit_len, lt_4, mac, shr1_4, sub_4};
+use crate::arith::{
+    add_4, approx_64, bit, bit_len, lin_comb_mont, lin_comb_shr31, lt_4, mac, sub_4,
+};
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
+
+/// Rounds of 31 binary-GCD steps [`Fq::inverse`] and [`Fr::inverse`]
+/// run: `17 × 31 = 527 ≥ 2·254 − 1`.
+const GCD_ROUNDS: usize = 17;
 
 /// Generates a 4-limb Montgomery-form prime field type.
 macro_rules! montgomery_field {
@@ -28,6 +34,7 @@ macro_rules! montgomery_field {
         r = $r:expr,
         r2 = $r2:expr,
         inv = $inv:expr,
+        gcd_scale = $gcd_scale:expr,
         modulus_str = $modulus_str:expr
     ) => {
         $(#[$doc])*
@@ -44,6 +51,10 @@ macro_rules! montgomery_field {
             pub const R2: [u64; 4] = $r2;
             /// `-p^{-1} mod 2^64`, the Montgomery reduction constant.
             pub const INV: u64 = $inv;
+            /// `R²·2⁵⁶¹ mod p`: the starting cofactor of
+            /// [`Self::inverse`], which folds its rounds' `2⁻⁵⁶¹` and the
+            /// conversion to Montgomery form into the result.
+            pub const GCD_SCALE: [u64; 4] = $gcd_scale;
             /// The modulus as a decimal string (for documentation/tests).
             pub const MODULUS_STR: &'static str = $modulus_str;
 
@@ -219,50 +230,77 @@ macro_rules! montgomery_field {
 
             /// Multiplicative inverse; `None` for zero.
             ///
-            /// Binary extended Euclid run directly on the Montgomery
-            /// limbs `u = aR`: the loop keeps `b·aR ≡ u·R²` and
-            /// `c·aR ≡ v·R² (mod p)`, so when `u` (or `v`) reaches 1 the
-            /// matching cofactor is `R²/(aR) = a⁻¹R` — the inverse,
-            /// already in Montgomery form. About half the cost of the
-            /// ~380-multiplication Fermat exponentiation `a^(p-2)`.
+            /// Pornin's optimized binary GCD (eprint 2020/972,
+            /// Algorithm 2) on the Montgomery limbs `y = aR`, over
+            /// `(a, b) = (y, p)` with cofactors `(u, v)`. Each of
+            /// `GCD_ROUNDS` rounds runs 31 binary-GCD steps on 64-bit
+            /// approximations of `a` and `b` (their low 31 bits and top
+            /// 33), collecting the steps as one matrix `(f0 g0; f1 g1)`
+            /// of entries in `[−2³¹ + 1, 2³¹]`, each row packed into one
+            /// word; then applies it to the full-width values
+            /// ([`lin_comb_shr31`]) and cofactors ([`lin_comb_mont`]).
+            /// 17 × 31 = 527 steps cover the `2·254 − 1` any 254-bit
+            /// input needs, and steps past `a = 0` leave `b = 1` and `v`
+            /// alone but for the scaling. That scaling — each cofactor
+            /// update divides by `2⁶⁴`, not the steps' `2³¹`, so 17
+            /// rounds leave `2⁻⁵⁶¹` — and the `R²` that turns `1/(aR)`
+            /// into the Montgomery form `a⁻¹R` are folded into one
+            /// starting cofactor, `u = GCD_SCALE = R²·2⁵⁶¹ mod p`: the
+            /// result is `v` itself, no product needed.
+            ///
+            /// The rounds' count is fixed, so the cost is too: about a
+            /// hundred field products.
             pub fn inverse(&self) -> Option<Self> {
                 if self.is_zero() {
                     return None;
                 }
-                // `x/2 mod p` on a reduced `x`; `x + p < 2^255` cannot
-                // carry out of the limbs.
-                fn halve(x: &mut [u64; 4], p: &[u64; 4]) {
-                    if x[0] & 1 == 1 {
-                        *x = add_4(x, p).0;
-                    }
-                    *x = shr1_4(x);
+                /// The bias that makes a packed coefficient in
+                /// `[−2³¹ + 1, 2³¹]` a 32-bit unsigned field.
+                const BIAS: i64 = (1 << 31) - 1;
+                const BIASES: u64 = BIAS as u64 * (1 + (1 << 32));
+                fn unpack(fg: u64) -> (i64, i64) {
+                    let w = fg.wrapping_add(BIASES);
+                    ((w & 0xffff_ffff) as i64 - BIAS, (w >> 32) as i64 - BIAS)
                 }
-                let (mut u, mut v) = (self.0, Self::MODULUS);
-                let (mut b, mut c) = (Self(Self::R2), Self::zero());
-                // gcd(u, v) = 1 throughout and neither is ever zero, so
-                // one of them reaches 1.
-                const ONE: [u64; 4] = [1, 0, 0, 0];
-                while u != ONE && v != ONE {
-                    while u[0] & 1 == 0 {
-                        u = shr1_4(&u);
-                        halve(&mut b.0, &Self::MODULUS);
+                let p = &Self::MODULUS;
+                let (mut a, mut b) = (self.0, *p);
+                let (mut u, mut v) = (Self::GCD_SCALE, [0u64; 4]);
+                for _ in 0..GCD_ROUNDS {
+                    let top = core::array::from_fn::<u64, 4, _>(|i| a[i] | b[i]);
+                    let n = bit_len(&top).max(64);
+                    let (mut xa, mut xb) = (approx_64(&a, n), approx_64(&b, n));
+                    // `f + 2³²·g` per row, wrapping: every update is
+                    // linear, so the packed words stay exact.
+                    let (mut fg0, mut fg1) = (1u64, 1u64 << 32);
+                    for _ in 0..31 {
+                        let odd = (xa & 1).wrapping_neg();
+                        let swap = odd & u64::from(xa < xb).wrapping_neg();
+                        let t = swap & (xa ^ xb);
+                        (xa, xb) = (xa ^ t, xb ^ t);
+                        let t = swap & (fg0 ^ fg1);
+                        (fg0, fg1) = (fg0 ^ t, fg1 ^ t);
+                        xa = (xa - (odd & xb)) >> 1;
+                        fg0 = fg0.wrapping_sub(odd & fg1);
+                        fg1 <<= 1;
                     }
-                    while v[0] & 1 == 0 {
-                        v = shr1_4(&v);
-                        halve(&mut c.0, &Self::MODULUS);
-                    }
-                    if lt_4(&v, &u) {
-                        u = sub_4(&u, &v).0;
-                        b -= c;
-                    } else {
-                        v = sub_4(&v, &u).0;
-                        c -= b;
-                    }
+                    let ((f0, g0), (f1, g1)) = (unpack(fg0), unpack(fg1));
+                    let (na, negative_a) = lin_comb_shr31(&a, &b, f0, g0);
+                    let (nb, negative_b) = lin_comb_shr31(&a, &b, f1, g1);
+                    let (f0, g0) = if negative_a { (-f0, -g0) } else { (f0, g0) };
+                    let (f1, g1) = if negative_b { (-f1, -g1) } else { (f1, g1) };
+                    (u, v) = (
+                        lin_comb_mont(&u, &v, f0, g0, p, Self::INV),
+                        lin_comb_mont(&u, &v, f1, g1, p, Self::INV),
+                    );
+                    (a, b) = (na, nb);
                 }
-                Some(if u == ONE { b } else { c })
+                // 527 steps bound every input; a result that did not
+                // converge must not leave this function as an inverse.
+                assert!(b == [1, 0, 0, 0], "the binary GCD converged");
+                Some(Self(v))
             }
 
-            /// Fermat inversion `self^(p-2)`: the oracle the Euclid
+            /// Fermat inversion `self^(p-2)`: the oracle the binary-GCD
             /// inversion is tested against.
             #[cfg(test)]
             fn inverse_fermat(&self) -> Option<Self> {
@@ -412,6 +450,12 @@ montgomery_field!(
         0x06d89f71cab8351f
     ],
     inv = 0x87d20782e4866389,
+    gcd_scale = [
+        0x24ca261ab89b2a7a,
+        0xe18ff4528674230b,
+        0xf88dc49f3f3350aa,
+        0x2dcd58e257c72274
+    ],
     modulus_str = "21888242871839275222246405745257275088696311157297823662689037894645226208583"
 );
 
@@ -438,6 +482,12 @@ montgomery_field!(
         0x0216d0b17f4e44a5
     ],
     inv = 0xc2e1f593efffffff,
+    gcd_scale = [
+        0x30a1402465f689ce,
+        0x75d5c69d569ff343,
+        0x1eb0e6aaceb2743d,
+        0x25a22b440e851977
+    ],
     modulus_str = "21888242871839275222246405745257275088548364400416034343698204186575808495617"
 );
 
@@ -503,7 +553,7 @@ field_serde!(Fr);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arith::{adc, mul_wide_4};
+    use crate::arith::{adc, mul_wide_4, shr1_4};
     use crate::vectors::{FieldVectors, FQ, FR};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -520,6 +570,7 @@ mod tests {
                 let (v, name): (&FieldVectors, _) = (&$v, stringify!($field));
                 let constants = ($field::MODULUS, $field::R, $field::R2, $field::INV);
                 assert_eq!(constants, (v.modulus, v.r, v.r2, v.inv));
+                assert_eq!($field::GCD_SCALE, v.gcd_scale);
                 assert_eq!($field::from_plain_limbs(v.modulus), None);
                 let elems: Vec<$field> = v
                     .operands
@@ -546,6 +597,10 @@ mod tests {
                         product,
                         "{name} {i}·{j}"
                     );
+                }
+                for &(y, inverse) in v.inverse_only {
+                    let got = $field(y).inverse().map(|x| x.0);
+                    assert_eq!(got, Some(inverse), "{name} 1/{y:x?} (Montgomery limbs)");
                 }
             }};
         }
@@ -674,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn euclid_inverse_matches_fermat() {
+    fn inverse_matches_fermat() {
         macro_rules! check {
             ($field:ident, $rng:expr) => {{
                 let (half_p_plus_1, _) = add_4(&shr1_4(&$field::MODULUS), &[1, 0, 0, 0]);
@@ -694,11 +749,50 @@ mod tests {
                     assert_eq!(Some(inv), a.inverse_fermat(), "a = {a:?}");
                     assert_eq!(a * inv, $field::one());
                 }
+                assert_eq!($field::zero().inverse(), None);
                 // 1/2 = (p + 1)/2, written out.
                 let half = $field::from_u64(2).inverse().unwrap();
                 assert_eq!(half.to_plain_limbs(), half_p_plus_1);
                 assert_eq!(half.double(), $field::one());
                 assert_eq!($field::zero().inverse_fermat(), None);
+            }};
+        }
+        let mut rng = rng();
+        check!(Fq, &mut rng);
+        check!(Fr, &mut rng);
+    }
+
+    /// The binary GCD's cofactor update is `(u·f + v·g)·2⁻⁶⁴ mod p`,
+    /// reduced, with the coefficients at their edges.
+    #[test]
+    fn gcd_cofactor_update_is_a_signed_montgomery_step() {
+        macro_rules! check {
+            ($field:ident, $rng:expr) => {{
+                let signed = |c: i64| {
+                    let x = $field::from_u64(c.unsigned_abs());
+                    if c < 0 {
+                        -x
+                    } else {
+                        x
+                    }
+                };
+                let two_64 = $field::from_u128(1 << 64);
+                let edges = [0, 1, -1, (1 << 31) - 1, 1 << 31, 1 - (1 << 31)];
+                let mut elems = vec![$field::zero(), $field::one(), -$field::one()];
+                elems.extend((0..3).map(|_| $field::random($rng)));
+                for (u, v) in elems
+                    .iter()
+                    .flat_map(|u| elems.iter().map(move |v| (*u, *v)))
+                {
+                    for (f, g) in edges
+                        .iter()
+                        .flat_map(|f| edges.iter().map(move |g| (*f, *g)))
+                    {
+                        let got = lin_comb_mont(&u.0, &v.0, f, g, &$field::MODULUS, $field::INV);
+                        assert!(lt_4(&got, &$field::MODULUS), "reduced");
+                        assert_eq!($field(got) * two_64, u * signed(f) + v * signed(g));
+                    }
+                }
             }};
         }
         let mut rng = rng();

@@ -507,10 +507,13 @@ fn assert_lane_scalars(lanes: usize, scalars: usize) {
 /// Lane count from which [`G1Affine::batch_mul`] builds its tables in
 /// lockstep. Eight shared inversions buy each lane a cheaper table
 /// (7 × 6M against 7 × 16M) and ~42 mixed additions in place of general
-/// ones — ≈ 280M a lane, so a handful of lanes pay for them. Measured
-/// (`micro_primitives`, lockstep / per-lane `mul_scalar`): 1.23 at 2
-/// lanes, 1.06 at 4, 1.02 at 6, 0.97 at 8, 0.93 at 16, 0.89 from 64.
-const BATCH_MUL_LOCKSTEP_LANES: usize = 8;
+/// ones — ≈ 280M a lane, so a few lanes pay for them. Measured
+/// (lockstep / per-lane `mul_scalar`, one scalar per lane, median of 41
+/// alternated rounds, three runs): 1.00–1.04 at 2 lanes, 0.95–1.00 at
+/// 3, 0.94–0.97 at 4, 0.90–0.92 at 8; `micro_primitives` (one scalar):
+/// 0.92 at 4, 0.91 at 8, 0.87–0.88 from 64. The binary-GCD inversion moved
+/// the crossover down from 6–8 lanes.
+const BATCH_MUL_LOCKSTEP_LANES: usize = 4;
 
 /// Points from which [`G1Affine::batch_mul`] takes one shared scalar to
 /// the lane kernel. A pass costs eight lanes' worth however many are

@@ -12,6 +12,8 @@ pub(crate) struct FieldVectors {
     pub(crate) r2: [u64; 4],
     /// `-p⁻¹ mod 2^64`.
     pub(crate) inv: u64,
+    /// `2^512·2^561 mod p`, the binary-GCD inversion's starting cofactor.
+    pub(crate) gcd_scale: [u64; 4],
     pub(crate) operands: &'static [[u64; 4]],
     /// `a² mod p`.
     pub(crate) squares: &'static [[u64; 4]],
@@ -23,6 +25,10 @@ pub(crate) struct FieldVectors {
     pub(crate) from_montgomery: &'static [[u64; 4]],
     /// `(i, j, operands[i]·operands[j] mod p)`.
     pub(crate) products: &'static [(usize, usize, [u64; 4])],
+    /// `(y, 2^512·y⁻¹ mod p)`: Montgomery limbs `y` and their inverse's
+    /// — `2^k` and `p − 2^k` for every `k < 254`, one-limb and
+    /// top-limb-only values, and values with long zero runs.
+    pub(crate) inverse_only: &'static [([u64; 4], [u64; 4])],
 }
 
 /// A point's plain `(x, y)` limbs.

@@ -185,6 +185,13 @@ pub fn prove_claims_with_key<R: Rng + ?Sized>(
 /// later draw from `rng` — is the one proving them all yields; a dropped
 /// item only skips computing its `(A_i, B_i, Z_i)`. PoQoEA proves the
 /// mismatched gold standards of an answer this way.
+///
+/// A kept item's two nonce products share the scalar `x_i`, so on an
+/// x86-64 CPU with AVX-512 IFMA they are one two-lane pass of the
+/// shared-scalar kernel ([`crate::lanes::batch_mul_shared`] on
+/// `[c1_i, g]`). Elsewhere `c1_i^{x_i}` goes through
+/// [`G1Affine::batch_mul`] with one scalar per lane and `g^{x_i}`
+/// through the generator's fixed-base table.
 pub fn prove_kept_claims_with_key<R: Rng + ?Sized>(
     kp: &KeyPair,
     cts: &[Ciphertext],
@@ -197,11 +204,7 @@ pub fn prove_kept_claims_with_key<R: Rng + ?Sized>(
     let kept: Vec<usize> = (0..cts.len()).filter(|&i| keep[i]).collect();
     let c1s: Vec<G1Affine> = kept.iter().map(|&i| cts[i].c1).collect();
     let kept_xs: Vec<Fr> = kept.iter().map(|&i| xs[i]).collect();
-    let commitments: Vec<G1Projective> = G1Affine::batch_mul(&c1s, &kept_xs)
-        .into_iter()
-        .zip(&kept_xs)
-        .flat_map(|(a, x)| [a, mul_generator(x)])
-        .collect();
+    let commitments = nonce_commitments(&c1s, &kept_xs);
     G1Projective::batch_to_affine(&commitments)
         .chunks_exact(2)
         .zip(kept)
@@ -214,6 +217,25 @@ pub fn prove_kept_claims_with_key<R: Rng + ?Sized>(
                 z: xs[i] + kp.dk.0 * c,
             }
         })
+        .collect()
+}
+
+/// `[c1_i^{x_i}, g^{x_i}]` for every `i`, flattened, in Jacobian
+/// coordinates.
+fn nonce_commitments(c1s: &[G1Affine], xs: &[Fr]) -> Vec<G1Projective> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(pairs) = c1s
+        .iter()
+        .zip(xs)
+        .map(|(c1, x)| crate::lanes::batch_mul_shared(&[*c1, G1Affine::generator()], x))
+        .collect::<Option<Vec<_>>>()
+    {
+        return pairs.concat();
+    }
+    G1Affine::batch_mul(c1s, xs)
+        .into_iter()
+        .zip(xs)
+        .flat_map(|(a, x)| [a, mul_generator(x)])
         .collect()
 }
 
@@ -866,6 +888,78 @@ mod tests {
                 crate::g1::msm_pippenger_portable(&bases, &scalars),
                 unfolded,
                 "{what}"
+            );
+        }
+    }
+
+    /// `prove_kept_claims_with_key` by the definition: every nonce
+    /// drawn, then `(c1^x, g^x)` from `mul_scalar` and the generator's
+    /// table for each kept item.
+    fn prove_kept_oracle(
+        kp: &KeyPair,
+        cts: &[Ciphertext],
+        claims: &[PlaintextClaim],
+        keep: &[bool],
+        rng: &mut StdRng,
+    ) -> Vec<DecryptionProof> {
+        let xs: Vec<Fr> = cts.iter().map(|_| Fr::random(rng)).collect();
+        (0..cts.len())
+            .filter(|&i| keep[i])
+            .map(|i| {
+                let a = cts[i].c1.to_projective().mul_scalar(&xs[i]).to_affine();
+                let b = mul_generator(&xs[i]).to_affine();
+                let c = challenge(&a, &b, &kp.ek, &cts[i], &claims[i].to_point());
+                let z = xs[i] + kp.dk.0 * c;
+                DecryptionProof { a, b, z }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kept_proofs_match_the_per_item_oracle() {
+        let (mut rng, kp, _) = setup();
+        let g = G1Affine::generator();
+        let c1s = [G1Affine::identity(), g, -g, G1Affine::random(&mut rng)];
+        let cts: Vec<Ciphertext> = c1s
+            .iter()
+            .map(|&c1| Ciphertext {
+                c1,
+                c2: G1Affine::random(&mut rng),
+            })
+            .collect();
+        let claims = [
+            PlaintextClaim::InRange(0),
+            PlaintextClaim::InRange(1),
+            PlaintextClaim::OutOfRange(G1Affine::random(&mut rng)),
+            PlaintextClaim::InRange(3),
+        ];
+        // Every mask over the four items: none, each one, each two,
+        // each three and all.
+        for mask in 0..16u32 {
+            let keep: Vec<bool> = (0..4).map(|i| mask >> i & 1 == 1).collect();
+            let seed = 0x4b4e_0000 + u64::from(mask);
+            let (mut got_rng, mut want_rng) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let got = prove_kept_claims_with_key(&kp, &cts, &claims, &keep, &mut got_rng);
+            let want = prove_kept_oracle(&kp, &cts, &claims, &keep, &mut want_rng);
+            let bytes = |proofs: &[DecryptionProof]| -> Vec<u8> {
+                proofs
+                    .iter()
+                    .flat_map(|p| {
+                        [
+                            p.a.to_bytes().to_vec(),
+                            p.b.to_bytes().to_vec(),
+                            p.z.to_bytes_le().to_vec(),
+                        ]
+                    })
+                    .flatten()
+                    .collect()
+            };
+            assert_eq!(bytes(&got), bytes(&want), "keep {keep:?}");
+            assert_eq!(
+                got_rng.gen::<u64>(),
+                want_rng.gen::<u64>(),
+                "rng after keep {keep:?}"
             );
         }
     }

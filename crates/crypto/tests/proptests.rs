@@ -76,7 +76,7 @@ proptest! {
             let inv = x.inverse().unwrap();
             prop_assert_eq!(x * inv, Fq::one());
             prop_assert_eq!(inv.inverse().unwrap(), x);
-            // Euclid against Fermat: x^(q-2), in both fields.
+            // The binary GCD against Fermat: x^(q-2), in both fields.
             let mut q_minus_2 = Fq::MODULUS;
             q_minus_2[0] -= 2;
             prop_assert_eq!(inv, x.pow(&q_minus_2));

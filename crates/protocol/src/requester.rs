@@ -62,17 +62,19 @@ impl Requester {
         store: &mut ContentStore,
         rng: &mut R,
     ) -> Self {
-        Self::with_keypair(addr, KeyPair::generate(rng), workload, store, rng)
+        let keypair = KeyPair::generate(rng);
+        Self::with_keypair(addr, keypair, CommitmentKey::random(rng), workload, store)
     }
 
-    /// Creates a requester reusing an existing key pair (one key pair
-    /// across all tasks).
-    pub fn with_keypair<R: Rng + ?Sized>(
+    /// Creates a requester from a key pair and a golden-standard
+    /// commitment key drawn elsewhere (a market draws every requester's
+    /// and builds the public keys together).
+    pub fn with_keypair(
         addr: Address,
         keypair: KeyPair,
+        gs_key: CommitmentKey,
         workload: &Workload,
         store: &mut ContentStore,
-        rng: &mut R,
     ) -> Self {
         let task_digest = store.put(encode_questions(&workload.spec.questions));
         Self {
@@ -80,7 +82,7 @@ impl Requester {
             keypair,
             task: workload.spec.clone(),
             golden: workload.golden.clone(),
-            gs_key: CommitmentKey::random(rng),
+            gs_key,
             task_digest,
         }
     }

@@ -45,8 +45,9 @@ use dragoon_contract::{
     RejectReason, Settlement, SettlementMode, REGISTRY_CODE_LEN,
 };
 use dragoon_core::workload::generate_workload;
-use dragoon_crypto::commitment::Commitment;
-use dragoon_crypto::elgamal::PlaintextRange;
+use dragoon_crypto::commitment::{Commitment, CommitmentKey};
+use dragoon_crypto::elgamal::{KeyPair, PlaintextRange};
+use dragoon_crypto::field::Fr;
 use dragoon_crypto::precomp::{FixedBaseTable, BUILD_CHUNK};
 use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
@@ -265,8 +266,10 @@ impl MarketSim {
         let mut econ = config.econ.clone().map(|econ| {
             EconEngine::for_market(econ, config.seed, config.budget, config.block_gas_limit)
         });
-        let mut store = ContentStore::new();
-        let mut requesters = Vec::with_capacity(config.hits);
+        // Each requester's workload, secret key and golden-standard
+        // commitment key are drawn in turn, as `Requester::new` draws
+        // them; the public keys are then built together.
+        let mut drawn = Vec::with_capacity(config.hits);
         for i in 0..config.hits as u64 {
             let addr = requester_addr(i);
             let theta = econ.as_mut().map_or(config.theta, |e| {
@@ -287,9 +290,25 @@ impl MarketSim {
                 config.budget,
                 &mut rng,
             );
-            let client = Requester::new(addr, &workload, &mut store, &mut rng);
-            requesters.push(RequesterAgent::new(addr, client, workload, strategy));
+            let secret = Fr::random(&mut rng);
+            drawn.push((
+                addr,
+                strategy,
+                workload,
+                secret,
+                CommitmentKey::random(&mut rng),
+            ));
         }
+        let secrets: Vec<Fr> = drawn.iter().map(|&(.., secret, _)| secret).collect();
+        let mut store = ContentStore::new();
+        let requesters = drawn
+            .into_iter()
+            .zip(KeyPair::from_secrets(&secrets))
+            .map(|((addr, strategy, workload, _, gs_key), keypair)| {
+                let client = Requester::with_keypair(addr, keypair, gs_key, &workload, &mut store);
+                RequesterAgent::new(addr, client, workload, strategy)
+            })
+            .collect();
         let workers = (0..config.workers as u64)
             .map(|i| {
                 let addr = worker_addr(i);

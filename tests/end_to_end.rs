@@ -262,6 +262,7 @@ fn one_key_pair_serves_many_tasks() {
     // without the secret key. Run two different tasks against the same
     // key pair and check both evaluate correctly.
     use dragoon_core::workload::draw_answer;
+    use dragoon_crypto::commitment::CommitmentKey;
     use dragoon_crypto::elgamal::KeyPair;
     use dragoon_protocol::{ContentStore, Requester, Verdict};
 
@@ -274,16 +275,16 @@ fn one_key_pair_serves_many_tasks() {
     let r1 = Requester::with_keypair(
         dragoon_ledger::Address::from_byte(1),
         keypair,
+        CommitmentKey::random(&mut rng),
         &w1,
         &mut store,
-        &mut rng,
     );
     let r2 = Requester::with_keypair(
         dragoon_ledger::Address::from_byte(1),
         keypair,
+        CommitmentKey::random(&mut rng),
         &w2,
         &mut store,
-        &mut rng,
     );
     // Same encryption key, different gold-standard commitments.
     assert_eq!(r1.public_key(), r2.public_key());

@@ -35,6 +35,11 @@ const AGENT_TABLES: &str = "git log -S 'table: Option<Arc<FixedBaseTable>>'";
 /// commit this pickaxe names.
 const ONE_METRIC_NAME: &str = "git log -1 -S 'render_metrics_json' -- crates/trace";
 
+/// `since` of the records that put a VPKE proof's nonce pair on the
+/// lanes and give both fields one binary-GCD inversion, set by the
+/// commit this pickaxe names.
+const LANE_NONCES: &str = "git log -S 'fn nonce_commitments' -- crates/crypto";
+
 /// One alternative of a record's pattern, matched against one line.
 #[derive(Clone, Copy)]
 enum Pat {
@@ -561,6 +566,30 @@ const RECORDS: &[Record] = &[
         expect: Expect::Absent,
         reason: "a metric's one name is its JSON key; the report lines print every set, so no flat dump repeats them",
         since: ONE_METRIC_NAME,
+    },
+    Record {
+        pats: &[Pat::Lit("mul_scalar(")],
+        scope: &["crates/crypto/src/vpke.rs"],
+        cut: Cut::NonTest,
+        expect: Expect::Absent,
+        reason: "a VPKE proof's nonce products go to the lanes as a pair, or to `batch_mul` and the generator's table; `mul_scalar` is the test oracle only",
+        since: LANE_NONCES,
+    },
+    Record {
+        pats: &[Pat::Call(r"\bbatch_mul_shared(")],
+        scope: SRC,
+        cut: Cut::NonTest,
+        expect: Expect::Lines(&["crates/crypto/src/g1.rs", "crates/crypto/src/vpke.rs"]),
+        reason: "the shared-scalar lane kernel has two production callers: `G1Affine::batch_mul` and a VPKE proof's nonce pair",
+        since: LANE_NONCES,
+    },
+    Record {
+        pats: &[Pat::Lit("fn inverse(")],
+        scope: &["crates/crypto/src/field.rs"],
+        cut: Cut::NonTest,
+        expect: Expect::Count(1),
+        reason: "`Fq` and `Fr` share one inversion, the binary GCD written once in `montgomery_field!`",
+        since: LANE_NONCES,
     },
 ];
 

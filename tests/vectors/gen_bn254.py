@@ -7,7 +7,13 @@ includes for the crate's unit tests:
 * `field_vectors.rs`: for the base field `Fq` and the scalar field `Fr`,
   thirteen edge operands and 64 seeded random ones, with `a*b mod p`,
   `a^2 mod p`, `pow(a, -1, p)` and the Montgomery conversions
-  `a*2^256 mod p` (in) and `a*2^-256 mod p` (out).
+  `a*2^256 mod p` (in) and `a*2^-256 mod p` (out); the binary-GCD
+  inversion's starting cofactor `2^512 * 2^561 mod p`; and inverse-only
+  operands taken as Montgomery limbs `y`, with the limbs of their
+  inverse, `2^512 * pow(y, -1, p) mod p`: `2^k` and `p - 2^k` for every
+  `k < 254`, one-limb and top-limb-only values, and values with long
+  zero runs -- the inputs that hold a GCD round's packed coefficient at
+  its `2^31` edge or take the most steps.
 * `g1_vectors.rs`: `k*P` by textbook affine double-and-add for the bases
   `g`, `7*g` and two seeded points, under the edge scalars 0, 1, 2, r-1,
   r-2, lambda, lambda+-1, 2^127+-1, 2^128 and the GLV basis values A, B
@@ -51,6 +57,7 @@ ORDER = 218882428718392752222464057452572750885483644004160343436982041865758084
 FIELDS = [("FQ", Q), ("FR", ORDER)]
 SEED = 0xB254
 RANDOM_OPERANDS = 64
+INVERSE_SEED = 0x1B254
 G1_SEED = 0x61B254
 RANDOM_PAIRS = 32
 ELGAMAL_SEED = 0xE16B254
@@ -85,6 +92,19 @@ def edge_operands(p):
     ]
 
 
+def inverse_only_operands(p, rng):
+    powers = [1 << k for k in range(254)]
+    one_limb = [3, (1 << 31) - 1, 1 << 31 | 1, (1 << 63) + 1, MASK - 2, MASK]
+    one_limb += [rng.getrandbits(64) | 1 for _ in range(4)]
+    top_limb = [t << 192 for t in [3, (p >> 192) - 1, p >> 192]]
+    top_limb += [rng.randrange(1, p >> 192) << 192 for _ in range(4)]
+    zero_runs = [(1 << 253) + 1, (1 << 253) - 1, (1 << 200) + (1 << 31) - 1, p - (1 << 253) - 1]
+    zero_runs += [rng.randrange(p) & ~(((1 << 160) - 1) << 48) for _ in range(4)]
+    operands = powers + [p - x for x in powers] + one_limb + top_limb + zero_runs
+    assert all(0 < x < p for x in operands)
+    return operands
+
+
 def limbs(x):
     assert 0 <= x < R
     return "[" + ", ".join("0x%016x" % ((x >> (64 * i)) & MASK) for i in range(4)) + "]"
@@ -97,7 +117,7 @@ def table(name, rows):
     return out
 
 
-def field_block(name, p, rng):
+def field_block(name, p, rng, inverse_rng):
     edges = edge_operands(p)
     operands = edges + [rng.randrange(p) for _ in range(RANDOM_OPERANDS)]
     pairs = [(i, j) for i in range(len(edges)) for j in range(len(edges))]
@@ -109,6 +129,7 @@ def field_block(name, p, rng):
     lines.append("    r: %s," % limbs(R % p))
     lines.append("    r2: %s," % limbs(R * R % p))
     lines.append("    inv: 0x%016x," % (-pow(p, -1, 1 << 64) & MASK))
+    lines.append("    gcd_scale: %s," % limbs((1 << 1073) % p))
     lines += table("operands", [limbs(a) for a in operands])
     lines += table("squares", [limbs(a * a % p) for a in operands])
     lines += table("inverses", [limbs(inverse(a)) for a in operands])
@@ -118,21 +139,31 @@ def field_block(name, p, rng):
         "products",
         ["(%d, %d, %s)" % (i, j, limbs(operands[i] * operands[j] % p)) for i, j in pairs],
     )
+    lines += table(
+        "inverse_only",
+        [
+            "(%s, %s)" % (limbs(y), limbs(R * R * pow(y, -1, p) % p))
+            for y in inverse_only_operands(p, inverse_rng)
+        ],
+    )
     lines.append("};")
     return lines
 
 
 def render_fields():
     rng = random.Random(SEED)
+    inverse_rng = random.Random(INVERSE_SEED)
     lines = [
         "// BN-254 field vectors derived with plain Python integers by",
-        "// `tests/vectors/gen_bn254.py` (random operands from seed 0x%x)." % SEED,
+        "// `tests/vectors/gen_bn254.py` (random operands from seeds 0x%x"
+        % SEED,
+        "// and 0x%x)." % INVERSE_SEED,
         "// Generated: rerun the script instead of editing. Included by",
         "// `vectors.rs` for the unit tests.",
     ]
     for name, p in FIELDS:
         lines.append("")
-        lines += field_block(name, p, rng)
+        lines += field_block(name, p, rng, inverse_rng)
     return "\n".join(lines) + "\n"
 
 
