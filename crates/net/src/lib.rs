@@ -15,16 +15,22 @@
 //! the network-level analogue of MEV — and the convergence
 //! differential proves every honest node still settles to the exact
 //! single-node state.
+//!
+//! A market runs its network on a thread of its own ([`NetSim::spawn`],
+//! [`NetFeed`]), fed one message per round; the network's calls, RNG
+//! draws and trace stream are those of the synchronous drive.
 
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod feed;
 pub mod node;
 pub mod relay;
 pub mod report;
 pub mod sim;
 
 pub use config::{NetConfig, PartitionWindow, RelaySpec};
+pub use feed::NetFeed;
 pub use node::{block_id, BlockId, NetBlock, GENESIS};
 pub use relay::{RelayDecision, RelayPolicy};
 pub use report::NetReport;

@@ -26,8 +26,10 @@ pub enum RelayDecision {
 /// An adversarial (or honest) relay between every pair of nodes.
 ///
 /// Implementations must be deterministic in their inputs — the
-/// convergence differential replays runs bit-exactly from the seed.
-pub trait RelayPolicy<M> {
+/// convergence differential replays runs bit-exactly from the seed —
+/// and `Send`: a market runs its network on a thread of its own
+/// ([`crate::NetSim::spawn`]).
+pub trait RelayPolicy<M>: Send {
     /// Decides the fate of `msg` sent `from → to` at `tick`.
     fn relay(&mut self, tick: u64, from: usize, to: usize, msg: &NetMsg<M>) -> RelayDecision;
 }

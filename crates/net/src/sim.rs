@@ -101,7 +101,7 @@ pub struct NetSim<S: CaptureStateMachine> {
     producing: bool,
     report: NetReport,
     /// The run's trace handle (off by default).
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
 }
 
 impl<S: CaptureStateMachine> NetSim<S> {
@@ -421,8 +421,7 @@ mod tests {
         CalldataStats, ChainMessage, ExecEnv, GasSchedule, Journaled, StateMachine,
     };
     use dragoon_ledger::Address;
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A counter: every message bumps it; the capture is the prior count.
     #[derive(Default)]
@@ -489,7 +488,7 @@ mod tests {
     /// reply to its `BlockRequest`.
     struct StarveVictim {
         victim: usize,
-        censored: Rc<Cell<u64>>,
+        censored: Arc<AtomicU64>,
     }
 
     impl RelayPolicy<Bump> for StarveVictim {
@@ -501,12 +500,53 @@ mod tests {
             msg: &NetMsg<Bump>,
         ) -> RelayDecision {
             if from == 0 && to == self.victim && matches!(msg, NetMsg::Block(_)) {
-                self.censored.set(self.censored.get() + 1);
+                self.censored.fetch_add(1, Ordering::Relaxed);
                 RelayDecision::Drop
             } else {
                 RelayDecision::Forward
             }
         }
+    }
+
+    /// Panics when it rules on a message at the tick it holds.
+    struct PanicAtTick(u64);
+
+    impl RelayPolicy<Bump> for PanicAtTick {
+        fn relay(&mut self, tick: u64, _: usize, _: usize, _: &NetMsg<Bump>) -> RelayDecision {
+            if tick == self.0 {
+                panic!("the relay panics at tick {tick}");
+            }
+            RelayDecision::Forward
+        }
+    }
+
+    /// A panic on the network thread reaches the thread that feeds it,
+    /// with its payload, however far ahead of the network that thread
+    /// has run.
+    #[test]
+    fn a_panic_on_the_net_thread_is_raised_with_its_payload() {
+        let net = NetSim::new(NetConfig::default(), 3, || {
+            Chain::deploy(Counter::default(), 100, GasSchedule::istanbul())
+        })
+        .with_relay(Box::new(PanicAtTick(5)));
+        let mut feed = net.spawn();
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            for seq in 0..16 {
+                let tx = PendingTx {
+                    sender: Address::from_byte(1),
+                    msg: Bump,
+                    seq,
+                };
+                feed.queue_tx(tx.clone());
+                feed.send_block(vec![tx]);
+            }
+            feed.finish()
+        }));
+        let payload = raised.err().expect("the relay panicked");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("the relay panics at tick 5")
+        );
     }
 
     /// Every node's tree entry for a canonical block is the allocation
@@ -520,13 +560,13 @@ mod tests {
             duplicate_per_mille: 1000,
             ..NetConfig::default()
         };
-        let censored = Rc::new(Cell::new(0));
+        let censored = Arc::new(AtomicU64::new(0));
         let mut net = NetSim::new(cfg, 11, || {
             Chain::deploy(Counter::default(), 100, GasSchedule::istanbul())
         })
         .with_relay(Box::new(StarveVictim {
             victim: 3,
-            censored: Rc::clone(&censored),
+            censored: Arc::clone(&censored),
         }));
         let mut canonical = Vec::new();
         for seq in 0..3 {
@@ -541,7 +581,7 @@ mod tests {
         }
         assert!(net.drain(), "the starved node back-fills and converges");
         assert!(
-            censored.get() >= 3,
+            censored.load(Ordering::Relaxed) >= 3,
             "the victim never got a block from node 0"
         );
         assert!(net.report().duplicates_delivered > 0);

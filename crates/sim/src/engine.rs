@@ -51,7 +51,7 @@ use dragoon_crypto::field::Fr;
 use dragoon_crypto::precomp::{FixedBaseTable, BUILD_CHUNK};
 use dragoon_econ::{EconEngine, JoinDecision};
 use dragoon_ledger::Address;
-use dragoon_net::{NetSim, RelayPolicy};
+use dragoon_net::{NetFeed, NetSim, RelayPolicy};
 use dragoon_protocol::{
     requester_addr, worker_addr, CommitArtifacts, ContentStore, JobKey, ProofJob, ProofPhase,
     ProvingService, Requester, Step, Strategy, Verdict, Worker, WorkerBehavior,
@@ -147,10 +147,14 @@ pub struct MarketSim {
     refunds: u128,
     /// The econ layer runtime (`None` when `config.econ` is).
     econ: Option<EconEngine>,
-    /// The network layer runtime (`None` when `config.net` is unset):
-    /// every canonical submission and produced block fans out to a
-    /// simulated gossip network of full replicas.
+    /// The network layer (`None` when `config.net` is unset): a
+    /// simulated gossip network of full replicas, here before the run
+    /// and after [`MarketSim::finish`], on its own thread as `feed`
+    /// between the two.
     net: Option<NetSim<HitRegistry>>,
+    /// The running network layer: every canonical submission and
+    /// produced block fans out to it, one message per round.
+    feed: Option<NetFeed<HitRegistry>>,
     /// The proving pipeline: every agent-step submission flows through
     /// it as a keyed job (inline at zero latency when disabled).
     proving: ProvingService<JobOutput>,
@@ -343,11 +347,12 @@ impl MarketSim {
         // The canonical chain and every network replica start from this
         // one genesis.
         let genesis = {
-            let (settlement, hits, tracer) =
-                (config.settlement, config.hits as u64, tracer.clone());
-            move || genesis_chain(settlement, threads, hits, headroom, &tracer, &schedule)
+            let (settlement, hits) = (config.settlement, config.hits as u64);
+            move |tracer: &Tracer| {
+                genesis_chain(settlement, threads, hits, headroom, tracer, &schedule)
+            }
         };
-        let mut chain = genesis().with_exec_threads(threads);
+        let mut chain = genesis(&tracer).with_exec_threads(threads);
         if let Some(limit) = config.block_gas_limit {
             chain = chain.with_block_gas_limit(limit);
         }
@@ -360,12 +365,19 @@ impl MarketSim {
         // the canonical chain started from (same registry deployment,
         // same requester mints), so a replica that has applied every
         // canonical block holds bit-identical state. Replicas replay
-        // blocks serially — the producer already enforced the gas limit
-        // and resolved execution order — so they carry no executor or
-        // gas-cap configuration of their own.
+        // blocks serially, on the network's own thread, overlapping the
+        // round loop — the producer already enforced the gas limit and
+        // resolved execution order — so they carry no executor or
+        // gas-cap configuration of their own. The network and its
+        // replicas' registries record through one deferred handle, so
+        // their events land in the stream where a synchronous network
+        // would have recorded them.
         let net = config.net.clone().map(|net_cfg| {
-            NetSim::new(net_cfg, config.seed ^ 0x6e65_7477_6f72_6b00, genesis)
-                .with_tracer(tracer.clone())
+            let net_tracer = tracer.deferred();
+            NetSim::new(net_cfg, config.seed ^ 0x6e65_7477_6f72_6b00, || {
+                genesis(&net_tracer)
+            })
+            .with_tracer(net_tracer.clone())
         });
         // The block store wipes any previous run's artifacts in the
         // directory and opens a fresh append handle.
@@ -405,6 +417,7 @@ impl MarketSim {
             refunds: 0,
             econ,
             net,
+            feed: None,
             proving,
             threads,
             observed_buffer: Vec::new(),
@@ -429,11 +442,12 @@ impl MarketSim {
     }
 
     /// Submits a transaction to the canonical chain and — with the
-    /// network layer on — gossips it to every replica's mempool.
+    /// network layer on — queues it for the round's gossip to every
+    /// replica's mempool.
     fn submit_tx(&mut self, sender: Address, msg: RegistryMessage) {
-        if let Some(net) = &mut self.net {
+        if let Some(feed) = &mut self.feed {
             let seq = self.chain.submit(sender, msg.clone());
-            net.gossip_tx(PendingTx { sender, msg, seq });
+            feed.queue_tx(PendingTx { sender, msg, seq });
         } else {
             self.chain.submit(sender, msg);
         }
@@ -463,12 +477,18 @@ impl MarketSim {
 
     /// The block loop and the run-end barriers.
     fn run_to_end(&mut self) -> MarketReport {
+        self.start_net();
         while !self.finished() {
             self.publish_step();
             self.agent_step();
             self.close_round();
         }
         self.finish()
+    }
+
+    /// Moves the network layer onto its own thread for the run.
+    fn start_net(&mut self) {
+        self.feed = self.net.take().map(NetSim::spawn);
     }
 
     /// Whether every HIT has been published and settled, or the block
@@ -512,10 +532,12 @@ impl MarketSim {
                 .persist_block(store)
                 .expect("block store append must succeed");
         }
-        // One network tick per market round: the produced block's
-        // executed transaction list fans out to the replicas.
-        if let Some(net) = &mut self.net {
-            net.broadcast_block(self.chain.last_block_txs().to_vec());
+        // One network tick per market round: the round's gossip and the
+        // produced block's executed transaction list go to the network
+        // thread, which fans them out to the replicas while the next
+        // round runs.
+        if let Some(feed) = &mut self.feed {
+            feed.send_block(self.chain.last_block_txs().to_vec());
         }
         {
             let _sp = self.tracer.span(SpanKind::Harvest, self.chain.round());
@@ -552,9 +574,9 @@ impl MarketSim {
         }
         // The market is done producing; let the network converge
         // (queued deliveries land, partitions heal on schedule, forks
-        // reorg away).
-        if let Some(net) = &mut self.net {
-            net.drain();
+        // reorg away) and take it back from its thread.
+        if let Some(feed) = self.feed.take() {
+            self.net = Some(feed.finish());
         }
         // Whatever the proving queue still holds was overtaken by the
         // deadline backstops (its HIT settled ⊥ without the proof) —
@@ -1224,6 +1246,9 @@ pub fn run_market(config: MarketConfig) -> MarketReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragoon_chain::mempool::Scheduled;
+    use dragoon_net::{NetConfig, NetMsg, RelayDecision};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Requesters holding a key table.
     fn tables_held(sim: &MarketSim) -> usize {
@@ -1234,6 +1259,7 @@ mod tests {
     /// each round's agent step — where the round's tables are built and
     /// before its harvest drops any.
     fn run_inspecting(sim: &mut MarketSim, mut inspect: impl FnMut(&MarketSim)) -> MarketReport {
+        sim.start_net();
         while !sim.finished() {
             sim.publish_step();
             sim.agent_step();
@@ -1403,5 +1429,71 @@ mod tests {
         assert!(copiers > 0, "copiers joined");
         let p = &report.proving;
         assert_eq!((p.cache_hits, p.cache_misses), (0, 0));
+    }
+
+    /// FIFO before the round it holds, a panic from that round on.
+    struct PanicAtRound(u64);
+
+    impl ReorderPolicy<RegistryMessage> for PanicAtRound {
+        fn schedule(
+            &mut self,
+            round: u64,
+            pending: Vec<PendingTx<RegistryMessage>>,
+        ) -> Scheduled<RegistryMessage> {
+            if round >= self.0 {
+                panic!("the market's policy panics at round {}", self.0);
+            }
+            FifoPolicy.schedule(round, pending)
+        }
+    }
+
+    /// Forwards everything and raises its flag when dropped, that is
+    /// when the network that holds it is.
+    struct DropFlag(Arc<AtomicBool>);
+
+    impl RelayPolicy<RegistryMessage> for DropFlag {
+        fn relay(
+            &mut self,
+            _tick: u64,
+            _from: usize,
+            _to: usize,
+            _msg: &NetMsg<RegistryMessage>,
+        ) -> RelayDecision {
+            RelayDecision::Forward
+        }
+    }
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// A market that unwinds mid-run takes its network thread down
+    /// with it: the run raises the market's own panic, and by then the
+    /// network thread has returned and dropped the simulation (its
+    /// relay's flag is up) — the feed's drop closed the channel and
+    /// joined, without the drain.
+    #[test]
+    fn an_unwinding_market_stops_its_network_thread() {
+        let config = MarketConfig {
+            hits: 8,
+            spawn_per_block: 4,
+            workers: 10,
+            exec_threads: 1,
+            net: Some(NetConfig::default()),
+            ..MarketConfig::default()
+        };
+        let dropped = Arc::new(AtomicBool::new(false));
+        let sim = MarketSim::new(config)
+            .with_policy(Box::new(PanicAtRound(6)))
+            .with_relay(Box::new(DropFlag(Arc::clone(&dropped))));
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        let payload = raised.expect_err("the policy panics mid-run");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("the market's policy panics at round 6")
+        );
+        assert!(dropped.load(Ordering::SeqCst));
     }
 }

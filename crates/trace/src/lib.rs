@@ -24,9 +24,10 @@
 //!    deterministic stream (they never appear in recorded events or
 //!    goldens), exported as Chrome `trace_event` JSON via
 //!    `DRAGOON_TRACE=out.json` and openable in `chrome://tracing` or
-//!    Perfetto. Two threads record wall spans today — the round loop
-//!    and the block writer; ordering there comes from timestamps, not
-//!    from the deterministic merge.
+//!    Perfetto. Three threads record wall spans today — the round
+//!    loop, the block writer and the network layer's `dragoon-net`
+//!    thread; ordering there comes from timestamps, not from the
+//!    deterministic merge.
 //!
 //! **The deterministic-vs-wallclock split is the load-bearing design
 //! rule**: anything derived from `Instant::now()` lives only in layer
@@ -41,6 +42,17 @@
 //! timestamped unless the handle came from [`Tracer::from_env`]
 //! (binaries) or [`Tracer::deterministic`] / [`Tracer::full`] (tests,
 //! benches).
+//!
+//! **Deferred recording.** A pipeline stage that runs on its own thread
+//! but stands, in the deterministic stream, where the round loop would
+//! have called it synchronously records through a [`Tracer::deferred`]
+//! handle: its wall spans go straight to the run's recording, its
+//! events into a private buffer. The feeding thread stamps each unit of
+//! work with the stream's [`Tracer::position`] when it hands it over,
+//! the stage closes a batch at that position once the work is done
+//! ([`Tracer::end_batch`]), and after the join [`Tracer::splice`] moves
+//! every batch in at its position and renumbers `seq` — the stream the
+//! synchronous call would have recorded, byte for byte.
 
 #![forbid(unsafe_code)]
 
@@ -60,7 +72,28 @@ pub use metrics::{MetricSet, MetricValue};
 /// One run's trace. Clones share one recording; the default handle is
 /// off and records nothing.
 #[derive(Clone, Debug, Default)]
-pub struct Tracer(Option<Arc<Shared>>);
+pub struct Tracer {
+    shared: Option<Arc<Shared>>,
+    /// Set on a handle made by [`Tracer::deferred`]: where its
+    /// deterministic events wait until [`Tracer::splice`].
+    deferred: Option<Arc<Mutex<Deferred>>>,
+}
+
+/// A deferred handle's events, in recording order, cut into batches.
+#[derive(Debug, Default)]
+struct Deferred {
+    events: Vec<Event>,
+    /// `(position, end)` per closed batch, in closing order: the events
+    /// from the previous batch's end up to `end` belong in the run's
+    /// stream before its `position`-th directly recorded event.
+    batches: Vec<(usize, usize)>,
+}
+
+/// Every update is a single push or a swap, so a lock left behind by a
+/// panicking holder still guards valid data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug)]
 struct Shared {
@@ -87,30 +120,29 @@ struct Recording {
 }
 
 impl Shared {
-    /// Every update is a single push, so a recording left behind by a
-    /// panicking holder is still valid.
     fn lock(&self) -> MutexGuard<'_, Recording> {
-        self.recording
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.recording)
     }
 }
 
 impl Tracer {
     fn on(det: bool, wall: bool, chrome_path: Option<String>, print_events: bool) -> Self {
-        Tracer(Some(Arc::new(Shared {
-            det,
-            wall,
-            epoch: Instant::now(),
-            chrome_path,
-            print_events,
-            recording: Mutex::default(),
-        })))
+        Tracer {
+            shared: Some(Arc::new(Shared {
+                det,
+                wall,
+                epoch: Instant::now(),
+                chrome_path,
+                print_events,
+                recording: Mutex::default(),
+            })),
+            deferred: None,
+        }
     }
 
     /// Reads what the handle recorded so far (nothing, when off).
     fn read<R>(&self, f: impl FnOnce(&Recording) -> R) -> R {
-        match &self.0 {
+        match &self.shared {
             Some(shared) => f(&shared.lock()),
             None => f(&Recording::default()),
         }
@@ -160,7 +192,7 @@ impl Tracer {
     /// trace file when `DRAGOON_TRACE` named one. Call at the end of
     /// `main`, after the traced run (and its threads) completed.
     pub fn finish(&self) {
-        let Some(shared) = &self.0 else {
+        let Some(shared) = &self.shared else {
             return;
         };
         if shared.print_events {
@@ -210,6 +242,10 @@ pub enum SpanKind {
     Agent,
     /// The round loop's post-block bookkeeping (wall layer only).
     Harvest,
+    /// The round loop handing a round to the network's thread, or the
+    /// final drain and join: the time it waits on that thread (wall
+    /// layer only).
+    Handoff,
 }
 
 impl SpanKind {
@@ -228,6 +264,7 @@ impl SpanKind {
             SpanKind::Apply => "apply",
             SpanKind::Agent => "agent",
             SpanKind::Harvest => "harvest",
+            SpanKind::Handoff => "handoff",
         }
     }
 
@@ -238,7 +275,11 @@ impl SpanKind {
             SpanKind::Verify => "verify",
             SpanKind::Persist | SpanKind::Snapshot => "store",
             SpanKind::Prove | SpanKind::Release => "prove",
-            SpanKind::Gossip | SpanKind::Fork | SpanKind::Reorg | SpanKind::Apply => "net",
+            SpanKind::Gossip
+            | SpanKind::Fork
+            | SpanKind::Reorg
+            | SpanKind::Apply
+            | SpanKind::Handoff => "net",
             SpanKind::Agent | SpanKind::Harvest => "sim",
         }
     }
@@ -290,17 +331,87 @@ impl Tracer {
     /// points — see the module docs.
     #[inline]
     pub fn event(&self, kind: SpanKind, tick: u64, attrs: &[(&'static str, u64)]) {
-        let Some(shared) = self.0.as_ref().filter(|s| s.det) else {
+        let Some(shared) = self.shared.as_ref().filter(|s| s.det) else {
             return;
         };
-        let mut rec = shared.lock();
-        let seq = rec.events.len() as u64;
-        rec.events.push(Event {
+        let event = |seq| Event {
             tick,
             seq,
             kind,
             attrs: attrs.to_vec(),
-        });
+        };
+        match &self.deferred {
+            // Numbered when spliced.
+            Some(deferred) => lock(deferred).events.push(event(0)),
+            None => {
+                let mut rec = shared.lock();
+                let seq = rec.events.len() as u64;
+                rec.events.push(event(seq));
+            }
+        }
+    }
+
+    /// A handle for a pipeline stage on another thread (see the crate
+    /// docs): it records wall spans into this run's recording and
+    /// deterministic events into a buffer of its own, shared by its
+    /// clones, until [`Tracer::splice`]. Off when this handle is.
+    pub fn deferred(&self) -> Tracer {
+        Tracer {
+            shared: self.shared.clone(),
+            deferred: self.shared.as_ref().map(|_| Arc::default()),
+        }
+    }
+
+    /// How many events the run's stream holds so far, deferred batches
+    /// not yet spliced left out: where work handed over now stands in
+    /// the stream. Zero when the deterministic layer is off.
+    pub fn position(&self) -> usize {
+        self.read(|rec| rec.events.len())
+    }
+
+    /// On a deferred handle, closes a batch: every event recorded since
+    /// the previous batch belongs before the stream's `position`-th
+    /// event. No-op on an off handle.
+    pub fn end_batch(&self, position: usize) {
+        if let Some(deferred) = &self.deferred {
+            let mut deferred = lock(deferred);
+            let end = deferred.events.len();
+            deferred.batches.push((position, end));
+        }
+    }
+
+    /// On a deferred handle whose work is done — every buffered event
+    /// in a closed batch — moves the batches into the run's stream at
+    /// their positions and renumbers every event's `seq` to its place.
+    /// No-op on an off handle.
+    pub fn splice(&self) {
+        let (Some(shared), Some(deferred)) = (&self.shared, &self.deferred) else {
+            return;
+        };
+        let Deferred {
+            events: batched,
+            batches,
+        } = std::mem::take(&mut *lock(deferred));
+        debug_assert_eq!(
+            batches.last().map_or(0, |&(_, end)| end),
+            batched.len(),
+            "every deferred event is in a closed batch"
+        );
+        let mut batched = batched.into_iter();
+        let mut rec = shared.lock();
+        let mut direct = std::mem::take(&mut rec.events).into_iter();
+        let mut events = Vec::with_capacity(direct.len() + batched.len());
+        let (mut placed, mut taken) = (0, 0);
+        for (position, end) in batches {
+            events.extend(direct.by_ref().take(position - placed));
+            events.extend(batched.by_ref().take(end - taken));
+            (placed, taken) = (position, end);
+        }
+        events.extend(direct);
+        for (seq, event) in events.iter_mut().enumerate() {
+            event.seq = seq as u64;
+        }
+        rec.events = events;
     }
 
     /// The deterministic stream recorded so far: sorted by
@@ -389,13 +500,18 @@ impl Tracer {
     /// thread holding the handle: each gets its own Chrome track.
     #[inline]
     pub fn span(&self, kind: SpanKind, tick: u64) -> SpanGuard {
-        SpanGuard(self.0.as_ref().filter(|s| s.wall).map(|shared| SpanInner {
-            shared: Arc::clone(shared),
-            kind,
-            tick,
-            start: Instant::now(),
-            args: Vec::new(),
-        }))
+        SpanGuard(
+            self.shared
+                .as_ref()
+                .filter(|s| s.wall)
+                .map(|shared| SpanInner {
+                    shared: Arc::clone(shared),
+                    kind,
+                    tick,
+                    start: Instant::now(),
+                    args: Vec::new(),
+                }),
+        )
     }
 
     /// The wall spans recorded so far, in completion order (a nested
@@ -425,7 +541,7 @@ mod tests {
         assert!(sp.0.is_none(), "a guard from an off handle is inert");
         drop(sp);
         assert!(off.deterministic_lines().is_empty());
-        assert!(off.0.is_none(), "nothing was allocated");
+        assert!(off.shared.is_none(), "nothing was allocated");
         // The deterministic-only handle keeps the wall layer off.
         let det = Tracer::deterministic();
         drop(det.span(SpanKind::Execute, 1));
@@ -446,6 +562,40 @@ mod tests {
                 r#"{"tick":2,"seq":2,"span":"verify"}"#,
             ]
         );
+    }
+
+    /// A deferred handle's events reach the stream only at the splice,
+    /// each closed batch before the event that was next when its work
+    /// was handed over, with `seq` renumbered; its wall spans go
+    /// straight to the run.
+    #[test]
+    fn deferred_batches_splice_in_where_they_were_handed_over() {
+        let tracer = Tracer::full();
+        let stage = tracer.deferred();
+        tracer.event(SpanKind::Execute, 1, &[]);
+        let first = tracer.position();
+        tracer.event(SpanKind::Persist, 1, &[]);
+        stage.event(SpanKind::Gossip, 1, &[("height", 1)]);
+        stage.clone().event(SpanKind::Reorg, 1, &[]);
+        stage.end_batch(first);
+        let second = tracer.position();
+        stage.event(SpanKind::Fork, 2, &[]);
+        stage.end_batch(second);
+        drop(stage.span(SpanKind::Apply, 1));
+        assert_eq!(tracer.deterministic_lines().len(), 2);
+        stage.splice();
+        assert_eq!(
+            tracer.deterministic_lines(),
+            [
+                r#"{"tick":1,"seq":0,"span":"execute"}"#,
+                r#"{"tick":1,"seq":1,"span":"gossip","height":1}"#,
+                r#"{"tick":1,"seq":2,"span":"reorg"}"#,
+                r#"{"tick":1,"seq":3,"span":"persist"}"#,
+                r#"{"tick":2,"seq":4,"span":"fork"}"#,
+            ]
+        );
+        tracer.read(|rec| assert_eq!(rec.spans.len(), 1));
+        assert!(Tracer::default().deferred().shared.is_none());
     }
 
     #[test]

@@ -40,6 +40,10 @@ const ONE_METRIC_NAME: &str = "git log -1 -S 'render_metrics_json' -- crates/tra
 /// commit this pickaxe names.
 const LANE_NONCES: &str = "git log -S 'fn nonce_commitments' -- crates/crypto";
 
+/// `since` of the records that run a market's network on its own
+/// thread, set by the commit this pickaxe names.
+const NET_THREAD: &str = "git log -S 'fn send_block' -- crates/net";
+
 /// One alternative of a record's pattern, matched against one line.
 #[derive(Clone, Copy)]
 enum Pat {
@@ -590,6 +594,26 @@ const RECORDS: &[Record] = &[
         expect: Expect::Count(1),
         reason: "`Fq` and `Fr` share one inversion, the binary GCD written once in `montgomery_field!`",
         since: LANE_NONCES,
+    },
+    Record {
+        pats: &[Pat::Lit(".broadcast_block("), Pat::Lit(".gossip_tx(")],
+        scope: &["crates/sim/src"],
+        cut: Cut::NonTest,
+        expect: Expect::Absent,
+        reason: "the engine drives its network only through the `NetFeed` pipe, one message per round; the synchronous drive is gone",
+        since: NET_THREAD,
+    },
+    Record {
+        pats: &[
+            Pat::Lit("thread::spawn"),
+            Pat::Lit("thread::Builder"),
+            Pat::Lit("thread::scope"),
+        ],
+        scope: &["crates/net/src"],
+        cut: Cut::NonTest,
+        expect: Expect::Count(1),
+        reason: "the network runs on one thread of its own, spawned by `NetSim::spawn`; nodes replay serially, in order, on it",
+        since: NET_THREAD,
     },
 ];
 

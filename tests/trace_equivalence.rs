@@ -171,6 +171,18 @@ fn net_stream_covers_gossip_forks_reorgs() {
     assert_eq!(first, second, "the net-enabled stream must be reproducible");
 }
 
+/// The lossy net market's stream is the committed golden byte for byte:
+/// the `net_market` example's at its default seed, recorded when the
+/// network still ran inside the round loop. The network now runs on its
+/// own thread and its events are spliced back where the round loop
+/// would have recorded them; a misplaced batch moves a `seq` here.
+#[test]
+fn net_stream_matches_the_golden() {
+    let golden = include_str!("golden/net_trace_seed0xd1a60006.jsonl");
+    let stream = captured_stream(lossy_net_config());
+    assert_eq!(stream.join("\n") + "\n", golden);
+}
+
 /// Two different markets traced at the same time, one thread each,
 /// record exactly the streams they record alone: a handle sees its own
 /// run and nothing else.
@@ -273,6 +285,30 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
         assert!(1 <= batches && batches <= threads.max(1));
         assert!(batches <= arg(v, "items").max(1));
     }
+}
+
+/// The round loop's waits on the network thread show on its own track:
+/// a `handoff` span per round sent, at the network tick its `gossip`
+/// runs at, then the final drain and join, marked `drain`.
+#[test]
+fn handoff_spans_show_the_round_loop_waiting_on_the_net() {
+    use dragoon_trace::{SpanKind, WallSpan};
+    let tracer = Tracer::full();
+    let _ = MarketSim::traced(lossy_net_config(), tracer.clone()).run();
+    let spans = tracer.wall_spans();
+    let of =
+        |kind: SpanKind| -> Vec<&WallSpan> { spans.iter().filter(|s| s.kind == kind).collect() };
+    let main = of(SpanKind::Agent)[0].tid;
+    let handoff = of(SpanKind::Handoff);
+    let mut gossip: Vec<u64> = of(SpanKind::Gossip).iter().map(|g| g.tick).collect();
+    gossip.sort_unstable();
+    let (drain, rounds) = handoff.split_last().expect("handoff spans");
+    assert_eq!(rounds.iter().map(|h| h.tick).collect::<Vec<_>>(), gossip);
+    assert!(rounds.iter().all(|h| h.args.is_empty()));
+    assert_eq!(drain.tick, gossip.len() as u64);
+    assert_eq!(drain.args, [("drain", 1)]);
+    assert!(handoff.iter().all(|h| h.tid == main));
+    assert!(of(SpanKind::Gossip).iter().all(|g| g.tid != main));
 }
 
 /// The round loop's wall profile needs no subtraction either: on a
