@@ -57,6 +57,12 @@ pub trait CaptureStateMachine: StateMachine {
 
     /// Folds the capture of the next committed bracket into `block`.
     fn absorb(block: &mut Self::Capture, later: Self::Capture);
+
+    /// Stops recording into the run's trace. State replayed outside the
+    /// run — the network's audit view of the sequencer's node — calls
+    /// it before replaying, so building the view leaves the run's trace
+    /// as it was. The default is for a machine that records nothing.
+    fn detach_trace(&mut self) {}
 }
 
 /// Everything needed to unwind one externally applied block: the folded

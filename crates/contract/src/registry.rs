@@ -496,6 +496,10 @@ impl CaptureStateMachine for HitRegistry {
     fn absorb(block: &mut RegistryCapture, later: RegistryCapture) {
         block.absorb(later);
     }
+
+    fn detach_trace(&mut self) {
+        self.tracer = Tracer::default();
+    }
 }
 
 impl HitRegistry {

@@ -45,7 +45,7 @@ pub enum RelaySpec {
 /// partitions, honest relay.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Node count, including the sequencer's own replica (node 0).
+    /// Node count, including the sequencer's own node (node 0).
     pub nodes: usize,
     /// Per-message link delay range `(min, max)` in ticks, drawn
     /// seeded per send. `(0, 0)` models a perfect instant network.

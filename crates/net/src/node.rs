@@ -1,20 +1,23 @@
-//! One simulated node: a chain replica, a block tree with longest-chain
-//! fork choice, and a gossip mempool.
+//! One simulated node: a block tree with longest-chain fork choice and,
+//! on a replica, the state that tree's applied branch replays into.
 //!
-//! A node applies blocks through the chain's **captured** path
+//! A replica applies blocks through the chain's **captured** path
 //! ([`dragoon_chain::replica`]): every applied block leaves one
 //! [`BlockUndo`] — the block's writes folded into a single record — on a
 //! stack parallel to the applied branch, so switching to a heavier
 //! branch is pop-revert / re-apply — bit-exact, touched state only,
-//! deadline settlements included. The sequencer's replica (node 0,
-//! [`Node::sequencer`]) is the exception: it follows the canonical feed,
-//! which wins every fork choice, so it can never leave its branch and
-//! keeps no stack — each block's undo is dropped as it is applied.
+//! deadline settlements included. The sequencer's node (node 0,
+//! [`Node::sequencer`]) is the exception: it is the sequencer's network
+//! presence, not a second execution of its chain. It follows the
+//! canonical feed, which wins every fork choice, so it only ever moves
+//! its head forward, and it holds the block tree alone — no replayed
+//! state, no undo stack, no mempool. The network builds its state as an
+//! audit view when asked ([`crate::NetSim::node_chain`]).
 //!
 //! The block tree holds `Arc<NetBlock>`: a node's entry for a block is
 //! the allocation its producer made, whichever message delivered it. A
-//! node owns only what is its own — its replica state, its undo stack
-//! and its mempool of not-yet-applied transactions.
+//! replica owns only what is its own — its state, its undo stack and
+//! its mempool of not-yet-applied transactions.
 
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::replica::{BlockUndo, CaptureStateMachine};
@@ -74,19 +77,30 @@ pub fn block_id<M>(height: u64, proposer: usize, parent: BlockId, txs: &[Pending
 }
 
 /// The invariant node 0 is built on, named where it is relied on (its
-/// missing undo stack) and where it is checked (every canonical feed).
+/// missing replica state) and where it is checked (every canonical
+/// feed).
 pub(crate) const SEQUENCER_NEVER_REORGS: &str =
     "invariant `sequencer-never-reorgs` broken: node 0 follows the canonical feed, which is \
-     strictly ahead on height and wins every tie, so it keeps no undo stack to reorg with";
+     strictly ahead on height and wins every tie, so it keeps no state to reorg";
+
+/// What a replica holds beyond its block tree.
+pub(crate) struct Replica<S: CaptureStateMachine> {
+    /// The state the applied branch replays into.
+    chain: Chain<S>,
+    /// Captured undo state, parallel to the applied branch.
+    pub(crate) undos: Vec<BlockUndo<S>>,
+    /// Gossip mempool: transactions heard but not applied on the
+    /// current branch, by canonical sequence number.
+    mempool: BTreeMap<u64, Arc<PendingTx<S::Msg>>>,
+    /// Sequence numbers applied on the current branch.
+    applied_seqs: BTreeSet<u64>,
+}
 
 /// One node of the simulated network.
 pub(crate) struct Node<S: CaptureStateMachine> {
     /// This node's position in the network (`0` = the sequencer's
-    /// replica).
+    /// node).
     index: usize,
-    /// The local chain replica (public to the crate so the simulation
-    /// and tests can audit final state).
-    pub(crate) chain: Chain<S>,
     /// Every block this node knows, by id (shared with the messages that
     /// delivered it and with every other node that knows it).
     blocks: BTreeMap<BlockId, Arc<NetBlock<S::Msg>>>,
@@ -98,14 +112,9 @@ pub(crate) struct Node<S: CaptureStateMachine> {
     /// The applied branch, genesis-exclusive: `applied[h-1]` is the
     /// block at height `h`.
     applied: Vec<BlockId>,
-    /// Captured undo state, parallel to `applied`; `None` on the
-    /// sequencer's replica, which never reorgs and keeps none.
-    pub(crate) undos: Option<Vec<BlockUndo<S>>>,
-    /// Gossip mempool: transactions heard but not applied on the
-    /// current branch, by canonical sequence number.
-    pub(crate) mempool: BTreeMap<u64, PendingTx<S::Msg>>,
-    /// Sequence numbers applied on the current branch.
-    applied_seqs: BTreeSet<u64>,
+    /// The replayed state; `None` on the sequencer's node, which keeps
+    /// its block tree only.
+    pub(crate) replica: Option<Replica<S>>,
     /// Ticks since the head last moved (fork patience counter).
     pub(crate) head_age: u64,
     /// Tick at which this node's head first matched the canonical tip
@@ -114,33 +123,50 @@ pub(crate) struct Node<S: CaptureStateMachine> {
 }
 
 impl<S: CaptureStateMachine> Node<S> {
-    /// Replica `index` (≥ 1): follows fork choice wherever it leads, so
-    /// it stacks one undo per applied block.
+    /// Replica `index` (≥ 1): replays its applied branch into `chain`
+    /// and follows fork choice wherever it leads, so it stacks one undo
+    /// per applied block.
     pub(crate) fn replica(index: usize, chain: Chain<S>) -> Self {
-        Self::from_genesis(index, chain, Some(Vec::new()))
-    }
-
-    /// The sequencer's replica (node 0): only ever extends the canonical
-    /// branch, so it keeps no undo stack.
-    pub(crate) fn sequencer(chain: Chain<S>) -> Self {
-        Self::from_genesis(0, chain, None)
-    }
-
-    fn from_genesis(index: usize, chain: Chain<S>, undos: Option<Vec<BlockUndo<S>>>) -> Self {
         assert_eq!(chain.round(), 0, "replicas start from genesis");
+        Self::with_state(
+            index,
+            Some(Replica {
+                chain,
+                undos: Vec::new(),
+                mempool: BTreeMap::new(),
+                applied_seqs: BTreeSet::new(),
+            }),
+        )
+    }
+
+    /// The sequencer's node (node 0): only ever extends the canonical
+    /// branch the market already executed, so it holds the block tree
+    /// and its head alone.
+    pub(crate) fn sequencer() -> Self {
+        Self::with_state(0, None)
+    }
+
+    fn with_state(index: usize, replica: Option<Replica<S>>) -> Self {
         Self {
             index,
-            chain,
             blocks: BTreeMap::new(),
             children: BTreeMap::new(),
             complete: BTreeSet::new(),
             applied: Vec::new(),
-            undos,
-            mempool: BTreeMap::new(),
-            applied_seqs: BTreeSet::new(),
+            replica,
             head_age: 0,
             converged_at: None,
         }
+    }
+
+    /// The replayed state (`None` on the sequencer's node).
+    pub(crate) fn chain(&self) -> Option<&Chain<S>> {
+        self.replica.as_ref().map(|r| &r.chain)
+    }
+
+    /// The applied branch's blocks, oldest first.
+    pub(crate) fn applied_blocks(&self) -> impl Iterator<Item = &NetBlock<S::Msg>> {
+        self.applied.iter().map(|id| &*self.blocks[id])
     }
 
     /// The applied head: `(block id, height)`.
@@ -161,11 +187,14 @@ impl<S: CaptureStateMachine> Node<S> {
         self.blocks.get(&id).cloned()
     }
 
-    /// Records a gossiped transaction in the mempool (skipping ones
-    /// already applied on the current branch).
-    pub(crate) fn observe_tx(&mut self, tx: PendingTx<S::Msg>) {
-        if !self.applied_seqs.contains(&tx.seq) {
-            self.mempool.entry(tx.seq).or_insert(tx);
+    /// Records a gossiped transaction in a replica's mempool (skipping
+    /// ones already applied on the current branch).
+    pub(crate) fn observe_tx(&mut self, tx: Arc<PendingTx<S::Msg>>) {
+        let Some(replica) = &mut self.replica else {
+            return;
+        };
+        if !replica.applied_seqs.contains(&tx.seq) {
+            replica.mempool.entry(tx.seq).or_insert(tx);
         }
     }
 
@@ -231,13 +260,13 @@ impl<S: CaptureStateMachine> Node<S> {
     }
 
     /// Re-runs fork choice and, if a better branch exists, switches to
-    /// it: pops the divergent suffix (reverting state through the
-    /// captured undo stack, returning transactions to the mempool) and
-    /// applies the winning branch's blocks. Returns the number of
+    /// it: pops the divergent suffix (reverting a replica's state through
+    /// its captured undo stack, returning transactions to its mempool)
+    /// and applies the winning branch's blocks. Returns the number of
     /// blocks popped (0 for a plain extension or no change). Each block
-    /// application is one wall span in `tracer` (no deterministic event:
-    /// when a block reaches a node is already told by `gossip`, `fork`
-    /// and `reorg`).
+    /// a replica applies is one wall span in `tracer` (no deterministic
+    /// event: when a block reaches a node is already told by `gossip`,
+    /// `fork` and `reorg`); the sequencer's node only moves its head.
     pub(crate) fn try_advance(&mut self, tracer: &Tracer) -> usize {
         let target = self.best_head();
         if target == self.head().0 {
@@ -261,50 +290,48 @@ impl<S: CaptureStateMachine> Node<S> {
         }
         let popped = self.applied.len() - common;
         for _ in 0..popped {
-            let undo = self
-                .undos
-                .as_mut()
-                .expect(SEQUENCER_NEVER_REORGS)
-                .pop()
-                .expect("undo per applied block");
-            self.chain.revert_last_block(undo);
+            let replica = self.replica.as_mut().expect(SEQUENCER_NEVER_REORGS);
+            let undo = replica.undos.pop().expect("undo per applied block");
+            replica.chain.revert_last_block(undo);
             let id = self.applied.pop().expect("popped block exists");
             for tx in &self.blocks[&id].txs {
-                self.applied_seqs.remove(&tx.seq);
-                self.mempool.insert(tx.seq, tx.clone());
+                replica.applied_seqs.remove(&tx.seq);
+                replica.mempool.insert(tx.seq, Arc::new(tx.clone()));
             }
         }
         for &id in &branch[common..] {
-            let block = &self.blocks[&id];
-            debug_assert_eq!(block.height, self.chain.round() + 1);
-            let txs = block.txs.clone();
-            let mut sp = tracer.span(SpanKind::Apply, block.height);
-            sp.arg("node", self.index as u64);
-            sp.arg("height", block.height);
-            sp.arg("txs", txs.len() as u64);
-            for tx in &txs {
-                self.applied_seqs.insert(tx.seq);
-                self.mempool.remove(&tx.seq);
+            if let Some(replica) = &mut self.replica {
+                let block = &self.blocks[&id];
+                debug_assert_eq!(block.height, replica.chain.round() + 1);
+                let txs = block.txs.clone();
+                let mut sp = tracer.span(SpanKind::Apply, block.height);
+                sp.arg("node", self.index as u64);
+                sp.arg("height", block.height);
+                sp.arg("txs", txs.len() as u64);
+                for tx in &txs {
+                    replica.applied_seqs.insert(tx.seq);
+                    replica.mempool.remove(&tx.seq);
+                }
+                let undo = replica.chain.apply_block_captured(txs);
+                replica.undos.push(undo);
             }
-            let undo = self.chain.apply_block_captured(txs);
             self.applied.push(id);
-            if let Some(undos) = &mut self.undos {
-                undos.push(undo);
-            }
         }
         self.head_age = 0;
         popped
     }
 
     /// Proposes a block on the current head from the gossip mempool —
-    /// the fork source: a node only does this when its head has been
+    /// the fork source: a replica only does this when its head has been
     /// stale past the patience window, so the block competes with
     /// canonical blocks it has not seen. The block is inserted and
     /// applied locally; the caller gossips it.
     pub(crate) fn produce(&mut self, tracer: &Tracer) -> Arc<NetBlock<S::Msg>> {
         let proposer = self.index;
         let (parent, height) = self.head();
-        let txs: Vec<PendingTx<S::Msg>> = self.mempool.values().cloned().collect();
+        let replica = self.replica.as_ref().expect("only replicas propose");
+        let txs: Vec<PendingTx<S::Msg>> =
+            replica.mempool.values().map(|tx| (**tx).clone()).collect();
         let block = Arc::new(NetBlock {
             id: block_id(height + 1, proposer, parent, &txs),
             parent,

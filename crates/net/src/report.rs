@@ -9,7 +9,7 @@
 /// byte-identical.
 #[derive(Clone, Debug, Default)]
 pub struct NetReport {
-    /// Node count (including the sequencer's replica, node 0).
+    /// Node count (including the sequencer's node, node 0).
     pub nodes: usize,
     /// Virtual clock ticks elapsed (rounds + final drain).
     pub ticks: u64,

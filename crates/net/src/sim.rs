@@ -9,10 +9,13 @@
 //!
 //! ## Topology and roles
 //!
-//! Node 0 is the **sequencer's replica**: the canonical chain (driven
-//! by the market engine) hands each produced block's transaction list
-//! to [`NetSim::broadcast_block`]; node 0 applies it instantly and
-//! gossips it to every peer. Replicas (nodes 1..N) validate by
+//! Node 0 is the **sequencer's network presence**: the canonical chain
+//! (driven by the market engine) hands each produced block's
+//! transaction list to [`NetSim::broadcast_block`]; node 0 adds it to
+//! its block tree, moves its head onto it and gossips it to every peer.
+//! It does not execute the block again — the market already did — so it
+//! holds no state during the run; [`NetSim::node_chain`] builds its
+//! state as an audit view on request. Replicas (nodes 1..N) validate by
 //! re-execution and follow longest-chain fork choice. A replica whose
 //! head goes stale past the patience window proposes its own block
 //! from its gossip mempool — the genuine fork source under partitions
@@ -26,8 +29,9 @@
 //! canonical feed, by a stalled replica's fork production otherwise —
 //! and from then on travels as `Arc<NetBlock>`: the fan-out to every
 //! peer, a duplicated delivery, a reply to a `BlockRequest` and each
-//! node's tree entry all clone the pointer. A relay policy still sees
-//! the whole message by reference.
+//! node's tree entry all clone the pointer. A gossiped transaction
+//! travels the same way, as `Arc<PendingTx>`, into every replica's
+//! mempool. A relay policy still sees the whole message by reference.
 //!
 //! ## Anti-entropy
 //!
@@ -48,7 +52,7 @@ use dragoon_trace::{SpanKind, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Tick budget for the final convergence drain: after the last
 /// canonical block the network keeps ticking — partitions heal by
@@ -59,8 +63,10 @@ const DRAIN_TICKS: u64 = 1_000;
 /// A gossip-layer message.
 #[derive(Clone, Debug)]
 pub enum NetMsg<M> {
-    /// Transaction propagation (sequencer → replica mempools).
-    Tx(PendingTx<M>),
+    /// Transaction propagation (sequencer → replica mempools): a pointer
+    /// to the submission, so fan-out, duplicate delivery and every
+    /// replica's mempool entry copy no transaction.
+    Tx(Arc<PendingTx<M>>),
     /// Block propagation: a pointer to the producer's block, so fan-out,
     /// duplicate delivery and anti-entropy replies copy no transactions.
     Block(Arc<NetBlock<M>>),
@@ -100,17 +106,25 @@ pub struct NetSim<S: CaptureStateMachine> {
     /// the final drain (proposers stop once demand stops).
     producing: bool,
     report: NetReport,
+    /// Node 0's genesis chain, until [`NetSim::node_chain`] first reads
+    /// node 0 and replays it into `sequencer_view`.
+    sequencer_genesis: Mutex<Option<Chain<S>>>,
+    /// Node 0's state as an audit view, built once on request.
+    sequencer_view: OnceLock<Chain<S>>,
     /// The run's trace handle (off by default).
     pub(crate) tracer: Tracer,
 }
 
 impl<S: CaptureStateMachine> NetSim<S> {
-    /// Builds the network: `nodes` replicas constructed from identical
-    /// genesis state (`genesis` is called once per node and must be
-    /// deterministic), links seeded from `seed`.
+    /// Builds the network: `nodes` nodes whose state starts from
+    /// identical genesis state (`genesis` is called once per node and
+    /// must be deterministic; node 0's chain is kept for its audit
+    /// view), links seeded from `seed`.
     pub fn new(cfg: NetConfig, seed: u64, genesis: impl Fn() -> Chain<S>) -> Self {
         assert!(cfg.nodes >= 1, "a network needs at least the sequencer");
-        let nodes: Vec<Node<S>> = std::iter::once(Node::sequencer(genesis()))
+        let sequencer_genesis = genesis();
+        assert_eq!(sequencer_genesis.round(), 0, "node 0 starts from genesis");
+        let nodes: Vec<Node<S>> = std::iter::once(Node::sequencer())
             .chain((1..cfg.nodes).map(|i| Node::replica(i, genesis())))
             .collect();
         let relay = build_relay(&cfg.relay);
@@ -132,6 +146,8 @@ impl<S: CaptureStateMachine> NetSim<S> {
             canonical_height: 0,
             producing: true,
             report,
+            sequencer_genesis: Mutex::new(Some(sequencer_genesis)),
+            sequencer_view: OnceLock::new(),
             tracer: Tracer::default(),
         }
     }
@@ -154,9 +170,30 @@ impl<S: CaptureStateMachine> NetSim<S> {
         self.nodes.len()
     }
 
-    /// Node `i`'s chain replica, for state audits.
+    /// Node `i`'s state, for audits. A replica's is the chain it
+    /// replayed. Node 0 keeps none during the run, so its state is an
+    /// audit view: node 0's genesis chain replayed along its applied
+    /// branch the first time it is asked for — outside the run, with
+    /// nothing recorded into the run's trace — and kept from then on.
+    /// The view does not follow later blocks, so read it once the feed
+    /// is done.
     pub fn node_chain(&self, i: usize) -> &Chain<S> {
-        &self.nodes[i].chain
+        match self.nodes[i].chain() {
+            Some(chain) => chain,
+            None => self.sequencer_view.get_or_init(|| {
+                let mut chain = self
+                    .sequencer_genesis
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("node 0's view is built once, from its genesis");
+                chain.contract_mut().detach_trace();
+                for block in self.nodes[i].applied_blocks() {
+                    chain.apply_block_captured(block.txs.clone());
+                }
+                chain
+            }),
+        }
     }
 
     /// Node `i`'s applied head `(block id, height)`.
@@ -170,18 +207,24 @@ impl<S: CaptureStateMachine> NetSim<S> {
     }
 
     /// Announces one canonical-chain submission to every replica's
-    /// mempool (transaction propagation; subject to link faults).
+    /// mempool (transaction propagation; subject to link faults). The
+    /// sequencer's node keeps no mempool: it never proposes.
     pub fn gossip_tx(&mut self, tx: PendingTx<S::Msg>) {
-        self.nodes[0].observe_tx(tx.clone());
+        let tx = Arc::new(tx);
         for to in 1..self.nodes.len() {
-            self.send(0, to, NetMsg::Tx(tx.clone()));
+            self.send(0, to, NetMsg::Tx(Arc::clone(&tx)));
         }
     }
 
     /// Feeds one produced canonical block (its executed transaction
-    /// list, in receipt order): node 0 applies it directly, gossips it
-    /// to every peer, and the network advances one tick.
+    /// list, in receipt order): node 0 adds it to its tree and moves its
+    /// head onto it without executing it again, gossips it to every
+    /// peer, and the network advances one tick.
     pub fn broadcast_block(&mut self, txs: Vec<PendingTx<S::Msg>>) {
+        debug_assert!(
+            self.sequencer_view.get().is_none(),
+            "node 0's audit view was read before the feed was done"
+        );
         let mut sp = self.tracer.span(SpanKind::Gossip, self.tick);
         let sent_before = self.report.messages_sent;
         let height = self.canonical_height + 1;
@@ -373,7 +416,7 @@ impl<S: CaptureStateMachine> NetSim<S> {
     /// Sends one message through the link `from → to`: partitions cut
     /// it, the relay policy rules on it, then seeded loss / delay /
     /// duplication apply. Deliveries are enqueued, never processed
-    /// inline.
+    /// inline; the message is cloned only for a duplicate.
     fn send(&mut self, from: usize, to: usize, msg: NetMsg<S::Msg>) {
         self.report.messages_sent += 1;
         if self.partitioned(from, to) {
@@ -398,12 +441,15 @@ impl<S: CaptureStateMachine> NetSim<S> {
         } else {
             lo
         };
-        self.enqueue(self.tick + delay + extra, from, to, msg.clone());
-        if self.cfg.duplicate_per_mille > 0
-            && self.rng.gen_range(0..1000u32) < self.cfg.duplicate_per_mille
-        {
+        let due = self.tick + delay + extra;
+        let duplicate = self.cfg.duplicate_per_mille > 0
+            && self.rng.gen_range(0..1000u32) < self.cfg.duplicate_per_mille;
+        if duplicate {
             self.report.duplicates_delivered += 1;
-            self.enqueue(self.tick + delay + extra + 1, from, to, msg);
+            self.enqueue(due, from, to, msg.clone());
+            self.enqueue(due + 1, from, to, msg);
+        } else {
+            self.enqueue(due, from, to, msg);
         }
     }
 
@@ -424,10 +470,12 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A counter: every message bumps it; the capture is the prior count.
+    /// `executed` tallies the messages run, on every chain sharing it.
     #[derive(Default)]
     struct Counter {
         count: u64,
         prior: u64,
+        executed: Arc<AtomicU64>,
     }
 
     #[derive(Clone)]
@@ -467,6 +515,7 @@ mod tests {
             _: Bump,
         ) -> Result<(), String> {
             self.count += 1;
+            self.executed.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
     }
@@ -595,10 +644,10 @@ mod tests {
         assert_eq!(net.node_chain(3).contract().count, 3);
     }
 
-    /// Node 0 keeps no undo stack — at no point of a run that forks and
-    /// reorgs its replicas — while every replica's stack is its applied
-    /// branch: one undo per block, by height, through every pop and
-    /// re-apply.
+    /// Node 0 keeps no replayed state and no undo stack — at no point of
+    /// a run that forks and reorgs its replicas — while every replica's
+    /// stack is its applied branch: one undo per block, by height,
+    /// through every pop and re-apply.
     #[test]
     fn only_replicas_stack_undos() {
         let cfg = NetConfig {
@@ -614,13 +663,14 @@ mod tests {
             Chain::deploy(Counter::default(), 100, GasSchedule::istanbul())
         });
         let check = |net: &NetSim<Counter>| {
-            assert!(net.nodes[0].undos.is_none(), "node 0 grew an undo stack");
+            assert!(net.nodes[0].chain().is_none(), "node 0 holds a live chain");
             assert_eq!(net.nodes[0].head(), net.canonical_head());
             for (i, node) in net.nodes.iter().enumerate().skip(1) {
                 let rounds: Vec<u64> = node
-                    .undos
+                    .replica
                     .as_ref()
                     .expect("a replica keeps its undos")
+                    .undos
                     .iter()
                     .map(|undo| undo.round())
                     .collect();
@@ -642,6 +692,70 @@ mod tests {
         check(&net);
         assert!(net.report().reorgs > 0, "the run must exercise a pop");
         assert_eq!(net.node_head(3).1, 16);
+    }
+
+    /// Node 0's audit view is the canonical chain — on a network whose
+    /// islanded replica forked and was reorged back — and it is built
+    /// once: the first read replays the canonical branch, the second
+    /// executes nothing and hands back the same chain.
+    #[test]
+    fn node_0s_audit_view_is_the_canonical_chain_built_once() {
+        let cfg = NetConfig {
+            partitions: vec![crate::PartitionWindow {
+                start: 2,
+                end: 12,
+                island: vec![3],
+            }],
+            fork_patience: 2,
+            ..NetConfig::default()
+        };
+        let executed = Arc::new(AtomicU64::new(0));
+        let genesis = || {
+            let counter = Counter {
+                executed: Arc::clone(&executed),
+                ..Counter::default()
+            };
+            Chain::deploy(counter, 100, GasSchedule::istanbul())
+        };
+        let mut canonical = genesis();
+        canonical.set_record_block_txs(true);
+        let mut net = NetSim::new(cfg, 5, genesis);
+        for round in 0..16u8 {
+            for sender in 0..=round % 3 {
+                let msg = Bump;
+                let seq = canonical.submit(Address::from_byte(sender), msg.clone());
+                net.gossip_tx(PendingTx {
+                    sender: Address::from_byte(sender),
+                    msg,
+                    seq,
+                });
+            }
+            canonical.advance_round_fifo();
+            net.broadcast_block(canonical.last_block_txs().to_vec());
+        }
+        assert!(net.drain(), "the island heals and converges");
+        assert!(net.report().reorgs > 0, "the run must exercise a pop");
+        assert!(net.nodes[0].chain().is_none(), "node 0 replayed nothing");
+
+        let before = executed.load(Ordering::Relaxed);
+        let view = net.node_chain(0);
+        let replayed = executed.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            replayed,
+            canonical.contract().count,
+            "one replay of the branch"
+        );
+        assert_eq!(view.round(), canonical.round());
+        assert_eq!(view.contract().count, canonical.contract().count);
+        assert!(view.blocks() == canonical.blocks(), "receipts diverged");
+        assert!(view.ledger == canonical.ledger, "ledger diverged");
+        let again = net.node_chain(0);
+        assert!(std::ptr::eq(view, again), "the view is kept");
+        assert_eq!(
+            executed.load(Ordering::Relaxed) - before,
+            replayed,
+            "a second read executes nothing"
+        );
     }
 
     /// `report()` reads, it never folds: asking twice gives the same

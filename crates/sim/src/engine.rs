@@ -368,10 +368,13 @@ impl MarketSim {
         // blocks serially, on the network's own thread, overlapping the
         // round loop — the producer already enforced the gas limit and
         // resolved execution order — so they carry no executor or
-        // gas-cap configuration of their own. The network and its
-        // replicas' registries record through one deferred handle, so
-        // their events land in the stream where a synchronous network
-        // would have recorded them.
+        // gas-cap configuration of their own. Node 0, the sequencer's
+        // node, replays nothing during the run: this chain already
+        // executed every block it relays, and its genesis is kept only
+        // for the audit view `NetSim::node_chain(0)` builds on request.
+        // The network and its replicas' registries record through one
+        // deferred handle, so their events land in the stream where a
+        // synchronous network would have recorded them.
         let net = config.net.clone().map(|net_cfg| {
             let net_tracer = tracer.deferred();
             NetSim::new(net_cfg, config.seed ^ 0x6e65_7477_6f72_6b00, || {

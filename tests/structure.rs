@@ -44,6 +44,10 @@ const LANE_NONCES: &str = "git log -S 'fn nonce_commitments' -- crates/crypto";
 /// thread, set by the commit this pickaxe names.
 const NET_THREAD: &str = "git log -S 'fn send_block' -- crates/net";
 
+/// `since` of the records that keep node 0 to its block tree, set by
+/// the commit this pickaxe names.
+const SEQUENCER_TREE: &str = "git log -S 'fn detach_trace' -- crates/chain";
+
 /// One alternative of a record's pattern, matched against one line.
 #[derive(Clone, Copy)]
 enum Pat {
@@ -614,6 +618,22 @@ const RECORDS: &[Record] = &[
         expect: Expect::Count(1),
         reason: "the network runs on one thread of its own, spawned by `NetSim::spawn`; nodes replay serially, in order, on it",
         since: NET_THREAD,
+    },
+    Record {
+        pats: &[Pat::Lit(".apply_block_captured(")],
+        scope: &["crates/net/src"],
+        cut: Cut::NonTest,
+        expect: Expect::Count(2),
+        reason: "the network executes a block in a replica's `try_advance` and in node 0's audit view, nowhere else: the sequencer's node does not replay the market's chain",
+        since: SEQUENCER_TREE,
+    },
+    Record {
+        pats: &[Pat::Lit("fn sequencer() -> Self")],
+        scope: &["crates/net/src/node.rs"],
+        cut: Cut::NonTest,
+        expect: Expect::Count(1),
+        reason: "`Node::sequencer` takes no `Chain`: node 0 holds its block tree and head, and its state is built only as an audit view",
+        since: SEQUENCER_TREE,
     },
 ];
 

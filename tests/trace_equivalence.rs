@@ -236,7 +236,8 @@ fn second_trace_names_only_its_own_threads() {
 }
 
 /// The wall profile of a net market needs no subtraction: every block a
-/// node applies is an `apply` span (args `node`, `height`, `txs`), the
+/// replica applies is an `apply` span (args `node`, `height`, `txs`;
+/// node 0, the sequencer's node, executes nothing and records none), the
 /// applications of the live run nest inside the round's `gossip` span,
 /// and settlement verification says how it was partitioned. Only the
 /// final drain — after the last `gossip` — applies outside one. That
@@ -274,9 +275,13 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
             "an apply span of the live run outside every gossip span"
         );
     }
-    // Every node applied at least the canonical branch.
+    assert!(
+        apply.iter().all(|a| arg(a, "node") != 0),
+        "node 0 applied a block"
+    );
+    // Every replica applied at least the canonical branch.
     let blocks = report.blocks as usize;
-    for node in 0..4 {
+    for node in 1..4 {
         let applied = apply.iter().filter(|a| arg(a, "node") == node).count();
         assert!(applied >= blocks, "node {node}: {applied} of {blocks}");
     }
@@ -285,6 +290,26 @@ fn apply_spans_nest_inside_gossip_and_cover_it() {
         assert!(1 <= batches && batches <= threads.max(1));
         assert!(batches <= arg(v, "items").max(1));
     }
+}
+
+/// Node 0's state is an audit view built after the run: it equals the
+/// canonical chain, and building it — on a traced lossy market, with
+/// both layers on — adds nothing to the run's stream or wall profile.
+#[test]
+fn node_0s_audit_view_is_canonical_and_leaves_the_trace_as_it_was() {
+    let tracer = Tracer::full();
+    let (_, chain, net) = MarketSim::traced(lossy_net_config(), tracer.clone()).run_keeping_net();
+    let net = net.expect("net configured");
+    let lines = tracer.deterministic_lines();
+    let spans = tracer.wall_spans().len();
+    let view = net.node_chain(0);
+    assert_eq!(view.round(), chain.round());
+    assert!(view.contract() == chain.contract(), "registry diverged");
+    assert!(view.ledger == chain.ledger, "ledger diverged");
+    assert!(view.blocks() == chain.blocks(), "receipts diverged");
+    assert!(view.events() == chain.events(), "events diverged");
+    assert_eq!(tracer.deterministic_lines(), lines);
+    assert_eq!(tracer.wall_spans().len(), spans);
 }
 
 /// The round loop's waits on the network thread show on its own track:
