@@ -671,11 +671,14 @@ fn round_loop_share() -> (u64, u64) {
 /// steers it, so the market hands it each round and runs on: the
 /// wall-clock delta prices the overlapped net — the replica replay and
 /// gossip bookkeeping the round loop's spare cores do not absorb, the
-/// per-round handover, and the final drain. A lossy variant (seeded
-/// delays, loss, duplicates, a withhold-and-release relay) then reports
-/// blocks/sec with forks and reorgs in the mix. Four full replicas with
-/// undo stacks make this the memory-heaviest small tier, so its peak is
-/// gated like the scale tier's ([`peak_rss_members`]).
+/// per-round handover, and the final drain — read as `overhead_pct`,
+/// the median of 21 alternated rounds' paired ratios, as in
+/// [`trace_overhead`] (with two rounds, one outlier set it). A lossy
+/// variant (seeded delays, loss, duplicates, a withhold-and-release
+/// relay) then reports blocks/sec with forks and reorgs in the mix.
+/// Four full replicas with undo stacks make this the memory-heaviest
+/// small tier, so its peak is gated like the scale tier's
+/// ([`peak_rss_members`]).
 fn net_overhead(seed: u64) {
     let base = scale_config(1_000, seed);
     let with_net = |net: NetConfig| MarketConfig {
@@ -688,7 +691,7 @@ fn net_overhead(seed: u64) {
     });
     let ab = run_ab(
         "net_overhead",
-        2,
+        21,
         Ratio::OverheadPct("overhead_pct"),
         ("single_node", &mut || run_market(base.clone())),
         ("four_node", &mut || run_market(zero_delay.clone())),

@@ -35,6 +35,7 @@ pub mod gas;
 pub mod mempool;
 pub mod parallel;
 pub mod replica;
+pub mod stage;
 pub mod store;
 
 pub use chain::{

@@ -30,14 +30,17 @@
 //! # Pipelining
 //!
 //! [`BlockStore::with_background_writer`] moves every disk operation to
-//! a dedicated writer thread behind a bounded (double-buffered)
-//! channel: the round loop hands off the encoded frame or snapshot and
-//! continues into the next round while the writer appends, checksums
-//! and publishes. Command order is FIFO, so the on-disk artifact
-//! sequence is identical to the synchronous path; [`BlockStore::drain`]
-//! is the barrier that waits for the queue to empty (call it before
-//! reading the store's files, e.g. prior to an in-process
-//! [`Chain::recover_from`]). Dropping the store drains implicitly.
+//! a writer [`Stage`] behind a bounded (double-buffered) channel: the
+//! round loop hands off the encoded frame or snapshot and continues
+//! into the next round while the writer appends, checksums and
+//! publishes. Command order is FIFO, so the on-disk artifact sequence
+//! is identical to the synchronous path; [`BlockStore::drain`] is the
+//! barrier that waits for the queue to empty (call it before reading
+//! the store's files, e.g. prior to an in-process
+//! [`Chain::recover_from`]). Dropping the store drains implicitly. The
+//! failure rule is the stage's: a panic on the writer is raised again
+//! on the round loop, and an I/O error stops the writer and comes back
+//! as the [`StoreError`] of the next hand-off or drain.
 //!
 //! # Durability guarantee
 //!
@@ -76,17 +79,16 @@
 use crate::chain::{Block, Chain, Receipt, StateMachine, TxStatus};
 use crate::gas::Gas;
 use crate::mempool::PendingTx;
+use crate::stage::{Reply, Stage};
 use dragoon_ledger::{Address, Ledger, LedgerEvent};
 use dragoon_trace::{SpanGuard, SpanKind, Tracer};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::thread::JoinHandle;
 
 /// Errors from the persistence layer.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(String),
@@ -725,7 +727,7 @@ impl LogWriter {
             } => self.publish(&tmp, &dest, &bytes, compact, prune_below),
             WriterCmd::Drain(ack) => {
                 self.log.flush()?;
-                let _ = ack.send(());
+                ack.send(());
                 Ok(())
             }
         }
@@ -818,7 +820,7 @@ enum WriterCmd {
         prune_below: Option<u64>,
     },
     /// Flush everything and acknowledge — the drain barrier.
-    Drain(SyncSender<()>),
+    Drain(Reply<()>),
 }
 
 impl WriterCmd {
@@ -835,37 +837,12 @@ impl WriterCmd {
     }
 }
 
-/// The writer thread: handles commands in FIFO order, each write under
-/// a wall-clock span on this thread, recorded into the handle the
-/// command crossed the channel with (the inline path runs inside
-/// `persist_block`'s spans instead).
-fn writer_loop(mut log: LogWriter, rx: Receiver<(Tracer, WriterCmd)>) -> Result<(), StoreError> {
-    for (tracer, cmd) in rx {
-        let _sp = cmd.wall_span(&tracer);
-        log.handle(cmd)?;
-    }
-    // Sender dropped: final flush before the thread exits.
-    Ok(log.log.flush()?)
-}
-
 /// Where writes go: inline on the caller's thread, or over a bounded
-/// channel to the dedicated writer thread.
+/// channel to the writer stage. Dropped, either flushes what it holds:
+/// the log buffer itself, or the stage once it has run its queue.
 enum Writer {
     Inline(LogWriter),
-    Background {
-        tx: SyncSender<(Tracer, WriterCmd)>,
-        handle: Option<JoinHandle<Result<(), StoreError>>>,
-    },
-}
-
-/// The error behind a background writer that stopped answering: joins
-/// the thread (once) to surface what it died of.
-fn writer_died(handle: &mut Option<JoinHandle<Result<(), StoreError>>>) -> StoreError {
-    match handle.take().map(JoinHandle::join) {
-        Some(Ok(Err(e))) => e,
-        Some(Err(_)) => StoreError::Io("block writer panicked".into()),
-        _ => StoreError::Io("block writer exited".into()),
-    }
+    Background(Stage<(Tracer, WriterCmd), (), StoreError>),
 }
 
 /// The writing half of the persistence layer: the snapshot cadence and
@@ -909,10 +886,7 @@ impl fmt::Debug for BlockStore {
             .field("snapshot_every", &self.snapshot_every)
             .field("incremental", &self.incremental)
             .field("compact_log", &self.compact_log)
-            .field(
-                "background",
-                &matches!(self.writer, Writer::Background { .. }),
-            )
+            .field("background", &matches!(self.writer, Writer::Background(_)))
             .finish()
     }
 }
@@ -992,30 +966,29 @@ impl BlockStore {
         self
     }
 
-    /// Moves all disk writes to a dedicated background thread behind a
-    /// bounded double-buffered channel. FIFO handoff keeps the on-disk
+    /// Moves all disk writes to a writer stage behind a bounded
+    /// double-buffered channel. FIFO handoff keeps the on-disk
     /// artifact sequence identical to the synchronous path;
     /// [`BlockStore::drain`] is the completion barrier.
-    pub fn with_background_writer(mut self, on: bool) -> Self {
-        if !on {
-            return self;
+    pub fn with_background_writer(self, on: bool) -> Self {
+        match self.writer {
+            Writer::Inline(mut w) if on => Self {
+                // The writer stage handles commands in FIFO order, each
+                // write under a wall-clock span on its thread, recorded
+                // into the handle the command crossed the channel with
+                // (the inline path runs inside `persist_block`'s spans
+                // instead); a closed channel gets a final flush.
+                writer: Writer::Background(Stage::spawn("dragoon-block-writer", 2, move |cmds| {
+                    for (tracer, cmd) in cmds {
+                        let _sp = WriterCmd::wall_span(&cmd, &tracer);
+                        w.handle(cmd)?;
+                    }
+                    Ok(w.log.flush()?)
+                })),
+                ..self
+            },
+            _ => self,
         }
-        let placeholder = Writer::Background {
-            tx: std::sync::mpsc::sync_channel(0).0,
-            handle: None,
-        };
-        if let Writer::Inline(w) = std::mem::replace(&mut self.writer, placeholder) {
-            let (tx, rx) = std::sync::mpsc::sync_channel(2);
-            let handle = std::thread::Builder::new()
-                .name("dragoon-block-writer".into())
-                .spawn(move || writer_loop(w, rx))
-                .expect("spawn block-writer thread");
-            self.writer = Writer::Background {
-                tx,
-                handle: Some(handle),
-            };
-        }
-        self
     }
 
     /// The store directory.
@@ -1042,12 +1015,7 @@ impl BlockStore {
     fn dispatch(&mut self, cmd: WriterCmd) -> Result<(), StoreError> {
         match &mut self.writer {
             Writer::Inline(w) => w.handle(cmd),
-            Writer::Background { tx, handle } => {
-                // A closed channel means the writer died on an earlier
-                // command.
-                tx.send((self.tracer.clone(), cmd))
-                    .map_err(|_| writer_died(handle))
-            }
+            Writer::Background(stage) => stage.send((self.tracer.clone(), cmd)),
         }
     }
 
@@ -1057,13 +1025,14 @@ impl BlockStore {
     /// before reading the store's files — e.g. prior to an in-process
     /// [`Chain::recover_from`] — and at run end.
     pub fn drain(&mut self) -> Result<(), StoreError> {
-        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel(1);
         self.appends_since_flush = 0;
-        self.dispatch(WriterCmd::Drain(ack_tx))?;
-        if let Writer::Background { handle, .. } = &mut self.writer {
-            ack_rx.recv().map_err(|_| writer_died(handle))?;
+        match &mut self.writer {
+            Writer::Inline(w) => Ok(w.log.flush()?),
+            Writer::Background(stage) => {
+                let ack = stage.request(|ack| (self.tracer.clone(), WriterCmd::Drain(ack)))?;
+                stage.wait(ack)
+            }
         }
-        Ok(())
     }
 
     /// Appends one framed record (`len ‖ checksum ‖ payload`).
@@ -1159,27 +1128,6 @@ impl BlockStore {
             compact: self.compact_log,
             prune_below,
         })
-    }
-}
-
-impl Drop for BlockStore {
-    /// Best-effort implicit drain: flush the synchronous writer, or
-    /// close the channel and join the background thread so every
-    /// handed-off write lands before the store disappears.
-    fn drop(&mut self) {
-        match &mut self.writer {
-            Writer::Inline(w) => {
-                let _ = w.log.flush();
-            }
-            Writer::Background { tx, handle } => {
-                // Replace the sender with a dead one so the writer's
-                // receive loop ends, then join it.
-                *tx = std::sync::mpsc::sync_channel(0).0;
-                if let Some(h) = handle.take() {
-                    let _ = h.join();
-                }
-            }
-        }
     }
 }
 
@@ -1716,6 +1664,29 @@ mod tests {
             drop(store);
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// An I/O error on the writer stage stops it and stays a value:
+    /// with the store directory gone, a snapshot publish fails on the
+    /// writer's thread, and the next drain — and every later hand-off —
+    /// returns that `StoreError` instead of panicking.
+    #[test]
+    fn a_failed_background_write_comes_back_from_the_next_drain() {
+        let dir =
+            std::env::temp_dir().join(format!("dragoon-store-writer-error-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = BlockStore::create(&dir, 0)
+            .unwrap()
+            .with_background_writer(true);
+        store.append(1, b"payload").unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        store.publish_artifact(1, b"snapshot", true).unwrap();
+        assert!(matches!(store.drain(), Err(StoreError::Io(_))));
+        assert!(matches!(store.drain(), Err(StoreError::Io(_))));
+        assert!(matches!(
+            store.append(2, b"payload"),
+            Err(StoreError::Io(_))
+        ));
     }
 
     /// Every command crosses the channel with the store's handle, so

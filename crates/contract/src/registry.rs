@@ -35,6 +35,7 @@
 use crate::contract::{BatchStats, HitContract, HitError, HitEvent, PendingVerdict};
 use crate::msg::{HitMessage, PublishParams};
 use crate::PhaseWindows;
+use dragoon_chain::stage::{Answer, Reply, Stage};
 use dragoon_chain::store::{Persist, PersistDelta, Reader, StoreError};
 use dragoon_chain::{
     par_map, AccessSet, CalldataStats, CaptureStateMachine, ChainMessage, ExecEnv, Gas,
@@ -282,19 +283,25 @@ enum RegistryUndo {
     Stats(BatchStats),
 }
 
+/// The run's overlapped verifier: a stage that answers each block's
+/// chunks with their verdicts.
+type Verifier = Stage<(Vec<VerifyChunk>, Reply<Vec<Vec<bool>>>), ()>;
+
 /// An in-flight overlapped settlement verification: the pending-verdict
 /// layout it was started from (per live instance, flattened VPKE items)
-/// and the thread computing the chunk verdicts.
+/// and the verifier's answer.
 struct OverlapJob {
     expected: Vec<(HitId, Vec<(DecryptionStatement, DecryptionProof)>)>,
-    handle: std::thread::JoinHandle<Vec<Vec<bool>>>,
+    verdicts: Answer<Vec<Vec<bool>>>,
 }
 
 /// Overlapped-verification bookkeeping. Local machinery, like the
 /// journal: excluded from equality, encoding, and clones (a cloned
-/// registry — replica, checkpoint — starts with no job in flight).
+/// registry — replica, checkpoint — starts with no verifier and no job
+/// in flight).
 #[derive(Default)]
 struct OverlapState {
+    verifier: Option<Verifier>,
     pending: Option<OverlapJob>,
     /// Joins whose pending set matched the drained one (precomputed
     /// verdicts used).
@@ -307,6 +314,7 @@ struct OverlapState {
 impl Clone for OverlapState {
     fn clone(&self) -> Self {
         Self {
+            verifier: None,
             pending: None,
             hits: self.hits,
             misses: self.misses,
@@ -583,18 +591,18 @@ impl HitRegistry {
         total
     }
 
-    /// Kicks off block N's settlement verification on a background
-    /// thread so it overlaps round N+1's agent-step generation and
-    /// proving. Snapshots every live instance's queued verdict items
-    /// (without draining — the queues stay journal-consistent) and
-    /// starts the same `verify_chunks` fan-out the next clock tick would
-    /// run. The tick joins the job and uses the
-    /// precomputed verdicts only if the drained queues still match the
-    /// snapshot exactly (the guarantee the round structure provides:
-    /// between the end of round N and round N+1's boundary, only the
-    /// mempool fills); any mismatch falls back to inline verification,
-    /// so committed state is byte-identical either way — verdicts are
-    /// pure functions of (statement, proof).
+    /// Hands block N's settlement verification to the run's verifier
+    /// stage, started by the first call, so it overlaps round N+1's
+    /// agent-step generation and proving. Snapshots every live
+    /// instance's queued verdict items (without draining — the queues
+    /// stay journal-consistent) and sends the same `verify_chunks`
+    /// fan-out the next clock tick would run. The tick waits for the
+    /// answer and uses the precomputed verdicts only if the drained
+    /// queues still match the snapshot exactly (the guarantee the round
+    /// structure provides: between the end of round N and round N+1's
+    /// boundary, only the mempool fills); any mismatch falls back to
+    /// inline verification, so committed state is byte-identical either
+    /// way — verdicts are pure functions of (statement, proof).
     ///
     /// No-op when a job is already in flight, when nothing is queued,
     /// or in per-proof mode (queues are always empty there). Replicas
@@ -621,19 +629,25 @@ impl HitRegistry {
         }
         let threads = self.verify_threads;
         let chunks: Vec<VerifyChunk> = expected.iter().map(|(_, items)| items.clone()).collect();
-        let handle = std::thread::Builder::new()
-            .name("dragoon-overlap-verify".into())
-            .spawn(move || verify_chunks(chunks, threads))
-            .expect("spawn overlap-verify thread");
-        self.overlap.pending = Some(OverlapJob { expected, handle });
+        let verifier = self.overlap.verifier.get_or_insert_with(|| {
+            Stage::spawn("dragoon-overlap-verify", 1, move |jobs| {
+                for (chunks, reply) in jobs {
+                    Reply::send(reply, verify_chunks(chunks, threads));
+                }
+                Ok(())
+            })
+        });
+        let Ok(verdicts) = verifier.request(|reply| (chunks, reply));
+        self.overlap.pending = Some(OverlapJob { expected, verdicts });
     }
 
-    /// Joins (and discards) any in-flight overlapped verification — the
-    /// run-end barrier, so no verifier thread outlives the registry's
-    /// useful life.
+    /// Discards any in-flight overlapped verification and finishes the
+    /// verifier stage — the run-end barrier, so no verifier thread
+    /// outlives the registry's useful life.
     pub fn join_overlap(&mut self) {
-        if let Some(job) = self.overlap.pending.take() {
-            let _ = job.handle.join();
+        self.overlap.pending = None;
+        if let Some(verifier) = self.overlap.verifier.take() {
+            let Ok(()) = verifier.finish();
         }
     }
 
@@ -643,15 +657,15 @@ impl HitRegistry {
         (self.overlap.hits, self.overlap.misses)
     }
 
-    /// Joins the in-flight overlap job (if any) and returns its chunk
-    /// verdicts when the drained pending set matches the layout the job
-    /// was started from; `None` (recompute inline) otherwise.
+    /// Waits for the in-flight overlap job (if any) and returns its
+    /// chunk verdicts when the drained pending set matches the layout
+    /// the job was started from; `None` (recompute inline) otherwise.
     fn take_overlap_results(
         &mut self,
         drained: &[(HitId, Vec<PendingVerdict>)],
     ) -> Option<Vec<Vec<bool>>> {
         let job = self.overlap.pending.take()?;
-        let verdicts = job.handle.join().expect("overlap verifier panicked");
+        let Ok(verdicts) = self.overlap.verifier.as_mut()?.wait(job.verdicts);
         let matches = job.expected.len() == drained.len()
             && job.expected.iter().zip(drained).all(
                 |((expect_id, expect_items), (id, pending))| {
@@ -963,7 +977,7 @@ impl StateMachine for HitRegistry {
                 drained.push((id, pending));
             }
         }
-        // Join any overlapped verification started after the previous
+        // Take any overlapped verification started after the previous
         // block — outside the emptiness guard, so a stale job can never
         // linger (an empty drain against a non-empty snapshot is a
         // mismatch and the job is discarded).

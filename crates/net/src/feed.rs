@@ -2,16 +2,16 @@
 //!
 //! A market never reads its network before the run ends: the net
 //! observes the chain, it never steers it. [`NetSim::spawn`] therefore
-//! moves the simulation onto a thread of its own, named `dragoon-net`,
-//! and hands back a [`NetFeed`]. The market queues each round's
-//! gossiped transactions and sends them with the round's block, one
-//! message per round over a bounded channel; the thread runs each
-//! message as [`NetSim::gossip_tx`] for every transaction, then
-//! [`NetSim::broadcast_block`] — the call sequence a synchronous caller
-//! makes — so every relay decision and every draw of the seeded RNG
-//! happens in the same order. [`NetFeed::finish`] sends the final
-//! drain, joins the thread and hands the `NetSim` back for its report
-//! and audits.
+//! moves the simulation onto a pipeline [`Stage`] of its own, one
+//! thread named `dragoon-net`, and hands back a [`NetFeed`]. The market
+//! queues each round's gossiped transactions and sends them with the
+//! round's block, one message per round over a bounded channel; the
+//! thread runs each message as [`NetSim::gossip_tx`] for every
+//! transaction, then [`NetSim::broadcast_block`] — the call sequence a
+//! synchronous caller makes — so every relay decision and every draw of
+//! the seeded RNG happens in the same order. [`NetFeed::finish`] sends
+//! the final drain, joins the thread and hands the `NetSim` back for its
+//! report and audits.
 //!
 //! ## The trace
 //!
@@ -28,18 +28,17 @@
 //!
 //! ## Failure
 //!
-//! A panic on the thread is raised again on the market's thread, with
-//! its payload, at the next send or at `finish`. A feed dropped without
-//! `finish` — the market's thread unwinding — closes the channel and
-//! joins: the thread runs what is already queued and stops without the
-//! drain.
+//! The failure rule is the stage's: a panic on the thread is raised
+//! again on the market's thread, with its payload, at the next send or
+//! at `finish`. A feed dropped without `finish` — the market's thread
+//! unwinding — closes the channel and joins: the thread runs what is
+//! already queued and stops without the drain.
 
 use crate::sim::NetSim;
 use dragoon_chain::mempool::PendingTx;
 use dragoon_chain::replica::CaptureStateMachine;
+use dragoon_chain::stage::Stage;
 use dragoon_trace::{SpanKind, Tracer};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
 
 /// Rounds the market may run ahead of the network thread. More buys
 /// nothing: the thread either keeps up or the channel stays full.
@@ -65,10 +64,7 @@ pub struct NetFeed<S: CaptureStateMachine> {
     txs: Vec<PendingTx<S::Msg>>,
     /// Rounds sent so far: the network tick the next one runs at.
     rounds: u64,
-    /// `None` once the channel is closed.
-    sender: Option<SyncSender<Feed<S::Msg>>>,
-    /// `None` once joined.
-    thread: Option<JoinHandle<NetSim<S>>>,
+    stage: Stage<Feed<S::Msg>, NetSim<S>>,
 }
 
 impl<S> NetSim<S>
@@ -78,47 +74,39 @@ where
     Self: Send,
 {
     /// Moves the simulation onto its own `dragoon-net` thread (see the
-    /// module docs).
-    pub fn spawn(self) -> NetFeed<S> {
+    /// module docs). The thread runs every message as the synchronous
+    /// calls would, until the drain or a closed channel.
+    pub fn spawn(mut self) -> NetFeed<S> {
         let tracer = self.tracer.clone();
-        let (sender, receiver) = sync_channel(ROUNDS_IN_FLIGHT);
-        let thread = std::thread::Builder::new()
-            .name("dragoon-net".into())
-            .spawn(move || self.serve(receiver))
-            .expect("spawning the dragoon-net thread must succeed");
+        let stage = Stage::spawn("dragoon-net", ROUNDS_IN_FLIGHT, move |feed| {
+            for message in feed {
+                match message {
+                    Feed::Round {
+                        txs,
+                        block,
+                        position,
+                    } => {
+                        for tx in txs {
+                            self.gossip_tx(tx);
+                        }
+                        self.broadcast_block(block);
+                        self.tracer.end_batch(position);
+                    }
+                    Feed::Drain { position } => {
+                        self.drain();
+                        self.tracer.end_batch(position);
+                        break;
+                    }
+                }
+            }
+            Ok(self)
+        });
         NetFeed {
             tracer,
             txs: Vec::new(),
             rounds: 0,
-            sender: Some(sender),
-            thread: Some(thread),
+            stage,
         }
-    }
-
-    /// The thread's loop: every message as the synchronous calls, until
-    /// the drain or a closed channel.
-    fn serve(mut self, feed: Receiver<Feed<S::Msg>>) -> Self {
-        while let Ok(message) = feed.recv() {
-            match message {
-                Feed::Round {
-                    txs,
-                    block,
-                    position,
-                } => {
-                    for tx in txs {
-                        self.gossip_tx(tx);
-                    }
-                    self.broadcast_block(block);
-                    self.tracer.end_batch(position);
-                }
-                Feed::Drain { position } => {
-                    self.drain();
-                    self.tracer.end_batch(position);
-                    break;
-                }
-            }
-        }
-        self
     }
 }
 
@@ -134,7 +122,7 @@ impl<S: CaptureStateMachine> NetFeed<S> {
         let _sp = self.tracer.span(SpanKind::Handoff, self.rounds);
         let txs = std::mem::take(&mut self.txs);
         let position = self.tracer.position();
-        self.send(Feed::Round {
+        let Ok(()) = self.stage.send(Feed::Round {
             txs,
             block,
             position,
@@ -149,42 +137,10 @@ impl<S: CaptureStateMachine> NetFeed<S> {
         let mut sp = self.tracer.span(SpanKind::Handoff, self.rounds);
         sp.arg("drain", 1);
         let position = self.tracer.position();
-        self.send(Feed::Drain { position });
-        let net = self.join();
+        let Ok(()) = self.stage.send(Feed::Drain { position });
+        let Ok(net) = self.stage.finish();
         drop(sp);
         self.tracer.splice();
         net
-    }
-
-    fn send(&mut self, message: Feed<S::Msg>) {
-        let sender = self.sender.as_ref().expect("the feed is open until finish");
-        if sender.send(message).is_err() {
-            // The receiver is gone before the drain: the thread panicked.
-            self.join();
-            unreachable!("the dragoon-net thread returns only after the drain");
-        }
-    }
-
-    /// Closes the channel and joins the thread, raising its panic here.
-    fn join(&mut self) -> NetSim<S> {
-        self.sender = None;
-        let thread = self.thread.take().expect("the thread is joined once");
-        match thread.join() {
-            Ok(net) => net,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-}
-
-impl<S: CaptureStateMachine> Drop for NetFeed<S> {
-    /// Stops the thread without the drain when the run did not finish —
-    /// the market's thread is unwinding — and waits for it, so no
-    /// network thread outlives its market. Its own panic, if any, is
-    /// dropped: the market's is the one in flight.
-    fn drop(&mut self) {
-        self.sender = None;
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 }

@@ -114,8 +114,8 @@ pub struct PersistConfig {
     /// snapshots and drains). 1 (default) keeps the torn-tail window at
     /// a single record.
     pub flush_every: u64,
-    /// Move disk writes to a dedicated writer thread behind a bounded
-    /// channel; the round loop hands off frames and keeps executing.
+    /// Move disk writes to a writer stage behind a bounded channel;
+    /// the round loop hands off frames and keeps executing.
     pub background_writer: bool,
     /// Overlap block N's batched settlement verification with round
     /// N+1's agent-step generation and proving (batched settlement

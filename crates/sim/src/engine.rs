@@ -546,12 +546,13 @@ impl MarketSim {
             let _sp = self.tracer.span(SpanKind::Harvest, self.chain.round());
             self.harvest();
         }
-        // Pipeline stage 3: kick block N's batched settlement
-        // verification onto a background thread, so it overlaps
+        // Pipeline stage 3: hand block N's batched settlement
+        // verification to the registry's verifier stage (one thread
+        // per run, started by the first hand-off), so it overlaps
         // round N+1's agent-step generation and proving. The next
-        // clock tick joins it before the first settlement verdict
-        // is read; between here and there only the mempool fills,
-        // so the pending set cannot change and the precomputed
+        // clock tick waits for its answer before the first settlement
+        // verdict is read; between here and there only the mempool
+        // fills, so the pending set cannot change and the precomputed
         // verdicts apply (registry misses fall back inline).
         if self
             .config
@@ -565,10 +566,10 @@ impl MarketSim {
 
     /// The run-end barriers, then the report.
     fn finish(&mut self) -> MarketReport {
-        // Run-end barriers, in pipeline order: no verifier thread
-        // outlives the run, and every handed-off block frame and
-        // snapshot is on disk before the report is built (crash
-        // recovery reads these files).
+        // Run-end barriers, in pipeline order: the verifier stage is
+        // finished, and every handed-off block frame and snapshot is
+        // on disk before the report is built (crash recovery reads
+        // these files).
         self.chain.contract_mut().join_overlap();
         if let Some(store) = &mut self.store {
             let (hits, misses) = self.chain.contract().overlap_stats();
@@ -1249,6 +1250,7 @@ pub fn run_market(config: MarketConfig) -> MarketReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PersistConfig;
     use dragoon_chain::mempool::Scheduled;
     use dragoon_net::{NetConfig, NetMsg, RelayDecision};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1472,31 +1474,44 @@ mod tests {
         }
     }
 
-    /// A market that unwinds mid-run takes its network thread down
-    /// with it: the run raises the market's own panic, and by then the
+    /// A market that unwinds mid-run takes its pipeline stages down with
+    /// it: the run raises the market's own panic, and by then the
     /// network thread has returned and dropped the simulation (its
     /// relay's flag is up) — the feed's drop closed the channel and
-    /// joined, without the drain.
+    /// joined, without the drain. With the pipelined store as well, the
+    /// same unwind drops the block writer and the overlap verifier
+    /// (live since round 7's hand-off): the writer handles the frames
+    /// already queued before it joins, so recovery lands on round 8,
+    /// the last block produced before round 9's schedule panicked.
     #[test]
     fn an_unwinding_market_stops_its_network_thread() {
-        let config = MarketConfig {
-            hits: 8,
-            spawn_per_block: 4,
-            workers: 10,
-            exec_threads: 1,
-            net: Some(NetConfig::default()),
-            ..MarketConfig::default()
-        };
-        let dropped = Arc::new(AtomicBool::new(false));
-        let sim = MarketSim::new(config)
-            .with_policy(Box::new(PanicAtRound(6)))
-            .with_relay(Box::new(DropFlag(Arc::clone(&dropped))));
-        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        let payload = raised.expect_err("the policy panics mid-run");
-        assert_eq!(
-            payload.downcast_ref::<String>().map(String::as_str),
-            Some("the market's policy panics at round 6")
-        );
-        assert!(dropped.load(Ordering::SeqCst));
+        let dir = std::env::temp_dir().join(format!("dragoon-unwind-{}", std::process::id()));
+        for persist in [None, Some(PersistConfig::pipelined(dir.clone()))] {
+            let config = MarketConfig {
+                hits: 8,
+                spawn_per_block: 4,
+                workers: 10,
+                exec_threads: 1,
+                net: Some(NetConfig::default()),
+                persist,
+                ..MarketConfig::default()
+            };
+            let dropped = Arc::new(AtomicBool::new(false));
+            let sim = MarketSim::new(config.clone())
+                .with_policy(Box::new(PanicAtRound(9)))
+                .with_relay(Box::new(DropFlag(Arc::clone(&dropped))));
+            let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            let payload = raised.expect_err("the policy panics mid-run");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("the market's policy panics at round 9")
+            );
+            assert!(dropped.load(Ordering::SeqCst));
+            if config.persist.is_some() {
+                let recovered = recover_market_chain(&config).expect("the store recovers");
+                assert_eq!(recovered.round(), 8);
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

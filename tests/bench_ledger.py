@@ -19,16 +19,21 @@ in a checkout of some revision, with
 * `threads` (CPUs the process may run on), `cores` (physical cores)
   and `avx512ifma` (whether the CPU has the lane kernel's extension);
 * `result`: the run's last stdout line, one JSON object with `correct`,
-  `attempted`, `failed` and `metrics`.
+  `attempted`, `failed` and `metrics`;
+* `digest`: the report digest the same stdout prints on its
+  `failed_share` row (16 hex digits). Records appended before the field
+  existed lack it; the files are append-only, so `--check` accepts them.
 
     python3 tests/bench_ledger.py run --checkout DIR --pr N --role ROLE \\
         --workload W --seed S [--seconds T]     # run once, append
     python3 tests/bench_ledger.py summary [--pr N]  # medians and IQR
     python3 tests/bench_ledger.py --check       # schema and roles; exit 1 if bad
 
-`summary` prints, per (PR, role, workload, seed), the run count and the
-median [first quartile, third quartile] of every end-to-end metric.
-Standard library only.
+`summary` prints, per (PR, role, workload, seed), the run count, the
+distinct digests and the median [first quartile, third quartile] of
+every end-to-end metric. `--check` also fails when two records of one
+`rev`, workload and seed disagree on the digest: one source tree runs
+one seeded market. Standard library only.
 """
 
 import json
@@ -54,6 +59,7 @@ FIELDS = {
     "avx512ifma": bool,
     "result": dict,
 }
+OPTIONAL = {"digest": str}
 
 
 def ledger_path(workload):
@@ -115,6 +121,9 @@ def run(args):
         "avx512ifma": ifma,
         "result": json.loads(lines[-1]),
     }
+    digest = report_digest(lines)
+    if digest:
+        record["digest"] = digest
     records = load(opts["--workload"]) + [record]
     ledger_path(opts["--workload"]).write_text(json.dumps(records, indent=1) + "\n")
     metrics = record["result"]["metrics"]
@@ -124,6 +133,19 @@ def run(args):
            metrics.get("hits_per_s", {}).get("value"), record["result"]["failed"])
     )
     return out.returncode
+
+
+def report_digest(lines):
+    """The `digest` token of the `failed_share` row, or None."""
+    for line in lines:
+        words = line.split()
+        if "failed_share" in words and "digest" in words[:-1]:
+            return words[words.index("digest") + 1]
+    return None
+
+
+def is_digest(value):
+    return isinstance(value, str) and len(value) == 16 and all(c in "0123456789abcdef" for c in value)
 
 
 def checkout_rev(checkout):
@@ -155,7 +177,9 @@ def summary(args):
             groups.setdefault((r["pr"], r["role"], workload, r["seed"]), []).append(r)
     for (pr, role, workload, seed), records in sorted(groups.items()):
         failed = sum(r["result"]["failed"] for r in records)
-        print("PR %d %-6s %-16s seed %-3d runs %2d failed %d" % (pr, role, workload, seed, len(records), failed))
+        digests = sorted({r["digest"] for r in records if "digest" in r}) or ["-"]
+        print("PR %d %-6s %-16s seed %-3d runs %2d failed %d digest %s"
+              % (pr, role, workload, seed, len(records), failed, " ".join(digests)))
         for name in END_TO_END:
             values = [r["result"]["metrics"][name]["value"] for r in records
                       if name in r["result"]["metrics"]]
@@ -179,14 +203,23 @@ def check():
         if not isinstance(records, list):
             problems.append("%s: not a list of records" % path.name)
             continue
+        digests = {}
         for i, r in enumerate(records):
             where = "%s[%d]" % (path.name, i)
-            if not isinstance(r, dict) or set(r) != set(FIELDS):
-                problems.append("%s: keys must be %s" % (where, sorted(FIELDS)))
+            if not isinstance(r, dict) or not set(FIELDS) <= set(r) <= set(FIELDS) | set(OPTIONAL):
+                problems.append("%s: keys must be %s, optionally %s" % (where, sorted(FIELDS), sorted(OPTIONAL)))
                 continue
             for key, kind in FIELDS.items():
                 if not isinstance(r[key], kind) or (kind is int and isinstance(r[key], bool)):
                     problems.append("%s: %s is not %s" % (where, key, kind))
+            if "digest" in r:
+                if not is_digest(r["digest"]):
+                    problems.append("%s: digest %r is not 16 hex digits" % (where, r["digest"]))
+                key = (r["rev"], r["seed"])
+                first = digests.setdefault(key, (r["digest"], where))
+                if first[0] != r["digest"]:
+                    problems.append("%s: digest %s at rev %s seed %d, but %s has %s"
+                                    % (where, r["digest"], r["rev"], r["seed"], first[1], first[0]))
             if r["role"] not in ROLES:
                 problems.append("%s: role %r not in %s" % (where, r["role"], ROLES))
             if r["workload"] != workload:

@@ -48,6 +48,17 @@ const NET_THREAD: &str = "git log -S 'fn send_block' -- crates/net";
 /// the commit this pickaxe names.
 const SEQUENCER_TREE: &str = "git log -S 'fn detach_trace' -- crates/chain";
 
+/// `since` of the records that put the round loop's background workers
+/// on one pipeline stage, set by the commit this pickaxe names.
+const ONE_STAGE: &str = "git log -S 'pub struct Stage<' -- crates/chain";
+
+/// The files of the three workers that run on a `dragoon_chain::stage::Stage`.
+const STAGE_OWNERS: &[&str] = &[
+    "crates/chain/src/store.rs",
+    "crates/contract/src/registry.rs",
+    "crates/net/src/feed.rs",
+];
+
 /// One alternative of a record's pattern, matched against one line.
 #[derive(Clone, Copy)]
 enum Pat {
@@ -615,9 +626,9 @@ const RECORDS: &[Record] = &[
         ],
         scope: &["crates/net/src"],
         cut: Cut::NonTest,
-        expect: Expect::Count(1),
-        reason: "the network runs on one thread of its own, spawned by `NetSim::spawn`; nodes replay serially, in order, on it",
-        since: NET_THREAD,
+        expect: Expect::Absent,
+        reason: "the network runs on one `Stage` of its own, started by `NetSim::spawn`; nodes replay serially, in order, on it",
+        since: ONE_STAGE,
     },
     Record {
         pats: &[Pat::Lit(".apply_block_captured(")],
@@ -634,6 +645,34 @@ const RECORDS: &[Record] = &[
         expect: Expect::Count(1),
         reason: "`Node::sequencer` takes no `Chain`: node 0 holds its block tree and head, and its state is built only as an audit view",
         since: SEQUENCER_TREE,
+    },
+    Record {
+        pats: &[Pat::Lit("thread::Builder"), Pat::Lit("thread::spawn")],
+        scope: SRC,
+        cut: Cut::NonTest,
+        expect: Expect::Lines(&["crates/chain/src/stage.rs"]),
+        reason: "a long-lived thread is a `dragoon_chain::stage::Stage`, which owns the one spawn, its channel, its teardown and its panic rule",
+        since: ONE_STAGE,
+    },
+    Record {
+        pats: &[Pat::Lit("Stage::spawn(")],
+        scope: SRC,
+        cut: Cut::NonTest,
+        expect: Expect::Lines(STAGE_OWNERS),
+        reason: "the round loop has three background workers — the block writer, the overlap verifier and the network feed — and each starts one stage",
+        since: ONE_STAGE,
+    },
+    Record {
+        pats: &[
+            Pat::Lit("JoinHandle"),
+            Pat::Lit("sync_channel"),
+            Pat::Lit("resume_unwind"),
+        ],
+        scope: STAGE_OWNERS,
+        cut: Cut::NonTest,
+        expect: Expect::Absent,
+        reason: "a stage's owner leaves the join, the channel and the panic to the stage",
+        since: ONE_STAGE,
     },
 ];
 
