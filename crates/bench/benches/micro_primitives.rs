@@ -8,7 +8,7 @@ use dragoon_core::poqoea;
 use dragoon_core::task::Answer;
 use dragoon_core::workload::imagenet_workload;
 use dragoon_crypto::elgamal::{Ciphertext, KeyPair, PlaintextRange};
-use dragoon_crypto::g1::{msm, msm_pippenger, msm_pippenger_portable, G1Projective};
+use dragoon_crypto::g1::{msm, msm_pippenger, msm_pippenger_portable, BucketPlan, G1Projective};
 use dragoon_crypto::g2::G2Affine;
 #[cfg(target_arch = "x86_64")]
 use dragoon_crypto::lanes;
@@ -16,7 +16,7 @@ use dragoon_crypto::pairing::pairing;
 use dragoon_crypto::precomp::generator_table;
 use dragoon_crypto::{keccak256, vpke, FixedBaseTable, Fq, Fr, G1Affine};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -543,6 +543,79 @@ fn bench_msm_crossover(_: &mut Criterion) {
     }
 }
 
+/// `n` random bases under the settlement fold's mix of scalars: every
+/// other one short — below `2^127`, half of those negated, as the
+/// fold's `−ρ` and `−σ` — and the rest full.
+fn fold_terms(n: usize, rng: &mut StdRng) -> (Vec<G1Affine>, Vec<Fr>) {
+    let bases = (0..n).map(|_| G1Affine::random(rng)).collect();
+    let scalars = (0..n)
+        .map(|i| match i % 4 {
+            0 => Fr::from_u128(rng.gen::<u128>() >> 1),
+            2 => -Fr::from_u128(rng.gen::<u128>() >> 1),
+            _ => Fr::random(rng),
+        })
+        .collect();
+    (bases, scalars)
+}
+
+/// The cost model's data: `msm_pippenger`'s three phases — laying out
+/// the plan, summing the buckets, aggregating the windows — timed apart
+/// at window widths 3 to 6 on fold-shaped terms (37, 75 and 141 points,
+/// what 8, 16 and 32 items of a one-key batch fold into), portable and
+/// on the lanes, alternated round by round. `g1::window_bits`' cost
+/// constants are re-derived from it: a bucket entry's and a window
+/// bucket's time on the lanes against the portable ones.
+#[cfg(target_arch = "x86_64")]
+fn bench_msm_phases(_: &mut Criterion) {
+    const ROUNDS: usize = 31;
+    if lanes::msm_buckets(&BucketPlan::with_window(&[], &[], 3)).is_none() {
+        println!("msm_phases: skipped, this CPU has no avx512ifma");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(11);
+    println!("msm_phases, median µs over {ROUNDS} alternated rounds (half of the scalars short)");
+    println!(
+        "{:>6} {:>2} {:>8} {:>24} {:>24}",
+        "points", "c", "plan", "buckets port / lanes", "aggregation port / lanes"
+    );
+    for n in [37usize, 75, 141] {
+        for c in 3..=6 {
+            let mut times: [Vec<Duration>; 5] = Default::default();
+            for round in 0..ROUNDS {
+                let (bases, scalars) = black_box(fold_terms(n, &mut rng));
+                let (plan_time, plan) = time_once(|| BucketPlan::with_window(&bases, &scalars, c));
+                times[0].push(plan_time);
+                let phases: [&dyn Fn() -> (Duration, Duration); 2] = [
+                    &|| {
+                        let (t, sums) = time_once(|| plan.bucket_sums());
+                        (t, elapsed(|| plan.combine(&sums)))
+                    },
+                    &|| {
+                        let (t, sums) = time_once(|| lanes::msm_buckets(&plan));
+                        let sums = sums.expect("this CPU has IFMA");
+                        (t, elapsed(|| lanes::msm_combine(&plan, &sums)))
+                    },
+                ];
+                for i in 0..2 {
+                    let side = (round + i) % 2;
+                    let (b, a) = phases[side]();
+                    times[1 + side].push(b);
+                    times[3 + side].push(a);
+                }
+            }
+            let [plan, bp, bl, ap, al] = times.map(median_us);
+            println!(
+                "{n:>6} {c:>2} {plan:>8.1} {:>24} {:>24}",
+                format!("{bp:.0} / {bl:.0} = {:.2}", bl / bp),
+                format!("{ap:.0} / {al:.0} = {:.2}", al / ap),
+            );
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_msm_phases(_: &mut Criterion) {}
+
 fn bench_hash(c: &mut Criterion) {
     let data = vec![0xa5u8; 1024];
     c.bench_function("keccak256_1k", |bench| {
@@ -616,6 +689,7 @@ criterion_group!(
     bench_table_build_crossover,
     bench_msm,
     bench_msm_crossover,
+    bench_msm_phases,
     bench_hash,
     bench_pairing,
     bench_vpke,

@@ -842,15 +842,18 @@ fn route(
 pub type VerifyChunk = Vec<(DecryptionStatement, DecryptionProof)>;
 
 /// The fewest proof items a settlement batch carries once a block is
-/// split. 8 items under one key fold into a 34-point MSM: small enough
-/// that a block of 16 already uses a second thread, large enough that
-/// the fold still amortises (on the `vpke_partition` bench row's
-/// ≈ 32-item blocks under two threads, 8 read 0.37× the per-instance
-/// one-thread cost, 16 read 0.47× and 32 read 0.46×). Re-read after the
-/// fold's MSM got ≈ 5× cheaper: on that histogram at two threads on a
-/// 2-vCPU box, not splitting below 24 items read ≈ 20 % fewer µs per
-/// item, but `lossy_net_market` `hits_per_s` did not move (three
-/// alternated pairs), so 8 stays.
+/// split. 8 items under one key fold into a 34-point MSM (52 split
+/// points: `A` and `B` carry short weights, one point each): small
+/// enough that a block of 16 already uses a second thread, large enough
+/// that the fold still amortises. On the `vpke_partition` bench row
+/// (the market's chunk histogram, 5 455 items in 168 blocks; one
+/// alternated session on a 2-vCPU box) balanced batches read 26.3 µs an
+/// item at one thread and 22.8 at two — 40.4 and 46.2 before the fold's
+/// aggregation moved to the lanes and its weights became 127-bit — and
+/// per-chunk batches 4.3× and 4.1× that. The threshold was last set
+/// against others when the fold cost ≈ 55 µs an item (not splitting
+/// below 24 items read ≈ 20 % fewer µs per item, but `lossy_net_market`
+/// `hits_per_s` did not move in three alternated pairs), so 8 stays.
 const MIN_BATCH_ITEMS: usize = 8;
 
 /// How many batches [`verify_chunks`] cuts `items` queued proof items

@@ -820,19 +820,22 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 ///
 /// The settlement fold (`vpke::batch_verify_each`) is its one production
 /// caller: a batch of VPKE verification equations, folded into one MSM.
-/// The bucket phase is laid out by `BucketPlan`: each scalar is
-/// GLV-split into two signed halves below `2^127` over `P` and `φ(P)`
-/// (the split [`G1Projective::mul_scalar`] uses), so a pass has
-/// `⌈128/c⌉` windows instead of `⌈256/c⌉`, and each half is recoded into
-/// signed `c`-bit digits in `(−2^(c−1), 2^(c−1)]`, so a window has
-/// `2^(c−1)` buckets and a negative digit adds `−P`; the top window has
-/// room for the last carry. `c` minimises an addition count
-/// (`window_bits`). On an x86-64 CPU with AVX-512 IFMA, and when every
-/// base is on the curve, the bucket sums run on the eight lanes
-/// (`lanes::msm_buckets`); everywhere else this is
-/// [`msm_pippenger_portable`], which is also the lanes' oracle. The
-/// running-sum aggregation and the window combine are portable either
-/// way. Below `PIPPENGER_POINTS` points it is [`msm`].
+/// The bucket phase is laid out by [`BucketPlan`]: a short scalar — it
+/// or its negation below `2^127`, as the fold's per-item weights are —
+/// is one signed half over `P`, and every other scalar is GLV-split into
+/// two signed halves below `2^127` over `P` and `φ(P)` (the split
+/// [`G1Projective::mul_scalar`] uses). Either way a pass has `⌈128/c⌉`
+/// windows instead of `⌈256/c⌉`, and each half is recoded into signed
+/// `c`-bit digits in `(−2^(c−1), 2^(c−1)]`, so a window has `2^(c−1)`
+/// buckets and a negative digit adds `−P`; the top window has room for
+/// the last carry. `c` minimises an addition count (`window_bits`). On
+/// an x86-64 CPU with AVX-512 IFMA, and when every base is on the
+/// curve, the bucket sums (`lanes::msm_buckets`) and the running-sum
+/// aggregation, eight windows a pass (`lanes::msm_combine`), run on the
+/// eight lanes; everywhere else this is [`msm_pippenger_portable`],
+/// which is also the lanes' oracle. The windows are weighed by
+/// `2^(c·w)` on 64-bit limbs either way. Below `PIPPENGER_POINTS`
+/// points it is [`msm`].
 pub fn msm_pippenger(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
     #[cfg(target_arch = "x86_64")]
@@ -840,9 +843,11 @@ pub fn msm_pippenger(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
         && crate::lanes::has_ifma()
         && bases.iter().all(G1Affine::is_on_curve)
     {
-        let plan = BucketPlan::new(bases, scalars, LANE_BUCKET_ADD);
-        if let Some(buckets) = crate::lanes::msm_buckets(&plan) {
-            return plan.combine(&buckets);
+        let plan = BucketPlan::new(bases, scalars, LANE_COSTS);
+        let total = crate::lanes::msm_buckets(&plan)
+            .and_then(|buckets| crate::lanes::msm_combine(&plan, &buckets));
+        if let Some(total) = total {
+            return total;
         }
     }
     msm_pippenger_portable(bases, scalars)
@@ -851,13 +856,14 @@ pub fn msm_pippenger(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 /// [`msm_pippenger`] on 64-bit limbs, on any CPU (public for the
 /// `micro_primitives` rows): every bucket is summed by mixed additions
 /// ([`G1Projective::add_affine`], whose branches take the doublings and
-/// opposite points a repeated base brings).
+/// opposite points a repeated base brings), and every window by general
+/// ones ([`G1Projective::add`], the same branches).
 pub fn msm_pippenger_portable(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
     if bases.len() < PIPPENGER_POINTS {
         return msm(bases, scalars);
     }
-    let plan = BucketPlan::new(bases, scalars, PORTABLE_BUCKET_ADD);
+    let plan = BucketPlan::new(bases, scalars, PORTABLE_COSTS);
     plan.combine(&plan.bucket_sums())
 }
 
@@ -869,46 +875,79 @@ pub fn msm_pippenger_portable(bases: &[G1Affine], scalars: &[Fr]) -> G1Projectiv
 /// 16.
 const PIPPENGER_POINTS: usize = 4;
 
-/// Bits a window pass covers: both GLV halves are below `2^127`, so
+/// Bits a window pass covers: every half is below `2^127`, so
 /// `⌈128/c⌉` windows leave the top one room for the recoding's carry.
 const HALF_BITS: usize = 128;
 
 /// The window widths [`window_bits`] picks from.
 const WINDOW_BITS: core::ops::RangeInclusive<usize> = 2..=12;
 
-/// Field products per addition or doubling, the unit of [`window_bits`]:
-/// a portable mixed addition into a bucket (madd-2007-bl, 7M + 4S), one
-/// lane's share of an eight-lane one, a general addition of the
-/// aggregation (add-2007-bl, 11M + 5S) and a doubling (dbl-2009-l,
-/// 2M + 5S). The lane share is measured: a bucket entry on the lanes
-/// took 83–122 ns where a general addition took ≈ 450 ns.
-const PORTABLE_BUCKET_ADD: usize = 11;
+/// What a pass's additions cost, in field products — the unit of
+/// [`window_bits`]: a mixed addition into a bucket and a general
+/// addition of the running-sum aggregation.
+#[derive(Clone, Copy)]
+struct AddCosts {
+    bucket: usize,
+    aggregate: usize,
+}
+
+/// On 64-bit limbs: madd-2007-bl (7M + 4S) and add-2007-bl (11M + 5S).
+const PORTABLE_COSTS: AddCosts = AddCosts {
+    bucket: 11,
+    aggregate: 16,
+};
+
+/// On the lanes, fitted to the `msm_phases` table of the
+/// `micro_primitives` bench (fold-shaped terms, half of the scalars
+/// short; medians of 31 alternated rounds, 2-vCPU Xeon): a bucket entry
+/// takes 0.18–0.27 of a portable one's time, 3 products of 11. A window
+/// bucket is charged 8 where its two lane additions alone would be
+/// about 5 (the lane aggregation reads 0.3–0.5 of the portable one):
+/// the rest is what the bucket passes lose as `c` grows and their lists
+/// shorten, leaving more of a pass's lanes idle. Under (3, 8) the model
+/// picks the width whose bucket and aggregation phases the table reads
+/// fastest together — 4 at 37 and at 75 points — and 5 at 141 points,
+/// where 4 and 5 read within the box's drift of each other.
 #[cfg(target_arch = "x86_64")]
-const LANE_BUCKET_ADD: usize = 3;
-const GENERAL_ADD: usize = 16;
+const LANE_COSTS: AddCosts = AddCosts {
+    bucket: 3,
+    aggregate: 8,
+};
+
+/// Field products of a doubling (dbl-2009-l, 2M + 5S), `c` of which
+/// weigh each window, on 64-bit limbs on either path.
 const DOUBLING: usize = 7;
 
-/// The window width for `split_points` signed points whose bucket
-/// additions cost `bucket_add` field products each: the `c` that
-/// minimises a pass's products — per window, an addition for every point
-/// (an estimate: a digit is zero once in `2^c`), the `2^c` general
-/// additions of the running sum, and `c` doublings.
-fn window_bits(split_points: usize, bucket_add: usize) -> usize {
+/// The window width for `split_points` signed points whose additions
+/// cost `costs`: the `c` that minimises a pass's products — per window,
+/// an addition for every point (an estimate: a digit is zero once in
+/// `2^c`), the `2^c` general additions of the running sum, and `c`
+/// doublings. The lane costs come from the `micro_primitives` bench's
+/// `msm_phases` table, which times the three phases apart at
+/// `c = 3..6`; re-derive them there.
+fn window_bits(split_points: usize, costs: AddCosts) -> usize {
     WINDOW_BITS
         .min_by_key(|&c| {
-            HALF_BITS.div_ceil(c) * (split_points * bucket_add + (GENERAL_ADD << c) + c * DOUBLING)
+            HALF_BITS.div_ceil(c)
+                * (split_points * costs.bucket + (costs.aggregate << c) + c * DOUBLING)
         })
         .expect("the range is not empty")
 }
 
 /// One MSM's bucket phase, laid out: the split points and, for every
 /// (window, bucket) pair — a *job* — the signed points it sums. Job `j`
-/// is window `j / 2^(c−1)`, digit magnitude `j % 2^(c−1) + 1`.
-pub(crate) struct BucketPlan {
+/// is window `j / 2^(c−1)`, digit magnitude `j % 2^(c−1) + 1`. Public,
+/// with its phases, for the `msm_phases` table of the `micro_primitives`
+/// bench: [`BucketPlan::with_window`] lays it out,
+/// [`BucketPlan::bucket_sums`] (or `lanes::msm_buckets`) sums the
+/// buckets and [`BucketPlan::combine`] (or `lanes::msm_combine`)
+/// aggregates them.
+pub struct BucketPlan {
     /// The window width `c`.
     c: usize,
-    /// `P`, then `φ(P) = (βx, y)`, for every base that is not the
-    /// identity and whose scalar is not zero.
+    /// For every base that is not the identity and whose scalar is not
+    /// zero: `P` alone when the scalar is short, else `P` and then
+    /// `φ(P) = (βx, y)`.
     pub(crate) points: Vec<G1Affine>,
     /// Job `j` sums `entries[starts[j]..starts[j + 1]]`.
     starts: Vec<usize>,
@@ -936,11 +975,18 @@ impl Entry {
 }
 
 impl BucketPlan {
-    /// The plan whose window width is [`window_bits`] at `bucket_add`.
-    fn new(bases: &[G1Affine], scalars: &[Fr], bucket_add: usize) -> Self {
+    /// The plan whose window width is [`window_bits`] at `costs`.
+    fn new(bases: &[G1Affine], scalars: &[Fr], costs: AddCosts) -> Self {
         Self::build(bases, scalars, |split_points| {
-            window_bits(split_points, bucket_add)
+            window_bits(split_points, costs)
         })
+    }
+
+    /// The plan at window width `c`, in `2..=12`, whatever the cost
+    /// model would pick.
+    pub fn with_window(bases: &[G1Affine], scalars: &[Fr], c: usize) -> Self {
+        assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
+        Self::build(bases, scalars, |_| c)
     }
 
     /// The plan with the window width `window(split points)`.
@@ -951,15 +997,16 @@ impl BucketPlan {
             if p.infinity || k.is_zero() {
                 continue;
             }
-            let [first, second] = glv_split(k);
-            points.extend([
-                *p,
-                G1Affine {
-                    x: p.x * GLV_BETA,
-                    ..*p
-                },
-            ]);
-            halves.extend([first, second]);
+            match short_half(k) {
+                Some(half) => {
+                    points.push(*p);
+                    halves.push(half);
+                }
+                None => {
+                    points.extend([*p, p.endomorphism()]);
+                    halves.extend(glv_split(k));
+                }
+            }
         }
         let c = window(points.len());
         assert!(WINDOW_BITS.contains(&c), "window width {c}");
@@ -1005,6 +1052,11 @@ impl BucketPlan {
         self.starts.len() - 1
     }
 
+    /// Buckets a window has: `2^(c−1)`.
+    pub(crate) fn buckets(&self) -> usize {
+        1 << (self.c - 1)
+    }
+
     /// Job `j`'s signed points.
     pub(crate) fn job(&self, j: usize) -> &[Entry] {
         &self.entries[self.starts[j]..self.starts[j + 1]]
@@ -1021,30 +1073,51 @@ impl BucketPlan {
     }
 
     /// Every job's sum, on 64-bit limbs.
-    pub(crate) fn bucket_sums(&self) -> Vec<G1Projective> {
+    pub fn bucket_sums(&self) -> Vec<G1Projective> {
         (0..self.jobs()).map(|j| self.bucket_sum(j)).collect()
     }
 
-    /// `Σ_w 2^(c·w) · Σ_b b · buckets[w][b]`: per window, the running-sum
-    /// aggregation (`2^c` general additions), top window first, `c`
-    /// doublings between windows.
-    fn combine(&self, buckets: &[G1Projective]) -> G1Projective {
+    /// `Σ_w 2^(c·w) · Σ_b b · buckets[w][b]`, on 64-bit limbs: every
+    /// window's running-sum aggregation ([`window_sum`]), weighed by
+    /// [`BucketPlan::weigh`].
+    pub fn combine(&self, buckets: &[G1Projective]) -> G1Projective {
         assert_eq!(buckets.len(), self.jobs(), "one sum per job");
-        let mut total = G1Projective::identity();
-        for window in buckets.chunks_exact(1 << (self.c - 1)).rev() {
-            for _ in 0..self.c {
-                total = total.double();
-            }
-            let mut running = G1Projective::identity();
-            let mut sum = G1Projective::identity();
-            for bucket in window.iter().rev() {
-                running += *bucket;
-                sum += running;
-            }
-            total += sum;
-        }
-        total
+        self.weigh(buckets.chunks_exact(self.buckets()).map(window_sum))
     }
+
+    /// `Σ_w 2^(c·w) · sums[w]`: top window first, `c` doublings between
+    /// windows.
+    pub(crate) fn weigh(
+        &self,
+        sums: impl DoubleEndedIterator<Item = G1Projective>,
+    ) -> G1Projective {
+        sums.rev().fold(G1Projective::identity(), |total, sum| {
+            (0..self.c).fold(total, |t, _| t.double()) + sum
+        })
+    }
+}
+
+/// `Σ_b b · window[b − 1]` by running sums from the top bucket down:
+/// `2·2^(c−1)` general additions.
+pub(crate) fn window_sum(window: &[G1Projective]) -> G1Projective {
+    let mut running = G1Projective::identity();
+    let mut sum = G1Projective::identity();
+    for bucket in window.iter().rev() {
+        running += *bucket;
+        sum += running;
+    }
+    sum
+}
+
+/// `k` as one signed half `(|k|, k < 0)` when `k` or `−k` is below
+/// `2^127`; `None` for a scalar that takes the GLV split.
+fn short_half(k: &Fr) -> Option<(u128, bool)> {
+    let below = |l: [u64; 4]| {
+        (l[2] == 0 && l[3] == 0 && l[1] >> 63 == 0).then(|| l[0] as u128 | (l[1] as u128) << 64)
+    };
+    below(k.to_plain_limbs())
+        .map(|v| (v, false))
+        .or_else(|| below((-*k).to_plain_limbs()).map(|v| (v, true)))
 }
 
 /// `k < 2^127` as `out.len()` signed `c`-bit digits, least significant
@@ -1718,7 +1791,18 @@ mod tests {
         let k = Fr::random(rng);
         let planted_bases = [bases[0], bases[0], G1Affine::identity(), bases[3], p, -p];
         let planted_scalars = [scalars[0], scalars[0], scalars[2], Fr::zero(), k, k];
-        let edges = [-Fr::one(), lambda(), lambda() + Fr::one(), -lambda()];
+        // Short scalars on either side of `2^127`, and their negations.
+        let (short, long) = (Fr::from_u128(u128::MAX >> 1), Fr::from_u128(1 << 127));
+        let edges = [
+            -Fr::one(),
+            lambda(),
+            lambda() + Fr::one(),
+            -lambda(),
+            short,
+            -short,
+            long,
+            -long,
+        ];
         let planted = planted_bases.len();
         bases[..planted].copy_from_slice(&planted_bases);
         scalars[..planted].copy_from_slice(&planted_scalars);
@@ -1740,12 +1824,12 @@ mod tests {
         // The cost model picks inside `WINDOW_BITS` at any size and on
         // either path ...
         #[cfg(target_arch = "x86_64")]
-        let costs = [PORTABLE_BUCKET_ADD, LANE_BUCKET_ADD];
+        let costs = [PORTABLE_COSTS, LANE_COSTS];
         #[cfg(not(target_arch = "x86_64"))]
-        let costs = [PORTABLE_BUCKET_ADD];
+        let costs = [PORTABLE_COSTS];
         for points in (0..24).map(|e| 1usize << e) {
-            for bucket_add in costs {
-                assert!(WINDOW_BITS.contains(&window_bits(points, bucket_add)));
+            for cost in costs {
+                assert!(WINDOW_BITS.contains(&window_bits(points, cost)));
             }
         }
         // ... and every width in it sums correctly, portable and, where
@@ -1758,6 +1842,8 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if let Some(buckets) = crate::lanes::msm_buckets(&plan) {
                 assert_eq!(plan.combine(&buckets), expect, "c = {c} on the lanes");
+                let total = crate::lanes::msm_combine(&plan, &buckets);
+                assert_eq!(total, Some(expect), "c = {c}, both phases on the lanes");
             }
         }
         // A base off the curve sends the whole MSM down the portable path.
@@ -1795,28 +1881,8 @@ mod tests {
 
     #[test]
     fn msm_matches_offline_vectors() {
-        use crate::vectors::MSM;
-        let bases: Vec<G1Affine> = MSM
-            .bases
-            .iter()
-            .map(|b| {
-                b.map_or(G1Affine::identity(), |(x, y)| {
-                    let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
-                    G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
-                })
-            })
-            .collect();
-        for (terms, sum) in MSM.sets {
-            let points: Vec<G1Affine> = terms.iter().map(|&(b, _)| bases[b]).collect();
-            let scalars: Vec<Fr> = terms
-                .iter()
-                .map(|&(_, k)| Fr::from_plain_limbs(k).expect("scalars are reduced"))
-                .collect();
-            let expect = sum.map_or(G1Affine::identity(), |(x, y)| {
-                let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
-                G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
-            });
-            let n = terms.len();
+        for (points, scalars, expect) in offline_msms(crate::vectors::MSM.sets) {
+            let n = points.len();
             assert_eq!(msm(&points, &scalars).to_affine(), expect, "naive, n = {n}");
             let portable = msm_pippenger_portable(&points, &scalars);
             assert_eq!(portable.to_affine(), expect, "portable, n = {n}");
@@ -1824,6 +1890,64 @@ mod tests {
             let got = msm_pippenger(&points, &scalars);
             assert_eq!(got.to_affine(), expect, "n = {n}");
         }
+    }
+
+    #[test]
+    fn short_scalar_msms_match_offline_vectors() {
+        for (points, scalars, expect) in offline_msms(crate::vectors::MSM.short_sets) {
+            let n = points.len();
+            assert_eq!(
+                msm_pippenger(&points, &scalars).to_affine(),
+                expect,
+                "n = {n}"
+            );
+            assert_eq!(
+                msm_pippenger_portable(&points, &scalars).to_affine(),
+                expect,
+                "portable, n = {n}"
+            );
+            // At forced widths, portable and, where the CPU has them, on
+            // the lanes.
+            for c in [2, 3, 4, 5, 6, 9, 12] {
+                let plan = BucketPlan::with_window(&points, &scalars, c);
+                let buckets = plan.bucket_sums();
+                assert_eq!(
+                    plan.combine(&buckets).to_affine(),
+                    expect,
+                    "portable, n = {n}, c = {c}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if let Some(lanes) = crate::lanes::msm_buckets(&plan) {
+                    let total = crate::lanes::msm_combine(&plan, &lanes).expect("IFMA");
+                    assert_eq!(total.to_affine(), expect, "lanes, n = {n}, c = {c}");
+                }
+            }
+        }
+    }
+
+    /// The offline sets' terms as points and scalars, with their sums.
+    fn offline_msms(sets: &[crate::vectors::MsmSet]) -> Vec<(Vec<G1Affine>, Vec<Fr>, G1Affine)> {
+        let point = |xy: Option<([u64; 4], [u64; 4])>| {
+            xy.map_or(G1Affine::identity(), |(x, y)| {
+                let (x, y) = (Fq::from_plain_limbs(x), Fq::from_plain_limbs(y));
+                G1Affine::from_xy(x.unwrap(), y.unwrap()).expect("on the curve")
+            })
+        };
+        let bases: Vec<G1Affine> = crate::vectors::MSM
+            .bases
+            .iter()
+            .map(|&b| point(b))
+            .collect();
+        sets.iter()
+            .map(|&(terms, sum)| {
+                let points = terms.iter().map(|&(b, _)| bases[b]).collect();
+                let scalars = terms
+                    .iter()
+                    .map(|&(_, k)| Fr::from_plain_limbs(k).expect("scalars are reduced"))
+                    .collect();
+                (points, scalars, point(sum))
+            })
+            .collect()
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Eight lanes per field product: the AVX-512 IFMA kernel under the
 //! shared-scalar branch of [`G1Affine::batch_mul`] (decryption), under
 //! `EncryptionKey::encrypt_batch`'s fixed-base tables (encryption), under
-//! the bucket phase of `msm_pippenger` (settlement verification) and
-//! under the build of those tables (`FixedBaseTable::new_batch`).
+//! the bucket and aggregation phases of `msm_pippenger` (settlement
+//! verification) and under the build of those tables
+//! (`FixedBaseTable::new_batch`).
 //!
 //! An `Fq8` holds eight `Fq` elements in radix 2⁵² — five 52-bit limbs
 //! a lane, limb `j` of all eight lanes in one 512-bit register — in
@@ -12,7 +13,8 @@
 //! added into a 64-bit accumulator, which has room for the unreduced
 //! column sums): since `4p < R′`, two operands below `2p` give a product
 //! below `2p`, with no final subtraction. On the lanes sit the doubling
-//! and mixed addition [`G1Projective`] uses, and three multiplications:
+//! and the mixed and general additions [`G1Projective`] uses, and these
+//! kernels:
 //!
 //! * [`batch_mul_shared`]: one scalar's GLV + width-5 NAF pass over up
 //!   to eight bases at a time. The scalar is shared, so every lane takes
@@ -25,13 +27,18 @@
 //!   which lanes keep it. Lanes on different tables share a pass, so
 //!   `EncryptionKey::encrypt_batch`'s `N` lanes on the generator's table
 //!   and `N` on a key's fill `⌈2N/8⌉` passes.
-//! * `msm_buckets`: the bucket sums of one multi-scalar multiplication
-//!   (`g1::BucketPlan`: GLV-split points, signed window digits). Each
-//!   (window, bucket) list of ±points is a job; jobs go eight per pass,
-//!   longest first, every lane gathering its own points from one
-//!   lane-form copy of the split points, converted once per call. A
-//!   lane's first point loads with `Z = 1`, each later one is a mixed
-//!   addition under a mask of the lanes whose list is still running.
+//! * [`msm_buckets`]: the bucket sums of one multi-scalar multiplication
+//!   (`g1::BucketPlan`: split points — one per short scalar, two per
+//!   GLV-split one — and signed window digits). Each (window, bucket)
+//!   list of ±points is a job; jobs go eight per pass, longest first,
+//!   every lane gathering its own points from one lane-form copy of the
+//!   split points, converted once per call. A lane's first point loads
+//!   with `Z = 1`, each later one is a mixed addition under a mask of the
+//!   lanes whose list is still running.
+//! * [`msm_combine`]: that MSM's running-sum aggregation, eight windows a
+//!   pass, one a lane, stepping down the buckets together by general
+//!   additions (add-2007-bl) under masks that skip the identity buckets,
+//!   so an empty bucket or an empty window never leaves the lanes.
 //! * [`fixed_base_tables`]: eight keys' [`FixedBaseTable`]s a pass, one
 //!   key a lane, every step shared — the doubling chain, the affine
 //!   chords of the digit multiples, and the normalisations, whose
@@ -41,12 +48,12 @@
 //! to its negation leaves `Z = 0`, every later step keeps it there, and
 //! every multiplication recomputes such a lane on the portable path
 //! ([`G1Projective::mul_scalar`], [`FixedBaseTable::mul`],
-//! `BucketPlan::bucket_sum`). Under [`batch_mul_shared`] and
-//! [`fixed_base_mul`] the GLV split rules that out on the curve: the
-//! accumulator is `c₁·P + c₂·φ(P)` and an entry `e·P` or `e·φ(P)`, so a
-//! collision needs a nonzero vector `(x, y)` of the GLV lattice
-//! (`x + y·λ ≡ 0 mod r`) with both coordinates within the split's bound
-//! plus a digit. Under [`batch_mul_shared`] (width-5 NAF, entries up to
+//! `BucketPlan::bucket_sum`, `g1::window_sum`). Under
+//! [`batch_mul_shared`] and [`fixed_base_mul`] the GLV split rules that
+//! out on the curve: the accumulator is `c₁·P + c₂·φ(P)` and an entry
+//! `e·P` or `e·φ(P)`, so a collision needs a nonzero vector `(x, y)` of
+//! the GLV lattice (`x + y·λ ≡ 0 mod r`) with both coordinates within
+//! the split's bound plus a digit. Under [`batch_mul_shared`] (width-5 NAF, entries up to
 //! `15·P`) every such vector has a coordinate 1.6 times that. Under
 //! [`fixed_base_mul`] `c₁` and `c₂` are sums of some of a half's terms
 //! `dᵢ·2^{5i}`; a half is below `5/8·(A + B) < 2.18·2¹²⁵`, so its top
@@ -60,22 +67,28 @@
 //! `msm_buckets` it is a path: the points are chosen by whoever
 //! submitted the proofs, and a repeated base, opposite points, or a list
 //! that sums through the identity (which the tests build) ends its lane
-//! at `Z = 0`, and only that job is summed again. The identity and
-//! points off the curve (whose multiples may meet those sums, or the
-//! identity, while the tables are built) go to the portable path up
-//! front — under [`fixed_base_mul`], the lanes of such a table only;
-//! under `msm_buckets`, the whole MSM (`msm_pippenger` takes the lanes
-//! only when every base is on the curve, and the identity is never a
-//! split point).
+//! at `Z = 0`, and only that job is summed again. Under `msm_combine`
+//! likewise: two equal or opposite buckets meeting in a running sum, or
+//! a window that sums to the identity, ends that window's lane at
+//! `Z = 0`, and only that window is summed again; the identity buckets
+//! themselves are masked out, and the one doubling the running sums
+//! bring for any input — a total that has just started at the running
+//! sum, followed by an empty bucket — is taken by a lane doubling. The
+//! identity and points off the curve (whose multiples may meet those
+//! sums, or the identity, while the tables are built) go to the portable
+//! path up front — under [`fixed_base_mul`], the lanes of such a table
+//! only; under `msm_buckets` and `msm_combine`, the whole MSM
+//! (`msm_pippenger` takes the lanes only when every base is on the
+//! curve, and the identity is never a split point).
 //!
 //! Every function that touches a 512-bit register is compiled for
 //! `avx512ifma` (which implies AVX-512F), and safe code reaches them only
-//! through [`batch_mul_shared`], [`fixed_base_mul`], `msm_buckets`,
-//! [`fixed_base_tables`] and [`mul_chain`], after `has_ifma` saw the
-//! feature at run time — the crate's one CPU probe.
+//! through [`batch_mul_shared`], [`fixed_base_mul`], [`msm_buckets`],
+//! [`msm_combine`], [`fixed_base_tables`] and [`mul_chain`], after
+//! `has_ifma` saw the feature at run time — the crate's one CPU probe.
 
 use crate::field::{Fq, Fr};
-use crate::g1::{BucketPlan, Entry, G1Affine, G1Projective, GlvRecoding, GLV_BETA};
+use crate::g1::{window_sum, BucketPlan, Entry, G1Affine, G1Projective, GlvRecoding, GLV_BETA};
 use crate::precomp::{
     entry_index, generator_table, split_digits, FixedBaseTable, SplitDigits, TABLE_ENTRIES,
     WINDOWS, WINDOW_BITS,
@@ -101,6 +114,14 @@ const TWO_P: [u64; 5] = twice(P);
 const INV: u64 = Fq::INV & MASK;
 /// `−p⁻¹ mod 16`.
 const INV16: u64 = Fq::INV & 15;
+/// `2²⁶⁴ mod p`, the Montgomery form of 256: a lane product by it takes
+/// an `Fq`'s `aR = a·2²⁵⁶` to the lane value `a·2²⁶⁰`.
+const TO_LANE: [u64; 5] = split([
+    0xfbdb0f2afaec667a,
+    0xad825aed9626b0ff,
+    0x276f48b709e2a0fc,
+    0x0d791464ef86e357,
+]);
 
 /// Whether this CPU runs the lane kernel.
 pub(crate) fn has_ifma() -> bool {
@@ -174,7 +195,7 @@ fn batch_mul_shared_ifma(points: &[G1Affine], k: &Fr) -> Vec<G1Projective> {
 /// ends at `Z = 0` met an exceptional addition — a doubling, opposite
 /// points, or the identity on the way, which repeated bases can plant —
 /// and its job is summed again by [`BucketPlan::bucket_sum`].
-pub(crate) fn msm_buckets(plan: &BucketPlan) -> Option<Vec<G1Projective>> {
+pub fn msm_buckets(plan: &BucketPlan) -> Option<Vec<G1Projective>> {
     if !has_ifma() {
         return None;
     }
@@ -229,6 +250,101 @@ fn bucket_chunk(rows: &[Row], jobs: [&[Entry]; LANES]) -> Jac8 {
         };
     }
     acc
+}
+
+/// `plan.combine(buckets)` on the lanes: the group element
+/// [`BucketPlan::combine`] returns, or `None` when this CPU has no
+/// AVX-512 IFMA. Public, beside [`msm_buckets`], for the `msm_phases`
+/// table of the `micro_primitives` bench.
+///
+/// Eight windows share a pass, one a lane, their running sums stepping
+/// down the buckets together ([`window_chunk`]). A bucket that is the
+/// identity — no digit landed on it, or its points summed to it — is
+/// masked out in its lane, and a lane's running sum and total start at
+/// their first term, so an empty bucket or a window with no term at all
+/// (the top one, often) stays on the lanes. A lane that ends at `Z = 0`
+/// met a genuine exceptional sum — two equal or opposite points
+/// (`H = 0`), which a window summing to the identity ends with — and
+/// only that window is summed again, by the portable `window_sum`. The
+/// window sums are weighed by `2^(c·w)` on 64-bit limbs, as
+/// [`BucketPlan::combine`] weighs them.
+pub fn msm_combine(plan: &BucketPlan, buckets: &[G1Projective]) -> Option<G1Projective> {
+    if !has_ifma() {
+        return None;
+    }
+    assert_eq!(buckets.len(), plan.jobs(), "one sum per job");
+    // SAFETY: `has_ifma()` just saw AVX-512 IFMA, the only feature
+    // `msm_combine_ifma` is compiled for.
+    Some(unsafe { msm_combine_ifma(plan, buckets) })
+}
+
+#[target_feature(enable = "avx512ifma")]
+fn msm_combine_ifma(plan: &BucketPlan, buckets: &[G1Projective]) -> G1Projective {
+    let windows: Vec<&[G1Projective]> = buckets.chunks_exact(plan.buckets()).collect();
+    let mut sums = Vec::with_capacity(windows.len());
+    for pass in windows.chunks(LANES) {
+        let (acc, taken) = window_chunk(from_fn(|i| pass.get(i).copied().unwrap_or(&[])));
+        for (i, (window, q)) in pass.iter().zip(acc.to_projective()).enumerate() {
+            sums.push(if taken & 1 << i == 0 {
+                G1Projective::identity()
+            } else if q.is_identity() {
+                window_sum(window)
+            } else {
+                q
+            });
+        }
+    }
+    plan.weigh(sums.into_iter())
+}
+
+/// The running-sum aggregations `Σ_b b · window[b − 1]` of eight
+/// windows of one length (or empty), top bucket first, and the mask of
+/// the lanes whose sum took a term. Per step, on the lanes that take
+/// it: the running sum adds the bucket (or starts at it), then the
+/// total adds the running sum (or starts at it). Right after the total
+/// starts, it equals the running sum, and an empty bucket next would
+/// make the addition a doubling: such a lane doubles instead.
+#[target_feature(enable = "avx512ifma")]
+fn window_chunk(windows: [&[G1Projective]; LANES]) -> (Jac8, __mmask8) {
+    let zero = Jac8 {
+        x: Fq8::zero(),
+        y: Fq8::zero(),
+        z: Fq8::zero(),
+    };
+    let (mut running, mut sum) = (zero, zero);
+    // Lanes whose running sum / total has taken a term, and lanes whose
+    // total is their running sum, point for point.
+    let (mut running_set, mut sum_set, mut twin): (__mmask8, __mmask8, __mmask8) = (0, 0, 0);
+    let len = windows.map(<[_]>::len).into_iter().max().unwrap_or(0);
+    for b in (0..len).rev() {
+        let points = windows.map(|w| w.get(b).copied().unwrap_or(G1Projective::identity()));
+        let present = lane_mask(points.map(|p| !p.is_identity()));
+        if present != 0 {
+            let bucket = Jac8::from_projective(points);
+            let grow = present & running_set;
+            if grow != 0 {
+                running = running.select(grow, running.add(&bucket));
+            }
+            running = running.select(present & !running_set, bucket);
+            running_set |= present;
+            twin &= !present;
+        }
+        let (start, double, add) = (
+            running_set & !sum_set,
+            running_set & sum_set & twin,
+            running_set & sum_set & !twin,
+        );
+        if add != 0 {
+            sum = sum.select(add, sum.add(&running));
+        }
+        if double != 0 {
+            sum = sum.select(double, running.double());
+        }
+        sum = sum.select(start, running);
+        sum_set |= start;
+        twin = (twin & !double) | start;
+    }
+    (sum, sum_set)
 }
 
 /// `table.mul(k)` for every lane `(table, k)`, on the lanes: the group
@@ -895,15 +1011,18 @@ impl Fq8 {
         Self::from_fq([a; LANES])
     }
 
-    /// Lane `i` holds `a[i]`: `aR·16 = a·2²⁶⁰`, canonical, re-limbed.
+    /// Lane `i` holds `a[i]`: its Montgomery form `aR`, re-limbed (a
+    /// value below `p`), times [`TO_LANE`] on the lanes — one product
+    /// for all eight, `aR·2²⁶⁴/2²⁶⁰ = a·2²⁶⁰`.
     #[target_feature(enable = "avx512ifma")]
     #[inline]
     fn from_fq(a: [Fq; LANES]) -> Self {
-        let l = a.map(lane_limbs);
+        let l = a.map(|a| split(a.0));
         Self(from_fn(|j| {
             let w = |i: usize| l[i][j] as i64;
             _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
         }))
+        .mul(Self(TO_LANE.map(|l| splat(l))))
     }
 
     /// The canonical `Fq` of every lane: a lane value `a·2²⁶⁰` divided by
@@ -1127,6 +1246,42 @@ impl Jac8 {
         }
     }
 
+    /// [`G1Projective::add`] (add-2007-bl), without its branches: a sum
+    /// of a point with itself or its negation (`H = 0`), like a sum with
+    /// `Z = 0` on either side, comes out with `Z = 0`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn add(&self, rhs: &Self) -> Self {
+        let z1z1 = self.z.square();
+        let z2z2 = rhs.z.square();
+        let u1 = self.x.mul(z2z2);
+        let u2 = rhs.x.mul(z1z1);
+        let s1 = self.y.mul(z2z2).mul(rhs.z);
+        let s2 = rhs.y.mul(z1z1).mul(self.z);
+        let h = u2.sub(u1);
+        let i = h.double().square();
+        let j = h.mul(i);
+        let r = s2.sub(s1).double();
+        let v = u1.mul(i);
+        let x = r.square().sub(j).sub(v.double());
+        Self {
+            x,
+            y: r.mul(v.sub(x)).sub(s1.mul(j).double()),
+            z: self.z.add(rhs.z).square().sub(z1z1).sub(z2z2).mul(h),
+        }
+    }
+
+    /// Lane `i` holds `points[i]`; the identity's lanes hold `Z = 0`.
+    #[target_feature(enable = "avx512ifma")]
+    #[inline]
+    fn from_projective(points: [G1Projective; LANES]) -> Self {
+        Self {
+            x: Fq8::from_fq(points.map(|p| p.x)),
+            y: Fq8::from_fq(points.map(|p| p.y)),
+            z: Fq8::from_fq(points.map(|p| p.z)),
+        }
+    }
+
     /// Lane by lane, `other` where `mask` is set, else `self`.
     #[target_feature(enable = "avx512ifma")]
     #[inline]
@@ -1247,7 +1402,7 @@ mod tests {
     use crate::precomp::signed_digits;
     use crate::vectors::{FQ, G1};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// `2²⁵²`, the Montgomery form of `1/16` (`2²⁵⁶/16`): one
     /// `mul_internal` by it takes a lane value `a·2²⁶⁰` to `a·2²⁵⁶`, the
@@ -1320,6 +1475,7 @@ mod tests {
         assert_eq!(Fq::MODULUS[0].wrapping_mul(Fq::INV), u64::MAX);
         assert_eq!(Fq::from_u64(16).inverse(), Some(SIXTEENTH));
         assert_eq!(INV16 * (Fq::MODULUS[0] & 15) % 16, 15);
+        assert_eq!(join(TO_LANE), Fq::from_u64(256).0);
         for a in [[0; 4], [u64::MAX; 4], Fq::MODULUS, [1, 2, 3, 4]] {
             assert_eq!(join(split(a)), a);
             assert!(split(a).iter().all(|&l| l <= MASK));
@@ -1530,6 +1686,134 @@ mod tests {
             assert!(acc.z.to_fq().iter().all(Fq::is_zero));
         }
         on_lanes("bucket_sums_match_the_portable_ones", check);
+    }
+
+    /// MSM terms for the aggregation, each set run at every width:
+    /// `(what, bases, scalars, exceptional)`, where `exceptional` says
+    /// that exactly one window — the lowest — ends at `Z = 0` on the
+    /// lanes, its two lowest buckets `P` and `±P` (`H = 0`), or its sum
+    /// the identity.
+    #[allow(clippy::type_complexity)]
+    fn aggregation_sets() -> Vec<(&'static str, Vec<G1Affine>, Vec<Fr>, bool)> {
+        let mut rng = rng();
+        let mut points =
+            |n: usize| -> Vec<G1Affine> { (0..n).map(|_| G1Affine::random(&mut rng)).collect() };
+        let (small, scattered, fold) = (points(4), points(3), points(37));
+        let (p, third) = (points(1)[0], points(1)[0]);
+        let two_p = p.to_projective().double().to_affine();
+        let mut rng = StdRng::seed_from_u64(0xa66);
+        let mut short = || Fr::from_u128(rng.gen::<u128>() >> 1);
+        let scattered_scalars = vec![
+            Fr::from_u64(0x1234_5678_9abc_def1) * short(),
+            short(),
+            -short(),
+        ];
+        let fold_scalars = (0..37)
+            .map(|i| match i % 4 {
+                0 => short(),
+                2 => -short(),
+                _ => short() * short(),
+            })
+            .collect();
+        let small_scalars = vec![
+            Fr::from_u64(0xfff1),
+            -Fr::from_u64(0x8001),
+            Fr::from_u64(3),
+            -Fr::from_u64(0x4_0000),
+        ];
+        let [one, two] = [1, 2].map(Fr::from_u64);
+        vec![
+            (
+                "small scalars: the windows above the lowest few have no term",
+                small,
+                small_scalars,
+                false,
+            ),
+            (
+                "three points: scattered empty buckets",
+                scattered,
+                scattered_scalars,
+                false,
+            ),
+            (
+                "37 points, half of the scalars short",
+                fold,
+                fold_scalars,
+                false,
+            ),
+            (
+                "P under 2 and under 1: equal adjacent buckets",
+                vec![p, p, third],
+                vec![two, one, Fr::from_u64(1 << 40)],
+                true,
+            ),
+            (
+                "P under 2 and under −1: opposite adjacent buckets",
+                vec![p, p, third],
+                vec![two, -one, Fr::from_u64(1 << 40)],
+                true,
+            ),
+            (
+                "P under 2, 2P under −1: a window that sums to the identity",
+                vec![p, two_p, third],
+                vec![two, -one, Fr::from_u64(1 << 40)],
+                true,
+            ),
+        ]
+    }
+
+    #[test]
+    fn window_sums_match_the_portable_combine() {
+        #[target_feature(enable = "avx512ifma")]
+        fn check() {
+            for (what, bases, scalars, exceptional) in aggregation_sets() {
+                let expect = crate::g1::msm(&bases, &scalars);
+                for c in 2..=12 {
+                    let plan = BucketPlan::with_window(&bases, &scalars, c);
+                    let buckets = plan.bucket_sums();
+                    assert_eq!(
+                        plan.combine(&buckets),
+                        expect,
+                        "{what}, c = {c}: the oracle"
+                    );
+                    assert_eq!(
+                        msm_combine(&plan, &buckets),
+                        Some(expect),
+                        "{what}, c = {c}"
+                    );
+                    // The kernel's lanes before any fallback: every window
+                    // without a term is masked out, every other one is
+                    // its portable sum, but for the one exceptional
+                    // window, which ends at `Z = 0`.
+                    let windows: Vec<&[G1Projective]> =
+                        buckets.chunks_exact(plan.buckets()).collect();
+                    let mut at_z_zero = Vec::new();
+                    for (pass, chunk) in windows.chunks(LANES).enumerate() {
+                        let lists = from_fn(|i| chunk.get(i).copied().unwrap_or(&[]));
+                        let (acc, taken) = window_chunk(lists);
+                        for (i, (window, q)) in chunk.iter().zip(acc.to_projective()).enumerate() {
+                            let w = LANES * pass + i;
+                            if taken & 1 << i == 0 {
+                                assert!(
+                                    window.iter().all(G1Projective::is_identity),
+                                    "{what}, c = {c}, window {w}"
+                                );
+                            } else if q.is_identity() {
+                                at_z_zero.push(w);
+                            } else {
+                                assert_eq!(q, window_sum(window), "{what}, c = {c}, window {w}");
+                            }
+                        }
+                    }
+                    let expect_z_zero = if exceptional { vec![0] } else { vec![] };
+                    assert_eq!(
+                        at_z_zero, expect_z_zero,
+                        "{what}, c = {c}: windows at Z = 0"
+                    );
+                }
+            }
+        }
+        on_lanes("window_sums_match_the_portable_combine", check);
     }
 
     /// A split no scalar has: `k1 = A`, `k2 = −B + 2¹⁰⁰`. `(A, −B)` is

@@ -78,6 +78,12 @@ pub(crate) struct MsmVectors {
     /// scalars r − 1, r − 2, λ, λ ± 1, 2¹²⁷ ± 1, 2¹²⁸ and the GLV basis
     /// values A, B and C.
     pub(crate) sets: &'static [MsmSet],
+    /// Sets of 4, 16, 37, 75 and 141 terms whose scalars mix short ones
+    /// (below 2¹²⁷), their negations and full ones; each opens with 1,
+    /// 2¹²⁷ − 1, r − (2¹²⁷ − 1), 2¹²⁷ and r − 2¹²⁷, then a base under
+    /// `k` and `r − k`, `g` and `−g` under one short scalar, and a base
+    /// and its negation under `k` and `r − k`.
+    pub(crate) short_sets: &'static [MsmSet],
 }
 
 /// Fixed-base table entries: `d·2^{5w}·B` at a few `(w, d)` of seeded

@@ -284,7 +284,10 @@ pub fn simulate_with_challenge<R: Rng + ?Sized>(
 const VPKE_BATCH_DOMAIN: &[u8] = b"dragoon/vpke/batch/v1";
 
 /// Derives the random-linear-combination weights for a batch by
-/// Fiat–Shamir over the whole batch transcript: `ρ_i = H(batch ‖ i)`.
+/// Fiat–Shamir over the whole batch transcript: item `i`'s 256-bit
+/// squeeze `H(batch ‖ i)` gives two independent 127-bit weights
+/// `(ρ_i, σ_i)`, one per verification equation: its two 128-bit halves,
+/// each shifted down one bit.
 ///
 /// Weights must be unpredictable to whoever supplied the proofs; hashing
 /// every statement and proof into the transcript achieves that without a
@@ -293,7 +296,7 @@ const VPKE_BATCH_DOMAIN: &[u8] = b"dragoon/vpke/batch/v1";
 fn batch_weights(
     items: &[(DecryptionStatement, DecryptionProof)],
     claim_points: &[G1Affine],
-) -> Vec<Fr> {
+) -> Vec<(Fr, Fr)> {
     let mut t = Transcript::new(VPKE_BATCH_DOMAIN);
     for ((stmt, proof), m_point) in items.iter().zip(claim_points) {
         // Tag the claim variant: `InRange(m)` and `OutOfRange(g^m)`
@@ -315,16 +318,20 @@ fn batch_weights(
         .map(|i| {
             let mut ti = t.clone();
             ti.absorb_u64(i as u64);
-            ti.challenge_scalar()
+            let digest = ti.challenge_bytes();
+            let weight = |half: &[u8]| {
+                let bytes = half.try_into().expect("a 16-byte half");
+                Fr::from_u128(u128::from_le_bytes(bytes) >> 1)
+            };
+            (weight(&digest[..16]), weight(&digest[16..]))
         })
         .collect()
 }
 
 /// Accumulator for the folded batch equation: (base, scalar) pairs for
-/// one MSM. With fold weight `μ` for the second verification equation,
-/// item `i` contributes
+/// one MSM. Under its weights `(ρ_i, σ_i)`, item `i` contributes
 ///
-/// `ρ_i·(C_i·M_i + Z_i·c1_i − A_i − C_i·c2_i) + μρ_i·(Z_i·g − B_i − C_i·h_i)`,
+/// `ρ_i·(C_i·M_i + Z_i·c1_i − A_i − C_i·c2_i) + σ_i·(Z_i·g − B_i − C_i·h_i)`,
 ///
 /// and three kinds of base are folded before the MSM sees them: every
 /// item's `g` coefficient is summed into one term; an `InRange(m)`
@@ -332,6 +339,9 @@ fn batch_weights(
 /// coefficient; and the items under one requester key share one `h`
 /// base, their coefficients summed. What remains is `A`, `B`, `c1`, `c2`
 /// per item, an `OutOfRange` claim's point, one `h` per key and `g`.
+/// `A`'s coefficient `−ρ_i` and `B`'s `−σ_i` are short — their
+/// negations are below `2^127` — so the MSM lays each out as one signed
+/// half, without the GLV split's `φ` point.
 ///
 /// Each fold is an identity of the group — `ρC·(m·g) = (ρC·m)·g` and
 /// `a·h + b·h = (a + b)·h` — so the MSM sums to the same group element
@@ -356,15 +366,14 @@ impl FoldedMsm {
         }
     }
 
-    /// One item's contribution under challenge `c`, weight `rho` and
-    /// fold weight `mu`.
+    /// One item's contribution under challenge `c` and weights
+    /// `(rho, sigma)`.
     fn push(
         &mut self,
         stmt: &DecryptionStatement,
         proof: &DecryptionProof,
         c: Fr,
-        rho: Fr,
-        mu: Fr,
+        (rho, sigma): (Fr, Fr),
     ) {
         let rc = rho * c;
         let rz = rho * proof.z;
@@ -375,9 +384,9 @@ impl FoldedMsm {
         self.push_term(stmt.ct.c1, rz);
         self.push_term(proof.a, -rho);
         self.push_term(stmt.ct.c2, -rc);
-        self.push_term(proof.b, -(mu * rho));
-        self.g_coeff += mu * rz;
-        let h_coeff = -(mu * rc);
+        self.push_term(proof.b, -sigma);
+        self.g_coeff += sigma * proof.z;
+        let h_coeff = -(sigma * c);
         match self.keys.iter_mut().find(|(h, _)| *h == stmt.ek.0) {
             Some((_, coeff)) => *coeff += h_coeff,
             None => self.keys.push((stmt.ek.0, h_coeff)),
@@ -409,14 +418,13 @@ impl FoldedMsm {
 fn fold(
     items: &[(DecryptionStatement, DecryptionProof)],
     challenges: &[Fr],
-    weights: &[Fr],
-    mu: Fr,
+    weights: &[(Fr, Fr)],
     idx: &[usize],
 ) -> FoldedMsm {
     let mut fold = FoldedMsm::with_capacity(idx.len());
     for &i in idx {
         let (stmt, proof) = &items[i];
-        fold.push(stmt, proof, challenges[i], weights[i], mu);
+        fold.push(stmt, proof, challenges[i], weights[i]);
     }
     fold
 }
@@ -432,14 +440,19 @@ fn fold(
 /// isolate the invalid proofs, with single-item subsets checked by
 /// [`verify`] directly.
 ///
-/// Soundness caveat (shared by every random-linear-combination batch
-/// verifier, e.g. batched ed25519): a subset whose hash-derived weighted
-/// errors cancel would be accepted wholesale. Constructing such a batch
-/// requires grinding the Fiat–Shamir weights — a random-oracle hardness
-/// assumption of the same strength the VPKE proofs themselves rest on —
-/// so verdicts agree with per-proof verification except with negligible
-/// adversarial probability, and always agree on all-valid batches
-/// (valid items satisfy every subset fold identically).
+/// Small exponents (Bellare–Garay–Rabin, Eurocrypt 1998): each item's
+/// two equations get independent 127-bit weights. A fold is a linear
+/// form in the weights over the prime-order group, so if one of its
+/// items has a wrong equation, at most one of the `2^127` values of
+/// that equation's weight makes the fold vanish — a batch that holds a
+/// wrong item passes a fold with probability at most `2^-127` over the
+/// weights.
+/// Since the weights are Fiat–Shamir outputs, a prover who wants a
+/// wrong item accepted must grind the transcript, about `2^127` hashes
+/// per fold. Verdicts therefore agree with per-proof verification except
+/// with that probability, and always agree on all-valid batches (valid
+/// items satisfy every subset fold identically); a singleton is decided
+/// by [`verify`]'s own equations.
 pub fn batch_verify_each(items: &[(DecryptionStatement, DecryptionProof)]) -> Vec<bool> {
     batch_verify_each_with(items, FoldedMsm::holds)
 }
@@ -463,14 +476,6 @@ fn batch_verify_each_with(
         .zip(&claim_points)
         .map(|((stmt, proof), m_point)| challenge(&proof.a, &proof.b, &stmt.ek, &stmt.ct, m_point))
         .collect();
-    // Fold weight for the second verification equation.
-    let mut t = Transcript::new(VPKE_BATCH_DOMAIN);
-    t.absorb_bytes(b"fold");
-    for w in &weights {
-        t.absorb_scalar(w);
-    }
-    let mu = t.challenge_scalar();
-
     let mut verdicts = vec![true; n];
     let mut stack: Vec<Vec<usize>> = vec![(0..n).collect()];
     while let Some(idx) = stack.pop() {
@@ -481,7 +486,7 @@ fn batch_verify_each_with(
             verdicts[idx[0]] = verify_equations(stmt, proof, challenges[idx[0]]);
             continue;
         }
-        if holds(fold(items, &challenges, &weights, mu, &idx)) {
+        if holds(fold(items, &challenges, &weights, &idx)) {
             continue;
         }
         let (lo, hi) = idx.split_at(idx.len() / 2);
@@ -854,28 +859,42 @@ mod tests {
     #[test]
     fn folding_bases_leaves_the_sum_unchanged() {
         // The folded MSM is the unfolded equation's group element, item
-        // by item `ρ·(C·M + Z·c1 − A − C·c2) + μρ·(Z·g − B − C·h)`.
+        // by item `ρ·(C·M + Z·c1 − A − C·c2) + σ·(Z·g − B − C·h)`, under
+        // the batch's own 127-bit weights.
         for (what, items) in hostile_batches() {
-            let mut rng = rng();
-            let mu = Fr::random(&mut rng);
+            let claim_points: Vec<G1Affine> =
+                items.iter().map(|(s, _)| s.claim.to_point()).collect();
             let challenges: Vec<Fr> = items
                 .iter()
-                .map(|(s, p)| challenge(&p.a, &p.b, &s.ek, &s.ct, &s.claim.to_point()))
+                .zip(&claim_points)
+                .map(|((s, p), m)| challenge(&p.a, &p.b, &s.ek, &s.ct, m))
                 .collect();
-            let weights: Vec<Fr> = items.iter().map(|_| Fr::random(&mut rng)).collect();
+            let weights = batch_weights(&items, &claim_points);
+            let short = |w: Fr| {
+                let l = w.to_plain_limbs();
+                l[2] == 0 && l[3] == 0 && l[1] >> 63 == 0
+            };
+            assert!(
+                weights
+                    .iter()
+                    .all(|&(rho, sigma)| rho != sigma && short(rho) && short(sigma)),
+                "{what}: two distinct weights below 2^127 an item"
+            );
             let idx: Vec<usize> = (0..items.len()).collect();
-            let (bases, scalars) = fold(&items, &challenges, &weights, mu, &idx).terms();
+            let (bases, scalars) = fold(&items, &challenges, &weights, &idx).terms();
             assert!(
                 bases.len() < 6 * items.len() + 1,
                 "{what}: some base is folded"
             );
             let mut unfolded = G1Projective::identity();
-            for ((stmt, proof), (&c, &rho)) in items.iter().zip(challenges.iter().zip(&weights)) {
+            for ((stmt, proof), (&c, &(rho, sigma))) in
+                items.iter().zip(challenges.iter().zip(&weights))
+            {
                 let g = G1Projective::generator();
                 unfolded += stmt.claim.to_point() * (rho * c) + stmt.ct.c1 * (rho * proof.z)
                     - proof.a.to_projective() * rho
                     - stmt.ct.c2 * (rho * c)
-                    + (g * proof.z - proof.b.to_projective() - stmt.ek.0 * c) * (mu * rho);
+                    + (g * proof.z - proof.b.to_projective() - stmt.ek.0 * c) * sigma;
             }
             let folded = crate::g1::msm(&bases, &scalars);
             assert_eq!(folded, unfolded, "{what}");

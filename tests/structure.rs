@@ -52,6 +52,10 @@ const SEQUENCER_TREE: &str = "git log -S 'fn detach_trace' -- crates/chain";
 /// on one pipeline stage, set by the commit this pickaxe names.
 const ONE_STAGE: &str = "git log -S 'pub struct Stage<' -- crates/chain";
 
+/// `since` of the records that put the settlement MSM's aggregation on
+/// the lanes, set by the commit this pickaxe names.
+const LANE_AGGREGATION: &str = "git log -S 'fn msm_combine' -- crates/crypto";
+
 /// The files of the three workers that run on a `dragoon_chain::stage::Stage`.
 const STAGE_OWNERS: &[&str] = &[
     "crates/chain/src/store.rs",
@@ -326,6 +330,30 @@ const RECORDS: &[Record] = &[
         expect: Expect::Count(1),
         reason: "the lane call sits in `msm_pippenger`'s own body, not in a second MSM beside it",
         since: "3e75ad4",
+    },
+    Record {
+        pats: &[Pat::Call(r"\bmsm_combine(")],
+        scope: SRC,
+        cut: Cut::NonTest,
+        expect: Expect::Lines(&["crates/crypto/src/g1.rs"]),
+        reason: "the MSM aggregation reaches the lanes from `g1::msm_pippenger` only",
+        since: LANE_AGGREGATION,
+    },
+    Record {
+        pats: &[Pat::Lit(r"\bmsm_combine(")],
+        scope: &["crates/crypto/src/g1.rs"],
+        cut: Cut::Body("pub fn msm_pippenger("),
+        expect: Expect::Count(1),
+        reason: "the lane aggregation sits in `msm_pippenger`'s own body, beside its bucket phase",
+        since: LANE_AGGREGATION,
+    },
+    Record {
+        pats: &[Pat::Lit("b\"fold\"")],
+        scope: &["crates/crypto/src/vpke.rs"],
+        cut: Cut::Whole,
+        expect: Expect::Absent,
+        reason: "a fold weighs each item's two equations with its own two 127-bit weights; no transcript squeezes a shared fold weight",
+        since: LANE_AGGREGATION,
     },
     Record {
         pats: &[Pat::Call(r"\bmsm_pippenger(")],

@@ -37,7 +37,12 @@ includes for the crate's unit tests:
   repeated (base, scalar) pair, an identity base, a zero scalar, a
   `P`/`-P` pair under one scalar and another under two, then the scalars
   r - 1, r - 2, lambda, lambda+-1, 2^127+-1, 2^128 and the GLV basis
-  values on seeded bases.
+  values on seeded bases. Short sets of n = 4, 16, 37, 75 and 141 terms
+  on the same pool mix short scalars (below 2^127), their negations
+  (r - k) and full ones, opening with 1, 2^127 - 1, r - (2^127 - 1),
+  2^127 and r - 2^127, a base under a short scalar and its negation,
+  g and -g under one short scalar, and a base and its negation under a
+  short scalar and that scalar's negation.
 
 Nothing here shares code with the crate, so the two are independent
 routes to the same numbers.
@@ -68,6 +73,8 @@ TABLE_ENTRIES = [(0, 1), (0, 16), (12, 7), (25, 16)]
 MSM_SEED = 0x35B254
 MSM_SIZES = [1, 15, 16, 49, 97, 193, 2100]
 MSM_POOL = 24
+MSM_SHORT_SEED = 0x5407B254
+MSM_SHORT_SIZES = [4, 16, 37, 75, 141]
 SRC = pathlib.Path(__file__).resolve().parents[2] / "crates" / "crypto" / "src"
 
 R = 1 << 256
@@ -419,22 +426,56 @@ def render_msm():
             terms += [(seeded_base(), k) for k in edges]
             terms = terms[:n]
         terms += [(rng.randrange(len(bases)), rng.randrange(ORDER)) for _ in range(n - len(terms))]
-        # Terms on one base share its product: sum((sum of their s) * P).
-        per_base = {}
-        for b, k in terms:
-            per_base[b] = (per_base.get(b, 0) + k) % ORDER
-        total = None
-        for b, k in sorted(per_base.items()):
-            total = g1_add(total, g1_mul(k, bases[b]))
-        assert total is None or on_curve(total)
-        lines.append("        (")
-        lines.append("            &[")
-        lines += ["                (%d, %s)," % (b, limbs(k)) for b, k in terms]
-        lines.append("            ],")
-        lines.append("            %s," % optional_xy(total))
-        lines.append("        ),")
+        lines += msm_set(terms, bases)
+    lines.append("    ],")
+    # Short sets: the settlement fold's weights are below 2^127 or
+    # their negations.
+    short_rng = random.Random(MSM_SHORT_SEED)
+    short = lambda: short_rng.getrandbits(127)
+    seeded_base = lambda: short_rng.randrange(3, len(bases))
+    top = (1 << 127) - 1
+    lines.append("    short_sets: &[")
+    for n in MSM_SHORT_SIZES:
+        k, pair = short(), short()
+        planted = [
+            (seeded_base(), 1),
+            (seeded_base(), top),
+            (seeded_base(), ORDER - top),
+            (seeded_base(), 1 << 127),
+            (seeded_base(), ORDER - (1 << 127)),
+            (4, k),
+            (4, ORDER - k),
+            (1, pair),
+            (2, pair),
+            (3, k),
+            (len(bases) - 1, ORDER - k),
+        ]
+        terms = planted[:n]
+        for i in range(n - len(terms)):
+            kind = i % 4
+            k = short() if kind < 2 else short_rng.randrange(ORDER)
+            terms.append((seeded_base(), ORDER - k if kind == 1 else k))
+        lines += msm_set(terms, bases)
     lines += ["    ],", "};"]
     return "\n".join(lines) + "\n"
+
+
+def msm_set(terms, bases):
+    """One set's lines: its terms and their sum, computed per base --
+    terms on one base share its product, sum((sum of their s) * P)."""
+    per_base = {}
+    for b, k in terms:
+        per_base[b] = (per_base.get(b, 0) + k) % ORDER
+    total = None
+    for b, k in sorted(per_base.items()):
+        total = g1_add(total, g1_mul(k, bases[b]))
+    assert total is None or on_curve(total)
+    lines = ["        (", "            &["]
+    lines += ["                (%d, %s)," % (b, limbs(k)) for b, k in terms]
+    lines.append("            ],")
+    lines.append("            %s," % optional_xy(total))
+    lines.append("        ),")
+    return lines
 
 
 OUTPUTS = [
